@@ -275,12 +275,14 @@ func BenchmarkMinDist(b *testing.B) {
 	}
 }
 
-// BenchmarkMinDistsToKeys measures the SIMS lower-bound pass over a large
-// in-memory key array — the per-key kernel of every exact query. "table" is
-// the current path: a per-query MinDistTable rebuilt each op into reused
-// storage, then one allocation-free table lookup per key (0 allocs/op).
-// "legacy" is the pre-overhaul path: per-key SAX decode (one allocation per
-// key), per-segment breakpoint-region recomputation, and a sqrt per key.
+// BenchmarkMinDistsToKeys measures the SIMS lower-bound kernel over a large
+// in-memory key array — what every exact query runs once per indexed series.
+// "table" is the current path: the full-cardinality level of a per-query
+// MinDistTable rebuilt each op into reused storage, then per key two 8x8
+// bit-matrix transposes and 16 table loads and adds (0 allocs/op; ns/key is
+// the figure bench/e2e reports as summary.mindist_ns_per_key). "legacy" is
+// the pre-table path: per-key SAX decode (one allocation per key),
+// per-segment breakpoint-region recomputation, and a sqrt per key.
 func BenchmarkMinDistsToKeys(b *testing.B) {
 	const nKeys = 100000
 	s, err := summary.NewSummarizer(summary.DefaultParams(256))
@@ -334,6 +336,74 @@ func BenchmarkMinDistsToKeys(b *testing.B) {
 // benchSink keeps benchmarked kernel results alive so the compiler cannot
 // dead-code-eliminate the loops being measured.
 var benchSink float64
+
+// exactQueryAllocIndexes are the two indexes the exact-query allocation
+// guard runs on: 20k series at the default shape, non-materialized tree and
+// single-run LSM, QueryWorkers pinned to 1 so the counts do not depend on
+// the host's CPUs.
+var exactQueryAllocIndexes = map[string]func(Config) (exactSearcher, error){
+	"tree": func(cfg Config) (exactSearcher, error) { return BuildTreeIndex(cfg) },
+	"lsm":  func(cfg Config) (exactSearcher, error) { return BuildLSMIndex(cfg) },
+}
+
+type exactSearcher interface {
+	Search(q Series) (Result, error)
+	Close() error
+}
+
+// benchExactQueryAllocs measures one exact query per op on a warm handle.
+func benchExactQueryAllocs(b *testing.B, build func(Config) (exactSearcher, error)) {
+	const (
+		count     = 20000
+		seriesLen = 256
+	)
+	fs := storage.NewMemFS()
+	if err := GenerateDataset(fs, "aq.bin", RandomWalk, count, seriesLen, 31); err != nil {
+		b.Fatal(err)
+	}
+	ix, err := build(Config{Storage: fs, Name: "aq", DataFile: "aq.bin", SeriesLen: seriesLen, QueryWorkers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	queries, err := GenerateQueries(RandomWalk, 16, seriesLen, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range queries { // warm-up: lazy state, pools, block cache
+		if _, err := ix.Search(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ix.Search(queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExactQueryAllocs reports, under -benchmem, what one exact query
+// allocates: O(candidates) — the candidate list grows in a pooled buffer,
+// raw fetches go through one pooled scratch per shard — not an N-entry
+// lower-bound slice plus a buffer per fetch. TestExactQueryAllocations
+// holds the line; CI prints these so a regression is visible in the log.
+func BenchmarkExactQueryAllocs(b *testing.B) {
+	for _, name := range []string{"tree", "lsm"} {
+		b.Run(name, func(b *testing.B) { benchExactQueryAllocs(b, exactQueryAllocIndexes[name]) })
+	}
+}
+
+// TestExactQueryAllocations is the allocation guard on the benchmark above.
+func TestExactQueryAllocations(t *testing.T) {
+	for name, build := range exactQueryAllocIndexes {
+		r := testing.Benchmark(func(b *testing.B) { benchExactQueryAllocs(b, build) })
+		if r.AllocsPerOp() >= 100 || r.AllocedBytesPerOp() >= 256<<10 {
+			t.Errorf("%s: exact query on 20k series allocates %d objects, %d bytes; want < 100 and < 256 KiB", name, r.AllocsPerOp(), r.AllocedBytesPerOp())
+		}
+	}
+}
 
 // BenchmarkSquaredEDBlocked measures the blocked/unrolled Euclidean kernels
 // against an inline scalar loop (the pre-overhaul shape), plus the

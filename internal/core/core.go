@@ -22,16 +22,20 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"github.com/coconut-db/coconut/internal/extsort"
 	"github.com/coconut-db/coconut/internal/series"
+	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
 	"github.com/coconut-db/coconut/internal/window"
@@ -327,14 +331,14 @@ type InsertRec struct {
 	Raw []byte
 }
 
-// readRawAt fetches the series at ordinal pos from a raw dataset file,
-// verifying the encoded bytes against the CRC sidecar when one is present —
-// a rotted raw record surfaces as storage.ErrCorruptData, never as a wrong
-// distance.
-func readRawAt(f storage.File, sums *storage.RecordSums, seriesLen int, pos int64, dst series.Series) error {
-	sz := series.EncodedSize(seriesLen)
-	buf := make([]byte, sz)
-	if n, err := f.ReadAt(buf, pos*int64(sz)); n != sz {
+// ReadRawAt fetches the series at ordinal pos from a raw dataset file into
+// dst, verifying the encoded bytes against the CRC sidecar when one is
+// present — a rotted raw record surfaces as storage.ErrCorruptData, never as
+// a wrong distance. buf receives the encoded bytes and must be
+// series.EncodedSize(len(dst)) long; passing the same one to every fetch of
+// a scan is what keeps the scan allocation-free.
+func ReadRawAt(f storage.File, sums *storage.RecordSums, pos int64, buf []byte, dst series.Series) error {
+	if n, err := f.ReadAt(buf, pos*int64(len(buf))); n != len(buf) {
 		if err == nil {
 			err = io.ErrUnexpectedEOF
 		}
@@ -347,6 +351,122 @@ func readRawAt(f storage.File, sums *storage.RecordSums, seriesLen int, pos int6
 	}
 	series.DecodeInto(buf, dst)
 	return nil
+}
+
+// RawScratch is the pair of buffers one goroutine fetches raw series
+// through: the encoded bytes as read, and the decoded series.
+type RawScratch struct {
+	Buf    []byte
+	Series series.Series
+}
+
+// The pool is process-wide, not per index handle, so that an idle index
+// holds no scratch at all: a garbage collection empties it.
+var rawScratchPool = sync.Pool{New: func() any { return new(RawScratch) }}
+
+// GetRawScratch takes a scratch for series of seriesLen points from the
+// pool. Each verification shard takes one for its whole range and puts it
+// back itself, so a shard abandoned by a cancelled query keeps its buffers
+// until it has finished with them.
+func GetRawScratch(seriesLen int) *RawScratch {
+	sc := rawScratchPool.Get().(*RawScratch)
+	if cap(sc.Series) < seriesLen {
+		sc.Buf = make([]byte, series.EncodedSize(seriesLen))
+		sc.Series = make(series.Series, seriesLen)
+	}
+	sc.Buf, sc.Series = sc.Buf[:series.EncodedSize(seriesLen)], sc.Series[:seriesLen]
+	return sc
+}
+
+// PutRawScratch returns sc to the pool.
+func PutRawScratch(sc *RawScratch) { rawScratchPool.Put(sc) }
+
+// simsVerify is the SIMS verification phase the tree and the trie share:
+// one fused lower-bound pass over the sorted summary array (keys, positions
+// parallel to it) keeps the candidates under the seed res and the shared
+// bound — the query's own when monolithic, the cross-partition one when
+// scatter-gathered — and the survivors are verified against the raw file
+// or, when materialized, by the index's own walk over its leaves.
+func simsVerify(ctx context.Context, opt *Options, q series.Series, keys []summary.Key, positions []int64, res Result, bound *shard.BSF,
+	raw storage.File, sums *storage.RecordSums,
+	overLeaves func(context.Context, series.Series, []summary.Cand, Result, *shard.BSF) (Result, error),
+) (Result, error) {
+	pass, err := opt.S.NewPass(q)
+	if err != nil {
+		return res, err
+	}
+	limit := bound.Limit(res.Dist)
+	if opt.Materialized {
+		pass.Cands = pass.Table.Filter(pass.Cands, keys, nil, limit, opt.QueryWorkers)
+		res, err = overLeaves(ctx, q, pass.Cands, res, bound)
+	} else {
+		pass.Cands = pass.Table.Filter(pass.Cands, keys, positions, limit, opt.QueryWorkers)
+		var visited int64
+		res.Pos, res.Dist, visited, err = VerifyRaw(ctx, raw, sums, q, pass.Cands, res.Pos, res.Dist, bound, opt.QueryWorkers)
+		res.VisitedRecords += visited
+	}
+	if ctx.Err() == nil {
+		pass.Release()
+	}
+	return res, err
+}
+
+// VerifyRaw is the non-materialized SIMS verification scan of every index:
+// cands, survivors of the lower-bound pass whose IDs are raw-file positions,
+// are put in position order (in place) so the dataset is read strictly
+// forward, and the order is cut into contiguous shards across workers. A
+// shard fetches and measures every candidate still under its own
+// best-so-far and, strictly, under the shared bound, which lets shards
+// prune each other's candidates. It returns the best (position, squared
+// distance) found under the seed, else the seed, and the number of series
+// fetched.
+func VerifyRaw(ctx context.Context, f storage.File, sums *storage.RecordSums, q series.Series, cands []summary.Cand,
+	seedPos int64, seedDist float64, bound *shard.BSF, workers int,
+) (pos int64, dist float64, visited int64, err error) {
+	slices.SortFunc(cands, func(a, b summary.Cand) int { return cmp.Compare(a.ID, b.ID) })
+	pos, dist, visited, _, err = shard.ScanReduceCtx(ctx, workers, len(cands), seedPos, seedDist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
+		sc := GetRawScratch(len(q))
+		defer PutRawScratch(sc)
+		for _, c := range cands[r.Lo:r.Hi] {
+			if cancelled() {
+				return nil
+			}
+			if c.LB >= local.Dist || bound.Prunes(c.LB) {
+				continue // pruned by a best-so-far improvement since collection
+			}
+			if err := ReadRawAt(f, sums, c.ID, sc.Buf, sc.Series); err != nil {
+				return err
+			}
+			local.VisitedRecords++
+			// The abandon limit is the exact squared best-so-far, so it is
+			// tight.
+			if sq, ok := series.SquaredEDEarlyAbandon(q, sc.Series, local.Dist); ok && sq < local.Dist {
+				local.Dist, local.Pos = sq, c.ID
+				bound.Lower(sq)
+			}
+		}
+		return nil
+	})
+	return pos, dist, visited, err
+}
+
+// leafCands splits index-ordered candidates (IDs are ordinals of the sorted
+// summary array, as Filter emits them) at ordinal end: those before it —
+// the candidates of the leaf ending there, once the earlier leaves' are
+// consumed — and the rest.
+func leafCands(cands []summary.Cand, end int) (leaf, rest []summary.Cand) {
+	n := 0
+	for n < len(cands) && cands[n].ID < int64(end) {
+		n++
+	}
+	return cands[:n], cands[n:]
+}
+
+// candsFrom skips the candidates before ordinal start: where a shard of a
+// leaf scan begins consuming the shared candidate list.
+func candsFrom(cands []summary.Cand, start int) []summary.Cand {
+	i := sort.Search(len(cands), func(i int) bool { return cands[i].ID >= int64(start) })
+	return cands[i:]
 }
 
 // attachRawSums attaches the raw-dataset CRC sidecar for a checksummed

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
@@ -98,18 +99,32 @@ func (ix *TreeIndex) exactSearchKNN(ctx context.Context, q series.Series, k, rad
 	if err := ix.ensureSIMS(); err != nil {
 		return nil, stats, err
 	}
-	qPAA, err := ix.opt.S.PAA(q, nil)
+	pass, err := ix.opt.S.NewPass(q)
 	if err != nil {
 		return nil, stats, err
 	}
-	mindists := ix.opt.S.MinDistsToKeys(qPAA, ix.keys, ix.opt.QueryWorkers)
-
+	// seed is a copy of the seeding heap's backing array, so seed[0] is its
+	// root: the k-th best squared distance. Collection under it is
+	// INCLUSIVE (hence the next float up as the exclusive limit): a
+	// candidate whose lower bound exactly ties the seed bound can still
+	// outrank the seed root under the (dist, pos) total order, so it must be
+	// verified. The shared bound prunes strictly for the same reason.
 	seed := append([]Neighbor(nil), h.Items()...)
+	seedBound := math.Inf(1)
+	if len(seed) >= k {
+		seedBound = seed[0].Dist
+	}
+	limit := kb.Limit(math.Nextafter(seedBound, math.Inf(1)))
 	var perShard [][]Neighbor
 	if ix.opt.Materialized {
-		perShard, err = ix.knnScanLeaves(ctx, q, k, seed, mindists, &stats, kb)
+		pass.Cands = pass.Table.Filter(pass.Cands, ix.keys, nil, limit, ix.opt.QueryWorkers)
+		perShard, err = ix.knnScanLeaves(ctx, q, k, seed, pass.Cands, &stats, kb)
 	} else {
-		perShard, err = ix.knnScanRawFile(ctx, q, k, seed, mindists, &stats, kb)
+		pass.Cands = pass.Table.Filter(pass.Cands, ix.keys, ix.positions, limit, ix.opt.QueryWorkers)
+		perShard, err = ix.knnScanRawFile(ctx, q, k, seed, pass.Cands, &stats, kb)
+	}
+	if ctx.Err() == nil {
+		pass.Release()
 	}
 	if err != nil {
 		return nil, stats, err
@@ -129,52 +144,30 @@ func (ix *TreeIndex) exactSearchKNN(ctx context.Context, q series.Series, k, rad
 	return final.Sorted(), stats, nil
 }
 
-// knnScanRawFile is the non-materialized verification scan: candidates that
-// survive the seed bound are remapped to raw-file position order and the
-// position range is partitioned into contiguous shards, each reading its
-// slice of the raw file strictly forward.
-func (ix *TreeIndex) knnScanRawFile(ctx context.Context, q series.Series, k int, seed []Neighbor, mindists []float64, stats *Result, kb *shard.BSF) ([][]Neighbor, error) {
-	type cand struct {
-		pos int64
-		lb  float64
-	}
-	// seed is a copy of the seeding heap's backing array, so seed[0] is its
-	// root: the k-th best squared distance — the collection bound.
-	seedBound := math.Inf(1)
-	if len(seed) >= k {
-		seedBound = seed[0].Dist
-	}
-	cands := make([]cand, 0, 256)
-	for i, lb := range mindists {
-		// Inclusive: a candidate whose lower bound exactly ties the seed
-		// bound can still outrank the seed root under the (dist, pos) total
-		// order, so it must be verified. The shared bound prunes strictly
-		// for the same reason.
-		if lb <= seedBound && !kb.Prunes(lb) {
-			cands = append(cands, cand{ix.positions[i], lb})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].pos < cands[b].pos })
-
+// knnScanRawFile is the non-materialized verification scan: the candidates
+// (IDs are raw-file positions) are put in position order and the order is
+// partitioned into contiguous shards, each reading its slice of the raw
+// file strictly forward.
+func (ix *TreeIndex) knnScanRawFile(ctx context.Context, q series.Series, k int, seed []Neighbor, cands []summary.Cand, stats *Result, kb *shard.BSF) ([][]Neighbor, error) {
+	slices.SortFunc(cands, func(a, b summary.Cand) int { return cmp.Compare(a.ID, b.ID) })
 	workers := shard.Resolve(ix.opt.QueryWorkers, len(cands))
 	perShard := make([][]Neighbor, workers)
 	visited := make([]int64, workers)
-	seriesLen := ix.opt.S.Params().SeriesLen
 	err := shard.ScanCtx(ctx, workers, len(cands), func(si int, rr shard.Range, cancelled func() bool) error {
 		lh := shard.NewKNNHeap(k)
 		for _, n := range seed {
 			lh.Offer(n)
 		}
-		scratch := make(series.Series, seriesLen)
-		for i := rr.Lo; i < rr.Hi; i++ {
+		sc := GetRawScratch(len(q))
+		defer PutRawScratch(sc)
+		for _, c := range cands[rr.Lo:rr.Hi] {
 			if cancelled() {
 				return nil
 			}
-			c := cands[i]
-			if c.lb > lh.Bound() || kb.Prunes(c.lb) {
+			if c.LB > lh.Bound() || kb.Prunes(c.LB) {
 				continue // strict: a tie with either bound is still verified
 			}
-			if err := readRawAt(ix.rawFile, ix.rawSums, seriesLen, c.pos, scratch); err != nil {
+			if err := ReadRawAt(ix.rawFile, ix.rawSums, c.ID, sc.Buf, sc.Series); err != nil {
 				return err
 			}
 			visited[si]++
@@ -186,11 +179,11 @@ func (ix *TreeIndex) knnScanRawFile(ctx context.Context, q series.Series, k int,
 			// order breaks the tie), and everything abandoned strictly
 			// loses — the evaluated pool's top-k stays invariant across
 			// shard boundaries.
-			sq, ok := series.SquaredEDEarlyAbandon(q, scratch, lh.Bound())
+			sq, ok := series.SquaredEDEarlyAbandon(q, sc.Series, lh.Bound())
 			if !ok {
 				continue
 			}
-			if lh.Offer(Neighbor{Pos: c.pos, Dist: sq}) {
+			if lh.Offer(Neighbor{Pos: c.ID, Dist: sq}) {
 				kb.Lower(lh.Bound())
 			}
 		}
@@ -210,9 +203,11 @@ func (ix *TreeIndex) knnScanRawFile(ctx context.Context, q series.Series, k int,
 
 // knnScanLeaves is the materialized verification scan: the leaf directory
 // is partitioned into contiguous shards that skip leaves with no candidate
-// within the shard's bound and scan the rest in place.
-func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, seed []Neighbor, mindists []float64, stats *Result, kb *shard.BSF) ([][]Neighbor, error) {
+// (cands in summary-array order, IDs being ordinals) within the shard's
+// bound and scan the rest in place.
+func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, seed []Neighbor, cands []summary.Cand, stats *Result, kb *shard.BSF) ([][]Neighbor, error) {
 	dir, bases := ix.leafBases()
+	recSize := ix.opt.recordSize()
 	workers := shard.Resolve(ix.opt.QueryWorkers, len(dir))
 	perShard := make([][]Neighbor, workers)
 	visited := make([][2]int64, workers) // records, leaves
@@ -221,37 +216,30 @@ func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, 
 		for _, n := range seed {
 			lh.Offer(n)
 		}
-		scratch := make(series.Series, ix.opt.S.Params().SeriesLen)
-		buf := make([]byte, ix.opt.LeafCap*ix.opt.recordSize())
-		for li := rr.Lo; li < rr.Hi; li++ {
+		sc := GetRawScratch(len(q))
+		defer PutRawScratch(sc)
+		buf := make([]byte, ix.opt.LeafCap*recSize)
+		rest := candsFrom(cands, bases[rr.Lo])
+		for li := rr.Lo; li < rr.Hi && len(rest) > 0; li++ {
 			if cancelled() {
 				return nil
 			}
-			id := dir[li]
-			cnt := ix.bt.LeafRecordCount(id)
-			lb := bases[li]
-			bound := lh.Bound()
-			any := false
-			for i := lb; i < lb+cnt && i < len(mindists); i++ {
-				if mindists[i] <= bound && !kb.Prunes(mindists[i]) {
-					any = true
-					break
-				}
-			}
-			if !any {
+			var leaf []summary.Cand
+			leaf, rest = leafCands(rest, bases[li]+ix.bt.LeafRecordCount(dir[li]))
+			if !slices.ContainsFunc(leaf, func(c summary.Cand) bool { return c.LB <= lh.Bound() && !kb.Prunes(c.LB) }) {
 				continue
 			}
-			n, err := ix.bt.ReadLeaf(id, buf)
+			n, err := ix.bt.ReadLeaf(dir[li], buf)
 			if err != nil {
 				return err
 			}
 			visited[si][1]++
-			for i := 0; i < n; i++ {
-				if lb+i >= len(mindists) || mindists[lb+i] > lh.Bound() || kb.Prunes(mindists[lb+i]) {
+			for _, c := range leaf {
+				i := int(c.ID) - bases[li]
+				if i >= n || c.LB > lh.Bound() || kb.Prunes(c.LB) {
 					continue
 				}
-				rec := buf[i*ix.opt.recordSize() : (i+1)*ix.opt.recordSize()]
-				pos, sq, err := ix.recordSquaredDistance(q, rec, scratch)
+				pos, sq, err := ix.recordSquaredDistance(q, buf[i*recSize:(i+1)*recSize], sc)
 				if err != nil {
 					return err
 				}
@@ -304,7 +292,8 @@ func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h
 	if err != nil {
 		return err
 	}
-	scratch := make(series.Series, p.SeriesLen)
+	sc := GetRawScratch(p.SeriesLen)
+	defer PutRawScratch(sc)
 	saxScratch := make(summary.SAX, p.Segments)
 	buf := make([]byte, ix.opt.LeafCap*ix.opt.recordSize())
 	for li := lo; li <= hi; li++ {
@@ -325,7 +314,7 @@ func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h
 					continue
 				}
 			}
-			pos, sq, err := ix.recordSquaredDistance(q, rec, scratch)
+			pos, sq, err := ix.recordSquaredDistance(q, rec, sc)
 			if err != nil {
 				return err
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -319,14 +320,14 @@ func (ix *TreeIndex) leafIndexOf(id int64) int {
 // lower bounds and best-so-far distances are compared without ever taking
 // a square root — and only the public entry points materialize a Euclidean
 // distance via finishResult.
-func (ix *TreeIndex) recordSquaredDistance(q series.Series, rec []byte, scratch series.Series) (int64, float64, error) {
+func (ix *TreeIndex) recordSquaredDistance(q series.Series, rec []byte, sc *RawScratch) (int64, float64, error) {
 	_, pos, raw := decodeRecord(rec, ix.opt.Materialized)
 	if raw != nil {
-		series.DecodeInto(raw, scratch)
-	} else if err := readRawAt(ix.rawFile, ix.rawSums, ix.opt.S.Params().SeriesLen, pos, scratch); err != nil {
+		series.DecodeInto(raw, sc.Series)
+	} else if err := ReadRawAt(ix.rawFile, ix.rawSums, pos, sc.Buf, sc.Series); err != nil {
 		return 0, 0, err
 	}
-	sq, err := series.SquaredED(q, scratch)
+	sq, err := series.SquaredED(q, sc.Series)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -469,10 +470,10 @@ func (ix *TreeIndex) leafBases() ([]int64, []int) {
 // indexes read their own leaves, caching each page for the duration of the
 // query and never touching the raw dataset.
 func (ix *TreeIndex) windowFetch() window.FetchFunc {
-	seriesLen := ix.opt.S.Params().SeriesLen
 	if !ix.opt.Materialized {
+		buf := make([]byte, series.EncodedSize(ix.opt.S.Params().SeriesLen))
 		return func(c window.Cand, dst series.Series) error {
-			return readRawAt(ix.rawFile, ix.rawSums, seriesLen, c.Pos, dst)
+			return ReadRawAt(ix.rawFile, ix.rawSums, c.Pos, buf, dst)
 		}
 	}
 	recSize := ix.opt.recordSize()
@@ -571,16 +572,7 @@ func (ix *TreeIndex) exactVerify(ctx context.Context, q series.Series, res Resul
 	if err := ix.ensureSIMS(); err != nil {
 		return res, err
 	}
-	qPAA, err := ix.opt.S.PAA(q, nil)
-	if err != nil {
-		return res, err
-	}
-	mindists := ix.opt.S.MinDistsToKeys(qPAA, ix.keys, ix.opt.QueryWorkers)
-
-	if ix.opt.Materialized {
-		return ix.simsOverLeaves(ctx, q, mindists, res, bound)
-	}
-	return ix.simsOverRawFile(ctx, q, mindists, res, bound)
+	return simsVerify(ctx, &ix.opt, q, ix.keys, ix.positions, res, bound, ix.rawFile, ix.rawSums, ix.simsOverLeaves)
 }
 
 // ExactVerify runs only the verification phase against an externally
@@ -612,47 +604,44 @@ func applyScan(res Result, pos int64, dist float64, vr, vl int64) Result {
 }
 
 // simsOverLeaves is the materialized scan: walk the leaf directory in
-// order, skipping leaves with no unpruned candidate. The directory is
-// partitioned into contiguous shards that scan concurrently, sharing a
-// best-so-far bound; each shard prunes with its own running bound (exact
-// serial semantics) plus the shared bound under strict inequality, which
-// keeps the reduced answer identical to a serial scan. mindists and all
-// Dist fields are squared distances; the pruning logic is oblivious to the
-// space because sqrt preserves order.
-func (ix *TreeIndex) simsOverLeaves(ctx context.Context, q series.Series, mindists []float64, res Result, bound *shard.BSF) (Result, error) {
+// order, skipping leaves with no unpruned candidate. cands are the
+// survivors of the lower-bound pass in summary-array order, IDs being
+// ordinals; a record that is not among them was at or above the seed bound
+// and could pass none of the checks below. The directory is partitioned
+// into contiguous shards that scan concurrently, sharing a best-so-far
+// bound; each shard prunes with its own running bound (exact serial
+// semantics) plus the shared bound under strict inequality, which keeps the
+// reduced answer identical to a serial scan. Lower bounds and all Dist
+// fields are squared distances; the pruning logic is oblivious to the space
+// because sqrt preserves order.
+func (ix *TreeIndex) simsOverLeaves(ctx context.Context, q series.Series, cands []summary.Cand, res Result, bound *shard.BSF) (Result, error) {
 	dir, bases := ix.leafBases()
-	workers := shard.Resolve(ix.opt.QueryWorkers, len(dir))
-	pos, dist, vr, vl, err := shard.ScanReduceCtx(ctx, workers, len(dir), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
-		scratch := make(series.Series, ix.opt.S.Params().SeriesLen)
-		buf := make([]byte, ix.opt.LeafCap*ix.opt.recordSize())
-		for li := r.Lo; li < r.Hi; li++ {
+	recSize := ix.opt.recordSize()
+	pos, dist, vr, vl, err := shard.ScanReduceCtx(ctx, ix.opt.QueryWorkers, len(dir), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
+		sc := GetRawScratch(len(q))
+		defer PutRawScratch(sc)
+		buf := make([]byte, ix.opt.LeafCap*recSize)
+		rest := candsFrom(cands, bases[r.Lo])
+		for li := r.Lo; li < r.Hi && len(rest) > 0; li++ {
 			if cancelled() {
 				return nil
 			}
-			id := dir[li]
-			cnt := ix.bt.LeafRecordCount(id)
-			lb := bases[li]
-			any := false
-			for i := lb; i < lb+cnt && i < len(mindists); i++ {
-				if mindists[i] < local.Dist && !bound.Prunes(mindists[i]) {
-					any = true
-					break
-				}
-			}
-			if !any {
+			var leaf []summary.Cand
+			leaf, rest = leafCands(rest, bases[li]+ix.bt.LeafRecordCount(dir[li]))
+			if !slices.ContainsFunc(leaf, func(c summary.Cand) bool { return c.LB < local.Dist && !bound.Prunes(c.LB) }) {
 				continue
 			}
-			n, err := ix.bt.ReadLeaf(id, buf)
+			n, err := ix.bt.ReadLeaf(dir[li], buf)
 			if err != nil {
 				return err
 			}
 			local.VisitedLeaves++
-			for i := 0; i < n; i++ {
-				if lb+i >= len(mindists) || mindists[lb+i] >= local.Dist || bound.Prunes(mindists[lb+i]) {
+			for _, c := range leaf {
+				i := int(c.ID) - bases[li]
+				if i >= n || c.LB >= local.Dist || bound.Prunes(c.LB) {
 					continue
 				}
-				rec := buf[i*ix.opt.recordSize() : (i+1)*ix.opt.recordSize()]
-				pos, sq, err := ix.recordSquaredDistance(q, rec, scratch)
+				pos, sq, err := ix.recordSquaredDistance(q, buf[i*recSize:(i+1)*recSize], sc)
 				if err != nil {
 					return err
 				}
@@ -661,55 +650,6 @@ func (ix *TreeIndex) simsOverLeaves(ctx context.Context, q series.Series, mindis
 					local.Dist, local.Pos = sq, pos
 					bound.Lower(sq)
 				}
-			}
-		}
-		return nil
-	})
-	return applyScan(res, pos, dist, vr, vl), err
-}
-
-// simsOverRawFile is the non-materialized scan: candidates are remapped to
-// raw-file position order so the dataset is read strictly forward, then the
-// position range is partitioned into contiguous shards (each still reads
-// its slice of the raw file in ascending position order). A shared
-// best-so-far bound lets shards prune each other's candidates.
-func (ix *TreeIndex) simsOverRawFile(ctx context.Context, q series.Series, mindists []float64, res Result, bound *shard.BSF) (Result, error) {
-	type cand struct {
-		pos int64
-		lb  float64
-	}
-	cands := make([]cand, 0, 256)
-	for i, lb := range mindists {
-		if lb < res.Dist && !bound.Prunes(lb) {
-			cands = append(cands, cand{ix.positions[i], lb})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].pos < cands[b].pos })
-	seriesLen := ix.opt.S.Params().SeriesLen
-	workers := shard.Resolve(ix.opt.QueryWorkers, len(cands))
-	pos, dist, vr, vl, err := shard.ScanReduceCtx(ctx, workers, len(cands), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
-		scratch := make(series.Series, seriesLen)
-		for i := r.Lo; i < r.Hi; i++ {
-			if cancelled() {
-				return nil
-			}
-			c := cands[i]
-			if c.lb >= local.Dist || bound.Prunes(c.lb) {
-				continue // pruned by a bsf improvement since collection
-			}
-			if err := readRawAt(ix.rawFile, ix.rawSums, seriesLen, c.pos, scratch); err != nil {
-				return err
-			}
-			local.VisitedRecords++
-			// The abandon limit is the exact squared best-so-far — no more
-			// squaring a rounded sqrt, so the limit is tight.
-			sq, ok := series.SquaredEDEarlyAbandon(q, scratch, local.Dist)
-			if !ok {
-				continue
-			}
-			if sq < local.Dist {
-				local.Dist, local.Pos = sq, c.pos
-				bound.Lower(sq)
 			}
 		}
 		return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -394,14 +395,14 @@ func (ix *TrieIndex) Close() error {
 // recordSquaredDistance computes the true SQUARED distance from q to a
 // leaf record (see TreeIndex.recordSquaredDistance for the squared-space
 // contract).
-func (ix *TrieIndex) recordSquaredDistance(q series.Series, rec []byte, scratch series.Series) (int64, float64, error) {
+func (ix *TrieIndex) recordSquaredDistance(q series.Series, rec []byte, sc *RawScratch) (int64, float64, error) {
 	_, pos, raw := decodeRecord(rec, ix.opt.Materialized)
 	if raw != nil {
-		series.DecodeInto(raw, scratch)
-	} else if err := readRawAt(ix.rawFile, ix.rawSums, ix.opt.S.Params().SeriesLen, pos, scratch); err != nil {
+		series.DecodeInto(raw, sc.Series)
+	} else if err := ReadRawAt(ix.rawFile, ix.rawSums, pos, sc.Buf, sc.Series); err != nil {
 		return 0, 0, err
 	}
-	sq, err := series.SquaredED(q, scratch)
+	sq, err := series.SquaredED(q, sc.Series)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -513,10 +514,10 @@ func (ix *TrieIndex) approxWindow(q series.Series, radius int) (ApproxWindow, er
 // TreeIndex.windowFetch): raw-dataset reads when non-materialized, cached
 // leaf-page reads when materialized.
 func (ix *TrieIndex) windowFetch() window.FetchFunc {
-	seriesLen := ix.opt.S.Params().SeriesLen
 	if !ix.opt.Materialized {
+		buf := make([]byte, series.EncodedSize(ix.opt.S.Params().SeriesLen))
 		return func(c window.Cand, dst series.Series) error {
-			return readRawAt(ix.rawFile, ix.rawSums, seriesLen, c.Pos, dst)
+			return ReadRawAt(ix.rawFile, ix.rawSums, c.Pos, buf, dst)
 		}
 	}
 	cache := make(map[int][][]byte)
@@ -571,16 +572,7 @@ func (ix *TrieIndex) exactSearch(ctx context.Context, q series.Series, radius in
 // exactVerify is the SIMS verification phase with an externally supplied
 // shared bound (see TreeIndex.exactVerify).
 func (ix *TrieIndex) exactVerify(ctx context.Context, q series.Series, res Result, bound *shard.BSF) (Result, error) {
-	qPAA, err := ix.opt.S.PAA(q, nil)
-	if err != nil {
-		return res, err
-	}
-	mindists := ix.opt.S.MinDistsToKeys(qPAA, ix.keys, ix.opt.QueryWorkers)
-
-	if ix.opt.Materialized {
-		return ix.simsOverLeaves(ctx, q, mindists, res, bound)
-	}
-	return ix.simsOverRawFile(ctx, q, mindists, res, bound)
+	return simsVerify(ctx, &ix.opt, q, ix.keys, ix.positions, res, bound, ix.rawFile, ix.rawSums, ix.simsOverLeaves)
 }
 
 // ExactVerify runs only the verification phase against an externally
@@ -603,39 +595,33 @@ func (ix *TrieIndex) ExactVerifyCtx(ctx context.Context, q series.Series, seedPo
 }
 
 // simsOverLeaves shards the materialized verification scan over contiguous
-// runs of trie leaves; see TreeIndex.simsOverLeaves for the determinism
-// contract.
-func (ix *TrieIndex) simsOverLeaves(ctx context.Context, q series.Series, mindists []float64, res Result, bound *shard.BSF) (Result, error) {
-	workers := shard.Resolve(ix.opt.QueryWorkers, len(ix.leaves))
-	pos, dist, vr, vl, err := shard.ScanReduceCtx(ctx, workers, len(ix.leaves), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
-		scratch := make(series.Series, ix.opt.S.Params().SeriesLen)
-		for li := r.Lo; li < r.Hi; li++ {
+// runs of trie leaves; see TreeIndex.simsOverLeaves for the candidate list
+// and the determinism contract.
+func (ix *TrieIndex) simsOverLeaves(ctx context.Context, q series.Series, cands []summary.Cand, res Result, bound *shard.BSF) (Result, error) {
+	pos, dist, vr, vl, err := shard.ScanReduceCtx(ctx, ix.opt.QueryWorkers, len(ix.leaves), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
+		sc := GetRawScratch(len(q))
+		defer PutRawScratch(sc)
+		rest := candsFrom(cands, ix.leafStart[r.Lo])
+		for li := r.Lo; li < r.Hi && len(rest) > 0; li++ {
 			if cancelled() {
 				return nil
 			}
-			leaf := ix.leaves[li]
-			start := ix.leafStart[li]
-			end := start + int(leaf.Count)
-			any := false
-			for i := start; i < end; i++ {
-				if mindists[i] < local.Dist && !bound.Prunes(mindists[i]) {
-					any = true
-					break
-				}
-			}
-			if !any {
+			var leaf []summary.Cand
+			leaf, rest = leafCands(rest, ix.leafStart[li]+int(ix.leaves[li].Count))
+			if !slices.ContainsFunc(leaf, func(c summary.Cand) bool { return c.LB < local.Dist && !bound.Prunes(c.LB) }) {
 				continue
 			}
-			recs, err := ix.readLeafRecords(leaf)
+			recs, err := ix.readLeafRecords(ix.leaves[li])
 			if err != nil {
 				return err
 			}
 			local.VisitedLeaves++
-			for ri, rec := range recs {
-				if mindists[start+ri] >= local.Dist || bound.Prunes(mindists[start+ri]) {
+			for _, c := range leaf {
+				i := int(c.ID) - ix.leafStart[li]
+				if i >= len(recs) || c.LB >= local.Dist || bound.Prunes(c.LB) {
 					continue
 				}
-				pos, sq, err := ix.recordSquaredDistance(q, rec, scratch)
+				pos, sq, err := ix.recordSquaredDistance(q, recs[i], sc)
 				if err != nil {
 					return err
 				}
@@ -644,50 +630,6 @@ func (ix *TrieIndex) simsOverLeaves(ctx context.Context, q series.Series, mindis
 					local.Dist, local.Pos = sq, pos
 					bound.Lower(sq)
 				}
-			}
-		}
-		return nil
-	})
-	return applyScan(res, pos, dist, vr, vl), err
-}
-
-// simsOverRawFile shards the non-materialized position-ordered raw scan;
-// see TreeIndex.simsOverRawFile.
-func (ix *TrieIndex) simsOverRawFile(ctx context.Context, q series.Series, mindists []float64, res Result, bound *shard.BSF) (Result, error) {
-	type cand struct {
-		pos int64
-		lb  float64
-	}
-	cands := make([]cand, 0, 256)
-	for i, lb := range mindists {
-		if lb < res.Dist && !bound.Prunes(lb) {
-			cands = append(cands, cand{ix.positions[i], lb})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].pos < cands[b].pos })
-	seriesLen := ix.opt.S.Params().SeriesLen
-	workers := shard.Resolve(ix.opt.QueryWorkers, len(cands))
-	pos, dist, vr, vl, err := shard.ScanReduceCtx(ctx, workers, len(cands), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
-		scratch := make(series.Series, seriesLen)
-		for i := r.Lo; i < r.Hi; i++ {
-			if cancelled() {
-				return nil
-			}
-			c := cands[i]
-			if c.lb >= local.Dist || bound.Prunes(c.lb) {
-				continue
-			}
-			if err := readRawAt(ix.rawFile, ix.rawSums, seriesLen, c.pos, scratch); err != nil {
-				return err
-			}
-			local.VisitedRecords++
-			sq, ok := series.SquaredEDEarlyAbandon(q, scratch, local.Dist)
-			if !ok {
-				continue
-			}
-			if sq < local.Dist {
-				local.Dist, local.Pos = sq, c.pos
-				bound.Lower(sq)
 			}
 		}
 		return nil

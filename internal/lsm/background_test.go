@@ -40,6 +40,7 @@ func buildStreamed(t *testing.T, background bool, compactionWorkers int) (*Index
 		MemBudgetBytes:       32 * recordSize,
 		Fanout:               2,
 		Workers:              2,
+		QueryWorkers:         1, // whole Results are compared; visit counts need a serial scan
 		BackgroundCompaction: background,
 		CompactionWorkers:    compactionWorkers,
 	})

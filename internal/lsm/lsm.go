@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"sort"
@@ -676,15 +675,16 @@ func (ix *Index) RebuildQuarantined() error {
 		return err
 	}
 	var entries []memEntry
-	s := make(series.Series, p.SeriesLen)
+	sc := core.GetRawScratch(p.SeriesLen)
+	defer core.PutRawScratch(sc)
 	for pos := int64(0); pos < rawSize/sz; pos++ {
 		if covered[pos] {
 			continue
 		}
-		if err := ix.readRaw(pos, s); err != nil {
+		if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, sc.Buf, sc.Series); err != nil {
 			return err
 		}
-		key, kerr := ix.opt.S.KeyOf(s)
+		key, kerr := ix.opt.S.KeyOf(sc.Series)
 		if kerr != nil {
 			return kerr
 		}
@@ -1666,23 +1666,13 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 	return m
 }
 
-func (ix *Index) readRaw(pos int64, dst series.Series) error {
-	p := ix.opt.S.Params()
-	sz := series.EncodedSize(p.SeriesLen)
-	buf := make([]byte, sz)
-	if n, err := ix.rawFile.ReadAt(buf, pos*int64(sz)); n != sz {
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("lsm: raw series %d: %w", pos, err)
+// rawFetch returns a window fetcher over the raw dataset. It owns its read
+// buffer, so one fetcher serves one query.
+func (ix *Index) rawFetch() window.FetchFunc {
+	buf := make([]byte, series.EncodedSize(ix.opt.S.Params().SeriesLen))
+	return func(c window.Cand, dst series.Series) error {
+		return core.ReadRawAt(ix.rawFile, ix.rawSums, c.Pos, buf, dst)
 	}
-	if ix.rawSums != nil {
-		if err := ix.rawSums.Verify(pos, buf); err != nil {
-			return fmt.Errorf("lsm: raw series %d: %w", pos, err)
-		}
-	}
-	series.DecodeInto(buf, dst)
-	return nil
 }
 
 // ApproxSearch merges, from every run and the memtable, a half-window of
@@ -1720,10 +1710,7 @@ func (ix *Index) approxLocked(ctx context.Context, q series.Series) (Result, err
 		return res, err
 	}
 	res.VisitedRuns = runs
-	pos, sq, visited, err := window.Eval(q, window.Merge(below, above, ix.opt.Window/2),
-		core.CtxFetch(ctx, func(c window.Cand, dst series.Series) error {
-			return ix.readRaw(c.Pos, dst)
-		}))
+	pos, sq, visited, err := window.Eval(q, window.Merge(below, above, ix.opt.Window/2), core.CtxFetch(ctx, ix.rawFetch()))
 	res.Pos, res.Dist, res.VisitedRecords = pos, sq, visited
 	return res, err
 }
@@ -1740,11 +1727,12 @@ func (ix *Index) windowCandsLocked(q series.Series) (below, above []window.Cand,
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	qPAA, err := ix.opt.S.PAA(q, nil)
+	pass, err := ix.opt.S.NewPass(q)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	tbl := ix.opt.S.BuildMinDistTable(qPAA, nil)
+	defer pass.Release() // nothing here outlives the call
+	tbl := &pass.Table
 	half := ix.opt.Window / 2
 	for _, r := range ix.runs {
 		idx, serr := r.searchKey(key)
@@ -1813,9 +1801,7 @@ func (ix *Index) ApproxWindowCandsCtx(ctx context.Context, q series.Series) (cor
 		return aw, err
 	}
 	aw.Below, aw.Above, aw.Leaves = below, above, runs
-	aw.Fetch = core.CtxFetch(ctx, func(c window.Cand, dst series.Series) error {
-		return ix.readRaw(c.Pos, dst)
-	})
+	aw.Fetch = core.CtxFetch(ctx, ix.rawFetch())
 	return aw, nil
 }
 
@@ -1875,104 +1861,61 @@ func (ix *Index) ExactVerifyCtx(ctx context.Context, q series.Series, seedPos in
 // then scan the surviving candidates in position order, tightening res
 // (and the shared bound) as closer records are found.
 func (ix *Index) exactVerifyLocked(ctx context.Context, q series.Series, res Result, bound *shard.BSF) (Result, error) {
-	qPAA, err := ix.opt.S.PAA(q, nil)
+	// One lookup table serves the whole query: it is read-only after the
+	// build, so every run shard and the memtable pass read it concurrently.
+	pass, err := ix.opt.S.NewPass(q)
 	if err != nil {
 		return res, err
 	}
-	p := ix.opt.S.Params()
-	// One lookup table serves the whole query: it is read-only after the
-	// build, so every run shard and the memtable pass read it concurrently.
-	tbl := ix.opt.S.BuildMinDistTable(qPAA, nil)
-	type cand struct {
-		pos int64
-		lb  float64
-	}
-	// Collect candidate lower bounds run by run; each run's key array is
-	// independent, so the lower-bound computation fans out per run, and the
-	// filtered candidates concatenate in run order (deterministically — the
-	// filter bound is fixed at the approximate answer).
-	perRun := make([][]cand, len(ix.runs))
+	tbl, limit := &pass.Table, bound.Limit(res.Dist)
+	// Lower-bound the runs block by block — with compressed runs the working
+	// set is one decoded block, never the run. Each run's key array is
+	// independent, so the pass fans out over the run list; every shard keeps
+	// its survivors in run order in a list of its own (the first in the
+	// pooled one) and the lists concatenate in shard order, so the candidates
+	// are the same for any worker count.
 	runWorkers := shard.Resolve(ix.opt.QueryWorkers, len(ix.runs))
 	// Split the worker budget between the run fan-out and the per-run
 	// lower-bound pass, so a single-run index (fresh bulk load, or fully
 	// compacted) still shards its dominant scan across all QueryWorkers.
 	innerWorkers := shard.PerGroup(ix.opt.QueryWorkers, runWorkers)
-	shardErr := shard.ScanCtx(ctx, runWorkers, len(ix.runs),
-		func(si int, rr shard.Range, cancelled func() bool) error {
-			for i := rr.Lo; i < rr.Hi; i++ {
-				if cancelled() {
-					return nil
-				}
-				r := ix.runs[i]
-				var cs []cand
-				var lbs []float64
-				// Block-at-a-time: with compressed runs the working set is
-				// one decoded block plus its lower bounds, never the run.
-				berr := r.eachBlock(func(keys []summary.Key, positions []int64) error {
-					if cap(lbs) < len(keys) {
-						lbs = make([]float64, len(keys))
-					}
-					lbs = lbs[:len(keys)]
-					tbl.KeysInto(keys, lbs, innerWorkers)
-					for j, lb := range lbs {
-						if lb < res.Dist && !bound.Prunes(lb) {
-							cs = append(cs, cand{positions[j], lb})
-						}
-					}
-					return nil
-				})
-				if berr != nil {
-					return berr
-				}
-				perRun[i] = cs
-			}
-			return nil
-		})
-	if shardErr != nil {
-		// On a ctx error abandoned shards may still be writing perRun; it is
-		// never read on this path.
-		return res, shardErr
-	}
-	var cands []cand
-	for _, cs := range perRun {
-		cands = append(cands, cs...)
-	}
-	for _, e := range ix.mem {
-		// Key-direct table evaluation: no SAX word is materialized for the
-		// memtable pass either.
-		if lb := tbl.Key(e.key); lb < res.Dist && !bound.Prunes(lb) {
-			cands = append(cands, cand{e.pos, lb})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].pos < cands[b].pos })
-
-	workers := shard.Resolve(ix.opt.QueryWorkers, len(cands))
-	pos, dist, vr, _, err := shard.ScanReduceCtx(ctx, workers, len(cands), res.Pos, res.Dist, func(rr shard.Range, local *shard.Outcome, cancelled func() bool) error {
-		scratch := make(series.Series, p.SeriesLen)
-		for i := rr.Lo; i < rr.Hi; i++ {
+	perShard := make([][]summary.Cand, runWorkers)
+	perShard[0] = pass.Cands
+	err = shard.ScanCtx(ctx, runWorkers, len(ix.runs), func(si int, rr shard.Range, cancelled func() bool) error {
+		for _, r := range ix.runs[rr.Lo:rr.Hi] {
 			if cancelled() {
 				return nil
 			}
-			c := cands[i]
-			if c.lb >= local.Dist || bound.Prunes(c.lb) {
-				continue
-			}
-			if err := ix.readRaw(c.pos, scratch); err != nil {
+			err := r.eachBlock(func(keys []summary.Key, positions []int64) error {
+				perShard[si] = tbl.Filter(perShard[si], keys, positions, limit, innerWorkers)
+				return nil
+			})
+			if err != nil {
 				return err
-			}
-			local.VisitedRecords++
-			sq, ok := series.SquaredEDEarlyAbandon(q, scratch, local.Dist)
-			if !ok {
-				continue
-			}
-			if sq < local.Dist {
-				local.Dist, local.Pos = sq, c.pos
-				bound.Lower(sq)
 			}
 		}
 		return nil
 	})
-	res.Pos, res.Dist = pos, dist
-	res.VisitedRecords += vr
+	if err != nil {
+		// On a ctx error abandoned shards may still be filtering into
+		// perShard; it is not read on this path and the pass is not reused.
+		return res, err
+	}
+	cands := perShard[0]
+	for _, cs := range perShard[1:] {
+		cands = append(cands, cs...)
+	}
+	for _, e := range ix.mem {
+		if lb := tbl.Key(e.key); lb < limit {
+			cands = append(cands, summary.Cand{ID: e.pos, LB: lb})
+		}
+	}
+	pass.Cands = cands
+	var visited int64
+	res.Pos, res.Dist, visited, err = core.VerifyRaw(ctx, ix.rawFile, ix.rawSums, q, cands, res.Pos, res.Dist, bound, ix.opt.QueryWorkers)
+	res.VisitedRecords += visited
+	if ctx.Err() == nil {
+		pass.Release()
+	}
 	return res, err
 }

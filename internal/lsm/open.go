@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/series"
@@ -215,15 +216,16 @@ func (ix *Index) recoverWAL(m *manifest.Manifest) error {
 				return err
 			}
 		}
-		s := make(series.Series, opt.S.Params().SeriesLen)
+		sc := core.GetRawScratch(opt.S.Params().SeriesLen)
+		defer core.PutRawScratch(sc)
 		for pos := int64(0); pos < rawRecs; pos++ {
 			if covered[pos] {
 				continue
 			}
-			if err := ix.readRaw(pos, s); err != nil {
+			if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, sc.Buf, sc.Series); err != nil {
 				return err
 			}
-			key, kerr := opt.S.KeyOf(s)
+			key, kerr := opt.S.KeyOf(sc.Series)
 			if kerr != nil {
 				return kerr
 			}

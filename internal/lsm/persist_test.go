@@ -28,6 +28,7 @@ func reopen(t *testing.T, fs *storage.MemFS, background bool) *Index {
 		MemBudgetBytes:       32 * recordSize,
 		Fanout:               2,
 		Workers:              2,
+		QueryWorkers:         1, // whole Results are compared; visit counts need a serial scan
 		BackgroundCompaction: background,
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
@@ -62,12 +63,12 @@ func TestQuickMembershipUnderRandomBatching(t *testing.T) {
 			return false
 		}
 		// Every probed series findable at distance ~0.
-		scratch := make([]float64, tLen)
+		sc := core.GetRawScratch(tLen)
 		for _, pos := range probes {
-			if err := ix.readRaw(pos, scratch); err != nil {
+			if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, sc.Buf, sc.Series); err != nil {
 				return false
 			}
-			res, err := ix.ExactSearch(scratch)
+			res, err := ix.ExactSearch(sc.Series)
 			if err != nil || res.Dist > 1e-9 {
 				return false
 			}

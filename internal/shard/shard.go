@@ -146,6 +146,18 @@ func (b *BSF) Lower(d float64) {
 // distance ties occur (e.g. duplicate series).
 func (b *BSF) Prunes(lb float64) bool { return lb > b.Load() }
 
+// Limit returns the exclusive bound under which a lower-bound pass should
+// collect candidates for a scan seeded at own: lb < Limit(own) exactly when
+// lb < own and !Prunes(lb) as of this call. The scan checks every candidate
+// again as the bounds tighten, so a limit gone stale costs list entries,
+// never visits or answers.
+func (b *BSF) Limit(own float64) float64 {
+	if shared := b.Load(); shared < own {
+		return math.Nextafter(shared, math.Inf(1))
+	}
+	return own
+}
+
 // Scan runs fn over the shards of [0, n) on up to workers goroutines. fn
 // receives its shard index, the range, and a cancelled predicate it must
 // poll between work items; when any shard returns an error, the remaining

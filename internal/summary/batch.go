@@ -1,7 +1,6 @@
 package summary
 
 import (
-	"runtime"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/series"
@@ -29,111 +28,41 @@ func (s *Summarizer) KeyOfScratch(ser series.Series, sc *KeyScratch) (Key, error
 }
 
 // KeysOf computes the invSAX key of every series in batch, splitting the
-// batch across workers goroutines (workers <= 0 means runtime.NumCPU()).
-// Results are ordered like batch, so the output is identical for any worker
-// count. Concurrent use is safe because the Summarizer is immutable; each
-// worker reuses its own KeyScratch, so the per-series cost is
-// allocation-free.
+// batch across workers goroutines (shard.Split: workers <= 0 means
+// runtime.GOMAXPROCS(0), clamped to the batch size). Results are ordered
+// like batch, so the output is identical for any worker count. Concurrent
+// use is safe because the Summarizer is immutable; each worker reuses its
+// own KeyScratch, so the per-series cost is allocation-free.
 func (s *Summarizer) KeysOf(batch []series.Series, workers int) ([]Key, error) {
 	keys := make([]Key, len(batch))
-	if len(batch) == 0 {
-		return keys, nil
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	chunk := (len(batch) + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var sc KeyScratch
-			for i := lo; i < hi; i++ {
-				var err error
-				if keys[i], err = s.KeyOfScratch(batch[i], &sc); err != nil {
-					errs[w] = err
-					return
-				}
+	err := shard.Scan(workers, len(batch), func(_ int, r shard.Range, _ func() bool) error {
+		var sc KeyScratch
+		for i := r.Lo; i < r.Hi; i++ {
+			var err error
+			if keys[i], err = s.KeyOfScratch(batch[i], &sc); err != nil {
+				return err
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return keys, nil
 }
 
-// MinDistsToKeys computes the SQUARED lower bound MinDistSqPAAToSAX(qPAA,
-// key) for every key, splitting the array across workers goroutines
-// (workers <= 0 means runtime.GOMAXPROCS(0), and the count is clamped to
-// len(keys) rather than degenerating to a single worker). This is the
-// lower-bound phase of SIMS exact search (Algorithm 5, line 10); callers
-// prune by comparing against a squared best-so-far. Each element is
-// computed independently, so the output is identical for any worker count.
-//
-// Large arrays go through a per-query MinDistTable: O(Segments ·
-// Cardinality) setup, then each key is Segments table lookups straight off
-// the interleaved bits — no per-key allocation, region recomputation, or
-// sqrt. Arrays too small to amortize the table build fall back to the
-// direct kernel over a per-shard scratch word, which is allocation-free
-// per key as well.
+// MinDistsToKeys returns the SQUARED lower bound MinDistSqPAAToSAX(qPAA,
+// key) of every key: a per-query MinDistTable build followed by KeysInto.
+// It is the materializing form of the SIMS lower-bound phase (Algorithm 5,
+// line 10) for callers that want every bound; the query paths use Filter,
+// which keeps only the candidates. The output is identical for any worker
+// count.
 func (s *Summarizer) MinDistsToKeys(qPAA []float64, keys []Key, workers int) []float64 {
 	out := make([]float64, len(keys))
-	if len(keys) == 0 {
-		return out
+	if len(keys) > 0 {
+		s.BuildMinDistTable(qPAA, nil).KeysInto(keys, out, workers)
 	}
-	// The table build computes ~2·Cardinality region terms per segment,
-	// while the fallback computes Segments terms per key — so the build
-	// amortizes once the array holds around 2·Cardinality keys (each saved
-	// term costs about what a term computed at build time costs; the
-	// per-key decode work is comparable on both paths).
-	if len(keys) >= 2*s.p.Cardinality() {
-		tbl := s.BuildMinDistTable(qPAA, nil)
-		tbl.KeysInto(keys, out, workers)
-		return out
-	}
-	ranges := shard.Split(len(keys), workers)
-	if len(ranges) == 1 {
-		s.minDistsRange(qPAA, keys, out, ranges[0])
-		return out
-	}
-	var wg sync.WaitGroup
-	for _, r := range ranges {
-		wg.Add(1)
-		go func(r shard.Range) {
-			defer wg.Done()
-			s.minDistsRange(qPAA, keys, out, r)
-		}(r)
-	}
-	wg.Wait()
 	return out
-}
-
-// minDistsRange is the table-free fallback path: decode each key into a
-// reused scratch word and apply the direct squared kernel. One scratch per
-// shard keeps the per-key cost allocation-free.
-func (s *Summarizer) minDistsRange(qPAA []float64, keys []Key, out []float64, r shard.Range) {
-	scratch := make(SAX, s.p.Segments)
-	for i := r.Lo; i < r.Hi; i++ {
-		sax := DeinterleaveInto(keys[i], s.p.CardBits, scratch)
-		out[i] = s.MinDistSqPAAToSAX(qPAA, sax)
-	}
 }
 
 // KeysInto fills out[i] with the squared lower bound for keys[i], sharding
@@ -141,29 +70,103 @@ func (s *Summarizer) minDistsRange(qPAA []float64, keys []Key, out []float64, r 
 // all shards — and, at the caller's level, all runs of a multi-run index.
 // out must have at least len(keys) entries.
 func (t *MinDistTable) KeysInto(keys []Key, out []float64, workers int) {
-	if len(keys) == 0 {
-		return
-	}
 	if shard.Resolve(workers, len(keys)) == 1 {
-		// Serial fast path: no range slice, no goroutine — the whole pass is
-		// allocation-free.
-		t.keysRange(keys, out, shard.Range{Lo: 0, Hi: len(keys)})
+		// Serial fast path: no range slice, no closure, no goroutine — the
+		// whole pass is allocation-free.
+		t.bounds(keys, out)
 		return
 	}
-	ranges := shard.Split(len(keys), workers)
-	var wg sync.WaitGroup
-	for _, r := range ranges {
-		wg.Add(1)
-		go func(r shard.Range) {
-			defer wg.Done()
-			t.keysRange(keys, out, r)
-		}(r)
-	}
-	wg.Wait()
+	// The shard body cannot fail, so neither can the scan.
+	_ = shard.Scan(workers, len(keys), func(_ int, r shard.Range, _ func() bool) error {
+		t.bounds(keys[r.Lo:r.Hi], out[r.Lo:r.Hi])
+		return nil
+	})
 }
 
-func (t *MinDistTable) keysRange(keys []Key, out []float64, r shard.Range) {
-	for i := r.Lo; i < r.Hi; i++ {
-		out[i] = t.Key(keys[i])
-	}
+// Cand is one key that passed a Filter: the identifier the caller gave it
+// and its squared lower bound.
+type Cand struct {
+	ID int64
+	LB float64
 }
+
+// filterTile is how many keys Filter lower-bounds at a time: the bounds of
+// a tile (2 KiB) live on the stack and are scanned for survivors while
+// still in L1, so a pass over N keys materializes O(candidates), not O(N).
+const filterTile = 256
+
+// Filter is the fused SIMS lower-bound pass: it appends to dst, in key
+// order, a Cand for every key whose squared lower bound is below limit, and
+// returns the extended slice. A candidate's ID is ids[i] — ids runs
+// parallel to keys — or the key's index i when ids is nil. The keys are
+// sharded across workers goroutines and the shards' survivors concatenated
+// in shard order, so the result is identical for any worker count; with one
+// worker nothing is allocated beyond dst's growth.
+func (t *MinDistTable) Filter(dst []Cand, keys []Key, ids []int64, limit float64, workers int) []Cand {
+	shards := shard.Resolve(workers, len(keys))
+	if shards == 1 {
+		return t.filterRange(dst, keys, ids, shard.Range{Hi: len(keys)}, limit)
+	}
+	parts := make([][]Cand, shards)
+	parts[0] = dst
+	// The shard body cannot fail, so neither can the scan.
+	_ = shard.Scan(workers, len(keys), func(si int, r shard.Range, _ func() bool) error {
+		parts[si] = t.filterRange(parts[si], keys, ids, r, limit)
+		return nil
+	})
+	dst = parts[0]
+	for _, part := range parts[1:] {
+		dst = append(dst, part...)
+	}
+	return dst
+}
+
+func (t *MinDistTable) filterRange(dst []Cand, keys []Key, ids []int64, r shard.Range, limit float64) []Cand {
+	var lbs [filterTile]float64
+	for lo := r.Lo; lo < r.Hi; lo += filterTile {
+		tile := keys[lo:min(lo+filterTile, r.Hi)]
+		t.bounds(tile, lbs[:])
+		for i, lb := range lbs[:len(tile)] {
+			if lb < limit {
+				id := int64(lo + i)
+				if ids != nil {
+					id = ids[lo+i]
+				}
+				dst = append(dst, Cand{ID: id, LB: lb})
+			}
+		}
+	}
+	return dst
+}
+
+// Pass is the per-query state of a SIMS lower-bound pass — the query's
+// MinDistTable and the candidate buffer its Filter calls fill — recycled
+// through a pool so that a query allocates neither.
+//
+// The pool is process-wide rather than hung off an index handle so that an
+// idle index holds no scratch at all: a garbage collection empties it.
+type Pass struct {
+	Table MinDistTable
+	Cands []Cand
+}
+
+var passPool = sync.Pool{New: func() any { return new(Pass) }}
+
+// NewPass takes a Pass from the pool and builds its table for the query
+// series q; Cands comes back empty.
+func (s *Summarizer) NewPass(q series.Series) (*Pass, error) {
+	p := passPool.Get().(*Pass)
+	var err error
+	if p.Table.paa, err = s.PAA(q, p.Table.paa); err != nil {
+		passPool.Put(p)
+		return nil, err
+	}
+	s.fillTable(&p.Table)
+	p.Cands = p.Cands[:0]
+	return p, nil
+}
+
+// Release returns p to the pool. Nothing may still be reading Table or
+// Cands: after a fan-out that a cancelled context cut short, abandoned
+// shards may be, and the pass must be dropped instead.
+func (p *Pass) Release() { passPool.Put(p) }

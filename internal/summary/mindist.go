@@ -1,37 +1,45 @@
 package summary
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"sync"
+)
 
 // MinDistTable is a per-query lookup table for the squared iSAX
 // lower-bounding distance MINDIST. For a fixed query PAA vector, segment
-// j's contribution to the bound depends only on the candidate's symbol
-// prefix in that segment — so the table precomputes width_j · d² for every
-// (segment, prefix-length, prefix) once per query, in
-// O(Segments · Cardinality) time, and every candidate afterwards is a sum
-// of Segments array lookups: no SAX allocation, no breakpoint-region
-// recomputation, no sqrt.
+// j's contribution to the bound depends only on the candidate's symbol in
+// that segment — so the table precomputes width_j · d² for every (segment,
+// symbol) once per query, in O(Segments · Cardinality) time, and every
+// candidate afterwards is a sum of Segments array lookups: no SAX
+// allocation, no breakpoint-region recomputation, no sqrt. The coarser
+// iSAX prefix levels, which only Prefix reads, are built on its first use.
 //
 // Entries are built by the same minDistSqTerm the direct kernels use and
 // are summed in segment order, so every evaluation method returns EXACTLY
 // (bit for bit) what the corresponding MinDistSq kernel returns.
 //
-// A table is immutable after Build and safe for concurrent use by any
-// number of goroutines (the SIMS lower-bound pass shards one table across
-// all query workers).
+// Between two builds a table is safe for concurrent use by any number of
+// goroutines (the SIMS lower-bound pass shards one table across all query
+// workers). It must not be copied.
 type MinDistTable struct {
+	s        *Summarizer
+	paa      []float64 // own copy of the query PAA, for the lazy levels
 	segments int
 	cardBits int
-	// stride is the number of entries per segment: one per prefix at every
-	// prefix length 0..cardBits, i.e. 2^(cardBits+1) - 1.
-	stride int
-	// fullOff is the offset of the full-cardinality level inside a segment's
-	// row: 2^cardBits - 1.
-	fullOff int
-	// entries holds segments × stride squared contributions. Level pb of
-	// segment j starts at j*stride + (1<<pb - 1); the entry for a symbol sym
-	// at prefix length pb is at index (sym >> (cardBits-pb)) within the
-	// level.
-	entries []float64
+	// full is the full-cardinality level, the only one the SIMS pass
+	// reads. One contiguous block, 32 KiB at 16 segments, so it stays in L1
+	// during a pass. A row is indexed by the symbol aligned to the top of
+	// its byte, full[j][sym<<shift] with shift = 8-cardBits, which is how a
+	// bit-matrix transpose of a key delivers it.
+	full  [][256]float64
+	shift uint
+	// levels holds, per segment, one entry per prefix at every prefix
+	// length 0..cardBits (stride 2^(cardBits+1) - 1): level pb of segment j
+	// starts at j*stride + (1<<pb - 1), and the entry of a symbol sym at
+	// prefix length pb is at index sym >> (cardBits-pb) within the level.
+	levelsOnce sync.Once
+	levels     []float64
 }
 
 // BuildMinDistTable builds (or rebuilds, reusing tbl's storage when it has
@@ -45,39 +53,131 @@ func (s *Summarizer) BuildMinDistTable(qPAA []float64, tbl *MinDistTable) *MinDi
 	if tbl == nil {
 		tbl = &MinDistTable{}
 	}
-	b := s.p.CardBits
+	tbl.paa = append(tbl.paa[:0], qPAA...)
+	s.fillTable(tbl)
+	return tbl
+}
+
+// fillTable (re)builds tbl for the query PAA already in tbl.paa.
+func (s *Summarizer) fillTable(tbl *MinDistTable) {
+	tbl.s = s
 	tbl.segments = s.p.Segments
-	tbl.cardBits = b
-	tbl.stride = 2*s.p.Cardinality() - 1
-	tbl.fullOff = s.p.Cardinality() - 1
-	need := tbl.segments * tbl.stride
-	if cap(tbl.entries) < need {
-		tbl.entries = make([]float64, need)
+	tbl.cardBits = s.p.CardBits
+	tbl.shift = uint(8 - s.p.CardBits)
+	tbl.levelsOnce = sync.Once{}
+	if cap(tbl.full) < tbl.segments {
+		tbl.full = make([][256]float64, tbl.segments)
 	}
-	tbl.entries = tbl.entries[:need]
-	for j := 0; j < tbl.segments; j++ {
-		q := qPAA[j]
-		row := tbl.entries[j*tbl.stride : (j+1)*tbl.stride]
-		for pb := 0; pb <= b; pb++ {
-			level := row[(1<<pb)-1:]
-			shift := uint(b - pb)
-			for prefix := 0; prefix < 1<<pb; prefix++ {
-				level[prefix] = s.minDistSqTerm(j, q, uint8(prefix<<shift), pb)
-			}
+	tbl.full = tbl.full[:tbl.segments]
+	for j, q := range tbl.paa {
+		for sym := 0; sym < s.p.Cardinality(); sym++ {
+			tbl.full[j][sym<<tbl.shift] = s.minDistSqTerm(j, q, uint8(sym), tbl.cardBits)
 		}
 	}
-	return tbl
+}
+
+// buildLevels fills the prefix levels. The full-cardinality one repeats
+// full, so Prefix reads a single array.
+func (t *MinDistTable) buildLevels() {
+	b := uint(t.cardBits)
+	stride := 2<<b - 1
+	if need := t.segments * stride; cap(t.levels) < need {
+		t.levels = make([]float64, need)
+	} else {
+		t.levels = t.levels[:need]
+	}
+	for j, q := range t.paa {
+		row := t.levels[j*stride : (j+1)*stride]
+		for pb := uint(0); pb < b; pb++ {
+			level := row[1<<pb-1:]
+			for prefix := range level[:1<<pb] {
+				level[prefix] = t.s.minDistSqTerm(j, q, uint8(prefix<<(b-pb)), int(pb))
+			}
+		}
+		for sym, level := 0, row[1<<b-1:]; sym < 1<<b; sym++ {
+			level[sym] = t.full[j][sym<<t.shift]
+		}
+	}
 }
 
 // Segments returns the segment count the table was built for.
 func (t *MinDistTable) Segments() int { return t.segments }
 
-// Key evaluates the squared lower bound for an interleaved invSAX key,
-// extracting each segment's symbol directly from the key's bit layout —
-// no SAX word is materialized and nothing is allocated. Bit i (counting
-// from the symbol's MSB) of segment j lives at interleaved position
-// i·Segments + j, so segment j's bits are the key bits j, j+w, j+2w, ...
+// Key evaluates the squared lower bound for an interleaved invSAX key
+// straight off its bit layout: no SAX word is materialized and nothing is
+// allocated. Keys with whole-byte rows (8 or 16 segments) are
+// de-interleaved by bit-matrix transpose and then cost one table load and
+// one add per segment; other shapes take keyRef.
 func (t *MinDistTable) Key(k Key) float64 {
+	keys, out := [1]Key{k}, [1]float64{}
+	t.bounds(keys[:], out[:])
+	return out[0]
+}
+
+// bounds fills out[i] with the squared lower bound of keys[i]: the one
+// kernel behind Key, KeysInto and Filter, choosing the path for the
+// table's shape once per call rather than once per key.
+func (t *MinDistTable) bounds(keys []Key, out []float64) {
+	out = out[:len(keys)]
+	// A transposed block holds each symbol in the top cardBits bits of its
+	// byte; the mask clears what a key with stray bits past the last row
+	// would leave below them, as the reference loop never reads those.
+	mask := symMask(t.cardBits) << t.shift
+	switch t.segments {
+	case 8:
+		f := (*[8][256]float64)(t.full)
+		for i := range keys {
+			a := transpose8(binary.BigEndian.Uint64(keys[i][:8])) & mask
+			acc := 0.0
+			acc += f[0][uint8(a>>56)]
+			acc += f[1][uint8(a>>48)]
+			acc += f[2][uint8(a>>40)]
+			acc += f[3][uint8(a>>32)]
+			acc += f[4][uint8(a>>24)]
+			acc += f[5][uint8(a>>16)]
+			acc += f[6][uint8(a>>8)]
+			acc += f[7][uint8(a)]
+			out[i] = acc
+		}
+	case 16:
+		f := (*[16][256]float64)(t.full)
+		for i := range keys {
+			a, b := splitRows16(&keys[i])
+			a, b = transposeShuffled(a)&mask, transposeShuffled(b)&mask
+			// Segment order, as everywhere: byte (0,2,4,6,1,3,5,7)[j] of a
+			// block is its segment j.
+			acc := 0.0
+			acc += f[0][uint8(a>>56)]
+			acc += f[1][uint8(a>>40)]
+			acc += f[2][uint8(a>>24)]
+			acc += f[3][uint8(a>>8)]
+			acc += f[4][uint8(a>>48)]
+			acc += f[5][uint8(a>>32)]
+			acc += f[6][uint8(a>>16)]
+			acc += f[7][uint8(a)]
+			acc += f[8][uint8(b>>56)]
+			acc += f[9][uint8(b>>40)]
+			acc += f[10][uint8(b>>24)]
+			acc += f[11][uint8(b>>8)]
+			acc += f[12][uint8(b>>48)]
+			acc += f[13][uint8(b>>32)]
+			acc += f[14][uint8(b>>16)]
+			acc += f[15][uint8(b)]
+			out[i] = acc
+		}
+	default:
+		for i := range keys {
+			out[i] = t.keyRef(keys[i])
+		}
+	}
+}
+
+// keyRef is the bit-at-a-time form of Key for shapes without whole-byte
+// rows, and the reference the transpose path is tested against. Bit i
+// (counting from the symbol's MSB) of segment j lives at interleaved
+// position i·Segments + j, so segment j's bits are the key bits j, j+w,
+// j+2w, ...
+func (t *MinDistTable) keyRef(k Key) float64 {
 	acc := 0.0
 	w, b := t.segments, t.cardBits
 	for j := 0; j < w; j++ {
@@ -88,7 +188,7 @@ func (t *MinDistTable) Key(k Key) float64 {
 			sym = sym<<1 | bit
 			in += w
 		}
-		acc += t.entries[j*t.stride+t.fullOff+sym]
+		acc += t.full[j][sym<<t.shift]
 	}
 	return acc
 }
@@ -98,7 +198,7 @@ func (t *MinDistTable) Key(k Key) float64 {
 func (t *MinDistTable) Word(sax SAX) float64 {
 	acc := 0.0
 	for j, sym := range sax {
-		acc += t.entries[j*t.stride+t.fullOff+int(sym)]
+		acc += t.full[j][sym<<t.shift]
 	}
 	return acc
 }
@@ -111,12 +211,13 @@ func (t *MinDistTable) Prefix(syms SAX, bits []uint8) float64 {
 	if bits == nil {
 		return t.Word(syms)
 	}
+	t.levelsOnce.Do(t.buildLevels)
 	acc := 0.0
 	b := uint(t.cardBits)
+	stride := 2<<b - 1
 	for j, sym := range syms {
-		pb := int(bits[j])
-		off := (1 << pb) - 1
-		acc += t.entries[j*t.stride+off+int(sym>>(b-uint(pb)))]
+		pb := uint(bits[j])
+		acc += t.levels[j*stride+1<<pb-1+int(sym>>(b-pb))]
 	}
 	return acc
 }

@@ -547,6 +547,54 @@ func BenchmarkParallelBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkBulkBuildTrie is the Coconut-Trie bulk load at the end-to-end
+// benchmark's scale (60k series, default LeafSize 2000, checksums on), where
+// prefix-split leaves are a few records full. Besides time it reports the
+// two byte ratios the build contract pins — everything left on the device
+// but the dataset, and everything read, per raw byte — so page padding
+// (index-bytes/raw-byte in the units, not hundredths) or a second pass over
+// the raw file (raw-bytes-read/raw-byte at 2) is visible in the CI log.
+func BenchmarkBulkBuildTrie(b *testing.B) {
+	const count = 60000
+	const seriesLen = 128
+	fs := storage.NewMemFS()
+	if err := GenerateDataset(fs, "bench.bin", RandomWalk, count, seriesLen, 12); err != nil {
+		b.Fatal(err)
+	}
+	rawBytes := float64(count * seriesLen * 8)
+	var read int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		before := fs.Stats().Snapshot()
+		ix, err := BuildTrieIndex(Config{
+			Storage:   fs,
+			Name:      "bench-trie",
+			DataFile:  "bench.bin",
+			SeriesLen: seriesLen,
+			Workers:   2,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		read = fs.Stats().Snapshot().Sub(before).BytesRead
+		ix.Close()
+	}
+	b.StopTimer()
+	var index int64
+	for _, name := range fs.Names() {
+		if name == "bench.bin" {
+			continue
+		}
+		data, err := storage.ReadFileAll(fs, name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		index += int64(len(data))
+	}
+	b.ReportMetric(float64(index)/rawBytes, "index-bytes/raw-byte")
+	b.ReportMetric(float64(read)/rawBytes, "raw-bytes-read/raw-byte")
+}
+
 // BenchmarkBulkBuildMaterialized is the bulk-build bench for the "-Full"
 // variants, where the summarization pipeline also carries the raw series
 // through the sort (the path that used to allocate a fresh raw buffer per

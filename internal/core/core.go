@@ -8,7 +8,8 @@
 // bulk-loaded from the sorted stream:
 //
 //   - Coconut-Trie (Algorithm 2) groups the sorted records into an
-//     iSAX-style prefix trie whose leaves are written contiguously
+//     iSAX-style prefix trie whose leaves are contiguous ranges of the
+//     sorted run, which is written once and is the leaf file
 //     (insertBottomUp + CompactSubtree — realized here as the equivalent
 //     recursive partitioning of the sorted key range along interleaved
 //     bits, which yields exactly the maximal prefix-aligned leaf groups).
@@ -107,8 +108,8 @@ type Options struct {
 	// Materialized indexes scan whole leaves instead (the raw data is
 	// already there). Default 32.
 	ApproxWindow int
-	// Checksums writes the index's block files (B+-tree pages, trie leaf
-	// pages) in the checksummed-block format and maintains a per-record
+	// Checksums writes the index's block files (B+-tree pages, the trie's
+	// leaf run) in the checksummed-block format and maintains a per-record
 	// CRC sidecar for the raw dataset, making every read path detect
 	// bit rot as storage.ErrCorruptData instead of serving wrong bytes.
 	// Like Materialized, the flag is a property of the stored bytes: it is
@@ -199,15 +200,29 @@ func decodeRecord(rec []byte, materialized bool) (key summary.Key, pos int64, ra
 // straight from the input block, never re-encoded). Blocks are drained in
 // input order, so the stream is byte-identical for any worker count.
 //
+// It is the only pass a bulk load makes over the raw file: a non-nil sums
+// (from storage.NewRecordSums on the same file) has its per-record CRCs
+// filled from the bytes each key is computed from, complete once the stream
+// has been read to EOF. A torn trailing partial record is not part of the
+// dataset and is left unread.
+//
 // The caller must Close the returned reader when done with it, including
 // when the downstream consumer (the external sort) fails early. Coconut-LSM
-// shares this source for its initial bulk load.
-func SummaryRecordReader(s *summary.Summarizer, raw storage.File, materialized bool, workers int) (*extsort.TransformReader, error) {
+// and the partition scatter share this source for their bulk loads.
+func SummaryRecordReader(s *summary.Summarizer, raw storage.File, materialized bool, workers int, sums *storage.RecordSums) (*extsort.TransformReader, error) {
 	p := s.Params()
 	inSize := series.EncodedSize(p.SeriesLen)
 	outSize := summary.KeySize + 8
 	if materialized {
 		outSize += inSize
+	}
+	size, err := raw.Size()
+	if err != nil {
+		return nil, err
+	}
+	records := size / int64(inSize)
+	if sums != nil && sums.Records() != records {
+		return nil, fmt.Errorf("core: raw sidecar sized for %d records, %q holds %d", sums.Records(), raw.Name(), records)
 	}
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -221,12 +236,15 @@ func SummaryRecordReader(s *summary.Summarizer, raw storage.File, materialized b
 		scratches[i].ser = make(series.Series, p.SeriesLen)
 	}
 	return extsort.NewTransformReader(extsort.TransformConfig{
-		In:            storage.NewSequentialReader(raw, 0, -1, 0),
+		In:            storage.NewSequentialReader(raw, 0, records*int64(inSize), 0),
 		InRecordSize:  inSize,
 		OutRecordSize: outSize,
 		Workers:       workers,
 		Transform: func(worker int, in, out []byte, base int64) error {
 			sc := &scratches[worker]
+			if sums != nil {
+				sums.Fill(base, in)
+			}
 			n := len(in) / inSize
 			for i := 0; i < n; i++ {
 				rawRec := in[i*inSize : (i+1)*inSize]
@@ -247,39 +265,117 @@ func SummaryRecordReader(s *summary.Summarizer, raw storage.File, materialized b
 	})
 }
 
+// BuildSource is the unsorted (key, position[, raw]) record stream a bulk
+// load consumes, plus the one decision every build entry point shares: who
+// computes and persists the raw-dataset CRC sidecar of a checksummed build.
+// Read it to EOF (the external sort, or the partition scatter), then call
+// Finish.
+type BuildSource struct {
+	io.Reader
+	close func() error
+	cfg   BuildSourceConfig
+	sums  *storage.RecordSums
+	owned bool
+}
+
+// BuildSourceConfig names the dataset a BuildSource streams. Raw must be open
+// on RawName. RecordsName, when set, names a pre-summarized record file (the
+// partition scatter's output for one child) streamed instead of summarizing
+// Raw. RawSums is the externally owned sidecar a checksummed partition child
+// adopts; without one a checksummed build owns its sidecar.
+type BuildSourceConfig struct {
+	FS           storage.FS
+	S            *summary.Summarizer
+	Raw          storage.File
+	RawName      string
+	RecordsName  string
+	Materialized bool
+	Checksums    bool
+	Workers      int
+	RawSums      *storage.RecordSums
+}
+
+// OpenBuildSource opens the record stream of one bulk load. An owned sidecar
+// is computed inside the summarization pass (SummaryRecordReader), so the raw
+// file is read once; an existing sidecar file may describe a replaced dataset
+// and is never reused.
+func OpenBuildSource(cfg BuildSourceConfig) (*BuildSource, error) {
+	b := &BuildSource{cfg: cfg}
+	if cfg.Checksums {
+		b.sums, b.owned = cfg.RawSums, cfg.RawSums == nil
+	}
+	if cfg.RecordsName != "" {
+		rf, err := cfg.FS.Open(cfg.RecordsName)
+		if err != nil {
+			return nil, err
+		}
+		b.Reader, b.close = storage.NewSequentialReader(rf, 0, -1, 0), rf.Close
+		return b, nil
+	}
+	var fill *storage.RecordSums
+	if b.owned {
+		var err error
+		if fill, err = storage.NewRecordSums(cfg.FS, cfg.RawName, series.EncodedSize(cfg.S.Params().SeriesLen), cfg.Raw); err != nil {
+			return nil, err
+		}
+		b.sums = fill
+	}
+	src, err := SummaryRecordReader(cfg.S, cfg.Raw, cfg.Materialized, cfg.Workers, fill)
+	if err != nil {
+		return nil, err
+	}
+	b.Reader, b.close = src, src.Close
+	return b, nil
+}
+
+// Finish closes the stream and, when the consumer succeeded (err == nil) and
+// the build owns its sidecar, persists and fsyncs it — before any manifest
+// can reference the build. It returns the sidecar the index serves raw reads
+// through (nil without checksums) and whether the index owns it.
+func (b *BuildSource) Finish(err error) (*storage.RecordSums, bool, error) {
+	if cerr := b.close(); err == nil {
+		err = cerr
+	}
+	if err != nil || !b.owned {
+		return b.sums, b.owned, err
+	}
+	if b.sums == nil {
+		// A record file without an adopted sidecar: no summarization pass
+		// to ride on, so the sidecar costs its own.
+		b.sums, err = storage.BuildRecordSums(b.cfg.FS, b.cfg.RawName, series.EncodedSize(b.cfg.S.Params().SeriesLen))
+	} else {
+		err = b.sums.Flush()
+	}
+	return b.sums, b.owned, err
+}
+
 // ErrEmptyIndex is returned when searching an index with no records.
 var ErrEmptyIndex = errors.New("core: index is empty")
 
-// sortRecords externally sorts the build's record stream into sortedName:
-// from a pre-summarized record file when opt.RecordsName is set (the
-// partition scatter path), otherwise by summarizing the raw dataset.
-func sortRecords(opt *Options, raw storage.File, sortedName string) error {
-	cfg := extsort.Config{
+// sortRecords externally sorts the build's record stream (see BuildSource)
+// into outName, with wrapOut and tee as in extsort.Config, and settles the
+// raw-dataset CRC sidecar.
+func sortRecords(opt *Options, raw storage.File, outName string,
+	wrapOut func(storage.File) (storage.File, error), tee func(rec []byte),
+) (sums *storage.RecordSums, owned bool, err error) {
+	src, err := OpenBuildSource(BuildSourceConfig{
+		FS: opt.FS, S: opt.S, Raw: raw, RawName: opt.RawName, RecordsName: opt.RecordsName,
+		Materialized: opt.Materialized, Checksums: opt.Checksums, Workers: opt.Workers, RawSums: opt.RawSums,
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	_, err = extsort.Sort(extsort.Config{
 		FS:         opt.FS,
 		RecordSize: opt.recordSize(),
 		Compare:    extsort.CompareKeyPrefix(summary.KeySize),
 		MemBudget:  opt.MemBudgetBytes,
 		TempPrefix: opt.Name + ".sort",
 		Workers:    opt.Workers,
-	}
-	if opt.RecordsName != "" {
-		rf, err := opt.FS.Open(opt.RecordsName)
-		if err != nil {
-			return err
-		}
-		_, err = extsort.Sort(cfg, storage.NewSequentialReader(rf, 0, -1, 0), sortedName)
-		if cerr := rf.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
-	src, err := SummaryRecordReader(opt.S, raw, opt.Materialized, opt.Workers)
-	if err != nil {
-		return err
-	}
-	_, err = extsort.Sort(cfg, src, sortedName)
-	src.Close()
-	return err
+		WrapOut:    wrapOut,
+		Tee:        tee,
+	}, src, outName)
+	return src.Finish(err)
 }
 
 // ApproxWindow is one index's contribution to a (possibly cross-partition)
@@ -469,42 +565,29 @@ func candsFrom(cands []summary.Cand, start int) []summary.Cand {
 	return cands[i:]
 }
 
-// attachRawSums attaches the raw-dataset CRC sidecar for a checksummed
-// index: the externally owned handle when the caller supplied one
-// (owned=false), or the index's own. A fresh build writes the sidecar from
-// scratch (an existing one may describe a replaced dataset); an open reuses
-// the persisted sidecar, reconciling it against the raw file — or rebuilds
-// it when missing (legacy index upgraded in place).
-func attachRawSums(opt *Options, raw storage.File, fresh bool) (sums *storage.RecordSums, owned bool, err error) {
+// attachRawSums attaches the raw-dataset CRC sidecar when a checksummed
+// index is opened: the externally owned handle when the caller supplied one
+// (owned=false), or the index's own (storage.LoadRecordSums).
+func attachRawSums(opt *Options, raw storage.File) (sums *storage.RecordSums, owned bool, err error) {
 	if !opt.Checksums {
 		return nil, false, nil
 	}
 	if opt.RawSums != nil {
 		return opt.RawSums, false, nil
 	}
-	recSize := series.EncodedSize(opt.S.Params().SeriesLen)
-	if !fresh {
-		sums, err = storage.OpenRecordSums(opt.FS, opt.RawName, recSize)
-	}
-	if fresh || errors.Is(err, storage.ErrNotExist) {
-		sums, err = storage.BuildRecordSums(opt.FS, opt.RawName, recSize)
-		if err != nil {
-			return nil, false, fmt.Errorf("core: building raw sidecar: %w", err)
-		}
-		return sums, true, nil
-	}
+	sums, err = storage.LoadRecordSums(opt.FS, opt.RawName, series.EncodedSize(opt.S.Params().SeriesLen), raw)
 	if err != nil {
-		return nil, false, fmt.Errorf("core: opening raw sidecar: %w", err)
-	}
-	// The raw file may have grown past the sidecar's last flush (crash
-	// between a raw append and the sidecar flush); backfill from the
-	// fsynced raw bytes.
-	size, err := raw.Size()
-	if err != nil {
-		return nil, false, err
-	}
-	if err := sums.Reconcile(raw, size/int64(recSize)); err != nil {
-		return nil, false, fmt.Errorf("core: reconciling raw sidecar: %w", err)
+		return nil, false, fmt.Errorf("core: raw sidecar: %w", err)
 	}
 	return sums, true, nil
+}
+
+// removeFiles deletes those of names that exist — the undo of a failed
+// build. Best effort: the build's own error is what the caller reports.
+func removeFiles(fs storage.FS, names ...string) {
+	for _, n := range names {
+		if fs.Exists(n) {
+			_ = fs.Remove(n)
+		}
+	}
 }

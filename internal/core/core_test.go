@@ -315,24 +315,25 @@ func TestTrieLeavesAreContiguousAndSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	// Pages are allocated strictly in leaf order with no gaps.
-	var next int64
-	for _, l := range ix.leaves {
-		if l.PageStart != next {
-			t.Fatalf("leaf pages not contiguous: start %d, want %d", l.PageStart, next)
+	// Leaves tile the sorted run in leaf order with no gaps.
+	next := 0
+	for i, l := range ix.leaves {
+		if ix.leafStart[i] != next {
+			t.Fatalf("leaf %d not contiguous: starts at record %d, want %d", i, ix.leafStart[i], next)
 		}
-		next += l.PageNum
+		next += int(l.Count)
 	}
 	// Records across leaves follow global key order.
 	var prev summary.Key
 	first := true
-	for _, l := range ix.leaves {
-		recs, err := ix.readLeafRecords(l)
+	recSize := ix.opt.recordSize()
+	for li := range ix.leaves {
+		recs, err := ix.readLeafRecords(li)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rec := range recs {
-			key, _, _ := decodeRecord(rec, false)
+		for off := 0; off < len(recs); off += recSize {
+			key, _, _ := decodeRecord(recs[off:off+recSize], false)
 			if !first && key.Less(prev) {
 				t.Fatal("leaf records out of global z-order")
 			}

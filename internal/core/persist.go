@@ -1,12 +1,13 @@
 package core
 
 import (
-	"errors"
 	"fmt"
+	"io"
 
 	"github.com/coconut-db/coconut/internal/bptree"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/summary"
 	"github.com/coconut-db/coconut/internal/trie"
 )
 
@@ -38,9 +39,10 @@ func checkOpenConfig(opt *Options, m *manifest.Manifest, want manifest.Variant) 
 	if err := m.CheckParams(opt.S.Params(), opt.Materialized, opt.RawName); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	// The leaf capacity shapes the on-device page geometry; the stored
-	// value is the only one that can interpret the pages, so a conflicting
-	// caller value is as fatal as a summarization mismatch. (The public
+	// The leaf capacity shapes the tree's on-device page geometry and the
+	// leaf directory a trie derives from its sorted run; the stored value
+	// is the only one that can interpret either, so a conflicting caller
+	// value is as fatal as a summarization mismatch. (The public
 	// API and the CLI adopt the stored value for unset fields before
 	// reaching here.)
 	if opt.LeafCap != m.LeafCap {
@@ -116,13 +118,10 @@ func checkTreeGeometry(opt Options, m *manifest.Manifest, g bptree.Geometry) (st
 	return stale, nil
 }
 
-// writeManifest commits the trie's manifest from its leaf directory.
+// writeManifest commits the trie's manifest. The leaf directory is a pure
+// function of (sorted keys, LeafCap), so only its size is stored.
 func (ix *TrieIndex) writeManifest() error {
 	p := ix.opt.S.Params()
-	leaves := make([]manifest.TrieLeaf, len(ix.leaves))
-	for i, l := range ix.leaves {
-		leaves[i] = manifest.TrieLeaf{Count: l.Count, PageStart: l.PageStart, PageNum: l.PageNum}
-	}
 	m := &manifest.Manifest{
 		Variant:      manifest.VariantTrie,
 		SeriesLen:    p.SeriesLen,
@@ -133,17 +132,17 @@ func (ix *TrieIndex) writeManifest() error {
 		RawName:      ix.opt.RawName,
 		Count:        ix.count,
 		Checksums:    ix.opt.Checksums,
-		Trie:         &manifest.TrieLayout{Pages: ix.nextPage, Leaves: leaves},
+		Trie:         &manifest.TrieLayout{NumLeaves: len(ix.leaves)},
 	}
 	return manifest.Commit(ix.opt.FS, ix.opt.Name, m)
 }
 
 // OpenTrie reopens a previously built Coconut-Trie from its manifest and
-// contiguous leaf file. The sorted summary array is reloaded by one
-// sequential pass over the leaves, and the in-memory trie structure — a
-// pure function of the sorted keys and the leaf capacity — is rebuilt and
-// cross-checked leaf by leaf against the manifest's directory. The raw
-// dataset file is opened for query-time fetches but never read here.
+// leaf file. The sorted summary array is reloaded by one sequential read of
+// the manifest's record count, and the in-memory trie structure — a pure
+// function of the sorted keys and the leaf capacity — is rebuilt and
+// cross-checked against the manifest's leaf count. The raw dataset file is
+// opened for query-time fetches but never read here.
 func OpenTrie(opt Options) (*TrieIndex, error) {
 	opt.Variant = Trie
 	if err := opt.validate(); err != nil {
@@ -162,92 +161,62 @@ func OpenTrie(opt Options) (*TrieIndex, error) {
 	// The checksummed-block layout is a property of the stored bytes;
 	// adopt the manifest's flag (see OpenTree).
 	opt.Checksums = m.Checksums
+	tr, err := trie.New(opt.S, opt.LeafCap)
+	if err != nil {
+		return nil, err
+	}
 	raw, err := opt.FS.Open(opt.RawName)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := opt.FS.Open(opt.Name + ".leaves")
-	if err != nil {
-		raw.Close()
-		return nil, err
-	}
-	lf := storage.File(inner)
-	if opt.Checksums {
-		if lf, err = storage.OpenChecksumFile(inner); err != nil {
-			inner.Close()
-			raw.Close()
-			// A corrupt structure in a manifest-referenced artifact is
-			// typed as both the stored-bytes failure and the broken
-			// manifest promise, matching the LSM run convention.
-			if errors.Is(err, storage.ErrCorruptData) {
-				err = fmt.Errorf("%w: %w", manifest.ErrCorruptManifest, err)
-			}
-			return nil, fmt.Errorf("core: open trie leaf file: %w", err)
-		}
-	}
-	tr, err := trie.New(opt.S, opt.LeafCap)
-	if err != nil {
-		raw.Close()
-		lf.Close()
-		return nil, err
-	}
-	ix := &TrieIndex{opt: opt, tr: tr, leafFile: lf, rawFile: raw, leafOrd: make(map[*trie.Node]int)}
-	if ix.rawSums, ix.ownSums, err = attachRawSums(&opt, raw, false); err != nil {
+	ix := &TrieIndex{opt: opt, tr: tr, rawFile: raw, count: m.Count}
+	if err := ix.load(m.Trie.NumLeaves); err != nil {
 		ix.closeAll()
 		return nil, err
-	}
-
-	// One sequential pass over the persisted leaves reloads the sorted
-	// summary array (keys live in the leaf records; the raw file is not
-	// touched).
-	for li, l := range m.Trie.Leaves {
-		recs, err := ix.readLeafPages(l.PageStart, l.PageNum)
-		if err != nil {
-			ix.closeAll()
-			return nil, err
-		}
-		if int64(len(recs)) != l.Count {
-			ix.closeAll()
-			return nil, fmt.Errorf("core: %w: leaf %d holds %d records, manifest says %d",
-				manifest.ErrCorruptManifest, li, len(recs), l.Count)
-		}
-		for _, rec := range recs {
-			key, pos, _ := decodeRecord(rec, false)
-			ix.keys = append(ix.keys, key)
-			ix.positions = append(ix.positions, pos)
-		}
-	}
-	ix.count = int64(len(ix.keys))
-	if ix.count != m.Count {
-		ix.closeAll()
-		return nil, fmt.Errorf("core: %w: leaves hold %d records, manifest says %d",
-			manifest.ErrCorruptManifest, ix.count, m.Count)
-	}
-	for i := 1; i < len(ix.keys); i++ {
-		if ix.keys[i].Less(ix.keys[i-1]) {
-			ix.closeAll()
-			return nil, fmt.Errorf("core: %w: leaf records out of key order", manifest.ErrCorruptManifest)
-		}
-	}
-
-	// Rebuild the in-memory trie and verify it reproduces the persisted
-	// leaf directory exactly — the structure is deterministic, so any
-	// disagreement means the manifest and the leaf file are from
-	// different builds.
-	ix.buildStructure()
-	if len(ix.leaves) != len(m.Trie.Leaves) || ix.nextPage != m.Trie.Pages {
-		ix.closeAll()
-		return nil, fmt.Errorf("core: %w: rebuilt trie has %d leaves over %d pages, manifest says %d over %d",
-			manifest.ErrCorruptManifest, len(ix.leaves), ix.nextPage, len(m.Trie.Leaves), m.Trie.Pages)
-	}
-	for i, l := range ix.leaves {
-		want := m.Trie.Leaves[i]
-		if l.Count != want.Count || l.PageStart != want.PageStart || l.PageNum != want.PageNum {
-			ix.closeAll()
-			return nil, fmt.Errorf("core: %w: rebuilt leaf %d (%d records at page %d+%d) does not match manifest (%d at %d+%d)",
-				manifest.ErrCorruptManifest, i, l.Count, l.PageStart, l.PageNum,
-				want.Count, want.PageStart, want.PageNum)
-		}
 	}
 	return ix, nil
+}
+
+// load reopens the leaf file and rebuilds the in-memory state of an index
+// of ix.count records in wantLeaves leaves.
+func (ix *TrieIndex) load(wantLeaves int) error {
+	var err error
+	if ix.leafFile, err = openLeafFile(&ix.opt); err != nil {
+		return err
+	}
+	if ix.rawSums, ix.ownSums, err = attachRawSums(&ix.opt, ix.rawFile); err != nil {
+		return err
+	}
+	// Keys live in the leaf records; the raw file is not touched.
+	recSize := ix.opt.recordSize()
+	size, err := ix.leafFile.Size()
+	if err != nil {
+		return err
+	}
+	want := ix.count * int64(recSize)
+	if size > want {
+		return fmt.Errorf("core: %w: leaf file holds %d bytes, manifest's %d records take %d",
+			manifest.ErrCorruptManifest, size, ix.count, want)
+	}
+	sr := storage.NewSequentialReader(ix.leafFile, 0, want, 0)
+	rec := make([]byte, recSize)
+	ix.keys = make([]summary.Key, ix.count)
+	ix.positions = make([]int64, ix.count)
+	for i := range ix.keys {
+		if _, err := io.ReadFull(sr, rec); err != nil {
+			return fmt.Errorf("core: read trie leaves: %w", truncatedLeaves(err))
+		}
+		ix.keys[i], ix.positions[i], _ = decodeRecord(rec, false)
+		if i > 0 && ix.keys[i].Less(ix.keys[i-1]) {
+			return fmt.Errorf("core: %w: leaf records out of key order", manifest.ErrCorruptManifest)
+		}
+	}
+	// The structure is deterministic, so a different leaf count means the
+	// manifest and the leaf file are from different builds.
+	ix.buildStructure()
+	if len(ix.leaves) != wantLeaves {
+		return fmt.Errorf("core: %w: rebuilt trie has %d leaves, manifest says %d",
+			manifest.ErrCorruptManifest, len(ix.leaves), wantLeaves)
+	}
+	return nil
 }

@@ -85,7 +85,7 @@ func (t *teeSource) Next() ([]byte, error) {
 }
 
 // BuildTree runs the full Coconut-Tree pipeline: summarize -> external sort
-// -> UB-tree bulk load.
+// -> UB-tree bulk load. A failed build leaves none of its files behind.
 func BuildTree(opt Options) (*TreeIndex, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -94,19 +94,41 @@ func BuildTree(opt Options) (*TreeIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	sortedName := opt.Name + ".sorted"
-	if err := sortRecords(&opt, raw, sortedName); err != nil {
+	ix := &TreeIndex{opt: opt, rawFile: raw}
+	if err := ix.build(); err != nil {
+		if ix.bt != nil {
+			ix.bt.Close()
+		}
 		raw.Close()
-		return nil, fmt.Errorf("core: sorting summarizations: %w", err)
-	}
-
-	rr, err := extsort.OpenRecords(opt.FS, sortedName, opt.recordSize(), 0)
-	if err != nil {
-		raw.Close()
+		removeFiles(opt.FS, treeFiles(opt.Name)...)
 		return nil, err
 	}
-	ix := &TreeIndex{opt: opt, rawFile: raw}
+	return ix, nil
+}
+
+// treeFiles lists what a tree build of name writes besides its manifest.
+func treeFiles(name string) []string {
+	return []string{name + ".sorted", name + ".bt.leaves", name + ".bt.meta"}
+}
+
+// RemoveTree deletes every file of the Coconut-Tree name, manifest
+// included: the partition layer's undo for the finished children of a build
+// that failed as a whole.
+func RemoveTree(fs storage.FS, name string) {
+	removeFiles(fs, append(treeFiles(name), manifest.FileName(name))...)
+}
+
+func (ix *TreeIndex) build() error {
+	opt := &ix.opt
+	sortedName := opt.Name + ".sorted"
+	var err error
+	if ix.rawSums, ix.ownSums, err = sortRecords(opt, ix.rawFile, sortedName, nil, nil); err != nil {
+		return fmt.Errorf("core: sorting summarizations: %w", err)
+	}
+	rr, err := extsort.OpenRecords(opt.FS, sortedName, opt.recordSize(), 0)
+	if err != nil {
+		return err
+	}
 	tee := &teeSource{rr: rr, keys: &ix.keys, positions: &ix.positions}
 	bt, err := bptree.BulkLoad(bptree.Config{
 		FS:         opt.FS,
@@ -120,30 +142,17 @@ func BuildTree(opt Options) (*TreeIndex, error) {
 	}, tee)
 	rr.Close()
 	if err != nil {
-		raw.Close()
-		return nil, fmt.Errorf("core: bulk loading: %w", err)
-	}
-	_ = opt.FS.Remove(sortedName)
-	if err := bt.Save(); err != nil {
-		bt.Close()
-		raw.Close()
-		return nil, err
+		return fmt.Errorf("core: bulk loading: %w", err)
 	}
 	ix.bt = bt
 	ix.count = bt.Count()
-	if ix.rawSums, ix.ownSums, err = attachRawSums(&opt, raw, true); err != nil {
-		bt.Close()
-		raw.Close()
-		return nil, err
+	_ = opt.FS.Remove(sortedName) // a stray temporary does not fail a build
+	if err := bt.Save(); err != nil {
+		return err
 	}
 	// The manifest commit is the durability point: from here on the index
 	// can be reopened with OpenTree without touching the raw dataset.
-	if err := ix.writeManifest(); err != nil {
-		bt.Close()
-		raw.Close()
-		return nil, err
-	}
-	return ix, nil
+	return ix.writeManifest()
 }
 
 // OpenTree reopens a previously built Coconut-Tree from its manifest and
@@ -186,7 +195,7 @@ func OpenTree(opt Options) (*TreeIndex, error) {
 		return nil, err
 	}
 	ix := &TreeIndex{opt: opt, bt: bt, rawFile: raw, count: bt.Count(), simsDirty: true}
-	if ix.rawSums, ix.ownSums, err = attachRawSums(&opt, raw, false); err != nil {
+	if ix.rawSums, ix.ownSums, err = attachRawSums(&opt, raw); err != nil {
 		bt.Close()
 		raw.Close()
 		return nil, err

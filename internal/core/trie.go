@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -9,7 +10,6 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/coconut-db/coconut/internal/extsort"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
@@ -38,10 +38,11 @@ type TrieIndex struct {
 	// qmu is the handle lock: queries hold it shared, Close exclusively.
 	qmu sync.RWMutex
 	// closed makes Close idempotent (see TreeIndex.closed).
-	closed   bool
-	tr       *trie.Trie
-	leaves   []*trie.Node // leaf nodes in sorted (z-)order
-	leafOrd  map[*trie.Node]int
+	closed bool
+	tr     *trie.Trie
+	leaves []*trie.Node // leaf nodes in sorted (z-)order
+	// leafFile is the sorted (key, position[, raw]) record run, flat and
+	// unpadded: leaf i is records [leafStart[i], leafStart[i]+Count) of it.
 	leafFile storage.File
 	rawFile  storage.File
 	count    int64
@@ -54,7 +55,6 @@ type TrieIndex struct {
 	positions []int64
 	// leafStart[i] is the index into keys of leaf i's first record.
 	leafStart []int
-	nextPage  int64
 }
 
 func bitAt(k summary.Key, i int) int {
@@ -62,11 +62,14 @@ func bitAt(k summary.Key, i int) int {
 }
 
 // prefixAt converts the first L interleaved bits of key into per-segment
-// (Syms, Bits) prefixes: bit position p belongs to segment p mod w.
-func prefixAt(s *summary.Summarizer, key summary.Key, L int) (summary.SAX, []uint8) {
+// (Syms, Bits) prefixes: bit position p belongs to segment p mod w. sax is
+// the caller's scratch word for the de-interleaved key.
+func prefixAt(s *summary.Summarizer, key summary.Key, L int, sax summary.SAX) (summary.SAX, []uint8) {
 	p := s.Params()
 	w, b := p.Segments, p.CardBits
-	bits := make([]uint8, w)
+	summary.DeinterleaveInto(key, b, sax)
+	buf := make([]uint8, 2*w) // one allocation per node for both slices
+	syms, bits := summary.SAX(buf[:w:w]), buf[w:]
 	for j := 0; j < w; j++ {
 		n := L / w
 		if L%w > j {
@@ -76,100 +79,107 @@ func prefixAt(s *summary.Summarizer, key summary.Key, L int) (summary.SAX, []uin
 			n = b
 		}
 		bits[j] = uint8(n)
-	}
-	sax := summary.Deinterleave(key, w, b)
-	syms := make(summary.SAX, w)
-	for j := 0; j < w; j++ {
-		shift := uint(b) - uint(bits[j])
+		shift := uint(b) - uint(n)
 		syms[j] = (sax[j] >> shift) << shift
 	}
 	return syms, bits
 }
 
-// BuildTrie runs the Coconut-Trie pipeline: summarize -> external sort ->
-// bottom-up trie construction -> contiguous leaf write-out.
+// leafFileName names the trie's one index file.
+func leafFileName(name string) string { return name + ".leaves" }
+
+// leafBlockSize is the checksum-block payload of a leaf file: a whole
+// number of records, about 4 KiB, so no record straddles two blocks and a
+// leaf read verifies little beyond the leaf.
+func leafBlockSize(recordSize int) int {
+	return max(1, 4096/recordSize) * recordSize
+}
+
+// RemoveTrie deletes every file of the Coconut-Trie name, manifest
+// included (see RemoveTree).
+func RemoveTrie(fs storage.FS, name string) {
+	removeFiles(fs, leafFileName(name), manifest.FileName(name))
+}
+
+// BuildTrie runs the Coconut-Trie pipeline: summarize -> external sort
+// straight into the leaf file -> bottom-up trie construction over the keys
+// captured on the way. The sorted run IS the contiguous leaf write-out —
+// the one large sequential write that replaces the state of the art's
+// scattered allocations. A failed build leaves none of its files behind.
 func BuildTrie(opt Options) (*TrieIndex, error) {
 	opt.Variant = Trie
 	if err := opt.validate(); err != nil {
+		return nil, err
+	}
+	tr, err := trie.New(opt.S, opt.LeafCap)
+	if err != nil {
 		return nil, err
 	}
 	raw, err := opt.FS.Open(opt.RawName)
 	if err != nil {
 		return nil, err
 	}
-
-	sortedName := opt.Name + ".sorted"
-	if err := sortRecords(&opt, raw, sortedName); err != nil {
-		raw.Close()
-		return nil, fmt.Errorf("core: sorting summarizations: %w", err)
-	}
-
-	tr, err := trie.New(opt.S, opt.LeafCap)
-	if err != nil {
-		raw.Close()
-		return nil, err
-	}
-	inner, err := opt.FS.Create(opt.Name + ".leaves")
-	if err != nil {
-		raw.Close()
-		return nil, err
-	}
-	lf := storage.File(inner)
-	if opt.Checksums {
-		// One checksum block per trie page: every leaf read verifies the
-		// exact pages it touches.
-		if lf, err = storage.CreateChecksumFile(inner, 4+opt.recordSize()*opt.LeafCap); err != nil {
-			inner.Close()
-			raw.Close()
-			return nil, err
-		}
-	}
-	ix := &TrieIndex{opt: opt, tr: tr, leafFile: lf, rawFile: raw, leafOrd: make(map[*trie.Node]int)}
-
-	// Pass over the sorted stream: load the sorted summary array.
-	rr, err := extsort.OpenRecords(opt.FS, sortedName, opt.recordSize(), 0)
-	if err != nil {
+	ix := &TrieIndex{opt: opt, tr: tr, rawFile: raw}
+	if err := ix.build(); err != nil {
 		ix.closeAll()
-		return nil, err
-	}
-	for {
-		rec, err := rr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			rr.Close()
-			ix.closeAll()
-			return nil, err
-		}
-		key, pos, _ := decodeRecord(rec, false)
-		ix.keys = append(ix.keys, key)
-		ix.positions = append(ix.positions, pos)
-	}
-	rr.Close()
-	ix.count = int64(len(ix.keys))
-
-	// insertBottomUp + CompactSubtree: group by the first w bits (the iSAX
-	// root fan-out), then recursively partition.
-	ix.buildStructure()
-
-	// Contiguous leaf write-out: one sequential pass over the sorted file.
-	if err := ix.writeLeaves(sortedName); err != nil {
-		ix.closeAll()
-		return nil, err
-	}
-	_ = opt.FS.Remove(sortedName)
-	if ix.rawSums, ix.ownSums, err = attachRawSums(&opt, raw, true); err != nil {
-		ix.closeAll()
-		return nil, err
-	}
-	// The manifest commit is the durability point: from here on the index
-	// can be reopened with OpenTrie without touching the raw dataset.
-	if err := ix.writeManifest(); err != nil {
-		ix.closeAll()
+		removeFiles(opt.FS, leafFileName(opt.Name))
 		return nil, err
 	}
 	return ix, nil
+}
+
+func (ix *TrieIndex) build() error {
+	opt := &ix.opt
+	var wrap func(storage.File) (storage.File, error)
+	if opt.Checksums {
+		wrap = func(f storage.File) (storage.File, error) {
+			return storage.CreateChecksumFile(f, leafBlockSize(opt.recordSize()))
+		}
+	}
+	var err error
+	ix.rawSums, ix.ownSums, err = sortRecords(opt, ix.rawFile, leafFileName(opt.Name), wrap, func(rec []byte) {
+		key, pos, _ := decodeRecord(rec, false)
+		ix.keys = append(ix.keys, key)
+		ix.positions = append(ix.positions, pos)
+	})
+	if err != nil {
+		return fmt.Errorf("core: sorting summarizations: %w", err)
+	}
+	ix.count = int64(len(ix.keys))
+	if ix.leafFile, err = openLeafFile(opt); err != nil {
+		return err
+	}
+	// The manifest committed below references the leaf file; it must be on
+	// stable storage first.
+	if err := ix.leafFile.Sync(); err != nil {
+		return err
+	}
+	// insertBottomUp + CompactSubtree: group by the first w bits (the iSAX
+	// root fan-out), then recursively partition.
+	ix.buildStructure()
+	// The manifest commit is the durability point: from here on the index
+	// can be reopened with OpenTrie without touching the raw dataset.
+	return ix.writeManifest()
+}
+
+// openLeafFile opens the leaf file of opt's index in its stored physical
+// layout. A corrupt structure in this manifest-referenced artifact is typed
+// as both the stored-bytes failure and the broken manifest promise,
+// matching the LSM run convention.
+func openLeafFile(opt *Options) (storage.File, error) {
+	inner, err := opt.FS.Open(leafFileName(opt.Name))
+	if err != nil || !opt.Checksums {
+		return inner, err
+	}
+	lf, err := storage.OpenChecksumFile(inner)
+	if err != nil {
+		inner.Close()
+		if errors.Is(err, storage.ErrCorruptData) {
+			err = fmt.Errorf("%w: %w", manifest.ErrCorruptManifest, err)
+		}
+		return nil, fmt.Errorf("core: open trie leaf file: %w", err)
+	}
+	return lf, nil
 }
 
 // buildStructure (re)builds the in-memory trie over the sorted key array:
@@ -181,6 +191,7 @@ func BuildTrie(opt Options) (*TrieIndex, error) {
 func (ix *TrieIndex) buildStructure() {
 	p := ix.opt.S.Params()
 	totalBits := p.Segments * p.CardBits
+	sax := make(summary.SAX, p.Segments)
 	lo := 0
 	for lo < len(ix.keys) {
 		hi := lo
@@ -188,20 +199,22 @@ func (ix *TrieIndex) buildStructure() {
 		for hi < len(ix.keys) && summary.CommonPrefixBits(rootPrefix, ix.keys[hi], p.Segments) == p.Segments {
 			hi++
 		}
-		n := ix.buildNode(lo, hi, p.Segments, totalBits)
-		ix.tr.Root[ix.tr.RootKey(summary.Deinterleave(rootPrefix, p.Segments, p.CardBits))] = n
+		n := ix.buildNode(lo, hi, p.Segments, totalBits, sax)
+		ix.tr.Root[ix.tr.RootKey(summary.DeinterleaveInto(rootPrefix, p.CardBits, sax))] = n
 		lo = hi
 	}
 }
 
 func (ix *TrieIndex) closeAll() {
-	ix.leafFile.Close()
+	if ix.leafFile != nil {
+		ix.leafFile.Close()
+	}
 	ix.rawFile.Close()
 }
 
 // buildNode recursively builds the subtree for keys[lo:hi], whose members
-// share at least `depth` interleaved prefix bits.
-func (ix *TrieIndex) buildNode(lo, hi, depth, totalBits int) *trie.Node {
+// share at least `depth` interleaved prefix bits. sax is prefixAt's scratch.
+func (ix *TrieIndex) buildNode(lo, hi, depth, totalBits int, sax summary.SAX) *trie.Node {
 	s := ix.opt.S
 	if hi-lo <= ix.opt.LeafCap || depth >= totalBits {
 		// Maximal leaf: tighten the prefix to the members' true common
@@ -210,16 +223,8 @@ func (ix *TrieIndex) buildNode(lo, hi, depth, totalBits int) *trie.Node {
 		if common < depth {
 			common = depth
 		}
-		syms, bits := prefixAt(s, ix.keys[lo], common)
+		syms, bits := prefixAt(s, ix.keys[lo], common, sax)
 		leaf := &trie.Node{Syms: syms, Bits: bits, Leaf: true, Count: int64(hi - lo)}
-		pages := int64((hi - lo + ix.opt.LeafCap - 1) / ix.opt.LeafCap)
-		if pages == 0 {
-			pages = 1
-		}
-		leaf.PageStart = ix.nextPage
-		leaf.PageNum = pages
-		ix.nextPage += pages
-		ix.leafOrd[leaf] = len(ix.leaves)
 		ix.leafStart = append(ix.leafStart, lo)
 		ix.leaves = append(ix.leaves, leaf)
 		return leaf
@@ -230,115 +235,39 @@ func (ix *TrieIndex) buildNode(lo, hi, depth, totalBits int) *trie.Node {
 	for d < totalBits {
 		mid := lo + sort.Search(hi-lo, func(i int) bool { return bitAt(ix.keys[lo+i], d) == 1 })
 		if mid > lo && mid < hi {
-			syms, bits := prefixAt(s, ix.keys[lo], depth)
+			syms, bits := prefixAt(s, ix.keys[lo], depth, sax)
 			n := &trie.Node{Syms: syms, Bits: bits, Count: int64(hi - lo)}
 			n.Children = []*trie.Node{
-				ix.buildNode(lo, mid, d+1, totalBits),
-				ix.buildNode(mid, hi, d+1, totalBits),
+				ix.buildNode(lo, mid, d+1, totalBits, sax),
+				ix.buildNode(mid, hi, d+1, totalBits, sax),
 			}
 			return n
 		}
 		d++
 	}
 	// All remaining bits identical: one oversized leaf.
-	return ix.buildNode(lo, hi, totalBits, totalBits)
+	return ix.buildNode(lo, hi, totalBits, totalBits, sax)
 }
 
-func (ix *TrieIndex) pageSize() int64 {
-	return int64(4 + ix.opt.recordSize()*ix.opt.LeafCap)
+// readLeafRecords loads the records of leaf li — exactly its extent of the
+// sorted run — as one buffer of Count records of recordSize bytes.
+func (ix *TrieIndex) readLeafRecords(li int) ([]byte, error) {
+	recSize := int64(ix.opt.recordSize())
+	buf := make([]byte, ix.leaves[li].Count*recSize)
+	if n, err := ix.leafFile.ReadAt(buf, int64(ix.leafStart[li])*recSize); n != len(buf) {
+		return nil, fmt.Errorf("core: read trie leaf: %w", truncatedLeaves(err))
+	}
+	return buf, nil
 }
 
-// writeLeaves streams the sorted record file into page-framed, contiguous
-// leaves — the large sequential write that replaces the state of the art's
-// scattered allocations.
-func (ix *TrieIndex) writeLeaves(sortedName string) error {
-	rr, err := extsort.OpenRecords(ix.opt.FS, sortedName, ix.opt.recordSize(), 0)
-	if err != nil {
-		return err
+// truncatedLeaves types a short read of the leaf file: an extent the
+// manifest promises but the file does not hold is corruption (truncation),
+// not an I/O condition.
+func truncatedLeaves(err error) error {
+	if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: truncated leaf file: %w", manifest.ErrCorruptManifest, storage.ErrCorruptData)
 	}
-	defer rr.Close()
-	w := storage.NewSequentialWriter(ix.leafFile, 0, 0)
-	recSize := ix.opt.recordSize()
-	pageBytes := int(ix.pageSize())
-	for _, leaf := range ix.leaves {
-		buf := make([]byte, leaf.PageNum*ix.pageSize())
-		cnt := int(leaf.Count)
-		buf[0] = byte(cnt)
-		buf[1] = byte(cnt >> 8)
-		buf[2] = byte(cnt >> 16)
-		buf[3] = byte(cnt >> 24)
-		off := 4
-		inPage, page := 0, 0
-		for i := 0; i < cnt; i++ {
-			rec, err := rr.Next()
-			if err != nil {
-				return fmt.Errorf("core: sorted stream ended early: %w", err)
-			}
-			if inPage == ix.opt.LeafCap {
-				page++
-				off = page*pageBytes + 4
-				inPage = 0
-			}
-			copy(buf[off:], rec)
-			off += recSize
-			inPage++
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	// The manifest committed after this write-out references these pages;
-	// they must be on stable storage first.
-	return ix.leafFile.Sync()
-}
-
-// readLeafRecords loads one leaf's raw record bytes.
-func (ix *TrieIndex) readLeafRecords(leaf *trie.Node) ([][]byte, error) {
-	return ix.readLeafPages(leaf.PageStart, leaf.PageNum)
-}
-
-// readLeafPages loads the records of a leaf given its page extent — the
-// form OpenTrie uses before any trie.Node exists.
-func (ix *TrieIndex) readLeafPages(pageStart, pageNum int64) ([][]byte, error) {
-	buf := make([]byte, pageNum*ix.pageSize())
-	if n, err := ix.leafFile.ReadAt(buf, pageStart*ix.pageSize()); n != len(buf) {
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			// A leaf extent the manifest references but the file does not
-			// hold is corruption (truncation), not an I/O condition.
-			err = fmt.Errorf("truncated leaf file: %w", storage.ErrCorruptData)
-		}
-		return nil, fmt.Errorf("core: read trie leaf: %w", err)
-	}
-	cnt := int(uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24)
-	// The header is not covered by the manifest checksum; bound it by the
-	// leaf's page capacity so a flipped bit fails loudly instead of
-	// walking the decode loop off the end of the buffer.
-	if int64(cnt) > pageNum*int64(ix.opt.LeafCap) {
-		return nil, fmt.Errorf("core: %w: %w: leaf header claims %d records in %d pages of %d",
-			manifest.ErrCorruptManifest, storage.ErrCorruptData, cnt, pageNum, ix.opt.LeafCap)
-	}
-	recSize := ix.opt.recordSize()
-	pageBytes := int(ix.pageSize())
-	out := make([][]byte, 0, cnt)
-	off := 4
-	inPage, page := 0, 0
-	for i := 0; i < cnt; i++ {
-		if inPage == ix.opt.LeafCap {
-			page++
-			off = page*pageBytes + 4
-			inPage = 0
-		}
-		out = append(out, buf[off:off+recSize])
-		off += recSize
-		inPage++
-	}
-	return out, nil
+	return err
 }
 
 // Count returns the number of indexed series.
@@ -471,8 +400,7 @@ func (ix *TrieIndex) ApproxWindowCandsCtx(ctx context.Context, q series.Series, 
 
 // approxWindow collects the trie's window contribution: the trailing and
 // leading half-windows around the query key's insertion position in the
-// sorted summary array. Leaves counts the leaf pages the window ordinals
-// span.
+// sorted summary array. Leaves counts the leaves the window ordinals span.
 func (ix *TrieIndex) approxWindow(q series.Series, radius int) (ApproxWindow, error) {
 	var aw ApproxWindow
 	key, err := ix.opt.S.KeyOf(q)
@@ -512,7 +440,7 @@ func (ix *TrieIndex) approxWindow(q series.Series, radius int) (ApproxWindow, er
 
 // windowFetch returns the per-query window candidate fetcher (see
 // TreeIndex.windowFetch): raw-dataset reads when non-materialized, cached
-// leaf-page reads when materialized.
+// leaf reads when materialized.
 func (ix *TrieIndex) windowFetch() window.FetchFunc {
 	if !ix.opt.Materialized {
 		buf := make([]byte, series.EncodedSize(ix.opt.S.Params().SeriesLen))
@@ -520,19 +448,20 @@ func (ix *TrieIndex) windowFetch() window.FetchFunc {
 			return ReadRawAt(ix.rawFile, ix.rawSums, c.Pos, buf, dst)
 		}
 	}
-	cache := make(map[int][][]byte)
+	cache := make(map[int][]byte)
+	recSize := ix.opt.recordSize()
 	return func(c window.Cand, dst series.Series) error {
 		li := leafOfOrd(ix.leafStart, c.Ord)
 		recs, ok := cache[li]
 		if !ok {
 			var err error
-			recs, err = ix.readLeafRecords(ix.leaves[li])
+			recs, err = ix.readLeafRecords(li)
 			if err != nil {
 				return err
 			}
 			cache[li] = recs
 		}
-		_, _, raw := decodeRecord(recs[c.Ord-ix.leafStart[li]], true)
+		_, _, raw := decodeRecord(recs[(c.Ord-ix.leafStart[li])*recSize:][:recSize], true)
 		series.DecodeInto(raw, dst)
 		return nil
 	}
@@ -601,6 +530,7 @@ func (ix *TrieIndex) simsOverLeaves(ctx context.Context, q series.Series, cands 
 	pos, dist, vr, vl, err := shard.ScanReduceCtx(ctx, ix.opt.QueryWorkers, len(ix.leaves), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
 		sc := GetRawScratch(len(q))
 		defer PutRawScratch(sc)
+		recSize := ix.opt.recordSize()
 		rest := candsFrom(cands, ix.leafStart[r.Lo])
 		for li := r.Lo; li < r.Hi && len(rest) > 0; li++ {
 			if cancelled() {
@@ -611,17 +541,17 @@ func (ix *TrieIndex) simsOverLeaves(ctx context.Context, q series.Series, cands 
 			if !slices.ContainsFunc(leaf, func(c summary.Cand) bool { return c.LB < local.Dist && !bound.Prunes(c.LB) }) {
 				continue
 			}
-			recs, err := ix.readLeafRecords(ix.leaves[li])
+			recs, err := ix.readLeafRecords(li)
 			if err != nil {
 				return err
 			}
 			local.VisitedLeaves++
 			for _, c := range leaf {
-				i := int(c.ID) - ix.leafStart[li]
-				if i >= len(recs) || c.LB >= local.Dist || bound.Prunes(c.LB) {
+				if c.LB >= local.Dist || bound.Prunes(c.LB) {
 					continue
 				}
-				pos, sq, err := ix.recordSquaredDistance(q, recs[i], sc)
+				rec := recs[(int(c.ID)-ix.leafStart[li])*recSize:][:recSize]
+				pos, sq, err := ix.recordSquaredDistance(q, rec, sc)
 				if err != nil {
 					return err
 				}

@@ -376,33 +376,21 @@ func Build(opt Options) (*Index, error) {
 	if !opt.Compressed {
 		cfg.Tee = r.capture
 	}
-	var n int64
-	if opt.RecordsName != "" {
-		rf, err := opt.FS.Open(opt.RecordsName)
-		if err != nil {
-			raw.Close()
-			return nil, err
-		}
-		n, err = extsort.Sort(cfg, storage.NewSequentialReader(rf, 0, -1, 0), name)
-		if cerr := rf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			raw.Close()
-			return nil, err
-		}
-	} else {
-		src, err := core.SummaryRecordReader(opt.S, raw, false, opt.Workers)
-		if err != nil {
-			raw.Close()
-			return nil, err
-		}
-		n, err = extsort.Sort(cfg, src, name)
-		src.Close()
-		if err != nil {
-			raw.Close()
-			return nil, err
-		}
+	// A checksummed build owns the raw-dataset CRC sidecar unless the
+	// partition layer supplied its own; the source computes it inside its
+	// one pass over the raw file and Finish persists it.
+	src, err := core.OpenBuildSource(core.BuildSourceConfig{
+		FS: opt.FS, S: opt.S, Raw: raw, RawName: opt.RawName, RecordsName: opt.RecordsName,
+		Checksums: opt.Checksums, Workers: opt.Workers, RawSums: opt.RawSums,
+	})
+	if err != nil {
+		raw.Close()
+		return nil, err
+	}
+	n, err := extsort.Sort(cfg, src, name)
+	if ix.rawSums, ix.ownSums, err = src.Finish(err); err != nil {
+		raw.Close()
+		return nil, err
 	}
 	ix.nextSeq++
 	if n > 0 {
@@ -423,11 +411,6 @@ func Build(opt Options) (*Index, error) {
 		_ = opt.FS.Remove(name)
 	}
 	ix.count = n
-	if err := ix.attachRawSums(true); err != nil {
-		_ = ix.closeRunsLocked()
-		raw.Close()
-		return nil, err
-	}
 	// Pre-create WAL segment 0 so the manifest below references it: an
 	// acknowledged append may only ever land in a manifest-referenced
 	// segment (or one replay probes forward to), or a crash could lose it.
@@ -570,11 +553,11 @@ func (ix *Index) openCompressedRun(name string, tier int, seq int64, tierSeq int
 	return &run{name: name, tier: tier, count: count, seq: seq, tierSeq: tierSeq, rb: rb}, nil
 }
 
-// attachRawSums attaches the raw-dataset CRC sidecar: the externally owned
-// handle when Options.RawSums is set, or the index's own — built fresh on
-// Build (an existing sidecar may describe a replaced dataset), reused and
-// reconciled on Open, rebuilt when missing (legacy index upgraded in place).
-func (ix *Index) attachRawSums(fresh bool) error {
+// attachRawSums attaches the raw-dataset CRC sidecar at Open: the
+// externally owned handle when Options.RawSums is set, or the index's own
+// (storage.LoadRecordSums — with the WAL on, a torn trailing partial record
+// is excluded by its floor division, exactly like replay).
+func (ix *Index) attachRawSums() error {
 	opt := &ix.opt
 	if !opt.Checksums {
 		return nil
@@ -583,32 +566,9 @@ func (ix *Index) attachRawSums(fresh bool) error {
 		ix.rawSums = opt.RawSums
 		return nil
 	}
-	recSize := series.EncodedSize(opt.S.Params().SeriesLen)
-	var sums *storage.RecordSums
-	var err error
-	if !fresh {
-		sums, err = storage.OpenRecordSums(opt.FS, opt.RawName, recSize)
-	}
-	if fresh || errors.Is(err, storage.ErrNotExist) {
-		if sums, err = storage.BuildRecordSums(opt.FS, opt.RawName, recSize); err != nil {
-			return fmt.Errorf("lsm: building raw sidecar: %w", err)
-		}
-		ix.rawSums, ix.ownSums = sums, true
-		return nil
-	}
+	sums, err := storage.LoadRecordSums(opt.FS, opt.RawName, series.EncodedSize(opt.S.Params().SeriesLen), ix.rawFile)
 	if err != nil {
-		return fmt.Errorf("lsm: opening raw sidecar: %w", err)
-	}
-	// The raw file may have grown past the sidecar's last flush (crash
-	// between a raw append and the sidecar flush — with the WAL on, a torn
-	// trailing partial record is excluded by the floor division, exactly
-	// like replay); backfill from the fsynced raw bytes.
-	size, err := ix.rawFile.Size()
-	if err != nil {
-		return err
-	}
-	if err := sums.Reconcile(ix.rawFile, size/int64(recSize)); err != nil {
-		return fmt.Errorf("lsm: reconciling raw sidecar: %w", err)
+		return fmt.Errorf("lsm: raw sidecar: %w", err)
 	}
 	ix.rawSums, ix.ownSums = sums, true
 	return nil

@@ -116,7 +116,7 @@ func Open(opt Options) (*Index, error) {
 		return nil, fmt.Errorf("lsm: %w: runs hold %d records, manifest says %d",
 			manifest.ErrCorruptManifest, ix.count+quarantinedCount, m.Count)
 	}
-	if err := ix.attachRawSums(false); err != nil {
+	if err := ix.attachRawSums(); err != nil {
 		_ = ix.closeRunsLocked()
 		raw.Close()
 		return nil, err

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/dataset"
@@ -106,6 +107,77 @@ func TestParallelBuildDeterministic(t *testing.T) {
 		}
 		if a1.Pos != a8.Pos || a1.Dist != a8.Dist {
 			t.Fatalf("query %d: approx answers differ: %+v vs %+v", qi, a1, a8)
+		}
+	}
+}
+
+// TestBuildReadsRawOnce: a checksummed bulk load, at any worker count,
+// writes the sidecar storage.BuildRecordSums would and reads the raw file
+// once (the sidecar is computed inside the summarization pass) — also with
+// a torn trailing partial record, which is not part of the dataset, and
+// with a stale sidecar from a longer dataset already on disk.
+func TestBuildReadsRawOnce(t *testing.T) {
+	rawRec := series.EncodedSize(tLen)
+	for _, workers := range []int{1, 2, 8} {
+		for _, tc := range []struct {
+			name        string
+			torn, stale int
+		}{{"clean", 0, 0}, {"torn-tail", 11, 0}, {"stale-sidecar", 0, tCount + 30}} {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, tc.name), func(t *testing.T) {
+				fs := storage.NewMemFS()
+				gen := dataset.NewRandomWalk()
+				if tc.stale > 0 {
+					if _, err := dataset.WriteFile(fs, "raw", gen, tc.stale, tLen, 9); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := storage.BuildRecordSums(fs, "raw", rawRec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := dataset.WriteFile(fs, "raw", gen, tCount, tLen, 42); err != nil {
+					t.Fatal(err)
+				}
+				rawSize := int64(tCount * rawRec)
+				if tc.torn > 0 {
+					f, err := fs.Open("raw")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := f.WriteAt(make([]byte, tc.torn), rawSize); err != nil {
+						t.Fatal(err)
+					}
+					f.Close()
+				}
+				before := fs.Stats().Snapshot()
+				ix, err := Build(Options{
+					FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw",
+					MemBudgetBytes: 1 << 20, Workers: workers, Checksums: true, Compressed: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				io := fs.Stats().Snapshot().Sub(before)
+				if ix.Count() != tCount {
+					t.Fatalf("Count = %d, want %d", ix.Count(), tCount)
+				}
+				ix.Close()
+				// Beyond the raw pass: the sort's merge reads its runs once,
+				// and opening the compressed run reads its footer.
+				if limit := rawSize + rawSize/20 + 2*tCount*recordSize; io.BytesRead > limit {
+					t.Fatalf("build read %d bytes of a %d-byte dataset, want at most %d (one pass)", io.BytesRead, rawSize, limit)
+				}
+				fused, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := storage.BuildRecordSums(fs, "raw", rawRec); err != nil {
+					t.Fatal(err)
+				}
+				want, _ := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
+				if !bytes.Equal(fused, want) {
+					t.Fatalf("build's sidecar (%d bytes) differs from BuildRecordSums's (%d bytes)", len(fused), len(want))
+				}
+			})
 		}
 	}
 }

@@ -24,6 +24,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(flipped)
 		f.Add(data[:len(data)/2])
 	}
+	f.Add(legacyTrieV4()) // typed ErrVersionMismatch, never a misread
 	f.Add([]byte{})
 	f.Add([]byte("CCMF"))
 

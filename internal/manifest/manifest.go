@@ -3,8 +3,8 @@
 // needed to reopen a built Coconut index from storage without touching the
 // raw dataset — the format version, the summarization parameters, and the
 // per-variant on-device layout (B+-tree geometry for Coconut-Tree, the leaf
-// directory for Coconut-Trie, and the full run set plus scheduling cursors
-// for Coconut-LSM).
+// count for Coconut-Trie, and the full run set plus scheduling cursors for
+// Coconut-LSM).
 //
 // A manifest is committed atomically: the encoding is written to a sibling
 // temporary file and renamed over the live manifest (storage.FS.Rename), so
@@ -60,9 +60,13 @@ const (
 	// LSM write-ahead-log cursor fields; version 3 added the Checksums
 	// format flag; version 4 added the Compressed format flag. Older
 	// manifests still decode, with those fields zero — an index without a
-	// flag is read through the corresponding legacy path.
-	version    uint32 = 4
-	minVersion uint32 = 1
+	// flag is read through the corresponding legacy path. Version 5 is the
+	// Coconut-Trie whose leaf file is the packed sorted run: older trie
+	// manifests describe padded leaf pages no reader exists for any more
+	// and fail with ErrVersionMismatch (rebuild the index).
+	version        uint32 = 5
+	minVersion     uint32 = 1
+	minTrieVersion uint32 = 5
 	// headerSize is magic + version + payload length + CRC32-C.
 	headerSize = 16
 	// maxStringLen bounds decoded string fields (file names).
@@ -84,19 +88,12 @@ type TreeLayout struct {
 	NextPage   int64
 }
 
-// TrieLeaf is one Coconut-Trie leaf in z-order: its record count and its
-// page extent in the contiguous leaf file.
-type TrieLeaf struct {
-	Count     int64
-	PageStart int64
-	PageNum   int64
-}
-
-// TrieLayout records the Coconut-Trie leaf directory: the z-ordered leaves
-// and the total number of pages in the leaf file.
+// TrieLayout records what a reopen cross-checks a Coconut-Trie against.
+// The leaf file is the sorted record run and the leaf directory is a pure
+// function of its keys and LeafCap, so the directory's size is all that is
+// stored.
 type TrieLayout struct {
-	Pages  int64
-	Leaves []TrieLeaf
+	NumLeaves int
 }
 
 // RunInfo describes one immutable LSM run: its file, its place in the
@@ -278,13 +275,7 @@ func (m *Manifest) Encode() ([]byte, error) {
 		if m.Trie == nil {
 			return nil, errors.New("manifest: trie variant without trie layout")
 		}
-		w.u64(uint64(m.Trie.Pages))
-		w.u32(uint32(len(m.Trie.Leaves)))
-		for _, l := range m.Trie.Leaves {
-			w.u64(uint64(l.Count))
-			w.u64(uint64(l.PageStart))
-			w.u64(uint64(l.PageNum))
-		}
+		w.u32(uint32(m.Trie.NumLeaves))
 	case VariantLSM:
 		if m.LSM == nil {
 			return nil, errors.New("manifest: lsm variant without lsm layout")
@@ -398,20 +389,11 @@ func Decode(data []byte) (*Manifest, error) {
 		t.NextPage = int64(r.u64())
 		m.Tree = t
 	case VariantTrie:
-		t := &TrieLayout{}
-		t.Pages = int64(r.u64())
-		n := int(r.u32())
-		if r.err == nil && n > r.remaining()/24 {
-			return nil, fmt.Errorf("%w: %d trie leaves exceed payload", ErrCorruptManifest, n)
+		if r.err == nil && v < minTrieVersion {
+			return nil, fmt.Errorf("%w: trie manifest of format version %d, this build reads tries from version %d (rebuild the index)",
+				ErrVersionMismatch, v, minTrieVersion)
 		}
-		for i := 0; i < n && r.err == nil; i++ {
-			t.Leaves = append(t.Leaves, TrieLeaf{
-				Count:     int64(r.u64()),
-				PageStart: int64(r.u64()),
-				PageNum:   int64(r.u64()),
-			})
-		}
-		m.Trie = t
+		m.Trie = &TrieLayout{NumLeaves: int(r.u32())}
 	case VariantLSM:
 		l := &LSMLayout{}
 		l.Fanout = int(r.u32())
@@ -497,16 +479,9 @@ func (m *Manifest) validate() error {
 		return fmt.Errorf("%w: empty raw dataset name", ErrCorruptManifest)
 	}
 	if m.Trie != nil {
-		var total int64
-		for _, l := range m.Trie.Leaves {
-			if l.Count <= 0 || l.PageNum <= 0 || l.PageStart < 0 {
-				return fmt.Errorf("%w: impossible trie leaf extent", ErrCorruptManifest)
-			}
-			total += l.Count
-		}
-		if total != m.Count {
-			return fmt.Errorf("%w: trie leaf counts sum to %d, manifest count is %d",
-				ErrCorruptManifest, total, m.Count)
+		// Every leaf holds a record, and only an empty trie has no leaf.
+		if n := int64(m.Trie.NumLeaves); n < 0 || n > m.Count || (n == 0) != (m.Count == 0) {
+			return fmt.Errorf("%w: %d trie leaves for %d records", ErrCorruptManifest, n, m.Count)
 		}
 	}
 	if m.LSM != nil {

@@ -3,6 +3,7 @@ package manifest
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/storage"
@@ -22,11 +23,38 @@ func sampleTrie() *Manifest {
 	return &Manifest{
 		Variant: VariantTrie, SeriesLen: 64, Segments: 8, CardBits: 8,
 		LeafCap: 50, RawName: "conf.bin", Count: 30,
-		Trie: &TrieLayout{Pages: 3, Leaves: []TrieLeaf{
-			{Count: 10, PageStart: 0, PageNum: 1},
-			{Count: 20, PageStart: 1, PageNum: 2},
-		}},
+		Trie: &TrieLayout{NumLeaves: 2},
 	}
+}
+
+// legacyTrieV4 is the version-4 encoding of sampleTrie as PR 16 and earlier
+// wrote it: a per-leaf {count, first page, pages} directory over a padded
+// page file.
+func legacyTrieV4() []byte {
+	m := sampleTrie()
+	var w writer
+	w.str(string(m.Variant))
+	w.u32(uint32(m.SeriesLen))
+	w.u32(uint32(m.Segments))
+	w.u32(uint32(m.CardBits))
+	w.bool(m.Materialized)
+	w.u32(uint32(m.LeafCap))
+	w.str(m.RawName)
+	w.u64(uint64(m.Count))
+	w.bool(m.Checksums)
+	w.bool(m.Compressed)
+	w.u64(3) // pages
+	w.u32(2) // leaves
+	for _, l := range [][3]uint64{{10, 0, 1}, {20, 1, 2}} {
+		w.u64(l[0])
+		w.u64(l[1])
+		w.u64(l[2])
+	}
+	out := binary.LittleEndian.AppendUint32(nil, magic)
+	out = binary.LittleEndian.AppendUint32(out, 4)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(w.buf)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(w.buf, castagnoli))
+	return append(out, w.buf...)
 }
 
 func sampleLSM() *Manifest {
@@ -80,13 +108,8 @@ func assertEqual(t *testing.T, want, got *Manifest) {
 			t.Fatalf("tree layout mismatch: want %+v, got %+v", *want.Tree, *got.Tree)
 		}
 	case VariantTrie:
-		if want.Trie.Pages != got.Trie.Pages || len(want.Trie.Leaves) != len(got.Trie.Leaves) {
-			t.Fatalf("trie layout mismatch: want %+v, got %+v", want.Trie, got.Trie)
-		}
-		for i := range want.Trie.Leaves {
-			if want.Trie.Leaves[i] != got.Trie.Leaves[i] {
-				t.Fatalf("trie leaf %d mismatch", i)
-			}
+		if *want.Trie != *got.Trie {
+			t.Fatalf("trie layout mismatch: want %+v, got %+v", *want.Trie, *got.Trie)
 		}
 	case VariantLSM:
 		w, g := want.LSM, got.LSM
@@ -234,8 +257,8 @@ func TestChecksumFlagVersioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != 4 {
-		t.Fatalf("fresh manifest encoded at version %d, want 4", v)
+	if v := binary.LittleEndian.Uint32(data[4:]); v != version {
+		t.Fatalf("fresh manifest encoded at version %d, want %d", v, version)
 	}
 	got, err := Decode(data)
 	if err != nil {
@@ -252,7 +275,7 @@ func TestChecksumFlagVersioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(re) != string(data) {
-		t.Fatal("v4 re-encode is not bit-exact")
+		t.Fatal("newest-version re-encode is not bit-exact")
 	}
 	// A version-2 manifest (no flag field) still round-trips bit-exactly.
 	m2 := sampleLSM()
@@ -286,8 +309,8 @@ func TestChecksumFlagVersioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(data3[4:]); v != 4 {
-		t.Fatalf("flag-carrying manifest encoded at version %d, want 4", v)
+	if v := binary.LittleEndian.Uint32(data3[4:]); v != version {
+		t.Fatalf("flag-carrying manifest encoded at version %d, want %d", v, version)
 	}
 	got3, err := Decode(data3)
 	if err != nil {
@@ -325,14 +348,14 @@ func TestCompressedFlagVersioning(t *testing.T) {
 	if string(re) != string(data) {
 		t.Fatal("v3 re-encode is not bit-exact")
 	}
-	// Gaining the Compressed flag promotes it to version 4.
+	// Gaining the Compressed flag promotes it to the newest version.
 	got.Compressed = true
 	data4, err := got.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(data4[4:]); v != 4 {
-		t.Fatalf("promoted manifest encoded at version %d, want 4", v)
+	if v := binary.LittleEndian.Uint32(data4[4:]); v != version {
+		t.Fatalf("promoted manifest encoded at version %d, want %d", v, version)
 	}
 	got4, err := Decode(data4)
 	if err != nil {
@@ -341,4 +364,65 @@ func TestCompressedFlagVersioning(t *testing.T) {
 	if !got4.Compressed || !got4.Checksums {
 		t.Fatal("promotion lost a flag")
 	}
+}
+
+// TestTrieLayoutVersioning: the version-5 trie layout (the leaf count, the
+// directory being derived from the sorted keys at open) round-trips at
+// version 5 and rejects impossible counts, and a trie manifest of an older
+// version — a directory of padded leaf pages — is a version mismatch
+// (rebuild), not corruption, while a version-4 tree still decodes.
+func TestTrieLayoutVersioning(t *testing.T) {
+	data, err := sampleTrie().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[4:]); v != 5 {
+		t.Fatalf("trie manifest encoded at version %d, want 5", v)
+	}
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Trie.NumLeaves != 2 {
+		t.Fatalf("NumLeaves = %d after round trip, want 2", got.Trie.NumLeaves)
+	}
+	for _, bad := range []struct {
+		leaves int
+		count  int64
+	}{{0, 30}, {31, 30}, {1, 0}, {-1, 30}} {
+		m := sampleTrie()
+		m.Trie.NumLeaves, m.Count = bad.leaves, bad.count
+		enc, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(enc); !errors.Is(err, ErrCorruptManifest) {
+			t.Fatalf("%d leaves for %d records: got %v, want ErrCorruptManifest", bad.leaves, bad.count, err)
+		}
+	}
+	empty := sampleTrie()
+	empty.Trie.NumLeaves, empty.Count = 0, 0
+	if enc, err := empty.Encode(); err != nil {
+		t.Fatal(err)
+	} else if _, err := Decode(enc); err != nil {
+		t.Fatalf("empty trie manifest rejected: %v", err)
+	}
+
+	if _, err := Decode(legacyTrieV4()); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("version-4 trie manifest: got %v, want ErrVersionMismatch", err)
+	}
+	tree := sampleTree()
+	tree.ver = 4
+	enc, err := tree.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(enc[4:]); v != 4 {
+		t.Fatalf("legacy tree manifest re-encoded at version %d, want 4", v)
+	}
+	back, err := Decode(enc)
+	if err != nil {
+		t.Fatalf("version-4 tree manifest rejected: %v", err)
+	}
+	assertEqual(t, tree, back)
 }

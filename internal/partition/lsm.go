@@ -74,50 +74,18 @@ func lsmChildOptions(opt lsm.Options, i, parts, buildPar int, bounds []summary.K
 // its records into an initial run in parallel, and the parent manifest
 // commits last.
 func BuildLSM(opt lsm.Options, parts int) (*LSM, error) {
-	if parts < 2 {
-		return nil, fmt.Errorf("partition: need at least 2 partitions, got %d", parts)
-	}
-	bounds, err := selectBoundaries(opt.FS, opt.RawName, opt.S, parts)
+	sc, err := scatterDataset(opt.FS, opt.Name, opt.RawName, opt.S, false, opt.Checksums, opt.Workers, parts)
 	if err != nil {
 		return nil, err
 	}
-	if opt.Checksums {
-		recSize := series.EncodedSize(opt.S.Params().SeriesLen)
-		sums, serr := attachRawSums(opt.FS, opt.RawName, recSize, true)
-		if serr != nil {
-			return nil, serr
-		}
-		opt.RawSums = sums
-	}
-	raw, err := opt.FS.Open(opt.RawName)
-	if err != nil {
-		return nil, err
-	}
-	src, err := core.SummaryRecordReader(opt.S, raw, false, opt.Workers)
-	if err != nil {
-		raw.Close()
-		return nil, err
-	}
-	names := make([]string, parts)
-	children := make([]string, parts)
-	for i := range names {
-		names[i] = scatterName(opt.Name, i)
-		children[i] = childName(opt.Name, i)
-	}
-	total, err := scatter(opt.FS, src, summary.KeySize+8, bounds, names)
-	src.Close()
-	raw.Close()
-	if err != nil {
-		removeScatter(opt.FS, opt.Name, parts)
-		return nil, err
-	}
+	opt.RawSums = sc.sums
 	kids := make([]*lsm.Index, parts)
 	buildPar := shard.Resolve(opt.Workers, parts)
 	err = shard.FanOut(buildPar, parts, func(i int, cancelled func() bool) error {
 		if cancelled() {
 			return nil
 		}
-		co := lsmChildOptions(opt, i, parts, buildPar, bounds)
+		co := lsmChildOptions(opt, i, parts, buildPar, sc.bounds)
 		co.RecordsName = scatterName(opt.Name, i)
 		ix, err := lsm.Build(co)
 		if err != nil {
@@ -127,15 +95,19 @@ func BuildLSM(opt lsm.Options, parts int) (*LSM, error) {
 		return nil
 	})
 	removeScatter(opt.FS, opt.Name, parts)
-	if err == nil {
-		err = commitParent(opt.FS, opt.Name, manifest.VariantLSM, opt.S,
-			false, 0, opt.RawName, total, opt.Checksums, bounds, children)
-	}
+	// The parent manifest commits last: nothing after it can fail the build.
 	var rawFile storage.File
 	if err == nil {
 		rawFile, err = opt.FS.Open(opt.RawName)
 	}
+	if err == nil {
+		err = commitParent(opt.FS, opt.Name, manifest.VariantLSM, opt.S,
+			false, 0, opt.RawName, sc.total, opt.Checksums, sc.bounds, sc.children)
+	}
 	if err != nil {
+		if rawFile != nil {
+			rawFile.Close()
+		}
 		for _, k := range kids {
 			if k != nil {
 				k.Close()
@@ -143,7 +115,7 @@ func BuildLSM(opt lsm.Options, parts int) (*LSM, error) {
 		}
 		return nil, err
 	}
-	return newLSM(opt, bounds, kids, rawFile, nil), nil
+	return newLSM(opt, sc.bounds, kids, rawFile, nil), nil
 }
 
 // OpenLSM reopens a partitioned Coconut-LSM from its parent manifest; each
@@ -162,7 +134,7 @@ func OpenLSM(opt lsm.Options, parts int) (*LSM, error) {
 	opt.Checksums = m.Checksums
 	if opt.Checksums {
 		recSize := series.EncodedSize(opt.S.Params().SeriesLen)
-		sums, serr := attachRawSums(opt.FS, opt.RawName, recSize, false)
+		sums, serr := attachRawSums(opt.FS, opt.RawName, recSize)
 		if serr != nil {
 			return nil, serr
 		}

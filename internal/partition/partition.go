@@ -59,12 +59,7 @@ func route(bounds []summary.Key, k summary.Key) int {
 // strictly greater than the sample minimum, so every partition is
 // non-empty at build time. Fails when the dataset has too few distinct
 // keys to populate parts partitions.
-func selectBoundaries(fs storage.FS, rawName string, s *summary.Summarizer, parts int) ([]summary.Key, error) {
-	raw, err := fs.Open(rawName)
-	if err != nil {
-		return nil, err
-	}
-	defer raw.Close()
+func selectBoundaries(raw storage.File, s *summary.Summarizer, parts int) ([]summary.Key, error) {
 	p := s.Params()
 	sz := int64(series.EncodedSize(p.SeriesLen))
 	size, err := raw.Size()
@@ -85,40 +80,24 @@ func selectBoundaries(fs storage.FS, rawName string, s *summary.Summarizer, part
 	if target < int64(parts) {
 		return nil, fmt.Errorf("partition: dataset has %d series, too few for %d partitions", count, parts)
 	}
-	// One sequential pass keeps boundary selection on the cheap side of the
-	// device model (Coconut's sequential-I/O discipline): decoding and
-	// summarizing happen only at the stride-th records.
+	// The sample is every stride-th record: a few hundred positioned reads,
+	// not a pass over the dataset — the scatter's summarization pass stays
+	// the only one.
 	stride := count / target
-	sr := storage.NewSequentialReader(raw, 0, -1, 0)
-	buf := make([]byte, int(sz)*512)
+	buf := make([]byte, sz)
 	ser := make(series.Series, p.SeriesLen)
-	sample := make([]summary.Key, 0, target)
-	var rec int64
-	for int64(len(sample)) < target {
-		n, err := io.ReadFull(sr, buf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil && err != io.ErrUnexpectedEOF {
+	sample := make([]summary.Key, target)
+	for i := range sample {
+		if n, err := raw.ReadAt(buf, int64(i)*stride*sz); n != len(buf) {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, fmt.Errorf("partition: sampling dataset: %w", err)
 		}
-		for off := 0; off+int(sz) <= n; off += int(sz) {
-			if rec%stride == 0 && int64(len(sample)) < target {
-				series.DecodeInto(buf[off:off+int(sz)], ser)
-				key, kerr := s.KeyOf(ser)
-				if kerr != nil {
-					return nil, kerr
-				}
-				sample = append(sample, key)
-			}
-			rec++
+		series.DecodeInto(buf, ser)
+		if sample[i], err = s.KeyOf(ser); err != nil {
+			return nil, err
 		}
-		if err == io.ErrUnexpectedEOF {
-			break
-		}
-	}
-	if int64(len(sample)) < target {
-		return nil, fmt.Errorf("partition: sampling dataset: %w", io.ErrUnexpectedEOF)
 	}
 	sort.Slice(sample, func(a, b int) bool { return sample[a].Less(sample[b]) })
 	bounds := make([]summary.Key, 0, parts-1)
@@ -140,6 +119,64 @@ func selectBoundaries(fs storage.FS, rawName string, s *summary.Summarizer, part
 		cursor = i + 1
 	}
 	return bounds, nil
+}
+
+// scattered is what the parent's pass over the dataset leaves for the
+// child builds: the key-range boundaries, the children's names, one
+// scatter file per child, and the total record count.
+type scattered struct {
+	bounds   []summary.Key
+	children []string
+	total    int64
+	// sums is the parent-owned CRC sidecar for the shared dataset file,
+	// already persisted (nil when checksums are off). Every child verifies
+	// its raw fetches through this one handle, and only the parent — the
+	// sole raw writer — flushes it.
+	sums *storage.RecordSums
+}
+
+// scatterDataset is the first half of every partitioned build: boundaries
+// from a sample, then ONE pass over the raw dataset that summarizes it,
+// scatters the (key, position[, raw]) records by key range into one file
+// per partition and, for a checksummed build, computes the CRC sidecar from
+// the same bytes (an existing sidecar may describe a replaced dataset, so a
+// build never reuses one). On error no scatter file is left behind.
+func scatterDataset(fs storage.FS, name, rawName string, s *summary.Summarizer, materialized, checksums bool, workers, parts int) (*scattered, error) {
+	if parts < 2 {
+		return nil, fmt.Errorf("partition: need at least 2 partitions, got %d", parts)
+	}
+	raw, err := fs.Open(rawName)
+	if err != nil {
+		return nil, err
+	}
+	defer raw.Close()
+	sc := &scattered{children: make([]string, parts)}
+	if sc.bounds, err = selectBoundaries(raw, s, parts); err != nil {
+		return nil, err
+	}
+	src, err := core.OpenBuildSource(core.BuildSourceConfig{
+		FS: fs, S: s, Raw: raw, RawName: rawName,
+		Materialized: materialized, Checksums: checksums, Workers: workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, parts)
+	for i := range names {
+		names[i] = scatterName(name, i)
+		sc.children[i] = childName(name, i)
+	}
+	recSize := summary.KeySize + 8
+	if materialized {
+		recSize += series.EncodedSize(s.Params().SeriesLen)
+	}
+	sc.total, err = scatter(fs, src, recSize, sc.bounds, names)
+	sc.sums, _, err = src.Finish(err)
+	if err != nil {
+		removeScatter(fs, name, parts)
+		return nil, err
+	}
+	return sc, nil
 }
 
 // scatter splits the record stream src (fixed-size records, key first)
@@ -243,36 +280,16 @@ func commitParent(fs storage.FS, name string, child manifest.Variant, s *summary
 }
 
 // attachRawSums opens the parent-owned CRC sidecar for the shared dataset
-// file; every child verifies its raw fetches through this one handle, and
-// only the parent (the sole raw writer) flushes it. fresh forces a rebuild
-// (Build paths — an existing sidecar may describe a replaced dataset); an
-// open reconciles the sidecar with the recovered raw tail and builds it
-// from scratch when missing (a legacy index upgraded in place).
-func attachRawSums(fs storage.FS, rawName string, recSize int, fresh bool) (*storage.RecordSums, error) {
-	if !fresh {
-		sums, err := storage.OpenRecordSums(fs, rawName, recSize)
-		if err == nil {
-			raw, oerr := fs.Open(rawName)
-			if oerr != nil {
-				return nil, oerr
-			}
-			size, serr := raw.Size()
-			if serr == nil {
-				serr = sums.Reconcile(raw, size/int64(recSize))
-			}
-			raw.Close()
-			if serr != nil {
-				return nil, fmt.Errorf("partition: reconciling raw sidecar: %w", serr)
-			}
-			return sums, nil
-		}
-		if !errors.Is(err, storage.ErrNotExist) {
-			return nil, fmt.Errorf("partition: opening raw sidecar: %w", err)
-		}
-	}
-	sums, err := storage.BuildRecordSums(fs, rawName, recSize)
+// file at Open (see scattered.sums for the ownership rule).
+func attachRawSums(fs storage.FS, rawName string, recSize int) (*storage.RecordSums, error) {
+	raw, err := fs.Open(rawName)
 	if err != nil {
-		return nil, fmt.Errorf("partition: building raw sidecar: %w", err)
+		return nil, err
+	}
+	defer raw.Close()
+	sums, err := storage.LoadRecordSums(fs, rawName, recSize, raw)
+	if err != nil {
+		return nil, fmt.Errorf("partition: raw sidecar: %w", err)
 	}
 	return sums, nil
 }

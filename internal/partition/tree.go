@@ -54,55 +54,16 @@ func treeChildOptions(opt core.Options, i, parts, buildPar int) core.Options {
 	return co
 }
 
-// treeRecordSize mirrors core's sort/leaf record size for the scatter pass.
-func treeRecordSize(opt core.Options) int {
-	n := summary.KeySize + 8
-	if opt.Materialized {
-		n += series.EncodedSize(opt.S.Params().SeriesLen)
-	}
-	return n
-}
-
 // BuildTree builds an N-way partitioned Coconut-Tree: one summarization
 // pass scatters records to per-partition files by key range, the children
-// bulk-load in parallel, and the parent manifest commits last.
+// bulk-load in parallel, and the parent manifest commits last. A failed
+// build removes the children it finished.
 func BuildTree(opt core.Options, parts int) (*Tree, error) {
-	if parts < 2 {
-		return nil, fmt.Errorf("partition: need at least 2 partitions, got %d", parts)
-	}
-	bounds, err := selectBoundaries(opt.FS, opt.RawName, opt.S, parts)
+	sc, err := scatterDataset(opt.FS, opt.Name, opt.RawName, opt.S, opt.Materialized, opt.Checksums, opt.Workers, parts)
 	if err != nil {
 		return nil, err
 	}
-	if opt.Checksums {
-		sums, serr := attachRawSums(opt.FS, opt.RawName, series.EncodedSize(opt.S.Params().SeriesLen), true)
-		if serr != nil {
-			return nil, serr
-		}
-		opt.RawSums = sums
-	}
-	raw, err := opt.FS.Open(opt.RawName)
-	if err != nil {
-		return nil, err
-	}
-	src, err := core.SummaryRecordReader(opt.S, raw, opt.Materialized, opt.Workers)
-	if err != nil {
-		raw.Close()
-		return nil, err
-	}
-	names := make([]string, parts)
-	children := make([]string, parts)
-	for i := range names {
-		names[i] = scatterName(opt.Name, i)
-		children[i] = childName(opt.Name, i)
-	}
-	total, err := scatter(opt.FS, src, treeRecordSize(opt), bounds, names)
-	src.Close()
-	raw.Close()
-	if err != nil {
-		removeScatter(opt.FS, opt.Name, parts)
-		return nil, err
-	}
+	opt.RawSums = sc.sums
 	kids := make([]*core.TreeIndex, parts)
 	buildPar := shard.Resolve(opt.Workers, parts)
 	err = shard.FanOut(buildPar, parts, func(i int, cancelled func() bool) error {
@@ -117,23 +78,28 @@ func BuildTree(opt core.Options, parts int) (*Tree, error) {
 		return nil
 	})
 	removeScatter(opt.FS, opt.Name, parts)
-	if err == nil {
-		err = commitParent(opt.FS, opt.Name, manifest.VariantTree, opt.S,
-			opt.Materialized, opt.LeafCap, opt.RawName, total, opt.Checksums, bounds, children)
-	}
+	// The parent manifest commits last: nothing after it can fail the build.
 	var rawFile storage.File
 	if err == nil {
 		rawFile, err = opt.FS.Open(opt.RawName)
 	}
+	if err == nil {
+		err = commitParent(opt.FS, opt.Name, manifest.VariantTree, opt.S,
+			opt.Materialized, opt.LeafCap, opt.RawName, sc.total, opt.Checksums, sc.bounds, sc.children)
+	}
 	if err != nil {
-		for _, k := range kids {
+		if rawFile != nil {
+			rawFile.Close()
+		}
+		for i, k := range kids {
 			if k != nil {
 				k.Close()
+				core.RemoveTree(opt.FS, sc.children[i])
 			}
 		}
 		return nil, err
 	}
-	return newTree(opt, bounds, kids, rawFile, nil), nil
+	return newTree(opt, sc.bounds, kids, rawFile, nil), nil
 }
 
 // OpenTree reopens a partitioned Coconut-Tree from its parent manifest.
@@ -150,7 +116,7 @@ func OpenTree(opt core.Options, parts int, allowDegraded bool) (*Tree, error) {
 	}
 	opt.Checksums = m.Checksums
 	if opt.Checksums {
-		sums, serr := attachRawSums(opt.FS, opt.RawName, series.EncodedSize(opt.S.Params().SeriesLen), false)
+		sums, serr := attachRawSums(opt.FS, opt.RawName, series.EncodedSize(opt.S.Params().SeriesLen))
 		if serr != nil {
 			return nil, serr
 		}

@@ -24,44 +24,13 @@ type Trie struct {
 
 // BuildTrie builds an N-way partitioned Coconut-Trie (same pipeline as
 // BuildTree: scatter by key range, parallel child builds, parent manifest
-// last).
+// last, finished children removed on failure).
 func BuildTrie(opt core.Options, parts int) (*Trie, error) {
-	if parts < 2 {
-		return nil, fmt.Errorf("partition: need at least 2 partitions, got %d", parts)
-	}
-	bounds, err := selectBoundaries(opt.FS, opt.RawName, opt.S, parts)
+	sc, err := scatterDataset(opt.FS, opt.Name, opt.RawName, opt.S, opt.Materialized, opt.Checksums, opt.Workers, parts)
 	if err != nil {
 		return nil, err
 	}
-	if opt.Checksums {
-		sums, serr := attachRawSums(opt.FS, opt.RawName, series.EncodedSize(opt.S.Params().SeriesLen), true)
-		if serr != nil {
-			return nil, serr
-		}
-		opt.RawSums = sums
-	}
-	raw, err := opt.FS.Open(opt.RawName)
-	if err != nil {
-		return nil, err
-	}
-	src, err := core.SummaryRecordReader(opt.S, raw, opt.Materialized, opt.Workers)
-	if err != nil {
-		raw.Close()
-		return nil, err
-	}
-	names := make([]string, parts)
-	children := make([]string, parts)
-	for i := range names {
-		names[i] = scatterName(opt.Name, i)
-		children[i] = childName(opt.Name, i)
-	}
-	total, err := scatter(opt.FS, src, treeRecordSize(opt), bounds, names)
-	src.Close()
-	raw.Close()
-	if err != nil {
-		removeScatter(opt.FS, opt.Name, parts)
-		return nil, err
-	}
+	opt.RawSums = sc.sums
 	kids := make([]*core.TrieIndex, parts)
 	buildPar := shard.Resolve(opt.Workers, parts)
 	err = shard.FanOut(buildPar, parts, func(i int, cancelled func() bool) error {
@@ -78,12 +47,13 @@ func BuildTrie(opt core.Options, parts int) (*Trie, error) {
 	removeScatter(opt.FS, opt.Name, parts)
 	if err == nil {
 		err = commitParent(opt.FS, opt.Name, manifest.VariantTrie, opt.S,
-			opt.Materialized, opt.LeafCap, opt.RawName, total, opt.Checksums, bounds, children)
+			opt.Materialized, opt.LeafCap, opt.RawName, sc.total, opt.Checksums, sc.bounds, sc.children)
 	}
 	if err != nil {
-		for _, k := range kids {
+		for i, k := range kids {
 			if k != nil {
 				k.Close()
+				core.RemoveTrie(opt.FS, sc.children[i])
 			}
 		}
 		return nil, err
@@ -103,7 +73,7 @@ func OpenTrie(opt core.Options, parts int, allowDegraded bool) (*Trie, error) {
 	}
 	opt.Checksums = m.Checksums
 	if opt.Checksums {
-		sums, serr := attachRawSums(opt.FS, opt.RawName, series.EncodedSize(opt.S.Params().SeriesLen), false)
+		sums, serr := attachRawSums(opt.FS, opt.RawName, series.EncodedSize(opt.S.Params().SeriesLen))
 		if serr != nil {
 			return nil, serr
 		}

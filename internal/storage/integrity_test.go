@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"testing"
 	"time"
 )
@@ -313,6 +314,88 @@ func TestRecordSumsLifecycle(t *testing.T) {
 	}
 	if _, err := OpenRecordSums(fs, "raw", recSize); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("missing sidecar error %v, want ErrNotExist", err)
+	}
+}
+
+// TestRecordSumsFillMatchesBuild: a sidecar filled range by range — the way
+// a build's summarization workers fill it, concurrently over disjoint
+// blocks — flushes to exactly the file BuildRecordSums writes: over a clean
+// raw file, with a torn trailing partial record, and over a stale sidecar
+// left by a longer dataset.
+func TestRecordSumsFillMatchesBuild(t *testing.T) {
+	const recSize, records = 24, 1000
+	for _, tc := range []struct {
+		name  string
+		torn  int // stray bytes after the last whole record
+		stale int // entries of a sidecar already on disk
+	}{{"clean", 0, 0}, {"torn-tail", 7, 0}, {"stale-longer-sidecar", 0, records + 50}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := NewMemFS()
+			data := make([]byte, records*recSize+tc.torn)
+			for i := range data {
+				data[i] = byte(i*7 + i>>8)
+			}
+			if err := WriteFileAll(fs, "raw", data); err != nil {
+				t.Fatal(err)
+			}
+			if tc.stale > 0 {
+				if err := WriteFileAll(fs, "longer", make([]byte, tc.stale*recSize)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := BuildRecordSums(fs, "longer", recSize); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.Rename(RecordSumsName("longer"), RecordSumsName("raw")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			raw, err := fs.Open("raw")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			rs, err := NewRecordSums(fs, "raw", recSize, raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs.Records() != records {
+				t.Fatalf("table sized for %d records, want %d", rs.Records(), records)
+			}
+			const block = 96 // records per Fill, as uneven as a last pipeline block
+			var wg sync.WaitGroup
+			for base := 0; base < records; base += block {
+				wg.Add(1)
+				go func(base int) {
+					defer wg.Done()
+					end := min(base+block, records)
+					rs.Fill(int64(base), data[base*recSize:end*recSize])
+				}(base)
+			}
+			wg.Wait()
+			if err := rs.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			fused, err := ReadFileAll(fs, RecordSumsName("raw"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := BuildRecordSums(fs, "raw", recSize); err != nil {
+				t.Fatal(err)
+			}
+			want, err := ReadFileAll(fs, RecordSumsName("raw"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fused, want) {
+				t.Fatalf("fused sidecar (%d bytes) differs from BuildRecordSums's (%d bytes)", len(fused), len(want))
+			}
+			if len(want) != RecordSumsHeaderSize+4*records {
+				t.Fatalf("sidecar is %d bytes, want %d", len(want), RecordSumsHeaderSize+4*records)
+			}
+			if n, err := VerifyRecordSums(fs, "raw", recSize); err != nil || n != records {
+				t.Fatalf("VerifyRecordSums: n=%d err=%v", n, err)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -74,6 +75,33 @@ func BuildRecordSums(fs FS, rawName string, recSize int) (*RecordSums, error) {
 	return r, nil
 }
 
+// NewRecordSums returns the sidecar of a fresh build over raw (open on
+// rawName): one entry per whole record, each still to be computed by Fill —
+// the build's summarization pass checksums the very bytes it derives keys
+// from, so the raw file is read once. Nothing is persisted until Flush,
+// which then writes the same file BuildRecordSums would have.
+func NewRecordSums(fs FS, rawName string, recSize int, raw File) (*RecordSums, error) {
+	if recSize <= 0 {
+		return nil, fmt.Errorf("storage: record sums for %q: invalid record size %d", rawName, recSize)
+	}
+	size, err := raw.Size()
+	if err != nil {
+		return nil, fmt.Errorf("storage: record sums for %q: size: %w", rawName, err)
+	}
+	return &RecordSums{fs: fs, name: RecordSumsName(rawName), recSize: recSize, sums: make([]uint32, size/int64(recSize))}, nil
+}
+
+// Fill records the checksums of the whole records encoded back to back in
+// enc, the first at position base, into entries NewRecordSums allocated. It
+// takes no lock: concurrent callers must cover disjoint ranges and finish
+// before anything else touches the handle.
+func (r *RecordSums) Fill(base int64, enc []byte) {
+	for i := 0; i+r.recSize <= len(enc); i += r.recSize {
+		r.sums[base] = crc32.Checksum(enc[i:i+r.recSize], crcTable)
+		base++
+	}
+}
+
 // OpenRecordSums loads an existing sidecar for rawName. A missing sidecar
 // returns ErrNotExist (callers may fall back to BuildRecordSums); a
 // mangled header returns ErrCorruptData. A trailing partial entry — the
@@ -107,6 +135,31 @@ func OpenRecordSums(fs FS, rawName string, recSize int) (*RecordSums, error) {
 		r.sums[i] = binary.LittleEndian.Uint32(body[i*4 : i*4+4])
 	}
 	return r, nil
+}
+
+// LoadRecordSums returns the sidecar of rawName as an index open needs it:
+// the persisted one, reconciled against raw (open on rawName) — the raw
+// file may have grown past the sidecar's last flush when a crash fell
+// between a raw append and the sidecar flush, and the missing entries are
+// backfilled from the fsynced raw bytes — or one built from scratch when
+// none exists (a legacy index upgraded in place). A reconciled sidecar is
+// not flushed here.
+func LoadRecordSums(fs FS, rawName string, recSize int, raw File) (*RecordSums, error) {
+	sums, err := OpenRecordSums(fs, rawName, recSize)
+	if errors.Is(err, ErrNotExist) {
+		return BuildRecordSums(fs, rawName, recSize)
+	}
+	if err != nil {
+		return nil, err
+	}
+	size, err := raw.Size()
+	if err != nil {
+		return nil, fmt.Errorf("storage: record sums for %q: size: %w", rawName, err)
+	}
+	if err := sums.Reconcile(raw, size/int64(recSize)); err != nil {
+		return nil, err
+	}
+	return sums, nil
 }
 
 // Records returns how many records the sidecar currently covers.

@@ -12,8 +12,10 @@ package coconut
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -24,11 +26,13 @@ import (
 	"time"
 
 	"github.com/coconut-db/coconut/internal/bptree"
+	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/experiments"
 	"github.com/coconut-db/coconut/internal/extsort"
 	"github.com/coconut-db/coconut/internal/lsm"
 	"github.com/coconut-db/coconut/internal/series"
+	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
 )
@@ -337,13 +341,29 @@ func BenchmarkMinDistsToKeys(b *testing.B) {
 // dead-code-eliminate the loops being measured.
 var benchSink float64
 
-// exactQueryAllocIndexes are the two indexes the exact-query allocation
-// guard runs on: 20k series at the default shape, non-materialized tree and
-// single-run LSM, QueryWorkers pinned to 1 so the counts do not depend on
-// the host's CPUs.
-var exactQueryAllocIndexes = map[string]func(Config) (exactSearcher, error){
-	"tree": func(cfg Config) (exactSearcher, error) { return BuildTreeIndex(cfg) },
-	"lsm":  func(cfg Config) (exactSearcher, error) { return BuildLSMIndex(cfg) },
+// exactQueryAllocIndexes are the indexes the exact-query allocation guard
+// runs on: 20k series at the default shape, non-materialized tree and
+// single-run LSM — the LSM also on skewed data behind a 256 KiB block cache,
+// where every query scans four times the blocks the cache holds —
+// QueryWorkers pinned to 1 so the counts do not depend on the host's CPUs.
+// maxBytes bounds the bytes one query allocates. The small-cache case makes
+// 25 KB, but it is the one case whose pooled buffers are large and many — a
+// candidate list of thousands of entries, ~30 block reads and the decode
+// scratch — and the race detector's sync.Pool drops a quarter of all Puts,
+// so under -race they are grown again at random: 241–330 KB measured (a
+// third of it block buffers, half the candidate list). Its bound holds in
+// both modes.
+var exactQueryAllocIndexes = map[string]struct {
+	data     DatasetKind
+	maxBytes int64
+	build    func(Config) (exactSearcher, error)
+}{
+	"tree": {RandomWalk, 256 << 10, func(cfg Config) (exactSearcher, error) { return BuildTreeIndex(cfg) }},
+	"lsm":  {RandomWalk, 256 << 10, func(cfg Config) (exactSearcher, error) { return BuildLSMIndex(cfg) }},
+	"lsm-smallcache": {Skewed, 512 << 10, func(cfg Config) (exactSearcher, error) {
+		cfg.CacheBytes = 256 << 10
+		return BuildLSMIndex(cfg)
+	}},
 }
 
 type exactSearcher interface {
@@ -352,21 +372,22 @@ type exactSearcher interface {
 }
 
 // benchExactQueryAllocs measures one exact query per op on a warm handle.
-func benchExactQueryAllocs(b *testing.B, build func(Config) (exactSearcher, error)) {
+func benchExactQueryAllocs(b *testing.B, name string) {
 	const (
 		count     = 20000
 		seriesLen = 256
 	)
+	kind := exactQueryAllocIndexes[name]
 	fs := storage.NewMemFS()
-	if err := GenerateDataset(fs, "aq.bin", RandomWalk, count, seriesLen, 31); err != nil {
+	if err := GenerateDataset(fs, "aq.bin", kind.data, count, seriesLen, 31); err != nil {
 		b.Fatal(err)
 	}
-	ix, err := build(Config{Storage: fs, Name: "aq", DataFile: "aq.bin", SeriesLen: seriesLen, QueryWorkers: 1})
+	ix, err := kind.build(Config{Storage: fs, Name: "aq", DataFile: "aq.bin", SeriesLen: seriesLen, QueryWorkers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer ix.Close()
-	queries, err := GenerateQueries(RandomWalk, 16, seriesLen, 32)
+	queries, err := GenerateQueries(kind.data, 16, seriesLen, 32)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -390,18 +411,75 @@ func benchExactQueryAllocs(b *testing.B, build func(Config) (exactSearcher, erro
 // lower-bound slice plus a buffer per fetch. TestExactQueryAllocations
 // holds the line; CI prints these so a regression is visible in the log.
 func BenchmarkExactQueryAllocs(b *testing.B) {
-	for _, name := range []string{"tree", "lsm"} {
-		b.Run(name, func(b *testing.B) { benchExactQueryAllocs(b, exactQueryAllocIndexes[name]) })
+	for _, name := range []string{"tree", "lsm", "lsm-smallcache"} {
+		b.Run(name, func(b *testing.B) { benchExactQueryAllocs(b, name) })
 	}
 }
 
 // TestExactQueryAllocations is the allocation guard on the benchmark above.
 func TestExactQueryAllocations(t *testing.T) {
-	for name, build := range exactQueryAllocIndexes {
-		r := testing.Benchmark(func(b *testing.B) { benchExactQueryAllocs(b, build) })
-		if r.AllocsPerOp() >= 100 || r.AllocedBytesPerOp() >= 256<<10 {
-			t.Errorf("%s: exact query on 20k series allocates %d objects, %d bytes; want < 100 and < 256 KiB", name, r.AllocsPerOp(), r.AllocedBytesPerOp())
+	for name, kind := range exactQueryAllocIndexes {
+		r := testing.Benchmark(func(b *testing.B) { benchExactQueryAllocs(b, name) })
+		if r.AllocsPerOp() >= 100 || r.AllocedBytesPerOp() >= kind.maxBytes {
+			t.Errorf("%s: exact query on 20k series allocates %d objects, %d bytes; want < 100 and < %d KiB", name, r.AllocsPerOp(), r.AllocedBytesPerOp(), kind.maxBytes>>10)
 		}
+	}
+}
+
+// BenchmarkVerifyRaw is the verification scan alone, 4096 candidates of 256
+// points with none, a quarter or all of them file-adjacent to the one
+// before: ns, reads and allocations per candidate show a per-record read or
+// buffer coming back.
+func BenchmarkVerifyRaw(b *testing.B) {
+	const (
+		n         = 4096
+		seriesLen = 256
+	)
+	fs := storage.NewMemFS()
+	gen := dataset.NewRandomWalk()
+	if _, err := dataset.WriteFile(fs, "raw", gen, 2*n, seriesLen, 5); err != nil {
+		b.Fatal(err)
+	}
+	raw, err := fs.Open("raw")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer raw.Close()
+	sums, err := storage.BuildRecordSums(fs, "raw", series.EncodedSize(seriesLen))
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := dataset.Generate(gen, 1, seriesLen, 6)[0]
+	for _, adjacent := range []int{0, 25, 100} {
+		b.Run(fmt.Sprintf("adjacent=%d%%", adjacent), func(b *testing.B) {
+			// Every candidate, or one of four, or none is adjacent to the
+			// one before it.
+			cands := make([]summary.Cand, 0, n)
+			for pos := int64(0); len(cands) < n; {
+				cands = append(cands, summary.Cand{ID: pos})
+				switch {
+				case adjacent == 100, adjacent == 25 && len(cands)%4 == 1:
+					pos++
+				default:
+					pos += 2
+				}
+			}
+			scratch := make([]summary.Cand, n)
+			before := fs.Stats().Snapshot()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(scratch, cands)
+				var bound shard.BSF
+				bound.Init(math.Inf(1))
+				if _, _, visited, err := core.VerifyRaw(context.Background(), raw, sums, q, scratch, -1, math.Inf(1), &bound, 1); err != nil || visited != n {
+					b.Fatalf("visited %d, err %v", visited, err)
+				}
+			}
+			io := fs.Stats().Snapshot().Sub(before)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/cand")
+			b.ReportMetric(float64(io.RandReads+io.SeqReads)/float64(b.N*n), "reads/cand")
+		})
 	}
 }
 

@@ -283,7 +283,11 @@ type Config struct {
 	// CacheBytes bounds the shared decoded-block cache a compressed LSM
 	// index reads through (default 128 MiB). One cache serves all runs,
 	// partitions, and concurrent queries of the handle; CacheStats reports
-	// its hit/miss/eviction counters for sizing.
+	// its hit/miss/eviction counters for sizing. Exact searches sweep every
+	// block of every run: they cache a block only where there is room and
+	// otherwise decode it in passing (CacheStats.ScanDecodes), so a budget
+	// below the decoded key set (24 bytes per series) slows them without
+	// disturbing the blocks approximate searches keep resident.
 	CacheBytes int64
 	// AllowDegraded lets Open succeed over a partially corrupt index:
 	// an unreadable LSM run or partition child is quarantined and queries
@@ -974,7 +978,9 @@ func (l *LSMIndex) Degraded() bool { return l.ix.Degraded() }
 func (l *LSMIndex) Repair() error { return l.ix.RebuildQuarantined() }
 
 // CacheStats is a snapshot of the shared decoded-block cache's counters:
-// hits, misses, evictions, resident bytes, and the configured budget. An
+// hits, misses, evictions, scan decodes (blocks an exact search decoded
+// without caching them: non-zero means the budget is smaller than the
+// index's decoded keys), resident bytes, and the configured budget. An
 // uncompressed index reads no cache, so its counters stay zero.
 type CacheStats = blockcache.Stats
 

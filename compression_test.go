@@ -132,6 +132,11 @@ func TestCompressedBeyondRAMConformance(t *testing.T) {
 				if stats.Bytes > bramCache {
 					t.Fatalf("cache holds %d resident bytes, budget is %d", stats.Bytes, bramCache)
 				}
+				// ... and says so itself: exact scans decoded blocks it had
+				// no room for.
+				if stats.ScanDecodes == 0 {
+					t.Fatalf("undersized cache reports no scan decodes: %+v", stats)
+				}
 				if err := comp.Close(); err != nil {
 					t.Fatal(err)
 				}

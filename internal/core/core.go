@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -393,6 +394,37 @@ type ApproxWindow struct {
 	Leaves int64
 }
 
+// windowCands collects the window contribution of a sorted summary array
+// (keys, positions parallel to it — the tree's and the trie's alike): the
+// trailing and leading half-windows around q's insertion position, with the
+// ordinal range [lo, hi) they span.
+func windowCands(opt *Options, keys []summary.Key, positions []int64, q series.Series, radius int) (aw ApproxWindow, lo, hi int, err error) {
+	key, err := opt.S.KeyOf(q)
+	if err != nil {
+		return aw, 0, 0, err
+	}
+	qPAA, err := opt.S.PAA(q, nil)
+	if err != nil {
+		return aw, 0, 0, err
+	}
+	p := opt.S.Params()
+	half := opt.ApproxWindow * (radius + 1) / 2
+	ins := sort.Search(len(keys), func(i int) bool { return !keys[i].Less(key) })
+	lo, hi = max(ins-half, 0), min(ins+half, len(keys))
+	aw.Below, aw.Above = make([]window.Cand, 0, ins-lo), make([]window.Cand, 0, hi-ins)
+	saxScratch := make(summary.SAX, p.Segments)
+	for i := lo; i < hi; i++ {
+		sax := summary.DeinterleaveInto(keys[i], p.CardBits, saxScratch)
+		c := window.Cand{Key: keys[i], Pos: positions[i], LB: opt.S.MinDistSqPAAToSAX(qPAA, sax), Ord: i}
+		if i < ins {
+			aw.Below = append(aw.Below, c)
+		} else {
+			aw.Above = append(aw.Above, c)
+		}
+	}
+	return aw, lo, hi, nil
+}
+
 // CtxFetch wraps a window fetcher with a cancellation check before every
 // fetch — the approximate phase's fetches are serial, so per-fetch checks
 // are the natural cancellation granularity there (the sharded verification
@@ -402,12 +434,36 @@ func CtxFetch(ctx context.Context, f window.FetchFunc) window.FetchFunc {
 	if ctx.Done() == nil {
 		return f
 	}
-	return func(c window.Cand, dst series.Series) error {
+	return func(c window.Cand, buf []byte) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		return f(c, dst)
+		return f(c, buf)
 	}
+}
+
+// RawFetch is the window fetcher of every non-materialized index: exactly
+// one verified read of the raw dataset per visited record (what
+// Result.VisitedRecords counts), into the evaluation's buffer.
+func RawFetch(f storage.File, sums *storage.RecordSums) window.FetchFunc {
+	return func(c window.Cand, buf []byte) ([]byte, error) {
+		return buf, ReadRawAt(f, sums, c.Pos, buf)
+	}
+}
+
+// EvalWindow evaluates a merged approximate window (window.Eval) under ctx,
+// with a pooled read buffer for fetch.
+func EvalWindow(ctx context.Context, q series.Series, cands []window.Cand, fetch window.FetchFunc) (pos int64, sqDist float64, visited int64, err error) {
+	sc := GetRawScratch(len(q), 1)
+	defer PutRawScratch(sc)
+	return window.Eval(q, cands, CtxFetch(ctx, fetch), sc.Buf)
+}
+
+// search evaluates aw alone, trimmed to half records a side: the approximate
+// answer (Dist SQUARED) of the index that contributed it.
+func (aw ApproxWindow) search(ctx context.Context, q series.Series, half int) (Result, error) {
+	pos, sq, visited, err := EvalWindow(ctx, q, window.Merge(aw.Below, aw.Above, half), aw.Fetch)
+	return Result{Pos: pos, Dist: sq, VisitedRecords: visited, VisitedLeaves: aw.Leaves}, err
 }
 
 // leafOfOrd locates the leaf (by directory position) holding the record
@@ -427,55 +483,85 @@ type InsertRec struct {
 	Raw []byte
 }
 
-// ReadRawAt fetches the series at ordinal pos from a raw dataset file into
-// dst, verifying the encoded bytes against the CRC sidecar when one is
-// present — a rotted raw record surfaces as storage.ErrCorruptData, never as
-// a wrong distance. buf receives the encoded bytes and must be
-// series.EncodedSize(len(dst)) long; passing the same one to every fetch of
-// a scan is what keeps the scan allocation-free.
-func ReadRawAt(f storage.File, sums *storage.RecordSums, pos int64, buf []byte, dst series.Series) error {
-	if n, err := f.ReadAt(buf, pos*int64(len(buf))); n != len(buf) {
+// ReadRawAt reads the encoded series at ordinal pos of a raw dataset file
+// into buf, exactly one record long, and verifies it against the CRC sidecar
+// when there is one — rot surfaces as storage.ErrCorruptData, never as a
+// wrong distance.
+func ReadRawAt(f storage.File, sums *storage.RecordSums, pos int64, buf []byte) error {
+	if err := readRawRun(f, pos, 1, buf); err != nil {
+		return err
+	}
+	return verifyRaw(sums, pos, buf)
+}
+
+// readRawRun fills buf with the n file-adjacent records starting at ordinal
+// pos, in one read.
+func readRawRun(f storage.File, pos int64, n int, buf []byte) error {
+	if got, err := f.ReadAt(buf, pos*int64(len(buf)/n)); got != len(buf) {
 		if err == nil {
 			err = io.ErrUnexpectedEOF
 		}
-		return fmt.Errorf("core: raw series %d: %w", pos, err)
+		return fmt.Errorf("core: raw series %d (run of %d): %w", pos, n, err)
 	}
-	if sums != nil {
-		if err := sums.Verify(pos, buf); err != nil {
-			return fmt.Errorf("core: raw series %d: %w", pos, err)
-		}
-	}
-	series.DecodeInto(buf, dst)
 	return nil
 }
 
-// RawScratch is the pair of buffers one goroutine fetches raw series
-// through: the encoded bytes as read, and the decoded series.
-type RawScratch struct {
-	Buf    []byte
-	Series series.Series
+func verifyRaw(sums *storage.RecordSums, pos int64, enc []byte) error {
+	if sums == nil {
+		return nil
+	}
+	if err := sums.Verify(pos, enc); err != nil {
+		return fmt.Errorf("core: raw series %d: %w", pos, err)
+	}
+	return nil
 }
+
+// rawRunCap is the most file-adjacent candidates the verification scan
+// fetches with one read: past a handful the read is no longer a candidate's
+// cost, and a bound improvement inside a run wastes at most this many records.
+const rawRunCap = 16
+
+// RawScratch is the buffer one goroutine reads raw series through.
+type RawScratch struct{ Buf []byte }
 
 // The pool is process-wide, not per index handle, so that an idle index
 // holds no scratch at all: a garbage collection empties it.
 var rawScratchPool = sync.Pool{New: func() any { return new(RawScratch) }}
 
-// GetRawScratch takes a scratch for series of seriesLen points from the
-// pool. Each verification shard takes one for its whole range and puts it
-// back itself, so a shard abandoned by a cancelled query keeps its buffers
-// until it has finished with them.
-func GetRawScratch(seriesLen int) *RawScratch {
+// GetRawScratch takes a scratch of records encoded series of seriesLen
+// points from the pool: rawRunCap for scanRaw, one for every fetch that
+// never coalesces. A verification shard takes one for its whole range and
+// puts it back itself, so one abandoned by a cancelled query keeps it until
+// it is done.
+func GetRawScratch(seriesLen, records int) *RawScratch {
 	sc := rawScratchPool.Get().(*RawScratch)
-	if cap(sc.Series) < seriesLen {
-		sc.Buf = make([]byte, series.EncodedSize(seriesLen))
-		sc.Series = make(series.Series, seriesLen)
+	n := records * series.EncodedSize(seriesLen)
+	if cap(sc.Buf) < n {
+		sc.Buf = make([]byte, n)
 	}
-	sc.Buf, sc.Series = sc.Buf[:series.EncodedSize(seriesLen)], sc.Series[:seriesLen]
+	sc.Buf = sc.Buf[:n]
 	return sc
 }
 
 // PutRawScratch returns sc to the pool.
 func PutRawScratch(sc *RawScratch) { rawScratchPool.Put(sc) }
+
+// recordSquaredDistance computes the true SQUARED distance from q to a leaf
+// record of either index — over the raw bytes a materialized record carries,
+// else over the series its position names in the raw file f. Search state
+// stays in squared space end to end; only the public entry points take a
+// square root (finishResult).
+func recordSquaredDistance(opt *Options, f storage.File, sums *storage.RecordSums, q series.Series, rec []byte, sc *RawScratch) (int64, float64, error) {
+	_, pos, enc := decodeRecord(rec, opt.Materialized)
+	if enc == nil {
+		enc = sc.Buf
+		if err := ReadRawAt(f, sums, pos, enc); err != nil {
+			return 0, 0, err
+		}
+	}
+	sq, _ := series.SquaredEDEarlyAbandonEncoded(q, enc, math.Inf(1))
+	return pos, sq, nil
+}
 
 // simsVerify is the SIMS verification phase the tree and the trie share:
 // one fused lower-bound pass over the sorted summary array (keys, positions
@@ -511,39 +597,78 @@ func simsVerify(ctx context.Context, opt *Options, q series.Series, keys []summa
 // cands, survivors of the lower-bound pass whose IDs are raw-file positions,
 // are put in position order (in place) so the dataset is read strictly
 // forward, and the order is cut into contiguous shards across workers. A
-// shard fetches and measures every candidate still under its own
-// best-so-far and, strictly, under the shared bound, which lets shards
+// shard runs its candidates through scanRaw, keeping those still under its
+// own best-so-far and, strictly, under the shared bound, which lets shards
 // prune each other's candidates. It returns the best (position, squared
 // distance) found under the seed, else the seed, and the number of series
-// fetched.
+// measured.
 func VerifyRaw(ctx context.Context, f storage.File, sums *storage.RecordSums, q series.Series, cands []summary.Cand,
 	seedPos int64, seedDist float64, bound *shard.BSF, workers int,
 ) (pos int64, dist float64, visited int64, err error) {
 	slices.SortFunc(cands, func(a, b summary.Cand) int { return cmp.Compare(a.ID, b.ID) })
-	pos, dist, visited, _, err = shard.ScanReduceCtx(ctx, workers, len(cands), seedPos, seedDist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
-		sc := GetRawScratch(len(q))
-		defer PutRawScratch(sc)
-		for _, c := range cands[r.Lo:r.Hi] {
-			if cancelled() {
-				return nil
-			}
-			if c.LB >= local.Dist || bound.Prunes(c.LB) {
-				continue // pruned by a best-so-far improvement since collection
-			}
-			if err := ReadRawAt(f, sums, c.ID, sc.Buf, sc.Series); err != nil {
-				return err
-			}
-			local.VisitedRecords++
-			// The abandon limit is the exact squared best-so-far, so it is
-			// tight.
-			if sq, ok := series.SquaredEDEarlyAbandon(q, sc.Series, local.Dist); ok && sq < local.Dist {
-				local.Dist, local.Pos = sq, c.ID
-				bound.Lower(sq)
-			}
-		}
-		return nil
+	pos, dist, visited, _, err = shard.ScanReduceCtx(ctx, workers, len(cands), seedPos, seedDist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) (err error) {
+		// The abandon limit is the exact squared best-so-far, so it is tight.
+		local.VisitedRecords, err = scanRaw(f, sums, q, cands[r.Lo:r.Hi], cancelled,
+			func(lb float64) (float64, bool) { return local.Dist, !(lb >= local.Dist || bound.Prunes(lb)) },
+			func(pos int64, sq float64) {
+				if sq < local.Dist {
+					local.Dist, local.Pos = sq, pos
+					bound.Lower(sq)
+				}
+			})
+		return err
 	})
 	return pos, dist, visited, err
+}
+
+// scanRaw is the one raw-candidate scanner: a shard of position-sorted
+// candidates (IDs are raw-file positions) fetched, checked and measured
+// against q. admit says whether a candidate with lower bound lb is still
+// under the scan's bounds and, if so, the limit its distance may abandon at;
+// found takes every distance that completed under its limit and may tighten
+// what admit answers next. Candidates adjacent in the file and admitted when
+// the run is formed, up to rawRunCap, are fetched with one read; each is
+// then admitted again in order, so one pruned by an improvement inside its
+// own run is skipped as if never fetched, and every other record is verified
+// against the CRC sidecar before its distance is taken — straight from the
+// encoded bytes. It returns the number of distances taken.
+func scanRaw(f storage.File, sums *storage.RecordSums, q series.Series, cands []summary.Cand, cancelled func() bool,
+	admit func(lb float64) (limit float64, ok bool), found func(pos int64, sq float64),
+) (visited int64, err error) {
+	admitted := func(c summary.Cand) bool { _, ok := admit(c.LB); return ok }
+	recSize := series.EncodedSize(len(q))
+	sc := GetRawScratch(len(q), rawRunCap)
+	defer PutRawScratch(sc)
+	for i := 0; i < len(cands) && !cancelled(); {
+		if !admitted(cands[i]) {
+			i++
+			continue // pruned by a best-so-far improvement since collection
+		}
+		first, n := cands[i].ID, 1
+		for n < rawRunCap && i+n < len(cands) && cands[i+n].ID == first+int64(n) && admitted(cands[i+n]) {
+			n++
+		}
+		buf := sc.Buf[:n*recSize]
+		if err := readRawRun(f, first, n, buf); err != nil {
+			return visited, err
+		}
+		for k, c := range cands[i : i+n] {
+			limit, ok := admit(c.LB)
+			if !ok {
+				continue
+			}
+			enc := buf[k*recSize:][:recSize]
+			if err := verifyRaw(sums, c.ID, enc); err != nil {
+				return visited, err
+			}
+			visited++
+			if sq, ok := series.SquaredEDEarlyAbandonEncoded(q, enc, limit); ok {
+				found(c.ID, sq)
+			}
+		}
+		i += n
+	}
+	return visited, nil
 }
 
 // leafCands splits index-ordered candidates (IDs are ordinals of the sorted

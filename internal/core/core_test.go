@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
+	"github.com/coconut-db/coconut/internal/window"
 )
 
 const (
@@ -170,6 +173,90 @@ func TestTreeApproxSearch(t *testing.T) {
 			}
 			if res5.VisitedLeaves <= res.VisitedLeaves {
 				t.Fatal("radius should visit more leaves")
+			}
+		}
+	}
+}
+
+// TestApproxWindowMatchesReference holds the window code the tree and the
+// trie share (windowCands, ApproxWindow.search) to a linear reference: the
+// half-windows around the query key's insertion point — also before the
+// first key, past the last, and wider than the index — with each
+// candidate's key, position, ordinal and lower bound, the leaves they span,
+// and an answer equal to the nearest series of the window.
+func TestApproxWindowMatchesReference(t *testing.T) {
+	fs, data := fixtureFS(t)
+	queries := dataset.Queries(dataset.NewRandomWalk(), 6, tLen, 7)
+	low, high := make(series.Series, tLen), make(series.Series, tLen)
+	for i := range low {
+		low[i], high[i] = -1e6+float64(i), 1e6-float64(i)
+	}
+	queries = append(queries, low, high, data[3].Clone())
+	for _, mat := range []bool{false, true} {
+		opt := baseOptions(t, fs, mat)
+		tree, err := BuildTree(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tree.Close()
+		opt.Name = "cx-trie"
+		trie, err := BuildTrie(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer trie.Close()
+		_, bases := tree.leafBases()
+		for name, ix := range map[string]struct {
+			keys      []summary.Key
+			positions []int64
+			leafStart []int
+			window    func(series.Series, int) (ApproxWindow, error)
+			search    func(context.Context, series.Series, int) (Result, error)
+		}{
+			"tree": {tree.keys, tree.positions, bases, tree.approxWindow, tree.approxSearch},
+			"trie": {trie.keys, trie.positions, trie.leafStart, trie.approxWindow, trie.approxSearch},
+		} {
+			for qi, q := range queries {
+				for _, radius := range []int{0, 1, 3, 100} {
+					key, _ := opt.S.KeyOf(q)
+					qPAA, _ := opt.S.PAA(q, nil)
+					half := tree.opt.ApproxWindow * (radius + 1) / 2
+					ins := 0
+					for ins < len(ix.keys) && ix.keys[ins].Less(key) {
+						ins++
+					}
+					var below, above []window.Cand
+					leaves := map[int]bool{}
+					best := Result{Pos: -1, Dist: math.Inf(1)}
+					for i := max(ins-half, 0); i < min(ins+half, len(ix.keys)); i++ {
+						sax := summary.Deinterleave(ix.keys[i], opt.S.Params().Segments, opt.S.Params().CardBits)
+						c := window.Cand{Key: ix.keys[i], Pos: ix.positions[i], Ord: i, LB: opt.S.MinDistSqPAAToSAX(qPAA, sax)}
+						if i < ins {
+							below = append(below, c)
+						} else {
+							above = append(above, c)
+						}
+						leaves[leafOfOrd(ix.leafStart, i)] = true
+						if sq, _ := series.SquaredED(q, data[c.Pos]); sq < best.Dist {
+							best.Pos, best.Dist = c.Pos, sq
+						}
+					}
+					aw, err := ix.window(q, radius)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(aw.Below, below) || !slices.Equal(aw.Above, above) || aw.Leaves != int64(len(leaves)) {
+						t.Fatalf("%s mat=%v query %d radius %d: window %d+%d over %d leaves, reference %d+%d over %d",
+							name, mat, qi, radius, len(aw.Below), len(aw.Above), aw.Leaves, len(below), len(above), len(leaves))
+					}
+					got, err := ix.search(context.Background(), q, radius)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Pos != best.Pos || got.Dist != best.Dist || got.VisitedLeaves != aw.Leaves || got.VisitedRecords < 1 || got.VisitedRecords > int64(len(below)+len(above)) {
+						t.Fatalf("%s mat=%v query %d radius %d: %+v, nearest of the window %+v", name, mat, qi, radius, got, best)
+					}
+				}
 			}
 		}
 	}

@@ -146,8 +146,8 @@ func (ix *TreeIndex) exactSearchKNN(ctx context.Context, q series.Series, k, rad
 
 // knnScanRawFile is the non-materialized verification scan: the candidates
 // (IDs are raw-file positions) are put in position order and the order is
-// partitioned into contiguous shards, each reading its slice of the raw
-// file strictly forward.
+// partitioned into contiguous shards, each running its slice through scanRaw
+// — the raw file read strictly forward — into a heap of its own.
 func (ix *TreeIndex) knnScanRawFile(ctx context.Context, q series.Series, k int, seed []Neighbor, cands []summary.Cand, stats *Result, kb *shard.BSF) ([][]Neighbor, error) {
 	slices.SortFunc(cands, func(a, b summary.Cand) int { return cmp.Compare(a.ID, b.ID) })
 	workers := shard.Resolve(ix.opt.QueryWorkers, len(cands))
@@ -158,34 +158,23 @@ func (ix *TreeIndex) knnScanRawFile(ctx context.Context, q series.Series, k int,
 		for _, n := range seed {
 			lh.Offer(n)
 		}
-		sc := GetRawScratch(len(q))
-		defer PutRawScratch(sc)
-		for _, c := range cands[rr.Lo:rr.Hi] {
-			if cancelled() {
-				return nil
-			}
-			if c.LB > lh.Bound() || kb.Prunes(c.LB) {
-				continue // strict: a tie with either bound is still verified
-			}
-			if err := ReadRawAt(ix.rawFile, ix.rawSums, c.ID, sc.Buf, sc.Series); err != nil {
-				return err
-			}
-			visited[si]++
-			// With the heap in squared space the abandon threshold is the
-			// heap bound itself — the ulp-widening dance the sqrt-space heap
-			// needed is gone. SquaredEDEarlyAbandon abandons only on a
-			// STRICT excess, so a candidate whose squared sum exactly ties
-			// the bound completes and is offered (the (dist, pos) total
-			// order breaks the tie), and everything abandoned strictly
-			// loses — the evaluated pool's top-k stays invariant across
-			// shard boundaries.
-			sq, ok := series.SquaredEDEarlyAbandon(q, sc.Series, lh.Bound())
-			if !ok {
-				continue
-			}
-			if lh.Offer(Neighbor{Pos: c.ID, Dist: sq}) {
-				kb.Lower(lh.Bound())
-			}
+		// Strict pruning: a tie with either bound is still verified. With the
+		// heap in squared space the abandon limit is the heap bound itself,
+		// and the kernel abandons only on a STRICT excess, so a candidate
+		// whose squared sum exactly ties the bound completes and is offered
+		// (the (dist, pos) total order breaks the tie), and everything
+		// abandoned strictly loses — the evaluated pool's top-k stays
+		// invariant across shard boundaries.
+		var err error
+		visited[si], err = scanRaw(ix.rawFile, ix.rawSums, q, cands[rr.Lo:rr.Hi], cancelled,
+			func(lb float64) (float64, bool) { return lh.Bound(), !(lb > lh.Bound() || kb.Prunes(lb)) },
+			func(pos int64, sq float64) {
+				if lh.Offer(Neighbor{Pos: pos, Dist: sq}) {
+					kb.Lower(lh.Bound())
+				}
+			})
+		if err != nil {
+			return err
 		}
 		perShard[si] = lh.Items()
 		return nil
@@ -216,7 +205,7 @@ func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, 
 		for _, n := range seed {
 			lh.Offer(n)
 		}
-		sc := GetRawScratch(len(q))
+		sc := GetRawScratch(len(q), 1)
 		defer PutRawScratch(sc)
 		buf := make([]byte, ix.opt.LeafCap*recSize)
 		rest := candsFrom(cands, bases[rr.Lo])
@@ -239,7 +228,7 @@ func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, 
 				if i >= n || c.LB > lh.Bound() || kb.Prunes(c.LB) {
 					continue
 				}
-				pos, sq, err := ix.recordSquaredDistance(q, buf[i*recSize:(i+1)*recSize], sc)
+				pos, sq, err := recordSquaredDistance(&ix.opt, ix.rawFile, ix.rawSums, q, buf[i*recSize:(i+1)*recSize], sc)
 				if err != nil {
 					return err
 				}
@@ -292,7 +281,7 @@ func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h
 	if err != nil {
 		return err
 	}
-	sc := GetRawScratch(p.SeriesLen)
+	sc := GetRawScratch(p.SeriesLen, 1)
 	defer PutRawScratch(sc)
 	saxScratch := make(summary.SAX, p.Segments)
 	buf := make([]byte, ix.opt.LeafCap*ix.opt.recordSize())
@@ -314,7 +303,7 @@ func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h
 					continue
 				}
 			}
-			pos, sq, err := ix.recordSquaredDistance(q, rec, sc)
+			pos, sq, err := recordSquaredDistance(&ix.opt, ix.rawFile, ix.rawSums, q, rec, sc)
 			if err != nil {
 				return err
 			}

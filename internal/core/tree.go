@@ -324,25 +324,6 @@ func (ix *TreeIndex) leafIndexOf(id int64) int {
 	return ix.leafIdx[id]
 }
 
-// recordSquaredDistance computes the true SQUARED distance from q to a
-// leaf record. Internal search state stays in squared space end to end —
-// lower bounds and best-so-far distances are compared without ever taking
-// a square root — and only the public entry points materialize a Euclidean
-// distance via finishResult.
-func (ix *TreeIndex) recordSquaredDistance(q series.Series, rec []byte, sc *RawScratch) (int64, float64, error) {
-	_, pos, raw := decodeRecord(rec, ix.opt.Materialized)
-	if raw != nil {
-		series.DecodeInto(raw, sc.Series)
-	} else if err := ReadRawAt(ix.rawFile, ix.rawSums, pos, sc.Buf, sc.Series); err != nil {
-		return 0, 0, err
-	}
-	sq, err := series.SquaredED(q, sc.Series)
-	if err != nil {
-		return 0, 0, err
-	}
-	return pos, sq, nil
-}
-
 // finishResult converts an internal squared-space Result into the public
 // Euclidean form. sqrt is monotone on non-negative reals, so the winning
 // (Pos, squared distance) pair picked by squared comparisons is the same
@@ -376,21 +357,14 @@ func (ix *TreeIndex) ApproxSearchCtx(ctx context.Context, q series.Series, radiu
 // approxSearch is the internal form of ApproxSearch; res.Dist holds the
 // SQUARED best distance.
 func (ix *TreeIndex) approxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	res := Result{Pos: -1, Dist: math.Inf(1)}
 	if ix.count == 0 {
-		return res, ErrEmptyIndex
+		return Result{Pos: -1, Dist: math.Inf(1)}, ErrEmptyIndex
 	}
 	aw, err := ix.approxWindow(q, radius)
 	if err != nil {
-		return res, err
+		return Result{Pos: -1, Dist: math.Inf(1)}, err
 	}
-	half := ix.opt.ApproxWindow * (radius + 1) / 2
-	cands := window.Merge(aw.Below, aw.Above, half)
-	pos, sq, visited, err := window.Eval(q, cands, CtxFetch(ctx, aw.Fetch))
-	res.Pos, res.Dist = pos, sq
-	res.VisitedRecords = visited
-	res.VisitedLeaves = aw.Leaves
-	return res, err
+	return aw.search(ctx, q, ix.opt.ApproxWindow*(radius+1)/2)
 }
 
 // ApproxWindowCands exposes the tree's window contribution to the
@@ -420,44 +394,16 @@ func (ix *TreeIndex) ApproxWindowCandsCtx(ctx context.Context, q series.Series, 
 // sorted summary array. Leaves counts the leaf pages the window ordinals
 // span.
 func (ix *TreeIndex) approxWindow(q series.Series, radius int) (ApproxWindow, error) {
-	var aw ApproxWindow
 	if err := ix.ensureSIMS(); err != nil {
-		return aw, err
+		return ApproxWindow{}, err
 	}
-	key, err := ix.opt.S.KeyOf(q)
-	if err != nil {
-		return aw, err
-	}
-	qPAA, err := ix.opt.S.PAA(q, nil)
-	if err != nil {
-		return aw, err
-	}
-	p := ix.opt.S.Params()
-	half := ix.opt.ApproxWindow * (radius + 1) / 2
-	ins := sort.Search(len(ix.keys), func(i int) bool { return !ix.keys[i].Less(key) })
-	lo, hi := ins-half, ins+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(ix.keys) {
-		hi = len(ix.keys)
-	}
-	saxScratch := make(summary.SAX, p.Segments)
-	for i := lo; i < hi; i++ {
-		sax := summary.DeinterleaveInto(ix.keys[i], p.CardBits, saxScratch)
-		c := window.Cand{Key: ix.keys[i], Pos: ix.positions[i], LB: ix.opt.S.MinDistSqPAAToSAX(qPAA, sax), Ord: i}
-		if i < ins {
-			aw.Below = append(aw.Below, c)
-		} else {
-			aw.Above = append(aw.Above, c)
-		}
-	}
-	if lo < hi {
+	aw, lo, hi, err := windowCands(&ix.opt, ix.keys, ix.positions, q, radius)
+	if err == nil && lo < hi {
 		_, bases := ix.leafBases()
 		aw.Leaves = int64(leafOfOrd(bases, hi-1) - leafOfOrd(bases, lo) + 1)
 	}
 	aw.Fetch = ix.windowFetch()
-	return aw, nil
+	return aw, err
 }
 
 // leafBases returns the leaf directory and each leaf's starting ordinal in
@@ -474,16 +420,12 @@ func (ix *TreeIndex) leafBases() ([]int64, []int) {
 }
 
 // windowFetch returns the per-query window candidate fetcher:
-// non-materialized indexes read the raw dataset (exactly one read per
-// visited record — what Result.VisitedRecords counts), materialized
+// non-materialized indexes read the raw dataset (RawFetch), materialized
 // indexes read their own leaves, caching each page for the duration of the
 // query and never touching the raw dataset.
 func (ix *TreeIndex) windowFetch() window.FetchFunc {
 	if !ix.opt.Materialized {
-		buf := make([]byte, series.EncodedSize(ix.opt.S.Params().SeriesLen))
-		return func(c window.Cand, dst series.Series) error {
-			return ReadRawAt(ix.rawFile, ix.rawSums, c.Pos, buf, dst)
-		}
+		return RawFetch(ix.rawFile, ix.rawSums)
 	}
 	recSize := ix.opt.recordSize()
 	var (
@@ -491,7 +433,7 @@ func (ix *TreeIndex) windowFetch() window.FetchFunc {
 		bases []int
 		cache map[int][]byte
 	)
-	return func(c window.Cand, dst series.Series) error {
+	return func(c window.Cand, _ []byte) ([]byte, error) {
 		if cache == nil {
 			dir, bases = ix.leafBases()
 			cache = make(map[int][]byte)
@@ -502,14 +444,13 @@ func (ix *TreeIndex) windowFetch() window.FetchFunc {
 			b := make([]byte, ix.opt.LeafCap*recSize)
 			n, err := ix.bt.ReadLeaf(dir[li], b)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			buf = b[:n*recSize]
 			cache[li] = buf
 		}
 		_, _, raw := decodeRecord(buf[(c.Ord-bases[li])*recSize:(c.Ord-bases[li]+1)*recSize], true)
-		series.DecodeInto(raw, dst)
-		return nil
+		return raw, nil
 	}
 }
 
@@ -542,9 +483,9 @@ func (ix *TreeIndex) ensureSIMS() error {
 // the best-so-far, lower bounds are computed for all series in parallel
 // from the in-memory sorted summaries, and unpruned candidates are fetched
 // with a skip-sequential scan sharded across Options.QueryWorkers — over
-// the tree's own leaves when materialized, over the raw file in position
-// order otherwise. Safe for concurrent use; (Pos, Dist) is identical for
-// any worker count.
+// the tree's own leaves when materialized, else over the raw file in
+// position order, file-adjacent candidates sharing one read (scanRaw). Safe
+// for concurrent use; (Pos, Dist) is identical for any worker count.
 func (ix *TreeIndex) ExactSearch(q series.Series, radius int) (Result, error) {
 	return ix.ExactSearchCtx(context.Background(), q, radius)
 }
@@ -627,7 +568,7 @@ func (ix *TreeIndex) simsOverLeaves(ctx context.Context, q series.Series, cands 
 	dir, bases := ix.leafBases()
 	recSize := ix.opt.recordSize()
 	pos, dist, vr, vl, err := shard.ScanReduceCtx(ctx, ix.opt.QueryWorkers, len(dir), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
-		sc := GetRawScratch(len(q))
+		sc := GetRawScratch(len(q), 1)
 		defer PutRawScratch(sc)
 		buf := make([]byte, ix.opt.LeafCap*recSize)
 		rest := candsFrom(cands, bases[r.Lo])
@@ -650,7 +591,7 @@ func (ix *TreeIndex) simsOverLeaves(ctx context.Context, q series.Series, cands 
 				if i >= n || c.LB >= local.Dist || bound.Prunes(c.LB) {
 					continue
 				}
-				pos, sq, err := ix.recordSquaredDistance(q, buf[i*recSize:(i+1)*recSize], sc)
+				pos, sq, err := recordSquaredDistance(&ix.opt, ix.rawFile, ix.rawSums, q, buf[i*recSize:(i+1)*recSize], sc)
 				if err != nil {
 					return err
 				}

@@ -321,23 +321,6 @@ func (ix *TrieIndex) Close() error {
 	return err2
 }
 
-// recordSquaredDistance computes the true SQUARED distance from q to a
-// leaf record (see TreeIndex.recordSquaredDistance for the squared-space
-// contract).
-func (ix *TrieIndex) recordSquaredDistance(q series.Series, rec []byte, sc *RawScratch) (int64, float64, error) {
-	_, pos, raw := decodeRecord(rec, ix.opt.Materialized)
-	if raw != nil {
-		series.DecodeInto(raw, sc.Series)
-	} else if err := ReadRawAt(ix.rawFile, ix.rawSums, pos, sc.Buf, sc.Series); err != nil {
-		return 0, 0, err
-	}
-	sq, err := series.SquaredED(q, sc.Series)
-	if err != nil {
-		return 0, 0, err
-	}
-	return pos, sq, nil
-}
-
 // ApproxSearch examines the ApproxWindow*(radius+1) records surrounding
 // the query key's insertion position in the sorted summary array, fetching
 // them in lower-bound order with early stop. The window depends only on
@@ -360,21 +343,14 @@ func (ix *TrieIndex) ApproxSearchCtx(ctx context.Context, q series.Series, radiu
 // approxSearch is the internal form of ApproxSearch; res.Dist holds the
 // SQUARED best distance.
 func (ix *TrieIndex) approxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	res := Result{Pos: -1, Dist: math.Inf(1)}
 	if ix.count == 0 {
-		return res, ErrEmptyIndex
+		return Result{Pos: -1, Dist: math.Inf(1)}, ErrEmptyIndex
 	}
 	aw, err := ix.approxWindow(q, radius)
 	if err != nil {
-		return res, err
+		return Result{Pos: -1, Dist: math.Inf(1)}, err
 	}
-	half := ix.opt.ApproxWindow * (radius + 1) / 2
-	cands := window.Merge(aw.Below, aw.Above, half)
-	pos, sq, visited, err := window.Eval(q, cands, CtxFetch(ctx, aw.Fetch))
-	res.Pos, res.Dist = pos, sq
-	res.VisitedRecords = visited
-	res.VisitedLeaves = aw.Leaves
-	return res, err
+	return aw.search(ctx, q, ix.opt.ApproxWindow*(radius+1)/2)
 }
 
 // ApproxWindowCands exposes the trie's window contribution to the
@@ -402,40 +378,12 @@ func (ix *TrieIndex) ApproxWindowCandsCtx(ctx context.Context, q series.Series, 
 // leading half-windows around the query key's insertion position in the
 // sorted summary array. Leaves counts the leaves the window ordinals span.
 func (ix *TrieIndex) approxWindow(q series.Series, radius int) (ApproxWindow, error) {
-	var aw ApproxWindow
-	key, err := ix.opt.S.KeyOf(q)
-	if err != nil {
-		return aw, err
-	}
-	qPAA, err := ix.opt.S.PAA(q, nil)
-	if err != nil {
-		return aw, err
-	}
-	p := ix.opt.S.Params()
-	half := ix.opt.ApproxWindow * (radius + 1) / 2
-	ins := sort.Search(len(ix.keys), func(i int) bool { return !ix.keys[i].Less(key) })
-	lo, hi := ins-half, ins+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(ix.keys) {
-		hi = len(ix.keys)
-	}
-	saxScratch := make(summary.SAX, p.Segments)
-	for i := lo; i < hi; i++ {
-		sax := summary.DeinterleaveInto(ix.keys[i], p.CardBits, saxScratch)
-		c := window.Cand{Key: ix.keys[i], Pos: ix.positions[i], LB: ix.opt.S.MinDistSqPAAToSAX(qPAA, sax), Ord: i}
-		if i < ins {
-			aw.Below = append(aw.Below, c)
-		} else {
-			aw.Above = append(aw.Above, c)
-		}
-	}
-	if lo < hi {
+	aw, lo, hi, err := windowCands(&ix.opt, ix.keys, ix.positions, q, radius)
+	if err == nil && lo < hi {
 		aw.Leaves = int64(leafOfOrd(ix.leafStart, hi-1) - leafOfOrd(ix.leafStart, lo) + 1)
 	}
 	aw.Fetch = ix.windowFetch()
-	return aw, nil
+	return aw, err
 }
 
 // windowFetch returns the per-query window candidate fetcher (see
@@ -443,35 +391,32 @@ func (ix *TrieIndex) approxWindow(q series.Series, radius int) (ApproxWindow, er
 // leaf reads when materialized.
 func (ix *TrieIndex) windowFetch() window.FetchFunc {
 	if !ix.opt.Materialized {
-		buf := make([]byte, series.EncodedSize(ix.opt.S.Params().SeriesLen))
-		return func(c window.Cand, dst series.Series) error {
-			return ReadRawAt(ix.rawFile, ix.rawSums, c.Pos, buf, dst)
-		}
+		return RawFetch(ix.rawFile, ix.rawSums)
 	}
 	cache := make(map[int][]byte)
 	recSize := ix.opt.recordSize()
-	return func(c window.Cand, dst series.Series) error {
+	return func(c window.Cand, _ []byte) ([]byte, error) {
 		li := leafOfOrd(ix.leafStart, c.Ord)
 		recs, ok := cache[li]
 		if !ok {
 			var err error
 			recs, err = ix.readLeafRecords(li)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			cache[li] = recs
 		}
 		_, _, raw := decodeRecord(recs[(c.Ord-ix.leafStart[li])*recSize:][:recSize], true)
-		series.DecodeInto(raw, dst)
-		return nil
+		return raw, nil
 	}
 }
 
 // ExactSearch runs the SIMS algorithm over the trie: approximate seed,
 // parallel lower bounds from the in-memory sorted summaries, then a
 // skip-sequential candidate scan sharded across Options.QueryWorkers
-// (leaves when materialized, raw file in position order otherwise). Safe
-// for concurrent use; (Pos, Dist) is identical for any worker count.
+// (leaves when materialized, else the raw file in position order, adjacent
+// candidates sharing one read). Safe for concurrent use; (Pos, Dist) is
+// identical for any worker count.
 func (ix *TrieIndex) ExactSearch(q series.Series, radius int) (Result, error) {
 	return ix.ExactSearchCtx(context.Background(), q, radius)
 }
@@ -528,7 +473,7 @@ func (ix *TrieIndex) ExactVerifyCtx(ctx context.Context, q series.Series, seedPo
 // and the determinism contract.
 func (ix *TrieIndex) simsOverLeaves(ctx context.Context, q series.Series, cands []summary.Cand, res Result, bound *shard.BSF) (Result, error) {
 	pos, dist, vr, vl, err := shard.ScanReduceCtx(ctx, ix.opt.QueryWorkers, len(ix.leaves), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
-		sc := GetRawScratch(len(q))
+		sc := GetRawScratch(len(q), 1)
 		defer PutRawScratch(sc)
 		recSize := ix.opt.recordSize()
 		rest := candsFrom(cands, ix.leafStart[r.Lo])
@@ -551,7 +496,7 @@ func (ix *TrieIndex) simsOverLeaves(ctx context.Context, q series.Series, cands 
 					continue
 				}
 				rec := recs[(int(c.ID)-ix.leafStart[li])*recSize:][:recSize]
-				pos, sq, err := ix.recordSquaredDistance(q, rec, sc)
+				pos, sq, err := recordSquaredDistance(&ix.opt, ix.rawFile, ix.rawSums, q, rec, sc)
 				if err != nil {
 					return err
 				}

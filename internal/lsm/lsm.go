@@ -635,16 +635,16 @@ func (ix *Index) RebuildQuarantined() error {
 		return err
 	}
 	var entries []memEntry
-	sc := core.GetRawScratch(p.SeriesLen)
-	defer core.PutRawScratch(sc)
+	buf, ser := make([]byte, sz), make(series.Series, p.SeriesLen)
 	for pos := int64(0); pos < rawSize/sz; pos++ {
 		if covered[pos] {
 			continue
 		}
-		if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, sc.Buf, sc.Series); err != nil {
+		if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, buf); err != nil {
 			return err
 		}
-		key, kerr := ix.opt.S.KeyOf(sc.Series)
+		series.DecodeInto(buf, ser)
+		key, kerr := ix.opt.S.KeyOf(ser)
 		if kerr != nil {
 			return kerr
 		}
@@ -1626,15 +1626,6 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 	return m
 }
 
-// rawFetch returns a window fetcher over the raw dataset. It owns its read
-// buffer, so one fetcher serves one query.
-func (ix *Index) rawFetch() window.FetchFunc {
-	buf := make([]byte, series.EncodedSize(ix.opt.S.Params().SeriesLen))
-	return func(c window.Cand, dst series.Series) error {
-		return core.ReadRawAt(ix.rawFile, ix.rawSums, c.Pos, buf, dst)
-	}
-}
-
 // ApproxSearch merges, from every run and the memtable, a half-window of
 // records on each side of where the query's key sorts, and evaluates the
 // merged window best-lower-bound-first with early abandoning (see
@@ -1670,7 +1661,7 @@ func (ix *Index) approxLocked(ctx context.Context, q series.Series) (Result, err
 		return res, err
 	}
 	res.VisitedRuns = runs
-	pos, sq, visited, err := window.Eval(q, window.Merge(below, above, ix.opt.Window/2), core.CtxFetch(ctx, ix.rawFetch()))
+	pos, sq, visited, err := core.EvalWindow(ctx, q, window.Merge(below, above, ix.opt.Window/2), core.RawFetch(ix.rawFile, ix.rawSums))
 	res.Pos, res.Dist, res.VisitedRecords = pos, sq, visited
 	return res, err
 }
@@ -1694,6 +1685,9 @@ func (ix *Index) windowCandsLocked(q series.Series) (below, above []window.Cand,
 	defer pass.Release() // nothing here outlives the call
 	tbl := &pass.Table
 	half := ix.opt.Window / 2
+	// Each run and the memtable contribute at most half a window per side.
+	below = make([]window.Cand, 0, half*(len(ix.runs)+1))
+	above = make([]window.Cand, 0, half*(len(ix.runs)+1))
 	for _, r := range ix.runs {
 		idx, serr := r.searchKey(key)
 		if serr != nil {
@@ -1761,17 +1755,20 @@ func (ix *Index) ApproxWindowCandsCtx(ctx context.Context, q series.Series) (cor
 		return aw, err
 	}
 	aw.Below, aw.Above, aw.Leaves = below, above, runs
-	aw.Fetch = core.CtxFetch(ctx, ix.rawFetch())
+	aw.Fetch = core.CtxFetch(ctx, core.RawFetch(ix.rawFile, ix.rawSums))
 	return aw, nil
 }
 
-// ExactSearch is SIMS over the union of all runs' in-memory key arrays and
-// the memtable: squared lower bounds for every record (one per-query
+// ExactSearch is SIMS over the union of all runs' key blocks and the
+// memtable: squared lower bounds for every record (one per-query
 // MinDistTable shared by every run and the memtable, evaluated per run
-// across QueryWorkers), then a position-ordered skip-sequential scan of the
-// raw file, sharded by position range with a shared squared best-so-far
-// bound — the Euclidean distance is materialized once, at return. Safe for
-// concurrent use; (Pos, Dist) is identical for any worker count.
+// across QueryWorkers; a compressed run is swept block by block without
+// evicting what the cache holds, see run.eachBlock), then a position-ordered
+// skip-sequential scan of the raw file (core.VerifyRaw: file-adjacent
+// candidates share one read), sharded by position range with a shared
+// squared best-so-far bound — the Euclidean distance is materialized once,
+// at return. Safe for concurrent use; (Pos, Dist) is identical for any
+// worker count.
 func (ix *Index) ExactSearch(q series.Series) (Result, error) {
 	return ix.ExactSearchCtx(context.Background(), q)
 }

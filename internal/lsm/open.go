@@ -216,16 +216,17 @@ func (ix *Index) recoverWAL(m *manifest.Manifest) error {
 				return err
 			}
 		}
-		sc := core.GetRawScratch(opt.S.Params().SeriesLen)
-		defer core.PutRawScratch(sc)
+		ser := make(series.Series, opt.S.Params().SeriesLen)
+		buf := make([]byte, series.EncodedSize(len(ser)))
 		for pos := int64(0); pos < rawRecs; pos++ {
 			if covered[pos] {
 				continue
 			}
-			if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, sc.Buf, sc.Series); err != nil {
+			if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, buf); err != nil {
 				return err
 			}
-			key, kerr := opt.S.KeyOf(sc.Series)
+			series.DecodeInto(buf, ser)
+			key, kerr := opt.S.KeyOf(ser)
 			if kerr != nil {
 				return kerr
 			}

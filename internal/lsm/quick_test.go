@@ -7,6 +7,7 @@ import (
 
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
+	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
 )
@@ -63,12 +64,13 @@ func TestQuickMembershipUnderRandomBatching(t *testing.T) {
 			return false
 		}
 		// Every probed series findable at distance ~0.
-		sc := core.GetRawScratch(tLen)
+		buf, ser := make([]byte, series.EncodedSize(tLen)), make(series.Series, tLen)
 		for _, pos := range probes {
-			if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, sc.Buf, sc.Series); err != nil {
+			if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, buf); err != nil {
 				return false
 			}
-			res, err := ix.ExactSearch(sc.Series)
+			series.DecodeInto(buf, ser)
+			res, err := ix.ExactSearch(ser)
 			if err != nil || res.Dist > 1e-9 {
 				return false
 			}

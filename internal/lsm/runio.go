@@ -3,6 +3,7 @@ package lsm
 import (
 	"sort"
 
+	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
@@ -67,10 +68,12 @@ func (r *run) each(lo, hi int64, fn func(key summary.Key, pos int64) error) erro
 
 // eachBlock yields the run's records as consecutive (keys, positions)
 // batches — the unit the exact-search lower-bound pass and the coverage
-// scans consume. The in-memory backend yields its whole arrays as a
-// single batch; the compressed backend yields one decoded block at a
-// time (through the shared cache), so a full-run scan never materializes
-// the whole run.
+// scans consume — valid only until fn returns. The in-memory backend yields
+// its whole arrays as a single batch; the compressed backend yields one
+// decoded block at a time (runblock.Reader.Scan: a cache hit, or a decode
+// that enters the shared cache only where there is room, so a full-run scan
+// never materializes the whole run and never evicts what point lookups
+// cached).
 func (r *run) eachBlock(fn func(keys []summary.Key, positions []int64) error) error {
 	if r.rb == nil {
 		if len(r.keys) == 0 {
@@ -78,16 +81,7 @@ func (r *run) eachBlock(fn func(keys []summary.Key, positions []int64) error) er
 		}
 		return fn(r.keys, r.positions)
 	}
-	for b := 0; b < r.rb.NumBlocks(); b++ {
-		blk, err := r.rb.Block(b)
-		if err != nil {
-			return err
-		}
-		if err := fn(blk.Keys, blk.Pos); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.rb.Scan(func(blk *runblock.Block) error { return fn(blk.Keys, blk.Pos) })
 }
 
 // close releases the compressed backend's file handle and drops its

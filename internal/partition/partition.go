@@ -470,9 +470,9 @@ func (g *gather) approxSq(ctx context.Context, q series.Series, radius int) (cor
 		res.VisitedLeaves += aws[i].Leaves
 	}
 	cands := window.Merge(below, above, g.half(radius))
-	pos, sq, visited, err := window.Eval(q, cands, core.CtxFetch(ctx, func(c window.Cand, dst series.Series) error {
-		return fetches[c.Src](c, dst)
-	}))
+	pos, sq, visited, err := core.EvalWindow(ctx, q, cands, func(c window.Cand, buf []byte) ([]byte, error) {
+		return fetches[c.Src](c, buf)
+	})
 	res.Pos, res.Dist, res.VisitedRecords = pos, sq, visited
 	return res, err
 }

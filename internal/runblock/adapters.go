@@ -135,7 +135,7 @@ func (fw *FileWriter) Truncate(size int64) error {
 // input from a single goroutine).
 type FileReader struct {
 	r      *Reader
-	blk    *Block
+	sc     scratch
 	blkIdx int
 }
 
@@ -161,16 +161,16 @@ func (fr *FileReader) ReadAt(p []byte, off int64) (int, error) {
 		skip := int(off % RecordSize)
 		b := fr.r.blockFor(rec)
 		if fr.blkIdx != b {
-			blk, err := fr.r.decodeBlock(b)
-			if err != nil {
+			fr.blkIdx = -1
+			if err := fr.r.decodeBlockInto(b, &fr.sc.blk, &fr.sc); err != nil {
 				return n, err
 			}
-			fr.blk, fr.blkIdx = blk, b
+			fr.blkIdx = b
 		}
 		i := int(rec - fr.r.dir[b].startRec)
 		var buf [RecordSize]byte
-		copy(buf[:summary.KeySize], fr.blk.Keys[i][:])
-		binary.LittleEndian.PutUint64(buf[summary.KeySize:], uint64(fr.blk.Pos[i]))
+		copy(buf[:summary.KeySize], fr.sc.blk.Keys[i][:])
+		binary.LittleEndian.PutUint64(buf[summary.KeySize:], uint64(fr.sc.blk.Pos[i]))
 		c := copy(p[n:], buf[skip:])
 		n += c
 		off += int64(c)

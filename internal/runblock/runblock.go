@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
+	"sync"
 
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/storage/blockcache"
@@ -82,10 +83,18 @@ type Block struct {
 	Pos  []int64
 }
 
-// sizeBytes is the cache accounting charge for a decoded block.
-func (b *Block) sizeBytes() int64 {
-	return int64(len(b.Keys))*RecordSize + 64
+// blockBytes is the cache accounting charge for a decoded block of n records.
+func blockBytes(n int) int64 { return int64(n)*RecordSize + 64 }
+
+// scratch is what decoding one block needs besides the file: the block's
+// physical bytes and, for a block nobody keeps, the decoded arrays. Pooled
+// process-wide, so an idle reader holds none.
+type scratch struct {
+	raw []byte
+	blk Block
 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Writer streams sorted records into the block-compressed layout. Add in
 // refined order, then Finish exactly once; the caller owns f (Finish does
@@ -449,46 +458,104 @@ func (r *Reader) physEnd(b int) int64 {
 	return r.dirOff
 }
 
-// Block returns block b, consulting the shared cache first. The returned
-// block is shared and must not be mutated.
+// Block returns block b, consulting the shared cache first and caching a
+// miss the LRU way — the read of a point lookup (Search, Range). The
+// returned block is shared and must not be mutated.
 func (r *Reader) Block(b int) (*Block, error) {
 	if r.cache != nil {
 		if v, ok := r.cache.Get(r.cacheID, int64(b)); ok {
 			return v.(*Block), nil
 		}
 	}
-	blk, err := r.decodeBlock(b)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	blk, err := r.decodeBlock(b, sc)
 	if err != nil {
 		return nil, err
 	}
 	if r.cache != nil {
-		r.cache.Put(r.cacheID, int64(b), blk, blk.sizeBytes())
+		r.cache.Put(r.cacheID, int64(b), blk, blockBytes(len(blk.Keys)))
 	}
 	return blk, nil
 }
 
-// decodeBlock reads and decodes block b straight from the file.
-func (r *Reader) decodeBlock(b int) (*Block, error) {
-	e := &r.dir[b]
-	raw := make([]byte, r.physEnd(b)-e.off)
-	if len(raw) < blockHeadSize {
-		return nil, errCorrupt("block %d region too small", b)
+// Scan yields every block in order to fn: the read of a whole-run scan (the
+// exact-search lower-bound pass, a coverage pass). A resident block is a
+// cache hit that does not refresh it (blockcache.ScanGet), and a missing one
+// is cached only where it fits without evicting (blockcache.ScanRoom) and is
+// otherwise decoded into pooled scratch, so sweeping a run larger than the
+// cache neither thrashes it, nor outranks what lookups cached, nor allocates.
+// blk is shared, must not be mutated, and is valid only until fn returns.
+func (r *Reader) Scan(fn func(blk *Block) error) error {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	for b := range r.dir {
+		blk, err := r.scanBlock(b, sc)
+		if err != nil {
+			return err
+		}
+		if err := fn(blk); err != nil {
+			return err
+		}
 	}
-	if err := readFull(r.f, raw, e.off); err != nil {
+	return nil
+}
+
+func (r *Reader) scanBlock(b int, sc *scratch) (*Block, error) {
+	if r.cache != nil {
+		if v, ok := r.cache.ScanGet(r.cacheID, int64(b)); ok {
+			return v.(*Block), nil
+		}
+		if size := blockBytes(r.dir[b].count); r.cache.ScanRoom(r.cacheID, int64(b), size) {
+			blk, err := r.decodeBlock(b, sc)
+			if err == nil {
+				r.cache.ScanPut(r.cacheID, int64(b), blk, size)
+			}
+			return blk, err
+		}
+	}
+	return &sc.blk, r.decodeBlockInto(b, &sc.blk, sc)
+}
+
+// decodeBlock decodes block b into arrays of its own: a block the cache may
+// keep.
+func (r *Reader) decodeBlock(b int, sc *scratch) (*Block, error) {
+	blk := new(Block)
+	if err := r.decodeBlockInto(b, blk, sc); err != nil {
 		return nil, err
+	}
+	return blk, nil
+}
+
+// decodeBlockInto reads block b straight from the file through sc.raw and
+// decodes it into blk (sc's own, or one to keep), reusing the capacity of
+// both: nothing is allocated once they have grown to the block's size. blk
+// is meaningless on error.
+func (r *Reader) decodeBlockInto(b int, blk *Block, sc *scratch) error {
+	e := &r.dir[b]
+	size := int(r.physEnd(b) - e.off)
+	if size < blockHeadSize {
+		return errCorrupt("block %d region too small", b)
+	}
+	if cap(sc.raw) < size {
+		sc.raw = make([]byte, size)
+	}
+	raw := sc.raw[:size]
+	if err := readFull(r.f, raw, e.off); err != nil {
+		return err
 	}
 	payloadLen := binary.LittleEndian.Uint32(raw[0:4])
 	if int(payloadLen) != len(raw)-blockHeadSize {
-		return nil, errCorrupt("block %d payload length %d, region holds %d", b, payloadLen, len(raw)-blockHeadSize)
+		return errCorrupt("block %d payload length %d, region holds %d", b, payloadLen, len(raw)-blockHeadSize)
 	}
 	payload := raw[blockHeadSize:]
 	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(raw[4:8]) {
-		return nil, errCorrupt("block %d checksum mismatch", b)
+		return errCorrupt("block %d checksum mismatch", b)
 	}
-	blk := &Block{
-		Keys: make([]summary.Key, 0, e.count),
-		Pos:  make([]int64, 0, e.count),
+	if cap(blk.Keys) < e.count {
+		blk.Keys, blk.Pos = make([]summary.Key, e.count), make([]int64, e.count)
 	}
+	keys, poss := blk.Keys[:e.count], blk.Pos[:e.count]
 	var prevKey summary.Key
 	var prevPos int64
 	for i := 0; i < e.count; i++ {
@@ -496,44 +563,44 @@ func (r *Reader) decodeBlock(b int) (*Block, error) {
 		var pos int64
 		if i == 0 {
 			if len(payload) < RecordSize {
-				return nil, errCorrupt("block %d truncated first record", b)
+				return errCorrupt("block %d truncated first record", b)
 			}
 			copy(key[:], payload[:summary.KeySize])
 			pos = int64(binary.LittleEndian.Uint64(payload[summary.KeySize:RecordSize]))
 			payload = payload[RecordSize:]
 			if key != e.firstKey {
-				return nil, errCorrupt("block %d first key does not match directory", b)
+				return errCorrupt("block %d first key does not match directory", b)
 			}
 		} else {
 			if len(payload) < 2 {
-				return nil, errCorrupt("block %d truncated record %d", b, i)
+				return errCorrupt("block %d truncated record %d", b, i)
 			}
 			prefix, suffix := int(payload[0]), int(payload[1])
 			payload = payload[2:]
 			if prefix+suffix > summary.KeySize || suffix > len(payload) {
-				return nil, errCorrupt("block %d record %d prefix %d + suffix %d out of range", b, i, prefix, suffix)
+				return errCorrupt("block %d record %d prefix %d + suffix %d out of range", b, i, prefix, suffix)
 			}
 			copy(key[:prefix], prevKey[:prefix])
 			copy(key[prefix:prefix+suffix], payload[:suffix])
 			payload = payload[suffix:]
 			delta, n := binary.Varint(payload)
 			if n <= 0 {
-				return nil, errCorrupt("block %d record %d bad position varint", b, i)
+				return errCorrupt("block %d record %d bad position varint", b, i)
 			}
 			payload = payload[n:]
 			pos = int64(uint64(prevPos) + uint64(delta))
 			if recLess(key, pos, prevKey, prevPos) {
-				return nil, errCorrupt("block %d records out of order at %d", b, i)
+				return errCorrupt("block %d records out of order at %d", b, i)
 			}
 		}
-		blk.Keys = append(blk.Keys, key)
-		blk.Pos = append(blk.Pos, pos)
+		keys[i], poss[i] = key, pos
 		prevKey, prevPos = key, pos
 	}
 	if len(payload) != 0 {
-		return nil, errCorrupt("block %d has %d trailing bytes", b, len(payload))
+		return errCorrupt("block %d has %d trailing bytes", b, len(payload))
 	}
-	return blk, nil
+	blk.Keys, blk.Pos = keys, poss
+	return nil
 }
 
 // blockFor returns the block containing global record ordinal rec.
@@ -635,9 +702,11 @@ func (r *Reader) Verify() error {
 	var prevKey summary.Key
 	var prevPos int64
 	var seen int64
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	blk := &sc.blk
 	for b := range r.dir {
-		blk, err := r.decodeBlock(b)
-		if err != nil {
+		if err := r.decodeBlockInto(b, blk, sc); err != nil {
 			return err
 		}
 		if b > 0 && recLess(blk.Keys[0], blk.Pos[0], prevKey, prevPos) {

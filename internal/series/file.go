@@ -58,6 +58,42 @@ func DecodeInto(src []byte, dst Series) {
 	}
 }
 
+// SquaredEDEarlyAbandonEncoded is SquaredEDEarlyAbandon(q, x, limit) for a
+// series x given in the raw file format: enc holds exactly len(q) encoded
+// values, loaded straight from the bytes as the sum needs them. Same blocks,
+// same single accumulator, same order as DecodeInto followed by
+// SquaredEDEarlyAbandon, so the flag is identical and a completed sum is
+// bit-identical — and a distance that abandons after a few values no longer
+// pays for decoding all of them. A length mismatch panics, as there.
+func SquaredEDEarlyAbandonEncoded(q Series, enc []byte, limit float64) (float64, bool) {
+	if len(enc) != EncodedSize(len(q)) {
+		panic(fmt.Sprintf("series: SquaredEDEarlyAbandonEncoded length mismatch: %d values vs %d bytes", len(q), len(enc)))
+	}
+	acc := 0.0
+	for ; len(q) >= 4; q, enc = q[4:], enc[4*PointSize:] {
+		e := enc[:4*PointSize]
+		d0 := q[0] - math.Float64frombits(binary.LittleEndian.Uint64(e[0:]))
+		d1 := q[1] - math.Float64frombits(binary.LittleEndian.Uint64(e[8:]))
+		d2 := q[2] - math.Float64frombits(binary.LittleEndian.Uint64(e[16:]))
+		d3 := q[3] - math.Float64frombits(binary.LittleEndian.Uint64(e[24:]))
+		acc += d0 * d0
+		acc += d1 * d1
+		acc += d2 * d2
+		acc += d3 * d3
+		if acc > limit {
+			return acc, false
+		}
+	}
+	for i, v := range q {
+		d := v - math.Float64frombits(binary.LittleEndian.Uint64(enc[i*PointSize:]))
+		acc += d * d
+	}
+	if acc > limit {
+		return acc, false
+	}
+	return acc, true
+}
+
 // Writer streams series into an io.Writer using the raw file format.
 // It is not safe for concurrent use.
 type Writer struct {

@@ -115,3 +115,84 @@ func TestAddSquaredEDLengthMismatchPanics(t *testing.T) {
 	}()
 	AddSquaredED(0, []float64{1, 2, 3}, []float64{1})
 }
+
+// checkEncodedKernel holds SquaredEDEarlyAbandonEncoded to its contract on
+// one input: the flag DecodeInto + SquaredEDEarlyAbandon returns, and when
+// the sum completes the same bits (any NaN for a NaN: which payload survives
+// an addition of two is the compiler's operand order, not the kernel's).
+func checkEncodedKernel(t *testing.T, q Series, enc []byte, limit float64) {
+	t.Helper()
+	x := make(Series, len(q))
+	DecodeInto(enc, x)
+	want, wantOK := SquaredEDEarlyAbandon(q, x, limit)
+	got, gotOK := SquaredEDEarlyAbandonEncoded(q, enc, limit)
+	if gotOK != wantOK {
+		t.Fatalf("len %d limit %v: flag %v, decoded kernel %v", len(q), limit, gotOK, wantOK)
+	}
+	if gotOK && math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+		t.Fatalf("len %d limit %v: sum %x, decoded kernel %x", len(q), limit, math.Float64bits(got), math.Float64bits(want))
+	}
+}
+
+// encodedKernelLimits are the abandon limits worth checking for (q, enc):
+// the extremes, the exact sum (a tie completes) and its two neighbours.
+func encodedKernelLimits(q Series, enc []byte) []float64 {
+	x := make(Series, len(q))
+	DecodeInto(enc, x)
+	sum := scalarSquaredED(q, x)
+	return []float64{0, math.Inf(1), sum, math.Nextafter(sum, 0), math.Nextafter(sum, math.Inf(1)), sum / 3, math.NaN()}
+}
+
+func TestSquaredEDEncodedMatchesDecoded(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	nan := math.Float64frombits(0x7ff8dead0000beef)
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256} {
+		q, x := make(Series, n), make(Series, n)
+		for i := range q {
+			q[i], x[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		variants := []Series{x, q.Clone()} // q itself: distance 0 ties limit 0
+		for _, at := range []int{0, n / 2, n - 1} {
+			if at >= 0 && at < n {
+				v := x.Clone()
+				v[at] = nan
+				variants = append(variants, v)
+			}
+		}
+		for _, v := range variants {
+			enc := AppendEncode(nil, v)
+			for _, limit := range encodedKernelLimits(q, enc) {
+				checkEncodedKernel(t, q, enc, limit)
+			}
+		}
+	}
+}
+
+func TestSquaredEDEncodedLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on length mismatch")
+		}
+	}()
+	SquaredEDEarlyAbandonEncoded(Series{1, 2}, make([]byte, 3*PointSize), math.Inf(1))
+}
+
+// FuzzSquaredEDEncoded splits arbitrary bytes into a query and an encoded
+// series (so every bit pattern — NaN payloads, infinities, denormals —
+// reaches both sides) and checks the encoded kernel against the decoded one
+// at the fuzzed limit and at the derived ones.
+func FuzzSquaredEDEncoded(f *testing.F) {
+	f.Add([]byte{}, 0.0)
+	f.Add(AppendEncode(nil, Series{1, 2, 3, 4, 5, 1, 2, 3, 4, 6}), 1.0)
+	f.Add(AppendEncode(nil, Series{0, math.NaN(), math.Inf(1), math.Inf(-1), -0.0, 5e-324, 1, 2}), math.Inf(1))
+	f.Fuzz(func(t *testing.T, data []byte, limit float64) {
+		n := len(data) / (2 * PointSize)
+		q := make(Series, n)
+		DecodeInto(data, q)
+		enc := data[n*PointSize : 2*n*PointSize]
+		checkEncodedKernel(t, q, enc, limit)
+		for _, l := range encodedKernelLimits(q, enc) {
+			checkEncodedKernel(t, q, enc, l)
+		}
+	})
+}

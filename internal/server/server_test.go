@@ -455,7 +455,8 @@ func TestTimeoutFor(t *testing.T) {
 
 // TestStatsExposeBlockCache: serving a (compressed-by-default) LSM index,
 // /stats reports the index's block-cache counters — after queries, hits
-// plus misses are non-zero and the budget reflects Config.CacheBytes.
+// plus misses are non-zero, the budget reflects Config.CacheBytes, and a
+// cache the run fits in counts no scan decode.
 func TestStatsExposeBlockCache(t *testing.T) {
 	fs := storage.NewMemFS()
 	if err := coconut.GenerateDataset(fs, "data.bin", coconut.RandomWalk, testSeries, testLen, 3); err != nil {
@@ -498,5 +499,8 @@ func TestStatsExposeBlockCache(t *testing.T) {
 	}
 	if bc.Budget != budget {
 		t.Fatalf("budget = %d, want %d", bc.Budget, budget)
+	}
+	if bc.ScanDecodes != 0 {
+		t.Fatalf("a cache that fits reports %d scan decodes", bc.ScanDecodes)
 	}
 }

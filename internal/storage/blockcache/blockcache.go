@@ -34,11 +34,14 @@ type Key struct {
 
 // Stats is a point-in-time counter snapshot, the operator's signal for
 // sizing the budget: a high miss rate with Bytes pinned at Budget means the
-// working set does not fit.
+// working set does not fit. ScanDecodes says so directly: it counts the
+// blocks whole-run scans (exact search) decoded without caching them because
+// the budget had no room, and stays 0 while every run's decoded blocks fit.
 type Stats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
+	Hits        int64 `json:"hits"`
+	Misses      int64 `json:"misses"`
+	Evictions   int64 `json:"evictions"`
+	ScanDecodes int64 `json:"scan_decodes"`
 	// Bytes is the resident decoded-block total; Budget is the configured
 	// ceiling it is kept under.
 	Bytes  int64 `json:"bytes"`
@@ -67,6 +70,7 @@ type Cache struct {
 	hits        atomic.Int64
 	misses      atomic.Int64
 	evictions   atomic.Int64
+	scanDecodes atomic.Int64
 }
 
 // New returns a cache bounded at budget bytes (DefaultBytes when <= 0).
@@ -94,13 +98,23 @@ func (c *Cache) shardFor(k Key) *shard {
 	return &c.shards[h%numShards]
 }
 
-// Get returns the cached value for (file, block), if resident.
-func (c *Cache) Get(file uint64, block int64) (any, bool) {
+// Get returns the cached value for (file, block), if resident, and makes it
+// the most recently used — the lookup of point reads.
+func (c *Cache) Get(file uint64, block int64) (any, bool) { return c.get(file, block, true) }
+
+// ScanGet is Get for a whole-run scan: a hit leaves the block where it is in
+// the LRU order. A scan touches every resident block of its run, so
+// refreshing them would leave the blocks point lookups inserted as the
+// oldest, and the lookups' own Puts would then evict each other's blocks
+// and never the scan's share.
+func (c *Cache) ScanGet(file uint64, block int64) (any, bool) { return c.get(file, block, false) }
+
+func (c *Cache) get(file uint64, block int64, promote bool) (any, bool) {
 	k := Key{File: file, Block: block}
 	s := c.shardFor(k)
 	s.mu.Lock()
 	el, ok := s.items[k]
-	if ok {
+	if ok && promote {
 		s.lru.MoveToFront(el)
 	}
 	s.mu.Unlock()
@@ -114,9 +128,10 @@ func (c *Cache) Get(file uint64, block int64) (any, bool) {
 
 // Put inserts (or refreshes) a decoded block of the given byte size,
 // evicting least-recently-used entries until the shard is back under
-// budget. A value larger than the whole shard budget is not retained —
-// callers still hold the decoded block they passed in, so correctness
-// never depends on residency.
+// budget — the admission of point lookups. A value larger than the whole
+// shard budget is not retained and evicts nothing (only a stale entry under
+// its own key goes) — callers still hold the decoded block they passed in,
+// so correctness never depends on residency.
 func (c *Cache) Put(file uint64, block int64, val any, size int64) {
 	if size < 1 {
 		size = 1
@@ -124,6 +139,13 @@ func (c *Cache) Put(file uint64, block int64, val any, size int64) {
 	k := Key{File: file, Block: block}
 	s := c.shardFor(k)
 	s.mu.Lock()
+	if size > c.shardBudget {
+		if el, ok := s.items[k]; ok {
+			s.remove(el)
+		}
+		s.mu.Unlock()
+		return
+	}
 	if el, ok := s.items[k]; ok {
 		e := el.Value.(*entry)
 		s.bytes += size - e.size
@@ -135,16 +157,59 @@ func (c *Cache) Put(file uint64, block int64, val any, size int64) {
 	}
 	evicted := int64(0)
 	for s.bytes > c.shardBudget && s.lru.Len() > 0 {
-		el := s.lru.Back()
-		e := el.Value.(*entry)
-		s.lru.Remove(el)
-		delete(s.items, e.key)
-		s.bytes -= e.size
+		s.remove(s.lru.Back())
 		evicted++
 	}
 	s.mu.Unlock()
 	if evicted > 0 {
 		c.evictions.Add(evicted)
+	}
+}
+
+// remove drops el from the shard. The caller holds s.mu.
+func (s *shard) remove(el *list.Element) {
+	e := el.Value.(*entry)
+	s.lru.Remove(el)
+	delete(s.items, e.key)
+	s.bytes -= e.size
+}
+
+// ScanRoom is the first half of a whole-run scan's admission, asked after
+// a ScanGet missed: it reports whether size more bytes fit (file, block)'s shard
+// without evicting anything. A scan that sweeps more blocks than the budget
+// holds would otherwise push every one of them — and every block point
+// lookups rely on — through the LRU and never hit; admitted only into free
+// room, the first budget's worth stays resident from scan to scan. On false
+// the caller decodes into scratch of its own, counted in Stats.ScanDecodes.
+func (c *Cache) ScanRoom(file uint64, block int64, size int64) bool {
+	s := c.shardFor(Key{File: file, Block: block})
+	s.mu.Lock()
+	ok := s.bytes+size <= c.shardBudget
+	s.mu.Unlock()
+	if !ok {
+		c.scanDecodes.Add(1)
+	}
+	return ok
+}
+
+// ScanPut is the second half: it inserts the block decoded after ScanRoom
+// said yes, unless the room went to someone else meanwhile (the block is
+// then used uncached, and counted like a ScanRoom refusal). It never evicts,
+// and the block enters as the least recently used: it is the first to go
+// when a point lookup needs the room.
+func (c *Cache) ScanPut(file uint64, block int64, val any, size int64) {
+	k := Key{File: file, Block: block}
+	s := c.shardFor(k)
+	s.mu.Lock()
+	_, resident := s.items[k]
+	ok := !resident && s.bytes+size <= c.shardBudget
+	if ok {
+		s.items[k] = s.lru.PushBack(&entry{key: k, val: val, size: size})
+		s.bytes += size
+	}
+	s.mu.Unlock()
+	if !ok && !resident {
+		c.scanDecodes.Add(1)
 	}
 }
 
@@ -159,9 +224,7 @@ func (c *Cache) DropFile(file uint64) {
 			if k.File != file {
 				continue
 			}
-			s.bytes -= el.Value.(*entry).size
-			s.lru.Remove(el)
-			delete(s.items, k)
+			s.remove(el)
 		}
 		s.mu.Unlock()
 	}
@@ -170,10 +233,11 @@ func (c *Cache) DropFile(file uint64) {
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	st := Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Budget:    c.budget,
+		Hits:        c.hits.Load(),
+		Misses:      c.misses.Load(),
+		Evictions:   c.evictions.Load(),
+		ScanDecodes: c.scanDecodes.Load(),
+		Budget:      c.budget,
 	}
 	for i := range c.shards {
 		s := &c.shards[i]

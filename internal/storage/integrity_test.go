@@ -153,6 +153,61 @@ func TestChecksumFileDetectsRot(t *testing.T) {
 	}
 }
 
+// TestChecksumFileReadBuffer reads on both sides of maxPooledRead: same
+// bytes and the same rot detection through the pooled and the allocated
+// buffer, and no allocation on the pooled side.
+func TestChecksumFileReadBuffer(t *testing.T) {
+	const block = 4096
+	pooled := maxPooledRead / (block + checksumCRCSize) // blocks the largest pooled read spans
+	payload := make([]byte, (pooled+3)*block)
+	for i := range payload {
+		payload[i] = byte(i * 131 >> 3)
+	}
+	fs := NewMemFS()
+	writeChecksummed(t, fs, "f", block, payload, 10000)
+	inner, err := fs.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inner.Close()
+	cf, err := OpenChecksumFile(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// From the middle of block 1: spans blocks [1, nBlocks].
+	read := func(nBlocks int) ([]byte, error) {
+		p := make([]byte, (nBlocks-1)*block)
+		_, err := cf.ReadAt(p, block+block/2)
+		return p, err
+	}
+	for _, n := range []int{1, pooled, pooled + 1, pooled + 2} {
+		got, err := read(n)
+		if err != nil || !bytes.Equal(got, payload[block+block/2:][:len(got)]) {
+			t.Fatalf("read spanning %d blocks: err %v, bytes equal %v", n, err, err == nil)
+		}
+	}
+	p := make([]byte, (pooled-1)*block)
+	if a := testing.AllocsPerRun(50, func() { cf.ReadAt(p, block+block/2) }); a != 0 {
+		t.Errorf("read spanning %d blocks (%d framed bytes, pooled) allocates %v times", pooled, pooled*(block+checksumCRCSize), a)
+	}
+	p = make([]byte, pooled*block)
+	if a := testing.AllocsPerRun(50, func() { cf.ReadAt(p, block+block/2) }); a != 1 {
+		t.Errorf("read spanning %d blocks (over maxPooledRead) allocates %v times, want its one buffer", pooled+1, a)
+	}
+	// Rot is detected through either buffer, and only by reads that touch it.
+	if err := NewFaultFS(fs).Rot("f", cf.phys(int64(pooled))+checksumCRCSize+7, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{pooled, pooled + 1} {
+		if _, err := read(n); !errors.Is(err, ErrCorruptData) {
+			t.Fatalf("rot in block %d, read spanning blocks [1, %d]: %v", pooled, n, err)
+		}
+	}
+	if _, err := read(pooled - 1); err != nil {
+		t.Fatalf("read short of the rot: %v", err)
+	}
+}
+
 func TestChecksumFileRewriteAndAlignment(t *testing.T) {
 	fs := NewMemFS()
 	const block = 16

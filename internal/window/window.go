@@ -80,39 +80,39 @@ func Merge(below, above []Cand, half int) []Cand {
 	return append(out, above...)
 }
 
-// FetchFunc loads the raw series of one candidate into dst. Fetchers are
-// per-query state (they may cache leaf pages) and are called serially.
-type FetchFunc func(c Cand, dst series.Series) error
+// FetchFunc loads the encoded raw series of one candidate, already verified
+// against whatever checksums guard it: into buf (one encoded series long)
+// when the bytes have to be read, or as a slice of storage the fetcher owns.
+// The result is valid until the next call. Fetchers are per-query state
+// (they may cache leaf pages) and are called serially.
+type FetchFunc func(c Cand, buf []byte) (enc []byte, err error)
 
 // Eval evaluates the window: candidates are visited in ascending LB order
 // (stable over the record order Merge produced, so the evaluation sequence
 // is a pure function of the candidate list), stopping as soon as the next
 // lower bound cannot beat the best squared distance found, and abandoning
-// each distance computation once it exceeds the running best. Returns the
-// best (position, SQUARED distance) — (-1, +Inf) when cands is empty — and
-// the number of records fetched.
-func Eval(q series.Series, cands []Cand, fetch FetchFunc) (pos int64, sqDist float64, visited int64, err error) {
+// each distance computation — taken on the encoded bytes — once it exceeds
+// the running best. buf is fetch's read buffer. Returns the best (position,
+// SQUARED distance) — (-1, +Inf) when cands is empty — and the number of
+// records fetched.
+func Eval(q series.Series, cands []Cand, fetch FetchFunc, buf []byte) (pos int64, sqDist float64, visited int64, err error) {
 	pos, sqDist = -1, math.Inf(1)
 	order := make([]int, len(cands))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return cands[order[a]].LB < cands[order[b]].LB })
-	scratch := make(series.Series, len(q))
 	for _, ci := range order {
 		c := cands[ci]
 		if c.LB >= sqDist {
 			break
 		}
-		if err := fetch(c, scratch); err != nil {
+		enc, err := fetch(c, buf)
+		if err != nil {
 			return pos, sqDist, visited, err
 		}
 		visited++
-		sq, ok := series.SquaredEDEarlyAbandon(q, scratch, sqDist)
-		if !ok {
-			continue
-		}
-		if sq < sqDist {
+		if sq, ok := series.SquaredEDEarlyAbandonEncoded(q, enc, sqDist); ok && sq < sqDist {
 			sqDist, pos = sq, c.Pos
 		}
 	}

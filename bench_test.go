@@ -30,7 +30,6 @@ import (
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/experiments"
 	"github.com/coconut-db/coconut/internal/extsort"
-	"github.com/coconut-db/coconut/internal/lsm"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
@@ -126,27 +125,6 @@ func BenchmarkFig10bAstronomy(b *testing.B) { runFigure(b, experiments.Fig10bAst
 func BenchmarkFig10cSeismic(b *testing.B) { runFigure(b, experiments.Fig10cSeismic) }
 
 func BenchmarkIndexSizeTable(b *testing.B) { runFigure(b, experiments.IndexSizeTable) }
-
-// BenchmarkReopen measures the durable-lifecycle payoff on a 100k-series
-// index: serving the first exact query by reopening from the manifest vs
-// re-bulk-loading from the raw dataset (the only option before PR 5). The
-// regenerated table (also available as `benchrunner -figure Reopen`)
-// reports both costs per variant plus the reopen's read volume; the
-// benchmark time is dominated by the rebuild arm, so the speedup column is
-// the number to watch.
-func BenchmarkReopen(b *testing.B) {
-	sc := experiments.DefaultScale()
-	sc.BaseCount = 100000
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.Reopen(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && testing.Verbose() {
-			tb.Print(os.Stdout)
-		}
-	}
-}
 
 // BenchmarkQueryThroughput measures concurrent exact-query throughput on
 // one SHARED TreeIndex handle over a 100k-series dataset: the fixed query
@@ -279,7 +257,7 @@ func BenchmarkMinDist(b *testing.B) {
 	}
 }
 
-// BenchmarkMinDistsToKeys measures the SIMS lower-bound kernel over a large
+// BenchmarkKeysInto measures the SIMS lower-bound kernel over a large
 // in-memory key array — what every exact query runs once per indexed series.
 // "table" is the current path: the full-cardinality level of a per-query
 // MinDistTable rebuilt each op into reused storage, then per key two 8x8
@@ -287,7 +265,7 @@ func BenchmarkMinDist(b *testing.B) {
 // the figure bench/e2e reports as summary.mindist_ns_per_key). "legacy" is
 // the pre-table path: per-key SAX decode (one allocation per key),
 // per-segment breakpoint-region recomputation, and a sqrt per key.
-func BenchmarkMinDistsToKeys(b *testing.B) {
+func BenchmarkKeysInto(b *testing.B) {
 	const nKeys = 100000
 	s, err := summary.NewSummarizer(summary.DefaultParams(256))
 	if err != nil {
@@ -707,12 +685,11 @@ func BenchmarkBulkBuildMaterialized(b *testing.B) {
 }
 
 // BenchmarkAppendDurable measures durable single-series Insert throughput
-// on a Coconut-LSM with 8 concurrent writers, group commit vs one fsync
-// pair per append. MemFS fsync is free, so a FaultFS hook charges each
-// fsync a fixed sleep — making the reported appends/sec reflect how many
-// device-latency fsyncs each WAL discipline issues, which is the entire
-// contrast (CI's bench smoke tracks the ratio; the WALThroughput figure
-// enforces it).
+// on a Coconut-LSM with 8 concurrent writers sharing the WAL's group
+// commit. MemFS fsync is free, so a FaultFS hook charges each fsync a fixed
+// sleep — making the reported appends/sec reflect how many device-latency
+// fsyncs the writers' appends cost (one fsync pair per append would be
+// ~1 000 appends/sec at this delay).
 func BenchmarkAppendDurable(b *testing.B) {
 	const (
 		count     = 500
@@ -720,64 +697,32 @@ func BenchmarkAppendDurable(b *testing.B) {
 		writers   = 8
 		syncDelay = 500 * time.Microsecond
 	)
-	for _, mode := range []struct {
-		name     string
-		syncEach bool
-	}{{"wal=group-commit", false}, {"wal=per-append-fsync", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			inner := storage.NewMemFS()
-			if err := GenerateDataset(inner, "wal.bin", RandomWalk, count, seriesLen, 30); err != nil {
-				b.Fatal(err)
-			}
-			fs := storage.NewFaultFS(inner)
-			fs.SetHook(func(op storage.Op, name string) {
-				if op == storage.OpSync {
-					time.Sleep(syncDelay)
-				}
-			})
-			stream, err := GenerateQueries(RandomWalk, writers, seriesLen, 31)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ix, err := BuildLSMIndex(Config{
-				Storage:      fs,
-				Name:         "wal",
-				DataFile:     "wal.bin",
-				SeriesLen:    seriesLen,
-				Segments:     8,
-				MemoryBudget: 64 << 20, // no flushes: isolate the sync discipline
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if mode.syncEach {
-				// The per-append baseline is internal-only (it exists to be
-				// measured against); reopen the built index through it.
-				if err := ix.Close(); err != nil {
-					b.Fatal(err)
-				}
-				s, err := summary.NewSummarizer(summary.Params{SeriesLen: seriesLen, Segments: 8, CardBits: 8})
-				if err != nil {
-					b.Fatal(err)
-				}
-				lx, err := lsm.Open(lsm.Options{FS: fs, Name: "wal", S: s, RawName: "wal.bin",
-					MemBudgetBytes: 64 << 20, WALSyncEveryAppend: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer lx.Close()
-				benchDurableAppends(b, writers, func(w int) error { return lx.Append(stream[w : w+1]) })
-				return
-			}
-			defer ix.Close()
-			benchDurableAppends(b, writers, func(w int) error { return ix.Insert(stream[w : w+1]) })
-		})
+	inner := storage.NewMemFS()
+	if err := GenerateDataset(inner, "wal.bin", RandomWalk, count, seriesLen, 30); err != nil {
+		b.Fatal(err)
 	}
-}
-
-// benchDurableAppends drives b.N durable appends across `writers`
-// concurrent goroutines and reports appends/sec.
-func benchDurableAppends(b *testing.B, writers int, appendOne func(w int) error) {
+	fs := storage.NewFaultFS(inner)
+	fs.SetHook(func(op storage.Op, name string) {
+		if op == storage.OpSync {
+			time.Sleep(syncDelay)
+		}
+	})
+	stream, err := GenerateQueries(RandomWalk, writers, seriesLen, 31)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := BuildLSMIndex(Config{
+		Storage:      fs,
+		Name:         "wal",
+		DataFile:     "wal.bin",
+		SeriesLen:    seriesLen,
+		Segments:     8,
+		MemoryBudget: 64 << 20, // no flushes: isolate the sync discipline
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
 	b.ResetTimer()
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -788,7 +733,7 @@ func benchDurableAppends(b *testing.B, writers int, appendOne func(w int) error)
 		go func(w int) {
 			defer wg.Done()
 			for atomic.AddInt64(&next, 1) <= int64(b.N) {
-				if err := appendOne(w); err != nil {
+				if err := ix.Insert(stream[w : w+1]); err != nil {
 					errc <- err
 					return
 				}

@@ -4,11 +4,10 @@
 //
 // Usage:
 //
-//	benchrunner [-scale tiny|default|full] [-figure Fig8a[,Fig9d,...]] [-workers N] [-query-workers N] [-compaction-workers N] [-json file]
+//	benchrunner [-scale tiny|default|full] [-figure Fig8a[,Fig9d,...]] [-workers N] [-query-workers N] [-json file]
 //
 // With no -figure it runs the complete evaluation in paper order. With
-// -json the regenerated tables are also written to the named file as JSON
-// (the CI bench-smoke step uses this to track the perf trajectory).
+// -json the regenerated tables are also written to the named file as JSON.
 package main
 
 import (
@@ -29,7 +28,6 @@ func main() {
 	figFlag := flag.String("figure", "", "comma-separated figure ids (default: all)")
 	workersFlag := flag.Int("workers", 1, "construction workers (0 = all CPUs; >1 makes I/O traces machine-dependent)")
 	queryWorkersFlag := flag.Int("query-workers", 1, "per-query fan-out (0 = all CPUs; answers are identical for any value, but >1 makes visited counts machine-dependent)")
-	compactionWorkersFlag := flag.Int("compaction-workers", 2, "LSM background compaction pool size for the IngestLatency figure")
 	datasetFlag := flag.String("dataset", "", "dataset family for the generic figures: randomwalk, seismic, astronomy, or skewed (default randomwalk; figures pinned to a specific dataset are unaffected)")
 	jsonFlag := flag.String("json", "", "also write the regenerated tables to this file as JSON")
 	flag.Parse()
@@ -40,10 +38,6 @@ func main() {
 	}
 	if *queryWorkersFlag < 0 {
 		fmt.Fprintf(os.Stderr, "-query-workers must be at least 1, got %d (0 selects all CPUs)\n", *queryWorkersFlag)
-		os.Exit(2)
-	}
-	if *compactionWorkersFlag < 0 {
-		fmt.Fprintf(os.Stderr, "-compaction-workers must be at least 1, got %d (0 takes the default)\n", *compactionWorkersFlag)
 		os.Exit(2)
 	}
 
@@ -63,7 +57,6 @@ func main() {
 	}
 	sc.Workers = *workersFlag
 	sc.QueryWorkers = *queryWorkersFlag
-	sc.CompactionWorkers = *compactionWorkersFlag
 	if *datasetFlag != "" {
 		if _, err := dataset.ByName(*datasetFlag); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -100,15 +93,6 @@ func main() {
 		{"Fig10b", experiments.Fig10bAstronomy},
 		{"Fig10c", experiments.Fig10cSeismic},
 		{"SizeTable", experiments.IndexSizeTable},
-		{"QueryThroughput", experiments.QueryThroughput},
-		{"IngestLatency", experiments.IngestLatency},
-		{"DistanceKernels", experiments.DistanceKernels},
-		{"Reopen", experiments.Reopen},
-		{"PartitionScaling", experiments.PartitionScaling},
-		{"WALThroughput", experiments.WALThroughput},
-		{"ChecksumOverhead", experiments.ChecksumOverhead},
-		{"LatencyUnderConcurrency", experiments.LatencyUnderConcurrency},
-		{"CompressedRuns", experiments.CompressedRuns},
 	}
 
 	want := map[string]bool{}
@@ -118,8 +102,8 @@ func main() {
 		}
 	}
 
-	fmt.Printf("Coconut evaluation — scale=%s (N=%d, len=%d, leaf=%d, queries=%d, workers=%d, query-workers=%d, compaction-workers=%d)\n",
-		*scaleFlag, sc.BaseCount, sc.SeriesLen, sc.LeafCap, sc.Queries, sc.Workers, sc.QueryWorkers, sc.CompactionWorkers)
+	fmt.Printf("Coconut evaluation — scale=%s (N=%d, len=%d, leaf=%d, queries=%d, workers=%d, query-workers=%d)\n",
+		*scaleFlag, sc.BaseCount, sc.SeriesLen, sc.LeafCap, sc.Queries, sc.Workers, sc.QueryWorkers)
 	start := time.Now()
 	var ran []*experiments.Table
 	for _, f := range figures {
@@ -141,10 +125,9 @@ func main() {
 			Scale   string               `json:"scale"`
 			Workers int                  `json:"workers"`
 			QueryW  int                  `json:"query_workers"`
-			CompW   int                  `json:"compaction_workers"`
 			NumCPU  int                  `json:"num_cpu"`
 			Tables  []*experiments.Table `json:"tables"`
-		}{*scaleFlag, sc.Workers, sc.QueryWorkers, sc.CompactionWorkers, runtime.NumCPU(), ran}
+		}{*scaleFlag, sc.Workers, sc.QueryWorkers, runtime.NumCPU(), ran}
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -82,13 +82,11 @@ type config struct {
 	batch             int
 	background        bool
 	compactionWorkers int
-	disableWAL        bool
 	walWindow         time.Duration
 	repair            bool
 	timeout           time.Duration
 	dirPath           string
 	addr              string
-	noCompression     bool
 	cacheBytes        int64
 }
 
@@ -115,14 +113,11 @@ func parseFlags(args []string) (*config, error) {
 	batch := fl.Int("batch", 1000, "series per Append batch (stream command)")
 	background := fl.Bool("background", false, "compact LSM tiers on a background pool instead of inside Append")
 	compactionWorkers := fl.Int("compaction-workers", 2, "background compaction pool size (stream command)")
-	disableWAL := fl.Bool("disable-wal", false, "turn off the LSM write-ahead log (appends since the last flush are lost on a crash)")
 	walWindow := fl.Duration("wal-window", 0, "stretch each WAL group commit by this duration to batch more concurrent appends")
 	repair := fl.Bool("repair", false, "after scrubbing, repair corrupt artifacts re-derivable from the raw dataset (scrub command)")
 	timeout := fl.Duration("timeout", 30*time.Second, "per-query deadline (query command) / per-request deadline (serve command)")
 	addr := fl.String("addr", ":7737", "listen address (serve command)")
-	noChecksums := fl.Bool("no-checksums", false, "build in the legacy unchecksummed block format (build command; reads are not verified)")
-	noCompression := fl.Bool("no-compression", false, "build LSM runs as flat uncompressed record arrays (build/stream commands; query/info adopt the stored layout)")
-	cacheBytes := fl.Int64("cache-bytes", 0, "decoded-block cache budget in bytes for compressed LSM runs (0 = 128MiB default)")
+	cacheBytes := fl.Int64("cache-bytes", 0, "decoded-block cache budget in bytes for LSM runs (0 = 128MiB default)")
 	if err := fl.Parse(args); err != nil {
 		return nil, err
 	}
@@ -163,7 +158,7 @@ func parseFlags(args []string) (*config, error) {
 			MemBudgetBytes: *mem,
 			Workers:        *workers,
 			QueryWorkers:   *queryWorkers,
-			Checksums:      !*noChecksums,
+			Checksums:      true,
 		},
 		variant:           *variant,
 		dataFile:          *data,
@@ -176,13 +171,11 @@ func parseFlags(args []string) (*config, error) {
 		batch:             *batch,
 		background:        *background,
 		compactionWorkers: *compactionWorkers,
-		disableWAL:        *disableWAL,
 		walWindow:         *walWindow,
 		repair:            *repair,
 		timeout:           *timeout,
 		dirPath:           *dir,
 		addr:              *addr,
-		noCompression:     *noCompression,
 		cacheBytes:        *cacheBytes,
 	}, nil
 }
@@ -304,6 +297,10 @@ func openOptions(cfg *config) (core.Options, *manifest.Manifest, error) {
 	if err != nil {
 		return core.Options{}, nil, err
 	}
+	if !m.Checksums {
+		return core.Options{}, nil, fmt.Errorf("%w: index is stored without block checksums (rebuild the index)",
+			manifest.ErrVersionMismatch)
+	}
 	if cfg.dataFile != "" && cfg.dataFile != m.RawName {
 		return core.Options{}, nil, fmt.Errorf("%w: -data %q, stored index was built over %q",
 			manifest.ErrConfigMismatch, cfg.dataFile, m.RawName)
@@ -335,13 +332,10 @@ func (cfg *config) lsmOptions() lsm.Options {
 		QueryWorkers:         cfg.opt.QueryWorkers,
 		BackgroundCompaction: cfg.background,
 		CompactionWorkers:    cfg.compactionWorkers,
-		DisableWAL:           cfg.disableWAL,
 		WALGroupWindow:       cfg.walWindow,
 		Checksums:            cfg.opt.Checksums,
-		Compressed:           !cfg.noCompression,
 		// One cache per lsmOptions call: partitioned children copy the
-		// option struct, so every partition of one index shares this cache
-		// (open adopts the stored layout and ignores it for legacy runs).
+		// option struct, so every partition of one index shares this cache.
 		Cache: blockcache.New(cfg.cacheBytes),
 	}
 }
@@ -377,11 +371,6 @@ func runScrub(cfg *config) error {
 }
 
 func printScrub(rep *coconut.ScrubReport) {
-	format := "checksummed blocks"
-	if !rep.Checksums {
-		format = "legacy (no block checksums)"
-	}
-	fmt.Printf("format: %s\n", format)
 	for _, f := range rep.Findings {
 		status := "ok"
 		if f.Err != nil {
@@ -416,11 +405,7 @@ func runInfo(cfg *config) error {
 		fmt.Printf("  leaves:    %d\n  leaf fill: %.0f%%\n  size:      %s\n",
 			ix.NumLeaves(), ix.AvgLeafFill()*100, byteSize(ix.SizeBytes()))
 	case manifest.VariantLSM:
-		layout := "flat records"
-		if m.Compressed {
-			layout = "block-compressed"
-		}
-		fmt.Printf("  run layout: %s\n  runs:      %d\n", layout, len(m.LSM.Runs))
+		fmt.Printf("  runs:      %d\n", len(m.LSM.Runs))
 		for _, r := range m.LSM.Runs {
 			tier := fmt.Sprintf("%d", r.Tier)
 			if r.Tier == lsm.BulkTier {

@@ -59,7 +59,12 @@
 //
 // LSM ingest (Insert on an LSMIndex) appends raw bytes, summarizes each
 // batch across Workers goroutines, and flushes full memtables as sorted
-// runs. By default tier compactions run synchronously inside Insert/Flush;
+// runs. Every Insert returns only after its raw bytes and a write-ahead-log
+// record are fsynced (concurrent inserts share one fsync via group commit),
+// and reopening after a crash replays un-flushed records into the memtable;
+// partitioned indexes keep one WAL per partition.
+//
+// By default tier compactions run synchronously inside Insert/Flush;
 // setting Config.BackgroundCompaction moves them to a pool of
 // Config.CompactionWorkers goroutines that merge full tiers concurrently —
 // independent tiers compact in parallel — and swap results in under the
@@ -91,12 +96,14 @@
 // index files, and Close leaves a fully durable index behind: a later
 // process reopens it with OpenTreeIndex, OpenTrieIndex, or OpenLSMIndex
 // and gets byte-identical answers without re-reading the raw dataset
-// (LSM run key arrays reload from the run files themselves). Manifest
-// commits are atomic (write-temp + rename), so a crash never leaves a
-// torn manifest — at worst the last committed state reopens. On reopen,
-// unset Config fields (series length, segments, leaf size, data file)
-// are adopted from the manifest; explicitly conflicting values fail
-// loudly rather than misread the stored bytes.
+// (LSM runs reopen from the run files themselves). Manifest commits are
+// atomic (write-temp + rename), so a crash never leaves a torn manifest —
+// at worst the last committed state reopens. On reopen, unset Config
+// fields (series length, segments, leaf size, data file) are adopted from
+// the manifest; explicitly conflicting values fail loudly rather than
+// misread the stored bytes. One stored format is read — manifest version
+// 5, checksummed blocks, block-compressed LSM runs: anything else fails
+// Open, Scrub and Repair with ErrVersionMismatch (rebuild the index).
 package coconut
 
 import (
@@ -122,8 +129,9 @@ var (
 	// ErrCorruptManifest reports a manifest (or an index file it
 	// describes) that failed checksum or structural validation.
 	ErrCorruptManifest = manifest.ErrCorruptManifest
-	// ErrVersionMismatch reports a manifest written by an incompatible
-	// format version.
+	// ErrVersionMismatch reports an index stored in a format this build
+	// does not read: another manifest version, or a layout without block
+	// checksums or with uncompressed LSM runs. Rebuild the index.
 	ErrVersionMismatch = manifest.ErrVersionMismatch
 	// ErrConfigMismatch reports a Config that conflicts with the stored
 	// index (different summarization, materialization, or dataset file).
@@ -247,41 +255,18 @@ type Config struct {
 	// ErrConfigMismatch when the value conflicts with the stored index.
 	// Search answers are byte-identical for any partition count.
 	Partitions int
-	// DisableWAL turns off the LSM write-ahead log. By default every
-	// Insert returns only after its raw bytes and a WAL record are fsynced
-	// (concurrent inserts share one fsync via group commit) and reopening
-	// after a crash replays un-flushed records into the memtable. With the
-	// WAL disabled, records appended since the last flush are lost on a
-	// crash — the pre-WAL behavior, appropriate for bulk reloads that can
-	// simply be re-run. Partitioned indexes keep one WAL per partition.
-	DisableWAL bool
 	// WALGroupWindow optionally stretches each WAL group commit by this
 	// duration before the fsync, admitting more concurrent inserts into
 	// the batch — higher throughput at the cost of added latency per
 	// insert. 0 (the default) syncs as soon as the committer picks up a
 	// batch.
 	WALGroupWindow time.Duration
-	// DisableChecksums builds the index WITHOUT the per-block CRC layer.
-	// By default every persistent artifact (B+-tree pages, trie leaves,
-	// LSM run files, and a sidecar for the raw dataset) is checksummed and
-	// verified on read, so bit rot is detected instead of silently
-	// corrupting answers. Whether an index is checksummed is recorded in
-	// its manifest: Open always adopts the stored format, so indexes built
-	// by earlier versions (or with this flag) keep reopening unchanged.
-	DisableChecksums bool
-	// DisableCompression builds LSM run files as flat record arrays whose
-	// keys load whole into memory at open — the pre-compression layout. By
-	// default LSM runs are block-compressed on disk (sorted invSAX keys
-	// front-coded + delta-encoded, positions delta-varint-encoded) and read
-	// through a shared bounded block cache, so resident memory is O(cache
-	// budget) rather than O(dataset) and indexes larger than RAM open and
-	// answer. Which layout an index uses is recorded in its manifest: Open
-	// always adopts the stored format, so indexes built by earlier versions
-	// (or with this flag) keep reopening unchanged. Answers are
-	// byte-identical either way. Tree/Trie indexes are unaffected.
-	DisableCompression bool
-	// CacheBytes bounds the shared decoded-block cache a compressed LSM
-	// index reads through (default 128 MiB). One cache serves all runs,
+	// CacheBytes bounds the shared decoded-block cache an LSM index reads
+	// its runs through (default 128 MiB): runs are block-compressed on disk
+	// (sorted invSAX keys front-coded + delta-encoded, positions
+	// delta-varint-encoded), so resident memory is O(cache budget) rather
+	// than O(dataset) and indexes larger than RAM open and answer.
+	// Tree/Trie indexes are unaffected. One cache serves all runs,
 	// partitions, and concurrent queries of the handle; CacheStats reports
 	// its hit/miss/eviction counters for sizing. Exact searches sweep every
 	// block of every run: they cache a block only where there is room and
@@ -350,7 +335,10 @@ func (c *Config) toCore() (core.Options, error) {
 		FillFactor:     c.FillFactor,
 		Workers:        c.Workers,
 		QueryWorkers:   c.QueryWorkers,
-		Checksums:      !c.DisableChecksums,
+		// Every persistent artifact (B+-tree pages, trie leaves, LSM run
+		// files, and a sidecar for the raw dataset) is checksummed and
+		// verified on read.
+		Checksums: true,
 	}, nil
 }
 
@@ -367,6 +355,9 @@ func (c *Config) mergeStored(want manifest.Variant) (partitioned bool, err error
 	}
 	m, err := core.LoadManifest(c.Storage, c.Name)
 	if err != nil {
+		return false, err
+	}
+	if err := checkStoredFormat(m); err != nil {
 		return false, err
 	}
 	switch {
@@ -405,6 +396,17 @@ func (c *Config) mergeStored(want manifest.Variant) (partitioned bool, err error
 	// Materialization is a property of the stored bytes, not a knob.
 	c.Materialized = m.Materialized
 	return partitioned, nil
+}
+
+// checkStoredFormat refuses an index stored without block checksums: no
+// public build writes one, and reads of it would go unverified. (Manifests
+// of other versions, and LSM manifests with uncompressed runs, are already
+// refused by the decoder.)
+func checkStoredFormat(m *manifest.Manifest) error {
+	if !m.Checksums {
+		return fmt.Errorf("coconut: %w: index is stored without block checksums (rebuild the index)", ErrVersionMismatch)
+	}
+	return nil
 }
 
 // Result is a search answer.
@@ -801,6 +803,7 @@ type lsmBackend interface {
 	SizeBytes() int64
 	Degraded() bool
 	RebuildQuarantined() error
+	CacheStats() blockcache.Stats
 	Close() error
 }
 
@@ -818,9 +821,7 @@ type LSMIndex struct {
 
 // toLSM derives the LSM option set from the resolved core options. The
 // block cache is created here — once per handle — so a partitioned index's
-// children (which copy these options) all read through the same cache, and
-// Open can adopt a stored Compressed flag that differs from the caller's
-// without losing the shared budget.
+// children (which copy these options) all read through the same cache.
 func (c *Config) toLSM(opt core.Options) lsm.Options {
 	return lsm.Options{
 		FS:                   opt.FS,
@@ -833,10 +834,8 @@ func (c *Config) toLSM(opt core.Options) lsm.Options {
 		BackgroundCompaction: c.BackgroundCompaction,
 		CompactionWorkers:    c.CompactionWorkers,
 		MaxPendingRuns:       c.MaxPendingRuns,
-		DisableWAL:           c.DisableWAL,
 		WALGroupWindow:       c.WALGroupWindow,
 		Checksums:            opt.Checksums,
-		Compressed:           !c.DisableCompression,
 		Cache:                blockcache.New(c.CacheBytes),
 		AllowDegraded:        c.AllowDegraded,
 	}
@@ -873,8 +872,8 @@ func BuildLSMIndexCtx(ctx context.Context, cfg Config) (*LSMIndex, error) {
 }
 
 // OpenLSMIndex reopens a Coconut-LSM previously built (and Closed) over
-// cfg.Storage: every run's key array reloads from the run file itself —
-// never the raw dataset — and the deterministic compaction cursors are
+// cfg.Storage: every run reopens from the run file itself — never the raw
+// dataset — and the deterministic compaction cursors are
 // restored, so subsequent Inserts continue the exact flush/compaction
 // sequence a never-closed index would have produced. A partitioned LSM
 // reopens through its parent manifest, each child restoring its own run
@@ -980,20 +979,14 @@ func (l *LSMIndex) Repair() error { return l.ix.RebuildQuarantined() }
 // CacheStats is a snapshot of the shared decoded-block cache's counters:
 // hits, misses, evictions, scan decodes (blocks an exact search decoded
 // without caching them: non-zero means the budget is smaller than the
-// index's decoded keys), resident bytes, and the configured budget. An
-// uncompressed index reads no cache, so its counters stay zero.
+// index's decoded keys), resident bytes, and the configured budget.
 type CacheStats = blockcache.Stats
 
 // CacheStats reports the handle's block-cache counters — one cache serves
 // all runs and partitions, so these are whole-index numbers. Use the
 // hit/miss ratio under a representative query load to size
 // Config.CacheBytes.
-func (l *LSMIndex) CacheStats() CacheStats {
-	if c, ok := l.ix.(interface{ CacheStats() blockcache.Stats }); ok {
-		return c.CacheStats()
-	}
-	return CacheStats{}
-}
+func (l *LSMIndex) CacheStats() CacheStats { return l.ix.CacheStats() }
 
 // Close flushes the memtable, drains background compactions, commits the
 // manifest, and releases file handles; the index can later be reopened

@@ -1,16 +1,20 @@
 package coconut
 
-// The beyond-RAM conformance net for block-compressed runs: a compressed
-// LSM index whose block cache is far too small to hold even one decoded
-// block must answer exact and approximate queries byte-identically to the
-// uncompressed in-memory layout — on both storage backends, for single and
-// partitioned indexes, after appends, and after reopening from the
-// manifest — while its resident decoded bytes stay within the configured
-// budget (no whole-run key array ever materializes on the query path).
+// The beyond-RAM conformance net for block-compressed runs: an LSM index
+// whose block cache is far too small to hold even one decoded block must
+// answer exact queries like a brute-force scan, and exact and approximate
+// queries byte-identically to the same index behind a cache that holds
+// every block — on both storage backends, for single and partitioned
+// indexes, after appends, and after reopening from the manifest — while its
+// resident decoded bytes stay within the configured budget (no whole-run
+// key array ever materializes on the query path).
 
 import (
 	"fmt"
+	"math"
 	"testing"
+
+	"github.com/coconut-db/coconut/internal/dataset"
 )
 
 const (
@@ -39,33 +43,38 @@ func bramConfig(fs Storage, name string, parts int) Config {
 }
 
 // bramCompare requires byte-identical exact and approximate answers from
-// the two handles for every query.
-func bramCompare(t *testing.T, stage string, flat, comp *LSMIndex, qs []Series) {
+// the two handles for every query, and the exact ones equal to a brute-force
+// scan of data.
+func bramCompare(t *testing.T, stage string, roomy, tiny *LSMIndex, qs, data []Series) {
 	t.Helper()
 	for i, q := range qs {
-		fe, err := flat.Search(q)
+		re, err := roomy.Search(q)
 		if err != nil {
-			t.Fatalf("%s: flat exact query %d: %v", stage, i, err)
+			t.Fatalf("%s: roomy-cache exact query %d: %v", stage, i, err)
 		}
-		ce, err := comp.Search(q)
+		te, err := tiny.Search(q)
 		if err != nil {
-			t.Fatalf("%s: compressed exact query %d: %v", stage, i, err)
+			t.Fatalf("%s: tiny-cache exact query %d: %v", stage, i, err)
 		}
-		if fe.Position != ce.Position || fe.Distance != ce.Distance {
-			t.Fatalf("%s: exact query %d differs: compressed (pos %d, dist %v), flat (pos %d, dist %v)",
-				stage, i, ce.Position, ce.Distance, fe.Position, fe.Distance)
+		if re.Position != te.Position || re.Distance != te.Distance {
+			t.Fatalf("%s: exact query %d differs: tiny cache (pos %d, dist %v), roomy (pos %d, dist %v)",
+				stage, i, te.Position, te.Distance, re.Position, re.Distance)
 		}
-		fa, err := flat.SearchApprox(q)
+		if pos, dist := bruteForce(q, data); te.Position != pos || math.Abs(te.Distance-dist) > 1e-9 {
+			t.Fatalf("%s: exact query %d: got (pos %d, dist %v), brute force (pos %d, dist %v)",
+				stage, i, te.Position, te.Distance, pos, dist)
+		}
+		ra, err := roomy.SearchApprox(q)
 		if err != nil {
-			t.Fatalf("%s: flat approx query %d: %v", stage, i, err)
+			t.Fatalf("%s: roomy-cache approx query %d: %v", stage, i, err)
 		}
-		ca, err := comp.SearchApprox(q)
+		ta, err := tiny.SearchApprox(q)
 		if err != nil {
-			t.Fatalf("%s: compressed approx query %d: %v", stage, i, err)
+			t.Fatalf("%s: tiny-cache approx query %d: %v", stage, i, err)
 		}
-		if fa.Position != ca.Position || fa.Distance != ca.Distance {
-			t.Fatalf("%s: approx query %d differs: compressed (pos %d, dist %v), flat (pos %d, dist %v)",
-				stage, i, ca.Position, ca.Distance, fa.Position, fa.Distance)
+		if ra.Position != ta.Position || ra.Distance != ta.Distance {
+			t.Fatalf("%s: approx query %d differs: tiny cache (pos %d, dist %v), roomy (pos %d, dist %v)",
+				stage, i, ta.Position, ta.Distance, ra.Position, ra.Distance)
 		}
 	}
 }
@@ -78,7 +87,7 @@ func TestCompressedBeyondRAMConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Each layout gets its own device with an identically
+				// Each index gets its own device with an identically
 				// seeded dataset: appends grow the raw file, so two
 				// indexes cannot share one.
 				newFS := func() Storage {
@@ -89,13 +98,12 @@ func TestCompressedBeyondRAMConformance(t *testing.T) {
 					return fs
 				}
 
-				fcfg := bramConfig(newFS(), "flat", parts)
-				fcfg.DisableCompression = true
-				flat, err := BuildLSMIndex(fcfg)
+				data := dataset.Generate(dataset.NewRandomWalk(), bramN, bramLen, bramSeed)
+				roomy, err := BuildLSMIndex(bramConfig(newFS(), "roomy", parts))
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer flat.Close()
+				defer roomy.Close()
 
 				cfs := newFS()
 				ccfg := bramConfig(cfs, "comp", parts)
@@ -104,7 +112,7 @@ func TestCompressedBeyondRAMConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bramCompare(t, "built", flat, comp, qs)
+				bramCompare(t, "built", roomy, comp, qs, data)
 
 				// Growth through the append path: flushed memtables and any
 				// triggered compactions must stay byte-identical too.
@@ -112,7 +120,8 @@ func TestCompressedBeyondRAMConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, ix := range []*LSMIndex{flat, comp} {
+				data = append(data, extra...)
+				for _, ix := range []*LSMIndex{roomy, comp} {
 					if err := ix.Insert(extra); err != nil {
 						t.Fatal(err)
 					}
@@ -120,7 +129,7 @@ func TestCompressedBeyondRAMConformance(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				bramCompare(t, "appended", flat, comp, qs)
+				bramCompare(t, "appended", roomy, comp, qs, data)
 
 				// Beyond-RAM means the cache did real work within its
 				// budget: probes decoded blocks (misses) and resident bytes
@@ -141,14 +150,13 @@ func TestCompressedBeyondRAMConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// A reopen adopts the stored compressed layout from the
-				// manifest; the tiny cache budget still bounds it.
+				// The tiny cache budget still bounds a reopened index.
 				re, err := OpenLSMIndex(Config{Storage: cfs, Name: "comp", CacheBytes: bramCache})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer re.Close()
-				bramCompare(t, "reopened", flat, re, qs)
+				bramCompare(t, "reopened", roomy, re, qs, data)
 				if stats := re.CacheStats(); stats.Bytes > bramCache {
 					t.Fatalf("reopened cache holds %d resident bytes, budget is %d", stats.Bytes, bramCache)
 				}

@@ -225,7 +225,6 @@ func TestCorruptionSweep(t *testing.T) {
 			t.Run(prefix+"tree-page", func(t *testing.T) { sweepTreePage(t, mkFS(t), parts) })
 			t.Run(prefix+"trie-leaf", func(t *testing.T) { sweepTrieLeaf(t, mkFS(t), parts) })
 			t.Run(prefix+"lsm-run", func(t *testing.T) { sweepLSMRun(t, mkFS(t), parts) })
-			t.Run(prefix+"compressed-block", func(t *testing.T) { sweepCompressedBlock(t, mkFS(t), parts) })
 			t.Run(prefix+"raw", func(t *testing.T) { sweepRaw(t, mkFS(t), parts) })
 			t.Run(prefix+"wal", func(t *testing.T) { sweepWAL(t, mkFS(t), parts) })
 		}
@@ -372,87 +371,6 @@ func sweepLSMRun(t *testing.T, inner sweepFS, parts int) {
 	// Repair must restore the exact record multiset: a partition child
 	// rebuilding from the shared raw dataset must not re-index records
 	// its siblings own.
-	if got := dx.Count(); got != sweepN+30 {
-		t.Fatalf("repaired index holds %d records, want %d", got, sweepN+30)
-	}
-	assertExactAnswers(t, dx, qs, base)
-	if err := dx.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := Scrub(ffs, "sw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("scrub not clean after repair: %+v", rep.Corrupt())
-	}
-	re, err := OpenLSMIndex(Config{Storage: ffs, Name: "sw"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	assertExactAnswers(t, re, qs, base)
-}
-
-// sweepCompressedBlock rots bytes inside a front-coded block of a
-// compressed run built WITHOUT the checksummed-block layer, so the codec's
-// own per-block CRC32-C is the only line of defense: strict opens must
-// fail typed, AllowDegraded must quarantine the run and serve the healthy
-// remainder, scrub must pinpoint the file, and Repair must re-derive the
-// run from the raw dataset.
-func sweepCompressedBlock(t *testing.T, inner sweepFS, parts int) {
-	ffs, qs := sweepSetup(t, inner)
-	cfg := sweepConfig(ffs, parts)
-	cfg.DisableChecksums = true
-	ix, err := BuildLSMIndex(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A second, smaller run: quarantining the bulk run must leave a
-	// healthy remainder to serve degraded queries from.
-	extra, err := GenerateQueries(Astronomy, 30, sweepLen, sweepSeed+3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Insert(extra); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	base := sweepBaseline(t, ix, qs)
-	if err := ix.Close(); err != nil {
-		t.Fatal(err)
-	}
-	run := findLargest(t, inner, ".run.")
-	// Past the 16-byte codec header and the 8-byte block head: squarely
-	// inside the front-coded payload the block CRC covers.
-	if err := ffs.Rot(run, 16+8+2, 4); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := OpenLSMIndex(Config{Storage: ffs, Name: "sw"}); err == nil {
-		t.Fatal("strict open of a rotted compressed block succeeded")
-	} else {
-		requireCorrupt(t, err)
-	}
-	requireScrubFlags(t, ffs, "sw", run)
-
-	dx, err := OpenLSMIndex(Config{Storage: ffs, Name: "sw", AllowDegraded: true})
-	if err != nil {
-		t.Fatalf("degraded open: %v", err)
-	}
-	if !dx.Degraded() {
-		t.Fatal("degraded open did not report Degraded()")
-	}
-	assertDegradedAnswers(t, dx, qs, base)
-	if err := dx.Repair(); err != nil {
-		t.Fatalf("repair: %v", err)
-	}
-	if dx.Degraded() {
-		t.Fatal("index still degraded after Repair")
-	}
 	if got := dx.Count(); got != sweepN+30 {
 		t.Fatalf("repaired index holds %d records, want %d", got, sweepN+30)
 	}

@@ -57,15 +57,10 @@ type Scale struct {
 	// functions of the Scale, the same convention as Workers above;
 	// cmd/benchrunner -query-workers 0 restores all-core queries.
 	QueryWorkers int
-	// CompactionWorkers sizes the LSM background compaction pool in the
-	// ingest-latency experiment (cmd/benchrunner -compaction-workers);
-	// 0 takes the lsm default.
-	CompactionWorkers int
 	// Dataset overrides the generic random-walk workload with another
 	// generator family (cmd/benchrunner -dataset). Figures that pin a
 	// specific dataset — the Fig7 histograms, the astronomy/seismic
-	// figures, the skewed compression figure — keep their pin; empty
-	// means randomwalk.
+	// figures — keep their pin; empty means randomwalk.
 	Dataset string
 }
 
@@ -174,6 +169,17 @@ func measure(fs *storage.MemFS, fn func() error) (Cost, error) {
 
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
+}
+
+// Percentile picks the p-quantile of ascending-sorted latencies
+// (nearest-rank). It is the single quantile definition shared by
+// BenchmarkIngestLatency and `coconut stream`.
+func Percentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(p * float64(len(sorted)-1))
+	return sorted[i]
 }
 
 func pct(f float64) string { return fmt.Sprintf("%.0f%%", f*100) }

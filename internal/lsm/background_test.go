@@ -8,12 +8,14 @@ package lsm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/coconut-db/coconut/internal/dataset"
+	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
@@ -186,11 +188,16 @@ func TestBackgroundCompactionFaultSurfaced(t *testing.T) {
 	fs.SetFault(nil)
 	var onDisk int64
 	for _, r := range ix.runs {
-		b, err := storage.ReadFileAll(fs, r.name)
+		f, err := fs.Open(r.name)
 		if err != nil {
 			t.Fatalf("input run %q lost after failed compaction: %v", r.name, err)
 		}
-		onDisk += int64(len(b) / recordSize)
+		rb, err := runblock.OpenReader(f, nil)
+		if err != nil {
+			t.Fatalf("input run %q unreadable after failed compaction: %v", r.name, err)
+		}
+		onDisk += rb.Count()
+		rb.Close()
 	}
 	if want := ix.count - int64(len(ix.mem)); onDisk != want {
 		t.Fatalf("flushed records on disk = %d, want %d", onDisk, want)
@@ -331,12 +338,16 @@ func TestConcurrentAppendersUnderBackpressure(t *testing.T) {
 	ix.mu.RLock()
 	for _, r := range ix.runs {
 		total += r.count
-		for _, p := range r.positions {
+		err := r.rb.Range(0, r.count, func(_ summary.Key, p int64) error {
 			if seen[p] {
-				ix.mu.RUnlock()
-				t.Fatalf("position %d indexed twice — records were overwritten", p)
+				return fmt.Errorf("position %d indexed twice — records were overwritten", p)
 			}
 			seen[p] = true
+			return nil
+		})
+		if err != nil {
+			ix.mu.RUnlock()
+			t.Fatal(err)
 		}
 	}
 	for _, e := range ix.mem {

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/dataset"
@@ -10,15 +11,16 @@ import (
 	"github.com/coconut-db/coconut/internal/storage/blockcache"
 )
 
-// buildPair builds the same dataset twice — once uncompressed, once
-// block-compressed behind a deliberately tiny cache (a handful of blocks:
-// the key arrays cannot fit, so every query decodes on demand) — and
-// returns both handles plus the compressed side's FS for reopen tests.
-func buildPair(t *testing.T, checksums bool, memBudget int64) (plain, comp *Index, compFS *storage.MemFS, data []series.Series) {
+// buildPair builds the same dataset twice — once behind the default cache,
+// which holds every decoded block, once behind a deliberately tiny one (a
+// handful of blocks: the key set cannot fit, so every query decodes on
+// demand) — and returns both handles plus the tiny side's FS for reopen
+// tests.
+func buildPair(t *testing.T, checksums bool, memBudget int64) (roomy, tiny *Index, tinyFS *storage.MemFS, data []series.Series) {
 	t.Helper()
 	gen := dataset.NewRandomWalk()
 	data = dataset.Generate(gen, tCount, tLen, 42)
-	mk := func(compressed bool) (*Index, *storage.MemFS) {
+	mk := func(tinyCache bool) (*Index, *storage.MemFS) {
 		fs := storage.NewMemFS()
 		if _, err := dataset.WriteFile(fs, "raw", gen, tCount, tLen, 42); err != nil {
 			t.Fatal(err)
@@ -32,9 +34,8 @@ func buildPair(t *testing.T, checksums bool, memBudget int64) (plain, comp *Inde
 			Fanout:         3,
 			Window:         40,
 			Checksums:      checksums,
-			Compressed:     compressed,
 		}
-		if compressed {
+		if tinyCache {
 			// ~2 decoded blocks resident: far below the full key set.
 			opt.Cache = blockcache.New(64 << 10)
 		}
@@ -44,19 +45,20 @@ func buildPair(t *testing.T, checksums bool, memBudget int64) (plain, comp *Inde
 		}
 		return ix, fs
 	}
-	plain, _ = mk(false)
-	comp, compFS = mk(true)
-	return plain, comp, compFS, data
+	roomy, _ = mk(false)
+	tiny, tinyFS = mk(true)
+	return roomy, tiny, tinyFS, data
 }
 
 // requireSameAnswers runs approximate, exact, and window queries against
-// both handles and requires byte-identical results.
-func requireSameAnswers(t *testing.T, plain, comp *Index) {
+// both handles and requires byte-identical results, and exact answers equal
+// to a brute-force scan of data.
+func requireSameAnswers(t *testing.T, roomy, tiny *Index, data []series.Series) {
 	t.Helper()
 	qs := dataset.Queries(dataset.NewRandomWalk(), 10, tLen, 9)
 	for qi, q := range qs {
-		ar1, err1 := plain.ApproxSearch(q)
-		ar2, err2 := comp.ApproxSearch(q)
+		ar1, err1 := roomy.ApproxSearch(q)
+		ar2, err2 := tiny.ApproxSearch(q)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("query %d approx: %v / %v", qi, err1, err2)
 		}
@@ -64,8 +66,8 @@ func requireSameAnswers(t *testing.T, plain, comp *Index) {
 			t.Fatalf("query %d approx diverges: (%d, %v) vs (%d, %v)",
 				qi, ar1.Pos, ar1.Dist, ar2.Pos, ar2.Dist)
 		}
-		er1, err1 := plain.ExactSearch(q)
-		er2, err2 := comp.ExactSearch(q)
+		er1, err1 := roomy.ExactSearch(q)
+		er2, err2 := tiny.ExactSearch(q)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("query %d exact: %v / %v", qi, err1, err2)
 		}
@@ -73,8 +75,11 @@ func requireSameAnswers(t *testing.T, plain, comp *Index) {
 			t.Fatalf("query %d exact diverges: (%d, %v) vs (%d, %v)",
 				qi, er1.Pos, er1.Dist, er2.Pos, er2.Dist)
 		}
-		w1, err1 := plain.ApproxWindowCands(q)
-		w2, err2 := comp.ApproxWindowCands(q)
+		if want := bruteForce1NN(q, data); math.Abs(er2.Dist-want) > 1e-9 {
+			t.Fatalf("query %d exact: %v, brute force %v", qi, er2.Dist, want)
+		}
+		w1, err1 := roomy.ApproxWindowCands(q)
+		w2, err2 := tiny.ApproxWindowCands(q)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("query %d window: %v / %v", qi, err1, err2)
 		}
@@ -95,30 +100,25 @@ func requireSameAnswers(t *testing.T, plain, comp *Index) {
 	}
 }
 
-// TestCompressedConformance: every query answer from a block-compressed
-// index — bulk-built, then grown through append/flush/compaction — must be
-// byte-identical to the in-memory layout's, with and without the checksum
-// layer underneath, with the cache too small to hold the key set.
+// TestCompressedConformance: every query answer from an index whose cache
+// is too small to hold the key set — bulk-built, then grown through
+// append/flush/compaction — must be byte-identical to the same index behind
+// a cache that holds everything, and exact answers must equal brute force,
+// with and without the checksum layer underneath.
 func TestCompressedConformance(t *testing.T) {
 	for _, checksums := range []bool{false, true} {
 		t.Run(fmt.Sprintf("checksums=%v", checksums), func(t *testing.T) {
-			plain, comp, _, data := buildPair(t, checksums, 1<<20)
-			defer plain.Close()
-			defer comp.Close()
-			if comp.Count() != tCount {
-				t.Fatalf("Count = %d", comp.Count())
+			roomy, tiny, _, data := buildPair(t, checksums, 1<<20)
+			defer roomy.Close()
+			defer tiny.Close()
+			if tiny.Count() != tCount {
+				t.Fatalf("Count = %d", tiny.Count())
 			}
-			// No run key array may be resident on the compressed side.
-			for _, r := range comp.runs {
-				if !r.compressed() || r.keys != nil || r.positions != nil {
-					t.Fatal("compressed index materialized a run key array")
-				}
-			}
-			requireSameAnswers(t, plain, comp)
+			requireSameAnswers(t, roomy, tiny, data)
 
 			// Grow both through the memtable → flush → compaction path.
 			extra := dataset.Generate(dataset.NewRandomWalk(), 200, tLen, 77)
-			for _, ix := range []*Index{plain, comp} {
+			for _, ix := range []*Index{roomy, tiny} {
 				for i := 0; i < len(extra); i += 20 {
 					if err := ix.Append(extra[i : i+20]); err != nil {
 						t.Fatal(err)
@@ -131,26 +131,27 @@ func TestCompressedConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			_ = data
-			requireSameAnswers(t, plain, comp)
-			if st := comp.CacheStats(); st.Hits+st.Misses == 0 {
-				t.Fatal("compressed queries never touched the block cache")
+			requireSameAnswers(t, roomy, tiny, append(data, extra...))
+			// No run's key set may be resident on the tiny side: the cache
+			// did real work, within its budget.
+			st := tiny.CacheStats()
+			if st.Hits+st.Misses == 0 || st.ScanDecodes == 0 {
+				t.Fatalf("undersized cache saw no probes or no scan decodes: %+v", st)
 			}
-			if st := plain.CacheStats(); st != (blockcache.Stats{}) {
-				t.Fatalf("uncompressed index reports cache stats %+v", st)
+			if st.Bytes > st.Budget {
+				t.Fatalf("cache holds %d resident bytes, budget is %d", st.Bytes, st.Budget)
 			}
 		})
 	}
 }
 
-// TestCompressedReopen: closing and reopening a compressed index adopts
-// the manifest's Compressed flag (the caller does not pass it) and keeps
-// answers byte-identical; the reopened runs stay block-backed.
+// TestCompressedReopen: closing and reopening an index behind the tiny
+// cache keeps answers byte-identical.
 func TestCompressedReopen(t *testing.T) {
-	plain, comp, compFS, _ := buildPair(t, true, 1<<20)
-	defer plain.Close()
+	roomy, tiny, tinyFS, data := buildPair(t, true, 1<<20)
+	defer roomy.Close()
 	extra := dataset.Generate(dataset.NewRandomWalk(), 100, tLen, 77)
-	// Grow the plain side identically before comparing post-reopen.
+	// Grow the roomy side identically before comparing post-reopen.
 	growth := func(ix *Index) {
 		for i := 0; i < len(extra); i += 20 {
 			if err := ix.Append(extra[i : i+20]); err != nil {
@@ -164,13 +165,13 @@ func TestCompressedReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	growth(plain)
-	growth(comp)
-	if err := comp.Close(); err != nil {
+	growth(roomy)
+	growth(tiny)
+	if err := tiny.Close(); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := Open(Options{
-		FS:             compFS,
+		FS:             tinyFS,
 		Name:           "lsm",
 		S:              tSummarizer(t),
 		MemBudgetBytes: 1 << 20,
@@ -181,39 +182,30 @@ func TestCompressedReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	if !reopened.opt.Compressed {
-		t.Fatal("reopen did not adopt the Compressed flag")
-	}
-	for _, r := range reopened.runs {
-		if !r.compressed() || r.keys != nil {
-			t.Fatal("reopened run materialized its key array")
-		}
-	}
-	requireSameAnswers(t, plain, reopened)
+	requireSameAnswers(t, roomy, reopened, append(data, extra...))
 }
 
-// TestCompressedRebuildQuarantined: corrupt one compressed run file; a
-// degraded reopen quarantines it, and RebuildQuarantined re-derives the
-// lost records from the raw dataset into a fresh compressed run with
-// byte-identical answers.
+// TestCompressedRebuildQuarantined: corrupt one run file; a degraded reopen
+// quarantines it, and RebuildQuarantined re-derives the lost records from
+// the raw dataset into a fresh run with byte-identical answers.
 func TestCompressedRebuildQuarantined(t *testing.T) {
-	plain, comp, compFS, _ := buildPair(t, true, 1<<14) // small memtable: several runs
-	defer plain.Close()
-	if err := comp.Close(); err != nil {
+	roomy, tiny, tinyFS, data := buildPair(t, true, 1<<14) // small memtable: several runs
+	defer roomy.Close()
+	if err := tiny.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a byte in the middle of the first run file's payload.
 	name := "lsm.run.000000"
-	b, err := storage.ReadFileAll(compFS, name)
+	b, err := storage.ReadFileAll(tinyFS, name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b[len(b)/2] ^= 0x40
-	if err := storage.WriteFileAtomic(compFS, name, b); err != nil {
+	if err := storage.WriteFileAtomic(tinyFS, name, b); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := Open(Options{
-		FS:             compFS,
+		FS:             tinyFS,
 		Name:           "lsm",
 		S:              tSummarizer(t),
 		MemBudgetBytes: 1 << 14,
@@ -225,7 +217,7 @@ func TestCompressedRebuildQuarantined(t *testing.T) {
 	}
 	defer reopened.Close()
 	if !reopened.Degraded() {
-		t.Fatal("corrupt compressed run not quarantined")
+		t.Fatal("corrupt run not quarantined")
 	}
 	if err := reopened.RebuildQuarantined(); err != nil {
 		t.Fatal(err)
@@ -236,5 +228,5 @@ func TestCompressedRebuildQuarantined(t *testing.T) {
 	if reopened.Count() != tCount {
 		t.Fatalf("Count = %d after rebuild", reopened.Count())
 	}
-	requireSameAnswers(t, plain, reopened)
+	requireSameAnswers(t, roomy, reopened, data)
 }

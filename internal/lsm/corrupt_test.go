@@ -1,10 +1,11 @@
 package lsm
 
-// Bit-rot tests for the checksummed LSM artifacts: a rotted run file is
-// detected at Open (strict: typed failure; degraded: quarantine over the
-// healthy remainder, repairable from the raw dataset), and a rotted raw
-// record is detected at fetch time — the index never returns a silently
-// wrong answer from corrupted bytes.
+// Bit-rot tests for the LSM artifacts: a rotted run file is detected at
+// Open (strict: typed failure; degraded: quarantine over the healthy
+// remainder, repairable from the raw dataset) — by the checksummed-block
+// layer, and without it by the run codec's own per-block CRC32-C — and a
+// rotted raw record is detected at fetch time: the index never returns a
+// silently wrong answer from corrupted bytes.
 
 import (
 	"errors"
@@ -18,10 +19,10 @@ import (
 
 const corruptBase = 64
 
-// corruptSeed builds a checksummed LSM index with enough appends to leave
-// several runs, closes it cleanly, and returns the FaultFS whose Recover
-// clones independent durable images for each corruption scenario.
-func corruptSeed(t *testing.T) *storage.FaultFS {
+// corruptSeed builds an LSM index with enough appends to leave several
+// runs, closes it cleanly, and returns the FaultFS whose Recover clones
+// independent durable images for each corruption scenario.
+func corruptSeed(t *testing.T, checksums bool) *storage.FaultFS {
 	t.Helper()
 	inner := storage.NewMemFS()
 	if _, err := dataset.WriteFile(inner, "raw", dataset.NewRandomWalk(), corruptBase, tLen, 42); err != nil {
@@ -29,7 +30,7 @@ func corruptSeed(t *testing.T) *storage.FaultFS {
 	}
 	ffs := storage.NewFaultFS(inner)
 	o := sweepOptions(t, ffs)
-	o.Checksums = true
+	o.Checksums = checksums
 	ix, err := Build(o)
 	if err != nil {
 		t.Fatal(err)
@@ -50,14 +51,14 @@ func corruptSeed(t *testing.T) *storage.FaultFS {
 }
 
 // pickRun returns the name and count of a manifest-referenced non-bulk run.
-func pickRun(t *testing.T, fs storage.FS) (string, int64) {
+func pickRun(t *testing.T, fs storage.FS, checksums bool) (string, int64) {
 	t.Helper()
 	m, err := manifest.Load(fs, "lsm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Checksums {
-		t.Fatal("manifest does not record the checksum flag")
+	if m.Checksums != checksums {
+		t.Fatalf("manifest records Checksums=%v, built with %v", m.Checksums, checksums)
 	}
 	for _, ri := range m.LSM.Runs {
 		if ri.Tier != BulkTier {
@@ -84,7 +85,16 @@ func rotFile(t *testing.T, fs storage.FS, name string, off int64) {
 }
 
 func TestOpenRottedRunStrictAndQuarantine(t *testing.T) {
-	ffs := corruptSeed(t)
+	// With the checksummed-block layer, rot inside its first payload block;
+	// without it, past the 16-byte codec header and the 8-byte block head,
+	// squarely inside the front-coded payload the codec's block CRC covers —
+	// there the only line of defence.
+	t.Run("checksums", func(t *testing.T) { rottedRunStrictAndQuarantine(t, true, storage.ChecksumHeaderSize+10) })
+	t.Run("block-crc-only", func(t *testing.T) { rottedRunStrictAndQuarantine(t, false, 16+8+2) })
+}
+
+func rottedRunStrictAndQuarantine(t *testing.T, checksums bool, rotOff int64) {
+	ffs := corruptSeed(t, checksums)
 	queries := dataset.Queries(dataset.NewRandomWalk(), 4, tLen, 321)
 
 	// Reference answers from an intact image.
@@ -108,8 +118,8 @@ func TestOpenRottedRunStrictAndQuarantine(t *testing.T) {
 	ref.Close()
 
 	img := ffs.Recover(0)
-	victim, victimCount := pickRun(t, img)
-	rotFile(t, img, victim, storage.ChecksumHeaderSize+10)
+	victim, victimCount := pickRun(t, img, checksums)
+	rotFile(t, img, victim, rotOff)
 
 	// Strict open: typed, loud, no panic — and typed as BOTH the stored-
 	// bytes corruption and the broken-manifest-promise error.
@@ -188,7 +198,7 @@ func TestOpenRottedRunStrictAndQuarantine(t *testing.T) {
 // query that would fetch it fail with ErrCorruptData — never a silently
 // wrong distance computed from rotted bytes.
 func TestRawRotDetectedAtFetch(t *testing.T) {
-	ffs := corruptSeed(t)
+	ffs := corruptSeed(t, true)
 	img := ffs.Recover(0)
 
 	// Query with an exact member of the bulk dataset, then rot that very

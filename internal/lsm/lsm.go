@@ -10,10 +10,11 @@
 //     (one sequential write — no read-modify-write of existing leaves);
 //   - runs are organized in tiers; when a tier collects Fanout runs they
 //     are merge-sorted into the next tier (sequential I/O only);
-//   - queries consult the memtable plus every run: each run keeps its
-//     sorted key array in memory (the standing "summaries fit in memory"
-//     assumption), so approximate search is a binary search per run and
-//     exact search is SIMS over the union of the key arrays.
+//   - queries consult the memtable plus every run: a run is a
+//     block-compressed sorted file (internal/runblock) read through a
+//     shared byte-budgeted block cache, so approximate search is a binary
+//     search per run and exact search is SIMS over the union of the runs'
+//     key blocks.
 //
 // The index is non-materialized: records are (invSAX key, position) and
 // raw series live in the dataset file.
@@ -21,7 +22,6 @@ package lsm
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -96,23 +96,11 @@ type Options struct {
 	// compaction pool catches up — backpressure that keeps a fast writer
 	// from burying the scheduler.
 	MaxPendingRuns int
-	// DisableWAL turns the write-ahead log off: an appended series is then
-	// durable only once a flush commits it into a run, and anything still
-	// in the memtable at a crash is lost. With the WAL on (the default),
-	// Append returns only after its records — and the raw bytes they
-	// reference — are fsynced, and Open replays un-flushed records back
-	// into the memtable.
-	DisableWAL bool
 	// WALGroupWindow optionally stretches each group commit by this long
 	// before the fsync, admitting more concurrent appenders into the
 	// batch. Zero (the default) batches only the appenders that arrive
 	// while the previous sync is in flight.
 	WALGroupWindow time.Duration
-	// WALSyncEveryAppend disables group commit: every Append performs its
-	// own raw+segment fsync pair inline. This is the baseline the
-	// BenchmarkAppendDurable group-commit comparison measures against; it
-	// has no other use.
-	WALSyncEveryAppend bool
 	// Checksums writes run files in the checksummed-block format and
 	// maintains a per-record CRC sidecar for the raw dataset, so every
 	// read path detects bit rot as storage.ErrCorruptData instead of
@@ -140,18 +128,12 @@ type Options struct {
 	// a reconstruction would re-index every sibling's records too. Nil
 	// means the index owns every raw record.
 	Owns func(summary.Key) bool
-	// Compressed writes run files in the block-compressed layout
-	// (internal/runblock) and reads them through the shared block cache
-	// instead of materializing whole-run key arrays in memory — the
-	// beyond-RAM mode: resident key memory is bounded by the cache budget
-	// regardless of index size. Like Checksums it is a property of the
-	// stored bytes, recorded in the manifest and adopted by Open. Answers
-	// are byte-identical to the in-memory layout.
-	Compressed bool
-	// Cache is the shared decoded-block cache for compressed runs. The
-	// partition layer passes one cache to every child so the budget bounds
-	// the whole index; nil with Compressed set creates a private cache of
-	// blockcache.DefaultBytes.
+	// Cache is the shared decoded-block cache run files are read through:
+	// runs are block-compressed on disk (internal/runblock) and never
+	// materialize as whole-run key arrays, so resident key memory is bounded
+	// by the cache budget regardless of index size. The partition layer
+	// passes one cache to every child so the budget bounds the whole index;
+	// nil creates a private cache of blockcache.DefaultBytes.
 	Cache *blockcache.Cache
 }
 
@@ -191,6 +173,9 @@ func (o *Options) validate() error {
 		// would wait forever.
 		o.MaxPendingRuns = o.Fanout
 	}
+	if o.Cache == nil {
+		o.Cache = blockcache.New(0)
+	}
 	return nil
 }
 
@@ -207,19 +192,15 @@ type Result struct {
 // consumers of manifest run listings (cmd/coconut info).
 const BulkTier = 1 << 30
 
-// run is one immutable sorted run, backed either by in-memory key arrays
-// (legacy layout) or by a block-compressed on-disk reader (rb non-nil);
-// the accessor methods in runio.go hide the difference from every query
-// and maintenance path.
+// run is one immutable sorted run: a block-compressed file whose key data
+// is decoded block by block through the shared cache, so resident memory
+// stays bounded by the cache budget no matter how large the run is.
 type run struct {
-	name      string
-	tier      int
-	count     int64
-	keys      []summary.Key
-	positions []int64
-	// rb is the block-compressed backend: a directory-only reader over
-	// the run file, decoding blocks on demand through the shared cache.
-	// When rb is set, keys and positions stay nil.
+	name  string
+	tier  int
+	count int64
+	// rb is a directory-only reader over the run file, decoding blocks on
+	// demand through the shared cache.
 	rb *runblock.Reader
 	// seq is the run's global age: flush runs take consecutive ordinals and
 	// a compacted run inherits the seq of its oldest input, so ix.runs stays
@@ -234,16 +215,6 @@ type run struct {
 	tierSeq int
 	// claimed marks a run scheduled into an in-flight compaction.
 	claimed bool
-}
-
-// capture appends one encoded record's key and position — the extsort.Tee
-// callback used to build a run's in-memory arrays while its file is
-// written, avoiding a read-back pass.
-func (r *run) capture(rec []byte) {
-	var k summary.Key
-	copy(k[:], rec[:summary.KeySize])
-	r.keys = append(r.keys, k)
-	r.positions = append(r.positions, int64(binary.LittleEndian.Uint64(rec[summary.KeySize:])))
 }
 
 // memEntry is one memtable record.
@@ -314,9 +285,9 @@ type Index struct {
 	bgQuit     chan struct{}
 	bgWG       sync.WaitGroup
 
-	// WAL state. wal is nil when Options.DisableWAL; the counters live on
-	// the Index (under mu) because every manifest snapshot records them
-	// either way. walAppended is the LSN after the last logged entry;
+	// WAL state. The counters live on the Index (under mu) because every
+	// manifest snapshot records them. walAppended is the LSN after the last
+	// logged entry;
 	// walFlushed is the durable flush cursor (entries below it are covered
 	// by flushed runs); un-flushed entries live in WAL segments
 	// [walFirstSeg, walNextSeg).
@@ -346,7 +317,6 @@ func Build(opt Options) (*Index, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	opt.ensureCache()
 	raw, err := opt.FS.Open(opt.RawName)
 	if err != nil {
 		return nil, err
@@ -357,13 +327,8 @@ func Build(opt Options) (*Index, error) {
 	ix.cond = sync.NewCond(&ix.mu)
 
 	// Summarize + sort the existing data into run 0 (tier determined by
-	// later compactions; the initial bulk run sits at a high tier). With
-	// the in-memory layout the key array is captured by teeing the sort's
-	// final pass, so the run is not read back after being written; the
-	// compressed layout skips the tee (there is no array to build) and
-	// reopens the file's block directory afterward.
+	// later compactions; the initial bulk run sits at a high tier).
 	name := ix.runName()
-	r := &run{name: name, tier: BulkTier, seq: ix.nextSeq}
 	cfg := extsort.Config{
 		FS:         opt.FS,
 		RecordSize: recordSize,
@@ -372,9 +337,6 @@ func Build(opt Options) (*Index, error) {
 		TempPrefix: opt.Name + ".sort",
 		Workers:    opt.Workers,
 		WrapOut:    ix.wrapOut(),
-	}
-	if !opt.Compressed {
-		cfg.Tee = r.capture
 	}
 	// A checksummed build owns the raw-dataset CRC sidecar unless the
 	// partition layer supplied its own; the source computes it inside its
@@ -392,47 +354,40 @@ func Build(opt Options) (*Index, error) {
 		raw.Close()
 		return nil, err
 	}
-	ix.nextSeq++
 	if n > 0 {
 		if err := syncFile(opt.FS, name); err != nil {
 			raw.Close()
 			return nil, err
 		}
-		if opt.Compressed {
-			if r, err = ix.openCompressedRun(name, BulkTier, r.seq, 0, n); err != nil {
-				raw.Close()
-				return nil, err
-			}
-		} else {
-			r.count = int64(len(r.keys))
+		r, err := ix.openRun(name, BulkTier, ix.nextSeq, 0, n)
+		if err != nil {
+			raw.Close()
+			return nil, err
 		}
 		ix.runs = append(ix.runs, r)
 	} else {
 		_ = opt.FS.Remove(name)
 	}
+	ix.nextSeq++
 	ix.count = n
 	// Pre-create WAL segment 0 so the manifest below references it: an
 	// acknowledged append may only ever land in a manifest-referenced
 	// segment (or one replay probes forward to), or a crash could lose it.
-	if !opt.DisableWAL {
-		f, size, err := createWALSegment(opt.FS, opt.Name, 0, 0)
-		if err != nil {
-			_ = ix.closeRunsLocked()
-			raw.Close()
-			return nil, err
-		}
-		ix.wal = newWAL(opt.FS, opt.Name, raw, f, 0, size, 0, opt.WALGroupWindow, opt.WALSyncEveryAppend)
-		ix.walNextSeg = 1
+	f, size, err := createWALSegment(opt.FS, opt.Name, 0, 0)
+	if err != nil {
+		_ = ix.closeRunsLocked()
+		raw.Close()
+		return nil, err
 	}
+	ix.wal = newWAL(opt.FS, opt.Name, raw, f, 0, size, 0, opt.WALGroupWindow)
+	ix.walNextSeg = 1
 	// Durability point: the manifest makes the bulk-loaded run reopenable
 	// with Open without re-reading the dataset.
 	ix.mu.Lock()
 	err = ix.commitManifestLocked()
 	ix.mu.Unlock()
 	if err != nil {
-		if ix.wal != nil {
-			_ = ix.wal.close()
-		}
+		_ = ix.wal.close()
 		_ = ix.closeRunsLocked()
 		raw.Close()
 		return nil, err
@@ -461,52 +416,30 @@ func (ix *Index) runName() string {
 	return name
 }
 
-// ensureCache materializes the shared block cache a compressed index
-// reads through. A caller-supplied cache (the partition layer's, shared
-// across children) wins; otherwise the index gets a private default.
-func (o *Options) ensureCache() {
-	if o.Compressed && o.Cache == nil {
-		o.Cache = blockcache.New(0)
-	}
-}
-
 // wrapOut returns the extsort final-output wrapper that writes run files
-// in the configured physical layout — the checksummed-block layer under
-// the block compressor, each independently optional — or nil when the
-// output is a flat record file.
+// in their physical layout: the block compressor, over the checksummed-
+// block layer when checksums are on.
 func (ix *Index) wrapOut() func(storage.File) (storage.File, error) {
-	checksums, compressed := ix.opt.Checksums, ix.opt.Compressed
-	if !checksums && !compressed {
-		return nil
-	}
+	checksums := ix.opt.Checksums
 	return func(f storage.File) (storage.File, error) {
-		out := f
 		if checksums {
 			cf, err := storage.CreateChecksumFile(f, runBlockPayload)
 			if err != nil {
 				return nil, err
 			}
-			out = cf
+			f = cf
 		}
-		if compressed {
-			return runblock.NewFileWriter(out, 0), nil
-		}
-		return out, nil
+		return runblock.NewFileWriter(f, 0), nil
 	}
 }
 
 // wrapIn returns the extsort merge-input wrapper that reads existing run
-// files through the configured physical layout (the inverse of wrapOut),
-// or nil for flat record files. Compressed inputs are opened with their
-// own block decoding, bypassing the shared cache: one-shot merge traffic
-// must never evict the hot query working set.
+// files through their physical layout (the inverse of wrapOut). Inputs are
+// opened with their own block decoding, bypassing the shared cache:
+// one-shot merge traffic must never evict the hot query working set.
 func (ix *Index) wrapIn() func(storage.File) (storage.File, error) {
-	checksums, compressed := ix.opt.Checksums, ix.opt.Compressed
-	if !checksums && !compressed {
-		return nil
-	}
+	checksums := ix.opt.Checksums
 	return func(f storage.File) (storage.File, error) {
-		in := f
 		if checksums {
 			// Reading through the verifying layer means a compaction can
 			// never launder rotted records into a fresh (correctly
@@ -515,21 +448,18 @@ func (ix *Index) wrapIn() func(storage.File) (storage.File, error) {
 			if err != nil {
 				return nil, err
 			}
-			in = cf
+			f = cf
 		}
-		if compressed {
-			return runblock.NewFileReader(in)
-		}
-		return in, nil
+		return runblock.NewFileReader(f)
 	}
 }
 
-// openCompressedRun opens a just-written block-compressed run file and
-// returns its run handle: a footer + directory read only — no key data is
-// materialized. The record count is cross-checked against what the writer
-// produced; the full streaming Verify is reserved for reopen (loadRun),
-// where the bytes' provenance is unknown.
-func (ix *Index) openCompressedRun(name string, tier int, seq int64, tierSeq int, count int64) (*run, error) {
+// openRun opens a just-written run file and returns its run handle: a
+// footer + directory read only — no key data is materialized. The record
+// count is cross-checked against what the writer produced; the full
+// streaming Verify is reserved for reopen (loadRun), where the bytes'
+// provenance is unknown.
+func (ix *Index) openRun(name string, tier int, seq int64, tierSeq int, count int64) (*run, error) {
 	inner, err := ix.opt.FS.Open(name)
 	if err != nil {
 		return nil, err
@@ -548,15 +478,15 @@ func (ix *Index) openCompressedRun(name string, tier int, seq int64, tierSeq int
 	}
 	if rb.Count() != count {
 		rb.Close()
-		return nil, fmt.Errorf("lsm: compressed run %s holds %d records, wrote %d", name, rb.Count(), count)
+		return nil, fmt.Errorf("lsm: run %s holds %d records, wrote %d", name, rb.Count(), count)
 	}
 	return &run{name: name, tier: tier, count: count, seq: seq, tierSeq: tierSeq, rb: rb}, nil
 }
 
 // attachRawSums attaches the raw-dataset CRC sidecar at Open: the
 // externally owned handle when Options.RawSums is set, or the index's own
-// (storage.LoadRecordSums — with the WAL on, a torn trailing partial record
-// is excluded by its floor division, exactly like replay).
+// (storage.LoadRecordSums — a torn trailing partial record is excluded by
+// its floor division, exactly like replay).
 func (ix *Index) attachRawSums() error {
 	opt := &ix.opt
 	if !opt.Checksums {
@@ -615,8 +545,8 @@ func (ix *Index) RebuildQuarantined() error {
 	}
 	covered := make(map[int64]bool, ix.count)
 	for _, r := range ix.runs {
-		err := r.eachBlock(func(_ []summary.Key, positions []int64) error {
-			for _, p := range positions {
+		err := r.rb.Scan(func(blk *runblock.Block) error {
+			for _, p := range blk.Pos {
 				covered[p] = true
 			}
 			return nil
@@ -722,7 +652,7 @@ func (ix *Index) AppendCtx(ctx context.Context, batch []series.Series) error {
 	ix.mu.Lock()
 	lsn, err := ix.appendLocked(batch)
 	ix.mu.Unlock()
-	if err != nil || ix.wal == nil {
+	if err != nil {
 		return err
 	}
 	return ix.wal.waitDurableCtx(ctx, lsn)
@@ -738,12 +668,6 @@ func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if end%sz != 0 && ix.wal == nil {
-		// With the WAL on, a torn tail can legitimately survive a crash
-		// (the partial record was never acknowledged); rounding the write
-		// position down overwrites it. Without a WAL it is corruption.
-		return 0, fmt.Errorf("lsm: raw file size %d not aligned", end)
-	}
 	for _, s := range batch {
 		if len(s) != p.SeriesLen {
 			return 0, fmt.Errorf("lsm: series length %d, want %d", len(s), p.SeriesLen)
@@ -753,6 +677,8 @@ func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	// A torn raw tail can legitimately survive a crash (the partial record
+	// was never acknowledged); rounding the write position down overwrites it.
 	pos := end / sz
 	enc := make([]byte, 0, sz)
 	// Records are logged in chunks: everything appended since the last
@@ -760,8 +686,7 @@ func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
 	// the batch end), so a flush never covers entries the log missed.
 	var pending []Entry
 	logPending := func() error {
-		if ix.wal == nil || len(pending) == 0 {
-			pending = pending[:0]
+		if len(pending) == 0 {
 			return nil
 		}
 		if _, err := ix.wal.log(pending); err != nil {
@@ -795,9 +720,6 @@ func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
 			// write position must be recomputed before the next record.
 			if end, err = ix.rawFile.Size(); err != nil {
 				return 0, err
-			}
-			if end%sz != 0 && ix.wal == nil {
-				return 0, fmt.Errorf("lsm: raw file size %d not aligned", end)
 			}
 			pos = end / sz
 		}
@@ -855,12 +777,10 @@ func (ix *Index) AppendEntriesNoWait(entries []Entry) (int64, error) {
 		if len(chunk) > room {
 			chunk = chunk[:room]
 		}
-		if ix.wal != nil {
-			if _, err := ix.wal.log(chunk); err != nil {
-				return 0, err
-			}
-			ix.walAppended += int64(len(chunk))
+		if _, err := ix.wal.log(chunk); err != nil {
+			return 0, err
 		}
+		ix.walAppended += int64(len(chunk))
 		for _, e := range chunk {
 			ix.mem = append(ix.mem, memEntry{key: e.Key, pos: e.Pos})
 			ix.count++
@@ -876,8 +796,7 @@ func (ix *Index) AppendEntriesNoWait(entries []Entry) (int64, error) {
 }
 
 // WaitDurable blocks until every entry at LSN <= lsn is durable (group-
-// committed into the WAL, or covered by a flushed run). With the WAL
-// disabled there is nothing to wait for.
+// committed into the WAL, or covered by a flushed run).
 func (ix *Index) WaitDurable(lsn int64) error {
 	return ix.WaitDurableCtx(context.Background(), lsn)
 }
@@ -886,9 +805,6 @@ func (ix *Index) WaitDurable(lsn int64) error {
 // returns ctx.Err() and abandons the wait; the group commit itself is
 // unaffected, so the entries still become durable.
 func (ix *Index) WaitDurableCtx(ctx context.Context, lsn int64) error {
-	if ix.wal == nil {
-		return nil
-	}
 	return ix.wal.waitDurableCtx(ctx, lsn)
 }
 
@@ -960,10 +876,8 @@ func (ix *Index) flushLocked() error {
 	// the only durable record of these entries. It also licenses the
 	// committer to keep releasing waiters against the fresh segment after
 	// the rotation below without stranding entries in the old one.
-	if ix.wal != nil {
-		if err := ix.wal.syncActive(); err != nil {
-			return err
-		}
+	if err := ix.wal.syncActive(); err != nil {
+		return err
 	}
 	// Every entry ever logged is now covered by a durable run: advance the
 	// flush cursor, release group-commit waiters without a segment sync,
@@ -971,16 +885,14 @@ func (ix *Index) flushLocked() error {
 	// recycled once the manifest commit below lands.
 	oldFirstSeg := ix.walFirstSeg
 	ix.walFlushed = ix.walAppended
-	if ix.wal != nil {
-		ix.wal.markFlushed(ix.walFlushed)
-		if !ix.wal.activeEmpty() {
-			seg := ix.walNextSeg
-			if err := ix.wal.rotate(seg, ix.walAppended); err != nil {
-				return err
-			}
-			ix.walNextSeg = seg + 1
-			ix.walFirstSeg = seg
+	ix.wal.markFlushed(ix.walFlushed)
+	if !ix.wal.activeEmpty() {
+		seg := ix.walNextSeg
+		if err := ix.wal.rotate(seg, ix.walAppended); err != nil {
+			return err
 		}
+		ix.walNextSeg = seg + 1
+		ix.walFirstSeg = seg
 	}
 	// Commit the manifest before compacting: the new run is durable the
 	// moment Flush's structural change exists, and every later compaction
@@ -1011,10 +923,10 @@ func (ix *Index) flushLocked() error {
 	return ix.bgErr
 }
 
-// writeRunFile persists one sorted run file — in the checksummed-block
-// format when checksums are on — fsyncs it (the manifest commit that will
+// writeRunFile persists one sorted run file — over the checksummed-block
+// layer when checksums are on — fsyncs it (the manifest commit that will
 // reference it requires the bytes on stable storage first), and returns
-// the loaded run handle.
+// the opened run handle.
 func (ix *Index) writeRunFile(name string, entries []memEntry, tier int, seq int64, tierSeq int) (*run, error) {
 	inner, err := ix.opt.FS.Create(name)
 	if err != nil {
@@ -1027,41 +939,14 @@ func (ix *Index) writeRunFile(name string, entries []memEntry, tier int, seq int
 			return nil, err
 		}
 	}
-	if ix.opt.Compressed {
-		bw := runblock.NewWriter(f, 0)
-		for _, e := range entries {
-			if err := bw.Add(e.key, e.pos); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-		if err := bw.Finish(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		return ix.openCompressedRun(name, tier, seq, tierSeq, int64(len(entries)))
-	}
-	w := storage.NewSequentialWriter(f, 0, 0)
-	rec := make([]byte, recordSize)
-	r := &run{name: name, tier: tier, count: int64(len(entries)), seq: seq, tierSeq: tierSeq}
+	bw := runblock.NewWriter(f, 0)
 	for _, e := range entries {
-		copy(rec, e.key[:])
-		binary.LittleEndian.PutUint64(rec[summary.KeySize:], uint64(e.pos))
-		if _, err := w.Write(rec); err != nil {
+		if err := bw.Add(e.key, e.pos); err != nil {
 			f.Close()
 			return nil, err
 		}
-		r.keys = append(r.keys, e.key)
-		r.positions = append(r.positions, e.pos)
 	}
-	if err := w.Flush(); err != nil {
+	if err := bw.Finish(); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -1072,7 +957,7 @@ func (ix *Index) writeRunFile(name string, entries []memEntry, tier int, seq int
 	if err := f.Close(); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return ix.openRun(name, tier, seq, tierSeq, int64(len(entries)))
 }
 
 // tier0CountLocked counts on-disk tier-0 runs, claimed ones included: a
@@ -1214,20 +1099,17 @@ func (ix *Index) landLocked(job *compactJob, newRun *run) error {
 
 // runCompaction merge-sorts a claimed group via the parallel sorter's merge
 // machinery — strictly sequential reads and writes, memory budget and
-// worker pool shared with the bulk-load path. With in-memory runs the key
-// array is captured by teeing the final merge pass, so compaction reads
-// each input byte exactly once; with compressed runs the output is
-// re-encoded through the write adapter and reopened as a block directory
-// (no key array ever materializes). No lock is held: the inputs are
-// immutable files, and extsort.Merge removes its temporaries (and a
-// partial output) on error.
+// worker pool shared with the bulk-load path. The output is re-encoded
+// through the write adapter and reopened as a block directory (no key array
+// ever materializes). No lock is held: the inputs are immutable files, and
+// extsort.Merge removes its temporaries (and a partial output) on error.
 func (ix *Index) runCompaction(job *compactJob) (*run, error) {
 	names := make([]string, len(job.inputs))
+	var want int64
 	for i, r := range job.inputs {
 		names[i] = r.name
+		want += r.count
 	}
-	newRun := &run{name: job.outName, tier: job.outTier,
-		seq: job.outSeq, tierSeq: job.group}
 	cfg := extsort.Config{
 		FS:         ix.opt.FS,
 		RecordSize: recordSize,
@@ -1238,25 +1120,25 @@ func (ix *Index) runCompaction(job *compactJob) (*run, error) {
 		WrapOut:    ix.wrapOut(),
 		WrapIn:     ix.wrapIn(),
 	}
-	if !ix.opt.Compressed {
-		cfg.Tee = newRun.capture
-	}
-	err := extsort.Merge(cfg, names, job.outName)
-	if err != nil {
+	if err := extsort.Merge(cfg, names, job.outName); err != nil {
 		return nil, err
 	}
 	if err := syncFile(ix.opt.FS, job.outName); err != nil {
 		return nil, err
 	}
-	if ix.opt.Compressed {
-		var want int64
-		for _, r := range job.inputs {
-			want += r.count
+	return ix.openRun(job.outName, job.outTier, job.outSeq, job.group, want)
+}
+
+// closeRunsLocked closes every run's reader (dropping its cached blocks),
+// keeping the first error — the teardown half of the open/swap lifecycle.
+func (ix *Index) closeRunsLocked() error {
+	var first error
+	for _, r := range ix.runs {
+		if err := r.rb.Close(); err != nil && first == nil {
+			first = err
 		}
-		return ix.openCompressedRun(job.outName, job.outTier, job.outSeq, job.group, want)
 	}
-	newRun.count = int64(len(newRun.keys))
-	return newRun, nil
+	return first
 }
 
 // syncFile fsyncs an already-written file so a manifest may reference it.
@@ -1308,7 +1190,7 @@ func (ix *Index) swapLocked(job *compactJob, newRun *run) error {
 		return err
 	}
 	for _, r := range job.inputs {
-		_ = r.close()
+		_ = r.rb.Close()
 		_ = ix.opt.FS.Remove(r.name)
 	}
 	return nil
@@ -1373,10 +1255,14 @@ func (ix *Index) compactorLoop() {
 			ix.kick()
 			newRun, err := ix.runCompaction(job)
 			ix.mu.Lock()
-			ix.inflight--
 			if err == nil {
 				err = ix.landLocked(job, newRun)
 			}
+			// Only now is the job no longer in flight: landLocked releases mu
+			// for the manifest fsync, and a drain that saw inflight == 0 in
+			// that window would return before the merged-away inputs are
+			// deleted.
+			ix.inflight--
 			if err != nil {
 				if ix.bgErr == nil {
 					ix.bgErr = err
@@ -1433,14 +1319,8 @@ func (ix *Index) NumRuns() int {
 	return len(ix.runs)
 }
 
-// CacheStats returns the shared block cache's counters, or zeros when the
-// index reads no cache (uncompressed layout).
-func (ix *Index) CacheStats() blockcache.Stats {
-	if ix.opt.Cache == nil {
-		return blockcache.Stats{}
-	}
-	return ix.opt.Cache.Stats()
-}
+// CacheStats returns the shared block cache's counters.
+func (ix *Index) CacheStats() blockcache.Stats { return ix.opt.Cache.Stats() }
 
 // SizeBytes returns the total size of all run files.
 func (ix *Index) SizeBytes() int64 {
@@ -1485,10 +1365,7 @@ func (ix *Index) Close() error {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	var walErr error
-	if ix.wal != nil {
-		walErr = ix.wal.close()
-	}
+	walErr := ix.wal.close()
 	runsErr := ix.closeRunsLocked()
 	closeErr := ix.rawFile.Close()
 	if flushErr != nil {
@@ -1576,8 +1453,8 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 			Count:   r.count,
 		}
 		if r.count > 0 {
-			ri.MinKey = r.minKey()
-			ri.MaxKey = r.maxKey()
+			ri.MinKey = r.rb.MinKey()
+			ri.MaxKey = r.rb.MaxKey()
 		}
 		runs[i] = ri
 		total += r.count
@@ -1610,7 +1487,7 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 		RawName:    ix.opt.RawName,
 		Count:      total,
 		Checksums:  ix.opt.Checksums,
-		Compressed: ix.opt.Compressed,
+		Compressed: true,
 		LSM: &manifest.LSMLayout{
 			Fanout:      ix.opt.Fanout,
 			NextRun:     ix.nextRun,
@@ -1689,19 +1566,19 @@ func (ix *Index) windowCandsLocked(q series.Series) (below, above []window.Cand,
 	below = make([]window.Cand, 0, half*(len(ix.runs)+1))
 	above = make([]window.Cand, 0, half*(len(ix.runs)+1))
 	for _, r := range ix.runs {
-		idx, serr := r.searchKey(key)
+		idx, serr := r.rb.Search(key)
 		if serr != nil {
 			return nil, nil, 0, serr
 		}
 		lo, hi := idx-int64(half), idx+int64(half)
-		err := r.each(lo, idx, func(k summary.Key, pos int64) error {
+		err := r.rb.Range(lo, idx, func(k summary.Key, pos int64) error {
 			below = append(below, window.Cand{Key: k, Pos: pos, LB: tbl.Key(k)})
 			return nil
 		})
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		err = r.each(idx, hi, func(k summary.Key, pos int64) error {
+		err = r.rb.Range(idx, hi, func(k summary.Key, pos int64) error {
 			above = append(above, window.Cand{Key: k, Pos: pos, LB: tbl.Key(k)})
 			return nil
 		})
@@ -1762,8 +1639,8 @@ func (ix *Index) ApproxWindowCandsCtx(ctx context.Context, q series.Series) (cor
 // ExactSearch is SIMS over the union of all runs' key blocks and the
 // memtable: squared lower bounds for every record (one per-query
 // MinDistTable shared by every run and the memtable, evaluated per run
-// across QueryWorkers; a compressed run is swept block by block without
-// evicting what the cache holds, see run.eachBlock), then a position-ordered
+// across QueryWorkers; a run is swept block by block without evicting what
+// the cache holds, see runblock.Reader.Scan), then a position-ordered
 // skip-sequential scan of the raw file (core.VerifyRaw: file-adjacent
 // candidates share one read), sharded by position range with a shared
 // squared best-so-far bound — the Euclidean distance is materialized once,
@@ -1825,12 +1702,11 @@ func (ix *Index) exactVerifyLocked(ctx context.Context, q series.Series, res Res
 		return res, err
 	}
 	tbl, limit := &pass.Table, bound.Limit(res.Dist)
-	// Lower-bound the runs block by block — with compressed runs the working
-	// set is one decoded block, never the run. Each run's key array is
-	// independent, so the pass fans out over the run list; every shard keeps
-	// its survivors in run order in a list of its own (the first in the
-	// pooled one) and the lists concatenate in shard order, so the candidates
-	// are the same for any worker count.
+	// Lower-bound the runs block by block — the working set is one decoded
+	// block, never the run. Each run is independent, so the pass fans out
+	// over the run list; every shard keeps its survivors in run order in a
+	// list of its own (the first in the pooled one) and the lists concatenate
+	// in shard order, so the candidates are the same for any worker count.
 	runWorkers := shard.Resolve(ix.opt.QueryWorkers, len(ix.runs))
 	// Split the worker budget between the run fan-out and the per-run
 	// lower-bound pass, so a single-run index (fresh bulk load, or fully
@@ -1843,8 +1719,8 @@ func (ix *Index) exactVerifyLocked(ctx context.Context, q series.Series, res Res
 			if cancelled() {
 				return nil
 			}
-			err := r.eachBlock(func(keys []summary.Key, positions []int64) error {
-				perShard[si] = tbl.Filter(perShard[si], keys, positions, limit, innerWorkers)
+			err := r.rb.Scan(func(blk *runblock.Block) error {
+				perShard[si] = tbl.Filter(perShard[si], blk.Keys, blk.Pos, limit, innerWorkers)
 				return nil
 			})
 			if err != nil {

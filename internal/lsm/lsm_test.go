@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -59,7 +60,7 @@ func bruteForce1NN(q series.Series, data []series.Series) float64 {
 }
 
 func TestBuildInitialRun(t *testing.T) {
-	ix, _, _ := buildFixture(t, 1<<20)
+	ix, _, fs := buildFixture(t, 1<<20)
 	defer ix.Close()
 	if ix.Count() != tCount {
 		t.Fatalf("Count = %d", ix.Count())
@@ -67,15 +68,29 @@ func TestBuildInitialRun(t *testing.T) {
 	if ix.NumRuns() != 1 {
 		t.Fatalf("NumRuns = %d, want 1", ix.NumRuns())
 	}
-	if ix.SizeBytes() != int64(tCount*recordSize) {
-		t.Fatalf("SizeBytes = %d", ix.SizeBytes())
-	}
-	// Run keys must be sorted.
 	r := ix.runs[0]
-	for i := 1; i < len(r.keys); i++ {
-		if r.keys[i].Less(r.keys[i-1]) {
-			t.Fatal("run keys not sorted")
+	if r.rb.Count() != tCount {
+		t.Fatalf("run holds %d records, want %d", r.rb.Count(), tCount)
+	}
+	if got, want := ix.SizeBytes(), fs.FileSize(r.name); got != want || want <= 0 {
+		t.Fatalf("SizeBytes = %d, run file is %d bytes", got, want)
+	}
+	requireSorted(t, r)
+}
+
+// requireSorted fails unless the run's keys stream in non-descending order.
+func requireSorted(t *testing.T, r *run) {
+	t.Helper()
+	var prev summary.Key
+	err := r.rb.Range(0, r.count, func(k summary.Key, _ int64) error {
+		if k.Less(prev) {
+			return errors.New("run keys not sorted")
 		}
+		prev = k
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -154,11 +169,7 @@ func TestCompactionTotalRecordsPreserved(t *testing.T) {
 	for _, r := range ix.runs {
 		total += r.count
 		// Sorted within each run.
-		for i := 1; i < len(r.keys); i++ {
-			if r.keys[i].Less(r.keys[i-1]) {
-				t.Fatal("run not sorted after compaction")
-			}
-		}
+		requireSorted(t, r)
 	}
 	total += int64(len(ix.mem))
 	if total != tCount+300 {

@@ -3,8 +3,6 @@ package lsm
 import (
 	"errors"
 	"fmt"
-	"io"
-	"sort"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/core"
@@ -13,12 +11,11 @@ import (
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/storage/blockcache"
-	"github.com/coconut-db/coconut/internal/summary"
 )
 
 // Open reopens a persisted Coconut-LSM index from its manifest: every
-// run's in-memory key array is reloaded by one sequential pass over the
-// run file itself — the raw dataset is opened for query-time fetches but
+// run's block directory is reloaded and its file verified by one
+// sequential pass — the raw dataset is opened for query-time fetches but
 // never read — and the scheduling counters (run naming, seq, tierSeq,
 // compaction-group cursors) are restored so subsequent flushes and
 // compactions continue the exact deterministic sequence a never-closed
@@ -61,13 +58,9 @@ func Open(opt Options) (*Index, error) {
 		return nil, fmt.Errorf("lsm: %w: fanout %d, stored index was built with %d",
 			manifest.ErrConfigMismatch, opt.Fanout, m.LSM.Fanout)
 	}
-	// The checksummed-block and block-compressed layouts are properties of
-	// the stored bytes, not of this process's configuration; adopt the
-	// manifest's flags (and materialize the block cache a compressed index
-	// reads through).
+	// The checksummed-block layer is a property of the stored bytes, not of
+	// this process's configuration; adopt the manifest's flag.
 	opt.Checksums = m.Checksums
-	opt.Compressed = m.Compressed
-	opt.ensureCache()
 
 	raw, err := opt.FS.Open(opt.RawName)
 	if err != nil {
@@ -86,12 +79,7 @@ func Open(opt Options) (*Index, error) {
 			return nil, fmt.Errorf("lsm: %w: runs out of age order", manifest.ErrCorruptManifest)
 		}
 		lastSeq = ri.Seq
-		var r *run
-		if opt.Compressed {
-			r, err = loadCompressedRun(opt.FS, ri, opt.Checksums, opt.Cache)
-		} else {
-			r, err = loadRun(opt.FS, ri, opt.Checksums)
-		}
+		r, err := loadRun(opt.FS, ri, opt.Checksums, opt.Cache)
 		if err != nil {
 			if opt.AllowDegraded && (errors.Is(err, storage.ErrCorruptData) ||
 				errors.Is(err, manifest.ErrCorruptManifest) || errors.Is(err, storage.ErrNotExist)) {
@@ -168,11 +156,6 @@ func Open(opt Options) (*Index, error) {
 // an entry dropped by this replay because its raw bytes never reached
 // stable storage can never be resurrected by a later replay after the
 // raw file has grown past its position again.
-//
-// With Options.DisableWAL the replayed entries are flushed into a run
-// immediately and every segment is deleted, so the index converges to a
-// pure no-WAL layout while still honoring the durability the previous
-// generation acknowledged.
 func (ix *Index) recoverWAL(m *manifest.Manifest) error {
 	opt := ix.opt
 	ix.walFlushed = m.LSM.WALFlushed
@@ -206,8 +189,8 @@ func (ix *Index) recoverWAL(m *manifest.Manifest) error {
 		replayed = replayed[:0]
 		covered := make(map[int64]bool, ix.count)
 		for _, r := range ix.runs {
-			err := r.eachBlock(func(_ []summary.Key, positions []int64) error {
-				for _, p := range positions {
+			err := r.rb.Scan(func(blk *runblock.Block) error {
+				for _, p := range blk.Pos {
 					covered[p] = true
 				}
 				return nil
@@ -241,14 +224,6 @@ func (ix *Index) recoverWAL(m *manifest.Manifest) error {
 		ix.quarantined = nil
 		last = ix.walFlushed + int64(len(replayed))
 	}
-	removeReclaimed := func() error {
-		for _, name := range reclaimed {
-			if err := opt.FS.Remove(name); err != nil && !errors.Is(err, storage.ErrNotExist) {
-				return err
-			}
-		}
-		return nil
-	}
 	for _, e := range replayed {
 		ix.mem = append(ix.mem, memEntry{key: e.Key, pos: e.Pos})
 	}
@@ -262,26 +237,6 @@ func (ix *Index) recoverWAL(m *manifest.Manifest) error {
 	next := ix.walNextSeg
 	for opt.FS.Exists(walSegName(opt.Name, next)) {
 		next++
-	}
-
-	if opt.DisableWAL {
-		ix.walFirstSeg, ix.walNextSeg = next, next
-		ix.mu.Lock()
-		if len(ix.mem) > 0 {
-			// flushLocked covers the replayed entries with a durable run and
-			// commits a manifest that references no WAL segments.
-			err = ix.flushLocked()
-		} else if oldFirst < next || m.LSM.WALNextSeg > m.LSM.WALFirstSeg {
-			err = ix.commitManifestLocked()
-		}
-		ix.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		if err := removeReclaimed(); err != nil {
-			return err
-		}
-		return ix.removeWALSegments(oldFirst, next)
 	}
 
 	f, size, err := createWALSegment(opt.FS, opt.Name, next, ix.walFlushed)
@@ -303,7 +258,7 @@ func (ix *Index) recoverWAL(m *manifest.Manifest) error {
 		}
 	}
 	ix.wal = newWAL(opt.FS, opt.Name, ix.rawFile, f, next, size,
-		ix.walAppended, opt.WALGroupWindow, opt.WALSyncEveryAppend)
+		ix.walAppended, opt.WALGroupWindow)
 	ix.walFirstSeg, ix.walNextSeg = next, next+1
 	ix.mu.Lock()
 	err = ix.commitManifestLocked()
@@ -311,8 +266,10 @@ func (ix *Index) recoverWAL(m *manifest.Manifest) error {
 	if err != nil {
 		return err
 	}
-	if err := removeReclaimed(); err != nil {
-		return err
+	for _, name := range reclaimed {
+		if err := opt.FS.Remove(name); err != nil && !errors.Is(err, storage.ErrNotExist) {
+			return err
+		}
 	}
 	return ix.removeWALSegments(oldFirst, next)
 }
@@ -342,74 +299,16 @@ func (ix *Index) removeWALSegments(first, next int) error {
 // on-disk corruption error the integrity layer introduces).
 var errCorruptRun = fmt.Errorf("%w: %w", manifest.ErrCorruptManifest, storage.ErrCorruptData)
 
-// loadRun reloads one immutable run's in-memory key array from its file —
-// a single sequential read — and verifies it against the manifest's
-// integrity bounds: exact byte size, record count, first/last key, and
-// sortedness under the refined (key, encoded position) order. With
-// checksums on, the read goes through the verifying block layer, so
-// bit-rot anywhere in the file surfaces here as errCorruptRun rather than
-// as silently wrong keys.
-func loadRun(fs storage.FS, ri manifest.RunInfo, checksums bool) (*run, error) {
-	inner, err := fs.Open(ri.Name)
-	if err != nil {
-		return nil, err
-	}
-	f := storage.File(inner)
-	if checksums {
-		if f, err = storage.OpenChecksumFile(inner); err != nil {
-			inner.Close()
-			if errors.Is(err, storage.ErrCorruptData) {
-				return nil, fmt.Errorf("%w: %w", manifest.ErrCorruptManifest, err)
-			}
-			return nil, err
-		}
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return nil, err
-	}
-	if size != ri.Count*recordSize {
-		return nil, fmt.Errorf("%w: run file is %d bytes, manifest says %d records of %d bytes",
-			errCorruptRun, size, ri.Count, recordSize)
-	}
-	r := &run{name: ri.Name, tier: ri.Tier, count: ri.Count, seq: ri.Seq, tierSeq: ri.TierSeq}
-	r.keys = make([]summary.Key, 0, ri.Count)
-	r.positions = make([]int64, 0, ri.Count)
-	sr := storage.NewSequentialReader(f, 0, size, 0)
-	rec := make([]byte, recordSize)
-	for i := int64(0); i < ri.Count; i++ {
-		if _, err := io.ReadFull(sr, rec); err != nil {
-			return nil, fmt.Errorf("%w: short run file: %w", errCorruptRun, err)
-		}
-		r.capture(rec)
-	}
-	if len(r.keys) == 0 {
-		return nil, fmt.Errorf("%w: empty run", errCorruptRun)
-	}
-	if r.keys[0] != ri.MinKey || r.keys[len(r.keys)-1] != ri.MaxKey {
-		return nil, fmt.Errorf("%w: run key range does not match manifest", errCorruptRun)
-	}
-	if !sort.SliceIsSorted(r.keys, func(a, b int) bool {
-		if c := r.keys[a].Compare(r.keys[b]); c != 0 {
-			return c < 0
-		}
-		return lePosLess(r.positions[a], r.positions[b])
-	}) {
-		return nil, fmt.Errorf("%w: run records out of order", errCorruptRun)
-	}
-	return r, nil
-}
-
-// loadCompressedRun reopens one immutable block-compressed run: the footer
-// and block directory come into memory (a few bytes per block); the key
-// data stays on disk, decoded block by block through the shared cache.
-// Reopen-time integrity matches loadRun's: a full streaming Verify decodes
+// loadRun reopens one immutable run: the footer and block directory come
+// into memory (a few bytes per block); the key data stays on disk, decoded
+// block by block through the shared cache. A full streaming Verify decodes
 // every block once — checking per-block CRCs, in-block and cross-block
-// refined order, and the directory's promises — in O(one block) memory,
-// and the manifest's count and key range are cross-checked against the
-// footer. Any disagreement surfaces as errCorruptRun.
-func loadCompressedRun(fs storage.FS, ri manifest.RunInfo, checksums bool, cache *blockcache.Cache) (*run, error) {
+// refined order (key, then encoded position), and the directory's promises
+// — in O(one block) memory, and the manifest's count and key range are
+// cross-checked against the footer. Any disagreement surfaces as
+// errCorruptRun; with checksums on the read also goes through the verifying
+// block layer.
+func loadRun(fs storage.FS, ri manifest.RunInfo, checksums bool, cache *blockcache.Cache) (*run, error) {
 	inner, err := fs.Open(ri.Name)
 	if err != nil {
 		return nil, err

@@ -151,7 +151,7 @@ func TestBuildReadsRawOnce(t *testing.T) {
 				before := fs.Stats().Snapshot()
 				ix, err := Build(Options{
 					FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw",
-					MemBudgetBytes: 1 << 20, Workers: workers, Checksums: true, Compressed: true,
+					MemBudgetBytes: 1 << 20, Workers: workers, Checksums: true,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -10,6 +10,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/dataset"
@@ -101,7 +102,7 @@ func TestOpenRoundTrip(t *testing.T) {
 func TestOpenContinuesDeterministicSequence(t *testing.T) {
 	gen := dataset.NewRandomWalk()
 	stream := dataset.Generate(gen, 400, tLen, 7)
-	build := func(interrupt bool) *storage.MemFS {
+	build := func(interrupt bool) map[string][]byte {
 		fs := storage.NewMemFS()
 		if _, err := dataset.WriteFile(fs, "raw", gen, tCount, tLen, 42); err != nil {
 			t.Fatal(err)
@@ -109,13 +110,9 @@ func TestOpenContinuesDeterministicSequence(t *testing.T) {
 		// The memtable capacity (25 records) divides the batch size, so the
 		// memtable is empty at every batch boundary — the mid-stream Close
 		// then adds no extra flush and both sequences see identical flushes.
-		// The WAL is disabled: reopening starts a fresh log generation with
-		// new segment numbers by design, which byte-level comparison of the
-		// two file sets would (correctly) flag.
 		opt := Options{
 			FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw",
 			MemBudgetBytes: 25 * recordSize, Fanout: 2, Workers: 2,
-			DisableWAL: true,
 		}
 		ix, err := Build(opt)
 		if err != nil {
@@ -141,10 +138,27 @@ func TestOpenContinuesDeterministicSequence(t *testing.T) {
 		if err := ix.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return fs
+		// Reopening starts a fresh log generation with new segment numbers by
+		// design: leave the (empty) WAL segments out of the byte comparison
+		// and blank the manifest's segment cursors.
+		st := fsState(t, fs)
+		for name := range st {
+			if strings.Contains(name, ".wal.") {
+				delete(st, name)
+			}
+		}
+		m, err := manifest.Decode(st[manifest.FileName("lsm")])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.LSM.WALFirstSeg, m.LSM.WALNextSeg = 0, 0
+		if st[manifest.FileName("lsm")], err = m.Encode(); err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	ref := fsState(t, build(false))
-	got := fsState(t, build(true))
+	ref := build(false)
+	got := build(true)
 	if len(ref) != len(got) {
 		t.Fatalf("file sets differ: %d vs %d files", len(got), len(ref))
 	}
@@ -260,7 +274,7 @@ func TestOutOfOrderSwapCommit(t *testing.T) {
 		groupsClaimed: map[int]int{}, committedGroups: map[int]int{},
 		parked: map[int]map[int]*finishedSwap{}}
 	for i := 0; i < 4; i++ {
-		ix.runs = append(ix.runs, mkRun(0, i, int64(i)))
+		ix.runs = append(ix.runs, mkRun(t, ix, 0, i, int64(i)))
 	}
 	job0 := ix.findGroupLocked(true)
 	job1 := ix.findGroupLocked(true)
@@ -271,7 +285,7 @@ func TestOutOfOrderSwapCommit(t *testing.T) {
 	// Group 1 finishes first: it must park, commit nothing, delete nothing.
 	// landLocked's manifest commit drops and re-acquires mu, so the test
 	// must genuinely hold it.
-	out1 := mkRun(1, 1, job1.outSeq)
+	out1 := mkRun(t, ix, 1, 1, job1.outSeq)
 	ix.mu.Lock()
 	err := ix.landLocked(job1, out1)
 	ix.mu.Unlock()
@@ -289,7 +303,7 @@ func TestOutOfOrderSwapCommit(t *testing.T) {
 	}
 
 	// Group 0 lands: both swaps commit, in order.
-	out0 := mkRun(1, 0, job0.outSeq)
+	out0 := mkRun(t, ix, 1, 0, job0.outSeq)
 	ix.mu.Lock()
 	err = ix.landLocked(job0, out0)
 	ix.mu.Unlock()
@@ -307,11 +321,14 @@ func TestOutOfOrderSwapCommit(t *testing.T) {
 	}
 }
 
-// mkRun fabricates an in-memory run for scheduler unit tests.
-func mkRun(tier, tierSeq int, seq int64) *run {
-	return &run{name: fmt.Sprintf("r.t%d.%d", tier, tierSeq), tier: tier,
-		tierSeq: tierSeq, seq: seq, count: 1,
-		keys: []summary.Key{{}}, positions: []int64{0}}
+// mkRun fabricates a one-record run on ix's device for scheduler unit tests.
+func mkRun(t *testing.T, ix *Index, tier, tierSeq int, seq int64) *run {
+	t.Helper()
+	r, err := ix.writeRunFile(fmt.Sprintf("r.t%d.%d", tier, tierSeq), []memEntry{{}}, tier, seq, tierSeq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestAdaptiveClaimOrder: with ready groups at several tiers, claiming
@@ -319,12 +336,12 @@ func mkRun(tier, tierSeq int, seq int64) *run {
 // MaxPendingRuns) higher tiers are deferred entirely while the readiness
 // probe still sees them.
 func TestAdaptiveClaimOrder(t *testing.T) {
-	ix := &Index{opt: Options{Fanout: 2, MaxPendingRuns: 4},
+	ix := &Index{opt: Options{FS: storage.NewMemFS(), Fanout: 2, MaxPendingRuns: 4},
 		groupsClaimed: map[int]int{}, committedGroups: map[int]int{},
 		parked: map[int]map[int]*finishedSwap{}}
 	var seq int64
 	add := func(tier, tierSeq int) {
-		ix.runs = append(ix.runs, mkRun(tier, tierSeq, seq))
+		ix.runs = append(ix.runs, mkRun(t, ix, tier, tierSeq, seq))
 		seq++
 	}
 	// A ready tier-2 group, a ready tier-1 group, and two tier-0 runs.

@@ -50,9 +50,8 @@ func walSegName(name string, seg int) string {
 
 // wal owns the active segment file and the group-commit machinery. The
 // LSN counters that recovery needs (flush cursor, segment range) live on
-// the Index under ix.mu — they go into every manifest even when the WAL
-// is disabled — while the wal tracks the durable watermark its waiters
-// block on.
+// the Index under ix.mu, where every manifest snapshot reads them, while
+// the wal tracks the durable watermark its waiters block on.
 type wal struct {
 	fs   storage.FS
 	name string
@@ -76,13 +75,9 @@ type wal struct {
 	err     error // sticky: a torn segment write poisons the log
 	quit    bool
 
-	// window optionally stretches each group commit to admit more
-	// waiters; syncEach replaces the committer with per-append fsyncs
-	// (the benchmark baseline group commit is measured against).
-	window   time.Duration
-	syncEach bool
-	syncMu   sync.Mutex
-	wg       sync.WaitGroup
+	// window optionally stretches each group commit to admit more waiters.
+	window time.Duration
+	wg     sync.WaitGroup
 }
 
 // createWALSegment creates the segment file and writes its header. The
@@ -107,18 +102,16 @@ func createWALSegment(fs storage.FS, name string, seg int, startLSN int64) (stor
 // newWAL adopts an already-created segment file (everything in it is
 // known durable — Open syncs the re-logged recovery record before
 // handing the file over) and starts the committer.
-func newWAL(fs storage.FS, name string, raw, f storage.File, seg int, size, appended int64, window time.Duration, syncEach bool) *wal {
+func newWAL(fs storage.FS, name string, raw, f storage.File, seg int, size, appended int64, window time.Duration) *wal {
 	w := &wal{
 		fs: fs, name: name, raw: raw,
 		f: f, seg: seg, size: size,
 		appended: appended, durable: appended,
-		window: window, syncEach: syncEach,
+		window: window,
 	}
 	w.cond = sync.NewCond(&w.mu)
-	if !syncEach {
-		w.wg.Add(1)
-		go w.committer()
-	}
+	w.wg.Add(1)
+	go w.committer()
 	return w
 }
 
@@ -163,23 +156,13 @@ func (w *wal) log(entries []Entry) (int64, error) {
 	return w.appended, nil
 }
 
-// waitDurable blocks until every entry with LSN <= lsn is durable — group
-// commit released the batch, or a flush covered it with a run.
-func (w *wal) waitDurable(lsn int64) error {
-	return w.waitDurableCtx(context.Background(), lsn)
-}
-
-// waitDurableCtx is waitDurable with cancellation: a done context wakes
-// the waiter (via an AfterFunc broadcast) and it returns ctx.Err(). The
-// abandoned wait has no effect on the group commit — the committer still
-// fsyncs the batch, so the caller's entries become durable anyway; the
-// caller merely stops being told about it.
+// waitDurableCtx blocks until every entry with LSN <= lsn is durable — group
+// commit released the batch, or a flush covered it with a run. A done
+// context wakes the waiter (via an AfterFunc broadcast) and it returns
+// ctx.Err(). The abandoned wait has no effect on the group commit — the
+// committer still fsyncs the batch, so the caller's entries become durable
+// anyway; the caller merely stops being told about it.
 func (w *wal) waitDurableCtx(ctx context.Context, lsn int64) error {
-	if w.syncEach {
-		// The per-append-fsync baseline performs the sync inline; it is not
-		// interruptible mid-fsync, matching the admission-control contract.
-		return w.syncTo(lsn)
-	}
 	if done := ctx.Done(); done != nil {
 		stop := context.AfterFunc(ctx, func() {
 			w.mu.Lock()
@@ -251,43 +234,6 @@ func (w *wal) committer() {
 		}
 		w.cond.Broadcast()
 	}
-}
-
-// syncTo is the per-append-fsync baseline (Options.WALSyncEveryAppend):
-// the appender itself syncs raw + segment, serialized on syncMu the way
-// fsyncs serialize on one device. Every append issues its own fsync pair
-// even when a concurrent appender's sync already covered it — no
-// coalescing is the point of the baseline group commit is measured
-// against.
-func (w *wal) syncTo(lsn int64) error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	w.syncing++
-	f, raw := w.f, w.raw
-	target := w.appended
-	w.mu.Unlock()
-	err := raw.Sync()
-	if err == nil {
-		err = f.Sync()
-	}
-	w.mu.Lock()
-	w.syncing--
-	if err != nil {
-		if w.err == nil {
-			w.err = err
-		}
-	} else if target > w.durable {
-		w.durable = target
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	return err
 }
 
 // syncActive fsyncs the active segment if it holds any records. Flush

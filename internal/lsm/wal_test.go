@@ -85,8 +85,8 @@ func TestWALCrashWindowSweep(t *testing.T) {
 	}
 
 	// Reference indexes, one per possible recovered count C: the same seed
-	// plus the first C stream series, never crashed, WAL off — so its run
-	// layout differs from any recovered index's, which is exactly what
+	// plus the first C stream series, never crashed — so its run layout
+	// differs from any recovered index's, which is exactly what
 	// makes the answer comparison meaningful (exact search is exact, and
 	// ApproxSearch's merged window is a pure function of the record
 	// multiset, so both must agree across layouts).
@@ -108,9 +108,7 @@ func TestWALCrashWindowSweep(t *testing.T) {
 			if _, err := dataset.WriteFile(fs, "raw", dataset.NewRandomWalk(), sweepBase, tLen, 42); err != nil {
 				t.Fatal(err)
 			}
-			o := sweepOptions(t, fs)
-			o.DisableWAL = true
-			ix, err := Build(o)
+			ix, err := Build(sweepOptions(t, fs))
 			if err != nil {
 				t.Fatal(err)
 			}

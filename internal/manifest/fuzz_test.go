@@ -24,7 +24,9 @@ func FuzzDecode(f *testing.F) {
 		f.Add(flipped)
 		f.Add(data[:len(data)/2])
 	}
-	f.Add(legacyTrieV4()) // typed ErrVersionMismatch, never a misread
+	for _, enc := range refusedEncodings() {
+		f.Add(enc) // typed ErrVersionMismatch, never a misread
+	}
 	f.Add([]byte{})
 	f.Add([]byte("CCMF"))
 

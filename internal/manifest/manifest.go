@@ -10,9 +10,9 @@
 // temporary file and renamed over the live manifest (storage.FS.Rename), so
 // a crash during a commit leaves the previous manifest intact. The payload
 // is guarded by a CRC32-C (Castagnoli) checksum; any truncation, bit flip,
-// or short field decodes to ErrCorruptManifest, and a manifest written by a
-// future format version fails with ErrVersionMismatch — never a panic or a
-// silent misread.
+// or short field decodes to ErrCorruptManifest, and a manifest of any other
+// format version — or one describing a run layout no reader exists for —
+// fails with ErrVersionMismatch: never a panic or a silent misread.
 package manifest
 
 import (
@@ -56,17 +56,12 @@ const (
 
 const (
 	magic uint32 = 0x464D4343 // "CCMF" little-endian
-	// version is the newest format this build writes. Version 2 added the
-	// LSM write-ahead-log cursor fields; version 3 added the Checksums
-	// format flag; version 4 added the Compressed format flag. Older
-	// manifests still decode, with those fields zero — an index without a
-	// flag is read through the corresponding legacy path. Version 5 is the
-	// Coconut-Trie whose leaf file is the packed sorted run: older trie
-	// manifests describe padded leaf pages no reader exists for any more
-	// and fail with ErrVersionMismatch (rebuild the index).
-	version        uint32 = 5
-	minVersion     uint32 = 1
-	minTrieVersion uint32 = 5
+	// version is the one format this build writes and reads. Earlier
+	// versions describe layouts no reader exists for any more (padded trie
+	// leaf pages, flat LSM runs, indexes without a WAL) and fail with
+	// ErrVersionMismatch: rebuild the index.
+	version    uint32 = 5
+	minVersion uint32 = 5
 	// headerSize is magic + version + payload length + CRC32-C.
 	headerSize = 16
 	// maxStringLen bounds decoded string fields (file names).
@@ -128,9 +123,9 @@ type LSMLayout struct {
 	Cursors  []TierCursor
 	Runs     []RunInfo
 
-	// WAL recovery state (format version 2; zero in version-1 manifests).
-	// WALFlushed is the durable flush cursor: every appended entry with
-	// LSN < WALFlushed is covered by a flushed run, so replay skips it.
+	// WAL recovery state. WALFlushed is the durable flush cursor: every
+	// appended entry with LSN < WALFlushed is covered by a flushed run, so
+	// replay skips it.
 	// Un-flushed entries live in WAL segments [WALFirstSeg, WALNextSeg).
 	WALFlushed  int64
 	WALFirstSeg int
@@ -179,22 +174,15 @@ type Manifest struct {
 	// the checksummed physical layout (storage.ChecksumFile blocks for
 	// pages/leaves/runs, a record-sums sidecar for the raw file). Like
 	// Materialized it is a property of the stored bytes, not a knob:
-	// reopen adopts it. Format version 3; false in older manifests, whose
-	// indexes keep their legacy unchecksummed layout.
+	// reopen adopts it.
 	Checksums bool
-	// Compressed records whether LSM run files use the block-compressed
+	// Compressed records that LSM run files use the block-compressed
 	// physical layout (internal/runblock: front-coded keys, delta-varint
-	// positions, a block directory read through the shared block cache)
-	// instead of flat 24-byte record arrays. Like Checksums it is a
-	// property of the stored bytes adopted on reopen. Format version 4;
-	// false in older manifests, whose runs keep the flat layout.
+	// positions, a block directory read through the shared block cache) —
+	// the only run layout there is: every LSM manifest sets it, and Decode
+	// refuses one that does not (flat 24-byte record arrays) with
+	// ErrVersionMismatch.
 	Compressed bool
-
-	// ver is the format version this manifest was decoded from (0 for a
-	// freshly built manifest). Encode re-emits the same version so that
-	// accepted input round-trips bit for bit; new manifests encode at the
-	// newest version.
-	ver uint32
 
 	Tree *TreeLayout
 	Trie *TrieLayout
@@ -205,27 +193,8 @@ type Manifest struct {
 // FileName returns the manifest file for an index name prefix.
 func FileName(indexName string) string { return indexName + ".manifest" }
 
-// Encode serializes m with the version header and CRC32-C trailer. A
-// manifest decoded from an older format re-encodes at that format (the
-// decoder only accepts encodings Encode could have produced), unless it
-// now carries state the old format cannot express.
+// Encode serializes m with the version header and CRC32-C trailer.
 func (m *Manifest) Encode() ([]byte, error) {
-	encVer := m.ver
-	if encVer == 0 {
-		encVer = version
-	}
-	if encVer < 2 && m.LSM != nil &&
-		(m.LSM.WALFlushed != 0 || m.LSM.WALFirstSeg != 0 || m.LSM.WALNextSeg != 0) {
-		encVer = version
-	}
-	if encVer < 3 && m.Checksums {
-		// An older-format manifest cannot express the checksum flag.
-		encVer = version
-	}
-	if encVer < 4 && m.Compressed {
-		// An older-format manifest cannot express the compression flag.
-		encVer = version
-	}
 	switch m.Variant {
 	case VariantTree, VariantTrie, VariantLSM, VariantPartitioned:
 	default:
@@ -252,12 +221,8 @@ func (m *Manifest) Encode() ([]byte, error) {
 	w.u32(uint32(m.LeafCap))
 	w.str(m.RawName)
 	w.u64(uint64(m.Count))
-	if encVer >= 3 {
-		w.bool(m.Checksums)
-	}
-	if encVer >= 4 {
-		w.bool(m.Compressed)
-	}
+	w.bool(m.Checksums)
+	w.bool(m.Compressed)
 	switch m.Variant {
 	case VariantTree:
 		if m.Tree == nil {
@@ -302,11 +267,9 @@ func (m *Manifest) Encode() ([]byte, error) {
 			w.bytes(r.MinKey[:])
 			w.bytes(r.MaxKey[:])
 		}
-		if encVer >= 2 {
-			w.u64(uint64(l.WALFlushed))
-			w.u32(uint32(l.WALFirstSeg))
-			w.u32(uint32(l.WALNextSeg))
-		}
+		w.u64(uint64(l.WALFlushed))
+		w.u32(uint32(l.WALFirstSeg))
+		w.u32(uint32(l.WALNextSeg))
 	case VariantPartitioned:
 		if m.Part == nil {
 			return nil, errors.New("manifest: partitioned variant without partition layout")
@@ -333,7 +296,7 @@ func (m *Manifest) Encode() ([]byte, error) {
 	payload := w.buf
 	out := make([]byte, 0, headerSize+len(payload))
 	out = binary.LittleEndian.AppendUint32(out, magic)
-	out = binary.LittleEndian.AppendUint32(out, encVer)
+	out = binary.LittleEndian.AppendUint32(out, version)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
 	return append(out, payload...), nil
@@ -351,7 +314,7 @@ func Decode(data []byte) (*Manifest, error) {
 	}
 	v := binary.LittleEndian.Uint32(data[4:])
 	if v < minVersion || v > version {
-		return nil, fmt.Errorf("%w: format version %d, this build reads %d..%d", ErrVersionMismatch, v, minVersion, version)
+		return nil, fmt.Errorf("%w: format version %d, this build reads version %d (rebuild the index)", ErrVersionMismatch, v, version)
 	}
 	payloadLen := binary.LittleEndian.Uint32(data[8:])
 	if int64(payloadLen) != int64(len(data)-headerSize) {
@@ -362,7 +325,7 @@ func Decode(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", ErrCorruptManifest, want, got)
 	}
 	r := reader{buf: payload}
-	m := &Manifest{ver: v}
+	m := &Manifest{}
 	m.Variant = Variant(r.str())
 	m.SeriesLen = int(r.u32())
 	m.Segments = int(r.u32())
@@ -371,12 +334,8 @@ func Decode(data []byte) (*Manifest, error) {
 	m.LeafCap = int(r.u32())
 	m.RawName = r.str()
 	m.Count = int64(r.u64())
-	if v >= 3 {
-		m.Checksums = r.bool()
-	}
-	if v >= 4 {
-		m.Compressed = r.bool()
-	}
+	m.Checksums = r.bool()
+	m.Compressed = r.bool()
 	switch m.Variant {
 	case VariantTree:
 		t := &TreeLayout{}
@@ -389,10 +348,6 @@ func Decode(data []byte) (*Manifest, error) {
 		t.NextPage = int64(r.u64())
 		m.Tree = t
 	case VariantTrie:
-		if r.err == nil && v < minTrieVersion {
-			return nil, fmt.Errorf("%w: trie manifest of format version %d, this build reads tries from version %d (rebuild the index)",
-				ErrVersionMismatch, v, minTrieVersion)
-		}
 		m.Trie = &TrieLayout{NumLeaves: int(r.u32())}
 	case VariantLSM:
 		l := &LSMLayout{}
@@ -425,11 +380,9 @@ func Decode(data []byte) (*Manifest, error) {
 			r.keyInto(&ri.MaxKey)
 			l.Runs = append(l.Runs, ri)
 		}
-		if v >= 2 {
-			l.WALFlushed = int64(r.u64())
-			l.WALFirstSeg = int(r.u32())
-			l.WALNextSeg = int(r.u32())
-		}
+		l.WALFlushed = int64(r.u64())
+		l.WALFirstSeg = int(r.u32())
+		l.WALNextSeg = int(r.u32())
 		m.LSM = l
 	case VariantPartitioned:
 		p := &PartitionLayout{}
@@ -485,6 +438,10 @@ func (m *Manifest) validate() error {
 		}
 	}
 	if m.LSM != nil {
+		if !m.Compressed {
+			return fmt.Errorf("%w: lsm manifest with flat (uncompressed) runs, this build reads block-compressed runs only (rebuild the index)",
+				ErrVersionMismatch)
+		}
 		for i := 1; i < len(m.LSM.Cursors); i++ {
 			if m.LSM.Cursors[i].Tier <= m.LSM.Cursors[i-1].Tier {
 				return fmt.Errorf("%w: tier cursors out of order", ErrCorruptManifest)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/storage"
@@ -27,11 +28,15 @@ func sampleTrie() *Manifest {
 	}
 }
 
-// legacyTrieV4 is the version-4 encoding of sampleTrie as PR 16 and earlier
-// wrote it: a per-leaf {count, first page, pages} directory over a padded
-// page file.
-func legacyTrieV4() []byte {
-	m := sampleTrie()
+// legacyEncode is m as format version ver (1–4) wrote it: version 2 added
+// the LSM WAL cursors, 3 the Checksums flag, 4 the Compressed flag, and a
+// trie before version 5 stored a per-leaf {count, first page, pages}
+// directory over a padded page file. Everything else is laid out as today.
+func legacyEncode(m *Manifest, ver uint32) []byte {
+	cur, err := m.Encode()
+	if err != nil {
+		panic(err)
+	}
 	var w writer
 	w.str(string(m.Variant))
 	w.u32(uint32(m.SeriesLen))
@@ -41,17 +46,30 @@ func legacyTrieV4() []byte {
 	w.u32(uint32(m.LeafCap))
 	w.str(m.RawName)
 	w.u64(uint64(m.Count))
-	w.bool(m.Checksums)
-	w.bool(m.Compressed)
-	w.u64(3) // pages
-	w.u32(2) // leaves
-	for _, l := range [][3]uint64{{10, 0, 1}, {20, 1, 2}} {
-		w.u64(l[0])
-		w.u64(l[1])
-		w.u64(l[2])
+	// Today's payload: the fields above, the two flags, the variant layout.
+	layout := cur[headerSize+len(w.buf)+2:]
+	if ver >= 3 {
+		w.bool(m.Checksums)
+	}
+	if ver >= 4 {
+		w.bool(m.Compressed)
+	}
+	switch {
+	case m.Variant == VariantTrie:
+		w.u64(3) // pages
+		w.u32(2) // leaves
+		for _, l := range [][3]uint64{{10, 0, 1}, {20, 1, 2}} {
+			w.u64(l[0])
+			w.u64(l[1])
+			w.u64(l[2])
+		}
+	case m.Variant == VariantLSM && ver < 2:
+		w.bytes(layout[:len(layout)-16]) // no WAL cursors yet
+	default:
+		w.bytes(layout)
 	}
 	out := binary.LittleEndian.AppendUint32(nil, magic)
-	out = binary.LittleEndian.AppendUint32(out, 4)
+	out = binary.LittleEndian.AppendUint32(out, ver)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(w.buf)))
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(w.buf, castagnoli))
 	return append(out, w.buf...)
@@ -62,7 +80,7 @@ func sampleLSM() *Manifest {
 	hi[0], hi[15] = 0xff, 0x7f
 	return &Manifest{
 		Variant: VariantLSM, SeriesLen: 128, Segments: 16, CardBits: 8,
-		LeafCap: 2000, RawName: "data.bin", Count: 300,
+		LeafCap: 2000, RawName: "data.bin", Count: 300, Checksums: true, Compressed: true,
 		LSM: &LSMLayout{
 			Fanout: 4, NextRun: 7, NextSeq: 9, Tier0Seq: 6,
 			Cursors: []TierCursor{{Tier: 0, Groups: 1}, {Tier: 1, Groups: 0}},
@@ -75,8 +93,38 @@ func sampleLSM() *Manifest {
 	}
 }
 
+func samplePartitioned() *Manifest {
+	var split summary.Key
+	split[0] = 0x80
+	return &Manifest{
+		Variant: VariantPartitioned, SeriesLen: 128, Segments: 16, CardBits: 8,
+		RawName: "data.bin", Count: 300, Checksums: true,
+		Part: &PartitionLayout{ChildVariant: VariantLSM, Partitions: 2,
+			Boundaries: []summary.Key{split}, Children: []string{"ix.p000", "ix.p001"}},
+	}
+}
+
 func samples() []*Manifest {
-	return []*Manifest{sampleTree(), sampleTrie(), sampleLSM()}
+	return []*Manifest{sampleTree(), sampleTrie(), sampleLSM(), samplePartitioned()}
+}
+
+// refusedEncodings are well-formed manifests of layouts no reader exists
+// for: every variant at format versions 1–4, and a version-5 LSM manifest
+// whose runs are flat record arrays.
+func refusedEncodings() [][]byte {
+	var out [][]byte
+	for _, m := range samples() {
+		for ver := uint32(1); ver < minVersion; ver++ {
+			out = append(out, legacyEncode(m, ver))
+		}
+	}
+	flat := sampleLSM()
+	flat.Compressed = false
+	enc, err := flat.Encode()
+	if err != nil {
+		panic(err)
+	}
+	return append(out, enc)
 }
 
 // TestRoundTrip: every variant encodes and decodes back to itself.
@@ -121,6 +169,10 @@ func assertEqual(t *testing.T, want, got *Manifest) {
 			if w.Runs[i] != g.Runs[i] {
 				t.Fatalf("run %d mismatch: want %+v, got %+v", i, w.Runs[i], g.Runs[i])
 			}
+		}
+	case VariantPartitioned:
+		if !reflect.DeepEqual(want.Part, got.Part) {
+			t.Fatalf("partition layout mismatch: want %+v, got %+v", want.Part, got.Part)
 		}
 	}
 }
@@ -245,12 +297,9 @@ func TestCheckParams(t *testing.T) {
 	}
 }
 
-// TestChecksumFlagVersioning: the format-flag fields (Checksums, format 3;
-// Compressed, format 4) round-trip, and older-format manifests keep
-// encoding bit-exactly at their own version with the flags reading as
-// false — the legacy-compatibility contract.
-func TestChecksumFlagVersioning(t *testing.T) {
-	// A fresh manifest carries the flags at the newest version.
+// TestFormatFlagsRoundTrip: the format flags survive a round trip, and
+// re-encoding an accepted manifest is bit-exact.
+func TestFormatFlagsRoundTrip(t *testing.T) {
 	m := sampleTree()
 	m.Checksums = true
 	data, err := m.Encode()
@@ -258,7 +307,7 @@ func TestChecksumFlagVersioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != version {
-		t.Fatalf("fresh manifest encoded at version %d, want %d", v, version)
+		t.Fatalf("manifest encoded at version %d, want %d", v, version)
 	}
 	got, err := Decode(data)
 	if err != nil {
@@ -275,109 +324,36 @@ func TestChecksumFlagVersioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(re) != string(data) {
-		t.Fatal("newest-version re-encode is not bit-exact")
+		t.Fatal("re-encode is not bit-exact")
 	}
-	// A version-2 manifest (no flag field) still round-trips bit-exactly.
-	m2 := sampleLSM()
-	m2.ver = 2
-	data2, err := m2.Encode()
+	lsm, err := sampleLSM().Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(data2[4:]); v != 2 {
-		t.Fatalf("legacy manifest re-encoded at version %d, want 2", v)
-	}
-	got2, err := Decode(data2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Checksums {
-		t.Fatal("legacy manifest decoded with Checksums set")
-	}
-	re2, err := got2.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(re2) != string(data2) {
-		t.Fatal("v2 re-encode is not bit-exact")
-	}
-	// A legacy manifest that gains a flag is promoted to the newest
-	// version and keeps it.
-	got2.Checksums = true
-	got2.Compressed = true
-	data3, err := got2.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(data3[4:]); v != version {
-		t.Fatalf("flag-carrying manifest encoded at version %d, want %d", v, version)
-	}
-	got3, err := Decode(data3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got3.Checksums || !got3.Compressed {
-		t.Fatal("promoted manifest lost a format flag")
+	if got, err := Decode(lsm); err != nil || !got.Checksums || !got.Compressed {
+		t.Fatalf("lsm manifest round trip: %+v, %v", got, err)
 	}
 }
 
-// TestCompressedFlagVersioning: a version-3 manifest (Checksums era, no
-// Compressed field) still round-trips bit-exactly with Compressed false.
-func TestCompressedFlagVersioning(t *testing.T) {
-	m := sampleLSM()
-	m.Checksums = true
-	m.ver = 3
-	data, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != 3 {
-		t.Fatalf("v3 manifest re-encoded at version %d, want 3", v)
-	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Checksums || got.Compressed {
-		t.Fatalf("v3 decode: Checksums=%v Compressed=%v", got.Checksums, got.Compressed)
-	}
-	re, err := got.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(re) != string(data) {
-		t.Fatal("v3 re-encode is not bit-exact")
-	}
-	// Gaining the Compressed flag promotes it to the newest version.
-	got.Compressed = true
-	data4, err := got.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(data4[4:]); v != version {
-		t.Fatalf("promoted manifest encoded at version %d, want %d", v, version)
-	}
-	got4, err := Decode(data4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got4.Compressed || !got4.Checksums {
-		t.Fatal("promotion lost a flag")
+// TestOldLayoutsRefused: format v5 is the only one read. A manifest of an
+// earlier version, of any variant, or one whose LSM runs are not
+// block-compressed, is a version mismatch (rebuild), not corruption.
+func TestOldLayoutsRefused(t *testing.T) {
+	for i, enc := range refusedEncodings() {
+		if _, err := Decode(enc); !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("refused encoding %d (format version %d): got %v, want ErrVersionMismatch",
+				i, binary.LittleEndian.Uint32(enc[4:]), err)
+		}
 	}
 }
 
-// TestTrieLayoutVersioning: the version-5 trie layout (the leaf count, the
-// directory being derived from the sorted keys at open) round-trips at
-// version 5 and rejects impossible counts, and a trie manifest of an older
-// version — a directory of padded leaf pages — is a version mismatch
-// (rebuild), not corruption, while a version-4 tree still decodes.
-func TestTrieLayoutVersioning(t *testing.T) {
+// TestTrieLayout: the trie layout (the leaf count, the directory being
+// derived from the sorted keys at open) round-trips and rejects impossible
+// counts.
+func TestTrieLayout(t *testing.T) {
 	data, err := sampleTrie().Encode()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != 5 {
-		t.Fatalf("trie manifest encoded at version %d, want 5", v)
 	}
 	got, err := Decode(data)
 	if err != nil {
@@ -407,22 +383,4 @@ func TestTrieLayoutVersioning(t *testing.T) {
 	} else if _, err := Decode(enc); err != nil {
 		t.Fatalf("empty trie manifest rejected: %v", err)
 	}
-
-	if _, err := Decode(legacyTrieV4()); !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("version-4 trie manifest: got %v, want ErrVersionMismatch", err)
-	}
-	tree := sampleTree()
-	tree.ver = 4
-	enc, err := tree.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(enc[4:]); v != 4 {
-		t.Fatalf("legacy tree manifest re-encoded at version %d, want 4", v)
-	}
-	back, err := Decode(enc)
-	if err != nil {
-		t.Fatalf("version-4 tree manifest rejected: %v", err)
-	}
-	assertEqual(t, tree, back)
 }

@@ -184,7 +184,7 @@ func builders(t *testing.T) map[string]func(fs storage.FS, workers, parts int) (
 		},
 		"lsm": func(fs storage.FS, workers, parts int) (func() error, error) {
 			ix, err := BuildLSM(lsm.Options{FS: fs, Name: "px", S: ptSummarizer(t), RawName: "raw",
-				MemBudgetBytes: 1 << 20, Workers: workers, Checksums: true, Compressed: true}, parts)
+				MemBudgetBytes: 1 << 20, Workers: workers, Checksums: true}, parts)
 			if err != nil {
 				return nil, err
 			}

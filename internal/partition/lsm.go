@@ -23,7 +23,6 @@ import (
 type LSM struct {
 	s       *summary.Summarizer
 	workers int
-	noWAL   bool
 	bounds  []summary.Key
 	kids    []*lsm.Index
 	g       gather
@@ -36,7 +35,7 @@ type LSM struct {
 	degraded []string
 
 	// cache is the decoded-block cache every child reads through (one
-	// shared budget across partitions); nil for uncompressed children.
+	// shared budget across partitions).
 	cache *blockcache.Cache
 
 	// mu serializes appends: raw-file writes assign global arrival-order
@@ -74,6 +73,9 @@ func lsmChildOptions(opt lsm.Options, i, parts, buildPar int, bounds []summary.K
 // its records into an initial run in parallel, and the parent manifest
 // commits last.
 func BuildLSM(opt lsm.Options, parts int) (*LSM, error) {
+	if opt.Cache == nil {
+		opt.Cache = blockcache.New(0) // one budget for every child
+	}
 	sc, err := scatterDataset(opt.FS, opt.Name, opt.RawName, opt.S, false, opt.Checksums, opt.Workers, parts)
 	if err != nil {
 		return nil, err
@@ -124,6 +126,9 @@ func BuildLSM(opt lsm.Options, parts int) (*LSM, error) {
 // adopts the stored partition count; a non-zero mismatch fails with
 // manifest.ErrConfigMismatch. Never returns a partial handle.
 func OpenLSM(opt lsm.Options, parts int) (*LSM, error) {
+	if opt.Cache == nil {
+		opt.Cache = blockcache.New(0) // one budget for every child
+	}
 	m, err := loadParent(opt.FS, opt.Name, manifest.VariantLSM, parts,
 		opt.S.Params(), false, opt.RawName)
 	if err != nil {
@@ -176,7 +181,6 @@ func newLSM(opt lsm.Options, bounds []summary.Key, kids []*lsm.Index, rawFile st
 	l := &LSM{
 		s:        opt.S,
 		workers:  opt.Workers,
-		noWAL:    opt.DisableWAL,
 		bounds:   bounds,
 		kids:     kids,
 		rawFile:  rawFile,
@@ -296,15 +300,6 @@ func (l *LSM) appendLocked(batch []series.Series) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if end%sz != 0 {
-		if l.noWAL {
-			return nil, fmt.Errorf("partition: raw file size %d not aligned", end)
-		}
-		// With the WAL on, a torn raw tail can survive a crash (the partial
-		// record was never acknowledged); the round-down overwrites it,
-		// exactly as the single-index WAL path does.
-		end -= end % sz
-	}
 	for _, s := range batch {
 		if len(s) != p.SeriesLen {
 			return nil, fmt.Errorf("partition: series length %d, want %d", len(s), p.SeriesLen)
@@ -324,6 +319,9 @@ func (l *LSM) appendLocked(batch []series.Series) ([]int64, error) {
 			return nil, fmt.Errorf("partition: partition %d is quarantined; cannot accept writes until repaired", routes[i])
 		}
 	}
+	// A torn raw tail can survive a crash (the partial record was never
+	// acknowledged); the round-down overwrites it, exactly as the
+	// single-index path does.
 	pos := end / sz
 	perChild := make([][]lsm.Entry, len(l.kids))
 	enc := make([]byte, 0, sz)
@@ -435,28 +433,8 @@ func (l *LSM) RebuildQuarantined() error {
 }
 
 // CacheStats returns the shared block cache's counters — whole-index
-// numbers, since one cache serves every partition. Zeros when the children
-// are uncompressed.
-func (l *LSM) CacheStats() blockcache.Stats {
-	// A child may have materialized a private cache at open (adopted
-	// Compressed flag with no caller-supplied cache); prefer the shared one.
-	if l.cache == nil {
-		var agg blockcache.Stats
-		for _, k := range l.kids {
-			if k == nil {
-				continue
-			}
-			st := k.CacheStats()
-			agg.Hits += st.Hits
-			agg.Misses += st.Misses
-			agg.Evictions += st.Evictions
-			agg.Bytes += st.Bytes
-			agg.Budget += st.Budget
-		}
-		return agg
-	}
-	return l.cache.Stats()
-}
+// numbers, since one cache serves every partition.
+func (l *LSM) CacheStats() blockcache.Stats { return l.cache.Stats() }
 
 // Partitions returns the partition count.
 func (l *LSM) Partitions() int { return len(l.kids) }

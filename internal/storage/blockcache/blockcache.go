@@ -114,8 +114,14 @@ func (c *Cache) get(file uint64, block int64, promote bool) (any, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	el, ok := s.items[k]
-	if ok && promote {
-		s.lru.MoveToFront(el)
+	var val any
+	if ok {
+		if promote {
+			s.lru.MoveToFront(el)
+		}
+		// Read under the lock: a concurrent Put of the same key refreshes
+		// the entry in place.
+		val = el.Value.(*entry).val
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -123,7 +129,7 @@ func (c *Cache) get(file uint64, block int64, promote bool) (any, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*entry).val, true
+	return val, true
 }
 
 // Put inserts (or refreshes) a decoded block of the given byte size,

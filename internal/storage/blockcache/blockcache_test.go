@@ -313,7 +313,9 @@ func TestConcurrent(t *testing.T) {
 				case 0:
 					c.Put(file, i%64, i, 32)
 				case 1:
-					c.Get(file, i%64)
+					// The key case 0 just put — and that the goroutines
+					// sharing this file keep refreshing.
+					c.Get(file, (i-1)%64)
 				case 2:
 					c.Stats()
 				case 3:

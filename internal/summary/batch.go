@@ -51,20 +51,6 @@ func (s *Summarizer) KeysOf(batch []series.Series, workers int) ([]Key, error) {
 	return keys, nil
 }
 
-// MinDistsToKeys returns the SQUARED lower bound MinDistSqPAAToSAX(qPAA,
-// key) of every key: a per-query MinDistTable build followed by KeysInto.
-// It is the materializing form of the SIMS lower-bound phase (Algorithm 5,
-// line 10) for callers that want every bound; the query paths use Filter,
-// which keeps only the candidates. The output is identical for any worker
-// count.
-func (s *Summarizer) MinDistsToKeys(qPAA []float64, keys []Key, workers int) []float64 {
-	out := make([]float64, len(keys))
-	if len(keys) > 0 {
-		s.BuildMinDistTable(qPAA, nil).KeysInto(keys, out, workers)
-	}
-	return out
-}
-
 // KeysInto fills out[i] with the squared lower bound for keys[i], sharding
 // across workers goroutines. The table is read-only, so one table serves
 // all shards — and, at the caller's level, all runs of a multi-run index.

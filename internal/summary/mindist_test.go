@@ -94,10 +94,10 @@ func TestQuickMinDistTableEqualsKernels(t *testing.T) {
 	}
 }
 
-// TestMinDistsToKeysMatchesKernel checks the batch entry point on both
-// sides of the table/fallback threshold and across worker counts: every
-// element must exactly equal the direct squared kernel on the decoded key.
-func TestMinDistsToKeysMatchesKernel(t *testing.T) {
+// TestKeysIntoMatchesKernel checks the batch entry point on a small and a
+// large key set and across worker counts: every element must exactly equal
+// the direct squared kernel on the decoded key.
+func TestKeysIntoMatchesKernel(t *testing.T) {
 	s, err := NewSummarizer(Params{SeriesLen: 96, Segments: 8, CardBits: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +114,6 @@ func TestMinDistsToKeysMatchesKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 7 keys stays under the table threshold (2·Cardinality = 512) and
-	// exercises the scratch fallback; 2000 exercises the table path.
 	for _, n := range []int{7, 2000} {
 		keys := make([]Key, n)
 		for i := range keys {
@@ -130,7 +128,8 @@ func TestMinDistsToKeysMatchesKernel(t *testing.T) {
 			want[i] = s.MinDistSqPAAToSAX(qPAA, s.SAXFromKey(k))
 		}
 		for _, workers := range []int{1, 2, 7, 64} {
-			got := s.MinDistsToKeys(qPAA, keys, workers)
+			got := make([]float64, n)
+			s.BuildMinDistTable(qPAA, nil).KeysInto(keys, got, workers)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("n=%d workers=%d key %d: %v != kernel %v", n, workers, i, got[i], want[i])

@@ -10,10 +10,12 @@ package coconut
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
 
+	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/storage"
 )
 
@@ -460,4 +462,88 @@ func TestOpenConfigMismatch(t *testing.T) {
 		t.Fatalf("restored manifest failed to open: %v", err)
 	}
 	re.Close()
+}
+
+// TestOpenRefusesOtherFormats: one stored format is read. An index whose
+// manifest is of an earlier version, records no block checksums, or (LSM)
+// records uncompressed runs is refused by Open, Scrub and Repair with
+// ErrVersionMismatch — never opened through an unverified or missing path —
+// and opens again once the manifest is restored.
+func TestOpenRefusesOtherFormats(t *testing.T) {
+	variants := []struct {
+		name  string
+		build func(Config) (searcher, error)
+		open  func(Config) (searcher, error)
+	}{
+		{"tree", func(c Config) (searcher, error) { return BuildTreeIndex(c) },
+			func(c Config) (searcher, error) { return OpenTreeIndex(c) }},
+		{"trie", func(c Config) (searcher, error) { return BuildTrieIndex(c) },
+			func(c Config) (searcher, error) { return OpenTrieIndex(c) }},
+		{"lsm", func(c Config) (searcher, error) { return BuildLSMIndex(c) },
+			func(c Config) (searcher, error) { return OpenLSMIndex(c) }},
+	}
+	for _, v := range variants {
+		for _, parts := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/parts=%d", v.name, parts), func(t *testing.T) {
+				fs, _ := confFS(t)
+				cfg := confConfig(fs, 1, false)
+				cfg.Partitions = parts
+				ix, err := v.build(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.Close(); err != nil {
+					t.Fatal(err)
+				}
+				good, err := storage.ReadFileAll(fs, manifest.FileName("conf"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				refused := func(what string) {
+					t.Helper()
+					if _, err := v.open(Config{Storage: fs, Name: "conf"}); !errors.Is(err, ErrVersionMismatch) {
+						t.Fatalf("%s: open: got %v, want ErrVersionMismatch", what, err)
+					}
+					if _, err := Scrub(fs, "conf"); !errors.Is(err, ErrVersionMismatch) {
+						t.Fatalf("%s: scrub: got %v, want ErrVersionMismatch", what, err)
+					}
+					if _, err := Repair(Config{Storage: fs, Name: "conf"}); !errors.Is(err, ErrVersionMismatch) {
+						t.Fatalf("%s: repair: got %v, want ErrVersionMismatch", what, err)
+					}
+				}
+				for ver := uint32(1); ver < 5; ver++ {
+					old := append([]byte(nil), good...)
+					binary.LittleEndian.PutUint32(old[4:], ver)
+					if err := storage.WriteFileAll(fs, manifest.FileName("conf"), old); err != nil {
+						t.Fatal(err)
+					}
+					refused(fmt.Sprintf("format version %d", ver))
+				}
+				m, err := manifest.Decode(good)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Checksums = false
+				if err := manifest.Commit(fs, "conf", m); err != nil {
+					t.Fatal(err)
+				}
+				refused("no block checksums")
+				if m.Variant == manifest.VariantLSM {
+					m.Checksums, m.Compressed = true, false
+					if err := manifest.Commit(fs, "conf", m); err != nil {
+						t.Fatal(err)
+					}
+					refused("uncompressed runs")
+				}
+				if err := storage.WriteFileAll(fs, manifest.FileName("conf"), good); err != nil {
+					t.Fatal(err)
+				}
+				re, err := v.open(Config{Storage: fs, Name: "conf"})
+				if err != nil {
+					t.Fatalf("restored manifest failed to open: %v", err)
+				}
+				re.Close()
+			})
+		}
+	}
 }

@@ -39,8 +39,8 @@ type ScrubFinding struct {
 // ScrubReport is the result of a Scrub pass: one finding per artifact.
 type ScrubReport struct {
 	// Checksums reports whether the index is stored in the checksummed
-	// block format. Legacy (unchecksummed) indexes scrub structurally
-	// only: the manifest is still verified, but data blocks carry no CRCs.
+	// block format — always true for a report Scrub returns, since it
+	// refuses any other stored format.
 	Checksums bool
 	// Findings holds one entry per artifact, in walk order.
 	Findings []ScrubFinding
@@ -73,24 +73,35 @@ func (r *ScrubReport) add(file string, units int64, err error) {
 
 // Scrub verifies every block of every persistent artifact of the index
 // name on fs and returns a per-file report. It never modifies anything;
-// corruption is reported in the findings, not returned as an error.
+// corruption is reported in the findings, not returned as an error. An
+// index stored in a format this build does not read is not corruption:
+// Scrub refuses it with ErrVersionMismatch.
 func Scrub(fs Storage, name string) (*ScrubReport, error) {
 	if fs == nil {
 		return nil, errors.New("coconut: nil Storage")
 	}
 	rep := &ScrubReport{}
-	scrubIndex(fs, name, rep, true)
+	if err := scrubIndex(fs, name, rep, true); err != nil {
+		return nil, err
+	}
 	return rep, nil
 }
 
 // scrubIndex walks one manifest's artifacts. root marks the top-level
 // index: the raw dataset is shared by every partition, so it is verified
-// once, from the root.
-func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) {
+// once, from the root. The only error is a stored format this build does
+// not read.
+func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) error {
 	m, err := manifest.Load(fs, name)
+	if err == nil {
+		err = checkStoredFormat(m)
+	}
+	if errors.Is(err, ErrVersionMismatch) {
+		return err
+	}
 	rep.add(manifest.FileName(name), 0, err)
 	if err != nil {
-		return
+		return nil
 	}
 	if root {
 		rep.Checksums = m.Checksums
@@ -98,23 +109,21 @@ func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) {
 	switch m.Variant {
 	case manifest.VariantPartitioned:
 		for _, child := range m.Part.Children {
-			scrubIndex(fs, child, rep, false)
-		}
-	case manifest.VariantTree:
-		scrubBlockFile(fs, name+".bt.leaves", m.Checksums, rep)
-	case manifest.VariantTrie:
-		scrubBlockFile(fs, name+".leaves", m.Checksums, rep)
-	case manifest.VariantLSM:
-		for _, ri := range m.LSM.Runs {
-			if m.Compressed {
-				scrubCompressedRun(fs, ri.Name, m.Checksums, rep)
-			} else {
-				scrubBlockFile(fs, ri.Name, m.Checksums, rep)
+			if err := scrubIndex(fs, child, rep, false); err != nil {
+				return err
 			}
 		}
-		// WAL frames carry their own per-record CRCs in every format
-		// generation; scan the manifest's segment range plus any
-		// higher-numbered segments a crash left behind.
+	case manifest.VariantTree:
+		scrubBlockFile(fs, name+".bt.leaves", rep)
+	case manifest.VariantTrie:
+		scrubBlockFile(fs, name+".leaves", rep)
+	case manifest.VariantLSM:
+		for _, ri := range m.LSM.Runs {
+			scrubRun(fs, ri.Name, rep)
+		}
+		// WAL frames carry their own per-record CRCs; scan the manifest's
+		// segment range plus any higher-numbered segments a crash left
+		// behind.
 		for seg := m.LSM.WALFirstSeg; seg < m.LSM.WALNextSeg || fs.Exists(lsm.WALSegmentName(name, seg)); seg++ {
 			if !fs.Exists(lsm.WALSegmentName(name, seg)) {
 				continue // never synced; an empty segment is a crash artifact
@@ -123,23 +132,16 @@ func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) {
 			rep.add(lsm.WALSegmentName(name, seg), n, err)
 		}
 	}
-	if root && m.RawName != "" && m.Checksums {
+	if root && m.RawName != "" {
 		recSize := series.EncodedSize(m.SeriesLen)
 		n, err := storage.VerifyRecordSums(fs, m.RawName, recSize)
 		rep.add(m.RawName, n, err)
 	}
+	return nil
 }
 
 // scrubBlockFile verifies one checksummed-block artifact end to end.
-// Legacy artifacts carry no block CRCs; existence is all that can be
-// checked without a full index open.
-func scrubBlockFile(fs Storage, name string, checksums bool, rep *ScrubReport) {
-	if !checksums {
-		if !fs.Exists(name) {
-			rep.add(name, 0, fmt.Errorf("coconut: %q: %w", name, storage.ErrNotExist))
-		}
-		return
-	}
+func scrubBlockFile(fs Storage, name string, rep *ScrubReport) {
 	f, err := fs.Open(name)
 	if err != nil {
 		rep.add(name, 0, err)
@@ -150,26 +152,20 @@ func scrubBlockFile(fs Storage, name string, checksums bool, rep *ScrubReport) {
 	rep.add(name, n, err)
 }
 
-// scrubCompressedRun verifies one block-compressed LSM run end to end:
-// the codec's own header/footer/directory CRCs and a streaming decode of
-// every block. Unlike flat runs, compressed runs are fully verifiable even
-// without the checksummed-block layer — the codec carries a CRC32-C per
-// block — so legacy-format indexes lose nothing by compressing.
-func scrubCompressedRun(fs Storage, name string, checksums bool, rep *ScrubReport) {
+// scrubRun verifies one LSM run end to end: the checksummed-block layer
+// underneath, the run codec's own header/footer/directory CRCs, and a
+// streaming decode of every block.
+func scrubRun(fs Storage, name string, rep *ScrubReport) {
 	f, err := fs.Open(name)
 	if err != nil {
 		rep.add(name, 0, err)
 		return
 	}
-	in := storage.File(f)
-	if checksums {
-		cf, err := storage.OpenChecksumFile(f)
-		if err != nil {
-			f.Close()
-			rep.add(name, 0, err)
-			return
-		}
-		in = cf
+	in, err := storage.OpenChecksumFile(f)
+	if err != nil {
+		f.Close()
+		rep.add(name, 0, err)
+		return
 	}
 	r, err := runblock.OpenReader(in, nil)
 	if err != nil {
@@ -213,7 +209,7 @@ func Repair(cfg Config) (*ScrubReport, error) {
 	}
 	// The raw dataset is the repair source; if it is damaged, nothing
 	// derived from it can be trusted to rebuild.
-	if m.Checksums && m.RawName != "" {
+	if m.RawName != "" {
 		if _, err := storage.VerifyRecordSums(cfg.Storage, m.RawName, series.EncodedSize(m.SeriesLen)); err != nil {
 			return pre, fmt.Errorf("coconut: repair: raw dataset %q is damaged, cannot rebuild from it: %w", m.RawName, err)
 		}
@@ -245,8 +241,6 @@ func Repair(cfg Config) (*ScrubReport, error) {
 		rcfg.LeafSize = m.LeafCap
 	}
 	rcfg.Materialized = m.Materialized
-	rcfg.DisableChecksums = !m.Checksums
-	rcfg.DisableCompression = !m.Compressed
 	switch variant {
 	case manifest.VariantLSM:
 		ix, err := OpenLSMIndex(rcfg)

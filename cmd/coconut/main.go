@@ -56,38 +56,26 @@ import (
 	"time"
 
 	coconut "github.com/coconut-db/coconut"
-	"github.com/coconut-db/coconut/internal/core"
-	"github.com/coconut-db/coconut/internal/experiments"
-	"github.com/coconut-db/coconut/internal/lsm"
 	"github.com/coconut-db/coconut/internal/manifest"
-	"github.com/coconut-db/coconut/internal/partition"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/server"
 	"github.com/coconut-db/coconut/internal/storage"
-	"github.com/coconut-db/coconut/internal/storage/blockcache"
-	"github.com/coconut-db/coconut/internal/summary"
 )
 
 type config struct {
-	fs                *storage.OSFS
-	opt               core.Options
-	variant           string
-	dataFile          string
-	queries           string
-	partitions        int
-	radius            int
-	approx            bool
-	k                 int
-	appendFile        string
-	batch             int
-	background        bool
-	compactionWorkers int
-	walWindow         time.Duration
-	repair            bool
-	timeout           time.Duration
-	dirPath           string
-	addr              string
-	cacheBytes        int64
+	// build is the full build configuration the flags spell out; commands
+	// over a persisted index open it through openConfig instead.
+	build      coconut.Config
+	variant    string
+	queries    string
+	radius     int
+	approx     bool
+	k          int
+	appendFile string
+	batch      int
+	repair     bool
+	timeout    time.Duration
+	addr       string
 }
 
 func parseFlags(args []string) (*config, error) {
@@ -140,44 +128,48 @@ func parseFlags(args []string) (*config, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := summary.NewSummarizer(summary.Params{
-		SeriesLen: *length, Segments: *segments, CardBits: *cardBits,
-	})
-	if err != nil {
-		return nil, err
-	}
 	return &config{
-		fs: fs,
-		opt: core.Options{
-			FS:             fs,
-			Name:           *name,
-			S:              s,
-			RawName:        *data,
-			Materialized:   *mat,
-			LeafCap:        *leaf,
-			MemBudgetBytes: *mem,
-			Workers:        *workers,
-			QueryWorkers:   *queryWorkers,
-			Checksums:      true,
+		build: coconut.Config{
+			Storage:              fs,
+			Name:                 *name,
+			DataFile:             *data,
+			SeriesLen:            *length,
+			Segments:             *segments,
+			CardinalityBits:      *cardBits,
+			LeafSize:             *leaf,
+			Materialized:         *mat,
+			MemoryBudget:         *mem,
+			Workers:              *workers,
+			QueryWorkers:         *queryWorkers,
+			Partitions:           *partitions,
+			BackgroundCompaction: *background,
+			CompactionWorkers:    *compactionWorkers,
+			WALGroupWindow:       *walWindow,
+			CacheBytes:           *cacheBytes,
 		},
-		variant:           *variant,
-		dataFile:          *data,
-		queries:           *queries,
-		partitions:        *partitions,
-		radius:            *radius,
-		approx:            *approx,
-		k:                 *k,
-		appendFile:        *appendFile,
-		batch:             *batch,
-		background:        *background,
-		compactionWorkers: *compactionWorkers,
-		walWindow:         *walWindow,
-		repair:            *repair,
-		timeout:           *timeout,
-		dirPath:           *dir,
-		addr:              *addr,
-		cacheBytes:        *cacheBytes,
+		variant:    *variant,
+		queries:    *queries,
+		radius:     *radius,
+		approx:     *approx,
+		k:          *k,
+		appendFile: *appendFile,
+		batch:      *batch,
+		repair:     *repair,
+		timeout:    *timeout,
+		addr:       *addr,
 	}, nil
+}
+
+// openConfig is the configuration for reopening the persisted index: the
+// summarization, leaf capacity, materialization and partition layout are
+// left unset, to be adopted from the manifest, so query/info/stream/serve
+// need only -dir and -name (a -data that names another dataset than the
+// stored one still fails loudly).
+func (cfg *config) openConfig() coconut.Config {
+	oc := cfg.build
+	oc.SeriesLen, oc.Segments, oc.CardinalityBits, oc.LeafSize = 0, 0, 0, 0
+	oc.Materialized, oc.Partitions = false, 0
+	return oc
 }
 
 func main() {
@@ -213,131 +205,55 @@ func main() {
 	}
 }
 
+// leafIndex is what build and info report of a tree or a trie.
+type leafIndex interface {
+	Count() int64
+	NumLeaves() int
+	LeafFill() float64
+	SizeBytes() int64
+	Close() error
+}
+
 func runBuild(cfg *config) error {
-	if cfg.dataFile == "" {
+	if cfg.build.DataFile == "" {
 		return errors.New("-data is required for build")
 	}
 	start := time.Now()
 	part := ""
-	if cfg.partitions > 1 {
-		part = fmt.Sprintf(" in %d partitions", cfg.partitions)
+	if cfg.build.Partitions > 1 {
+		part = fmt.Sprintf(" in %d partitions", cfg.build.Partitions)
 	}
+	var (
+		ix    leafIndex
+		title string
+		err   error
+	)
 	switch cfg.variant {
 	case "tree":
-		var ix interface {
-			Count() int64
-			NumLeaves() int
-			AvgLeafFill() float64
-			SizeBytes() int64
-			Close() error
-		}
-		var err error
-		if cfg.partitions > 1 {
-			ix, err = partition.BuildTree(cfg.opt, cfg.partitions)
-		} else {
-			ix, err = core.BuildTree(cfg.opt)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("built Coconut-Tree %q%s: %d series, %d leaves (%.0f%% full), %s on disk, in %v\n",
-			cfg.opt.Name, part, ix.Count(), ix.NumLeaves(), ix.AvgLeafFill()*100,
-			byteSize(ix.SizeBytes()), time.Since(start).Round(time.Millisecond))
-		return ix.Close()
+		title = "Coconut-Tree"
+		ix, err = coconut.BuildTreeIndex(cfg.build)
 	case "trie":
-		var ix interface {
-			Count() int64
-			NumLeaves() int
-			AvgLeafFill() float64
-			SizeBytes() int64
-			Close() error
-		}
-		var err error
-		if cfg.partitions > 1 {
-			ix, err = partition.BuildTrie(cfg.opt, cfg.partitions)
-		} else {
-			ix, err = core.BuildTrie(cfg.opt)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("built Coconut-Trie %q%s: %d series, %d leaves (%.0f%% full), %s on disk, in %v\n",
-			cfg.opt.Name, part, ix.Count(), ix.NumLeaves(), ix.AvgLeafFill()*100,
-			byteSize(ix.SizeBytes()), time.Since(start).Round(time.Millisecond))
-		return ix.Close()
+		title = "Coconut-Trie"
+		ix, err = coconut.BuildTrieIndex(cfg.build)
 	case "lsm":
-		var ix interface {
-			Count() int64
-			NumRuns() int
-			SizeBytes() int64
-			Close() error
-		}
-		var err error
-		if cfg.partitions > 1 {
-			ix, err = partition.BuildLSM(cfg.lsmOptions(), cfg.partitions)
-		} else {
-			ix, err = lsm.Build(cfg.lsmOptions())
-		}
+		ix, err := coconut.BuildLSMIndex(cfg.build)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("built Coconut-LSM %q%s: %d series across %d runs, %s on disk, in %v\n",
-			cfg.opt.Name, part, ix.Count(), ix.NumRuns(), byteSize(ix.SizeBytes()),
+			cfg.build.Name, part, ix.Count(), ix.NumRuns(), byteSize(ix.SizeBytes()),
 			time.Since(start).Round(time.Millisecond))
 		return ix.Close()
+	default:
+		return fmt.Errorf("unknown variant %q (want tree, trie, or lsm)", cfg.variant)
 	}
-	return fmt.Errorf("unknown variant %q (want tree, trie, or lsm)", cfg.variant)
-}
-
-// openOptions derives the open-time options from the persisted manifest:
-// the summarization, dataset file, materialization, and leaf capacity come
-// from the store, so query/info/stream need only -dir and -name.
-func openOptions(cfg *config) (core.Options, *manifest.Manifest, error) {
-	m, err := core.LoadManifest(cfg.fs, cfg.opt.Name)
 	if err != nil {
-		return core.Options{}, nil, err
+		return err
 	}
-	if !m.Checksums {
-		return core.Options{}, nil, fmt.Errorf("%w: index is stored without block checksums (rebuild the index)",
-			manifest.ErrVersionMismatch)
-	}
-	if cfg.dataFile != "" && cfg.dataFile != m.RawName {
-		return core.Options{}, nil, fmt.Errorf("%w: -data %q, stored index was built over %q",
-			manifest.ErrConfigMismatch, cfg.dataFile, m.RawName)
-	}
-	s, err := summary.NewSummarizer(summary.Params{
-		SeriesLen: m.SeriesLen, Segments: m.Segments, CardBits: m.CardBits,
-	})
-	if err != nil {
-		return core.Options{}, nil, err
-	}
-	opt := cfg.opt
-	opt.S = s
-	opt.RawName = m.RawName
-	opt.Materialized = m.Materialized
-	if m.LeafCap != 0 {
-		opt.LeafCap = m.LeafCap
-	}
-	return opt, m, nil
-}
-
-func (cfg *config) lsmOptions() lsm.Options {
-	return lsm.Options{
-		FS:                   cfg.fs,
-		Name:                 cfg.opt.Name,
-		S:                    cfg.opt.S,
-		RawName:              cfg.opt.RawName,
-		MemBudgetBytes:       cfg.opt.MemBudgetBytes,
-		Workers:              cfg.opt.Workers,
-		QueryWorkers:         cfg.opt.QueryWorkers,
-		BackgroundCompaction: cfg.background,
-		CompactionWorkers:    cfg.compactionWorkers,
-		WALGroupWindow:       cfg.walWindow,
-		Checksums:            cfg.opt.Checksums,
-		// One cache per lsmOptions call: partitioned children copy the
-		// option struct, so every partition of one index shares this cache.
-		Cache: blockcache.New(cfg.cacheBytes),
-	}
+	fmt.Printf("built %s %q%s: %d series, %d leaves (%.0f%% full), %s on disk, in %v\n",
+		title, cfg.build.Name, part, ix.Count(), ix.NumLeaves(), ix.LeafFill()*100,
+		byteSize(ix.SizeBytes()), time.Since(start).Round(time.Millisecond))
+	return ix.Close()
 }
 
 // runScrub verifies every block of every artifact the index's manifest
@@ -345,7 +261,7 @@ func (cfg *config) lsmOptions() lsm.Options {
 // the (verified) raw dataset can re-derive, then re-scrubs. Exits
 // non-zero if the final report still holds corruption.
 func runScrub(cfg *config) error {
-	rep, err := coconut.Scrub(cfg.fs, cfg.opt.Name)
+	rep, err := coconut.Scrub(cfg.build.Storage, cfg.build.Name)
 	if err != nil {
 		return err
 	}
@@ -353,10 +269,10 @@ func runScrub(cfg *config) error {
 	if cfg.repair && !rep.Clean() {
 		fmt.Println("repairing from raw dataset...")
 		rep, err = coconut.Repair(coconut.Config{
-			Storage:      cfg.fs,
-			Name:         cfg.opt.Name,
-			Workers:      cfg.opt.Workers,
-			MemoryBudget: cfg.opt.MemBudgetBytes,
+			Storage:      cfg.build.Storage,
+			Name:         cfg.build.Name,
+			Workers:      cfg.build.Workers,
+			MemoryBudget: cfg.build.MemoryBudget,
 		})
 		if err != nil {
 			return err
@@ -381,34 +297,31 @@ func printScrub(rep *coconut.ScrubReport) {
 }
 
 func runInfo(cfg *config) error {
-	opt, m, err := openOptions(cfg)
+	m, err := manifest.Load(cfg.build.Storage, cfg.build.Name)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("index %q (%s)\n  dataset:   %s\n  series:    %d\n  summarization: len=%d segments=%d cardbits=%d\n  materialized:  %v\n",
-		cfg.opt.Name, m.Variant, m.RawName, m.Count, m.SeriesLen, m.Segments, m.CardBits, m.Materialized)
+		cfg.build.Name, m.Variant, m.RawName, m.Count, m.SeriesLen, m.Segments, m.CardBits, m.Materialized)
 	switch m.Variant {
-	case manifest.VariantTree:
-		ix, err := core.OpenTree(opt)
-		if err != nil {
-			return err
+	case manifest.VariantTree, manifest.VariantTrie:
+		var ix leafIndex
+		if m.Variant == manifest.VariantTree {
+			ix, err = coconut.OpenTreeIndex(cfg.openConfig())
+		} else {
+			ix, err = coconut.OpenTrieIndex(cfg.openConfig())
 		}
-		defer ix.Close()
-		fmt.Printf("  leaves:    %d\n  leaf fill: %.0f%%\n  height:    %d\n  size:      %s\n",
-			ix.NumLeaves(), ix.AvgLeafFill()*100, ix.Height(), byteSize(ix.SizeBytes()))
-	case manifest.VariantTrie:
-		ix, err := core.OpenTrie(opt)
 		if err != nil {
 			return err
 		}
 		defer ix.Close()
 		fmt.Printf("  leaves:    %d\n  leaf fill: %.0f%%\n  size:      %s\n",
-			ix.NumLeaves(), ix.AvgLeafFill()*100, byteSize(ix.SizeBytes()))
+			ix.NumLeaves(), ix.LeafFill()*100, byteSize(ix.SizeBytes()))
 	case manifest.VariantLSM:
 		fmt.Printf("  runs:      %d\n", len(m.LSM.Runs))
 		for _, r := range m.LSM.Runs {
 			tier := fmt.Sprintf("%d", r.Tier)
-			if r.Tier == lsm.BulkTier {
+			if r.Tier == manifest.BulkTier {
 				tier = "bulk"
 			}
 			fmt.Printf("    %-24s tier=%-4s %d records\n", r.Name, tier, r.Count)
@@ -416,7 +329,7 @@ func runInfo(cfg *config) error {
 	case manifest.VariantPartitioned:
 		fmt.Printf("  partitions: %d (%s children)\n", m.Part.Partitions, m.Part.ChildVariant)
 		for _, c := range m.Part.Children {
-			cm, err := core.LoadManifest(cfg.fs, c)
+			cm, err := manifest.Load(cfg.build.Storage, c)
 			if err != nil {
 				return err
 			}
@@ -426,155 +339,24 @@ func runInfo(cfg *config) error {
 	return nil
 }
 
-// queryFuncs adapts the three reopened variants to a common query surface.
-type queryFuncs struct {
-	seriesLen int
-	exact     func(context.Context, series.Series) (core.Result, error)
-	approx    func(context.Context, series.Series) (core.Result, error)
-	knn       func(context.Context, series.Series, int) ([]core.Neighbor, core.Result, error)
-	close     func() error
-}
-
-func openForQuery(cfg *config) (*queryFuncs, error) {
-	opt, m, err := openOptions(cfg)
-	if err != nil {
-		return nil, err
-	}
-	seriesLen := opt.S.Params().SeriesLen
-	switch m.Variant {
-	case manifest.VariantTree:
-		ix, err := core.OpenTree(opt)
-		if err != nil {
-			return nil, err
-		}
-		return &queryFuncs{
-			seriesLen: seriesLen,
-			exact: func(ctx context.Context, q series.Series) (core.Result, error) {
-				return ix.ExactSearchCtx(ctx, q, cfg.radius)
-			},
-			approx: func(ctx context.Context, q series.Series) (core.Result, error) {
-				return ix.ApproxSearchCtx(ctx, q, cfg.radius)
-			},
-			knn: func(ctx context.Context, q series.Series, k int) ([]core.Neighbor, core.Result, error) {
-				return ix.ExactSearchKNNCtx(ctx, q, k, cfg.radius)
-			},
-			close: ix.Close,
-		}, nil
-	case manifest.VariantTrie:
-		ix, err := core.OpenTrie(opt)
-		if err != nil {
-			return nil, err
-		}
-		return &queryFuncs{
-			seriesLen: seriesLen,
-			exact: func(ctx context.Context, q series.Series) (core.Result, error) {
-				return ix.ExactSearchCtx(ctx, q, cfg.radius)
-			},
-			approx: func(ctx context.Context, q series.Series) (core.Result, error) {
-				return ix.ApproxSearchCtx(ctx, q, cfg.radius)
-			},
-			close: ix.Close,
-		}, nil
-	case manifest.VariantLSM:
-		lopt := cfg.lsmOptions()
-		lopt.S, lopt.RawName = opt.S, opt.RawName
-		ix, err := lsm.Open(lopt)
-		if err != nil {
-			return nil, err
-		}
-		conv := func(r lsm.Result) core.Result {
-			return core.Result{Pos: r.Pos, Dist: r.Dist, VisitedRecords: r.VisitedRecords}
-		}
-		return &queryFuncs{
-			seriesLen: seriesLen,
-			exact: func(ctx context.Context, q series.Series) (core.Result, error) {
-				r, err := ix.ExactSearchCtx(ctx, q)
-				return conv(r), err
-			},
-			approx: func(ctx context.Context, q series.Series) (core.Result, error) {
-				r, err := ix.ApproxSearchCtx(ctx, q)
-				return conv(r), err
-			},
-			close: ix.Close,
-		}, nil
-	case manifest.VariantPartitioned:
-		switch m.Part.ChildVariant {
-		case manifest.VariantTree:
-			ix, err := partition.OpenTree(opt, 0, false)
-			if err != nil {
-				return nil, err
-			}
-			return &queryFuncs{
-				seriesLen: seriesLen,
-				exact: func(ctx context.Context, q series.Series) (core.Result, error) {
-					return ix.ExactSearchCtx(ctx, q, cfg.radius)
-				},
-				approx: func(ctx context.Context, q series.Series) (core.Result, error) {
-					return ix.ApproxSearchCtx(ctx, q, cfg.radius)
-				},
-				knn: func(ctx context.Context, q series.Series, k int) ([]core.Neighbor, core.Result, error) {
-					return ix.ExactSearchKNNCtx(ctx, q, k, cfg.radius)
-				},
-				close: ix.Close,
-			}, nil
-		case manifest.VariantTrie:
-			ix, err := partition.OpenTrie(opt, 0, false)
-			if err != nil {
-				return nil, err
-			}
-			return &queryFuncs{
-				seriesLen: seriesLen,
-				exact: func(ctx context.Context, q series.Series) (core.Result, error) {
-					return ix.ExactSearchCtx(ctx, q, cfg.radius)
-				},
-				approx: func(ctx context.Context, q series.Series) (core.Result, error) {
-					return ix.ApproxSearchCtx(ctx, q, cfg.radius)
-				},
-				close: ix.Close,
-			}, nil
-		case manifest.VariantLSM:
-			lopt := cfg.lsmOptions()
-			lopt.S, lopt.RawName = opt.S, opt.RawName
-			ix, err := partition.OpenLSM(lopt, 0)
-			if err != nil {
-				return nil, err
-			}
-			conv := func(r lsm.Result) core.Result {
-				return core.Result{Pos: r.Pos, Dist: r.Dist, VisitedRecords: r.VisitedRecords}
-			}
-			return &queryFuncs{
-				seriesLen: seriesLen,
-				exact: func(ctx context.Context, q series.Series) (core.Result, error) {
-					r, err := ix.ExactSearchCtx(ctx, q)
-					return conv(r), err
-				},
-				approx: func(ctx context.Context, q series.Series) (core.Result, error) {
-					r, err := ix.ApproxSearchCtx(ctx, q)
-					return conv(r), err
-				},
-				close: ix.Close,
-			}, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown stored variant %q", m.Variant)
-}
-
 func runQuery(cfg *config) error {
 	if cfg.queries == "" {
 		return errors.New("-queries is required for query")
 	}
-	ix, err := openForQuery(cfg)
+	// The handle detects the stored variant (a partitioned index is served
+	// as its child variant) and carries its capability set.
+	ix, err := server.OpenHandle(context.Background(), cfg.openConfig())
 	if err != nil {
 		return err
 	}
-	defer ix.close()
+	defer ix.Close()
 
-	qf, err := cfg.fs.Open(cfg.queries)
+	qf, err := cfg.build.Storage.Open(cfg.queries)
 	if err != nil {
 		return err
 	}
 	defer qf.Close()
-	r := series.NewReader(storage.NewSequentialReader(qf, 0, -1, 0), ix.seriesLen)
+	r := series.NewReader(storage.NewSequentialReader(qf, 0, -1, 0), ix.SeriesLen)
 	qnum := 0
 	for {
 		q, err := r.Next()
@@ -591,39 +373,36 @@ func runQuery(cfg *config) error {
 		ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
 		start := time.Now()
 		if cfg.k > 1 {
-			if ix.knn == nil {
+			if ix.SearchKNN == nil {
 				cancel()
 				return errors.New("-k > 1 is only supported on tree indexes")
 			}
-			ns, stats, err := ix.knn(ctx, q, cfg.k)
+			ns, err := ix.SearchKNN(ctx, q, cfg.k)
 			cancel()
 			if err != nil {
 				return err
 			}
-			fmt.Printf("query %d (%d-NN, visited %d series in %v):\n",
-				qnum, cfg.k, stats.VisitedRecords, time.Since(start).Round(time.Microsecond))
+			fmt.Printf("query %d (%d-NN in %v):\n", qnum, cfg.k, time.Since(start).Round(time.Microsecond))
 			for rank, n := range ns {
-				fmt.Printf("  %2d. #%d dist=%.4f\n", rank+1, n.Pos, n.Dist)
+				fmt.Printf("  %2d. #%d dist=%.4f\n", rank+1, n.Position, n.Distance)
 			}
 			qnum++
 			continue
 		}
-		var res core.Result
+		var res coconut.Result
+		mode := "exact"
 		if cfg.approx {
-			res, err = ix.approx(ctx, q)
+			mode = "approx"
+			res, err = ix.SearchApprox(ctx, q, cfg.radius)
 		} else {
-			res, err = ix.exact(ctx, q)
+			res, err = ix.Search(ctx, q)
 		}
 		cancel()
 		if err != nil {
 			return err
 		}
-		mode := "exact"
-		if cfg.approx {
-			mode = "approx"
-		}
 		fmt.Printf("query %d (%s): nearest=#%d dist=%.4f visited=%d series, %d leaves, %v\n",
-			qnum, mode, res.Pos, res.Dist, res.VisitedRecords, res.VisitedLeaves,
+			qnum, mode, res.Position, res.Distance, res.VisitedSeries, res.VisitedLeaves,
 			time.Since(start).Round(time.Microsecond))
 		qnum++
 	}
@@ -641,56 +420,33 @@ func runStream(cfg *config) error {
 		return errors.New("-append is required for stream")
 	}
 	start := time.Now()
-	var ix interface {
-		Append(batch []series.Series) error
-		Sync() error
-		Count() int64
-		NumRuns() int
-		SizeBytes() int64
-		Close() error
-	}
-	seriesLen := cfg.opt.S.Params().SeriesLen
-	if cfg.fs.Exists(manifest.FileName(cfg.opt.Name)) {
-		opt, m, err := openOptions(cfg)
+	var ix *coconut.LSMIndex
+	seriesLen := cfg.build.SeriesLen
+	if cfg.build.Storage.Exists(manifest.FileName(cfg.build.Name)) {
+		m, err := manifest.Load(cfg.build.Storage, cfg.build.Name)
 		if err != nil {
 			return err
 		}
-		lopt := cfg.lsmOptions()
-		lopt.S, lopt.RawName = opt.S, opt.RawName
-		seriesLen = opt.S.Params().SeriesLen
-		switch {
-		case m.Variant == manifest.VariantLSM:
-			if ix, err = lsm.Open(lopt); err != nil {
-				return err
-			}
-		case m.Variant == manifest.VariantPartitioned && m.Part.ChildVariant == manifest.VariantLSM:
-			if ix, err = partition.OpenLSM(lopt, 0); err != nil {
-				return err
-			}
-		default:
-			return m.CheckVariant(manifest.VariantLSM)
+		seriesLen = m.SeriesLen
+		if ix, err = coconut.OpenLSMIndex(cfg.openConfig()); err != nil {
+			return err
 		}
 		fmt.Printf("reopened LSM index %q: %d series across %d runs in %v\n",
-			cfg.opt.Name, ix.Count(), ix.NumRuns(), time.Since(start).Round(time.Millisecond))
+			cfg.build.Name, ix.Count(), ix.NumRuns(), time.Since(start).Round(time.Millisecond))
 	} else {
-		if cfg.dataFile == "" {
+		if cfg.build.DataFile == "" {
 			return errors.New("-data is required to bulk-load a new stream index")
 		}
 		var err error
-		if cfg.partitions > 1 {
-			ix, err = partition.BuildLSM(cfg.lsmOptions(), cfg.partitions)
-		} else {
-			ix, err = lsm.Build(cfg.lsmOptions())
-		}
-		if err != nil {
+		if ix, err = coconut.BuildLSMIndex(cfg.build); err != nil {
 			return err
 		}
 		fmt.Printf("bulk-loaded LSM index %q: %d series in %v\n",
-			cfg.opt.Name, ix.Count(), time.Since(start).Round(time.Millisecond))
+			cfg.build.Name, ix.Count(), time.Since(start).Round(time.Millisecond))
 	}
 	defer ix.Close()
 
-	af, err := cfg.fs.Open(cfg.appendFile)
+	af, err := cfg.build.Storage.Open(cfg.appendFile)
 	if err != nil {
 		return err
 	}
@@ -706,7 +462,7 @@ func runStream(cfg *config) error {
 			return nil
 		}
 		t0 := time.Now()
-		if err := ix.Append(batch); err != nil {
+		if err := ix.Insert(batch); err != nil {
 			return err
 		}
 		lats = append(lats, time.Since(t0))
@@ -738,10 +494,16 @@ func runStream(cfg *config) error {
 	}
 	total := time.Since(ingestStart)
 	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
-	pct := func(p float64) time.Duration { return experiments.Percentile(lats, p) }
+	// Nearest-rank quantile of the sorted latencies.
+	pct := func(p float64) time.Duration {
+		if len(lats) == 0 {
+			return 0
+		}
+		return lats[int(p*float64(len(lats)-1))]
+	}
 	mode := "synchronous"
-	if cfg.background {
-		mode = fmt.Sprintf("background (%d workers)", cfg.compactionWorkers)
+	if cfg.build.BackgroundCompaction {
+		mode = fmt.Sprintf("background (%d workers)", cfg.build.CompactionWorkers)
 	}
 	fmt.Printf("streamed %d series in %d batches (%s compaction) in %v\n",
 		appended, len(lats), mode, total.Round(time.Millisecond))
@@ -757,15 +519,11 @@ func runStream(cfg *config) error {
 // the whole request lifecycle — deadlines, admission control, health and
 // stats, graceful drain — to the internal/server package coconutd uses.
 func runServe(cfg *config) error {
-	fs, err := coconut.NewDiskStorage(cfg.dirPath)
-	if err != nil {
-		return err
-	}
 	h, err := server.OpenHandle(context.Background(), coconut.Config{
-		Storage:      fs,
-		Name:         cfg.opt.Name,
-		QueryWorkers: cfg.opt.QueryWorkers,
-		CacheBytes:   cfg.cacheBytes,
+		Storage:      cfg.build.Storage,
+		Name:         cfg.build.Name,
+		QueryWorkers: cfg.build.QueryWorkers,
+		CacheBytes:   cfg.build.CacheBytes,
 	})
 	if err != nil {
 		return err

@@ -88,7 +88,21 @@
 // and an LSM insert whose context expires while waiting for WAL group
 // commit abandons the wait (returning ctx.Err()) without disturbing the
 // batch — the record still becomes durable. The context-free methods are
-// exactly their Ctx counterparts under context.Background().
+// exactly their Ctx counterparts under context.Background(); below this
+// package there are no such pairs — everything takes its context first.
+//
+// # One index, three layouts
+//
+// Coconut-Tree, -Trie and -LSM are one family: a sorted array of invSAX
+// summaries answered by the same two steps, an approximate window that
+// seeds a best-so-far and a SIMS verification pass under it. TreeIndex,
+// TrieIndex and LSMIndex therefore all hold the same internal interface
+// (internal/partition.Index), built and opened through one helper: the
+// index itself when unpartitioned, and with Config.Partitions >= 2 the one
+// partitioned composite over N children of the variant. What only some
+// variants can do — k-NN, inserts, LSM housekeeping — is an optional
+// capability of that interface, present on a composite exactly when its
+// children have it.
 //
 // # Persistence
 //
@@ -430,31 +444,15 @@ func fromCore(r core.Result) Result {
 	}
 }
 
-// treeBackend is the surface shared by a single Coconut-Tree and its
-// N-way partitioned composition; both answer byte-identically.
-type treeBackend interface {
-	ExactSearch(q series.Series, radius int) (core.Result, error)
-	ApproxSearch(q series.Series, radius int) (core.Result, error)
-	ExactSearchKNN(q series.Series, k, radius int) ([]core.Neighbor, core.Result, error)
-	InsertBatch(batch []series.Series) error
-	ExactSearchCtx(ctx context.Context, q series.Series, radius int) (core.Result, error)
-	ApproxSearchCtx(ctx context.Context, q series.Series, radius int) (core.Result, error)
-	ExactSearchKNNCtx(ctx context.Context, q series.Series, k, radius int) ([]core.Neighbor, core.Result, error)
-	InsertBatchCtx(ctx context.Context, batch []series.Series) error
-	Count() int64
-	NumLeaves() int
-	AvgLeafFill() float64
-	SizeBytes() int64
-	Sync() error
-	Close() error
-}
-
 // TreeIndex is a Coconut-Tree index: balanced, contiguous, densely packed —
 // the paper's recommended design. With Config.Partitions >= 2 it is an
 // N-way key-range-partitioned composition of such trees, built in parallel
 // and queried scatter-gather with byte-identical answers.
 type TreeIndex struct {
-	ix treeBackend
+	// ix is the one internal index interface: the tree itself when
+	// unpartitioned, the partitioned composite of trees otherwise (the same
+	// holds for TrieIndex and LSMIndex). Both answer byte-identically.
+	ix partition.Index
 }
 
 // ctxGate implements the coarse-grained cancellation contract of the
@@ -464,20 +462,63 @@ type TreeIndex struct {
 // ctx.Err(). Construction itself is not interrupted mid-pass; its phases
 // are sequential bulk I/O, and a cancelled caller loses nothing but time
 // already spent.
-func ctxGate[T interface{ Close() error }](ctx context.Context, build func() (T, error)) (T, error) {
-	var zero T
+func ctxGate(ctx context.Context, build func() (partition.Index, error)) (partition.Index, error) {
 	if err := ctx.Err(); err != nil {
-		return zero, err
+		return nil, err
 	}
 	ix, err := build()
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		ix.Close()
-		return zero, cerr
+		return nil, cerr
 	}
 	return ix, nil
+}
+
+// index is the one way an index comes to be: it bulk-loads — or, with
+// reopen, reopens from the manifest — the index cfg names as variant kind,
+// the index itself when unpartitioned and the composite of cfg.Partitions of
+// them otherwise.
+func (c Config) index(ctx context.Context, kind manifest.Variant, reopen bool) (partition.Index, error) {
+	partitioned := c.Partitions >= 2
+	if reopen {
+		var err error
+		if partitioned, err = c.mergeStored(kind); err != nil {
+			return nil, err
+		}
+	}
+	opt, err := c.toCore()
+	if err != nil {
+		return nil, err
+	}
+	var v partition.Variant
+	switch kind {
+	case manifest.VariantTree:
+		v = partition.TreeVariant(opt, c.AllowDegraded)
+	case manifest.VariantTrie:
+		v = partition.TrieVariant(opt, c.AllowDegraded)
+	default:
+		v = partition.LSMVariant(c.toLSM(opt))
+	}
+	return ctxGate(ctx, func() (partition.Index, error) {
+		switch {
+		case !partitioned && reopen:
+			return v.Open()
+		case !partitioned:
+			return v.Build()
+		}
+		build := partition.Build
+		if reopen {
+			build = partition.Open
+		}
+		ix, err := build(v, c.Partitions)
+		if err != nil {
+			return nil, err
+		}
+		return ix, nil
+	})
 }
 
 // BuildTreeIndex bulk-loads a Coconut-Tree over the dataset.
@@ -489,22 +530,7 @@ func BuildTreeIndex(cfg Config) (*TreeIndex, error) {
 // ctx is checked before the build starts and after it finishes (see
 // ctxGate); it does not interrupt the bulk-load mid-pass.
 func BuildTreeIndexCtx(ctx context.Context, cfg Config) (*TreeIndex, error) {
-	opt, err := cfg.toCore()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Partitions >= 2 {
-		ix, err := ctxGate(ctx, func() (*partition.Tree, error) {
-			return partition.BuildTree(opt, cfg.Partitions)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &TreeIndex{ix: ix}, nil
-	}
-	ix, err := ctxGate(ctx, func() (*core.TreeIndex, error) {
-		return core.BuildTree(opt)
-	})
+	ix, err := cfg.index(ctx, manifest.VariantTree, false)
 	if err != nil {
 		return nil, err
 	}
@@ -525,26 +551,7 @@ func OpenTreeIndex(cfg Config) (*TreeIndex, error) {
 // ctx is checked before the manifest is read and after the handle is
 // reconstructed (see ctxGate); the reopen is not interrupted mid-pass.
 func OpenTreeIndexCtx(ctx context.Context, cfg Config) (*TreeIndex, error) {
-	partitioned, err := cfg.mergeStored(manifest.VariantTree)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := cfg.toCore()
-	if err != nil {
-		return nil, err
-	}
-	if partitioned {
-		ix, err := ctxGate(ctx, func() (*partition.Tree, error) {
-			return partition.OpenTree(opt, cfg.Partitions, cfg.AllowDegraded)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &TreeIndex{ix: ix}, nil
-	}
-	ix, err := ctxGate(ctx, func() (*core.TreeIndex, error) {
-		return core.OpenTree(opt)
-	})
+	ix, err := cfg.index(ctx, manifest.VariantTree, true)
 	if err != nil {
 		return nil, err
 	}
@@ -561,7 +568,7 @@ func (t *TreeIndex) Search(q Series) (Result, error) {
 // cancelled or expired ctx returns ctx.Err() promptly — never a partial
 // answer.
 func (t *TreeIndex) SearchCtx(ctx context.Context, q Series) (Result, error) {
-	r, err := t.ix.ExactSearchCtx(ctx, q, 1)
+	r, err := t.ix.ExactSearch(ctx, q, 1)
 	return fromCore(r), err
 }
 
@@ -573,13 +580,13 @@ func (t *TreeIndex) SearchApprox(q Series, radius int) (Result, error) {
 
 // SearchApproxCtx is SearchApprox with cancellation (see SearchCtx).
 func (t *TreeIndex) SearchApproxCtx(ctx context.Context, q Series, radius int) (Result, error) {
-	r, err := t.ix.ApproxSearchCtx(ctx, q, radius)
+	r, err := t.ix.ApproxSearch(ctx, q, radius)
 	return fromCore(r), err
 }
 
 // Insert adds new series to the index and dataset (batched; sorting the
 // batch internally concentrates leaf touches).
-func (t *TreeIndex) Insert(batch []Series) error { return t.ix.InsertBatch(batch) }
+func (t *TreeIndex) Insert(batch []Series) error { return t.InsertCtx(context.Background(), batch) }
 
 // InsertCtx is Insert with admission control: ctx is checked before any
 // bytes move, so a done ctx rejects the batch up front with ctx.Err().
@@ -587,17 +594,17 @@ func (t *TreeIndex) Insert(batch []Series) error { return t.ix.InsertBatch(batch
 // multi-partition insert midway would leave the dataset and index out of
 // step.
 func (t *TreeIndex) InsertCtx(ctx context.Context, batch []Series) error {
-	return t.ix.InsertBatchCtx(ctx, batch)
+	return t.ix.(partition.Inserter).Insert(ctx, batch)
 }
 
 // Count returns the number of indexed series.
 func (t *TreeIndex) Count() int64 { return t.ix.Count() }
 
 // NumLeaves returns the number of leaf pages.
-func (t *TreeIndex) NumLeaves() int { return t.ix.NumLeaves() }
+func (t *TreeIndex) NumLeaves() int { return t.ix.Shape().Leaves }
 
 // LeafFill returns the mean leaf occupancy in [0,1].
-func (t *TreeIndex) LeafFill() float64 { return t.ix.AvgLeafFill() }
+func (t *TreeIndex) LeafFill() float64 { return t.ix.Shape().LeafFill }
 
 // SizeBytes returns the on-device index size.
 func (t *TreeIndex) SizeBytes() int64 { return t.ix.SizeBytes() }
@@ -605,12 +612,7 @@ func (t *TreeIndex) SizeBytes() int64 { return t.ix.SizeBytes() }
 // Degraded reports whether the index was opened with AllowDegraded over
 // corrupt artifacts: some partitions are quarantined and answers cover
 // only the healthy remainder (Count() says how many records that is).
-func (t *TreeIndex) Degraded() bool {
-	if d, ok := t.ix.(interface{ Degraded() bool }); ok {
-		return d.Degraded()
-	}
-	return false
-}
+func (t *TreeIndex) Degraded() bool { return t.ix.Degraded() }
 
 // Sync persists metadata made stale by Insert (the B+-tree directory and
 // the manifest) so a crash afterwards loses nothing. Close syncs too.
@@ -620,26 +622,12 @@ func (t *TreeIndex) Sync() error { return t.ix.Sync() }
 // the index can later be reopened with OpenTreeIndex.
 func (t *TreeIndex) Close() error { return t.ix.Close() }
 
-// trieBackend is the surface shared by a single Coconut-Trie and its
-// N-way partitioned composition.
-type trieBackend interface {
-	ExactSearch(q series.Series, radius int) (core.Result, error)
-	ApproxSearch(q series.Series, radius int) (core.Result, error)
-	ExactSearchCtx(ctx context.Context, q series.Series, radius int) (core.Result, error)
-	ApproxSearchCtx(ctx context.Context, q series.Series, radius int) (core.Result, error)
-	Count() int64
-	NumLeaves() int
-	AvgLeafFill() float64
-	SizeBytes() int64
-	Close() error
-}
-
 // TrieIndex is a Coconut-Trie index: prefix-split, bottom-up bulk-loaded,
 // contiguous leaves. Mostly of interest for studying the design space; use
 // TreeIndex for applications. Config.Partitions >= 2 composes N of them by
 // key range with byte-identical answers.
 type TrieIndex struct {
-	ix trieBackend
+	ix partition.Index
 }
 
 // BuildTrieIndex bulk-loads a Coconut-Trie over the dataset.
@@ -650,22 +638,7 @@ func BuildTrieIndex(cfg Config) (*TrieIndex, error) {
 // BuildTrieIndexCtx is BuildTrieIndex with coarse-grained cancellation
 // (see BuildTreeIndexCtx).
 func BuildTrieIndexCtx(ctx context.Context, cfg Config) (*TrieIndex, error) {
-	opt, err := cfg.toCore()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Partitions >= 2 {
-		ix, err := ctxGate(ctx, func() (*partition.Trie, error) {
-			return partition.BuildTrie(opt, cfg.Partitions)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &TrieIndex{ix: ix}, nil
-	}
-	ix, err := ctxGate(ctx, func() (*core.TrieIndex, error) {
-		return core.BuildTrie(opt)
-	})
+	ix, err := cfg.index(ctx, manifest.VariantTrie, false)
 	if err != nil {
 		return nil, err
 	}
@@ -686,26 +659,7 @@ func OpenTrieIndex(cfg Config) (*TrieIndex, error) {
 // OpenTrieIndexCtx is OpenTrieIndex with coarse-grained cancellation
 // (see OpenTreeIndexCtx).
 func OpenTrieIndexCtx(ctx context.Context, cfg Config) (*TrieIndex, error) {
-	partitioned, err := cfg.mergeStored(manifest.VariantTrie)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := cfg.toCore()
-	if err != nil {
-		return nil, err
-	}
-	if partitioned {
-		ix, err := ctxGate(ctx, func() (*partition.Trie, error) {
-			return partition.OpenTrie(opt, cfg.Partitions, cfg.AllowDegraded)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &TrieIndex{ix: ix}, nil
-	}
-	ix, err := ctxGate(ctx, func() (*core.TrieIndex, error) {
-		return core.OpenTrie(opt)
-	})
+	ix, err := cfg.index(ctx, manifest.VariantTrie, true)
 	if err != nil {
 		return nil, err
 	}
@@ -720,7 +674,7 @@ func (t *TrieIndex) Search(q Series) (Result, error) {
 // SearchCtx is Search with cancellation: a done ctx returns ctx.Err()
 // promptly, never a partial answer.
 func (t *TrieIndex) SearchCtx(ctx context.Context, q Series) (Result, error) {
-	r, err := t.ix.ExactSearchCtx(ctx, q, 0)
+	r, err := t.ix.ExactSearch(ctx, q, 0)
 	return fromCore(r), err
 }
 
@@ -731,7 +685,7 @@ func (t *TrieIndex) SearchApprox(q Series, radius int) (Result, error) {
 
 // SearchApproxCtx is SearchApprox with cancellation (see SearchCtx).
 func (t *TrieIndex) SearchApproxCtx(ctx context.Context, q Series, radius int) (Result, error) {
-	r, err := t.ix.ApproxSearchCtx(ctx, q, radius)
+	r, err := t.ix.ApproxSearch(ctx, q, radius)
 	return fromCore(r), err
 }
 
@@ -739,22 +693,17 @@ func (t *TrieIndex) SearchApproxCtx(ctx context.Context, q Series, radius int) (
 func (t *TrieIndex) Count() int64 { return t.ix.Count() }
 
 // NumLeaves returns the number of leaves.
-func (t *TrieIndex) NumLeaves() int { return t.ix.NumLeaves() }
+func (t *TrieIndex) NumLeaves() int { return t.ix.Shape().Leaves }
 
 // LeafFill returns the mean leaf occupancy in [0,1].
-func (t *TrieIndex) LeafFill() float64 { return t.ix.AvgLeafFill() }
+func (t *TrieIndex) LeafFill() float64 { return t.ix.Shape().LeafFill }
 
 // SizeBytes returns the on-device index size.
 func (t *TrieIndex) SizeBytes() int64 { return t.ix.SizeBytes() }
 
 // Degraded reports whether the index was opened with AllowDegraded over
 // corrupt artifacts; answers cover only the healthy remainder.
-func (t *TrieIndex) Degraded() bool {
-	if d, ok := t.ix.(interface{ Degraded() bool }); ok {
-		return d.Degraded()
-	}
-	return false
-}
+func (t *TrieIndex) Degraded() bool { return t.ix.Degraded() }
 
 // Close releases the index's file handles.
 func (t *TrieIndex) Close() error { return t.ix.Close() }
@@ -776,7 +725,7 @@ func (t *TreeIndex) SearchKNN(q Series, k int) ([]Neighbor, error) {
 // SearchKNNCtx is SearchKNN with cancellation (see SearchCtx): a done ctx
 // returns ctx.Err(), never a truncated neighbor list.
 func (t *TreeIndex) SearchKNNCtx(ctx context.Context, q Series, k int) ([]Neighbor, error) {
-	ns, _, err := t.ix.ExactSearchKNNCtx(ctx, q, k, 1)
+	ns, _, err := t.ix.(partition.KNNSearcher).ExactSearchKNN(ctx, q, k, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -785,26 +734,6 @@ func (t *TreeIndex) SearchKNNCtx(ctx context.Context, q Series, k int) ([]Neighb
 		out[i] = Neighbor{Position: n.Pos, Distance: n.Dist}
 	}
 	return out, nil
-}
-
-// lsmBackend is the surface shared by a single Coconut-LSM and its N-way
-// partitioned composition (per-partition memtables and compaction).
-type lsmBackend interface {
-	ExactSearch(q series.Series) (lsm.Result, error)
-	ApproxSearch(q series.Series) (lsm.Result, error)
-	Append(batch []series.Series) error
-	ExactSearchCtx(ctx context.Context, q series.Series) (lsm.Result, error)
-	ApproxSearchCtx(ctx context.Context, q series.Series) (lsm.Result, error)
-	AppendCtx(ctx context.Context, batch []series.Series) error
-	Flush() error
-	Sync() error
-	Count() int64
-	NumRuns() int
-	SizeBytes() int64
-	Degraded() bool
-	RebuildQuarantined() error
-	CacheStats() blockcache.Stats
-	Close() error
 }
 
 // LSMIndex is Coconut-LSM: the paper's future-work design for update-heavy
@@ -816,7 +745,7 @@ type lsmBackend interface {
 // memtable and each partition compacts independently under the divided
 // global budgets.
 type LSMIndex struct {
-	ix lsmBackend
+	ix partition.Index
 }
 
 // toLSM derives the LSM option set from the resolved core options. The
@@ -849,22 +778,7 @@ func BuildLSMIndex(cfg Config) (*LSMIndex, error) {
 // BuildLSMIndexCtx is BuildLSMIndex with coarse-grained cancellation
 // (see BuildTreeIndexCtx).
 func BuildLSMIndexCtx(ctx context.Context, cfg Config) (*LSMIndex, error) {
-	opt, err := cfg.toCore()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Partitions >= 2 {
-		ix, err := ctxGate(ctx, func() (*partition.LSM, error) {
-			return partition.BuildLSM(cfg.toLSM(opt), cfg.Partitions)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &LSMIndex{ix: ix}, nil
-	}
-	ix, err := ctxGate(ctx, func() (*lsm.Index, error) {
-		return lsm.Build(cfg.toLSM(opt))
-	})
+	ix, err := cfg.index(ctx, manifest.VariantLSM, false)
 	if err != nil {
 		return nil, err
 	}
@@ -886,30 +800,18 @@ func OpenLSMIndex(cfg Config) (*LSMIndex, error) {
 // OpenLSMIndexCtx is OpenLSMIndex with coarse-grained cancellation
 // (see OpenTreeIndexCtx).
 func OpenLSMIndexCtx(ctx context.Context, cfg Config) (*LSMIndex, error) {
-	partitioned, err := cfg.mergeStored(manifest.VariantLSM)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := cfg.toCore()
-	if err != nil {
-		return nil, err
-	}
-	if partitioned {
-		ix, err := ctxGate(ctx, func() (*partition.LSM, error) {
-			return partition.OpenLSM(cfg.toLSM(opt), cfg.Partitions)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &LSMIndex{ix: ix}, nil
-	}
-	ix, err := ctxGate(ctx, func() (*lsm.Index, error) {
-		return lsm.Open(cfg.toLSM(opt))
-	})
+	ix, err := cfg.index(ctx, manifest.VariantLSM, true)
 	if err != nil {
 		return nil, err
 	}
 	return &LSMIndex{ix: ix}, nil
+}
+
+// fromLSM is fromCore for an index without leaves (internally the slot
+// carries the runs a query probed).
+func fromLSM(r core.Result) Result {
+	r.VisitedLeaves = 0
+	return fromCore(r)
 }
 
 // Search returns the exact nearest neighbor of q.
@@ -921,8 +823,8 @@ func (l *LSMIndex) Search(q Series) (Result, error) {
 // run probes and candidate verifications (across every partition), so a
 // done ctx returns ctx.Err() promptly — never a partial answer.
 func (l *LSMIndex) SearchCtx(ctx context.Context, q Series) (Result, error) {
-	r, err := l.ix.ExactSearchCtx(ctx, q)
-	return Result{Position: r.Pos, Distance: r.Dist, VisitedSeries: r.VisitedRecords}, err
+	r, err := l.ix.ExactSearch(ctx, q, 0)
+	return fromLSM(r), err
 }
 
 // SearchApprox returns a fast approximate nearest neighbor.
@@ -932,12 +834,12 @@ func (l *LSMIndex) SearchApprox(q Series) (Result, error) {
 
 // SearchApproxCtx is SearchApprox with cancellation (see SearchCtx).
 func (l *LSMIndex) SearchApproxCtx(ctx context.Context, q Series) (Result, error) {
-	r, err := l.ix.ApproxSearchCtx(ctx, q)
-	return Result{Position: r.Pos, Distance: r.Dist, VisitedSeries: r.VisitedRecords}, err
+	r, err := l.ix.ApproxSearch(ctx, q, 0)
+	return fromLSM(r), err
 }
 
 // Insert appends new series; full memtables flush to new sorted runs.
-func (l *LSMIndex) Insert(batch []Series) error { return l.ix.Append(batch) }
+func (l *LSMIndex) Insert(batch []Series) error { return l.InsertCtx(context.Background(), batch) }
 
 // InsertCtx is Insert with cancellation. The ctx is admission control —
 // checked before any bytes move — plus an interruptible durability wait:
@@ -945,11 +847,11 @@ func (l *LSMIndex) Insert(batch []Series) error { return l.ix.Append(batch) }
 // returns ctx.Err() without disturbing the batch (the records still
 // become durable; only this caller stops waiting for the fsync).
 func (l *LSMIndex) InsertCtx(ctx context.Context, batch []Series) error {
-	return l.ix.AppendCtx(ctx, batch)
+	return l.ix.(partition.Inserter).Insert(ctx, batch)
 }
 
 // Flush forces the memtable to disk.
-func (l *LSMIndex) Flush() error { return l.ix.Flush() }
+func (l *LSMIndex) Flush() error { return l.ix.(partition.Maintainer).Flush() }
 
 // Sync flushes the memtable and waits for all background compactions to
 // finish — the quiescence barrier after which the on-disk state is
@@ -961,7 +863,7 @@ func (l *LSMIndex) Sync() error { return l.ix.Sync() }
 func (l *LSMIndex) Count() int64 { return l.ix.Count() }
 
 // NumRuns returns the number of on-disk sorted runs.
-func (l *LSMIndex) NumRuns() int { return l.ix.NumRuns() }
+func (l *LSMIndex) NumRuns() int { return l.ix.Shape().Runs }
 
 // SizeBytes returns the total size of all runs.
 func (l *LSMIndex) SizeBytes() int64 { return l.ix.SizeBytes() }
@@ -974,7 +876,7 @@ func (l *LSMIndex) Degraded() bool { return l.ix.Degraded() }
 // key of a record is a pure function of its bytes), commits the repaired
 // manifest, and deletes the corrupt files. After a successful Repair the
 // index answers byte-identically to one that never lost the run.
-func (l *LSMIndex) Repair() error { return l.ix.RebuildQuarantined() }
+func (l *LSMIndex) Repair() error { return l.ix.(partition.Maintainer).RebuildQuarantined() }
 
 // CacheStats is a snapshot of the shared decoded-block cache's counters:
 // hits, misses, evictions, scan decodes (blocks an exact search decoded
@@ -986,7 +888,7 @@ type CacheStats = blockcache.Stats
 // all runs and partitions, so these are whole-index numbers. Use the
 // hit/miss ratio under a representative query load to size
 // Config.CacheBytes.
-func (l *LSMIndex) CacheStats() CacheStats { return l.ix.CacheStats() }
+func (l *LSMIndex) CacheStats() CacheStats { return l.ix.(partition.Maintainer).CacheStats() }
 
 // Close flushes the memtable, drains background compactions, commits the
 // manifest, and releases file handles; the index can later be reopened

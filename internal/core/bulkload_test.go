@@ -8,6 +8,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -169,11 +170,11 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 						if next != len(ds.data) {
 							t.Fatalf("leaves hold %d records, want %d", next, len(ds.data))
 						}
-						if ds.name == "all-equal-keys" && (ix.NumLeaves() != 1 || ix.leaves[0].Count != 40) {
-							t.Fatalf("identical keys split into %d leaves", ix.NumLeaves())
+						if ds.name == "all-equal-keys" && (ix.Shape().Leaves != 1 || ix.leaves[0].Count != 40) {
+							t.Fatalf("identical keys split into %d leaves", ix.Shape().Leaves)
 						}
-						if n := ix.NumLeaves(); n > 0 {
-							if fill, want := ix.AvgLeafFill(), float64(len(ds.data))/float64(n*leafCap); fill != want {
+						if n := ix.Shape().Leaves; n > 0 {
+							if fill, want := ix.Shape().LeafFill, float64(len(ds.data))/float64(n*leafCap); fill != want {
 								t.Fatalf("AvgLeafFill = %v, want logical occupancy %v", fill, want)
 							}
 						}
@@ -238,7 +239,7 @@ func TestTrieLeafVisitReadsOnlyTheLeaf(t *testing.T) {
 	}
 	for _, q := range dataset.Queries(dataset.NewRandomWalk(), 5, tLen, 13) {
 		before := fs.Stats().Snapshot()
-		res, err := ix.ExactSearch(q, 0)
+		res, err := ix.ExactSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +322,7 @@ func TestBuildReadsRawOnce(t *testing.T) {
 	type index interface {
 		Close() error
 		Count() int64
-		ExactSearch(q series.Series, radius int) (Result, error)
+		ExactSearch(ctx context.Context, q series.Series, radius int) (Result, error)
 	}
 	type entry struct{ build, open func(Options) (index, error) }
 	entries := map[string]entry{
@@ -336,7 +337,7 @@ func TestBuildReadsRawOnce(t *testing.T) {
 			t.Fatalf("Count = %d, want the %d whole records", ix.Count(), len(data))
 		}
 		last := len(data) - 1
-		if r, err := ix.ExactSearch(data[last], 0); err != nil || r.Pos != int64(last) || r.Dist != 0 {
+		if r, err := ix.ExactSearch(context.Background(), data[last], 0); err != nil || r.Pos != int64(last) || r.Dist != 0 {
 			t.Fatalf("exact search for the last whole record: %+v, %v", r, err)
 		}
 	}

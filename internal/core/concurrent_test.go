@@ -5,6 +5,7 @@ package core
 // queries of every flavor overlap with each other and with inserts.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -36,17 +37,17 @@ func TestConcurrentTreeQueriesSharedHandle(t *testing.T) {
 					for it := 0; it < 3; it++ {
 						switch (g + it) % 3 {
 						case 0:
-							if _, err := ix.ExactSearch(q, 1); err != nil {
+							if _, err := ix.ExactSearch(context.Background(), q, 1); err != nil {
 								errs <- err
 								return
 							}
 						case 1:
-							if _, err := ix.ApproxSearch(q, 1); err != nil {
+							if _, err := ix.ApproxSearch(context.Background(), q, 1); err != nil {
 								errs <- err
 								return
 							}
 						default:
-							if _, _, err := ix.ExactSearchKNN(q, 3, 1); err != nil {
+							if _, _, err := ix.ExactSearchKNN(context.Background(), q, 3, 1); err != nil {
 								errs <- err
 								return
 							}
@@ -88,7 +89,7 @@ func TestConcurrentTreeQueriesWithInserts(t *testing.T) {
 			defer wg.Done()
 			q := qs[g%len(qs)]
 			for it := 0; it < 4; it++ {
-				if _, err := ix.ExactSearch(q, 0); err != nil {
+				if _, err := ix.ExactSearch(context.Background(), q, 0); err != nil {
 					errs <- err
 					return
 				}
@@ -99,7 +100,7 @@ func TestConcurrentTreeQueriesWithInserts(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for lo := 0; lo < len(batches); lo += 30 {
-			if err := ix.InsertBatch(batches[lo : lo+30]); err != nil {
+			if err := ix.Insert(context.Background(), batches[lo:lo+30]); err != nil {
 				errs <- err
 				return
 			}
@@ -114,7 +115,7 @@ func TestConcurrentTreeQueriesWithInserts(t *testing.T) {
 		t.Fatalf("Count = %d after concurrent inserts", ix.Count())
 	}
 	// Post-condition: a fresh query sees every inserted series.
-	res, err := ix.ExactSearch(batches[13], 0)
+	res, err := ix.ExactSearch(context.Background(), batches[13], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestConcurrentTrieQueriesSharedHandle(t *testing.T) {
 			q := qs[g%len(qs)]
 			for it := 0; it < 3; it++ {
 				if it%2 == 0 {
-					if _, err := ix.ExactSearch(q, 1); err != nil {
+					if _, err := ix.ExactSearch(context.Background(), q, 1); err != nil {
 						errs <- err
 						return
 					}
-				} else if _, err := ix.ApproxSearch(q, 1); err != nil {
+				} else if _, err := ix.ApproxSearch(context.Background(), q, 1); err != nil {
 					errs <- err
 					return
 				}

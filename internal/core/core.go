@@ -43,25 +43,6 @@ import (
 	"github.com/coconut-db/coconut/internal/window"
 )
 
-// Variant selects the bottom-up index layout.
-type Variant int
-
-// Variants.
-const (
-	// Tree is Coconut-Tree: median-split balanced B+-tree (the paper's
-	// recommended design).
-	Tree Variant = iota
-	// Trie is Coconut-Trie: prefix-split bottom-up trie.
-	Trie
-)
-
-func (v Variant) String() string {
-	if v == Trie {
-		return "Coconut-Trie"
-	}
-	return "Coconut-Tree"
-}
-
 // Options configures a build.
 type Options struct {
 	// FS hosts the index files and the raw dataset file.
@@ -77,8 +58,6 @@ type Options struct {
 	// the dataset — the partition scatter path. The raw dataset file named
 	// by RawName is still opened for query-time fetches.
 	RecordsName string
-	// Variant picks Coconut-Tree or Coconut-Trie.
-	Variant Variant
 	// Materialized stores raw series inside the index ("-Full" variants).
 	Materialized bool
 	// LeafCap is the records-per-leaf capacity (paper: 2000).
@@ -171,6 +150,15 @@ type Result struct {
 	VisitedRecords int64
 	// VisitedLeaves counts leaf pages read.
 	VisitedLeaves int64
+}
+
+// Shape describes how an index lays its records out on the device: leaf
+// pages and their mean occupancy in [0,1] for the tree and the trie, sorted
+// runs for the LSM. The fields a variant has no notion of stay zero.
+type Shape struct {
+	Leaves   int
+	LeafFill float64
+	Runs     int
 }
 
 // encodeRecord packs (key, pos[, raw series]) into dst.
@@ -428,7 +416,7 @@ func windowCands(opt *Options, keys []summary.Key, positions []int64, q series.S
 // CtxFetch wraps a window fetcher with a cancellation check before every
 // fetch — the approximate phase's fetches are serial, so per-fetch checks
 // are the natural cancellation granularity there (the sharded verification
-// scans detach instead; see shard.ScanCtx). A Background context wraps to
+// scans detach instead; see shard.Scan). A Background context wraps to
 // the original fetcher unchanged.
 func CtxFetch(ctx context.Context, f window.FetchFunc) window.FetchFunc {
 	if ctx.Done() == nil {
@@ -606,7 +594,7 @@ func VerifyRaw(ctx context.Context, f storage.File, sums *storage.RecordSums, q 
 	seedPos int64, seedDist float64, bound *shard.BSF, workers int,
 ) (pos int64, dist float64, visited int64, err error) {
 	slices.SortFunc(cands, func(a, b summary.Cand) int { return cmp.Compare(a.ID, b.ID) })
-	pos, dist, visited, _, err = shard.ScanReduceCtx(ctx, workers, len(cands), seedPos, seedDist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) (err error) {
+	pos, dist, visited, _, err = shard.ScanReduce(ctx, workers, len(cands), seedPos, seedDist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) (err error) {
 		// The abandon limit is the exact squared best-so-far, so it is tight.
 		local.VisitedRecords, err = scanRaw(f, sums, q, cands[r.Lo:r.Hi], cancelled,
 			func(lb float64) (float64, bool) { return local.Dist, !(lb >= local.Dist || bound.Prunes(lb)) },
@@ -690,19 +678,22 @@ func candsFrom(cands []summary.Cand, start int) []summary.Cand {
 	return cands[i:]
 }
 
-// attachRawSums attaches the raw-dataset CRC sidecar when a checksummed
-// index is opened: the externally owned handle when the caller supplied one
-// (owned=false), or the index's own (storage.LoadRecordSums).
-func attachRawSums(opt *Options, raw storage.File) (sums *storage.RecordSums, owned bool, err error) {
-	if !opt.Checksums {
+// AttachRawSums attaches the raw-dataset CRC sidecar when a checksummed
+// index — tree, trie or LSM — is opened: the externally owned handle when the
+// caller supplied one (owned=false), or the index's own, loaded over raw
+// (storage.LoadRecordSums: a torn trailing partial record is excluded by its
+// floor division, exactly like WAL replay).
+func AttachRawSums(fs storage.FS, rawName string, s *summary.Summarizer, checksums bool, shared *storage.RecordSums, raw storage.File,
+) (sums *storage.RecordSums, owned bool, err error) {
+	if !checksums {
 		return nil, false, nil
 	}
-	if opt.RawSums != nil {
-		return opt.RawSums, false, nil
+	if shared != nil {
+		return shared, false, nil
 	}
-	sums, err = storage.LoadRecordSums(opt.FS, opt.RawName, series.EncodedSize(opt.S.Params().SeriesLen), raw)
+	sums, err = storage.LoadRecordSums(fs, rawName, series.EncodedSize(s.Params().SeriesLen), raw)
 	if err != nil {
-		return nil, false, fmt.Errorf("core: raw sidecar: %w", err)
+		return nil, false, fmt.Errorf("raw sidecar of %q: %w", rawName, err)
 	}
 	return sums, true, nil
 }

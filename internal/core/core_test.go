@@ -72,11 +72,11 @@ func TestBuildTreeShape(t *testing.T) {
 			t.Fatalf("Count = %d", ix.Count())
 		}
 		// Full fill factor: leaves completely packed (bar the last).
-		if fill := ix.AvgLeafFill(); fill < 0.9 {
+		if fill := ix.Shape().LeafFill; fill < 0.9 {
 			t.Fatalf("Coconut-Tree fill %v — the paper's headline is ~97%%", fill)
 		}
 		wantLeaves := (tCount + 19) / 20
-		if got := ix.NumLeaves(); got != wantLeaves {
+		if got := ix.Shape().Leaves; got != wantLeaves {
 			t.Fatalf("NumLeaves = %d, want %d", got, wantLeaves)
 		}
 		if ix.SizeBytes() == 0 {
@@ -152,7 +152,7 @@ func TestTreeApproxSearch(t *testing.T) {
 		defer ix.Close()
 		qs := dataset.Queries(dataset.NewRandomWalk(), 10, tLen, 7)
 		for _, q := range qs {
-			res, err := ix.ApproxSearch(q, 0)
+			res, err := ix.ApproxSearch(context.Background(), q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +164,7 @@ func TestTreeApproxSearch(t *testing.T) {
 				t.Fatalf("approx distance %v != recomputed %v", res.Dist, want)
 			}
 			// Radius improves (or equals) the approximate answer.
-			res5, err := ix.ApproxSearch(q, 5)
+			res5, err := ix.ApproxSearch(context.Background(), q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +273,7 @@ func TestTreeExactMatchesBruteForce(t *testing.T) {
 		qs := dataset.Queries(dataset.NewRandomWalk(), 15, tLen, 9)
 		for qi, q := range qs {
 			want := bruteForce1NN(q, data)
-			res, err := ix.ExactSearch(q, 1)
+			res, err := ix.ExactSearch(context.Background(), q, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,7 +294,7 @@ func TestTreeExactPrunes(t *testing.T) {
 	qs := dataset.Queries(dataset.NewRandomWalk(), 10, tLen, 11)
 	var visited int64
 	for _, q := range qs {
-		res, err := ix.ExactSearch(q, 0)
+		res, err := ix.ExactSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestTreeMemberFound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	res, err := ix.ExactSearch(data[55], 0)
+	res, err := ix.ExactSearch(context.Background(), data[55], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,14 +331,14 @@ func TestTreeInsertBatch(t *testing.T) {
 		}
 		defer ix.Close()
 		batch := dataset.Generate(dataset.NewSeismic(), 60, tLen, 777)
-		if err := ix.InsertBatch(batch); err != nil {
+		if err := ix.Insert(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		if ix.Count() != tCount+60 {
 			t.Fatalf("Count = %d", ix.Count())
 		}
 		// Newly inserted series must be findable at distance 0.
-		res, err := ix.ExactSearch(batch[13], 0)
+		res, err := ix.ExactSearch(context.Background(), batch[13], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func TestTreeInsertBatch(t *testing.T) {
 		}
 		// Old data still reachable.
 		want := bruteForce1NN(data[5], append(append([]series.Series{}, data...), batch...))
-		res, err = ix.ExactSearch(data[5], 0)
+		res, err = ix.ExactSearch(context.Background(), data[5], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +374,7 @@ func TestBuildTrieShape(t *testing.T) {
 		if err := ix.Trie().CheckInvariants(8); err != nil {
 			t.Fatal(err)
 		}
-		if ix.NumLeaves() == 0 || ix.SizeBytes() == 0 {
+		if ix.Shape().Leaves == 0 || ix.SizeBytes() == 0 {
 			t.Fatal("trie index empty")
 		}
 		// Leaf counts must cover all records.
@@ -439,7 +439,7 @@ func TestTrieApproxAndExact(t *testing.T) {
 		defer ix.Close()
 		qs := dataset.Queries(dataset.NewRandomWalk(), 12, tLen, 13)
 		for qi, q := range qs {
-			res, err := ix.ApproxSearch(q, 0)
+			res, err := ix.ApproxSearch(context.Background(), q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -447,7 +447,7 @@ func TestTrieApproxAndExact(t *testing.T) {
 			if math.Abs(want-res.Dist) > 1e-9 {
 				t.Fatalf("approx distance mismatch")
 			}
-			ex, err := ix.ExactSearch(q, 0)
+			ex, err := ix.ExactSearch(context.Background(), q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -474,9 +474,9 @@ func TestTrieFillLowerThanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer treeIx.Close()
-	if trieIx.AvgLeafFill() >= treeIx.AvgLeafFill() {
+	if trieIx.Shape().LeafFill >= treeIx.Shape().LeafFill {
 		t.Fatalf("trie fill %v should be below tree fill %v",
-			trieIx.AvgLeafFill(), treeIx.AvgLeafFill())
+			trieIx.Shape().LeafFill, treeIx.Shape().LeafFill)
 	}
 }
 
@@ -492,7 +492,7 @@ func TestSmallMemoryBudgetStillCorrect(t *testing.T) {
 	defer ix.Close()
 	q := dataset.Queries(dataset.NewRandomWalk(), 1, tLen, 17)[0]
 	want := bruteForce1NN(q, data)
-	res, err := ix.ExactSearch(q, 0)
+	res, err := ix.ExactSearch(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestEmptyDataset(t *testing.T) {
 		t.Fatal("expected empty index")
 	}
 	q := dataset.Queries(dataset.NewRandomWalk(), 1, tLen, 2)[0]
-	if _, err := ix.ApproxSearch(q, 0); err == nil {
+	if _, err := ix.ApproxSearch(context.Background(), q, 0); err == nil {
 		t.Fatal("expected error on empty index")
 	}
 	tx, err := BuildTrie(baseOptions(t, fs, false))
@@ -521,7 +521,7 @@ func TestEmptyDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tx.Close()
-	if _, err := tx.ApproxSearch(q, 0); err == nil {
+	if _, err := tx.ApproxSearch(context.Background(), q, 0); err == nil {
 		t.Fatal("expected error on empty trie")
 	}
 }
@@ -545,7 +545,7 @@ func TestFillFactorControlsPacking(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	fill := ix.AvgLeafFill()
+	fill := ix.Shape().LeafFill
 	if fill < 0.4 || fill > 0.6 {
 		t.Fatalf("fill factor 0.5 gave %v", fill)
 	}

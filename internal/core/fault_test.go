@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync/atomic"
@@ -59,7 +60,7 @@ func TestQuerySurvivesInjectedReadFaults(t *testing.T) {
 	defer ix.Close()
 	q := mustQuery(t)
 	// Sanity: works before the fault.
-	if _, err := ix.ExactSearch(q, 0); err != nil {
+	if _, err := ix.ExactSearch(context.Background(), q, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Fail every device read; with the page cache dropped, the approximate
@@ -73,14 +74,14 @@ func TestQuerySurvivesInjectedReadFaults(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := ix.ExactSearch(q, 0); err == nil {
+	if _, err := ix.ExactSearch(context.Background(), q, 0); err == nil {
 		t.Fatal("expected read fault to propagate")
 	} else if !errors.Is(err, boom) {
 		t.Fatalf("error lost its cause: %v", err)
 	}
 	fs.SetFault(nil)
 	// Index usable again once the device recovers.
-	if _, err := ix.ExactSearch(q, 0); err != nil {
+	if _, err := ix.ExactSearch(context.Background(), q, 0); err != nil {
 		t.Fatalf("index unusable after fault cleared: %v", err)
 	}
 }
@@ -102,7 +103,7 @@ func TestShardedScanFaultCancelsSiblings(t *testing.T) {
 		fs, _ := fixtureFS(t)
 		opt := baseOptions(t, fs, false)
 		opt.QueryWorkers = 4
-		var exact, approx func(series.Series, int) (Result, error)
+		var exact, approx func(context.Context, series.Series, int) (Result, error)
 		var closeIx func() error
 		if variant == "tree" {
 			ix, err := BuildTree(opt)
@@ -125,7 +126,7 @@ func TestShardedScanFaultCancelsSiblings(t *testing.T) {
 		// Measure how many raw reads the (deterministic) approximate phase
 		// performs, so the fault can be armed to hit only the sharded
 		// verification scan that follows it inside ExactSearch.
-		pre, err := approx(q, 0)
+		pre, err := approx(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestShardedScanFaultCancelsSiblings(t *testing.T) {
 			}
 			return nil
 		})
-		if _, err := exact(q, 0); err == nil {
+		if _, err := exact(context.Background(), q, 0); err == nil {
 			t.Fatalf("%s: expected sharded-scan fault to propagate", variant)
 		} else if !errors.Is(err, boom) {
 			t.Fatalf("%s: error lost its cause: %v", variant, err)
@@ -156,7 +157,7 @@ func TestShardedScanFaultCancelsSiblings(t *testing.T) {
 		}
 
 		// The handle stays usable once the device recovers.
-		if _, err := exact(q, 0); err != nil {
+		if _, err := exact(context.Background(), q, 0); err != nil {
 			t.Fatalf("%s: index unusable after fault cleared: %v", variant, err)
 		}
 		closeIx()

@@ -34,15 +34,11 @@ type Neighbor = shard.Neighbor
 // shard boundaries fall, so the returned neighbors are identical for any
 // QueryWorkers; only the Visited* counters vary (weaker per-shard bounds
 // verify a few extra candidates).
-func (ix *TreeIndex) ExactSearchKNN(q series.Series, k, radius int) ([]Neighbor, Result, error) {
-	return ix.ExactSearchKNNCtx(context.Background(), q, k, radius)
-}
-
-// ExactSearchKNNCtx is ExactSearchKNN observing ctx: cancellation is
-// checked at leaf-visit granularity, a cancelled query returns ctx.Err()
-// and never a partial neighbor set, and shards stuck in a blocking read
-// are abandoned rather than waited for.
-func (ix *TreeIndex) ExactSearchKNNCtx(ctx context.Context, q series.Series, k, radius int) ([]Neighbor, Result, error) {
+//
+// Cancellation is checked at leaf-visit granularity, a cancelled query
+// returns ctx.Err() and never a partial neighbor set, and shards stuck in a
+// blocking read are abandoned rather than waited for.
+func (ix *TreeIndex) ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]Neighbor, Result, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
 	var kb shard.BSF
@@ -68,14 +64,8 @@ func (ix *TreeIndex) ExactSearchKNNCtx(ctx context.Context, q series.Series, k, 
 // top-k of the local multiset, independent of any seed), while the shared
 // cross-partition bound kb is used for pruning only, with the same strict
 // comparisons as the shared exact bound. Returned neighbors and stats are
-// in SQUARED space.
-func (ix *TreeIndex) ExactSearchKNNShared(q series.Series, k, radius int, kb *shard.BSF) ([]Neighbor, Result, error) {
-	return ix.ExactSearchKNNSharedCtx(context.Background(), q, k, radius, kb)
-}
-
-// ExactSearchKNNSharedCtx is ExactSearchKNNShared observing ctx (see
-// ExactSearchKNNCtx).
-func (ix *TreeIndex) ExactSearchKNNSharedCtx(ctx context.Context, q series.Series, k, radius int, kb *shard.BSF) ([]Neighbor, Result, error) {
+// in SQUARED space. It observes ctx as ExactSearchKNN does.
+func (ix *TreeIndex) ExactSearchKNNShared(ctx context.Context, q series.Series, k, radius int, kb *shard.BSF) ([]Neighbor, Result, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
 	return ix.exactSearchKNN(ctx, q, k, radius, kb)
@@ -153,7 +143,7 @@ func (ix *TreeIndex) knnScanRawFile(ctx context.Context, q series.Series, k int,
 	workers := shard.Resolve(ix.opt.QueryWorkers, len(cands))
 	perShard := make([][]Neighbor, workers)
 	visited := make([]int64, workers)
-	err := shard.ScanCtx(ctx, workers, len(cands), func(si int, rr shard.Range, cancelled func() bool) error {
+	err := shard.Scan(ctx, workers, len(cands), func(si int, rr shard.Range, cancelled func() bool) error {
 		lh := shard.NewKNNHeap(k)
 		for _, n := range seed {
 			lh.Offer(n)
@@ -200,7 +190,7 @@ func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, 
 	workers := shard.Resolve(ix.opt.QueryWorkers, len(dir))
 	perShard := make([][]Neighbor, workers)
 	visited := make([][2]int64, workers) // records, leaves
-	err := shard.ScanCtx(ctx, workers, len(dir), func(si int, rr shard.Range, cancelled func() bool) error {
+	err := shard.Scan(ctx, workers, len(dir), func(si int, rr shard.Range, cancelled func() bool) error {
 		lh := shard.NewKNNHeap(k)
 		for _, n := range seed {
 			lh.Offer(n)

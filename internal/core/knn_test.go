@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -34,7 +35,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 		for qi, q := range qs {
 			for _, k := range []int{1, 5, 20} {
 				want := bruteForceKNN(q, data, k)
-				got, _, err := ix.ExactSearchKNN(q, k, 1)
+				got, _, err := ix.ExactSearchKNN(context.Background(), q, k, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,7 +61,7 @@ func TestKNNOrderedAscending(t *testing.T) {
 	}
 	defer ix.Close()
 	q := dataset.Queries(dataset.NewRandomWalk(), 1, tLen, 23)[0]
-	got, stats, err := ix.ExactSearchKNN(q, 10, 0)
+	got, stats, err := ix.ExactSearchKNN(context.Background(), q, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestKNNKLargerThanCollection(t *testing.T) {
 	}
 	defer ix.Close()
 	q := dataset.Queries(dataset.NewRandomWalk(), 1, tLen, 25)[0]
-	got, _, err := ix.ExactSearchKNN(q, tCount+100, 0)
+	got, _, err := ix.ExactSearchKNN(context.Background(), q, tCount+100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestKNNZeroAndNegativeK(t *testing.T) {
 	}
 	defer ix.Close()
 	q := dataset.Queries(dataset.NewRandomWalk(), 1, tLen, 27)[0]
-	got, _, err := ix.ExactSearchKNN(q, 0, 0)
+	got, _, err := ix.ExactSearchKNN(context.Background(), q, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +120,13 @@ func TestKNNAfterInsert(t *testing.T) {
 	}
 	defer ix.Close()
 	batch := dataset.Generate(dataset.NewSeismic(), 30, tLen, 555)
-	if err := ix.InsertBatch(batch); err != nil {
+	if err := ix.Insert(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	all := append(append([]series.Series{}, data...), batch...)
 	q := batch[11]
 	want := bruteForceKNN(q, all, 5)
-	got, _, err := ix.ExactSearchKNN(q, 5, 1)
+	got, _, err := ix.ExactSearchKNN(context.Background(), q, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestOpenTreeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		count := ix.Count()
-		leaves := ix.NumLeaves()
+		leaves := ix.Shape().Leaves
 		if err := ix.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -155,14 +156,14 @@ func TestOpenTreeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer re.Close()
-		if re.Count() != count || re.NumLeaves() != leaves {
+		if re.Count() != count || re.Shape().Leaves != leaves {
 			t.Fatalf("reopened shape differs: %d/%d vs %d/%d",
-				re.Count(), re.NumLeaves(), count, leaves)
+				re.Count(), re.Shape().Leaves, count, leaves)
 		}
 		// Queries work identically after reopen.
 		q := dataset.Queries(dataset.NewRandomWalk(), 1, tLen, 29)[0]
 		want := bruteForce1NN(q, data)
-		res, err := re.ExactSearch(q, 1)
+		res, err := re.ExactSearch(context.Background(), q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,10 +172,10 @@ func TestOpenTreeRoundTrip(t *testing.T) {
 		}
 		// Inserts keep working after reopen.
 		batch := dataset.Generate(dataset.NewAstronomy(), 10, tLen, 31)
-		if err := re.InsertBatch(batch); err != nil {
+		if err := re.Insert(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		res, err = re.ExactSearch(batch[0], 0)
+		res, err = re.ExactSearch(context.Background(), batch[0], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,13 +213,13 @@ func TestKNNDeterministicAcrossQueryWorkers(t *testing.T) {
 		for qi, q := range qs {
 			for _, k := range []int{1, 7, 25} {
 				ix.opt.QueryWorkers = 1
-				want, _, err := ix.ExactSearchKNN(q, k, 1)
+				want, _, err := ix.ExactSearchKNN(context.Background(), q, k, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{2, 3, 8, 64} {
 					ix.opt.QueryWorkers = workers
-					got, _, err := ix.ExactSearchKNN(q, k, 1)
+					got, _, err := ix.ExactSearchKNN(context.Background(), q, k, 1)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -24,18 +25,18 @@ func TestBuildTreeDeterministicAcrossWorkers(t *testing.T) {
 	ix8, close8 := build(8)
 	defer close8()
 
-	if ix1.Count() != ix8.Count() || ix1.NumLeaves() != ix8.NumLeaves() {
+	if ix1.Count() != ix8.Count() || ix1.Shape().Leaves != ix8.Shape().Leaves {
 		t.Fatalf("shape differs: workers=1 (%d series, %d leaves) vs workers=8 (%d series, %d leaves)",
-			ix1.Count(), ix1.NumLeaves(), ix8.Count(), ix8.NumLeaves())
+			ix1.Count(), ix1.Shape().Leaves, ix8.Count(), ix8.Shape().Leaves)
 	}
 	_, data := fixtureFS(t)
 	for qi := 0; qi < 20; qi++ {
 		q := data[qi*31%len(data)].Clone()
-		e1, err := ix1.ExactSearch(q, 1)
+		e1, err := ix1.ExactSearch(context.Background(), q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e8, err := ix8.ExactSearch(q, 1)
+		e8, err := ix8.ExactSearch(context.Background(), q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -144,7 +144,6 @@ func (ix *TrieIndex) writeManifest() error {
 // cross-checked against the manifest's leaf count. The raw dataset file is
 // opened for query-time fetches but never read here.
 func OpenTrie(opt Options) (*TrieIndex, error) {
-	opt.Variant = Trie
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -184,7 +183,7 @@ func (ix *TrieIndex) load(wantLeaves int) error {
 	if ix.leafFile, err = openLeafFile(&ix.opt); err != nil {
 		return err
 	}
-	if ix.rawSums, ix.ownSums, err = attachRawSums(&ix.opt, ix.rawFile); err != nil {
+	if ix.rawSums, ix.ownSums, err = AttachRawSums(ix.opt.FS, ix.opt.RawName, ix.opt.S, ix.opt.Checksums, ix.opt.RawSums, ix.rawFile); err != nil {
 		return err
 	}
 	// Keys live in the leaf records; the raw file is not touched.

@@ -185,7 +185,7 @@ func TestTreeExactMatchesReferencePass(t *testing.T) {
 				want := newSimsRef(opt.S, q, data, ix.keys, ix.positions, leaves).exact(q, seed)
 				for _, w := range workerSweep {
 					ix.opt.QueryWorkers = w
-					got, err := ix.ExactSearch(q, 1)
+					got, err := ix.ExactSearch(context.Background(), q, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -221,7 +221,7 @@ func TestTrieExactMatchesReferencePass(t *testing.T) {
 				want := newSimsRef(opt.S, q, data, ix.keys, ix.positions, leaves).exact(q, seed)
 				for _, w := range workerSweep {
 					ix.opt.QueryWorkers = w
-					got, err := ix.ExactSearch(q, 1)
+					got, err := ix.ExactSearch(context.Background(), q, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -260,7 +260,7 @@ func TestKNNMatchesReferencePass(t *testing.T) {
 					want, wantStats := newSimsRef(opt.S, q, data, ix.keys, ix.positions, leaves).knn(q, k, h.Items(), stats)
 					for _, w := range workerSweep {
 						ix.opt.QueryWorkers = w
-						got, gotStats, err := ix.ExactSearchKNN(q, k, 1)
+						got, gotStats, err := ix.ExactSearchKNN(context.Background(), q, k, 1)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -26,7 +26,7 @@ import (
 //
 // A TreeIndex handle is safe for concurrent use: any number of queries
 // (ApproxSearch, ExactSearch, ExactSearchKNN) may run at once on one
-// handle, and InsertBatch/Close serialize against them through a
+// handle, and Insert/Close serialize against them through a
 // handle-level RWMutex. Per-query scratch buffers are allocated per call,
 // and the lazily rebuilt SIMS summary array and leaf-directory index are
 // guarded by their own mutex.
@@ -41,7 +41,7 @@ type TreeIndex struct {
 	rawSums *storage.RecordSums
 	ownSums bool
 	// qmu is the handle lock: queries hold it shared, mutations
-	// (InsertBatch, DropCaches, Close) exclusively.
+	// (Insert, DropCaches, Close) exclusively.
 	qmu sync.RWMutex
 	// closed makes Close idempotent: a second Close (or one racing a
 	// cancelled query's teardown) is a no-op instead of a double file close.
@@ -195,7 +195,7 @@ func OpenTree(opt Options) (*TreeIndex, error) {
 		return nil, err
 	}
 	ix := &TreeIndex{opt: opt, bt: bt, rawFile: raw, count: bt.Count(), simsDirty: true}
-	if ix.rawSums, ix.ownSums, err = attachRawSums(&opt, raw); err != nil {
+	if ix.rawSums, ix.ownSums, err = AttachRawSums(opt.FS, opt.RawName, opt.S, opt.Checksums, opt.RawSums, raw); err != nil {
 		bt.Close()
 		raw.Close()
 		return nil, err
@@ -219,26 +219,16 @@ func (ix *TreeIndex) Count() int64 {
 	return ix.count
 }
 
-// NumLeaves returns the number of leaf pages.
-func (ix *TreeIndex) NumLeaves() int {
+// Shape returns the leaf-page count and the mean leaf occupancy (the
+// paper's ~97%).
+func (ix *TreeIndex) Shape() Shape {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
-	return ix.bt.NumLeaves()
+	return Shape{Leaves: ix.bt.NumLeaves(), LeafFill: ix.bt.AvgLeafFill()}
 }
 
-// AvgLeafFill returns mean leaf occupancy (the paper's ~97%).
-func (ix *TreeIndex) AvgLeafFill() float64 {
-	ix.qmu.RLock()
-	defer ix.qmu.RUnlock()
-	return ix.bt.AvgLeafFill()
-}
-
-// Height returns the B+-tree height (leaves included).
-func (ix *TreeIndex) Height() int {
-	ix.qmu.RLock()
-	defer ix.qmu.RUnlock()
-	return ix.bt.Height()
-}
+// Degraded is always false: a tree opens whole or not at all.
+func (ix *TreeIndex) Degraded() bool { return false }
 
 // SizeBytes returns the on-device index footprint.
 func (ix *TreeIndex) SizeBytes() int64 {
@@ -340,14 +330,10 @@ func finishResult(res Result) Result {
 // specific radius from this specific point ... usually a disk page" (§4.3)
 // — fetching them in lower-bound order with early stop. The window depends
 // only on the sorted record multiset, so the answer is identical across
-// layouts (see internal/window). Safe for concurrent use.
-func (ix *TreeIndex) ApproxSearch(q series.Series, radius int) (Result, error) {
-	return ix.ApproxSearchCtx(context.Background(), q, radius)
-}
-
-// ApproxSearchCtx is ApproxSearch observing ctx: cancellation is checked
-// before every candidate fetch, and a cancelled query returns ctx.Err().
-func (ix *TreeIndex) ApproxSearchCtx(ctx context.Context, q series.Series, radius int) (Result, error) {
+// layouts (see internal/window). Safe for concurrent use. Cancellation is
+// checked before every candidate fetch, and a cancelled query returns
+// ctx.Err().
+func (ix *TreeIndex) ApproxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
 	res, err := ix.approxSearch(ctx, q, radius)
@@ -371,14 +357,9 @@ func (ix *TreeIndex) approxSearch(ctx context.Context, q series.Series, radius i
 // partition layer's cross-partition approximate search. The returned
 // fetcher reads index/dataset files after the handle lock is released; the
 // partition layer serializes queries against mutations with its own lock.
-// An empty index contributes nothing.
-func (ix *TreeIndex) ApproxWindowCands(q series.Series, radius int) (ApproxWindow, error) {
-	return ix.ApproxWindowCandsCtx(context.Background(), q, radius)
-}
-
-// ApproxWindowCandsCtx is ApproxWindowCands with cancellation: the
-// returned window's Fetch observes ctx between records.
-func (ix *TreeIndex) ApproxWindowCandsCtx(ctx context.Context, q series.Series, radius int) (ApproxWindow, error) {
+// An empty index contributes nothing. The returned window's Fetch observes
+// ctx between records.
+func (ix *TreeIndex) ApproxWindowCands(ctx context.Context, q series.Series, radius int) (ApproxWindow, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
 	if ix.count == 0 {
@@ -486,15 +467,11 @@ func (ix *TreeIndex) ensureSIMS() error {
 // the tree's own leaves when materialized, else over the raw file in
 // position order, file-adjacent candidates sharing one read (scanRaw). Safe
 // for concurrent use; (Pos, Dist) is identical for any worker count.
-func (ix *TreeIndex) ExactSearch(q series.Series, radius int) (Result, error) {
-	return ix.ExactSearchCtx(context.Background(), q, radius)
-}
-
-// ExactSearchCtx is ExactSearch observing ctx: cancellation is checked at
-// leaf-visit granularity in the verification scan, a cancelled query
-// returns ctx.Err() promptly (never a partial answer), and shards stuck in
-// a blocking read are abandoned rather than waited for.
-func (ix *TreeIndex) ExactSearchCtx(ctx context.Context, q series.Series, radius int) (Result, error) {
+// Cancellation is checked at leaf-visit granularity in the verification
+// scan, a cancelled query returns ctx.Err() promptly (never a partial
+// answer), and shards stuck in a blocking read are abandoned rather than
+// waited for.
+func (ix *TreeIndex) ExactSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
 	res, err := ix.exactSearch(ctx, q, radius)
@@ -529,13 +506,9 @@ func (ix *TreeIndex) exactVerify(ctx context.Context, q series.Series, res Resul
 // computed seed (the partition layer's global approximate answer) and a
 // shared cross-partition bound. The returned Result is in SQUARED space
 // and its counters cover this index's verification work only; an index
-// that finds no improvement returns the seed unchanged.
-func (ix *TreeIndex) ExactVerify(q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (Result, error) {
-	return ix.ExactVerifyCtx(context.Background(), q, seedPos, seedSq, bound)
-}
-
-// ExactVerifyCtx is ExactVerify observing ctx (see ExactSearchCtx).
-func (ix *TreeIndex) ExactVerifyCtx(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (Result, error) {
+// that finds no improvement returns the seed unchanged. It observes ctx as
+// ExactSearch does.
+func (ix *TreeIndex) ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (Result, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
 	res := Result{Pos: seedPos, Dist: seedSq}
@@ -567,7 +540,7 @@ func applyScan(res Result, pos int64, dist float64, vr, vl int64) Result {
 func (ix *TreeIndex) simsOverLeaves(ctx context.Context, q series.Series, cands []summary.Cand, res Result, bound *shard.BSF) (Result, error) {
 	dir, bases := ix.leafBases()
 	recSize := ix.opt.recordSize()
-	pos, dist, vr, vl, err := shard.ScanReduceCtx(ctx, ix.opt.QueryWorkers, len(dir), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
+	pos, dist, vr, vl, err := shard.ScanReduce(ctx, ix.opt.QueryWorkers, len(dir), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
 		sc := GetRawScratch(len(q), 1)
 		defer PutRawScratch(sc)
 		buf := make([]byte, ix.opt.LeafCap*recSize)
@@ -607,22 +580,19 @@ func (ix *TreeIndex) simsOverLeaves(ctx context.Context, q series.Series, cands 
 	return applyScan(res, pos, dist, vr, vl), err
 }
 
-// InsertBatch appends new series to the dataset and inserts them into the
+// Insert appends new series to the dataset and inserts them into the
 // tree top-down with median splits (the update path of Figure 10a).
 // Sorting the batch by key first concentrates the leaf touches — larger
 // batches approach bulk-load locality, which is why Coconut wins when
-// updates arrive in volume. InsertBatch takes the handle lock exclusively,
+// updates arrive in volume. Insert takes the handle lock exclusively,
 // so it serializes against in-flight queries.
-func (ix *TreeIndex) InsertBatch(batch []series.Series) error {
-	return ix.InsertBatchCtx(context.Background(), batch)
-}
-
-// InsertBatchCtx is InsertBatch with cancellation checked only at entry
-// (and while queued on the handle lock is not interruptible): once raw
-// bytes start landing the batch runs to completion, because a half-applied
-// insert would leave the tree and the dataset disagreeing. Write-path
-// cancellation is therefore admission control, not abort.
-func (ix *TreeIndex) InsertBatchCtx(ctx context.Context, batch []series.Series) error {
+//
+// Cancellation is checked only at entry (and while queued on the handle
+// lock is not interruptible): once raw bytes start landing the batch runs
+// to completion, because a half-applied insert would leave the tree and the
+// dataset disagreeing. Write-path cancellation is therefore admission
+// control, not abort.
+func (ix *TreeIndex) Insert(ctx context.Context, batch []series.Series) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -667,11 +637,13 @@ func (ix *TreeIndex) InsertBatchCtx(ctx context.Context, batch []series.Series) 
 }
 
 // InsertRecords inserts pre-summarized records whose raw bytes were
-// already written to the shared dataset file by the partition layer.
-func (ix *TreeIndex) InsertRecords(recs []InsertRec) error {
+// already written to the shared dataset file by the partition layer. The
+// durability token is always 0: tree inserts become durable at Sync, so
+// there is no group commit to wait for.
+func (ix *TreeIndex) InsertRecords(recs []InsertRec) (int64, error) {
 	ix.qmu.Lock()
 	defer ix.qmu.Unlock()
-	return ix.insertRecsLocked(append([]InsertRec(nil), recs...))
+	return 0, ix.insertRecsLocked(append([]InsertRec(nil), recs...))
 }
 
 // insertRecsLocked is the shared tail of the insert paths: sort the batch

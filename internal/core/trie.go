@@ -107,7 +107,6 @@ func RemoveTrie(fs storage.FS, name string) {
 // the one large sequential write that replaces the state of the art's
 // scattered allocations. A failed build leaves none of its files behind.
 func BuildTrie(opt Options) (*TrieIndex, error) {
-	opt.Variant = Trie
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -273,20 +272,20 @@ func truncatedLeaves(err error) error {
 // Count returns the number of indexed series.
 func (ix *TrieIndex) Count() int64 { return ix.count }
 
-// NumLeaves returns the number of trie leaves.
-func (ix *TrieIndex) NumLeaves() int { return len(ix.leaves) }
-
-// AvgLeafFill returns mean leaf occupancy.
-func (ix *TrieIndex) AvgLeafFill() float64 {
-	if len(ix.leaves) == 0 {
-		return 0
+// Shape returns the number of trie leaves and their mean occupancy.
+func (ix *TrieIndex) Shape() Shape {
+	sh := Shape{Leaves: len(ix.leaves)}
+	if len(ix.leaves) > 0 {
+		sh.LeafFill = float64(ix.count) / float64(int64(len(ix.leaves))*int64(ix.opt.LeafCap))
 	}
-	var total int64
-	for _, l := range ix.leaves {
-		total += l.Count
-	}
-	return float64(total) / float64(int64(len(ix.leaves))*int64(ix.opt.LeafCap))
+	return sh
 }
+
+// Degraded is always false: a trie opens whole or not at all.
+func (ix *TrieIndex) Degraded() bool { return false }
+
+// Sync is a no-op: the trie is immutable and was durable when built.
+func (ix *TrieIndex) Sync() error { return nil }
 
 // SizeBytes returns the on-device index footprint.
 func (ix *TrieIndex) SizeBytes() int64 {
@@ -325,15 +324,10 @@ func (ix *TrieIndex) Close() error {
 // the query key's insertion position in the sorted summary array, fetching
 // them in lower-bound order with early stop. The window depends only on
 // the sorted record multiset, so the answer is identical across layouts
-// (see internal/window). Safe for concurrent use.
-func (ix *TrieIndex) ApproxSearch(q series.Series, radius int) (Result, error) {
-	return ix.ApproxSearchCtx(context.Background(), q, radius)
-}
-
-// ApproxSearchCtx is ApproxSearch with cancellation: the candidate fetch
-// loop observes ctx between records and returns ctx.Err() without a
-// partial answer.
-func (ix *TrieIndex) ApproxSearchCtx(ctx context.Context, q series.Series, radius int) (Result, error) {
+// (see internal/window). Safe for concurrent use. The candidate fetch loop
+// observes ctx between records and returns ctx.Err() without a partial
+// answer.
+func (ix *TrieIndex) ApproxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
 	res, err := ix.approxSearch(ctx, q, radius)
@@ -356,14 +350,9 @@ func (ix *TrieIndex) approxSearch(ctx context.Context, q series.Series, radius i
 // ApproxWindowCands exposes the trie's window contribution to the
 // partition layer's cross-partition approximate search (see
 // TreeIndex.ApproxWindowCands for the locking contract). An empty index
-// contributes nothing.
-func (ix *TrieIndex) ApproxWindowCands(q series.Series, radius int) (ApproxWindow, error) {
-	return ix.ApproxWindowCandsCtx(context.Background(), q, radius)
-}
-
-// ApproxWindowCandsCtx is ApproxWindowCands with cancellation: the
-// returned window's Fetch observes ctx between records.
-func (ix *TrieIndex) ApproxWindowCandsCtx(ctx context.Context, q series.Series, radius int) (ApproxWindow, error) {
+// contributes nothing. The returned window's Fetch observes ctx between
+// records.
+func (ix *TrieIndex) ApproxWindowCands(ctx context.Context, q series.Series, radius int) (ApproxWindow, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
 	if ix.count == 0 {
@@ -416,15 +405,9 @@ func (ix *TrieIndex) windowFetch() window.FetchFunc {
 // skip-sequential candidate scan sharded across Options.QueryWorkers
 // (leaves when materialized, else the raw file in position order, adjacent
 // candidates sharing one read). Safe for concurrent use; (Pos, Dist) is
-// identical for any worker count.
-func (ix *TrieIndex) ExactSearch(q series.Series, radius int) (Result, error) {
-	return ix.ExactSearchCtx(context.Background(), q, radius)
-}
-
-// ExactSearchCtx is ExactSearch with cancellation: the verification scan
-// observes ctx at leaf/candidate granularity and returns ctx.Err() without
-// a partial answer.
-func (ix *TrieIndex) ExactSearchCtx(ctx context.Context, q series.Series, radius int) (Result, error) {
+// identical for any worker count. The verification scan observes ctx at
+// leaf/candidate granularity and returns ctx.Err() without a partial answer.
+func (ix *TrieIndex) ExactSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
 	res, err := ix.exactSearch(ctx, q, radius)
@@ -453,12 +436,7 @@ func (ix *TrieIndex) exactVerify(ctx context.Context, q series.Series, res Resul
 // computed seed and a shared cross-partition bound (see
 // TreeIndex.ExactVerify). Returned Result is SQUARED, counters cover this
 // index's verification work only.
-func (ix *TrieIndex) ExactVerify(q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (Result, error) {
-	return ix.ExactVerifyCtx(context.Background(), q, seedPos, seedSq, bound)
-}
-
-// ExactVerifyCtx is ExactVerify with cancellation.
-func (ix *TrieIndex) ExactVerifyCtx(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (Result, error) {
+func (ix *TrieIndex) ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (Result, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
 	res := Result{Pos: seedPos, Dist: seedSq}
@@ -472,7 +450,7 @@ func (ix *TrieIndex) ExactVerifyCtx(ctx context.Context, q series.Series, seedPo
 // runs of trie leaves; see TreeIndex.simsOverLeaves for the candidate list
 // and the determinism contract.
 func (ix *TrieIndex) simsOverLeaves(ctx context.Context, q series.Series, cands []summary.Cand, res Result, bound *shard.BSF) (Result, error) {
-	pos, dist, vr, vl, err := shard.ScanReduceCtx(ctx, ix.opt.QueryWorkers, len(ix.leaves), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
+	pos, dist, vr, vl, err := shard.ScanReduce(ctx, ix.opt.QueryWorkers, len(ix.leaves), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
 		sc := GetRawScratch(len(q), 1)
 		defer PutRawScratch(sc)
 		recSize := ix.opt.recordSize()

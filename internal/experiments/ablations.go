@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -116,14 +117,14 @@ func AblationFillFactor(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		leavesBefore := ix.NumLeaves()
+		leavesBefore := ix.Shape().Leaves
 		size := ix.SizeBytes()
-		cost, err := measure(e.fs, func() error { return ix.InsertBatch(batch) })
+		cost, err := measure(e.fs, func() error { return ix.Insert(context.Background(), batch) })
 		if err != nil {
 			return nil, err
 		}
 		t.Add(fmt.Sprintf("%.1f", ff), fmt.Sprint(leavesBefore), mb(size),
-			ms(cost.Total()), fmt.Sprint(ix.NumLeaves()))
+			ms(cost.Total()), fmt.Sprint(ix.Shape().Leaves))
 		ix.Close()
 	}
 	return t, nil
@@ -205,7 +206,7 @@ func AblationLSMUpdates(sc Scale) (*Table, error) {
 		cost, err := measure(e.fs, func() error {
 			for lo := 0; lo < len(stream); lo += batchSize {
 				hi := min(lo+batchSize, len(stream))
-				if err := ix.InsertBatch(stream[lo:hi]); err != nil {
+				if err := ix.Insert(context.Background(), stream[lo:hi]); err != nil {
 					return err
 				}
 			}
@@ -216,7 +217,7 @@ func AblationLSMUpdates(sc Scale) (*Table, error) {
 		}
 		q := e.queries(1)[0]
 		qc, err := measure(e.fs, func() error {
-			_, err := ix.ExactSearch(q, 0)
+			_, err := ix.ExactSearch(context.Background(), q, 0)
 			return err
 		})
 		ix.Close()
@@ -284,7 +285,7 @@ func AblationLSMUpdates(sc Scale) (*Table, error) {
 		cost, err := measure(e.fs, func() error {
 			for lo := 0; lo < len(stream); lo += batchSize {
 				hi := min(lo+batchSize, len(stream))
-				if err := ix.Append(stream[lo:hi]); err != nil {
+				if err := ix.Insert(context.Background(), stream[lo:hi]); err != nil {
 					return err
 				}
 			}
@@ -295,14 +296,14 @@ func AblationLSMUpdates(sc Scale) (*Table, error) {
 		}
 		q := e.queries(1)[0]
 		qc, err := measure(e.fs, func() error {
-			_, err := ix.ExactSearch(q)
+			_, err := ix.ExactSearch(context.Background(), q, 0)
 			return err
 		})
 		ix.Close()
 		if err != nil {
 			return nil, err
 		}
-		t.Add(fmt.Sprintf("Coconut-LSM (%d runs)", ix.NumRuns()),
+		t.Add(fmt.Sprintf("Coconut-LSM (%d runs)", ix.Shape().Runs),
 			ms(cost.Total()), ms(cost.Sim), ms(cost.Wall), ms(qc.Total()))
 	}
 	return t, nil
@@ -334,7 +335,7 @@ func AblationLeafSize(sc Scale) (*Table, error) {
 		}
 		qc, err := measure(e.fs, func() error {
 			for _, q := range e.queries(lsc.Queries) {
-				if _, err := ix.ExactSearch(q, 1); err != nil {
+				if _, err := ix.ExactSearch(context.Background(), q, 1); err != nil {
 					return err
 				}
 			}
@@ -343,7 +344,7 @@ func AblationLeafSize(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Add(fmt.Sprint(cap), fmt.Sprint(ix.NumLeaves()), ms(bc.Total()),
+		t.Add(fmt.Sprint(cap), fmt.Sprint(ix.Shape().Leaves), ms(bc.Total()),
 			ms(qc.Total()/time1(lsc.Queries)))
 		ix.Close()
 	}

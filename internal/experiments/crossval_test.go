@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestAllIndexesAgreeOnExactNN(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("Coconut-Tree", func(q series.Series) (float64, error) {
-				r, err := ix.ExactSearch(q, 1)
+				r, err := ix.ExactSearch(context.Background(), q, 1)
 				return r.Dist, err
 			})
 			ix.Close()
@@ -71,7 +72,7 @@ func TestAllIndexesAgreeOnExactNN(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("Coconut-Tree-Full", func(q series.Series) (float64, error) {
-				r, err := ix.ExactSearch(q, 1)
+				r, err := ix.ExactSearch(context.Background(), q, 1)
 				return r.Dist, err
 			})
 			ix.Close()
@@ -83,7 +84,7 @@ func TestAllIndexesAgreeOnExactNN(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("Coconut-Trie", func(q series.Series) (float64, error) {
-				r, err := ix.ExactSearch(q, 0)
+				r, err := ix.ExactSearch(context.Background(), q, 0)
 				return r.Dist, err
 			})
 			ix.Close()
@@ -159,7 +160,7 @@ func TestAllIndexesAgreeOnExactNN(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("Coconut-LSM", func(q series.Series) (float64, error) {
-				r, err := ix.ExactSearch(q)
+				r, err := ix.ExactSearch(context.Background(), q, 0)
 				return r.Dist, err
 			})
 			ix.Close()

@@ -172,8 +172,8 @@ func ms(d time.Duration) string {
 }
 
 // Percentile picks the p-quantile of ascending-sorted latencies
-// (nearest-rank). It is the single quantile definition shared by
-// BenchmarkIngestLatency and `coconut stream`.
+// (nearest-rank), the quantile definition of BenchmarkIngestLatency (and,
+// inline, of `coconut stream`).
 func Percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0

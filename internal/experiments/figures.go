@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -238,7 +239,7 @@ func Fig8cSpace(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		add("Coconut-Tree-Full", ix.SizeBytes(), ix.NumLeaves(), ix.AvgLeafFill())
+		add("Coconut-Tree-Full", ix.SizeBytes(), ix.Shape().Leaves, ix.Shape().LeafFill)
 		ix.Close()
 	}
 	{
@@ -247,7 +248,7 @@ func Fig8cSpace(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		add("Coconut-Trie-Full", ix.SizeBytes(), ix.NumLeaves(), ix.AvgLeafFill())
+		add("Coconut-Trie-Full", ix.SizeBytes(), ix.Shape().Leaves, ix.Shape().LeafFill)
 		ix.Close()
 	}
 	{
@@ -301,7 +302,7 @@ func Fig8cSpace(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		add("Coconut-Tree", ix.SizeBytes(), ix.NumLeaves(), ix.AvgLeafFill())
+		add("Coconut-Tree", ix.SizeBytes(), ix.Shape().Leaves, ix.Shape().LeafFill)
 		ix.Close()
 	}
 	{
@@ -310,7 +311,7 @@ func Fig8cSpace(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		add("Coconut-Trie", ix.SizeBytes(), ix.NumLeaves(), ix.AvgLeafFill())
+		add("Coconut-Trie", ix.SizeBytes(), ix.Shape().Leaves, ix.Shape().LeafFill)
 		ix.Close()
 	}
 	{
@@ -492,7 +493,7 @@ func Fig9aExact(sc Scale) (*Table, error) {
 			}
 			c, err := measure(e.fs, func() error {
 				for _, q := range qs(e) {
-					if _, err := ix.ExactSearch(q, 1); err != nil {
+					if _, err := ix.ExactSearch(context.Background(), q, 1); err != nil {
 						return err
 					}
 				}
@@ -515,7 +516,7 @@ func Fig9aExact(sc Scale) (*Table, error) {
 			}
 			c, err := measure(e.fs, func() error {
 				for _, q := range qs(e) {
-					if _, err := ix.ExactSearch(q, 1); err != nil {
+					if _, err := ix.ExactSearch(context.Background(), q, 1); err != nil {
 						return err
 					}
 				}
@@ -652,7 +653,7 @@ func Fig9bApprox(sc Scale) (*Table, error) {
 			}
 			c, err := measure(e.fs, func() error {
 				for _, q := range e.queries(sc.Queries) {
-					if _, err := ix.ApproxSearch(q, 1); err != nil {
+					if _, err := ix.ApproxSearch(context.Background(), q, 1); err != nil {
 						return err
 					}
 				}
@@ -675,7 +676,7 @@ func Fig9bApprox(sc Scale) (*Table, error) {
 			}
 			c, err := measure(e.fs, func() error {
 				for _, q := range e.queries(sc.Queries) {
-					if _, err := ix.ApproxSearch(q, 1); err != nil {
+					if _, err := ix.ApproxSearch(context.Background(), q, 1); err != nil {
 						return err
 					}
 				}
@@ -758,7 +759,7 @@ func Fig9cApproxLargest(sc Scale) (*Table, error) {
 	for _, radius := range []int{0, 1, 10} {
 		c, err := measure(e.fs, func() error {
 			for _, q := range e.queries(sc.Queries) {
-				if _, err := ix.ApproxSearch(q, radius); err != nil {
+				if _, err := ix.ApproxSearch(context.Background(), q, radius); err != nil {
 					return err
 				}
 			}
@@ -840,7 +841,7 @@ func Fig9dApproxQuality(sc Scale) (*Table, error) {
 		var sum float64
 		var wins int
 		for i, q := range qs {
-			r, err := ix.ApproxSearch(q, radius)
+			r, err := ix.ApproxSearch(context.Background(), q, radius)
 			if err != nil {
 				return nil, err
 			}
@@ -893,11 +894,11 @@ func Fig9ef(sc Scale) (timeTable, visitedTable *Table, err error) {
 				// phase; subtracting its visits isolates the SIMS phase —
 				// the quantity the paper plots, which the approximate
 				// answer's quality is supposed to shrink.
-				a, err := ix.ApproxSearch(q, radius)
+				a, err := ix.ApproxSearch(context.Background(), q, radius)
 				if err != nil {
 					return err
 				}
-				r, err := ix.ExactSearch(q, radius)
+				r, err := ix.ExactSearch(context.Background(), q, radius)
 				if err != nil {
 					return err
 				}
@@ -990,11 +991,11 @@ func Fig10aMixedWorkload(sc Scale) (*Table, error) {
 					if hi > len(newSeries) {
 						hi = len(newSeries)
 					}
-					if err := ix.InsertBatch(newSeries[lo:hi]); err != nil {
+					if err := ix.Insert(context.Background(), newSeries[lo:hi]); err != nil {
 						return err
 					}
 					for k := 0; k < 2; k++ {
-						if _, err := ix.ExactSearch(qs[2*b+k], 0); err != nil {
+						if _, err := ix.ExactSearch(context.Background(), qs[2*b+k], 0); err != nil {
 							return err
 						}
 					}
@@ -1070,7 +1071,7 @@ func RealWorkload(sc Scale, kind string, id string) (*Table, error) {
 			total = c
 			c, err = measure(e.fs, func() error {
 				for _, q := range e.queries(sc.Queries) {
-					if _, err := ix.ExactSearch(q, 1); err != nil {
+					if _, err := ix.ExactSearch(context.Background(), q, 1); err != nil {
 						return err
 					}
 				}
@@ -1097,7 +1098,7 @@ func RealWorkload(sc Scale, kind string, id string) (*Table, error) {
 			total = c
 			c, err = measure(e.fs, func() error {
 				for _, q := range e.queries(sc.Queries) {
-					if _, err := ix.ExactSearch(q, 1); err != nil {
+					if _, err := ix.ExactSearch(context.Background(), q, 1); err != nil {
 						return err
 					}
 				}

@@ -7,6 +7,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -51,7 +52,7 @@ func buildStreamed(t *testing.T, background bool, compactionWorkers int) (*Index
 	}
 	stream := dataset.Generate(gen, 400, tLen, 7)
 	for lo := 0; lo < len(stream); lo += 50 {
-		if err := ix.Append(stream[lo : lo+50]); err != nil {
+		if err := ix.Insert(context.Background(), stream[lo:lo+50]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,8 +98,8 @@ func TestBackgroundCompactionDeterministic(t *testing.T) {
 				t.Fatalf("compaction-workers=%d: file %q differs from synchronous state", workers, name)
 			}
 		}
-		if ix.NumRuns() != ixSync.NumRuns() {
-			t.Fatalf("compaction-workers=%d: %d runs vs %d synchronous", workers, ix.NumRuns(), ixSync.NumRuns())
+		if ix.Shape().Runs != ixSync.Shape().Runs {
+			t.Fatalf("compaction-workers=%d: %d runs vs %d synchronous", workers, ix.Shape().Runs, ixSync.Shape().Runs)
 		}
 		for i := range ix.runs {
 			r, w := ix.runs[i], ixSync.runs[i]
@@ -108,11 +109,11 @@ func TestBackgroundCompactionDeterministic(t *testing.T) {
 		}
 		// Same answers too.
 		q := dataset.Queries(dataset.NewRandomWalk(), 1, tLen, 9)[0]
-		a, err := ix.ExactSearch(q)
+		a, err := ix.ExactSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ixSync.ExactSearch(q)
+		b, err := ixSync.ExactSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +160,7 @@ func TestBackgroundCompactionFaultSurfaced(t *testing.T) {
 	stream := dataset.Generate(gen, 300, tLen, 7)
 	var opErr error
 	for lo := 0; lo < len(stream); lo += 50 {
-		if opErr = ix.Append(stream[lo : lo+50]); opErr != nil {
+		if opErr = ix.Insert(context.Background(), stream[lo:lo+50]); opErr != nil {
 			break
 		}
 	}
@@ -170,7 +171,7 @@ func TestBackgroundCompactionFaultSurfaced(t *testing.T) {
 		t.Fatalf("background failure did not surface on Append/Sync: %v", opErr)
 	}
 	// Sticky: the handle refuses further writes with the same error.
-	if err := ix.Append(stream[:1]); !errors.Is(err, boom) {
+	if err := ix.Insert(context.Background(), stream[:1]); !errors.Is(err, boom) {
 		t.Fatalf("error not sticky on Append: %v", err)
 	}
 	// Close surfaces it too (and still shuts the pool down cleanly).
@@ -258,7 +259,7 @@ func TestBackgroundBackpressure(t *testing.T) {
 	}()
 	stream := dataset.Generate(gen, 600, tLen, 7)
 	for lo := 0; lo < len(stream); lo += 50 {
-		if err := ix.Append(stream[lo : lo+50]); err != nil {
+		if err := ix.Insert(context.Background(), stream[lo:lo+50]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -309,7 +310,7 @@ func TestConcurrentAppendersUnderBackpressure(t *testing.T) {
 			defer wg.Done()
 			stream := dataset.Generate(gen, perAppender, tLen, int64(100+a))
 			for lo := 0; lo < len(stream); lo += 50 {
-				if err := ix.Append(stream[lo : lo+50]); err != nil {
+				if err := ix.Insert(context.Background(), stream[lo:lo+50]); err != nil {
 					errs <- err
 					return
 				}
@@ -406,11 +407,11 @@ func TestConcurrentQueriesWithBackgroundCompaction(t *testing.T) {
 			q := qs[g%len(qs)]
 			for it := 0; it < 4; it++ {
 				if it%2 == 0 {
-					if _, err := ix.ExactSearch(q); err != nil {
+					if _, err := ix.ExactSearch(context.Background(), q, 0); err != nil {
 						errs <- err
 						return
 					}
-				} else if _, err := ix.ApproxSearch(q); err != nil {
+				} else if _, err := ix.ApproxSearch(context.Background(), q, 0); err != nil {
 					errs <- err
 					return
 				}
@@ -421,7 +422,7 @@ func TestConcurrentQueriesWithBackgroundCompaction(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for lo := 0; lo < len(stream); lo += 100 {
-			if err := ix.Append(stream[lo : lo+100]); err != nil {
+			if err := ix.Insert(context.Background(), stream[lo:lo+100]); err != nil {
 				errs <- err
 				return
 			}
@@ -450,7 +451,7 @@ func TestConcurrentQueriesWithBackgroundCompaction(t *testing.T) {
 	}
 	// Every appended series must be findable once the dust settles, and the
 	// quiesced state must behave like a freshly consistent index.
-	res, err := ix.ExactSearch(stream[123])
+	res, err := ix.ExactSearch(context.Background(), stream[123], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

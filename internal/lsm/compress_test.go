@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -57,8 +58,8 @@ func requireSameAnswers(t *testing.T, roomy, tiny *Index, data []series.Series) 
 	t.Helper()
 	qs := dataset.Queries(dataset.NewRandomWalk(), 10, tLen, 9)
 	for qi, q := range qs {
-		ar1, err1 := roomy.ApproxSearch(q)
-		ar2, err2 := tiny.ApproxSearch(q)
+		ar1, err1 := roomy.ApproxSearch(context.Background(), q, 0)
+		ar2, err2 := tiny.ApproxSearch(context.Background(), q, 0)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("query %d approx: %v / %v", qi, err1, err2)
 		}
@@ -66,8 +67,8 @@ func requireSameAnswers(t *testing.T, roomy, tiny *Index, data []series.Series) 
 			t.Fatalf("query %d approx diverges: (%d, %v) vs (%d, %v)",
 				qi, ar1.Pos, ar1.Dist, ar2.Pos, ar2.Dist)
 		}
-		er1, err1 := roomy.ExactSearch(q)
-		er2, err2 := tiny.ExactSearch(q)
+		er1, err1 := roomy.ExactSearch(context.Background(), q, 0)
+		er2, err2 := tiny.ExactSearch(context.Background(), q, 0)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("query %d exact: %v / %v", qi, err1, err2)
 		}
@@ -78,8 +79,8 @@ func requireSameAnswers(t *testing.T, roomy, tiny *Index, data []series.Series) 
 		if want := bruteForce1NN(q, data); math.Abs(er2.Dist-want) > 1e-9 {
 			t.Fatalf("query %d exact: %v, brute force %v", qi, er2.Dist, want)
 		}
-		w1, err1 := roomy.ApproxWindowCands(q)
-		w2, err2 := tiny.ApproxWindowCands(q)
+		w1, err1 := roomy.ApproxWindowCands(context.Background(), q, 0)
+		w2, err2 := tiny.ApproxWindowCands(context.Background(), q, 0)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("query %d window: %v / %v", qi, err1, err2)
 		}
@@ -120,7 +121,7 @@ func TestCompressedConformance(t *testing.T) {
 			extra := dataset.Generate(dataset.NewRandomWalk(), 200, tLen, 77)
 			for _, ix := range []*Index{roomy, tiny} {
 				for i := 0; i < len(extra); i += 20 {
-					if err := ix.Append(extra[i : i+20]); err != nil {
+					if err := ix.Insert(context.Background(), extra[i:i+20]); err != nil {
 						t.Fatal(err)
 					}
 					if err := ix.Flush(); err != nil {
@@ -154,7 +155,7 @@ func TestCompressedReopen(t *testing.T) {
 	// Grow the roomy side identically before comparing post-reopen.
 	growth := func(ix *Index) {
 		for i := 0; i < len(extra); i += 20 {
-			if err := ix.Append(extra[i : i+20]); err != nil {
+			if err := ix.Insert(context.Background(), extra[i:i+20]); err != nil {
 				t.Fatal(err)
 			}
 			if err := ix.Flush(); err != nil {

@@ -6,6 +6,7 @@ package lsm
 // (the LSM counterpart of the tree's SIMS-refresh lock). Run with -race.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -53,11 +54,11 @@ func TestConcurrentLSMQueriesWithAppend(t *testing.T) {
 			q := qs[g%len(qs)]
 			for it := 0; it < 4; it++ {
 				if it%2 == 0 {
-					if _, err := ix.ExactSearch(q); err != nil {
+					if _, err := ix.ExactSearch(context.Background(), q, 0); err != nil {
 						errs <- err
 						return
 					}
-				} else if _, err := ix.ApproxSearch(q); err != nil {
+				} else if _, err := ix.ApproxSearch(context.Background(), q, 0); err != nil {
 					errs <- err
 					return
 				}
@@ -68,7 +69,7 @@ func TestConcurrentLSMQueriesWithAppend(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for lo := 0; lo < len(stream); lo += 100 {
-			if err := ix.Append(stream[lo : lo+100]); err != nil {
+			if err := ix.Insert(context.Background(), stream[lo:lo+100]); err != nil {
 				errs <- err
 				return
 			}
@@ -83,7 +84,7 @@ func TestConcurrentLSMQueriesWithAppend(t *testing.T) {
 		t.Fatalf("Count = %d after concurrent appends, want %d", got, tCount+int64(len(stream)))
 	}
 	// Every appended series must be findable once the dust settles.
-	res, err := ix.ExactSearch(stream[123])
+	res, err := ix.ExactSearch(context.Background(), stream[123], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

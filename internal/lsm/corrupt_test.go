@@ -8,6 +8,7 @@ package lsm
 // silently wrong answer from corrupted bytes.
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -37,7 +38,7 @@ func corruptSeed(t *testing.T, checksums bool) *storage.FaultFS {
 	}
 	stream := dataset.Generate(dataset.NewSeismic(), 40, tLen, 911)
 	for i := range stream {
-		if err := ix.Append(stream[i : i+1]); err != nil {
+		if err := ix.Insert(context.Background(), stream[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +62,7 @@ func pickRun(t *testing.T, fs storage.FS, checksums bool) (string, int64) {
 		t.Fatalf("manifest records Checksums=%v, built with %v", m.Checksums, checksums)
 	}
 	for _, ri := range m.LSM.Runs {
-		if ri.Tier != BulkTier {
+		if ri.Tier != manifest.BulkTier {
 			return ri.Name, ri.Count
 		}
 	}
@@ -109,7 +110,7 @@ func rottedRunStrictAndQuarantine(t *testing.T, checksums bool, rotOff int64) {
 	}
 	refAns := make([]answer, len(queries))
 	for i, q := range queries {
-		r, err := ref.ExactSearch(q)
+		r, err := ref.ExactSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +148,7 @@ func rottedRunStrictAndQuarantine(t *testing.T, checksums bool, rotOff int64) {
 		t.Fatalf("degraded Count() = %d, want %d - %d", got, total, victimCount)
 	}
 	for i, q := range queries {
-		r, err := ix.ExactSearch(q)
+		r, err := ix.ExactSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatalf("degraded exact query %d: %v", i, err)
 		}
@@ -169,7 +170,7 @@ func rottedRunStrictAndQuarantine(t *testing.T, checksums bool, rotOff int64) {
 		t.Fatalf("repaired Count() = %d, want %d", got, total)
 	}
 	for i, q := range queries {
-		r, err := ix.ExactSearch(q)
+		r, err := ix.ExactSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatalf("repaired exact query %d: %v", i, err)
 		}
@@ -213,10 +214,10 @@ func TestRawRotDetectedAtFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if _, err := ix.ExactSearch(victim); !errors.Is(err, storage.ErrCorruptData) {
+	if _, err := ix.ExactSearch(context.Background(), victim, 0); !errors.Is(err, storage.ErrCorruptData) {
 		t.Fatalf("exact search over rotted raw record: err = %v, want ErrCorruptData", err)
 	}
-	if _, err := ix.ApproxSearch(victim); !errors.Is(err, storage.ErrCorruptData) {
+	if _, err := ix.ApproxSearch(context.Background(), victim, 0); !errors.Is(err, storage.ErrCorruptData) {
 		t.Fatalf("approx search over rotted raw record: err = %v, want ErrCorruptData", err)
 	}
 }

@@ -179,19 +179,6 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// Result mirrors core.Result.
-type Result struct {
-	Pos            int64
-	Dist           float64
-	VisitedRecords int64
-	VisitedRuns    int64
-}
-
-// BulkTier is the tier of the initial bulk-loaded run: effectively
-// maximal, so ingest-time compactions never try to fold it. Exported for
-// consumers of manifest run listings (cmd/coconut info).
-const BulkTier = 1 << 30
-
 // run is one immutable sorted run: a block-compressed file whose key data
 // is decoded block by block through the shared cache, so resident memory
 // stays bounded by the cache budget no matter how large the run is.
@@ -321,11 +308,47 @@ func Build(opt Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	ix := newIndex(opt, raw)
+	if err := ix.build(); err != nil {
+		ix.abandon()
+		Remove(opt.FS, opt.Name)
+		return nil, err
+	}
+	ix.startPool()
+	return ix, nil
+}
+
+func newIndex(opt Options, raw storage.File) *Index {
 	ix := &Index{opt: opt, rawFile: raw,
 		groupsClaimed: map[int]int{}, committedGroups: map[int]int{},
 		parked: map[int]map[int]*finishedSwap{}}
 	ix.cond = sync.NewCond(&ix.mu)
+	return ix
+}
 
+// abandon releases what a Build or Open that failed got as far as holding.
+func (ix *Index) abandon() {
+	if ix.wal != nil {
+		_ = ix.wal.close()
+	}
+	_ = ix.closeRunsLocked()
+	ix.rawFile.Close()
+}
+
+// Remove deletes every file of the Coconut-LSM name that Build writes —
+// the bulk run, WAL segment 0 and the manifest: the undo of a build that
+// failed, here or in the partition layer after this child finished. Best
+// effort, like core.RemoveTree: the build's own error is what is reported.
+func Remove(fs storage.FS, name string) {
+	for _, n := range []string{runFileName(name, 0), walSegName(name, 0), manifest.FileName(name)} {
+		if fs.Exists(n) {
+			_ = fs.Remove(n)
+		}
+	}
+}
+
+func (ix *Index) build() error {
+	opt, raw := ix.opt, ix.rawFile
 	// Summarize + sort the existing data into run 0 (tier determined by
 	// later compactions; the initial bulk run sits at a high tier).
 	name := ix.runName()
@@ -346,23 +369,19 @@ func Build(opt Options) (*Index, error) {
 		Checksums: opt.Checksums, Workers: opt.Workers, RawSums: opt.RawSums,
 	})
 	if err != nil {
-		raw.Close()
-		return nil, err
+		return err
 	}
 	n, err := extsort.Sort(cfg, src, name)
 	if ix.rawSums, ix.ownSums, err = src.Finish(err); err != nil {
-		raw.Close()
-		return nil, err
+		return err
 	}
 	if n > 0 {
 		if err := syncFile(opt.FS, name); err != nil {
-			raw.Close()
-			return nil, err
+			return err
 		}
-		r, err := ix.openRun(name, BulkTier, ix.nextSeq, 0, n)
+		r, err := ix.openRun(name, manifest.BulkTier, ix.nextSeq, 0, n)
 		if err != nil {
-			raw.Close()
-			return nil, err
+			return err
 		}
 		ix.runs = append(ix.runs, r)
 	} else {
@@ -375,25 +394,15 @@ func Build(opt Options) (*Index, error) {
 	// segment (or one replay probes forward to), or a crash could lose it.
 	f, size, err := createWALSegment(opt.FS, opt.Name, 0, 0)
 	if err != nil {
-		_ = ix.closeRunsLocked()
-		raw.Close()
-		return nil, err
+		return err
 	}
 	ix.wal = newWAL(opt.FS, opt.Name, raw, f, 0, size, 0, opt.WALGroupWindow)
 	ix.walNextSeg = 1
 	// Durability point: the manifest makes the bulk-loaded run reopenable
 	// with Open without re-reading the dataset.
 	ix.mu.Lock()
-	err = ix.commitManifestLocked()
-	ix.mu.Unlock()
-	if err != nil {
-		_ = ix.wal.close()
-		_ = ix.closeRunsLocked()
-		raw.Close()
-		return nil, err
-	}
-	ix.startPool()
-	return ix, nil
+	defer ix.mu.Unlock()
+	return ix.commitManifestLocked()
 }
 
 // startPool launches the background compaction workers when configured.
@@ -411,10 +420,13 @@ func (ix *Index) startPool() {
 }
 
 func (ix *Index) runName() string {
-	name := fmt.Sprintf("%s.run.%06d", ix.opt.Name, ix.nextRun)
+	name := runFileName(ix.opt.Name, ix.nextRun)
 	ix.nextRun++
 	return name
 }
+
+// runFileName names the n-th flushed (or bulk-loaded) run of the index name.
+func runFileName(name string, n int) string { return fmt.Sprintf("%s.run.%06d", name, n) }
 
 // wrapOut returns the extsort final-output wrapper that writes run files
 // in their physical layout: the block compressor, over the checksummed-
@@ -483,27 +495,6 @@ func (ix *Index) openRun(name string, tier int, seq int64, tierSeq int, count in
 	return &run{name: name, tier: tier, count: count, seq: seq, tierSeq: tierSeq, rb: rb}, nil
 }
 
-// attachRawSums attaches the raw-dataset CRC sidecar at Open: the
-// externally owned handle when Options.RawSums is set, or the index's own
-// (storage.LoadRecordSums — a torn trailing partial record is excluded by
-// its floor division, exactly like replay).
-func (ix *Index) attachRawSums() error {
-	opt := &ix.opt
-	if !opt.Checksums {
-		return nil
-	}
-	if opt.RawSums != nil {
-		ix.rawSums = opt.RawSums
-		return nil
-	}
-	sums, err := storage.LoadRecordSums(opt.FS, opt.RawName, series.EncodedSize(opt.S.Params().SeriesLen), ix.rawFile)
-	if err != nil {
-		return fmt.Errorf("lsm: raw sidecar: %w", err)
-	}
-	ix.rawSums, ix.ownSums = sums, true
-	return nil
-}
-
 // Degraded reports whether the index is answering over a partial record
 // set: one or more runs were quarantined at Open because their files were
 // corrupt or missing. Callers that require complete answers must treat any
@@ -526,6 +517,55 @@ func (ix *Index) QuarantinedRuns() []string {
 	return names
 }
 
+// uncoveredLocked re-derives, from the raw dataset read through the
+// verifying sidecar, the entry of every record that no healthy run and no
+// memtable entry covers and that this index owns (Options.Owns) — what a
+// quarantined run or a rotted log lost. Runs partition the record positions,
+// so these are exactly the lost records (plus, after a crash, raw records
+// never acknowledged, which are harmless to index).
+func (ix *Index) uncoveredLocked() ([]memEntry, error) {
+	covered := make(map[int64]bool, ix.count)
+	for _, r := range ix.runs {
+		err := r.rb.Scan(func(blk *runblock.Block) error {
+			for _, p := range blk.Pos {
+				covered[p] = true
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	for _, e := range ix.mem {
+		covered[e.pos] = true
+	}
+	p := ix.opt.S.Params()
+	sz := int64(series.EncodedSize(p.SeriesLen))
+	rawSize, err := ix.rawFile.Size()
+	if err != nil {
+		return nil, err
+	}
+	var entries []memEntry
+	buf, ser := make([]byte, sz), make(series.Series, p.SeriesLen)
+	for pos := int64(0); pos < rawSize/sz; pos++ {
+		if covered[pos] {
+			continue
+		}
+		if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, buf); err != nil {
+			return nil, err
+		}
+		series.DecodeInto(buf, ser)
+		key, err := ix.opt.S.KeyOf(ser)
+		if err != nil {
+			return nil, err
+		}
+		if ix.opt.Owns == nil || ix.opt.Owns(key) {
+			entries = append(entries, memEntry{key: key, pos: pos})
+		}
+	}
+	return entries, nil
+}
+
 // RebuildQuarantined repairs a degraded index: the records of every
 // quarantined run are re-derived from the raw dataset (read through the
 // verifying sidecar) and installed as one fresh bulk run, after which the
@@ -543,45 +583,9 @@ func (ix *Index) RebuildQuarantined() error {
 	if len(ix.quarantined) == 0 {
 		return nil
 	}
-	covered := make(map[int64]bool, ix.count)
-	for _, r := range ix.runs {
-		err := r.rb.Scan(func(blk *runblock.Block) error {
-			for _, p := range blk.Pos {
-				covered[p] = true
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	for _, e := range ix.mem {
-		covered[e.pos] = true
-	}
-	p := ix.opt.S.Params()
-	sz := int64(series.EncodedSize(p.SeriesLen))
-	rawSize, err := ix.rawFile.Size()
+	entries, err := ix.uncoveredLocked()
 	if err != nil {
 		return err
-	}
-	var entries []memEntry
-	buf, ser := make([]byte, sz), make(series.Series, p.SeriesLen)
-	for pos := int64(0); pos < rawSize/sz; pos++ {
-		if covered[pos] {
-			continue
-		}
-		if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, buf); err != nil {
-			return err
-		}
-		series.DecodeInto(buf, ser)
-		key, kerr := ix.opt.S.KeyOf(ser)
-		if kerr != nil {
-			return kerr
-		}
-		if ix.opt.Owns != nil && !ix.opt.Owns(key) {
-			continue
-		}
-		entries = append(entries, memEntry{key: key, pos: pos})
 	}
 	old := ix.quarantined
 	ix.quarantined = nil
@@ -592,7 +596,7 @@ func (ix *Index) RebuildQuarantined() error {
 			}
 			return lePosLess(entries[a].pos, entries[b].pos)
 		})
-		r, werr := ix.writeRunFile(ix.runName(), entries, BulkTier, ix.nextSeq, 0)
+		r, werr := ix.writeRunFile(ix.runName(), entries, manifest.BulkTier, ix.nextSeq, 0)
 		if werr != nil {
 			ix.quarantined = old
 			return werr
@@ -627,25 +631,22 @@ func (ix *Index) memCapacity() int {
 	return c
 }
 
-// Append adds new series: raw bytes go to the dataset file, records to
+// Insert adds new series: raw bytes go to the dataset file, records to
 // the memtable and the write-ahead log; a full memtable flushes to a
 // fresh tier-0 run. The batch is summarized up front across Workers
 // goroutines, so ingest keeps every core busy while the raw writes stay
-// append-only. Append takes the handle lock exclusively only to log and
+// append-only. Insert takes the handle lock exclusively only to log and
 // insert — it then releases it and waits for the group commit, so a nil
 // return means every series in the batch is durable (fsynced WAL record
 // plus fsynced raw bytes, or already covered by a flushed run).
-func (ix *Index) Append(batch []series.Series) error {
-	return ix.AppendCtx(context.Background(), batch)
-}
-
-// AppendCtx is Append with cancellation as admission control: the context
-// is checked before any raw byte lands — once admitted, the batch runs to
-// completion (a half-applied batch would corrupt the index) — and again
-// while waiting for the group commit. A cancelled appender abandons its
-// durability wait without disturbing the batch: the committer still fsyncs
-// it, so the logged entries stay durable and consistent.
-func (ix *Index) AppendCtx(ctx context.Context, batch []series.Series) error {
+//
+// Cancellation is admission control: the context is checked before any raw
+// byte lands — once admitted, the batch runs to completion (a half-applied
+// batch would corrupt the index) — and again while waiting for the group
+// commit. A cancelled appender abandons its durability wait without
+// disturbing the batch: the committer still fsyncs it, so the logged
+// entries stay durable and consistent.
+func (ix *Index) Insert(ctx context.Context, batch []series.Series) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -655,7 +656,7 @@ func (ix *Index) AppendCtx(ctx context.Context, batch []series.Series) error {
 	if err != nil {
 		return err
 	}
-	return ix.wal.waitDurableCtx(ctx, lsn)
+	return ix.wal.waitDurable(ctx, lsn)
 }
 
 func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
@@ -684,12 +685,12 @@ func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
 	// Records are logged in chunks: everything appended since the last
 	// flush boundary goes to the WAL in one record before the flush (or
 	// the batch end), so a flush never covers entries the log missed.
-	var pending []Entry
-	logPending := func() error {
+	var pending []core.InsertRec
+	logPending := func(flushNext bool) error {
 		if len(pending) == 0 {
 			return nil
 		}
-		if _, err := ix.wal.log(pending); err != nil {
+		if _, err := ix.wal.log(pending, flushNext); err != nil {
 			return err
 		}
 		ix.walAppended += int64(len(pending))
@@ -705,11 +706,11 @@ func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
 			ix.rawSums.Set(pos, enc)
 		}
 		ix.mem = append(ix.mem, memEntry{key: keys[i], pos: pos})
-		pending = append(pending, Entry{Key: keys[i], Pos: pos})
+		pending = append(pending, core.InsertRec{Key: keys[i], Pos: pos})
 		ix.count++
 		pos++
 		if len(ix.mem) >= ix.memCapacity() {
-			if err := logPending(); err != nil {
+			if err := logPending(true); err != nil {
 				return 0, err
 			}
 			if err := ix.flushLocked(); err != nil {
@@ -724,40 +725,22 @@ func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
 			pos = end / sz
 		}
 	}
-	if err := logPending(); err != nil {
+	if err := logPending(false); err != nil {
 		return 0, err
 	}
 	return ix.walAppended, nil
 }
 
-// Entry is one pre-summarized record routed to this index by the
-// partition layer; its raw series bytes are already in the shared dataset
-// file at ordinal Pos.
-type Entry struct {
-	Key summary.Key
-	Pos int64
-}
-
-// AppendEntries adds pre-summarized records whose raw bytes were already
-// written through the partition layer's own handle on the same dataset
-// file, returning once they are durable. The memtable and the WAL grow
-// here (flushing when full); both the group commit's rawFile.Sync and
-// flushLocked's cover the partition-written bytes because both handles
-// name the same file.
-func (ix *Index) AppendEntries(entries []Entry) error {
-	lsn, err := ix.AppendEntriesNoWait(entries)
-	if err != nil {
-		return err
-	}
-	return ix.WaitDurable(lsn)
-}
-
-// AppendEntriesNoWait logs and inserts the entries but does not wait for
-// the group commit; the returned LSN is the durability token to pass to
-// WaitDurable. The partition layer routes one batch to every child under
-// its own lock with NoWait, releases the lock, and then waits all tokens
-// — so N children share N fsync batches instead of serializing them.
-func (ix *Index) AppendEntriesNoWait(entries []Entry) (int64, error) {
+// InsertRecords logs and inserts pre-summarized records routed to this index
+// by the partition layer, whose raw bytes are already in the shared dataset
+// file at their Pos (written through the partition layer's own handle; the
+// group commit's rawFile.Sync and flushLocked's cover them because both
+// handles name the same file). It does not wait for the group commit: the
+// returned LSN is the durability token to pass to WaitDurable. The partition
+// layer routes one batch to every child under its own lock, releases the
+// lock, and then waits all tokens — so N children share N fsync batches
+// instead of serializing them.
+func (ix *Index) InsertRecords(entries []core.InsertRec) (int64, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.bgErr != nil {
@@ -777,7 +760,7 @@ func (ix *Index) AppendEntriesNoWait(entries []Entry) (int64, error) {
 		if len(chunk) > room {
 			chunk = chunk[:room]
 		}
-		if _, err := ix.wal.log(chunk); err != nil {
+		if _, err := ix.wal.log(chunk, len(chunk) == room); err != nil {
 			return 0, err
 		}
 		ix.walAppended += int64(len(chunk))
@@ -796,16 +779,11 @@ func (ix *Index) AppendEntriesNoWait(entries []Entry) (int64, error) {
 }
 
 // WaitDurable blocks until every entry at LSN <= lsn is durable (group-
-// committed into the WAL, or covered by a flushed run).
-func (ix *Index) WaitDurable(lsn int64) error {
-	return ix.WaitDurableCtx(context.Background(), lsn)
-}
-
-// WaitDurableCtx is WaitDurable with cancellation: a cancelled waiter
+// committed into the WAL, or covered by a flushed run). A cancelled waiter
 // returns ctx.Err() and abandons the wait; the group commit itself is
 // unaffected, so the entries still become durable.
-func (ix *Index) WaitDurableCtx(ctx context.Context, lsn int64) error {
-	return ix.wal.waitDurableCtx(ctx, lsn)
+func (ix *Index) WaitDurable(ctx context.Context, lsn int64) error {
+	return ix.wal.waitDurable(ctx, lsn)
 }
 
 // lePosLess orders positions by the lexicographic order of their
@@ -833,7 +811,12 @@ func (ix *Index) Flush() error {
 	return ix.flushLocked()
 }
 
-func (ix *Index) flushLocked() error {
+func (ix *Index) flushLocked() (err error) {
+	defer func() {
+		if err != nil {
+			ix.wal.releaseFlush()
+		}
+	}()
 	if ix.bgErr != nil {
 		return ix.bgErr
 	}
@@ -1009,7 +992,7 @@ func (ix *Index) findGroupLocked(claim bool) *compactJob {
 	}
 	byTier := map[int][]*run{}
 	for _, r := range ix.runs {
-		if r.tier == BulkTier || r.claimed {
+		if r.tier == manifest.BulkTier || r.claimed {
 			continue
 		}
 		byTier[r.tier] = append(byTier[r.tier], r)
@@ -1312,11 +1295,11 @@ func (ix *Index) Count() int64 {
 	return ix.count
 }
 
-// NumRuns returns the number of on-disk runs.
-func (ix *Index) NumRuns() int {
+// Shape returns the number of on-disk runs.
+func (ix *Index) Shape() core.Shape {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.runs)
+	return core.Shape{Runs: len(ix.runs)}
 }
 
 // CacheStats returns the shared block cache's counters.
@@ -1509,15 +1492,10 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 // internal/window). The merged window is a pure function of the record
 // multiset, so the answer is identical for any run layout — before or
 // after flushes and compactions, and across partition counts. Safe for
-// concurrent use.
-func (ix *Index) ApproxSearch(q series.Series) (Result, error) {
-	return ix.ApproxSearchCtx(context.Background(), q)
-}
-
-// ApproxSearchCtx is ApproxSearch with cancellation: the candidate fetch
-// loop observes ctx between records and returns ctx.Err() without a
-// partial answer.
-func (ix *Index) ApproxSearchCtx(ctx context.Context, q series.Series) (Result, error) {
+// concurrent use. The candidate fetch loop observes ctx between records and
+// returns ctx.Err() without a partial answer. The radius every index takes
+// is ignored here and below: the LSM window is sized by Options.Window.
+func (ix *Index) ApproxSearch(ctx context.Context, q series.Series, _ int) (core.Result, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	res, err := ix.approxLocked(ctx, q)
@@ -1528,8 +1506,8 @@ func (ix *Index) ApproxSearchCtx(ctx context.Context, q series.Series) (Result, 
 // approxLocked is the internal form of ApproxSearch: res.Dist holds the
 // SQUARED best distance (the LSM query path, like core's, stays in squared
 // space until a public entry point materializes a Euclidean distance).
-func (ix *Index) approxLocked(ctx context.Context, q series.Series) (Result, error) {
-	res := Result{Pos: -1, Dist: math.Inf(1)}
+func (ix *Index) approxLocked(ctx context.Context, q series.Series) (core.Result, error) {
+	res := core.Result{Pos: -1, Dist: math.Inf(1)}
 	if ix.count == 0 {
 		return res, errors.New("lsm: index is empty")
 	}
@@ -1537,7 +1515,7 @@ func (ix *Index) approxLocked(ctx context.Context, q series.Series) (Result, err
 	if err != nil {
 		return res, err
 	}
-	res.VisitedRuns = runs
+	res.VisitedLeaves = runs // runs probed travel in the leaf slot
 	pos, sq, visited, err := core.EvalWindow(ctx, q, window.Merge(below, above, ix.opt.Window/2), core.RawFetch(ix.rawFile, ix.rawSums))
 	res.Pos, res.Dist, res.VisitedRecords = pos, sq, visited
 	return res, err
@@ -1613,14 +1591,9 @@ func (ix *Index) windowCandsLocked(q series.Series) (below, above []window.Cand,
 // contributions for q, to be merged with the other partitions' before one
 // global evaluation. An empty index contributes nothing (no error — the
 // cross-partition window may still be non-empty). The Leaves counter
-// reports runs probed.
-func (ix *Index) ApproxWindowCands(q series.Series) (core.ApproxWindow, error) {
-	return ix.ApproxWindowCandsCtx(context.Background(), q)
-}
-
-// ApproxWindowCandsCtx is ApproxWindowCands with cancellation: the
-// returned window's Fetch observes ctx between records.
-func (ix *Index) ApproxWindowCandsCtx(ctx context.Context, q series.Series) (core.ApproxWindow, error) {
+// reports runs probed, and the returned window's Fetch observes ctx between
+// records.
+func (ix *Index) ApproxWindowCands(ctx context.Context, q series.Series, _ int) (core.ApproxWindow, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	var aw core.ApproxWindow
@@ -1645,15 +1618,10 @@ func (ix *Index) ApproxWindowCandsCtx(ctx context.Context, q series.Series) (cor
 // candidates share one read), sharded by position range with a shared
 // squared best-so-far bound — the Euclidean distance is materialized once,
 // at return. Safe for concurrent use; (Pos, Dist) is identical for any
-// worker count.
-func (ix *Index) ExactSearch(q series.Series) (Result, error) {
-	return ix.ExactSearchCtx(context.Background(), q)
-}
-
-// ExactSearchCtx is ExactSearch with cancellation: every phase — window
-// fetch, per-run lower bounds, verification scan — observes ctx and
-// returns ctx.Err() without a partial answer.
-func (ix *Index) ExactSearchCtx(ctx context.Context, q series.Series) (Result, error) {
+// worker count. Every phase — window fetch, per-run lower bounds,
+// verification scan — observes ctx and returns ctx.Err() without a partial
+// answer.
+func (ix *Index) ExactSearch(ctx context.Context, q series.Series, _ int) (core.Result, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	res, err := ix.exactLocked(ctx, q)
@@ -1662,7 +1630,7 @@ func (ix *Index) ExactSearchCtx(ctx context.Context, q series.Series) (Result, e
 }
 
 // exactLocked runs the SIMS pipeline in squared space.
-func (ix *Index) exactLocked(ctx context.Context, q series.Series) (Result, error) {
+func (ix *Index) exactLocked(ctx context.Context, q series.Series) (core.Result, error) {
 	res, err := ix.approxLocked(ctx, q)
 	if err != nil {
 		return res, err
@@ -1676,15 +1644,10 @@ func (ix *Index) exactLocked(ctx context.Context, q series.Series) (Result, erro
 // seedSq — SQUARED) against this index's records, pruning with the shared
 // cross-partition bound, and return the best in squared space with
 // verify-phase counters only. An empty index returns the seed unchanged.
-func (ix *Index) ExactVerify(q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (Result, error) {
-	return ix.ExactVerifyCtx(context.Background(), q, seedPos, seedSq, bound)
-}
-
-// ExactVerifyCtx is ExactVerify with cancellation.
-func (ix *Index) ExactVerifyCtx(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (Result, error) {
+func (ix *Index) ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (core.Result, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	res := Result{Pos: seedPos, Dist: seedSq}
+	res := core.Result{Pos: seedPos, Dist: seedSq}
 	if ix.count == 0 {
 		return res, nil
 	}
@@ -1694,7 +1657,7 @@ func (ix *Index) ExactVerifyCtx(ctx context.Context, q series.Series, seedPos in
 // exactVerifyLocked is the verification phase: lower-bound every record,
 // then scan the surviving candidates in position order, tightening res
 // (and the shared bound) as closer records are found.
-func (ix *Index) exactVerifyLocked(ctx context.Context, q series.Series, res Result, bound *shard.BSF) (Result, error) {
+func (ix *Index) exactVerifyLocked(ctx context.Context, q series.Series, res core.Result, bound *shard.BSF) (core.Result, error) {
 	// One lookup table serves the whole query: it is read-only after the
 	// build, so every run shard and the memtable pass read it concurrently.
 	pass, err := ix.opt.S.NewPass(q)
@@ -1714,7 +1677,7 @@ func (ix *Index) exactVerifyLocked(ctx context.Context, q series.Series, res Res
 	innerWorkers := shard.PerGroup(ix.opt.QueryWorkers, runWorkers)
 	perShard := make([][]summary.Cand, runWorkers)
 	perShard[0] = pass.Cands
-	err = shard.ScanCtx(ctx, runWorkers, len(ix.runs), func(si int, rr shard.Range, cancelled func() bool) error {
+	err = shard.Scan(ctx, runWorkers, len(ix.runs), func(si int, rr shard.Range, cancelled func() bool) error {
 		for _, r := range ix.runs[rr.Lo:rr.Hi] {
 			if cancelled() {
 				return nil

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -65,8 +66,8 @@ func TestBuildInitialRun(t *testing.T) {
 	if ix.Count() != tCount {
 		t.Fatalf("Count = %d", ix.Count())
 	}
-	if ix.NumRuns() != 1 {
-		t.Fatalf("NumRuns = %d, want 1", ix.NumRuns())
+	if ix.Shape().Runs != 1 {
+		t.Fatalf("NumRuns = %d, want 1", ix.Shape().Runs)
 	}
 	r := ix.runs[0]
 	if r.rb.Count() != tCount {
@@ -100,7 +101,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 	qs := dataset.Queries(dataset.NewRandomWalk(), 12, tLen, 9)
 	for qi, q := range qs {
 		want := bruteForce1NN(q, data)
-		res, err := ix.ExactSearch(q)
+		res, err := ix.ExactSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestAppendFlushCompact(t *testing.T) {
 	defer ix.Close()
 	gen := dataset.NewSeismic()
 	batch := dataset.Generate(gen, 400, tLen, 777)
-	if err := ix.Append(batch); err != nil {
+	if err := ix.Insert(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Flush(); err != nil {
@@ -128,12 +129,12 @@ func TestAppendFlushCompact(t *testing.T) {
 	}
 	// 400 appends / 64-record memtable = 7 flushes; with fanout 3 they
 	// must have compacted well below 8 runs.
-	if ix.NumRuns() >= 8 {
-		t.Fatalf("compaction did not run: %d runs", ix.NumRuns())
+	if ix.Shape().Runs >= 8 {
+		t.Fatalf("compaction did not run: %d runs", ix.Shape().Runs)
 	}
 	// Every appended series findable at distance 0.
 	for _, i := range []int{0, 133, 399} {
-		res, err := ix.ExactSearch(batch[i])
+		res, err := ix.ExactSearch(context.Background(), batch[i], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func TestAppendFlushCompact(t *testing.T) {
 	}
 	// Old data still correct.
 	want := bruteForce1NN(data[5], append(append([]series.Series{}, data...), batch...))
-	res, err := ix.ExactSearch(data[5])
+	res, err := ix.ExactSearch(context.Background(), data[5], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestCompactionTotalRecordsPreserved(t *testing.T) {
 	ix, _, _ := buildFixture(t, 32*recordSize)
 	defer ix.Close()
 	batch := dataset.Generate(dataset.NewRandomWalk(), 300, tLen, 5)
-	if err := ix.Append(batch); err != nil {
+	if err := ix.Insert(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Flush(); err != nil {
@@ -182,7 +183,7 @@ func TestFlushIsSequential(t *testing.T) {
 	defer ix.Close()
 	batch := dataset.Generate(dataset.NewRandomWalk(), 200, tLen, 6)
 	before := fs.Stats().Snapshot()
-	if err := ix.Append(batch); err != nil {
+	if err := ix.Insert(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Flush(); err != nil {
@@ -198,7 +199,7 @@ func TestFlushIsSequential(t *testing.T) {
 func TestApproxSearchFindsMember(t *testing.T) {
 	ix, data, _ := buildFixture(t, 1<<20)
 	defer ix.Close()
-	res, err := ix.ApproxSearch(data[77])
+	res, err := ix.ApproxSearch(context.Background(), data[77], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +216,11 @@ func TestEmptyAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if ix.Count() != 0 || ix.NumRuns() != 0 {
+	if ix.Count() != 0 || ix.Shape().Runs != 0 {
 		t.Fatal("expected empty index with no runs")
 	}
 	q := dataset.Queries(dataset.NewRandomWalk(), 1, tLen, 2)[0]
-	if _, err := ix.ExactSearch(q); err == nil {
+	if _, err := ix.ExactSearch(context.Background(), q, 0); err == nil {
 		t.Fatal("expected error on empty index")
 	}
 	if _, err := Build(Options{}); err == nil {
@@ -232,13 +233,13 @@ func TestMemtableQueriesSeeFreshData(t *testing.T) {
 	ix, _, _ := buildFixture(t, 1<<20) // big memtable: no auto-flush
 	defer ix.Close()
 	batch := dataset.Generate(dataset.NewAstronomy(), 10, tLen, 31)
-	if err := ix.Append(batch); err != nil {
+	if err := ix.Insert(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
-	if ix.NumRuns() != 1 {
-		t.Fatalf("batch should still be in the memtable, runs=%d", ix.NumRuns())
+	if ix.Shape().Runs != 1 {
+		t.Fatalf("batch should still be in the memtable, runs=%d", ix.Shape().Runs)
 	}
-	res, err := ix.ExactSearch(batch[3])
+	res, err := ix.ExactSearch(context.Background(), batch[3], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package lsm
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/manifest"
@@ -66,17 +65,27 @@ func Open(opt Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{opt: opt, rawFile: raw,
-		groupsClaimed: map[int]int{}, committedGroups: map[int]int{},
-		parked: map[int]map[int]*finishedSwap{}}
-	ix.cond = sync.NewCond(&ix.mu)
+	ix := newIndex(opt, raw)
+	if err := ix.reopen(m); err != nil {
+		ix.abandon()
+		return nil, err
+	}
+	ix.startPool()
+	// A crash between a manifest commit and the next can leave compaction
+	// groups ready but unmerged; nudge the pool so the reopened index
+	// converges to the same fixpoint (reopen folded them inline otherwise).
+	ix.kick()
+	return ix, nil
+}
 
+// reopen restores the run set, the scheduling cursors and the log from m.
+func (ix *Index) reopen(m *manifest.Manifest) error {
+	opt := ix.opt
 	lastSeq := int64(-1)
 	var quarantinedCount int64
 	for i, ri := range m.LSM.Runs {
 		if ri.Seq < lastSeq {
-			raw.Close()
-			return nil, fmt.Errorf("lsm: %w: runs out of age order", manifest.ErrCorruptManifest)
+			return fmt.Errorf("lsm: %w: runs out of age order", manifest.ErrCorruptManifest)
 		}
 		lastSeq = ri.Seq
 		r, err := loadRun(opt.FS, ri, opt.Checksums, opt.Cache)
@@ -91,23 +100,18 @@ func Open(opt Options) (*Index, error) {
 				quarantinedCount += ri.Count
 				continue
 			}
-			_ = ix.closeRunsLocked()
-			raw.Close()
-			return nil, fmt.Errorf("lsm: reloading run %d (%s): %w", i, ri.Name, err)
+			return fmt.Errorf("lsm: reloading run %d (%s): %w", i, ri.Name, err)
 		}
 		ix.runs = append(ix.runs, r)
 		ix.count += r.count
 	}
 	if ix.count+quarantinedCount != m.Count {
-		_ = ix.closeRunsLocked()
-		raw.Close()
-		return nil, fmt.Errorf("lsm: %w: runs hold %d records, manifest says %d",
+		return fmt.Errorf("lsm: %w: runs hold %d records, manifest says %d",
 			manifest.ErrCorruptManifest, ix.count+quarantinedCount, m.Count)
 	}
-	if err := ix.attachRawSums(); err != nil {
-		_ = ix.closeRunsLocked()
-		raw.Close()
-		return nil, err
+	var err error
+	if ix.rawSums, ix.ownSums, err = core.AttachRawSums(opt.FS, opt.RawName, opt.S, opt.Checksums, opt.RawSums, ix.rawFile); err != nil {
+		return err
 	}
 	ix.nextRun = m.LSM.NextRun
 	ix.nextSeq = m.LSM.NextSeq
@@ -119,29 +123,15 @@ func Open(opt Options) (*Index, error) {
 		ix.committedGroups[c.Tier] = c.Groups
 	}
 	if err := ix.recoverWAL(m); err != nil {
-		_ = ix.closeRunsLocked()
-		raw.Close()
-		return nil, err
+		return err
 	}
-	ix.startPool()
-	// A crash between a manifest commit and the next can leave compaction
-	// groups ready but unmerged; nudge the pool (or fold them inline) so
-	// the reopened index converges to the same fixpoint.
-	if ix.background {
-		ix.kick()
-	} else {
-		ix.mu.Lock()
-		err := ix.compactPendingLocked()
-		ix.mu.Unlock()
-		if err != nil {
-			ix.mu.Lock()
-			_ = ix.closeRunsLocked()
-			ix.mu.Unlock()
-			ix.rawFile.Close()
-			return nil, err
-		}
+	if opt.BackgroundCompaction {
+		return nil
 	}
-	return ix, nil
+	// Groups a crash left ready but unmerged fold inline, as they would have.
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.compactPendingLocked()
 }
 
 // recoverWAL replays the un-flushed WAL segments named by the manifest
@@ -168,10 +158,10 @@ func (ix *Index) recoverWAL(m *manifest.Manifest) error {
 		return err
 	}
 	rawRecs := rawSize / int64(series.EncodedSize(opt.S.Params().SeriesLen))
-	var replayed []Entry
+	var replayed []core.InsertRec
 	var reclaimed []string
 	last, err := walReplay(opt.FS, opt.Name, ix.walFirstSeg, ix.walNextSeg,
-		ix.walFlushed, rawRecs, func(e Entry) { replayed = append(replayed, e) })
+		ix.walFlushed, rawRecs, func(e core.InsertRec) { replayed = append(replayed, e) })
 	if err != nil {
 		if !opt.AllowDegraded || !errors.Is(err, storage.ErrCorruptData) {
 			return err
@@ -186,37 +176,13 @@ func (ix *Index) recoverWAL(m *manifest.Manifest) error {
 		// harmless), and it also re-derives the records of any runs
 		// quarantined above, whose quarantine is lifted here — their files
 		// are deleted once the commit below stops referencing them.
-		replayed = replayed[:0]
-		covered := make(map[int64]bool, ix.count)
-		for _, r := range ix.runs {
-			err := r.rb.Scan(func(blk *runblock.Block) error {
-				for _, p := range blk.Pos {
-					covered[p] = true
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
+		lost, err := ix.uncoveredLocked()
+		if err != nil {
+			return err
 		}
-		ser := make(series.Series, opt.S.Params().SeriesLen)
-		buf := make([]byte, series.EncodedSize(len(ser)))
-		for pos := int64(0); pos < rawRecs; pos++ {
-			if covered[pos] {
-				continue
-			}
-			if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, buf); err != nil {
-				return err
-			}
-			series.DecodeInto(buf, ser)
-			key, kerr := opt.S.KeyOf(ser)
-			if kerr != nil {
-				return kerr
-			}
-			if opt.Owns != nil && !opt.Owns(key) {
-				continue
-			}
-			replayed = append(replayed, Entry{Key: key, Pos: pos})
+		replayed = replayed[:0]
+		for _, e := range lost {
+			replayed = append(replayed, core.InsertRec{Key: e.key, Pos: e.pos})
 		}
 		for _, ri := range ix.quarantined {
 			reclaimed = append(reclaimed, ri.Name)

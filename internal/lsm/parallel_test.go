@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -44,7 +45,7 @@ func buildParallelFixture(t *testing.T, workers int) (*Index, *storage.MemFS) {
 	}
 	stream := dataset.Generate(gen, 300, tLen, 7)
 	for lo := 0; lo < len(stream); lo += 50 {
-		if err := ix.Append(stream[lo : lo+50]); err != nil {
+		if err := ix.Insert(context.Background(), stream[lo:lo+50]); err != nil {
 			t.Fatal(err)
 		}
 		if err := ix.Flush(); err != nil {
@@ -62,8 +63,8 @@ func TestParallelBuildDeterministic(t *testing.T) {
 	ix8, fs8 := buildParallelFixture(t, 8)
 	defer ix8.Close()
 
-	if ix1.NumRuns() != ix8.NumRuns() {
-		t.Fatalf("run counts differ: workers=1 has %d, workers=8 has %d", ix1.NumRuns(), ix8.NumRuns())
+	if ix1.Shape().Runs != ix8.Shape().Runs {
+		t.Fatalf("run counts differ: workers=1 has %d, workers=8 has %d", ix1.Shape().Runs, ix8.Shape().Runs)
 	}
 	for i := range ix1.runs {
 		r1, r8 := ix1.runs[i], ix8.runs[i]
@@ -86,22 +87,22 @@ func TestParallelBuildDeterministic(t *testing.T) {
 	queries := dataset.Queries(dataset.NewRandomWalk(), 10, tLen, 99)
 	for qi, q := range queries {
 		q = append(series.Series(nil), q...).ZNormalize()
-		e1, err := ix1.ExactSearch(q)
+		e1, err := ix1.ExactSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e8, err := ix8.ExactSearch(q)
+		e8, err := ix8.ExactSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if e1.Pos != e8.Pos || e1.Dist != e8.Dist {
 			t.Fatalf("query %d: exact answers differ: %+v vs %+v", qi, e1, e8)
 		}
-		a1, err := ix1.ApproxSearch(q)
+		a1, err := ix1.ApproxSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a8, err := ix8.ApproxSearch(q)
+		a8, err := ix8.ApproxSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,11 +8,13 @@ package lsm
 // backpressure defers higher tiers entirely.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/storage"
@@ -42,17 +44,17 @@ func reopen(t *testing.T, fs *storage.MemFS, background bool) *Index {
 // and exact/approx answers — and the reopen never reads the raw dataset.
 func TestOpenRoundTrip(t *testing.T) {
 	ix, fs := buildStreamed(t, false, 0)
-	wantRuns := ix.NumRuns()
+	wantRuns := ix.Shape().Runs
 	wantCount := ix.Count()
 	queries := dataset.Queries(dataset.NewRandomWalk(), 5, tLen, 99)
-	type answer struct{ exact, approx Result }
+	type answer struct{ exact, approx core.Result }
 	want := make([]answer, len(queries))
 	for i, q := range queries {
-		e, err := ix.ExactSearch(q)
+		e, err := ix.ExactSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := ix.ApproxSearch(q)
+		a, err := ix.ApproxSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,16 +76,16 @@ func TestOpenRoundTrip(t *testing.T) {
 	fs.SetFault(nil)
 	defer re.Close()
 
-	if re.NumRuns() != wantRuns || re.Count() != wantCount {
+	if re.Shape().Runs != wantRuns || re.Count() != wantCount {
 		t.Fatalf("reopened %d runs / %d series, want %d / %d",
-			re.NumRuns(), re.Count(), wantRuns, wantCount)
+			re.Shape().Runs, re.Count(), wantRuns, wantCount)
 	}
 	for i, q := range queries {
-		e, err := re.ExactSearch(q)
+		e, err := re.ExactSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := re.ApproxSearch(q)
+		a, err := re.ApproxSearch(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +130,7 @@ func TestOpenContinuesDeterministicSequence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := ix.Append(stream[lo : lo+50]); err != nil {
+			if err := ix.Insert(context.Background(), stream[lo:lo+50]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -236,7 +238,7 @@ func TestOpenDetectsCorruption(t *testing.T) {
 func TestCloseFlushesMemtable(t *testing.T) {
 	ix, data, fs := buildFixture(t, 1<<20)
 	extra := dataset.Generate(dataset.NewSeismic(), 25, tLen, 5)
-	if err := ix.Append(extra); err != nil {
+	if err := ix.Insert(context.Background(), extra); err != nil {
 		t.Fatal(err)
 	}
 	if len(ix.mem) == 0 {
@@ -254,7 +256,7 @@ func TestCloseFlushesMemtable(t *testing.T) {
 	if got, want := re.Count(), int64(len(data)+len(extra)); got != want {
 		t.Fatalf("reopened count %d, want %d", got, want)
 	}
-	res, err := re.ExactSearch(extra[0])
+	res, err := re.ExactSearch(context.Background(), extra[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

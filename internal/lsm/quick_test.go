@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -42,7 +43,7 @@ func TestQuickMembershipUnderRandomBatching(t *testing.T) {
 		var probes []int64 // positions of series we will verify
 		for b := 0; b < int(nBatches%5)+1; b++ {
 			batch := dataset.Generate(gen, rng.Intn(80)+1, tLen, seed+int64(b)+1)
-			if err := ix.Append(batch); err != nil {
+			if err := ix.Insert(context.Background(), batch); err != nil {
 				return false
 			}
 			probes = append(probes, total) // first series of this batch
@@ -70,7 +71,7 @@ func TestQuickMembershipUnderRandomBatching(t *testing.T) {
 				return false
 			}
 			series.DecodeInto(buf, ser)
-			res, err := ix.ExactSearch(ser)
+			res, err := ix.ExactSearch(context.Background(), ser, 0)
 			if err != nil || res.Dist > 1e-9 {
 				return false
 			}

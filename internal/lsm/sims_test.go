@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/series"
@@ -49,7 +50,7 @@ func TestExactMatchesReferencePass(t *testing.T) {
 		// the memtable.
 		for lo := tCount; lo < len(data); lo += 100 {
 			hi := min(lo+100, len(data))
-			if err := ix.Append(data[lo:hi]); err != nil {
+			if err := ix.Insert(context.Background(), data[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
 			if hi-lo == 100 {
@@ -58,8 +59,8 @@ func TestExactMatchesReferencePass(t *testing.T) {
 				}
 			}
 		}
-		if ix.NumRuns() < 2 || len(ix.mem) == 0 {
-			t.Fatalf("fixture has %d runs and %d memtable records; want several and some", ix.NumRuns(), len(ix.mem))
+		if ix.Shape().Runs < 2 || len(ix.mem) == 0 {
+			t.Fatalf("fixture has %d runs and %d memtable records; want several and some", ix.Shape().Runs, len(ix.mem))
 		}
 		var keys []summary.Key
 		var positions []int64
@@ -83,7 +84,7 @@ func TestExactMatchesReferencePass(t *testing.T) {
 			want := referenceExact(s, q, data, keys, positions, seed)
 			for _, w := range []int{1, 2, 8} {
 				ix.opt.QueryWorkers = w
-				got, err := ix.ExactSearch(q)
+				got, err := ix.ExactSearch(context.Background(), q, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,7 +98,7 @@ func TestExactMatchesReferencePass(t *testing.T) {
 
 // referenceExact replays the serial verification scan from the squared-space
 // approximate answer seed over every (key, position) of the index.
-func referenceExact(s *summary.Summarizer, q series.Series, data []series.Series, keys []summary.Key, positions []int64, seed Result) Result {
+func referenceExact(s *summary.Summarizer, q series.Series, data []series.Series, keys []summary.Key, positions []int64, seed core.Result) core.Result {
 	p := s.Params()
 	qPAA, _ := s.PAA(q, nil)
 	type cand struct {

@@ -1,6 +1,6 @@
 // Write-ahead log for the LSM write path.
 //
-// Append/AppendEntries encode (key, position) records into the active WAL
+// Insert/InsertRecords encode (key, position) records into the active WAL
 // segment and return only after the segment — and the raw bytes the
 // positions reference — are fsynced. Concurrent appenders amortize one
 // fsync via GROUP COMMIT: each appender logs its record under the handle
@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
 )
@@ -72,8 +73,14 @@ type wal struct {
 	// syncing counts syncs in flight against the active segment file;
 	// rotation waits them out before closing the file.
 	syncing int
-	err     error // sticky: a torn segment write poisons the log
-	quit    bool
+	// flushOwns is set while a logged chunk that filled the memtable awaits
+	// the flush its appender runs next: that flush fsyncs the raw file and
+	// the segment itself and releases every waiter (markFlushed), so the
+	// committer stands by instead of racing it with a second fsync pair for
+	// the same LSN. releaseFlush hands the duty back if the flush fails.
+	flushOwns bool
+	err       error // sticky: a torn segment write poisons the log
+	quit      bool
 
 	// window optionally stretches each group commit to admit more waiters.
 	window time.Duration
@@ -117,7 +124,7 @@ func newWAL(fs storage.FS, name string, raw, f storage.File, seg int, size, appe
 
 // encodeWALRecord frames one record: length, CRC32-C, then a count-
 // prefixed array of (key, position) entries.
-func encodeWALRecord(entries []Entry) []byte {
+func encodeWALRecord(entries []core.InsertRec) []byte {
 	payload := make([]byte, 0, 4+len(entries)*recordSize)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(entries)))
 	for _, e := range entries {
@@ -130,10 +137,13 @@ func encodeWALRecord(entries []Entry) []byte {
 	return append(rec, payload...)
 }
 
-// log appends one record to the active segment and wakes the committer.
-// Callers hold ix.mu (which is what orders LSN assignment); the returned
-// end LSN is what waitDurable blocks on after ix.mu is released.
-func (w *wal) log(entries []Entry) (int64, error) {
+// log appends one record to the active segment and wakes the committer —
+// unless flushNext says the record filled the memtable and the caller
+// flushes next, which makes that flush the owner of the record's fsyncs
+// (see flushOwns). Callers hold ix.mu (which is what orders LSN
+// assignment); the returned end LSN is what waitDurable blocks on after
+// ix.mu is released.
+func (w *wal) log(entries []core.InsertRec, flushNext bool) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -152,17 +162,18 @@ func (w *wal) log(entries []Entry) (int64, error) {
 	}
 	w.size += int64(len(rec))
 	w.appended += int64(len(entries))
+	w.flushOwns = flushNext
 	w.cond.Broadcast()
 	return w.appended, nil
 }
 
-// waitDurableCtx blocks until every entry with LSN <= lsn is durable — group
+// waitDurable blocks until every entry with LSN <= lsn is durable — group
 // commit released the batch, or a flush covered it with a run. A done
 // context wakes the waiter (via an AfterFunc broadcast) and it returns
 // ctx.Err(). The abandoned wait has no effect on the group commit — the
 // committer still fsyncs the batch, so the caller's entries become durable
 // anyway; the caller merely stops being told about it.
-func (w *wal) waitDurableCtx(ctx context.Context, lsn int64) error {
+func (w *wal) waitDurable(ctx context.Context, lsn int64) error {
 	if done := ctx.Done(); done != nil {
 		stop := context.AfterFunc(ctx, func() {
 			w.mu.Lock()
@@ -197,7 +208,7 @@ func (w *wal) committer() {
 	defer w.wg.Done()
 	w.mu.Lock()
 	for {
-		for !w.quit && w.err == nil && w.durable >= w.appended {
+		for !w.quit && w.err == nil && (w.durable >= w.appended || w.flushOwns) {
 			w.cond.Wait()
 		}
 		if w.quit {
@@ -288,6 +299,17 @@ func (w *wal) markFlushed(lsn int64) {
 	if lsn > w.durable {
 		w.durable = lsn
 	}
+	w.flushOwns = false
+	w.cond.Broadcast()
+	w.mu.Unlock()
+}
+
+// releaseFlush hands durability back to the committer when a flush fails
+// before markFlushed: the entries the flush was to cover are still only in
+// the log, and their waiters must not hang behind it.
+func (w *wal) releaseFlush() {
+	w.mu.Lock()
+	w.flushOwns = false
 	w.cond.Broadcast()
 	w.mu.Unlock()
 }
@@ -374,7 +396,7 @@ func (w *wal) close() error {
 // storage.ErrCorruptData and fails replay loudly, because silently
 // dropping the frame would also drop every acknowledged entry after it.
 // Returns the LSN after the last recovered entry.
-func walReplay(fs storage.FS, name string, firstSeg, nextSeg int, flushed, rawRecs int64, apply func(Entry)) (int64, error) {
+func walReplay(fs storage.FS, name string, firstSeg, nextSeg int, flushed, rawRecs int64, apply func(core.InsertRec)) (int64, error) {
 	last := flushed
 	for seg := firstSeg; seg < nextSeg || fs.Exists(walSegName(name, seg)); seg++ {
 		data, err := storage.ReadFileAll(fs, walSegName(name, seg))
@@ -397,7 +419,7 @@ func walReplay(fs storage.FS, name string, firstSeg, nextSeg int, flushed, rawRe
 
 // walScanSegment applies one segment's recoverable entries (see walReplay
 // for the torn-vs-rot contract) and returns the LSN after the last one.
-func walScanSegment(data []byte, seg int, flushed, rawRecs int64, apply func(Entry)) (int64, error) {
+func walScanSegment(data []byte, seg int, flushed, rawRecs int64, apply func(core.InsertRec)) (int64, error) {
 	if len(data) < walHeaderSize {
 		// Torn header: the segment was created but its first write
 		// never completed; nothing in it was acknowledged.
@@ -444,7 +466,7 @@ records:
 			if pos < 0 || pos >= rawRecs {
 				break records
 			}
-			var e Entry
+			var e core.InsertRec
 			copy(e.Key[:], rec[:summary.KeySize])
 			e.Pos = pos
 			apply(e)
@@ -475,7 +497,7 @@ func VerifyWALSegment(fs storage.FS, name string, seg int) (int64, error) {
 		return 0, err
 	}
 	var n int64
-	if _, err := walScanSegment(data, seg, 0, int64(^uint64(0)>>1), func(Entry) { n++ }); err != nil {
+	if _, err := walScanSegment(data, seg, 0, int64(^uint64(0)>>1), func(core.InsertRec) { n++ }); err != nil {
 		return n, err
 	}
 	return n, nil

@@ -12,12 +12,15 @@ package lsm
 // in-flight manifest fsync.
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/storage"
@@ -74,7 +77,7 @@ func TestWALCrashWindowSweep(t *testing.T) {
 			return 0, false
 		}
 		for i := range stream {
-			if err := ix.Append(stream[i : i+1]); err != nil {
+			if err := ix.Insert(context.Background(), stream[i:i+1]); err != nil {
 				appendFailed = true
 				break
 			}
@@ -113,7 +116,7 @@ func TestWALCrashWindowSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < c; i++ {
-				if err := ix.Append(stream[i : i+1]); err != nil {
+				if err := ix.Insert(context.Background(), stream[i:i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -124,11 +127,11 @@ func TestWALCrashWindowSweep(t *testing.T) {
 		}
 		out := make([]answer, 0, 2*len(queries))
 		for _, q := range queries {
-			e, err := refs[c].ExactSearch(q)
+			e, err := refs[c].ExactSearch(context.Background(), q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := refs[c].ApproxSearch(q)
+			a, err := refs[c].ApproxSearch(context.Background(), q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,11 +181,11 @@ func TestWALCrashWindowSweep(t *testing.T) {
 		}
 		want := refAnswers(c)
 		for qi, q := range queries {
-			e, err := re.ExactSearch(q)
+			e, err := re.ExactSearch(context.Background(), q, 0)
 			if err != nil {
 				t.Fatalf("crash at op %d: exact query %d: %v", k, qi, err)
 			}
-			a, err := re.ApproxSearch(q)
+			a, err := re.ApproxSearch(context.Background(), q, 0)
 			if err != nil {
 				t.Fatalf("crash at op %d: approx query %d: %v", k, qi, err)
 			}
@@ -198,7 +201,7 @@ func TestWALCrashWindowSweep(t *testing.T) {
 		}
 		// The recovered index is fully live: it accepts and acknowledges
 		// new durable appends.
-		if err := re.Append(extra); err != nil {
+		if err := re.Insert(context.Background(), extra); err != nil {
 			t.Fatalf("crash at op %d: append on recovered index: %v", k, err)
 		}
 		if got := int(re.Count()) - sweepBase; got != c+1 {
@@ -207,6 +210,64 @@ func TestWALCrashWindowSweep(t *testing.T) {
 		if err := re.Close(); err != nil {
 			t.Fatalf("crash at op %d: close recovered index: %v", k, err)
 		}
+	}
+}
+
+// TestWALOneFsyncPairPerAppend pins who fsyncs for an acknowledged append:
+// the committer's raw + segment pair for one the memtable absorbs, and for
+// one that fills the memtable the flush's own raw fsync and syncActive —
+// with the committer standing by, not adding a second pair for the same
+// LSN. Either way an append costs exactly one raw and one segment fsync,
+// which is what makes the sweep's op count repeatable.
+func TestWALOneFsyncPairPerAppend(t *testing.T) {
+	stream := dataset.Generate(dataset.NewSeismic(), 40, tLen, 911)
+	ffs := storage.NewFaultFS(sweepSeed(t))
+	var mu sync.Mutex
+	var rawSyncs, segSyncs int
+	ffs.SetHook(func(op storage.Op, name string) {
+		if op != storage.OpSync {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case name == "raw":
+			rawSyncs++
+		case strings.HasPrefix(name, "lsm.wal."):
+			segSyncs++
+		}
+	})
+	ix, err := Open(sweepOptions(t, ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	flushes := 0
+	for i := range stream {
+		mu.Lock()
+		raw0, seg0 := rawSyncs, segSyncs
+		mu.Unlock()
+		runs := ix.Shape().Runs
+		if err := ix.Insert(context.Background(), stream[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+		ix.mu.RLock()
+		flushed := len(ix.mem) == 0
+		ix.mu.RUnlock()
+		if flushed {
+			flushes++
+		} else if ix.Shape().Runs != runs {
+			t.Fatalf("append %d changed the run set without emptying the memtable", i)
+		}
+		mu.Lock()
+		raw, seg := rawSyncs-raw0, segSyncs-seg0
+		mu.Unlock()
+		if raw != 1 || seg != 1 {
+			t.Fatalf("append %d (flushed=%v): %d raw and %d segment fsyncs, want 1 and 1", i, flushed, raw, seg)
+		}
+	}
+	if flushes < 2 {
+		t.Fatalf("workload crossed %d flushes, want several", flushes)
 	}
 }
 
@@ -232,7 +293,7 @@ func TestWALTornRecordRejected(t *testing.T) {
 	}
 	stream := dataset.Generate(dataset.NewSeismic(), 5, tLen, 13)
 	for i := range stream {
-		if err := ix.Append(stream[i : i+1]); err != nil {
+		if err := ix.Insert(context.Background(), stream[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,11 +389,11 @@ func TestQueriesProceedDuringSlowManifestCommit(t *testing.T) {
 	}
 	defer ix.Close()
 	batch := dataset.Generate(dataset.NewSeismic(), 10, tLen, 3)
-	if err := ix.Append(batch); err != nil {
+	if err := ix.Insert(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	q := batch[0]
-	want, err := ix.ExactSearch(q)
+	want, err := ix.ExactSearch(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,10 +404,10 @@ func TestQueriesProceedDuringSlowManifestCommit(t *testing.T) {
 	<-entered // the flush is now parked inside the manifest fsync
 
 	qDone := make(chan error, 1)
-	var got Result
+	var got core.Result
 	go func() {
 		var err error
-		got, err = ix.ExactSearch(q)
+		got, err = ix.ExactSearch(context.Background(), q, 0)
 		qDone <- err
 	}()
 	select {

@@ -146,51 +146,30 @@ func equalKeys(a, b []summary.Key) bool {
 	return true
 }
 
-// builders are the three partitioned build entry points over one option
-// set; each returns the handle's Close.
-func builders(t *testing.T) map[string]func(fs storage.FS, workers, parts int) (func() error, error) {
-	coreOpt := func(fs storage.FS, workers int) core.Options {
-		return core.Options{FS: fs, Name: "px", S: ptSummarizer(t), RawName: "raw", LeafCap: 16,
-			MemBudgetBytes: 1 << 20, Workers: workers, Checksums: true}
+// variants are the three kinds of index over one option set.
+func variants(t *testing.T, fs storage.FS, workers int) map[string]Variant {
+	opt := core.Options{FS: fs, Name: "px", S: ptSummarizer(t), RawName: "raw", LeafCap: 16,
+		MemBudgetBytes: 1 << 20, Workers: workers, Checksums: true}
+	return map[string]Variant{
+		"tree": TreeVariant(opt, false),
+		"trie": TrieVariant(opt, false),
+		"lsm": LSMVariant(lsm.Options{FS: fs, Name: "px", S: ptSummarizer(t), RawName: "raw",
+			MemBudgetBytes: 1 << 20, Workers: workers, Checksums: true}),
 	}
-	return map[string]func(storage.FS, int, int) (func() error, error){
-		"tree": func(fs storage.FS, workers, parts int) (func() error, error) {
-			if parts == 1 {
-				ix, err := core.BuildTree(coreOpt(fs, workers))
-				if err != nil {
-					return nil, err
-				}
-				return ix.Close, nil
-			}
-			ix, err := BuildTree(coreOpt(fs, workers), parts)
-			if err != nil {
-				return nil, err
-			}
-			return ix.Close, nil
-		},
-		"trie": func(fs storage.FS, workers, parts int) (func() error, error) {
-			if parts == 1 {
-				ix, err := core.BuildTrie(coreOpt(fs, workers))
-				if err != nil {
-					return nil, err
-				}
-				return ix.Close, nil
-			}
-			ix, err := BuildTrie(coreOpt(fs, workers), parts)
-			if err != nil {
-				return nil, err
-			}
-			return ix.Close, nil
-		},
-		"lsm": func(fs storage.FS, workers, parts int) (func() error, error) {
-			ix, err := BuildLSM(lsm.Options{FS: fs, Name: "px", S: ptSummarizer(t), RawName: "raw",
-				MemBudgetBytes: 1 << 20, Workers: workers, Checksums: true}, parts)
-			if err != nil {
-				return nil, err
-			}
-			return ix.Close, nil
-		},
+}
+
+// buildIndex builds variant over fs — the lone index for parts == 1, the
+// Composite otherwise.
+func buildIndex(t *testing.T, variant string, fs storage.FS, workers, parts int) (Index, error) {
+	v := variants(t, fs, workers)[variant]
+	if parts == 1 {
+		return v.Build()
 	}
+	c, err := Build(v, parts)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // TestPartitionedBuildReadsRawOnce: every partitioned build, at any worker
@@ -201,7 +180,7 @@ func TestPartitionedBuildReadsRawOnce(t *testing.T) {
 	const count, parts = 2000, 3
 	rawRec := series.EncodedSize(ptLen)
 	rawSize := int64(count * rawRec)
-	for variant, build := range builders(t) {
+	for _, variant := range []string{"tree", "trie", "lsm"} {
 		for _, workers := range []int{1, 2, 8} {
 			for _, stale := range []int{0, count + 100} {
 				t.Run(fmt.Sprintf("%s/workers=%d/stale=%d", variant, workers, stale), func(t *testing.T) {
@@ -219,12 +198,12 @@ func TestPartitionedBuildReadsRawOnce(t *testing.T) {
 						t.Fatal(err)
 					}
 					before := fs.Stats().Snapshot()
-					closeIx, err := build(fs, workers, parts)
+					ix, err := buildIndex(t, variant, fs, workers, parts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					io := fs.Stats().Snapshot().Sub(before)
-					if err := closeIx(); err != nil {
+					if err := ix.Close(); err != nil {
 						t.Fatal(err)
 					}
 					// Temporaries read back once each: scatter files, sort
@@ -251,14 +230,13 @@ func TestPartitionedBuildReadsRawOnce(t *testing.T) {
 }
 
 // TestFaultFSFailedBuildLeavesNoFiles fails the k-th storage operation —
-// reads and opens included — for every k of a small tree and trie build,
-// unpartitioned and 2-partition: whenever the build reports the failure,
-// the device afterwards holds the raw file and at most its sidecar.
+// reads and opens included — for every k of a small tree, trie and LSM
+// build, unpartitioned and 2-partition: whenever the build reports the
+// failure, the device afterwards holds the raw file and at most its sidecar.
 func TestFaultFSFailedBuildLeavesNoFiles(t *testing.T) {
 	all := []storage.Op{storage.OpCreate, storage.OpOpen, storage.OpRead, storage.OpWrite,
 		storage.OpSync, storage.OpRename, storage.OpRemove}
-	build := builders(t)
-	for _, variant := range []string{"tree", "trie"} {
+	for _, variant := range []string{"tree", "trie", "lsm"} {
 		for _, parts := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/parts=%d", variant, parts), func(t *testing.T) {
 				newFS := func() (*storage.MemFS, *storage.FaultFS) {
@@ -271,22 +249,22 @@ func TestFaultFSFailedBuildLeavesNoFiles(t *testing.T) {
 					return inner, ffs
 				}
 				_, dry := newFS()
-				closeIx, err := build[variant](dry, 2, parts)
+				ix, err := buildIndex(t, variant, dry, 2, parts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				closeIx()
+				ix.Close()
 				ops := dry.OpCount()
 				failed := 0
 				for k := int64(1); k <= ops; k++ {
 					inner, ffs := newFS()
 					ffs.FailAt(k)
-					closeIx, err := build[variant](ffs, 2, parts)
+					ix, err := buildIndex(t, variant, ffs, 2, parts)
 					if err == nil {
 						// The fault hit an operation whose failure the build
 						// may ignore (removing a temporary), or one past its
 						// end at this interleaving.
-						closeIx()
+						ix.Close()
 						continue
 					}
 					failed++

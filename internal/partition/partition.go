@@ -1,8 +1,25 @@
-// Package partition implements the N-way partitioned index architecture:
-// records are routed to partitions by invSAX key range (boundaries chosen
-// from a dataset sample so partitions balance), each partition builds as
-// an independent index in parallel, and queries scatter to every partition
-// and gather deterministically.
+// Package partition holds the one index abstraction above the three
+// Coconut variants and the N-way partitioned architecture written once over
+// it.
+//
+// Index is the surface a Coconut-Tree, a Coconut-Trie and a Coconut-LSM all
+// offer natively (count, the two searches, shape, size, sync, close); Child
+// adds the two steps every exact query is made of — an approximate window
+// that seeds a best-so-far, and a SIMS verification pass under it — which is
+// all the scatter-gather needs. k-NN, inserts and LSM housekeeping are
+// optional capabilities (KNNSearcher, Inserter, Maintainer) an index has or
+// lacks. A Variant names one kind of index over one option set by the few
+// things that differ — how to build, open and remove one, how the window
+// scales with the radius — and Composite is the partitioned index over a
+// slice of Child: records are routed to partitions by invSAX key range
+// (boundaries chosen from a dataset sample so partitions balance), each
+// partition builds as an independent index in parallel, and queries scatter
+// to every partition and gather deterministically. The public package holds
+// an Index: the lone child when unpartitioned, the Composite otherwise.
+//
+// Everything below the public package takes its context first and has no
+// context-free twin; a build, an open or a test with no caller context
+// passes context.Background() itself.
 //
 // The determinism contract is exact: answers are byte-identical to a
 // single-partition index for any partition count and any worker count.
@@ -27,18 +44,236 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/core"
+	"github.com/coconut-db/coconut/internal/lsm"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/storage/blockcache"
 	"github.com/coconut-db/coconut/internal/summary"
-	"github.com/coconut-db/coconut/internal/window"
 )
+
+// Index is the one internal index surface: what a Coconut-Tree, a
+// Coconut-Trie, a Coconut-LSM and the Composite of any of them all offer.
+// Distances are Euclidean; radius widens the approximate window (an LSM
+// sizes its own and ignores it).
+type Index interface {
+	Count() int64
+	ApproxSearch(ctx context.Context, q series.Series, radius int) (core.Result, error)
+	ExactSearch(ctx context.Context, q series.Series, radius int) (core.Result, error)
+	Shape() core.Shape
+	SizeBytes() int64
+	Degraded() bool
+	Sync() error
+	Close() error
+}
+
+// Child is an Index the Composite can scatter-gather over: it also exposes
+// the two steps of an exact query on their own, in SQUARED space — its
+// contribution to a cross-partition approximate window, and the SIMS
+// verification of an external seed under a shared bound. (The Composite is
+// an Index but not a Child: the fetchers of its merged window live only as
+// long as the query's sibling-cancel scope.)
+type Child interface {
+	Index
+	ApproxWindowCands(ctx context.Context, q series.Series, radius int) (core.ApproxWindow, error)
+	ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (core.Result, error)
+}
+
+// Optional capabilities: an Index has them or lacks them, and the Composite
+// offers each exactly when its children do (ErrUnsupported otherwise).
+type (
+	// KNNSearcher answers exact k-NN (trees).
+	KNNSearcher interface {
+		ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]core.Neighbor, core.Result, error)
+	}
+	// Inserter accepts new series (trees and LSMs).
+	Inserter interface {
+		Insert(ctx context.Context, batch []series.Series) error
+	}
+	// Maintainer is the LSM's housekeeping: flush the memtable, re-derive
+	// quarantined runs, report the block cache.
+	Maintainer interface {
+		Flush() error
+		RebuildQuarantined() error
+		CacheStats() blockcache.Stats
+	}
+
+	// What the Composite needs of a child to offer the above itself: the
+	// self-seeded top-k under a shared bound, and a routed insert of records
+	// whose raw bytes the Composite already wrote, with a token to wait on
+	// where the child acknowledges through a group commit.
+	sharedKNN interface {
+		ExactSearchKNNShared(ctx context.Context, q series.Series, k, radius int, kb *shard.BSF) ([]core.Neighbor, core.Result, error)
+	}
+	recordInserter interface {
+		InsertRecords(recs []core.InsertRec) (token int64, err error)
+	}
+	durabilityWaiter interface {
+		WaitDurable(ctx context.Context, token int64) error
+	}
+)
+
+// ErrUnsupported reports a capability the index (or the children of a
+// Composite) does not have; it matches errors.ErrUnsupported.
+var ErrUnsupported = fmt.Errorf("partition: %w by this index variant", errors.ErrUnsupported)
+
+// capable returns kids as their capability C (zero for a quarantined
+// child), or false when a healthy child lacks it.
+func capable[C any](kids []Child) ([]C, bool) {
+	out := make([]C, len(kids))
+	for i, k := range kids {
+		if k == nil {
+			continue
+		}
+		c, ok := k.(C)
+		if !ok {
+			return nil, false
+		}
+		out[i] = c
+	}
+	return out, true
+}
+
+// Variant names one kind of index over one option set by what differs
+// between the kinds. Build and Open make the unpartitioned index; Build and
+// Open of this package the N-way Composite of the same.
+type Variant struct {
+	// Build bulk-loads and Open reopens the lone index.
+	Build, Open func() (Child, error)
+
+	kind          manifest.Variant
+	fs            storage.FS
+	name, rawName string
+	s             *summary.Summarizer
+	// materialized and leafCap describe the children's records to the scatter
+	// and the parent manifest; checksums is adopted from the manifest at Open.
+	materialized  bool
+	leafCap       int
+	checksums     bool
+	workers       int
+	queryWorkers  int
+	allowDegraded bool
+	// half returns the per-side global window size for a radius.
+	half func(radius int) int
+	// tornTail says a crash can leave a partial record at the end of the
+	// dataset that no child ever indexed (the LSM's log acknowledges nothing
+	// before its raw bytes are whole), so an insert overwrites it; without
+	// it a misaligned dataset is refused.
+	tornTail bool
+	// child builds partition p from its scatter file when p.records is set
+	// and reopens it otherwise; remove deletes a finished child's files.
+	child  func(p childPlan) (Child, error)
+	remove func(fs storage.FS, name string)
+}
+
+// childPlan is one partition as its Variant sees it: which of how many it
+// is, how many build or open at once (budgets divide by it), and what the
+// parent hands down — the key ranges, the scatter file, the shared sidecar.
+type childPlan struct {
+	i, parts, par int
+	name, records string
+	bounds        []summary.Key
+	sums          *storage.RecordSums
+	checksums     bool
+}
+
+// asChild turns a concrete index and its error into a Child, keeping a
+// failed build's nil pointer out of the interface.
+func asChild[T Child](ix T, err error) (Child, error) {
+	if err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// TreeVariant is Coconut-Tree over opt.
+func TreeVariant(opt core.Options, allowDegraded bool) Variant {
+	return coreVariant(manifest.VariantTree, opt, allowDegraded, core.BuildTree, core.OpenTree, core.RemoveTree)
+}
+
+// TrieVariant is Coconut-Trie over opt.
+func TrieVariant(opt core.Options, allowDegraded bool) Variant {
+	return coreVariant(manifest.VariantTrie, opt, allowDegraded, core.BuildTrie, core.OpenTrie, core.RemoveTrie)
+}
+
+func coreVariant[T Child](kind manifest.Variant, opt core.Options, allowDegraded bool,
+	build, open func(core.Options) (T, error), remove func(storage.FS, string)) Variant {
+	aw := opt.ApproxWindow
+	if aw <= 0 {
+		aw = 32
+	}
+	return Variant{
+		kind:  kind,
+		Build: func() (Child, error) { return asChild(build(opt)) },
+		Open:  func() (Child, error) { return asChild(open(opt)) },
+		fs:    opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
+		materialized: opt.Materialized, leafCap: opt.LeafCap, checksums: opt.Checksums,
+		workers: opt.Workers, queryWorkers: opt.QueryWorkers, allowDegraded: allowDegraded,
+		half:   func(radius int) int { return aw * (radius + 1) / 2 },
+		remove: remove,
+		// Same geometry and summarization, divided worker and memory budgets.
+		child: func(p childPlan) (Child, error) {
+			co := opt
+			co.Name, co.RecordsName, co.RawSums, co.Checksums = p.name, p.records, p.sums, p.checksums
+			co.MemBudgetBytes = divideBudget(opt.MemBudgetBytes, p.par, 1<<20)
+			co.Workers = shard.PerGroup(opt.Workers, p.par)
+			co.QueryWorkers = shard.PerGroup(opt.QueryWorkers, p.parts)
+			if p.records != "" {
+				return asChild(build(co))
+			}
+			return asChild(open(co))
+		},
+	}
+}
+
+// LSMVariant is Coconut-LSM over opt. One block cache serves the lone index
+// or every child alike.
+func LSMVariant(opt lsm.Options) Variant {
+	if opt.Cache == nil {
+		opt.Cache = blockcache.New(0)
+	}
+	w := opt.Window
+	if w <= 0 {
+		w = 100
+	}
+	return Variant{
+		kind:  manifest.VariantLSM,
+		Build: func() (Child, error) { return asChild(lsm.Build(opt)) },
+		Open:  func() (Child, error) { return asChild(lsm.Open(opt)) },
+		fs:    opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S, checksums: opt.Checksums,
+		workers: opt.Workers, queryWorkers: opt.QueryWorkers, allowDegraded: opt.AllowDegraded,
+		half:     func(int) int { return w / 2 },
+		tornTail: true,
+		remove:   lsm.Remove,
+		// The global memory, compaction-worker and pending-run budgets divide
+		// across partitions so aggregate resource use matches the
+		// unpartitioned configuration. The ownership filter scopes any
+		// reconstruction-from-raw to the child's key range — the raw dataset
+		// is shared, and a child re-indexing a sibling's records would
+		// duplicate them across the index.
+		child: func(p childPlan) (Child, error) {
+			co := opt
+			co.Name, co.RecordsName, co.RawSums, co.Checksums = p.name, p.records, p.sums, p.checksums
+			co.Owns = func(k summary.Key) bool { return route(p.bounds, k) == p.i }
+			co.MemBudgetBytes = divideBudget(opt.MemBudgetBytes, p.parts, 64<<10)
+			co.Workers = shard.PerGroup(opt.Workers, p.par)
+			co.QueryWorkers = shard.PerGroup(opt.QueryWorkers, p.parts)
+			co.CompactionWorkers = shard.PerGroup(opt.CompactionWorkers, p.parts)
+			if opt.MaxPendingRuns > 0 {
+				co.MaxPendingRuns = max(opt.MaxPendingRuns/p.parts, 1)
+			}
+			if p.records != "" {
+				return asChild(lsm.Build(co))
+			}
+			return asChild(lsm.Open(co))
+		},
+	}
+}
 
 // childName returns the index-name prefix of partition i.
 func childName(name string, i int) string { return fmt.Sprintf("%s.p%03d", name, i) }
@@ -141,11 +376,12 @@ type scattered struct {
 // per partition and, for a checksummed build, computes the CRC sidecar from
 // the same bytes (an existing sidecar may describe a replaced dataset, so a
 // build never reuses one). On error no scatter file is left behind.
-func scatterDataset(fs storage.FS, name, rawName string, s *summary.Summarizer, materialized, checksums bool, workers, parts int) (*scattered, error) {
+func scatterDataset(v Variant, parts int) (*scattered, error) {
 	if parts < 2 {
 		return nil, fmt.Errorf("partition: need at least 2 partitions, got %d", parts)
 	}
-	raw, err := fs.Open(rawName)
+	fs, name, s := v.fs, v.name, v.s
+	raw, err := fs.Open(v.rawName)
 	if err != nil {
 		return nil, err
 	}
@@ -155,8 +391,8 @@ func scatterDataset(fs storage.FS, name, rawName string, s *summary.Summarizer, 
 		return nil, err
 	}
 	src, err := core.OpenBuildSource(core.BuildSourceConfig{
-		FS: fs, S: s, Raw: raw, RawName: rawName,
-		Materialized: materialized, Checksums: checksums, Workers: workers,
+		FS: fs, S: s, Raw: raw, RawName: v.rawName,
+		Materialized: v.materialized, Checksums: v.checksums, Workers: v.workers,
 	})
 	if err != nil {
 		return nil, err
@@ -167,7 +403,7 @@ func scatterDataset(fs storage.FS, name, rawName string, s *summary.Summarizer, 
 		sc.children[i] = childName(name, i)
 	}
 	recSize := summary.KeySize + 8
-	if materialized {
+	if v.materialized {
 		recSize += series.EncodedSize(s.Params().SeriesLen)
 	}
 	sc.total, err = scatter(fs, src, recSize, sc.bounds, names)
@@ -185,17 +421,17 @@ func scatterDataset(fs storage.FS, name, rawName string, s *summary.Summarizer, 
 func scatter(fs storage.FS, src io.Reader, recSize int, bounds []summary.Key, names []string) (int64, error) {
 	files := make([]storage.File, len(names))
 	ws := make([]*storage.SequentialWriter, len(names))
-	closeAll := func() {
+	// Whatever is still open when scatter returns — on any error — is closed.
+	defer func() {
 		for _, f := range files {
 			if f != nil {
 				f.Close()
 			}
 		}
-	}
+	}()
 	for i, n := range names {
 		f, err := fs.Create(n)
 		if err != nil {
-			closeAll()
 			return 0, err
 		}
 		files[i] = f
@@ -211,17 +447,14 @@ func scatter(fs storage.FS, src io.Reader, recSize int, bounds []summary.Key, na
 		}
 		if err == io.ErrUnexpectedEOF {
 			if n%recSize != 0 {
-				closeAll()
 				return 0, fmt.Errorf("partition: record stream truncated (%d trailing bytes)", n%recSize)
 			}
 		} else if err != nil {
-			closeAll()
 			return 0, err
 		}
 		for off := 0; off+recSize <= n; off += recSize {
 			copy(key[:], buf[off:off+summary.KeySize])
 			if _, werr := ws[route(bounds, key)].Write(buf[off : off+recSize]); werr != nil {
-				closeAll()
 				return 0, werr
 			}
 			total++
@@ -232,14 +465,12 @@ func scatter(fs storage.FS, src io.Reader, recSize int, bounds []summary.Key, na
 	}
 	for i := range ws {
 		if err := ws[i].Flush(); err != nil {
-			closeAll()
 			return 0, err
 		}
 	}
 	for i, f := range files {
 		files[i] = nil
 		if err := f.Close(); err != nil {
-			closeAll()
 			return 0, err
 		}
 	}
@@ -256,42 +487,37 @@ func removeScatter(fs storage.FS, name string, parts int) {
 
 // commitParent writes the parent manifest, the build's durability point:
 // it is committed only after every child committed its own manifest.
-func commitParent(fs storage.FS, name string, child manifest.Variant, s *summary.Summarizer,
-	mat bool, leafCap int, rawName string, count int64, checksums bool,
-	bounds []summary.Key, children []string) error {
-	p := s.Params()
-	return manifest.Commit(fs, name, &manifest.Manifest{
+func commitParent(v Variant, sc *scattered) error {
+	p := v.s.Params()
+	return manifest.Commit(v.fs, v.name, &manifest.Manifest{
 		Variant:      manifest.VariantPartitioned,
 		SeriesLen:    p.SeriesLen,
 		Segments:     p.Segments,
 		CardBits:     p.CardBits,
-		Materialized: mat,
-		LeafCap:      leafCap,
-		RawName:      rawName,
-		Count:        count,
-		Checksums:    checksums,
+		Materialized: v.materialized,
+		LeafCap:      v.leafCap,
+		RawName:      v.rawName,
+		Count:        sc.total,
+		Checksums:    v.checksums,
 		Part: &manifest.PartitionLayout{
-			ChildVariant: child,
-			Partitions:   len(children),
-			Boundaries:   bounds,
-			Children:     children,
+			ChildVariant: v.kind,
+			Partitions:   len(sc.children),
+			Boundaries:   sc.bounds,
+			Children:     sc.children,
 		},
 	})
 }
 
 // attachRawSums opens the parent-owned CRC sidecar for the shared dataset
 // file at Open (see scattered.sums for the ownership rule).
-func attachRawSums(fs storage.FS, rawName string, recSize int) (*storage.RecordSums, error) {
-	raw, err := fs.Open(rawName)
+func attachRawSums(v Variant) (*storage.RecordSums, error) {
+	raw, err := v.fs.Open(v.rawName)
 	if err != nil {
 		return nil, err
 	}
 	defer raw.Close()
-	sums, err := storage.LoadRecordSums(fs, rawName, recSize, raw)
-	if err != nil {
-		return nil, fmt.Errorf("partition: raw sidecar: %w", err)
-	}
-	return sums, nil
+	sums, _, err := core.AttachRawSums(v.fs, v.rawName, v.s, v.checksums, nil, raw)
+	return sums, err
 }
 
 // quarantineChild reports whether a failed child open should quarantine
@@ -306,24 +532,23 @@ func quarantineChild(allowDegraded bool, err error) bool {
 // checks every partitioned Open performs before touching child indexes:
 // variant, child variant, partition count (parts == 0 adopts the stored
 // count), and summarization/materialization/dataset parameters.
-func loadParent(fs storage.FS, name string, child manifest.Variant, parts int,
-	p summary.Params, mat bool, rawName string) (*manifest.Manifest, error) {
-	m, err := manifest.Load(fs, name)
+func loadParent(v Variant, parts int) (*manifest.Manifest, error) {
+	m, err := manifest.Load(v.fs, v.name)
 	if err != nil {
 		return nil, err
 	}
 	if err := m.CheckVariant(manifest.VariantPartitioned); err != nil {
 		return nil, err
 	}
-	if m.Part.ChildVariant != child {
+	if m.Part.ChildVariant != v.kind {
 		return nil, fmt.Errorf("%w: stored partitioned index has %s children, not %s",
-			manifest.ErrConfigMismatch, m.Part.ChildVariant, child)
+			manifest.ErrConfigMismatch, m.Part.ChildVariant, v.kind)
 	}
 	if parts != 0 && parts != m.Part.Partitions {
 		return nil, fmt.Errorf("%w: Partitions=%d, stored index has %d partitions",
 			manifest.ErrConfigMismatch, parts, m.Part.Partitions)
 	}
-	if err := m.CheckParams(p, mat, rawName); err != nil {
+	if err := m.CheckParams(v.s.Params(), v.materialized, v.rawName); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -341,15 +566,6 @@ func divideBudget(total int64, n int, floor int64) int64 {
 		b = floor
 	}
 	return b
-}
-
-// searcher is the uniform child-index surface the scatter-gather query
-// layer drives; tree, trie, and LSM children adapt to it. All distances
-// are SQUARED.
-type searcher interface {
-	count() int64
-	approxWindow(ctx context.Context, q series.Series, radius int) (core.ApproxWindow, error)
-	exactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (core.Result, error)
 }
 
 // childCancel wires "the first child error cancels its siblings" onto a
@@ -400,132 +616,4 @@ func (cc *childCancel) resolve(ctx context.Context, ferr error) error {
 		return err
 	}
 	return ferr
-}
-
-// gather fans a query out over the partitions and merges the answers
-// deterministically. A nil child is a quarantined partition (degraded
-// mode): it contributes no candidates and no count, so answers cover
-// exactly the healthy remainder.
-type gather struct {
-	kids []searcher
-	// workers is the partition-level query fan-out (children divide the
-	// remaining budget internally).
-	workers int
-	// half returns the per-side global window size for a radius.
-	half func(radius int) int
-}
-
-func (g *gather) total() int64 {
-	var n int64
-	for _, k := range g.kids {
-		if k != nil {
-			n += k.count()
-		}
-	}
-	return n
-}
-
-// approxSq is the scatter-gather approximate search (squared space): every
-// partition contributes its window candidates, internal/window merges them
-// into exactly the window a single sorted sequence of the union would
-// produce, and one global evaluation visits them best-lower-bound-first,
-// dispatching fetches back to the owning partition.
-func (g *gather) approxSq(ctx context.Context, q series.Series, radius int) (core.Result, error) {
-	res := core.Result{Pos: -1, Dist: math.Inf(1)}
-	if g.total() == 0 {
-		return res, core.ErrEmptyIndex
-	}
-	cc := newChildCancel(ctx)
-	defer cc.cancel()
-	aws := make([]core.ApproxWindow, len(g.kids))
-	ferr := shard.FanOutCtx(ctx, shard.Resolve(g.workers, len(g.kids)), len(g.kids),
-		func(i int, cancelled func() bool) error {
-			if cancelled() || g.kids[i] == nil {
-				return nil
-			}
-			aw, err := g.kids[i].approxWindow(cc.cctx, q, radius)
-			if err != nil {
-				return cc.fail(err)
-			}
-			aws[i] = aw
-			return nil
-		})
-	if err := cc.resolve(ctx, ferr); err != nil {
-		// On a ctx error abandoned children may still be writing aws; it is
-		// never read on this path.
-		return res, err
-	}
-	var below, above []window.Cand
-	fetches := make([]window.FetchFunc, len(aws))
-	for i := range aws {
-		fetches[i] = aws[i].Fetch
-		for _, c := range aws[i].Below {
-			c.Src = i
-			below = append(below, c)
-		}
-		for _, c := range aws[i].Above {
-			c.Src = i
-			above = append(above, c)
-		}
-		res.VisitedLeaves += aws[i].Leaves
-	}
-	cands := window.Merge(below, above, g.half(radius))
-	pos, sq, visited, err := core.EvalWindow(ctx, q, cands, func(c window.Cand, buf []byte) ([]byte, error) {
-		return fetches[c.Src](c, buf)
-	})
-	res.Pos, res.Dist, res.VisitedRecords = pos, sq, visited
-	return res, err
-}
-
-// exactSq is the scatter-gather exact search (squared space): the GLOBAL
-// approximate answer seeds every partition's verification (each child
-// would otherwise seed from a different local approximation and tie-break
-// differently), the shared atomic bound lets partitions prune each other,
-// and the per-partition results merge under the total (distance, position)
-// order — the same order a single index's sharded scan reduces under.
-func (g *gather) exactSq(ctx context.Context, q series.Series, radius int) (core.Result, error) {
-	res, err := g.approxSq(ctx, q, radius)
-	if err != nil {
-		return res, err
-	}
-	var bound shard.BSF
-	bound.Init(res.Dist)
-	outs := make([]core.Result, len(g.kids))
-	for i := range outs {
-		outs[i] = core.Result{Pos: -1, Dist: math.Inf(1)}
-	}
-	cc := newChildCancel(ctx)
-	defer cc.cancel()
-	ferr := shard.FanOutCtx(ctx, shard.Resolve(g.workers, len(g.kids)), len(g.kids),
-		func(i int, cancelled func() bool) error {
-			if cancelled() || g.kids[i] == nil {
-				return nil
-			}
-			r, err := g.kids[i].exactVerify(cc.cctx, q, res.Pos, res.Dist, &bound)
-			if err != nil {
-				return cc.fail(err)
-			}
-			outs[i] = r
-			return nil
-		})
-	if err := cc.resolve(ctx, ferr); err != nil {
-		// On a ctx error abandoned children may still be writing outs; it is
-		// never read on this path.
-		return res, err
-	}
-	for _, r := range outs {
-		res.VisitedRecords += r.VisitedRecords
-		res.VisitedLeaves += r.VisitedLeaves
-		if r.Pos >= 0 && (r.Dist < res.Dist || (r.Dist == res.Dist && r.Pos < res.Pos)) {
-			res.Pos, res.Dist = r.Pos, r.Dist
-		}
-	}
-	return res, nil
-}
-
-// finish materializes the Euclidean distance — the single square root of a
-// partitioned query.
-func finish(r core.Result) core.Result {
-	r.Dist = math.Sqrt(r.Dist)
-	return r
 }

@@ -8,8 +8,11 @@ package partition
 // unpartitioned index over the same stream does.
 
 import (
+	"context"
+	"errors"
 	"testing"
 
+	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/lsm"
 	"github.com/coconut-db/coconut/internal/series"
@@ -28,14 +31,11 @@ func ptSummarizer(t *testing.T) *summary.Summarizer {
 	return s
 }
 
-// lsmLike is the surface the single index and the partitioned one share.
+// lsmLike is the surface the single LSM and the Composite of LSMs share.
 type lsmLike interface {
-	Append(batch []series.Series) error
-	Flush() error
-	ExactSearch(q series.Series) (lsm.Result, error)
-	ApproxSearch(q series.Series) (lsm.Result, error)
-	Count() int64
-	Close() error
+	Index
+	Inserter
+	Maintainer
 }
 
 func TestPartitionedWALCrashConformance(t *testing.T) {
@@ -53,11 +53,11 @@ func TestPartitionedWALCrashConformance(t *testing.T) {
 		t.Helper()
 		out := make([]answer, 0, 2*len(queries))
 		for _, q := range queries {
-			e, err := ix.ExactSearch(q)
+			e, err := ix.ExactSearch(context.Background(), q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := ix.ApproxSearch(q)
+			a, err := ix.ApproxSearch(context.Background(), q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,13 +86,13 @@ func TestPartitionedWALCrashConformance(t *testing.T) {
 		if parts == 1 {
 			ix, err = lsm.Build(opt)
 		} else {
-			ix, err = BuildLSM(opt, parts)
+			ix, err = Build(LSMVariant(opt), parts)
 		}
 		if err != nil {
 			t.Fatalf("parts=%d: build: %v", parts, err)
 		}
 		for lo := 0; lo < len(batches); lo += 8 {
-			if err := ix.Append(batches[lo : lo+8]); err != nil {
+			if err := ix.Insert(context.Background(), batches[lo:lo+8]); err != nil {
 				t.Fatalf("parts=%d: append: %v", parts, err)
 			}
 			if lo == 48 {
@@ -114,7 +114,7 @@ func TestPartitionedWALCrashConformance(t *testing.T) {
 		if parts == 1 {
 			re, err = lsm.Open(opt)
 		} else {
-			re, err = OpenLSM(opt, 0)
+			re, err = Open(LSMVariant(opt), 0)
 		}
 		if err != nil {
 			t.Fatalf("parts=%d: reopen after crash: %v", parts, err)
@@ -124,7 +124,7 @@ func TestPartitionedWALCrashConformance(t *testing.T) {
 		}
 		post = collect(re)
 		// The recovered index is live: another acknowledged batch lands.
-		if err := re.Append(batches[:1]); err != nil {
+		if err := re.Insert(context.Background(), batches[:1]); err != nil {
 			t.Fatalf("parts=%d: append on recovered index: %v", parts, err)
 		}
 		if err := re.Close(); err != nil {
@@ -157,5 +157,95 @@ func TestPartitionedWALCrashConformance(t *testing.T) {
 			t.Errorf("exact query %d: 1 vs 3 partitions disagree after crash: %+v vs %+v",
 				qi, singlePost[2*qi], partPost[2*qi])
 		}
+	}
+}
+
+// TestCompositeOffersWhatItsChildrenDo: the Composite has k-NN, inserts and
+// LSM housekeeping exactly when its children do — a Composite of tries takes
+// no insert and answers no k-NN, with a typed refusal before any byte moves,
+// never a panic or a silent no-op.
+func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
+	batch := dataset.Generate(dataset.NewSeismic(), 4, ptLen, 3)
+	q := dataset.Queries(dataset.NewRandomWalk(), 1, ptLen, 5)[0]
+	for _, tc := range []struct {
+		variant            string
+		knn, insert, flush bool
+	}{
+		{"tree", true, true, false},
+		{"trie", false, false, false},
+		{"lsm", false, true, true},
+	} {
+		t.Run(tc.variant, func(t *testing.T) {
+			fs := storage.NewMemFS()
+			if _, err := dataset.WriteFile(fs, "raw", dataset.NewRandomWalk(), 300, ptLen, 42); err != nil {
+				t.Fatal(err)
+			}
+			v := variants(t, fs, 2)[tc.variant]
+			c, err := Build(v, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			lone, err := variants(t, storage.NewMemFS(), 2)[tc.variant].Build()
+			if err == nil {
+				t.Fatal("a build over a device with no dataset succeeded")
+			}
+			if lone != nil {
+				t.Fatalf("failed build returned a non-nil index %T", lone)
+			}
+			var kid Child
+			for _, k := range c.kids {
+				kid = k
+			}
+			_, kidKNN := kid.(KNNSearcher)
+			_, kidInsert := kid.(Inserter)
+			_, kidFlush := kid.(Maintainer)
+			if kidKNN != tc.knn || kidInsert != tc.insert || kidFlush != tc.flush {
+				t.Fatalf("a %s child: knn=%v insert=%v maintain=%v, want %v %v %v",
+					tc.variant, kidKNN, kidInsert, kidFlush, tc.knn, tc.insert, tc.flush)
+			}
+			supported := func(what string, err error, want bool) {
+				t.Helper()
+				if want && err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if !want && (!errors.Is(err, ErrUnsupported) || !errors.Is(err, errors.ErrUnsupported)) {
+					t.Fatalf("%s: err = %v, want ErrUnsupported", what, err)
+				}
+			}
+			ns, _, err := c.ExactSearchKNN(context.Background(), q, 3, 1)
+			supported("k-NN", err, tc.knn)
+			if tc.knn && len(ns) != 3 {
+				t.Fatalf("k-NN returned %d neighbors, want 3", len(ns))
+			}
+			rawSize := func() int64 {
+				b, err := storage.ReadFileAll(fs, "raw")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return int64(len(b))
+			}
+			before, rawBefore := c.Count(), rawSize()
+			supported("insert", c.Insert(context.Background(), batch), tc.insert)
+			wantCount, wantRaw := before, rawBefore
+			if tc.insert {
+				wantCount, wantRaw = before+int64(len(batch)), rawBefore+int64(len(batch)*series.EncodedSize(ptLen))
+			}
+			if got := c.Count(); got != wantCount {
+				t.Fatalf("count %d after insert, want %d", got, wantCount)
+			}
+			if got := rawSize(); got != wantRaw {
+				t.Fatalf("dataset holds %d bytes after insert, want %d", got, wantRaw)
+			}
+			supported("flush", c.Flush(), tc.flush)
+			supported("repair", c.RebuildQuarantined(), tc.flush)
+			if err := c.Sync(); err != nil {
+				t.Fatalf("sync: %v", err)
+			}
+			var res core.Result
+			if res, err = c.ExactSearch(context.Background(), q, 1); err != nil || res.Pos < 0 {
+				t.Fatalf("exact search after the capability calls: %+v, %v", res, err)
+			}
+		})
 	}
 }

@@ -36,12 +36,16 @@ type Handle struct {
 	// against it.
 	SeriesLen int
 
-	search     func(ctx context.Context, q coconut.Series) (coconut.Result, error)
-	approx     func(ctx context.Context, q coconut.Series, radius int) (coconut.Result, error)
-	knn        func(ctx context.Context, q coconut.Series, k int) ([]coconut.Neighbor, error)
+	// Search, SearchApprox, SearchKNN and Close are the handle's query
+	// surface, for the HTTP handlers and the coconut CLI alike; SearchKNN is
+	// nil where the variant has no k-NN.
+	Search       func(ctx context.Context, q coconut.Series) (coconut.Result, error)
+	SearchApprox func(ctx context.Context, q coconut.Series, radius int) (coconut.Result, error)
+	SearchKNN    func(ctx context.Context, q coconut.Series, k int) ([]coconut.Neighbor, error)
+	Close        func() error
+
 	insert     func(ctx context.Context, batch []coconut.Series) error
 	sync       func() error
-	close      func() error
 	count      func() int64
 	degraded   func() bool
 	cacheStats func() coconut.CacheStats
@@ -74,18 +78,18 @@ func newUUID() string {
 // NewTreeHandle wraps a Coconut-Tree index for serving.
 func NewTreeHandle(name string, ix *coconut.TreeIndex, seriesLen int) *Handle {
 	return &Handle{
-		Name:      name,
-		UUID:      newUUID(),
-		Variant:   "tree",
-		SeriesLen: seriesLen,
-		search:    ix.SearchCtx,
-		approx:    ix.SearchApproxCtx,
-		knn:       ix.SearchKNNCtx,
-		insert:    ix.InsertCtx,
-		sync:      ix.Sync,
-		close:     ix.Close,
-		count:     ix.Count,
-		degraded:  ix.Degraded,
+		Name:         name,
+		UUID:         newUUID(),
+		Variant:      "tree",
+		SeriesLen:    seriesLen,
+		Search:       ix.SearchCtx,
+		SearchApprox: ix.SearchApproxCtx,
+		SearchKNN:    ix.SearchKNNCtx,
+		insert:       ix.InsertCtx,
+		sync:         ix.Sync,
+		Close:        ix.Close,
+		count:        ix.Count,
+		degraded:     ix.Degraded,
 	}
 }
 
@@ -93,15 +97,15 @@ func NewTreeHandle(name string, ix *coconut.TreeIndex, seriesLen int) *Handle {
 // trie is immutable, so it has no insert capability).
 func NewTrieHandle(name string, ix *coconut.TrieIndex, seriesLen int) *Handle {
 	return &Handle{
-		Name:      name,
-		UUID:      newUUID(),
-		Variant:   "trie",
-		SeriesLen: seriesLen,
-		search:    ix.SearchCtx,
-		approx:    ix.SearchApproxCtx,
-		close:     ix.Close,
-		count:     ix.Count,
-		degraded:  ix.Degraded,
+		Name:         name,
+		UUID:         newUUID(),
+		Variant:      "trie",
+		SeriesLen:    seriesLen,
+		Search:       ix.SearchCtx,
+		SearchApprox: ix.SearchApproxCtx,
+		Close:        ix.Close,
+		count:        ix.Count,
+		degraded:     ix.Degraded,
 	}
 }
 
@@ -114,13 +118,13 @@ func NewLSMHandle(name string, ix *coconut.LSMIndex, seriesLen int) *Handle {
 		UUID:      newUUID(),
 		Variant:   "lsm",
 		SeriesLen: seriesLen,
-		search:    ix.SearchCtx,
-		approx: func(ctx context.Context, q coconut.Series, _ int) (coconut.Result, error) {
+		Search:    ix.SearchCtx,
+		SearchApprox: func(ctx context.Context, q coconut.Series, _ int) (coconut.Result, error) {
 			return ix.SearchApproxCtx(ctx, q)
 		},
 		insert:     ix.InsertCtx,
 		sync:       ix.Sync,
-		close:      ix.Close,
+		Close:      ix.Close,
 		count:      ix.Count,
 		degraded:   ix.Degraded,
 		cacheStats: ix.CacheStats,
@@ -225,7 +229,7 @@ func (m *Manager) CloseAll() error {
 				first = fmt.Errorf("server: syncing %q: %w", h.Name, err)
 			}
 		}
-		if err := h.close(); err != nil && first == nil {
+		if err := h.Close(); err != nil && first == nil {
 			first = fmt.Errorf("server: closing %q: %w", h.Name, err)
 		}
 	}

@@ -372,7 +372,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp := QueryResponse{Index: h.Name, UUID: h.UUID, Mode: mode}
 	switch mode {
 	case "exact":
-		res, err := h.search(ctx, q)
+		res, err := h.Search(ctx, q)
 		if err != nil {
 			writeError(w, s.errStatus(err), "exact search: %v", err)
 			return
@@ -380,7 +380,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Results = []QueryNeighbor{{Position: res.Position, Distance: res.Distance}}
 		resp.VisitedSeries = res.VisitedSeries
 	case "approx":
-		res, err := h.approx(ctx, q, radius)
+		res, err := h.SearchApprox(ctx, q, radius)
 		if err != nil {
 			writeError(w, s.errStatus(err), "approximate search: %v", err)
 			return
@@ -388,7 +388,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Results = []QueryNeighbor{{Position: res.Position, Distance: res.Distance}}
 		resp.VisitedSeries = res.VisitedSeries
 	case "knn":
-		if h.knn == nil {
+		if h.SearchKNN == nil {
 			writeError(w, http.StatusBadRequest, "index %q (%s) does not support knn", h.Name, h.Variant)
 			return
 		}
@@ -396,7 +396,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if k <= 0 {
 			k = 1
 		}
-		ns, err := h.knn(ctx, q, k)
+		ns, err := h.SearchKNN(ctx, q, k)
 		if err != nil {
 			writeError(w, s.errStatus(err), "knn search: %v", err)
 			return

@@ -198,7 +198,7 @@ func TestServerShedsAtCapacity(t *testing.T) {
 	block := make(chan struct{})
 	h := &Handle{
 		Name: "slow", UUID: newUUID(), Variant: "tree", SeriesLen: 4,
-		search: func(ctx context.Context, q coconut.Series) (coconut.Result, error) {
+		Search: func(ctx context.Context, q coconut.Series) (coconut.Result, error) {
 			select {
 			case <-block:
 				return coconut.Result{}, nil
@@ -208,7 +208,7 @@ func TestServerShedsAtCapacity(t *testing.T) {
 		},
 		count:    func() int64 { return 0 },
 		degraded: func() bool { return false },
-		close:    func() error { return nil },
+		Close:    func() error { return nil },
 	}
 	mgr := NewManager()
 	mgr.Add(h)
@@ -400,7 +400,7 @@ func TestServerDrainForceCancelsStalledRequest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after forced drain: %v", err)
 	}
-	got, err := h2.search(context.Background(), q)
+	got, err := h2.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestServerDrainForceCancelsStalledRequest(t *testing.T) {
 		t.Fatalf("reopened answer (%d, %v) != pre-drain answer (%d, %v)",
 			got.Position, got.Distance, want.Position, want.Distance)
 	}
-	if err := h2.close(); err != nil {
+	if err := h2.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -165,18 +165,14 @@ func (b *BSF) Limit(own float64) float64 {
 //
 // Scan joins every goroutine before returning (no leaks, even on error)
 // and returns the error of the lowest-indexed failing shard, so the
-// surfaced error is deterministic.
-func Scan(workers, n int, fn func(shard int, r Range, cancelled func() bool) error) error {
-	return scanRanges(context.Background(), Split(n, workers), fn)
-}
-
-// ScanCtx is Scan observing ctx: the cancelled predicate trips as soon as
-// ctx is done, and the call returns ctx.Err() promptly even if a shard is
-// stuck inside a blocking operation (the stuck goroutine is abandoned and
-// exits when its operation returns — callers must not reuse buffers they
-// handed to fn after a ctx error). When ScanCtx returns a ctx error, the
-// scan's side effects may be partial; callers must discard them.
-func ScanCtx(ctx context.Context, workers, n int, fn func(shard int, r Range, cancelled func() bool) error) error {
+// surfaced error is deterministic — unless ctx is done first: the cancelled
+// predicate trips as soon as it is, and the call returns ctx.Err() promptly
+// even if a shard is stuck inside a blocking operation (the stuck goroutine
+// is abandoned and exits when its operation returns — callers must not
+// reuse buffers they handed to fn after a ctx error). When Scan returns a
+// ctx error, the scan's side effects may be partial; callers must discard
+// them. A caller with nothing to cancel passes context.Background().
+func Scan(ctx context.Context, workers, n int, fn func(shard int, r Range, cancelled func() bool) error) error {
 	return scanRanges(ctx, Split(n, workers), fn)
 }
 
@@ -245,16 +241,11 @@ func scanRanges(ctx context.Context, ranges []Range, fn func(shard int, r Range,
 // idling. fn must poll cancelled between expensive steps; when any group
 // fails, unstarted groups are skipped, every goroutine is joined, and the
 // error of the lowest-numbered failing group is returned (deterministic,
-// like Scan).
-func FanOut(workers, n int, fn func(group int, cancelled func() bool) error) error {
-	return FanOutCtx(context.Background(), workers, n, fn)
-}
-
-// FanOutCtx is FanOut observing ctx, with the same detach-on-cancel and
-// never-partial semantics as ScanCtx: once ctx is done the call returns
-// ctx.Err() even if a group is stuck in a blocking operation, and a done
-// ctx always wins over an apparently complete fan-out.
-func FanOutCtx(ctx context.Context, workers, n int, fn func(group int, cancelled func() bool) error) error {
+// like Scan). ctx has the same detach-on-cancel and never-partial semantics
+// as in Scan: once it is done the call returns ctx.Err() even if a group is
+// stuck in a blocking operation, and a done ctx always wins over an
+// apparently complete fan-out.
+func FanOut(ctx context.Context, workers, n int, fn func(group int, cancelled func() bool) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -425,18 +416,11 @@ func (h *KNNHeap) Sorted() []Neighbor {
 // forget the seeding, the store, or the in-order reduce that the
 // determinism contract depends on. The reduced answer and summed visit
 // counters are returned even when fn failed (partial counters, seed
-// answer preserved), alongside the lowest-indexed shard's error.
-func ScanReduce(workers, n int, seedPos int64, seedDist float64,
-	fn func(r Range, local *Outcome, cancelled func() bool) error,
-) (pos int64, dist float64, visitedRecords, visitedLeaves int64, err error) {
-	return ScanReduceCtx(context.Background(), workers, n, seedPos, seedDist, fn)
-}
-
-// ScanReduceCtx is ScanReduce observing ctx. On a ctx error the outcomes
-// are never read (detached shards may still be writing them) and the seed
-// answer is returned untouched with zero counters — the caller sees
-// ctx.Err() and must discard the result.
-func ScanReduceCtx(ctx context.Context, workers, n int, seedPos int64, seedDist float64,
+// answer preserved), alongside the lowest-indexed shard's error. On a ctx
+// error the outcomes are never read (detached shards may still be writing
+// them) and the seed answer is returned untouched with zero counters — the
+// caller sees ctx.Err() and must discard the result.
+func ScanReduce(ctx context.Context, workers, n int, seedPos int64, seedDist float64,
 	fn func(r Range, local *Outcome, cancelled func() bool) error,
 ) (pos int64, dist float64, visitedRecords, visitedLeaves int64, err error) {
 	ranges := Split(n, workers)

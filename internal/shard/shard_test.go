@@ -89,7 +89,7 @@ func TestBSFConcurrentMin(t *testing.T) {
 func TestScanCancelsSiblingsAndReportsLowestShard(t *testing.T) {
 	boomA := errors.New("shard a failed")
 	boomB := errors.New("shard b failed")
-	err := Scan(4, 400, func(shard int, r Range, cancelled func() bool) error {
+	err := Scan(context.Background(), 4, 400, func(shard int, r Range, cancelled func() bool) error {
 		switch shard {
 		case 1:
 			return boomB
@@ -112,7 +112,7 @@ func TestScanCancelsSiblingsAndReportsLowestShard(t *testing.T) {
 func TestScanVisitsEverything(t *testing.T) {
 	const n = 1000
 	seen := make([]bool, n)
-	err := Scan(8, n, func(shard int, r Range, cancelled func() bool) error {
+	err := Scan(context.Background(), 8, n, func(shard int, r Range, cancelled func() bool) error {
 		for i := r.Lo; i < r.Hi; i++ {
 			seen[i] = true
 		}
@@ -135,28 +135,28 @@ func TestCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var called atomic.Int64
-	if err := ScanCtx(ctx, 4, 100, func(int, Range, func() bool) error {
+	if err := Scan(ctx, 4, 100, func(int, Range, func() bool) error {
 		called.Add(1)
 		return nil
 	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ScanCtx: got %v, want context.Canceled", err)
+		t.Fatalf("Scan: got %v, want context.Canceled", err)
 	}
-	if err := FanOutCtx(ctx, 4, 100, func(int, func() bool) error {
+	if err := FanOut(ctx, 4, 100, func(int, func() bool) error {
 		called.Add(1)
 		return nil
 	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FanOutCtx: got %v, want context.Canceled", err)
+		t.Fatalf("FanOut: got %v, want context.Canceled", err)
 	}
-	pos, dist, _, _, err := ScanReduceCtx(ctx, 4, 100, 7, 3.5,
+	pos, dist, _, _, err := ScanReduce(ctx, 4, 100, 7, 3.5,
 		func(r Range, local *Outcome, cancelled func() bool) error {
 			called.Add(1)
 			return nil
 		})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ScanReduceCtx: got %v, want context.Canceled", err)
+		t.Fatalf("ScanReduce: got %v, want context.Canceled", err)
 	}
 	if pos != 7 || dist != 3.5 {
-		t.Fatalf("ScanReduceCtx after cancel returned (%d, %v), want untouched seed (7, 3.5)", pos, dist)
+		t.Fatalf("ScanReduce after cancel returned (%d, %v), want untouched seed (7, 3.5)", pos, dist)
 	}
 	if n := called.Load(); n != 0 {
 		t.Fatalf("work function ran %d times under a pre-cancelled ctx", n)
@@ -172,7 +172,7 @@ func TestScanCtxMidFlightCancel(t *testing.T) {
 	release := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		errc <- ScanCtx(ctx, 4, 4, func(i int, r Range, cancelled func() bool) error {
+		errc <- Scan(ctx, 4, 4, func(i int, r Range, cancelled func() bool) error {
 			if i == 0 {
 				close(blocked)
 				<-release // a stalled read the ctx cannot interrupt
@@ -188,7 +188,7 @@ func TestScanCtxMidFlightCancel(t *testing.T) {
 			t.Fatalf("got %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ScanCtx did not return promptly after cancel; it waited for the stuck shard")
+		t.Fatal("Scan did not return promptly after cancel; it waited for the stuck shard")
 	}
 	close(release) // let the detached goroutine drain
 }
@@ -201,7 +201,7 @@ func TestFanOutCtxMidFlightCancelStopsWork(t *testing.T) {
 	var started atomic.Int64
 	first := make(chan struct{})
 	var once sync.Once
-	err := FanOutCtx(ctx, 2, 1000, func(i int, cancelled func() bool) error {
+	err := FanOut(ctx, 2, 1000, func(i int, cancelled func() bool) error {
 		started.Add(1)
 		once.Do(func() {
 			close(first)
@@ -228,12 +228,12 @@ func TestCtxCancelStressNoLeaks(t *testing.T) {
 	for iter := 0; iter < 500; iter++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		go cancel() // race the cancel against the scan
-		ScanCtx(ctx, 4, 64, func(i int, r Range, cancelled func() bool) error {
+		Scan(ctx, 4, 64, func(i int, r Range, cancelled func() bool) error {
 			return nil
 		})
 		cancel()
 		ctx2, cancel2 := context.WithTimeout(context.Background(), time.Duration(iter%3)*time.Microsecond)
-		FanOutCtx(ctx2, 4, 64, func(i int, cancelled func() bool) error {
+		FanOut(ctx2, 4, 64, func(i int, cancelled func() bool) error {
 			return nil
 		})
 		cancel2()

@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"context"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/series"
@@ -35,7 +36,9 @@ func (s *Summarizer) KeyOfScratch(ser series.Series, sc *KeyScratch) (Key, error
 // own KeyScratch, so the per-series cost is allocation-free.
 func (s *Summarizer) KeysOf(batch []series.Series, workers int) ([]Key, error) {
 	keys := make([]Key, len(batch))
-	err := shard.Scan(workers, len(batch), func(_ int, r shard.Range, _ func() bool) error {
+	// The batch passes of this file are CPU-only and fill buffers their
+	// callers reuse, so they run to completion: there is nothing to cancel.
+	err := shard.Scan(context.Background(), workers, len(batch), func(_ int, r shard.Range, _ func() bool) error {
 		var sc KeyScratch
 		for i := r.Lo; i < r.Hi; i++ {
 			var err error
@@ -63,7 +66,7 @@ func (t *MinDistTable) KeysInto(keys []Key, out []float64, workers int) {
 		return
 	}
 	// The shard body cannot fail, so neither can the scan.
-	_ = shard.Scan(workers, len(keys), func(_ int, r shard.Range, _ func() bool) error {
+	_ = shard.Scan(context.Background(), workers, len(keys), func(_ int, r shard.Range, _ func() bool) error {
 		t.bounds(keys[r.Lo:r.Hi], out[r.Lo:r.Hi])
 		return nil
 	})
@@ -96,7 +99,7 @@ func (t *MinDistTable) Filter(dst []Cand, keys []Key, ids []int64, limit float64
 	parts := make([][]Cand, shards)
 	parts[0] = dst
 	// The shard body cannot fail, so neither can the scan.
-	_ = shard.Scan(workers, len(keys), func(si int, r shard.Range, _ func() bool) error {
+	_ = shard.Scan(context.Background(), workers, len(keys), func(si int, r shard.Range, _ func() bool) error {
 		parts[si] = t.filterRange(parts[si], keys, ids, r, limit)
 		return nil
 	})

@@ -13,6 +13,7 @@ package coconut
 // answer-preserving.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -215,32 +216,16 @@ func Repair(cfg Config) (*ScrubReport, error) {
 		}
 	}
 	variant := m.Variant
-	rcfg := cfg
-	rcfg.AllowDegraded = true
 	if variant == manifest.VariantPartitioned {
 		variant = m.Part.ChildVariant
-		if rcfg.Partitions == 0 {
-			rcfg.Partitions = m.Part.Partitions
-		}
 	}
 	// A rebuild needs the full build configuration; adopt anything the
 	// caller left unset from the manifest, exactly as Open does.
-	if rcfg.SeriesLen == 0 {
-		rcfg.SeriesLen = m.SeriesLen
+	rcfg := cfg
+	rcfg.AllowDegraded = true
+	if _, err := rcfg.mergeStored(variant); err != nil {
+		return pre, fmt.Errorf("coconut: repair: %w", err)
 	}
-	if rcfg.Segments == 0 {
-		rcfg.Segments = m.Segments
-	}
-	if rcfg.CardinalityBits == 0 {
-		rcfg.CardinalityBits = m.CardBits
-	}
-	if rcfg.DataFile == "" {
-		rcfg.DataFile = m.RawName
-	}
-	if rcfg.LeafSize == 0 && m.LeafCap != 0 {
-		rcfg.LeafSize = m.LeafCap
-	}
-	rcfg.Materialized = m.Materialized
 	switch variant {
 	case manifest.VariantLSM:
 		ix, err := OpenLSMIndex(rcfg)
@@ -254,18 +239,10 @@ func Repair(cfg Config) (*ScrubReport, error) {
 		if rerr != nil {
 			return pre, fmt.Errorf("coconut: repair: %w", rerr)
 		}
-	case manifest.VariantTree:
-		ix, err := BuildTreeIndex(rcfg)
+	case manifest.VariantTree, manifest.VariantTrie:
+		ix, err := rcfg.index(context.Background(), variant, false)
 		if err != nil {
-			return pre, fmt.Errorf("coconut: repair: rebuilding tree: %w", err)
-		}
-		if err := ix.Close(); err != nil {
-			return pre, fmt.Errorf("coconut: repair: %w", err)
-		}
-	case manifest.VariantTrie:
-		ix, err := BuildTrieIndex(rcfg)
-		if err != nil {
-			return pre, fmt.Errorf("coconut: repair: rebuilding trie: %w", err)
+			return pre, fmt.Errorf("coconut: repair: rebuilding %s: %w", variant, err)
 		}
 		if err := ix.Close(); err != nil {
 			return pre, fmt.Errorf("coconut: repair: %w", err)

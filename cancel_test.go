@@ -35,7 +35,7 @@ func buildCancelVariant(t *testing.T, fs Storage, variant string, parts int) ctx
 	if err := GenerateDataset(fs, "data.bin", RandomWalk, cancelSeries, cancelLen, 7); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
+	return cancelVariant(t, Config{
 		Storage:    fs,
 		Name:       "cx",
 		DataFile:   "data.bin",
@@ -46,10 +46,20 @@ func buildCancelVariant(t *testing.T, fs Storage, variant string, parts int) ctx
 		// storage-read sequence is deterministic and the stall-injection
 		// tests can aim at a specific read.
 		QueryWorkers: 1,
-	}
+	}, variant, false)
+}
+
+// cancelVariant builds the named variant under cfg or, with reopen, opens
+// the one already built there.
+func cancelVariant(t *testing.T, cfg Config, variant string, reopen bool) ctxVariant {
+	t.Helper()
 	switch variant {
 	case "tree":
-		ix, err := BuildTreeIndex(cfg)
+		build := BuildTreeIndex
+		if reopen {
+			build = OpenTreeIndex
+		}
+		ix, err := build(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +73,11 @@ func buildCancelVariant(t *testing.T, fs Storage, variant string, parts int) ctx
 			close:  ix.Close,
 		}
 	case "trie":
-		ix, err := BuildTrieIndex(cfg)
+		build := BuildTrieIndex
+		if reopen {
+			build = OpenTrieIndex
+		}
+		ix, err := build(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +89,11 @@ func buildCancelVariant(t *testing.T, fs Storage, variant string, parts int) ctx
 			close:  ix.Close,
 		}
 	case "lsm":
-		ix, err := BuildLSMIndex(cfg)
+		build := BuildLSMIndex
+		if reopen {
+			build = OpenLSMIndex
+		}
+		ix, err := build(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -369,14 +369,21 @@ func sortRecords(opt *Options, raw storage.File, outName string,
 
 // ApproxWindow is one index's contribution to a (possibly cross-partition)
 // approximate search: its window candidates below and at-or-above the
-// query key under the global record order, a fetcher that loads any of
-// them, and the I/O accounting for collecting them. See internal/window
+// query key under the global record order, where to load any of them from,
+// and the I/O accounting for collecting them. See internal/window
 // for the semantics that make these contributions composable.
 type ApproxWindow struct {
 	// Below and Above are the candidates with key < query key (the source's
 	// trailing half-window) and key >= query key (its leading half-window).
 	Below, Above []window.Cand
-	// Fetch loads one of this source's candidates (serial, per-query).
+	// Raw and Sums are the raw dataset file, and its CRC sidecar if any, that
+	// a non-materialized source's candidates are positions in: EvalWindow
+	// pins the file for the evaluation and reads each visited record once,
+	// verified (what Result.VisitedRecords counts).
+	Raw  storage.File
+	Sums *storage.RecordSums
+	// Fetch, set instead by a materialized source, loads one of its
+	// candidates from its own leaves (serial, per-query).
 	Fetch window.FetchFunc
 	// Leaves counts the leaf pages the window spans (LSM: runs probed).
 	Leaves int64
@@ -413,44 +420,37 @@ func windowCands(opt *Options, keys []summary.Key, positions []int64, q series.S
 	return aw, lo, hi, nil
 }
 
-// CtxFetch wraps a window fetcher with a cancellation check before every
-// fetch — the approximate phase's fetches are serial, so per-fetch checks
-// are the natural cancellation granularity there (the sharded verification
-// scans detach instead; see shard.Scan). A Background context wraps to
-// the original fetcher unchanged.
-func CtxFetch(ctx context.Context, f window.FetchFunc) window.FetchFunc {
-	if ctx.Done() == nil {
-		return f
+// EvalWindow evaluates a merged approximate window (window.Eval) under ctx,
+// with a pooled read buffer: each candidate is loaded from the source its
+// Src names, whose raw file stays pinned until the evaluation is over.
+func EvalWindow(ctx context.Context, q series.Series, cands []window.Cand, srcs ...ApproxWindow) (pos int64, sqDist float64, visited int64, err error) {
+	sc := GetRawScratch(len(q), 1)
+	defer PutRawScratch(sc)
+	raws := make([]storage.Views, len(srcs))
+	for i, src := range srcs {
+		if src.Fetch == nil && src.Raw != nil {
+			raws[i] = storage.PinViews(src.Raw)
+			defer raws[i].Release(&err)
+		}
 	}
-	return func(c window.Cand, buf []byte) ([]byte, error) {
+	// The fetches are serial, so a check before each is this phase's
+	// cancellation granularity (the sharded verification scans detach
+	// instead; see shard.Scan).
+	return window.Eval(q, cands, func(c window.Cand, buf []byte) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return f(c, buf)
-	}
-}
-
-// RawFetch is the window fetcher of every non-materialized index: exactly
-// one verified read of the raw dataset per visited record (what
-// Result.VisitedRecords counts), into the evaluation's buffer.
-func RawFetch(f storage.File, sums *storage.RecordSums) window.FetchFunc {
-	return func(c window.Cand, buf []byte) ([]byte, error) {
-		return buf, ReadRawAt(f, sums, c.Pos, buf)
-	}
-}
-
-// EvalWindow evaluates a merged approximate window (window.Eval) under ctx,
-// with a pooled read buffer for fetch.
-func EvalWindow(ctx context.Context, q series.Series, cands []window.Cand, fetch window.FetchFunc) (pos int64, sqDist float64, visited int64, err error) {
-	sc := GetRawScratch(len(q), 1)
-	defer PutRawScratch(sc)
-	return window.Eval(q, cands, CtxFetch(ctx, fetch), sc.Buf)
+		if src := &srcs[c.Src]; src.Fetch != nil {
+			return src.Fetch(c, buf)
+		}
+		return ReadRawAt(raws[c.Src], srcs[c.Src].Sums, c.Pos, buf)
+	}, sc.Buf)
 }
 
 // search evaluates aw alone, trimmed to half records a side: the approximate
 // answer (Dist SQUARED) of the index that contributed it.
 func (aw ApproxWindow) search(ctx context.Context, q series.Series, half int) (Result, error) {
-	pos, sq, visited, err := EvalWindow(ctx, q, window.Merge(aw.Below, aw.Above, half), aw.Fetch)
+	pos, sq, visited, err := EvalWindow(ctx, q, window.Merge(aw.Below, aw.Above, half), aw)
 	return Result{Pos: pos, Dist: sq, VisitedRecords: visited, VisitedLeaves: aw.Leaves}, err
 }
 
@@ -471,27 +471,27 @@ type InsertRec struct {
 	Raw []byte
 }
 
-// ReadRawAt reads the encoded series at ordinal pos of a raw dataset file
-// into buf, exactly one record long, and verifies it against the CRC sidecar
-// when there is one — rot surfaces as storage.ErrCorruptData, never as a
-// wrong distance.
-func ReadRawAt(f storage.File, sums *storage.RecordSums, pos int64, buf []byte) error {
-	if err := readRawRun(f, pos, 1, buf); err != nil {
-		return err
+// ReadRawAt returns the encoded series at ordinal pos of a raw dataset file —
+// a view of it, or buf, exactly one record long, filled — verified against
+// the CRC sidecar when there is one: rot surfaces as storage.ErrCorruptData,
+// never as a wrong distance.
+func ReadRawAt(raw storage.Views, sums *storage.RecordSums, pos int64, buf []byte) ([]byte, error) {
+	enc, err := readRawRun(raw, pos, 1, buf)
+	if err != nil {
+		return nil, err
 	}
-	return verifyRaw(sums, pos, buf)
+	return enc, verifyRaw(sums, pos, enc)
 }
 
-// readRawRun fills buf with the n file-adjacent records starting at ordinal
-// pos, in one read.
-func readRawRun(f storage.File, pos int64, n int, buf []byte) error {
-	if got, err := f.ReadAt(buf, pos*int64(len(buf)/n)); got != len(buf) {
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("core: raw series %d (run of %d): %w", pos, n, err)
+// readRawRun returns the n file-adjacent records starting at ordinal pos,
+// len(buf) bytes in all, from one read: the one primitive every raw fetch
+// goes through.
+func readRawRun(raw storage.Views, pos int64, n int, buf []byte) ([]byte, error) {
+	enc, err := raw.Read(pos*int64(len(buf)/n), buf)
+	if err != nil {
+		return nil, fmt.Errorf("core: raw series %d (run of %d): %w", pos, n, err)
 	}
-	return nil
+	return enc, nil
 }
 
 func verifyRaw(sums *storage.RecordSums, pos int64, enc []byte) error {
@@ -536,19 +536,27 @@ func PutRawScratch(sc *RawScratch) { rawScratchPool.Put(sc) }
 
 // recordSquaredDistance computes the true SQUARED distance from q to a leaf
 // record of either index — over the raw bytes a materialized record carries,
-// else over the series its position names in the raw file f. Search state
+// else over the series its position names in the raw file. Search state
 // stays in squared space end to end; only the public entry points take a
 // square root (finishResult).
-func recordSquaredDistance(opt *Options, f storage.File, sums *storage.RecordSums, q series.Series, rec []byte, sc *RawScratch) (int64, float64, error) {
+func recordSquaredDistance(opt *Options, raw storage.Views, sums *storage.RecordSums, q series.Series, rec []byte, sc *RawScratch) (int64, float64, error) {
 	_, pos, enc := decodeRecord(rec, opt.Materialized)
 	if enc == nil {
-		enc = sc.Buf
-		if err := ReadRawAt(f, sums, pos, enc); err != nil {
+		var err error
+		if enc, err = ReadRawAt(raw, sums, pos, sc.Buf); err != nil {
 			return 0, 0, err
 		}
 	}
 	sq, _ := series.SquaredEDEarlyAbandonEncoded(q, enc, math.Inf(1))
 	return pos, sq, nil
+}
+
+// leafSquaredDistance is recordSquaredDistance for the scans only a
+// materialized index runs: the record carries its series.
+func leafSquaredDistance(q series.Series, rec []byte) (int64, float64) {
+	_, pos, enc := decodeRecord(rec, true)
+	sq, _ := series.SquaredEDEarlyAbandonEncoded(q, enc, math.Inf(1))
+	return pos, sq
 }
 
 // simsVerify is the SIMS verification phase the tree and the trie share:
@@ -619,7 +627,9 @@ func VerifyRaw(ctx context.Context, f storage.File, sums *storage.RecordSums, q 
 // then admitted again in order, so one pruned by an improvement inside its
 // own run is skipped as if never fetched, and every other record is verified
 // against the CRC sidecar before its distance is taken — straight from the
-// encoded bytes. It returns the number of distances taken.
+// encoded bytes, which are the file's own mapped pages when it offers views
+// (pinned here, once per scan: a shard detached by a cancelled query may
+// outlive the index's Close). It returns the number of distances taken.
 func scanRaw(f storage.File, sums *storage.RecordSums, q series.Series, cands []summary.Cand, cancelled func() bool,
 	admit func(lb float64) (limit float64, ok bool), found func(pos int64, sq float64),
 ) (visited int64, err error) {
@@ -627,6 +637,8 @@ func scanRaw(f storage.File, sums *storage.RecordSums, q series.Series, cands []
 	recSize := series.EncodedSize(len(q))
 	sc := GetRawScratch(len(q), rawRunCap)
 	defer PutRawScratch(sc)
+	raw := storage.PinViews(f)
+	defer raw.Release(&err)
 	for i := 0; i < len(cands) && !cancelled(); {
 		if !admitted(cands[i]) {
 			i++
@@ -636,8 +648,8 @@ func scanRaw(f storage.File, sums *storage.RecordSums, q series.Series, cands []
 		for n < rawRunCap && i+n < len(cands) && cands[i+n].ID == first+int64(n) && admitted(cands[i+n]) {
 			n++
 		}
-		buf := sc.Buf[:n*recSize]
-		if err := readRawRun(f, first, n, buf); err != nil {
+		buf, err := readRawRun(raw, first, n, sc.Buf[:n*recSize])
+		if err != nil {
 			return visited, err
 		}
 		for k, c := range cands[i : i+n] {

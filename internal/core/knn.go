@@ -8,6 +8,7 @@ import (
 
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
+	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
@@ -195,8 +196,6 @@ func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, 
 		for _, n := range seed {
 			lh.Offer(n)
 		}
-		sc := GetRawScratch(len(q), 1)
-		defer PutRawScratch(sc)
 		buf := make([]byte, ix.opt.LeafCap*recSize)
 		rest := candsFrom(cands, bases[rr.Lo])
 		for li := rr.Lo; li < rr.Hi && len(rest) > 0; li++ {
@@ -218,10 +217,7 @@ func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, 
 				if i >= n || c.LB > lh.Bound() || kb.Prunes(c.LB) {
 					continue
 				}
-				pos, sq, err := recordSquaredDistance(&ix.opt, ix.rawFile, ix.rawSums, q, buf[i*recSize:(i+1)*recSize], sc)
-				if err != nil {
-					return err
-				}
+				pos, sq := leafSquaredDistance(q, buf[i*recSize:(i+1)*recSize])
 				visited[si][0]++
 				if lh.Offer(Neighbor{Pos: pos, Dist: sq}) {
 					kb.Lower(lh.Bound())
@@ -243,7 +239,7 @@ func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, 
 
 // knnSeed scans the query's target leaf (±radius) into the heap,
 // checking ctx once per leaf.
-func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h *shard.KNNHeap, stats *Result) error {
+func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h *shard.KNNHeap, stats *Result) (err error) {
 	key, err := ix.opt.S.KeyOf(q)
 	if err != nil {
 		return err
@@ -273,6 +269,8 @@ func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h
 	}
 	sc := GetRawScratch(p.SeriesLen, 1)
 	defer PutRawScratch(sc)
+	raw := storage.PinViews(ix.rawFile)
+	defer raw.Release(&err)
 	saxScratch := make(summary.SAX, p.Segments)
 	buf := make([]byte, ix.opt.LeafCap*ix.opt.recordSize())
 	for li := lo; li <= hi; li++ {
@@ -293,7 +291,7 @@ func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h
 					continue
 				}
 			}
-			pos, sq, err := recordSquaredDistance(&ix.opt, ix.rawFile, ix.rawSums, q, rec, sc)
+			pos, sq, err := recordSquaredDistance(&ix.opt, raw, ix.rawSums, q, rec, sc)
 			if err != nil {
 				return err
 			}

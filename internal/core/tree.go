@@ -354,20 +354,18 @@ func (ix *TreeIndex) approxSearch(ctx context.Context, q series.Series, radius i
 }
 
 // ApproxWindowCands exposes the tree's window contribution to the
-// partition layer's cross-partition approximate search. The returned
-// fetcher reads index/dataset files after the handle lock is released; the
+// partition layer's cross-partition approximate search. Its candidates are
+// read from the index/dataset files after the handle lock is released; the
 // partition layer serializes queries against mutations with its own lock.
-// An empty index contributes nothing. The returned window's Fetch observes
-// ctx between records.
-func (ix *TreeIndex) ApproxWindowCands(ctx context.Context, q series.Series, radius int) (ApproxWindow, error) {
+// An empty index contributes nothing. Whoever evaluates the merged window
+// (EvalWindow) observes its ctx between records.
+func (ix *TreeIndex) ApproxWindowCands(_ context.Context, q series.Series, radius int) (ApproxWindow, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
 	if ix.count == 0 {
 		return ApproxWindow{}, nil
 	}
-	aw, err := ix.approxWindow(q, radius)
-	aw.Fetch = CtxFetch(ctx, aw.Fetch)
-	return aw, err
+	return ix.approxWindow(q, radius)
 }
 
 // approxWindow collects the tree's window contribution: the trailing and
@@ -383,7 +381,9 @@ func (ix *TreeIndex) approxWindow(q series.Series, radius int) (ApproxWindow, er
 		_, bases := ix.leafBases()
 		aw.Leaves = int64(leafOfOrd(bases, hi-1) - leafOfOrd(bases, lo) + 1)
 	}
-	aw.Fetch = ix.windowFetch()
+	if aw.Fetch = ix.leafFetch(); aw.Fetch == nil {
+		aw.Raw, aw.Sums = ix.rawFile, ix.rawSums
+	}
 	return aw, err
 }
 
@@ -400,13 +400,14 @@ func (ix *TreeIndex) leafBases() ([]int64, []int) {
 	return dir, bases
 }
 
-// windowFetch returns the per-query window candidate fetcher:
-// non-materialized indexes read the raw dataset (RawFetch), materialized
-// indexes read their own leaves, caching each page for the duration of the
-// query and never touching the raw dataset.
-func (ix *TreeIndex) windowFetch() window.FetchFunc {
+// leafFetch returns a materialized index's per-query window candidate
+// fetcher: it reads the index's own leaves, caching each page for the
+// duration of the query and never touching the raw dataset. Nil when not
+// materialized: the candidates are read from the raw dataset
+// (ApproxWindow.Raw).
+func (ix *TreeIndex) leafFetch() window.FetchFunc {
 	if !ix.opt.Materialized {
-		return RawFetch(ix.rawFile, ix.rawSums)
+		return nil
 	}
 	recSize := ix.opt.recordSize()
 	var (
@@ -541,8 +542,6 @@ func (ix *TreeIndex) simsOverLeaves(ctx context.Context, q series.Series, cands 
 	dir, bases := ix.leafBases()
 	recSize := ix.opt.recordSize()
 	pos, dist, vr, vl, err := shard.ScanReduce(ctx, ix.opt.QueryWorkers, len(dir), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
-		sc := GetRawScratch(len(q), 1)
-		defer PutRawScratch(sc)
 		buf := make([]byte, ix.opt.LeafCap*recSize)
 		rest := candsFrom(cands, bases[r.Lo])
 		for li := r.Lo; li < r.Hi && len(rest) > 0; li++ {
@@ -564,10 +563,7 @@ func (ix *TreeIndex) simsOverLeaves(ctx context.Context, q series.Series, cands 
 				if i >= n || c.LB >= local.Dist || bound.Prunes(c.LB) {
 					continue
 				}
-				pos, sq, err := recordSquaredDistance(&ix.opt, ix.rawFile, ix.rawSums, q, buf[i*recSize:(i+1)*recSize], sc)
-				if err != nil {
-					return err
-				}
+				pos, sq := leafSquaredDistance(q, buf[i*recSize:(i+1)*recSize])
 				local.VisitedRecords++
 				if sq < local.Dist {
 					local.Dist, local.Pos = sq, pos

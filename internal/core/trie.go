@@ -349,18 +349,15 @@ func (ix *TrieIndex) approxSearch(ctx context.Context, q series.Series, radius i
 
 // ApproxWindowCands exposes the trie's window contribution to the
 // partition layer's cross-partition approximate search (see
-// TreeIndex.ApproxWindowCands for the locking contract). An empty index
-// contributes nothing. The returned window's Fetch observes ctx between
-// records.
-func (ix *TrieIndex) ApproxWindowCands(ctx context.Context, q series.Series, radius int) (ApproxWindow, error) {
+// TreeIndex.ApproxWindowCands for the locking contract and cancellation). An
+// empty index contributes nothing.
+func (ix *TrieIndex) ApproxWindowCands(_ context.Context, q series.Series, radius int) (ApproxWindow, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
 	if ix.count == 0 {
 		return ApproxWindow{}, nil
 	}
-	aw, err := ix.approxWindow(q, radius)
-	aw.Fetch = CtxFetch(ctx, aw.Fetch)
-	return aw, err
+	return ix.approxWindow(q, radius)
 }
 
 // approxWindow collects the trie's window contribution: the trailing and
@@ -371,16 +368,17 @@ func (ix *TrieIndex) approxWindow(q series.Series, radius int) (ApproxWindow, er
 	if err == nil && lo < hi {
 		aw.Leaves = int64(leafOfOrd(ix.leafStart, hi-1) - leafOfOrd(ix.leafStart, lo) + 1)
 	}
-	aw.Fetch = ix.windowFetch()
+	if aw.Fetch = ix.leafFetch(); aw.Fetch == nil {
+		aw.Raw, aw.Sums = ix.rawFile, ix.rawSums
+	}
 	return aw, err
 }
 
-// windowFetch returns the per-query window candidate fetcher (see
-// TreeIndex.windowFetch): raw-dataset reads when non-materialized, cached
-// leaf reads when materialized.
-func (ix *TrieIndex) windowFetch() window.FetchFunc {
+// leafFetch returns the per-query window candidate fetcher of a
+// materialized index (see TreeIndex.leafFetch): cached leaf reads.
+func (ix *TrieIndex) leafFetch() window.FetchFunc {
 	if !ix.opt.Materialized {
-		return RawFetch(ix.rawFile, ix.rawSums)
+		return nil
 	}
 	cache := make(map[int][]byte)
 	recSize := ix.opt.recordSize()
@@ -451,8 +449,6 @@ func (ix *TrieIndex) ExactVerify(ctx context.Context, q series.Series, seedPos i
 // and the determinism contract.
 func (ix *TrieIndex) simsOverLeaves(ctx context.Context, q series.Series, cands []summary.Cand, res Result, bound *shard.BSF) (Result, error) {
 	pos, dist, vr, vl, err := shard.ScanReduce(ctx, ix.opt.QueryWorkers, len(ix.leaves), res.Pos, res.Dist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) error {
-		sc := GetRawScratch(len(q), 1)
-		defer PutRawScratch(sc)
 		recSize := ix.opt.recordSize()
 		rest := candsFrom(cands, ix.leafStart[r.Lo])
 		for li := r.Lo; li < r.Hi && len(rest) > 0; li++ {
@@ -474,10 +470,7 @@ func (ix *TrieIndex) simsOverLeaves(ctx context.Context, q series.Series, cands 
 					continue
 				}
 				rec := recs[(int(c.ID)-ix.leafStart[li])*recSize:][:recSize]
-				pos, sq, err := recordSquaredDistance(&ix.opt, ix.rawFile, ix.rawSums, q, rec, sc)
-				if err != nil {
-					return err
-				}
+				pos, sq := leafSquaredDistance(q, rec)
 				local.VisitedRecords++
 				if sq < local.Dist {
 					local.Dist, local.Pos = sq, pos

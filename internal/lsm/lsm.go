@@ -523,7 +523,7 @@ func (ix *Index) QuarantinedRuns() []string {
 // quarantined run or a rotted log lost. Runs partition the record positions,
 // so these are exactly the lost records (plus, after a crash, raw records
 // never acknowledged, which are harmless to index).
-func (ix *Index) uncoveredLocked() ([]memEntry, error) {
+func (ix *Index) uncoveredLocked() (_ []memEntry, err error) {
 	covered := make(map[int64]bool, ix.count)
 	for _, r := range ix.runs {
 		err := r.rb.Scan(func(blk *runblock.Block) error {
@@ -547,14 +547,17 @@ func (ix *Index) uncoveredLocked() ([]memEntry, error) {
 	}
 	var entries []memEntry
 	buf, ser := make([]byte, sz), make(series.Series, p.SeriesLen)
+	raw := storage.PinViews(ix.rawFile)
+	defer raw.Release(&err)
 	for pos := int64(0); pos < rawSize/sz; pos++ {
 		if covered[pos] {
 			continue
 		}
-		if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, buf); err != nil {
+		enc, err := core.ReadRawAt(raw, ix.rawSums, pos, buf)
+		if err != nil {
 			return nil, err
 		}
-		series.DecodeInto(buf, ser)
+		series.DecodeInto(enc, ser)
 		key, err := ix.opt.S.KeyOf(ser)
 		if err != nil {
 			return nil, err
@@ -1516,7 +1519,7 @@ func (ix *Index) approxLocked(ctx context.Context, q series.Series) (core.Result
 		return res, err
 	}
 	res.VisitedLeaves = runs // runs probed travel in the leaf slot
-	pos, sq, visited, err := core.EvalWindow(ctx, q, window.Merge(below, above, ix.opt.Window/2), core.RawFetch(ix.rawFile, ix.rawSums))
+	pos, sq, visited, err := core.EvalWindow(ctx, q, window.Merge(below, above, ix.opt.Window/2), core.ApproxWindow{Raw: ix.rawFile, Sums: ix.rawSums})
 	res.Pos, res.Dist, res.VisitedRecords = pos, sq, visited
 	return res, err
 }
@@ -1591,9 +1594,9 @@ func (ix *Index) windowCandsLocked(q series.Series) (below, above []window.Cand,
 // contributions for q, to be merged with the other partitions' before one
 // global evaluation. An empty index contributes nothing (no error — the
 // cross-partition window may still be non-empty). The Leaves counter
-// reports runs probed, and the returned window's Fetch observes ctx between
-// records.
-func (ix *Index) ApproxWindowCands(ctx context.Context, q series.Series, _ int) (core.ApproxWindow, error) {
+// reports runs probed; the candidates are read from the raw file by
+// whoever evaluates the merged window (core.EvalWindow).
+func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, _ int) (core.ApproxWindow, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	var aw core.ApproxWindow
@@ -1605,7 +1608,7 @@ func (ix *Index) ApproxWindowCands(ctx context.Context, q series.Series, _ int) 
 		return aw, err
 	}
 	aw.Below, aw.Above, aw.Leaves = below, above, runs
-	aw.Fetch = core.CtxFetch(ctx, core.RawFetch(ix.rawFile, ix.rawSums))
+	aw.Raw, aw.Sums = ix.rawFile, ix.rawSums
 	return aw, nil
 }
 

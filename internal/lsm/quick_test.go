@@ -66,11 +66,15 @@ func TestQuickMembershipUnderRandomBatching(t *testing.T) {
 		}
 		// Every probed series findable at distance ~0.
 		buf, ser := make([]byte, series.EncodedSize(tLen)), make(series.Series, tLen)
+		var fault error
+		raw := storage.PinViews(ix.rawFile)
+		defer raw.Release(&fault)
 		for _, pos := range probes {
-			if err := core.ReadRawAt(ix.rawFile, ix.rawSums, pos, buf); err != nil {
+			enc, err := core.ReadRawAt(raw, ix.rawSums, pos, buf)
+			if err != nil {
 				return false
 			}
-			series.DecodeInto(buf, ser)
+			series.DecodeInto(enc, ser)
 			res, err := ix.ExactSearch(context.Background(), ser, 0)
 			if err != nil || res.Dist > 1e-9 {
 				return false

@@ -202,9 +202,7 @@ func (c *Composite) approxSq(ctx context.Context, q series.Series, radius int) (
 		return res, err
 	}
 	var below, above []window.Cand
-	fetches := make([]window.FetchFunc, len(aws))
 	for i := range aws {
-		fetches[i] = aws[i].Fetch
 		for _, cand := range aws[i].Below {
 			cand.Src = i
 			below = append(below, cand)
@@ -215,10 +213,7 @@ func (c *Composite) approxSq(ctx context.Context, q series.Series, radius int) (
 		}
 		res.VisitedLeaves += aws[i].Leaves
 	}
-	cands := window.Merge(below, above, c.v.half(radius))
-	pos, sq, visited, err := core.EvalWindow(ctx, q, cands, func(cand window.Cand, buf []byte) ([]byte, error) {
-		return fetches[cand.Src](cand, buf)
-	})
+	pos, sq, visited, err := core.EvalWindow(ctx, q, window.Merge(below, above, c.v.half(radius)), aws...)
 	res.Pos, res.Dist, res.VisitedRecords = pos, sq, visited
 	return res, err
 }

@@ -112,9 +112,10 @@ func (fs *OSFS) Names() []string {
 }
 
 type osFile struct {
-	f    *os.File
-	name string
-	trk  tracker
+	f     *os.File
+	name  string
+	trk   tracker
+	views mapping // behind the Viewer methods, where the platform has them
 }
 
 func (f *osFile) Name() string { return f.name }
@@ -139,9 +140,16 @@ func (f *osFile) Size() (int64, error) {
 	return info.Size(), nil
 }
 
-func (f *osFile) Truncate(size int64) error { return f.f.Truncate(size) }
+func (f *osFile) Truncate(size int64) error {
+	err := f.f.Truncate(size)
+	f.views.shrink(size)
+	return err
+}
 
 // Sync flushes the file to stable storage via fsync.
 func (f *osFile) Sync() error { return f.f.Sync() }
 
-func (f *osFile) Close() error { return f.f.Close() }
+func (f *osFile) Close() error {
+	f.views.close()
+	return f.f.Close()
+}

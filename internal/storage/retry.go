@@ -86,12 +86,32 @@ type retryFile struct {
 
 func (f *retryFile) Name() string { return f.inner.Name() }
 
-func (f *retryFile) ReadAt(p []byte, off int64) (int, error) {
+func (f *retryFile) stuck() error {
 	f.mu.Lock()
-	sticky := f.sticky
-	f.mu.Unlock()
-	if sticky != nil {
-		return 0, sticky
+	defer f.mu.Unlock()
+	return f.sticky
+}
+
+// PinViews, UnpinViews and View forward the inner file's views, when it has
+// any: a view cannot fail transiently, so there is nothing to retry, but a
+// handle whose reads are spent serves no views either.
+func (f *retryFile) PinViews() bool {
+	v, ok := f.inner.(Viewer)
+	return ok && v.PinViews()
+}
+
+func (f *retryFile) UnpinViews() { f.inner.(Viewer).UnpinViews() }
+
+func (f *retryFile) View(off int64, n int) ([]byte, error) {
+	if err := f.stuck(); err != nil {
+		return nil, err
+	}
+	return f.inner.(Viewer).View(off, n)
+}
+
+func (f *retryFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := f.stuck(); err != nil {
+		return 0, err
 	}
 	n, err := f.inner.ReadAt(p, off)
 	if err == nil || !retryableRead(err) {

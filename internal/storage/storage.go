@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -185,32 +184,29 @@ func (c CostModel) Time(snap Snapshot) time.Duration {
 // tracker classifies accesses on a single file handle and feeds Stats.
 type tracker struct {
 	stats *Stats
-	mu    sync.Mutex
-	// nextRead/nextWrite are the offsets at which the next read/write would
-	// be sequential. They are tracked separately: a builder that appends to
-	// a file while a scanner reads it should not see every operation as a
-	// seek caused by the other stream. The first access on a handle always
-	// counts as a seek (the arm has to position itself somewhere).
-	nextRead  int64
-	nextWrite int64
+	// nextRead/nextWrite hold one more than the offset at which the next
+	// read/write would be sequential; zero, no access yet, matches no
+	// offset, so the first access on a handle always counts as a seek (the
+	// arm has to position itself somewhere). They are tracked separately: a
+	// builder that appends to a file while a scanner reads it should not see
+	// every operation as a seek caused by the other stream. One Swap per
+	// access classifies any single stream exactly and keeps concurrent
+	// streams on one handle off a lock.
+	nextRead  atomic.Int64
+	nextWrite atomic.Int64
 }
 
-func newTracker(stats *Stats) tracker {
-	return tracker{stats: stats, nextRead: -1, nextWrite: -1}
-}
+func newTracker(stats *Stats) tracker { return tracker{stats: stats} }
 
 func (t *tracker) noteRead(off int64, n int) {
 	if n <= 0 {
 		return
 	}
-	t.mu.Lock()
-	if off == t.nextRead {
+	if t.nextRead.Swap(off+int64(n)+1) == off+1 {
 		t.stats.SeqReads.Add(1)
 	} else {
 		t.stats.RandReads.Add(1)
 	}
-	t.nextRead = off + int64(n)
-	t.mu.Unlock()
 	t.stats.BytesRead.Add(int64(n))
 }
 
@@ -218,13 +214,10 @@ func (t *tracker) noteWrite(off int64, n int) {
 	if n <= 0 {
 		return
 	}
-	t.mu.Lock()
-	if off == t.nextWrite {
+	if t.nextWrite.Swap(off+int64(n)+1) == off+1 {
 		t.stats.SeqWrites.Add(1)
 	} else {
 		t.stats.RandWrites.Add(1)
 	}
-	t.nextWrite = off + int64(n)
-	t.mu.Unlock()
 	t.stats.BytesWritten.Add(int64(n))
 }

@@ -408,3 +408,52 @@ func TestConcurrentMemFSAccess(t *testing.T) {
 		<-done
 	}
 }
+
+// TestTrackerTraceReplay replays one fixed single-stream trace of reads and
+// writes — sequential stretches, seeks, rewinds, short reads at the end of the
+// file, empty operations — on both backends and compares the counters with
+// the numbers the mutex-guarded tracker (before the atomic Swap) produced for
+// the same trace.
+func TestTrackerTraceReplay(t *testing.T) {
+	want := Snapshot{RandReads: 1452, SeqReads: 1253, RandWrites: 606, SeqWrites: 642, BytesRead: 671865, BytesWritten: 318955}
+	for name, mk := range fsFactories(t) {
+		t.Run(name, func(t *testing.T) {
+			fs := mk()
+			f, err := fs.Create("trace")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			rng := rand.New(rand.NewSource(24))
+			buf := make([]byte, 512)
+			var rOff, wOff, size int64
+			for i := 0; i < 4000; i++ {
+				n := rng.Intn(len(buf)) // 0: an empty operation, not noted
+				write := rng.Intn(3) == 0
+				off := &rOff
+				if write {
+					off = &wOff
+				}
+				switch rng.Intn(4) {
+				case 0: // seek
+					*off = rng.Int63n(size + 1)
+				case 1: // rewind
+					*off = 0
+				} // else continue where the stream left off
+				if write {
+					if _, err := f.WriteAt(buf[:n], *off); err != nil {
+						t.Fatal(err)
+					}
+					*off += int64(n)
+					size = max(size, *off)
+				} else {
+					got, _ := f.ReadAt(buf[:n], *off) // short at the end of the file
+					*off += int64(got)
+				}
+			}
+			if got := fs.Stats().Snapshot(); got != want {
+				t.Fatalf("stats %+v, want %+v", got, want)
+			}
+		})
+	}
+}

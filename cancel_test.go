@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -313,29 +315,36 @@ func TestQueryDeadlineExceededWithinTwiceDeadline(t *testing.T) {
 // TestAppendCtxAdmissionAndDurabilityWait: the write path treats ctx as
 // admission control — a done ctx rejects the batch up front with no side
 // effects — and the LSM durability wait is interruptible: an insert that
-// times out waiting for a stretched group commit returns
+// times out waiting for a slow group-commit fsync returns
 // context.DeadlineExceeded, yet the acknowledged-to-WAL records survive
 // reopen (the committer still fsyncs the batch).
 func TestAppendCtxAdmissionAndDurabilityWait(t *testing.T) {
 	for _, parts := range []int{1, 3} {
 		t.Run(fmt.Sprintf("%dp", parts), func(t *testing.T) {
-			fs := NewMemStorage()
-			if err := GenerateDataset(fs, "data.bin", RandomWalk, cancelSeries, cancelLen, 7); err != nil {
+			mem := NewMemStorage()
+			if err := GenerateDataset(mem, "data.bin", RandomWalk, cancelSeries, cancelLen, 7); err != nil {
 				t.Fatal(err)
 			}
+			fs := storage.NewFaultFS(mem)
 			ix, err := BuildLSMIndex(Config{
 				Storage:    fs,
 				Name:       "cx",
 				DataFile:   "data.bin",
 				SeriesLen:  cancelLen,
 				Partitions: parts,
-				// Stretch each group commit so the durability wait is the
-				// slow part an expiring ctx abandons.
-				WALGroupWindow: 300 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			// While armed, every WAL segment fsync — the group commit's —
+			// takes 300ms, so the durability wait is the slow part an
+			// expiring ctx abandons.
+			var slowCommit atomic.Bool
+			fs.SetHook(func(op storage.Op, name string) {
+				if op == storage.OpSync && strings.Contains(name, ".wal.") && slowCommit.Load() {
+					time.Sleep(300 * time.Millisecond)
+				}
+			})
 			batch, err := GenerateQueries(RandomWalk, 8, cancelLen, 11)
 			if err != nil {
 				t.Fatal(err)
@@ -352,16 +361,18 @@ func TestAppendCtxAdmissionAndDurabilityWait(t *testing.T) {
 			}
 
 			// Interruptible durability wait: the ctx expires inside the
-			// stretched group commit.
+			// slow group-commit fsync.
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 			defer cancel()
+			slowCommit.Store(true)
 			start := time.Now()
 			err = ix.InsertCtx(ctx, batch)
+			slowCommit.Store(false)
 			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("insert during stretched group commit: got %v, want context.DeadlineExceeded", err)
+				t.Fatalf("insert during slow group commit: got %v, want context.DeadlineExceeded", err)
 			}
 			if e := time.Since(start); e > 250*time.Millisecond {
-				t.Fatalf("cancelled insert took %v, want to abandon the wait well before the %v window", e, 300*time.Millisecond)
+				t.Fatalf("cancelled insert took %v, want to abandon the wait well before the %v fsync", e, 300*time.Millisecond)
 			}
 
 			// The abandoned batch still becomes durable: close and reopen.

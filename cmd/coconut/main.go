@@ -101,7 +101,6 @@ func parseFlags(args []string) (*config, error) {
 	batch := fl.Int("batch", 1000, "series per Append batch (stream command)")
 	background := fl.Bool("background", false, "compact LSM tiers on a background pool instead of inside Append")
 	compactionWorkers := fl.Int("compaction-workers", 2, "background compaction pool size (stream command)")
-	walWindow := fl.Duration("wal-window", 0, "stretch each WAL group commit by this duration to batch more concurrent appends")
 	repair := fl.Bool("repair", false, "after scrubbing, repair corrupt artifacts re-derivable from the raw dataset (scrub command)")
 	timeout := fl.Duration("timeout", 30*time.Second, "per-query deadline (query command) / per-request deadline (serve command)")
 	addr := fl.String("addr", ":7737", "listen address (serve command)")
@@ -144,7 +143,6 @@ func parseFlags(args []string) (*config, error) {
 			Partitions:           *partitions,
 			BackgroundCompaction: *background,
 			CompactionWorkers:    *compactionWorkers,
-			WALGroupWindow:       *walWindow,
 			CacheBytes:           *cacheBytes,
 		},
 		variant:    *variant,

@@ -115,9 +115,13 @@
 // at worst the last committed state reopens. On reopen, unset Config
 // fields (series length, segments, leaf size, data file) are adopted from
 // the manifest; explicitly conflicting values fail loudly rather than
-// misread the stored bytes. One stored format is read — manifest version
-// 5, checksummed blocks, block-compressed LSM runs: anything else fails
-// Open, Scrub and Repair with ErrVersionMismatch (rebuild the index).
+// misread the stored bytes. One stored format is read, manifest version 6,
+// in which no stored file carries more than one integrity layer: CRC'd
+// blocks for B+-tree pages and trie leaves, the run codec's own block,
+// directory and footer CRCs for LSM runs, per-record CRCs for WAL segments
+// and (in a sidecar) the raw dataset, and one CRC over the manifest. Any
+// other version fails Open, Scrub and Repair with ErrVersionMismatch
+// (rebuild the index).
 package coconut
 
 import (
@@ -144,8 +148,9 @@ var (
 	// describes) that failed checksum or structural validation.
 	ErrCorruptManifest = manifest.ErrCorruptManifest
 	// ErrVersionMismatch reports an index stored in a format this build
-	// does not read: another manifest version, or a layout without block
-	// checksums or with uncompressed LSM runs. Rebuild the index.
+	// does not read: any manifest version but 6, whose files (LSM runs
+	// framed in checksum blocks before 6, flat runs or padded trie leaves
+	// before 5) no reader here understands. Rebuild the index.
 	ErrVersionMismatch = manifest.ErrVersionMismatch
 	// ErrConfigMismatch reports a Config that conflicts with the stored
 	// index (different summarization, materialization, or dataset file).
@@ -269,12 +274,6 @@ type Config struct {
 	// ErrConfigMismatch when the value conflicts with the stored index.
 	// Search answers are byte-identical for any partition count.
 	Partitions int
-	// WALGroupWindow optionally stretches each WAL group commit by this
-	// duration before the fsync, admitting more concurrent inserts into
-	// the batch — higher throughput at the cost of added latency per
-	// insert. 0 (the default) syncs as soon as the committer picks up a
-	// batch.
-	WALGroupWindow time.Duration
 	// CacheBytes bounds the shared decoded-block cache an LSM index reads
 	// its runs through (default 128 MiB): runs are block-compressed on disk
 	// (sorted invSAX keys front-coded + delta-encoded, positions
@@ -349,10 +348,6 @@ func (c *Config) toCore() (core.Options, error) {
 		FillFactor:     c.FillFactor,
 		Workers:        c.Workers,
 		QueryWorkers:   c.QueryWorkers,
-		// Every persistent artifact (B+-tree pages, trie leaves, LSM run
-		// files, and a sidecar for the raw dataset) is checksummed and
-		// verified on read.
-		Checksums: true,
 	}, nil
 }
 
@@ -369,9 +364,6 @@ func (c *Config) mergeStored(want manifest.Variant) (partitioned bool, err error
 	}
 	m, err := core.LoadManifest(c.Storage, c.Name)
 	if err != nil {
-		return false, err
-	}
-	if err := checkStoredFormat(m); err != nil {
 		return false, err
 	}
 	switch {
@@ -410,17 +402,6 @@ func (c *Config) mergeStored(want manifest.Variant) (partitioned bool, err error
 	// Materialization is a property of the stored bytes, not a knob.
 	c.Materialized = m.Materialized
 	return partitioned, nil
-}
-
-// checkStoredFormat refuses an index stored without block checksums: no
-// public build writes one, and reads of it would go unverified. (Manifests
-// of other versions, and LSM manifests with uncompressed runs, are already
-// refused by the decoder.)
-func checkStoredFormat(m *manifest.Manifest) error {
-	if !m.Checksums {
-		return fmt.Errorf("coconut: %w: index is stored without block checksums (rebuild the index)", ErrVersionMismatch)
-	}
-	return nil
 }
 
 // Result is a search answer.
@@ -763,8 +744,6 @@ func (c *Config) toLSM(opt core.Options) lsm.Options {
 		BackgroundCompaction: c.BackgroundCompaction,
 		CompactionWorkers:    c.CompactionWorkers,
 		MaxPendingRuns:       c.MaxPendingRuns,
-		WALGroupWindow:       c.WALGroupWindow,
-		Checksums:            opt.Checksums,
 		Cache:                blockcache.New(c.CacheBytes),
 		AllowDegraded:        c.AllowDegraded,
 	}

@@ -218,6 +218,108 @@ func requireRepairClean(t *testing.T, fs Storage, name string) {
 	}
 }
 
+// TestRawTruncationRefused: a raw file that lost its last record after the
+// index was closed is damage, not a crash state — the raw bytes are fsynced
+// before the sidecar that describes them — so strict and degraded opens both
+// fail typed, the sidecar is not trimmed to match (which would let the next
+// insert reuse the lost position under an old run entry), and Scrub names
+// the raw file.
+func TestRawTruncationRefused(t *testing.T) {
+	for _, parts := range []int{1, 3} {
+		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
+			ffs, _ := sweepSetup(t, storage.NewMemFS())
+			ix, err := BuildLSMIndex(sweepConfig(ffs, parts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			extra, err := GenerateQueries(Astronomy, 30, sweepLen, sweepSeed+3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Insert(extra); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sidecar := storage.RecordSumsName("data.bin")
+			before, err := storage.ReadFileAll(ffs, sidecar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := storage.ReadFileAll(ffs, "data.bin")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := storage.WriteFileAll(ffs, "data.bin", raw[:len(raw)-8*sweepLen]); err != nil {
+				t.Fatal(err)
+			}
+			for _, degraded := range []bool{false, true} {
+				if re, err := OpenLSMIndex(Config{Storage: ffs, Name: "sw", AllowDegraded: degraded}); !errors.Is(err, ErrCorruptData) {
+					if err == nil {
+						re.Close()
+					}
+					t.Fatalf("AllowDegraded=%v: open over a truncated raw file: %v, want ErrCorruptData", degraded, err)
+				}
+			}
+			after, err := storage.ReadFileAll(ffs, sidecar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(after) != string(before) {
+				t.Fatalf("refused open rewrote the sidecar: %d bytes, was %d", len(after), len(before))
+			}
+			requireScrubFlags(t, ffs, "sw", "data.bin")
+		})
+	}
+}
+
+// TestMissingSidecarRefused: every build writes the raw file's CRC sidecar,
+// so an index whose sidecar is gone lost a file. Strict and degraded opens
+// of every variant fail typed without recreating it from the unverified
+// raw bytes, and Scrub names the raw file.
+func TestMissingSidecarRefused(t *testing.T) {
+	type closer interface{ Close() error }
+	variants := map[string]struct {
+		build func(Config) (closer, error)
+		open  func(Config) (closer, error)
+	}{
+		"tree": {func(c Config) (closer, error) { return BuildTreeIndex(c) }, func(c Config) (closer, error) { return OpenTreeIndex(c) }},
+		"trie": {func(c Config) (closer, error) { return BuildTrieIndex(c) }, func(c Config) (closer, error) { return OpenTrieIndex(c) }},
+		"lsm":  {func(c Config) (closer, error) { return BuildLSMIndex(c) }, func(c Config) (closer, error) { return OpenLSMIndex(c) }},
+	}
+	for vname, v := range variants {
+		for _, parts := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/parts=%d", vname, parts), func(t *testing.T) {
+				ffs, _ := sweepSetup(t, storage.NewMemFS())
+				ix, err := v.build(sweepConfig(ffs, parts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.Close(); err != nil {
+					t.Fatal(err)
+				}
+				sidecar := storage.RecordSumsName("data.bin")
+				if err := ffs.Remove(sidecar); err != nil {
+					t.Fatal(err)
+				}
+				for _, degraded := range []bool{false, true} {
+					if re, err := v.open(Config{Storage: ffs, Name: "sw", AllowDegraded: degraded}); !errors.Is(err, ErrCorruptData) {
+						if err == nil {
+							re.Close()
+						}
+						t.Fatalf("AllowDegraded=%v: open without the raw sidecar: %v, want ErrCorruptData", degraded, err)
+					}
+				}
+				if ffs.Exists(sidecar) {
+					t.Fatal("refused open recreated the sidecar")
+				}
+				requireScrubFlags(t, ffs, "sw", "data.bin")
+			})
+		}
+	}
+}
+
 func TestCorruptionSweep(t *testing.T) {
 	for beName, mkFS := range sweepBackends(t) {
 		for _, parts := range []int{1, 3} {
@@ -317,9 +419,10 @@ func sweepTrieLeaf(t *testing.T, inner sweepFS, parts int) {
 	assertExactAnswers(t, re, qs, base)
 }
 
-// sweepLSMRun rots a sorted-run key block. The run's keys are reloaded at
-// open, so strict opens fail typed; AllowDegraded quarantines the run and
-// Repair re-derives it from the raw dataset.
+// sweepLSMRun rots a sorted-run key block, which only the run codec's own
+// block CRC guards. The run's keys are reloaded at open, so strict opens
+// fail typed; AllowDegraded quarantines the run and Repair re-derives it
+// from the raw dataset.
 func sweepLSMRun(t *testing.T, inner sweepFS, parts int) {
 	ffs, qs := sweepSetup(t, inner)
 	ix, err := BuildLSMIndex(sweepConfig(ffs, parts))
@@ -343,7 +446,9 @@ func sweepLSMRun(t *testing.T, inner sweepFS, parts int) {
 		t.Fatal(err)
 	}
 	run := findLargest(t, inner, ".run.")
-	if err := ffs.Rot(run, storage.ChecksumHeaderSize+4, 8); err != nil {
+	// Past the run's 16-byte header and block 0's 8-byte head (payload
+	// length, CRC): inside the front-coded keys of block 0.
+	if err := ffs.Rot(run, 16+8+4, 8); err != nil {
 		t.Fatal(err)
 	}
 

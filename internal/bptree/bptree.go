@@ -9,7 +9,10 @@
 // Internal nodes are kept in main memory (the standard assumption for data
 // series indexes, §3.1: summarizations are ~1% of the data) and can be
 // persisted/reloaded; leaves live in a paged file on the storage VFS, so
-// every leaf access shows up in the I/O statistics.
+// every leaf access shows up in the I/O statistics. That file is a
+// storage.ChecksumFile with one CRC32-C-guarded block per page, so a
+// flipped bit on disk surfaces as ErrCorruptPage, never as a silently
+// wrong page.
 //
 // Top-down inserts with median splits are supported for the update
 // experiments (Figure 10a).
@@ -64,13 +67,6 @@ type Config struct {
 	FillFactor float64
 	// Fanout is the internal node fan-out (default 64).
 	Fanout int
-	// Checksums gives the leaf file a checksummed physical layout: one
-	// CRC32-C-guarded block per page (storage.ChecksumFile, block size ==
-	// pageSize), so a flipped bit on disk surfaces as ErrCorrupt instead
-	// of a silently wrong page. The flag describes the stored bytes — a
-	// tree must be opened with the same value it was built with; the index
-	// manifest records it.
-	Checksums bool
 }
 
 func (c *Config) validate() error {
@@ -178,12 +174,10 @@ func BulkLoad(cfg Config, src RecordSource) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := storage.File(inner)
-	if cfg.Checksums {
-		if f, err = storage.CreateChecksumFile(inner, int(cfg.pageSize())); err != nil {
-			inner.Close()
-			return nil, err
-		}
+	f, err := storage.CreateChecksumFile(inner, int(cfg.pageSize()))
+	if err != nil {
+		inner.Close()
+		return nil, err
 	}
 	t := &Tree{cfg: cfg, f: f, leafCnt: make(map[int64]int), leafSep: make(map[int64][]byte), cachePage: -1}
 	t.initPagePool()

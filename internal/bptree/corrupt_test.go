@@ -10,42 +10,37 @@ import (
 
 // TestReadPageTruncatedFile covers the typed short-read path: a leaf file
 // cut below what the directory claims yields ErrCorruptPage (and hence
-// storage.ErrCorruptData), never raw ReadAt semantics, with or without
-// checksums.
+// storage.ErrCorruptData), never raw ReadAt semantics.
 func TestReadPageTruncatedFile(t *testing.T) {
-	for _, checked := range []bool{false, true} {
-		t.Run(map[bool]string{false: "legacy", true: "checksummed"}[checked], func(t *testing.T) {
-			fs := storage.NewMemFS()
-			tree := buildTree(t, fs, sortedRecords(100, 3), func(c *Config) { c.Checksums = checked })
-			if err := tree.Save(); err != nil {
-				t.Fatal(err)
-			}
-			if err := tree.Close(); err != nil {
-				t.Fatal(err)
-			}
-			name := tree.cfg.leafFileName()
-			data, err := storage.ReadFileAll(fs, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := storage.WriteFileAll(fs, name, data[:len(data)/2]); err != nil {
-				t.Fatal(err)
-			}
-			re, err := Open(Config{FS: fs, Name: tree.cfg.Name, Checksums: checked})
-			if err != nil {
-				// The checksummed open may already detect the cut (torn
-				// trailing block); that is a valid typed outcome.
-				if !errors.Is(err, storage.ErrCorruptData) {
-					t.Fatalf("open error %v is not ErrCorruptData", err)
-				}
-				return
-			}
-			defer re.Close()
-			err = re.ScanAll(func([]byte) error { return nil })
-			if !errors.Is(err, ErrCorruptPage) || !errors.Is(err, storage.ErrCorruptData) {
-				t.Fatalf("scan over truncated file: %v, want ErrCorruptPage wrapping ErrCorruptData", err)
-			}
-		})
+	fs := storage.NewMemFS()
+	tree := buildTree(t, fs, sortedRecords(100, 3), nil)
+	if err := tree.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	name := tree.cfg.leafFileName()
+	data, err := storage.ReadFileAll(fs, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.WriteFileAll(fs, name, data[:len(data)/2]); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Config{FS: fs, Name: tree.cfg.Name})
+	if err != nil {
+		// The open may already detect the cut (torn trailing block); that
+		// is a valid typed outcome.
+		if !errors.Is(err, storage.ErrCorruptData) {
+			t.Fatalf("open error %v is not ErrCorruptData", err)
+		}
+		return
+	}
+	defer re.Close()
+	err = re.ScanAll(func([]byte) error { return nil })
+	if !errors.Is(err, ErrCorruptPage) || !errors.Is(err, storage.ErrCorruptData) {
+		t.Fatalf("scan over truncated file: %v, want ErrCorruptPage wrapping ErrCorruptData", err)
 	}
 }
 
@@ -65,9 +60,10 @@ func TestReadPageOutOfRange(t *testing.T) {
 	}
 }
 
-// TestChecksummedTreeRoundTrip proves the checksummed layout is
+// TestChecksummedTreeRoundTrip proves the checksummed page file is
 // transparent to every tree operation: bulk load, inserts with median
-// splits, save, reopen, scans — all byte-identical to the legacy layout.
+// splits (in-place rewrites of whole pages), save, reopen and scans return
+// exactly the records that went in.
 func TestChecksummedTreeRoundTrip(t *testing.T) {
 	recs := sortedRecords(300, 5)
 	collect := func(tr *Tree) [][]byte {
@@ -81,43 +77,39 @@ func TestChecksummedTreeRoundTrip(t *testing.T) {
 		return out
 	}
 
-	legacyFS, checkedFS := storage.NewMemFS(), storage.NewMemFS()
-	legacy := buildTree(t, legacyFS, recs, nil)
-	checked := buildTree(t, checkedFS, recs, func(c *Config) { c.Checksums = true })
-	for _, tr := range []*Tree{legacy, checked} {
-		for i := 0; i < 60; i++ {
-			if err := tr.Insert(mkRecord(uint64(i*7+3), uint64(1000+i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tr.CheckInvariants(); err != nil {
+	fs := storage.NewMemFS()
+	tr := buildTree(t, fs, recs, nil)
+	for i := 0; i < 60; i++ {
+		rec := mkRecord(uint64(i*7+3), uint64(1000+i))
+		if err := tr.Insert(rec); err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Save(); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, rec)
 	}
-	want, got := collect(legacy), collect(checked)
-	if len(want) != len(got) {
-		t.Fatalf("record counts differ: %d vs %d", len(want), len(got))
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if !bytes.Equal(want[i], got[i]) {
-			t.Fatalf("record %d differs between legacy and checksummed layout", i)
-		}
+	if err := tr.Save(); err != nil {
+		t.Fatal(err)
 	}
-	legacy.Close()
-	checked.Close()
+	want := collect(tr)
+	if len(want) != len(recs) {
+		t.Fatalf("scan returned %d records, %d went in", len(want), len(recs))
+	}
+	tr.Close()
 
-	re, err := Open(Config{FS: checkedFS, Name: "t", Checksums: true})
+	re, err := Open(Config{FS: fs, Name: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	reGot := collect(re)
+	got := collect(re)
+	if len(got) != len(want) {
+		t.Fatalf("reopened scan returned %d records, want %d", len(got), len(want))
+	}
 	for i := range want {
-		if !bytes.Equal(want[i], reGot[i]) {
-			t.Fatalf("record %d differs after checksummed reopen", i)
+		if !bytes.Equal(want[i], got[i]) {
+			t.Fatalf("record %d differs after reopen", i)
 		}
 	}
 }
@@ -127,7 +119,7 @@ func TestChecksummedTreeRoundTrip(t *testing.T) {
 // the page.
 func TestChecksummedTreeDetectsRot(t *testing.T) {
 	fs := storage.NewMemFS()
-	tree := buildTree(t, fs, sortedRecords(200, 6), func(c *Config) { c.Checksums = true })
+	tree := buildTree(t, fs, sortedRecords(200, 6), nil)
 	if err := tree.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +130,7 @@ func TestChecksummedTreeDetectsRot(t *testing.T) {
 	if err := ff.Rot(tree.cfg.leafFileName(), off, 1); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(Config{FS: fs, Name: "t", Checksums: true})
+	re, err := Open(Config{FS: fs, Name: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,12 +122,10 @@ func Open(cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := storage.File(inner)
-	if cfg.Checksums {
-		if f, err = storage.OpenChecksumFile(inner); err != nil {
-			inner.Close()
-			return nil, fmt.Errorf("bptree: open %q: %w: %w", cfg.leafFileName(), ErrCorruptPage, err)
-		}
+	f, err := storage.OpenChecksumFile(inner)
+	if err != nil {
+		inner.Close()
+		return nil, fmt.Errorf("bptree: open %q: %w: %w", cfg.leafFileName(), ErrCorruptPage, err)
 	}
 	t := &Tree{
 		cfg: cfg, f: f, count: count, nextPage: nextPage,

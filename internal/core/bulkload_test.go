@@ -56,16 +56,9 @@ func sortedStream(t *testing.T, s *summary.Summarizer, data []series.Series, mat
 	return bytes.Join(recs, nil)
 }
 
-// logicalBytes reads a block file's logical content.
-func logicalBytes(t *testing.T, fs storage.FS, name string, checksums bool) []byte {
+// logicalBytes reads a checksummed block file's logical content.
+func logicalBytes(t *testing.T, fs storage.FS, name string) []byte {
 	t.Helper()
-	if !checksums {
-		data, err := storage.ReadFileAll(fs, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
 	inner, err := fs.Open(name)
 	if err != nil {
 		t.Fatal(err)
@@ -121,18 +114,20 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 		for _, mat := range []bool{false, true} {
 			want := sortedStream(t, s, ds.data, mat)
 			for _, leafCap := range []int{2, 16, 2000} {
-				for _, checksums := range []bool{true, false} {
-					name := fmt.Sprintf("%s/mat=%v/leafcap=%d/checksums=%v", ds.name, mat, leafCap, checksums)
-					t.Run(name, func(t *testing.T) {
-						var fs *storage.MemFS
-						var ix *TrieIndex
-						opt := func(workers int) Options {
-							o := baseOptions(t, fs, mat)
-							o.LeafCap, o.Checksums, o.Workers = leafCap, checksums, workers
-							o.MemBudgetBytes = 16 << 10 // several runs: a real merge writes the leaves
-							return o
-						}
-						for _, workers := range []int{1, 2, 8} {
+				name := fmt.Sprintf("%s/mat=%v/leafcap=%d", ds.name, mat, leafCap)
+				t.Run(name, func(t *testing.T) {
+					var fs *storage.MemFS
+					var ix *TrieIndex
+					opt := func(workers int) Options {
+						o := baseOptions(t, fs, mat)
+						o.LeafCap, o.Workers = leafCap, workers
+						o.MemBudgetBytes = 16 << 10 // several runs: a real merge writes the leaves
+						return o
+					}
+					// Every worker count writes the same leaf file; the last
+					// build (workers=8) stays open for the checks below.
+					for _, workers := range []int{1, 2, 8} {
+						ok := t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 							fs = storage.NewMemFS()
 							writeRaw(t, fs, ds.data, 0)
 							var err error
@@ -144,68 +139,67 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 								ix.Close()
 							}
 							if got := int64(len(ds.data)) * int64(ix.opt.recordSize()); size != got {
-								t.Fatalf("workers=%d: logical leaf-file size %d, want Count*recordSize = %d", workers, size, got)
+								t.Fatalf("logical leaf-file size %d, want Count*recordSize = %d", size, got)
 							}
-							if got := logicalBytes(t, fs, "cx.leaves", checksums); !bytes.Equal(got, want) {
-								t.Fatalf("workers=%d: leaf file (%d bytes) is not the sorted record stream (%d bytes)", workers, len(got), len(want))
+							if got := logicalBytes(t, fs, "cx.leaves"); !bytes.Equal(got, want) {
+								t.Fatalf("leaf file (%d bytes) is not the sorted record stream (%d bytes)", len(got), len(want))
 							}
-							if names := fs.Names(); len(names) != 3+boolInt(checksums) {
-								t.Fatalf("workers=%d: build left %v, want raw, leaves, manifest and the sidecar only", workers, names)
+							if names := fs.Names(); len(names) != 4 {
+								t.Fatalf("build left %v, want raw, leaves, manifest and the sidecar only", names)
 							}
+						})
+						if !ok {
+							if workers == 8 && ix != nil {
+								ix.Close()
+							}
+							return
 						}
-						defer func() { ix.Close() }()
+					}
+					defer func() { ix.Close() }()
 
-						// The logical directory: leaves tile the run, and only a
-						// leaf of identical keys may exceed the capacity.
-						next := 0
-						for i, l := range ix.leaves {
-							if ix.leafStart[i] != next || l.Count == 0 {
-								t.Fatalf("leaf %d: starts at %d with %d records, want start %d", i, ix.leafStart[i], l.Count, next)
-							}
-							next += int(l.Count)
-							if int(l.Count) > leafCap && ix.keys[ix.leafStart[i]] != ix.keys[next-1] {
-								t.Fatalf("leaf %d holds %d distinct-key records, capacity %d", i, l.Count, leafCap)
-							}
+					// The logical directory: leaves tile the run, and only a
+					// leaf of identical keys may exceed the capacity.
+					next := 0
+					for i, l := range ix.leaves {
+						if ix.leafStart[i] != next || l.Count == 0 {
+							t.Fatalf("leaf %d: starts at %d with %d records, want start %d", i, ix.leafStart[i], l.Count, next)
 						}
-						if next != len(ds.data) {
-							t.Fatalf("leaves hold %d records, want %d", next, len(ds.data))
+						next += int(l.Count)
+						if int(l.Count) > leafCap && ix.keys[ix.leafStart[i]] != ix.keys[next-1] {
+							t.Fatalf("leaf %d holds %d distinct-key records, capacity %d", i, l.Count, leafCap)
 						}
-						if ds.name == "all-equal-keys" && (ix.Shape().Leaves != 1 || ix.leaves[0].Count != 40) {
-							t.Fatalf("identical keys split into %d leaves", ix.Shape().Leaves)
+					}
+					if next != len(ds.data) {
+						t.Fatalf("leaves hold %d records, want %d", next, len(ds.data))
+					}
+					if ds.name == "all-equal-keys" && (ix.Shape().Leaves != 1 || ix.leaves[0].Count != 40) {
+						t.Fatalf("identical keys split into %d leaves", ix.Shape().Leaves)
+					}
+					if n := ix.Shape().Leaves; n > 0 {
+						if fill, want := ix.Shape().LeafFill, float64(len(ds.data))/float64(n*leafCap); fill != want {
+							t.Fatalf("AvgLeafFill = %v, want logical occupancy %v", fill, want)
 						}
-						if n := ix.Shape().Leaves; n > 0 {
-							if fill, want := ix.Shape().LeafFill, float64(len(ds.data))/float64(n*leafCap); fill != want {
-								t.Fatalf("AvgLeafFill = %v, want logical occupancy %v", fill, want)
-							}
-						}
+					}
 
-						built := shapeOf(ix)
-						if err := ix.Close(); err != nil {
-							t.Fatal(err)
-						}
-						re, err := OpenTrie(opt(1))
-						if err != nil {
-							t.Fatalf("reopen: %v", err)
-						}
-						ix = re
-						if !built.equal(shapeOf(re)) {
-							t.Fatal("OpenTrie did not reproduce the build-time keys, positions, leaf starts and prefixes")
-						}
-						if err := re.Trie().CheckInvariants(8); err != nil {
-							t.Fatal(err)
-						}
-					})
-				}
+					built := shapeOf(ix)
+					if err := ix.Close(); err != nil {
+						t.Fatal(err)
+					}
+					re, err := OpenTrie(opt(1))
+					if err != nil {
+						t.Fatalf("reopen: %v", err)
+					}
+					ix = re
+					if !built.equal(shapeOf(re)) {
+						t.Fatal("OpenTrie did not reproduce the build-time keys, positions, leaf starts and prefixes")
+					}
+					if err := re.Trie().CheckInvariants(8); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
 		}
 	}
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TestTrieLeafVisitReadsOnlyTheLeaf fails if page padding ever comes back: a
@@ -215,7 +209,7 @@ func boolInt(b bool) int {
 func TestTrieLeafVisitReadsOnlyTheLeaf(t *testing.T) {
 	fs, _ := fixtureFS(t)
 	opt := baseOptions(t, fs, true)
-	opt.LeafCap, opt.Checksums, opt.QueryWorkers = 2000, true, 1
+	opt.LeafCap, opt.QueryWorkers = 2000, 1
 	ix, err := BuildTrie(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -252,65 +246,78 @@ func TestTrieLeafVisitReadsOnlyTheLeaf(t *testing.T) {
 
 // TestTrieLeafFileDamageIsTyped: a leaf file shorter than the manifest's
 // record count is both corrupt data and a broken manifest promise, a longer
-// one a broken promise, and a flipped bit under checksums corrupt data.
+// one a broken promise, and a flipped bit corrupt data.
 func TestTrieLeafFileDamageIsTyped(t *testing.T) {
-	for _, checksums := range []bool{true, false} {
-		fs, _ := fixtureFS(t)
-		opt := baseOptions(t, fs, false)
-		opt.Checksums = checksums
-		ix, err := BuildTrie(opt)
-		if err != nil {
+	fs, _ := fixtureFS(t)
+	opt := baseOptions(t, fs, false)
+	ix, err := BuildTrie(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Close()
+	good, err := storage.ReadFileAll(fs, "cx.leaves")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride := 4 + leafBlockSize(opt.recordSize()) // one whole checksum block
+	tail := len(good) - (len(good)-storage.ChecksumHeaderSize)%stride
+	if tail == len(good) {
+		tail -= stride
+	}
+	reopen := func(data []byte) error {
+		t.Helper()
+		if err := storage.WriteFileAll(fs, "cx.leaves", data); err != nil {
 			t.Fatal(err)
 		}
-		ix.Close()
-		good, err := storage.ReadFileAll(fs, "cx.leaves")
-		if err != nil {
-			t.Fatal(err)
+		re, err := OpenTrie(opt)
+		if err == nil {
+			re.Close()
 		}
-		stride := opt.recordSize() // flat: one record
-		if checksums {
-			stride = 4 + leafBlockSize(opt.recordSize()) // one whole checksum block
+		return err
+	}
+	for _, cut := range []int{tail, len(good) - 5} {
+		err := reopen(good[:cut])
+		if !errors.Is(err, storage.ErrCorruptData) || !errors.Is(err, manifest.ErrCorruptManifest) {
+			t.Fatalf("leaf file cut to %d of %d bytes: got %v, want ErrCorruptData and ErrCorruptManifest", cut, len(good), err)
 		}
-		tail := len(good) - (len(good)-storage.ChecksumHeaderSize*boolInt(checksums))%stride
-		if tail == len(good) {
-			tail -= stride
-		}
-		reopen := func(data []byte) error {
-			t.Helper()
-			if err := storage.WriteFileAll(fs, "cx.leaves", data); err != nil {
-				t.Fatal(err)
-			}
-			re, err := OpenTrie(opt)
-			if err == nil {
-				re.Close()
-			}
-			return err
-		}
-		for _, cut := range []int{tail, len(good) - 5} {
-			err := reopen(good[:cut])
-			if !errors.Is(err, storage.ErrCorruptData) || !errors.Is(err, manifest.ErrCorruptManifest) {
-				t.Fatalf("checksums=%v: leaf file cut to %d of %d bytes: got %v, want ErrCorruptData and ErrCorruptManifest", checksums, cut, len(good), err)
-			}
-		}
-		if !checksums {
-			longer := append(append([]byte(nil), good...), good[:opt.recordSize()]...)
-			if err := reopen(longer); !errors.Is(err, manifest.ErrCorruptManifest) {
-				t.Fatalf("leaf file with a stray record: got %v, want ErrCorruptManifest", err)
-			}
-		} else {
-			flipped := append([]byte(nil), good...)
-			flipped[len(flipped)/2] ^= 0x10
-			if err := reopen(flipped); !errors.Is(err, storage.ErrCorruptData) {
-				t.Fatalf("flipped leaf byte: got %v, want ErrCorruptData", err)
-			}
-		}
-		if err := reopen(good); err != nil {
-			t.Fatalf("checksums=%v: restored leaf file failed to open: %v", checksums, err)
-		}
+	}
+	// One stray (correctly checksummed) record past the manifest's count.
+	if err := storage.WriteFileAll(fs, "cx.leaves", good); err != nil {
+		t.Fatal(err)
+	}
+	inner, err := fs.Open("cx.leaves")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := storage.OpenChecksumFile(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, _ := cf.Size()
+	if _, err := cf.WriteAt(make([]byte, opt.recordSize()), size); err != nil {
+		t.Fatal(err)
+	}
+	if err := cf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	longer, err := storage.ReadFileAll(fs, "cx.leaves")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reopen(longer); !errors.Is(err, manifest.ErrCorruptManifest) {
+		t.Fatalf("leaf file with a stray record: got %v, want ErrCorruptManifest", err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x10
+	if err := reopen(flipped); !errors.Is(err, storage.ErrCorruptData) {
+		t.Fatalf("flipped leaf byte: got %v, want ErrCorruptData", err)
+	}
+	if err := reopen(good); err != nil {
+		t.Fatalf("restored leaf file failed to open: %v", err)
 	}
 }
 
-// TestBuildReadsRawOnce: a checksummed tree or trie build, at any worker
+// TestBuildReadsRawOnce: a tree or trie build, at any worker
 // count, writes the sidecar storage.BuildRecordSums would and reads the raw
 // file once — its reads stay within 5% of the raw size plus what the sort
 // and the bulk loader read back of their own temporaries. A torn trailing
@@ -357,7 +364,7 @@ func TestBuildReadsRawOnce(t *testing.T) {
 					}
 					writeRaw(t, fs, data, tc.torn)
 					opt := baseOptions(t, fs, false)
-					opt.Checksums, opt.Workers = true, workers
+					opt.Workers = workers
 					before := fs.Stats().Snapshot()
 					ix, err := e.build(opt)
 					if err != nil {

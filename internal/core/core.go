@@ -88,17 +88,13 @@ type Options struct {
 	// Materialized indexes scan whole leaves instead (the raw data is
 	// already there). Default 32.
 	ApproxWindow int
-	// Checksums writes the index's block files (B+-tree pages, the trie's
-	// leaf run) in the checksummed-block format and maintains a per-record
-	// CRC sidecar for the raw dataset, making every read path detect
-	// bit rot as storage.ErrCorruptData instead of serving wrong bytes.
-	// Like Materialized, the flag is a property of the stored bytes: it is
-	// recorded in the manifest and the Open paths adopt the stored value.
-	Checksums bool
 	// RawSums optionally supplies an externally owned raw-dataset CRC
 	// sidecar (the partition layer's: the parent owns the shared raw file
 	// and its sidecar, children verify through the shared handle). When
-	// nil and Checksums is set, the index builds and maintains its own.
+	// nil, the index builds and maintains its own. Either way every raw read
+	// is verified against it, as every page and leaf read is against the
+	// block CRCs of its file, so bit rot surfaces as storage.ErrCorruptData
+	// instead of a wrong answer.
 	RawSums *storage.RecordSums
 }
 
@@ -189,10 +185,10 @@ func decodeRecord(rec []byte, materialized bool) (key summary.Key, pos int64, ra
 // straight from the input block, never re-encoded). Blocks are drained in
 // input order, so the stream is byte-identical for any worker count.
 //
-// It is the only pass a bulk load makes over the raw file: a non-nil sums
-// (from storage.NewRecordSums on the same file) has its per-record CRCs
-// filled from the bytes each key is computed from, complete once the stream
-// has been read to EOF. A torn trailing partial record is not part of the
+// It is the only pass a bulk load makes over the raw file: sums (from
+// storage.NewRecordSums on the same file) has its per-record CRCs filled
+// from the bytes each key is computed from, complete once the stream has
+// been read to EOF. A torn trailing partial record is not part of the
 // dataset and is left unread.
 //
 // The caller must Close the returned reader when done with it, including
@@ -210,7 +206,7 @@ func SummaryRecordReader(s *summary.Summarizer, raw storage.File, materialized b
 		return nil, err
 	}
 	records := size / int64(inSize)
-	if sums != nil && sums.Records() != records {
+	if sums.Records() != records {
 		return nil, fmt.Errorf("core: raw sidecar sized for %d records, %q holds %d", sums.Records(), raw.Name(), records)
 	}
 	if workers <= 0 {
@@ -231,9 +227,7 @@ func SummaryRecordReader(s *summary.Summarizer, raw storage.File, materialized b
 		Workers:       workers,
 		Transform: func(worker int, in, out []byte, base int64) error {
 			sc := &scratches[worker]
-			if sums != nil {
-				sums.Fill(base, in)
-			}
+			sums.Fill(base, in)
 			n := len(in) / inSize
 			for i := 0; i < n; i++ {
 				rawRec := in[i*inSize : (i+1)*inSize]
@@ -256,22 +250,20 @@ func SummaryRecordReader(s *summary.Summarizer, raw storage.File, materialized b
 
 // BuildSource is the unsorted (key, position[, raw]) record stream a bulk
 // load consumes, plus the one decision every build entry point shares: who
-// computes and persists the raw-dataset CRC sidecar of a checksummed build.
-// Read it to EOF (the external sort, or the partition scatter), then call
-// Finish.
+// computes and persists the raw-dataset CRC sidecar. Read it to EOF (the
+// external sort, or the partition scatter), then call Finish.
 type BuildSource struct {
 	io.Reader
 	close func() error
-	cfg   BuildSourceConfig
 	sums  *storage.RecordSums
 	owned bool
 }
 
 // BuildSourceConfig names the dataset a BuildSource streams. Raw must be open
-// on RawName. RecordsName, when set, names a pre-summarized record file (the
-// partition scatter's output for one child) streamed instead of summarizing
-// Raw. RawSums is the externally owned sidecar a checksummed partition child
-// adopts; without one a checksummed build owns its sidecar.
+// on RawName. Either the source summarizes Raw and owns the sidecar it
+// computes on the way, or — a partition child — it streams RecordsName, the
+// partition scatter's pre-summarized output for the child, and adopts
+// RawSums, the sidecar the parent computed in the same pass.
 type BuildSourceConfig struct {
 	FS           storage.FS
 	S            *summary.Summarizer
@@ -279,7 +271,6 @@ type BuildSourceConfig struct {
 	RawName      string
 	RecordsName  string
 	Materialized bool
-	Checksums    bool
 	Workers      int
 	RawSums      *storage.RecordSums
 }
@@ -289,11 +280,11 @@ type BuildSourceConfig struct {
 // file is read once; an existing sidecar file may describe a replaced dataset
 // and is never reused.
 func OpenBuildSource(cfg BuildSourceConfig) (*BuildSource, error) {
-	b := &BuildSource{cfg: cfg}
-	if cfg.Checksums {
-		b.sums, b.owned = cfg.RawSums, cfg.RawSums == nil
+	if (cfg.RecordsName != "") != (cfg.RawSums != nil) {
+		return nil, errors.New("core: a build streams a record file under an adopted raw sidecar, or summarizes the raw file into its own")
 	}
-	if cfg.RecordsName != "" {
+	b := &BuildSource{sums: cfg.RawSums, owned: cfg.RawSums == nil}
+	if !b.owned {
 		rf, err := cfg.FS.Open(cfg.RecordsName)
 		if err != nil {
 			return nil, err
@@ -301,15 +292,11 @@ func OpenBuildSource(cfg BuildSourceConfig) (*BuildSource, error) {
 		b.Reader, b.close = storage.NewSequentialReader(rf, 0, -1, 0), rf.Close
 		return b, nil
 	}
-	var fill *storage.RecordSums
-	if b.owned {
-		var err error
-		if fill, err = storage.NewRecordSums(cfg.FS, cfg.RawName, series.EncodedSize(cfg.S.Params().SeriesLen), cfg.Raw); err != nil {
-			return nil, err
-		}
-		b.sums = fill
+	var err error
+	if b.sums, err = storage.NewRecordSums(cfg.FS, cfg.RawName, series.EncodedSize(cfg.S.Params().SeriesLen), cfg.Raw); err != nil {
+		return nil, err
 	}
-	src, err := SummaryRecordReader(cfg.S, cfg.Raw, cfg.Materialized, cfg.Workers, fill)
+	src, err := SummaryRecordReader(cfg.S, cfg.Raw, cfg.Materialized, cfg.Workers, b.sums)
 	if err != nil {
 		return nil, err
 	}
@@ -320,19 +307,12 @@ func OpenBuildSource(cfg BuildSourceConfig) (*BuildSource, error) {
 // Finish closes the stream and, when the consumer succeeded (err == nil) and
 // the build owns its sidecar, persists and fsyncs it — before any manifest
 // can reference the build. It returns the sidecar the index serves raw reads
-// through (nil without checksums) and whether the index owns it.
+// through and whether the index owns it.
 func (b *BuildSource) Finish(err error) (*storage.RecordSums, bool, error) {
 	if cerr := b.close(); err == nil {
 		err = cerr
 	}
-	if err != nil || !b.owned {
-		return b.sums, b.owned, err
-	}
-	if b.sums == nil {
-		// A record file without an adopted sidecar: no summarization pass
-		// to ride on, so the sidecar costs its own.
-		b.sums, err = storage.BuildRecordSums(b.cfg.FS, b.cfg.RawName, series.EncodedSize(b.cfg.S.Params().SeriesLen))
-	} else {
+	if err == nil && b.owned {
 		err = b.sums.Flush()
 	}
 	return b.sums, b.owned, err
@@ -349,7 +329,7 @@ func sortRecords(opt *Options, raw storage.File, outName string,
 ) (sums *storage.RecordSums, owned bool, err error) {
 	src, err := OpenBuildSource(BuildSourceConfig{
 		FS: opt.FS, S: opt.S, Raw: raw, RawName: opt.RawName, RecordsName: opt.RecordsName,
-		Materialized: opt.Materialized, Checksums: opt.Checksums, Workers: opt.Workers, RawSums: opt.RawSums,
+		Materialized: opt.Materialized, Workers: opt.Workers, RawSums: opt.RawSums,
 	})
 	if err != nil {
 		return nil, false, err
@@ -376,8 +356,8 @@ type ApproxWindow struct {
 	// Below and Above are the candidates with key < query key (the source's
 	// trailing half-window) and key >= query key (its leading half-window).
 	Below, Above []window.Cand
-	// Raw and Sums are the raw dataset file, and its CRC sidecar if any, that
-	// a non-materialized source's candidates are positions in: EvalWindow
+	// Raw and Sums are the raw dataset file, and its CRC sidecar, that a
+	// non-materialized source's candidates are positions in: EvalWindow
 	// pins the file for the evaluation and reads each visited record once,
 	// verified (what Result.VisitedRecords counts).
 	Raw  storage.File
@@ -473,8 +453,8 @@ type InsertRec struct {
 
 // ReadRawAt returns the encoded series at ordinal pos of a raw dataset file —
 // a view of it, or buf, exactly one record long, filled — verified against
-// the CRC sidecar when there is one: rot surfaces as storage.ErrCorruptData,
-// never as a wrong distance.
+// the CRC sidecar: rot surfaces as storage.ErrCorruptData, never as a wrong
+// distance.
 func ReadRawAt(raw storage.Views, sums *storage.RecordSums, pos int64, buf []byte) ([]byte, error) {
 	enc, err := readRawRun(raw, pos, 1, buf)
 	if err != nil {
@@ -495,9 +475,6 @@ func readRawRun(raw storage.Views, pos int64, n int, buf []byte) ([]byte, error)
 }
 
 func verifyRaw(sums *storage.RecordSums, pos int64, enc []byte) error {
-	if sums == nil {
-		return nil
-	}
 	if err := sums.Verify(pos, enc); err != nil {
 		return fmt.Errorf("core: raw series %d: %w", pos, err)
 	}
@@ -690,16 +667,13 @@ func candsFrom(cands []summary.Cand, start int) []summary.Cand {
 	return cands[i:]
 }
 
-// AttachRawSums attaches the raw-dataset CRC sidecar when a checksummed
-// index — tree, trie or LSM — is opened: the externally owned handle when the
-// caller supplied one (owned=false), or the index's own, loaded over raw
+// AttachRawSums attaches the raw-dataset CRC sidecar when an index — tree,
+// trie or LSM — is opened: the externally owned handle when the caller
+// supplied one (owned=false), or the index's own, loaded over raw
 // (storage.LoadRecordSums: a torn trailing partial record is excluded by its
 // floor division, exactly like WAL replay).
-func AttachRawSums(fs storage.FS, rawName string, s *summary.Summarizer, checksums bool, shared *storage.RecordSums, raw storage.File,
+func AttachRawSums(fs storage.FS, rawName string, s *summary.Summarizer, shared *storage.RecordSums, raw storage.File,
 ) (sums *storage.RecordSums, owned bool, err error) {
-	if !checksums {
-		return nil, false, nil
-	}
 	if shared != nil {
 		return shared, false, nil
 	}

@@ -65,7 +65,6 @@ func treeManifest(opt Options, g bptree.Geometry) *manifest.Manifest {
 		LeafCap:      g.LeafCap,
 		RawName:      opt.RawName,
 		Count:        g.Count,
-		Checksums:    opt.Checksums,
 		Tree: &manifest.TreeLayout{
 			RecordSize: g.RecordSize,
 			KeyLen:     g.KeyLen,
@@ -131,7 +130,6 @@ func (ix *TrieIndex) writeManifest() error {
 		LeafCap:      ix.opt.LeafCap,
 		RawName:      ix.opt.RawName,
 		Count:        ix.count,
-		Checksums:    ix.opt.Checksums,
 		Trie:         &manifest.TrieLayout{NumLeaves: len(ix.leaves)},
 	}
 	return manifest.Commit(ix.opt.FS, ix.opt.Name, m)
@@ -157,9 +155,6 @@ func OpenTrie(opt Options) (*TrieIndex, error) {
 	if m.Trie == nil {
 		return nil, fmt.Errorf("core: %w: trie manifest without trie layout", manifest.ErrCorruptManifest)
 	}
-	// The checksummed-block layout is a property of the stored bytes;
-	// adopt the manifest's flag (see OpenTree).
-	opt.Checksums = m.Checksums
 	tr, err := trie.New(opt.S, opt.LeafCap)
 	if err != nil {
 		return nil, err
@@ -183,7 +178,7 @@ func (ix *TrieIndex) load(wantLeaves int) error {
 	if ix.leafFile, err = openLeafFile(&ix.opt); err != nil {
 		return err
 	}
-	if ix.rawSums, ix.ownSums, err = AttachRawSums(ix.opt.FS, ix.opt.RawName, ix.opt.S, ix.opt.Checksums, ix.opt.RawSums, ix.rawFile); err != nil {
+	if ix.rawSums, ix.ownSums, err = AttachRawSums(ix.opt.FS, ix.opt.RawName, ix.opt.S, ix.opt.RawSums, ix.rawFile); err != nil {
 		return err
 	}
 	// Keys live in the leaf records; the raw file is not touched.

@@ -134,35 +134,33 @@ func TestScanRawMatchesPerRecordScan(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, scale := range []float64{0, 0.5} {
-			for _, sums := range []*storage.RecordSums{fx.sums, nil} {
-				cands := fx.cands(tc.positions, scale)
-				wantPos, wantDist, wantVisited := refVerifyRaw(t, fx.raw, sums, fx.q, cands, -1, math.Inf(1))
-				for _, workers := range []int{1, 2, 8} {
-					name := fmt.Sprintf("%s/lb*%v/sums=%v/workers=%d", tc.name, scale, sums != nil, workers)
-					var bound shard.BSF
-					bound.Init(math.Inf(1))
-					before := fx.fs.Stats().Snapshot()
-					pos, dist, visited, err := VerifyRaw(context.Background(), fx.raw, sums, fx.q, slices.Clone(cands), -1, math.Inf(1), &bound, workers)
-					io := fx.fs.Stats().Snapshot().Sub(before)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if pos != wantPos || dist != wantDist {
-						t.Fatalf("%s: (%d, %v), per-record scan (%d, %v)", name, pos, dist, wantPos, wantDist)
-					}
-					// Shards prune each other only when bounds can prune at all.
-					if (workers == 1 || scale == 0) && visited != wantVisited {
-						t.Fatalf("%s: visited %d, per-record scan %d", name, visited, wantVisited)
-					}
-					if scale != 0 {
-						continue
-					}
-					if reads, want := io.RandReads+io.SeqReads, runsOf(tc.positions, workers); reads != want {
-						t.Fatalf("%s: %d reads for %d runs", name, reads, want)
-					}
-					if io.BytesRead != visited*recSize {
-						t.Fatalf("%s: %d bytes read for %d visited records of %d bytes", name, io.BytesRead, visited, recSize)
-					}
+			cands := fx.cands(tc.positions, scale)
+			wantPos, wantDist, wantVisited := refVerifyRaw(t, fx.raw, fx.sums, fx.q, cands, -1, math.Inf(1))
+			for _, workers := range []int{1, 2, 8} {
+				name := fmt.Sprintf("%s/lb*%v/workers=%d", tc.name, scale, workers)
+				var bound shard.BSF
+				bound.Init(math.Inf(1))
+				before := fx.fs.Stats().Snapshot()
+				pos, dist, visited, err := VerifyRaw(context.Background(), fx.raw, fx.sums, fx.q, slices.Clone(cands), -1, math.Inf(1), &bound, workers)
+				io := fx.fs.Stats().Snapshot().Sub(before)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if pos != wantPos || dist != wantDist {
+					t.Fatalf("%s: (%d, %v), per-record scan (%d, %v)", name, pos, dist, wantPos, wantDist)
+				}
+				// Shards prune each other only when bounds can prune at all.
+				if (workers == 1 || scale == 0) && visited != wantVisited {
+					t.Fatalf("%s: visited %d, per-record scan %d", name, visited, wantVisited)
+				}
+				if scale != 0 {
+					continue
+				}
+				if reads, want := io.RandReads+io.SeqReads, runsOf(tc.positions, workers); reads != want {
+					t.Fatalf("%s: %d reads for %d runs", name, reads, want)
+				}
+				if io.BytesRead != visited*recSize {
+					t.Fatalf("%s: %d bytes read for %d visited records of %d bytes", name, io.BytesRead, visited, recSize)
 				}
 			}
 		}

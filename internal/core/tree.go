@@ -35,9 +35,9 @@ type TreeIndex struct {
 	bt      *bptree.Tree
 	rawFile storage.File
 	count   int64
-	// rawSums verifies raw-dataset reads when checksums are on; ownSums
-	// marks the handle as this index's own (built/opened here, maintained
-	// on inserts) rather than the partition layer's shared one.
+	// rawSums verifies raw-dataset reads; ownSums marks the handle as this
+	// index's own (built/opened here, maintained on inserts) rather than the
+	// partition layer's shared one.
 	rawSums *storage.RecordSums
 	ownSums bool
 	// qmu is the handle lock: queries hold it shared, mutations
@@ -138,7 +138,6 @@ func (ix *TreeIndex) build() error {
 		LeafCap:    opt.LeafCap,
 		FillFactor: opt.FillFactor,
 		Fanout:     opt.Fanout,
-		Checksums:  opt.Checksums,
 	}, tee)
 	rr.Close()
 	if err != nil {
@@ -175,15 +174,11 @@ func OpenTree(opt Options) (*TreeIndex, error) {
 	if err := checkOpenConfig(&opt, m, manifest.VariantTree); err != nil {
 		return nil, err
 	}
-	// Like Materialized, the checksummed-block layout is a property of the
-	// stored bytes; adopt the manifest's flag so the pages are read the
-	// only way they can be.
-	opt.Checksums = m.Checksums
 	raw, err := opt.FS.Open(opt.RawName)
 	if err != nil {
 		return nil, err
 	}
-	bt, err := bptree.Open(bptree.Config{FS: opt.FS, Name: opt.Name + ".bt", Checksums: opt.Checksums})
+	bt, err := bptree.Open(bptree.Config{FS: opt.FS, Name: opt.Name + ".bt"})
 	if err != nil {
 		raw.Close()
 		return nil, err
@@ -195,7 +190,7 @@ func OpenTree(opt Options) (*TreeIndex, error) {
 		return nil, err
 	}
 	ix := &TreeIndex{opt: opt, bt: bt, rawFile: raw, count: bt.Count(), simsDirty: true}
-	if ix.rawSums, ix.ownSums, err = AttachRawSums(opt.FS, opt.RawName, opt.S, opt.Checksums, opt.RawSums, raw); err != nil {
+	if ix.rawSums, ix.ownSums, err = AttachRawSums(opt.FS, opt.RawName, opt.S, opt.RawSums, raw); err != nil {
 		bt.Close()
 		raw.Close()
 		return nil, err
@@ -256,7 +251,7 @@ func (ix *TreeIndex) syncLocked() error {
 	if err := ix.rawFile.Sync(); err != nil {
 		return err
 	}
-	if ix.ownSums && ix.rawSums != nil {
+	if ix.ownSums {
 		if err := ix.rawSums.Flush(); err != nil {
 			return err
 		}
@@ -615,7 +610,7 @@ func (ix *TreeIndex) Insert(ctx context.Context, batch []series.Series) error {
 		if _, err := ix.rawFile.WriteAt(encoded, pos*sz); err != nil {
 			return err
 		}
-		if ix.ownSums && ix.rawSums != nil {
+		if ix.ownSums {
 			ix.rawSums.Set(pos, encoded)
 		}
 		key, err := ix.opt.S.KeyOf(s)

@@ -46,8 +46,8 @@ type TrieIndex struct {
 	leafFile storage.File
 	rawFile  storage.File
 	count    int64
-	// rawSums verifies raw-dataset reads when checksums are on; ownSums
-	// marks it as this index's own rather than the partition layer's.
+	// rawSums verifies raw-dataset reads; ownSums marks it as this index's
+	// own rather than the partition layer's.
 	rawSums *storage.RecordSums
 	ownSums bool
 	// keys/positions: in-memory sorted summary array (SIMS state).
@@ -129,11 +129,8 @@ func BuildTrie(opt Options) (*TrieIndex, error) {
 
 func (ix *TrieIndex) build() error {
 	opt := &ix.opt
-	var wrap func(storage.File) (storage.File, error)
-	if opt.Checksums {
-		wrap = func(f storage.File) (storage.File, error) {
-			return storage.CreateChecksumFile(f, leafBlockSize(opt.recordSize()))
-		}
+	wrap := func(f storage.File) (storage.File, error) {
+		return storage.CreateChecksumFile(f, leafBlockSize(opt.recordSize()))
 	}
 	var err error
 	ix.rawSums, ix.ownSums, err = sortRecords(opt, ix.rawFile, leafFileName(opt.Name), wrap, func(rec []byte) {
@@ -167,8 +164,8 @@ func (ix *TrieIndex) build() error {
 // matching the LSM run convention.
 func openLeafFile(opt *Options) (storage.File, error) {
 	inner, err := opt.FS.Open(leafFileName(opt.Name))
-	if err != nil || !opt.Checksums {
-		return inner, err
+	if err != nil {
+		return nil, err
 	}
 	lf, err := storage.OpenChecksumFile(inner)
 	if err != nil {

@@ -70,7 +70,8 @@ type Config struct {
 	Tee func(rec []byte)
 	// WrapOut, when non-nil, wraps the final output file handle right
 	// after creation and before any bytes are written — the hook the LSM
-	// uses to give run files a checksummed physical layout. It applies
+	// and the trie use to give the sorted output its physical layout (the
+	// block-compressed run codec, checksum blocks for trie leaves). It applies
 	// only to outName: temporary runs and intermediate merge generations
 	// are written through unwrapped handles and deleted before Sort or
 	// Merge returns. The wrapper's Close is called in place of the inner
@@ -78,7 +79,8 @@ type Config struct {
 	WrapOut func(storage.File) (storage.File, error)
 	// WrapIn, when non-nil, wraps the handle of each ORIGINAL input run
 	// named in a Merge call right after open — the read-side counterpart
-	// of WrapOut for inputs stored in a checksummed physical layout.
+	// of WrapOut for inputs stored in a physical layout of their own (the
+	// LSM's compressed runs, decoded and CRC-checked block by block).
 	// Intermediate files extsort itself wrote are opened unwrapped. Sort
 	// ignores it (Sort's inputs come from a reader, not run files).
 	WrapIn func(storage.File) (storage.File, error)
@@ -130,7 +132,7 @@ func Sort(cfg Config, in io.Reader, outName string) (int64, error) {
 		return 0, err
 	}
 	cfg.Compare = totalOrder(cfg.Compare)
-	cfg.WrapIn = nil // Sort's run files are its own, never pre-checksummed
+	cfg.WrapIn = nil // Sort's run files are its own, never in a wrapped layout
 	runs, total, err := makeRuns(cfg, in)
 	if err != nil {
 		cleanup(cfg.FS, runs)
@@ -351,7 +353,7 @@ func writeRun(cfg Config, name string, data []byte, bufSize int) error {
 func mergeAll(cfg Config, runs []string, outName string, ownsInputs bool) (err error) {
 	if len(runs) == 0 {
 		// Empty input: create an empty output file (wrapped, so even an
-		// empty checksummed output carries its header).
+		// empty output carries its layout's header and footer).
 		f, cerr := cfg.FS.Create(outName)
 		if cerr != nil {
 			return cerr
@@ -366,8 +368,8 @@ func mergeAll(cfg Config, runs []string, outName string, ownsInputs bool) (err e
 		}
 		return f.Close()
 	}
-	// Only the caller's original runs may be in a wrapped (checksummed)
-	// physical layout; intermediates below are extsort's own raw files.
+	// Only the caller's original runs may be in a wrapped physical layout;
+	// intermediates below are extsort's own raw files.
 	var orig map[string]bool
 	if cfg.WrapIn != nil {
 		orig = make(map[string]bool, len(runs))

@@ -214,13 +214,11 @@ func TestSortIOIsSequential(t *testing.T) {
 func TestSortFaultPropagates(t *testing.T) {
 	fs := storage.NewMemFS()
 	boom := io.ErrClosedPipe
-	var writes int
+	// Sort writes its runs from several workers at once.
+	var writes atomic.Int64
 	fs.SetFault(func(op storage.Op, name string, off int64, n int) error {
-		if op == storage.OpWrite {
-			writes++
-			if writes > 3 {
-				return boom
-			}
+		if op == storage.OpWrite && writes.Add(1) > 3 {
+			return boom
 		}
 		return nil
 	})

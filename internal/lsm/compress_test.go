@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"testing"
 
@@ -17,7 +16,7 @@ import (
 // handful of blocks: the key set cannot fit, so every query decodes on
 // demand) — and returns both handles plus the tiny side's FS for reopen
 // tests.
-func buildPair(t *testing.T, checksums bool, memBudget int64) (roomy, tiny *Index, tinyFS *storage.MemFS, data []series.Series) {
+func buildPair(t *testing.T, memBudget int64) (roomy, tiny *Index, tinyFS *storage.MemFS, data []series.Series) {
 	t.Helper()
 	gen := dataset.NewRandomWalk()
 	data = dataset.Generate(gen, tCount, tLen, 42)
@@ -34,7 +33,6 @@ func buildPair(t *testing.T, checksums bool, memBudget int64) (roomy, tiny *Inde
 			MemBudgetBytes: memBudget,
 			Fanout:         3,
 			Window:         40,
-			Checksums:      checksums,
 		}
 		if tinyCache {
 			// ~2 decoded blocks resident: far below the full key set.
@@ -104,52 +102,47 @@ func requireSameAnswers(t *testing.T, roomy, tiny *Index, data []series.Series) 
 // TestCompressedConformance: every query answer from an index whose cache
 // is too small to hold the key set — bulk-built, then grown through
 // append/flush/compaction — must be byte-identical to the same index behind
-// a cache that holds everything, and exact answers must equal brute force,
-// with and without the checksum layer underneath.
+// a cache that holds everything, and exact answers must equal brute force.
 func TestCompressedConformance(t *testing.T) {
-	for _, checksums := range []bool{false, true} {
-		t.Run(fmt.Sprintf("checksums=%v", checksums), func(t *testing.T) {
-			roomy, tiny, _, data := buildPair(t, checksums, 1<<20)
-			defer roomy.Close()
-			defer tiny.Close()
-			if tiny.Count() != tCount {
-				t.Fatalf("Count = %d", tiny.Count())
-			}
-			requireSameAnswers(t, roomy, tiny, data)
+	roomy, tiny, _, data := buildPair(t, 1<<20)
+	defer roomy.Close()
+	defer tiny.Close()
+	if tiny.Count() != tCount {
+		t.Fatalf("Count = %d", tiny.Count())
+	}
+	requireSameAnswers(t, roomy, tiny, data)
 
-			// Grow both through the memtable → flush → compaction path.
-			extra := dataset.Generate(dataset.NewRandomWalk(), 200, tLen, 77)
-			for _, ix := range []*Index{roomy, tiny} {
-				for i := 0; i < len(extra); i += 20 {
-					if err := ix.Insert(context.Background(), extra[i:i+20]); err != nil {
-						t.Fatal(err)
-					}
-					if err := ix.Flush(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := ix.Sync(); err != nil {
-					t.Fatal(err)
-				}
+	// Grow both through the memtable → flush → compaction path.
+	extra := dataset.Generate(dataset.NewRandomWalk(), 200, tLen, 77)
+	for _, ix := range []*Index{roomy, tiny} {
+		for i := 0; i < len(extra); i += 20 {
+			if err := ix.Insert(context.Background(), extra[i:i+20]); err != nil {
+				t.Fatal(err)
 			}
-			requireSameAnswers(t, roomy, tiny, append(data, extra...))
-			// No run's key set may be resident on the tiny side: the cache
-			// did real work, within its budget.
-			st := tiny.CacheStats()
-			if st.Hits+st.Misses == 0 || st.ScanDecodes == 0 {
-				t.Fatalf("undersized cache saw no probes or no scan decodes: %+v", st)
+			if err := ix.Flush(); err != nil {
+				t.Fatal(err)
 			}
-			if st.Bytes > st.Budget {
-				t.Fatalf("cache holds %d resident bytes, budget is %d", st.Bytes, st.Budget)
-			}
-		})
+		}
+		if err := ix.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireSameAnswers(t, roomy, tiny, append(data, extra...))
+	// No run's key set may be resident on the tiny side: the cache
+	// did real work, within its budget.
+	st := tiny.CacheStats()
+	if st.Hits+st.Misses == 0 || st.ScanDecodes == 0 {
+		t.Fatalf("undersized cache saw no probes or no scan decodes: %+v", st)
+	}
+	if st.Bytes > st.Budget {
+		t.Fatalf("cache holds %d resident bytes, budget is %d", st.Bytes, st.Budget)
 	}
 }
 
 // TestCompressedReopen: closing and reopening an index behind the tiny
 // cache keeps answers byte-identical.
 func TestCompressedReopen(t *testing.T) {
-	roomy, tiny, tinyFS, data := buildPair(t, true, 1<<20)
+	roomy, tiny, tinyFS, data := buildPair(t, 1<<20)
 	defer roomy.Close()
 	extra := dataset.Generate(dataset.NewRandomWalk(), 100, tLen, 77)
 	// Grow the roomy side identically before comparing post-reopen.
@@ -190,7 +183,7 @@ func TestCompressedReopen(t *testing.T) {
 // quarantines it, and RebuildQuarantined re-derives the lost records from
 // the raw dataset into a fresh run with byte-identical answers.
 func TestCompressedRebuildQuarantined(t *testing.T) {
-	roomy, tiny, tinyFS, data := buildPair(t, true, 1<<14) // small memtable: several runs
+	roomy, tiny, tinyFS, data := buildPair(t, 1<<14) // small memtable: several runs
 	defer roomy.Close()
 	if err := tiny.Close(); err != nil {
 		t.Fatal(err)

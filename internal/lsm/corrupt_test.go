@@ -1,11 +1,11 @@
 package lsm
 
 // Bit-rot tests for the LSM artifacts: a rotted run file is detected at
-// Open (strict: typed failure; degraded: quarantine over the healthy
-// remainder, repairable from the raw dataset) — by the checksummed-block
-// layer, and without it by the run codec's own per-block CRC32-C — and a
-// rotted raw record is detected at fetch time: the index never returns a
-// silently wrong answer from corrupted bytes.
+// Open by the run codec's own CRCs — the file's one integrity layer, which
+// leaves no byte of it unchecked — (strict: typed failure; degraded:
+// quarantine over the healthy remainder, repairable from the raw dataset),
+// and a rotted raw record is detected at fetch time: the index never
+// returns a silently wrong answer from corrupted bytes.
 
 import (
 	"context"
@@ -14,8 +14,10 @@ import (
 
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/manifest"
+	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/summary"
 )
 
 const corruptBase = 64
@@ -23,16 +25,14 @@ const corruptBase = 64
 // corruptSeed builds an LSM index with enough appends to leave several
 // runs, closes it cleanly, and returns the FaultFS whose Recover clones
 // independent durable images for each corruption scenario.
-func corruptSeed(t *testing.T, checksums bool) *storage.FaultFS {
+func corruptSeed(t *testing.T) *storage.FaultFS {
 	t.Helper()
 	inner := storage.NewMemFS()
 	if _, err := dataset.WriteFile(inner, "raw", dataset.NewRandomWalk(), corruptBase, tLen, 42); err != nil {
 		t.Fatal(err)
 	}
 	ffs := storage.NewFaultFS(inner)
-	o := sweepOptions(t, ffs)
-	o.Checksums = checksums
-	ix, err := Build(o)
+	ix, err := Build(sweepOptions(t, ffs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +52,11 @@ func corruptSeed(t *testing.T, checksums bool) *storage.FaultFS {
 }
 
 // pickRun returns the name and count of a manifest-referenced non-bulk run.
-func pickRun(t *testing.T, fs storage.FS, checksums bool) (string, int64) {
+func pickRun(t *testing.T, fs storage.FS) (string, int64) {
 	t.Helper()
 	m, err := manifest.Load(fs, "lsm")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.Checksums != checksums {
-		t.Fatalf("manifest records Checksums=%v, built with %v", m.Checksums, checksums)
 	}
 	for _, ri := range m.LSM.Runs {
 		if ri.Tier != manifest.BulkTier {
@@ -85,17 +82,30 @@ func rotFile(t *testing.T, fs storage.FS, name string, off int64) {
 	}
 }
 
+// TestOpenRottedRunStrictAndQuarantine rots one byte of a run in each of
+// the three regions the run codec checks — a block, the directory, the
+// footer — and follows each through strict open, quarantine and repair.
 func TestOpenRottedRunStrictAndQuarantine(t *testing.T) {
-	// With the checksummed-block layer, rot inside its first payload block;
-	// without it, past the 16-byte codec header and the 8-byte block head,
-	// squarely inside the front-coded payload the codec's block CRC covers —
-	// there the only line of defence.
-	t.Run("checksums", func(t *testing.T) { rottedRunStrictAndQuarantine(t, true, storage.ChecksumHeaderSize+10) })
-	t.Run("block-crc-only", func(t *testing.T) { rottedRunStrictAndQuarantine(t, false, 16+8+2) })
+	const footer, dirEntry = 88, summary.KeySize + 8 + 4 // runblock's footer and directory entry
+	cases := []struct {
+		name  string
+		rotAt func(size int64) int64
+	}{
+		// Past the 16-byte codec header and the 8-byte block head, squarely
+		// inside the front-coded payload the codec's block CRC covers.
+		{"block-crc-only", func(int64) int64 { return 16 + 8 + 2 }},
+		// The last directory entry's record count.
+		{"directory", func(size int64) int64 { return size - footer - dirEntry + summary.KeySize + 8 }},
+		// The footer's record count.
+		{"footer", func(size int64) int64 { return size - footer + 16 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { rottedRunStrictAndQuarantine(t, tc.rotAt) })
+	}
 }
 
-func rottedRunStrictAndQuarantine(t *testing.T, checksums bool, rotOff int64) {
-	ffs := corruptSeed(t, checksums)
+func rottedRunStrictAndQuarantine(t *testing.T, rotAt func(size int64) int64) {
+	ffs := corruptSeed(t)
 	queries := dataset.Queries(dataset.NewRandomWalk(), 4, tLen, 321)
 
 	// Reference answers from an intact image.
@@ -119,8 +129,12 @@ func rottedRunStrictAndQuarantine(t *testing.T, checksums bool, rotOff int64) {
 	ref.Close()
 
 	img := ffs.Recover(0)
-	victim, victimCount := pickRun(t, img, checksums)
-	rotFile(t, img, victim, rotOff)
+	victim, victimCount := pickRun(t, img)
+	data, err := storage.ReadFileAll(img, victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotFile(t, img, victim, rotAt(int64(len(data))))
 
 	// Strict open: typed, loud, no panic — and typed as BOTH the stored-
 	// bytes corruption and the broken-manifest-promise error.
@@ -199,7 +213,7 @@ func rottedRunStrictAndQuarantine(t *testing.T, checksums bool, rotOff int64) {
 // query that would fetch it fail with ErrCorruptData — never a silently
 // wrong distance computed from rotted bytes.
 func TestRawRotDetectedAtFetch(t *testing.T) {
-	ffs := corruptSeed(t, true)
+	ffs := corruptSeed(t)
 	img := ffs.Recover(0)
 
 	// Query with an exact member of the bulk dataset, then rot that very
@@ -220,4 +234,97 @@ func TestRawRotDetectedAtFetch(t *testing.T) {
 	if _, err := ix.ApproxSearch(context.Background(), victim, 0); !errors.Is(err, storage.ErrCorruptData) {
 		t.Fatalf("approx search over rotted raw record: err = %v, want ErrCorruptData", err)
 	}
+}
+
+// TestRunFileEveryByteCovered pins that the run codec alone leaves no byte
+// of a run file unchecked: in a run of three blocks written by the LSM's own
+// bulk-load writer, each byte is flipped in turn, and at every offset a
+// strict Open fails with ErrCorruptData while a degraded Open quarantines
+// the run.
+func TestRunFileEveryByteCovered(t *testing.T) {
+	const n = 3*runblock.DefaultBlockRecords - 100 // the last block partial
+	inner := storage.NewMemFS()
+	if _, err := dataset.WriteFile(inner, "raw", dataset.NewRandomWalk(), n, tLen, 5); err != nil {
+		t.Fatal(err)
+	}
+	ffs := storage.NewFaultFS(inner)
+	strict := Options{FS: ffs, Name: "lsm", S: tSummarizer(t), RawName: "raw"}
+	ix, err := Build(strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	run := pickBulkRun(t, ffs)
+	f, err := ffs.Open(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := runblock.OpenReader(f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks := rb.NumBlocks(); blocks != 3 {
+		t.Fatalf("run %s holds %d blocks, want 3", run, blocks)
+	}
+	rb.Close()
+
+	degraded := strict
+	degraded.AllowDegraded = true
+	for off := int64(0); off < size; off++ {
+		if err := ffs.Rot(run, off, 1); err != nil {
+			t.Fatal(err)
+		}
+		if ix, err := Open(strict); !errors.Is(err, storage.ErrCorruptData) {
+			if err == nil {
+				ix.Close()
+			}
+			t.Fatalf("byte %d of %d flipped: strict open: %v, want ErrCorruptData", off, size, err)
+		}
+		ix, err := Open(degraded)
+		if err != nil {
+			t.Fatalf("byte %d of %d flipped: degraded open: %v", off, size, err)
+		}
+		quarantined := ix.QuarantinedRuns()
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(quarantined) != 1 || quarantined[0] != run {
+			t.Fatalf("byte %d of %d flipped: degraded open quarantined %v, want [%s]", off, size, quarantined, run)
+		}
+		if err := ffs.Rot(run, off, 1); err != nil { // XOR again: the byte is restored
+			t.Fatal(err)
+		}
+	}
+	ix, err = Open(strict)
+	if err != nil {
+		t.Fatalf("restored run: strict open: %v", err)
+	}
+	if ix.Count() != n {
+		t.Fatalf("restored run: Count = %d, want %d", ix.Count(), n)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pickBulkRun returns the name of the manifest's bulk-loaded run.
+func pickBulkRun(t *testing.T, fs storage.FS) string {
+	t.Helper()
+	m, err := manifest.Load(fs, "lsm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ri := range m.LSM.Runs {
+		if ri.Tier == manifest.BulkTier {
+			return ri.Name
+		}
+	}
+	t.Fatal("no bulk run in manifest")
+	return ""
 }

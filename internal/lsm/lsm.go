@@ -28,7 +28,6 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/extsort"
@@ -96,17 +95,6 @@ type Options struct {
 	// compaction pool catches up — backpressure that keeps a fast writer
 	// from burying the scheduler.
 	MaxPendingRuns int
-	// WALGroupWindow optionally stretches each group commit by this long
-	// before the fsync, admitting more concurrent appenders into the
-	// batch. Zero (the default) batches only the appenders that arrive
-	// while the previous sync is in flight.
-	WALGroupWindow time.Duration
-	// Checksums writes run files in the checksummed-block format and
-	// maintains a per-record CRC sidecar for the raw dataset, so every
-	// read path detects bit rot as storage.ErrCorruptData instead of
-	// serving wrong bytes. The flag is a property of the stored bytes:
-	// it is recorded in the manifest and Open adopts the stored value.
-	Checksums bool
 	// AllowDegraded turns corruption at Open time into graceful
 	// degradation: a run whose file is corrupt (or missing) is QUARANTINED
 	// — withheld from queries and compactions but kept in the manifest —
@@ -120,7 +108,10 @@ type Options struct {
 	// RawSums optionally supplies an externally owned raw-dataset CRC
 	// sidecar (the partition layer's: the parent owns the shared raw file
 	// and its sidecar, children verify through the shared handle). When
-	// nil and Checksums is set, the index builds and maintains its own.
+	// nil, the index builds and maintains its own. Every raw read is
+	// verified against it, and every run read against the block CRCs of
+	// the run file (internal/runblock), so bit rot surfaces as
+	// storage.ErrCorruptData instead of a wrong answer.
 	RawSums *storage.RecordSums
 	// Owns restricts reconstruction-from-raw — degraded WAL recovery and
 	// RebuildQuarantined — to the records this index owns. A partition
@@ -136,11 +127,6 @@ type Options struct {
 	// nil creates a private cache of blockcache.DefaultBytes.
 	Cache *blockcache.Cache
 }
-
-// runBlockPayload is the checksummed-block payload size for run files.
-// Records are not block-aligned — the block layer is offset-transparent —
-// so any size works; 4 KiB keeps one CRC per page-ish span.
-const runBlockPayload = 4096
 
 func (o *Options) validate() error {
 	switch {
@@ -223,9 +209,9 @@ type memEntry struct {
 type Index struct {
 	opt     Options
 	rawFile storage.File
-	// rawSums verifies raw-dataset reads when checksums are on; ownSums
-	// marks the handle as this index's own (maintained on appends) rather
-	// than the partition layer's shared one.
+	// rawSums verifies raw-dataset reads; ownSums marks the handle as this
+	// index's own (maintained on appends) rather than the partition layer's
+	// shared one.
 	rawSums *storage.RecordSums
 	ownSums bool
 	// quarantined holds the manifest records of runs withheld at Open
@@ -359,14 +345,14 @@ func (ix *Index) build() error {
 		MemBudget:  opt.MemBudgetBytes,
 		TempPrefix: opt.Name + ".sort",
 		Workers:    opt.Workers,
-		WrapOut:    ix.wrapOut(),
+		WrapOut:    wrapRunOut,
 	}
-	// A checksummed build owns the raw-dataset CRC sidecar unless the
-	// partition layer supplied its own; the source computes it inside its
-	// one pass over the raw file and Finish persists it.
+	// The build owns the raw-dataset CRC sidecar unless the partition layer
+	// supplied its own; the source computes it inside its one pass over the
+	// raw file and Finish persists it.
 	src, err := core.OpenBuildSource(core.BuildSourceConfig{
 		FS: opt.FS, S: opt.S, Raw: raw, RawName: opt.RawName, RecordsName: opt.RecordsName,
-		Checksums: opt.Checksums, Workers: opt.Workers, RawSums: opt.RawSums,
+		Workers: opt.Workers, RawSums: opt.RawSums,
 	})
 	if err != nil {
 		return err
@@ -396,7 +382,7 @@ func (ix *Index) build() error {
 	if err != nil {
 		return err
 	}
-	ix.wal = newWAL(opt.FS, opt.Name, raw, f, 0, size, 0, opt.WALGroupWindow)
+	ix.wal = newWAL(opt.FS, opt.Name, raw, f, 0, size, 0)
 	ix.walNextSeg = 1
 	// Durability point: the manifest makes the bulk-loaded run reopenable
 	// with Open without re-reading the dataset.
@@ -428,42 +414,23 @@ func (ix *Index) runName() string {
 // runFileName names the n-th flushed (or bulk-loaded) run of the index name.
 func runFileName(name string, n int) string { return fmt.Sprintf("%s.run.%06d", name, n) }
 
-// wrapOut returns the extsort final-output wrapper that writes run files
-// in their physical layout: the block compressor, over the checksummed-
-// block layer when checksums are on.
-func (ix *Index) wrapOut() func(storage.File) (storage.File, error) {
-	checksums := ix.opt.Checksums
-	return func(f storage.File) (storage.File, error) {
-		if checksums {
-			cf, err := storage.CreateChecksumFile(f, runBlockPayload)
-			if err != nil {
-				return nil, err
-			}
-			f = cf
-		}
-		return runblock.NewFileWriter(f, 0), nil
-	}
-}
+// wrapRunOut is the extsort final-output wrapper that writes a run file in
+// its physical layout, the block compressor (internal/runblock), whose block,
+// directory and footer CRCs are the file's one integrity layer.
+func wrapRunOut(f storage.File) (storage.File, error) { return runblock.NewFileWriter(f, 0), nil }
 
-// wrapIn returns the extsort merge-input wrapper that reads existing run
-// files through their physical layout (the inverse of wrapOut). Inputs are
+// wrapRunIn is the extsort merge-input wrapper that reads an existing run
+// file through its physical layout (the inverse of wrapRunOut). Inputs are
 // opened with their own block decoding, bypassing the shared cache:
-// one-shot merge traffic must never evict the hot query working set.
-func (ix *Index) wrapIn() func(storage.File) (storage.File, error) {
-	checksums := ix.opt.Checksums
-	return func(f storage.File) (storage.File, error) {
-		if checksums {
-			// Reading through the verifying layer means a compaction can
-			// never launder rotted records into a fresh (correctly
-			// checksummed) run.
-			cf, err := storage.OpenChecksumFile(f)
-			if err != nil {
-				return nil, err
-			}
-			f = cf
-		}
-		return runblock.NewFileReader(f)
+// one-shot merge traffic must never evict the hot query working set. Every
+// block's CRC is checked as it decodes, so a compaction can never launder
+// rotted records into a fresh (correctly checksummed) run.
+func wrapRunIn(f storage.File) (storage.File, error) {
+	r, err := runblock.NewFileReader(f)
+	if err != nil {
+		return nil, err
 	}
+	return r, nil
 }
 
 // openRun opens a just-written run file and returns its run handle: a
@@ -472,16 +439,9 @@ func (ix *Index) wrapIn() func(storage.File) (storage.File, error) {
 // streaming Verify is reserved for reopen (loadRun), where the bytes'
 // provenance is unknown.
 func (ix *Index) openRun(name string, tier int, seq int64, tierSeq int, count int64) (*run, error) {
-	inner, err := ix.opt.FS.Open(name)
+	f, err := ix.opt.FS.Open(name)
 	if err != nil {
 		return nil, err
-	}
-	f := storage.File(inner)
-	if ix.opt.Checksums {
-		if f, err = storage.OpenChecksumFile(inner); err != nil {
-			inner.Close()
-			return nil, err
-		}
 	}
 	rb, err := runblock.OpenReader(f, ix.opt.Cache)
 	if err != nil {
@@ -909,21 +869,13 @@ func (ix *Index) flushLocked() (err error) {
 	return ix.bgErr
 }
 
-// writeRunFile persists one sorted run file — over the checksummed-block
-// layer when checksums are on — fsyncs it (the manifest commit that will
-// reference it requires the bytes on stable storage first), and returns
-// the opened run handle.
+// writeRunFile persists one sorted run file, fsyncs it (the manifest commit
+// that will reference it requires the bytes on stable storage first), and
+// returns the opened run handle.
 func (ix *Index) writeRunFile(name string, entries []memEntry, tier int, seq int64, tierSeq int) (*run, error) {
-	inner, err := ix.opt.FS.Create(name)
+	f, err := ix.opt.FS.Create(name)
 	if err != nil {
 		return nil, err
-	}
-	f := storage.File(inner)
-	if ix.opt.Checksums {
-		if f, err = storage.CreateChecksumFile(inner, runBlockPayload); err != nil {
-			inner.Close()
-			return nil, err
-		}
 	}
 	bw := runblock.NewWriter(f, 0)
 	for _, e := range entries {
@@ -1103,8 +1055,8 @@ func (ix *Index) runCompaction(job *compactJob) (*run, error) {
 		MemBudget:  ix.opt.MemBudgetBytes,
 		TempPrefix: job.outName + ".compact",
 		Workers:    ix.opt.Workers,
-		WrapOut:    ix.wrapOut(),
-		WrapIn:     ix.wrapIn(),
+		WrapOut:    wrapRunOut,
+		WrapIn:     wrapRunIn,
 	}
 	if err := extsort.Merge(cfg, names, job.outName); err != nil {
 		return nil, err
@@ -1466,14 +1418,12 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 		}
 	}
 	m := &manifest.Manifest{
-		Variant:    manifest.VariantLSM,
-		SeriesLen:  p.SeriesLen,
-		Segments:   p.Segments,
-		CardBits:   p.CardBits,
-		RawName:    ix.opt.RawName,
-		Count:      total,
-		Checksums:  ix.opt.Checksums,
-		Compressed: true,
+		Variant:   manifest.VariantLSM,
+		SeriesLen: p.SeriesLen,
+		Segments:  p.Segments,
+		CardBits:  p.CardBits,
+		RawName:   ix.opt.RawName,
+		Count:     total,
 		LSM: &manifest.LSMLayout{
 			Fanout:      ix.opt.Fanout,
 			NextRun:     ix.nextRun,

@@ -57,9 +57,6 @@ func Open(opt Options) (*Index, error) {
 		return nil, fmt.Errorf("lsm: %w: fanout %d, stored index was built with %d",
 			manifest.ErrConfigMismatch, opt.Fanout, m.LSM.Fanout)
 	}
-	// The checksummed-block layer is a property of the stored bytes, not of
-	// this process's configuration; adopt the manifest's flag.
-	opt.Checksums = m.Checksums
 
 	raw, err := opt.FS.Open(opt.RawName)
 	if err != nil {
@@ -88,7 +85,7 @@ func (ix *Index) reopen(m *manifest.Manifest) error {
 			return fmt.Errorf("lsm: %w: runs out of age order", manifest.ErrCorruptManifest)
 		}
 		lastSeq = ri.Seq
-		r, err := loadRun(opt.FS, ri, opt.Checksums, opt.Cache)
+		r, err := loadRun(opt.FS, ri, opt.Cache)
 		if err != nil {
 			if opt.AllowDegraded && (errors.Is(err, storage.ErrCorruptData) ||
 				errors.Is(err, manifest.ErrCorruptManifest) || errors.Is(err, storage.ErrNotExist)) {
@@ -110,7 +107,7 @@ func (ix *Index) reopen(m *manifest.Manifest) error {
 			manifest.ErrCorruptManifest, ix.count+quarantinedCount, m.Count)
 	}
 	var err error
-	if ix.rawSums, ix.ownSums, err = core.AttachRawSums(opt.FS, opt.RawName, opt.S, opt.Checksums, opt.RawSums, ix.rawFile); err != nil {
+	if ix.rawSums, ix.ownSums, err = core.AttachRawSums(opt.FS, opt.RawName, opt.S, opt.RawSums, ix.rawFile); err != nil {
 		return err
 	}
 	ix.nextRun = m.LSM.NextRun
@@ -223,8 +220,7 @@ func (ix *Index) recoverWAL(m *manifest.Manifest) error {
 			return err
 		}
 	}
-	ix.wal = newWAL(opt.FS, opt.Name, ix.rawFile, f, next, size,
-		ix.walAppended, opt.WALGroupWindow)
+	ix.wal = newWAL(opt.FS, opt.Name, ix.rawFile, f, next, size, ix.walAppended)
 	ix.walFirstSeg, ix.walNextSeg = next, next+1
 	ix.mu.Lock()
 	err = ix.commitManifestLocked()
@@ -272,22 +268,12 @@ var errCorruptRun = fmt.Errorf("%w: %w", manifest.ErrCorruptManifest, storage.Er
 // refined order (key, then encoded position), and the directory's promises
 // — in O(one block) memory, and the manifest's count and key range are
 // cross-checked against the footer. Any disagreement surfaces as
-// errCorruptRun; with checksums on the read also goes through the verifying
-// block layer.
-func loadRun(fs storage.FS, ri manifest.RunInfo, checksums bool, cache *blockcache.Cache) (*run, error) {
-	inner, err := fs.Open(ri.Name)
+// errCorruptRun. The footer, directory and block CRCs together cover every
+// byte of the file, so this pass is the run's whole integrity check.
+func loadRun(fs storage.FS, ri manifest.RunInfo, cache *blockcache.Cache) (*run, error) {
+	f, err := fs.Open(ri.Name)
 	if err != nil {
 		return nil, err
-	}
-	f := storage.File(inner)
-	if checksums {
-		if f, err = storage.OpenChecksumFile(inner); err != nil {
-			inner.Close()
-			if errors.Is(err, storage.ErrCorruptData) {
-				return nil, fmt.Errorf("%w: %w", manifest.ErrCorruptManifest, err)
-			}
-			return nil, err
-		}
 	}
 	rb, err := runblock.OpenReader(f, cache)
 	if err != nil {

@@ -112,7 +112,7 @@ func TestParallelBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestBuildReadsRawOnce: a checksummed bulk load, at any worker count,
+// TestBuildReadsRawOnce: a bulk load, at any worker count,
 // writes the sidecar storage.BuildRecordSums would and reads the raw file
 // once (the sidecar is computed inside the summarization pass) — also with
 // a torn trailing partial record, which is not part of the dataset, and
@@ -152,7 +152,7 @@ func TestBuildReadsRawOnce(t *testing.T) {
 				before := fs.Stats().Snapshot()
 				ix, err := Build(Options{
 					FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw",
-					MemBudgetBytes: 1 << 20, Workers: workers, Checksums: true,
+					MemBudgetBytes: 1 << 20, Workers: workers,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
-	"time"
 
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/storage"
@@ -81,10 +80,7 @@ type wal struct {
 	flushOwns bool
 	err       error // sticky: a torn segment write poisons the log
 	quit      bool
-
-	// window optionally stretches each group commit to admit more waiters.
-	window time.Duration
-	wg     sync.WaitGroup
+	wg        sync.WaitGroup
 }
 
 // createWALSegment creates the segment file and writes its header. The
@@ -109,12 +105,11 @@ func createWALSegment(fs storage.FS, name string, seg int, startLSN int64) (stor
 // newWAL adopts an already-created segment file (everything in it is
 // known durable — Open syncs the re-logged recovery record before
 // handing the file over) and starts the committer.
-func newWAL(fs storage.FS, name string, raw, f storage.File, seg int, size, appended int64, window time.Duration) *wal {
+func newWAL(fs storage.FS, name string, raw, f storage.File, seg int, size, appended int64) *wal {
 	w := &wal{
 		fs: fs, name: name, raw: raw,
 		f: f, seg: seg, size: size,
 		appended: appended, durable: appended,
-		window: window,
 	}
 	w.cond = sync.NewCond(&w.mu)
 	w.wg.Add(1)
@@ -222,13 +217,7 @@ func (w *wal) committer() {
 		// Rotation waits for syncing to clear and log/flush hold ix.mu, so
 		// the file cannot change under a marked sync.
 		w.syncing++
-		f, raw := w.f, w.raw
-		w.mu.Unlock()
-		if w.window > 0 {
-			time.Sleep(w.window)
-		}
-		w.mu.Lock()
-		target := w.appended
+		f, raw, target := w.f, w.raw, w.appended
 		w.mu.Unlock()
 		err := raw.Sync()
 		if err == nil {

@@ -11,8 +11,8 @@
 // a crash during a commit leaves the previous manifest intact. The payload
 // is guarded by a CRC32-C (Castagnoli) checksum; any truncation, bit flip,
 // or short field decodes to ErrCorruptManifest, and a manifest of any other
-// format version — or one describing a run layout no reader exists for —
-// fails with ErrVersionMismatch: never a panic or a silent misread.
+// format version fails with ErrVersionMismatch: never a panic or a silent
+// misread.
 package manifest
 
 import (
@@ -34,7 +34,8 @@ var (
 	// impossible field value.
 	ErrCorruptManifest = errors.New("manifest: corrupt manifest")
 	// ErrVersionMismatch reports a manifest whose format version this
-	// build does not understand.
+	// build does not read: its files are laid out in a way no reader here
+	// understands, so the index must be rebuilt.
 	ErrVersionMismatch = errors.New("manifest: unsupported format version")
 	// ErrConfigMismatch reports a caller configuration that conflicts with
 	// the stored manifest (different summarization, materialization, or
@@ -58,10 +59,9 @@ const (
 	magic uint32 = 0x464D4343 // "CCMF" little-endian
 	// version is the one format this build writes and reads. Earlier
 	// versions describe layouts no reader exists for any more (padded trie
-	// leaf pages, flat LSM runs, indexes without a WAL) and fail with
-	// ErrVersionMismatch: rebuild the index.
-	version    uint32 = 5
-	minVersion uint32 = 5
+	// leaf pages, flat LSM runs, indexes without a WAL, LSM runs framed in
+	// checksum blocks) and fail with ErrVersionMismatch: rebuild the index.
+	version uint32 = 6
 	// headerSize is magic + version + payload length + CRC32-C.
 	headerSize = 16
 	// maxStringLen bounds decoded string fields (file names).
@@ -175,19 +175,6 @@ type Manifest struct {
 	// Count is the number of series durably indexed (for LSM: the sum of
 	// the run counts; memtable contents are re-created by WAL replay).
 	Count int64
-	// Checksums records whether the index's persistent artifacts carry
-	// the checksummed physical layout (storage.ChecksumFile blocks for
-	// pages/leaves/runs, a record-sums sidecar for the raw file). Like
-	// Materialized it is a property of the stored bytes, not a knob:
-	// reopen adopts it.
-	Checksums bool
-	// Compressed records that LSM run files use the block-compressed
-	// physical layout (internal/runblock: front-coded keys, delta-varint
-	// positions, a block directory read through the shared block cache) —
-	// the only run layout there is: every LSM manifest sets it, and Decode
-	// refuses one that does not (flat 24-byte record arrays) with
-	// ErrVersionMismatch.
-	Compressed bool
 
 	Tree *TreeLayout
 	Trie *TrieLayout
@@ -226,8 +213,6 @@ func (m *Manifest) Encode() ([]byte, error) {
 	w.u32(uint32(m.LeafCap))
 	w.str(m.RawName)
 	w.u64(uint64(m.Count))
-	w.bool(m.Checksums)
-	w.bool(m.Compressed)
 	switch m.Variant {
 	case VariantTree:
 		if m.Tree == nil {
@@ -318,7 +303,7 @@ func Decode(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorruptManifest)
 	}
 	v := binary.LittleEndian.Uint32(data[4:])
-	if v < minVersion || v > version {
+	if v != version {
 		return nil, fmt.Errorf("%w: format version %d, this build reads version %d (rebuild the index)", ErrVersionMismatch, v, version)
 	}
 	payloadLen := binary.LittleEndian.Uint32(data[8:])
@@ -339,8 +324,6 @@ func Decode(data []byte) (*Manifest, error) {
 	m.LeafCap = int(r.u32())
 	m.RawName = r.str()
 	m.Count = int64(r.u64())
-	m.Checksums = r.bool()
-	m.Compressed = r.bool()
 	switch m.Variant {
 	case VariantTree:
 		t := &TreeLayout{}
@@ -443,10 +426,6 @@ func (m *Manifest) validate() error {
 		}
 	}
 	if m.LSM != nil {
-		if !m.Compressed {
-			return fmt.Errorf("%w: lsm manifest with flat (uncompressed) runs, this build reads block-compressed runs only (rebuild the index)",
-				ErrVersionMismatch)
-		}
 		for i := 1; i < len(m.LSM.Cursors); i++ {
 			if m.LSM.Cursors[i].Tier <= m.LSM.Cursors[i-1].Tier {
 				return fmt.Errorf("%w: tier cursors out of order", ErrCorruptManifest)

@@ -28,10 +28,12 @@ func sampleTrie() *Manifest {
 	}
 }
 
-// legacyEncode is m as format version ver (1–4) wrote it: version 2 added
-// the LSM WAL cursors, 3 the Checksums flag, 4 the Compressed flag, and a
-// trie before version 5 stored a per-leaf {count, first page, pages}
-// directory over a padded page file. Everything else is laid out as today.
+// legacyEncode is m as format version ver (1–5) wrote it: version 2 added
+// the LSM WAL cursors, 3 a checksums flag and 4 a compressed-runs flag
+// (both set by every version-5 writer that could be read, and gone since
+// 6, whose LSM runs are no longer framed in checksum blocks), and a trie
+// before version 5 stored a per-leaf {count, first page, pages} directory
+// over a padded page file. Everything else is laid out as today.
 func legacyEncode(m *Manifest, ver uint32) []byte {
 	cur, err := m.Encode()
 	if err != nil {
@@ -46,16 +48,16 @@ func legacyEncode(m *Manifest, ver uint32) []byte {
 	w.u32(uint32(m.LeafCap))
 	w.str(m.RawName)
 	w.u64(uint64(m.Count))
-	// Today's payload: the fields above, the two flags, the variant layout.
-	layout := cur[headerSize+len(w.buf)+2:]
+	// Today's payload: the fields above, then the variant layout.
+	layout := cur[headerSize+len(w.buf):]
 	if ver >= 3 {
-		w.bool(m.Checksums)
+		w.bool(true)
 	}
 	if ver >= 4 {
-		w.bool(m.Compressed)
+		w.bool(m.Variant == VariantLSM)
 	}
 	switch {
-	case m.Variant == VariantTrie:
+	case m.Variant == VariantTrie && ver < 5:
 		w.u64(3) // pages
 		w.u32(2) // leaves
 		for _, l := range [][3]uint64{{10, 0, 1}, {20, 1, 2}} {
@@ -80,7 +82,7 @@ func sampleLSM() *Manifest {
 	hi[0], hi[15] = 0xff, 0x7f
 	return &Manifest{
 		Variant: VariantLSM, SeriesLen: 128, Segments: 16, CardBits: 8,
-		LeafCap: 2000, RawName: "data.bin", Count: 300, Checksums: true, Compressed: true,
+		LeafCap: 2000, RawName: "data.bin", Count: 300,
 		LSM: &LSMLayout{
 			Fanout: 4, NextRun: 7, NextSeq: 9, Tier0Seq: 6,
 			Cursors: []TierCursor{{Tier: 0, Groups: 1}, {Tier: 1, Groups: 0}},
@@ -98,7 +100,7 @@ func samplePartitioned() *Manifest {
 	split[0] = 0x80
 	return &Manifest{
 		Variant: VariantPartitioned, SeriesLen: 128, Segments: 16, CardBits: 8,
-		RawName: "data.bin", Count: 300, Checksums: true,
+		RawName: "data.bin", Count: 300,
 		Part: &PartitionLayout{ChildVariant: VariantLSM, Partitions: 2,
 			Boundaries: []summary.Key{split}, Children: []string{"ix.p000", "ix.p001"}},
 	}
@@ -109,22 +111,15 @@ func samples() []*Manifest {
 }
 
 // refusedEncodings are well-formed manifests of layouts no reader exists
-// for: every variant at format versions 1–4, and a version-5 LSM manifest
-// whose runs are flat record arrays.
+// for: every variant at format versions 1–5.
 func refusedEncodings() [][]byte {
 	var out [][]byte
 	for _, m := range samples() {
-		for ver := uint32(1); ver < minVersion; ver++ {
+		for ver := uint32(1); ver < version; ver++ {
 			out = append(out, legacyEncode(m, ver))
 		}
 	}
-	flat := sampleLSM()
-	flat.Compressed = false
-	enc, err := flat.Encode()
-	if err != nil {
-		panic(err)
-	}
-	return append(out, enc)
+	return out
 }
 
 // TestRoundTrip: every variant encodes and decodes back to itself.
@@ -297,47 +292,34 @@ func TestCheckParams(t *testing.T) {
 	}
 }
 
-// TestFormatFlagsRoundTrip: the format flags survive a round trip, and
-// re-encoding an accepted manifest is bit-exact.
-func TestFormatFlagsRoundTrip(t *testing.T) {
-	m := sampleTree()
-	m.Checksums = true
-	data, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != version {
-		t.Fatalf("manifest encoded at version %d, want %d", v, version)
-	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Checksums {
-		t.Fatal("Checksums flag lost in round trip")
-	}
-	if got.Compressed {
-		t.Fatal("Compressed flag set without being written")
-	}
-	re, err := got.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(re) != string(data) {
-		t.Fatal("re-encode is not bit-exact")
-	}
-	lsm, err := sampleLSM().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := Decode(lsm); err != nil || !got.Checksums || !got.Compressed {
-		t.Fatalf("lsm manifest round trip: %+v, %v", got, err)
+// TestReencodeBitExact: every variant is written at the current format
+// version, and re-encoding an accepted manifest is bit-exact.
+func TestReencodeBitExact(t *testing.T) {
+	for _, m := range samples() {
+		data, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint32(data[4:]); v != version {
+			t.Fatalf("%s: manifest encoded at version %d, want %d", m.Variant, v, version)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := got.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(re) != string(data) {
+			t.Fatalf("%s: re-encode is not bit-exact", m.Variant)
+		}
 	}
 }
 
-// TestOldLayoutsRefused: format v5 is the only one read. A manifest of an
-// earlier version, of any variant, or one whose LSM runs are not
-// block-compressed, is a version mismatch (rebuild), not corruption.
+// TestOldLayoutsRefused: format v6 is the only one read. A manifest of an
+// earlier version, of any variant, is a version mismatch (rebuild), not
+// corruption.
 func TestOldLayoutsRefused(t *testing.T) {
 	for i, enc := range refusedEncodings() {
 		if _, err := Decode(enc); !errors.Is(err, ErrVersionMismatch) {

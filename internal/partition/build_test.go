@@ -149,12 +149,12 @@ func equalKeys(a, b []summary.Key) bool {
 // variants are the three kinds of index over one option set.
 func variants(t *testing.T, fs storage.FS, workers int) map[string]Variant {
 	opt := core.Options{FS: fs, Name: "px", S: ptSummarizer(t), RawName: "raw", LeafCap: 16,
-		MemBudgetBytes: 1 << 20, Workers: workers, Checksums: true}
+		MemBudgetBytes: 1 << 20, Workers: workers}
 	return map[string]Variant{
 		"tree": TreeVariant(opt, false),
 		"trie": TrieVariant(opt, false),
 		"lsm": LSMVariant(lsm.Options{FS: fs, Name: "px", S: ptSummarizer(t), RawName: "raw",
-			MemBudgetBytes: 1 << 20, Workers: workers, Checksums: true}),
+			MemBudgetBytes: 1 << 20, Workers: workers}),
 	}
 }
 

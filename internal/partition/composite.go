@@ -28,9 +28,9 @@ type Composite struct {
 	kids     []Child
 	degraded []string
 
-	// rawSums is the parent-owned CRC sidecar for the shared dataset file
-	// (nil when checksums are off): only the parent writes raw bytes, so only
-	// the parent appends to and flushes it.
+	// rawSums is the parent-owned CRC sidecar for the shared dataset file:
+	// only the parent writes raw bytes, so only the parent appends to and
+	// flushes it.
 	rawSums *storage.RecordSums
 
 	// mu serializes inserts: raw-file appends assign global arrival-order
@@ -58,7 +58,7 @@ func Build(v Variant, parts int) (*Composite, error) {
 			return nil
 		}
 		ix, err := v.child(childPlan{i: i, parts: parts, par: buildPar, name: sc.children[i],
-			records: scatterName(v.name, i), bounds: sc.bounds, sums: sc.sums, checksums: v.checksums})
+			records: scatterName(v.name, i), bounds: sc.bounds, sums: sc.sums})
 		if err != nil {
 			return fmt.Errorf("partition %d: %w", i, err)
 		}
@@ -97,19 +97,14 @@ func Open(v Variant, parts int) (*Composite, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Checksums are a property of the stored bytes, not the caller's
-	// configuration: adopt the flag the build recorded.
-	v.checksums = m.Checksums
 	c := &Composite{v: v, bounds: m.Part.Boundaries, kids: make([]Child, m.Part.Partitions)}
-	if v.checksums {
-		if c.rawSums, err = attachRawSums(v); err != nil {
-			return nil, err
-		}
+	if c.rawSums, err = attachRawSums(v); err != nil {
+		return nil, err
 	}
 	n := len(c.kids)
 	for i, cname := range m.Part.Children {
 		ix, err := v.child(childPlan{i: i, parts: n, par: n, name: cname,
-			bounds: c.bounds, sums: c.rawSums, checksums: v.checksums})
+			bounds: c.bounds, sums: c.rawSums})
 		if err != nil {
 			if quarantineChild(v.allowDegraded, err) {
 				c.degraded = append(c.degraded, cname)
@@ -120,7 +115,7 @@ func Open(v Variant, parts int) (*Composite, error) {
 		}
 		c.kids[i] = ix
 	}
-	if err = c.openRaw(); err == nil && c.rawFile == nil && c.rawSums != nil {
+	if err = c.openRaw(); err == nil && c.rawFile == nil {
 		// Immutable children: nothing later flushes the sidecar, so persist
 		// any reconciliation attachRawSums made now.
 		err = c.rawSums.Flush()
@@ -431,9 +426,7 @@ func (c *Composite) routeLocked(ctx context.Context, kids []recordInserter, batc
 		if _, err := c.rawFile.WriteAt(enc, pos*sz); err != nil {
 			return nil, err
 		}
-		if c.rawSums != nil {
-			c.rawSums.Set(pos, enc)
-		}
+		c.rawSums.Set(pos, enc)
 		rec := core.InsertRec{Key: keys[i], Pos: pos}
 		if c.v.materialized {
 			rec.Raw = append([]byte(nil), enc...)
@@ -503,13 +496,19 @@ func (c *Composite) Degraded() bool {
 }
 
 // flushRawSums persists the parent sidecar's dirty tail; it must land
-// before child metadata can reference the new raw positions.
+// before child metadata can reference the new raw positions. The raw bytes
+// it describes are fsynced first, as every index's own sidecar flush does:
+// a sidecar never covers a record whose bytes could still be lost, so a
+// sidecar longer than the raw file is corruption, never a crash state.
 func (c *Composite) flushRawSums() error {
-	if c.rawSums == nil || c.rawFile == nil {
+	if c.rawFile == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.rawFile.Sync(); err != nil {
+		return err
+	}
 	return c.rawSums.Flush()
 }
 

@@ -151,10 +151,9 @@ type Variant struct {
 	name, rawName string
 	s             *summary.Summarizer
 	// materialized and leafCap describe the children's records to the scatter
-	// and the parent manifest; checksums is adopted from the manifest at Open.
+	// and the parent manifest.
 	materialized  bool
 	leafCap       int
-	checksums     bool
 	workers       int
 	queryWorkers  int
 	allowDegraded bool
@@ -179,7 +178,6 @@ type childPlan struct {
 	name, records string
 	bounds        []summary.Key
 	sums          *storage.RecordSums
-	checksums     bool
 }
 
 // asChild turns a concrete index and its error into a Child, keeping a
@@ -212,14 +210,14 @@ func coreVariant[T Child](kind manifest.Variant, opt core.Options, allowDegraded
 		Build: func() (Child, error) { return asChild(build(opt)) },
 		Open:  func() (Child, error) { return asChild(open(opt)) },
 		fs:    opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
-		materialized: opt.Materialized, leafCap: opt.LeafCap, checksums: opt.Checksums,
+		materialized: opt.Materialized, leafCap: opt.LeafCap,
 		workers: opt.Workers, queryWorkers: opt.QueryWorkers, allowDegraded: allowDegraded,
 		half:   func(radius int) int { return aw * (radius + 1) / 2 },
 		remove: remove,
 		// Same geometry and summarization, divided worker and memory budgets.
 		child: func(p childPlan) (Child, error) {
 			co := opt
-			co.Name, co.RecordsName, co.RawSums, co.Checksums = p.name, p.records, p.sums, p.checksums
+			co.Name, co.RecordsName, co.RawSums = p.name, p.records, p.sums
 			co.MemBudgetBytes = divideBudget(opt.MemBudgetBytes, p.par, 1<<20)
 			co.Workers = shard.PerGroup(opt.Workers, p.par)
 			co.QueryWorkers = shard.PerGroup(opt.QueryWorkers, p.parts)
@@ -245,7 +243,7 @@ func LSMVariant(opt lsm.Options) Variant {
 		kind:  manifest.VariantLSM,
 		Build: func() (Child, error) { return asChild(lsm.Build(opt)) },
 		Open:  func() (Child, error) { return asChild(lsm.Open(opt)) },
-		fs:    opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S, checksums: opt.Checksums,
+		fs:    opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
 		workers: opt.Workers, queryWorkers: opt.QueryWorkers, allowDegraded: opt.AllowDegraded,
 		half:     func(int) int { return w / 2 },
 		tornTail: true,
@@ -258,7 +256,7 @@ func LSMVariant(opt lsm.Options) Variant {
 		// duplicate them across the index.
 		child: func(p childPlan) (Child, error) {
 			co := opt
-			co.Name, co.RecordsName, co.RawSums, co.Checksums = p.name, p.records, p.sums, p.checksums
+			co.Name, co.RecordsName, co.RawSums = p.name, p.records, p.sums
 			co.Owns = func(k summary.Key) bool { return route(p.bounds, k) == p.i }
 			co.MemBudgetBytes = divideBudget(opt.MemBudgetBytes, p.parts, 64<<10)
 			co.Workers = shard.PerGroup(opt.Workers, p.par)
@@ -364,18 +362,17 @@ type scattered struct {
 	children []string
 	total    int64
 	// sums is the parent-owned CRC sidecar for the shared dataset file,
-	// already persisted (nil when checksums are off). Every child verifies
-	// its raw fetches through this one handle, and only the parent — the
-	// sole raw writer — flushes it.
+	// already persisted. Every child verifies its raw fetches through this
+	// one handle, and only the parent — the sole raw writer — flushes it.
 	sums *storage.RecordSums
 }
 
 // scatterDataset is the first half of every partitioned build: boundaries
 // from a sample, then ONE pass over the raw dataset that summarizes it,
 // scatters the (key, position[, raw]) records by key range into one file
-// per partition and, for a checksummed build, computes the CRC sidecar from
-// the same bytes (an existing sidecar may describe a replaced dataset, so a
-// build never reuses one). On error no scatter file is left behind.
+// per partition and computes the CRC sidecar from the same bytes (an
+// existing sidecar may describe a replaced dataset, so a build never reuses
+// one). On error no scatter file is left behind.
 func scatterDataset(v Variant, parts int) (*scattered, error) {
 	if parts < 2 {
 		return nil, fmt.Errorf("partition: need at least 2 partitions, got %d", parts)
@@ -392,7 +389,7 @@ func scatterDataset(v Variant, parts int) (*scattered, error) {
 	}
 	src, err := core.OpenBuildSource(core.BuildSourceConfig{
 		FS: fs, S: s, Raw: raw, RawName: v.rawName,
-		Materialized: v.materialized, Checksums: v.checksums, Workers: v.workers,
+		Materialized: v.materialized, Workers: v.workers,
 	})
 	if err != nil {
 		return nil, err
@@ -498,7 +495,6 @@ func commitParent(v Variant, sc *scattered) error {
 		LeafCap:      v.leafCap,
 		RawName:      v.rawName,
 		Count:        sc.total,
-		Checksums:    v.checksums,
 		Part: &manifest.PartitionLayout{
 			ChildVariant: v.kind,
 			Partitions:   len(sc.children),
@@ -516,7 +512,7 @@ func attachRawSums(v Variant) (*storage.RecordSums, error) {
 		return nil, err
 	}
 	defer raw.Close()
-	sums, _, err := core.AttachRawSums(v.fs, v.rawName, v.s, v.checksums, nil, raw)
+	sums, _, err := core.AttachRawSums(v.fs, v.rawName, v.s, nil, raw)
 	return sums, err
 }
 

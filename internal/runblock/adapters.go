@@ -25,7 +25,7 @@ type FileWriter struct {
 	closed   bool
 }
 
-// NewFileWriter wraps inner (typically a ChecksumFile) for use as an
+// NewFileWriter wraps inner, the freshly created run file, for use as an
 // extsort WrapOut target, emitting blocks of blockRecords records.
 func NewFileWriter(inner storage.File, blockRecords int) *FileWriter {
 	return &FileWriter{inner: inner, w: NewWriter(inner, blockRecords)}
@@ -139,8 +139,9 @@ type FileReader struct {
 	blkIdx int
 }
 
-// NewFileReader opens inner (typically a ChecksumFile) as a compressed
-// run and serves its logical record stream. Close closes inner.
+// NewFileReader opens inner, a run file, as a compressed run and serves
+// its logical record stream, checking each block's CRC as it decodes.
+// Close closes inner.
 func NewFileReader(inner storage.File) (*FileReader, error) {
 	r, err := OpenReader(inner, nil)
 	if err != nil {

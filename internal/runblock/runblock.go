@@ -9,13 +9,16 @@
 // only the blocks a probe actually touches — so the resident cost of an
 // open run is the directory, not the keys.
 //
-// The format is append-only friendly: blocks stream out first, the
-// directory and footer last, so the writer never patches earlier bytes and
-// composes with storage.ChecksumFile (appends and whole-block rewrites
-// only). Every decode validates counts, offsets, prefix arithmetic, varint
-// bounds, CRCs, and the refined (key, encoded position) sort order, and
-// reports violations as errors wrapping storage.ErrCorruptData — hostile
-// bytes must never panic or decode into silently wrong keys.
+// The format is append-only: blocks stream out first, the directory and
+// footer last, so the writer never patches earlier bytes. It is also its
+// file's one integrity layer, written straight to the OS file: the header's
+// fields are fixed or cross-checked against the footer, each block's CRC
+// covers exactly the payload one decode reads, and the footer carries a CRC
+// of the directory and one of itself, so no byte of a run file goes
+// unchecked. Every decode validates counts, offsets, prefix arithmetic,
+// varint bounds, CRCs, and the refined (key, encoded position) sort order,
+// and reports violations as errors wrapping storage.ErrCorruptData —
+// hostile bytes must never panic or decode into silently wrong keys.
 package runblock
 
 import (

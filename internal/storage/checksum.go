@@ -69,14 +69,12 @@ type ChecksumFile struct {
 }
 
 // readBufPool holds the buffers ReadAt reads framed blocks into when they
-// span at most maxPooledRead bytes. A run block is the read this is for: at
-// most 512 records of 32 B and a head, so at most 6 of the run files' 4 KiB
-// blocks, 24 600 B framed — and an exact query behind an undersized block
-// cache reads every one it does not find cached (28 of 40 per query in
-// BenchmarkExactQueryAllocs/lsm-smallcache: 55 allocations and 253 KB per
-// query without the pool, 27 and 27 KB with it). A bulk read (a sequential
-// reader's megabyte) allocates as before: a buffer that size is not worth
-// keeping around. Process-wide, so an idle file holds none.
+// span at most maxPooledRead bytes. A B+-tree page and a trie leaf are the
+// reads this is for: each is one or a few framed blocks, read on every
+// page a tree descent or cursor misses in its cache and every trie leaf an
+// exact query visits. A bulk read (a sequential reader's megabyte)
+// allocates as before: a buffer that size is not worth keeping around.
+// Process-wide, so an idle file holds none.
 var readBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledRead = 32 << 10

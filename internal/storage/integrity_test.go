@@ -363,12 +363,13 @@ func TestRecordSumsLifecycle(t *testing.T) {
 	if _, err := OpenRecordSums(fs, "raw", recSize); !errors.Is(err, ErrCorruptData) {
 		t.Fatalf("mangled header error %v, want ErrCorruptData", err)
 	}
-	// A missing sidecar is ErrNotExist so callers can rebuild.
+	// Every build writes a sidecar, so a missing one is a lost file:
+	// corruption, still recognisable as the file not existing.
 	if err := fs.Remove(side); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenRecordSums(fs, "raw", recSize); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("missing sidecar error %v, want ErrNotExist", err)
+	if _, err := OpenRecordSums(fs, "raw", recSize); !errors.Is(err, ErrCorruptData) || !errors.Is(err, ErrNotExist) {
+		t.Fatalf("missing sidecar error %v, want ErrCorruptData and ErrNotExist", err)
 	}
 }
 

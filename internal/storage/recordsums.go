@@ -28,11 +28,12 @@ func RecordSumsName(rawName string) string { return rawName + ".crc" }
 // the user-visible dataset and the rebuild source for every index, and may
 // be shared by several indexes (all of which compute identical sidecars).
 //
-// Crash tolerance mirrors the WAL's: the sidecar is flushed before the
-// manifest commit that references new records, so after a crash it may
-// trail the durable raw tail. Reconcile backfills the missing entries by
-// re-reading the (already fsynced) raw bytes and trims entries past the
-// recovered record count, making open idempotent.
+// Crash tolerance mirrors the WAL's: the raw bytes are fsynced before the
+// sidecar that describes them, and the sidecar before the manifest commit
+// that references new records, so after a crash it may trail the durable
+// raw tail but never run past it. Reconcile backfills the missing entries
+// by re-reading the (already fsynced) raw bytes, making open idempotent; a
+// sidecar covering records the raw file no longer holds is corruption.
 //
 // Verification and appends may race (queries during ingest); an internal
 // RWMutex makes the handle safe for that. Only the handle that writes the
@@ -52,6 +53,8 @@ type RecordSums struct {
 // sequential pass over the raw file — persists and fsyncs it, and returns
 // the loaded handle. Trailing raw bytes short of a full record (a torn
 // append tail) are ignored, matching how every index interprets the file.
+// Builds write the same file through NewRecordSums and Fill; this separate
+// pass is the reference they are tested against.
 func BuildRecordSums(fs FS, rawName string, recSize int) (*RecordSums, error) {
 	if recSize <= 0 {
 		return nil, fmt.Errorf("storage: record sums for %q: invalid record size %d", rawName, recSize)
@@ -102,17 +105,20 @@ func (r *RecordSums) Fill(base int64, enc []byte) {
 	}
 }
 
-// OpenRecordSums loads an existing sidecar for rawName. A missing sidecar
-// returns ErrNotExist (callers may fall back to BuildRecordSums); a
-// mangled header returns ErrCorruptData. A trailing partial entry — the
-// torn tail of a crashed flush — is dropped, and Reconcile restores it
-// from the raw bytes.
+// OpenRecordSums loads an existing sidecar for rawName. Every index build
+// writes one, so a missing sidecar is a lost file: it returns
+// ErrCorruptData (and ErrNotExist), as does a mangled header. A trailing
+// partial entry — the torn tail of a crashed flush — is dropped, and
+// Reconcile restores it from the raw bytes.
 func OpenRecordSums(fs FS, rawName string, recSize int) (*RecordSums, error) {
 	if recSize <= 0 {
 		return nil, fmt.Errorf("storage: record sums for %q: invalid record size %d", rawName, recSize)
 	}
 	name := RecordSumsName(rawName)
 	data, err := ReadFileAll(fs, name)
+	if errors.Is(err, ErrNotExist) {
+		return nil, fmt.Errorf("storage: record sums %q: %w: %w", name, err, ErrCorruptData)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("storage: record sums %q: %w", name, err)
 	}
@@ -141,14 +147,12 @@ func OpenRecordSums(fs FS, rawName string, recSize int) (*RecordSums, error) {
 // the persisted one, reconciled against raw (open on rawName) — the raw
 // file may have grown past the sidecar's last flush when a crash fell
 // between a raw append and the sidecar flush, and the missing entries are
-// backfilled from the fsynced raw bytes — or one built from scratch when
-// none exists (a legacy index upgraded in place). A reconciled sidecar is
-// not flushed here.
+// backfilled from the fsynced raw bytes. A missing sidecar, or a raw file
+// shorter than the sidecar's coverage, fails with ErrCorruptData. Nothing
+// is written here: a reconciled sidecar is not flushed, and a refused one
+// is left as it is.
 func LoadRecordSums(fs FS, rawName string, recSize int, raw File) (*RecordSums, error) {
 	sums, err := OpenRecordSums(fs, rawName, recSize)
-	if errors.Is(err, ErrNotExist) {
-		return BuildRecordSums(fs, rawName, recSize)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -206,19 +210,18 @@ func (r *RecordSums) Set(pos int64, enc []byte) {
 	}
 }
 
-// Reconcile aligns the sidecar with the recovered raw state: entries past
-// records are dropped, and entries missing up to records are recomputed
-// from the raw bytes (sound, because the raw file is fsynced before any
-// record is acknowledged). Call Flush afterwards to persist the result.
+// Reconcile aligns the sidecar with the recovered raw state, which holds
+// records whole records: entries missing up to records are recomputed from
+// the raw bytes (sound, because the raw file is fsynced before any record
+// is acknowledged, and before the sidecar that describes it). A raw file
+// holding fewer records than the sidecar covers lost bytes that were
+// durable — no crash leaves that state — so it fails with ErrCorruptData
+// and the sidecar is left as it was. Call Flush afterwards to persist the
+// result.
 func (r *RecordSums) Reconcile(raw File, records int64) error {
-	r.mu.Lock()
-	if records < int64(len(r.sums)) {
-		r.sums = r.sums[:records]
-		if r.dirty > records {
-			r.dirty = records
-		}
+	if have := r.Records(); records < have {
+		return fmt.Errorf("storage: record sums %q: sidecar covers %d records but raw file holds only %d: %w", r.name, have, records, ErrCorruptData)
 	}
-	r.mu.Unlock()
 	return r.appendFromRaw(raw, records)
 }
 

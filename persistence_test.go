@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/manifest"
@@ -464,11 +465,38 @@ func TestOpenConfigMismatch(t *testing.T) {
 	re.Close()
 }
 
+// asFormatV5 re-encodes a current manifest as format version 5 wrote the
+// same index: the payload carried a checksums flag and a compressed-runs
+// flag (both set by every v5 writer that could be read, the second for LSM
+// only) right after the record count, under a CRC of its own.
+func asFormatV5(t *testing.T, good []byte) []byte {
+	t.Helper()
+	m, err := manifest.Decode(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = 16
+	// variant string, series length, segments, card bits, materialized,
+	// leaf capacity, raw name string, count.
+	flagsAt := header + 4 + len(m.Variant) + 3*4 + 1 + 4 + 4 + len(m.RawName) + 8
+	payload := append([]byte(nil), good[header:flagsAt]...)
+	payload = append(payload, 1, 0)
+	if m.Variant == manifest.VariantLSM {
+		payload[len(payload)-1] = 1
+	}
+	payload = append(payload, good[flagsAt:]...)
+	out := binary.LittleEndian.AppendUint32(nil, binary.LittleEndian.Uint32(good))
+	out = binary.LittleEndian.AppendUint32(out, 5)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(out, payload...)
+}
+
 // TestOpenRefusesOtherFormats: one stored format is read. An index whose
-// manifest is of an earlier version, records no block checksums, or (LSM)
-// records uncompressed runs is refused by Open, Scrub and Repair with
-// ErrVersionMismatch — never opened through an unverified or missing path —
-// and opens again once the manifest is restored.
+// manifest is of an earlier version — including a well-formed version 5,
+// whose LSM runs were framed in checksum blocks — is refused by Open, Scrub
+// and Repair with ErrVersionMismatch, never misread as corruption, and opens
+// again once the manifest is restored.
 func TestOpenRefusesOtherFormats(t *testing.T) {
 	variants := []struct {
 		name  string
@@ -519,22 +547,10 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 					}
 					refused(fmt.Sprintf("format version %d", ver))
 				}
-				m, err := manifest.Decode(good)
-				if err != nil {
+				if err := storage.WriteFileAll(fs, manifest.FileName("conf"), asFormatV5(t, good)); err != nil {
 					t.Fatal(err)
 				}
-				m.Checksums = false
-				if err := manifest.Commit(fs, "conf", m); err != nil {
-					t.Fatal(err)
-				}
-				refused("no block checksums")
-				if m.Variant == manifest.VariantLSM {
-					m.Checksums, m.Compressed = true, false
-					if err := manifest.Commit(fs, "conf", m); err != nil {
-						t.Fatal(err)
-					}
-					refused("uncompressed runs")
-				}
+				refused("format version 5")
 				if err := storage.WriteFileAll(fs, manifest.FileName("conf"), good); err != nil {
 					t.Fatal(err)
 				}

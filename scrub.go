@@ -4,7 +4,9 @@ package coconut
 // an index's manifest references — the manifest itself, B+-tree page and
 // trie leaf files, LSM run files, WAL segments, the raw dataset via its
 // CRC sidecar, and (for partitioned indexes) each child's artifacts — and
-// verifies every checksummed block, reporting a per-file finding for each.
+// verifies each against its one integrity layer (block CRCs, the run
+// codec's CRCs, frame CRCs, record CRCs), reporting a per-file finding for
+// each.
 // Repair then fixes what is fixable in place: LSM runs are re-derived from
 // the verified raw dataset (a run's contents are a pure function of the
 // records it covers), WAL damage is resolved by the degraded-open
@@ -39,10 +41,6 @@ type ScrubFinding struct {
 
 // ScrubReport is the result of a Scrub pass: one finding per artifact.
 type ScrubReport struct {
-	// Checksums reports whether the index is stored in the checksummed
-	// block format — always true for a report Scrub returns, since it
-	// refuses any other stored format.
-	Checksums bool
 	// Findings holds one entry per artifact, in walk order.
 	Findings []ScrubFinding
 }
@@ -94,18 +92,12 @@ func Scrub(fs Storage, name string) (*ScrubReport, error) {
 // not read.
 func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) error {
 	m, err := manifest.Load(fs, name)
-	if err == nil {
-		err = checkStoredFormat(m)
-	}
 	if errors.Is(err, ErrVersionMismatch) {
 		return err
 	}
 	rep.add(manifest.FileName(name), 0, err)
 	if err != nil {
 		return nil
-	}
-	if root {
-		rep.Checksums = m.Checksums
 	}
 	switch m.Variant {
 	case manifest.VariantPartitioned:
@@ -153,22 +145,16 @@ func scrubBlockFile(fs Storage, name string, rep *ScrubReport) {
 	rep.add(name, n, err)
 }
 
-// scrubRun verifies one LSM run end to end: the checksummed-block layer
-// underneath, the run codec's own header/footer/directory CRCs, and a
-// streaming decode of every block.
+// scrubRun verifies one LSM run end to end with the run codec's own
+// checks: the footer and directory CRCs, then a streaming decode of every
+// block against its CRC.
 func scrubRun(fs Storage, name string, rep *ScrubReport) {
 	f, err := fs.Open(name)
 	if err != nil {
 		rep.add(name, 0, err)
 		return
 	}
-	in, err := storage.OpenChecksumFile(f)
-	if err != nil {
-		f.Close()
-		rep.add(name, 0, err)
-		return
-	}
-	r, err := runblock.OpenReader(in, nil)
+	r, err := runblock.OpenReader(f, nil)
 	if err != nil {
 		f.Close()
 		rep.add(name, 0, err)

@@ -750,12 +750,10 @@ func BenchmarkAppendDurable(b *testing.B) {
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "appends/sec")
 }
 
-// BenchmarkIngestLatency measures per-Append latency on a Coconut-LSM index
-// under sustained ingest, synchronous vs background compaction. The
-// reported p50/p99/max metrics (ns) are what the asynchronous write path is
-// about: in synchronous mode an Append that lands on a tier boundary pays
-// for the whole merge cascade inline; with the background pool the merge
-// cost moves off the caller and the tail flattens.
+// BenchmarkIngestLatency measures per-Insert latency on a Coconut-LSM index
+// under sustained ingest. The reported p50/p99/max metrics (ns) show the
+// cost of inline compaction: an Insert whose flush lands on a tier
+// boundary pays for the whole merge cascade before it returns.
 func BenchmarkIngestLatency(b *testing.B) {
 	const (
 		count     = 2000
@@ -767,54 +765,45 @@ func BenchmarkIngestLatency(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name       string
-		background bool
-	}{{"compaction=sync", false}, {"compaction=background", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var p50, p99, max time.Duration
-			for i := 0; i < b.N; i++ {
-				fs := storage.NewMemFS()
-				if err := GenerateDataset(fs, "ingest.bin", RandomWalk, count, seriesLen, 30); err != nil {
-					b.Fatal(err)
-				}
-				ix, err := BuildLSMIndex(Config{
-					Storage:              fs,
-					Name:                 "ingest",
-					DataFile:             "ingest.bin",
-					SeriesLen:            seriesLen,
-					Segments:             8,
-					MemoryBudget:         8 << 10, // ~340-record memtable: frequent flushes
-					BackgroundCompaction: mode.background,
-					CompactionWorkers:    2,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				lats := make([]time.Duration, 0, nBatches)
-				for lo := 0; lo < len(stream); lo += batchSize {
-					t0 := time.Now()
-					if err := ix.Insert(stream[lo : lo+batchSize]); err != nil {
-						b.Fatal(err)
-					}
-					lats = append(lats, time.Since(t0))
-				}
-				if err := ix.Sync(); err != nil {
-					b.Fatal(err)
-				}
-				if err := ix.Close(); err != nil {
-					b.Fatal(err)
-				}
-				sort.Slice(lats, func(a, c int) bool { return lats[a] < lats[c] })
-				p50 += experiments.Percentile(lats, 0.50)
-				p99 += experiments.Percentile(lats, 0.99)
-				max += experiments.Percentile(lats, 1.0)
-			}
-			b.ReportMetric(float64(p50.Nanoseconds())/float64(b.N), "p50-append-ns")
-			b.ReportMetric(float64(p99.Nanoseconds())/float64(b.N), "p99-append-ns")
-			b.ReportMetric(float64(max.Nanoseconds())/float64(b.N), "max-append-ns")
+	var p50, p99, max time.Duration
+	for i := 0; i < b.N; i++ {
+		fs := storage.NewMemFS()
+		if err := GenerateDataset(fs, "ingest.bin", RandomWalk, count, seriesLen, 30); err != nil {
+			b.Fatal(err)
+		}
+		ix, err := BuildLSMIndex(Config{
+			Storage:      fs,
+			Name:         "ingest",
+			DataFile:     "ingest.bin",
+			SeriesLen:    seriesLen,
+			Segments:     8,
+			MemoryBudget: 8 << 10, // ~340-record memtable: frequent flushes
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		lats := make([]time.Duration, 0, nBatches)
+		for lo := 0; lo < len(stream); lo += batchSize {
+			t0 := time.Now()
+			if err := ix.Insert(stream[lo : lo+batchSize]); err != nil {
+				b.Fatal(err)
+			}
+			lats = append(lats, time.Since(t0))
+		}
+		if err := ix.Sync(); err != nil {
+			b.Fatal(err)
+		}
+		if err := ix.Close(); err != nil {
+			b.Fatal(err)
+		}
+		sort.Slice(lats, func(a, c int) bool { return lats[a] < lats[c] })
+		p50 += experiments.Percentile(lats, 0.50)
+		p99 += experiments.Percentile(lats, 0.99)
+		max += experiments.Percentile(lats, 1.0)
 	}
+	b.ReportMetric(float64(p50.Nanoseconds())/float64(b.N), "p50-append-ns")
+	b.ReportMetric(float64(p99.Nanoseconds())/float64(b.N), "p99-append-ns")
+	b.ReportMetric(float64(max.Nanoseconds())/float64(b.N), "max-append-ns")
 }
 
 func BenchmarkBPTreeBulkLoad(b *testing.B) {

@@ -22,12 +22,11 @@
 //
 //	coconut info -dir ./data -name myidx
 //
-// Stream new series into the persisted Coconut-LSM index with background
-// compaction, reporting ingest latency percentiles (the runs survive the
-// process — a later stream or query picks up where this one stopped):
+// Stream new series into the persisted Coconut-LSM index, reporting ingest
+// latency percentiles (the runs survive the process — a later stream or
+// query picks up where this one stopped):
 //
-//	coconut stream -dir ./data -name mylsm -append extra.bin \
-//	    -background -compaction-workers 4
+//	coconut stream -dir ./data -name mylsm -append extra.bin
 //
 // Verify every block of every index artifact against its checksums (add
 // -repair to rebuild what is re-derivable from the raw dataset):
@@ -99,8 +98,6 @@ func parseFlags(args []string) (*config, error) {
 	k := fl.Int("k", 1, "number of nearest neighbors to return")
 	appendFile := fl.String("append", "", "series file to stream into the LSM index (stream command)")
 	batch := fl.Int("batch", 1000, "series per Append batch (stream command)")
-	background := fl.Bool("background", false, "compact LSM tiers on a background pool instead of inside Append")
-	compactionWorkers := fl.Int("compaction-workers", 2, "background compaction pool size (stream command)")
 	repair := fl.Bool("repair", false, "after scrubbing, repair corrupt artifacts re-derivable from the raw dataset (scrub command)")
 	timeout := fl.Duration("timeout", 30*time.Second, "per-query deadline (query command) / per-request deadline (serve command)")
 	addr := fl.String("addr", ":7737", "listen address (serve command)")
@@ -129,21 +126,19 @@ func parseFlags(args []string) (*config, error) {
 	}
 	return &config{
 		build: coconut.Config{
-			Storage:              fs,
-			Name:                 *name,
-			DataFile:             *data,
-			SeriesLen:            *length,
-			Segments:             *segments,
-			CardinalityBits:      *cardBits,
-			LeafSize:             *leaf,
-			Materialized:         *mat,
-			MemoryBudget:         *mem,
-			Workers:              *workers,
-			QueryWorkers:         *queryWorkers,
-			Partitions:           *partitions,
-			BackgroundCompaction: *background,
-			CompactionWorkers:    *compactionWorkers,
-			CacheBytes:           *cacheBytes,
+			Storage:         fs,
+			Name:            *name,
+			DataFile:        *data,
+			SeriesLen:       *length,
+			Segments:        *segments,
+			CardinalityBits: *cardBits,
+			LeafSize:        *leaf,
+			Materialized:    *mat,
+			MemoryBudget:    *mem,
+			Workers:         *workers,
+			QueryWorkers:    *queryWorkers,
+			Partitions:      *partitions,
+			CacheBytes:      *cacheBytes,
 		},
 		variant:    *variant,
 		queries:    *queries,
@@ -408,11 +403,10 @@ func runQuery(cfg *config) error {
 }
 
 // runStream streams the series of -append into a Coconut-LSM index batch
-// by batch, reporting per-Append latency percentiles — synchronous
-// compaction inside Append by default, background tier-concurrent
-// compaction with -background. A persisted index (manifest present) is
-// reopened and continues its deterministic flush/compaction sequence;
-// otherwise the index is first bulk-loaded over -data.
+// by batch, reporting per-Insert latency percentiles (full tiers compact
+// inside the Insert that filled them). A persisted index (manifest
+// present) is reopened and continues its deterministic flush/compaction
+// sequence; otherwise the index is first bulk-loaded over -data.
 func runStream(cfg *config) error {
 	if cfg.appendFile == "" {
 		return errors.New("-append is required for stream")
@@ -499,12 +493,8 @@ func runStream(cfg *config) error {
 		}
 		return lats[int(p*float64(len(lats)-1))]
 	}
-	mode := "synchronous"
-	if cfg.build.BackgroundCompaction {
-		mode = fmt.Sprintf("background (%d workers)", cfg.build.CompactionWorkers)
-	}
-	fmt.Printf("streamed %d series in %d batches (%s compaction) in %v\n",
-		appended, len(lats), mode, total.Round(time.Millisecond))
+	fmt.Printf("streamed %d series in %d batches in %v\n",
+		appended, len(lats), total.Round(time.Millisecond))
 	fmt.Printf("  append latency: p50=%v p99=%v max=%v\n",
 		pct(0.50).Round(time.Microsecond), pct(0.99).Round(time.Microsecond),
 		pct(1.0).Round(time.Microsecond))

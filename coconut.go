@@ -64,17 +64,11 @@
 // and reopening after a crash replays un-flushed records into the memtable;
 // partitioned indexes keep one WAL per partition.
 //
-// By default tier compactions run synchronously inside Insert/Flush;
-// setting Config.BackgroundCompaction moves them to a pool of
-// Config.CompactionWorkers goroutines that merge full tiers concurrently —
-// independent tiers compact in parallel — and swap results in under the
-// handle lock, keeping Insert latency flat under sustained load. A bounded
-// tier-0 backlog provides backpressure: when flushes outrun the pool,
-// Insert briefly blocks rather than burying the scheduler. Sync (or Close)
-// is the quiescence barrier: it drains in-flight compactions, after which
-// the on-disk state is byte-identical to synchronous compaction — a
-// background compaction failure is sticky and surfaces on the next
-// Insert/Flush/Sync/Close.
+// A flush that fills a tier (four runs) merges it into the next tier
+// inline, before the Insert or Flush returns. A failed merge is not an
+// Insert error: the batch is still applied and durable, the tier's input
+// runs stay, and the next flush retries the merge. Flush, Sync and Close,
+// which promise the compacted state, return it.
 //
 // # Cancellation
 //
@@ -254,19 +248,6 @@ type Config struct {
 	// concurrently). 0 means all CPUs. Search answers are identical for any
 	// value; see the package-level Concurrency section for how to choose it.
 	QueryWorkers int
-	// BackgroundCompaction (LSM indexes) moves tier compactions off the
-	// write path onto a background pool, keeping Insert latency flat;
-	// see the package-level Write path section. Sync/Close drain the pool.
-	BackgroundCompaction bool
-	// CompactionWorkers sizes the background compaction pool (default 2).
-	// Independent tiers compact concurrently, so 2+ lets a long high-tier
-	// merge overlap fresh tier-0 merges.
-	CompactionWorkers int
-	// MaxPendingRuns bounds the outstanding tier-0 runs under background
-	// compaction (default 2x the LSM fanout): when flushes outrun the pool,
-	// Insert briefly blocks instead of letting runs pile up unboundedly.
-	// Partitioned indexes divide this budget across partitions.
-	MaxPendingRuns int
 	// Partitions splits the index into N independent key-range partitions
 	// (boundaries chosen from a dataset sample so partitions balance),
 	// built in parallel and queried scatter-gather. 0 or 1 builds a single
@@ -719,12 +700,12 @@ func (t *TreeIndex) SearchKNNCtx(ctx context.Context, q Series, k int) ([]Neighb
 
 // LSMIndex is Coconut-LSM: the paper's future-work design for update-heavy
 // workloads. Inserts land in a memtable and flush as immutable sorted runs
-// (append-only sequential I/O); tiers compact by merge-sorting —
-// synchronously inside Insert/Flush by default, or on a background pool
-// with Config.BackgroundCompaction. Queries see the memtable and all runs.
-// With Config.Partitions >= 2 inserts route to the owning partition's
-// memtable and each partition compacts independently under the divided
-// global budgets.
+// (append-only sequential I/O); full tiers compact by merge-sorting inline,
+// inside the Insert or Flush whose flush filled them (see the package-level
+// Write path section). Queries see the memtable and all runs. With
+// Config.Partitions >= 2 inserts route to the owning partition's memtable
+// and each partition compacts independently under the divided global
+// budgets.
 type LSMIndex struct {
 	ix partition.Index
 }
@@ -734,18 +715,15 @@ type LSMIndex struct {
 // children (which copy these options) all read through the same cache.
 func (c *Config) toLSM(opt core.Options) lsm.Options {
 	return lsm.Options{
-		FS:                   opt.FS,
-		Name:                 opt.Name,
-		S:                    opt.S,
-		RawName:              opt.RawName,
-		MemBudgetBytes:       opt.MemBudgetBytes,
-		Workers:              opt.Workers,
-		QueryWorkers:         opt.QueryWorkers,
-		BackgroundCompaction: c.BackgroundCompaction,
-		CompactionWorkers:    c.CompactionWorkers,
-		MaxPendingRuns:       c.MaxPendingRuns,
-		Cache:                blockcache.New(c.CacheBytes),
-		AllowDegraded:        c.AllowDegraded,
+		FS:             opt.FS,
+		Name:           opt.Name,
+		S:              opt.S,
+		RawName:        opt.RawName,
+		MemBudgetBytes: opt.MemBudgetBytes,
+		Workers:        opt.Workers,
+		QueryWorkers:   opt.QueryWorkers,
+		Cache:          blockcache.New(c.CacheBytes),
+		AllowDegraded:  c.AllowDegraded,
 	}
 }
 
@@ -817,7 +795,9 @@ func (l *LSMIndex) SearchApproxCtx(ctx context.Context, q Series) (Result, error
 	return fromLSM(r), err
 }
 
-// Insert appends new series; full memtables flush to new sorted runs.
+// Insert appends new series; full memtables flush to new sorted runs and
+// full tiers compact inline. A nil return means the batch is durable; a
+// compaction merge that fails is retried later, not returned here.
 func (l *LSMIndex) Insert(batch []Series) error { return l.InsertCtx(context.Background(), batch) }
 
 // InsertCtx is Insert with cancellation. The ctx is admission control —
@@ -829,13 +809,13 @@ func (l *LSMIndex) InsertCtx(ctx context.Context, batch []Series) error {
 	return l.ix.(partition.Inserter).Insert(ctx, batch)
 }
 
-// Flush forces the memtable to disk.
+// Flush forces the memtable to disk and lands every ready compaction,
+// retrying any merge an earlier Insert could not complete; it returns a
+// merge that still fails.
 func (l *LSMIndex) Flush() error { return l.ix.(partition.Maintainer).Flush() }
 
-// Sync flushes the memtable and waits for all background compactions to
-// finish — the quiescence barrier after which the on-disk state is
-// deterministic. It surfaces any pending background compaction error. With
-// synchronous compaction it is equivalent to Flush.
+// Sync is Flush: after a nil Sync every ready compaction has landed and
+// the on-disk state is the deterministic function of the inserts so far.
 func (l *LSMIndex) Sync() error { return l.ix.Sync() }
 
 // Count returns the number of indexed series.
@@ -869,9 +849,9 @@ type CacheStats = blockcache.Stats
 // Config.CacheBytes.
 func (l *LSMIndex) CacheStats() CacheStats { return l.ix.(partition.Maintainer).CacheStats() }
 
-// Close flushes the memtable, drains background compactions, commits the
-// manifest, and releases file handles; the index can later be reopened
-// with OpenLSMIndex.
+// Close flushes the memtable, lands every ready compaction (returning a
+// merge that still fails), commits the manifest, and releases file
+// handles; the index can later be reopened with OpenLSMIndex.
 func (l *LSMIndex) Close() error { return l.ix.Close() }
 
 // ZNormalize z-normalizes s in place and returns it. Queries against the

@@ -1,10 +1,9 @@
 // Streaming ingest with Coconut-LSM: the paper's future-work design (§6).
 // A sensor fleet streams new series continuously; the memtable absorbs
 // them, full memtables flush as immutable sorted runs (append-only
-// sequential I/O — no leaf rewrites), and tiers compact by merge-sorting on
-// a background pool (BackgroundCompaction), so Insert latency stays flat
-// while merges overlap queries. Queries remain exact throughout and see
-// data the moment it arrives; Sync is the quiescence barrier at shutdown.
+// sequential I/O — no leaf rewrites), and a full tier merge-sorts into the
+// next inside the Insert that filled it. Queries remain exact throughout
+// and see data the moment it arrives; Sync flushes the tail at shutdown.
 //
 //	go run ./examples/lsm-streaming
 package main
@@ -31,13 +30,11 @@ func main() {
 		log.Fatal(err)
 	}
 	idx, err := coconut.BuildLSMIndex(coconut.Config{
-		Storage:              fs,
-		Name:                 "stream",
-		DataFile:             "stream.bin",
-		SeriesLen:            seriesLen,
-		MemoryBudget:         2048 * 24, // small memtable so flushes are visible
-		BackgroundCompaction: true,      // merges run off the ingest path
-		CompactionWorkers:    2,
+		Storage:      fs,
+		Name:         "stream",
+		DataFile:     "stream.bin",
+		SeriesLen:    seriesLen,
+		MemoryBudget: 2048 * 24, // small memtable so flushes are visible
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -71,8 +68,8 @@ func main() {
 			res.Position, queryT.Round(time.Millisecond))
 	}
 
-	// Quiesce: drain in-flight background compactions so the on-disk state
-	// is the deterministic fixpoint before reporting.
+	// Flush the memtable tail and land any ready compaction, so the on-disk
+	// state is the deterministic function of the inserts before reporting.
 	if err := idx.Sync(); err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package bptree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/storage"
@@ -138,5 +140,73 @@ func TestChecksummedTreeDetectsRot(t *testing.T) {
 	err = re.ScanAll(func([]byte) error { return nil })
 	if !errors.Is(err, ErrCorruptPage) || !errors.Is(err, storage.ErrCorruptData) {
 		t.Fatalf("scan over rotted page: %v, want ErrCorruptPage", err)
+	}
+}
+
+// TestMetaShapeChecksBehindCRC covers the checks the meta's CRC trailer
+// does not make redundant: a meta whose CRC matches but whose fields do
+// not describe a well-formed directory — a leaf count that overflows the
+// size computation, one that disagrees with the directory length, a
+// directory cut mid-entry, an impossible geometry, a header cut short —
+// fails Open and VerifyMeta with ErrCorruptPage, never a panic.
+func TestMetaShapeChecksBehindCRC(t *testing.T) {
+	fs := storage.NewMemFS()
+	tree := buildTree(t, fs, sortedRecords(100, 6), nil)
+	if err := tree.Save(); err != nil {
+		t.Fatal(err)
+	}
+	leaves := int64(len(tree.leafDir))
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	name := tree.cfg.metaFileName()
+	orig, err := storage.ReadFileAll(fs, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := VerifyMeta(fs, tree.cfg.Name); err != nil || n != leaves {
+		t.Fatalf("intact meta: VerifyMeta = %d, %v; want %d leaves", n, err, leaves)
+	}
+	const numLeavesOff = 4*5 + 8*2
+	body := orig[:len(orig)-metaCRCBytes]
+	cases := map[string]func(b []byte) []byte{
+		"leaf-count-overflow": func(b []byte) []byte { b[numLeavesOff+7] |= 0x80; return b },
+		"leaf-count-short": func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[numLeavesOff:], uint64(leaves-1))
+			return b
+		},
+		"leaf-count-long": func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[numLeavesOff:], uint64(leaves+1))
+			return b
+		},
+		"directory-cut-mid-entry": func(b []byte) []byte { return b[:len(b)-3] },
+		"key-longer-than-record": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:], testRecSize+1)
+			return b
+		},
+		"header-cut-short": func(b []byte) []byte { return b[:metaHeader-1] },
+	}
+	for caseName, mutate := range cases {
+		t.Run(caseName, func(t *testing.T) {
+			b := mutate(append([]byte(nil), body...))
+			b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, metaCRCTable))
+			if err := storage.WriteFileAll(fs, name, b); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := storage.WriteFileAll(fs, name, orig); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			if re, err := Open(Config{FS: fs, Name: tree.cfg.Name}); !errors.Is(err, ErrCorruptPage) || !errors.Is(err, storage.ErrCorruptData) {
+				if err == nil {
+					re.Close()
+				}
+				t.Fatalf("open: %v, want ErrCorruptPage wrapping ErrCorruptData", err)
+			}
+			if _, err := VerifyMeta(fs, tree.cfg.Name); !errors.Is(err, ErrCorruptPage) {
+				t.Fatalf("VerifyMeta: %v, want ErrCorruptPage", err)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -181,7 +182,12 @@ func OpenTree(opt Options) (*TreeIndex, error) {
 	bt, err := bptree.Open(bptree.Config{FS: opt.FS, Name: opt.Name + ".bt"})
 	if err != nil {
 		raw.Close()
-		return nil, err
+		// Like a trie's leaf file, the manifest-referenced meta and leaf
+		// file type their corruption as both kinds (see openLeafFile).
+		if errors.Is(err, storage.ErrCorruptData) {
+			err = fmt.Errorf("%w: %w", manifest.ErrCorruptManifest, err)
+		}
+		return nil, fmt.Errorf("core: open tree: %w", err)
 	}
 	stale, err := checkTreeGeometry(opt, m, bt.Geometry())
 	if err != nil {

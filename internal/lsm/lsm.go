@@ -77,24 +77,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0), clamped to the work available). Answers are
 	// identical for any value.
 	QueryWorkers int
-	// BackgroundCompaction moves compactions off the write path: Flush only
-	// writes the tier-0 run and enqueues compaction work, and a pool of
-	// CompactionWorkers goroutines merges full tiers concurrently, swapping
-	// results in under the handle lock. Ingest latency stays flat; the
-	// quiesced on-disk state (after Sync or Close) is byte-identical to
-	// synchronous compaction for any worker count.
-	BackgroundCompaction bool
-	// CompactionWorkers is the size of the background compaction pool
-	// (default 2). Groups at independent tiers compact concurrently, so
-	// values > 1 let a long high-tier merge overlap fresh tier-0 merges.
-	// Each in-flight compaction uses up to MemBudgetBytes of merge buffers.
-	CompactionWorkers int
-	// MaxPendingRuns bounds the outstanding tier-0 runs under background
-	// compaction (default 2*Fanout, floor Fanout): when a flush would leave
-	// more than this many tier-0 runs on disk, Append/Flush block until the
-	// compaction pool catches up — backpressure that keeps a fast writer
-	// from burying the scheduler.
-	MaxPendingRuns int
 	// AllowDegraded turns corruption at Open time into graceful
 	// degradation: a run whose file is corrupt (or missing) is QUARANTINED
 	// — withheld from queries and compactions but kept in the manifest —
@@ -148,17 +130,6 @@ func (o *Options) validate() error {
 	if o.Window <= 0 {
 		o.Window = 100
 	}
-	if o.CompactionWorkers <= 0 {
-		o.CompactionWorkers = 2
-	}
-	if o.MaxPendingRuns <= 0 {
-		o.MaxPendingRuns = 2 * o.Fanout
-	}
-	if o.MaxPendingRuns < o.Fanout {
-		// Below Fanout a full tier-0 group can never form and backpressure
-		// would wait forever.
-		o.MaxPendingRuns = o.Fanout
-	}
 	if o.Cache == nil {
 		o.Cache = blockcache.New(0)
 	}
@@ -183,11 +154,9 @@ type run struct {
 	// flush and the output of the k-th compaction of tier t-1 both get
 	// tierSeq k. Compaction groups are formed from consecutive tierSeq
 	// ranges of exactly Fanout runs, which makes the whole compaction DAG —
-	// and therefore the quiesced on-disk state — a pure function of the
-	// flush sequence, independent of scheduling.
+	// and therefore the on-disk state — a pure function of the flush
+	// sequence, independent of when each merge runs.
 	tierSeq int
-	// claimed marks a run scheduled into an in-flight compaction.
-	claimed bool
 }
 
 // memEntry is one memtable record.
@@ -201,11 +170,10 @@ type memEntry struct {
 // readers always observe a consistent (runs, memtable) pair — this is the
 // LSM counterpart of the tree's SIMS-refresh lock.
 //
-// With Options.BackgroundCompaction, compactions run on a goroutine pool:
-// merges read the immutable input run files with no lock held (queries and
-// appends proceed concurrently), and only the final swap of the merged run
-// into ix.runs takes mu exclusively. A compaction failure is recorded in
-// bgErr and surfaces on the next Append/Flush/Sync/Close.
+// Compactions run inline, under mu, right after the flush that made a
+// group ready. mu is released only for manifest fsyncs, and by then a
+// compaction's merged run is installed and its group counted, so no other
+// goroutine ever observes a half-landed merge.
 type Index struct {
 	opt     Options
 	rawFile storage.File
@@ -223,10 +191,7 @@ type Index struct {
 	mu          sync.RWMutex
 	// closed makes Close idempotent: a second Close (even concurrent with
 	// the first) returns nil instead of double-closing the files.
-	closed bool
-	// cond (on the write side of mu) signals backpressure waiters and
-	// Sync/Close drains whenever a compaction finishes or fails.
-	cond    *sync.Cond
+	closed  bool
 	runs    []*run
 	mem     []memEntry
 	count   int64
@@ -234,29 +199,17 @@ type Index struct {
 	// nextSeq feeds run.seq; tier0Seq counts flushes (tier-0 tierSeq).
 	nextSeq  int64
 	tier0Seq int
-	// groupsClaimed[t] is the number of compaction groups of tier t already
-	// claimed — the formation cursor: group k covers tierSeq [k*Fanout,
-	// (k+1)*Fanout) and is ready once every member has arrived.
-	groupsClaimed map[int]int
-	// committedGroups[t] is the durable cursor: the number of tier-t groups
-	// whose merged output has been swapped in and manifest-committed. Swaps
-	// land strictly in group order (landLocked parks out-of-order finishes),
-	// so this single number fully describes recovery: groups below it are
-	// done and their inputs deleted, groups at or above it are still on
-	// disk as input runs and will re-form after a crash.
+	// committedGroups[t] is the number of tier-t compaction groups whose
+	// merged output has been swapped in: group k covers tierSeq
+	// [k*Fanout, (k+1)*Fanout) and is ready once every member has arrived.
+	// Groups land strictly in order, so this single number fully describes
+	// recovery: groups below it are done and their inputs deleted, groups at
+	// or above it are still on disk as input runs and re-form after a crash.
 	committedGroups map[int]int
-	// parked[t][k] holds a finished merge of tier-t group k waiting for
-	// groups < k to commit first.
-	parked map[int]map[int]*finishedSwap
-	// inflight counts claimed-but-unfinished compactions; bgErr is the
-	// sticky first background failure.
-	inflight int
-	bgErr    error
-	// Background pool plumbing (nil / zero when compaction is synchronous).
-	background bool
-	bgWake     chan struct{}
-	bgQuit     chan struct{}
-	bgWG       sync.WaitGroup
+	// commitErr is the sticky first failed manifest commit of a compaction
+	// swap or a repair: durably the previous manifest stays authoritative,
+	// so no later commit may supersede it and every write refuses.
+	commitErr error
 
 	// WAL state. The counters live on the Index (under mu) because every
 	// manifest snapshot records them. walAppended is the LSN after the last
@@ -300,16 +253,11 @@ func Build(opt Options) (*Index, error) {
 		Remove(opt.FS, opt.Name)
 		return nil, err
 	}
-	ix.startPool()
 	return ix, nil
 }
 
 func newIndex(opt Options, raw storage.File) *Index {
-	ix := &Index{opt: opt, rawFile: raw,
-		groupsClaimed: map[int]int{}, committedGroups: map[int]int{},
-		parked: map[int]map[int]*finishedSwap{}}
-	ix.cond = sync.NewCond(&ix.mu)
-	return ix
+	return &Index{opt: opt, rawFile: raw, committedGroups: map[int]int{}}
 }
 
 // abandon releases what a Build or Open that failed got as far as holding.
@@ -389,20 +337,6 @@ func (ix *Index) build() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	return ix.commitManifestLocked()
-}
-
-// startPool launches the background compaction workers when configured.
-func (ix *Index) startPool() {
-	if !ix.opt.BackgroundCompaction {
-		return
-	}
-	ix.background = true
-	ix.bgWake = make(chan struct{}, 1)
-	ix.bgQuit = make(chan struct{})
-	for w := 0; w < ix.opt.CompactionWorkers; w++ {
-		ix.bgWG.Add(1)
-		go ix.compactorLoop()
-	}
 }
 
 func (ix *Index) runName() string {
@@ -540,8 +474,8 @@ func (ix *Index) uncoveredLocked() (_ []memEntry, err error) {
 func (ix *Index) RebuildQuarantined() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.bgErr != nil {
-		return ix.bgErr
+	if ix.commitErr != nil {
+		return ix.commitErr
 	}
 	if len(ix.quarantined) == 0 {
 		return nil
@@ -572,8 +506,8 @@ func (ix *Index) RebuildQuarantined() error {
 		// Same stickiness as a failed compaction swap: durably the old
 		// manifest (which still references the quarantined files) stays
 		// authoritative, so no later commit may supersede it.
-		if ix.bgErr == nil {
-			ix.bgErr = err
+		if ix.commitErr == nil {
+			ix.commitErr = err
 		}
 		return err
 	}
@@ -596,12 +530,14 @@ func (ix *Index) memCapacity() int {
 
 // Insert adds new series: raw bytes go to the dataset file, records to
 // the memtable and the write-ahead log; a full memtable flushes to a
-// fresh tier-0 run. The batch is summarized up front across Workers
-// goroutines, so ingest keeps every core busy while the raw writes stay
-// append-only. Insert takes the handle lock exclusively only to log and
-// insert — it then releases it and waits for the group commit, so a nil
-// return means every series in the batch is durable (fsynced WAL record
-// plus fsynced raw bytes, or already covered by a flushed run).
+// fresh tier-0 run, and the compactions that flush made ready run inline.
+// The batch is summarized up front across Workers goroutines, so ingest
+// keeps every core busy while the raw writes stay append-only. Insert takes
+// the handle lock exclusively only to log and insert — it then releases it
+// and waits for the group commit, so a nil return means every series in
+// the batch is durable (fsynced WAL record plus fsynced raw bytes, or
+// already covered by a flushed run). A failed compaction merge is not an
+// Insert error (see flushOnWriteLocked).
 //
 // Cancellation is admission control: the context is checked before any raw
 // byte lands — once admitted, the batch runs to completion (a half-applied
@@ -623,8 +559,8 @@ func (ix *Index) Insert(ctx context.Context, batch []series.Series) error {
 }
 
 func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
-	if ix.bgErr != nil {
-		return 0, ix.bgErr
+	if ix.commitErr != nil {
+		return 0, ix.commitErr
 	}
 	p := ix.opt.S.Params()
 	sz := int64(series.EncodedSize(p.SeriesLen))
@@ -676,12 +612,12 @@ func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
 			if err := logPending(true); err != nil {
 				return 0, err
 			}
-			if err := ix.flushLocked(); err != nil {
+			if err := ix.flushOnWriteLocked(); err != nil {
 				return 0, err
 			}
-			// flushLocked may release mu (backpressure, manifest commit); a
-			// concurrent Append can grow the raw file meanwhile, so the
-			// write position must be recomputed before the next record.
+			// The flush releases mu for its manifest commits; a concurrent
+			// Insert can grow the raw file meanwhile, so the write position
+			// must be recomputed before the next record.
 			if end, err = ix.rawFile.Size(); err != nil {
 				return 0, err
 			}
@@ -706,15 +642,15 @@ func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
 func (ix *Index) InsertRecords(entries []core.InsertRec) (int64, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.bgErr != nil {
-		return 0, ix.bgErr
+	if ix.commitErr != nil {
+		return 0, ix.commitErr
 	}
 	for len(entries) > 0 {
 		room := ix.memCapacity() - len(ix.mem)
 		if room <= 0 {
 			// A concurrent appender filled the memtable while a flush
 			// released mu; fold it before logging more.
-			if err := ix.flushLocked(); err != nil {
+			if err := ix.flushOnWriteLocked(); err != nil {
 				return 0, err
 			}
 			continue
@@ -733,7 +669,7 @@ func (ix *Index) InsertRecords(entries []core.InsertRec) (int64, error) {
 		}
 		entries = entries[len(chunk):]
 		if len(ix.mem) >= ix.memCapacity() {
-			if err := ix.flushLocked(); err != nil {
+			if err := ix.flushOnWriteLocked(); err != nil {
 				return 0, err
 			}
 		}
@@ -757,11 +693,10 @@ func lePosLess(a, b int64) bool {
 	return bits.ReverseBytes64(uint64(a)) < bits.ReverseBytes64(uint64(b))
 }
 
-// Flush sorts the memtable and writes it as a new tier-0 run, triggering
-// compactions as tiers fill. Under synchronous compaction the merges run
-// inline before Flush returns; under background compaction Flush only
-// enqueues them (blocking briefly when the tier-0 backlog exceeds
-// MaxPendingRuns) and the pool folds tiers behind the scenes.
+// Flush sorts the memtable and writes it as a new tier-0 run, then runs
+// every compaction that is ready before it returns — including any whose
+// merge failed on an earlier write, which is retried here and whose error
+// Flush returns.
 //
 // Entries sort by key with ties broken in encoded-record byte order, so
 // every run on disk — flushed or compacted — is totally ordered under the
@@ -771,17 +706,36 @@ func lePosLess(a, b int64) bool {
 func (ix *Index) Flush() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return ix.flushLocked()
+	if err := ix.flushLocked(); err != nil {
+		return err
+	}
+	return ix.compactPendingLocked()
 }
 
+// flushOnWriteLocked is the flush an Insert or InsertRecords triggers when
+// the memtable fills. A failed compaction merge is not the writer's error:
+// the batch is durable either way, the group's inputs stay (extsort removes
+// its temporaries), and the next flush retries the merge — Flush, Sync and
+// Close return it. Only the flush's own failure is returned; a failed
+// swap commit is sticky and refuses the next write.
+func (ix *Index) flushOnWriteLocked() error {
+	if err := ix.flushLocked(); err != nil {
+		return err
+	}
+	_ = ix.compactPendingLocked()
+	return nil
+}
+
+// flushLocked writes the memtable as a tier-0 run and commits it; it
+// compacts nothing.
 func (ix *Index) flushLocked() (err error) {
 	defer func() {
 		if err != nil {
 			ix.wal.releaseFlush()
 		}
 	}()
-	if ix.bgErr != nil {
-		return ix.bgErr
+	if ix.commitErr != nil {
+		return ix.commitErr
 	}
 	if len(ix.mem) == 0 {
 		return nil
@@ -856,17 +810,7 @@ func (ix *Index) flushLocked() (err error) {
 			return err
 		}
 	}
-	if !ix.background {
-		return ix.compactPendingLocked()
-	}
-	ix.kick()
-	// Backpressure: a fast writer must not bury the pool. Waiting releases
-	// mu, so the pool can claim, merge, and swap while we sleep.
-	for ix.bgErr == nil && ix.tier0CountLocked() > ix.opt.MaxPendingRuns {
-		ix.kick()
-		ix.cond.Wait()
-	}
-	return ix.bgErr
+	return nil
 }
 
 // writeRunFile persists one sorted run file, fsyncs it (the manifest commit
@@ -898,19 +842,7 @@ func (ix *Index) writeRunFile(name string, entries []memEntry, tier int, seq int
 	return ix.openRun(name, tier, seq, tierSeq, int64(len(entries)))
 }
 
-// tier0CountLocked counts on-disk tier-0 runs, claimed ones included: a
-// claimed run still occupies disk and memory until its merge lands.
-func (ix *Index) tier0CountLocked() int {
-	n := 0
-	for _, r := range ix.runs {
-		if r.tier == 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// compactJob is one claimed compaction: Fanout consecutive runs of one tier
+// compactJob is one ready compaction: Fanout consecutive runs of one tier
 // merging into a single run of the next.
 type compactJob struct {
 	inputs  []*run
@@ -920,49 +852,30 @@ type compactJob struct {
 	// in the deterministic naming/grouping scheme (and the output's tierSeq
 	// at the next tier).
 	group int
-	// inTier is the input tier (cursor rollback on synchronous failure).
-	inTier int
-	outSeq int64
 }
 
 // findGroupLocked locates the next ready compaction group: the lowest tier
-// whose next Fanout-sized tierSeq window [k*Fanout, (k+1)*Fanout) has fully
-// arrived. When claim is set the group is claimed (runs marked, cursor
-// advanced); otherwise this is a readiness probe for the drain barrier.
-//
-// Claiming is adaptive to write bursts: tiers are scanned lowest first, so
-// tier-0 merge groups always pop ahead of higher tiers, and while the
-// tier-0 backlog exceeds MaxPendingRuns (backpressure territory) claiming
-// defers higher tiers entirely — the whole pool drains the burst before
-// any long high-tier merge is started. The readiness probe never filters:
-// the drain barrier must see every outstanding group.
+// whose next Fanout-sized tierSeq window [k*Fanout, (k+1)*Fanout), k the
+// tier's committed-groups count, has fully arrived.
 //
 // Groups are pure functions of the flush sequence — which runs, in which
-// order, merge into which output name — so the quiesced state is identical
-// whether compactions run inline, on one background worker, or on many,
-// and scheduling order (burst-deferred or not) never changes it.
-func (ix *Index) findGroupLocked(claim bool) *compactJob {
-	if ix.bgErr != nil {
-		return nil
-	}
+// order, merge into which output name — so the on-disk state after a
+// Flush is the same whether a group merged right after the flush that
+// completed it or several flushes later, after a failed merge.
+func (ix *Index) findGroupLocked() *compactJob {
 	byTier := map[int][]*run{}
 	for _, r := range ix.runs {
-		if r.tier == manifest.BulkTier || r.claimed {
-			continue
+		if r.tier != manifest.BulkTier {
+			byTier[r.tier] = append(byTier[r.tier], r)
 		}
-		byTier[r.tier] = append(byTier[r.tier], r)
 	}
 	tiers := make([]int, 0, len(byTier))
 	for tier := range byTier {
 		tiers = append(tiers, tier)
 	}
 	sort.Ints(tiers)
-	tier0Only := claim && ix.tier0CountLocked() > ix.opt.MaxPendingRuns
 	for _, tier := range tiers {
-		if tier0Only && tier > 0 {
-			break
-		}
-		k := ix.groupsClaimed[tier]
+		k := ix.committedGroups[tier]
 		lo := k * ix.opt.Fanout
 		group := make([]*run, 0, ix.opt.Fanout)
 		for _, r := range byTier[tier] {
@@ -974,73 +887,22 @@ func (ix *Index) findGroupLocked(claim bool) *compactJob {
 			continue
 		}
 		sort.Slice(group, func(a, b int) bool { return group[a].tierSeq < group[b].tierSeq })
-		job := &compactJob{
+		return &compactJob{
 			inputs:  group,
 			outName: fmt.Sprintf("%s.cmp.t%d.%06d", ix.opt.Name, tier, k),
 			outTier: tier + 1,
 			group:   k,
-			inTier:  tier,
-			outSeq:  group[0].seq,
 		}
-		if claim {
-			for _, r := range group {
-				r.claimed = true
-			}
-			ix.groupsClaimed[tier] = k + 1
-			ix.inflight++
-		}
-		return job
 	}
 	return nil
 }
 
-// finishedSwap is a completed merge whose swap is pending its same-tier
-// predecessors.
-type finishedSwap struct {
-	job    *compactJob
-	newRun *run
-}
-
-// landLocked installs a finished compaction, enforcing that same-tier
-// swaps commit in group order: a merge that finishes before its
-// predecessor parks until the predecessor lands. This keeps the durable
-// committedGroups cursor truthful — a manifest never claims group k is
-// done while group k-1 is still merging, so a crash-reopen re-forms
-// exactly the unfinished groups and no run is ever stranded below the
-// cursor. A parked swap always has an in-flight or parked predecessor, so
-// the drain barrier's inflight count still covers it.
-func (ix *Index) landLocked(job *compactJob, newRun *run) error {
-	tier := job.inTier
-	if ix.parked[tier] == nil {
-		ix.parked[tier] = map[int]*finishedSwap{}
-	}
-	ix.parked[tier][job.group] = &finishedSwap{job: job, newRun: newRun}
-	for {
-		next, ok := ix.parked[tier][ix.committedGroups[tier]]
-		if !ok {
-			return nil
-		}
-		delete(ix.parked[tier], ix.committedGroups[tier])
-		// Advance the cursor BEFORE the swap commits the manifest: the
-		// committed manifest deletes this group's inputs from the run set,
-		// so it must also record the group as done — otherwise a reopen
-		// would wait forever for a window whose runs no longer exist. If
-		// the commit fails the failure is sticky and the durable state
-		// remains the previous manifest, where the cursor and the inputs
-		// are still consistent.
-		ix.committedGroups[tier]++
-		if err := ix.swapLocked(next.job, next.newRun); err != nil {
-			return err
-		}
-	}
-}
-
-// runCompaction merge-sorts a claimed group via the parallel sorter's merge
+// runCompaction merge-sorts a ready group via the parallel sorter's merge
 // machinery — strictly sequential reads and writes, memory budget and
 // worker pool shared with the bulk-load path. The output is re-encoded
 // through the write adapter and reopened as a block directory (no key array
-// ever materializes). No lock is held: the inputs are immutable files, and
-// extsort.Merge removes its temporaries (and a partial output) on error.
+// ever materializes). extsort.Merge removes its temporaries (and a partial
+// output) on error, so a failed merge leaves only its inputs.
 func (ix *Index) runCompaction(job *compactJob) (*run, error) {
 	names := make([]string, len(job.inputs))
 	var want int64
@@ -1064,7 +926,7 @@ func (ix *Index) runCompaction(job *compactJob) (*run, error) {
 	if err := syncFile(ix.opt.FS, job.outName); err != nil {
 		return nil, err
 	}
-	return ix.openRun(job.outName, job.outTier, job.outSeq, job.group, want)
+	return ix.openRun(job.outName, job.outTier, job.inputs[0].seq, job.group, want)
 }
 
 // closeRunsLocked closes every run's reader (dropping its cached blocks),
@@ -1122,8 +984,8 @@ func (ix *Index) swapLocked(job *compactJob, newRun *run) error {
 		// manifest — which references the inputs — stays authoritative, so
 		// the input files must remain on disk for a future reopen. Make
 		// the failure sticky: no later commit may land and supersede them.
-		if ix.bgErr == nil {
-			ix.bgErr = err
+		if ix.commitErr == nil {
+			ix.commitErr = err
 		}
 		return err
 	}
@@ -1134,114 +996,40 @@ func (ix *Index) swapLocked(job *compactJob, newRun *run) error {
 	return nil
 }
 
-// compactPendingLocked is the synchronous path: claim and merge groups
-// inline (holding the handle lock) until none is ready — the pre-scheduler
-// behavior, kept for deterministic single-threaded I/O traces.
+// compactPendingLocked merges ready groups, lowest tier first, until none
+// is ready. A failed merge returns its error with the group's inputs in
+// place and the cursor unmoved, so the next call retries the same group.
 func (ix *Index) compactPendingLocked() error {
 	for {
-		job := ix.findGroupLocked(true)
+		if ix.commitErr != nil {
+			return ix.commitErr
+		}
+		job := ix.findGroupLocked()
 		if job == nil {
 			return nil
 		}
 		newRun, err := ix.runCompaction(job)
-		ix.inflight--
 		if err != nil {
-			// Roll the claim back so a later Flush retries the same group.
-			for _, r := range job.inputs {
-				r.claimed = false
-			}
-			ix.groupsClaimed[job.inTier] = job.group
 			return err
 		}
-		if err := ix.landLocked(job, newRun); err != nil {
+		// Advance the cursor BEFORE the swap commits the manifest: the
+		// committed manifest deletes this group's inputs from the run set,
+		// so it must also record the group as done — otherwise a reopen
+		// would wait forever for a window whose runs no longer exist. If
+		// the commit fails the failure is sticky and the durable state
+		// remains the previous manifest, where the cursor and the inputs
+		// are still consistent.
+		ix.committedGroups[job.outTier-1]++
+		if err := ix.swapLocked(job, newRun); err != nil {
 			return err
 		}
 	}
 }
 
-// kick nudges the compaction pool (non-blocking).
-func (ix *Index) kick() {
-	if ix.bgWake == nil {
-		return
-	}
-	select {
-	case ix.bgWake <- struct{}{}:
-	default:
-	}
-}
-
-// compactorLoop is one background compaction worker. Each worker claims
-// ready groups one at a time; concurrent workers naturally pick up groups
-// at different tiers, so a long high-tier merge never blocks fresh tier-0
-// work. Merging happens with no lock held; only claim and swap touch mu.
-func (ix *Index) compactorLoop() {
-	defer ix.bgWG.Done()
-	for {
-		select {
-		case <-ix.bgQuit:
-			return
-		case <-ix.bgWake:
-		}
-		for {
-			ix.mu.Lock()
-			job := ix.findGroupLocked(true)
-			ix.mu.Unlock()
-			if job == nil {
-				break
-			}
-			// A sibling may find the next group ready right now.
-			ix.kick()
-			newRun, err := ix.runCompaction(job)
-			ix.mu.Lock()
-			if err == nil {
-				err = ix.landLocked(job, newRun)
-			}
-			// Only now is the job no longer in flight: landLocked releases mu
-			// for the manifest fsync, and a drain that saw inflight == 0 in
-			// that window would return before the merged-away inputs are
-			// deleted.
-			ix.inflight--
-			if err != nil {
-				if ix.bgErr == nil {
-					ix.bgErr = err
-				}
-				for _, r := range job.inputs {
-					r.claimed = false
-				}
-			}
-			ix.cond.Broadcast()
-			ix.mu.Unlock()
-		}
-	}
-}
-
-// drainLocked blocks until every enqueued and in-flight compaction has
-// landed (or the first background error is observed). On return with a nil
-// error the on-disk runs are exactly the synchronous-compaction fixpoint of
-// the flush sequence so far.
-func (ix *Index) drainLocked() error {
-	if !ix.background {
-		return ix.bgErr
-	}
-	for ix.bgErr == nil && (ix.inflight > 0 || ix.findGroupLocked(false) != nil) {
-		ix.kick()
-		ix.cond.Wait()
-	}
-	return ix.bgErr
-}
-
-// Sync flushes the memtable and waits for all background compactions to
-// complete — the quiescence barrier: after a nil Sync the on-disk state is
-// deterministic (byte-identical for any Workers/CompactionWorkers setting,
-// background or synchronous). It surfaces any pending background error.
-func (ix *Index) Sync() error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if err := ix.flushLocked(); err != nil {
-		return err
-	}
-	return ix.drainLocked()
-}
+// Sync is Flush: the memtable goes to a run and every ready compaction
+// lands, so after a nil Sync the on-disk state is the deterministic
+// function of the flush sequence (byte-identical for any Workers setting).
+func (ix *Index) Sync() error { return ix.Flush() }
 
 // Count returns the number of indexed series.
 func (ix *Index) Count() int64 {
@@ -1277,40 +1065,26 @@ func (ix *Index) SizeBytes() int64 {
 }
 
 // Close flushes the memtable (so every appended series is durable in a
-// run), drains in-flight background compactions (surfacing any pending
-// background error), stops the compaction pool, and releases the raw file
-// handle, waiting for in-flight queries. The drain makes Close a quiescence
-// point: the on-disk runs left behind are deterministic and exactly what
-// the committed manifest describes, so Open reconstructs this index.
+// run), runs every ready compaction (returning a merge that still fails),
+// and releases the raw file handle, waiting for in-flight queries. The
+// on-disk runs left behind are exactly what the committed manifest
+// describes, so Open reconstructs this index.
 func (ix *Index) Close() error {
 	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	if ix.closed {
-		ix.mu.Unlock()
 		return nil
 	}
 	ix.closed = true
 	flushErr := ix.flushLocked()
-	drainErr := ix.drainLocked()
-	var quit chan struct{}
-	if ix.background {
-		quit = ix.bgQuit
-		ix.background = false
+	if flushErr == nil {
+		flushErr = ix.compactPendingLocked()
 	}
-	ix.mu.Unlock()
-	if quit != nil {
-		close(quit)
-		ix.bgWG.Wait()
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	walErr := ix.wal.close()
 	runsErr := ix.closeRunsLocked()
 	closeErr := ix.rawFile.Close()
 	if flushErr != nil {
 		return flushErr
-	}
-	if drainErr != nil {
-		return drainErr
 	}
 	if walErr != nil {
 		return walErr
@@ -1322,11 +1096,10 @@ func (ix *Index) Close() error {
 }
 
 // tierCursorsLocked snapshots the committed-groups cursor of every tier.
-// Persisting the committed cursor (not the claim cursor) means a crash
-// mid-merge reopens with every unfinished group unclaimed, so each
-// re-forms and re-merges to the same deterministic output — and because
-// landLocked commits same-tier swaps strictly in group order, the cursor
-// can never run ahead of an unfinished group.
+// A crash mid-merge reopens with the unfinished group at or above the
+// cursor, so it re-forms and re-merges to the same deterministic output —
+// and because groups land one at a time in order, the cursor can never
+// run ahead of an unfinished group.
 func (ix *Index) tierCursorsLocked() []manifest.TierCursor {
 	tiers := make([]int, 0, len(ix.committedGroups))
 	for tier := range ix.committedGroups {

@@ -67,11 +67,6 @@ func Open(opt Options) (*Index, error) {
 		ix.abandon()
 		return nil, err
 	}
-	ix.startPool()
-	// A crash between a manifest commit and the next can leave compaction
-	// groups ready but unmerged; nudge the pool so the reopened index
-	// converges to the same fixpoint (reopen folded them inline otherwise).
-	ix.kick()
 	return ix, nil
 }
 
@@ -114,16 +109,12 @@ func (ix *Index) reopen(m *manifest.Manifest) error {
 	ix.nextSeq = m.LSM.NextSeq
 	ix.tier0Seq = m.LSM.Tier0Seq
 	for _, c := range m.LSM.Cursors {
-		// Committed groups are also the claim floor: everything below the
-		// durable cursor is done, everything above re-forms and re-merges.
-		ix.groupsClaimed[c.Tier] = c.Groups
+		// Everything below the durable cursor is done; everything at or
+		// above it re-forms and re-merges.
 		ix.committedGroups[c.Tier] = c.Groups
 	}
 	if err := ix.recoverWAL(m); err != nil {
 		return err
-	}
-	if opt.BackgroundCompaction {
-		return nil
 	}
 	// Groups a crash left ready but unmerged fold inline, as they would have.
 	ix.mu.Lock()

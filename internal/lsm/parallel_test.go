@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/dataset"
@@ -65,6 +66,15 @@ func TestParallelBuildDeterministic(t *testing.T) {
 
 	if ix1.Shape().Runs != ix8.Shape().Runs {
 		t.Fatalf("run counts differ: workers=1 has %d, workers=8 has %d", ix1.Shape().Runs, ix8.Shape().Runs)
+	}
+	// The stream must reach a compaction: its multi-pass merge is the
+	// stage where a worker-count dependence would show.
+	compacted := false
+	for _, r := range ix1.runs {
+		compacted = compacted || strings.Contains(r.name, ".cmp.")
+	}
+	if !compacted {
+		t.Fatal("fixture ran no compaction")
 	}
 	for i := range ix1.runs {
 		r1, r8 := ix1.runs[i], ix8.runs[i]

@@ -21,18 +21,17 @@ import (
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
-func reopen(t *testing.T, fs *storage.MemFS, background bool) *Index {
+func reopen(t *testing.T, fs *storage.MemFS) *Index {
 	t.Helper()
 	ix, err := Open(Options{
-		FS:                   fs,
-		Name:                 "lsm",
-		S:                    tSummarizer(t),
-		RawName:              "raw",
-		MemBudgetBytes:       32 * recordSize,
-		Fanout:               2,
-		Workers:              2,
-		QueryWorkers:         1, // whole Results are compared; visit counts need a serial scan
-		BackgroundCompaction: background,
+		FS:             fs,
+		Name:           "lsm",
+		S:              tSummarizer(t),
+		RawName:        "raw",
+		MemBudgetBytes: 32 * recordSize,
+		Fanout:         2,
+		Workers:        2,
+		QueryWorkers:   1, // whole Results are compared; visit counts need a serial scan
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,7 @@ func reopen(t *testing.T, fs *storage.MemFS, background bool) *Index {
 // TestOpenRoundTrip: a quiesced index reopens with identical runs, count,
 // and exact/approx answers — and the reopen never reads the raw dataset.
 func TestOpenRoundTrip(t *testing.T) {
-	ix, fs := buildStreamed(t, false, 0)
+	ix, fs := buildStreamed(t)
 	wantRuns := ix.Shape().Runs
 	wantCount := ix.Count()
 	queries := dataset.Queries(dataset.NewRandomWalk(), 5, tLen, 99)
@@ -72,7 +71,7 @@ func TestOpenRoundTrip(t *testing.T) {
 		}
 		return nil
 	})
-	re := reopen(t, fs, false)
+	re := reopen(t, fs)
 	fs.SetFault(nil)
 	defer re.Close()
 
@@ -178,7 +177,7 @@ func TestOpenContinuesDeterministicSequence(t *testing.T) {
 // TestOpenDetectsCorruption: a truncated run file, a mutilated run record,
 // and a config conflict all fail loudly with typed errors.
 func TestOpenDetectsCorruption(t *testing.T) {
-	ix, fs := buildStreamed(t, false, 0)
+	ix, fs := buildStreamed(t)
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,132 +261,5 @@ func TestCloseFlushesMemtable(t *testing.T) {
 	}
 	if res.Dist > 1e-9 {
 		t.Fatalf("memtable series lost across Close/Open: nearest dist %v", res.Dist)
-	}
-}
-
-// TestOutOfOrderSwapCommit: when same-tier merges finish out of claim
-// order, the later group's swap must park until its predecessor lands, so
-// the durable cursor never claims an unfinished group is done — the crash
-// window that would otherwise strand the predecessor's runs forever.
-func TestOutOfOrderSwapCommit(t *testing.T) {
-	fs := storage.NewMemFS()
-	ix := &Index{opt: Options{FS: fs, Name: "x", S: tSummarizer(t), RawName: "raw",
-		Fanout: 2, MaxPendingRuns: 4},
-		groupsClaimed: map[int]int{}, committedGroups: map[int]int{},
-		parked: map[int]map[int]*finishedSwap{}}
-	for i := 0; i < 4; i++ {
-		ix.runs = append(ix.runs, mkRun(t, ix, 0, i, int64(i)))
-	}
-	job0 := ix.findGroupLocked(true)
-	job1 := ix.findGroupLocked(true)
-	if job0 == nil || job1 == nil || job0.group != 0 || job1.group != 1 {
-		t.Fatalf("fixture claims wrong: %+v %+v", job0, job1)
-	}
-
-	// Group 1 finishes first: it must park, commit nothing, delete nothing.
-	// landLocked's manifest commit drops and re-acquires mu, so the test
-	// must genuinely hold it.
-	out1 := mkRun(t, ix, 1, 1, job1.outSeq)
-	ix.mu.Lock()
-	err := ix.landLocked(job1, out1)
-	ix.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.committedGroups[0]; got != 0 {
-		t.Fatalf("cursor advanced to %d with group 0 unfinished", got)
-	}
-	if len(ix.runs) != 4 {
-		t.Fatalf("runs swapped early: %d runs", len(ix.runs))
-	}
-	if cs := ix.tierCursorsLocked(); len(cs) != 0 {
-		t.Fatalf("durable cursor published for unfinished group: %+v", cs)
-	}
-
-	// Group 0 lands: both swaps commit, in order.
-	out0 := mkRun(t, ix, 1, 0, job0.outSeq)
-	ix.mu.Lock()
-	err = ix.landLocked(job0, out0)
-	ix.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.committedGroups[0]; got != 2 {
-		t.Fatalf("cursor %d after both groups landed, want 2", got)
-	}
-	if len(ix.runs) != 2 || ix.runs[0] != out0 || ix.runs[1] != out1 {
-		t.Fatalf("unexpected run set after landing: %d runs", len(ix.runs))
-	}
-	if len(ix.parked[0]) != 0 {
-		t.Fatalf("parked swaps left behind: %d", len(ix.parked[0]))
-	}
-}
-
-// mkRun fabricates a one-record run on ix's device for scheduler unit tests.
-func mkRun(t *testing.T, ix *Index, tier, tierSeq int, seq int64) *run {
-	t.Helper()
-	r, err := ix.writeRunFile(fmt.Sprintf("r.t%d.%d", tier, tierSeq), []memEntry{{}}, tier, seq, tierSeq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-// TestAdaptiveClaimOrder: with ready groups at several tiers, claiming
-// pops the tier-0 group first, and under backpressure (tier-0 backlog over
-// MaxPendingRuns) higher tiers are deferred entirely while the readiness
-// probe still sees them.
-func TestAdaptiveClaimOrder(t *testing.T) {
-	ix := &Index{opt: Options{FS: storage.NewMemFS(), Fanout: 2, MaxPendingRuns: 4},
-		groupsClaimed: map[int]int{}, committedGroups: map[int]int{},
-		parked: map[int]map[int]*finishedSwap{}}
-	var seq int64
-	add := func(tier, tierSeq int) {
-		ix.runs = append(ix.runs, mkRun(t, ix, tier, tierSeq, seq))
-		seq++
-	}
-	// A ready tier-2 group, a ready tier-1 group, and two tier-0 runs.
-	add(2, 0)
-	add(2, 1)
-	add(1, 0)
-	add(1, 1)
-	add(0, 0)
-	add(0, 1)
-
-	job := ix.findGroupLocked(true)
-	if job == nil || job.inTier != 0 {
-		t.Fatalf("first claim should be tier 0, got %+v", job)
-	}
-	job = ix.findGroupLocked(true)
-	if job == nil || job.inTier != 1 {
-		t.Fatalf("second claim should be tier 1, got %+v", job)
-	}
-
-	// Burst: 5 more tier-0 runs (backlog 5 > MaxPendingRuns 4, the two
-	// claimed members still count — they occupy the device). Only tier-0
-	// groups may be claimed; the tier-2 group is deferred but the drain
-	// probe still reports it.
-	for i := 2; i < 7; i++ {
-		add(0, i)
-	}
-	if n := ix.tier0CountLocked(); n <= ix.opt.MaxPendingRuns {
-		t.Fatalf("fixture backlog %d not over MaxPendingRuns %d", n, ix.opt.MaxPendingRuns)
-	}
-	job = ix.findGroupLocked(true)
-	if job == nil || job.inTier != 0 {
-		t.Fatalf("burst claim should be tier 0, got %+v", job)
-	}
-	job = ix.findGroupLocked(true)
-	if job == nil || job.inTier != 0 {
-		t.Fatalf("second burst claim should be tier 0, got %+v", job)
-	}
-	// Backlog now 7 (all claimed or not, still on disk); the only
-	// remaining ready group is tier 2 — deferred under backpressure...
-	if job := ix.findGroupLocked(true); job != nil {
-		t.Fatalf("tier-2 group claimed during burst: %+v", job)
-	}
-	// ...but visible to the drain probe.
-	if probe := ix.findGroupLocked(false); probe == nil || probe.inTier != 2 {
-		t.Fatalf("drain probe missed the deferred tier-2 group: %+v", probe)
 	}
 }

@@ -530,8 +530,8 @@ func (c *Composite) eachChild(fn func(Child) error) error {
 }
 
 // Sync persists every partition's pending state — for LSM children the
-// global quiescence barrier: memtables flushed, background compactions
-// drained. The parent manifest is immutable and needs no re-commit: child
+// global quiescence barrier: memtables flushed, ready compactions landed.
+// The parent manifest is immutable and needs no re-commit: child
 // manifests are authoritative for mutable state.
 func (c *Composite) Sync() error { return c.eachChild(Child.Sync) }
 

@@ -248,12 +248,12 @@ func LSMVariant(opt lsm.Options) Variant {
 		half:     func(int) int { return w / 2 },
 		tornTail: true,
 		remove:   lsm.Remove,
-		// The global memory, compaction-worker and pending-run budgets divide
-		// across partitions so aggregate resource use matches the
-		// unpartitioned configuration. The ownership filter scopes any
-		// reconstruction-from-raw to the child's key range — the raw dataset
-		// is shared, and a child re-indexing a sibling's records would
-		// duplicate them across the index.
+		// The global memory and worker budgets divide across partitions so
+		// aggregate resource use matches the unpartitioned configuration.
+		// The ownership filter scopes any reconstruction-from-raw to the
+		// child's key range — the raw dataset is shared, and a child
+		// re-indexing a sibling's records would duplicate them across the
+		// index.
 		child: func(p childPlan) (Child, error) {
 			co := opt
 			co.Name, co.RecordsName, co.RawSums = p.name, p.records, p.sums
@@ -261,10 +261,6 @@ func LSMVariant(opt lsm.Options) Variant {
 			co.MemBudgetBytes = divideBudget(opt.MemBudgetBytes, p.parts, 64<<10)
 			co.Workers = shard.PerGroup(opt.Workers, p.par)
 			co.QueryWorkers = shard.PerGroup(opt.QueryWorkers, p.parts)
-			co.CompactionWorkers = shard.PerGroup(opt.CompactionWorkers, p.parts)
-			if opt.MaxPendingRuns > 0 {
-				co.MaxPendingRuns = max(opt.MaxPendingRuns/p.parts, 1)
-			}
 			if p.records != "" {
 				return asChild(lsm.Build(co))
 			}

@@ -2,11 +2,11 @@ package coconut
 
 // Scrub is the offline integrity pass: it walks every persistent artifact
 // an index's manifest references — the manifest itself, B+-tree page and
-// trie leaf files, LSM run files, WAL segments, the raw dataset via its
-// CRC sidecar, and (for partitioned indexes) each child's artifacts — and
-// verifies each against its one integrity layer (block CRCs, the run
-// codec's CRCs, frame CRCs, record CRCs), reporting a per-file finding for
-// each.
+// leaf-directory files, trie leaf files, LSM run files, WAL segments, the
+// raw dataset via its CRC sidecar, and (for partitioned indexes) each
+// child's artifacts — and verifies each against its one integrity layer
+// (block CRCs, the meta's trailer CRC, the run codec's CRCs, frame CRCs,
+// record CRCs), reporting a per-file finding for each.
 // Repair then fixes what is fixable in place: LSM runs are re-derived from
 // the verified raw dataset (a run's contents are a pure function of the
 // records it covers), WAL damage is resolved by the degraded-open
@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/coconut-db/coconut/internal/bptree"
 	"github.com/coconut-db/coconut/internal/lsm"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/runblock"
@@ -31,8 +32,9 @@ type ScrubFinding struct {
 	// File is the artifact's name on the storage device.
 	File string
 	// Units is how much was verified: checksum blocks for block-format
-	// artifacts, records for the raw dataset, acknowledged entries for
-	// WAL segments, 0 for the manifest (verified whole).
+	// artifacts, leaves for a B+-tree's leaf directory, records for the raw
+	// dataset, acknowledged entries for WAL segments, 0 for the manifest
+	// (verified whole).
 	Units int64
 	// Err is nil for a healthy artifact, otherwise the typed failure —
 	// errors.Is(Err, ErrCorruptData) identifies detected corruption.
@@ -108,6 +110,11 @@ func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) error {
 		}
 	case manifest.VariantTree:
 		scrubBlockFile(fs, name+".bt.leaves", rep)
+		n, err := bptree.VerifyMeta(fs, name+".bt")
+		if errors.Is(err, ErrVersionMismatch) {
+			return err
+		}
+		rep.add(name+".bt.meta", n, err)
 	case manifest.VariantTrie:
 		scrubBlockFile(fs, name+".leaves", rep)
 	case manifest.VariantLSM:

@@ -61,27 +61,13 @@ func bitAt(k summary.Key, i int) int {
 	return int(k[i>>3]>>(7-uint(i&7))) & 1
 }
 
-// prefixAt converts the first L interleaved bits of key into per-segment
-// (Syms, Bits) prefixes: bit position p belongs to segment p mod w. sax is
-// the caller's scratch word for the de-interleaved key.
-func prefixAt(s *summary.Summarizer, key summary.Key, L int, sax summary.SAX) (summary.SAX, []uint8) {
+// prefixAt converts the first L interleaved bits of key into a node's
+// per-segment (Syms, Bits) prefixes (summary.KeyPrefix).
+func prefixAt(s *summary.Summarizer, key summary.Key, L int) (summary.SAX, []uint8) {
 	p := s.Params()
-	w, b := p.Segments, p.CardBits
-	summary.DeinterleaveInto(key, b, sax)
-	buf := make([]uint8, 2*w) // one allocation per node for both slices
-	syms, bits := summary.SAX(buf[:w:w]), buf[w:]
-	for j := 0; j < w; j++ {
-		n := L / w
-		if L%w > j {
-			n++
-		}
-		if n > b {
-			n = b
-		}
-		bits[j] = uint8(n)
-		shift := uint(b) - uint(n)
-		syms[j] = (sax[j] >> shift) << shift
-	}
+	buf := make([]uint8, 2*p.Segments) // one allocation per node for both slices
+	syms, bits := summary.SAX(buf[:p.Segments:p.Segments]), buf[p.Segments:]
+	summary.KeyPrefix(key, L, p.CardBits, syms, bits)
 	return syms, bits
 }
 
@@ -195,7 +181,7 @@ func (ix *TrieIndex) buildStructure() {
 		for hi < len(ix.keys) && summary.CommonPrefixBits(rootPrefix, ix.keys[hi], p.Segments) == p.Segments {
 			hi++
 		}
-		n := ix.buildNode(lo, hi, p.Segments, totalBits, sax)
+		n := ix.buildNode(lo, hi, p.Segments, totalBits)
 		ix.tr.Root[ix.tr.RootKey(summary.DeinterleaveInto(rootPrefix, p.CardBits, sax))] = n
 		lo = hi
 	}
@@ -209,8 +195,8 @@ func (ix *TrieIndex) closeAll() {
 }
 
 // buildNode recursively builds the subtree for keys[lo:hi], whose members
-// share at least `depth` interleaved prefix bits. sax is prefixAt's scratch.
-func (ix *TrieIndex) buildNode(lo, hi, depth, totalBits int, sax summary.SAX) *trie.Node {
+// share at least `depth` interleaved prefix bits.
+func (ix *TrieIndex) buildNode(lo, hi, depth, totalBits int) *trie.Node {
 	s := ix.opt.S
 	if hi-lo <= ix.opt.LeafCap || depth >= totalBits {
 		// Maximal leaf: tighten the prefix to the members' true common
@@ -219,7 +205,7 @@ func (ix *TrieIndex) buildNode(lo, hi, depth, totalBits int, sax summary.SAX) *t
 		if common < depth {
 			common = depth
 		}
-		syms, bits := prefixAt(s, ix.keys[lo], common, sax)
+		syms, bits := prefixAt(s, ix.keys[lo], common)
 		leaf := &trie.Node{Syms: syms, Bits: bits, Leaf: true, Count: int64(hi - lo)}
 		ix.leafStart = append(ix.leafStart, lo)
 		ix.leaves = append(ix.leaves, leaf)
@@ -231,18 +217,18 @@ func (ix *TrieIndex) buildNode(lo, hi, depth, totalBits int, sax summary.SAX) *t
 	for d < totalBits {
 		mid := lo + sort.Search(hi-lo, func(i int) bool { return bitAt(ix.keys[lo+i], d) == 1 })
 		if mid > lo && mid < hi {
-			syms, bits := prefixAt(s, ix.keys[lo], depth, sax)
+			syms, bits := prefixAt(s, ix.keys[lo], depth)
 			n := &trie.Node{Syms: syms, Bits: bits, Count: int64(hi - lo)}
 			n.Children = []*trie.Node{
-				ix.buildNode(lo, mid, d+1, totalBits, sax),
-				ix.buildNode(mid, hi, d+1, totalBits, sax),
+				ix.buildNode(lo, mid, d+1, totalBits),
+				ix.buildNode(mid, hi, d+1, totalBits),
 			}
 			return n
 		}
 		d++
 	}
 	// All remaining bits identical: one oversized leaf.
-	return ix.buildNode(lo, hi, totalBits, totalBits, sax)
+	return ix.buildNode(lo, hi, totalBits, totalBits)
 }
 
 // readLeafRecords loads the records of leaf li — exactly its extent of the

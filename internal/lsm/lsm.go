@@ -420,7 +420,7 @@ func (ix *Index) QuarantinedRuns() []string {
 func (ix *Index) uncoveredLocked() (_ []memEntry, err error) {
 	covered := make(map[int64]bool, ix.count)
 	for _, r := range ix.runs {
-		err := r.rb.Scan(func(blk *runblock.Block) error {
+		err := r.rb.Scan(nil, func(blk *runblock.Block) error {
 			for _, p := range blk.Pos {
 				covered[p] = true
 			}
@@ -1224,20 +1224,26 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 func (ix *Index) ApproxSearch(ctx context.Context, q series.Series, _ int) (core.Result, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	res, err := ix.approxLocked(ctx, q)
+	pass, err := ix.opt.S.NewPass(q)
+	if err != nil {
+		return core.Result{Pos: -1, Dist: math.Inf(1)}, err
+	}
+	defer pass.Release() // the window's bounds are all taken before it returns
+	res, err := ix.approxLocked(ctx, q, &pass.Table)
 	res.Dist = math.Sqrt(res.Dist)
 	return res, err
 }
 
 // approxLocked is the internal form of ApproxSearch: res.Dist holds the
 // SQUARED best distance (the LSM query path, like core's, stays in squared
-// space until a public entry point materializes a Euclidean distance).
-func (ix *Index) approxLocked(ctx context.Context, q series.Series) (core.Result, error) {
+// space until a public entry point materializes a Euclidean distance). tbl
+// is q's MinDistTable.
+func (ix *Index) approxLocked(ctx context.Context, q series.Series, tbl *summary.MinDistTable) (core.Result, error) {
 	res := core.Result{Pos: -1, Dist: math.Inf(1)}
 	if ix.count == 0 {
 		return res, errors.New("lsm: index is empty")
 	}
-	below, above, runs, err := ix.windowCandsLocked(q)
+	below, above, runs, err := ix.windowCandsLocked(q, tbl)
 	if err != nil {
 		return res, err
 	}
@@ -1253,18 +1259,12 @@ func (ix *Index) approxLocked(ctx context.Context, q series.Series) (core.Result
 // classified per side, ordered, and trimmed to the half-window. Per-source
 // trimming never changes the merged global window — a record in the global
 // trailing half is necessarily in its own source's trailing half. Lower
-// bounds come from one per-query MinDist table shared by every source.
-func (ix *Index) windowCandsLocked(q series.Series) (below, above []window.Cand, runs int64, err error) {
+// bounds come from q's table tbl, shared by every source.
+func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (below, above []window.Cand, runs int64, err error) {
 	key, err := ix.opt.S.KeyOf(q)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	pass, err := ix.opt.S.NewPass(q)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	defer pass.Release() // nothing here outlives the call
-	tbl := &pass.Table
 	half := ix.opt.Window / 2
 	// Each run and the memtable contribute at most half a window per side.
 	below = make([]window.Cand, 0, half*(len(ix.runs)+1))
@@ -1326,7 +1326,12 @@ func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, _ int) (c
 	if ix.count == 0 {
 		return aw, nil
 	}
-	below, above, runs, err := ix.windowCandsLocked(q)
+	pass, err := ix.opt.S.NewPass(q)
+	if err != nil {
+		return aw, err
+	}
+	defer pass.Release() // the window's bounds are all taken before it returns
+	below, above, runs, err := ix.windowCandsLocked(q, &pass.Table)
 	if err != nil {
 		return aw, err
 	}
@@ -1337,9 +1342,11 @@ func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, _ int) (c
 
 // ExactSearch is SIMS over the union of all runs' key blocks and the
 // memtable: squared lower bounds for every record (one per-query
-// MinDistTable shared by every run and the memtable, evaluated per run
-// across QueryWorkers; a run is swept block by block without evicting what
-// the cache holds, see runblock.Reader.Scan), then a position-ordered
+// MinDistTable shared by the approximate window, every run and the
+// memtable, evaluated per run across QueryWorkers; a run is swept block by
+// block without evicting what the cache holds, and a block whose key range
+// the table bounds at or above the seed is never read, see
+// runblock.Reader.Scan and MinDistTable.Range), then a position-ordered
 // skip-sequential scan of the raw file (core.VerifyRaw: file-adjacent
 // candidates share one read), sharded by position range with a shared
 // squared best-so-far bound — the Euclidean distance is materialized once,
@@ -1355,15 +1362,23 @@ func (ix *Index) ExactSearch(ctx context.Context, q series.Series, _ int) (core.
 	return res, err
 }
 
-// exactLocked runs the SIMS pipeline in squared space.
+// exactLocked runs the SIMS pipeline in squared space, both phases on one
+// per-query table.
 func (ix *Index) exactLocked(ctx context.Context, q series.Series) (core.Result, error) {
-	res, err := ix.approxLocked(ctx, q)
+	pass, err := ix.opt.S.NewPass(q)
 	if err != nil {
+		return core.Result{Pos: -1, Dist: math.Inf(1)}, err
+	}
+	res, err := ix.approxLocked(ctx, q, &pass.Table)
+	if err != nil {
+		if ctx.Err() == nil {
+			pass.Release()
+		}
 		return res, err
 	}
 	var bound shard.BSF
 	bound.Init(res.Dist)
-	return ix.exactVerifyLocked(ctx, q, res, &bound)
+	return ix.exactVerifyLocked(ctx, q, res, &bound, pass)
 }
 
 // ExactVerify is the partition-layer entry: verify the seed (seedPos,
@@ -1377,20 +1392,23 @@ func (ix *Index) ExactVerify(ctx context.Context, q series.Series, seedPos int64
 	if ix.count == 0 {
 		return res, nil
 	}
-	return ix.exactVerifyLocked(ctx, q, res, bound)
-}
-
-// exactVerifyLocked is the verification phase: lower-bound every record,
-// then scan the surviving candidates in position order, tightening res
-// (and the shared bound) as closer records are found.
-func (ix *Index) exactVerifyLocked(ctx context.Context, q series.Series, res core.Result, bound *shard.BSF) (core.Result, error) {
-	// One lookup table serves the whole query: it is read-only after the
-	// build, so every run shard and the memtable pass read it concurrently.
 	pass, err := ix.opt.S.NewPass(q)
 	if err != nil {
 		return res, err
 	}
+	return ix.exactVerifyLocked(ctx, q, res, bound, pass)
+}
+
+// exactVerifyLocked is the verification phase: lower-bound every record of
+// a block the seed does not rule out whole, then scan the surviving
+// candidates in position order, tightening res (and the shared bound) as
+// closer records are found. pass holds q's table; the call owns pass and
+// returns it to the pool unless ctx ended it.
+func (ix *Index) exactVerifyLocked(ctx context.Context, q series.Series, res core.Result, bound *shard.BSF, pass *summary.Pass) (core.Result, error) {
+	// One lookup table serves the whole query: it is read-only after the
+	// build, so every run shard and the memtable pass read it concurrently.
 	tbl, limit := &pass.Table, bound.Limit(res.Dist)
+	skip := func(lo, hi *summary.Key) bool { return tbl.Range(lo, hi) >= limit }
 	// Lower-bound the runs block by block — the working set is one decoded
 	// block, never the run. Each run is independent, so the pass fans out
 	// over the run list; every shard keeps its survivors in run order in a
@@ -1403,12 +1421,12 @@ func (ix *Index) exactVerifyLocked(ctx context.Context, q series.Series, res cor
 	innerWorkers := shard.PerGroup(ix.opt.QueryWorkers, runWorkers)
 	perShard := make([][]summary.Cand, runWorkers)
 	perShard[0] = pass.Cands
-	err = shard.Scan(ctx, runWorkers, len(ix.runs), func(si int, rr shard.Range, cancelled func() bool) error {
+	err := shard.Scan(ctx, runWorkers, len(ix.runs), func(si int, rr shard.Range, cancelled func() bool) error {
 		for _, r := range ix.runs[rr.Lo:rr.Hi] {
 			if cancelled() {
 				return nil
 			}
-			err := r.rb.Scan(func(blk *runblock.Block) error {
+			err := r.rb.Scan(skip, func(blk *runblock.Block) error {
 				perShard[si] = tbl.Filter(perShard[si], blk.Keys, blk.Pos, limit, innerWorkers)
 				return nil
 			})

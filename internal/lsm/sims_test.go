@@ -4,12 +4,15 @@ import (
 	"context"
 	"math"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/series"
+	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/storage/blockcache"
 	"github.com/coconut-db/coconut/internal/summary"
@@ -65,7 +68,7 @@ func TestExactMatchesReferencePass(t *testing.T) {
 		var keys []summary.Key
 		var positions []int64
 		for _, r := range ix.runs {
-			err := r.rb.Scan(func(blk *runblock.Block) error {
+			err := r.rb.Scan(nil, func(blk *runblock.Block) error {
 				keys, positions = append(keys, blk.Keys...), append(positions, blk.Pos...)
 				return nil
 			})
@@ -77,10 +80,15 @@ func TestExactMatchesReferencePass(t *testing.T) {
 			keys, positions = append(keys, e.key), append(positions, e.pos)
 		}
 		for qi, q := range queries {
-			seed, err := ix.approxLocked(context.Background(), q)
+			pass, err := s.NewPass(q)
 			if err != nil {
 				t.Fatal(err)
 			}
+			seed, err := ix.approxLocked(context.Background(), q, &pass.Table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pass.Release()
 			want := referenceExact(s, q, data, keys, positions, seed)
 			for _, w := range []int{1, 2, 8} {
 				ix.opt.QueryWorkers = w
@@ -93,6 +101,129 @@ func TestExactMatchesReferencePass(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// runReadsFS counts the bytes read from LSM run files, and nothing else.
+type runReadsFS struct {
+	storage.FS
+	bytes atomic.Int64
+}
+
+func (fs *runReadsFS) Open(name string) (storage.File, error) {
+	f, err := fs.FS.Open(name)
+	if err != nil || !strings.Contains(name, ".run.") {
+		return f, err
+	}
+	return &countedFile{File: f, n: &fs.bytes}, nil
+}
+
+type countedFile struct {
+	storage.File
+	n *atomic.Int64
+}
+
+func (f *countedFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.n.Add(int64(n))
+	return n, err
+}
+
+// TestExactSkipsRunBlocks: on a multi-run index of multi-block runs behind
+// a cache too small for any full block, the exact pass skips whole blocks
+// without changing what it finds — answers and VisitedRecords equal the
+// replay of the unskipped pass — and a query whose seed rules blocks out
+// reads fewer run-file bytes than a full scan of every run.
+func TestExactSkipsRunBlocks(t *testing.T) {
+	const bulk = 4000
+	s, err := summary.NewSummarizer(summary.Params{SeriesLen: tLen, Segments: 16, CardBits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := dataset.NewRandomWalk()
+	fs := &runReadsFS{FS: storage.NewMemFS()}
+	if _, err := dataset.WriteFile(fs, "raw", gen, bulk, tLen, 42); err != nil {
+		t.Fatal(err)
+	}
+	data := append(dataset.Generate(gen, bulk, tLen, 42), dataset.Generate(gen, 1300, tLen, 7)...)
+	ix, err := Build(Options{FS: fs, Name: "lsm", S: s, RawName: "raw", MemBudgetBytes: 1 << 20, Fanout: 4, Window: 40,
+		QueryWorkers: 1, Cache: blockcache.New(1 << 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	// Two flushed runs of two blocks each beside the bulk one, and 100
+	// records left in the memtable.
+	for _, batch := range [][]series.Series{data[bulk : bulk+600], data[bulk+600 : bulk+1200], data[bulk+1200:]} {
+		if err := ix.Insert(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) == 600 {
+			if err := ix.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(ix.runs) != 3 || len(ix.mem) == 0 {
+		t.Fatalf("fixture has %d runs and %d memtable records; want 3 and some", len(ix.runs), len(ix.mem))
+	}
+	var keys []summary.Key
+	var positions []int64
+	before := fs.bytes.Load()
+	for _, r := range ix.runs {
+		if r.rb.NumBlocks() < 2 {
+			t.Fatalf("run %s has %d blocks; want several", r.name, r.rb.NumBlocks())
+		}
+		err := r.rb.Scan(nil, func(blk *runblock.Block) error {
+			keys, positions = append(keys, blk.Keys...), append(positions, blk.Pos...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := fs.bytes.Load() - before
+	for _, e := range ix.mem {
+		keys, positions = append(keys, e.key), append(positions, e.pos)
+	}
+	fewer := 0
+	for qi, q := range append(dataset.Queries(gen, 16, tLen, 77), data[5], data[bulk+700]) {
+		pass, err := s.NewPass(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed, err := ix.approxLocked(context.Background(), q, &pass.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass.Release()
+		want := referenceExact(s, q, data, keys, positions, seed)
+		var bound shard.BSF
+		bound.Init(seed.Dist)
+		before := fs.bytes.Load()
+		got, err := ix.ExactVerify(context.Background(), q, seed.Pos, seed.Dist, &bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := fs.bytes.Load() - before
+		if got.Pos != want.Pos || math.Sqrt(got.Dist) != want.Dist || got.VisitedRecords != want.VisitedRecords-seed.VisitedRecords {
+			t.Fatalf("query %d: exact pass %+v from seed %+v, reference pass %+v", qi, got, seed, want)
+		}
+		if res, err := ix.ExactSearch(context.Background(), q, 0); err != nil || res != want {
+			t.Fatalf("query %d: ExactSearch %+v (%v), reference pass %+v", qi, res, err, want)
+		}
+		if read > full {
+			t.Fatalf("query %d: exact pass read %d run-file bytes, a full scan reads %d", qi, read, full)
+		}
+		// A member query's seed is its own series at distance 0, under which
+		// every bound prunes: only a seed above 0 shows the bound at work.
+		if read < full && seed.Dist > 0 {
+			fewer++
+		}
+	}
+	t.Logf("%d of 16 exact passes from a nonzero seed read fewer run-file bytes than a full scan (%d)", fewer, full)
+	if fewer == 0 {
+		t.Fatal("no exact pass skipped a run block")
 	}
 }
 

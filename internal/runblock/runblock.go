@@ -489,10 +489,19 @@ func (r *Reader) Block(b int) (*Block, error) {
 // otherwise decoded into pooled scratch, so sweeping a run larger than the
 // cache neither thrashes it, nor outranks what lookups cached, nor allocates.
 // blk is shared, must not be mutated, and is valid only until fn returns.
-func (r *Reader) Scan(fn func(blk *Block) error) error {
+//
+// A non-nil skip is asked first, from the directory alone, about every block
+// with a key range that holds all of its keys: from its first key to the
+// next block's first key, or to the run's max key for the last. A block it
+// rules out is not read, decoded or looked up in the cache. skip must not
+// mutate the keys.
+func (r *Reader) Scan(skip func(lo, hi *summary.Key) bool, fn func(blk *Block) error) error {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	for b := range r.dir {
+		if skip != nil && skip(&r.dir[b].firstKey, r.keyCeil(b)) {
+			continue
+		}
 		blk, err := r.scanBlock(b, sc)
 		if err != nil {
 			return err
@@ -502,6 +511,15 @@ func (r *Reader) Scan(fn func(blk *Block) error) error {
 		}
 	}
 	return nil
+}
+
+// keyCeil returns a key no smaller than any of block b's: the next block's
+// first key, or the run's max key after the last block.
+func (r *Reader) keyCeil(b int) *summary.Key {
+	if b+1 < len(r.dir) {
+		return &r.dir[b+1].firstKey
+	}
+	return &r.maxKey
 }
 
 func (r *Reader) scanBlock(b int, sc *scratch) (*Block, error) {

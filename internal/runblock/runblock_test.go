@@ -110,6 +110,75 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScanSkip: Scan asks skip about every block with a key range holding
+// all of the block's keys, yields exactly the blocks it keeps, and reads
+// nothing for the ones it rules out.
+func TestScanSkip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	recs := genRecords(t, rng, 1000)
+	fs := storage.NewMemFS()
+	writeRun(t, fs, "run", recs, 32)
+	f, err := fs.Open("run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(f, blockcache.New(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var asked [][2]summary.Key
+	everyThird := func(lo, hi *summary.Key) bool {
+		asked = append(asked, [2]summary.Key{*lo, *hi})
+		return len(asked)%3 != 1
+	}
+	before := fs.Stats().Snapshot()
+	var got []rec
+	err = r.Scan(everyThird, func(blk *Block) error {
+		for i, k := range blk.Keys {
+			got = append(got, rec{k, blk.Pos[i]})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := fs.Stats().Snapshot().Sub(before)
+	if len(asked) != r.NumBlocks() {
+		t.Fatalf("skip asked about %d blocks of %d", len(asked), r.NumBlocks())
+	}
+	var want []rec
+	for b, rg := range asked {
+		lo, hi := r.BlockStart(b), r.Count()
+		if b+1 < r.NumBlocks() {
+			hi = r.BlockStart(b + 1)
+		}
+		for _, rc := range recs[lo:hi] {
+			if rc.key.Less(rg[0]) || rg[1].Less(rc.key) {
+				t.Fatalf("block %d key %v outside its range [%v, %v]", b, rc.key, rg[0], rg[1])
+			}
+		}
+		if b%3 == 0 {
+			want = append(want, recs[lo:hi]...)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("yielded %d records, want the %d of every third block", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	kept := int64(r.NumBlocks()+2) / 3
+	if read.RandReads+read.SeqReads != kept {
+		t.Fatalf("%d reads for %d kept blocks", read.RandReads+read.SeqReads, kept)
+	}
+	if st := r.cache.Stats(); st.Hits+st.Misses != kept {
+		t.Fatalf("cache looked up %d blocks, %d were kept", st.Hits+st.Misses, kept)
+	}
+}
+
 func TestSearchMatchesSortSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	recs := genRecords(t, rng, 500)

@@ -82,25 +82,29 @@ type Cand struct {
 // filterTile is how many keys Filter lower-bounds at a time: the bounds of
 // a tile (2 KiB) live on the stack and are scanned for survivors while
 // still in L1, so a pass over N keys materializes O(candidates), not O(N).
+// It is also the unit Filter skips whole.
 const filterTile = 256
 
 // Filter is the fused SIMS lower-bound pass: it appends to dst, in key
 // order, a Cand for every key whose squared lower bound is below limit, and
 // returns the extended slice. A candidate's ID is ids[i] — ids runs
-// parallel to keys — or the key's index i when ids is nil. The keys are
-// sharded across workers goroutines and the shards' survivors concatenated
-// in shard order, so the result is identical for any worker count; with one
-// worker nothing is allocated beyond dst's growth.
+// parallel to keys — or the key's index i when ids is nil. keys must be
+// sorted: a tile whose first-to-last Range is at or above limit holds no
+// candidate and is skipped without a per-key bound. The keys are sharded
+// across workers goroutines and the shards' survivors concatenated in shard
+// order, so the result is identical for any worker count; with one worker
+// nothing is allocated beyond dst's growth.
 func (t *MinDistTable) Filter(dst []Cand, keys []Key, ids []int64, limit float64, workers int) []Cand {
 	shards := shard.Resolve(workers, len(keys))
 	if shards == 1 {
-		return t.filterRange(dst, keys, ids, shard.Range{Hi: len(keys)}, limit)
+		dst, _ = t.filterRange(dst, keys, ids, shard.Range{Hi: len(keys)}, limit)
+		return dst
 	}
 	parts := make([][]Cand, shards)
 	parts[0] = dst
 	// The shard body cannot fail, so neither can the scan.
 	_ = shard.Scan(context.Background(), workers, len(keys), func(si int, r shard.Range, _ func() bool) error {
-		parts[si] = t.filterRange(parts[si], keys, ids, r, limit)
+		parts[si], _ = t.filterRange(parts[si], keys, ids, r, limit)
 		return nil
 	})
 	dst = parts[0]
@@ -110,10 +114,16 @@ func (t *MinDistTable) Filter(dst []Cand, keys []Key, ids []int64, limit float64
 	return dst
 }
 
-func (t *MinDistTable) filterRange(dst []Cand, keys []Key, ids []int64, r shard.Range, limit float64) []Cand {
+// filterRange is Filter over keys[r.Lo:r.Hi] on one goroutine; it also
+// returns how many keys it skipped in whole tiles.
+func (t *MinDistTable) filterRange(dst []Cand, keys []Key, ids []int64, r shard.Range, limit float64) (_ []Cand, skipped int) {
 	var lbs [filterTile]float64
 	for lo := r.Lo; lo < r.Hi; lo += filterTile {
 		tile := keys[lo:min(lo+filterTile, r.Hi)]
+		if t.Range(&tile[0], &tile[len(tile)-1]) >= limit {
+			skipped += len(tile)
+			continue
+		}
 		t.bounds(tile, lbs[:])
 		for i, lb := range lbs[:len(tile)] {
 			if lb < limit {
@@ -125,7 +135,7 @@ func (t *MinDistTable) filterRange(dst []Cand, keys []Key, ids []int64, r shard.
 			}
 		}
 	}
-	return dst
+	return dst, skipped
 }
 
 // Pass is the per-query state of a SIMS lower-bound pass — the query's

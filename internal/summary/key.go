@@ -203,6 +203,27 @@ func deinterleaveRef(k Key, cardBits int, dst SAX) SAX {
 	return dst
 }
 
+// KeyPrefix writes the iSAX node that the first prefixLen interleaved bits
+// of k fix: bits[j] is how many leading bits of segment j's symbol they fix
+// and syms[j] is that symbol with the other bits cleared. Interleaved bit p
+// is bit p/w (from the symbol's most significant) of segment p mod w, with
+// w = len(syms), so the prefix fixes ⌈(prefixLen-j)/w⌉ bits of segment j, at
+// most cardBits. syms and bits need one entry per segment.
+func KeyPrefix(k Key, prefixLen, cardBits int, syms SAX, bits []uint8) {
+	w := len(syms)
+	DeinterleaveInto(k, cardBits, syms)
+	for j := range syms {
+		n := prefixLen / w
+		if prefixLen%w > j {
+			n++
+		}
+		n = min(n, cardBits)
+		bits[j] = uint8(n)
+		shift := uint(cardBits - n)
+		syms[j] = syms[j] >> shift << shift
+	}
+}
+
 // CommonPrefixBits returns the number of leading interleaved bits shared by
 // a and b, considering only the first totalBits bits (segments × cardBits).
 // Two series agreeing on many leading z-order bits agree on the high bits

@@ -15,9 +15,11 @@ import (
 // allocation, no breakpoint-region recomputation, no sqrt. The coarser
 // iSAX prefix levels, which only Prefix reads, are built on its first use.
 //
-// Entries are built by the same minDistSqTerm the direct kernels use and
-// are summed in segment order, so every evaluation method returns EXACTLY
-// (bit for bit) what the corresponding MinDistSq kernel returns.
+// Entries hold the float expressions of minDistSqTerm, the direct kernels'
+// per-segment term — the full level evaluates them in two sweeps per row
+// (fillRow), the prefix levels by calling it — and are summed in segment
+// order, so every evaluation method returns EXACTLY (bit for bit) what the
+// corresponding MinDistSq kernel returns.
 //
 // Between two builds a table is safe for concurrent use by any number of
 // goroutines (the SIMS lower-bound pass shards one table across all query
@@ -34,6 +36,10 @@ type MinDistTable struct {
 	// bit-matrix transpose of a key delivers it.
 	full  [][256]float64
 	shift uint
+	// qsym[j] is a symbol whose region holds the query's segment j value:
+	// its entry in row j is 0, and the entries grow away from it on both
+	// sides, which is what Range relies on.
+	qsym []uint8
 	// levels holds, per segment, one entry per prefix at every prefix
 	// length 0..cardBits (stride 2^(cardBits+1) - 1): level pb of segment j
 	// starts at j*stride + (1<<pb - 1), and the entry of a symbol sym at
@@ -69,11 +75,39 @@ func (s *Summarizer) fillTable(tbl *MinDistTable) {
 		tbl.full = make([][256]float64, tbl.segments)
 	}
 	tbl.full = tbl.full[:tbl.segments]
-	for j, q := range tbl.paa {
-		for sym := 0; sym < s.p.Cardinality(); sym++ {
-			tbl.full[j][sym<<tbl.shift] = s.minDistSqTerm(j, q, uint8(sym), tbl.cardBits)
-		}
+	if cap(tbl.qsym) < tbl.segments {
+		tbl.qsym = make([]uint8, tbl.segments)
 	}
+	tbl.qsym = tbl.qsym[:tbl.segments]
+	for j, q := range tbl.paa {
+		tbl.qsym[j] = s.fillRow(&tbl.full[j], tbl.shift, j, q)
+	}
+}
+
+// fillRow fills segment j's row of the full level for query value q with
+// exactly the entries minDistSqTerm(j, q, sym, CardBits) returns, in two
+// monotone sweeps over the breakpoints instead of a region lookup per
+// symbol: down through the regions wholly above q, whose gap is their lower
+// breakpoint minus q, then, past the one or two regions holding q (entry 0),
+// through those wholly below, whose gap is q minus their upper breakpoint.
+// The gaps and width·d·d are minDistSqTerm's own float expressions. It
+// returns the highest symbol whose region holds q.
+func (s *Summarizer) fillRow(row *[256]float64, shift uint, j int, q float64) (qsym uint8) {
+	bp, width := s.bp, float64(s.SegmentWidth(j))
+	sym := len(bp) // the top symbol: its region is [bp[len-1], +Inf)
+	for ; sym > 0 && q < bp[sym-1]; sym-- {
+		d := bp[sym-1] - q
+		row[sym<<shift] = width * d * d
+	}
+	qsym = uint8(sym)
+	for ; sym >= 0 && !(sym < len(bp) && q > bp[sym]); sym-- {
+		row[sym<<shift] = 0
+	}
+	for ; sym >= 0; sym-- {
+		d := q - bp[sym]
+		row[sym<<shift] = width * d * d
+	}
+	return qsym
 }
 
 // buildLevels fills the prefix levels. The full-cardinality one repeats
@@ -112,6 +146,31 @@ func (t *MinDistTable) Key(k Key) float64 {
 	keys, out := [1]Key{k}, [1]float64{}
 	t.bounds(keys[:], out[:])
 	return out[0]
+}
+
+// Range lower-bounds every key k with lo <= k <= hi (byte order) at once.
+// Such keys share the interleaved prefix lo and hi share — a sorted key
+// range is one iSAX region (§4.1) — so segment j's symbol lies in the box of
+// symbols that prefix leaves open, and the box's smallest entry is a bound
+// on its term: 0 when the box holds the query's own symbol, else the entry
+// at one of its ends, as entries only grow away from the query's symbol.
+// Summed in segment order like Key, the result is <= Key(k) for every k in
+// the range, because float64 rounding is monotone, and == Key(k) when
+// lo == hi.
+func (t *MinDistTable) Range(lo, hi *Key) float64 {
+	w, b := t.segments, t.cardBits
+	var symBuf, bitBuf [KeyBits]uint8
+	syms, bits := SAX(symBuf[:w]), bitBuf[:w]
+	KeyPrefix(*lo, CommonPrefixBits(*lo, *hi, w*b), b, syms, bits)
+	acc := 0.0
+	for j, first := range syms {
+		last := first | uint8(1<<(b-int(bits[j]))-1)
+		if q := t.qsym[j]; first <= q && q <= last {
+			continue
+		}
+		acc += min(t.full[j][first<<t.shift], t.full[j][last<<t.shift])
+	}
+	return acc
 }
 
 // bounds fills out[i] with the squared lower bound of keys[i]: the one

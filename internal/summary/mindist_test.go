@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -136,6 +137,32 @@ func TestKeysIntoMatchesKernel(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkBuildMinDistTable times one per-query table build — what every
+// exact query and every LSM approximate query pays before its first bound —
+// over PAAs of four shapes, some values exactly on a breakpoint.
+func BenchmarkBuildMinDistTable(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	var tbl *MinDistTable
+	for _, p := range []Params{{SeriesLen: 256, Segments: 16, CardBits: 8}, {SeriesLen: 256, Segments: 8, CardBits: 8},
+		{SeriesLen: 60, Segments: 10, CardBits: 5}, {SeriesLen: 64, Segments: 16, CardBits: 3}} {
+		s, err := NewSummarizer(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		paas := make([][]float64, 64)
+		for i := range paas {
+			paas[i] = edgePAA(rng, s)
+		}
+		b.Run(fmt.Sprintf("%dx%d", p.Segments, p.CardBits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tbl = s.BuildMinDistTable(paas[i%len(paas)], tbl)
+			}
+		})
+		tbl = nil
 	}
 }
 

@@ -180,9 +180,8 @@ func (s *Summarizer) MinDistPAAToPrefix(paa []float64, sax SAX, bits []uint8) fl
 }
 
 // MinDistSqPAAToPrefix is the squared form of MinDistPAAToPrefix and the
-// single implementation the sqrt wrappers and the MinDistTable builder
-// share: every other evaluation path must sum these exact per-segment
-// terms (width_j · d_j², accumulated in segment order) so that table
+// single implementation the sqrt wrappers share: every other evaluation
+// path, MinDistTable's included, must sum these exact per-segment terms (width_j · d_j², accumulated in segment order) so that table
 // lookups reproduce it to exact float64 equality.
 func (s *Summarizer) MinDistSqPAAToPrefix(paa []float64, sax SAX, bits []uint8) float64 {
 	acc := 0.0
@@ -198,10 +197,10 @@ func (s *Summarizer) MinDistSqPAAToPrefix(paa []float64, sax SAX, bits []uint8) 
 
 // minDistSqTerm computes segment j's contribution to the squared MINDIST:
 // width_j · d², where d is the gap between the query PAA value q and the
-// value region of sym's pb-bit prefix. This is the one place the term's
-// floating-point expression lives — MinDistTable entries are built by
-// calling it, which is what makes table evaluation exactly equal to the
-// direct kernels.
+// value region of sym's pb-bit prefix. The MinDistTable prefix levels call
+// it; the full level (fillRow) evaluates the same gaps and width·d·d without
+// the region lookup. Those shared float expressions are what make table
+// evaluation exactly equal to the direct kernels.
 func (s *Summarizer) minDistSqTerm(j int, q float64, sym uint8, pb int) float64 {
 	lo, hi := s.Region(sym, pb)
 	var d float64

@@ -109,13 +109,13 @@
 // at worst the last committed state reopens. On reopen, unset Config
 // fields (series length, segments, leaf size, data file) are adopted from
 // the manifest; explicitly conflicting values fail loudly rather than
-// misread the stored bytes. One stored format is read, manifest version 6,
+// misread the stored bytes. One stored format is read, manifest version 7,
 // in which no stored file carries more than one integrity layer: CRC'd
 // blocks for B+-tree pages and trie leaves, the run codec's own block,
 // directory and footer CRCs for LSM runs, per-record CRCs for WAL segments
-// and (in a sidecar) the raw dataset, and one CRC over the manifest. Any
-// other version fails Open, Scrub and Repair with ErrVersionMismatch
-// (rebuild the index).
+// and (in a sidecar) the raw dataset, and one CRC over the manifest, which
+// is also where a Coconut-Tree keeps its leaf directory. Any other version
+// fails Open, Scrub and Repair with ErrVersionMismatch (rebuild the index).
 package coconut
 
 import (
@@ -142,9 +142,10 @@ var (
 	// describes) that failed checksum or structural validation.
 	ErrCorruptManifest = manifest.ErrCorruptManifest
 	// ErrVersionMismatch reports an index stored in a format this build
-	// does not read: any manifest version but 6, whose files (LSM runs
-	// framed in checksum blocks before 6, flat runs or padded trie leaves
-	// before 5) no reader here understands. Rebuild the index.
+	// does not read: any manifest version but 7, whose files (tree
+	// directories in a separate meta file before 7, LSM runs framed in
+	// checksum blocks before 6, flat runs or padded trie leaves before 5) no
+	// reader here understands. Rebuild the index.
 	ErrVersionMismatch = manifest.ErrVersionMismatch
 	// ErrConfigMismatch reports a Config that conflicts with the stored
 	// index (different summarization, materialization, or dataset file).
@@ -500,8 +501,9 @@ func BuildTreeIndexCtx(ctx context.Context, cfg Config) (*TreeIndex, error) {
 }
 
 // OpenTreeIndex reopens a Coconut-Tree previously built (and Closed) over
-// cfg.Storage, reconstructing the handle from the persisted manifest and
-// B+-tree without touching the raw dataset. A partitioned tree reopens
+// cfg.Storage, reconstructing the handle from the persisted manifest (which
+// holds the leaf directory) and leaf file without touching the raw dataset.
+// A partitioned tree reopens
 // through its parent manifest (child by child, never partially). Unset
 // Config fields are adopted from the manifest; conflicting ones fail with
 // ErrConfigMismatch.
@@ -576,8 +578,8 @@ func (t *TreeIndex) SizeBytes() int64 { return t.ix.SizeBytes() }
 // only the healthy remainder (Count() says how many records that is).
 func (t *TreeIndex) Degraded() bool { return t.ix.Degraded() }
 
-// Sync persists metadata made stale by Insert (the B+-tree directory and
-// the manifest) so a crash afterwards loses nothing. Close syncs too.
+// Sync persists what Insert made stale (the leaf pages and the manifest)
+// so a crash afterwards loses nothing. Close syncs too.
 func (t *TreeIndex) Sync() error { return t.ix.Sync() }
 
 // Close persists pending metadata and releases the index's file handles;

@@ -320,13 +320,13 @@ func TestMissingSidecarRefused(t *testing.T) {
 	}
 }
 
-// TestTreeMetaEveryBitCovered pins that the B+-tree leaf directory
-// (<name>.bt.meta) leaves no bit unchecked: each bit of the meta of a tree
-// grown by inserts is flipped in turn, and every flip must fail
-// OpenTreeIndex with ErrCorruptData — never a panic, never an open that
-// heals the manifest from the rotted meta — while Scrub names the meta. A
-// meta in the older trailer-less format is refused with ErrVersionMismatch.
-func TestTreeMetaEveryBitCovered(t *testing.T) {
+// TestTreeManifestEveryBitCovered pins that the tree's manifest, the one
+// home of its leaf directory, leaves no bit unchecked: each bit of the
+// manifest of a tree grown by inserts is flipped in turn, and every flip
+// must fail OpenTreeIndex typed — ErrVersionMismatch for the 32 bits of the
+// version word, ErrCorruptManifest for every other — never a panic, while
+// Scrub names the manifest (and refuses the other versions).
+func TestTreeManifestEveryBitCovered(t *testing.T) {
 	const n, length = 3000, 64
 	fs := storage.NewMemFS()
 	if err := GenerateDataset(fs, "data.bin", RandomWalk, n, length, sweepSeed); err != nil {
@@ -346,68 +346,48 @@ func TestTreeMetaEveryBitCovered(t *testing.T) {
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	const meta, mf = "ix.bt.meta", "ix.manifest"
-	orig, err := storage.ReadFileAll(fs, meta)
+	const mf = "ix.manifest"
+	orig, err := storage.ReadFileAll(fs, mf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	origManifest, err := storage.ReadFileAll(fs, mf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restore := func() {
-		t.Helper()
-		if err := storage.WriteFileAll(fs, meta, orig); err != nil {
-			t.Fatal(err)
-		}
-		if err := storage.WriteFileAll(fs, mf, origManifest); err != nil {
-			t.Fatal(err)
-		}
 	}
 	open := Config{Storage: fs, Name: "ix"}
 	rotted := make([]byte, len(orig))
 	for bit := 0; bit < 8*len(orig); bit++ {
 		copy(rotted, orig)
 		rotted[bit/8] ^= 1 << (bit % 8)
-		if err := storage.WriteFileAll(fs, meta, rotted); err != nil {
+		if err := storage.WriteFileAll(fs, mf, rotted); err != nil {
 			t.Fatal(err)
 		}
-		if re, err := OpenTreeIndex(open); !errors.Is(err, ErrCorruptData) {
+		want := ErrCorruptManifest
+		if bit/32 == 1 { // the version word, bytes 4–7
+			want = ErrVersionMismatch
+		}
+		if re, err := OpenTreeIndex(open); !errors.Is(err, want) {
 			if err == nil {
 				re.Close()
 			}
-			t.Fatalf("bit %d of %d flipped: open: %v, want ErrCorruptData", bit, 8*len(orig), err)
+			t.Fatalf("bit %d of %d flipped: open: %v, want %v", bit, 8*len(orig), err, want)
 		}
-		if got, err := storage.ReadFileAll(fs, mf); err != nil || string(got) != string(origManifest) {
-			t.Fatalf("bit %d of %d flipped: a refused open rewrote the manifest (err %v)", bit, 8*len(orig), err)
+		switch {
+		case bit%8 != 0: // a Scrub verifies the whole index: once per byte
+		case want == ErrVersionMismatch:
+			if _, err := Scrub(fs, "ix"); !errors.Is(err, ErrVersionMismatch) {
+				t.Fatalf("bit %d flipped: scrub: %v, want ErrVersionMismatch", bit, err)
+			}
+		default:
+			requireScrubFlags(t, fs, "ix", mf)
 		}
-		if bit%8 == 0 { // a Scrub verifies the whole index: once per byte
-			requireScrubFlags(t, fs, "ix", meta)
-		}
-		restore()
 	}
-
-	// The older format: same directory, magic "BPT1", no trailer.
-	v1 := append([]byte("1TPB"), orig[4:len(orig)-4]...)
-	if err := storage.WriteFileAll(fs, meta, v1); err != nil {
+	if err := storage.WriteFileAll(fs, mf, orig); err != nil {
 		t.Fatal(err)
 	}
-	if re, err := OpenTreeIndex(open); !errors.Is(err, ErrVersionMismatch) {
-		if err == nil {
-			re.Close()
-		}
-		t.Fatalf("BPT1 meta: open: %v, want ErrVersionMismatch", err)
-	}
-	if _, err := Scrub(fs, "ix"); !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("BPT1 meta: scrub: %v, want ErrVersionMismatch", err)
-	}
-	restore()
 	re, err := OpenTreeIndex(open)
 	if err != nil {
-		t.Fatalf("restored meta: open: %v", err)
+		t.Fatalf("restored manifest: open: %v", err)
 	}
 	if re.Count() != n+int64(len(extra)) {
-		t.Fatalf("restored meta: Count = %d, want %d", re.Count(), n+len(extra))
+		t.Fatalf("restored manifest: Count = %d, want %d", re.Count(), n+len(extra))
 	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)

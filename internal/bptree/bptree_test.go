@@ -3,8 +3,10 @@ package bptree
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -24,7 +26,6 @@ func testConfig(fs storage.FS) Config {
 		RecordSize: testRecSize,
 		KeyLen:     testKeyLen,
 		LeafCap:    8,
-		Fanout:     4,
 	}
 }
 
@@ -79,6 +80,76 @@ func buildTree(t *testing.T, fs storage.FS, recs [][]byte, cfgMut func(*Config))
 	return tree
 }
 
+// collect returns every record in scan order.
+func collect(t *testing.T, tr *Tree) [][]byte {
+	t.Helper()
+	var out [][]byte
+	if err := tr.ScanAll(func(rec []byte) error {
+		out = append(out, bytes.Clone(rec))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkDir validates the directory against the pages: entries in key
+// order, each separator its leaf's first key, pages a permutation of
+// [0, n), every leaf non-empty and within capacity, counts summing to
+// Count, and ScanAll returning the keys sorted.
+func checkDir(tr *Tree) error {
+	seen := make([]bool, len(tr.dir))
+	var total int64
+	buf := make([]byte, tr.cfg.LeafCap*tr.cfg.RecordSize)
+	var prev []byte
+	for li, l := range tr.dir {
+		if l.Page < 0 || l.Page >= int64(len(seen)) || seen[l.Page] {
+			return fmt.Errorf("leaf %d on page %d: pages are not a permutation of [0,%d)", li, l.Page, len(seen))
+		}
+		seen[l.Page] = true
+		if l.Count < 1 || l.Count > tr.cfg.LeafCap {
+			return fmt.Errorf("leaf %d holds %d records", li, l.Count)
+		}
+		if li > 0 && bytes.Compare(tr.dir[li-1].Sep, l.Sep) > 0 {
+			return fmt.Errorf("separator %d out of order", li)
+		}
+		n, err := tr.ReadLeaf(li, buf)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(l.Sep, buf[:tr.cfg.KeyLen]) {
+			return fmt.Errorf("leaf %d: separator %x, first key %x", li, l.Sep, buf[:tr.cfg.KeyLen])
+		}
+		for i := 0; i < n; i++ {
+			k := buf[i*tr.cfg.RecordSize:][:tr.cfg.KeyLen]
+			if prev != nil && bytes.Compare(prev, k) > 0 {
+				return fmt.Errorf("leaf %d record %d out of key order", li, i)
+			}
+			prev = append(prev[:0], k...)
+		}
+		total += int64(n)
+	}
+	if total != tr.Count() {
+		return fmt.Errorf("leaves hold %d records, Count says %d", total, tr.Count())
+	}
+	var scanned int64
+	prev = nil
+	if err := tr.ScanAll(func(rec []byte) error {
+		if prev != nil && bytes.Compare(prev, rec[:tr.cfg.KeyLen]) > 0 {
+			return fmt.Errorf("ScanAll out of key order at record %d", scanned)
+		}
+		prev = append(prev[:0], rec[:tr.cfg.KeyLen]...)
+		scanned++
+		return nil
+	}); err != nil {
+		return err
+	}
+	if scanned != total {
+		return fmt.Errorf("ScanAll saw %d records, the leaves hold %d", scanned, total)
+	}
+	return nil
+}
+
 func TestBulkLoadBasics(t *testing.T) {
 	fs := storage.NewMemFS()
 	recs := sortedRecords(100, 1)
@@ -91,7 +162,7 @@ func TestBulkLoadBasics(t *testing.T) {
 	if got := tree.NumLeaves(); got != 13 { // ceil(100/8)
 		t.Fatalf("NumLeaves = %d, want 13", got)
 	}
-	if err := tree.CheckInvariants(); err != nil {
+	if err := checkDir(tree); err != nil {
 		t.Fatal(err)
 	}
 	// Full pack: every leaf but the last is 100% full.
@@ -104,15 +175,8 @@ func TestBulkLoadEmptyAndSingle(t *testing.T) {
 	fs := storage.NewMemFS()
 	empty := buildTree(t, fs, nil, func(c *Config) { c.Name = "e" })
 	defer empty.Close()
-	if empty.Count() != 0 || empty.NumLeaves() != 0 {
+	if empty.Count() != 0 || empty.NumLeaves() != 0 || len(collect(t, empty)) != 0 {
 		t.Fatal("empty tree should have no leaves")
-	}
-	c, err := empty.Seek(make([]byte, testKeyLen))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Valid() {
-		t.Fatal("cursor on empty tree should be invalid")
 	}
 
 	one := buildTree(t, fs, [][]byte{mkRecord(5, 0)}, func(c *Config) { c.Name = "s" })
@@ -120,7 +184,7 @@ func TestBulkLoadEmptyAndSingle(t *testing.T) {
 	if one.Count() != 1 || one.NumLeaves() != 1 {
 		t.Fatal("single-record tree shape wrong")
 	}
-	if err := one.CheckInvariants(); err != nil {
+	if err := checkDir(one); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -145,120 +209,25 @@ func TestBulkLoadIsSequential(t *testing.T) {
 	recs := sortedRecords(5000, 2)
 	tree := buildTree(t, fs, recs, func(c *Config) { c.LeafCap = 64 })
 	defer tree.Close()
-	snap := fs.Stats().Snapshot()
-	// Bottom-up loading writes leaves once, sequentially. The final
-	// next-pointer fix-up adds a couple of random ops at most.
-	if snap.RandWrites > 3 {
+	// Bottom-up loading writes leaves once, sequentially: past the checksum
+	// file's header, no write goes anywhere but the end of the file.
+	if snap := fs.Stats().Snapshot(); snap.RandWrites > 1 {
 		t.Fatalf("bulk load should be sequential: %+v", snap)
-	}
-}
-
-func TestSeekExactAndMissing(t *testing.T) {
-	fs := storage.NewMemFS()
-	recs := make([][]byte, 0, 50)
-	for i := 0; i < 50; i++ {
-		recs = append(recs, mkRecord(uint64(i*2), uint64(i))) // even keys 0..98
-	}
-	tree := buildTree(t, fs, recs, nil)
-	defer tree.Close()
-
-	// Exact hit.
-	c, err := tree.Seek(mkRecord(40, 0)[:testKeyLen])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Valid() || recKey(c.Record()) != 40 {
-		t.Fatalf("Seek(40) landed on %d", recKey(c.Record()))
-	}
-	// Between keys: lands on the next greater.
-	c, err = tree.Seek(mkRecord(41, 0)[:testKeyLen])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Valid() || recKey(c.Record()) != 42 {
-		t.Fatalf("Seek(41) landed wrong")
-	}
-	// Before the first.
-	c, _ = tree.Seek(make([]byte, testKeyLen))
-	if !c.Valid() || recKey(c.Record()) != 0 {
-		t.Fatal("Seek(min) should land on the first record")
-	}
-	// After the last.
-	c, _ = tree.Seek(mkRecord(1000, 0)[:testKeyLen])
-	if c.Valid() {
-		t.Fatal("Seek past the end should be invalid")
-	}
-}
-
-func TestCursorBidirectional(t *testing.T) {
-	fs := storage.NewMemFS()
-	recs := sortedRecords(200, 3)
-	tree := buildTree(t, fs, recs, nil)
-	defer tree.Close()
-
-	c, err := tree.SeekFirst()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var forward []uint64
-	for c.Valid() {
-		forward = append(forward, recKey(c.Record()))
-		if err := c.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(forward) != 200 {
-		t.Fatalf("forward scan saw %d records", len(forward))
-	}
-	for i := 1; i < len(forward); i++ {
-		if forward[i-1] > forward[i] {
-			t.Fatal("forward scan out of order")
-		}
-	}
-
-	// Walk backwards from the last record.
-	c, _ = tree.SeekFirst()
-	for i := 0; i < 199; i++ {
-		c.Next()
-	}
-	var backward []uint64
-	for c.Valid() {
-		backward = append(backward, recKey(c.Record()))
-		if err := c.Prev(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(backward) != 200 {
-		t.Fatalf("backward scan saw %d records", len(backward))
-	}
-	for i := range backward {
-		if backward[i] != forward[len(forward)-1-i] {
-			t.Fatal("backward scan mismatch")
-		}
 	}
 }
 
 func TestScanAll(t *testing.T) {
 	fs := storage.NewMemFS()
-	recs := sortedRecords(333, 4)
-	tree := buildTree(t, fs, recs, nil)
+	tree := buildTree(t, fs, sortedRecords(333, 4), nil)
 	defer tree.Close()
-	var seen int
-	prev := int64(-1)
-	err := tree.ScanAll(func(rec []byte) error {
-		k := int64(recKey(rec))
-		if k < prev {
+	got := collect(t, tree)
+	if len(got) != 333 {
+		t.Fatalf("ScanAll saw %d", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if recKey(got[i-1]) > recKey(got[i]) {
 			t.Fatal("ScanAll out of order")
 		}
-		prev = k
-		seen++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != 333 {
-		t.Fatalf("ScanAll saw %d", seen)
 	}
 }
 
@@ -276,13 +245,13 @@ func TestInsertIntoEmptyAndGrow(t *testing.T) {
 	if tree.Count() != 500 {
 		t.Fatalf("Count = %d", tree.Count())
 	}
-	if err := tree.CheckInvariants(); err != nil {
+	if err := checkDir(tree); err != nil {
 		t.Fatal(err)
 	}
 	// All leaves at least half full (median splits guarantee it).
-	for _, id := range tree.LeafDir() {
-		if n := tree.LeafRecordCount(id); n < tree.cfg.LeafCap/2 && len(tree.LeafDir()) > 1 {
-			t.Fatalf("leaf %d only %d/%d full", id, n, tree.cfg.LeafCap)
+	for li, l := range tree.Leaves() {
+		if l.Count < tree.cfg.LeafCap/2 {
+			t.Fatalf("leaf %d only %d/%d full", li, l.Count, tree.cfg.LeafCap)
 		}
 	}
 }
@@ -304,96 +273,111 @@ func TestInsertAfterBulkLoad(t *testing.T) {
 	if tree.Count() != 300 {
 		t.Fatalf("Count = %d", tree.Count())
 	}
-	if err := tree.CheckInvariants(); err != nil {
+	if err := checkDir(tree); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestInsertDuplicateKeys(t *testing.T) {
-	fs := storage.NewMemFS()
-	tree := buildTree(t, fs, nil, nil)
-	defer tree.Close()
-	for i := 0; i < 100; i++ {
-		if err := tree.Insert(mkRecord(7, uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tree.Count() != 100 {
-		t.Fatalf("Count = %d", tree.Count())
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := tree.Seek(mkRecord(7, 0)[:testKeyLen])
-	seen := 0
-	for c.Valid() {
-		seen++
-		c.Next()
-	}
-	if seen != 100 {
-		t.Fatalf("found %d duplicates", seen)
-	}
-}
-
-func TestPropertyInsertMatchesReference(t *testing.T) {
-	f := func(seed int64, nOps uint16) bool {
-		n := int(nOps%400) + 1
+// TestPropertyDirectory drives random batches — runs of one duplicated key
+// long enough to straddle leaf boundaries among them — into bulk-loaded and
+// empty trees, and after every batch holds the flat directory to checkDir
+// and the records to a sorted reference. A tree reopened from its synced
+// directory has the same directory and records.
+func TestPropertyDirectory(t *testing.T) {
+	f := func(seed int64, nBatches uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
 		fs := storage.NewMemFS()
 		cfg := testConfig(fs)
-		cfg.LeafCap = 4 + int((seed%5+5)%5)
-		tree, err := BulkLoad(cfg, &sliceSource{})
+		cfg.LeafCap = 4 + rng.Intn(6)
+		cfg.FillFactor = []float64{0.5, 0.8, 1}[rng.Intn(3)]
+		var ref []uint64
+		initial := sortedRecords(rng.Intn(60), seed)
+		for _, r := range initial {
+			ref = append(ref, recKey(r))
+		}
+		tree, err := BulkLoad(cfg, &sliceSource{recs: initial})
 		if err != nil {
+			t.Log(err)
 			return false
 		}
 		defer tree.Close()
-		rng := rand.New(rand.NewSource(seed))
-		var ref []uint64
-		for i := 0; i < n; i++ {
-			k := uint64(rng.Intn(1000))
-			if err := tree.Insert(mkRecord(k, uint64(i))); err != nil {
+		for b := 0; b < int(nBatches%6)+1; b++ {
+			var batch []uint64
+			for i := rng.Intn(40); i > 0; i-- {
+				batch = append(batch, uint64(rng.Intn(600)))
+			}
+			dup := uint64(rng.Intn(600))
+			for i := rng.Intn(3 * cfg.LeafCap); i > 0; i-- {
+				batch = append(batch, dup)
+			}
+			slices.Sort(batch)
+			for i, k := range batch {
+				if err := tree.Insert(mkRecord(k, uint64(1000*b+i))); err != nil {
+					t.Log(err)
+					return false
+				}
+			}
+			ref = append(ref, batch...)
+			if err := checkDir(tree); err != nil {
+				t.Log(err)
 				return false
 			}
-			ref = append(ref, k)
 		}
-		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
-		var got []uint64
-		if err := tree.ScanAll(func(rec []byte) error {
-			got = append(got, recKey(rec))
-			return nil
-		}); err != nil {
-			return false
-		}
+		slices.Sort(ref)
+		got := collect(t, tree)
 		if len(got) != len(ref) {
+			t.Logf("%d records, reference %d", len(got), len(ref))
 			return false
 		}
 		for i := range ref {
-			if got[i] != ref[i] {
+			if recKey(got[i]) != ref[i] {
+				t.Logf("record %d key %d, reference %d", i, recKey(got[i]), ref[i])
 				return false
 			}
 		}
-		return tree.CheckInvariants() == nil
+		if err := tree.Sync(); err != nil {
+			t.Log(err)
+			return false
+		}
+		re, err := Open(Config{FS: fs, Name: cfg.Name, RecordSize: cfg.RecordSize, KeyLen: cfg.KeyLen, LeafCap: cfg.LeafCap}, slices.Clone(tree.Leaves()))
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		defer re.Close()
+		if err := checkDir(re); err != nil {
+			t.Log(err)
+			return false
+		}
+		return slices.EqualFunc(tree.Leaves(), re.Leaves(), func(a, b Leaf) bool {
+			return a.Page == b.Page && a.Count == b.Count && a.Stamp == b.Stamp && bytes.Equal(a.Sep, b.Sep)
+		}) && slices.EqualFunc(got, collect(t, re), bytes.Equal)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestSaveOpenRoundTrip(t *testing.T) {
+func TestSyncOpenRoundTrip(t *testing.T) {
 	fs := storage.NewMemFS()
 	recs := sortedRecords(250, 7)
 	tree := buildTree(t, fs, recs, nil)
 	// Mutate after load so persistence covers the insert path too.
 	for i := 0; i < 50; i++ {
-		tree.Insert(mkRecord(uint64(i*13%500), uint64(i)))
+		if err := tree.Insert(mkRecord(uint64(i*13%500), uint64(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := tree.Save(); err != nil {
+	if err := tree.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	dir := slices.Clone(tree.Leaves())
+	want := collect(t, tree)
 	if err := tree.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	re, err := Open(Config{FS: fs, Name: "t"})
+	re, err := Open(testConfig(fs), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,34 +385,21 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if re.Count() != 300 {
 		t.Fatalf("reopened Count = %d", re.Count())
 	}
-	if err := re.CheckInvariants(); err != nil {
+	if err := checkDir(re); err != nil {
 		t.Fatal(err)
 	}
-	// Same content.
-	var a, b []uint64
-	tree2 := buildTree(t, storage.NewMemFS(), recs, nil)
-	defer tree2.Close()
-	for i := 0; i < 50; i++ {
-		tree2.Insert(mkRecord(uint64(i*13%500), uint64(i)))
+	if !slices.EqualFunc(want, collect(t, re), bytes.Equal) {
+		t.Fatal("reopened tree content differs")
 	}
-	tree2.ScanAll(func(rec []byte) error { a = append(a, recKey(rec)); return nil })
-	re.ScanAll(func(rec []byte) error { b = append(b, recKey(rec)); return nil })
-	if len(a) != len(b) {
-		t.Fatalf("scan lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("reopened tree content differs")
-		}
-	}
-	if re.MetaSizeBytes() == 0 {
-		t.Fatal("meta file should have size")
+	// One page per leaf: pages are never freed.
+	if re.SizeBytes() != int64(re.NumLeaves())*re.cfg.pageSize() {
+		t.Fatalf("leaf file holds %d bytes, want %d pages", re.SizeBytes(), re.NumLeaves())
 	}
 }
 
-func TestOpenMissingMeta(t *testing.T) {
+func TestOpenMissingLeafFile(t *testing.T) {
 	fs := storage.NewMemFS()
-	if _, err := Open(Config{FS: fs, Name: "absent"}); err == nil {
+	if _, err := Open(Config{FS: fs, Name: "absent", RecordSize: testRecSize, KeyLen: testKeyLen, LeafCap: 8}, nil); err == nil {
 		t.Fatal("expected error opening missing tree")
 	}
 }
@@ -446,7 +417,7 @@ func TestFillFactor(t *testing.T) {
 	if fill < 0.45 || fill > 0.55 {
 		t.Fatalf("AvgLeafFill = %v, want ~0.5", fill)
 	}
-	if err := tree.CheckInvariants(); err != nil {
+	if err := checkDir(tree); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -459,13 +430,13 @@ func TestReadLeafAndDir(t *testing.T) {
 	total := 0
 	buf := make([]byte, tree.cfg.LeafCap*testRecSize)
 	var prev int64 = -1
-	for _, id := range tree.LeafDir() {
-		n, err := tree.ReadLeaf(id, buf)
+	for li, l := range tree.Leaves() {
+		n, err := tree.ReadLeaf(li, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != tree.LeafRecordCount(id) {
-			t.Fatalf("leaf %d count mismatch", id)
+		if n != l.Count {
+			t.Fatalf("leaf %d count mismatch", li)
 		}
 		for i := 0; i < n; i++ {
 			k := int64(recKey(buf[i*testRecSize:]))
@@ -498,21 +469,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestHeightGrowsLogarithmically(t *testing.T) {
-	fs := storage.NewMemFS()
-	recs := sortedRecords(4096, 10)
-	tree := buildTree(t, fs, recs, func(c *Config) { c.LeafCap = 8; c.Fanout = 8 })
-	defer tree.Close()
-	// 4096/8 = 512 leaves; fanout 8 → 512→64→8→1: height = 1 (leaves) + 4.
-	if h := tree.Height(); h < 4 || h > 6 {
-		t.Fatalf("Height = %d", h)
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSeekKeyOrderAgreesWithBytesCompare(t *testing.T) {
+func TestKeyOrderAgreesWithBytesCompare(t *testing.T) {
 	// Keys are big-endian so numeric order == bytes.Compare order; verify
 	// the tree preserves it under random workloads.
 	fs := storage.NewMemFS()
@@ -520,14 +477,11 @@ func TestSeekKeyOrderAgreesWithBytesCompare(t *testing.T) {
 	defer tree.Close()
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 300; i++ {
-		tree.Insert(mkRecord(rng.Uint64()%10000, uint64(i)))
-	}
-	var prevKey []byte
-	tree.ScanAll(func(rec []byte) error {
-		if prevKey != nil && bytes.Compare(prevKey, rec[:testKeyLen]) > 0 {
-			t.Fatal("byte order violated")
+		if err := tree.Insert(mkRecord(rng.Uint64()%10000, uint64(i))); err != nil {
+			t.Fatal(err)
 		}
-		prevKey = append(prevKey[:0], rec[:testKeyLen]...)
-		return nil
-	})
+	}
+	if err := checkDir(tree); err != nil {
+		t.Fatal(err)
+	}
 }

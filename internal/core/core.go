@@ -14,8 +14,9 @@
 //     recursive partitioning of the sorted key range along interleaved
 //     bits, which yields exactly the maximal prefix-aligned leaf groups).
 //   - Coconut-Tree (Algorithm 3) feeds the sorted stream into the
-//     UB-tree-style B+-tree bulk loader: a balanced, contiguous index whose
-//     leaves are packed to the configured fill factor.
+//     UB-tree-style bulk loader: contiguous leaf pages packed to the
+//     configured fill factor, under a flat leaf directory the manifest
+//     holds.
 //
 // The "-Full" (materialized) variants carry the raw series through the sort
 // and into the leaves; the plain variants store only (key, position) and
@@ -79,8 +80,6 @@ type Options struct {
 	// Visited* counters and the I/O interleaving vary, so experiments that
 	// compare I/O traces pin QueryWorkers to 1.
 	QueryWorkers int
-	// Fanout is the B+-tree internal fan-out (Tree variant, default 64).
-	Fanout int
 	// ApproxWindow caps how many records around the query's sort position
 	// a NON-materialized approximate search fetches from the raw file
 	// (scaled by radius+1) — the paper's "all data series in a specific
@@ -117,9 +116,6 @@ func (o *Options) validate() error {
 	if o.FillFactor <= 0 || o.FillFactor > 1 {
 		o.FillFactor = 1
 	}
-	if o.Fanout < 2 {
-		o.Fanout = 64
-	}
 	if o.ApproxWindow <= 0 {
 		o.ApproxWindow = 32
 	}
@@ -127,10 +123,13 @@ func (o *Options) validate() error {
 }
 
 // recordSize returns the sort/leaf record size for the configuration.
-func (o *Options) recordSize() int {
+func (o *Options) recordSize() int { return recordSize(o.S.Params().SeriesLen, o.Materialized) }
+
+// recordSize is the size of a (key, position[, raw series]) record.
+func recordSize(seriesLen int, materialized bool) int {
 	n := summary.KeySize + 8
-	if o.Materialized {
-		n += series.EncodedSize(o.S.Params().SeriesLen)
+	if materialized {
+		n += series.EncodedSize(seriesLen)
 	}
 	return n
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"sort"
 
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
@@ -80,16 +81,15 @@ func (ix *TreeIndex) exactSearchKNN(ctx context.Context, q series.Series, k, rad
 	if ix.count == 0 {
 		return nil, stats, ErrEmptyIndex
 	}
-	h := shard.NewKNNHeap(k)
-
+	if err := ix.ensureSIMS(); err != nil {
+		return nil, stats, err
+	}
 	// Seed: scan the target neighborhood, collecting up to k candidates.
+	h := shard.NewKNNHeap(k)
 	if err := ix.knnSeed(ctx, q, radius, h, &stats); err != nil {
 		return nil, stats, err
 	}
 	kb.Lower(h.Bound())
-	if err := ix.ensureSIMS(); err != nil {
-		return nil, stats, err
-	}
 	pass, err := ix.opt.S.NewPass(q)
 	if err != nil {
 		return nil, stats, err
@@ -203,11 +203,11 @@ func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, 
 				return nil
 			}
 			var leaf []summary.Cand
-			leaf, rest = leafCands(rest, bases[li]+ix.bt.LeafRecordCount(dir[li]))
+			leaf, rest = leafCands(rest, bases[li]+dir[li].Count)
 			if !slices.ContainsFunc(leaf, func(c summary.Cand) bool { return c.LB <= lh.Bound() && !kb.Prunes(c.LB) }) {
 				continue
 			}
-			n, err := ix.bt.ReadLeaf(dir[li], buf)
+			n, err := ix.bt.ReadLeaf(li, buf)
 			if err != nil {
 				return err
 			}
@@ -238,30 +238,16 @@ func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, 
 }
 
 // knnSeed scans the query's target leaf (±radius) into the heap,
-// checking ctx once per leaf.
+// checking ctx once per leaf. It reads the SIMS summary array, so
+// ensureSIMS must have run.
 func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h *shard.KNNHeap, stats *Result) (err error) {
 	key, err := ix.opt.S.KeyOf(q)
 	if err != nil {
 		return err
 	}
-	cur, err := ix.bt.Seek(key[:])
-	if err != nil {
-		return err
-	}
-	dir := ix.bt.LeafDir()
-	var center int
-	if cur.Valid() {
-		center = ix.leafIndexOf(cur.LeafID())
-	} else {
-		center = len(dir) - 1
-	}
-	lo, hi := center-radius, center+radius
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= len(dir) {
-		hi = len(dir) - 1
-	}
+	_, bases := ix.leafBases()
+	center := seedLeaf(ix.keys, bases, key)
+	lo, hi := max(center-radius, 0), min(center+radius, len(bases)-1)
 	p := ix.opt.S.Params()
 	qPAA, err := ix.opt.S.PAA(q, nil)
 	if err != nil {
@@ -277,7 +263,7 @@ func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		n, err := ix.bt.ReadLeaf(dir[li], buf)
+		n, err := ix.bt.ReadLeaf(li, buf)
 		if err != nil {
 			return err
 		}
@@ -300,4 +286,12 @@ func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h
 		}
 	}
 	return nil
+}
+
+// seedLeaf is the k-NN seed's centre: the leaf (of the directory whose
+// starting ordinals are bases) holding the first record with key >= key in
+// the sorted keys, or the last leaf when there is none.
+func seedLeaf(keys []summary.Key, bases []int, key summary.Key) int {
+	ins := sort.Search(len(keys), func(i int) bool { return !keys[i].Less(key) })
+	return leafOfOrd(bases, min(ins, len(keys)-1))
 }

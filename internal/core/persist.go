@@ -52,69 +52,44 @@ func checkOpenConfig(opt *Options, m *manifest.Manifest, want manifest.Variant) 
 	return nil
 }
 
-// treeManifest assembles the manifest for a TreeIndex from the live
-// B+-tree geometry.
-func treeManifest(opt Options, g bptree.Geometry) *manifest.Manifest {
-	p := opt.S.Params()
-	return &manifest.Manifest{
+// writeManifest commits the tree's manifest, the one home of its leaf
+// directory: called after bt.Sync, so the entries describe durable pages.
+func (ix *TreeIndex) writeManifest() error {
+	p := ix.opt.S.Params()
+	dir := ix.bt.Leaves()
+	leaves := make([]manifest.TreeLeaf, len(dir))
+	for i, l := range dir {
+		leaves[i] = manifest.TreeLeaf{Page: l.Page, Count: l.Count, Stamp: l.Stamp, Sep: summary.Key(l.Sep)}
+	}
+	return manifest.Commit(ix.opt.FS, ix.opt.Name, &manifest.Manifest{
 		Variant:      manifest.VariantTree,
 		SeriesLen:    p.SeriesLen,
 		Segments:     p.Segments,
 		CardBits:     p.CardBits,
-		Materialized: opt.Materialized,
-		LeafCap:      g.LeafCap,
-		RawName:      opt.RawName,
-		Count:        g.Count,
-		Tree: &manifest.TreeLayout{
-			RecordSize: g.RecordSize,
-			KeyLen:     g.KeyLen,
-			LeafCap:    g.LeafCap,
-			Fanout:     g.Fanout,
-			FillFactor: opt.FillFactor,
-			NumLeaves:  g.NumLeaves,
-			NextPage:   g.NextPage,
-		},
-	}
+		Materialized: ix.opt.Materialized,
+		LeafCap:      ix.opt.LeafCap,
+		RawName:      ix.opt.RawName,
+		Count:        ix.bt.Count(),
+		Tree:         &manifest.TreeLayout{Leaves: leaves},
+	})
 }
 
-// writeManifest commits the tree's manifest (called with the meta already
-// saved, so manifest and B+-tree meta describe the same state).
-func (ix *TreeIndex) writeManifest() error {
-	return manifest.Commit(ix.opt.FS, ix.opt.Name, treeManifest(ix.opt, ix.bt.Geometry()))
+// treeLeaves returns the leaf file configuration and the leaf directory of
+// the tree index name that manifest m describes.
+func treeLeaves(fs storage.FS, name string, m *manifest.Manifest) (bptree.Config, []bptree.Leaf) {
+	dir := make([]bptree.Leaf, len(m.Tree.Leaves))
+	for i := range dir {
+		l := &m.Tree.Leaves[i]
+		dir[i] = bptree.Leaf{Page: l.Page, Count: l.Count, Stamp: l.Stamp, Sep: l.Sep[:]}
+	}
+	return bptree.Config{FS: fs, Name: name + ".bt", RecordSize: recordSize(m.SeriesLen, m.Materialized),
+		KeyLen: summary.KeySize, LeafCap: m.LeafCap}, dir
 }
 
-// checkTreeGeometry cross-checks the reopened B+-tree against the
-// manifest. A disagreement in the build-time shape (record size, key
-// length, leaf capacity, fan-out) means the directory holds files from
-// different builds and is unusable. The mutable fields (leaf count, page
-// cursor, record count) may legitimately be NEWER in the meta than in the
-// manifest: Sync commits the meta first, so a crash between the two
-// atomic commits leaves that exact state. checkTreeGeometry reports it as
-// stale=true and OpenTree heals by recommitting the manifest from the
-// live tree — both commits are individually atomic, so every reachable
-// crash state reopens.
-func checkTreeGeometry(opt Options, m *manifest.Manifest, g bptree.Geometry) (stale bool, err error) {
-	t := m.Tree
-	if t == nil {
-		return false, fmt.Errorf("core: %w: tree manifest without tree layout", manifest.ErrCorruptManifest)
-	}
-	if g.RecordSize != t.RecordSize || g.KeyLen != t.KeyLen || g.LeafCap != t.LeafCap ||
-		g.Fanout != t.Fanout {
-		return false, fmt.Errorf("core: %w: B+-tree meta does not match manifest (mixed build)",
-			manifest.ErrCorruptManifest)
-	}
-	if g.RecordSize != opt.recordSize() {
-		return false, fmt.Errorf("core: %w: stored record size %d, configuration implies %d",
-			manifest.ErrCorruptManifest, g.RecordSize, opt.recordSize())
-	}
-	// Inserts only grow the tree, so a meta that is BEHIND the manifest
-	// cannot come from the commit ordering above — reject it.
-	if g.Count < m.Count || g.NumLeaves < t.NumLeaves || g.NextPage < t.NextPage {
-		return false, fmt.Errorf("core: %w: B+-tree meta is older than the manifest",
-			manifest.ErrCorruptManifest)
-	}
-	stale = g.NumLeaves != t.NumLeaves || g.NextPage != t.NextPage || g.Count != m.Count
-	return stale, nil
+// VerifyTree checks the leaf file of the tree index name against the
+// directory in its manifest m (bptree.Verify) and returns the pages checked.
+func VerifyTree(fs storage.FS, name string, m *manifest.Manifest) (int64, error) {
+	return bptree.Verify(treeLeaves(fs, name, m))
 }
 
 // writeManifest commits the trie's manifest. The leaf directory is a pure

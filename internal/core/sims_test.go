@@ -173,8 +173,8 @@ func TestTreeExactMatchesReferencePass(t *testing.T) {
 			var leaves [][2]int
 			if mat {
 				dir, bases := ix.leafBases()
-				for li, id := range dir {
-					leaves = append(leaves, [2]int{bases[li], bases[li] + ix.bt.LeafRecordCount(id)})
+				for li, l := range dir {
+					leaves = append(leaves, [2]int{bases[li], bases[li] + l.Count})
 				}
 			}
 			for qi, q := range queries {
@@ -246,8 +246,8 @@ func TestKNNMatchesReferencePass(t *testing.T) {
 			var leaves [][2]int
 			if mat {
 				dir, bases := ix.leafBases()
-				for li, id := range dir {
-					leaves = append(leaves, [2]int{bases[li], bases[li] + ix.bt.LeafRecordCount(id)})
+				for li, l := range dir {
+					leaves = append(leaves, [2]int{bases[li], bases[li] + l.Count})
 				}
 			}
 			for qi, q := range queries {

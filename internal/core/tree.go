@@ -20,17 +20,17 @@ import (
 	"github.com/coconut-db/coconut/internal/window"
 )
 
-// TreeIndex is Coconut-Tree (Algorithm 3): a balanced B+-tree bulk-loaded
-// bottom-up over sorted invSAX keys. Leaves are contiguous, chained, and
-// packed to the fill factor; approximate search lands on the leaf where the
-// query's key would live, and exact search is CoconutTreeSIMS (Algorithm 5).
+// TreeIndex is Coconut-Tree (Algorithm 3): leaf pages bulk-loaded
+// bottom-up over sorted invSAX keys, contiguous and packed to the fill
+// factor, under a flat leaf directory that lives in the manifest.
+// Approximate search lands on the query key's position in the sorted
+// summary array, and exact search is CoconutTreeSIMS (Algorithm 5).
 //
 // A TreeIndex handle is safe for concurrent use: any number of queries
 // (ApproxSearch, ExactSearch, ExactSearchKNN) may run at once on one
 // handle, and Insert/Close serialize against them through a
 // handle-level RWMutex. Per-query scratch buffers are allocated per call,
-// and the lazily rebuilt SIMS summary array and leaf-directory index are
-// guarded by their own mutex.
+// and the lazily rebuilt SIMS summary array is guarded by its own mutex.
 type TreeIndex struct {
 	opt     Options
 	bt      *bptree.Tree
@@ -48,9 +48,9 @@ type TreeIndex struct {
 	// cancelled query's teardown) is a no-op instead of a double file close.
 	closed bool
 	// lazyMu guards the lazily (re)built state below: the SIMS summary
-	// array refresh after inserts/Open, and the leaf-id -> chain-position
-	// index. Queries only ever read that state after passing through a
-	// lazyMu critical section, so concurrent readers are safe.
+	// array refresh after inserts/Open. Queries only ever read that state
+	// after passing through a lazyMu critical section, so concurrent readers
+	// are safe.
 	lazyMu sync.Mutex
 	// keys/positions hold the in-memory sorted summary array aligned with
 	// the tree's leaf order (the paper: summaries are orders of magnitude
@@ -59,11 +59,9 @@ type TreeIndex struct {
 	positions []int64
 	// simsDirty marks the summary array stale after inserts.
 	simsDirty bool
-	// metaDirty marks the persisted meta (B+-tree directory + manifest)
-	// stale after inserts; Sync/Close rewrite both.
-	metaDirty bool
-	// leafIdx maps a leaf page id to its chain position (lazily rebuilt).
-	leafIdx map[int64]int
+	// dirty marks the committed leaf pages and directory (the manifest)
+	// stale after inserts; Sync/Close make both durable again.
+	dirty bool
 }
 
 // teeSource forwards a sorted record stream into the bulk loader while
@@ -109,7 +107,7 @@ func BuildTree(opt Options) (*TreeIndex, error) {
 
 // treeFiles lists what a tree build of name writes besides its manifest.
 func treeFiles(name string) []string {
-	return []string{name + ".sorted", name + ".bt.leaves", name + ".bt.meta"}
+	return []string{name + ".sorted", name + ".bt.leaves"}
 }
 
 // RemoveTree deletes every file of the Coconut-Tree name, manifest
@@ -138,7 +136,6 @@ func (ix *TreeIndex) build() error {
 		KeyLen:     summary.KeySize,
 		LeafCap:    opt.LeafCap,
 		FillFactor: opt.FillFactor,
-		Fanout:     opt.Fanout,
 	}, tee)
 	rr.Close()
 	if err != nil {
@@ -147,7 +144,7 @@ func (ix *TreeIndex) build() error {
 	ix.bt = bt
 	ix.count = bt.Count()
 	_ = opt.FS.Remove(sortedName) // a stray temporary does not fail a build
-	if err := bt.Save(); err != nil {
+	if err := bt.Sync(); err != nil {
 		return err
 	}
 	// The manifest commit is the durability point: from here on the index
@@ -155,15 +152,15 @@ func (ix *TreeIndex) build() error {
 	return ix.writeManifest()
 }
 
-// OpenTree reopens a previously built Coconut-Tree from its manifest and
-// persisted B+-tree. The options must name the same FS, Name, RawName,
-// summarizer configuration, and materialization as the build — mismatches
-// fail loudly with manifest.ErrConfigMismatch, and a manifest that
-// disagrees with the B+-tree meta (stale or mixed builds) fails with
-// manifest.ErrCorruptManifest. The tree geometry is restored from the
-// persisted metadata and the in-memory summary array is rebuilt lazily on
-// the first exact query — from the index's own leaves, never from the raw
-// dataset.
+// OpenTree reopens a previously built Coconut-Tree from its manifest, which
+// holds the leaf directory, and its leaf file. The options must name the
+// same FS, Name, RawName, summarizer configuration, and materialization as
+// the build — mismatches fail loudly with manifest.ErrConfigMismatch. The
+// in-memory summary array is rebuilt lazily on the first query — from the
+// index's own leaves, never from the raw dataset — and a page that does not
+// match its directory entry (a leaf file of another geometry, or a page
+// written after the manifest was committed) fails it with
+// storage.ErrCorruptData.
 func OpenTree(opt Options) (*TreeIndex, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -179,36 +176,21 @@ func OpenTree(opt Options) (*TreeIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	bt, err := bptree.Open(bptree.Config{FS: opt.FS, Name: opt.Name + ".bt"})
+	bt, err := bptree.Open(treeLeaves(opt.FS, opt.Name, m))
 	if err != nil {
 		raw.Close()
-		// Like a trie's leaf file, the manifest-referenced meta and leaf
-		// file type their corruption as both kinds (see openLeafFile).
+		// Like a trie's leaf file, the manifest-referenced leaf file types
+		// its corruption as both kinds (see openLeafFile).
 		if errors.Is(err, storage.ErrCorruptData) {
 			err = fmt.Errorf("%w: %w", manifest.ErrCorruptManifest, err)
 		}
 		return nil, fmt.Errorf("core: open tree: %w", err)
-	}
-	stale, err := checkTreeGeometry(opt, m, bt.Geometry())
-	if err != nil {
-		bt.Close()
-		raw.Close()
-		return nil, err
 	}
 	ix := &TreeIndex{opt: opt, bt: bt, rawFile: raw, count: bt.Count(), simsDirty: true}
 	if ix.rawSums, ix.ownSums, err = AttachRawSums(opt.FS, opt.RawName, opt.S, opt.RawSums, raw); err != nil {
 		bt.Close()
 		raw.Close()
 		return nil, err
-	}
-	if stale {
-		// Crash window between meta save and manifest commit: the meta is
-		// newer. Heal by recommitting the manifest from the live tree.
-		if err := ix.writeManifest(); err != nil {
-			bt.Close()
-			raw.Close()
-			return nil, err
-		}
 	}
 	return ix, nil
 }
@@ -235,11 +217,11 @@ func (ix *TreeIndex) Degraded() bool { return false }
 func (ix *TreeIndex) SizeBytes() int64 {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
-	return ix.bt.SizeBytes() + ix.bt.MetaSizeBytes()
+	return ix.bt.SizeBytes()
 }
 
-// Sync persists any metadata made stale by inserts — the B+-tree leaf
-// directory and the index manifest — so a subsequent OpenTree observes the
+// Sync persists what inserts made stale — the leaf pages and the manifest
+// that holds their directory — so a subsequent OpenTree observes the
 // inserted records. A freshly built or unmodified handle syncs for free.
 func (ix *TreeIndex) Sync() error {
 	ix.qmu.Lock()
@@ -248,12 +230,13 @@ func (ix *TreeIndex) Sync() error {
 }
 
 func (ix *TreeIndex) syncLocked() error {
-	if !ix.metaDirty {
+	if !ix.dirty {
 		return nil
 	}
 	// Inserted raw bytes first (leaf records reference their positions),
 	// then the raw CRC sidecar (it describes the fsynced raw bytes), then
-	// the leaf file + meta (bt.Save syncs both), then the manifest.
+	// the leaf pages, then the one commit point: the manifest, with the
+	// directory of those pages.
 	if err := ix.rawFile.Sync(); err != nil {
 		return err
 	}
@@ -262,13 +245,13 @@ func (ix *TreeIndex) syncLocked() error {
 			return err
 		}
 	}
-	if err := ix.bt.Save(); err != nil {
+	if err := ix.bt.Sync(); err != nil {
 		return err
 	}
 	if err := ix.writeManifest(); err != nil {
 		return err
 	}
-	ix.metaDirty = false
+	ix.dirty = false
 	return nil
 }
 
@@ -301,18 +284,6 @@ func (ix *TreeIndex) DropCaches() error {
 	ix.qmu.Lock()
 	defer ix.qmu.Unlock()
 	return ix.bt.DropCache()
-}
-
-func (ix *TreeIndex) leafIndexOf(id int64) int {
-	ix.lazyMu.Lock()
-	defer ix.lazyMu.Unlock()
-	if ix.leafIdx == nil || len(ix.leafIdx) != ix.bt.NumLeaves() {
-		ix.leafIdx = make(map[int64]int, ix.bt.NumLeaves())
-		for i, lid := range ix.bt.LeafDir() {
-			ix.leafIdx[lid] = i
-		}
-	}
-	return ix.leafIdx[id]
 }
 
 // finishResult converts an internal squared-space Result into the public
@@ -390,13 +361,13 @@ func (ix *TreeIndex) approxWindow(q series.Series, radius int) (ApproxWindow, er
 
 // leafBases returns the leaf directory and each leaf's starting ordinal in
 // the global record order.
-func (ix *TreeIndex) leafBases() ([]int64, []int) {
-	dir := ix.bt.LeafDir()
+func (ix *TreeIndex) leafBases() ([]bptree.Leaf, []int) {
+	dir := ix.bt.Leaves()
 	bases := make([]int, len(dir))
 	base := 0
-	for i, id := range dir {
+	for i, l := range dir {
 		bases[i] = base
-		base += ix.bt.LeafRecordCount(id)
+		base += l.Count
 	}
 	return dir, bases
 }
@@ -412,20 +383,19 @@ func (ix *TreeIndex) leafFetch() window.FetchFunc {
 	}
 	recSize := ix.opt.recordSize()
 	var (
-		dir   []int64
 		bases []int
 		cache map[int][]byte
 	)
 	return func(c window.Cand, _ []byte) ([]byte, error) {
 		if cache == nil {
-			dir, bases = ix.leafBases()
+			_, bases = ix.leafBases()
 			cache = make(map[int][]byte)
 		}
 		li := leafOfOrd(bases, c.Ord)
 		buf, ok := cache[li]
 		if !ok {
 			b := make([]byte, ix.opt.LeafCap*recSize)
-			n, err := ix.bt.ReadLeaf(dir[li], b)
+			n, err := ix.bt.ReadLeaf(li, b)
 			if err != nil {
 				return nil, err
 			}
@@ -438,7 +408,7 @@ func (ix *TreeIndex) leafFetch() window.FetchFunc {
 }
 
 // ensureSIMS rebuilds the in-memory sorted summary array after updates by
-// one sequential pass over the chained leaves. The rebuild is serialized on
+// one sequential pass over the leaves in directory order. The rebuild is serialized on
 // lazyMu; concurrent queries that lose the race wait and then read the
 // fresh arrays (the mutex's happens-before makes that safe).
 func (ix *TreeIndex) ensureSIMS() error {
@@ -550,11 +520,11 @@ func (ix *TreeIndex) simsOverLeaves(ctx context.Context, q series.Series, cands 
 				return nil
 			}
 			var leaf []summary.Cand
-			leaf, rest = leafCands(rest, bases[li]+ix.bt.LeafRecordCount(dir[li]))
+			leaf, rest = leafCands(rest, bases[li]+dir[li].Count)
 			if !slices.ContainsFunc(leaf, func(c summary.Cand) bool { return c.LB < local.Dist && !bound.Prunes(c.LB) }) {
 				continue
 			}
-			n, err := ix.bt.ReadLeaf(dir[li], buf)
+			n, err := ix.bt.ReadLeaf(li, buf)
 			if err != nil {
 				return err
 			}
@@ -660,8 +630,7 @@ func (ix *TreeIndex) insertRecsLocked(recs []InsertRec) error {
 	}
 	ix.count += int64(len(recs))
 	ix.simsDirty = true
-	ix.metaDirty = true
-	ix.leafIdx = nil
+	ix.dirty = true
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package manifest
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -8,7 +9,9 @@ import (
 // FuzzDecode hammers the manifest decoder with arbitrary bytes: it must
 // either produce a manifest that re-encodes to the exact same bytes, or
 // fail with one of the typed errors — and never panic, hang, or allocate
-// proportionally to a forged length field.
+// proportionally to a forged length field. Any other format version is a
+// version mismatch. The seeds are every variant (the tree a multi-leaf
+// directory) and each of them at the refused versions 1–6.
 func FuzzDecode(f *testing.F) {
 	for _, m := range samples() {
 		data, err := m.Encode()
@@ -32,6 +35,10 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
+		if len(data) >= headerSize && binary.LittleEndian.Uint32(data) == magic &&
+			binary.LittleEndian.Uint32(data[4:]) != version && !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("format version %d: %v, want ErrVersionMismatch", binary.LittleEndian.Uint32(data[4:]), err)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorruptManifest) && !errors.Is(err, ErrVersionMismatch) {
 				t.Fatalf("untyped decode error: %v", err)

@@ -2,9 +2,9 @@
 // truth: a small, versioned, checksummed file that records everything
 // needed to reopen a built Coconut index from storage without touching the
 // raw dataset — the format version, the summarization parameters, and the
-// per-variant on-device layout (B+-tree geometry for Coconut-Tree, the leaf
-// count for Coconut-Trie, and the full run set plus scheduling cursors for
-// Coconut-LSM).
+// per-variant on-device layout (the leaf directory for Coconut-Tree, the
+// leaf count for Coconut-Trie, and the full run set plus scheduling cursors
+// for Coconut-LSM).
 //
 // A manifest is committed atomically: the encoding is written to a sibling
 // temporary file and renamed over the live manifest (storage.FS.Rename), so
@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"sort"
 
 	"github.com/coconut-db/coconut/internal/storage"
@@ -60,8 +59,9 @@ const (
 	// version is the one format this build writes and reads. Earlier
 	// versions describe layouts no reader exists for any more (padded trie
 	// leaf pages, flat LSM runs, indexes without a WAL, LSM runs framed in
-	// checksum blocks) and fail with ErrVersionMismatch: rebuild the index.
-	version uint32 = 6
+	// checksum blocks, tree directories in a separate B+-tree meta file) and
+	// fail with ErrVersionMismatch: rebuild the index.
+	version uint32 = 7
 	// headerSize is magic + version + payload length + CRC32-C.
 	headerSize = 16
 	// maxStringLen bounds decoded string fields (file names).
@@ -70,18 +70,24 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// TreeLayout records the persisted geometry of a Coconut-Tree's B+-tree.
-// The leaf directory itself lives in the B+-tree's own meta file; the
-// manifest holds the shape and cross-checks it on reopen.
+// TreeLayout is a Coconut-Tree's leaf directory, the one place it is
+// stored: its leaves in key order. The leaf file holds pages only.
 type TreeLayout struct {
-	RecordSize int
-	KeyLen     int
-	LeafCap    int
-	Fanout     int
-	FillFactor float64
-	NumLeaves  int
-	NextPage   int64
+	Leaves []TreeLeaf
 }
+
+// TreeLeaf is one leaf of a Coconut-Tree: the page holding it (pages
+// [0, len(Leaves)) each hold one leaf), its record count, the stamp its page
+// was written with, and its separator, the leaf's first key.
+type TreeLeaf struct {
+	Page  int64
+	Count int
+	Stamp uint32
+	Sep   summary.Key
+}
+
+// treeLeafSize is the encoded size of one TreeLeaf.
+const treeLeafSize = 4 + 4 + 4 + summary.KeySize
 
 // TrieLayout records what a reopen cross-checks a Coconut-Trie against.
 // The leaf file is the sorted record run and the leaf directory is a pure
@@ -218,14 +224,13 @@ func (m *Manifest) Encode() ([]byte, error) {
 		if m.Tree == nil {
 			return nil, errors.New("manifest: tree variant without tree layout")
 		}
-		t := m.Tree
-		w.u32(uint32(t.RecordSize))
-		w.u32(uint32(t.KeyLen))
-		w.u32(uint32(t.LeafCap))
-		w.u32(uint32(t.Fanout))
-		w.f64(t.FillFactor)
-		w.u32(uint32(t.NumLeaves))
-		w.u64(uint64(t.NextPage))
+		w.u32(uint32(len(m.Tree.Leaves)))
+		for _, l := range m.Tree.Leaves {
+			w.u32(uint32(l.Page))
+			w.u32(uint32(l.Count))
+			w.u32(l.Stamp)
+			w.bytes(l.Sep[:])
+		}
 	case VariantTrie:
 		if m.Trie == nil {
 			return nil, errors.New("manifest: trie variant without trie layout")
@@ -326,15 +331,16 @@ func Decode(data []byte) (*Manifest, error) {
 	m.Count = int64(r.u64())
 	switch m.Variant {
 	case VariantTree:
-		t := &TreeLayout{}
-		t.RecordSize = int(r.u32())
-		t.KeyLen = int(r.u32())
-		t.LeafCap = int(r.u32())
-		t.Fanout = int(r.u32())
-		t.FillFactor = r.f64()
-		t.NumLeaves = int(r.u32())
-		t.NextPage = int64(r.u64())
-		m.Tree = t
+		n := r.u32()
+		if r.err == nil && int64(n) > int64(r.remaining()/treeLeafSize) {
+			return nil, fmt.Errorf("%w: %d tree leaves exceed payload", ErrCorruptManifest, n)
+		}
+		m.Tree = &TreeLayout{Leaves: make([]TreeLeaf, n)}
+		for i := range m.Tree.Leaves {
+			l := &m.Tree.Leaves[i]
+			*l = TreeLeaf{Page: int64(r.u32()), Count: int(r.u32()), Stamp: r.u32()}
+			r.keyInto(&l.Sep)
+		}
 	case VariantTrie:
 		m.Trie = &TrieLayout{NumLeaves: int(r.u32())}
 	case VariantLSM:
@@ -419,6 +425,11 @@ func (m *Manifest) validate() error {
 	case m.RawName == "":
 		return fmt.Errorf("%w: empty raw dataset name", ErrCorruptManifest)
 	}
+	if m.Tree != nil {
+		if err := m.Tree.validate(m.LeafCap, m.Count); err != nil {
+			return err
+		}
+	}
 	if m.Trie != nil {
 		// Every leaf holds a record, and only an empty trie has no leaf.
 		if n := int64(m.Trie.NumLeaves); n < 0 || n > m.Count || (n == 0) != (m.Count == 0) {
@@ -471,6 +482,32 @@ func (m *Manifest) validate() error {
 			}
 			seen[c] = true
 		}
+	}
+	return nil
+}
+
+// validate checks the directory describes an index of count records in
+// leaves of at most leafCap: one page per leaf, the pages [0, n) each once,
+// every leaf non-empty and within capacity, the counts summing to count,
+// and the separators in key order.
+func (t *TreeLayout) validate(leafCap int, count int64) error {
+	seen := make([]bool, len(t.Leaves))
+	var total int64
+	for i, l := range t.Leaves {
+		switch {
+		case l.Page < 0 || l.Page >= int64(len(seen)) || seen[l.Page]:
+			return fmt.Errorf("%w: tree leaf %d on page %d: the pages are not a permutation of [0, %d)",
+				ErrCorruptManifest, i, l.Page, len(seen))
+		case l.Count < 1 || l.Count > leafCap:
+			return fmt.Errorf("%w: tree leaf %d holds %d records, capacity %d", ErrCorruptManifest, i, l.Count, leafCap)
+		case i > 0 && l.Sep.Less(t.Leaves[i-1].Sep):
+			return fmt.Errorf("%w: tree leaf %d's separator is below its predecessor's", ErrCorruptManifest, i)
+		}
+		seen[l.Page] = true
+		total += int64(l.Count)
+	}
+	if total != count {
+		return fmt.Errorf("%w: tree leaves hold %d records, manifest count is %d", ErrCorruptManifest, total, count)
 	}
 	return nil
 }
@@ -530,7 +567,6 @@ type writer struct{ buf []byte }
 
 func (w *writer) u32(v uint32)   { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *writer) u64(v uint64)   { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) f64(v float64)  { w.u64(math.Float64bits(v)) }
 func (w *writer) bytes(b []byte) { w.buf = append(w.buf, b...) }
 func (w *writer) bool(v bool) {
 	if v {
@@ -584,8 +620,6 @@ func (r *reader) u64() uint64 {
 	r.off += 8
 	return v
 }
-
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 func (r *reader) bool() bool {
 	if r.err != nil {

@@ -11,12 +11,21 @@ import (
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
+// sampleTree is a tree grown by inserts: leaf 0 split, its upper half on
+// the appended page 3, and a separator shared by two leaves (duplicates
+// straddling their boundary).
 func sampleTree() *Manifest {
+	var a, b, c summary.Key
+	a[0], b[0], c[0] = 0x10, 0x40, 0x90
 	return &Manifest{
 		Variant: VariantTree, SeriesLen: 256, Segments: 16, CardBits: 8,
-		Materialized: true, LeafCap: 2000, RawName: "walk.bin", Count: 123456,
-		Tree: &TreeLayout{RecordSize: 2072, KeyLen: 16, LeafCap: 2000,
-			Fanout: 64, FillFactor: 0.9, NumLeaves: 69, NextPage: 69},
+		Materialized: true, LeafCap: 100, RawName: "walk.bin", Count: 330,
+		Tree: &TreeLayout{Leaves: []TreeLeaf{
+			{Page: 0, Count: 60, Stamp: 2, Sep: a},
+			{Page: 3, Count: 70, Stamp: 2, Sep: b},
+			{Page: 1, Count: 100, Stamp: 1, Sep: b},
+			{Page: 2, Count: 100, Stamp: 1, Sep: c},
+		}},
 	}
 }
 
@@ -28,12 +37,14 @@ func sampleTrie() *Manifest {
 	}
 }
 
-// legacyEncode is m as format version ver (1–5) wrote it: version 2 added
+// legacyEncode is m as format version ver (1–6) wrote it: version 2 added
 // the LSM WAL cursors, 3 a checksums flag and 4 a compressed-runs flag
 // (both set by every version-5 writer that could be read, and gone since
-// 6, whose LSM runs are no longer framed in checksum blocks), and a trie
+// 6, whose LSM runs are no longer framed in checksum blocks), a trie
 // before version 5 stored a per-leaf {count, first page, pages} directory
-// over a padded page file. Everything else is laid out as today.
+// over a padded page file, and a tree before version 7 stored its B+-tree
+// geometry, its directory living in a separate meta file. Everything else
+// is laid out as today.
 func legacyEncode(m *Manifest, ver uint32) []byte {
 	cur, err := m.Encode()
 	if err != nil {
@@ -57,6 +68,13 @@ func legacyEncode(m *Manifest, ver uint32) []byte {
 		w.bool(m.Variant == VariantLSM)
 	}
 	switch {
+	case m.Variant == VariantTree:
+		for _, v := range []uint32{2072, 16, 100, 64} { // record size, key length, leaf capacity, fan-out
+			w.u32(v)
+		}
+		w.u64(0x3FF0000000000000) // fill factor 1.0
+		w.u32(uint32(len(m.Tree.Leaves)))
+		w.u64(uint64(len(m.Tree.Leaves))) // next page
 	case m.Variant == VariantTrie && ver < 5:
 		w.u64(3) // pages
 		w.u32(2) // leaves
@@ -147,7 +165,7 @@ func assertEqual(t *testing.T, want, got *Manifest) {
 	}
 	switch want.Variant {
 	case VariantTree:
-		if *want.Tree != *got.Tree {
+		if !reflect.DeepEqual(want.Tree, got.Tree) {
 			t.Fatalf("tree layout mismatch: want %+v, got %+v", *want.Tree, *got.Tree)
 		}
 	case VariantTrie:
@@ -224,7 +242,8 @@ func TestCommitAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := sampleTree()
-	second.Count = 999
+	second.Count++ // one more record, in the first leaf
+	second.Tree.Leaves[0].Count++
 
 	boom := errors.New("boom")
 	fs.SetFault(func(op storage.Op, name string, off int64, n int) error {
@@ -256,7 +275,7 @@ func TestCommitAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Count != 999 {
+	if got.Count != second.Count {
 		t.Fatalf("commit did not publish the new manifest: count %d", got.Count)
 	}
 }
@@ -317,7 +336,7 @@ func TestReencodeBitExact(t *testing.T) {
 	}
 }
 
-// TestOldLayoutsRefused: format v6 is the only one read. A manifest of an
+// TestOldLayoutsRefused: format v7 is the only one read. A manifest of an
 // earlier version, of any variant, is a version mismatch (rebuild), not
 // corruption.
 func TestOldLayoutsRefused(t *testing.T) {
@@ -364,5 +383,82 @@ func TestTrieLayout(t *testing.T) {
 		t.Fatal(err)
 	} else if _, err := Decode(enc); err != nil {
 		t.Fatalf("empty trie manifest rejected: %v", err)
+	}
+}
+
+// reseal re-frames payload as a current-version manifest with a valid CRC:
+// what a writer that got a field wrong would commit.
+func reseal(payload []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, magic)
+	out = binary.LittleEndian.AppendUint32(out, version)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	return append(out, payload...)
+}
+
+// TestTreeDirectoryChecksBehindCRC covers the checks the manifest's CRC
+// does not make redundant: a tree directory whose CRC matches but whose
+// entries do not describe a well-formed tree — a leaf count that overflows
+// the size computation or disagrees with the directory length, a directory
+// cut mid-entry or before its count, pages that are not a permutation of
+// [0, n), an empty or over-full leaf, counts that do not sum to the
+// manifest's, separators out of order — fails Decode with
+// ErrCorruptManifest, never a panic.
+func TestTreeDirectoryChecksBehindCRC(t *testing.T) {
+	enc, err := sampleTree().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := enc[headerSize:]
+	leaves := len(sampleTree().Tree.Leaves)
+	countOff := len(payload) - leaves*treeLeafSize - 4
+	if got := binary.LittleEndian.Uint32(payload[countOff:]); got != uint32(leaves) {
+		t.Fatalf("leaf count at payload offset %d reads %d, want %d", countOff, got, leaves)
+	}
+	bytesCases := map[string]func(b []byte) []byte{
+		"leaf-count-overflow": func(b []byte) []byte { b[countOff+3] |= 0x80; return b },
+		"leaf-count-short": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[countOff:], uint32(leaves-1))
+			return b
+		},
+		"leaf-count-long": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[countOff:], uint32(leaves+1))
+			return b
+		},
+		"directory-cut-mid-entry":    func(b []byte) []byte { return b[:len(b)-3] },
+		"directory-cut-before-count": func(b []byte) []byte { return b[:countOff+2] },
+	}
+	fieldCases := map[string]func(l []TreeLeaf){
+		"page-out-of-range":    func(l []TreeLeaf) { l[1].Page = int64(len(l)) },
+		"page-twice":           func(l []TreeLeaf) { l[1].Page = l[0].Page },
+		"empty-leaf":           func(l []TreeLeaf) { l[0].Count, l[1].Count = 0, l[1].Count+l[0].Count },
+		"over-full-leaf":       func(l []TreeLeaf) { l[0].Count, l[2].Count = 101, l[2].Count-41 },
+		"counts-miss-total":    func(l []TreeLeaf) { l[3].Count-- },
+		"separators-decrease":  func(l []TreeLeaf) { l[3].Sep, l[2].Sep = l[2].Sep, l[3].Sep },
+		"separator-below-head": func(l []TreeLeaf) { l[1].Sep = summary.Key{} },
+	}
+	for name, mutate := range bytesCases {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Decode(reseal(mutate(append([]byte(nil), payload...)))); !errors.Is(err, ErrCorruptManifest) {
+				t.Fatalf("decode: %v, want ErrCorruptManifest", err)
+			}
+		})
+	}
+	for name, mutate := range fieldCases {
+		t.Run(name, func(t *testing.T) {
+			m := sampleTree()
+			mutate(m.Tree.Leaves)
+			data, err := m.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Decode(data); !errors.Is(err, ErrCorruptManifest) {
+				t.Fatalf("decode: %v, want ErrCorruptManifest", err)
+			}
+		})
+	}
+	// The unmutated payload resealed is the sample itself.
+	if _, err := Decode(reseal(append([]byte(nil), payload...))); err != nil {
+		t.Fatalf("intact payload: %v", err)
 	}
 }

@@ -71,7 +71,7 @@ type ChecksumFile struct {
 // readBufPool holds the buffers ReadAt reads framed blocks into when they
 // span at most maxPooledRead bytes. A B+-tree page and a trie leaf are the
 // reads this is for: each is one or a few framed blocks, read on every
-// page a tree descent or cursor misses in its cache and every trie leaf an
+// page a tree scan or insert misses in its cache and every trie leaf an
 // exact query visits. A bulk read (a sequential reader's megabyte)
 // allocates as before: a buffer that size is not worth keeping around.
 // Process-wide, so an idle file holds none.

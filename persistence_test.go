@@ -14,8 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"testing"
 
+	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/storage"
 )
@@ -330,60 +332,101 @@ func TestBackendParity(t *testing.T) {
 	}
 }
 
-// TestTreeMetaAheadOfManifestHeals: a crash between the B+-tree meta save
-// and the manifest commit (Sync does them in that order, each atomic)
-// leaves a newer meta under an older manifest. OpenTreeIndex must heal —
-// adopt the meta, recommit the manifest — and serve the inserted data.
-func TestTreeMetaAheadOfManifestHeals(t *testing.T) {
-	fs, _ := confFS(t)
-	ix, err := BuildTreeIndex(confConfig(fs, 1, false))
+// TestTreeCrashStatesFailTyped: tree inserts rewrite committed leaf pages
+// in place between Syncs, so a crash can leave pages on disk that the last
+// committed manifest does not describe. Three such states — an in-place
+// insert, a split, and a split whose lower half refilled to the committed
+// count, which only the page stamp tells apart — must each fail the open or
+// the first search with ErrCorruptData, be named by Scrub under the leaf
+// file, and answer as brute force does after Repair.
+func TestTreeCrashStatesFailTyped(t *testing.T) {
+	queries, err := GenerateQueries(RandomWalk, 4, confLen, confSeed+2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldManifest, err := storage.ReadFileAll(fs, "conf.manifest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra, err := GenerateQueries(Seismic, 20, confLen, confSeed+8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Insert(extra); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the crash window: meta (and raw file) are the post-insert
-	// state, the manifest is the pre-insert one.
-	if err := storage.WriteFileAll(fs, "conf.manifest", oldManifest); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		fill   float64
+		copies int
+	}{
+		{"in-place", 0.8, 1},
+		{"split", 1, 1},
+		{"split-refilled", 1, 25}, // half of LeafSize 50
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, data := confFS(t)
+			cfg := confConfig(fs, 1, false)
+			cfg.FillFactor = tc.fill
+			ix, err := BuildTreeIndex(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			committed, err := storage.ReadFileAll(fs, "conf.manifest")
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree := live.ix.(*core.TreeIndex)
+			order, err := tree.ScanAllPositions()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Copies of the smallest key's series land in the first leaf, in
+			// front of its first record.
+			extra := make([]Series, tc.copies)
+			for i := range extra {
+				extra[i] = data[order[0]]
+			}
+			if err := live.Insert(extra); err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "split-refilled" && tree.Shape().Leaves != 51 {
+				t.Fatalf("%d leaves after the inserts, want one split", tree.Shape().Leaves)
+			}
+			// The crash: the inserts' pages are on disk, under the manifest
+			// committed before them. The live handle is abandoned, not closed.
+			if err := tree.DropCaches(); err != nil {
+				t.Fatal(err)
+			}
+			if err := storage.WriteFileAll(fs, "conf.manifest", committed); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"})
+			if err == nil {
+				_, err = re.Search(queries[0])
+				re.Close()
+			}
+			if !errors.Is(err, ErrCorruptData) {
+				t.Fatalf("open and search over pages newer than the manifest: %v, want ErrCorruptData", err)
+			}
+			requireScrubFlags(t, fs, "conf", "conf.bt.leaves")
+			requireRepairClean(t, fs, "conf")
 
-	re, err := OpenTreeIndex(Config{Storage: fs, Name: "conf", QueryWorkers: 1})
-	if err != nil {
-		t.Fatalf("heal-open failed: %v", err)
-	}
-	if got, want := re.Count(), int64(confCount+len(extra)); got != want {
-		t.Fatalf("healed count %d, want %d", got, want)
-	}
-	res, err := re.Search(extra[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Distance > 1e-9 {
-		t.Fatalf("inserted series lost across heal: dist %v", res.Distance)
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The heal recommitted the manifest: a second open sees a clean state.
-	healed, err := storage.ReadFileAll(fs, "conf.manifest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(healed, oldManifest) {
-		t.Fatal("manifest not recommitted during heal")
+			fixed, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fixed.Close()
+			data = append(data, extra...)
+			if got := fixed.Count(); got != int64(len(data)) {
+				t.Fatalf("repaired index holds %d records, want %d", got, len(data))
+			}
+			for qi, q := range queries {
+				res, err := fixed.Search(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pos, dist := bruteForce(q, data); res.Position != pos || math.Abs(res.Distance-dist) > 1e-9 {
+					t.Fatalf("query %d after repair: (#%d, %v), brute force (#%d, %v)", qi, res.Position, res.Distance, pos, dist)
+				}
+			}
+		})
 	}
 }
 

@@ -1,12 +1,12 @@
 package coconut
 
 // Scrub is the offline integrity pass: it walks every persistent artifact
-// an index's manifest references — the manifest itself, B+-tree page and
-// leaf-directory files, trie leaf files, LSM run files, WAL segments, the
-// raw dataset via its CRC sidecar, and (for partitioned indexes) each
-// child's artifacts — and verifies each against its one integrity layer
-// (block CRCs, the meta's trailer CRC, the run codec's CRCs, frame CRCs,
-// record CRCs), reporting a per-file finding for each.
+// an index's manifest references — the manifest itself, B+-tree page
+// files, trie leaf files, LSM run files, WAL segments, the raw dataset via
+// its CRC sidecar, and (for partitioned indexes) each child's artifacts —
+// and verifies each against its one integrity layer (block CRCs, the run
+// codec's CRCs, frame CRCs, record CRCs) and a tree's pages against the
+// leaf directory in its manifest, reporting a per-file finding for each.
 // Repair then fixes what is fixable in place: LSM runs are re-derived from
 // the verified raw dataset (a run's contents are a pure function of the
 // records it covers), WAL damage is resolved by the degraded-open
@@ -19,7 +19,7 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/coconut-db/coconut/internal/bptree"
+	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/lsm"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/runblock"
@@ -32,7 +32,8 @@ type ScrubFinding struct {
 	// File is the artifact's name on the storage device.
 	File string
 	// Units is how much was verified: checksum blocks for block-format
-	// artifacts, leaves for a B+-tree's leaf directory, records for the raw
+	// artifacts (a tree's leaf file: its pages, each checked against its
+	// directory entry too), run blocks for LSM runs, records for the raw
 	// dataset, acknowledged entries for WAL segments, 0 for the manifest
 	// (verified whole).
 	Units int64
@@ -109,12 +110,8 @@ func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) error {
 			}
 		}
 	case manifest.VariantTree:
-		scrubBlockFile(fs, name+".bt.leaves", rep)
-		n, err := bptree.VerifyMeta(fs, name+".bt")
-		if errors.Is(err, ErrVersionMismatch) {
-			return err
-		}
-		rep.add(name+".bt.meta", n, err)
+		n, err := core.VerifyTree(fs, name, m)
+		rep.add(name+".bt.leaves", n, err)
 	case manifest.VariantTrie:
 		scrubBlockFile(fs, name+".leaves", rep)
 	case manifest.VariantLSM:

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -825,30 +824,25 @@ func BenchmarkBPTreeBulkLoad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fs := storage.NewMemFS()
-		src := &recordsSource{data: extRecs, size: 24}
-		t, err := bptree.BulkLoad(bptree.Config{
-			FS: fs, Name: "b", RecordSize: 24, KeyLen: 16, LeafCap: 256,
-		}, src)
+		ld, err := bptree.NewLoader(bptree.Config{FS: fs, Name: "b", RecordSize: 24, KeyLen: 16, LeafCap: 256})
 		if err != nil {
 			b.Fatal(err)
 		}
-		t.Close()
+		inner, err := fs.Create("b.leaves")
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := ld.Wrap(inner)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.WriteAt(extRecs, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
-}
-
-type recordsSource struct {
-	data []byte
-	size int
-	off  int
-}
-
-func (s *recordsSource) Next() ([]byte, error) {
-	if s.off >= len(s.data) {
-		return nil, io.EOF
-	}
-	rec := s.data[s.off : s.off+s.size]
-	s.off += s.size
-	return rec, nil
 }
 
 // --- ablation benchmarks (design choices beyond the paper's figures) ------

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -316,8 +315,8 @@ func TestQueryDeadlineExceededWithinTwiceDeadline(t *testing.T) {
 // admission control — a done ctx rejects the batch up front with no side
 // effects — and the LSM durability wait is interruptible: an insert that
 // times out waiting for a slow group-commit fsync returns
-// context.DeadlineExceeded, yet the acknowledged-to-WAL records survive
-// reopen (the committer still fsyncs the batch).
+// context.DeadlineExceeded, yet its records survive reopen (the raw log's
+// commit round still fsyncs the batch).
 func TestAppendCtxAdmissionAndDurabilityWait(t *testing.T) {
 	for _, parts := range []int{1, 3} {
 		t.Run(fmt.Sprintf("%dp", parts), func(t *testing.T) {
@@ -336,12 +335,12 @@ func TestAppendCtxAdmissionAndDurabilityWait(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// While armed, every WAL segment fsync — the group commit's —
-			// takes 300ms, so the durability wait is the slow part an
-			// expiring ctx abandons.
+			// While armed, every sidecar fsync — the raw log's group
+			// commit's — takes 300ms, so the durability wait is the slow
+			// part an expiring ctx abandons.
 			var slowCommit atomic.Bool
 			fs.SetHook(func(op storage.Op, name string) {
-				if op == storage.OpSync && strings.Contains(name, ".wal.") && slowCommit.Load() {
+				if op == storage.OpSync && name == storage.RecordSumsName("data.bin") && slowCommit.Load() {
 					time.Sleep(300 * time.Millisecond)
 				}
 			})

@@ -59,10 +59,15 @@
 //
 // LSM ingest (Insert on an LSMIndex) appends raw bytes, summarizes each
 // batch across Workers goroutines, and flushes full memtables as sorted
-// runs. Every Insert returns only after its raw bytes and a write-ahead-log
-// record are fsynced (concurrent inserts share one fsync via group commit),
-// and reopening after a crash replays un-flushed records into the memtable;
-// partitioned indexes keep one WAL per partition.
+// runs. The raw file is the log: every index key is a pure function of the
+// raw bytes, so nothing else is logged. Every Insert returns only after its
+// raw bytes and then their entries in the raw file's CRC sidecar are fsynced
+// (concurrent inserts share one such pair via group commit): the sidecar's
+// persisted length is the acknowledged end of the dataset. Reopening after a
+// crash re-summarizes the records no run holds yet into the memtable; the
+// partitions of a partitioned index share the one raw log and each recovers
+// its own records. A failed fsync is sticky: the Insert that met it and
+// every later Insert, Flush and Sync return it.
 //
 // A flush that fills a tier (four runs) merges it into the next tier
 // inline, before the Insert or Flush returns. A failed merge is not an
@@ -79,8 +84,8 @@
 // and LSM run probes, so a cancelled or deadline-exceeded context returns
 // ctx.Err() promptly — never a partial or wrong answer. On the write path
 // the context is admission control: it is checked before any bytes move,
-// and an LSM insert whose context expires while waiting for WAL group
-// commit abandons the wait (returning ctx.Err()) without disturbing the
+// and an LSM insert whose context expires while waiting for the raw log's
+// group commit abandons the wait (returning ctx.Err()) without disturbing the
 // batch — the record still becomes durable. The context-free methods are
 // exactly their Ctx counterparts under context.Background(); below this
 // package there are no such pairs — everything takes its context first.
@@ -109,13 +114,14 @@
 // at worst the last committed state reopens. On reopen, unset Config
 // fields (series length, segments, leaf size, data file) are adopted from
 // the manifest; explicitly conflicting values fail loudly rather than
-// misread the stored bytes. One stored format is read, manifest version 7,
+// misread the stored bytes. One stored format is read, manifest version 8,
 // in which no stored file carries more than one integrity layer: CRC'd
 // blocks for B+-tree pages and trie leaves, the run codec's own block,
-// directory and footer CRCs for LSM runs, per-record CRCs for WAL segments
-// and (in a sidecar) the raw dataset, and one CRC over the manifest, which
-// is also where a Coconut-Tree keeps its leaf directory. Any other version
-// fails Open, Scrub and Repair with ErrVersionMismatch (rebuild the index).
+// directory and footer CRCs for LSM runs, per-record CRCs (in a sidecar) for
+// the raw dataset, and one CRC over the manifest, which is also where a
+// Coconut-Tree keeps its leaf directory and a Coconut-LSM its one raw-file
+// cursor. Any other version fails Open, Scrub and Repair with
+// ErrVersionMismatch (rebuild the index).
 package coconut
 
 import (
@@ -142,10 +148,11 @@ var (
 	// describes) that failed checksum or structural validation.
 	ErrCorruptManifest = manifest.ErrCorruptManifest
 	// ErrVersionMismatch reports an index stored in a format this build
-	// does not read: any manifest version but 7, whose files (tree
-	// directories in a separate meta file before 7, LSM runs framed in
-	// checksum blocks before 6, flat runs or padded trie leaves before 5) no
-	// reader here understands. Rebuild the index.
+	// does not read: any manifest version but 8, whose files (LSM
+	// write-ahead logs before 8, tree directories in a separate meta file
+	// before 7, LSM runs framed in checksum blocks before 6, flat runs or
+	// padded trie leaves before 5) no reader here understands. Rebuild the
+	// index.
 	ErrVersionMismatch = manifest.ErrVersionMismatch
 	// ErrConfigMismatch reports a Config that conflicts with the stored
 	// index (different summarization, materialization, or dataset file).
@@ -275,7 +282,9 @@ type Config struct {
 	// Count() the records still covered). Writes routed to a quarantined
 	// partition fail loudly. Without it, corruption fails Open with
 	// ErrCorruptData. LSM quarantined runs are repairable in place with
-	// Repair (the raw dataset re-derives them).
+	// Repair (the raw dataset re-derives them). Rot in the raw dataset is
+	// never degraded over — its un-flushed LSM records have no other copy —
+	// and an index with no healthy partition left fails Open either way.
 	AllowDegraded bool
 	// ReadRetries re-attempts transient device read errors this many times
 	// (exponential backoff starting at RetryBackoff) before the error
@@ -578,8 +587,9 @@ func (t *TreeIndex) SizeBytes() int64 { return t.ix.SizeBytes() }
 // only the healthy remainder (Count() says how many records that is).
 func (t *TreeIndex) Degraded() bool { return t.ix.Degraded() }
 
-// Sync persists what Insert made stale (the leaf pages and the manifest)
-// so a crash afterwards loses nothing. Close syncs too.
+// Sync persists what Insert made stale — the inserted series (a commit of
+// the raw log), then the leaf pages and the manifest — so a crash afterwards
+// loses nothing. Close syncs too.
 func (t *TreeIndex) Sync() error { return t.ix.Sync() }
 
 // Close persists pending metadata and releases the index's file handles;
@@ -798,15 +808,17 @@ func (l *LSMIndex) SearchApproxCtx(ctx context.Context, q Series) (Result, error
 }
 
 // Insert appends new series; full memtables flush to new sorted runs and
-// full tiers compact inline. A nil return means the batch is durable; a
-// compaction merge that fails is retried later, not returned here.
+// full tiers compact inline. A nil return means the batch is durable (the
+// raw log committed it); a compaction merge that fails is retried later, not
+// returned here, while a failed fsync is returned here and by every later
+// Insert, Flush and Sync.
 func (l *LSMIndex) Insert(batch []Series) error { return l.InsertCtx(context.Background(), batch) }
 
 // InsertCtx is Insert with cancellation. The ctx is admission control —
 // checked before any bytes move — plus an interruptible durability wait:
-// if ctx expires while the insert waits on WAL group commit, InsertCtx
-// returns ctx.Err() without disturbing the batch (the records still
-// become durable; only this caller stops waiting for the fsync).
+// if ctx expires while the insert waits on the raw log's group commit,
+// InsertCtx returns ctx.Err() without disturbing the batch (the records
+// still become durable; only this caller stops waiting for the fsync).
 func (l *LSMIndex) InsertCtx(ctx context.Context, batch []Series) error {
 	return l.ix.(partition.Inserter).Insert(ctx, batch)
 }

@@ -1,14 +1,15 @@
 package coconut
 
 // The end-to-end corruption sweep: every class of persistent artifact —
-// LSM run file, B+-tree page file, trie leaf file, raw dataset, WAL
-// segment — is bit-rotted in turn, on both storage backends and for both
-// single and partitioned indexes, and the public API must (1) never
-// return a silently wrong answer, (2) surface typed ErrCorruptData from
-// strict opens and reads, (3) quarantine and keep serving the healthy
-// remainder under AllowDegraded, and (4) restore byte-identical answers
-// after Scrub + Repair (the raw dataset, being source data, is the one
-// unrepairable class and must say so).
+// LSM run file, B+-tree page file, trie leaf file, raw dataset, and the
+// un-flushed LSM tail in the raw file or in its sidecar — is bit-rotted in
+// turn, on both storage backends and for both single and partitioned
+// indexes, and the public API must (1) never return a silently wrong
+// answer, (2) surface typed ErrCorruptData from strict opens and reads,
+// (3) quarantine and keep serving the healthy remainder under
+// AllowDegraded, and (4) restore byte-identical answers after Scrub +
+// Repair (the raw dataset, being source data, is the one unrepairable class
+// and must say so).
 
 import (
 	"errors"
@@ -156,8 +157,7 @@ func assertExactAnswers(t *testing.T, ix sweepSearcher, qs []Series, base []Resu
 }
 
 // findLargest returns the largest file whose name contains substr (the
-// largest is the one guaranteed to hold data, e.g. a WAL segment with
-// acknowledged frames).
+// largest is the one guaranteed to hold data, e.g. the bulk-loaded run).
 func findLargest(t *testing.T, fs sweepFS, substr string) string {
 	t.Helper()
 	var best string
@@ -402,7 +402,8 @@ func TestCorruptionSweep(t *testing.T) {
 			t.Run(prefix+"trie-leaf", func(t *testing.T) { sweepTrieLeaf(t, mkFS(t), parts) })
 			t.Run(prefix+"lsm-run", func(t *testing.T) { sweepLSMRun(t, mkFS(t), parts) })
 			t.Run(prefix+"raw", func(t *testing.T) { sweepRaw(t, mkFS(t), parts) })
-			t.Run(prefix+"wal", func(t *testing.T) { sweepWAL(t, mkFS(t), parts) })
+			t.Run(prefix+"tail-raw", func(t *testing.T) { sweepTail(t, mkFS(t), parts, false) })
+			t.Run(prefix+"tail-crc", func(t *testing.T) { sweepTail(t, mkFS(t), parts, true) })
 		}
 	}
 }
@@ -606,11 +607,13 @@ func sweepRaw(t *testing.T, inner sweepFS, parts int) {
 	}
 }
 
-// sweepWAL crashes an LSM mid-stream so a WAL segment with acknowledged
-// frames survives, rots a full frame, and requires: strict replay fails
-// typed (a full-frame CRC mismatch can only be rot, never a torn write),
-// and Repair reconstructs the acknowledged tail from the raw dataset.
-func sweepWAL(t *testing.T, inner sweepFS, parts int) {
+// sweepTail crashes an LSM with acknowledged inserts no run holds yet — the
+// un-flushed tail an open re-derives from the raw log — and rots one of
+// those records: its raw bytes or, separately, its sidecar entry. The raw
+// file is source data with no other copy of the record, so strict and
+// degraded opens fail typed (or answer exactly), Scrub names the raw file,
+// and Repair refuses.
+func sweepTail(t *testing.T, inner sweepFS, parts int, sidecar bool) {
 	ffs, qs := sweepSetup(t, inner)
 	ix, err := BuildLSMIndex(sweepConfig(ffs, parts))
 	if err != nil {
@@ -625,31 +628,31 @@ func sweepWAL(t *testing.T, inner sweepFS, parts int) {
 	}
 	base := sweepBaseline(t, ix, qs)
 	ffs.Crash()
-	// The durable image is what a machine reboot leaves behind; the WAL
-	// holds the acknowledged inserts (Recover always images into memory,
-	// regardless of backend).
+	ix.Close() // fails after the crash; the durable image is what counts
+	// Recover always images into memory, regardless of backend.
 	img := ffs.Recover(0)
-	wal := findLargest(t, img, ".wal.")
-	rfs := storage.NewFaultFS(img)
-	if err := rfs.Rot(wal, 16+8+1, 4); err != nil {
+	victim := int64(sweepN + 4)
+	file, off := "data.bin", victim*sweepLen*8+3
+	if sidecar {
+		file, off = storage.RecordSumsName("data.bin"), storage.RecordSumsHeaderSize+4*victim+1
+	}
+	if err := storage.NewFaultFS(img).Rot(file, off, 2); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := OpenLSMIndex(Config{Storage: img, Name: "sw"}); err == nil {
-		t.Fatal("strict open of a rotted WAL succeeded")
-	} else {
-		requireCorrupt(t, err)
+	for _, degraded := range []bool{false, true} {
+		re, err := OpenLSMIndex(Config{Storage: img, Name: "sw", AllowDegraded: degraded})
+		if err != nil {
+			requireCorrupt(t, err)
+			continue
+		}
+		assertNoWrongAnswer(t, re, qs, base)
+		re.Close()
 	}
-	requireScrubFlags(t, img, "sw", wal)
-	requireRepairClean(t, img, "sw")
-
-	re, err := OpenLSMIndex(Config{Storage: img, Name: "sw"})
-	if err != nil {
-		t.Fatal(err)
+	requireScrubFlags(t, img, "sw", "data.bin")
+	if _, err := Repair(Config{Storage: img, Name: "sw"}); err == nil {
+		t.Fatal("repair claimed to fix a rotted un-flushed record")
+	} else if !errors.Is(err, ErrCorruptData) {
+		t.Fatalf("repair refusal is untyped: %v", err)
 	}
-	defer re.Close()
-	if got := re.Count(); got != sweepN+10 {
-		t.Fatalf("repaired index holds %d records, want %d", got, sweepN+10)
-	}
-	assertExactAnswers(t, re, qs, base)
 }

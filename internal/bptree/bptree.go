@@ -1,10 +1,10 @@
 // Package bptree implements Coconut-Tree's leaf level: fixed-size records in
 // key order on the pages of one leaf file, bulk-loaded bottom-up from sorted
 // input in the style of the UB-tree loading algorithm the paper relies on
-// (Algorithm 3). Leaves are packed to a configurable fill factor and written
-// as one contiguous sequential stream, so the result is contiguous and
-// densely populated — the properties Coconut-Tree gets from sortable
-// summarizations.
+// (Algorithm 3). The external sort's output is packed straight into leaves
+// (Loader), filled to a configurable fill factor and written as one
+// contiguous sequential stream, so the result is contiguous and densely
+// populated — the properties Coconut-Tree gets from sortable summarizations.
 //
 // The tree above the leaves is a flat directory kept in main memory (the
 // standard assumption for data series indexes, §3.1: summarizations are ~1%
@@ -44,12 +44,6 @@ import (
 
 	"github.com/coconut-db/coconut/internal/storage"
 )
-
-// RecordSource yields fixed-size records in key order; Next returns io.EOF
-// at the end. extsort.RecordReader satisfies it.
-type RecordSource interface {
-	Next() ([]byte, error)
-}
 
 // Config parameterizes a tree.
 type Config struct {
@@ -145,10 +139,13 @@ type Tree struct {
 	pagePool sync.Pool
 }
 
+// firstStamp is the stamp of a bulk-loaded page.
+const firstStamp uint32 = 1
+
 // newTree wraps the leaf file f described by dir. Its stamp starts past
 // every stamp in dir.
 func newTree(cfg Config, f storage.File, dir []Leaf) *Tree {
-	t := &Tree{cfg: cfg, f: f, dir: dir, stamp: 1, cachePage: -1}
+	t := &Tree{cfg: cfg, f: f, dir: dir, stamp: firstStamp, cachePage: -1}
 	for _, l := range dir {
 		t.count += int64(l.Count)
 		t.stamp = max(t.stamp, l.Stamp+1)
@@ -158,81 +155,112 @@ func newTree(cfg Config, f storage.File, dir []Leaf) *Tree {
 	return t
 }
 
-// BulkLoad builds a tree bottom-up from records in key order. Input order
-// is validated; out-of-order input is an error (the caller sorts first —
-// that is the whole point of sortable summarizations).
-func BulkLoad(cfg Config, src RecordSource) (*Tree, error) {
+// Loader bulk-loads a tree bottom-up from the external sort's output: Wrap
+// is the sort's WrapOut, so the sorted record stream is packed straight into
+// consecutive leaf pages, filled to the fill factor, with one sequential
+// write, and Leaves is their directory once the sort has returned.
+type Loader struct {
+	cfg Config
+	dir []Leaf
+}
+
+// NewLoader validates cfg for a bulk load.
+func NewLoader(cfg Config) (*Loader, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	inner, err := cfg.FS.Create(cfg.leafFileName())
-	if err != nil {
-		return nil, err
-	}
-	f, err := storage.CreateChecksumFile(inner, int(cfg.pageSize()))
-	if err != nil {
-		inner.Close()
-		return nil, err
-	}
-	t := newTree(cfg, f, nil)
-	if err := t.load(src); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return t, nil
+	return &Loader{cfg: cfg}, nil
 }
 
-// load writes src's records onto consecutive pages, filled to the fill
-// factor, with one sequential stream.
-func (t *Tree) load(src RecordSource) error {
-	cfg := t.cfg
-	fill := max(int(float64(cfg.LeafCap)*cfg.FillFactor), 1)
-	w := storage.NewSequentialWriter(t.f, 0, 0)
-	page := make([]byte, cfg.pageSize())
-	inPage := 0
-	flush := func() error {
-		if inPage == 0 {
-			return nil
-		}
-		t.setHeader(page, inPage)
-		if _, err := w.Write(page); err != nil {
-			return err
-		}
-		t.dir = append(t.dir, Leaf{Page: int64(len(t.dir)), Count: inPage, Stamp: t.stamp,
-			Sep: bytes.Clone(page[pageHeader : pageHeader+cfg.KeyLen])})
-		clear(page)
-		inPage = 0
-		return nil
+// Leaves returns the directory of the pages the load wrote: Open the tree
+// over it.
+func (l *Loader) Leaves() []Leaf { return l.dir }
+
+// Wrap turns inner, the freshly created leaf file, into the sort's output
+// file: the record stream arriving through WriteAt is cut into pages, and
+// Close writes the last page and fsyncs the file, so the load is durable
+// once the sort returns.
+func (l *Loader) Wrap(inner storage.File) (storage.File, error) {
+	f, err := storage.CreateChecksumFile(inner, int(l.cfg.pageSize()))
+	if err != nil {
+		return nil, err
 	}
-	var prevKey []byte
-	for {
-		rec, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("bptree: bulk load input: %w", err)
-		}
-		if len(rec) != cfg.RecordSize {
-			return fmt.Errorf("bptree: record size %d, want %d", len(rec), cfg.RecordSize)
-		}
-		if prevKey != nil && bytes.Compare(rec[:cfg.KeyLen], prevKey) < 0 {
-			return errors.New("bptree: bulk load input not sorted")
-		}
-		prevKey = append(prevKey[:0], rec[:cfg.KeyLen]...)
-		copy(page[pageHeader+inPage*cfg.RecordSize:], rec)
-		inPage++
-		t.count++
-		if inPage == fill {
-			if err := flush(); err != nil {
-				return err
+	l.dir = nil
+	fill := max(int(float64(l.cfg.LeafCap)*l.cfg.FillFactor), 1)
+	return &pageWriter{ChecksumFile: f, l: l, w: storage.NewSequentialWriter(f, 0, 0),
+		page: make([]byte, l.cfg.pageSize()), full: fill * l.cfg.RecordSize}, nil
+}
+
+// pageWriter is a Loader's output file. The sort only writes and closes it;
+// the rest of its surface is the leaf file's own.
+type pageWriter struct {
+	*storage.ChecksumFile
+	l    *Loader
+	w    *storage.SequentialWriter
+	page []byte
+	n    int   // record bytes on the current page
+	full int   // record bytes on a page filled to the fill factor
+	off  int64 // stream bytes accepted
+}
+
+// WriteAt accepts the next bytes of the sorted record stream; record
+// boundaries may fall anywhere.
+func (p *pageWriter) WriteAt(b []byte, off int64) (int, error) {
+	if off != p.off {
+		return 0, fmt.Errorf("bptree: bulk-load write at %d, want %d", off, p.off)
+	}
+	n := len(b)
+	for len(b) > 0 {
+		c := copy(p.page[pageHeader+p.n:pageHeader+p.full], b)
+		p.n += c
+		b = b[c:]
+		if p.n == p.full {
+			if err := p.emit(); err != nil {
+				return 0, err
 			}
 		}
 	}
-	if err := flush(); err != nil {
+	p.off += int64(n)
+	return n, nil
+}
+
+// emit writes the current page, if it holds records, and enters it in the
+// directory.
+func (p *pageWriter) emit() error {
+	if p.n == 0 {
+		return nil
+	}
+	cfg := p.l.cfg
+	count := p.n / cfg.RecordSize
+	binary.LittleEndian.PutUint32(p.page, uint32(count))
+	binary.LittleEndian.PutUint32(p.page[4:], firstStamp)
+	if _, err := p.w.Write(p.page); err != nil {
 		return err
 	}
-	return w.Flush()
+	p.l.dir = append(p.l.dir, Leaf{Page: int64(len(p.l.dir)), Count: count, Stamp: firstStamp,
+		Sep: bytes.Clone(p.page[pageHeader : pageHeader+cfg.KeyLen])})
+	clear(p.page)
+	p.n = 0
+	return nil
+}
+
+// Close writes the last page, fsyncs the leaf file and closes it.
+func (p *pageWriter) Close() error {
+	err := p.finish()
+	return errors.Join(err, p.ChecksumFile.Close())
+}
+
+func (p *pageWriter) finish() error {
+	if tail := p.n % p.l.cfg.RecordSize; tail != 0 {
+		return fmt.Errorf("bptree: bulk-load input ends %d bytes into a record", tail)
+	}
+	if err := p.emit(); err != nil {
+		return err
+	}
+	if err := p.w.Flush(); err != nil {
+		return err
+	}
+	return p.ChecksumFile.Sync()
 }
 
 // Open reopens the leaf file of a tree whose directory dir (Leaves, as of

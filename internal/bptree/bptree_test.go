@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
 	"slices"
 	"sort"
@@ -38,19 +37,35 @@ func mkRecord(key uint64, payload uint64) []byte {
 
 func recKey(rec []byte) uint64 { return binary.BigEndian.Uint64(rec[:8]) }
 
-// sliceSource adapts a [][]byte to RecordSource.
-type sliceSource struct {
-	recs [][]byte
-	i    int
-}
-
-func (s *sliceSource) Next() ([]byte, error) {
-	if s.i >= len(s.recs) {
-		return nil, io.EOF
+// bulkLoad loads recs, in key order, the way the external sort does: as one
+// byte stream written through the Loader's wrapper, in uneven chunks.
+func bulkLoad(cfg Config, recs [][]byte) (*Tree, error) {
+	ld, err := NewLoader(cfg)
+	if err != nil {
+		return nil, err
 	}
-	r := s.recs[s.i]
-	s.i++
-	return r, nil
+	inner, err := cfg.FS.Create(cfg.leafFileName())
+	if err != nil {
+		return nil, err
+	}
+	f, err := ld.Wrap(inner)
+	if err != nil {
+		inner.Close()
+		return nil, err
+	}
+	stream := bytes.Join(recs, nil)
+	for off := 0; off < len(stream); {
+		n := min(len(stream)-off, 1+off%37)
+		if _, err := f.WriteAt(stream[off:off+n], int64(off)); err != nil {
+			f.Close()
+			return nil, err
+		}
+		off += n
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	return Open(cfg, ld.Leaves())
 }
 
 func sortedRecords(n int, seed int64) [][]byte {
@@ -73,7 +88,7 @@ func buildTree(t *testing.T, fs storage.FS, recs [][]byte, cfgMut func(*Config))
 	if cfgMut != nil {
 		cfgMut(&cfg)
 	}
-	tree, err := BulkLoad(cfg, &sliceSource{recs: recs})
+	tree, err := bulkLoad(cfg, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,18 +204,33 @@ func TestBulkLoadEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestBulkLoadRejectsUnsorted(t *testing.T) {
+func TestBulkLoadRejectsPartialRecord(t *testing.T) {
 	fs := storage.NewMemFS()
-	recs := [][]byte{mkRecord(5, 0), mkRecord(3, 1)}
-	if _, err := BulkLoad(testConfig(fs), &sliceSource{recs: recs}); err == nil {
-		t.Fatal("expected error for unsorted input")
+	if _, err := bulkLoad(testConfig(fs), [][]byte{mkRecord(1, 0), make([]byte, 3)}); err == nil {
+		t.Fatal("expected error for a stream ending inside a record")
 	}
 }
 
-func TestBulkLoadRejectsBadRecordSize(t *testing.T) {
+// TestBulkLoadRejectsGap: the wrapper takes the sort's output stream in
+// order; a write past its end is refused, not packed out of place.
+func TestBulkLoadRejectsGap(t *testing.T) {
 	fs := storage.NewMemFS()
-	if _, err := BulkLoad(testConfig(fs), &sliceSource{recs: [][]byte{make([]byte, 3)}}); err == nil {
-		t.Fatal("expected error for wrong record size")
+	cfg := testConfig(fs)
+	ld, err := NewLoader(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := fs.Create(cfg.leafFileName())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ld.Wrap(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(mkRecord(1, 0), testRecSize); err == nil {
+		t.Fatal("expected error for a write past the stream's end")
 	}
 }
 
@@ -295,7 +325,7 @@ func TestPropertyDirectory(t *testing.T) {
 		for _, r := range initial {
 			ref = append(ref, recKey(r))
 		}
-		tree, err := BulkLoad(cfg, &sliceSource{recs: initial})
+		tree, err := bulkLoad(cfg, initial)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -463,7 +493,7 @@ func TestConfigValidation(t *testing.T) {
 		{FS: fs, Name: "x", RecordSize: 8, KeyLen: 8, LeafCap: 1},
 	}
 	for i, cfg := range bad {
-		if _, err := BulkLoad(cfg, &sliceSource{}); err == nil {
+		if _, err := NewLoader(cfg); err == nil {
 			t.Errorf("case %d should fail validation", i)
 		}
 	}

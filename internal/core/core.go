@@ -87,13 +87,13 @@ type Options struct {
 	// Materialized indexes scan whole leaves instead (the raw data is
 	// already there). Default 32.
 	ApproxWindow int
-	// RawSums optionally supplies an externally owned raw-dataset CRC
-	// sidecar (the partition layer's: the parent owns the shared raw file
-	// and its sidecar, children verify through the shared handle). When
-	// nil, the index builds and maintains its own. Either way every raw read
-	// is verified against it, as every page and leaf read is against the
-	// block CRCs of its file, so bit rot surfaces as storage.ErrCorruptData
-	// instead of a wrong answer.
+	// RawSums optionally supplies an externally owned raw log (the
+	// partition layer's: the parent owns the shared raw file and appends to
+	// it, children verify through the shared handle). When nil, the index
+	// builds and owns its own. Either way every raw read is verified against
+	// it, as every page and leaf read is against the block CRCs of its file,
+	// so bit rot surfaces as storage.ErrCorruptData instead of a wrong
+	// answer.
 	RawSums *storage.RecordSums
 }
 
@@ -666,11 +666,10 @@ func candsFrom(cands []summary.Cand, start int) []summary.Cand {
 	return cands[i:]
 }
 
-// AttachRawSums attaches the raw-dataset CRC sidecar when an index — tree,
-// trie or LSM — is opened: the externally owned handle when the caller
-// supplied one (owned=false), or the index's own, loaded over raw
-// (storage.LoadRecordSums: a torn trailing partial record is excluded by its
-// floor division, exactly like WAL replay).
+// AttachRawSums attaches the raw log when an index — tree, trie or LSM — is
+// opened: the externally owned handle when the caller supplied one
+// (owned=false), or the index's own, loaded over raw
+// (storage.LoadRecordSums: the persisted sidecar is the dataset's end).
 func AttachRawSums(fs storage.FS, rawName string, s *summary.Summarizer, shared *storage.RecordSums, raw storage.File,
 ) (sums *storage.RecordSums, owned bool, err error) {
 	if shared != nil {

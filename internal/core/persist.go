@@ -153,7 +153,7 @@ func (ix *TrieIndex) load(wantLeaves int) error {
 	if ix.leafFile, err = openLeafFile(&ix.opt); err != nil {
 		return err
 	}
-	if ix.rawSums, ix.ownSums, err = AttachRawSums(ix.opt.FS, ix.opt.RawName, ix.opt.S, ix.opt.RawSums, ix.rawFile); err != nil {
+	if ix.rawSums, _, err = AttachRawSums(ix.opt.FS, ix.opt.RawName, ix.opt.S, ix.opt.RawSums, ix.rawFile); err != nil {
 		return err
 	}
 	// Keys live in the leaf records; the raw file is not touched.

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/bptree"
-	"github.com/coconut-db/coconut/internal/extsort"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
@@ -36,9 +35,9 @@ type TreeIndex struct {
 	bt      *bptree.Tree
 	rawFile storage.File
 	count   int64
-	// rawSums verifies raw-dataset reads; ownSums marks the handle as this
-	// index's own (built/opened here, maintained on inserts) rather than the
-	// partition layer's shared one.
+	// rawSums is the raw log: it verifies raw reads and takes and commits
+	// inserts; ownSums marks it as this index's own (closed with it) rather
+	// than the partition layer's shared one.
 	rawSums *storage.RecordSums
 	ownSums bool
 	// qmu is the handle lock: queries hold it shared, mutations
@@ -64,27 +63,10 @@ type TreeIndex struct {
 	dirty bool
 }
 
-// teeSource forwards a sorted record stream into the bulk loader while
-// capturing the (key, position) pairs for the in-memory summary array.
-type teeSource struct {
-	rr        *extsort.RecordReader
-	keys      *[]summary.Key
-	positions *[]int64
-}
-
-func (t *teeSource) Next() ([]byte, error) {
-	rec, err := t.rr.Next()
-	if err != nil {
-		return nil, err
-	}
-	key, pos, _ := decodeRecord(rec, false)
-	*t.keys = append(*t.keys, key)
-	*t.positions = append(*t.positions, pos)
-	return rec, nil
-}
-
 // BuildTree runs the full Coconut-Tree pipeline: summarize -> external sort
-// -> UB-tree bulk load. A failed build leaves none of its files behind.
+// straight into packed leaf pages (the UB-tree bulk load), capturing the
+// sorted summary array on the way. A failed build leaves none of its files
+// behind.
 func BuildTree(opt Options) (*TreeIndex, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -99,54 +81,48 @@ func BuildTree(opt Options) (*TreeIndex, error) {
 			ix.bt.Close()
 		}
 		raw.Close()
-		removeFiles(opt.FS, treeFiles(opt.Name)...)
+		removeFiles(opt.FS, treeLeafFile(opt.Name))
 		return nil, err
 	}
 	return ix, nil
 }
 
-// treeFiles lists what a tree build of name writes besides its manifest.
-func treeFiles(name string) []string {
-	return []string{name + ".sorted", name + ".bt.leaves"}
-}
+// treeLeafFile names what a tree build of name writes besides its manifest.
+func treeLeafFile(name string) string { return name + ".bt.leaves" }
 
 // RemoveTree deletes every file of the Coconut-Tree name, manifest
 // included: the partition layer's undo for the finished children of a build
 // that failed as a whole.
 func RemoveTree(fs storage.FS, name string) {
-	removeFiles(fs, append(treeFiles(name), manifest.FileName(name))...)
+	removeFiles(fs, treeLeafFile(name), manifest.FileName(name))
 }
 
 func (ix *TreeIndex) build() error {
 	opt := &ix.opt
-	sortedName := opt.Name + ".sorted"
-	var err error
-	if ix.rawSums, ix.ownSums, err = sortRecords(opt, ix.rawFile, sortedName, nil, nil); err != nil {
-		return fmt.Errorf("core: sorting summarizations: %w", err)
-	}
-	rr, err := extsort.OpenRecords(opt.FS, sortedName, opt.recordSize(), 0)
-	if err != nil {
-		return err
-	}
-	tee := &teeSource{rr: rr, keys: &ix.keys, positions: &ix.positions}
-	bt, err := bptree.BulkLoad(bptree.Config{
+	cfg := bptree.Config{
 		FS:         opt.FS,
 		Name:       opt.Name + ".bt",
 		RecordSize: opt.recordSize(),
 		KeyLen:     summary.KeySize,
 		LeafCap:    opt.LeafCap,
 		FillFactor: opt.FillFactor,
-	}, tee)
-	rr.Close()
-	if err != nil {
-		return fmt.Errorf("core: bulk loading: %w", err)
 	}
-	ix.bt = bt
-	ix.count = bt.Count()
-	_ = opt.FS.Remove(sortedName) // a stray temporary does not fail a build
-	if err := bt.Sync(); err != nil {
+	ld, err := bptree.NewLoader(cfg)
+	if err != nil {
 		return err
 	}
+	ix.rawSums, ix.ownSums, err = sortRecords(opt, ix.rawFile, treeLeafFile(opt.Name), ld.Wrap, func(rec []byte) {
+		key, pos, _ := decodeRecord(rec, false)
+		ix.keys = append(ix.keys, key)
+		ix.positions = append(ix.positions, pos)
+	})
+	if err != nil {
+		return fmt.Errorf("core: sorting summarizations into leaves: %w", err)
+	}
+	if ix.bt, err = bptree.Open(cfg, ld.Leaves()); err != nil {
+		return err
+	}
+	ix.count = ix.bt.Count()
 	// The manifest commit is the durability point: from here on the index
 	// can be reopened with OpenTree without touching the raw dataset.
 	return ix.writeManifest()
@@ -233,17 +209,11 @@ func (ix *TreeIndex) syncLocked() error {
 	if !ix.dirty {
 		return nil
 	}
-	// Inserted raw bytes first (leaf records reference their positions),
-	// then the raw CRC sidecar (it describes the fsynced raw bytes), then
-	// the leaf pages, then the one commit point: the manifest, with the
+	// The raw log first (leaf records reference its positions), then the
+	// leaf pages, then the one commit point: the manifest, with the
 	// directory of those pages.
-	if err := ix.rawFile.Sync(); err != nil {
+	if err := ix.rawSums.Commit(context.Background(), ix.rawSums.Records()); err != nil {
 		return err
-	}
-	if ix.ownSums {
-		if err := ix.rawSums.Flush(); err != nil {
-			return err
-		}
 	}
 	if err := ix.bt.Sync(); err != nil {
 		return err
@@ -267,16 +237,11 @@ func (ix *TreeIndex) Close() error {
 		return nil
 	}
 	ix.closed = true
-	syncErr := ix.syncLocked()
-	err1 := ix.bt.Close()
-	err2 := ix.rawFile.Close()
-	if syncErr != nil {
-		return syncErr
+	err := ix.syncLocked()
+	if ix.ownSums {
+		err = errors.Join(err, ix.rawSums.Close())
 	}
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	return errors.Join(err, ix.bt.Close(), ix.rawFile.Close())
 }
 
 // DropCaches flushes the tree's page cache (cold-start experiments).
@@ -547,12 +512,13 @@ func (ix *TreeIndex) simsOverLeaves(ctx context.Context, q series.Series, cands 
 	return applyScan(res, pos, dist, vr, vl), err
 }
 
-// Insert appends new series to the dataset and inserts them into the
+// Insert appends new series to the raw log and inserts them into the
 // tree top-down with median splits (the update path of Figure 10a).
 // Sorting the batch by key first concentrates the leaf touches — larger
 // batches approach bulk-load locality, which is why Coconut wins when
 // updates arrive in volume. Insert takes the handle lock exclusively,
-// so it serializes against in-flight queries.
+// so it serializes against in-flight queries. The inserts become durable
+// at the next Sync.
 //
 // Cancellation is checked only at entry (and while queued on the handle
 // lock is not interruptible): once raw bytes start landing the batch runs
@@ -566,51 +532,40 @@ func (ix *TreeIndex) Insert(ctx context.Context, batch []series.Series) error {
 	ix.qmu.Lock()
 	defer ix.qmu.Unlock()
 	p := ix.opt.S.Params()
-	sz := int64(series.EncodedSize(p.SeriesLen))
-	end, err := ix.rawFile.Size()
-	if err != nil {
-		return err
-	}
-	if end%sz != 0 {
-		return fmt.Errorf("core: raw file size %d not aligned", end)
-	}
-	pos := end / sz
-
-	recs := make([]InsertRec, 0, len(batch))
-	encoded := make([]byte, 0, sz)
-	for _, s := range batch {
+	sz := series.EncodedSize(p.SeriesLen)
+	enc := make([]byte, 0, len(batch)*sz)
+	recs := make([]InsertRec, len(batch))
+	for i, s := range batch {
 		if len(s) != p.SeriesLen {
 			return fmt.Errorf("core: inserted series has length %d, want %d", len(s), p.SeriesLen)
 		}
-		encoded = series.AppendEncode(encoded[:0], s)
-		if _, err := ix.rawFile.WriteAt(encoded, pos*sz); err != nil {
-			return err
-		}
-		if ix.ownSums {
-			ix.rawSums.Set(pos, encoded)
-		}
+		enc = series.AppendEncode(enc, s)
 		key, err := ix.opt.S.KeyOf(s)
 		if err != nil {
 			return err
 		}
-		rec := InsertRec{Key: key, Pos: pos}
+		recs[i].Key = key
+	}
+	first, err := ix.rawSums.Append(enc)
+	if err != nil {
+		return err
+	}
+	for i := range recs {
+		recs[i].Pos = first + int64(i)
 		if ix.opt.Materialized {
-			rec.Raw = append([]byte(nil), encoded...)
+			recs[i].Raw = enc[i*sz : (i+1)*sz]
 		}
-		recs = append(recs, rec)
-		pos++
 	}
 	return ix.insertRecsLocked(recs)
 }
 
-// InsertRecords inserts pre-summarized records whose raw bytes were
-// already written to the shared dataset file by the partition layer. The
-// durability token is always 0: tree inserts become durable at Sync, so
-// there is no group commit to wait for.
-func (ix *TreeIndex) InsertRecords(recs []InsertRec) (int64, error) {
+// InsertRecords inserts pre-summarized records whose raw bytes the
+// partition layer already appended to the shared raw log. Tree inserts
+// become durable at Sync.
+func (ix *TreeIndex) InsertRecords(recs []InsertRec) error {
 	ix.qmu.Lock()
 	defer ix.qmu.Unlock()
-	return 0, ix.insertRecsLocked(append([]InsertRec(nil), recs...))
+	return ix.insertRecsLocked(append([]InsertRec(nil), recs...))
 }
 
 // insertRecsLocked is the shared tail of the insert paths: sort the batch

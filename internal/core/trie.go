@@ -46,10 +46,8 @@ type TrieIndex struct {
 	leafFile storage.File
 	rawFile  storage.File
 	count    int64
-	// rawSums verifies raw-dataset reads; ownSums marks it as this index's
-	// own rather than the partition layer's.
+	// rawSums verifies raw-dataset reads (a trie takes no inserts).
 	rawSums *storage.RecordSums
-	ownSums bool
 	// keys/positions: in-memory sorted summary array (SIMS state).
 	keys      []summary.Key
 	positions []int64
@@ -119,7 +117,7 @@ func (ix *TrieIndex) build() error {
 		return storage.CreateChecksumFile(f, leafBlockSize(opt.recordSize()))
 	}
 	var err error
-	ix.rawSums, ix.ownSums, err = sortRecords(opt, ix.rawFile, leafFileName(opt.Name), wrap, func(rec []byte) {
+	ix.rawSums, _, err = sortRecords(opt, ix.rawFile, leafFileName(opt.Name), wrap, func(rec []byte) {
 		key, pos, _ := decodeRecord(rec, false)
 		ix.keys = append(ix.keys, key)
 		ix.positions = append(ix.positions, pos)

@@ -692,40 +692,3 @@ func cleanup(fs storage.FS, names []string) {
 		}
 	}
 }
-
-// RecordReader iterates fixed-size records from a file on a VFS.
-type RecordReader struct {
-	f          storage.File
-	r          *storage.SequentialReader
-	recordSize int
-	buf        []byte
-}
-
-// OpenRecords opens name on fs for sequential record iteration.
-func OpenRecords(fs storage.FS, name string, recordSize, bufSize int) (*RecordReader, error) {
-	f, err := fs.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &RecordReader{
-		f:          f,
-		r:          storage.NewSequentialReader(f, 0, -1, bufSize),
-		recordSize: recordSize,
-		buf:        make([]byte, recordSize),
-	}, nil
-}
-
-// Next returns the next record, valid until the following call. io.EOF
-// signals the end.
-func (rr *RecordReader) Next() ([]byte, error) {
-	if _, err := io.ReadFull(rr.r, rr.buf); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, err
-	}
-	return rr.buf, nil
-}
-
-// Close releases the underlying file.
-func (rr *RecordReader) Close() error { return rr.f.Close() }

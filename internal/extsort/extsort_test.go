@@ -3,7 +3,6 @@ package extsort
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -407,36 +406,6 @@ func TestSortInMemory(t *testing.T) {
 	data := makeRecords(rng, 300)
 	SortInMemory(data, recSize, CompareKeyPrefix(8))
 	checkSorted(t, data, CompareKeyPrefix(8))
-}
-
-func TestRecordReader(t *testing.T) {
-	fs := storage.NewMemFS()
-	var data []byte
-	for i := 0; i < 10; i++ {
-		rec := make([]byte, recSize)
-		binary.BigEndian.PutUint64(rec, uint64(i))
-		data = append(data, rec...)
-	}
-	if err := storage.WriteFileAll(fs, "recs", data); err != nil {
-		t.Fatal(err)
-	}
-	rr, err := OpenRecords(fs, "recs", recSize, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rr.Close()
-	for i := 0; i < 10; i++ {
-		rec, err := rr.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if got := binary.BigEndian.Uint64(rec); got != uint64(i) {
-			t.Fatalf("record %d has key %d", i, got)
-		}
-	}
-	if _, err := rr.Next(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
 }
 
 func TestValidate(t *testing.T) {

@@ -107,8 +107,8 @@ func buildFaultable(t *testing.T) (*Index, *storage.MemFS) {
 }
 
 // failMerges makes every write to a compaction output (or its
-// temporaries) fail with the returned error; flush runs (lsm.run.*), the
-// WAL and the raw file stay healthy.
+// temporaries) fail with the returned error; flush runs (lsm.run.*) and
+// the raw file stay healthy.
 func failMerges(fs *storage.MemFS) error {
 	boom := errors.New("injected compaction failure")
 	fs.SetFault(func(op storage.Op, name string, off int64, n int) error {
@@ -146,35 +146,30 @@ func requireRunFiles(t *testing.T, fs *storage.MemFS, want map[string][]byte) {
 }
 
 // insertRecords routes batch through InsertRecords the way the partition
-// layer does: the raw bytes and their sidecar CRCs land first, then the
-// pre-summarized records are logged, and the call waits for durability.
+// layer does: the raw bytes are appended to the log first, then the
+// pre-summarized records are inserted, and the log commits them.
 func insertRecords(t *testing.T, ix *Index, batch []series.Series) error {
 	t.Helper()
 	keys, err := ix.opt.S.KeysOf(batch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sz := int64(series.EncodedSize(tLen))
-	end, err := ix.rawFile.Size()
+	var enc []byte
+	for _, s := range batch {
+		enc = series.AppendEncode(enc, s)
+	}
+	first, err := ix.rawSums.Append(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := end / sz
 	recs := make([]core.InsertRec, len(batch))
-	var enc []byte
-	for i, s := range batch {
-		enc = series.AppendEncode(enc[:0], s)
-		if _, err := ix.rawFile.WriteAt(enc, (pos+int64(i))*sz); err != nil {
-			t.Fatal(err)
-		}
-		ix.rawSums.Set(pos+int64(i), enc)
-		recs[i] = core.InsertRec{Key: keys[i], Pos: pos + int64(i)}
+	for i := range recs {
+		recs[i] = core.InsertRec{Key: keys[i], Pos: first + int64(i)}
 	}
-	lsn, err := ix.InsertRecords(recs)
-	if err != nil {
+	if err := ix.InsertRecords(recs); err != nil {
 		return err
 	}
-	return ix.WaitDurable(context.Background(), lsn)
+	return ix.rawSums.Commit(context.Background(), first+int64(len(recs)))
 }
 
 // TestCompactionFaultRetried: with every write to a compaction output
@@ -204,7 +199,7 @@ func TestCompactionFaultRetried(t *testing.T) {
 	defer ix.Close()
 	boom := errors.New("injected compaction failure")
 	// Fail every write touching a compaction output (or its temporaries);
-	// flush runs (lsm.run.*), the WAL and the raw file stay healthy.
+	// flush runs (lsm.run.*) and the raw file stay healthy.
 	fs.SetFault(func(op storage.Op, name string, off int64, n int) error {
 		if op == storage.OpWrite && strings.Contains(name, ".cmp.") {
 			return boom

@@ -1,15 +1,16 @@
 package lsm
 
-// Crash-injection tests for the WAL write path. The sweep is the
-// headline: it replays the same append workload once per counted storage
-// operation, injecting a power loss at exactly that operation, and proves
-// after every single crash point that (a) no acknowledged append is lost,
-// (b) no un-acknowledged append beyond the one in flight becomes visible,
-// (c) the recovered index answers exact and approximate queries
-// identically to a never-crashed index holding the same series, and
-// (d) the recovered index accepts new appends. The remaining tests pin
-// the torn-record suffix rule and that queries are never gated on an
-// in-flight manifest fsync.
+// Crash-injection tests for the write path, whose one log is the raw file
+// and its CRC sidecar. The sweep is the headline: it replays the same
+// append workload once per counted storage operation, injecting a power
+// loss at exactly that operation, and proves after every single crash point
+// that (a) no acknowledged append is lost, (b) no un-acknowledged append
+// beyond the one in flight becomes visible, (c) the recovered index answers
+// exact and approximate queries identically to a never-crashed index
+// holding the same series, and (d) the recovered index accepts new appends.
+// The remaining tests pin the fsyncs an acknowledgement costs, that rot in
+// the un-flushed tail fails the open typed, and that queries are never gated
+// on an in-flight manifest fsync.
 
 import (
 	"context"
@@ -23,6 +24,7 @@ import (
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/manifest"
+	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 )
 
@@ -31,8 +33,8 @@ import (
 const sweepBase = 64
 
 // sweepOptions: a deliberately tiny memtable (16 records) so the short
-// append stream crosses several flushes, rotations, manifest commits, and
-// segment recycles — the windows the sweep wants to crash inside of.
+// append stream crosses several flushes, compactions and manifest commits —
+// the windows the sweep wants to crash inside of.
 // Compaction is synchronous so the op sequence is deterministic.
 func sweepOptions(t *testing.T, fs storage.FS) Options {
 	t.Helper()
@@ -61,14 +63,14 @@ func sweepSeed(t *testing.T) *storage.MemFS {
 	return fs
 }
 
-func TestWALCrashWindowSweep(t *testing.T) {
+func TestAppendCrashSweep(t *testing.T) {
 	stream := dataset.Generate(dataset.NewSeismic(), 40, tLen, 911)
 	extra := dataset.Generate(dataset.NewRandomWalk(), 1, tLen, 7777)
 	queries := dataset.Queries(dataset.NewRandomWalk(), 4, tLen, 321)
 
 	// workload reopens the seed and appends the stream one acknowledged
-	// series at a time, stopping at the first injected failure. Append
-	// returns only after the WAL made the series durable, so everything
+	// series at a time, stopping at the first injected failure. Insert
+	// returns only after the raw log committed the series, so everything
 	// counted in acked must survive any later crash.
 	workload := func(fs storage.FS) (acked int, appendFailed bool) {
 		ix, err := Open(sweepOptions(t, fs))
@@ -168,7 +170,7 @@ func TestWALCrashWindowSweep(t *testing.T) {
 			t.Fatalf("crash at op %d: reopen: %v", k, err)
 		}
 		c := int(re.Count()) - sweepBase
-		// attempted admits the single in-flight append: its WAL record can
+		// attempted admits the single in-flight append: its sidecar entry can
 		// be durable even though the acknowledgment never came back.
 		attempted := acked
 		if appendFailed {
@@ -213,28 +215,27 @@ func TestWALCrashWindowSweep(t *testing.T) {
 	}
 }
 
-// TestWALOneFsyncPairPerAppend pins who fsyncs for an acknowledged append:
-// the committer's raw + segment pair for one the memtable absorbs, and for
-// one that fills the memtable the flush's own raw fsync and syncActive —
-// with the committer standing by, not adding a second pair for the same
-// LSN. Either way an append costs exactly one raw and one segment fsync,
-// which is what makes the sweep's op count repeatable.
-func TestWALOneFsyncPairPerAppend(t *testing.T) {
+// TestOneFsyncPairPerAppend pins what an acknowledged append costs: one
+// raw-file fsync and one sidecar fsync — a commit round of the raw log —
+// whether the memtable absorbs it or it fills the memtable and the flush
+// commits the log before the run's manifest, leaving the Insert's own commit
+// nothing to do. That is what makes the sweep's op count repeatable.
+func TestOneFsyncPairPerAppend(t *testing.T) {
 	stream := dataset.Generate(dataset.NewSeismic(), 40, tLen, 911)
 	ffs := storage.NewFaultFS(sweepSeed(t))
 	var mu sync.Mutex
-	var rawSyncs, segSyncs int
+	var rawSyncs, sideSyncs int
 	ffs.SetHook(func(op storage.Op, name string) {
 		if op != storage.OpSync {
 			return
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		switch {
-		case name == "raw":
+		switch name {
+		case "raw":
 			rawSyncs++
-		case strings.HasPrefix(name, "lsm.wal."):
-			segSyncs++
+		case storage.RecordSumsName("raw"):
+			sideSyncs++
 		}
 	})
 	ix, err := Open(sweepOptions(t, ffs))
@@ -245,7 +246,7 @@ func TestWALOneFsyncPairPerAppend(t *testing.T) {
 	flushes := 0
 	for i := range stream {
 		mu.Lock()
-		raw0, seg0 := rawSyncs, segSyncs
+		raw0, side0 := rawSyncs, sideSyncs
 		mu.Unlock()
 		runs := ix.Shape().Runs
 		if err := ix.Insert(context.Background(), stream[i:i+1]); err != nil {
@@ -260,10 +261,10 @@ func TestWALOneFsyncPairPerAppend(t *testing.T) {
 			t.Fatalf("append %d changed the run set without emptying the memtable", i)
 		}
 		mu.Lock()
-		raw, seg := rawSyncs-raw0, segSyncs-seg0
+		raw, side := rawSyncs-raw0, sideSyncs-side0
 		mu.Unlock()
-		if raw != 1 || seg != 1 {
-			t.Fatalf("append %d (flushed=%v): %d raw and %d segment fsyncs, want 1 and 1", i, flushed, raw, seg)
+		if raw != 1 || side != 1 {
+			t.Fatalf("append %d (flushed=%v): %d raw and %d sidecar fsyncs, want 1 and 1", i, flushed, raw, side)
 		}
 	}
 	if flushes < 2 {
@@ -271,22 +272,19 @@ func TestWALOneFsyncPairPerAppend(t *testing.T) {
 	}
 }
 
-// TestWALRotDetectedAndRecovered: a flipped byte inside a fully-present
-// WAL frame is bit-rot, not a crash artifact (a torn write only truncates,
-// and torn recovery is prefix truncation), so strict replay refuses to
-// open with storage.ErrCorruptData instead of silently dropping the
-// acknowledged suffix. Under AllowDegraded the open succeeds and every
-// acknowledged append is recovered anyway, reconstructed from the raw
-// dataset (raw writes precede their log record and the image is fully
-// durable here).
-func TestWALTornRecordRejected(t *testing.T) {
+// TestUnflushedTailRotFailsOpen: the appends no run holds yet are recovered
+// from the raw log at open, each record read through its sidecar CRC. Rot in
+// one of them — in the raw bytes or in the sidecar entry — fails the open
+// typed, strict or degraded: the raw file is source data and no other copy
+// of the record exists. The intact image recovers every acknowledged append.
+func TestUnflushedTailRotFailsOpen(t *testing.T) {
 	inner := storage.NewMemFS()
 	if _, err := dataset.WriteFile(inner, "raw", dataset.NewRandomWalk(), sweepBase, tLen, 42); err != nil {
 		t.Fatal(err)
 	}
 	ffs := storage.NewFaultFS(inner)
 	o := sweepOptions(t, ffs)
-	o.MemBudgetBytes = 1 << 20 // no flushes: everything lives in the WAL
+	o.MemBudgetBytes = 1 << 20 // no flushes: the appends live in the raw log alone
 	ix, err := Build(o)
 	if err != nil {
 		t.Fatal(err)
@@ -300,59 +298,95 @@ func TestWALTornRecordRejected(t *testing.T) {
 	ffs.Crash()
 	ix.Close()
 
-	// Intact image: every acknowledged append replays.
-	check := func(rec *storage.MemFS, want int) {
-		t.Helper()
-		o := sweepOptions(t, rec)
-		re, err := Open(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := int(re.Count()) - sweepBase; got != want {
-			t.Fatalf("recovered %d appended series, want %d", got, want)
-		}
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check(ffs.Recover(0), len(stream))
-
-	// One flipped byte inside record 2's payload.
-	rec := ffs.Recover(0)
-	seg := walSegName("lsm", 0)
-	data, err := storage.ReadFileAll(rec, seg)
+	re, err := Open(sweepOptions(t, ffs.Recover(0)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	recLen := walRecHeaderSize + 4 + recordSize
-	data[walHeaderSize+2*recLen+walRecHeaderSize+2] ^= 0xff
-	if err := storage.WriteFileAll(rec, seg, data); err != nil {
-		t.Fatal(err)
-	}
-
-	// Strict mode: the rot is detected, never silently dropped.
-	if _, err := Open(sweepOptions(t, rec)); !errors.Is(err, storage.ErrCorruptData) {
-		t.Fatalf("open over rotted WAL frame: err = %v, want ErrCorruptData", err)
-	}
-
-	// Degraded mode: open succeeds and recovers ALL acknowledged appends
-	// from the raw dataset — strictly better than the old lenient replay,
-	// which would have silently lost records 2..4.
-	o2 := sweepOptions(t, rec)
-	o2.AllowDegraded = true
-	re, err := Open(o2)
-	if err != nil {
-		t.Fatalf("degraded open over rotted WAL frame: %v", err)
 	}
 	if got := int(re.Count()) - sweepBase; got != len(stream) {
-		t.Fatalf("degraded recovery found %d appended series, want %d", got, len(stream))
+		t.Fatalf("recovered %d appended series, want %d", got, len(stream))
 	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The reconstruction re-logged everything into a fresh generation; a
-	// plain strict reopen of the same image must now succeed.
-	check(rec, len(stream))
+
+	recSize := int64(series.EncodedSize(tLen))
+	for file, off := range map[string]int64{
+		"raw":                         (sweepBase+2)*recSize + 5,
+		storage.RecordSumsName("raw"): storage.RecordSumsHeaderSize + 4*(sweepBase+2) + 1,
+	} {
+		img := ffs.Recover(0)
+		rotFile(t, img, file, off)
+		for _, degraded := range []bool{false, true} {
+			o := sweepOptions(t, img)
+			o.AllowDegraded = degraded
+			if re, err := Open(o); !errors.Is(err, storage.ErrCorruptData) {
+				if err == nil {
+					re.Close()
+				}
+				t.Fatalf("%s rotted in the un-flushed tail, AllowDegraded=%v: open: %v, want ErrCorruptData", file, degraded, err)
+			}
+		}
+	}
+}
+
+// TestConcurrentFlushCoversOnlyInsertedRecords pins the promise a flush's
+// cursor makes when another Insert arrives during a flush: A fills the
+// memtable and its flush parks in the manifest commit, which releases the
+// handle lock; B's Insert, which would fill the memtable again, gets its
+// chance to run; both are acknowledged, and after a crash every acknowledged
+// series is recovered. Had B flushed while A still held appended records it
+// had not inserted, B's cursor would have passed them and lost them.
+func TestConcurrentFlushCoversOnlyInsertedRecords(t *testing.T) {
+	ffs := storage.NewFaultFS(sweepSeed(t))
+	ix, err := Open(sweepOptions(t, ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var armed, parked atomic.Bool
+	entered, release, bRun := make(chan struct{}), make(chan struct{}), make(chan struct{}, 1)
+	tmpName := manifest.FileName("lsm") + ".tmp"
+	ffs.SetHook(func(op storage.Op, name string) {
+		switch {
+		case op == storage.OpSync && name == tmpName && armed.CompareAndSwap(true, false):
+			parked.Store(true)
+			close(entered)
+			<-release
+		case op == storage.OpSync && strings.HasPrefix(name, "lsm.run.") && parked.Load():
+			select {
+			case bRun <- struct{}{}:
+			default:
+			}
+		}
+	})
+	stream := dataset.Generate(dataset.NewSeismic(), 40, tLen, 911)
+	armed.Store(true)
+	aDone, bDone := make(chan error, 1), make(chan error, 1)
+	go func() { aDone <- ix.Insert(context.Background(), stream[:24]) }()
+	<-entered // A filled the memtable and parks in its flush's manifest commit
+	go func() { bDone <- ix.Insert(context.Background(), stream[24:40]) }()
+	// B must not flush now; give it the chance to (its run's fsync while A
+	// is parked), bounded, since the right outcome is that it never comes.
+	select {
+	case <-bRun:
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	if err := <-aDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-bDone; err != nil {
+		t.Fatal(err)
+	}
+	ffs.Crash()
+	ix.Close()
+	re, err := Open(sweepOptions(t, ffs.Recover(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := int(re.Count()) - sweepBase; got != len(stream) {
+		t.Fatalf("recovered %d of %d acknowledged series", got, len(stream))
+	}
 }
 
 // TestQueriesProceedDuringSlowManifestCommit: the manifest commit happens

@@ -5,7 +5,11 @@
 // Because invSAX keys are sortable, a Coconut index is just a sorted file —
 // which makes the LSM recipe apply directly:
 //
-//   - new series accumulate in an in-memory memtable;
+//   - new series accumulate in an in-memory memtable, and the raw dataset
+//     file is the log: a key is a pure function of a record's bytes, so an
+//     append is acknowledged once its raw bytes and their CRC sidecar
+//     entries are fsynced (storage.RecordSums), and Open re-summarizes the
+//     records past the manifest's flushed position into the memtable;
 //   - a full memtable is sorted and flushed as an immutable sorted RUN
 //     (one sequential write — no read-modify-write of existing leaves);
 //   - runs are organized in tiers; when a tier collects Fanout runs they
@@ -80,26 +84,24 @@ type Options struct {
 	// AllowDegraded turns corruption at Open time into graceful
 	// degradation: a run whose file is corrupt (or missing) is QUARANTINED
 	// — withheld from queries and compactions but kept in the manifest —
-	// instead of failing the open, and a corrupt WAL tail is reconstructed
-	// from the raw dataset (every raw position not covered by a healthy
-	// run re-summarizes into the memtable). Queries then answer over the
-	// healthy remainder and Degraded() reports the loss; see
-	// RebuildQuarantined for repair. Off by default: corruption fails
-	// loudly with storage.ErrCorruptData.
+	// instead of failing the open. Queries then answer over the healthy
+	// remainder and Degraded() reports the loss; see RebuildQuarantined for
+	// repair. Off by default: corruption fails loudly with
+	// storage.ErrCorruptData.
 	AllowDegraded bool
-	// RawSums optionally supplies an externally owned raw-dataset CRC
-	// sidecar (the partition layer's: the parent owns the shared raw file
-	// and its sidecar, children verify through the shared handle). When
-	// nil, the index builds and maintains its own. Every raw read is
-	// verified against it, and every run read against the block CRCs of
-	// the run file (internal/runblock), so bit rot surfaces as
-	// storage.ErrCorruptData instead of a wrong answer.
+	// RawSums optionally supplies an externally owned raw log (the
+	// partition layer's: the parent owns the shared raw file, appends to it
+	// and commits it; children verify through the shared handle and commit
+	// it before their manifests). When nil, the index builds and owns its
+	// own. Every raw read is verified against it, and every run read
+	// against the block CRCs of the run file (internal/runblock), so bit rot
+	// surfaces as storage.ErrCorruptData instead of a wrong answer.
 	RawSums *storage.RecordSums
-	// Owns restricts reconstruction-from-raw — degraded WAL recovery and
-	// RebuildQuarantined — to the records this index owns. A partition
-	// child shares the raw dataset with its siblings; without the filter
-	// a reconstruction would re-index every sibling's records too. Nil
-	// means the index owns every raw record.
+	// Owns restricts what this index derives from the raw file — the
+	// un-flushed tail Open recovers, and RebuildQuarantined — to the
+	// records it owns. A partition child shares the raw dataset with its
+	// siblings; without the filter it would re-index every sibling's
+	// records too. Nil means the index owns every raw record.
 	Owns func(summary.Key) bool
 	// Cache is the shared decoded-block cache run files are read through:
 	// runs are block-compressed on disk (internal/runblock) and never
@@ -177,9 +179,9 @@ type memEntry struct {
 type Index struct {
 	opt     Options
 	rawFile storage.File
-	// rawSums verifies raw-dataset reads; ownSums marks the handle as this
-	// index's own (maintained on appends) rather than the partition layer's
-	// shared one.
+	// rawSums is the raw log: it verifies raw reads, takes appends and
+	// commits them; ownSums marks it as this index's own (closed with it)
+	// rather than the partition layer's shared one.
 	rawSums *storage.RecordSums
 	ownSums bool
 	// quarantined holds the manifest records of runs withheld at Open
@@ -188,7 +190,13 @@ type Index struct {
 	// are never deleted by compaction — until RebuildQuarantined replaces
 	// them from the raw dataset.
 	quarantined []manifest.RunInfo
-	mu          sync.RWMutex
+	// wmu serializes Inserts for the whole of their append and insert,
+	// which a flush's manifest commit interrupts by releasing mu: no flush
+	// (whose cursor would pass them) and no repair (which would take them
+	// for lost) runs while an Insert holds appended records it has not
+	// inserted yet.
+	wmu sync.Mutex
+	mu  sync.RWMutex
 	// closed makes Close idempotent: a second Close (even concurrent with
 	// the first) returns nil instead of double-closing the files.
 	closed  bool
@@ -210,18 +218,9 @@ type Index struct {
 	// swap or a repair: durably the previous manifest stays authoritative,
 	// so no later commit may supersede it and every write refuses.
 	commitErr error
-
-	// WAL state. The counters live on the Index (under mu) because every
-	// manifest snapshot records them. walAppended is the LSN after the last
-	// logged entry;
-	// walFlushed is the durable flush cursor (entries below it are covered
-	// by flushed runs); un-flushed entries live in WAL segments
-	// [walFirstSeg, walNextSeg).
-	wal         *wal
-	walAppended int64
-	walFlushed  int64
-	walFirstSeg int
-	walNextSeg  int
+	// flushed is the manifest's raw-position cursor: every record below it
+	// that this index owns is in a run.
+	flushed int64
 
 	// Manifest commits run OFF the handle lock: the state is snapshotted
 	// and sequenced by commitSeq under mu, then encoded and fsynced under
@@ -262,19 +261,16 @@ func newIndex(opt Options, raw storage.File) *Index {
 
 // abandon releases what a Build or Open that failed got as far as holding.
 func (ix *Index) abandon() {
-	if ix.wal != nil {
-		_ = ix.wal.close()
-	}
 	_ = ix.closeRunsLocked()
 	ix.rawFile.Close()
 }
 
 // Remove deletes every file of the Coconut-LSM name that Build writes —
-// the bulk run, WAL segment 0 and the manifest: the undo of a build that
-// failed, here or in the partition layer after this child finished. Best
-// effort, like core.RemoveTree: the build's own error is what is reported.
+// the bulk run and the manifest: the undo of a build that failed, here or in
+// the partition layer after this child finished. Best effort, like
+// core.RemoveTree: the build's own error is what is reported.
 func Remove(fs storage.FS, name string) {
-	for _, n := range []string{runFileName(name, 0), walSegName(name, 0), manifest.FileName(name)} {
+	for _, n := range []string{runFileName(name, 0), manifest.FileName(name)} {
 		if fs.Exists(n) {
 			_ = fs.Remove(n)
 		}
@@ -323,15 +319,8 @@ func (ix *Index) build() error {
 	}
 	ix.nextSeq++
 	ix.count = n
-	// Pre-create WAL segment 0 so the manifest below references it: an
-	// acknowledged append may only ever land in a manifest-referenced
-	// segment (or one replay probes forward to), or a crash could lose it.
-	f, size, err := createWALSegment(opt.FS, opt.Name, 0, 0)
-	if err != nil {
-		return err
-	}
-	ix.wal = newWAL(opt.FS, opt.Name, raw, f, 0, size, 0)
-	ix.walNextSeg = 1
+	// The bulk run holds every record of the dataset this index owns.
+	ix.flushed = ix.rawSums.Records()
 	// Durability point: the manifest makes the bulk-loaded run reopenable
 	// with Open without re-reading the dataset.
 	ix.mu.Lock()
@@ -414,9 +403,8 @@ func (ix *Index) QuarantinedRuns() []string {
 // uncoveredLocked re-derives, from the raw dataset read through the
 // verifying sidecar, the entry of every record that no healthy run and no
 // memtable entry covers and that this index owns (Options.Owns) — what a
-// quarantined run or a rotted log lost. Runs partition the record positions,
-// so these are exactly the lost records (plus, after a crash, raw records
-// never acknowledged, which are harmless to index).
+// quarantined run lost. Runs partition the record positions, so these are
+// exactly the lost records.
 func (ix *Index) uncoveredLocked() (_ []memEntry, err error) {
 	covered := make(map[int64]bool, ix.count)
 	for _, r := range ix.runs {
@@ -433,18 +421,20 @@ func (ix *Index) uncoveredLocked() (_ []memEntry, err error) {
 	for _, e := range ix.mem {
 		covered[e.pos] = true
 	}
+	return ix.summarizeLocked(0, ix.rawSums.Records(), func(pos int64) bool { return !covered[pos] })
+}
+
+// summarizeLocked re-derives from the raw log, read through the verifying
+// sidecar, the entry of every record in [lo, hi) that want admits and this
+// index owns (Options.Owns).
+func (ix *Index) summarizeLocked(lo, hi int64, want func(pos int64) bool) (_ []memEntry, err error) {
 	p := ix.opt.S.Params()
-	sz := int64(series.EncodedSize(p.SeriesLen))
-	rawSize, err := ix.rawFile.Size()
-	if err != nil {
-		return nil, err
-	}
 	var entries []memEntry
-	buf, ser := make([]byte, sz), make(series.Series, p.SeriesLen)
+	buf, ser := make([]byte, series.EncodedSize(p.SeriesLen)), make(series.Series, p.SeriesLen)
 	raw := storage.PinViews(ix.rawFile)
 	defer raw.Release(&err)
-	for pos := int64(0); pos < rawSize/sz; pos++ {
-		if covered[pos] {
+	for pos := lo; pos < hi; pos++ {
+		if !want(pos) {
 			continue
 		}
 		enc, err := core.ReadRawAt(raw, ix.rawSums, pos, buf)
@@ -472,6 +462,8 @@ func (ix *Index) uncoveredLocked() (_ []memEntry, err error) {
 // record multiset, and window invariance makes its answers byte-identical
 // to the pre-corruption index's. No-op on a healthy index.
 func (ix *Index) RebuildQuarantined() error {
+	ix.wmu.Lock() // an Insert's appended records must all be in the memtable
+	defer ix.wmu.Unlock()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.commitErr != nil {
@@ -528,46 +520,44 @@ func (ix *Index) memCapacity() int {
 	return c
 }
 
-// Insert adds new series: raw bytes go to the dataset file, records to
-// the memtable and the write-ahead log; a full memtable flushes to a
-// fresh tier-0 run, and the compactions that flush made ready run inline.
-// The batch is summarized up front across Workers goroutines, so ingest
-// keeps every core busy while the raw writes stay append-only. Insert takes
-// the handle lock exclusively only to log and insert — it then releases it
-// and waits for the group commit, so a nil return means every series in
-// the batch is durable (fsynced WAL record plus fsynced raw bytes, or
-// already covered by a flushed run). A failed compaction merge is not an
-// Insert error (see flushOnWriteLocked).
+// Insert adds new series: raw bytes go to the raw log, records to the
+// memtable; a full memtable flushes to a fresh tier-0 run, and the
+// compactions that flush made ready run inline. The batch is summarized up
+// front across Workers goroutines, so ingest keeps every core busy while the
+// raw writes stay append-only. Insert takes the handle lock exclusively only
+// to append and insert — it then releases it and waits for the raw log's
+// group commit, so a nil return means every series in the batch is durable
+// (its raw bytes and their sidecar entries fsynced). A failed compaction
+// merge is not an Insert error (see flushOnWriteLocked).
 //
 // Cancellation is admission control: the context is checked before any raw
 // byte lands — once admitted, the batch runs to completion (a half-applied
 // batch would corrupt the index) — and again while waiting for the group
-// commit. A cancelled appender abandons its durability wait without
-// disturbing the batch: the committer still fsyncs it, so the logged
-// entries stay durable and consistent.
+// commit. A cancelled appender abandons its wait without disturbing the
+// batch: the commit round still fsyncs it, so it stays durable and
+// consistent.
 func (ix *Index) Insert(ctx context.Context, batch []series.Series) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	ix.wmu.Lock()
 	ix.mu.Lock()
-	lsn, err := ix.appendLocked(batch)
+	end, err := ix.appendLocked(batch)
 	ix.mu.Unlock()
+	ix.wmu.Unlock()
 	if err != nil {
 		return err
 	}
-	return ix.wal.waitDurable(ctx, lsn)
+	return ix.rawSums.Commit(ctx, end)
 }
 
+// appendLocked appends the batch to the raw log and inserts its records,
+// returning the log position after the last. Callers hold wmu and mu.
 func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
 	if ix.commitErr != nil {
 		return 0, ix.commitErr
 	}
 	p := ix.opt.S.Params()
-	sz := int64(series.EncodedSize(p.SeriesLen))
-	end, err := ix.rawFile.Size()
-	if err != nil {
-		return 0, err
-	}
 	for _, s := range batch {
 		if len(s) != p.SeriesLen {
 			return 0, fmt.Errorf("lsm: series length %d, want %d", len(s), p.SeriesLen)
@@ -577,112 +567,45 @@ func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// A torn raw tail can legitimately survive a crash (the partial record
-	// was never acknowledged); rounding the write position down overwrites it.
-	pos := end / sz
-	enc := make([]byte, 0, sz)
-	// Records are logged in chunks: everything appended since the last
-	// flush boundary goes to the WAL in one record before the flush (or
-	// the batch end), so a flush never covers entries the log missed.
-	var pending []core.InsertRec
-	logPending := func(flushNext bool) error {
-		if len(pending) == 0 {
-			return nil
-		}
-		if _, err := ix.wal.log(pending, flushNext); err != nil {
-			return err
-		}
-		ix.walAppended += int64(len(pending))
-		pending = pending[:0]
-		return nil
+	enc := make([]byte, 0, len(batch)*series.EncodedSize(p.SeriesLen))
+	for _, s := range batch {
+		enc = series.AppendEncode(enc, s)
 	}
-	for i, s := range batch {
-		enc = series.AppendEncode(enc[:0], s)
-		if _, err := ix.rawFile.WriteAt(enc, pos*sz); err != nil {
-			return 0, err
-		}
-		if ix.ownSums {
-			ix.rawSums.Set(pos, enc)
-		}
-		ix.mem = append(ix.mem, memEntry{key: keys[i], pos: pos})
-		pending = append(pending, core.InsertRec{Key: keys[i], Pos: pos})
-		ix.count++
-		pos++
-		if len(ix.mem) >= ix.memCapacity() {
-			if err := logPending(true); err != nil {
-				return 0, err
-			}
-			if err := ix.flushOnWriteLocked(); err != nil {
-				return 0, err
-			}
-			// The flush releases mu for its manifest commits; a concurrent
-			// Insert can grow the raw file meanwhile, so the write position
-			// must be recomputed before the next record.
-			if end, err = ix.rawFile.Size(); err != nil {
-				return 0, err
-			}
-			pos = end / sz
-		}
-	}
-	if err := logPending(false); err != nil {
+	first, err := ix.rawSums.Append(enc)
+	if err != nil {
 		return 0, err
 	}
-	return ix.walAppended, nil
+	recs := make([]core.InsertRec, len(batch))
+	for i := range recs {
+		recs[i] = core.InsertRec{Key: keys[i], Pos: first + int64(i)}
+	}
+	return first + int64(len(batch)), ix.insertLocked(recs)
 }
 
-// InsertRecords logs and inserts pre-summarized records routed to this index
-// by the partition layer, whose raw bytes are already in the shared dataset
-// file at their Pos (written through the partition layer's own handle; the
-// group commit's rawFile.Sync and flushLocked's cover them because both
-// handles name the same file). It does not wait for the group commit: the
-// returned LSN is the durability token to pass to WaitDurable. The partition
-// layer routes one batch to every child under its own lock, releases the
-// lock, and then waits all tokens — so N children share N fsync batches
-// instead of serializing them.
-func (ix *Index) InsertRecords(entries []core.InsertRec) (int64, error) {
+// InsertRecords inserts pre-summarized records routed to this index by the
+// partition layer, whose raw bytes it already appended to the shared raw
+// log; the partition layer commits the log once for the whole batch.
+func (ix *Index) InsertRecords(recs []core.InsertRec) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.commitErr != nil {
-		return 0, ix.commitErr
+		return ix.commitErr
 	}
-	for len(entries) > 0 {
-		room := ix.memCapacity() - len(ix.mem)
-		if room <= 0 {
-			// A concurrent appender filled the memtable while a flush
-			// released mu; fold it before logging more.
-			if err := ix.flushOnWriteLocked(); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		chunk := entries
-		if len(chunk) > room {
-			chunk = chunk[:room]
-		}
-		if _, err := ix.wal.log(chunk, len(chunk) == room); err != nil {
-			return 0, err
-		}
-		ix.walAppended += int64(len(chunk))
-		for _, e := range chunk {
-			ix.mem = append(ix.mem, memEntry{key: e.Key, pos: e.Pos})
-			ix.count++
-		}
-		entries = entries[len(chunk):]
-		if len(ix.mem) >= ix.memCapacity() {
-			if err := ix.flushOnWriteLocked(); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return ix.walAppended, nil
+	return ix.insertLocked(recs)
 }
 
-// WaitDurable blocks until every entry at LSN <= lsn is durable (group-
-// committed into the WAL, or covered by a flushed run). A cancelled waiter
-// returns ctx.Err() and abandons the wait; the group commit itself is
-// unaffected, so the entries still become durable.
-func (ix *Index) WaitDurable(ctx context.Context, lsn int64) error {
-	return ix.wal.waitDurable(ctx, lsn)
+// insertLocked adds records to the memtable, flushing it whenever it fills.
+func (ix *Index) insertLocked(recs []core.InsertRec) error {
+	for _, e := range recs {
+		ix.mem = append(ix.mem, memEntry{key: e.Key, pos: e.Pos})
+		ix.count++
+		if len(ix.mem) >= ix.memCapacity() {
+			if err := ix.flushOnWriteLocked(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // lePosLess orders positions by the lexicographic order of their
@@ -728,12 +651,7 @@ func (ix *Index) flushOnWriteLocked() error {
 
 // flushLocked writes the memtable as a tier-0 run and commits it; it
 // compacts nothing.
-func (ix *Index) flushLocked() (err error) {
-	defer func() {
-		if err != nil {
-			ix.wal.releaseFlush()
-		}
-	}()
+func (ix *Index) flushLocked() error {
 	if ix.commitErr != nil {
 		return ix.commitErr
 	}
@@ -746,20 +664,16 @@ func (ix *Index) flushLocked() (err error) {
 		}
 		return lePosLess(ix.mem[a].pos, ix.mem[b].pos)
 	})
-	// The run's positions point into raw bytes this process appended; they
-	// must reach stable storage before a run (and manifest) references
-	// them, or a power loss could leave a durable index over lost data.
-	if err := ix.rawFile.Sync(); err != nil {
-		return err
+	// Every record below the run's last position that this index owns is in
+	// the memtable or a run. The raw log commits through that position before
+	// a run — and the manifest — references it: no manifest ever names a
+	// position past the durable end of the raw file.
+	flushed := ix.flushed
+	for _, e := range ix.mem {
+		flushed = max(flushed, e.pos+1)
 	}
-	// The sidecar trails the raw file it describes; flushing it here keeps
-	// "sidecar covers every position a durable run references" an
-	// invariant, so reopen-time reconciliation only ever backfills the
-	// unflushed memtable tail.
-	if ix.ownSums {
-		if err := ix.rawSums.Flush(); err != nil {
-			return err
-		}
+	if err := ix.rawSums.Commit(context.Background(), flushed); err != nil {
+		return err
 	}
 	r, err := ix.writeRunFile(ix.runName(), ix.mem, 0, ix.nextSeq, ix.tier0Seq)
 	if err != nil {
@@ -769,48 +683,12 @@ func (ix *Index) flushLocked() (err error) {
 	ix.runs = append(ix.runs, r)
 	ix.nextSeq++
 	ix.tier0Seq++
-	// Before advancing the flush cursor, fsync the active segment. This is
-	// what makes "every non-active segment is fully durable" an invariant:
-	// the run above is durable but the manifest that references it is not
-	// committed yet, so until that commit lands the WAL segment is still
-	// the only durable record of these entries. It also licenses the
-	// committer to keep releasing waiters against the fresh segment after
-	// the rotation below without stranding entries in the old one.
-	if err := ix.wal.syncActive(); err != nil {
-		return err
-	}
-	// Every entry ever logged is now covered by a durable run: advance the
-	// flush cursor, release group-commit waiters without a segment sync,
-	// and rotate to a fresh WAL segment so the covered ones can be
-	// recycled once the manifest commit below lands.
-	oldFirstSeg := ix.walFirstSeg
-	ix.walFlushed = ix.walAppended
-	ix.wal.markFlushed(ix.walFlushed)
-	if !ix.wal.activeEmpty() {
-		seg := ix.walNextSeg
-		if err := ix.wal.rotate(seg, ix.walAppended); err != nil {
-			return err
-		}
-		ix.walNextSeg = seg + 1
-		ix.walFirstSeg = seg
-	}
+	ix.flushed = flushed
 	// Commit the manifest before compacting: the new run is durable the
 	// moment Flush's structural change exists, and every later compaction
 	// swap commits again before deleting its inputs — so the on-disk
 	// manifest always references files that exist.
-	if err := ix.commitManifestLocked(); err != nil {
-		return err
-	}
-	// The committed manifest no longer references the rotated-away
-	// segments; recycle them. A concurrent flush may have advanced the
-	// range further during the commit window and recycled some already.
-	for seg := oldFirstSeg; seg < ix.walFirstSeg; seg++ {
-		if err := ix.opt.FS.Remove(walSegName(ix.opt.Name, seg)); err != nil &&
-			!errors.Is(err, storage.ErrNotExist) {
-			return err
-		}
-	}
-	return nil
+	return ix.commitManifestLocked()
 }
 
 // writeRunFile persists one sorted run file, fsyncs it (the manifest commit
@@ -1076,23 +954,14 @@ func (ix *Index) Close() error {
 		return nil
 	}
 	ix.closed = true
-	flushErr := ix.flushLocked()
-	if flushErr == nil {
-		flushErr = ix.compactPendingLocked()
+	err := ix.flushLocked()
+	if err == nil {
+		err = ix.compactPendingLocked()
 	}
-	walErr := ix.wal.close()
-	runsErr := ix.closeRunsLocked()
-	closeErr := ix.rawFile.Close()
-	if flushErr != nil {
-		return flushErr
+	if ix.ownSums {
+		err = errors.Join(err, ix.rawSums.Close())
 	}
-	if walErr != nil {
-		return walErr
-	}
-	if runsErr != nil {
-		return runsErr
-	}
-	return closeErr
+	return errors.Join(err, ix.closeRunsLocked(), ix.rawFile.Close())
 }
 
 // tierCursorsLocked snapshots the committed-groups cursor of every tier.
@@ -1198,15 +1067,13 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 		RawName:   ix.opt.RawName,
 		Count:     total,
 		LSM: &manifest.LSMLayout{
-			Fanout:      ix.opt.Fanout,
-			NextRun:     ix.nextRun,
-			NextSeq:     ix.nextSeq,
-			Tier0Seq:    ix.tier0Seq,
-			Cursors:     ix.tierCursorsLocked(),
-			Runs:        runs,
-			WALFlushed:  ix.walFlushed,
-			WALFirstSeg: ix.walFirstSeg,
-			WALNextSeg:  ix.walNextSeg,
+			Fanout:   ix.opt.Fanout,
+			NextRun:  ix.nextRun,
+			NextSeq:  ix.nextSeq,
+			Tier0Seq: ix.tier0Seq,
+			Cursors:  ix.tierCursorsLocked(),
+			Runs:     runs,
+			Flushed:  ix.flushed,
 		},
 	}
 	return m

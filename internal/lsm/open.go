@@ -7,18 +7,18 @@ import (
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/runblock"
-	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/storage/blockcache"
 )
 
 // Open reopens a persisted Coconut-LSM index from its manifest: every
 // run's block directory is reloaded and its file verified by one
-// sequential pass — the raw dataset is opened for query-time fetches but
-// never read — and the scheduling counters (run naming, seq, tierSeq,
-// compaction-group cursors) are restored so subsequent flushes and
-// compactions continue the exact deterministic sequence a never-closed
-// index would have produced.
+// sequential pass, the appends no run holds yet are re-summarized from the
+// raw log (none after a clean Close, so the raw dataset is then opened for
+// query-time fetches but never read), and the scheduling counters (run
+// naming, seq, tierSeq, compaction-group cursors) are restored so
+// subsequent flushes and compactions continue the exact deterministic
+// sequence a never-closed index would have produced.
 //
 // Configuration mismatches (summarization parameters, dataset file, tier
 // fanout) fail loudly with manifest.ErrConfigMismatch; a run file whose
@@ -70,7 +70,8 @@ func Open(opt Options) (*Index, error) {
 	return ix, nil
 }
 
-// reopen restores the run set, the scheduling cursors and the log from m.
+// reopen restores the run set, the scheduling cursors and the memtable from
+// m and the raw log.
 func (ix *Index) reopen(m *manifest.Manifest) error {
 	opt := ix.opt
 	lastSeq := int64(-1)
@@ -113,7 +114,7 @@ func (ix *Index) reopen(m *manifest.Manifest) error {
 		// above it re-forms and re-merges.
 		ix.committedGroups[c.Tier] = c.Groups
 	}
-	if err := ix.recoverWAL(m); err != nil {
+	if err := ix.recoverTail(m.LSM.Flushed); err != nil {
 		return err
 	}
 	// Groups a crash left ready but unmerged fold inline, as they would have.
@@ -122,127 +123,23 @@ func (ix *Index) reopen(m *manifest.Manifest) error {
 	return ix.compactPendingLocked()
 }
 
-// recoverWAL replays the un-flushed WAL segments named by the manifest
-// into the memtable and establishes a fresh log generation.
-//
-// Replay is idempotent against the durable flush cursor: entries at LSN
-// below it are already covered by a run and are skipped. The recovered
-// entries are then RE-LOGGED — written as one synced record into a brand
-// new segment, which a manifest commit makes the only live segment before
-// the old ones are deleted. Re-logging (rather than adopting the old
-// segments) is what keeps recovery idempotent across repeated crashes:
-// an entry dropped by this replay because its raw bytes never reached
-// stable storage can never be resurrected by a later replay after the
-// raw file has grown past its position again.
-func (ix *Index) recoverWAL(m *manifest.Manifest) error {
-	opt := ix.opt
-	ix.walFlushed = m.LSM.WALFlushed
-	ix.walFirstSeg = m.LSM.WALFirstSeg
-	ix.walNextSeg = m.LSM.WALNextSeg
-	ix.walAppended = m.LSM.WALFlushed
-
-	rawSize, err := ix.rawFile.Size()
+// recoverTail re-summarizes into the memtable the records this index owns
+// between the manifest's flushed position and the raw log's acknowledged end
+// — the appends no run holds yet. It writes nothing: a clean image, whose
+// memtable was flushed at Close, reads nothing either.
+func (ix *Index) recoverTail(flushed int64) error {
+	end := ix.rawSums.Records()
+	if flushed > end {
+		return fmt.Errorf("lsm: %w: flushed position %d past the raw file's %d acknowledged records",
+			manifest.ErrCorruptManifest, flushed, end)
+	}
+	ix.flushed = flushed
+	tail, err := ix.summarizeLocked(flushed, end, func(int64) bool { return true })
 	if err != nil {
-		return err
+		return fmt.Errorf("lsm: recovering raw records [%d, %d): %w", flushed, end, err)
 	}
-	rawRecs := rawSize / int64(series.EncodedSize(opt.S.Params().SeriesLen))
-	var replayed []core.InsertRec
-	var reclaimed []string
-	last, err := walReplay(opt.FS, opt.Name, ix.walFirstSeg, ix.walNextSeg,
-		ix.walFlushed, rawRecs, func(e core.InsertRec) { replayed = append(replayed, e) })
-	if err != nil {
-		if !opt.AllowDegraded || !errors.Is(err, storage.ErrCorruptData) {
-			return err
-		}
-		// A rotted WAL segment under AllowDegraded: the log can no longer
-		// say which tail entries were acknowledged, but the raw dataset —
-		// verified record by record against its CRC sidecar — still holds
-		// every acknowledged byte (raw writes precede their log record, and
-		// flushes fsync raw before advancing the cursor). Rebuild the
-		// memtable as "every raw record no healthy run covers": a superset
-		// of the acknowledged tail (re-indexing an unacknowledged record is
-		// harmless), and it also re-derives the records of any runs
-		// quarantined above, whose quarantine is lifted here — their files
-		// are deleted once the commit below stops referencing them.
-		lost, err := ix.uncoveredLocked()
-		if err != nil {
-			return err
-		}
-		replayed = replayed[:0]
-		for _, e := range lost {
-			replayed = append(replayed, core.InsertRec{Key: e.key, Pos: e.pos})
-		}
-		for _, ri := range ix.quarantined {
-			reclaimed = append(reclaimed, ri.Name)
-		}
-		ix.quarantined = nil
-		last = ix.walFlushed + int64(len(replayed))
-	}
-	for _, e := range replayed {
-		ix.mem = append(ix.mem, memEntry{key: e.Key, pos: e.Pos})
-	}
-	ix.count += int64(len(replayed))
-	ix.walAppended = last
-
-	// A crash inside a flush's commit window can leave durable segments the
-	// manifest does not reference (replay probed them above); the new
-	// generation starts past every file that exists.
-	oldFirst := ix.walFirstSeg
-	next := ix.walNextSeg
-	for opt.FS.Exists(walSegName(opt.Name, next)) {
-		next++
-	}
-
-	f, size, err := createWALSegment(opt.FS, opt.Name, next, ix.walFlushed)
-	if err != nil {
-		return err
-	}
-	if len(replayed) > 0 {
-		rec := encodeWALRecord(replayed)
-		if _, err := f.WriteAt(rec, size); err != nil {
-			f.Close()
-			return err
-		}
-		size += int64(len(rec))
-		// The replayed entries were durable in the old generation; they must
-		// be durable in the new one before the old segments go away.
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	ix.wal = newWAL(opt.FS, opt.Name, ix.rawFile, f, next, size, ix.walAppended)
-	ix.walFirstSeg, ix.walNextSeg = next, next+1
-	ix.mu.Lock()
-	err = ix.commitManifestLocked()
-	ix.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	for _, name := range reclaimed {
-		if err := opt.FS.Remove(name); err != nil && !errors.Is(err, storage.ErrNotExist) {
-			return err
-		}
-	}
-	return ix.removeWALSegments(oldFirst, next)
-}
-
-// removeWALSegments deletes the old-generation segments [first, next),
-// plus any stragglers a crash left below first (a flush that committed
-// its manifest but lost power before recycling the covered segments).
-func (ix *Index) removeWALSegments(first, next int) error {
-	for s := first; s < next; s++ {
-		if err := ix.opt.FS.Remove(walSegName(ix.opt.Name, s)); err != nil &&
-			!errors.Is(err, storage.ErrNotExist) {
-			return err
-		}
-	}
-	for s := first - 1; s >= 0 && ix.opt.FS.Exists(walSegName(ix.opt.Name, s)); s-- {
-		if err := ix.opt.FS.Remove(walSegName(ix.opt.Name, s)); err != nil &&
-			!errors.Is(err, storage.ErrNotExist) {
-			return err
-		}
-	}
+	ix.mem = tail
+	ix.count += int64(len(tail))
 	return nil
 }
 

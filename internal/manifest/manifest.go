@@ -58,10 +58,10 @@ const (
 	magic uint32 = 0x464D4343 // "CCMF" little-endian
 	// version is the one format this build writes and reads. Earlier
 	// versions describe layouts no reader exists for any more (padded trie
-	// leaf pages, flat LSM runs, indexes without a WAL, LSM runs framed in
-	// checksum blocks, tree directories in a separate B+-tree meta file) and
+	// leaf pages, flat LSM runs, LSM runs framed in checksum blocks, tree
+	// directories in a separate B+-tree meta file, LSM write-ahead logs) and
 	// fail with ErrVersionMismatch: rebuild the index.
-	version uint32 = 7
+	version uint32 = 8
 	// headerSize is magic + version + payload length + CRC32-C.
 	headerSize = 16
 	// maxStringLen bounds decoded string fields (file names).
@@ -134,13 +134,10 @@ type LSMLayout struct {
 	Cursors  []TierCursor
 	Runs     []RunInfo
 
-	// WAL recovery state. WALFlushed is the durable flush cursor: every
-	// appended entry with LSN < WALFlushed is covered by a flushed run, so
-	// replay skips it.
-	// Un-flushed entries live in WAL segments [WALFirstSeg, WALNextSeg).
-	WALFlushed  int64
-	WALFirstSeg int
-	WALNextSeg  int
+	// Flushed is a raw-file position: every record below it that the index
+	// owns is in a run. Open re-summarizes the owned records from it up to
+	// the raw file's acknowledged end into the memtable.
+	Flushed int64
 }
 
 // PartitionLayout is the parent manifest of a partitioned index: N child
@@ -179,7 +176,7 @@ type Manifest struct {
 	// RawName is the dataset file the positions refer to.
 	RawName string
 	// Count is the number of series durably indexed (for LSM: the sum of
-	// the run counts; memtable contents are re-created by WAL replay).
+	// the run counts; the memtable is re-derived from the raw file).
 	Count int64
 
 	Tree *TreeLayout
@@ -262,9 +259,7 @@ func (m *Manifest) Encode() ([]byte, error) {
 			w.bytes(r.MinKey[:])
 			w.bytes(r.MaxKey[:])
 		}
-		w.u64(uint64(l.WALFlushed))
-		w.u32(uint32(l.WALFirstSeg))
-		w.u32(uint32(l.WALNextSeg))
+		w.u64(uint64(l.Flushed))
 	case VariantPartitioned:
 		if m.Part == nil {
 			return nil, errors.New("manifest: partitioned variant without partition layout")
@@ -374,9 +369,7 @@ func Decode(data []byte) (*Manifest, error) {
 			r.keyInto(&ri.MaxKey)
 			l.Runs = append(l.Runs, ri)
 		}
-		l.WALFlushed = int64(r.u64())
-		l.WALFirstSeg = int(r.u32())
-		l.WALNextSeg = int(r.u32())
+		l.Flushed = int64(r.u64())
 		m.LSM = l
 	case VariantPartitioned:
 		p := &PartitionLayout{}
@@ -453,10 +446,9 @@ func (m *Manifest) validate() error {
 			return fmt.Errorf("%w: run counts sum to %d, manifest count is %d",
 				ErrCorruptManifest, total, m.Count)
 		}
-		l := m.LSM
-		if l.WALFlushed < 0 || l.WALFirstSeg < 0 || l.WALNextSeg < l.WALFirstSeg {
-			return fmt.Errorf("%w: impossible WAL cursor (flushed=%d segments=[%d,%d))",
-				ErrCorruptManifest, l.WALFlushed, l.WALFirstSeg, l.WALNextSeg)
+		if m.LSM.Flushed < m.Count {
+			return fmt.Errorf("%w: flushed position %d below the %d records in runs",
+				ErrCorruptManifest, m.LSM.Flushed, m.Count)
 		}
 	}
 	if m.Part != nil {

@@ -37,14 +37,15 @@ func sampleTrie() *Manifest {
 	}
 }
 
-// legacyEncode is m as format version ver (1–6) wrote it: version 2 added
-// the LSM WAL cursors, 3 a checksums flag and 4 a compressed-runs flag
-// (both set by every version-5 writer that could be read, and gone since
-// 6, whose LSM runs are no longer framed in checksum blocks), a trie
-// before version 5 stored a per-leaf {count, first page, pages} directory
-// over a padded page file, and a tree before version 7 stored its B+-tree
-// geometry, its directory living in a separate meta file. Everything else
-// is laid out as today.
+// legacyEncode is m as format version ver (1–7) wrote it: version 2 added
+// the LSM WAL cursors (the flushed position and two segment numbers, of
+// which version 8 keeps the position), 3 a checksums flag and 4 a
+// compressed-runs flag (both set by every version-5 writer that could be
+// read, and gone since 6, whose LSM runs are no longer framed in checksum
+// blocks), a trie before version 5 stored a per-leaf {count, first page,
+// pages} directory over a padded page file, and a tree before version 7
+// stored its B+-tree geometry, its directory living in a separate meta
+// file. Everything else is laid out as today.
 func legacyEncode(m *Manifest, ver uint32) []byte {
 	cur, err := m.Encode()
 	if err != nil {
@@ -68,7 +69,7 @@ func legacyEncode(m *Manifest, ver uint32) []byte {
 		w.bool(m.Variant == VariantLSM)
 	}
 	switch {
-	case m.Variant == VariantTree:
+	case m.Variant == VariantTree && ver < 7:
 		for _, v := range []uint32{2072, 16, 100, 64} { // record size, key length, leaf capacity, fan-out
 			w.u32(v)
 		}
@@ -84,7 +85,11 @@ func legacyEncode(m *Manifest, ver uint32) []byte {
 			w.u64(l[2])
 		}
 	case m.Variant == VariantLSM && ver < 2:
-		w.bytes(layout[:len(layout)-16]) // no WAL cursors yet
+		w.bytes(layout[:len(layout)-8]) // no WAL cursors yet
+	case m.Variant == VariantLSM:
+		w.bytes(layout)
+		w.u32(3) // first WAL segment
+		w.u32(4) // next WAL segment
 	default:
 		w.bytes(layout)
 	}
@@ -109,6 +114,7 @@ func sampleLSM() *Manifest {
 				{Name: "ix.cmp.t0.000000", Tier: 1, TierSeq: 0, Seq: 1, Count: 80, MinKey: lo, MaxKey: hi},
 				{Name: "ix.run.000005", Tier: 0, TierSeq: 4, Seq: 5, Count: 20, MinKey: lo, MaxKey: hi},
 			},
+			Flushed: 320,
 		},
 	}
 }
@@ -129,7 +135,7 @@ func samples() []*Manifest {
 }
 
 // refusedEncodings are well-formed manifests of layouts no reader exists
-// for: every variant at format versions 1–5.
+// for: every variant at format versions 1–7.
 func refusedEncodings() [][]byte {
 	var out [][]byte
 	for _, m := range samples() {
@@ -175,7 +181,7 @@ func assertEqual(t *testing.T, want, got *Manifest) {
 	case VariantLSM:
 		w, g := want.LSM, got.LSM
 		if w.Fanout != g.Fanout || w.NextRun != g.NextRun || w.NextSeq != g.NextSeq ||
-			w.Tier0Seq != g.Tier0Seq || len(w.Cursors) != len(g.Cursors) || len(w.Runs) != len(g.Runs) {
+			w.Tier0Seq != g.Tier0Seq || w.Flushed != g.Flushed || len(w.Cursors) != len(g.Cursors) || len(w.Runs) != len(g.Runs) {
 			t.Fatalf("lsm layout mismatch: want %+v, got %+v", w, g)
 		}
 		for i := range w.Runs {
@@ -336,9 +342,10 @@ func TestReencodeBitExact(t *testing.T) {
 	}
 }
 
-// TestOldLayoutsRefused: format v7 is the only one read. A manifest of an
+// TestOldLayoutsRefused: format v8 is the only one read. A manifest of an
 // earlier version, of any variant, is a version mismatch (rebuild), not
-// corruption.
+// corruption — v7 included, whose LSM layout ended in two WAL segment
+// cursors.
 func TestOldLayoutsRefused(t *testing.T) {
 	for i, enc := range refusedEncodings() {
 		if _, err := Decode(enc); !errors.Is(err, ErrVersionMismatch) {
@@ -383,6 +390,31 @@ func TestTrieLayout(t *testing.T) {
 		t.Fatal(err)
 	} else if _, err := Decode(enc); err != nil {
 		t.Fatalf("empty trie manifest rejected: %v", err)
+	}
+}
+
+// TestLSMFlushedPosition: the LSM's one cursor, the raw position below which
+// every owned record is in a run, round-trips, and a position below the
+// records the runs hold — which no writer produces — fails Decode with
+// ErrCorruptManifest.
+func TestLSMFlushedPosition(t *testing.T) {
+	for _, tc := range []struct {
+		flushed int64
+		ok      bool
+	}{{300, true}, {320, true}, {299, false}, {0, false}, {-1, false}} {
+		m := sampleLSM()
+		m.LSM.Flushed = tc.flushed
+		data, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(data)
+		if tc.ok && (err != nil || got.LSM.Flushed != tc.flushed) {
+			t.Fatalf("flushed %d: decode %v (flushed %v)", tc.flushed, err, got)
+		}
+		if !tc.ok && !errors.Is(err, ErrCorruptManifest) {
+			t.Fatalf("flushed %d below %d records: decode %v, want ErrCorruptManifest", tc.flushed, m.Count, err)
+		}
 	}
 }
 

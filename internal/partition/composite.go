@@ -28,18 +28,15 @@ type Composite struct {
 	kids     []Child
 	degraded []string
 
-	// rawSums is the parent-owned CRC sidecar for the shared dataset file:
-	// only the parent writes raw bytes, so only the parent appends to and
-	// flushes it.
+	// rawSums is the parent-owned raw log of the shared dataset file: only
+	// the parent appends raw bytes, and it commits them once per insert for
+	// every child.
 	rawSums *storage.RecordSums
 
-	// mu serializes inserts: raw-file appends assign global arrival-order
+	// mu serializes inserts: raw-log appends assign global arrival-order
 	// positions before records route to their owning partition.
 	mu     sync.Mutex
 	closed bool
-	// rawFile is the append handle on the shared dataset; nil over children
-	// that take no inserts.
-	rawFile storage.File
 }
 
 // Build builds the N-way Composite of v: one summarization pass scatters
@@ -67,9 +64,6 @@ func Build(v Variant, parts int) (*Composite, error) {
 	})
 	removeScatter(v.fs, v.name, parts)
 	// The parent manifest commits last: nothing after it can fail the build.
-	if err == nil {
-		err = c.openRaw()
-	}
 	if err == nil {
 		err = commitParent(v, sc)
 	}
@@ -105,8 +99,11 @@ func Open(v Variant, parts int) (*Composite, error) {
 	for i, cname := range m.Part.Children {
 		ix, err := v.child(childPlan{i: i, parts: n, par: n, name: cname,
 			bounds: c.bounds, sums: c.rawSums})
+		// A child may be quarantined while a healthy remainder is left to
+		// answer; the last one never is (a rotted un-flushed raw record, say,
+		// fails every child that reads past it).
 		if err != nil {
-			if quarantineChild(v.allowDegraded, err) {
+			if quarantineChild(v.allowDegraded, err) && len(c.degraded) < n-1 {
 				c.degraded = append(c.degraded, cname)
 				continue
 			}
@@ -115,28 +112,11 @@ func Open(v Variant, parts int) (*Composite, error) {
 		}
 		c.kids[i] = ix
 	}
-	if err = c.openRaw(); err == nil && c.rawFile == nil {
-		// Immutable children: nothing later flushes the sidecar, so persist
-		// any reconciliation attachRawSums made now.
-		err = c.rawSums.Flush()
-	}
-	if err != nil {
-		c.closeFiles()
-		return nil, err
-	}
 	return c, nil
 }
 
-// openRaw opens the append handle on the shared dataset when the children
-// take routed inserts.
-func (c *Composite) openRaw() (err error) {
-	if _, ok := capable[recordInserter](c.kids); ok {
-		c.rawFile, err = c.v.fs.Open(c.v.rawName)
-	}
-	return err
-}
-
-// closeFiles closes every child and the raw handle, keeping the first error.
+// closeFiles closes every child and then the raw log, keeping the first
+// error.
 func (c *Composite) closeFiles() error {
 	var first error
 	for _, k := range c.kids {
@@ -147,10 +127,8 @@ func (c *Composite) closeFiles() error {
 			first = err
 		}
 	}
-	if c.rawFile != nil {
-		if err := c.rawFile.Close(); err != nil && first == nil {
-			first = err
-		}
+	if err := c.rawSums.Close(); first == nil {
+		first = err
 	}
 	return first
 }
@@ -341,21 +319,18 @@ func (c *Composite) ExactSearchKNN(ctx context.Context, q series.Series, k, radi
 	return out, stats, nil
 }
 
-// Insert adds new series: raw bytes go to the shared dataset file under the
+// Insert adds new series: raw bytes go to the shared raw log under the
 // composite's lock (assigning global arrival-order positions), then each
-// record routes to its owning partition — a tree inserts it, an LSM logs it
-// to its own memtable and WAL, and partitions flush, group-commit and
-// compact independently. Children are only logged to under the lock; their
-// durability tokens are waited on after releasing it, so concurrent Insert
-// calls share each child's group commit instead of serializing whole-batch
-// fsyncs.
+// record routes to its owning partition — a tree inserts it, an LSM adds it
+// to its memtable — and partitions flush and compact independently. Over LSM
+// children the insert is acknowledged by one commit of the shared log after
+// the lock is released, so concurrent Insert calls share its rounds.
 //
 // Cancellation is admission control: the context is checked once before any
 // raw byte lands; once admitted the batch is fully routed (aborting
 // mid-route would leave raw bytes some partitions indexed and others did
-// not). A cancelled caller abandons the durability waits — the children's
-// group commits still fsync the logged entries, so the index stays
-// consistent.
+// not). A cancelled caller abandons the commit wait — the round still
+// fsyncs the batch, so the index stays consistent.
 func (c *Composite) Insert(ctx context.Context, batch []series.Series) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -368,45 +343,28 @@ func (c *Composite) Insert(ctx context.Context, batch []series.Series) error {
 		return nil
 	}
 	c.mu.Lock()
-	tokens, err := c.routeLocked(ctx, kids, batch)
+	end, err := c.routeLocked(ctx, kids, batch)
 	c.mu.Unlock()
-	waiters, waits := capable[durabilityWaiter](c.kids)
-	if err != nil || !waits {
+	if err != nil || !c.v.ackInserts {
 		return err
 	}
-	return shard.FanOut(ctx, shard.Resolve(c.v.workers, len(kids)), len(kids),
-		func(i int, cancelled func() bool) error {
-			if cancelled() || tokens[i] < 0 {
-				return nil
-			}
-			return waiters[i].WaitDurable(ctx, tokens[i])
-		})
+	return c.rawSums.Commit(ctx, end)
 }
 
-// routeLocked writes the batch's raw bytes, routes its records, and hands
-// them to each owning child; tokens[i] is child i's durability token (-1
-// when the batch routed nothing to it).
-func (c *Composite) routeLocked(ctx context.Context, kids []recordInserter, batch []series.Series) ([]int64, error) {
+// routeLocked appends the batch's raw bytes to the log, routes its records
+// and hands them to each owning child; it returns the log position after the
+// batch.
+func (c *Composite) routeLocked(ctx context.Context, kids []recordInserter, batch []series.Series) (int64, error) {
 	p := c.v.s.Params()
-	sz := int64(series.EncodedSize(p.SeriesLen))
-	end, err := c.rawFile.Size()
-	if err != nil {
-		return nil, err
-	}
-	// A torn raw tail can survive a crash (the partial record was never
-	// acknowledged); rounding the write position down overwrites it, exactly
-	// as the single-index path does.
-	if end%sz != 0 && !c.v.tornTail {
-		return nil, fmt.Errorf("partition: raw file size %d not aligned", end)
-	}
+	sz := series.EncodedSize(p.SeriesLen)
 	for _, s := range batch {
 		if len(s) != p.SeriesLen {
-			return nil, fmt.Errorf("partition: inserted series has length %d, want %d", len(s), p.SeriesLen)
+			return 0, fmt.Errorf("partition: inserted series has length %d, want %d", len(s), p.SeriesLen)
 		}
 	}
 	keys, err := c.v.s.KeysOf(batch, c.v.workers)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	// Refuse the whole batch before writing any raw bytes if a record
 	// routes to a quarantined partition: a degraded index fails writes
@@ -415,39 +373,35 @@ func (c *Composite) routeLocked(ctx context.Context, kids []recordInserter, batc
 	for i := range keys {
 		routes[i] = route(c.bounds, keys[i])
 		if c.kids[routes[i]] == nil {
-			return nil, fmt.Errorf("partition: partition %d is quarantined; cannot accept writes until repaired", routes[i])
+			return 0, fmt.Errorf("partition: partition %d is quarantined; cannot accept writes until repaired", routes[i])
 		}
 	}
-	pos := end / sz
+	enc := make([]byte, 0, len(batch)*sz)
+	for _, s := range batch {
+		enc = series.AppendEncode(enc, s)
+	}
+	first, err := c.rawSums.Append(enc)
+	if err != nil {
+		return 0, err
+	}
 	perChild := make([][]core.InsertRec, len(kids))
-	enc := make([]byte, 0, sz)
-	for i, s := range batch {
-		enc = series.AppendEncode(enc[:0], s)
-		if _, err := c.rawFile.WriteAt(enc, pos*sz); err != nil {
-			return nil, err
-		}
-		c.rawSums.Set(pos, enc)
-		rec := core.InsertRec{Key: keys[i], Pos: pos}
+	for i := range batch {
+		rec := core.InsertRec{Key: keys[i], Pos: first + int64(i)}
 		if c.v.materialized {
-			rec.Raw = append([]byte(nil), enc...)
+			rec.Raw = enc[i*sz : (i+1)*sz]
 		}
 		perChild[routes[i]] = append(perChild[routes[i]], rec)
-		pos++
 	}
-	tokens := make([]int64, len(kids))
 	// The batch is admitted: it routes to completion whatever the caller's
 	// context does meanwhile.
 	err = shard.FanOut(context.WithoutCancel(ctx), shard.Resolve(c.v.workers, len(kids)), len(kids),
 		func(i int, cancelled func() bool) error {
-			tokens[i] = -1
 			if cancelled() || len(perChild[i]) == 0 {
 				return nil
 			}
-			var err error
-			tokens[i], err = kids[i].InsertRecords(perChild[i])
-			return err
+			return kids[i].InsertRecords(perChild[i])
 		})
-	return tokens, err
+	return first + int64(len(batch)), err
 }
 
 // Shape sums the children's: leaves and runs add up, and the fill is the
@@ -495,27 +449,16 @@ func (c *Composite) Degraded() bool {
 	return false
 }
 
-// flushRawSums persists the parent sidecar's dirty tail; it must land
-// before child metadata can reference the new raw positions. The raw bytes
-// it describes are fsynced first, as every index's own sidecar flush does:
-// a sidecar never covers a record whose bytes could still be lost, so a
-// sidecar longer than the raw file is corruption, never a crash state.
-func (c *Composite) flushRawSums() error {
-	if c.rawFile == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.rawFile.Sync(); err != nil {
-		return err
-	}
-	return c.rawSums.Flush()
+// commitRaw commits every record appended to the shared raw log: child
+// metadata may reference its positions only once they are durable.
+func (c *Composite) commitRaw() error {
+	return c.rawSums.Commit(context.Background(), c.rawSums.Records())
 }
 
-// eachChild persists the parent sidecar, then runs fn on every healthy
-// child in order, stopping at the first error.
+// eachChild commits the raw log, then runs fn on every healthy child in
+// order, stopping at the first error.
 func (c *Composite) eachChild(fn func(Child) error) error {
-	if err := c.flushRawSums(); err != nil {
+	if err := c.commitRaw(); err != nil {
 		return err
 	}
 	for _, k := range c.kids {
@@ -551,6 +494,9 @@ func (c *Composite) RebuildQuarantined() error {
 	if !ok {
 		return ErrUnsupported
 	}
+	// No batch may be half routed: its appended records would look lost.
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, k := range kids {
 		if k == nil {
 			continue
@@ -577,9 +523,9 @@ func (c *Composite) CacheStats() blockcache.Stats {
 	return blockcache.Stats{}
 }
 
-// Close syncs and closes every partition and releases the raw handle. It is
+// Close syncs and closes every partition and releases the raw log. It is
 // idempotent and safe to call concurrently with cancelled queries and
-// abandoned durability waiters.
+// abandoned commit waits.
 func (c *Composite) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -588,7 +534,7 @@ func (c *Composite) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	first := c.flushRawSums()
+	first := c.commitRaw()
 	if err := c.closeFiles(); first == nil {
 		first = err
 	}

@@ -31,12 +31,14 @@
 // partitions prune each other; k-NN merges self-seeded per-partition top-k
 // sets through the shared shard.KNNHeap order.
 //
-// Durability: each child index commits its own manifest (the PR 5
-// machinery) BEFORE the parent manifest is committed, so an existing
-// parent always references fully durable children. The parent manifest
-// (boundaries + child names) is immutable after the build; mutable state
-// (LSM run sets, insert counts) lives in the child manifests, which stay
-// authoritative across reopens.
+// Durability: each child index commits its own manifest BEFORE the parent
+// manifest is committed, so an existing parent always references fully
+// durable children. The parent manifest (boundaries + child names) is
+// immutable after the build; mutable state (LSM run sets, insert counts)
+// lives in the child manifests, which stay authoritative across reopens.
+// Inserts go through one raw log, the parent's: it appends every batch to
+// the shared raw file and commits it once, and each child commits it again
+// before a manifest of its own may reference the new positions.
 package partition
 
 import (
@@ -105,16 +107,12 @@ type (
 
 	// What the Composite needs of a child to offer the above itself: the
 	// self-seeded top-k under a shared bound, and a routed insert of records
-	// whose raw bytes the Composite already wrote, with a token to wait on
-	// where the child acknowledges through a group commit.
+	// whose raw bytes the Composite already appended to the shared raw log.
 	sharedKNN interface {
 		ExactSearchKNNShared(ctx context.Context, q series.Series, k, radius int, kb *shard.BSF) ([]core.Neighbor, core.Result, error)
 	}
 	recordInserter interface {
-		InsertRecords(recs []core.InsertRec) (token int64, err error)
-	}
-	durabilityWaiter interface {
-		WaitDurable(ctx context.Context, token int64) error
+		InsertRecords(recs []core.InsertRec) error
 	}
 )
 
@@ -159,11 +157,9 @@ type Variant struct {
 	allowDegraded bool
 	// half returns the per-side global window size for a radius.
 	half func(radius int) int
-	// tornTail says a crash can leave a partial record at the end of the
-	// dataset that no child ever indexed (the LSM's log acknowledges nothing
-	// before its raw bytes are whole), so an insert overwrites it; without
-	// it a misaligned dataset is refused.
-	tornTail bool
+	// ackInserts says an insert is acknowledged once the raw log commits it
+	// (the LSM's contract); otherwise inserts become durable at Sync.
+	ackInserts bool
 	// child builds partition p from its scatter file when p.records is set
 	// and reopens it otherwise; remove deletes a finished child's files.
 	child  func(p childPlan) (Child, error)
@@ -245,9 +241,9 @@ func LSMVariant(opt lsm.Options) Variant {
 		Open:  func() (Child, error) { return asChild(lsm.Open(opt)) },
 		fs:    opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
 		workers: opt.Workers, queryWorkers: opt.QueryWorkers, allowDegraded: opt.AllowDegraded,
-		half:     func(int) int { return w / 2 },
-		tornTail: true,
-		remove:   lsm.Remove,
+		half:       func(int) int { return w / 2 },
+		ackInserts: true,
+		remove:     lsm.Remove,
 		// The global memory and worker budgets divide across partitions so
 		// aggregate resource use matches the unpartitioned configuration.
 		// The ownership filter scopes any reconstruction-from-raw to the
@@ -357,9 +353,9 @@ type scattered struct {
 	bounds   []summary.Key
 	children []string
 	total    int64
-	// sums is the parent-owned CRC sidecar for the shared dataset file,
-	// already persisted. Every child verifies its raw fetches through this
-	// one handle, and only the parent — the sole raw writer — flushes it.
+	// sums is the parent-owned raw log of the shared dataset file, already
+	// persisted. Every child verifies its raw fetches through this one
+	// handle, and only the parent — the sole raw writer — appends to it.
 	sums *storage.RecordSums
 }
 
@@ -500,8 +496,8 @@ func commitParent(v Variant, sc *scattered) error {
 	})
 }
 
-// attachRawSums opens the parent-owned CRC sidecar for the shared dataset
-// file at Open (see scattered.sums for the ownership rule).
+// attachRawSums opens the parent-owned raw log of the shared dataset file at
+// Open (see scattered.sums for the ownership rule).
 func attachRawSums(v Variant) (*storage.RecordSums, error) {
 	raw, err := v.fs.Open(v.rawName)
 	if err != nil {

@@ -1,20 +1,25 @@
 package partition
 
-// Crash conformance for the partitioned write path: a partitioned
-// Coconut-LSM keeps one WAL per partition, but the durability contract is
-// the same as the single index's — after a crash, every acknowledged
-// append survives replay and the recovered index answers queries exactly
-// as it did before the crash, and (for exact search) exactly as an
-// unpartitioned index over the same stream does.
+// Crash conformance for the partitioned write path: the children of a
+// partitioned Coconut-LSM share one raw log — the raw file and its CRC
+// sidecar — which the Composite appends to and commits once per insert, and
+// each child recovers its own un-flushed records from it. The durability
+// contract is the single index's: after a crash every acknowledged append
+// survives, and the recovered index answers exactly as a never-crashed
+// unpartitioned one over the same series does.
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/lsm"
+	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
@@ -38,124 +43,313 @@ type lsmLike interface {
 	Maintainer
 }
 
-func TestPartitionedWALCrashConformance(t *testing.T) {
-	const base = 256
-	const appended = 96
-	gen := dataset.NewRandomWalk()
-	batches := dataset.Generate(dataset.NewSeismic(), appended, ptLen, 77)
-	queries := dataset.Queries(gen, 6, ptLen, 5)
+// lsmOptions is the LSM the crash tests run over fs: a memtable no stream
+// here fills, so every flush is an explicit one.
+func lsmOptions(t *testing.T, fs storage.FS) lsm.Options {
+	t.Helper()
+	return lsm.Options{FS: fs, Name: "x", S: ptSummarizer(t), RawName: "raw", MemBudgetBytes: 1 << 20, Fanout: 2}
+}
 
-	type answer struct {
-		pos  int64
-		dist float64
-	}
-	collect := func(ix lsmLike) []answer {
-		t.Helper()
-		out := make([]answer, 0, 2*len(queries))
-		for _, q := range queries {
-			e, err := ix.ExactSearch(context.Background(), q, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := ix.ApproxSearch(context.Background(), q, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, answer{e.Pos, e.Dist}, answer{a.Pos, a.Dist})
+// lsmLayout builds (or reopens) the parts-way layout of opt: 1 is the
+// unpartitioned lsm.Index, more the Composite of LSMs.
+func lsmLayout(opt lsm.Options, parts int, build bool) (lsmLike, error) {
+	if parts == 1 {
+		open := lsm.Open
+		if build {
+			open = lsm.Build
 		}
-		return out
+		return asLSM(open(opt))
 	}
+	open := Open
+	if build {
+		open = Build
+	}
+	return asLSM(open(LSMVariant(opt), parts))
+}
 
-	// run builds a parts-way layout (1 = the unpartitioned lsm.Index),
-	// appends the stream in acknowledged batches with a mid-stream flush
-	// (so replay has both a durable flush cursor to skip below and a
-	// WAL-only suffix to reconstruct), crashes without closing, and
-	// reopens from the durable image.
-	run := func(parts int) (pre, post []answer) {
-		inner := storage.NewMemFS()
-		if _, err := dataset.WriteFile(inner, "raw", gen, base, ptLen, 42); err != nil {
+func asLSM[T lsmLike](ix T, err error) (lsmLike, error) {
+	if err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// rawSeed writes n random-walk series as the raw file of a fresh MemFS.
+func rawSeed(t *testing.T, n int) *storage.MemFS {
+	t.Helper()
+	fs := storage.NewMemFS()
+	if _, err := dataset.WriteFile(fs, "raw", dataset.NewRandomWalk(), n, ptLen, 42); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+type answer struct {
+	pos  int64
+	dist float64
+}
+
+// answers are ix's exact and approximate answers to queries, in turn.
+func answers(t *testing.T, ix Index, queries []series.Series) []answer {
+	t.Helper()
+	out := make([]answer, 0, 2*len(queries))
+	for _, q := range queries {
+		e, err := ix.ExactSearch(context.Background(), q, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-		ffs := storage.NewFaultFS(inner)
-		opt := lsm.Options{
-			FS: ffs, Name: "x", S: ptSummarizer(t), RawName: "raw",
-			MemBudgetBytes: 1 << 20, Fanout: 2,
-		}
-		var ix lsmLike
-		var err error
-		if parts == 1 {
-			ix, err = lsm.Build(opt)
-		} else {
-			ix, err = Build(LSMVariant(opt), parts)
-		}
+		a, err := ix.ApproxSearch(context.Background(), q, 0)
 		if err != nil {
-			t.Fatalf("parts=%d: build: %v", parts, err)
+			t.Fatal(err)
 		}
-		for lo := 0; lo < len(batches); lo += 8 {
-			if err := ix.Insert(context.Background(), batches[lo:lo+8]); err != nil {
-				t.Fatalf("parts=%d: append: %v", parts, err)
+		out = append(out, answer{e.Pos, e.Dist}, answer{a.Pos, a.Dist})
+	}
+	return out
+}
+
+// referenceAnswers memoizes the answers of a never-crashed unpartitioned LSM
+// over the seed plus the first c series of stream. Exact answers are exact
+// and approximate ones a pure function of the record multiset, so every
+// layout and every run split must give the same.
+func referenceAnswers(t *testing.T, base int, stream, queries []series.Series) func(c int) []answer {
+	refs := map[int][]answer{}
+	return func(c int) []answer {
+		if a, ok := refs[c]; ok {
+			return a
+		}
+		ix, err := lsm.Build(lsmOptions(t, rawSeed(t, base)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		if c > 0 {
+			if err := ix.Insert(context.Background(), stream[:c]); err != nil {
+				t.Fatal(err)
 			}
-			if lo == 48 {
-				if err := ix.Flush(); err != nil {
-					t.Fatalf("parts=%d: flush: %v", parts, err)
+		}
+		refs[c] = answers(t, ix, queries)
+		return refs[c]
+	}
+}
+
+// TestPartitionedAppendCrashSweep power-fails an acknowledged append stream
+// — with a flush inside it — at every counted storage operation, over the
+// unpartitioned LSM and a Composite of three whose children share one raw
+// log. After every crash point: (a) every acknowledged append is recovered,
+// (b) nothing beyond the one append in flight, (c) exact and approximate
+// answers equal a never-crashed reference over the recovered series, and
+// (d) the recovered index takes another acknowledged append.
+func TestPartitionedAppendCrashSweep(t *testing.T) {
+	const base = 128
+	stream := dataset.Generate(dataset.NewSeismic(), 24, ptLen, 77)
+	extra := dataset.Generate(dataset.NewSeismic(), 1, ptLen, 78)
+	queries := dataset.Queries(dataset.NewRandomWalk(), 4, ptLen, 5)
+	reference := referenceAnswers(t, base, stream, queries)
+	for _, parts := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%dp", parts), func(t *testing.T) {
+			seed := rawSeed(t, base)
+			ix, err := lsmLayout(lsmOptions(t, seed), parts, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			clone := func() *storage.FaultFS { return storage.NewFaultFS(storage.NewFaultFS(seed).Recover(0)) }
+			// workload reopens the seed and appends the stream in acknowledged
+			// batches of three, stopping at the first failure; inFlight is
+			// the batch an Insert failed on.
+			workload := func(fs storage.FS) (acked, inFlight int) {
+				ix, err := lsmLayout(lsmOptions(t, fs), parts, false)
+				if err != nil {
+					return 0, 0 // a crash during the open itself
+				}
+				defer ix.Close() // fails after the injected crash; the crash is the point
+				for lo := 0; lo < len(stream); lo += 3 {
+					if err := ix.Insert(context.Background(), stream[lo:lo+3]); err != nil {
+						return acked, 3
+					}
+					acked += 3
+					if lo == 9 {
+						if err := ix.Flush(); err != nil {
+							return acked, 0
+						}
+					}
+				}
+				return acked, 0
+			}
+			dry := clone()
+			if acked, _ := workload(dry); acked != len(stream) {
+				t.Fatalf("dry run acknowledged %d/%d appends", acked, len(stream))
+			}
+			total := dry.OpCount()
+			t.Logf("sweeping %d crash points", total)
+			for k := int64(1); k <= total; k++ {
+				ffs := clone()
+				ffs.PowerLossAt(k)
+				acked, inFlight := workload(ffs)
+				if !ffs.Crashed() {
+					t.Fatalf("fault at op %d never fired (dry run counted %d ops)", k, total)
+				}
+				re, err := lsmLayout(lsmOptions(t, ffs.Recover(int(k%7))), parts, false)
+				if err != nil {
+					t.Fatalf("crash at op %d: reopen: %v", k, err)
+				}
+				c := int(re.Count()) - base
+				if c < acked || c > acked+inFlight {
+					re.Close()
+					t.Fatalf("crash at op %d: recovered %d appended series, acknowledged %d, in flight %d", k, c, acked, inFlight)
+				}
+				if got, want := answers(t, re, queries), reference(c); !slices.Equal(got, want) {
+					re.Close()
+					t.Fatalf("crash at op %d: answers %v, never-crashed reference %v", k, got, want)
+				}
+				if err := re.Insert(context.Background(), extra); err != nil {
+					t.Fatalf("crash at op %d: append on the recovered index: %v", k, err)
+				}
+				if got := int(re.Count()) - base; got != c+1 {
+					t.Fatalf("crash at op %d: count %d after a post-recovery append, want %d", k, got, c+1)
+				}
+				if err := re.Close(); err != nil {
+					t.Fatalf("crash at op %d: close the recovered index: %v", k, err)
 				}
 			}
-		}
-		if got := ix.Count(); got != base+appended {
-			t.Fatalf("parts=%d: count %d before crash, want %d", parts, got, base+appended)
-		}
-		pre = collect(ix)
-		ffs.Crash()
-		ix.Close() // fails post-crash; the crash is the point
+		})
+	}
+}
 
-		rec := ffs.Recover(0)
-		opt.FS = rec
-		var re lsmLike
-		if parts == 1 {
-			re, err = lsm.Open(opt)
+// TestColdPartitionRecoversOwnRecords: a child that takes no insert for a
+// long stretch keeps an old flushed position — its key range is cold — so
+// after a crash it re-reads a long raw tail that is almost all its siblings'
+// records. It must recover only its own: every child's Count, and every
+// answer, equal a never-crashed index's.
+func TestColdPartitionRecoversOwnRecords(t *testing.T) {
+	const base = 256
+	ffs := storage.NewFaultFS(rawSeed(t, base))
+	c, err := Build(LSMVariant(lsmOptions(t, ffs)), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := dataset.Generate(dataset.NewRandomWalk(), 600, ptLen, 99)
+	keys, err := ptSummarizer(t).KeysOf(pool, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cold, hot []series.Series
+	for i, k := range keys {
+		if route(c.bounds, k) == 0 {
+			cold = append(cold, pool[i])
 		} else {
-			re, err = Open(LSMVariant(opt), 0)
-		}
-		if err != nil {
-			t.Fatalf("parts=%d: reopen after crash: %v", parts, err)
-		}
-		if got := re.Count(); got != base+appended {
-			t.Fatalf("parts=%d: recovered %d series, %d were acknowledged", parts, got, base+appended)
-		}
-		post = collect(re)
-		// The recovered index is live: another acknowledged batch lands.
-		if err := re.Insert(context.Background(), batches[:1]); err != nil {
-			t.Fatalf("parts=%d: append on recovered index: %v", parts, err)
-		}
-		if err := re.Close(); err != nil {
-			t.Fatalf("parts=%d: close recovered index: %v", parts, err)
-		}
-		return pre, post
-	}
-
-	singlePre, singlePost := run(1)
-	partPre, partPost := run(3)
-
-	for i := range singlePre {
-		kind, qi := "exact", i/2
-		if i%2 == 1 {
-			kind = "approx"
-		}
-		// Crash + replay must not move any answer in either layout.
-		if singlePost[i] != singlePre[i] {
-			t.Errorf("1 partition, %s query %d: answer moved across crash: %+v -> %+v",
-				kind, qi, singlePre[i], singlePost[i])
-		}
-		if partPost[i] != partPre[i] {
-			t.Errorf("3 partitions, %s query %d: answer moved across crash: %+v -> %+v",
-				kind, qi, partPre[i], partPost[i])
+			hot = append(hot, pool[i])
 		}
 	}
-	// And exact answers agree across layouts: partitioning is invisible.
-	for qi := range queries {
-		if singlePost[2*qi] != partPost[2*qi] {
-			t.Errorf("exact query %d: 1 vs 3 partitions disagree after crash: %+v vs %+v",
-				qi, singlePost[2*qi], partPost[2*qi])
+	if len(cold) < 4 || len(hot) < 210 {
+		t.Fatalf("pool splits %d cold / %d hot, want at least 4 / 210", len(cold), len(hot))
+	}
+	stream := slices.Concat(cold[:2], hot[:200], cold[2:4], hot[200:210])
+	insert := func(lo, hi int) {
+		t.Helper()
+		for ; lo < hi; lo += 2 {
+			if err := c.Insert(context.Background(), stream[lo:min(lo+2, hi)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(0, 2)
+	if err := c.Flush(); err != nil { // the cold child's last flush
+		t.Fatal(err)
+	}
+	insert(2, 202)
+	if err := c.Flush(); err != nil { // the hot children flush; the cold one has nothing
+		t.Fatal(err)
+	}
+	insert(202, len(stream)) // un-flushed in every child
+	queries := dataset.Queries(dataset.NewRandomWalk(), 6, ptLen, 5)
+	want := answers(t, c, queries)
+	wantCounts := make([]int64, len(c.kids))
+	for i, k := range c.kids {
+		wantCounts[i] = k.Count()
+	}
+	ffs.Crash()
+	c.Close()
+
+	img := ffs.Recover(0)
+	m, err := manifest.Load(img, childName("x", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := int64(base + len(stream)); m.LSM.Flushed != base+2 {
+		t.Fatalf("cold child flushed through %d of %d, want %d", m.LSM.Flushed, end, base+2)
+	}
+	re, err := Open(LSMVariant(lsmOptions(t, img)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for i, k := range re.kids {
+		if k.Count() != wantCounts[i] {
+			t.Fatalf("child %d recovered %d records, the never-crashed index held %d", i, k.Count(), wantCounts[i])
+		}
+	}
+	if got := answers(t, re, queries); !slices.Equal(got, want) {
+		t.Fatalf("recovered answers %v, never-crashed %v", got, want)
+	}
+	if got, ref := want, referenceAnswers(t, base, stream, queries)(len(stream)); !slices.Equal(got, ref) {
+		t.Fatalf("partitioned answers %v, unpartitioned reference %v", got, ref)
+	}
+}
+
+// TestFailedFsyncIsStickyAndNeverAcknowledged fails the raw file's fsync, and
+// separately the sidecar's, inside an acknowledging Insert, over 1 and 3
+// partitions. The Insert returns the error; the next Insert and Sync return
+// it too although the device works again — the log is poisoned, not retried
+// — and after a crash the recovered series lie between the acknowledged ones
+// and those plus the failed batch.
+func TestFailedFsyncIsStickyAndNeverAcknowledged(t *testing.T) {
+	const base = 128
+	batch := dataset.Generate(dataset.NewSeismic(), 4, ptLen, 3)
+	for _, parts := range []int{1, 3} {
+		// An acknowledging Insert's counted operations: the raw write, the
+		// raw fsync, the sidecar entries' write, the sidecar fsync.
+		for _, target := range []struct {
+			file string
+			op   int64
+		}{{"raw", 2}, {storage.RecordSumsName("raw"), 4}} {
+			t.Run(fmt.Sprintf("%dp/%s", parts, target.file), func(t *testing.T) {
+				ffs := storage.NewFaultFS(rawSeed(t, base))
+				ix, err := lsmLayout(lsmOptions(t, ffs), parts, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				acked := 0
+				for i := 0; i < 3; i++ {
+					if err := ix.Insert(context.Background(), batch); err != nil {
+						t.Fatal(err)
+					}
+					acked += len(batch)
+				}
+				ffs.FailAt(ffs.OpCount() + target.op)
+				err = ix.Insert(context.Background(), batch)
+				if !errors.Is(err, storage.ErrInjected) || !strings.Contains(err.Error(), fmt.Sprintf("sync %q", target.file)) {
+					t.Fatalf("insert over a failed fsync of %s: %v", target.file, err)
+				}
+				if err := ix.Insert(context.Background(), batch); !errors.Is(err, storage.ErrInjected) {
+					t.Fatalf("insert after the failed fsync: %v, want the same error", err)
+				}
+				if err := ix.Sync(); !errors.Is(err, storage.ErrInjected) {
+					t.Fatalf("sync after the failed fsync: %v, want the same error", err)
+				}
+				ffs.Crash()
+				ix.Close()
+				re, err := lsmLayout(lsmOptions(t, ffs.Recover(0)), parts, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				if c := int(re.Count()) - base; c < acked || c > acked+len(batch) {
+					t.Fatalf("recovered %d appended series, acknowledged %d, attempted %d", c, acked, acked+len(batch))
+				}
+			})
 		}
 	}
 }

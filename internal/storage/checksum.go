@@ -18,7 +18,7 @@ var ErrCorruptData = errors.New("storage: corrupt data")
 
 // crcTable is the Castagnoli (CRC32-C) polynomial table shared by the
 // checksum-file and record-sums formats — the same polynomial the manifest
-// and WAL layers use, hardware-accelerated on amd64/arm64.
+// and run codec use, hardware-accelerated on amd64/arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 const (

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -272,13 +273,6 @@ func TestChecksumFileTornTail(t *testing.T) {
 func TestRecordSumsLifecycle(t *testing.T) {
 	fs := NewMemFS()
 	const recSize = 8
-	raw := func() File {
-		f, err := fs.Open("raw")
-		if err != nil {
-			t.Fatalf("open raw: %v", err)
-		}
-		return f
-	}
 	// Build over 10 records.
 	f, err := fs.Create("raw")
 	if err != nil {
@@ -310,24 +304,19 @@ func TestRecordSumsLifecycle(t *testing.T) {
 	if err := rs.Verify(10, rec(0)); !errors.Is(err, ErrCorruptData) {
 		t.Fatalf("out-of-range verify error %v, want ErrCorruptData", err)
 	}
-	// Reopen, extend the raw file, reconcile, flush, reopen again.
+	// Reopen, append four records through the log, commit them.
 	rs2, err := OpenRecordSums(fs, "raw", recSize)
 	if err != nil {
 		t.Fatalf("OpenRecordSums: %v", err)
 	}
-	f = raw()
-	for i := 10; i < 14; i++ {
-		if _, err := f.WriteAt(rec(i), int64(i*recSize)); err != nil {
-			t.Fatal(err)
-		}
+	if pos, err := rs2.Append(bytes.Join([][]byte{rec(10), rec(11), rec(12), rec(13)}, nil)); err != nil || pos != 10 {
+		t.Fatalf("Append: pos %d, %v; want 10", pos, err)
 	}
-	f.Sync()
-	if err := rs2.Reconcile(f, 14); err != nil {
-		t.Fatalf("Reconcile: %v", err)
+	if err := rs2.Commit(context.Background(), 14); err != nil {
+		t.Fatalf("Commit: %v", err)
 	}
-	f.Close()
-	if err := rs2.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	if err := rs2.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if n, err := VerifyRecordSums(fs, "raw", recSize); err != nil || n != 14 {
 		t.Fatalf("VerifyRecordSums: n=%d err=%v", n, err)
@@ -340,7 +329,7 @@ func TestRecordSumsLifecycle(t *testing.T) {
 	if _, err := VerifyRecordSums(fs, "raw", recSize); !errors.Is(err, ErrCorruptData) {
 		t.Fatalf("rotted raw: VerifyRecordSums error %v, want ErrCorruptData", err)
 	}
-	// A torn sidecar tail (crashed flush) is dropped and reconciled.
+	// A torn sidecar tail (a crashed commit) was never acknowledged: dropped.
 	side := RecordSumsName("raw")
 	data, err := ReadFileAll(fs, side)
 	if err != nil {

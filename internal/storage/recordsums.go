@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,56 +22,79 @@ const (
 // RecordSumsName returns the sidecar file name guarding rawName.
 func RecordSumsName(rawName string) string { return rawName + ".crc" }
 
-// RecordSums is the integrity sidecar for a raw series file: one CRC32-C
-// per fixed-size encoded record, kept in memory for verification on every
-// raw read and persisted to rawName+".crc" at the owner's durability
-// points. The raw file itself keeps its exact legacy byte layout — it is
-// the user-visible dataset and the rebuild source for every index, and may
-// be shared by several indexes (all of which compute identical sidecars).
+// RecordSums is the raw dataset's log: the integrity sidecar of a raw series
+// file — one CRC32-C per fixed-size encoded record, kept in memory to verify
+// every raw read and persisted to rawName+".crc" — and the one append and
+// commit point of every index over the file. The raw file keeps its exact
+// legacy byte layout: it is the user-visible dataset and the rebuild source
+// for every index, and every index key is a pure function of a record's
+// bytes, so the raw file itself is the log the indexes are derived from.
 //
-// Crash tolerance mirrors the WAL's: the raw bytes are fsynced before the
-// sidecar that describes them, and the sidecar before the manifest commit
-// that references new records, so after a crash it may trail the durable
-// raw tail but never run past it. Reconcile backfills the missing entries
-// by re-reading the (already fsynced) raw bytes, making open idempotent; a
-// sidecar covering records the raw file no longer holds is corruption.
+// The sidecar's persisted length is the acknowledged end of the dataset.
+// Append writes raw bytes at the frontier — the sidecar's record count, not
+// the raw file's size — and Commit fsyncs the raw file before it writes and
+// fsyncs the entries that describe them. So a persisted entry always
+// describes durable bytes, raw bytes past the persisted entries were never
+// acknowledged (nothing reads them, and the next Append overwrites them), and
+// a raw file shorter than its sidecar lost durable data: corruption.
 //
-// Verification and appends may race (queries during ingest); an internal
-// RWMutex makes the handle safe for that. Only the handle that writes the
-// raw file should call Flush — partitioned indexes share one parent-owned
-// sidecar with their children read-only.
+// Verification, appends and commits may race (queries during ingest, writers
+// sharing a commit); the handle is safe for concurrent use. Partitioned
+// indexes share the parent's handle with their children.
 type RecordSums struct {
 	fs      FS
+	rawName string
 	name    string
 	recSize int
 
-	mu    sync.RWMutex
-	sums  []uint32
-	dirty int64 // first entry not yet persisted (== len(sums) when clean)
+	mu   sync.RWMutex
+	sums []uint32
+
+	// amu serializes appends; raw is the append handle the first one opens.
+	amu sync.Mutex
+	raw File
+
+	// The group commit, under cmu: durable is the number of persisted
+	// entries, committing marks a round in flight, and err is the sticky
+	// failure of one. side is the sidecar handle the rounds write through.
+	cmu        sync.Mutex
+	cond       *sync.Cond
+	durable    int64
+	committing bool
+	closed     bool
+	err        error
+	side       File
+}
+
+func newRecordSums(fs FS, rawName string, recSize int, sums []uint32, durable int64) *RecordSums {
+	r := &RecordSums{fs: fs, rawName: rawName, name: RecordSumsName(rawName), recSize: recSize, sums: sums, durable: durable}
+	r.cond = sync.NewCond(&r.cmu)
+	return r
 }
 
 // BuildRecordSums computes the sidecar for rawName from scratch — one
 // sequential pass over the raw file — persists and fsyncs it, and returns
-// the loaded handle. Trailing raw bytes short of a full record (a torn
-// append tail) are ignored, matching how every index interprets the file.
-// Builds write the same file through NewRecordSums and Fill; this separate
-// pass is the reference they are tested against.
+// the loaded handle. Trailing raw bytes short of a full record are ignored,
+// matching how every index interprets the file. Builds write the same file
+// through NewRecordSums and Fill; this separate pass is the reference they
+// are tested against.
 func BuildRecordSums(fs FS, rawName string, recSize int) (*RecordSums, error) {
-	if recSize <= 0 {
-		return nil, fmt.Errorf("storage: record sums for %q: invalid record size %d", rawName, recSize)
-	}
 	raw, err := fs.Open(rawName)
 	if err != nil {
 		return nil, fmt.Errorf("storage: record sums for %q: %w", rawName, err)
 	}
 	defer raw.Close()
-	size, err := raw.Size()
+	r, err := NewRecordSums(fs, rawName, recSize, raw)
 	if err != nil {
-		return nil, fmt.Errorf("storage: record sums for %q: size: %w", rawName, err)
-	}
-	r := &RecordSums{fs: fs, name: RecordSumsName(rawName), recSize: recSize}
-	if err := r.appendFromRaw(raw, size/int64(recSize)); err != nil {
 		return nil, err
+	}
+	sr := NewSequentialReader(raw, 0, r.Records()*int64(recSize), 1<<20)
+	buf := make([]byte, recSize)
+	for pos := range r.sums {
+		if _, err := io.ReadFull(sr, buf); err != nil {
+			return nil, fmt.Errorf("storage: record sums %q: read raw record %d: %w", r.name, pos, readFailure(err))
+		}
+		r.Fill(int64(pos), buf)
 	}
 	if err := r.Flush(); err != nil {
 		return nil, err
@@ -81,8 +105,7 @@ func BuildRecordSums(fs FS, rawName string, recSize int) (*RecordSums, error) {
 // NewRecordSums returns the sidecar of a fresh build over raw (open on
 // rawName): one entry per whole record, each still to be computed by Fill —
 // the build's summarization pass checksums the very bytes it derives keys
-// from, so the raw file is read once. Nothing is persisted until Flush,
-// which then writes the same file BuildRecordSums would have.
+// from, so the raw file is read once. Nothing is persisted until Flush.
 func NewRecordSums(fs FS, rawName string, recSize int, raw File) (*RecordSums, error) {
 	if recSize <= 0 {
 		return nil, fmt.Errorf("storage: record sums for %q: invalid record size %d", rawName, recSize)
@@ -91,7 +114,7 @@ func NewRecordSums(fs FS, rawName string, recSize int, raw File) (*RecordSums, e
 	if err != nil {
 		return nil, fmt.Errorf("storage: record sums for %q: size: %w", rawName, err)
 	}
-	return &RecordSums{fs: fs, name: RecordSumsName(rawName), recSize: recSize, sums: make([]uint32, size/int64(recSize))}, nil
+	return newRecordSums(fs, rawName, recSize, make([]uint32, size/int64(recSize)), 0), nil
 }
 
 // Fill records the checksums of the whole records encoded back to back in
@@ -105,11 +128,47 @@ func (r *RecordSums) Fill(base int64, enc []byte) {
 	}
 }
 
+// Flush persists a fresh build's sidecar — the header and every entry, over
+// any stale file of the name — and fsyncs it. The raw bytes it describes are
+// the build's input, already on stable storage; appends commit with Commit.
+func (r *RecordSums) Flush() error {
+	f, err := r.fs.Create(r.name)
+	if err != nil {
+		return fmt.Errorf("storage: record sums %q: %w", r.name, err)
+	}
+	defer f.Close()
+	r.mu.RLock()
+	enc := make([]byte, RecordSumsHeaderSize, RecordSumsHeaderSize+4*len(r.sums))
+	binary.LittleEndian.PutUint32(enc[0:4], recordSumsMagic)
+	binary.LittleEndian.PutUint32(enc[4:8], recordSumsVersion)
+	binary.LittleEndian.PutUint32(enc[8:12], uint32(r.recSize))
+	enc = appendSums(enc, r.sums)
+	n := int64(len(r.sums))
+	r.mu.RUnlock()
+	if _, err := f.WriteAt(enc, 0); err != nil {
+		return fmt.Errorf("storage: record sums %q: write: %w", r.name, err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("storage: record sums %q: sync: %w", r.name, err)
+	}
+	r.cmu.Lock()
+	r.durable = n
+	r.cmu.Unlock()
+	return nil
+}
+
+func appendSums(dst []byte, sums []uint32) []byte {
+	for _, s := range sums {
+		dst = binary.LittleEndian.AppendUint32(dst, s)
+	}
+	return dst
+}
+
 // OpenRecordSums loads an existing sidecar for rawName. Every index build
 // writes one, so a missing sidecar is a lost file: it returns
 // ErrCorruptData (and ErrNotExist), as does a mangled header. A trailing
-// partial entry — the torn tail of a crashed flush — is dropped, and
-// Reconcile restores it from the raw bytes.
+// partial entry — the torn tail of a crashed commit — was never
+// acknowledged and is dropped.
 func OpenRecordSums(fs FS, rawName string, recSize int) (*RecordSums, error) {
 	if recSize <= 0 {
 		return nil, fmt.Errorf("storage: record sums for %q: invalid record size %d", rawName, recSize)
@@ -135,24 +194,19 @@ func OpenRecordSums(fs FS, rawName string, recSize int) (*RecordSums, error) {
 		return nil, fmt.Errorf("storage: record sums %q: record size %d does not match expected %d: %w", name, rs, recSize, ErrCorruptData)
 	}
 	body := data[RecordSumsHeaderSize:]
-	n := len(body) / 4 // drop a torn trailing partial entry
-	r := &RecordSums{fs: fs, name: name, recSize: recSize, sums: make([]uint32, n), dirty: int64(n)}
-	for i := 0; i < n; i++ {
-		r.sums[i] = binary.LittleEndian.Uint32(body[i*4 : i*4+4])
+	sums := make([]uint32, len(body)/4)
+	for i := range sums {
+		sums[i] = binary.LittleEndian.Uint32(body[i*4:])
 	}
-	return r, nil
+	return newRecordSums(fs, rawName, recSize, sums, int64(len(sums))), nil
 }
 
-// LoadRecordSums returns the sidecar of rawName as an index open needs it:
-// the persisted one, reconciled against raw (open on rawName) — the raw
-// file may have grown past the sidecar's last flush when a crash fell
-// between a raw append and the sidecar flush, and the missing entries are
-// backfilled from the fsynced raw bytes. A missing sidecar, or a raw file
-// shorter than the sidecar's coverage, fails with ErrCorruptData. Nothing
-// is written here: a reconciled sidecar is not flushed, and a refused one
-// is left as it is.
+// LoadRecordSums opens the log of rawName as an index open needs it: the
+// persisted sidecar is the dataset, and raw (open on rawName) must hold every
+// record it covers — a shorter raw file fails with ErrCorruptData, as does a
+// missing sidecar. Nothing is written.
 func LoadRecordSums(fs FS, rawName string, recSize int, raw File) (*RecordSums, error) {
-	sums, err := OpenRecordSums(fs, rawName, recSize)
+	r, err := OpenRecordSums(fs, rawName, recSize)
 	if err != nil {
 		return nil, err
 	}
@@ -160,13 +214,23 @@ func LoadRecordSums(fs FS, rawName string, recSize int, raw File) (*RecordSums, 
 	if err != nil {
 		return nil, fmt.Errorf("storage: record sums for %q: size: %w", rawName, err)
 	}
-	if err := sums.Reconcile(raw, size/int64(recSize)); err != nil {
+	if err := r.covers(size); err != nil {
 		return nil, err
 	}
-	return sums, nil
+	return r, nil
 }
 
-// Records returns how many records the sidecar currently covers.
+// covers fails with ErrCorruptData unless a raw file of size bytes holds
+// every record the sidecar describes.
+func (r *RecordSums) covers(size int64) error {
+	if records, have := size/int64(r.recSize), r.Records(); records < have {
+		return fmt.Errorf("storage: record sums %q: sidecar covers %d records but raw file holds only %d: %w", r.name, have, records, ErrCorruptData)
+	}
+	return nil
+}
+
+// Records returns the log's frontier: how many records the sidecar covers,
+// acknowledged or appended since.
 func (r *RecordSums) Records() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -188,120 +252,149 @@ func (r *RecordSums) Verify(pos int64, enc []byte) error {
 	return nil
 }
 
-// Set records the checksum of the encoded record just written at pos.
-// Appends must be in order (pos == Records()); rewriting an existing
-// position updates it in place.
-func (r *RecordSums) Set(pos int64, enc []byte) {
-	sum := crc32.Checksum(enc, crcTable)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch {
-	case pos == int64(len(r.sums)):
-		r.sums = append(r.sums, sum)
-	case pos >= 0 && pos < int64(len(r.sums)):
-		r.sums[pos] = sum
-	default:
-		// Out-of-order append: records are only ever written densely, so
-		// this is a programming error worth failing loudly on.
-		panic(fmt.Sprintf("storage: record sums %q: non-contiguous Set(%d) with %d records", r.name, pos, len(r.sums)))
+// Append writes enc — whole encoded records, back to back — at the log's
+// frontier and returns the position of the first. The records are readable
+// and verifiable at once, and acknowledged by a Commit covering them.
+func (r *RecordSums) Append(enc []byte) (int64, error) {
+	r.amu.Lock()
+	defer r.amu.Unlock()
+	r.cmu.Lock()
+	err := r.err
+	if r.closed {
+		err = errLogClosed
 	}
-	if pos < r.dirty {
-		r.dirty = pos
-	}
-}
-
-// Reconcile aligns the sidecar with the recovered raw state, which holds
-// records whole records: entries missing up to records are recomputed from
-// the raw bytes (sound, because the raw file is fsynced before any record
-// is acknowledged, and before the sidecar that describes it). A raw file
-// holding fewer records than the sidecar covers lost bytes that were
-// durable — no crash leaves that state — so it fails with ErrCorruptData
-// and the sidecar is left as it was. Call Flush afterwards to persist the
-// result.
-func (r *RecordSums) Reconcile(raw File, records int64) error {
-	if have := r.Records(); records < have {
-		return fmt.Errorf("storage: record sums %q: sidecar covers %d records but raw file holds only %d: %w", r.name, have, records, ErrCorruptData)
-	}
-	return r.appendFromRaw(raw, records)
-}
-
-// appendFromRaw extends the in-memory sums up to records entries by
-// reading the raw file sequentially from the current boundary.
-func (r *RecordSums) appendFromRaw(raw File, records int64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	have := int64(len(r.sums))
-	if records <= have {
-		return nil
-	}
-	off := have * int64(r.recSize)
-	sr := NewSequentialReader(raw, off, (records-have)*int64(r.recSize), 1<<20)
-	buf := make([]byte, r.recSize)
-	for pos := have; pos < records; pos++ {
-		if _, err := io.ReadFull(sr, buf); err != nil {
-			return fmt.Errorf("storage: record sums %q: read raw record %d: %w", r.name, pos, readFailure(err))
-		}
-		r.sums = append(r.sums, crc32.Checksum(buf, crcTable))
-	}
-	return nil
-}
-
-// Flush persists the header and all unpersisted entries, truncates any
-// stale bytes past the logical end, and fsyncs the sidecar.
-func (r *RecordSums) Flush() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var f File
-	var err error
-	if r.fs.Exists(r.name) {
-		f, err = r.fs.Open(r.name)
-	} else {
-		f, err = r.fs.Create(r.name)
-		r.dirty = 0
-	}
+	r.cmu.Unlock()
 	if err != nil {
-		return fmt.Errorf("storage: record sums %q: %w", r.name, err)
+		return 0, err
 	}
-	defer f.Close()
-	if r.dirty == 0 {
-		var hdr [RecordSumsHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], recordSumsMagic)
-		binary.LittleEndian.PutUint32(hdr[4:8], recordSumsVersion)
-		binary.LittleEndian.PutUint32(hdr[8:12], uint32(r.recSize))
-		if _, err := f.WriteAt(hdr[:], 0); err != nil {
-			return fmt.Errorf("storage: record sums %q: write header: %w", r.name, err)
+	raw, err := r.rawLocked()
+	if err != nil {
+		return 0, err
+	}
+	pos := r.Records()
+	if _, err := raw.WriteAt(enc, pos*int64(r.recSize)); err != nil {
+		return 0, err
+	}
+	sums := make([]uint32, 0, len(enc)/r.recSize)
+	for i := 0; i+r.recSize <= len(enc); i += r.recSize {
+		sums = append(sums, crc32.Checksum(enc[i:i+r.recSize], crcTable))
+	}
+	r.mu.Lock()
+	r.sums = append(r.sums, sums...)
+	r.mu.Unlock()
+	return pos, nil
+}
+
+var errLogClosed = errors.New("storage: raw log is closed")
+
+// rawLocked returns the append handle, opening it on first use. Callers
+// hold amu.
+func (r *RecordSums) rawLocked() (File, error) {
+	if r.raw == nil {
+		f, err := r.fs.Open(r.rawName)
+		if err != nil {
+			return nil, err
+		}
+		r.raw = f
+	}
+	return r.raw, nil
+}
+
+// Commit acknowledges every record below end (at most Records()): it
+// returns once a commit round covering end has fsynced the raw file and
+// then the sidecar entries. Rounds run one at a time, each covering every
+// record appended before it began, so concurrent callers share them. A
+// caller whose ctx ends first returns ctx.Err(), and the round it waited on
+// still completes: its records still become durable. A failed fsync
+// poisons the log — every later Commit and Append returns its error.
+func (r *RecordSums) Commit(ctx context.Context, end int64) error {
+	r.cmu.Lock()
+	defer r.cmu.Unlock()
+	if r.err == nil && r.durable < end {
+		stop := context.AfterFunc(ctx, func() {
+			r.cmu.Lock()
+			r.cond.Broadcast()
+			r.cmu.Unlock()
+		})
+		defer stop()
+	}
+	for r.err == nil && r.durable < end {
+		if r.closed {
+			return errLogClosed
+		}
+		if !r.committing {
+			r.committing = true
+			go r.commit(r.durable)
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		r.cond.Wait()
+	}
+	return r.err
+}
+
+// commit is one round: every entry from the durable end on is written and
+// fsynced after the raw bytes they describe.
+func (r *RecordSums) commit(from int64) {
+	r.mu.RLock()
+	enc := appendSums(nil, r.sums[from:])
+	r.mu.RUnlock()
+	r.amu.Lock()
+	raw, err := r.rawLocked()
+	r.amu.Unlock()
+	if err == nil {
+		err = raw.Sync()
+	}
+	if err == nil && r.side == nil {
+		r.side, err = r.fs.Open(r.name)
+	}
+	if err == nil {
+		_, err = r.side.WriteAt(enc, RecordSumsHeaderSize+4*from)
+	}
+	if err == nil {
+		err = r.side.Sync()
+	}
+	r.cmu.Lock()
+	defer r.cmu.Unlock()
+	r.committing = false
+	if err != nil {
+		r.err = fmt.Errorf("storage: record sums %q: commit: %w", r.name, err)
+	} else {
+		r.durable = from + int64(len(enc)/4)
+	}
+	r.cond.Broadcast()
+}
+
+// Close waits out a commit round in flight and releases the log's file
+// handles; later Appends and Commits fail. Only the log's owner closes it.
+func (r *RecordSums) Close() error {
+	r.cmu.Lock()
+	for r.committing {
+		r.cond.Wait()
+	}
+	r.closed = true
+	r.cmu.Unlock()
+	r.amu.Lock()
+	defer r.amu.Unlock()
+	var first error
+	for _, f := range []File{r.raw, r.side} {
+		if f != nil {
+			if err := f.Close(); first == nil {
+				first = err
+			}
 		}
 	}
-	if r.dirty < int64(len(r.sums)) {
-		enc := make([]byte, 4*(int64(len(r.sums))-r.dirty))
-		for i, s := range r.sums[r.dirty:] {
-			binary.LittleEndian.PutUint32(enc[i*4:], s)
-		}
-		if _, err := f.WriteAt(enc, RecordSumsHeaderSize+4*r.dirty); err != nil {
-			return fmt.Errorf("storage: record sums %q: write entries: %w", r.name, err)
-		}
-	}
-	end := RecordSumsHeaderSize + 4*int64(len(r.sums))
-	if size, err := f.Size(); err == nil && size > end {
-		if err := f.Truncate(end); err != nil {
-			return fmt.Errorf("storage: record sums %q: truncate: %w", r.name, err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("storage: record sums %q: sync: %w", r.name, err)
-	}
-	r.dirty = int64(len(r.sums))
-	return nil
+	r.raw, r.side = nil, nil
+	return first
 }
 
 // VerifyRecordSums checks rawName against its sidecar record by record,
 // returning the number of records verified and the first mismatch as
 // ErrCorruptData. A raw file LONGER than the sidecar's coverage is not a
-// mismatch: appends land in the raw file before the sidecar flushes, so a
-// crash legitimately leaves an unverifiable tail (reconciled at the next
-// open); only the covered prefix is checked. A raw file SHORTER than the
-// coverage lost committed data and is corruption — rot and truncation
-// never lengthen a file.
+// mismatch: bytes past the sidecar's end were never acknowledged. A raw file
+// SHORTER than the coverage lost committed data and is corruption — rot and
+// truncation never lengthen a file.
 func VerifyRecordSums(fs FS, rawName string, recSize int) (int64, error) {
 	r, err := OpenRecordSums(fs, rawName, recSize)
 	if err != nil {
@@ -316,11 +409,10 @@ func VerifyRecordSums(fs FS, rawName string, recSize int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	records := size / int64(recSize)
-	if records < r.Records() {
-		return 0, fmt.Errorf("storage: record sums %q: sidecar covers %d records but raw file holds only %d: %w", r.name, r.Records(), records, ErrCorruptData)
+	if err := r.covers(size); err != nil {
+		return 0, err
 	}
-	records = r.Records()
+	records := r.Records()
 	sr := NewSequentialReader(raw, 0, records*int64(recSize), 1<<20)
 	buf := make([]byte, recSize)
 	for pos := int64(0); pos < records; pos++ {

@@ -27,7 +27,7 @@ type RetryPolicy struct {
 // loud.
 //
 // Writes are not retried: every write path in this codebase is already
-// transactional (WAL + manifest commits), so a failed write is surfaced to
+// transactional (raw-log + manifest commits), so a failed write is surfaced to
 // the caller's recovery logic instead of being papered over.
 type RetryFS struct {
 	inner  FS

@@ -2,17 +2,15 @@ package coconut
 
 // Scrub is the offline integrity pass: it walks every persistent artifact
 // an index's manifest references — the manifest itself, B+-tree page
-// files, trie leaf files, LSM run files, WAL segments, the raw dataset via
-// its CRC sidecar, and (for partitioned indexes) each child's artifacts —
-// and verifies each against its one integrity layer (block CRCs, the run
-// codec's CRCs, frame CRCs, record CRCs) and a tree's pages against the
-// leaf directory in its manifest, reporting a per-file finding for each.
-// Repair then fixes what is fixable in place: LSM runs are re-derived from
-// the verified raw dataset (a run's contents are a pure function of the
-// records it covers), WAL damage is resolved by the degraded-open
-// reconstruction, and tree/trie page damage is repaired by rebuilding the
-// index from the raw dataset — window invariance makes all three repairs
-// answer-preserving.
+// files, trie leaf files, LSM run files, the raw dataset via its CRC
+// sidecar, and (for partitioned indexes) each child's artifacts — and
+// verifies each against its one integrity layer (block CRCs, the run
+// codec's CRCs, record CRCs) and a tree's pages against the leaf directory
+// in its manifest, reporting a per-file finding for each. Repair then fixes
+// what is fixable in place: LSM runs are re-derived from the verified raw
+// dataset (a run's contents are a pure function of the records it covers),
+// and tree/trie page damage is repaired by rebuilding the index from the raw
+// dataset — window invariance makes both repairs answer-preserving.
 
 import (
 	"context"
@@ -20,7 +18,6 @@ import (
 	"fmt"
 
 	"github.com/coconut-db/coconut/internal/core"
-	"github.com/coconut-db/coconut/internal/lsm"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/series"
@@ -34,8 +31,7 @@ type ScrubFinding struct {
 	// Units is how much was verified: checksum blocks for block-format
 	// artifacts (a tree's leaf file: its pages, each checked against its
 	// directory entry too), run blocks for LSM runs, records for the raw
-	// dataset, acknowledged entries for WAL segments, 0 for the manifest
-	// (verified whole).
+	// dataset, 0 for the manifest (verified whole).
 	Units int64
 	// Err is nil for a healthy artifact, otherwise the typed failure —
 	// errors.Is(Err, ErrCorruptData) identifies detected corruption.
@@ -118,16 +114,6 @@ func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) error {
 		for _, ri := range m.LSM.Runs {
 			scrubRun(fs, ri.Name, rep)
 		}
-		// WAL frames carry their own per-record CRCs; scan the manifest's
-		// segment range plus any higher-numbered segments a crash left
-		// behind.
-		for seg := m.LSM.WALFirstSeg; seg < m.LSM.WALNextSeg || fs.Exists(lsm.WALSegmentName(name, seg)); seg++ {
-			if !fs.Exists(lsm.WALSegmentName(name, seg)) {
-				continue // never synced; an empty segment is a crash artifact
-			}
-			n, err := lsm.VerifyWALSegment(fs, name, seg)
-			rep.add(lsm.WALSegmentName(name, seg), n, err)
-		}
 	}
 	if root && m.RawName != "" {
 		recSize := series.EncodedSize(m.SeriesLen)
@@ -175,15 +161,15 @@ func scrubRun(fs Storage, name string, rep *ScrubReport) {
 // Repair fixes what Scrub found, in place, for the index cfg names. What
 // is fixable depends on the variant:
 //
-//   - LSM: quarantined runs and rotted WAL segments are re-derived from
-//     the raw dataset (every indexed record's key is a pure function of
-//     its raw bytes), the repaired manifest is committed, and the corrupt
-//     files are deleted.
+//   - LSM: quarantined runs are re-derived from the raw dataset (every
+//     indexed record's key is a pure function of its raw bytes), the
+//     repaired manifest is committed, and the corrupt files are deleted.
 //   - Tree and Trie: a damaged page or leaf file is repaired by
 //     rebuilding the index from the raw dataset — answers are identical
 //     because the index is a pure function of the record multiset.
-//   - The raw dataset itself is source data: rot there is unrepairable
-//     from within the index and is returned as an error.
+//   - The raw dataset itself — the log every index derives from, its
+//     un-flushed LSM tail included — is source data: rot there is
+//     unrepairable from within the index and is returned as an error.
 //
 // Repair re-scrubs afterwards and returns the post-repair report.
 func Repair(cfg Config) (*ScrubReport, error) {

@@ -257,10 +257,13 @@ func BenchmarkMinDist(b *testing.B) {
 }
 
 // BenchmarkKeysInto measures the SIMS lower-bound kernel over a large
-// in-memory key array — what every exact query runs once per indexed series.
-// "table" is the current path: the full-cardinality level of a per-query
-// MinDistTable rebuilt each op into reused storage, then per key two 8x8
-// bit-matrix transposes and 16 table loads and adds (0 allocs/op; ns/key is
+// in-memory summary array — what every exact query runs once per indexed
+// series. "column" is the tree's and the trie's path: the full-cardinality
+// level of a per-query MinDistTable rebuilt each op into reused storage, then
+// Filter over the array held as a symbol column, 16 table loads and adds per
+// row, under a limit that skips no tile and keeps every row (0 allocs/op).
+// "table" is KeysInto over keys, the LSM's path: per key two 8x8 bit-matrix
+// transposes fused with the same 16 loads and adds (0 allocs/op; ns/key is
 // the figure bench/e2e reports as summary.mindist_ns_per_key). "legacy" is
 // the pre-table path: per-key SAX decode (one allocation per key),
 // per-segment breakpoint-region recomputation, and a sqrt per key.
@@ -286,6 +289,19 @@ func BenchmarkKeysInto(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("column", func(b *testing.B) {
+		tbl := s.BuildMinDistTable(qPAA, nil) // storage reused every op
+		col := s.ColumnOf(keys)
+		cands := make([]summary.Cand, 0, nKeys)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tbl = s.BuildMinDistTable(qPAA, tbl)
+			cands = tbl.Filter(cands[:0], col, nil, math.Inf(1), 1)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nKeys, "ns/key")
+	})
 	b.Run("table", func(b *testing.B) {
 		tbl := s.BuildMinDistTable(qPAA, nil) // storage reused every op
 		out := make([]float64, nKeys)

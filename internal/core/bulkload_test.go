@@ -80,14 +80,14 @@ func logicalBytes(t *testing.T, fs storage.FS, name string) []byte {
 
 // trieShape is everything OpenTrie must reproduce.
 type trieShape struct {
-	keys      []summary.Key
+	rows      []uint8
 	positions []int64
 	leafStart []int
 	prefixes  []string
 }
 
 func shapeOf(ix *TrieIndex) trieShape {
-	sh := trieShape{keys: ix.keys, positions: ix.positions, leafStart: ix.leafStart}
+	sh := trieShape{rows: ix.sims.col.Syms, positions: ix.sims.positions, leafStart: ix.leafStart}
 	for _, l := range ix.leaves {
 		sh.prefixes = append(sh.prefixes, fmt.Sprintf("%x/%v/%d/%v", l.Syms, l.Bits, l.Count, l.Leaf))
 	}
@@ -95,7 +95,7 @@ func shapeOf(ix *TrieIndex) trieShape {
 }
 
 func (a trieShape) equal(b trieShape) bool {
-	return slices.Equal(a.keys, b.keys) && slices.Equal(a.positions, b.positions) &&
+	return slices.Equal(a.rows, b.rows) && slices.Equal(a.positions, b.positions) &&
 		slices.Equal(a.leafStart, b.leafStart) && slices.Equal(a.prefixes, b.prefixes)
 }
 
@@ -165,7 +165,7 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 							t.Fatalf("leaf %d: starts at %d with %d records, want start %d", i, ix.leafStart[i], l.Count, next)
 						}
 						next += int(l.Count)
-						if int(l.Count) > leafCap && ix.keys[ix.leafStart[i]] != ix.keys[next-1] {
+						if int(l.Count) > leafCap && summary.CompareRows(ix.sims.col.Row(ix.leafStart[i]), ix.sims.col.Row(next-1)) != 0 {
 							t.Fatalf("leaf %d holds %d distinct-key records, capacity %d", i, l.Count, leafCap)
 						}
 					}

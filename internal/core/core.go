@@ -321,18 +321,18 @@ func (b *BuildSource) Finish(err error) (*storage.RecordSums, bool, error) {
 var ErrEmptyIndex = errors.New("core: index is empty")
 
 // sortRecords externally sorts the build's record stream (see BuildSource)
-// into outName, with wrapOut and tee as in extsort.Config, and settles the
-// raw-dataset CRC sidecar.
-func sortRecords(opt *Options, raw storage.File, outName string,
-	wrapOut func(storage.File) (storage.File, error), tee func(rec []byte),
-) (sums *storage.RecordSums, owned bool, err error) {
+// into outName, with wrapOut as in extsort.Config, capturing the sorted
+// summary array on the way, and settles the raw-dataset CRC sidecar.
+func sortRecords(opt *Options, raw storage.File, outName string, wrapOut func(storage.File) (storage.File, error),
+) (sims simsArray, sums *storage.RecordSums, owned bool, err error) {
 	src, err := OpenBuildSource(BuildSourceConfig{
 		FS: opt.FS, S: opt.S, Raw: raw, RawName: opt.RawName, RecordsName: opt.RecordsName,
 		Materialized: opt.Materialized, Workers: opt.Workers, RawSums: opt.RawSums,
 	})
 	if err != nil {
-		return nil, false, err
+		return sims, nil, false, err
 	}
+	sims = newSimsArray(opt.S, 0)
 	_, err = extsort.Sort(extsort.Config{
 		FS:         opt.FS,
 		RecordSize: opt.recordSize(),
@@ -341,9 +341,46 @@ func sortRecords(opt *Options, raw storage.File, outName string,
 		TempPrefix: opt.Name + ".sort",
 		Workers:    opt.Workers,
 		WrapOut:    wrapOut,
-		Tee:        tee,
+		Tee:        sims.add,
 	}, src, outName)
-	return src.Finish(err)
+	sims.clip()
+	sums, owned, err = src.Finish(err)
+	return sims, sums, owned, err
+}
+
+// simsArray is the in-memory sorted summary array of a tree or a trie (the
+// paper: summaries are orders of magnitude smaller than the data and stay in
+// memory): row i of col is the SAX word of the i-th record in key order, and
+// positions[i] its position in the raw file. Both hold exactly their length,
+// Segments + 8 bytes a series, for as long as the handle lives.
+type simsArray struct {
+	col       summary.Column
+	positions []int64
+}
+
+// newSimsArray returns an empty array with room for exactly n records.
+func newSimsArray(s *summary.Summarizer, n int) simsArray {
+	return simsArray{col: s.NewColumn(n), positions: make([]int64, 0, n)}
+}
+
+// add appends a sorted (key, position[, raw]) record. Its key is
+// de-interleaved into a row here, once, instead of by every query's
+// lower-bound pass.
+func (a *simsArray) add(rec []byte) {
+	key, pos, _ := decodeRecord(rec, false)
+	a.col.AppendKey(key)
+	a.positions = append(a.positions, pos)
+}
+
+// clip trims the arrays' capacity to their length: a build does not know
+// its record count until the sort is done.
+func (a *simsArray) clip() {
+	if cap(a.col.Syms) > len(a.col.Syms) {
+		a.col.Syms = append(make([]uint8, 0, len(a.col.Syms)), a.col.Syms...)
+	}
+	if cap(a.positions) > len(a.positions) {
+		a.positions = append(make([]int64, 0, len(a.positions)), a.positions...)
+	}
 }
 
 // ApproxWindow is one index's contribution to a (possibly cross-partition)
@@ -368,28 +405,22 @@ type ApproxWindow struct {
 	Leaves int64
 }
 
-// windowCands collects the window contribution of a sorted summary array
-// (keys, positions parallel to it — the tree's and the trie's alike): the
-// trailing and leading half-windows around q's insertion position, with the
-// ordinal range [lo, hi) they span.
-func windowCands(opt *Options, keys []summary.Key, positions []int64, q series.Series, radius int) (aw ApproxWindow, lo, hi int, err error) {
-	key, err := opt.S.KeyOf(q)
-	if err != nil {
-		return aw, 0, 0, err
-	}
+// windowCands collects the window contribution of a sorted summary array —
+// the tree's and the trie's alike: the trailing and leading half-windows
+// around q's insertion position, with the ordinal range [lo, hi) they span.
+// A candidate's key is re-interleaved from its row, for the window's merge
+// across partitions.
+func windowCands(opt *Options, sims *simsArray, q series.Series, radius int) (aw ApproxWindow, lo, hi int, err error) {
 	qPAA, err := opt.S.PAA(q, nil)
 	if err != nil {
 		return aw, 0, 0, err
 	}
-	p := opt.S.Params()
 	half := opt.ApproxWindow * (radius + 1) / 2
-	ins := sort.Search(len(keys), func(i int) bool { return !keys[i].Less(key) })
-	lo, hi = max(ins-half, 0), min(ins+half, len(keys))
+	ins := sims.col.Search(opt.S.SAXFromPAA(qPAA, nil))
+	lo, hi = max(ins-half, 0), min(ins+half, sims.col.Len())
 	aw.Below, aw.Above = make([]window.Cand, 0, ins-lo), make([]window.Cand, 0, hi-ins)
-	saxScratch := make(summary.SAX, p.Segments)
 	for i := lo; i < hi; i++ {
-		sax := summary.DeinterleaveInto(keys[i], p.CardBits, saxScratch)
-		c := window.Cand{Key: keys[i], Pos: positions[i], LB: opt.S.MinDistSqPAAToSAX(qPAA, sax), Ord: i}
+		c := window.Cand{Key: sims.col.Key(i), Pos: sims.positions[i], LB: opt.S.MinDistSqPAAToSAX(qPAA, sims.col.Row(i)), Ord: i}
 		if i < ins {
 			aw.Below = append(aw.Below, c)
 		} else {
@@ -536,12 +567,12 @@ func leafSquaredDistance(q series.Series, rec []byte) (int64, float64) {
 }
 
 // simsVerify is the SIMS verification phase the tree and the trie share:
-// one fused lower-bound pass over the sorted summary array (keys, positions
-// parallel to it) keeps the candidates under the seed res and the shared
-// bound — the query's own when monolithic, the cross-partition one when
-// scatter-gathered — and the survivors are verified against the raw file
-// or, when materialized, by the index's own walk over its leaves.
-func simsVerify(ctx context.Context, opt *Options, q series.Series, keys []summary.Key, positions []int64, res Result, bound *shard.BSF,
+// one fused lower-bound pass over the sorted summary array keeps the
+// candidates under the seed res and the shared bound — the query's own when
+// monolithic, the cross-partition one when scatter-gathered — and the
+// survivors are verified against the raw file or, when materialized, by the
+// index's own walk over its leaves.
+func simsVerify(ctx context.Context, opt *Options, q series.Series, sims *simsArray, res Result, bound *shard.BSF,
 	raw storage.File, sums *storage.RecordSums,
 	overLeaves func(context.Context, series.Series, []summary.Cand, Result, *shard.BSF) (Result, error),
 ) (Result, error) {
@@ -551,10 +582,10 @@ func simsVerify(ctx context.Context, opt *Options, q series.Series, keys []summa
 	}
 	limit := bound.Limit(res.Dist)
 	if opt.Materialized {
-		pass.Cands = pass.Table.Filter(pass.Cands, keys, nil, limit, opt.QueryWorkers)
+		pass.Cands = pass.Table.Filter(pass.Cands, sims.col, nil, limit, opt.QueryWorkers)
 		res, err = overLeaves(ctx, q, pass.Cands, res, bound)
 	} else {
-		pass.Cands = pass.Table.Filter(pass.Cands, keys, positions, limit, opt.QueryWorkers)
+		pass.Cands = pass.Table.Filter(pass.Cands, sims.col, sims.positions, limit, opt.QueryWorkers)
 		var visited int64
 		res.Pos, res.Dist, visited, err = VerifyRaw(ctx, raw, sums, q, pass.Cands, res.Pos, res.Dist, bound, opt.QueryWorkers)
 		res.VisitedRecords += visited

@@ -96,9 +96,10 @@ func TestBuildTreeSortedOrderAligned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	// keys must be sorted and aligned with tree scan order.
-	for i := 1; i < len(ix.keys); i++ {
-		if ix.keys[i].Less(ix.keys[i-1]) {
+	// rows must be sorted and aligned with tree scan order.
+	col := ix.sims.col
+	for i := 1; i < col.Len(); i++ {
+		if summary.CompareRows(col.Row(i), col.Row(i-1)) < 0 {
 			t.Fatal("summary array not sorted")
 		}
 	}
@@ -106,11 +107,11 @@ func TestBuildTreeSortedOrderAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scanned) != len(ix.positions) {
-		t.Fatalf("scan has %d records, array %d", len(scanned), len(ix.positions))
+	if len(scanned) != len(ix.sims.positions) || col.Len() != len(scanned) {
+		t.Fatalf("scan has %d records, array %d (%d rows)", len(scanned), len(ix.sims.positions), col.Len())
 	}
 	for i := range scanned {
-		if scanned[i] != ix.positions[i] {
+		if scanned[i] != ix.sims.positions[i] {
 			t.Fatalf("summary array misaligned at %d", i)
 		}
 	}
@@ -207,30 +208,30 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 		defer trie.Close()
 		_, bases := tree.leafBases()
 		for name, ix := range map[string]struct {
-			keys      []summary.Key
-			positions []int64
+			sims      *simsArray
 			leafStart []int
 			window    func(series.Series, int) (ApproxWindow, error)
 			search    func(context.Context, series.Series, int) (Result, error)
 		}{
-			"tree": {tree.keys, tree.positions, bases, tree.approxWindow, tree.approxSearch},
-			"trie": {trie.keys, trie.positions, trie.leafStart, trie.approxWindow, trie.approxSearch},
+			"tree": {&tree.sims, bases, tree.approxWindow, tree.approxSearch},
+			"trie": {&trie.sims, trie.leafStart, trie.approxWindow, trie.approxSearch},
 		} {
 			for qi, q := range queries {
 				for _, radius := range []int{0, 1, 3, 100} {
 					key, _ := opt.S.KeyOf(q)
 					qPAA, _ := opt.S.PAA(q, nil)
 					half := tree.opt.ApproxWindow * (radius + 1) / 2
+					keys := keysOf(ix.sims.col)
 					ins := 0
-					for ins < len(ix.keys) && ix.keys[ins].Less(key) {
+					for ins < len(keys) && keys[ins].Less(key) {
 						ins++
 					}
 					var below, above []window.Cand
 					leaves := map[int]bool{}
 					best := Result{Pos: -1, Dist: math.Inf(1)}
-					for i := max(ins-half, 0); i < min(ins+half, len(ix.keys)); i++ {
-						sax := summary.Deinterleave(ix.keys[i], opt.S.Params().Segments, opt.S.Params().CardBits)
-						c := window.Cand{Key: ix.keys[i], Pos: ix.positions[i], Ord: i, LB: opt.S.MinDistSqPAAToSAX(qPAA, sax)}
+					for i := max(ins-half, 0); i < min(ins+half, len(keys)); i++ {
+						sax := summary.Deinterleave(keys[i], opt.S.Params().Segments, opt.S.Params().CardBits)
+						c := window.Cand{Key: keys[i], Pos: ix.sims.positions[i], Ord: i, LB: opt.S.MinDistSqPAAToSAX(qPAA, sax)}
 						if i < ins {
 							below = append(below, c)
 						} else {

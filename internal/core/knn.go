@@ -5,7 +5,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
@@ -108,10 +107,10 @@ func (ix *TreeIndex) exactSearchKNN(ctx context.Context, q series.Series, k, rad
 	limit := kb.Limit(math.Nextafter(seedBound, math.Inf(1)))
 	var perShard [][]Neighbor
 	if ix.opt.Materialized {
-		pass.Cands = pass.Table.Filter(pass.Cands, ix.keys, nil, limit, ix.opt.QueryWorkers)
+		pass.Cands = pass.Table.Filter(pass.Cands, ix.sims.col, nil, limit, ix.opt.QueryWorkers)
 		perShard, err = ix.knnScanLeaves(ctx, q, k, seed, pass.Cands, &stats, kb)
 	} else {
-		pass.Cands = pass.Table.Filter(pass.Cands, ix.keys, ix.positions, limit, ix.opt.QueryWorkers)
+		pass.Cands = pass.Table.Filter(pass.Cands, ix.sims.col, ix.sims.positions, limit, ix.opt.QueryWorkers)
 		perShard, err = ix.knnScanRawFile(ctx, q, k, seed, pass.Cands, &stats, kb)
 	}
 	if ctx.Err() == nil {
@@ -238,27 +237,23 @@ func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, 
 }
 
 // knnSeed scans the query's target leaf (±radius) into the heap,
-// checking ctx once per leaf. It reads the SIMS summary array, so
-// ensureSIMS must have run.
+// checking ctx once per leaf. It reads the SIMS summary array, whose rows
+// bound the records of a non-materialized leaf before their series are
+// fetched, so ensureSIMS must have run.
 func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h *shard.KNNHeap, stats *Result) (err error) {
-	key, err := ix.opt.S.KeyOf(q)
-	if err != nil {
-		return err
-	}
-	_, bases := ix.leafBases()
-	center := seedLeaf(ix.keys, bases, key)
-	lo, hi := max(center-radius, 0), min(center+radius, len(bases)-1)
-	p := ix.opt.S.Params()
 	qPAA, err := ix.opt.S.PAA(q, nil)
 	if err != nil {
 		return err
 	}
-	sc := GetRawScratch(p.SeriesLen, 1)
+	_, bases := ix.leafBases()
+	center := seedLeaf(ix.sims.col, bases, ix.opt.S.SAXFromPAA(qPAA, nil))
+	lo, hi := max(center-radius, 0), min(center+radius, len(bases)-1)
+	sc := GetRawScratch(ix.opt.S.Params().SeriesLen, 1)
 	defer PutRawScratch(sc)
 	raw := storage.PinViews(ix.rawFile)
 	defer raw.Release(&err)
-	saxScratch := make(summary.SAX, p.Segments)
-	buf := make([]byte, ix.opt.LeafCap*ix.opt.recordSize())
+	recSize := ix.opt.recordSize()
+	buf := make([]byte, ix.opt.LeafCap*recSize)
 	for li := lo; li <= hi; li++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -269,15 +264,10 @@ func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h
 		}
 		stats.VisitedLeaves++
 		for i := 0; i < n; i++ {
-			rec := buf[i*ix.opt.recordSize() : (i+1)*ix.opt.recordSize()]
-			if !ix.opt.Materialized {
-				k, _, _ := decodeRecord(rec, false)
-				sax := summary.DeinterleaveInto(k, p.CardBits, saxScratch)
-				if ix.opt.S.MinDistSqPAAToSAX(qPAA, sax) > h.Bound() {
-					continue
-				}
+			if !ix.opt.Materialized && ix.opt.S.MinDistSqPAAToSAX(qPAA, ix.sims.col.Row(bases[li]+i)) > h.Bound() {
+				continue
 			}
-			pos, sq, err := recordSquaredDistance(&ix.opt, raw, ix.rawSums, q, rec, sc)
+			pos, sq, err := recordSquaredDistance(&ix.opt, raw, ix.rawSums, q, buf[i*recSize:(i+1)*recSize], sc)
 			if err != nil {
 				return err
 			}
@@ -289,9 +279,8 @@ func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h
 }
 
 // seedLeaf is the k-NN seed's centre: the leaf (of the directory whose
-// starting ordinals are bases) holding the first record with key >= key in
-// the sorted keys, or the last leaf when there is none.
-func seedLeaf(keys []summary.Key, bases []int, key summary.Key) int {
-	ins := sort.Search(len(keys), func(i int) bool { return !keys[i].Less(key) })
-	return leafOfOrd(bases, min(ins, len(keys)-1))
+// starting ordinals are bases) holding the first row at or above word in
+// the sorted column, or the last leaf when there is none.
+func seedLeaf(col summary.Column, bases []int, word summary.SAX) int {
+	return leafOfOrd(bases, min(col.Search(word), col.Len()-1))
 }

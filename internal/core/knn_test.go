@@ -165,6 +165,7 @@ func seekLeaf(keys []summary.Key, bases []int, seps []summary.Key, key summary.K
 // key, and over the directory of a tree grown by runs of duplicates.
 func TestKNNSeedLeaf(t *testing.T) {
 	k := func(b byte) (key summary.Key) { key[0] = b; return key }
+	s := tSummarizer(t)
 	// Leaves [10 20 30] [40 50 50] [50 60 70] [80 90 95]: 50 straddles the
 	// boundary of leaves 1 and 2, and is leaf 2's separator.
 	var keys []summary.Key
@@ -187,7 +188,7 @@ func TestKNNSeedLeaf(t *testing.T) {
 		{"past-the-last-key", 99, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := seedLeaf(keys, bases, k(tc.key)); got != tc.want {
+			if got := seedLeaf(s.ColumnOf(keys), bases, s.SAXFromKey(k(tc.key))); got != tc.want {
 				t.Fatalf("key %d: seed leaf %d, want %d", tc.key, got, tc.want)
 			}
 			if got := seekLeaf(keys, bases, seps, k(tc.key)); got != tc.want {
@@ -221,7 +222,8 @@ func TestKNNSeedLeaf(t *testing.T) {
 		for i, l := range dir {
 			seps[i] = summary.Key(l.Sep)
 		}
-		probes := append([]summary.Key{k(0), k(255)}, ix.keys...)
+		keys := keysOf(ix.sims.col)
+		probes := append([]summary.Key{k(0), k(255)}, keys...)
 		for _, s := range dataset.Queries(dataset.NewRandomWalk(), 50, tLen, 35) {
 			key, err := opt.S.KeyOf(s)
 			if err != nil {
@@ -230,7 +232,7 @@ func TestKNNSeedLeaf(t *testing.T) {
 			probes = append(probes, key)
 		}
 		for _, key := range probes {
-			if got, want := seedLeaf(ix.keys, bases, key), seekLeaf(ix.keys, bases, seps, key); got != want {
+			if got, want := seedLeaf(ix.sims.col, bases, s.SAXFromKey(key)), seekLeaf(keys, bases, seps, key); got != want {
 				t.Fatalf("key %x: seed leaf %d, reference seek leaf %d", key, got, want)
 			}
 		}

@@ -169,16 +169,18 @@ func (ix *TrieIndex) load(wantLeaves int) error {
 	}
 	sr := storage.NewSequentialReader(ix.leafFile, 0, want, 0)
 	rec := make([]byte, recSize)
-	ix.keys = make([]summary.Key, ix.count)
-	ix.positions = make([]int64, ix.count)
-	for i := range ix.keys {
+	ix.sims = newSimsArray(ix.opt.S, int(ix.count))
+	var prev summary.Key
+	for i := int64(0); i < ix.count; i++ {
 		if _, err := io.ReadFull(sr, rec); err != nil {
 			return fmt.Errorf("core: read trie leaves: %w", truncatedLeaves(err))
 		}
-		ix.keys[i], ix.positions[i], _ = decodeRecord(rec, false)
-		if i > 0 && ix.keys[i].Less(ix.keys[i-1]) {
+		key, _, _ := decodeRecord(rec, false)
+		if i > 0 && key.Less(prev) {
 			return fmt.Errorf("core: %w: leaf records out of key order", manifest.ErrCorruptManifest)
 		}
+		prev = key
+		ix.sims.add(rec)
 	}
 	// The structure is deterministic, so a different leaf count means the
 	// manifest and the leaf file are from different builds.

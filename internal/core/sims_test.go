@@ -30,14 +30,24 @@ type simsRef struct {
 	leaves    [][2]int
 }
 
-func newSimsRef(s *summary.Summarizer, q series.Series, data []series.Series, keys []summary.Key, positions []int64, leaves [][2]int) simsRef {
+func newSimsRef(s *summary.Summarizer, q series.Series, data []series.Series, sims simsArray, leaves [][2]int) simsRef {
 	p := s.Params()
 	qPAA, _ := s.PAA(q, nil)
+	keys := keysOf(sims.col)
 	lbs := make([]float64, len(keys))
 	for i, k := range keys {
 		lbs[i] = s.MinDistSqPAAToSAX(qPAA, summary.Deinterleave(k, p.Segments, p.CardBits))
 	}
-	return simsRef{data: data, positions: positions, lbs: lbs, leaves: leaves}
+	return simsRef{data: data, positions: sims.positions, lbs: lbs, leaves: leaves}
+}
+
+// keysOf re-interleaves every row of a column into its key.
+func keysOf(col summary.Column) []summary.Key {
+	keys := make([]summary.Key, col.Len())
+	for i := range keys {
+		keys[i] = col.Key(i)
+	}
+	return keys
 }
 
 // scan replays a serial verification scan. keep says whether a lower bound
@@ -182,7 +192,7 @@ func TestTreeExactMatchesReferencePass(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := newSimsRef(opt.S, q, data, ix.keys, ix.positions, leaves).exact(q, seed)
+				want := newSimsRef(opt.S, q, data, ix.sims, leaves).exact(q, seed)
 				for _, w := range workerSweep {
 					ix.opt.QueryWorkers = w
 					got, err := ix.ExactSearch(context.Background(), q, 1)
@@ -218,7 +228,7 @@ func TestTrieExactMatchesReferencePass(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := newSimsRef(opt.S, q, data, ix.keys, ix.positions, leaves).exact(q, seed)
+				want := newSimsRef(opt.S, q, data, ix.sims, leaves).exact(q, seed)
 				for _, w := range workerSweep {
 					ix.opt.QueryWorkers = w
 					got, err := ix.ExactSearch(context.Background(), q, 1)
@@ -257,7 +267,7 @@ func TestKNNMatchesReferencePass(t *testing.T) {
 					if err := ix.knnSeed(context.Background(), q, 1, h, &stats); err != nil {
 						t.Fatal(err)
 					}
-					want, wantStats := newSimsRef(opt.S, q, data, ix.keys, ix.positions, leaves).knn(q, k, h.Items(), stats)
+					want, wantStats := newSimsRef(opt.S, q, data, ix.sims, leaves).knn(q, k, h.Items(), stats)
 					for _, w := range workerSweep {
 						ix.opt.QueryWorkers = w
 						got, gotStats, err := ix.ExactSearchKNN(context.Background(), q, k, 1)

@@ -51,11 +51,9 @@ type TreeIndex struct {
 	// after passing through a lazyMu critical section, so concurrent readers
 	// are safe.
 	lazyMu sync.Mutex
-	// keys/positions hold the in-memory sorted summary array aligned with
-	// the tree's leaf order (the paper: summaries are orders of magnitude
-	// smaller than the data and stay in memory).
-	keys      []summary.Key
-	positions []int64
+	// sims is the in-memory sorted summary array, aligned with the tree's
+	// leaf order.
+	sims simsArray
 	// simsDirty marks the summary array stale after inserts.
 	simsDirty bool
 	// dirty marks the committed leaf pages and directory (the manifest)
@@ -111,11 +109,7 @@ func (ix *TreeIndex) build() error {
 	if err != nil {
 		return err
 	}
-	ix.rawSums, ix.ownSums, err = sortRecords(opt, ix.rawFile, treeLeafFile(opt.Name), ld.Wrap, func(rec []byte) {
-		key, pos, _ := decodeRecord(rec, false)
-		ix.keys = append(ix.keys, key)
-		ix.positions = append(ix.positions, pos)
-	})
+	ix.sims, ix.rawSums, ix.ownSums, err = sortRecords(opt, ix.rawFile, treeLeafFile(opt.Name), ld.Wrap)
 	if err != nil {
 		return fmt.Errorf("core: sorting summarizations into leaves: %w", err)
 	}
@@ -313,7 +307,7 @@ func (ix *TreeIndex) approxWindow(q series.Series, radius int) (ApproxWindow, er
 	if err := ix.ensureSIMS(); err != nil {
 		return ApproxWindow{}, err
 	}
-	aw, lo, hi, err := windowCands(&ix.opt, ix.keys, ix.positions, q, radius)
+	aw, lo, hi, err := windowCands(&ix.opt, &ix.sims, q, radius)
 	if err == nil && lo < hi {
 		_, bases := ix.leafBases()
 		aw.Leaves = int64(leafOfOrd(bases, hi-1) - leafOfOrd(bases, lo) + 1)
@@ -373,27 +367,25 @@ func (ix *TreeIndex) leafFetch() window.FetchFunc {
 }
 
 // ensureSIMS rebuilds the in-memory sorted summary array after updates by
-// one sequential pass over the leaves in directory order. The rebuild is serialized on
-// lazyMu; concurrent queries that lose the race wait and then read the
-// fresh arrays (the mutex's happens-before makes that safe).
+// one sequential pass over the leaves in directory order, into arrays sized
+// for the tree's count. The rebuild is serialized on lazyMu; concurrent
+// queries that lose the race wait and then read the fresh arrays (the
+// mutex's happens-before makes that safe).
 func (ix *TreeIndex) ensureSIMS() error {
 	ix.lazyMu.Lock()
 	defer ix.lazyMu.Unlock()
 	if !ix.simsDirty {
 		return nil
 	}
-	ix.keys = ix.keys[:0]
-	ix.positions = ix.positions[:0]
+	sims := newSimsArray(ix.opt.S, int(ix.count))
 	err := ix.bt.ScanAll(func(rec []byte) error {
-		key, pos, _ := decodeRecord(rec, false)
-		ix.keys = append(ix.keys, key)
-		ix.positions = append(ix.positions, pos)
+		sims.add(rec)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	ix.simsDirty = false
+	ix.sims, ix.simsDirty = sims, false
 	return nil
 }
 
@@ -436,7 +428,7 @@ func (ix *TreeIndex) exactVerify(ctx context.Context, q series.Series, res Resul
 	if err := ix.ensureSIMS(); err != nil {
 		return res, err
 	}
-	return simsVerify(ctx, &ix.opt, q, ix.keys, ix.positions, res, bound, ix.rawFile, ix.rawSums, ix.simsOverLeaves)
+	return simsVerify(ctx, &ix.opt, q, &ix.sims, res, bound, ix.rawFile, ix.rawSums, ix.simsOverLeaves)
 }
 
 // ExactVerify runs only the verification phase against an externally

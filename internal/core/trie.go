@@ -48,24 +48,26 @@ type TrieIndex struct {
 	count    int64
 	// rawSums verifies raw-dataset reads (a trie takes no inserts).
 	rawSums *storage.RecordSums
-	// keys/positions: in-memory sorted summary array (SIMS state).
-	keys      []summary.Key
-	positions []int64
-	// leafStart[i] is the index into keys of leaf i's first record.
+	// sims is the in-memory sorted summary array (SIMS state).
+	sims simsArray
+	// leafStart[i] is the index into sims of leaf i's first record.
 	leafStart []int
 }
 
-func bitAt(k summary.Key, i int) int {
-	return int(k[i>>3]>>(7-uint(i&7))) & 1
+// bitAt returns interleaved bit i of row's key: bit i/w (from the symbol's
+// most significant) of segment i mod w.
+func bitAt(row summary.SAX, i, cardBits int) int {
+	w := len(row)
+	return int(row[i%w]>>uint(cardBits-1-i/w)) & 1
 }
 
-// prefixAt converts the first L interleaved bits of key into a node's
-// per-segment (Syms, Bits) prefixes (summary.KeyPrefix).
-func prefixAt(s *summary.Summarizer, key summary.Key, L int) (summary.SAX, []uint8) {
+// prefixAt converts the first L interleaved bits of row's key into a node's
+// per-segment (Syms, Bits) prefixes (summary.RowPrefix).
+func prefixAt(s *summary.Summarizer, row summary.SAX, L int) (summary.SAX, []uint8) {
 	p := s.Params()
 	buf := make([]uint8, 2*p.Segments) // one allocation per node for both slices
 	syms, bits := summary.SAX(buf[:p.Segments:p.Segments]), buf[p.Segments:]
-	summary.KeyPrefix(key, L, p.CardBits, syms, bits)
+	summary.RowPrefix(row, L, p.CardBits, syms, bits)
 	return syms, bits
 }
 
@@ -117,15 +119,11 @@ func (ix *TrieIndex) build() error {
 		return storage.CreateChecksumFile(f, leafBlockSize(opt.recordSize()))
 	}
 	var err error
-	ix.rawSums, _, err = sortRecords(opt, ix.rawFile, leafFileName(opt.Name), wrap, func(rec []byte) {
-		key, pos, _ := decodeRecord(rec, false)
-		ix.keys = append(ix.keys, key)
-		ix.positions = append(ix.positions, pos)
-	})
+	ix.sims, ix.rawSums, _, err = sortRecords(opt, ix.rawFile, leafFileName(opt.Name), wrap)
 	if err != nil {
 		return fmt.Errorf("core: sorting summarizations: %w", err)
 	}
-	ix.count = int64(len(ix.keys))
+	ix.count = int64(ix.sims.col.Len())
 	if ix.leafFile, err = openLeafFile(opt); err != nil {
 		return err
 	}
@@ -162,25 +160,25 @@ func openLeafFile(opt *Options) (storage.File, error) {
 	return lf, nil
 }
 
-// buildStructure (re)builds the in-memory trie over the sorted key array:
-// top-level groups share their full first-bit-per-segment prefix (the iSAX
-// root fan-out), and each group partitions recursively along interleaved
-// bits. It is a pure function of (keys, LeafCap, summarization), which is
-// what lets OpenTrie reconstruct the exact build-time structure from the
-// persisted leaves and cross-check it against the manifest.
+// buildStructure (re)builds the in-memory trie over the sorted summary
+// array: top-level groups share their full first-bit-per-segment prefix
+// (the iSAX root fan-out), and each group partitions recursively along
+// interleaved bits. It is a pure function of (keys, LeafCap,
+// summarization), which is what lets OpenTrie reconstruct the exact
+// build-time structure from the persisted leaves and cross-check it against
+// the manifest.
 func (ix *TrieIndex) buildStructure() {
 	p := ix.opt.S.Params()
-	totalBits := p.Segments * p.CardBits
-	sax := make(summary.SAX, p.Segments)
+	col := ix.sims.col
 	lo := 0
-	for lo < len(ix.keys) {
+	for lo < col.Len() {
 		hi := lo
-		rootPrefix := ix.keys[lo]
-		for hi < len(ix.keys) && summary.CommonPrefixBits(rootPrefix, ix.keys[hi], p.Segments) == p.Segments {
+		root := col.Row(lo)
+		for hi < col.Len() && summary.RowPrefixBits(root, col.Row(hi), p.CardBits) >= p.Segments {
 			hi++
 		}
-		n := ix.buildNode(lo, hi, p.Segments, totalBits)
-		ix.tr.Root[ix.tr.RootKey(summary.DeinterleaveInto(rootPrefix, p.CardBits, sax))] = n
+		n := ix.buildNode(lo, hi, p.Segments, p.Segments*p.CardBits)
+		ix.tr.Root[ix.tr.RootKey(root)] = n
 		lo = hi
 	}
 }
@@ -192,18 +190,16 @@ func (ix *TrieIndex) closeAll() {
 	ix.rawFile.Close()
 }
 
-// buildNode recursively builds the subtree for keys[lo:hi], whose members
+// buildNode recursively builds the subtree for rows [lo, hi), whose keys
 // share at least `depth` interleaved prefix bits.
 func (ix *TrieIndex) buildNode(lo, hi, depth, totalBits int) *trie.Node {
-	s := ix.opt.S
+	s, col := ix.opt.S, ix.sims.col
+	cardBits := s.Params().CardBits
 	if hi-lo <= ix.opt.LeafCap || depth >= totalBits {
 		// Maximal leaf: tighten the prefix to the members' true common
 		// prefix (what CompactSubtree ends up with).
-		common := summary.CommonPrefixBits(ix.keys[lo], ix.keys[hi-1], totalBits)
-		if common < depth {
-			common = depth
-		}
-		syms, bits := prefixAt(s, ix.keys[lo], common)
+		common := max(summary.RowPrefixBits(col.Row(lo), col.Row(hi-1), cardBits), depth)
+		syms, bits := prefixAt(s, col.Row(lo), common)
 		leaf := &trie.Node{Syms: syms, Bits: bits, Leaf: true, Count: int64(hi - lo)}
 		ix.leafStart = append(ix.leafStart, lo)
 		ix.leaves = append(ix.leaves, leaf)
@@ -213,9 +209,9 @@ func (ix *TrieIndex) buildNode(lo, hi, depth, totalBits int) *trie.Node {
 	// (path compression — chains of single-child nodes merge away).
 	d := depth
 	for d < totalBits {
-		mid := lo + sort.Search(hi-lo, func(i int) bool { return bitAt(ix.keys[lo+i], d) == 1 })
+		mid := lo + sort.Search(hi-lo, func(i int) bool { return bitAt(col.Row(lo+i), d, cardBits) == 1 })
 		if mid > lo && mid < hi {
-			syms, bits := prefixAt(s, ix.keys[lo], depth)
+			syms, bits := prefixAt(s, col.Row(lo), depth)
 			n := &trie.Node{Syms: syms, Bits: bits, Count: int64(hi - lo)}
 			n.Children = []*trie.Node{
 				ix.buildNode(lo, mid, d+1, totalBits),
@@ -345,7 +341,7 @@ func (ix *TrieIndex) ApproxWindowCands(_ context.Context, q series.Series, radiu
 // leading half-windows around the query key's insertion position in the
 // sorted summary array. Leaves counts the leaves the window ordinals span.
 func (ix *TrieIndex) approxWindow(q series.Series, radius int) (ApproxWindow, error) {
-	aw, lo, hi, err := windowCands(&ix.opt, ix.keys, ix.positions, q, radius)
+	aw, lo, hi, err := windowCands(&ix.opt, &ix.sims, q, radius)
 	if err == nil && lo < hi {
 		aw.Leaves = int64(leafOfOrd(ix.leafStart, hi-1) - leafOfOrd(ix.leafStart, lo) + 1)
 	}
@@ -408,7 +404,7 @@ func (ix *TrieIndex) exactSearch(ctx context.Context, q series.Series, radius in
 // exactVerify is the SIMS verification phase with an externally supplied
 // shared bound (see TreeIndex.exactVerify).
 func (ix *TrieIndex) exactVerify(ctx context.Context, q series.Series, res Result, bound *shard.BSF) (Result, error) {
-	return simsVerify(ctx, &ix.opt, q, ix.keys, ix.positions, res, bound, ix.rawFile, ix.rawSums, ix.simsOverLeaves)
+	return simsVerify(ctx, &ix.opt, q, &ix.sims, res, bound, ix.rawFile, ix.rawSums, ix.simsOverLeaves)
 }
 
 // ExactVerify runs only the verification phase against an externally

@@ -1213,7 +1213,7 @@ func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, _ int) (c
 // memtable, evaluated per run across QueryWorkers; a run is swept block by
 // block without evicting what the cache holds, and a block whose key range
 // the table bounds at or above the seed is never read, see
-// runblock.Reader.Scan and MinDistTable.Range), then a position-ordered
+// runblock.Reader.Scan and MinDistTable.KeyRange), then a position-ordered
 // skip-sequential scan of the raw file (core.VerifyRaw: file-adjacent
 // candidates share one read), sharded by position range with a shared
 // squared best-so-far bound — the Euclidean distance is materialized once,
@@ -1275,7 +1275,7 @@ func (ix *Index) exactVerifyLocked(ctx context.Context, q series.Series, res cor
 	// One lookup table serves the whole query: it is read-only after the
 	// build, so every run shard and the memtable pass read it concurrently.
 	tbl, limit := &pass.Table, bound.Limit(res.Dist)
-	skip := func(lo, hi *summary.Key) bool { return tbl.Range(lo, hi) >= limit }
+	skip := func(lo, hi *summary.Key) bool { return tbl.KeyRange(lo, hi) >= limit }
 	// Lower-bound the runs block by block — the working set is one decoded
 	// block, never the run. Each run is independent, so the pass fans out
 	// over the run list; every shard keeps its survivors in run order in a
@@ -1294,7 +1294,7 @@ func (ix *Index) exactVerifyLocked(ctx context.Context, q series.Series, res cor
 				return nil
 			}
 			err := r.rb.Scan(skip, func(blk *runblock.Block) error {
-				perShard[si] = tbl.Filter(perShard[si], blk.Keys, blk.Pos, limit, innerWorkers)
+				perShard[si] = tbl.FilterKeys(perShard[si], blk.Keys, blk.Pos, limit, innerWorkers)
 				return nil
 			})
 			if err != nil {

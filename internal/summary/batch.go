@@ -62,49 +62,63 @@ func (t *MinDistTable) KeysInto(keys []Key, out []float64, workers int) {
 	if shard.Resolve(workers, len(keys)) == 1 {
 		// Serial fast path: no range slice, no closure, no goroutine — the
 		// whole pass is allocation-free.
-		t.bounds(keys, out)
+		t.keyBounds(keys, out)
 		return
 	}
 	// The shard body cannot fail, so neither can the scan.
 	_ = shard.Scan(context.Background(), workers, len(keys), func(_ int, r shard.Range, _ func() bool) error {
-		t.bounds(keys[r.Lo:r.Hi], out[r.Lo:r.Hi])
+		t.keyBounds(keys[r.Lo:r.Hi], out[r.Lo:r.Hi])
 		return nil
 	})
 }
 
-// Cand is one key that passed a Filter: the identifier the caller gave it
-// and its squared lower bound.
+// Cand is one summary that passed a Filter: the identifier the caller gave
+// it and its squared lower bound.
 type Cand struct {
 	ID int64
 	LB float64
 }
 
-// filterTile is how many keys Filter lower-bounds at a time: the bounds of
-// a tile (2 KiB) live on the stack and are scanned for survivors while
-// still in L1, so a pass over N keys materializes O(candidates), not O(N).
-// It is also the unit Filter skips whole.
+// filterTile is how many summaries Filter lower-bounds at a time: the
+// bounds of a tile (2 KiB) live on the stack and are scanned for survivors
+// while still in L1, so a pass over N summaries materializes O(candidates),
+// not O(N). It is also the unit Filter skips whole.
 const filterTile = 256
 
-// Filter is the fused SIMS lower-bound pass: it appends to dst, in key
-// order, a Cand for every key whose squared lower bound is below limit, and
-// returns the extended slice. A candidate's ID is ids[i] — ids runs
-// parallel to keys — or the key's index i when ids is nil. keys must be
-// sorted: a tile whose first-to-last Range is at or above limit holds no
-// candidate and is skipped without a per-key bound. The keys are sharded
-// across workers goroutines and the shards' survivors concatenated in shard
-// order, so the result is identical for any worker count; with one worker
-// nothing is allocated beyond dst's growth.
-func (t *MinDistTable) Filter(dst []Cand, keys []Key, ids []int64, limit float64, workers int) []Cand {
-	shards := shard.Resolve(workers, len(keys))
+// Filter is the fused SIMS lower-bound pass over a sorted column of the
+// table's shape — a tree's or a trie's summary array: it appends to dst, in
+// row order, a Cand for every row whose squared lower bound is below limit,
+// and returns the extended slice. A candidate's ID is ids[i] — ids runs
+// parallel to the rows — or the row's index i when ids is nil. A tile whose
+// first-to-last Range is at or above limit holds no candidate and is
+// skipped without a per-row bound. The rows are sharded across workers
+// goroutines and the shards' survivors concatenated in shard order, so the
+// result is identical for any worker count; with one worker nothing is
+// allocated beyond dst's growth.
+func (t *MinDistTable) Filter(dst []Cand, col Column, ids []int64, limit float64, workers int) []Cand {
+	return t.filter(dst, col.Syms, nil, col.Len(), ids, limit, workers)
+}
+
+// FilterKeys is Filter over sorted keys — the LSM's decoded run blocks,
+// which its block cache holds as keys — bounded by the key kernel
+// (keyBounds) and skipped by KeyRange.
+func (t *MinDistTable) FilterKeys(dst []Cand, keys []Key, ids []int64, limit float64, workers int) []Cand {
+	return t.filter(dst, nil, keys, len(keys), ids, limit, workers)
+}
+
+// filter shards Filter and FilterKeys: n summaries, the rows of syms or,
+// when keys is not nil, keys.
+func (t *MinDistTable) filter(dst []Cand, syms []uint8, keys []Key, n int, ids []int64, limit float64, workers int) []Cand {
+	shards := shard.Resolve(workers, n)
 	if shards == 1 {
-		dst, _ = t.filterRange(dst, keys, ids, shard.Range{Hi: len(keys)}, limit)
+		dst, _ = t.filterRange(dst, syms, keys, ids, shard.Range{Hi: n}, limit)
 		return dst
 	}
 	parts := make([][]Cand, shards)
 	parts[0] = dst
 	// The shard body cannot fail, so neither can the scan.
-	_ = shard.Scan(context.Background(), workers, len(keys), func(si int, r shard.Range, _ func() bool) error {
-		parts[si], _ = t.filterRange(parts[si], keys, ids, r, limit)
+	_ = shard.Scan(context.Background(), workers, n, func(si int, r shard.Range, _ func() bool) error {
+		parts[si], _ = t.filterRange(parts[si], syms, keys, ids, r, limit)
 		return nil
 	})
 	dst = parts[0]
@@ -114,18 +128,29 @@ func (t *MinDistTable) Filter(dst []Cand, keys []Key, ids []int64, limit float64
 	return dst
 }
 
-// filterRange is Filter over keys[r.Lo:r.Hi] on one goroutine; it also
-// returns how many keys it skipped in whole tiles.
-func (t *MinDistTable) filterRange(dst []Cand, keys []Key, ids []int64, r shard.Range, limit float64) (_ []Cand, skipped int) {
+// filterRange is filter over summaries [r.Lo, r.Hi) on one goroutine; it
+// also returns how many it skipped in whole tiles.
+func (t *MinDistTable) filterRange(dst []Cand, syms []uint8, keys []Key, ids []int64, r shard.Range, limit float64) (_ []Cand, skipped int) {
+	w := t.segments
 	var lbs [filterTile]float64
 	for lo := r.Lo; lo < r.Hi; lo += filterTile {
-		tile := keys[lo:min(lo+filterTile, r.Hi)]
-		if t.Range(&tile[0], &tile[len(tile)-1]) >= limit {
-			skipped += len(tile)
+		hi := min(lo+filterTile, r.Hi)
+		var span float64
+		if keys != nil {
+			span = t.KeyRange(&keys[lo], &keys[hi-1])
+		} else {
+			span = t.Range(syms[lo*w:(lo+1)*w], syms[(hi-1)*w:hi*w])
+		}
+		if span >= limit {
+			skipped += hi - lo
 			continue
 		}
-		t.bounds(tile, lbs[:])
-		for i, lb := range lbs[:len(tile)] {
+		if keys != nil {
+			t.keyBounds(keys[lo:hi], lbs[:hi-lo])
+		} else {
+			t.rows(syms[lo*w:hi*w], lbs[:hi-lo])
+		}
+		for i, lb := range lbs[:hi-lo] {
 			if lb < limit {
 				id := int64(lo + i)
 				if ids != nil {

@@ -44,12 +44,13 @@ func edgeKeys(rng *rand.Rand, random int) []Key {
 }
 
 // TestKernelsMatchReference is the differential test of the transpose
-// kernels: on every valid shape, Interleave, DeinterleaveInto and the
-// table's Key, KeysInto and Filter must equal the bit-at-a-time reference
-// loops — symbols byte for byte, bounds with float64 == — including on keys
-// with stray bits past the last row and words with symbols past the
-// alphabet, which the references ignore. The keys are sorted, as Filter
-// requires.
+// kernels: on every valid shape, Interleave and DeinterleaveInto must equal
+// the bit-at-a-time reference loops byte for byte, and the table's Key,
+// KeysInto, FilterKeys and Filter (over the keys' column) must equal the
+// direct kernel
+// on the reference word with float64 == — including on keys with stray bits
+// past the last row and words with symbols past the alphabet, which the
+// references ignore. The keys are sorted, as Filter requires.
 func TestKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	keys := edgeKeys(rng, 64)
@@ -81,9 +82,6 @@ func TestKernelsMatchReference(t *testing.T) {
 				t.Fatalf("%dx%d word %v: Interleave %v, reference %v", len(raw), p.CardBits, raw, a, b)
 			}
 			want[i] = s.MinDistSqPAAToSAX(qPAA, ref)
-			if r := tbl.keyRef(k); r != want[i] {
-				t.Fatalf("%dx%d key %v: keyRef %v, kernel %v", p.Segments, p.CardBits, k, r, want[i])
-			}
 			if g := tbl.Key(k); g != want[i] {
 				t.Fatalf("%dx%d key %v: Key %v, reference %v", p.Segments, p.CardBits, k, g, want[i])
 			}
@@ -91,6 +89,7 @@ func TestKernelsMatchReference(t *testing.T) {
 		// The batch forms, across the serial path and uneven shards; the
 		// limit is a bound that occurs, so the strict comparison is tested.
 		limit := want[len(want)/2]
+		col := s.ColumnOf(keys)
 		ids := make([]int64, len(keys))
 		for i := range ids {
 			ids[i] = int64(1000 - i)
@@ -103,8 +102,11 @@ func TestKernelsMatchReference(t *testing.T) {
 					t.Fatalf("%dx%d workers=%d: KeysInto[%d] %v, want %v", p.Segments, p.CardBits, workers, i, out[i], want[i])
 				}
 			}
-			byIndex := tbl.Filter(nil, keys, nil, limit, workers)
-			byID := tbl.Filter([]Cand{{ID: -1}}, keys, ids, limit, workers)[1:]
+			byIndex := tbl.Filter(nil, col, nil, limit, workers)
+			byID := tbl.Filter([]Cand{{ID: -1}}, col, ids, limit, workers)[1:]
+			if byKey := tbl.FilterKeys(nil, keys, ids, limit, workers); !slices.Equal(byKey, byID) {
+				t.Fatalf("%dx%d workers=%d: FilterKeys kept %d, Filter over the column %d (or a different list)", p.Segments, p.CardBits, workers, len(byKey), len(byID))
+			}
 			n := 0
 			for i, lb := range want {
 				if lb >= limit {
@@ -155,8 +157,9 @@ func TestQuickByteRowShapes(t *testing.T) {
 }
 
 // FuzzDeinterleave feeds arbitrary key bytes and shapes to the transposes
-// and the table kernel: they must agree with the reference loops on every
-// input, not only on keys Interleave can produce.
+// and the table's key bound: they must agree with the reference loops and
+// the direct kernel on every input, not only on keys Interleave can
+// produce.
 func FuzzDeinterleave(f *testing.F) {
 	f.Add(make([]byte, KeySize), uint8(16), uint8(8))
 	f.Add([]byte("\xff\x00\xaa\x55\x0f\xf0\x33\xcc\x01\x80\x7e\xe7\x5a\xa5\x3c\xc3"), uint8(8), uint8(6))

@@ -110,7 +110,7 @@ func splitRows16(k *Key) (lo8, hi8 uint64) {
 // so exchanging s0<->c2, s2<->c1 and s1<->c0 — three delta swaps, like
 // transpose8 with other distances — leaves in slot (c1 c0 c2) the bits of
 // column c in row order: the symbol of segment j, top-aligned like
-// transpose8's, is byte (0,2,4,6,1,3,5,7)[j]. The MINDIST kernel reads the
+// transpose8's, is byte (0,2,4,6,1,3,5,7)[j]. The key kernel reads the
 // bytes in that order; this is what makes it cheaper than symWords.
 func transposeShuffled(x uint64) uint64 {
 	t := (x ^ x>>4) & 0x00F000F000F000F0
@@ -201,27 +201,6 @@ func deinterleaveRef(k Key, cardBits int, dst SAX) SAX {
 		}
 	}
 	return dst
-}
-
-// KeyPrefix writes the iSAX node that the first prefixLen interleaved bits
-// of k fix: bits[j] is how many leading bits of segment j's symbol they fix
-// and syms[j] is that symbol with the other bits cleared. Interleaved bit p
-// is bit p/w (from the symbol's most significant) of segment p mod w, with
-// w = len(syms), so the prefix fixes ⌈(prefixLen-j)/w⌉ bits of segment j, at
-// most cardBits. syms and bits need one entry per segment.
-func KeyPrefix(k Key, prefixLen, cardBits int, syms SAX, bits []uint8) {
-	w := len(syms)
-	DeinterleaveInto(k, cardBits, syms)
-	for j := range syms {
-		n := prefixLen / w
-		if prefixLen%w > j {
-			n++
-		}
-		n = min(n, cardBits)
-		bits[j] = uint8(n)
-		shift := uint(cardBits - n)
-		syms[j] = syms[j] >> shift << shift
-	}
 }
 
 // CommonPrefixBits returns the number of leading interleaved bits shared by

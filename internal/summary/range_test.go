@@ -12,9 +12,8 @@ import (
 	"github.com/coconut-db/coconut/internal/shard"
 )
 
-// rangeShapes are the shapes the range-bound tests sweep: both whole-byte-row
-// segment counts, which take the transpose kernels, and two that take the
-// reference loop.
+// rangeShapes are the shapes the range-bound tests sweep: both segment
+// counts the column kernel unrolls, and two it loops over.
 var rangeShapes = []Params{
 	{SeriesLen: 64, Segments: 8, CardBits: 8},
 	{SeriesLen: 64, Segments: 16, CardBits: 8},
@@ -57,39 +56,53 @@ func keysSharing(rng *rand.Rand, base Key, prefixLen, n int) []Key {
 
 // boxMin is the reference for Range: per segment, the smallest kernel term
 // over every symbol the common prefix of lo and hi leaves open, enumerated
-// symbol by symbol and summed in segment order.
+// symbol by symbol and summed in segment order. Interleaved bit i is bit
+// i/w (from the most significant) of segment i mod w, so a prefix of L
+// bits fixes ⌈(L-j)/w⌉ bits of segment j, at most CardBits.
 func boxMin(s *Summarizer, qPAA []float64, lo, hi Key) float64 {
 	p := s.Params()
-	syms, bits := make(SAX, p.Segments), make([]uint8, p.Segments)
-	KeyPrefix(lo, CommonPrefixBits(lo, hi, p.Segments*p.CardBits), p.CardBits, syms, bits)
+	w, b := p.Segments, p.CardBits
+	prefix := CommonPrefixBits(lo, hi, w*b)
+	word := Deinterleave(lo, w, b)
 	acc := 0.0
 	for j, q := range qPAA {
+		fixed := prefix / w
+		if prefix%w > j {
+			fixed++
+		}
+		open := b - min(fixed, b)
+		first := int(word[j]) >> open << open
 		best := math.Inf(1)
-		for sym := int(syms[j]); sym < int(syms[j])+1<<(p.CardBits-int(bits[j])); sym++ {
-			best = min(best, s.minDistSqTerm(j, q, uint8(sym), p.CardBits))
+		for sym := first; sym < first+1<<open; sym++ {
+			best = min(best, s.minDistSqTerm(j, q, uint8(sym), b))
 		}
 		acc += best
 	}
 	return acc
 }
 
-// checkRange asserts the bound's contract on sorted keys: Range(first,
-// last) is at most every key's Key — and exactly the per-segment box
-// minimum, so not weaker than it needs to be — and Range(k, k) is Key(k).
+// checkRange asserts the bound's contract on sorted keys: Range over the
+// first and last row is at most every key's Key — and exactly the
+// per-segment box minimum of the keys, so not weaker than it needs to be —
+// and Range(k, k) is Key(k); KeyRange on the keys is Range on their rows.
 func checkRange(t *testing.T, s *Summarizer, tbl *MinDistTable, qPAA []float64, keys []Key) {
 	t.Helper()
 	p := s.Params()
+	col := s.ColumnOf(keys)
 	lo, hi := &keys[0], &keys[len(keys)-1]
-	r := tbl.Range(lo, hi)
+	r := tbl.Range(col.Row(0), col.Row(len(keys)-1))
 	if want := boxMin(s, qPAA, *lo, *hi); r != want {
 		t.Fatalf("%dx%d Range(%v, %v) = %v, box minimum %v", p.Segments, p.CardBits, *lo, *hi, r, want)
+	}
+	if kr := tbl.KeyRange(lo, hi); kr != r {
+		t.Fatalf("%dx%d KeyRange(%v, %v) = %v, Range on the rows %v", p.Segments, p.CardBits, *lo, *hi, kr, r)
 	}
 	for i := range keys {
 		k := tbl.Key(keys[i])
 		if r > k {
 			t.Fatalf("%dx%d Range(%v, %v) = %v exceeds Key(%v) = %v", p.Segments, p.CardBits, *lo, *hi, r, keys[i], k)
 		}
-		if self := tbl.Range(&keys[i], &keys[i]); self != k {
+		if self := tbl.Range(col.Row(i), col.Row(i)); self != k {
 			t.Fatalf("%dx%d Range(k, k) = %v, Key(k) = %v for %v", p.Segments, p.CardBits, self, k, keys[i])
 		}
 	}
@@ -170,7 +183,7 @@ func TestTableRowsMatchTerm(t *testing.T) {
 			}
 			tbl := s.BuildMinDistTable(qPAA, nil)
 			for j, q := range qPAA {
-				row := func(sym int) float64 { return tbl.full[j][sym<<tbl.shift] }
+				row := func(sym int) float64 { return tbl.full[j][sym] }
 				for sym := 0; sym < p.Cardinality(); sym++ {
 					if got, want := row(sym), s.minDistSqTerm(j, q, uint8(sym), p.CardBits); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%dx%d q=%v symbol %d: table %v, term %v", p.Segments, p.CardBits, q, sym, got, want)
@@ -251,6 +264,7 @@ func TestFilterSkipKeepsCandidates(t *testing.T) {
 	}
 	for _, gen := range []dataset.Generator{dataset.NewRandomWalk(), dataset.NewSkewed()} {
 		keys, ids, data := sortedKeys(t, s, gen, 6000, 3)
+		col := s.ColumnOf(keys)
 		for qi, q := range dataset.Queries(gen, 6, 128, 99) {
 			pass, err := s.NewPass(q)
 			if err != nil {
@@ -271,13 +285,17 @@ func TestFilterSkipKeepsCandidates(t *testing.T) {
 					}
 				}
 				for _, w := range []int{1, 2, 8} {
-					if got := tbl.Filter(nil, keys, ids, limit, w); !slices.Equal(got, want) {
+					if got := tbl.Filter(nil, col, ids, limit, w); !slices.Equal(got, want) {
 						t.Fatalf("%s query %d limit %v workers=%d: Filter kept %d candidates, per-key filter %d (or a different list)",
+							gen.Name(), qi, limit, w, len(got), len(want))
+					}
+					if got := tbl.FilterKeys(nil, keys, ids, limit, w); !slices.Equal(got, want) {
+						t.Fatalf("%s query %d limit %v workers=%d: FilterKeys kept %d candidates, per-key filter %d (or a different list)",
 							gen.Name(), qi, limit, w, len(got), len(want))
 					}
 				}
 			}
-			if _, skipped := tbl.filterRange(nil, keys, ids, shard.Range{Hi: len(keys)}, math.Inf(1)); skipped != 0 {
+			if _, skipped := tbl.filterRange(nil, col.Syms, nil, ids, shard.Range{Hi: len(keys)}, math.Inf(1)); skipped != 0 {
 				t.Fatalf("%s query %d: %d keys skipped under an infinite limit", gen.Name(), qi, skipped)
 			}
 			pass.Release()
@@ -287,7 +305,8 @@ func TestFilterSkipKeepsCandidates(t *testing.T) {
 
 // TestFilterSkipsTiles: skipping must actually happen where the paper's
 // property says it should — on sorted randomwalk keys, at the approximate
-// seed, more than a fifth of all keys are ruled out in whole tiles.
+// seed, more than a fifth of all keys are ruled out in whole tiles, the same
+// tiles over the column as over the keys.
 func TestFilterSkipsTiles(t *testing.T) {
 	s, err := NewSummarizer(Params{SeriesLen: 128, Segments: 16, CardBits: 8})
 	if err != nil {
@@ -295,13 +314,18 @@ func TestFilterSkipsTiles(t *testing.T) {
 	}
 	gen := dataset.NewRandomWalk()
 	keys, ids, data := sortedKeys(t, s, gen, 20000, 1)
+	col := s.ColumnOf(keys)
 	skipped, total := 0, 0
 	for _, q := range dataset.Queries(gen, 40, 128, 7) {
 		pass, err := s.NewPass(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, n := pass.Table.filterRange(nil, keys, ids, shard.Range{Hi: len(keys)}, approxSeed(t, s, keys, ids, data, q))
+		limit := approxSeed(t, s, keys, ids, data, q)
+		_, n := pass.Table.filterRange(nil, col.Syms, nil, ids, shard.Range{Hi: len(keys)}, limit)
+		if _, nk := pass.Table.filterRange(nil, nil, keys, ids, shard.Range{Hi: len(keys)}, limit); nk != n {
+			t.Fatalf("FilterKeys skipped %d keys, Filter over the column %d rows", nk, n)
+		}
 		skipped += n
 		total += len(keys)
 		pass.Release()

@@ -29,7 +29,7 @@
 //	coconut stream -dir ./data -name mylsm -append extra.bin
 //
 // Verify every block of every index artifact against its checksums (add
-// -repair to rebuild what is re-derivable from the raw dataset):
+// -repair to rebuild a damaged index from the raw dataset):
 //
 //	coconut scrub -dir ./data -name myidx
 //	coconut scrub -dir ./data -name mylsm -repair
@@ -98,7 +98,7 @@ func parseFlags(args []string) (*config, error) {
 	k := fl.Int("k", 1, "number of nearest neighbors to return")
 	appendFile := fl.String("append", "", "series file to stream into the LSM index (stream command)")
 	batch := fl.Int("batch", 1000, "series per Append batch (stream command)")
-	repair := fl.Bool("repair", false, "after scrubbing, repair corrupt artifacts re-derivable from the raw dataset (scrub command)")
+	repair := fl.Bool("repair", false, "after scrubbing, rebuild a damaged index from the raw dataset (scrub command)")
 	timeout := fl.Duration("timeout", 30*time.Second, "per-query deadline (query command) / per-request deadline (serve command)")
 	addr := fl.String("addr", ":7737", "listen address (serve command)")
 	cacheBytes := fl.Int64("cache-bytes", 0, "decoded-block cache budget in bytes for LSM runs (0 = 128MiB default)")
@@ -250,9 +250,9 @@ func runBuild(cfg *config) error {
 }
 
 // runScrub verifies every block of every artifact the index's manifest
-// references, printing one line per file. With -repair it rebuilds what
-// the (verified) raw dataset can re-derive, then re-scrubs. Exits
-// non-zero if the final report still holds corruption.
+// references, printing one line per file. With -repair it rebuilds the
+// index from the (verified) raw dataset, then re-scrubs. Exits non-zero if
+// the final report still holds corruption.
 func runScrub(cfg *config) error {
 	rep, err := coconut.Scrub(cfg.build.Storage, cfg.build.Name)
 	if err != nil {

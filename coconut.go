@@ -276,16 +276,6 @@ type Config struct {
 	// below the decoded key set (24 bytes per series) slows them without
 	// disturbing the blocks approximate searches keep resident.
 	CacheBytes int64
-	// AllowDegraded lets Open succeed over a partially corrupt index:
-	// an unreadable LSM run or partition child is quarantined and queries
-	// answer over the healthy remainder (Degraded() reports the state,
-	// Count() the records still covered). Writes routed to a quarantined
-	// partition fail loudly. Without it, corruption fails Open with
-	// ErrCorruptData. LSM quarantined runs are repairable in place with
-	// Repair (the raw dataset re-derives them). Rot in the raw dataset is
-	// never degraded over — its un-flushed LSM records have no other copy —
-	// and an index with no healthy partition left fails Open either way.
-	AllowDegraded bool
 	// ReadRetries re-attempts transient device read errors this many times
 	// (exponential backoff starting at RetryBackoff) before the error
 	// turns sticky for the handle. Deterministic failures — checksum
@@ -465,32 +455,36 @@ func (c Config) index(ctx context.Context, kind manifest.Variant, reopen bool) (
 	if err != nil {
 		return nil, err
 	}
-	var v partition.Variant
-	switch kind {
-	case manifest.VariantTree:
-		v = partition.TreeVariant(opt, c.AllowDegraded)
-	case manifest.VariantTrie:
-		v = partition.TrieVariant(opt, c.AllowDegraded)
-	default:
-		v = partition.LSMVariant(c.toLSM(opt))
-	}
+	v := c.variant(kind, opt)
 	return ctxGate(ctx, func() (partition.Index, error) {
+		var ix *partition.Composite
+		var err error
 		switch {
 		case !partitioned && reopen:
 			return v.Open()
 		case !partitioned:
 			return v.Build()
+		case reopen:
+			ix, err = partition.Open(v, c.Partitions)
+		default:
+			ix, err = partition.Build(v, c.Partitions, nil)
 		}
-		build := partition.Build
-		if reopen {
-			build = partition.Open
-		}
-		ix, err := build(v, c.Partitions)
 		if err != nil {
 			return nil, err
 		}
 		return ix, nil
 	})
+}
+
+// variant is the unpartitioned index kind over opt, cfg's core options.
+func (c Config) variant(kind manifest.Variant, opt core.Options) partition.Variant {
+	switch kind {
+	case manifest.VariantTree:
+		return partition.TreeVariant(opt)
+	case manifest.VariantTrie:
+		return partition.TrieVariant(opt)
+	}
+	return partition.LSMVariant(c.toLSM(opt))
 }
 
 // BuildTreeIndex bulk-loads a Coconut-Tree over the dataset.
@@ -582,11 +576,6 @@ func (t *TreeIndex) LeafFill() float64 { return t.ix.Shape().LeafFill }
 // SizeBytes returns the on-device index size.
 func (t *TreeIndex) SizeBytes() int64 { return t.ix.SizeBytes() }
 
-// Degraded reports whether the index was opened with AllowDegraded over
-// corrupt artifacts: some partitions are quarantined and answers cover
-// only the healthy remainder (Count() says how many records that is).
-func (t *TreeIndex) Degraded() bool { return t.ix.Degraded() }
-
 // Sync persists what Insert made stale — the inserted series (a commit of
 // the raw log), then the leaf pages and the manifest — so a crash afterwards
 // loses nothing. Close syncs too.
@@ -675,10 +664,6 @@ func (t *TrieIndex) LeafFill() float64 { return t.ix.Shape().LeafFill }
 // SizeBytes returns the on-device index size.
 func (t *TrieIndex) SizeBytes() int64 { return t.ix.SizeBytes() }
 
-// Degraded reports whether the index was opened with AllowDegraded over
-// corrupt artifacts; answers cover only the healthy remainder.
-func (t *TrieIndex) Degraded() bool { return t.ix.Degraded() }
-
 // Close releases the index's file handles.
 func (t *TrieIndex) Close() error { return t.ix.Close() }
 
@@ -735,7 +720,6 @@ func (c *Config) toLSM(opt core.Options) lsm.Options {
 		Workers:        opt.Workers,
 		QueryWorkers:   opt.QueryWorkers,
 		Cache:          blockcache.New(c.CacheBytes),
-		AllowDegraded:  c.AllowDegraded,
 	}
 }
 
@@ -840,16 +824,6 @@ func (l *LSMIndex) NumRuns() int { return l.ix.Shape().Runs }
 
 // SizeBytes returns the total size of all runs.
 func (l *LSMIndex) SizeBytes() int64 { return l.ix.SizeBytes() }
-
-// Degraded reports whether corrupt runs or partitions were quarantined by
-// an AllowDegraded open; answers cover only the healthy remainder.
-func (l *LSMIndex) Degraded() bool { return l.ix.Degraded() }
-
-// Repair re-derives every quarantined run from the raw dataset (the index
-// key of a record is a pure function of its bytes), commits the repaired
-// manifest, and deletes the corrupt files. After a successful Repair the
-// index answers byte-identically to one that never lost the run.
-func (l *LSMIndex) Repair() error { return l.ix.(partition.Maintainer).RebuildQuarantined() }
 
 // CacheStats is a snapshot of the shared decoded-block cache's counters:
 // hits, misses, evictions, scan decodes (blocks an exact search decoded

@@ -5,19 +5,20 @@ package coconut
 // un-flushed LSM tail in the raw file or in its sidecar — is bit-rotted in
 // turn, on both storage backends and for both single and partitioned
 // indexes, and the public API must (1) never return a silently wrong
-// answer, (2) surface typed ErrCorruptData from strict opens and reads,
-// (3) quarantine and keep serving the healthy remainder under
-// AllowDegraded, and (4) restore byte-identical answers after Scrub +
-// Repair (the raw dataset, being source data, is the one unrepairable class
-// and must say so).
+// answer, (2) surface typed ErrCorruptData from opens and reads, (3) have
+// Scrub name the rotted file, and (4) restore byte-identical answers after
+// Repair rebuilds the index (the raw dataset, being source data, is the one
+// unrepairable class and must say so).
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/storage"
 )
 
@@ -92,7 +93,7 @@ func sweepBaseline(t *testing.T, ix sweepSearcher, qs []Series) []Result {
 	return base
 }
 
-// requireCorrupt asserts a strict-mode failure is typed, never a panic or
+// requireCorrupt asserts a failure over corruption is typed, never a panic or
 // an untyped error string.
 func requireCorrupt(t *testing.T, err error) {
 	t.Helper()
@@ -118,24 +119,6 @@ func assertNoWrongAnswer(t *testing.T, ix sweepSearcher, qs []Series, base []Res
 		if res.Position != base[i].Position || math.Abs(res.Distance-base[i].Distance) > 1e-9 {
 			t.Fatalf("silently wrong answer for query %d: got (pos %d, dist %v), want (pos %d, dist %v)",
 				i, res.Position, res.Distance, base[i].Position, base[i].Distance)
-		}
-	}
-}
-
-// assertDegradedAnswers: a degraded index answers over the healthy
-// remainder — a subset of the records — so every answer must be no closer
-// than the true nearest neighbor.
-func assertDegradedAnswers(t *testing.T, ix sweepSearcher, qs []Series, base []Result) {
-	t.Helper()
-	for i, q := range qs {
-		res, err := ix.Search(q)
-		if err != nil {
-			requireCorrupt(t, err)
-			continue
-		}
-		if res.Distance < base[i].Distance-1e-9 {
-			t.Fatalf("degraded answer for query %d is impossibly better than the true NN: %v < %v",
-				i, res.Distance, base[i].Distance)
 		}
 	}
 }
@@ -220,10 +203,9 @@ func requireRepairClean(t *testing.T, fs Storage, name string) {
 
 // TestRawTruncationRefused: a raw file that lost its last record after the
 // index was closed is damage, not a crash state — the raw bytes are fsynced
-// before the sidecar that describes them — so strict and degraded opens both
-// fail typed, the sidecar is not trimmed to match (which would let the next
-// insert reuse the lost position under an old run entry), and Scrub names
-// the raw file.
+// before the sidecar that describes them — so the open fails typed, the
+// sidecar is not trimmed to match (which would let the next insert reuse
+// the lost position under an old run entry), and Scrub names the raw file.
 func TestRawTruncationRefused(t *testing.T) {
 	for _, parts := range []int{1, 3} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
@@ -254,13 +236,11 @@ func TestRawTruncationRefused(t *testing.T) {
 			if err := storage.WriteFileAll(ffs, "data.bin", raw[:len(raw)-8*sweepLen]); err != nil {
 				t.Fatal(err)
 			}
-			for _, degraded := range []bool{false, true} {
-				if re, err := OpenLSMIndex(Config{Storage: ffs, Name: "sw", AllowDegraded: degraded}); !errors.Is(err, ErrCorruptData) {
-					if err == nil {
-						re.Close()
-					}
-					t.Fatalf("AllowDegraded=%v: open over a truncated raw file: %v, want ErrCorruptData", degraded, err)
+			if re, err := OpenLSMIndex(Config{Storage: ffs, Name: "sw"}); !errors.Is(err, ErrCorruptData) {
+				if err == nil {
+					re.Close()
 				}
+				t.Fatalf("open over a truncated raw file: %v, want ErrCorruptData", err)
 			}
 			after, err := storage.ReadFileAll(ffs, sidecar)
 			if err != nil {
@@ -275,8 +255,8 @@ func TestRawTruncationRefused(t *testing.T) {
 }
 
 // TestMissingSidecarRefused: every build writes the raw file's CRC sidecar,
-// so an index whose sidecar is gone lost a file. Strict and degraded opens
-// of every variant fail typed without recreating it from the unverified
+// so an index whose sidecar is gone lost a file. Opens of every variant fail
+// typed without recreating it from the unverified
 // raw bytes, and Scrub names the raw file.
 func TestMissingSidecarRefused(t *testing.T) {
 	type closer interface{ Close() error }
@@ -303,13 +283,11 @@ func TestMissingSidecarRefused(t *testing.T) {
 				if err := ffs.Remove(sidecar); err != nil {
 					t.Fatal(err)
 				}
-				for _, degraded := range []bool{false, true} {
-					if re, err := v.open(Config{Storage: ffs, Name: "sw", AllowDegraded: degraded}); !errors.Is(err, ErrCorruptData) {
-						if err == nil {
-							re.Close()
-						}
-						t.Fatalf("AllowDegraded=%v: open without the raw sidecar: %v, want ErrCorruptData", degraded, err)
+				if re, err := v.open(Config{Storage: ffs, Name: "sw"}); !errors.Is(err, ErrCorruptData) {
+					if err == nil {
+						re.Close()
 					}
+					t.Fatalf("open without the raw sidecar: %v, want ErrCorruptData", err)
 				}
 				if ffs.Exists(sidecar) {
 					t.Fatal("refused open recreated the sidecar")
@@ -445,8 +423,7 @@ func sweepTreePage(t *testing.T, inner sweepFS, parts int) {
 }
 
 // sweepTrieLeaf rots a trie leaf block. The trie reloads every leaf at
-// open, so strict opens fail typed; a partitioned open with AllowDegraded
-// quarantines the damaged child and serves the remainder.
+// open, so opens fail typed.
 func sweepTrieLeaf(t *testing.T, inner sweepFS, parts int) {
 	ffs, qs := sweepSetup(t, inner)
 	ix, err := BuildTrieIndex(sweepConfig(ffs, parts))
@@ -463,22 +440,9 @@ func sweepTrieLeaf(t *testing.T, inner sweepFS, parts int) {
 	}
 
 	if _, err := OpenTrieIndex(Config{Storage: ffs, Name: "sw"}); err == nil {
-		t.Fatal("strict open of a rotted trie succeeded")
+		t.Fatal("open of a rotted trie succeeded")
 	} else {
 		requireCorrupt(t, err)
-	}
-	if parts > 1 {
-		dx, err := OpenTrieIndex(Config{Storage: ffs, Name: "sw", AllowDegraded: true})
-		if err != nil {
-			t.Fatalf("degraded open: %v", err)
-		}
-		if !dx.Degraded() {
-			t.Fatal("degraded open did not report Degraded()")
-		}
-		assertDegradedAnswers(t, dx, qs, base)
-		if err := dx.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	requireScrubFlags(t, ffs, "sw", leaves)
 	requireRepairClean(t, ffs, "sw")
@@ -488,24 +452,19 @@ func sweepTrieLeaf(t *testing.T, inner sweepFS, parts int) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Degraded() {
-		t.Fatal("repaired index still degraded")
-	}
 	assertExactAnswers(t, re, qs, base)
 }
 
 // sweepLSMRun rots a sorted-run key block, which only the run codec's own
-// block CRC guards. The run's keys are reloaded at open, so strict opens
-// fail typed; AllowDegraded quarantines the run and Repair re-derives it
-// from the raw dataset.
+// block CRC guards. The run's keys are reloaded at open, so opens fail
+// typed, and Repair rebuilds the index from the raw dataset.
 func sweepLSMRun(t *testing.T, inner sweepFS, parts int) {
 	ffs, qs := sweepSetup(t, inner)
 	ix, err := BuildLSMIndex(sweepConfig(ffs, parts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second, smaller run: quarantining the bulk run must leave a
-	// healthy remainder to serve degraded queries from.
+	// A second, smaller run beside the bulk run the rot hits.
 	extra, err := GenerateQueries(Astronomy, 30, sweepLen, sweepSeed+3)
 	if err != nil {
 		t.Fatal(err)
@@ -528,49 +487,24 @@ func sweepLSMRun(t *testing.T, inner sweepFS, parts int) {
 	}
 
 	if _, err := OpenLSMIndex(Config{Storage: ffs, Name: "sw"}); err == nil {
-		t.Fatal("strict open of a rotted run succeeded")
+		t.Fatal("open of a rotted run succeeded")
 	} else {
 		requireCorrupt(t, err)
 	}
 	requireScrubFlags(t, ffs, "sw", run)
+	requireRepairClean(t, ffs, "sw")
 
-	dx, err := OpenLSMIndex(Config{Storage: ffs, Name: "sw", AllowDegraded: true})
-	if err != nil {
-		t.Fatalf("degraded open: %v", err)
-	}
-	if !dx.Degraded() {
-		t.Fatal("degraded open did not report Degraded()")
-	}
-	assertDegradedAnswers(t, dx, qs, base)
-	if err := dx.Repair(); err != nil {
-		t.Fatalf("repair: %v", err)
-	}
-	if dx.Degraded() {
-		t.Fatal("index still degraded after Repair")
-	}
-	// Repair must restore the exact record multiset: a partition child
-	// rebuilding from the shared raw dataset must not re-index records
-	// its siblings own.
-	if got := dx.Count(); got != sweepN+30 {
-		t.Fatalf("repaired index holds %d records, want %d", got, sweepN+30)
-	}
-	assertExactAnswers(t, dx, qs, base)
-	if err := dx.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := Scrub(ffs, "sw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("scrub not clean after repair: %+v", rep.Corrupt())
-	}
 	re, err := OpenLSMIndex(Config{Storage: ffs, Name: "sw"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	// The rebuild must restore the exact record multiset: a partition child
+	// building from the shared raw dataset must not index records its
+	// siblings own.
+	if got := re.Count(); got != sweepN+30 {
+		t.Fatalf("repaired index holds %d records, want %d", got, sweepN+30)
+	}
 	assertExactAnswers(t, re, qs, base)
 }
 
@@ -610,9 +544,8 @@ func sweepRaw(t *testing.T, inner sweepFS, parts int) {
 // sweepTail crashes an LSM with acknowledged inserts no run holds yet — the
 // un-flushed tail an open re-derives from the raw log — and rots one of
 // those records: its raw bytes or, separately, its sidecar entry. The raw
-// file is source data with no other copy of the record, so strict and
-// degraded opens fail typed (or answer exactly), Scrub names the raw file,
-// and Repair refuses.
+// file is source data with no other copy of the record, so opens fail typed
+// (or answer exactly), Scrub names the raw file, and Repair refuses.
 func sweepTail(t *testing.T, inner sweepFS, parts int, sidecar bool) {
 	ffs, qs := sweepSetup(t, inner)
 	ix, err := BuildLSMIndex(sweepConfig(ffs, parts))
@@ -640,12 +573,9 @@ func sweepTail(t *testing.T, inner sweepFS, parts int, sidecar bool) {
 		t.Fatal(err)
 	}
 
-	for _, degraded := range []bool{false, true} {
-		re, err := OpenLSMIndex(Config{Storage: img, Name: "sw", AllowDegraded: degraded})
-		if err != nil {
-			requireCorrupt(t, err)
-			continue
-		}
+	if re, err := OpenLSMIndex(Config{Storage: img, Name: "sw"}); err != nil {
+		requireCorrupt(t, err)
+	} else {
 		assertNoWrongAnswer(t, re, qs, base)
 		re.Close()
 	}
@@ -654,5 +584,63 @@ func sweepTail(t *testing.T, inner sweepFS, parts int, sidecar bool) {
 		t.Fatal("repair claimed to fix a rotted un-flushed record")
 	} else if !errors.Is(err, ErrCorruptData) {
 		t.Fatalf("repair refusal is untyped: %v", err)
+	}
+}
+
+// TestRunFileEveryByteCovered pins that the run codec alone leaves no byte
+// of an LSM run file unchecked: in a bulk-loaded run of three blocks, each
+// byte is flipped in turn, and at every offset the open fails typed and
+// Scrub names the run and nothing else.
+func TestRunFileEveryByteCovered(t *testing.T) {
+	const n, length = 2*runblock.DefaultBlockRecords + 1, 8 // three run blocks, the last of one record
+	ffs := storage.NewFaultFS(storage.NewMemFS())
+	if err := GenerateDataset(ffs, "data.bin", RandomWalk, n, length, 5); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Storage: ffs, Name: "ev", DataFile: "data.bin", SeriesLen: length, Segments: 8, Workers: 2}
+	ix, err := BuildLSMIndex(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const run = "ev.run.000000"
+	rep, err := Scrub(ffs, "ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(rep.Findings, ScrubFinding{File: run, Units: 3}) {
+		t.Fatalf("scrub of the clean index: %+v, want %s healthy with 3 blocks", rep.Findings, run)
+	}
+	data, err := storage.ReadFileAll(ffs, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := Config{Storage: ffs, Name: "ev"}
+	for off := int64(0); off < int64(len(data)); off++ {
+		if err := ffs.Rot(run, off, 1); err != nil {
+			t.Fatal(err)
+		}
+		if ix, err := OpenLSMIndex(open); !errors.Is(err, ErrCorruptData) {
+			if err == nil {
+				ix.Close()
+			}
+			t.Fatalf("byte %d of %d flipped: open: %v, want ErrCorruptData", off, len(data), err)
+		}
+		requireScrubFlags(t, ffs, "ev", run)
+		if err := ffs.Rot(run, off, 1); err != nil { // XOR again: the byte is restored
+			t.Fatal(err)
+		}
+	}
+	ix, err = OpenLSMIndex(open)
+	if err != nil {
+		t.Fatalf("restored run: open: %v", err)
+	}
+	if ix.Count() != n {
+		t.Fatalf("restored run: Count = %d, want %d", ix.Count(), n)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

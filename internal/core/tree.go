@@ -180,9 +180,6 @@ func (ix *TreeIndex) Shape() Shape {
 	return Shape{Leaves: ix.bt.NumLeaves(), LeafFill: ix.bt.AvgLeafFill()}
 }
 
-// Degraded is always false: a tree opens whole or not at all.
-func (ix *TreeIndex) Degraded() bool { return false }
-
 // SizeBytes returns the on-device index footprint.
 func (ix *TreeIndex) SizeBytes() int64 {
 	ix.qmu.RLock()

@@ -258,9 +258,6 @@ func (ix *TrieIndex) Shape() Shape {
 	return sh
 }
 
-// Degraded is always false: a trie opens whole or not at all.
-func (ix *TrieIndex) Degraded() bool { return false }
-
 // Sync is a no-op: the trie is immutable and was durable when built.
 func (ix *TrieIndex) Sync() error { return nil }
 

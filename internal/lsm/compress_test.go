@@ -178,49 +178,3 @@ func TestCompressedReopen(t *testing.T) {
 	defer reopened.Close()
 	requireSameAnswers(t, roomy, reopened, append(data, extra...))
 }
-
-// TestCompressedRebuildQuarantined: corrupt one run file; a degraded reopen
-// quarantines it, and RebuildQuarantined re-derives the lost records from
-// the raw dataset into a fresh run with byte-identical answers.
-func TestCompressedRebuildQuarantined(t *testing.T) {
-	roomy, tiny, tinyFS, data := buildPair(t, 1<<14) // small memtable: several runs
-	defer roomy.Close()
-	if err := tiny.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte in the middle of the first run file's payload.
-	name := "lsm.run.000000"
-	b, err := storage.ReadFileAll(tinyFS, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0x40
-	if err := storage.WriteFileAtomic(tinyFS, name, b); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := Open(Options{
-		FS:             tinyFS,
-		Name:           "lsm",
-		S:              tSummarizer(t),
-		MemBudgetBytes: 1 << 14,
-		Window:         40,
-		AllowDegraded:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	if !reopened.Degraded() {
-		t.Fatal("corrupt run not quarantined")
-	}
-	if err := reopened.RebuildQuarantined(); err != nil {
-		t.Fatal(err)
-	}
-	if reopened.Degraded() {
-		t.Fatal("still degraded after rebuild")
-	}
-	if reopened.Count() != tCount {
-		t.Fatalf("Count = %d after rebuild", reopened.Count())
-	}
-	requireSameAnswers(t, roomy, reopened, data)
-}

@@ -275,8 +275,7 @@ func TestOneFsyncPairPerAppend(t *testing.T) {
 // TestUnflushedTailRotFailsOpen: the appends no run holds yet are recovered
 // from the raw log at open, each record read through its sidecar CRC. Rot in
 // one of them — in the raw bytes or in the sidecar entry — fails the open
-// typed, strict or degraded: the raw file is source data and no other copy
-// of the record exists. The intact image recovers every acknowledged append.
+// typed: the raw file is source data and no other copy of the record exists. The intact image recovers every acknowledged append.
 func TestUnflushedTailRotFailsOpen(t *testing.T) {
 	inner := storage.NewMemFS()
 	if _, err := dataset.WriteFile(inner, "raw", dataset.NewRandomWalk(), sweepBase, tLen, 42); err != nil {
@@ -316,15 +315,11 @@ func TestUnflushedTailRotFailsOpen(t *testing.T) {
 	} {
 		img := ffs.Recover(0)
 		rotFile(t, img, file, off)
-		for _, degraded := range []bool{false, true} {
-			o := sweepOptions(t, img)
-			o.AllowDegraded = degraded
-			if re, err := Open(o); !errors.Is(err, storage.ErrCorruptData) {
-				if err == nil {
-					re.Close()
-				}
-				t.Fatalf("%s rotted in the un-flushed tail, AllowDegraded=%v: open: %v, want ErrCorruptData", file, degraded, err)
+		if re, err := Open(sweepOptions(t, img)); !errors.Is(err, storage.ErrCorruptData) {
+			if err == nil {
+				re.Close()
 			}
+			t.Fatalf("%s rotted in the un-flushed tail: open: %v, want ErrCorruptData", file, err)
 		}
 	}
 }

@@ -81,14 +81,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0), clamped to the work available). Answers are
 	// identical for any value.
 	QueryWorkers int
-	// AllowDegraded turns corruption at Open time into graceful
-	// degradation: a run whose file is corrupt (or missing) is QUARANTINED
-	// — withheld from queries and compactions but kept in the manifest —
-	// instead of failing the open. Queries then answer over the healthy
-	// remainder and Degraded() reports the loss; see RebuildQuarantined for
-	// repair. Off by default: corruption fails loudly with
-	// storage.ErrCorruptData.
-	AllowDegraded bool
 	// RawSums optionally supplies an externally owned raw log (the
 	// partition layer's: the parent owns the shared raw file, appends to it
 	// and commits it; children verify through the shared handle and commit
@@ -98,10 +90,10 @@ type Options struct {
 	// surfaces as storage.ErrCorruptData instead of a wrong answer.
 	RawSums *storage.RecordSums
 	// Owns restricts what this index derives from the raw file — the
-	// un-flushed tail Open recovers, and RebuildQuarantined — to the
-	// records it owns. A partition child shares the raw dataset with its
-	// siblings; without the filter it would re-index every sibling's
-	// records too. Nil means the index owns every raw record.
+	// un-flushed tail Open recovers — to the records it owns. A partition
+	// child shares the raw dataset with its siblings; without the filter it
+	// would re-index every sibling's records too. Nil means the index owns
+	// every raw record.
 	Owns func(summary.Key) bool
 	// Cache is the shared decoded-block cache run files are read through:
 	// runs are block-compressed on disk (internal/runblock) and never
@@ -184,17 +176,10 @@ type Index struct {
 	// rather than the partition layer's shared one.
 	rawSums *storage.RecordSums
 	ownSums bool
-	// quarantined holds the manifest records of runs withheld at Open
-	// because their files were corrupt or missing (Options.AllowDegraded).
-	// They stay in every committed manifest — the files, where they exist,
-	// are never deleted by compaction — until RebuildQuarantined replaces
-	// them from the raw dataset.
-	quarantined []manifest.RunInfo
 	// wmu serializes Inserts for the whole of their append and insert,
 	// which a flush's manifest commit interrupts by releasing mu: no flush
-	// (whose cursor would pass them) and no repair (which would take them
-	// for lost) runs while an Insert holds appended records it has not
-	// inserted yet.
+	// (whose cursor would pass them) runs while an Insert holds appended
+	// records it has not inserted yet.
 	wmu sync.Mutex
 	mu  sync.RWMutex
 	// closed makes Close idempotent: a second Close (even concurrent with
@@ -215,8 +200,8 @@ type Index struct {
 	// or above it are still on disk as input runs and re-form after a crash.
 	committedGroups map[int]int
 	// commitErr is the sticky first failed manifest commit of a compaction
-	// swap or a repair: durably the previous manifest stays authoritative,
-	// so no later commit may supersede it and every write refuses.
+	// swap: durably the previous manifest stays authoritative, so no later
+	// commit may supersede it and every write refuses.
 	commitErr error
 	// flushed is the manifest's raw-position cursor: every record below it
 	// that this index owns is in a run.
@@ -237,7 +222,9 @@ type Index struct {
 // sort, exactly the Coconut pipeline) and returns the index. The
 // summarization phase is the batched parallel pipeline shared with the
 // tree/trie builds (core.SummaryRecordReader), so every Build stage fans
-// out across opt.Workers.
+// out across opt.Workers. A failed Build removes the run it wrote; its
+// manifest commit is the last step, so a failed Build leaves any manifest
+// already stored under the name (the index a Repair rebuilds) in place.
 func Build(opt Options) (*Index, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -249,7 +236,7 @@ func Build(opt Options) (*Index, error) {
 	ix := newIndex(opt, raw)
 	if err := ix.build(); err != nil {
 		ix.abandon()
-		Remove(opt.FS, opt.Name)
+		_ = opt.FS.Remove(runFileName(opt.Name, 0))
 		return nil, err
 	}
 	return ix, nil
@@ -266,8 +253,8 @@ func (ix *Index) abandon() {
 }
 
 // Remove deletes every file of the Coconut-LSM name that Build writes —
-// the bulk run and the manifest: the undo of a build that failed, here or in
-// the partition layer after this child finished. Best effort, like
+// the bulk run and the manifest: the partition layer's undo for the finished
+// children of a build that failed as a whole. Best effort, like
 // core.RemoveTree: the build's own error is what is reported.
 func Remove(fs storage.FS, name string) {
 	for _, n := range []string{runFileName(name, 0), manifest.FileName(name)} {
@@ -376,139 +363,6 @@ func (ix *Index) openRun(name string, tier int, seq int64, tierSeq int, count in
 		return nil, fmt.Errorf("lsm: run %s holds %d records, wrote %d", name, rb.Count(), count)
 	}
 	return &run{name: name, tier: tier, count: count, seq: seq, tierSeq: tierSeq, rb: rb}, nil
-}
-
-// Degraded reports whether the index is answering over a partial record
-// set: one or more runs were quarantined at Open because their files were
-// corrupt or missing. Callers that require complete answers must treat any
-// result from a degraded index as a lower bound over the healthy remainder.
-func (ix *Index) Degraded() bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.quarantined) > 0
-}
-
-// QuarantinedRuns lists the file names of quarantined runs (empty when
-// healthy).
-func (ix *Index) QuarantinedRuns() []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	names := make([]string, len(ix.quarantined))
-	for i, ri := range ix.quarantined {
-		names[i] = ri.Name
-	}
-	return names
-}
-
-// uncoveredLocked re-derives, from the raw dataset read through the
-// verifying sidecar, the entry of every record that no healthy run and no
-// memtable entry covers and that this index owns (Options.Owns) — what a
-// quarantined run lost. Runs partition the record positions, so these are
-// exactly the lost records.
-func (ix *Index) uncoveredLocked() (_ []memEntry, err error) {
-	covered := make(map[int64]bool, ix.count)
-	for _, r := range ix.runs {
-		err := r.rb.Scan(nil, func(blk *runblock.Block) error {
-			for _, p := range blk.Pos {
-				covered[p] = true
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range ix.mem {
-		covered[e.pos] = true
-	}
-	return ix.summarizeLocked(0, ix.rawSums.Records(), func(pos int64) bool { return !covered[pos] })
-}
-
-// summarizeLocked re-derives from the raw log, read through the verifying
-// sidecar, the entry of every record in [lo, hi) that want admits and this
-// index owns (Options.Owns).
-func (ix *Index) summarizeLocked(lo, hi int64, want func(pos int64) bool) (_ []memEntry, err error) {
-	p := ix.opt.S.Params()
-	var entries []memEntry
-	buf, ser := make([]byte, series.EncodedSize(p.SeriesLen)), make(series.Series, p.SeriesLen)
-	raw := storage.PinViews(ix.rawFile)
-	defer raw.Release(&err)
-	for pos := lo; pos < hi; pos++ {
-		if !want(pos) {
-			continue
-		}
-		enc, err := core.ReadRawAt(raw, ix.rawSums, pos, buf)
-		if err != nil {
-			return nil, err
-		}
-		series.DecodeInto(enc, ser)
-		key, err := ix.opt.S.KeyOf(ser)
-		if err != nil {
-			return nil, err
-		}
-		if ix.opt.Owns == nil || ix.opt.Owns(key) {
-			entries = append(entries, memEntry{key: key, pos: pos})
-		}
-	}
-	return entries, nil
-}
-
-// RebuildQuarantined repairs a degraded index: the records of every
-// quarantined run are re-derived from the raw dataset (read through the
-// verifying sidecar) and installed as one fresh bulk run, after which the
-// corrupt files are deleted. The lost records are exactly the raw
-// positions no healthy run or memtable entry covers — runs partition the
-// record positions — so the repaired index answers over the identical
-// record multiset, and window invariance makes its answers byte-identical
-// to the pre-corruption index's. No-op on a healthy index.
-func (ix *Index) RebuildQuarantined() error {
-	ix.wmu.Lock() // an Insert's appended records must all be in the memtable
-	defer ix.wmu.Unlock()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.commitErr != nil {
-		return ix.commitErr
-	}
-	if len(ix.quarantined) == 0 {
-		return nil
-	}
-	entries, err := ix.uncoveredLocked()
-	if err != nil {
-		return err
-	}
-	old := ix.quarantined
-	ix.quarantined = nil
-	if len(entries) > 0 {
-		sort.Slice(entries, func(a, b int) bool {
-			if c := entries[a].key.Compare(entries[b].key); c != 0 {
-				return c < 0
-			}
-			return lePosLess(entries[a].pos, entries[b].pos)
-		})
-		r, werr := ix.writeRunFile(ix.runName(), entries, manifest.BulkTier, ix.nextSeq, 0)
-		if werr != nil {
-			ix.quarantined = old
-			return werr
-		}
-		ix.runs = append(ix.runs, r)
-		ix.nextSeq++
-		ix.count += r.count
-	}
-	if err := ix.commitManifestLocked(); err != nil {
-		// Same stickiness as a failed compaction swap: durably the old
-		// manifest (which still references the quarantined files) stays
-		// authoritative, so no later commit may supersede it.
-		if ix.commitErr == nil {
-			ix.commitErr = err
-		}
-		return err
-	}
-	for _, ri := range old {
-		if err := ix.opt.FS.Remove(ri.Name); err != nil && !errors.Is(err, storage.ErrNotExist) {
-			return err
-		}
-	}
-	return nil
 }
 
 // memCapacity returns the memtable capacity in records.
@@ -1038,26 +892,6 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 		}
 		runs[i] = ri
 		total += r.count
-	}
-	// Quarantined runs stay in every committed manifest (merged back in by
-	// seq — both lists are age-ordered) until RebuildQuarantined replaces
-	// them: dropping them would turn a detected corruption into a silent
-	// permanent data loss on the next reopen.
-	if len(ix.quarantined) > 0 {
-		merged := make([]manifest.RunInfo, 0, len(runs)+len(ix.quarantined))
-		qi := 0
-		for _, ri := range runs {
-			for qi < len(ix.quarantined) && ix.quarantined[qi].Seq < ri.Seq {
-				merged = append(merged, ix.quarantined[qi])
-				qi++
-			}
-			merged = append(merged, ri)
-		}
-		merged = append(merged, ix.quarantined[qi:]...)
-		runs = merged
-		for _, ri := range ix.quarantined {
-			total += ri.Count
-		}
 	}
 	m := &manifest.Manifest{
 		Variant:   manifest.VariantLSM,

@@ -7,6 +7,7 @@ import (
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/runblock"
+	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/storage/blockcache"
 )
@@ -75,7 +76,6 @@ func Open(opt Options) (*Index, error) {
 func (ix *Index) reopen(m *manifest.Manifest) error {
 	opt := ix.opt
 	lastSeq := int64(-1)
-	var quarantinedCount int64
 	for i, ri := range m.LSM.Runs {
 		if ri.Seq < lastSeq {
 			return fmt.Errorf("lsm: %w: runs out of age order", manifest.ErrCorruptManifest)
@@ -83,24 +83,14 @@ func (ix *Index) reopen(m *manifest.Manifest) error {
 		lastSeq = ri.Seq
 		r, err := loadRun(opt.FS, ri, opt.Cache)
 		if err != nil {
-			if opt.AllowDegraded && (errors.Is(err, storage.ErrCorruptData) ||
-				errors.Is(err, manifest.ErrCorruptManifest) || errors.Is(err, storage.ErrNotExist)) {
-				// Quarantine: the run's records stay accounted for in every
-				// manifest this handle commits, queries answer over the
-				// healthy remainder, and RebuildQuarantined can re-derive
-				// the lost records from the raw dataset.
-				ix.quarantined = append(ix.quarantined, ri)
-				quarantinedCount += ri.Count
-				continue
-			}
 			return fmt.Errorf("lsm: reloading run %d (%s): %w", i, ri.Name, err)
 		}
 		ix.runs = append(ix.runs, r)
 		ix.count += r.count
 	}
-	if ix.count+quarantinedCount != m.Count {
+	if ix.count != m.Count {
 		return fmt.Errorf("lsm: %w: runs hold %d records, manifest says %d",
-			manifest.ErrCorruptManifest, ix.count+quarantinedCount, m.Count)
+			manifest.ErrCorruptManifest, ix.count, m.Count)
 	}
 	var err error
 	if ix.rawSums, ix.ownSums, err = core.AttachRawSums(opt.FS, opt.RawName, opt.S, opt.RawSums, ix.rawFile); err != nil {
@@ -123,23 +113,37 @@ func (ix *Index) reopen(m *manifest.Manifest) error {
 	return ix.compactPendingLocked()
 }
 
-// recoverTail re-summarizes into the memtable the records this index owns
-// between the manifest's flushed position and the raw log's acknowledged end
-// — the appends no run holds yet. It writes nothing: a clean image, whose
-// memtable was flushed at Close, reads nothing either.
-func (ix *Index) recoverTail(flushed int64) error {
+// recoverTail re-summarizes into the memtable, from the raw log read through
+// the verifying sidecar, the records this index owns (Options.Owns) between
+// the manifest's flushed position and the log's acknowledged end — the
+// appends no run holds yet. It writes nothing: a clean image, whose memtable
+// was flushed at Close, reads nothing either.
+func (ix *Index) recoverTail(flushed int64) (err error) {
 	end := ix.rawSums.Records()
 	if flushed > end {
 		return fmt.Errorf("lsm: %w: flushed position %d past the raw file's %d acknowledged records",
 			manifest.ErrCorruptManifest, flushed, end)
 	}
 	ix.flushed = flushed
-	tail, err := ix.summarizeLocked(flushed, end, func(int64) bool { return true })
-	if err != nil {
-		return fmt.Errorf("lsm: recovering raw records [%d, %d): %w", flushed, end, err)
+	p := ix.opt.S.Params()
+	buf, ser := make([]byte, series.EncodedSize(p.SeriesLen)), make(series.Series, p.SeriesLen)
+	raw := storage.PinViews(ix.rawFile)
+	defer raw.Release(&err)
+	for pos := flushed; pos < end; pos++ {
+		enc, err := core.ReadRawAt(raw, ix.rawSums, pos, buf)
+		if err != nil {
+			return fmt.Errorf("lsm: recovering raw record %d of [%d, %d): %w", pos, flushed, end, err)
+		}
+		series.DecodeInto(enc, ser)
+		key, err := ix.opt.S.KeyOf(ser)
+		if err != nil {
+			return err
+		}
+		if ix.opt.Owns == nil || ix.opt.Owns(key) {
+			ix.mem = append(ix.mem, memEntry{key: key, pos: pos})
+		}
 	}
-	ix.mem = tail
-	ix.count += int64(len(tail))
+	ix.count += int64(len(ix.mem))
 	return nil
 }
 
@@ -148,6 +152,17 @@ func (ix *Index) recoverTail(flushed int64) error {
 // callers match on) and the stored bytes themselves are bad (the typed
 // on-disk corruption error the integrity layer introduces).
 var errCorruptRun = fmt.Errorf("%w: %w", manifest.ErrCorruptManifest, storage.ErrCorruptData)
+
+// VerifyRun checks the run file ri names exactly as Open does — every
+// block's CRC and order, and the file against ri's count and key range —
+// and returns its block count.
+func VerifyRun(fs storage.FS, ri manifest.RunInfo) (int64, error) {
+	r, err := loadRun(fs, ri, nil)
+	if err != nil {
+		return 0, err
+	}
+	return int64(r.rb.NumBlocks()), r.rb.Close()
+}
 
 // loadRun reopens one immutable run: the footer and block directory come
 // into memory (a few bytes per block); the key data stays on disk, decoded

@@ -110,9 +110,8 @@ type RunInfo struct {
 	MaxKey  summary.Key
 }
 
-// BulkTier is the tier of an LSM's bulk-loaded runs (the initial one, and
-// the ones a repair re-derives): effectively maximal, so ingest-time
-// compactions never try to fold it.
+// BulkTier is the tier of an LSM's bulk-loaded run: effectively maximal, so
+// ingest-time compactions never try to fold it.
 const BulkTier = 1 << 30
 
 // TierCursor records how many compaction groups of one input tier have

@@ -151,8 +151,8 @@ func variants(t *testing.T, fs storage.FS, workers int) map[string]Variant {
 	opt := core.Options{FS: fs, Name: "px", S: ptSummarizer(t), RawName: "raw", LeafCap: 16,
 		MemBudgetBytes: 1 << 20, Workers: workers}
 	return map[string]Variant{
-		"tree": TreeVariant(opt, false),
-		"trie": TrieVariant(opt, false),
+		"tree": TreeVariant(opt),
+		"trie": TrieVariant(opt),
 		"lsm": LSMVariant(lsm.Options{FS: fs, Name: "px", S: ptSummarizer(t), RawName: "raw",
 			MemBudgetBytes: 1 << 20, Workers: workers}),
 	}
@@ -165,7 +165,7 @@ func buildIndex(t *testing.T, variant string, fs storage.FS, workers, parts int)
 	if parts == 1 {
 		return v.Build()
 	}
-	c, err := Build(v, parts)
+	c, err := Build(v, parts, nil)
 	if err != nil {
 		return nil, err
 	}

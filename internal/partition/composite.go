@@ -22,11 +22,8 @@ import (
 type Composite struct {
 	v      Variant
 	bounds []summary.Key
-	// kids holds one child per partition; nil is a partition quarantined
-	// whole at open (degraded names it): it contributes no candidates and no
-	// count, so answers cover exactly the healthy remainder.
-	kids     []Child
-	degraded []string
+	// kids holds one child per partition.
+	kids []Child
 
 	// rawSums is the parent-owned raw log of the shared dataset file: only
 	// the parent appends raw bytes, and it commits them once per insert for
@@ -42,9 +39,13 @@ type Composite struct {
 // Build builds the N-way Composite of v: one summarization pass scatters
 // records to per-partition files by key range, the children bulk-load in
 // parallel, and the parent manifest commits last. A failed build removes
-// the children it finished.
-func Build(v Variant, parts int) (*Composite, error) {
-	sc, err := scatterDataset(v, parts)
+// the children it finished. bounds, when set, are the parts-1 boundaries to
+// keep — a rebuild's, so that every child it commits holds exactly the
+// records of the child it replaces and a rebuild cut short between two child
+// commits still splits the records one way; nil samples them from the
+// dataset.
+func Build(v Variant, parts int, bounds []summary.Key) (*Composite, error) {
+	sc, err := scatterDataset(v, parts, bounds)
 	if err != nil {
 		return nil, err
 	}
@@ -68,12 +69,13 @@ func Build(v Variant, parts int) (*Composite, error) {
 		err = commitParent(v, sc)
 	}
 	if err != nil {
-		c.closeFiles()
 		for i, k := range c.kids {
 			if k != nil {
+				k.Close()
 				v.remove(v.fs, sc.children[i])
 			}
 		}
+		c.rawSums.Close()
 		return nil, err
 	}
 	return c, nil
@@ -82,35 +84,26 @@ func Build(v Variant, parts int) (*Composite, error) {
 // Open reopens the Composite of v from its parent manifest; each child
 // restores its own state from its child manifest, which stays authoritative
 // for everything mutable. parts == 0 adopts the stored partition count; a
-// non-zero mismatch fails with manifest.ErrConfigMismatch. Where v allows
-// degraded opens, a child whose artifacts are corrupt or missing is
-// quarantined (answers cover the healthy remainder); otherwise a child that
+// non-zero mismatch fails with manifest.ErrConfigMismatch. A child that
 // fails to open closes the already-open siblings — never a partial handle.
 func Open(v Variant, parts int) (*Composite, error) {
 	m, err := loadParent(v, parts)
 	if err != nil {
 		return nil, err
 	}
-	c := &Composite{v: v, bounds: m.Part.Boundaries, kids: make([]Child, m.Part.Partitions)}
+	c := &Composite{v: v, bounds: m.Part.Boundaries}
 	if c.rawSums, err = attachRawSums(v); err != nil {
 		return nil, err
 	}
-	n := len(c.kids)
+	n := m.Part.Partitions
 	for i, cname := range m.Part.Children {
 		ix, err := v.child(childPlan{i: i, parts: n, par: n, name: cname,
 			bounds: c.bounds, sums: c.rawSums})
-		// A child may be quarantined while a healthy remainder is left to
-		// answer; the last one never is (a rotted un-flushed raw record, say,
-		// fails every child that reads past it).
 		if err != nil {
-			if quarantineChild(v.allowDegraded, err) && len(c.degraded) < n-1 {
-				c.degraded = append(c.degraded, cname)
-				continue
-			}
 			c.closeFiles()
 			return nil, fmt.Errorf("partition: opening child %q: %w", cname, err)
 		}
-		c.kids[i] = ix
+		c.kids = append(c.kids, ix)
 	}
 	return c, nil
 }
@@ -120,9 +113,6 @@ func Open(v Variant, parts int) (*Composite, error) {
 func (c *Composite) closeFiles() error {
 	var first error
 	for _, k := range c.kids {
-		if k == nil {
-			continue
-		}
 		if err := k.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -133,13 +123,11 @@ func (c *Composite) closeFiles() error {
 	return first
 }
 
-// Count returns the number of indexed series across the healthy partitions.
+// Count returns the number of indexed series across the partitions.
 func (c *Composite) Count() int64 {
 	var n int64
 	for _, k := range c.kids {
-		if k != nil {
-			n += k.Count()
-		}
+		n += k.Count()
 	}
 	return n
 }
@@ -159,7 +147,7 @@ func (c *Composite) approxSq(ctx context.Context, q series.Series, radius int) (
 	aws := make([]core.ApproxWindow, len(c.kids))
 	ferr := shard.FanOut(ctx, shard.Resolve(c.v.queryWorkers, len(c.kids)), len(c.kids),
 		func(i int, cancelled func() bool) error {
-			if cancelled() || c.kids[i] == nil {
+			if cancelled() {
 				return nil
 			}
 			aw, err := c.kids[i].ApproxWindowCands(cc.cctx, q, radius)
@@ -212,7 +200,7 @@ func (c *Composite) exactSq(ctx context.Context, q series.Series, radius int) (c
 	defer cc.cancel()
 	ferr := shard.FanOut(ctx, shard.Resolve(c.v.queryWorkers, len(c.kids)), len(c.kids),
 		func(i int, cancelled func() bool) error {
-			if cancelled() || c.kids[i] == nil {
+			if cancelled() {
 				return nil
 			}
 			r, err := c.kids[i].ExactVerify(cc.cctx, q, res.Pos, res.Dist, &bound)
@@ -284,7 +272,7 @@ func (c *Composite) ExactSearchKNN(ctx context.Context, q series.Series, k, radi
 	cc := newChildCancel(ctx)
 	defer cc.cancel()
 	ferr := shard.FanOut(ctx, shard.Resolve(c.v.queryWorkers, n), n, func(i int, cancelled func() bool) error {
-		if cancelled() || c.kids[i] == nil || c.kids[i].Count() == 0 {
+		if cancelled() || c.kids[i].Count() == 0 {
 			return nil
 		}
 		ns, st, err := kids[i].ExactSearchKNNShared(cc.cctx, q, k, radius, &kb)
@@ -366,16 +354,6 @@ func (c *Composite) routeLocked(ctx context.Context, kids []recordInserter, batc
 	if err != nil {
 		return 0, err
 	}
-	// Refuse the whole batch before writing any raw bytes if a record
-	// routes to a quarantined partition: a degraded index fails writes
-	// loudly rather than silently dropping them.
-	routes := make([]int, len(batch))
-	for i := range keys {
-		routes[i] = route(c.bounds, keys[i])
-		if c.kids[routes[i]] == nil {
-			return 0, fmt.Errorf("partition: partition %d is quarantined; cannot accept writes until repaired", routes[i])
-		}
-	}
 	enc := make([]byte, 0, len(batch)*sz)
 	for _, s := range batch {
 		enc = series.AppendEncode(enc, s)
@@ -390,7 +368,8 @@ func (c *Composite) routeLocked(ctx context.Context, kids []recordInserter, batc
 		if c.v.materialized {
 			rec.Raw = enc[i*sz : (i+1)*sz]
 		}
-		perChild[routes[i]] = append(perChild[routes[i]], rec)
+		owner := route(c.bounds, keys[i])
+		perChild[owner] = append(perChild[owner], rec)
 	}
 	// The batch is admitted: it routes to completion whatever the caller's
 	// context does meanwhile.
@@ -410,9 +389,6 @@ func (c *Composite) Shape() core.Shape {
 	var sh core.Shape
 	var filled float64
 	for _, k := range c.kids {
-		if k == nil {
-			continue
-		}
 		ks := k.Shape()
 		filled += ks.LeafFill * float64(ks.Leaves)
 		sh.Leaves += ks.Leaves
@@ -428,25 +404,9 @@ func (c *Composite) Shape() core.Shape {
 func (c *Composite) SizeBytes() int64 {
 	var n int64
 	for _, k := range c.kids {
-		if k != nil {
-			n += k.SizeBytes()
-		}
+		n += k.SizeBytes()
 	}
 	return n
-}
-
-// Degraded reports whether any partition (or anything inside a healthy
-// partition) is quarantined: answers cover only the healthy remainder.
-func (c *Composite) Degraded() bool {
-	if len(c.degraded) > 0 {
-		return true
-	}
-	for _, k := range c.kids {
-		if k != nil && k.Degraded() {
-			return true
-		}
-	}
-	return false
 }
 
 // commitRaw commits every record appended to the shared raw log: child
@@ -455,16 +415,13 @@ func (c *Composite) commitRaw() error {
 	return c.rawSums.Commit(context.Background(), c.rawSums.Records())
 }
 
-// eachChild commits the raw log, then runs fn on every healthy child in
-// order, stopping at the first error.
+// eachChild commits the raw log, then runs fn on every child in order,
+// stopping at the first error.
 func (c *Composite) eachChild(fn func(Child) error) error {
 	if err := c.commitRaw(); err != nil {
 		return err
 	}
 	for _, k := range c.kids {
-		if k == nil {
-			continue
-		}
 		if err := fn(k); err != nil {
 			return err
 		}
@@ -484,32 +441,6 @@ func (c *Composite) Flush() error {
 		return ErrUnsupported
 	}
 	return c.eachChild(func(k Child) error { return k.(Maintainer).Flush() })
-}
-
-// RebuildQuarantined re-derives every healthy partition's quarantined runs
-// from the shared raw dataset. Partitions quarantined whole need a full
-// rebuild and are reported, not repaired.
-func (c *Composite) RebuildQuarantined() error {
-	kids, ok := capable[Maintainer](c.kids)
-	if !ok {
-		return ErrUnsupported
-	}
-	// No batch may be half routed: its appended records would look lost.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, k := range kids {
-		if k == nil {
-			continue
-		}
-		if err := k.RebuildQuarantined(); err != nil {
-			return err
-		}
-	}
-	if len(c.degraded) > 0 {
-		return fmt.Errorf("partition: %d partition(s) quarantined whole (%v); rebuild the index to repair",
-			len(c.degraded), c.degraded)
-	}
-	return nil
 }
 
 // CacheStats returns the block cache's counters — whole-index numbers,

@@ -69,7 +69,6 @@ type Index interface {
 	ExactSearch(ctx context.Context, q series.Series, radius int) (core.Result, error)
 	Shape() core.Shape
 	SizeBytes() int64
-	Degraded() bool
 	Sync() error
 	Close() error
 }
@@ -97,11 +96,10 @@ type (
 	Inserter interface {
 		Insert(ctx context.Context, batch []series.Series) error
 	}
-	// Maintainer is the LSM's housekeeping: flush the memtable, re-derive
-	// quarantined runs, report the block cache.
+	// Maintainer is the LSM's housekeeping: flush the memtable, report the
+	// block cache.
 	Maintainer interface {
 		Flush() error
-		RebuildQuarantined() error
 		CacheStats() blockcache.Stats
 	}
 
@@ -120,14 +118,11 @@ type (
 // Composite) does not have; it matches errors.ErrUnsupported.
 var ErrUnsupported = fmt.Errorf("partition: %w by this index variant", errors.ErrUnsupported)
 
-// capable returns kids as their capability C (zero for a quarantined
-// child), or false when a healthy child lacks it.
+// capable returns kids as their capability C, or false when a child lacks
+// it.
 func capable[C any](kids []Child) ([]C, bool) {
 	out := make([]C, len(kids))
 	for i, k := range kids {
-		if k == nil {
-			continue
-		}
 		c, ok := k.(C)
 		if !ok {
 			return nil, false
@@ -150,11 +145,10 @@ type Variant struct {
 	s             *summary.Summarizer
 	// materialized and leafCap describe the children's records to the scatter
 	// and the parent manifest.
-	materialized  bool
-	leafCap       int
-	workers       int
-	queryWorkers  int
-	allowDegraded bool
+	materialized bool
+	leafCap      int
+	workers      int
+	queryWorkers int
 	// half returns the per-side global window size for a radius.
 	half func(radius int) int
 	// ackInserts says an insert is acknowledged once the raw log commits it
@@ -186,16 +180,16 @@ func asChild[T Child](ix T, err error) (Child, error) {
 }
 
 // TreeVariant is Coconut-Tree over opt.
-func TreeVariant(opt core.Options, allowDegraded bool) Variant {
-	return coreVariant(manifest.VariantTree, opt, allowDegraded, core.BuildTree, core.OpenTree, core.RemoveTree)
+func TreeVariant(opt core.Options) Variant {
+	return coreVariant(manifest.VariantTree, opt, core.BuildTree, core.OpenTree, core.RemoveTree)
 }
 
 // TrieVariant is Coconut-Trie over opt.
-func TrieVariant(opt core.Options, allowDegraded bool) Variant {
-	return coreVariant(manifest.VariantTrie, opt, allowDegraded, core.BuildTrie, core.OpenTrie, core.RemoveTrie)
+func TrieVariant(opt core.Options) Variant {
+	return coreVariant(manifest.VariantTrie, opt, core.BuildTrie, core.OpenTrie, core.RemoveTrie)
 }
 
-func coreVariant[T Child](kind manifest.Variant, opt core.Options, allowDegraded bool,
+func coreVariant[T Child](kind manifest.Variant, opt core.Options,
 	build, open func(core.Options) (T, error), remove func(storage.FS, string)) Variant {
 	aw := opt.ApproxWindow
 	if aw <= 0 {
@@ -207,7 +201,7 @@ func coreVariant[T Child](kind manifest.Variant, opt core.Options, allowDegraded
 		Open:  func() (Child, error) { return asChild(open(opt)) },
 		fs:    opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
 		materialized: opt.Materialized, leafCap: opt.LeafCap,
-		workers: opt.Workers, queryWorkers: opt.QueryWorkers, allowDegraded: allowDegraded,
+		workers: opt.Workers, queryWorkers: opt.QueryWorkers,
 		half:   func(radius int) int { return aw * (radius + 1) / 2 },
 		remove: remove,
 		// Same geometry and summarization, divided worker and memory budgets.
@@ -240,7 +234,7 @@ func LSMVariant(opt lsm.Options) Variant {
 		Build: func() (Child, error) { return asChild(lsm.Build(opt)) },
 		Open:  func() (Child, error) { return asChild(lsm.Open(opt)) },
 		fs:    opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
-		workers: opt.Workers, queryWorkers: opt.QueryWorkers, allowDegraded: opt.AllowDegraded,
+		workers: opt.Workers, queryWorkers: opt.QueryWorkers,
 		half:       func(int) int { return w / 2 },
 		ackInserts: true,
 		remove:     lsm.Remove,
@@ -360,12 +354,13 @@ type scattered struct {
 }
 
 // scatterDataset is the first half of every partitioned build: boundaries
-// from a sample, then ONE pass over the raw dataset that summarizes it,
-// scatters the (key, position[, raw]) records by key range into one file
-// per partition and computes the CRC sidecar from the same bytes (an
-// existing sidecar may describe a replaced dataset, so a build never reuses
-// one). On error no scatter file is left behind.
-func scatterDataset(v Variant, parts int) (*scattered, error) {
+// from a sample (unless bounds keeps a stored set), then ONE pass over the
+// raw dataset that summarizes it, scatters the (key, position[, raw])
+// records by key range into one file per partition and computes the CRC
+// sidecar from the same bytes (an existing sidecar may describe a replaced
+// dataset, so a build never reuses one). On error no scatter file is left
+// behind.
+func scatterDataset(v Variant, parts int, bounds []summary.Key) (*scattered, error) {
 	if parts < 2 {
 		return nil, fmt.Errorf("partition: need at least 2 partitions, got %d", parts)
 	}
@@ -375,9 +370,11 @@ func scatterDataset(v Variant, parts int) (*scattered, error) {
 		return nil, err
 	}
 	defer raw.Close()
-	sc := &scattered{children: make([]string, parts)}
-	if sc.bounds, err = selectBoundaries(raw, s, parts); err != nil {
-		return nil, err
+	sc := &scattered{bounds: bounds, children: make([]string, parts)}
+	if bounds == nil {
+		if sc.bounds, err = selectBoundaries(raw, s, parts); err != nil {
+			return nil, err
+		}
 	}
 	src, err := core.OpenBuildSource(core.BuildSourceConfig{
 		FS: fs, S: s, Raw: raw, RawName: v.rawName,
@@ -506,14 +503,6 @@ func attachRawSums(v Variant) (*storage.RecordSums, error) {
 	defer raw.Close()
 	sums, _, err := core.AttachRawSums(v.fs, v.rawName, v.s, nil, raw)
 	return sums, err
-}
-
-// quarantineChild reports whether a failed child open should quarantine
-// the child (degraded mode on, and the failure is corruption or a missing
-// file) rather than fail the whole partitioned open.
-func quarantineChild(allowDegraded bool, err error) bool {
-	return allowDegraded && (errors.Is(err, storage.ErrCorruptData) ||
-		errors.Is(err, manifest.ErrCorruptManifest) || errors.Is(err, storage.ErrNotExist))
 }
 
 // loadParent loads the parent manifest and runs the loud config-mismatch

@@ -60,11 +60,10 @@ func lsmLayout(opt lsm.Options, parts int, build bool) (lsmLike, error) {
 		}
 		return asLSM(open(opt))
 	}
-	open := Open
 	if build {
-		open = Build
+		return asLSM(Build(LSMVariant(opt), parts, nil))
 	}
-	return asLSM(open(LSMVariant(opt), parts))
+	return asLSM(Open(LSMVariant(opt), parts))
 }
 
 func asLSM[T lsmLike](ix T, err error) (lsmLike, error) {
@@ -226,7 +225,7 @@ func TestPartitionedAppendCrashSweep(t *testing.T) {
 func TestColdPartitionRecoversOwnRecords(t *testing.T) {
 	const base = 256
 	ffs := storage.NewFaultFS(rawSeed(t, base))
-	c, err := Build(LSMVariant(lsmOptions(t, ffs)), 3)
+	c, err := Build(LSMVariant(lsmOptions(t, ffs)), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +374,7 @@ func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 				t.Fatal(err)
 			}
 			v := variants(t, fs, 2)[tc.variant]
-			c, err := Build(v, 2)
+			c, err := Build(v, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -432,7 +431,6 @@ func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 				t.Fatalf("dataset holds %d bytes after insert, want %d", got, wantRaw)
 			}
 			supported("flush", c.Flush(), tc.flush)
-			supported("repair", c.RebuildQuarantined(), tc.flush)
 			if err := c.Sync(); err != nil {
 				t.Fatalf("sync: %v", err)
 			}

@@ -47,16 +47,11 @@ type Handle struct {
 	insert     func(ctx context.Context, batch []coconut.Series) error
 	sync       func() error
 	count      func() int64
-	degraded   func() bool
 	cacheStats func() coconut.CacheStats
 }
 
 // Count returns the number of series the handle serves.
 func (h *Handle) Count() int64 { return h.count() }
-
-// Degraded reports whether the handle was opened over quarantined
-// artifacts and answers cover only the healthy remainder.
-func (h *Handle) Degraded() bool { return h.degraded() }
 
 // CacheStats returns the handle's block-cache counters; zeros for
 // variants (or layouts) that read no block cache.
@@ -89,7 +84,6 @@ func NewTreeHandle(name string, ix *coconut.TreeIndex, seriesLen int) *Handle {
 		sync:         ix.Sync,
 		Close:        ix.Close,
 		count:        ix.Count,
-		degraded:     ix.Degraded,
 	}
 }
 
@@ -105,7 +99,6 @@ func NewTrieHandle(name string, ix *coconut.TrieIndex, seriesLen int) *Handle {
 		SearchApprox: ix.SearchApproxCtx,
 		Close:        ix.Close,
 		count:        ix.Count,
-		degraded:     ix.Degraded,
 	}
 }
 
@@ -126,7 +119,6 @@ func NewLSMHandle(name string, ix *coconut.LSMIndex, seriesLen int) *Handle {
 		sync:       ix.Sync,
 		Close:      ix.Close,
 		count:      ix.Count,
-		degraded:   ix.Degraded,
 		cacheStats: ix.CacheStats,
 	}
 }

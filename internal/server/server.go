@@ -219,7 +219,6 @@ type IndexInfo struct {
 	Variant    string             `json:"variant"`
 	SeriesLen  int                `json:"series_len"`
 	Count      int64              `json:"count"`
-	Degraded   bool               `json:"degraded"`
 	BlockCache coconut.CacheStats `json:"block_cache"`
 }
 
@@ -229,7 +228,7 @@ func (s *Server) indexInfos() []IndexInfo {
 	for i, h := range hs {
 		out[i] = IndexInfo{
 			Name: h.Name, UUID: h.UUID, Variant: h.Variant,
-			SeriesLen: h.SeriesLen, Count: h.Count(), Degraded: h.Degraded(),
+			SeriesLen: h.SeriesLen, Count: h.Count(),
 			BlockCache: h.CacheStats(),
 		}
 	}
@@ -246,19 +245,11 @@ type Stats struct {
 	ShedAppends      int64       `json:"shed_appends"`
 	DeadlineExceeded int64       `json:"deadline_exceeded"`
 	Canceled         int64       `json:"canceled"`
-	DegradedIndexes  int         `json:"degraded_indexes"`
 	Draining         bool        `json:"draining"`
 	Indexes          []IndexInfo `json:"indexes"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	infos := s.indexInfos()
-	degraded := 0
-	for _, in := range infos {
-		if in.Degraded {
-			degraded++
-		}
-	}
 	writeJSON(w, http.StatusOK, Stats{
 		InFlightQueries:  len(s.querySem),
 		InFlightAppends:  len(s.appendSem),
@@ -268,9 +259,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ShedAppends:      s.shedAppends.Load(),
 		DeadlineExceeded: s.deadlineExceeded.Load(),
 		Canceled:         s.canceled.Load(),
-		DegradedIndexes:  degraded,
 		Draining:         s.draining.Load(),
-		Indexes:          infos,
+		Indexes:          s.indexInfos(),
 	})
 }
 

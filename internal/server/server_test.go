@@ -206,9 +206,8 @@ func TestServerShedsAtCapacity(t *testing.T) {
 				return coconut.Result{}, ctx.Err()
 			}
 		},
-		count:    func() int64 { return 0 },
-		degraded: func() bool { return false },
-		Close:    func() error { return nil },
+		count: func() int64 { return 0 },
+		Close: func() error { return nil },
 	}
 	mgr := NewManager()
 	mgr.Add(h)

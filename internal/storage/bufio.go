@@ -82,7 +82,7 @@ type SequentialReader struct {
 
 // NewSequentialReader returns a reader scanning f from offset off up to
 // off+length (length < 0 means until EOF), with the given buffer size
-// (DefaultBufferSize when size <= 0).
+// (DefaultBufferSize when size <= 0), clipped to the length.
 func NewSequentialReader(f File, off, length int64, size int) *SequentialReader {
 	if size <= 0 {
 		size = DefaultBufferSize
@@ -90,6 +90,7 @@ func NewSequentialReader(f File, off, length int64, size int) *SequentialReader 
 	limit := int64(-1)
 	if length >= 0 {
 		limit = off + length
+		size = int(min(int64(size), max(length, 1)))
 	}
 	return &SequentialReader{f: f, buf: make([]byte, size), off: off, limit: limit}
 }

@@ -128,15 +128,12 @@ func (r *RecordSums) Fill(base int64, enc []byte) {
 	}
 }
 
-// Flush persists a fresh build's sidecar — the header and every entry, over
-// any stale file of the name — and fsyncs it. The raw bytes it describes are
-// the build's input, already on stable storage; appends commit with Commit.
+// Flush persists a fresh build's sidecar — the header and every entry —
+// and fsyncs it, replacing any stale file of the name atomically
+// (WriteFileAtomic): a build cut short here leaves the previous sidecar
+// whole. The raw bytes it describes are the build's input, already on
+// stable storage; appends commit with Commit.
 func (r *RecordSums) Flush() error {
-	f, err := r.fs.Create(r.name)
-	if err != nil {
-		return fmt.Errorf("storage: record sums %q: %w", r.name, err)
-	}
-	defer f.Close()
 	r.mu.RLock()
 	enc := make([]byte, RecordSumsHeaderSize, RecordSumsHeaderSize+4*len(r.sums))
 	binary.LittleEndian.PutUint32(enc[0:4], recordSumsMagic)
@@ -145,11 +142,8 @@ func (r *RecordSums) Flush() error {
 	enc = appendSums(enc, r.sums)
 	n := int64(len(r.sums))
 	r.mu.RUnlock()
-	if _, err := f.WriteAt(enc, 0); err != nil {
-		return fmt.Errorf("storage: record sums %q: write: %w", r.name, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("storage: record sums %q: sync: %w", r.name, err)
+	if err := WriteFileAtomic(r.fs, r.name, enc); err != nil {
+		return fmt.Errorf("storage: record sums %q: %w", r.name, err)
 	}
 	r.cmu.Lock()
 	r.durable = n

@@ -5,21 +5,21 @@ package coconut
 // files, trie leaf files, LSM run files, the raw dataset via its CRC
 // sidecar, and (for partitioned indexes) each child's artifacts — and
 // verifies each against its one integrity layer (block CRCs, the run
-// codec's CRCs, record CRCs) and a tree's pages against the leaf directory
-// in its manifest, reporting a per-file finding for each. Repair then fixes
-// what is fixable in place: LSM runs are re-derived from the verified raw
-// dataset (a run's contents are a pure function of the records it covers),
-// and tree/trie page damage is repaired by rebuilding the index from the raw
-// dataset — window invariance makes both repairs answer-preserving.
+// codec's CRCs, record CRCs) and against what its manifest promises (a
+// tree's pages against the leaf directory, a run against its count and key
+// range), reporting a per-file finding for each. Repair rebuilds a damaged
+// index from the verified raw dataset: every index artifact is a pure
+// function of the records it covers, and window invariance makes the
+// rebuilt index answer byte-identically.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"github.com/coconut-db/coconut/internal/core"
+	"github.com/coconut-db/coconut/internal/lsm"
 	"github.com/coconut-db/coconut/internal/manifest"
-	"github.com/coconut-db/coconut/internal/runblock"
+	"github.com/coconut-db/coconut/internal/partition"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 )
@@ -112,7 +112,8 @@ func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) error {
 		scrubBlockFile(fs, name+".leaves", rep)
 	case manifest.VariantLSM:
 		for _, ri := range m.LSM.Runs {
-			scrubRun(fs, ri.Name, rep)
+			n, err := lsm.VerifyRun(fs, ri)
+			rep.add(ri.Name, n, err)
 		}
 	}
 	if root && m.RawName != "" {
@@ -135,96 +136,95 @@ func scrubBlockFile(fs Storage, name string, rep *ScrubReport) {
 	rep.add(name, n, err)
 }
 
-// scrubRun verifies one LSM run end to end with the run codec's own
-// checks: the footer and directory CRCs, then a streaming decode of every
-// block against its CRC.
-func scrubRun(fs Storage, name string, rep *ScrubReport) {
-	f, err := fs.Open(name)
-	if err != nil {
-		rep.add(name, 0, err)
-		return
-	}
-	r, err := runblock.OpenReader(f, nil)
-	if err != nil {
-		f.Close()
-		rep.add(name, 0, err)
-		return
-	}
-	blocks := int64(r.NumBlocks())
-	verr := r.Verify()
-	if err := r.Close(); verr == nil {
-		verr = err
-	}
-	rep.add(name, blocks, verr)
-}
-
-// Repair fixes what Scrub found, in place, for the index cfg names. What
-// is fixable depends on the variant:
+// Repair rebuilds the index cfg names from its raw dataset when Scrub finds
+// anything damaged — for every variant, single or partitioned — and returns
+// the post-repair report:
 //
-//   - LSM: quarantined runs are re-derived from the raw dataset (every
-//     indexed record's key is a pure function of its raw bytes), the
-//     repaired manifest is committed, and the corrupt files are deleted.
-//   - Tree and Trie: a damaged page or leaf file is repaired by
-//     rebuilding the index from the raw dataset — answers are identical
-//     because the index is a pure function of the record multiset.
-//   - The raw dataset itself — the log every index derives from, its
-//     un-flushed LSM tail included — is source data: rot there is
-//     unrepairable from within the index and is returned as an error.
+//  1. Scrub; a clean index is left alone.
+//  2. Refuse when the root manifest is unreadable (it names the raw file and
+//     the build parameters) or the raw dataset is damaged: the raw file is
+//     the log every index derives from, its un-flushed LSM records included,
+//     and nothing can re-derive it.
+//  3. Rebuild as the Build functions do, with the stored parameters adopting
+//     anything cfg leaves unset and a partitioned index keeping its
+//     partition boundaries; a cfg summarization, materialization or dataset
+//     file that conflicts with the stored one fails with ErrConfigMismatch
+//     first, as Open does. The raw file's complete records are re-summed
+//     into a fresh sidecar and bulk-loaded. The record multiset is
+//     unchanged, so answers are byte-identical to the undamaged index's,
+//     though the run layout may differ. The records include any complete
+//     ones past the sidecar's committed end, for an LSM as for a tree or a
+//     trie: appends whose commit never completed (un-synced tree inserts,
+//     LSM inserts whose caller got an error) are indexed by the rebuild,
+//     though no Open reads them and no Scrub verified them.
+//  4. Re-scrub, and remove every file the first report named that the
+//     second does not (runs the rebuild no longer references, say); the raw
+//     dataset is never removed. Files named only by a manifest that was
+//     unreadable — the runs of a rotted child manifest — were never listed
+//     and stay behind.
 //
-// Repair re-scrubs afterwards and returns the post-repair report.
+// Repair is offline, like Scrub: no handle may be open on the index. A
+// Repair cut short by a crash or an I/O error leaves the raw dataset intact,
+// so running it again completes the repair — though the files the cut
+// Repair had yet to remove stay behind.
 func Repair(cfg Config) (*ScrubReport, error) {
 	pre, err := Scrub(cfg.Storage, cfg.Name)
-	if err != nil {
-		return nil, err
-	}
-	if pre.Clean() {
-		return pre, nil
+	if err != nil || pre.Clean() {
+		return pre, err
 	}
 	m, err := manifest.Load(cfg.Storage, cfg.Name)
 	if err != nil {
 		return pre, fmt.Errorf("coconut: repair: manifest unreadable: %w", err)
 	}
-	// The raw dataset is the repair source; if it is damaged, nothing
-	// derived from it can be trusted to rebuild.
-	if m.RawName != "" {
-		if _, err := storage.VerifyRecordSums(cfg.Storage, m.RawName, series.EncodedSize(m.SeriesLen)); err != nil {
-			return pre, fmt.Errorf("coconut: repair: raw dataset %q is damaged, cannot rebuild from it: %w", m.RawName, err)
+	for _, f := range pre.Corrupt() {
+		if f.File == m.RawName {
+			return pre, fmt.Errorf("coconut: repair: raw dataset %q is damaged, cannot rebuild from it: %w", m.RawName, f.Err)
 		}
 	}
-	variant := m.Variant
-	if variant == manifest.VariantPartitioned {
-		variant = m.Part.ChildVariant
+	kind := m.Variant
+	if kind == manifest.VariantPartitioned {
+		kind = m.Part.ChildVariant
 	}
-	// A rebuild needs the full build configuration; adopt anything the
-	// caller left unset from the manifest, exactly as Open does.
 	rcfg := cfg
-	rcfg.AllowDegraded = true
-	if _, err := rcfg.mergeStored(variant); err != nil {
+	partitioned, err := rcfg.mergeStored(kind)
+	if err != nil {
 		return pre, fmt.Errorf("coconut: repair: %w", err)
 	}
-	switch variant {
-	case manifest.VariantLSM:
-		ix, err := OpenLSMIndex(rcfg)
-		if err != nil {
-			return pre, fmt.Errorf("coconut: repair: degraded open: %w", err)
-		}
-		rerr := ix.Repair()
-		if cerr := ix.Close(); rerr == nil {
-			rerr = cerr
-		}
-		if rerr != nil {
-			return pre, fmt.Errorf("coconut: repair: %w", rerr)
-		}
-	case manifest.VariantTree, manifest.VariantTrie:
-		ix, err := rcfg.index(context.Background(), variant, false)
-		if err != nil {
-			return pre, fmt.Errorf("coconut: repair: rebuilding %s: %w", variant, err)
-		}
-		if err := ix.Close(); err != nil {
-			return pre, fmt.Errorf("coconut: repair: %w", err)
-		}
-	default:
-		return pre, fmt.Errorf("coconut: repair: unsupported variant %v", variant)
+	opt, err := rcfg.toCore()
+	if err != nil {
+		return pre, fmt.Errorf("coconut: repair: %w", err)
 	}
-	return Scrub(cfg.Storage, cfg.Name)
+	if err := m.CheckParams(opt.S.Params(), opt.Materialized, opt.RawName); err != nil {
+		return pre, fmt.Errorf("coconut: repair: %w", err)
+	}
+	v := rcfg.variant(kind, opt)
+	var ix partition.Index
+	if partitioned {
+		ix, err = partition.Build(v, rcfg.Partitions, m.Part.Boundaries)
+	} else {
+		ix, err = v.Build()
+	}
+	if err != nil {
+		return pre, fmt.Errorf("coconut: repair: rebuilding %s: %w", kind, err)
+	}
+	if err := ix.Close(); err != nil {
+		return pre, fmt.Errorf("coconut: repair: %w", err)
+	}
+	post, err := Scrub(cfg.Storage, cfg.Name)
+	if err != nil {
+		return nil, err
+	}
+	named := make(map[string]bool, len(post.Findings))
+	for _, f := range post.Findings {
+		named[f.File] = true
+	}
+	for _, f := range pre.Findings {
+		if named[f.File] || f.File == m.RawName {
+			continue
+		}
+		if err := cfg.Storage.Remove(f.File); err != nil && !errors.Is(err, storage.ErrNotExist) {
+			return post, fmt.Errorf("coconut: repair: removing %q: %w", f.File, err)
+		}
+	}
+	return post, nil
 }

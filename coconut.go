@@ -34,10 +34,13 @@
 // run Search, SearchApprox, and SearchKNN on one shared handle at the same
 // time: per-query scratch buffers and page staging live on the query's
 // stack, not on the handle, and the lazily refreshed SIMS summary state is
-// guarded internally. Mutations (Insert, Flush, Close) serialize against
-// in-flight queries through a handle-level reader-writer lock, so they may
-// be issued concurrently with queries too — they simply wait for readers
-// and vice versa.
+// guarded internally. Every handle — partitioned or not — has one
+// reader-writer lock: a query holds it shared from its first partition step
+// to its last candidate fetch, and an Insert's append and routing, and
+// Close, hold it exclusively, so mutations may be issued concurrently with
+// queries too — they simply wait for readers and vice versa. An LSM
+// Insert's wait for the raw log's group commit holds no lock; Flush and Sync
+// serialize inside each partition.
 //
 // Within a single query, the library shards the heavy phases of SIMS exact
 // search across Config.QueryWorkers goroutines: the lower-bound pass over
@@ -95,13 +98,13 @@
 // Coconut-Tree, -Trie and -LSM are one family: a sorted array of invSAX
 // summaries answered by the same two steps, an approximate window that
 // seeds a best-so-far and a SIMS verification pass under it. TreeIndex,
-// TrieIndex and LSMIndex therefore all hold the same internal interface
-// (internal/partition.Index), built and opened through one helper: the
-// index itself when unpartitioned, and with Config.Partitions >= 2 the one
-// partitioned composite over N children of the variant. What only some
-// variants can do — k-NN, inserts, LSM housekeeping — is an optional
-// capability of that interface, present on a composite exactly when its
-// children have it.
+// TrieIndex and LSMIndex therefore all hold the same internal index
+// (internal/partition.Composite), built and opened through one helper: N
+// children of the variant split by key range, with N = 1 — stored exactly
+// as an unpartitioned index — unless Config.Partitions >= 2. The composite
+// owns the raw log and drives both query steps, inserts included, the same
+// way for any N; what only some variants can do — k-NN, inserts, LSM
+// housekeeping — it offers exactly when its children have it.
 //
 // # Persistence
 //
@@ -141,7 +144,7 @@ import (
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
-// Typed persistence errors, re-exported so callers can branch on reopen
+// Typed errors, re-exported so callers can branch on reopen and search
 // failures with errors.Is.
 var (
 	// ErrCorruptManifest reports a manifest (or an index file it
@@ -162,6 +165,8 @@ var (
 	// Every open and read path surfaces it via errors.Is; no query ever
 	// computes an answer from bytes that failed verification.
 	ErrCorruptData = storage.ErrCorruptData
+	// ErrEmptyIndex reports a search of an index that holds no series.
+	ErrEmptyIndex = core.ErrEmptyIndex
 )
 
 // Series is one data series: an ordered sequence of float64 values. Inputs
@@ -335,35 +340,23 @@ func (c *Config) toCore() (core.Options, error) {
 // mergeStored loads the manifest of the persisted index cfg names and
 // adopts stored parameters into unset Config fields, so reopening needs
 // only Storage and Name. Explicitly set fields are left alone — the Open
-// paths fail loudly (ErrConfigMismatch) if they conflict with the store.
-// want is the single-partition variant; a stored PARTITIONED index whose
-// children are that variant is accepted too, reported through the
-// partitioned return (with cfg.Partitions adopted or cross-checked).
-func (c *Config) mergeStored(want manifest.Variant) (partitioned bool, err error) {
+// paths fail loudly (ErrConfigMismatch) if they conflict with the store,
+// as they do for a stored index of another variant than want or of another
+// partition count than a non-zero cfg.Partitions.
+func (c *Config) mergeStored(want manifest.Variant) error {
 	if c.Storage == nil {
-		return false, errors.New("coconut: nil Storage")
+		return errors.New("coconut: nil Storage")
 	}
 	m, err := core.LoadManifest(c.Storage, c.Name)
 	if err != nil {
-		return false, err
+		return err
 	}
-	switch {
-	case m.Variant == want:
-		if c.Partitions >= 2 {
-			return false, fmt.Errorf("coconut: %w: Partitions=%d, stored index is not partitioned",
-				ErrConfigMismatch, c.Partitions)
-		}
-	case m.Variant == manifest.VariantPartitioned && m.Part != nil && m.Part.ChildVariant == want:
-		if c.Partitions != 0 && c.Partitions != m.Part.Partitions {
-			return false, fmt.Errorf("coconut: %w: Partitions=%d, stored index has %d partitions",
-				ErrConfigMismatch, c.Partitions, m.Part.Partitions)
-		}
-		c.Partitions = m.Part.Partitions
-		partitioned = true
-	default:
-		if err := m.CheckVariant(want); err != nil {
-			return false, fmt.Errorf("coconut: %w", err)
-		}
+	kind := m.Variant
+	if kind == manifest.VariantPartitioned {
+		kind = m.Part.ChildVariant
+	}
+	if kind != want {
+		return fmt.Errorf("coconut: %w: stored index is a %s index, not %s", ErrConfigMismatch, kind, want)
 	}
 	if c.SeriesLen == 0 {
 		c.SeriesLen = m.SeriesLen
@@ -382,7 +375,7 @@ func (c *Config) mergeStored(want manifest.Variant) (partitioned bool, err error
 	}
 	// Materialization is a property of the stored bytes, not a knob.
 	c.Materialized = m.Materialized
-	return partitioned, nil
+	return nil
 }
 
 // Result is a search answer.
@@ -411,10 +404,10 @@ func fromCore(r core.Result) Result {
 // N-way key-range-partitioned composition of such trees, built in parallel
 // and queried scatter-gather with byte-identical answers.
 type TreeIndex struct {
-	// ix is the one internal index interface: the tree itself when
-	// unpartitioned, the partitioned composite of trees otherwise (the same
-	// holds for TrieIndex and LSMIndex). Both answer byte-identically.
-	ix partition.Index
+	// ix is the one internal index: the composite of Config.Partitions
+	// trees, one when unpartitioned (the same holds for TrieIndex and
+	// LSMIndex). Every partition count answers byte-identically.
+	ix *partition.Composite
 }
 
 // ctxGate implements the coarse-grained cancellation contract of the
@@ -424,7 +417,7 @@ type TreeIndex struct {
 // ctx.Err(). Construction itself is not interrupted mid-pass; its phases
 // are sequential bulk I/O, and a cancelled caller loses nothing but time
 // already spent.
-func ctxGate(ctx context.Context, build func() (partition.Index, error)) (partition.Index, error) {
+func ctxGate(ctx context.Context, build func() (*partition.Composite, error)) (*partition.Composite, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -440,14 +433,11 @@ func ctxGate(ctx context.Context, build func() (partition.Index, error)) (partit
 }
 
 // index is the one way an index comes to be: it bulk-loads — or, with
-// reopen, reopens from the manifest — the index cfg names as variant kind,
-// the index itself when unpartitioned and the composite of cfg.Partitions of
-// them otherwise.
-func (c Config) index(ctx context.Context, kind manifest.Variant, reopen bool) (partition.Index, error) {
-	partitioned := c.Partitions >= 2
+// reopen, reopens from the manifest — the composite of cfg.Partitions
+// indexes of variant kind that cfg names, one when unpartitioned.
+func (c Config) index(ctx context.Context, kind manifest.Variant, reopen bool) (*partition.Composite, error) {
 	if reopen {
-		var err error
-		if partitioned, err = c.mergeStored(kind); err != nil {
+		if err := c.mergeStored(kind); err != nil {
 			return nil, err
 		}
 	}
@@ -456,27 +446,15 @@ func (c Config) index(ctx context.Context, kind manifest.Variant, reopen bool) (
 		return nil, err
 	}
 	v := c.variant(kind, opt)
-	return ctxGate(ctx, func() (partition.Index, error) {
-		var ix *partition.Composite
-		var err error
-		switch {
-		case !partitioned && reopen:
-			return v.Open()
-		case !partitioned:
-			return v.Build()
-		case reopen:
-			ix, err = partition.Open(v, c.Partitions)
-		default:
-			ix, err = partition.Build(v, c.Partitions, nil)
+	return ctxGate(ctx, func() (*partition.Composite, error) {
+		if reopen {
+			return partition.Open(v, c.Partitions)
 		}
-		if err != nil {
-			return nil, err
-		}
-		return ix, nil
+		return partition.Build(v, c.Partitions, nil)
 	})
 }
 
-// variant is the unpartitioned index kind over opt, cfg's core options.
+// variant is the index kind over opt, cfg's core options.
 func (c Config) variant(kind manifest.Variant, opt core.Options) partition.Variant {
 	switch kind {
 	case manifest.VariantTree:
@@ -561,7 +539,7 @@ func (t *TreeIndex) Insert(batch []Series) error { return t.InsertCtx(context.Ba
 // multi-partition insert midway would leave the dataset and index out of
 // step.
 func (t *TreeIndex) InsertCtx(ctx context.Context, batch []Series) error {
-	return t.ix.(partition.Inserter).Insert(ctx, batch)
+	return t.ix.Insert(ctx, batch)
 }
 
 // Count returns the number of indexed series.
@@ -590,7 +568,7 @@ func (t *TreeIndex) Close() error { return t.ix.Close() }
 // TreeIndex for applications. Config.Partitions >= 2 composes N of them by
 // key range with byte-identical answers.
 type TrieIndex struct {
-	ix partition.Index
+	ix *partition.Composite
 }
 
 // BuildTrieIndex bulk-loads a Coconut-Trie over the dataset.
@@ -684,7 +662,7 @@ func (t *TreeIndex) SearchKNN(q Series, k int) ([]Neighbor, error) {
 // SearchKNNCtx is SearchKNN with cancellation (see SearchCtx): a done ctx
 // returns ctx.Err(), never a truncated neighbor list.
 func (t *TreeIndex) SearchKNNCtx(ctx context.Context, q Series, k int) ([]Neighbor, error) {
-	ns, _, err := t.ix.(partition.KNNSearcher).ExactSearchKNN(ctx, q, k, 1)
+	ns, _, err := t.ix.ExactSearchKNN(ctx, q, k, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -704,7 +682,7 @@ func (t *TreeIndex) SearchKNNCtx(ctx context.Context, q Series, k int) ([]Neighb
 // and each partition compacts independently under the divided global
 // budgets.
 type LSMIndex struct {
-	ix partition.Index
+	ix *partition.Composite
 }
 
 // toLSM derives the LSM option set from the resolved core options. The
@@ -804,13 +782,13 @@ func (l *LSMIndex) Insert(batch []Series) error { return l.InsertCtx(context.Bac
 // InsertCtx returns ctx.Err() without disturbing the batch (the records
 // still become durable; only this caller stops waiting for the fsync).
 func (l *LSMIndex) InsertCtx(ctx context.Context, batch []Series) error {
-	return l.ix.(partition.Inserter).Insert(ctx, batch)
+	return l.ix.Insert(ctx, batch)
 }
 
 // Flush forces the memtable to disk and lands every ready compaction,
 // retrying any merge an earlier Insert could not complete; it returns a
 // merge that still fails.
-func (l *LSMIndex) Flush() error { return l.ix.(partition.Maintainer).Flush() }
+func (l *LSMIndex) Flush() error { return l.ix.Flush() }
 
 // Sync is Flush: after a nil Sync every ready compaction has landed and
 // the on-disk state is the deterministic function of the inserts so far.
@@ -835,7 +813,7 @@ type CacheStats = blockcache.Stats
 // all runs and partitions, so these are whole-index numbers. Use the
 // hit/miss ratio under a representative query load to size
 // Config.CacheBytes.
-func (l *LSMIndex) CacheStats() CacheStats { return l.ix.(partition.Maintainer).CacheStats() }
+func (l *LSMIndex) CacheStats() CacheStats { return l.ix.CacheStats() }
 
 // Close flushes the memtable, lands every ready compaction (returning a
 // merge that still fails), commits the manifest, and releases file

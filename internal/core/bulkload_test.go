@@ -117,7 +117,7 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 				name := fmt.Sprintf("%s/mat=%v/leafcap=%d", ds.name, mat, leafCap)
 				t.Run(name, func(t *testing.T) {
 					var fs *storage.MemFS
-					var ix *TrieIndex
+					var ix *loneTrie
 					opt := func(workers int) Options {
 						o := baseOptions(t, fs, mat)
 						o.LeafCap, o.Workers = leafCap, workers
@@ -131,7 +131,7 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 							fs = storage.NewMemFS()
 							writeRaw(t, fs, ds.data, 0)
 							var err error
-							if ix, err = BuildTrie(opt(workers)); err != nil {
+							if ix, err = buildTrie(opt(workers)); err != nil {
 								t.Fatal(err)
 							}
 							size := ix.SizeBytes()
@@ -181,19 +181,19 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 						}
 					}
 
-					built := shapeOf(ix)
+					built := shapeOf(ix.TrieIndex)
 					if err := ix.Close(); err != nil {
 						t.Fatal(err)
 					}
-					re, err := OpenTrie(opt(1))
+					re, err := openTrie(opt(1))
 					if err != nil {
 						t.Fatalf("reopen: %v", err)
 					}
 					ix = re
-					if !built.equal(shapeOf(re)) {
+					if !built.equal(shapeOf(re.TrieIndex)) {
 						t.Fatal("OpenTrie did not reproduce the build-time keys, positions, leaf starts and prefixes")
 					}
-					if err := re.Trie().CheckInvariants(8); err != nil {
+					if err := re.tr.CheckInvariants(8); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -210,7 +210,7 @@ func TestTrieLeafVisitReadsOnlyTheLeaf(t *testing.T) {
 	fs, _ := fixtureFS(t)
 	opt := baseOptions(t, fs, true)
 	opt.LeafCap, opt.QueryWorkers = 2000, 1
-	ix, err := BuildTrie(opt)
+	ix, err := buildTrie(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestTrieLeafVisitReadsOnlyTheLeaf(t *testing.T) {
 func TestTrieLeafFileDamageIsTyped(t *testing.T) {
 	fs, _ := fixtureFS(t)
 	opt := baseOptions(t, fs, false)
-	ix, err := BuildTrie(opt)
+	ix, err := buildTrie(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestTrieLeafFileDamageIsTyped(t *testing.T) {
 		if err := storage.WriteFileAll(fs, "cx.leaves", data); err != nil {
 			t.Fatal(err)
 		}
-		re, err := OpenTrie(opt)
+		re, err := openTrie(opt)
 		if err == nil {
 			re.Close()
 		}
@@ -333,8 +333,8 @@ func TestBuildReadsRawOnce(t *testing.T) {
 	}
 	type entry struct{ build, open func(Options) (index, error) }
 	entries := map[string]entry{
-		"tree": {func(o Options) (index, error) { return BuildTree(o) }, func(o Options) (index, error) { return OpenTree(o) }},
-		"trie": {func(o Options) (index, error) { return BuildTrie(o) }, func(o Options) (index, error) { return OpenTrie(o) }},
+		"tree": {func(o Options) (index, error) { return buildTree(o) }, func(o Options) (index, error) { return openTree(o) }},
+		"trie": {func(o Options) (index, error) { return buildTrie(o) }, func(o Options) (index, error) { return openTrie(o) }},
 	}
 	// whole checks that ix holds exactly the whole records of data: stray
 	// bytes after them are in no count and behind no answer.

@@ -64,41 +64,41 @@ func TestSIMSColumnBytes(t *testing.T) {
 		fs, data := fixtureFS(t)
 		opt := baseOptions(t, fs, false)
 		opt.S = s
-		tree, err := BuildTree(opt)
+		tree, err := buildTree(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("tree after build", tree, tCount)
+		check("tree after build", tree.TreeIndex, tCount)
 		if err := tree.Insert(ctx, data[:37]); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := tree.ExactSearch(ctx, q, 1); err != nil {
 			t.Fatal(err)
 		}
-		check("tree after insert and query", tree, tCount+37)
+		check("tree after insert and query", tree.TreeIndex, tCount+37)
 		if err := tree.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if tree, err = OpenTree(opt); err != nil {
+		if tree, err = openTree(opt); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := tree.ExactSearch(ctx, q, 1); err != nil {
 			t.Fatal(err)
 		}
-		check("tree after reopen", tree, tCount+37)
+		check("tree after reopen", tree.TreeIndex, tCount+37)
 		tree.Close()
 
 		opt.Name = "cx-trie"
-		trie, err := BuildTrie(opt)
+		trie, err := buildTrie(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("trie after build", trie, tCount+37)
+		check("trie after build", trie.TrieIndex, tCount+37)
 		trie.Close()
-		if trie, err = OpenTrie(opt); err != nil {
+		if trie, err = openTrie(opt); err != nil {
 			t.Fatal(err)
 		}
-		check("trie after reopen", trie, tCount+37)
+		check("trie after reopen", trie.TrieIndex, tCount+37)
 		trie.Close()
 	}
 }

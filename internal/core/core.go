@@ -54,11 +54,10 @@ type Options struct {
 	S *summary.Summarizer
 	// RawName is the dataset file in raw binary format.
 	RawName string
-	// RecordsName optionally names a pre-summarized (key, position[, raw])
-	// record file to bulk-load from, skipping the summarization pass over
-	// the dataset — the partition scatter path. The raw dataset file named
-	// by RawName is still opened for query-time fetches.
-	RecordsName string
+	// Records is the record stream a build bulk-loads (see BuildSource): the
+	// summarization pass over the raw file when unpartitioned, a partition's
+	// scatter file otherwise. The partition layer opens it; Open ignores it.
+	Records *BuildSource
 	// Materialized stores raw series inside the index ("-Full" variants).
 	Materialized bool
 	// LeafCap is the records-per-leaf capacity (paper: 2000).
@@ -87,13 +86,10 @@ type Options struct {
 	// Materialized indexes scan whole leaves instead (the raw data is
 	// already there). Default 32.
 	ApproxWindow int
-	// RawSums optionally supplies an externally owned raw log (the
-	// partition layer's: the parent owns the shared raw file and appends to
-	// it, children verify through the shared handle). When nil, the index
-	// builds and owns its own. Either way every raw read is verified against
-	// it, as every page and leaf read is against the block CRCs of its file,
-	// so bit rot surfaces as storage.ErrCorruptData instead of a wrong
-	// answer.
+	// RawSums is the raw log, owned by the partition layer: it appends every
+	// insert and commits it, and the index verifies every raw read against it,
+	// as every page and leaf read is against the block CRCs of its file, so
+	// bit rot surfaces as storage.ErrCorruptData instead of a wrong answer.
 	RawSums *storage.RecordSums
 }
 
@@ -107,6 +103,8 @@ func (o *Options) validate() error {
 		return errors.New("core: nil summarizer")
 	case o.RawName == "":
 		return errors.New("core: empty raw file name")
+	case o.RawSums == nil:
+		return errors.New("core: nil raw log")
 	case o.LeafCap < 2:
 		return errors.New("core: leaf capacity must be at least 2")
 	}
@@ -175,7 +173,7 @@ func decodeRecord(rec []byte, materialized bool) (key summary.Key, pos int64, ra
 	return key, pos, raw
 }
 
-// SummaryRecordReader streams the (invSAX, position[, raw]) sort records of
+// summaryRecordReader streams the (invSAX, position[, raw]) sort records of
 // a raw dataset file — phase one of Algorithms 2 and 3 (lines 2-8) — as a
 // batched pipeline: a producer goroutine reads raw series in blocks, and
 // workers goroutines compute the invSAX keys and record encodings
@@ -191,9 +189,9 @@ func decodeRecord(rec []byte, materialized bool) (key summary.Key, pos int64, ra
 // dataset and is left unread.
 //
 // The caller must Close the returned reader when done with it, including
-// when the downstream consumer (the external sort) fails early. Coconut-LSM
-// and the partition scatter share this source for their bulk loads.
-func SummaryRecordReader(s *summary.Summarizer, raw storage.File, materialized bool, workers int, sums *storage.RecordSums) (*extsort.TransformReader, error) {
+// when the downstream consumer (the external sort) fails early;
+// SummarySource wraps it for every bulk load.
+func summaryRecordReader(s *summary.Summarizer, raw storage.File, materialized bool, workers int, sums *storage.RecordSums) (*extsort.TransformReader, error) {
 	p := s.Params()
 	inSize := series.EncodedSize(p.SeriesLen)
 	outSize := summary.KeySize + 8
@@ -248,92 +246,78 @@ func SummaryRecordReader(s *summary.Summarizer, raw storage.File, materialized b
 }
 
 // BuildSource is the unsorted (key, position[, raw]) record stream a bulk
-// load consumes, plus the one decision every build entry point shares: who
-// computes and persists the raw-dataset CRC sidecar. Read it to EOF (the
-// external sort, or the partition scatter), then call Finish.
+// load consumes: read it to EOF (the external sort, or the partition
+// scatter), then call Finish.
 type BuildSource struct {
 	io.Reader
 	close func() error
-	sums  *storage.RecordSums
-	owned bool
+	// sums, set on a summarization pass, is the raw-dataset CRC sidecar the
+	// pass computes on the way; Finish persists it.
+	sums *storage.RecordSums
 }
 
-// BuildSourceConfig names the dataset a BuildSource streams. Raw must be open
-// on RawName. Either the source summarizes Raw and owns the sidecar it
-// computes on the way, or — a partition child — it streams RecordsName, the
-// partition scatter's pre-summarized output for the child, and adopts
-// RawSums, the sidecar the parent computed in the same pass.
-type BuildSourceConfig struct {
-	FS           storage.FS
-	S            *summary.Summarizer
-	Raw          storage.File
-	RawName      string
-	RecordsName  string
-	Materialized bool
-	Workers      int
-	RawSums      *storage.RecordSums
+// SummarySource opens the summarization pass over raw (open on rawName), and
+// the fresh sidecar it fills: the raw file is read once, and an existing
+// sidecar file may describe a replaced dataset, so it is never reused.
+func SummarySource(fs storage.FS, s *summary.Summarizer, raw storage.File, rawName string, materialized bool, workers int,
+) (*BuildSource, *storage.RecordSums, error) {
+	sums, err := storage.NewRecordSums(fs, rawName, series.EncodedSize(s.Params().SeriesLen), raw)
+	if err != nil {
+		return nil, nil, err
+	}
+	src, err := summaryRecordReader(s, raw, materialized, workers, sums)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &BuildSource{Reader: src, close: src.Close, sums: sums}, sums, nil
 }
 
-// OpenBuildSource opens the record stream of one bulk load. An owned sidecar
-// is computed inside the summarization pass (SummaryRecordReader), so the raw
-// file is read once; an existing sidecar file may describe a replaced dataset
-// and is never reused.
-func OpenBuildSource(cfg BuildSourceConfig) (*BuildSource, error) {
-	if (cfg.RecordsName != "") != (cfg.RawSums != nil) {
-		return nil, errors.New("core: a build streams a record file under an adopted raw sidecar, or summarizes the raw file into its own")
-	}
-	b := &BuildSource{sums: cfg.RawSums, owned: cfg.RawSums == nil}
-	if !b.owned {
-		rf, err := cfg.FS.Open(cfg.RecordsName)
-		if err != nil {
-			return nil, err
-		}
-		b.Reader, b.close = storage.NewSequentialReader(rf, 0, -1, 0), rf.Close
-		return b, nil
-	}
-	var err error
-	if b.sums, err = storage.NewRecordSums(cfg.FS, cfg.RawName, series.EncodedSize(cfg.S.Params().SeriesLen), cfg.Raw); err != nil {
-		return nil, err
-	}
-	src, err := SummaryRecordReader(cfg.S, cfg.Raw, cfg.Materialized, cfg.Workers, b.sums)
+// RecordSource opens the pre-summarized record file name — a partition's
+// share of the scatter, whose sidecar was persisted with it.
+func RecordSource(fs storage.FS, name string) (*BuildSource, error) {
+	f, err := fs.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	b.Reader, b.close = src, src.Close
-	return b, nil
+	return &BuildSource{Reader: storage.NewSequentialReader(f, 0, -1, 0), close: f.Close}, nil
+}
+
+// Close releases the stream; it is idempotent, so whoever opened the source
+// may defer it whether or not the consumer got as far as Finish.
+func (b *BuildSource) Close() error {
+	c := b.close
+	b.close = nil
+	if c == nil {
+		return nil
+	}
+	return c()
 }
 
 // Finish closes the stream and, when the consumer succeeded (err == nil) and
-// the build owns its sidecar, persists and fsyncs it — before any manifest
-// can reference the build. It returns the sidecar the index serves raw reads
-// through and whether the index owns it.
-func (b *BuildSource) Finish(err error) (*storage.RecordSums, bool, error) {
-	if cerr := b.close(); err == nil {
+// the stream computed the sidecar, persists and fsyncs it — before any
+// manifest can reference the build.
+func (b *BuildSource) Finish(err error) error {
+	if cerr := b.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil && b.owned {
+	if err == nil && b.sums != nil {
 		err = b.sums.Flush()
 	}
-	return b.sums, b.owned, err
+	return err
 }
 
 // ErrEmptyIndex is returned when searching an index with no records.
 var ErrEmptyIndex = errors.New("core: index is empty")
 
-// sortRecords externally sorts the build's record stream (see BuildSource)
+// sortRecords externally sorts the build's record stream (Options.Records)
 // into outName, with wrapOut as in extsort.Config, capturing the sorted
-// summary array on the way, and settles the raw-dataset CRC sidecar.
-func sortRecords(opt *Options, raw storage.File, outName string, wrapOut func(storage.File) (storage.File, error),
-) (sims simsArray, sums *storage.RecordSums, owned bool, err error) {
-	src, err := OpenBuildSource(BuildSourceConfig{
-		FS: opt.FS, S: opt.S, Raw: raw, RawName: opt.RawName, RecordsName: opt.RecordsName,
-		Materialized: opt.Materialized, Workers: opt.Workers, RawSums: opt.RawSums,
-	})
-	if err != nil {
-		return sims, nil, false, err
+// summary array on the way, and finishes the stream.
+func sortRecords(opt *Options, outName string, wrapOut func(storage.File) (storage.File, error)) (simsArray, error) {
+	sims := newSimsArray(opt.S, 0)
+	if opt.Records == nil {
+		return sims, errors.New("core: build without a record stream")
 	}
-	sims = newSimsArray(opt.S, 0)
-	_, err = extsort.Sort(extsort.Config{
+	_, err := extsort.Sort(extsort.Config{
 		FS:         opt.FS,
 		RecordSize: opt.recordSize(),
 		Compare:    extsort.CompareKeyPrefix(summary.KeySize),
@@ -342,10 +326,9 @@ func sortRecords(opt *Options, raw storage.File, outName string, wrapOut func(st
 		Workers:    opt.Workers,
 		WrapOut:    wrapOut,
 		Tee:        sims.add,
-	}, src, outName)
+	}, opt.Records, outName)
 	sims.clip()
-	sums, owned, err = src.Finish(err)
-	return sims, sums, owned, err
+	return sims, opt.Records.Finish(err)
 }
 
 // simsArray is the in-memory sorted summary array of a tree or a trie (the
@@ -457,13 +440,6 @@ func EvalWindow(ctx context.Context, q series.Series, cands []window.Cand, srcs 
 	}, sc.Buf)
 }
 
-// search evaluates aw alone, trimmed to half records a side: the approximate
-// answer (Dist SQUARED) of the index that contributed it.
-func (aw ApproxWindow) search(ctx context.Context, q series.Series, half int) (Result, error) {
-	pos, sq, visited, err := EvalWindow(ctx, q, window.Merge(aw.Below, aw.Above, half), aw)
-	return Result{Pos: pos, Dist: sq, VisitedRecords: visited, VisitedLeaves: aw.Leaves}, err
-}
-
 // leafOfOrd locates the leaf (by directory position) holding the record
 // with global ordinal ord, given each leaf's starting ordinal.
 func leafOfOrd(bases []int, ord int) int {
@@ -544,8 +520,8 @@ func PutRawScratch(sc *RawScratch) { rawScratchPool.Put(sc) }
 // recordSquaredDistance computes the true SQUARED distance from q to a leaf
 // record of either index — over the raw bytes a materialized record carries,
 // else over the series its position names in the raw file. Search state
-// stays in squared space end to end; only the public entry points take a
-// square root (finishResult).
+// stays in squared space end to end; only the partition layer takes a
+// square root, once per answer.
 func recordSquaredDistance(opt *Options, raw storage.Views, sums *storage.RecordSums, q series.Series, rec []byte, sc *RawScratch) (int64, float64, error) {
 	_, pos, enc := decodeRecord(rec, opt.Materialized)
 	if enc == nil {
@@ -695,22 +671,6 @@ func leafCands(cands []summary.Cand, end int) (leaf, rest []summary.Cand) {
 func candsFrom(cands []summary.Cand, start int) []summary.Cand {
 	i := sort.Search(len(cands), func(i int) bool { return cands[i].ID >= int64(start) })
 	return cands[i:]
-}
-
-// AttachRawSums attaches the raw log when an index — tree, trie or LSM — is
-// opened: the externally owned handle when the caller supplied one
-// (owned=false), or the index's own, loaded over raw
-// (storage.LoadRecordSums: the persisted sidecar is the dataset's end).
-func AttachRawSums(fs storage.FS, rawName string, s *summary.Summarizer, shared *storage.RecordSums, raw storage.File,
-) (sums *storage.RecordSums, owned bool, err error) {
-	if shared != nil {
-		return shared, false, nil
-	}
-	sums, err = storage.LoadRecordSums(fs, rawName, series.EncodedSize(s.Params().SeriesLen), raw)
-	if err != nil {
-		return nil, false, fmt.Errorf("raw sidecar of %q: %w", rawName, err)
-	}
-	return sums, true, nil
 }
 
 // removeFiles deletes those of names that exist — the undo of a failed

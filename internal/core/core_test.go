@@ -63,7 +63,7 @@ func bruteForce1NN(q series.Series, data []series.Series) float64 {
 func TestBuildTreeShape(t *testing.T) {
 	for _, mat := range []bool{false, true} {
 		fs, _ := fixtureFS(t)
-		ix, err := BuildTree(baseOptions(t, fs, mat))
+		ix, err := buildTree(baseOptions(t, fs, mat))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestBuildTreeShape(t *testing.T) {
 
 func TestBuildTreeSortedOrderAligned(t *testing.T) {
 	fs, _ := fixtureFS(t)
-	ix, err := BuildTree(baseOptions(t, fs, false))
+	ix, err := buildTree(baseOptions(t, fs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestBuildTreeSortedOrderAligned(t *testing.T) {
 			t.Fatal("summary array not sorted")
 		}
 	}
-	scanned, err := ix.ScanAllPositions()
+	scanned, err := ix.positions()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestBuildTreeSortedOrderAligned(t *testing.T) {
 func TestTreeConstructionIsSequential(t *testing.T) {
 	fs, _ := fixtureFS(t)
 	before := fs.Stats().Snapshot()
-	ix, err := BuildTree(baseOptions(t, fs, false))
+	ix, err := buildTree(baseOptions(t, fs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestTreeConstructionIsSequential(t *testing.T) {
 func TestTreeApproxSearch(t *testing.T) {
 	for _, mat := range []bool{false, true} {
 		fs, data := fixtureFS(t)
-		ix, err := BuildTree(baseOptions(t, fs, mat))
+		ix, err := buildTree(baseOptions(t, fs, mat))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,13 +195,13 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 	queries = append(queries, low, high, data[3].Clone())
 	for _, mat := range []bool{false, true} {
 		opt := baseOptions(t, fs, mat)
-		tree, err := BuildTree(opt)
+		tree, err := buildTree(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer tree.Close()
 		opt.Name = "cx-trie"
-		trie, err := BuildTrie(opt)
+		trie, err := buildTrie(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 func TestTreeExactMatchesBruteForce(t *testing.T) {
 	for _, mat := range []bool{false, true} {
 		fs, data := fixtureFS(t)
-		ix, err := BuildTree(baseOptions(t, fs, mat))
+		ix, err := buildTree(baseOptions(t, fs, mat))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestTreeExactMatchesBruteForce(t *testing.T) {
 
 func TestTreeExactPrunes(t *testing.T) {
 	fs, _ := fixtureFS(t)
-	ix, err := BuildTree(baseOptions(t, fs, false))
+	ix, err := buildTree(baseOptions(t, fs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestTreeExactPrunes(t *testing.T) {
 
 func TestTreeMemberFound(t *testing.T) {
 	fs, data := fixtureFS(t)
-	ix, err := BuildTree(baseOptions(t, fs, true))
+	ix, err := buildTree(baseOptions(t, fs, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestTreeInsertBatch(t *testing.T) {
 	for _, mat := range []bool{false, true} {
 		fs, data := fixtureFS(t)
 		opt := baseOptions(t, fs, mat)
-		ix, err := BuildTree(opt)
+		ix, err := buildTree(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func TestTreeInsertBatch(t *testing.T) {
 func TestBuildTrieShape(t *testing.T) {
 	for _, mat := range []bool{false, true} {
 		fs, _ := fixtureFS(t)
-		ix, err := BuildTrie(baseOptions(t, fs, mat))
+		ix, err := buildTrie(baseOptions(t, fs, mat))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +372,7 @@ func TestBuildTrieShape(t *testing.T) {
 		if ix.Count() != tCount {
 			t.Fatalf("Count = %d", ix.Count())
 		}
-		if err := ix.Trie().CheckInvariants(8); err != nil {
+		if err := ix.tr.CheckInvariants(8); err != nil {
 			t.Fatal(err)
 		}
 		if ix.Shape().Leaves == 0 || ix.SizeBytes() == 0 {
@@ -398,7 +398,7 @@ func TestBuildTrieShape(t *testing.T) {
 
 func TestTrieLeavesAreContiguousAndSorted(t *testing.T) {
 	fs, _ := fixtureFS(t)
-	ix, err := BuildTrie(baseOptions(t, fs, false))
+	ix, err := buildTrie(baseOptions(t, fs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestTrieLeavesAreContiguousAndSorted(t *testing.T) {
 func TestTrieApproxAndExact(t *testing.T) {
 	for _, mat := range []bool{false, true} {
 		fs, data := fixtureFS(t)
-		ix, err := BuildTrie(baseOptions(t, fs, mat))
+		ix, err := buildTrie(baseOptions(t, fs, mat))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,13 +464,13 @@ func TestTrieFillLowerThanTree(t *testing.T) {
 	// The paper's reason to prefer Coconut-Tree: prefix-aligned leaves
 	// cannot be packed as densely as median-split leaves.
 	fs, _ := fixtureFS(t)
-	trieIx, err := BuildTrie(baseOptions(t, fs, false))
+	trieIx, err := buildTrie(baseOptions(t, fs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer trieIx.Close()
 	fs2, _ := fixtureFS(t)
-	treeIx, err := BuildTree(baseOptions(t, fs2, false))
+	treeIx, err := buildTree(baseOptions(t, fs2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestSmallMemoryBudgetStillCorrect(t *testing.T) {
 	fs, data := fixtureFS(t)
 	opt := baseOptions(t, fs, false)
 	opt.MemBudgetBytes = 8 << 10
-	ix, err := BuildTree(opt)
+	ix, err := buildTree(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestSmallMemoryBudgetStillCorrect(t *testing.T) {
 func TestEmptyDataset(t *testing.T) {
 	fs := storage.NewMemFS()
 	dataset.WriteFile(fs, "raw", dataset.NewRandomWalk(), 0, tLen, 1)
-	ix, err := BuildTree(baseOptions(t, fs, false))
+	ix, err := buildTree(baseOptions(t, fs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestEmptyDataset(t *testing.T) {
 	if _, err := ix.ApproxSearch(context.Background(), q, 0); err == nil {
 		t.Fatal("expected error on empty index")
 	}
-	tx, err := BuildTrie(baseOptions(t, fs, false))
+	tx, err := buildTrie(baseOptions(t, fs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestOptionsValidation(t *testing.T) {
 		t.Fatal("expected validation error")
 	}
 	fs := storage.NewMemFS()
-	if _, err := BuildTree(Options{FS: fs, Name: "x", S: tSummarizer(t), RawName: "missing", LeafCap: 10}); err == nil {
+	if _, err := buildTree(Options{FS: fs, Name: "x", S: tSummarizer(t), RawName: "missing", LeafCap: 10}); err == nil {
 		t.Fatal("expected error for missing raw file")
 	}
 }
@@ -541,7 +541,7 @@ func TestFillFactorControlsPacking(t *testing.T) {
 	fs, _ := fixtureFS(t)
 	opt := baseOptions(t, fs, false)
 	opt.FillFactor = 0.5
-	ix, err := BuildTree(opt)
+	ix, err := buildTree(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,9 @@ func TestBuildSurvivesInjectedFaults(t *testing.T) {
 			opt := baseOptions(t, fs, false)
 			var err error
 			if variant == "tree" {
-				_, err = BuildTree(opt)
+				_, err = buildTree(opt)
 			} else {
-				_, err = BuildTrie(opt)
+				_, err = buildTrie(opt)
 			}
 			// Depending on failAt the build may succeed (fault landed after
 			// the last write) or fail; it must never fail silently.
@@ -53,7 +53,7 @@ func TestBuildSurvivesInjectedFaults(t *testing.T) {
 func TestQuerySurvivesInjectedReadFaults(t *testing.T) {
 	boom := errors.New("injected read failure")
 	fs, _ := fixtureFS(t)
-	ix, err := BuildTree(baseOptions(t, fs, false))
+	ix, err := buildTree(baseOptions(t, fs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestQuerySurvivesInjectedReadFaults(t *testing.T) {
 	}
 	// Fail every device read; with the page cache dropped, the approximate
 	// phase's first leaf read must hit the device and fail.
-	if err := ix.DropCaches(); err != nil {
+	if err := ix.bt.DropCache(); err != nil {
 		t.Fatal(err)
 	}
 	fs.SetFault(func(op storage.Op, name string, off int64, n int) error {
@@ -106,13 +106,13 @@ func TestShardedScanFaultCancelsSiblings(t *testing.T) {
 		var exact, approx func(context.Context, series.Series, int) (Result, error)
 		var closeIx func() error
 		if variant == "tree" {
-			ix, err := BuildTree(opt)
+			ix, err := buildTree(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			exact, approx, closeIx = ix.ExactSearch, ix.ApproxSearch, ix.Close
 		} else {
-			ix, err := BuildTrie(opt)
+			ix, err := buildTrie(opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,16 +21,20 @@ import (
 // shard.KNNHeap implements.
 type Neighbor = shard.Neighbor
 
-// ExactSearchKNN returns the k exact nearest neighbors of q, using the same
-// SIMS machinery as ExactSearch with the k-th-best distance as the pruning
-// bound. radius controls the approximate seeding phase. Safe for concurrent
-// use.
+// ExactSearchKNNShared is the tree's step of an exact k-NN query: the index
+// answers with its OWN exact top-k (self-seeded — the retained set is the
+// true top-k of the local multiset, independent of any seed), using the same
+// SIMS machinery as ExactVerify with the k-th-best distance as the pruning
+// bound, while the shared cross-partition bound kb is used for pruning only,
+// with the same strict comparisons as the shared exact bound. radius
+// controls the seeding phase. Returned neighbors and stats are in SQUARED
+// space. Safe for concurrent use.
 //
 // The verification scan is sharded across Options.QueryWorkers: each shard
 // runs its contiguous slice of the scan with a private heap seeded from the
-// approximate phase, pruning only on its own (monotonically tightening)
-// bound with STRICT comparisons, and the shard heaps are reduced in shard
-// order. Every candidate that could reach the final top-k under the total
+// seeding phase, pruning only on its own (monotonically tightening) bound
+// with STRICT comparisons, and the shard heaps are reduced in shard order.
+// Every candidate that could reach the final top-k under the total
 // (distance, position) order is verified by some shard no matter where the
 // shard boundaries fall, so the returned neighbors are identical for any
 // QueryWorkers; only the Visited* counters vary (weaker per-shard bounds
@@ -39,40 +43,9 @@ type Neighbor = shard.Neighbor
 // Cancellation is checked at leaf-visit granularity, a cancelled query
 // returns ctx.Err() and never a partial neighbor set, and shards stuck in a
 // blocking read are abandoned rather than waited for.
-func (ix *TreeIndex) ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]Neighbor, Result, error) {
-	ix.qmu.RLock()
-	defer ix.qmu.RUnlock()
-	var kb shard.BSF
-	kb.Init(math.Inf(1))
-	out, stats, err := ix.exactSearchKNN(ctx, q, k, radius, &kb)
-	if err != nil {
-		return nil, stats, err
-	}
-	// Materialize Euclidean distances: one sqrt per reported neighbor, the
-	// only square roots in the whole k-NN pipeline.
-	for i := range out {
-		out[i].Dist = math.Sqrt(out[i].Dist)
-	}
-	if len(out) > 0 {
-		stats.Pos = out[0].Pos
-		stats.Dist = out[0].Dist
-	}
-	return out, stats, nil
-}
-
-// ExactSearchKNNShared is the partition-layer entry: the index answers
-// with its OWN exact top-k (self-seeded — the retained set is the true
-// top-k of the local multiset, independent of any seed), while the shared
-// cross-partition bound kb is used for pruning only, with the same strict
-// comparisons as the shared exact bound. Returned neighbors and stats are
-// in SQUARED space. It observes ctx as ExactSearchKNN does.
 func (ix *TreeIndex) ExactSearchKNNShared(ctx context.Context, q series.Series, k, radius int, kb *shard.BSF) ([]Neighbor, Result, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
-	return ix.exactSearchKNN(ctx, q, k, radius, kb)
-}
-
-func (ix *TreeIndex) exactSearchKNN(ctx context.Context, q series.Series, k, radius int, kb *shard.BSF) ([]Neighbor, Result, error) {
 	stats := Result{Pos: -1, Dist: math.Inf(1)}
 	if k < 1 {
 		k = 1

@@ -27,7 +27,7 @@ func bruteForceKNN(q series.Series, data []series.Series, k int) []Neighbor {
 func TestKNNMatchesBruteForce(t *testing.T) {
 	for _, mat := range []bool{false, true} {
 		fs, data := fixtureFS(t)
-		ix, err := BuildTree(baseOptions(t, fs, mat))
+		ix, err := buildTree(baseOptions(t, fs, mat))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 
 func TestKNNOrderedAscending(t *testing.T) {
 	fs, _ := fixtureFS(t)
-	ix, err := BuildTree(baseOptions(t, fs, false))
+	ix, err := buildTree(baseOptions(t, fs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestKNNOrderedAscending(t *testing.T) {
 
 func TestKNNKLargerThanCollection(t *testing.T) {
 	fs, _ := fixtureFS(t)
-	ix, err := BuildTree(baseOptions(t, fs, false))
+	ix, err := buildTree(baseOptions(t, fs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestKNNKLargerThanCollection(t *testing.T) {
 
 func TestKNNZeroAndNegativeK(t *testing.T) {
 	fs, _ := fixtureFS(t)
-	ix, err := BuildTree(baseOptions(t, fs, false))
+	ix, err := buildTree(baseOptions(t, fs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestKNNZeroAndNegativeK(t *testing.T) {
 
 func TestKNNAfterInsert(t *testing.T) {
 	fs, data := fixtureFS(t)
-	ix, err := BuildTree(baseOptions(t, fs, false))
+	ix, err := buildTree(baseOptions(t, fs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestKNNSeedLeaf(t *testing.T) {
 		fs, data := fixtureFS(t)
 		opt := baseOptions(t, fs, false)
 		opt.FillFactor = 0.6
-		ix, err := BuildTree(opt)
+		ix, err := buildTree(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestOpenTreeRoundTrip(t *testing.T) {
 	for _, mat := range []bool{false, true} {
 		fs, data := fixtureFS(t)
 		opt := baseOptions(t, fs, mat)
-		ix, err := BuildTree(opt)
+		ix, err := buildTree(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestOpenTreeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		re, err := OpenTree(opt)
+		re, err := openTree(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +291,7 @@ func TestOpenTreeMissing(t *testing.T) {
 	fs, _ := fixtureFS(t)
 	opt := baseOptions(t, fs, false)
 	opt.Name = "never-built"
-	if _, err := OpenTree(opt); err == nil {
+	if _, err := openTree(opt); err == nil {
 		t.Fatal("expected error opening missing index")
 	}
 }
@@ -306,7 +306,7 @@ func TestKNNDeterministicAcrossQueryWorkers(t *testing.T) {
 		fs, _ := fixtureFS(t)
 		opt := baseOptions(t, fs, mat)
 		opt.QueryWorkers = 1
-		ix, err := BuildTree(opt)
+		ix, err := buildTree(opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,13 +8,13 @@ import (
 // TestBuildTreeDeterministicAcrossWorkers: the bulk-load output (tree shape
 // and every search answer) must not depend on the sort's worker count.
 func TestBuildTreeDeterministicAcrossWorkers(t *testing.T) {
-	build := func(workers int) (*TreeIndex, func()) {
+	build := func(workers int) (*loneTree, func()) {
 		fs, _ := fixtureFS(t)
 		opt := baseOptions(t, fs, false)
 		opt.Workers = workers
 		// Small budget so the sort actually spills to multi-run merging.
 		opt.MemBudgetBytes = 64 * int64(opt.recordSize())
-		ix, err := BuildTree(opt)
+		ix, err := buildTree(opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -138,7 +138,7 @@ func OpenTrie(opt Options) (*TrieIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &TrieIndex{opt: opt, tr: tr, rawFile: raw, count: m.Count}
+	ix := &TrieIndex{opt: opt, tr: tr, rawFile: raw, rawSums: opt.RawSums, count: m.Count}
 	if err := ix.load(m.Trie.NumLeaves); err != nil {
 		ix.closeAll()
 		return nil, err
@@ -151,9 +151,6 @@ func OpenTrie(opt Options) (*TrieIndex, error) {
 func (ix *TrieIndex) load(wantLeaves int) error {
 	var err error
 	if ix.leafFile, err = openLeafFile(&ix.opt); err != nil {
-		return err
-	}
-	if ix.rawSums, _, err = AttachRawSums(ix.opt.FS, ix.opt.RawName, ix.opt.S, ix.opt.RawSums, ix.rawFile); err != nil {
 		return err
 	}
 	// Keys live in the leaf records; the raw file is not touched.

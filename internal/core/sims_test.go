@@ -112,7 +112,7 @@ func (r simsRef) exact(q series.Series, seed Result) Result {
 		})
 	best.VisitedRecords += records
 	best.VisitedLeaves += leaves
-	return finishResult(best)
+	return rooted(best)
 }
 
 // knn replays k-NN verification from the seeding heap's items.
@@ -175,7 +175,7 @@ func TestTreeExactMatchesReferencePass(t *testing.T) {
 	for _, p := range simsShapes {
 		for _, mat := range []bool{false, true} {
 			opt, data, queries := simsFixture(t, p, mat)
-			ix, err := BuildTree(opt)
+			ix, err := buildTree(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +212,7 @@ func TestTrieExactMatchesReferencePass(t *testing.T) {
 	for _, p := range simsShapes {
 		for _, mat := range []bool{false, true} {
 			opt, data, queries := simsFixture(t, p, mat)
-			ix, err := BuildTrie(opt)
+			ix, err := buildTrie(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +248,7 @@ func TestKNNMatchesReferencePass(t *testing.T) {
 	for _, p := range simsShapes {
 		for _, mat := range []bool{false, true} {
 			opt, data, queries := simsFixture(t, p, mat)
-			ix, err := BuildTree(opt)
+			ix, err := buildTree(opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -25,23 +24,25 @@ import (
 // Approximate search lands on the query key's position in the sorted
 // summary array, and exact search is CoconutTreeSIMS (Algorithm 5).
 //
-// A TreeIndex handle is safe for concurrent use: any number of queries
-// (ApproxSearch, ExactSearch, ExactSearchKNN) may run at once on one
-// handle, and Insert/Close serialize against them through a
-// handle-level RWMutex. Per-query scratch buffers are allocated per call,
-// and the lazily rebuilt SIMS summary array is guarded by its own mutex.
+// A TreeIndex is a partition child (internal/partition): it answers through
+// the two steps of a query — its approximate window contribution and the
+// SIMS verification under a seed — and takes records whose raw bytes the
+// partition layer appended to the raw log. Any number of steps may run at
+// once on one handle, and InsertRecords/Sync/Close serialize against them
+// through a handle-level RWMutex; a query's window fetches, which outlive
+// ApproxWindowCands, are serialized against inserts by the partition layer's
+// handle lock. Per-query scratch buffers are allocated per call, and the
+// lazily rebuilt SIMS summary array is guarded by its own mutex.
 type TreeIndex struct {
 	opt     Options
 	bt      *bptree.Tree
 	rawFile storage.File
 	count   int64
-	// rawSums is the raw log: it verifies raw reads and takes and commits
-	// inserts; ownSums marks it as this index's own (closed with it) rather
-	// than the partition layer's shared one.
+	// rawSums is the partition layer's raw log: it verifies raw reads, and
+	// Sync commits it before the manifest may reference inserted positions.
 	rawSums *storage.RecordSums
-	ownSums bool
 	// qmu is the handle lock: queries hold it shared, mutations
-	// (Insert, DropCaches, Close) exclusively.
+	// (InsertRecords, Sync, Close) exclusively.
 	qmu sync.RWMutex
 	// closed makes Close idempotent: a second Close (or one racing a
 	// cancelled query's teardown) is a no-op instead of a double file close.
@@ -61,7 +62,7 @@ type TreeIndex struct {
 	dirty bool
 }
 
-// BuildTree runs the full Coconut-Tree pipeline: summarize -> external sort
+// BuildTree runs the Coconut-Tree pipeline over opt.Records: external sort
 // straight into packed leaf pages (the UB-tree bulk load), capturing the
 // sorted summary array on the way. A failed build leaves none of its files
 // behind.
@@ -73,7 +74,7 @@ func BuildTree(opt Options) (*TreeIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &TreeIndex{opt: opt, rawFile: raw}
+	ix := &TreeIndex{opt: opt, rawFile: raw, rawSums: opt.RawSums}
 	if err := ix.build(); err != nil {
 		if ix.bt != nil {
 			ix.bt.Close()
@@ -109,8 +110,7 @@ func (ix *TreeIndex) build() error {
 	if err != nil {
 		return err
 	}
-	ix.sims, ix.rawSums, ix.ownSums, err = sortRecords(opt, ix.rawFile, treeLeafFile(opt.Name), ld.Wrap)
-	if err != nil {
+	if ix.sims, err = sortRecords(opt, treeLeafFile(opt.Name), ld.Wrap); err != nil {
 		return fmt.Errorf("core: sorting summarizations into leaves: %w", err)
 	}
 	if ix.bt, err = bptree.Open(cfg, ld.Leaves()); err != nil {
@@ -156,13 +156,7 @@ func OpenTree(opt Options) (*TreeIndex, error) {
 		}
 		return nil, fmt.Errorf("core: open tree: %w", err)
 	}
-	ix := &TreeIndex{opt: opt, bt: bt, rawFile: raw, count: bt.Count(), simsDirty: true}
-	if ix.rawSums, ix.ownSums, err = AttachRawSums(opt.FS, opt.RawName, opt.S, opt.RawSums, raw); err != nil {
-		bt.Close()
-		raw.Close()
-		return nil, err
-	}
-	return ix, nil
+	return &TreeIndex{opt: opt, bt: bt, rawFile: raw, rawSums: opt.RawSums, count: bt.Count(), simsDirty: true}, nil
 }
 
 // Count returns the number of indexed series.
@@ -228,65 +222,20 @@ func (ix *TreeIndex) Close() error {
 		return nil
 	}
 	ix.closed = true
-	err := ix.syncLocked()
-	if ix.ownSums {
-		err = errors.Join(err, ix.rawSums.Close())
-	}
-	return errors.Join(err, ix.bt.Close(), ix.rawFile.Close())
+	return errors.Join(ix.syncLocked(), ix.bt.Close(), ix.rawFile.Close())
 }
 
-// DropCaches flushes the tree's page cache (cold-start experiments).
-func (ix *TreeIndex) DropCaches() error {
-	ix.qmu.Lock()
-	defer ix.qmu.Unlock()
-	return ix.bt.DropCache()
-}
-
-// finishResult converts an internal squared-space Result into the public
-// Euclidean form. sqrt is monotone on non-negative reals, so the winning
-// (Pos, squared distance) pair picked by squared comparisons is the same
-// record the sqrt-space scan would pick, and sqrt of its exact squared sum
-// is byte-identical to the distance the sqrt-space scan would report.
-func finishResult(res Result) Result {
-	res.Dist = math.Sqrt(res.Dist)
-	return res
-}
-
-// ApproxSearch implements Algorithm 4 on the sorted summary array: examine
-// the ApproxWindow*(radius+1) records surrounding the query key's insertion
-// position in the global record order — the paper's "all data series in a
-// specific radius from this specific point ... usually a disk page" (§4.3)
-// — fetching them in lower-bound order with early stop. The window depends
-// only on the sorted record multiset, so the answer is identical across
-// layouts (see internal/window). Safe for concurrent use. Cancellation is
-// checked before every candidate fetch, and a cancelled query returns
-// ctx.Err().
-func (ix *TreeIndex) ApproxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	ix.qmu.RLock()
-	defer ix.qmu.RUnlock()
-	res, err := ix.approxSearch(ctx, q, radius)
-	return finishResult(res), err
-}
-
-// approxSearch is the internal form of ApproxSearch; res.Dist holds the
-// SQUARED best distance.
-func (ix *TreeIndex) approxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	if ix.count == 0 {
-		return Result{Pos: -1, Dist: math.Inf(1)}, ErrEmptyIndex
-	}
-	aw, err := ix.approxWindow(q, radius)
-	if err != nil {
-		return Result{Pos: -1, Dist: math.Inf(1)}, err
-	}
-	return aw.search(ctx, q, ix.opt.ApproxWindow*(radius+1)/2)
-}
-
-// ApproxWindowCands exposes the tree's window contribution to the
-// partition layer's cross-partition approximate search. Its candidates are
-// read from the index/dataset files after the handle lock is released; the
-// partition layer serializes queries against mutations with its own lock.
-// An empty index contributes nothing. Whoever evaluates the merged window
-// (EvalWindow) observes its ctx between records.
+// ApproxWindowCands is the tree's contribution to an approximate search,
+// Algorithm 4 on the sorted summary array: the ApproxWindow*(radius+1)
+// records surrounding the query key's insertion position in the global
+// record order — the paper's "all data series in a specific radius from this
+// specific point ... usually a disk page" (§4.3) — which the partition layer
+// merges with its siblings' and evaluates in lower-bound order with early
+// stop (see internal/window). Its candidates are read from the index/dataset
+// files after the handle lock is released, under the partition layer's
+// handle lock, which keeps inserts out until the last fetch. An empty index
+// contributes nothing. Whoever evaluates the merged window (EvalWindow)
+// observes its ctx between records.
 func (ix *TreeIndex) ApproxWindowCands(_ context.Context, q series.Series, radius int) (ApproxWindow, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
@@ -386,54 +335,20 @@ func (ix *TreeIndex) ensureSIMS() error {
 	return nil
 }
 
-// ExactSearch runs CoconutTreeSIMS (Algorithm 5): approximate search seeds
-// the best-so-far, lower bounds are computed for all series in parallel
-// from the in-memory sorted summaries, and unpruned candidates are fetched
-// with a skip-sequential scan sharded across Options.QueryWorkers — over
-// the tree's own leaves when materialized, else over the raw file in
-// position order, file-adjacent candidates sharing one read (scanRaw). Safe
-// for concurrent use; (Pos, Dist) is identical for any worker count.
-// Cancellation is checked at leaf-visit granularity in the verification
-// scan, a cancelled query returns ctx.Err() promptly (never a partial
+// ExactVerify is the verification phase of CoconutTreeSIMS (Algorithm 5)
+// against an externally computed seed (the partition layer's global
+// approximate answer) and a shared cross-partition bound: lower bounds are
+// computed for all series in parallel from the in-memory sorted summaries,
+// and unpruned candidates are fetched with a skip-sequential scan sharded
+// across Options.QueryWorkers — over the tree's own leaves when
+// materialized, else over the raw file in position order, file-adjacent
+// candidates sharing one read (scanRaw). The returned Result is in SQUARED
+// space and its counters cover this index's verification work only; an
+// index that finds no improvement returns the seed unchanged. (Pos, Dist) is
+// identical for any worker count. Cancellation is checked at leaf-visit
+// granularity, a cancelled query returns ctx.Err() promptly (never a partial
 // answer), and shards stuck in a blocking read are abandoned rather than
 // waited for.
-func (ix *TreeIndex) ExactSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	ix.qmu.RLock()
-	defer ix.qmu.RUnlock()
-	res, err := ix.exactSearch(ctx, q, radius)
-	return finishResult(res), err
-}
-
-// exactSearch runs the whole SIMS pipeline in squared space: the seed, the
-// lower bounds, the shared best-so-far, and the verification scans all
-// carry squared distances, so the per-key sqrt of the old kernel and the
-// per-candidate sqrt of the old scan are gone entirely.
-func (ix *TreeIndex) exactSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	res, err := ix.approxSearch(ctx, q, radius)
-	if err != nil {
-		return res, err
-	}
-	var bound shard.BSF
-	bound.Init(res.Dist)
-	return ix.exactVerify(ctx, q, res, &bound)
-}
-
-// exactVerify is the SIMS verification phase: res carries the (squared)
-// seed answer, bound the shared best-so-far — the query's own when
-// monolithic, the cross-partition bound when scatter-gathered.
-func (ix *TreeIndex) exactVerify(ctx context.Context, q series.Series, res Result, bound *shard.BSF) (Result, error) {
-	if err := ix.ensureSIMS(); err != nil {
-		return res, err
-	}
-	return simsVerify(ctx, &ix.opt, q, &ix.sims, res, bound, ix.rawFile, ix.rawSums, ix.simsOverLeaves)
-}
-
-// ExactVerify runs only the verification phase against an externally
-// computed seed (the partition layer's global approximate answer) and a
-// shared cross-partition bound. The returned Result is in SQUARED space
-// and its counters cover this index's verification work only; an index
-// that finds no improvement returns the seed unchanged. It observes ctx as
-// ExactSearch does.
 func (ix *TreeIndex) ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (Result, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
@@ -441,7 +356,10 @@ func (ix *TreeIndex) ExactVerify(ctx context.Context, q series.Series, seedPos i
 	if ix.count == 0 {
 		return res, nil
 	}
-	return ix.exactVerify(ctx, q, res, bound)
+	if err := ix.ensureSIMS(); err != nil {
+		return res, err
+	}
+	return simsVerify(ctx, &ix.opt, q, &ix.sims, res, bound, ix.rawFile, ix.rawSums, ix.simsOverLeaves)
 }
 
 // applyScan folds a ScanReduce result into res.
@@ -501,69 +419,19 @@ func (ix *TreeIndex) simsOverLeaves(ctx context.Context, q series.Series, cands 
 	return applyScan(res, pos, dist, vr, vl), err
 }
 
-// Insert appends new series to the raw log and inserts them into the
-// tree top-down with median splits (the update path of Figure 10a).
-// Sorting the batch by key first concentrates the leaf touches — larger
-// batches approach bulk-load locality, which is why Coconut wins when
-// updates arrive in volume. Insert takes the handle lock exclusively,
-// so it serializes against in-flight queries. The inserts become durable
-// at the next Sync.
-//
-// Cancellation is checked only at entry (and while queued on the handle
-// lock is not interruptible): once raw bytes start landing the batch runs
-// to completion, because a half-applied insert would leave the tree and the
-// dataset disagreeing. Write-path cancellation is therefore admission
-// control, not abort.
-func (ix *TreeIndex) Insert(ctx context.Context, batch []series.Series) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ix.qmu.Lock()
-	defer ix.qmu.Unlock()
-	p := ix.opt.S.Params()
-	sz := series.EncodedSize(p.SeriesLen)
-	enc := make([]byte, 0, len(batch)*sz)
-	recs := make([]InsertRec, len(batch))
-	for i, s := range batch {
-		if len(s) != p.SeriesLen {
-			return fmt.Errorf("core: inserted series has length %d, want %d", len(s), p.SeriesLen)
-		}
-		enc = series.AppendEncode(enc, s)
-		key, err := ix.opt.S.KeyOf(s)
-		if err != nil {
-			return err
-		}
-		recs[i].Key = key
-	}
-	first, err := ix.rawSums.Append(enc)
-	if err != nil {
-		return err
-	}
-	for i := range recs {
-		recs[i].Pos = first + int64(i)
-		if ix.opt.Materialized {
-			recs[i].Raw = enc[i*sz : (i+1)*sz]
-		}
-	}
-	return ix.insertRecsLocked(recs)
-}
-
 // InsertRecords inserts pre-summarized records whose raw bytes the
-// partition layer already appended to the shared raw log. Tree inserts
-// become durable at Sync.
+// partition layer already appended to the raw log, top-down with median
+// splits (the update path of Figure 10a). Sorting the batch by key first
+// concentrates the leaf touches — larger batches approach bulk-load
+// locality, which is why Coconut wins when updates arrive in volume. The
+// inserts become durable at the next Sync.
 func (ix *TreeIndex) InsertRecords(recs []InsertRec) error {
 	ix.qmu.Lock()
 	defer ix.qmu.Unlock()
-	return ix.insertRecsLocked(append([]InsertRec(nil), recs...))
-}
-
-// insertRecsLocked is the shared tail of the insert paths: sort the batch
-// by key to concentrate leaf touches, insert top-down with median splits,
-// and mark the lazily rebuilt state stale. recs is sorted in place.
-func (ix *TreeIndex) insertRecsLocked(recs []InsertRec) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	recs = append([]InsertRec(nil), recs...)
 	sort.Slice(recs, func(a, b int) bool { return recs[a].Key.Less(recs[b].Key) })
 	rec := make([]byte, ix.opt.recordSize())
 	for _, r := range recs {
@@ -576,20 +444,6 @@ func (ix *TreeIndex) insertRecsLocked(recs []InsertRec) error {
 	ix.simsDirty = true
 	ix.dirty = true
 	return nil
-}
-
-// ScanAllPositions streams every indexed position in key order (testing and
-// verification helper).
-func (ix *TreeIndex) ScanAllPositions() ([]int64, error) {
-	ix.qmu.RLock()
-	defer ix.qmu.RUnlock()
-	var out []int64
-	err := ix.bt.ScanAll(func(rec []byte) error {
-		_, pos, _ := decodeRecord(rec, false)
-		out = append(out, pos)
-		return nil
-	})
-	return out, err
 }
 
 var _ io.Closer = (*TreeIndex)(nil)

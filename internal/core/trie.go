@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -28,11 +27,12 @@ import (
 // exactly the groups compaction would produce — and larger ranges split on
 // the next interleaved bit, which extends one segment's prefix by one bit.
 //
-// A TrieIndex is immutable after BuildTrie and therefore safe for any
-// number of concurrent queries on one handle: all query state (scratch
-// series, leaf buffers) is allocated per call, and the exact-search
-// verification scan shards across Options.QueryWorkers. Close is the one
-// mutation; the handle lock makes it wait for in-flight queries.
+// A TrieIndex is a partition child (internal/partition), immutable after
+// BuildTrie and therefore safe for any number of concurrent query steps on
+// one handle: all query state (scratch series, leaf buffers) is allocated
+// per call, and the verification scan shards across Options.QueryWorkers.
+// Close is the one mutation; the handle lock makes it wait for in-flight
+// steps.
 type TrieIndex struct {
 	opt Options
 	// qmu is the handle lock: queries hold it shared, Close exclusively.
@@ -46,7 +46,8 @@ type TrieIndex struct {
 	leafFile storage.File
 	rawFile  storage.File
 	count    int64
-	// rawSums verifies raw-dataset reads (a trie takes no inserts).
+	// rawSums, the partition layer's raw log, verifies raw-dataset reads (a
+	// trie takes no inserts).
 	rawSums *storage.RecordSums
 	// sims is the in-memory sorted summary array (SIMS state).
 	sims simsArray
@@ -87,7 +88,7 @@ func RemoveTrie(fs storage.FS, name string) {
 	removeFiles(fs, leafFileName(name), manifest.FileName(name))
 }
 
-// BuildTrie runs the Coconut-Trie pipeline: summarize -> external sort
+// BuildTrie runs the Coconut-Trie pipeline over opt.Records: external sort
 // straight into the leaf file -> bottom-up trie construction over the keys
 // captured on the way. The sorted run IS the contiguous leaf write-out —
 // the one large sequential write that replaces the state of the art's
@@ -104,7 +105,7 @@ func BuildTrie(opt Options) (*TrieIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &TrieIndex{opt: opt, tr: tr, rawFile: raw}
+	ix := &TrieIndex{opt: opt, tr: tr, rawFile: raw, rawSums: opt.RawSums}
 	if err := ix.build(); err != nil {
 		ix.closeAll()
 		removeFiles(opt.FS, leafFileName(opt.Name))
@@ -119,8 +120,7 @@ func (ix *TrieIndex) build() error {
 		return storage.CreateChecksumFile(f, leafBlockSize(opt.recordSize()))
 	}
 	var err error
-	ix.sims, ix.rawSums, _, err = sortRecords(opt, ix.rawFile, leafFileName(opt.Name), wrap)
-	if err != nil {
+	if ix.sims, err = sortRecords(opt, leafFileName(opt.Name), wrap); err != nil {
 		return fmt.Errorf("core: sorting summarizations: %w", err)
 	}
 	ix.count = int64(ix.sims.col.Len())
@@ -272,9 +272,6 @@ func (ix *TrieIndex) SizeBytes() int64 {
 	return size
 }
 
-// Trie exposes the underlying structure (read-only).
-func (ix *TrieIndex) Trie() *trie.Trie { return ix.tr }
-
 // Close releases file handles, waiting for in-flight queries. It is
 // idempotent and safe to call concurrently with cancelled queries: shards
 // abandoned by a cancelled fan-out may still touch the files afterwards,
@@ -294,37 +291,11 @@ func (ix *TrieIndex) Close() error {
 	return err2
 }
 
-// ApproxSearch examines the ApproxWindow*(radius+1) records surrounding
-// the query key's insertion position in the sorted summary array, fetching
-// them in lower-bound order with early stop. The window depends only on
-// the sorted record multiset, so the answer is identical across layouts
-// (see internal/window). Safe for concurrent use. The candidate fetch loop
-// observes ctx between records and returns ctx.Err() without a partial
-// answer.
-func (ix *TrieIndex) ApproxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	ix.qmu.RLock()
-	defer ix.qmu.RUnlock()
-	res, err := ix.approxSearch(ctx, q, radius)
-	return finishResult(res), err
-}
-
-// approxSearch is the internal form of ApproxSearch; res.Dist holds the
-// SQUARED best distance.
-func (ix *TrieIndex) approxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	if ix.count == 0 {
-		return Result{Pos: -1, Dist: math.Inf(1)}, ErrEmptyIndex
-	}
-	aw, err := ix.approxWindow(q, radius)
-	if err != nil {
-		return Result{Pos: -1, Dist: math.Inf(1)}, err
-	}
-	return aw.search(ctx, q, ix.opt.ApproxWindow*(radius+1)/2)
-}
-
-// ApproxWindowCands exposes the trie's window contribution to the
-// partition layer's cross-partition approximate search (see
-// TreeIndex.ApproxWindowCands for the locking contract and cancellation). An
-// empty index contributes nothing.
+// ApproxWindowCands is the trie's contribution to an approximate search:
+// the ApproxWindow*(radius+1) records surrounding the query key's insertion
+// position in the sorted summary array (see TreeIndex.ApproxWindowCands for
+// the window, the locking contract and cancellation). An empty index
+// contributes nothing.
 func (ix *TrieIndex) ApproxWindowCands(_ context.Context, q series.Series, radius int) (ApproxWindow, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
@@ -372,42 +343,12 @@ func (ix *TrieIndex) leafFetch() window.FetchFunc {
 	}
 }
 
-// ExactSearch runs the SIMS algorithm over the trie: approximate seed,
-// parallel lower bounds from the in-memory sorted summaries, then a
-// skip-sequential candidate scan sharded across Options.QueryWorkers
-// (leaves when materialized, else the raw file in position order, adjacent
-// candidates sharing one read). Safe for concurrent use; (Pos, Dist) is
-// identical for any worker count. The verification scan observes ctx at
-// leaf/candidate granularity and returns ctx.Err() without a partial answer.
-func (ix *TrieIndex) ExactSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	ix.qmu.RLock()
-	defer ix.qmu.RUnlock()
-	res, err := ix.exactSearch(ctx, q, radius)
-	return finishResult(res), err
-}
-
-// exactSearch runs the SIMS pipeline in squared space (see
-// TreeIndex.exactSearch).
-func (ix *TrieIndex) exactSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	res, err := ix.approxSearch(ctx, q, radius)
-	if err != nil {
-		return res, err
-	}
-	var bound shard.BSF
-	bound.Init(res.Dist)
-	return ix.exactVerify(ctx, q, res, &bound)
-}
-
-// exactVerify is the SIMS verification phase with an externally supplied
-// shared bound (see TreeIndex.exactVerify).
-func (ix *TrieIndex) exactVerify(ctx context.Context, q series.Series, res Result, bound *shard.BSF) (Result, error) {
-	return simsVerify(ctx, &ix.opt, q, &ix.sims, res, bound, ix.rawFile, ix.rawSums, ix.simsOverLeaves)
-}
-
-// ExactVerify runs only the verification phase against an externally
-// computed seed and a shared cross-partition bound (see
-// TreeIndex.ExactVerify). Returned Result is SQUARED, counters cover this
-// index's verification work only.
+// ExactVerify is the SIMS verification phase over the trie against an
+// externally computed seed and a shared cross-partition bound (see
+// TreeIndex.ExactVerify): a skip-sequential candidate scan sharded across
+// Options.QueryWorkers, over leaves when materialized, else over the raw
+// file in position order, adjacent candidates sharing one read. Returned
+// Result is SQUARED, counters cover this index's verification work only.
 func (ix *TrieIndex) ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (Result, error) {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
@@ -415,7 +356,7 @@ func (ix *TrieIndex) ExactVerify(ctx context.Context, q series.Series, seedPos i
 	if ix.count == 0 {
 		return res, nil
 	}
-	return ix.exactVerify(ctx, q, res, bound)
+	return simsVerify(ctx, &ix.opt, q, &ix.sims, res, bound, ix.rawFile, ix.rawSums, ix.simsOverLeaves)
 }
 
 // simsOverLeaves shards the materialized verification scan over contiguous

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/isax"
 	"github.com/coconut-db/coconut/internal/lsm"
+	"github.com/coconut-db/coconut/internal/partition"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
@@ -113,7 +113,7 @@ func AblationFillFactor(sc Scale) (*Table, error) {
 			return nil, err
 		}
 		opt.FillFactor = ff
-		ix, err := core.BuildTree(opt)
+		ix, err := partition.Build(partition.TreeVariant(opt), 1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -269,14 +269,14 @@ func AblationLSMUpdates(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var ix *lsm.Index
+		var ix *partition.Composite
 		_, err = measure(e.fs, func() error {
 			var err error
-			ix, err = lsm.Build(lsm.Options{
+			ix, err = partition.Build(partition.LSMVariant(lsm.Options{
 				FS: e.fs, Name: "lsm", S: s, RawName: rawName,
 				MemBudgetBytes: budget, Workers: sc.Workers,
 				QueryWorkers: sc.QueryWorkers,
-			})
+			}), 1, nil)
 			return err
 		})
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/isax"
 	"github.com/coconut-db/coconut/internal/lsm"
+	"github.com/coconut-db/coconut/internal/partition"
 	"github.com/coconut-db/coconut/internal/series"
 )
 
@@ -155,7 +156,7 @@ func TestAllIndexesAgreeOnExactNN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix, err := lsm.Build(lsm.Options{FS: e.fs, Name: "lsm", S: s, RawName: rawName, MemBudgetBytes: budget})
+			ix, err := partition.Build(partition.LSMVariant(lsm.Options{FS: e.fs, Name: "lsm", S: s, RawName: rawName, MemBudgetBytes: budget}), 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,6 +18,7 @@ import (
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/dstree"
 	"github.com/coconut-db/coconut/internal/isax"
+	"github.com/coconut-db/coconut/internal/partition"
 	"github.com/coconut-db/coconut/internal/rtree"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
@@ -241,29 +242,25 @@ func (e *env) coreOptions(mat bool, budget int64) (core.Options, error) {
 	}, nil
 }
 
-func (e *env) buildCTree(mat bool, budget int64) (*core.TreeIndex, Cost, error) {
-	opt, err := e.coreOptions(mat, budget)
-	if err != nil {
-		return nil, Cost{}, err
-	}
-	var ix *core.TreeIndex
-	cost, err := measure(e.fs, func() error {
-		var err error
-		ix, err = core.BuildTree(opt)
-		return err
-	})
-	return ix, cost, err
+func (e *env) buildCTree(mat bool, budget int64) (*partition.Composite, Cost, error) {
+	return e.buildCoconut(partition.TreeVariant, mat, budget)
 }
 
-func (e *env) buildCTrie(mat bool, budget int64) (*core.TrieIndex, Cost, error) {
+func (e *env) buildCTrie(mat bool, budget int64) (*partition.Composite, Cost, error) {
+	return e.buildCoconut(partition.TrieVariant, mat, budget)
+}
+
+// buildCoconut bulk-loads the unpartitioned Coconut index of variant over
+// the environment's dataset.
+func (e *env) buildCoconut(variant func(core.Options) partition.Variant, mat bool, budget int64) (*partition.Composite, Cost, error) {
 	opt, err := e.coreOptions(mat, budget)
 	if err != nil {
 		return nil, Cost{}, err
 	}
-	var ix *core.TrieIndex
+	var ix *partition.Composite
 	cost, err := measure(e.fs, func() error {
 		var err error
-		ix, err = core.BuildTrie(opt)
+		ix, err = partition.Build(variant(opt), 1, nil)
 		return err
 	})
 	return ix, cost, err

@@ -13,24 +13,22 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/runblock"
-	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 )
 
 // buildStreamed builds an index over the shared dataset and streams extra
 // batches through Insert so many flushes and multi-tier compactions
 // happen, then flushes the tail with Sync.
-func buildStreamed(t *testing.T) (*Index, *storage.MemFS) {
+func buildStreamed(t *testing.T) (*lone, *storage.MemFS) {
 	t.Helper()
 	fs := storage.NewMemFS()
 	gen := dataset.NewRandomWalk()
 	if _, err := dataset.WriteFile(fs, "raw", gen, tCount, tLen, 42); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(Options{
+	ix, err := buildLone(Options{
 		FS:      fs,
 		Name:    "lsm",
 		S:       tSummarizer(t),
@@ -86,13 +84,13 @@ func runFiles(st map[string][]byte) map[string][]byte {
 // buildFaultable builds the index the compaction-fault tests share: a
 // 32-record memtable and fanout 2, so a few hundred inserts flush many
 // times and make groups ready on several tiers.
-func buildFaultable(t *testing.T) (*Index, *storage.MemFS) {
+func buildFaultable(t *testing.T) (*lone, *storage.MemFS) {
 	t.Helper()
 	fs := storage.NewMemFS()
 	if _, err := dataset.WriteFile(fs, "raw", dataset.NewRandomWalk(), tCount, tLen, 42); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(Options{
+	ix, err := buildLone(Options{
 		FS:             fs,
 		Name:           "lsm",
 		S:              tSummarizer(t),
@@ -145,33 +143,6 @@ func requireRunFiles(t *testing.T, fs *storage.MemFS, want map[string][]byte) {
 	}
 }
 
-// insertRecords routes batch through InsertRecords the way the partition
-// layer does: the raw bytes are appended to the log first, then the
-// pre-summarized records are inserted, and the log commits them.
-func insertRecords(t *testing.T, ix *Index, batch []series.Series) error {
-	t.Helper()
-	keys, err := ix.opt.S.KeysOf(batch, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var enc []byte
-	for _, s := range batch {
-		enc = series.AppendEncode(enc, s)
-	}
-	first, err := ix.rawSums.Append(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make([]core.InsertRec, len(batch))
-	for i := range recs {
-		recs[i] = core.InsertRec{Key: keys[i], Pos: first + int64(i)}
-	}
-	if err := ix.InsertRecords(recs); err != nil {
-		return err
-	}
-	return ix.rawSums.Commit(context.Background(), first+int64(len(recs)))
-}
-
 // TestCompactionFaultRetried: with every write to a compaction output
 // failing, an Insert whose flushes make groups ready still applies the
 // whole batch and returns nil; Sync, which promises the compacted state,
@@ -180,7 +151,7 @@ func insertRecords(t *testing.T, ix *Index, batch []series.Series) error {
 // lands every deferred merge and the run files are byte-identical to an
 // index that was never faulted.
 func TestCompactionFaultRetried(t *testing.T) {
-	build := func() (*Index, *storage.MemFS) { return buildFaultable(t) }
+	build := func() (*lone, *storage.MemFS) { return buildFaultable(t) }
 	stream := dataset.Generate(dataset.NewRandomWalk(), 300, tLen, 7)
 
 	ref, refFS := build()
@@ -268,7 +239,7 @@ func TestCompactionFaultInsertRecords(t *testing.T) {
 	stream := dataset.Generate(dataset.NewRandomWalk(), 300, tLen, 11)
 
 	ref, refFS := buildFaultable(t)
-	if err := insertRecords(t, ref, stream); err != nil {
+	if err := ref.Insert(context.Background(), stream); err != nil {
 		t.Fatal(err)
 	}
 	if err := ref.Flush(); err != nil {
@@ -283,7 +254,7 @@ func TestCompactionFaultInsertRecords(t *testing.T) {
 	defer ix.Close()
 	boom := failMerges(fs)
 	before := ix.Count()
-	if err := insertRecords(t, ix, stream); err != nil {
+	if err := ix.Insert(context.Background(), stream); err != nil {
 		t.Fatalf("InsertRecords failed on a compaction fault: %v", err)
 	}
 	if got := ix.Count(); got != before+int64(len(stream)) {

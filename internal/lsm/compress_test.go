@@ -16,11 +16,11 @@ import (
 // handful of blocks: the key set cannot fit, so every query decodes on
 // demand) — and returns both handles plus the tiny side's FS for reopen
 // tests.
-func buildPair(t *testing.T, memBudget int64) (roomy, tiny *Index, tinyFS *storage.MemFS, data []series.Series) {
+func buildPair(t *testing.T, memBudget int64) (roomy, tiny *lone, tinyFS *storage.MemFS, data []series.Series) {
 	t.Helper()
 	gen := dataset.NewRandomWalk()
 	data = dataset.Generate(gen, tCount, tLen, 42)
-	mk := func(tinyCache bool) (*Index, *storage.MemFS) {
+	mk := func(tinyCache bool) (*lone, *storage.MemFS) {
 		fs := storage.NewMemFS()
 		if _, err := dataset.WriteFile(fs, "raw", gen, tCount, tLen, 42); err != nil {
 			t.Fatal(err)
@@ -38,7 +38,7 @@ func buildPair(t *testing.T, memBudget int64) (roomy, tiny *Index, tinyFS *stora
 			// ~2 decoded blocks resident: far below the full key set.
 			opt.Cache = blockcache.New(64 << 10)
 		}
-		ix, err := Build(opt)
+		ix, err := buildLone(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func buildPair(t *testing.T, memBudget int64) (roomy, tiny *Index, tinyFS *stora
 // requireSameAnswers runs approximate, exact, and window queries against
 // both handles and requires byte-identical results, and exact answers equal
 // to a brute-force scan of data.
-func requireSameAnswers(t *testing.T, roomy, tiny *Index, data []series.Series) {
+func requireSameAnswers(t *testing.T, roomy, tiny *lone, data []series.Series) {
 	t.Helper()
 	qs := dataset.Queries(dataset.NewRandomWalk(), 10, tLen, 9)
 	for qi, q := range qs {
@@ -114,7 +114,7 @@ func TestCompressedConformance(t *testing.T) {
 
 	// Grow both through the memtable → flush → compaction path.
 	extra := dataset.Generate(dataset.NewRandomWalk(), 200, tLen, 77)
-	for _, ix := range []*Index{roomy, tiny} {
+	for _, ix := range []*lone{roomy, tiny} {
 		for i := 0; i < len(extra); i += 20 {
 			if err := ix.Insert(context.Background(), extra[i:i+20]); err != nil {
 				t.Fatal(err)
@@ -146,7 +146,7 @@ func TestCompressedReopen(t *testing.T) {
 	defer roomy.Close()
 	extra := dataset.Generate(dataset.NewRandomWalk(), 100, tLen, 77)
 	// Grow the roomy side identically before comparing post-reopen.
-	growth := func(ix *Index) {
+	growth := func(ix *lone) {
 		for i := 0; i < len(extra); i += 20 {
 			if err := ix.Insert(context.Background(), extra[i:i+20]); err != nil {
 				t.Fatal(err)
@@ -164,10 +164,11 @@ func TestCompressedReopen(t *testing.T) {
 	if err := tiny.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := Open(Options{
+	reopened, err := openLone(Options{
 		FS:             tinyFS,
 		Name:           "lsm",
 		S:              tSummarizer(t),
+		RawName:        "raw",
 		MemBudgetBytes: 1 << 20,
 		Window:         40,
 		Cache:          blockcache.New(64 << 10),

@@ -31,7 +31,7 @@ func corruptSeed(t *testing.T) *storage.FaultFS {
 		t.Fatal(err)
 	}
 	ffs := storage.NewFaultFS(inner)
-	ix, err := Build(sweepOptions(t, ffs))
+	ix, err := buildLone(sweepOptions(t, ffs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestOpenRottedRunFailsTyped(t *testing.T) {
 			rotFile(t, img, victim, tc.rotAt(int64(len(data))))
 			// Typed as BOTH the stored-bytes corruption and the
 			// broken-manifest-promise error.
-			if _, err := Open(sweepOptions(t, img)); !errors.Is(err, storage.ErrCorruptData) {
+			if _, err := openLone(sweepOptions(t, img)); !errors.Is(err, storage.ErrCorruptData) {
 				t.Fatalf("open over rotted run: err = %v, want ErrCorruptData", err)
 			} else if !errors.Is(err, manifest.ErrCorruptManifest) {
 				t.Fatalf("open over rotted run: err = %v, want ErrCorruptManifest too", err)
@@ -133,7 +133,7 @@ func TestRawRotDetectedAtFetch(t *testing.T) {
 	recSize := int64(series.EncodedSize(tLen))
 	rotFile(t, img, "raw", 7*recSize+3)
 
-	ix, err := Open(sweepOptions(t, img))
+	ix, err := openLone(sweepOptions(t, img))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ package lsm
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,7 +52,7 @@ func sweepSeed(t *testing.T) *storage.MemFS {
 	if _, err := dataset.WriteFile(fs, "raw", dataset.NewRandomWalk(), sweepBase, tLen, 42); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(sweepOptions(t, fs))
+	ix, err := buildLone(sweepOptions(t, fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func TestAppendCrashSweep(t *testing.T) {
 	// returns only after the raw log committed the series, so everything
 	// counted in acked must survive any later crash.
 	workload := func(fs storage.FS) (acked int, appendFailed bool) {
-		ix, err := Open(sweepOptions(t, fs))
+		ix, err := openLone(sweepOptions(t, fs))
 		if err != nil {
 			// Crash during recovery itself: nothing appended, nothing acked.
 			return 0, false
@@ -95,7 +94,7 @@ func TestAppendCrashSweep(t *testing.T) {
 	// makes the answer comparison meaningful (exact search is exact, and
 	// ApproxSearch's merged window is a pure function of the record
 	// multiset, so both must agree across layouts).
-	refs := map[int]*Index{}
+	refs := map[int]*lone{}
 	t.Cleanup(func() {
 		for _, ix := range refs {
 			ix.Close()
@@ -113,7 +112,7 @@ func TestAppendCrashSweep(t *testing.T) {
 			if _, err := dataset.WriteFile(fs, "raw", dataset.NewRandomWalk(), sweepBase, tLen, 42); err != nil {
 				t.Fatal(err)
 			}
-			ix, err := Build(sweepOptions(t, fs))
+			ix, err := buildLone(sweepOptions(t, fs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +164,7 @@ func TestAppendCrashSweep(t *testing.T) {
 		}
 		// Vary the torn tail so crashes land mid-record too.
 		rec := ffs.Recover(int(k % 7))
-		re, err := Open(sweepOptions(t, rec))
+		re, err := openLone(sweepOptions(t, rec))
 		if err != nil {
 			t.Fatalf("crash at op %d: reopen: %v", k, err)
 		}
@@ -238,7 +237,7 @@ func TestOneFsyncPairPerAppend(t *testing.T) {
 			sideSyncs++
 		}
 	})
-	ix, err := Open(sweepOptions(t, ffs))
+	ix, err := openLone(sweepOptions(t, ffs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +283,7 @@ func TestUnflushedTailRotFailsOpen(t *testing.T) {
 	ffs := storage.NewFaultFS(inner)
 	o := sweepOptions(t, ffs)
 	o.MemBudgetBytes = 1 << 20 // no flushes: the appends live in the raw log alone
-	ix, err := Build(o)
+	ix, err := buildLone(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +296,7 @@ func TestUnflushedTailRotFailsOpen(t *testing.T) {
 	ffs.Crash()
 	ix.Close()
 
-	re, err := Open(sweepOptions(t, ffs.Recover(0)))
+	re, err := openLone(sweepOptions(t, ffs.Recover(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,72 +314,12 @@ func TestUnflushedTailRotFailsOpen(t *testing.T) {
 	} {
 		img := ffs.Recover(0)
 		rotFile(t, img, file, off)
-		if re, err := Open(sweepOptions(t, img)); !errors.Is(err, storage.ErrCorruptData) {
+		if re, err := openLone(sweepOptions(t, img)); !errors.Is(err, storage.ErrCorruptData) {
 			if err == nil {
 				re.Close()
 			}
 			t.Fatalf("%s rotted in the un-flushed tail: open: %v, want ErrCorruptData", file, err)
 		}
-	}
-}
-
-// TestConcurrentFlushCoversOnlyInsertedRecords pins the promise a flush's
-// cursor makes when another Insert arrives during a flush: A fills the
-// memtable and its flush parks in the manifest commit, which releases the
-// handle lock; B's Insert, which would fill the memtable again, gets its
-// chance to run; both are acknowledged, and after a crash every acknowledged
-// series is recovered. Had B flushed while A still held appended records it
-// had not inserted, B's cursor would have passed them and lost them.
-func TestConcurrentFlushCoversOnlyInsertedRecords(t *testing.T) {
-	ffs := storage.NewFaultFS(sweepSeed(t))
-	ix, err := Open(sweepOptions(t, ffs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var armed, parked atomic.Bool
-	entered, release, bRun := make(chan struct{}), make(chan struct{}), make(chan struct{}, 1)
-	tmpName := manifest.FileName("lsm") + ".tmp"
-	ffs.SetHook(func(op storage.Op, name string) {
-		switch {
-		case op == storage.OpSync && name == tmpName && armed.CompareAndSwap(true, false):
-			parked.Store(true)
-			close(entered)
-			<-release
-		case op == storage.OpSync && strings.HasPrefix(name, "lsm.run.") && parked.Load():
-			select {
-			case bRun <- struct{}{}:
-			default:
-			}
-		}
-	})
-	stream := dataset.Generate(dataset.NewSeismic(), 40, tLen, 911)
-	armed.Store(true)
-	aDone, bDone := make(chan error, 1), make(chan error, 1)
-	go func() { aDone <- ix.Insert(context.Background(), stream[:24]) }()
-	<-entered // A filled the memtable and parks in its flush's manifest commit
-	go func() { bDone <- ix.Insert(context.Background(), stream[24:40]) }()
-	// B must not flush now; give it the chance to (its run's fsync while A
-	// is parked), bounded, since the right outcome is that it never comes.
-	select {
-	case <-bRun:
-	case <-time.After(200 * time.Millisecond):
-	}
-	close(release)
-	if err := <-aDone; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-bDone; err != nil {
-		t.Fatal(err)
-	}
-	ffs.Crash()
-	ix.Close()
-	re, err := Open(sweepOptions(t, ffs.Recover(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := int(re.Count()) - sweepBase; got != len(stream) {
-		t.Fatalf("recovered %d of %d acknowledged series", got, len(stream))
 	}
 }
 
@@ -412,7 +351,7 @@ func TestQueriesProceedDuringSlowManifestCommit(t *testing.T) {
 	})
 	o := sweepOptions(t, ffs)
 	o.MemBudgetBytes = 1 << 20
-	ix, err := Build(o)
+	ix, err := buildLone(o)
 	if err != nil {
 		t.Fatal(err)
 	}

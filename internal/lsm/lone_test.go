@@ -1,0 +1,144 @@
+package lsm
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+
+	"github.com/coconut-db/coconut/internal/core"
+	"github.com/coconut-db/coconut/internal/series"
+	"github.com/coconut-db/coconut/internal/shard"
+	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/window"
+)
+
+// lone drives one Coconut-LSM the way internal/partition drives the one
+// child of an unpartitioned index: it owns the raw log and the build's
+// record stream (the summarization pass over the raw file), a whole query
+// is the index's window evaluated by core.EvalWindow seeding its
+// verification step, and an insert appends the batch to the raw log, hands
+// the records over and commits the log. The partition package and the
+// public one test the composite itself.
+type lone struct {
+	*Index
+	sums *storage.RecordSums
+}
+
+func buildLone(opt Options) (*lone, error) {
+	if opt.FS == nil || opt.S == nil {
+		return nil, errors.New("lsm test: nil FS or summarizer")
+	}
+	raw, err := opt.FS.Open(opt.RawName)
+	if err != nil {
+		return nil, err
+	}
+	defer raw.Close()
+	src, sums, err := core.SummarySource(opt.FS, opt.S, raw, opt.RawName, false, opt.Workers)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	opt.Records, opt.RawSums = src, sums
+	ix, err := Build(opt)
+	if err != nil {
+		return nil, err
+	}
+	return &lone{ix, sums}, nil
+}
+
+func openLone(opt Options) (*lone, error) {
+	if opt.FS == nil || opt.S == nil {
+		return nil, errors.New("lsm test: nil FS or summarizer")
+	}
+	raw, err := opt.FS.Open(opt.RawName)
+	if err != nil {
+		return nil, err
+	}
+	defer raw.Close()
+	sums, err := storage.LoadRecordSums(opt.FS, opt.RawName, series.EncodedSize(opt.S.Params().SeriesLen), raw)
+	if err != nil {
+		return nil, err
+	}
+	opt.RawSums = sums
+	ix, err := Open(opt)
+	if err != nil {
+		sums.Close()
+		return nil, err
+	}
+	return &lone{ix, sums}, nil
+}
+
+// approxSq is the one-child composite's approximate answer, in squared
+// space.
+func (l *lone) approxSq(ctx context.Context, q series.Series) (core.Result, error) {
+	res := core.Result{Pos: -1, Dist: math.Inf(1)}
+	if l.Count() == 0 {
+		return res, core.ErrEmptyIndex
+	}
+	aw, err := l.ApproxWindowCands(ctx, q, 0)
+	if err != nil {
+		return res, err
+	}
+	res.Pos, res.Dist, res.VisitedRecords, err = core.EvalWindow(ctx, q, window.Merge(aw.Below, aw.Above, l.opt.Window/2), aw)
+	res.VisitedLeaves = aw.Leaves
+	return res, err
+}
+
+func (l *lone) ApproxSearch(ctx context.Context, q series.Series, _ int) (core.Result, error) {
+	res, err := l.approxSq(ctx, q)
+	res.Dist = math.Sqrt(res.Dist)
+	return res, err
+}
+
+// ExactSearch seeds the verification step with the approximate answer.
+func (l *lone) ExactSearch(ctx context.Context, q series.Series, _ int) (core.Result, error) {
+	res, err := l.approxSq(ctx, q)
+	if err == nil {
+		var bound shard.BSF
+		bound.Init(res.Dist)
+		var v core.Result
+		v, err = l.ExactVerify(ctx, q, res.Pos, res.Dist, &bound)
+		res.Pos, res.Dist = v.Pos, v.Dist
+		res.VisitedRecords += v.VisitedRecords
+		res.VisitedLeaves += v.VisitedLeaves
+	}
+	res.Dist = math.Sqrt(res.Dist)
+	return res, err
+}
+
+// Insert appends the batch to the raw log, inserts its records and commits
+// the log: a nil return means the batch is durable.
+func (l *lone) Insert(ctx context.Context, batch []series.Series) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	p := l.opt.S.Params()
+	for _, s := range batch {
+		if len(s) != p.SeriesLen {
+			return fmt.Errorf("lsm test: series length %d, want %d", len(s), p.SeriesLen)
+		}
+	}
+	keys, err := l.opt.S.KeysOf(batch, l.opt.Workers)
+	if err != nil {
+		return err
+	}
+	var enc []byte
+	for _, s := range batch {
+		enc = series.AppendEncode(enc, s)
+	}
+	first, err := l.sums.Append(enc)
+	if err != nil {
+		return err
+	}
+	recs := make([]core.InsertRec, len(batch))
+	for i := range recs {
+		recs[i] = core.InsertRec{Key: keys[i], Pos: first + int64(i)}
+	}
+	if err := l.InsertRecords(recs); err != nil {
+		return err
+	}
+	return l.sums.Commit(ctx, first+int64(len(recs)))
+}
+
+func (l *lone) Close() error { return errors.Join(l.Index.Close(), l.sums.Close()) }

@@ -28,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -58,10 +57,11 @@ type Options struct {
 	S *summary.Summarizer
 	// RawName is the dataset file (grows on Append).
 	RawName string
-	// RecordsName optionally names a pre-summarized (key, position) record
-	// file for the initial bulk load, skipping the summarization pass — the
-	// partition scatter path. The raw dataset still backs query fetches.
-	RecordsName string
+	// Records is the record stream the initial bulk load sorts
+	// (core.BuildSource): the summarization pass over the raw file when
+	// unpartitioned, a partition's scatter file otherwise. The partition
+	// layer opens it; Open ignores it.
+	Records *core.BuildSource
 	// MemBudgetBytes bounds the memtable (and the initial bulk sort).
 	MemBudgetBytes int64
 	// Fanout is the tiering factor: a tier holding Fanout runs compacts
@@ -81,13 +81,12 @@ type Options struct {
 	// runtime.GOMAXPROCS(0), clamped to the work available). Answers are
 	// identical for any value.
 	QueryWorkers int
-	// RawSums optionally supplies an externally owned raw log (the
-	// partition layer's: the parent owns the shared raw file, appends to it
-	// and commits it; children verify through the shared handle and commit
-	// it before their manifests). When nil, the index builds and owns its
-	// own. Every raw read is verified against it, and every run read
-	// against the block CRCs of the run file (internal/runblock), so bit rot
-	// surfaces as storage.ErrCorruptData instead of a wrong answer.
+	// RawSums is the raw log, owned by the partition layer: it appends
+	// every insert and commits it, and the index commits it again before a
+	// manifest of its own may reference new positions. Every raw read is
+	// verified against it, and every run read against the block CRCs of the
+	// run file (internal/runblock), so bit rot surfaces as
+	// storage.ErrCorruptData instead of a wrong answer.
 	RawSums *storage.RecordSums
 	// Owns restricts what this index derives from the raw file — the
 	// un-flushed tail Open recovers — to the records it owns. A partition
@@ -114,6 +113,8 @@ func (o *Options) validate() error {
 		return errors.New("lsm: nil summarizer")
 	case o.RawName == "":
 		return errors.New("lsm: empty raw name")
+	case o.RawSums == nil:
+		return errors.New("lsm: nil raw log")
 	}
 	if o.MemBudgetBytes <= 0 {
 		o.MemBudgetBytes = 16 << 20
@@ -159,10 +160,12 @@ type memEntry struct {
 	pos int64
 }
 
-// Index is a Coconut-LSM index. A handle is safe for concurrent use:
-// queries hold mu shared, while Append/Flush hold it exclusively, so
-// readers always observe a consistent (runs, memtable) pair — this is the
-// LSM counterpart of the tree's SIMS-refresh lock.
+// Index is a Coconut-LSM index, a partition child (internal/partition): it
+// answers through the two steps of a query and takes records whose raw
+// bytes the partition layer appended to the raw log. A handle is safe for
+// concurrent use: query steps hold mu shared, while InsertRecords/Flush hold
+// it exclusively, so readers always observe a consistent (runs, memtable)
+// pair — this is the LSM counterpart of the tree's SIMS-refresh lock.
 //
 // Compactions run inline, under mu, right after the flush that made a
 // group ready. mu is released only for manifest fsyncs, and by then a
@@ -171,17 +174,10 @@ type memEntry struct {
 type Index struct {
 	opt     Options
 	rawFile storage.File
-	// rawSums is the raw log: it verifies raw reads, takes appends and
-	// commits them; ownSums marks it as this index's own (closed with it)
-	// rather than the partition layer's shared one.
+	// rawSums is the partition layer's raw log: it verifies raw reads, and a
+	// flush commits it before its manifest may reference new positions.
 	rawSums *storage.RecordSums
-	ownSums bool
-	// wmu serializes Inserts for the whole of their append and insert,
-	// which a flush's manifest commit interrupts by releasing mu: no flush
-	// (whose cursor would pass them) runs while an Insert holds appended
-	// records it has not inserted yet.
-	wmu sync.Mutex
-	mu  sync.RWMutex
+	mu      sync.RWMutex
 	// closed makes Close idempotent: a second Close (even concurrent with
 	// the first) returns nil instead of double-closing the files.
 	closed  bool
@@ -218,11 +214,9 @@ type Index struct {
 	durableSeq int64
 }
 
-// Build bulk-loads the initial run from the dataset (summarize + external
-// sort, exactly the Coconut pipeline) and returns the index. The
-// summarization phase is the batched parallel pipeline shared with the
-// tree/trie builds (core.SummaryRecordReader), so every Build stage fans
-// out across opt.Workers. A failed Build removes the run it wrote; its
+// Build bulk-loads the initial run from opt.Records (external sort, exactly
+// the Coconut pipeline) and returns the index; every Build stage fans out
+// across opt.Workers. A failed Build removes the run it wrote; its
 // manifest commit is the last step, so a failed Build leaves any manifest
 // already stored under the name (the index a Repair rebuilds) in place.
 func Build(opt Options) (*Index, error) {
@@ -243,7 +237,7 @@ func Build(opt Options) (*Index, error) {
 }
 
 func newIndex(opt Options, raw storage.File) *Index {
-	return &Index{opt: opt, rawFile: raw, committedGroups: map[int]int{}}
+	return &Index{opt: opt, rawFile: raw, rawSums: opt.RawSums, committedGroups: map[int]int{}}
 }
 
 // abandon releases what a Build or Open that failed got as far as holding.
@@ -265,8 +259,8 @@ func Remove(fs storage.FS, name string) {
 }
 
 func (ix *Index) build() error {
-	opt, raw := ix.opt, ix.rawFile
-	// Summarize + sort the existing data into run 0 (tier determined by
+	opt := ix.opt
+	// Sort the existing data into run 0 (tier determined by
 	// later compactions; the initial bulk run sits at a high tier).
 	name := ix.runName()
 	cfg := extsort.Config{
@@ -278,18 +272,13 @@ func (ix *Index) build() error {
 		Workers:    opt.Workers,
 		WrapOut:    wrapRunOut,
 	}
-	// The build owns the raw-dataset CRC sidecar unless the partition layer
-	// supplied its own; the source computes it inside its one pass over the
-	// raw file and Finish persists it.
-	src, err := core.OpenBuildSource(core.BuildSourceConfig{
-		FS: opt.FS, S: opt.S, Raw: raw, RawName: opt.RawName, RecordsName: opt.RecordsName,
-		Workers: opt.Workers, RawSums: opt.RawSums,
-	})
-	if err != nil {
-		return err
+	if opt.Records == nil {
+		return errors.New("lsm: build without a record stream")
 	}
-	n, err := extsort.Sort(cfg, src, name)
-	if ix.rawSums, ix.ownSums, err = src.Finish(err); err != nil {
+	// Finishing the stream persists the raw-dataset CRC sidecar a
+	// summarization pass computed on the way.
+	n, err := extsort.Sort(cfg, opt.Records, name)
+	if err = opt.Records.Finish(err); err != nil {
 		return err
 	}
 	if n > 0 {
@@ -374,71 +363,13 @@ func (ix *Index) memCapacity() int {
 	return c
 }
 
-// Insert adds new series: raw bytes go to the raw log, records to the
-// memtable; a full memtable flushes to a fresh tier-0 run, and the
-// compactions that flush made ready run inline. The batch is summarized up
-// front across Workers goroutines, so ingest keeps every core busy while the
-// raw writes stay append-only. Insert takes the handle lock exclusively only
-// to append and insert — it then releases it and waits for the raw log's
-// group commit, so a nil return means every series in the batch is durable
-// (its raw bytes and their sidecar entries fsynced). A failed compaction
-// merge is not an Insert error (see flushOnWriteLocked).
-//
-// Cancellation is admission control: the context is checked before any raw
-// byte lands — once admitted, the batch runs to completion (a half-applied
-// batch would corrupt the index) — and again while waiting for the group
-// commit. A cancelled appender abandons its wait without disturbing the
-// batch: the commit round still fsyncs it, so it stays durable and
-// consistent.
-func (ix *Index) Insert(ctx context.Context, batch []series.Series) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ix.wmu.Lock()
-	ix.mu.Lock()
-	end, err := ix.appendLocked(batch)
-	ix.mu.Unlock()
-	ix.wmu.Unlock()
-	if err != nil {
-		return err
-	}
-	return ix.rawSums.Commit(ctx, end)
-}
-
-// appendLocked appends the batch to the raw log and inserts its records,
-// returning the log position after the last. Callers hold wmu and mu.
-func (ix *Index) appendLocked(batch []series.Series) (int64, error) {
-	if ix.commitErr != nil {
-		return 0, ix.commitErr
-	}
-	p := ix.opt.S.Params()
-	for _, s := range batch {
-		if len(s) != p.SeriesLen {
-			return 0, fmt.Errorf("lsm: series length %d, want %d", len(s), p.SeriesLen)
-		}
-	}
-	keys, err := ix.opt.S.KeysOf(batch, ix.opt.Workers)
-	if err != nil {
-		return 0, err
-	}
-	enc := make([]byte, 0, len(batch)*series.EncodedSize(p.SeriesLen))
-	for _, s := range batch {
-		enc = series.AppendEncode(enc, s)
-	}
-	first, err := ix.rawSums.Append(enc)
-	if err != nil {
-		return 0, err
-	}
-	recs := make([]core.InsertRec, len(batch))
-	for i := range recs {
-		recs[i] = core.InsertRec{Key: keys[i], Pos: first + int64(i)}
-	}
-	return first + int64(len(batch)), ix.insertLocked(recs)
-}
-
-// InsertRecords inserts pre-summarized records routed to this index by the
-// partition layer, whose raw bytes it already appended to the shared raw
-// log; the partition layer commits the log once for the whole batch.
+// InsertRecords adds records routed to this index by the partition layer,
+// whose raw bytes it already appended to the raw log, to the memtable; a
+// full memtable flushes to a fresh tier-0 run, and the compactions that
+// flush made ready run inline. The partition layer commits the log once for
+// the whole batch, and serializes whole batches — append and insert — so no
+// flush's cursor passes records appended but not inserted yet. A failed
+// compaction merge is not an InsertRecords error (see flushOnWriteLocked).
 func (ix *Index) InsertRecords(recs []core.InsertRec) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -489,7 +420,7 @@ func (ix *Index) Flush() error {
 	return ix.compactPendingLocked()
 }
 
-// flushOnWriteLocked is the flush an Insert or InsertRecords triggers when
+// flushOnWriteLocked is the flush an InsertRecords triggers when
 // the memtable fills. A failed compaction merge is not the writer's error:
 // the batch is durable either way, the group's inputs stay (extsort removes
 // its temporaries), and the next flush retries the merge — Flush, Sync and
@@ -812,9 +743,6 @@ func (ix *Index) Close() error {
 	if err == nil {
 		err = ix.compactPendingLocked()
 	}
-	if ix.ownSums {
-		err = errors.Join(err, ix.rawSums.Close())
-	}
 	return errors.Join(err, ix.closeRunsLocked(), ix.rawFile.Close())
 }
 
@@ -913,47 +841,6 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 	return m
 }
 
-// ApproxSearch merges, from every run and the memtable, a half-window of
-// records on each side of where the query's key sorts, and evaluates the
-// merged window best-lower-bound-first with early abandoning (see
-// internal/window). The merged window is a pure function of the record
-// multiset, so the answer is identical for any run layout — before or
-// after flushes and compactions, and across partition counts. Safe for
-// concurrent use. The candidate fetch loop observes ctx between records and
-// returns ctx.Err() without a partial answer. The radius every index takes
-// is ignored here and below: the LSM window is sized by Options.Window.
-func (ix *Index) ApproxSearch(ctx context.Context, q series.Series, _ int) (core.Result, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	pass, err := ix.opt.S.NewPass(q)
-	if err != nil {
-		return core.Result{Pos: -1, Dist: math.Inf(1)}, err
-	}
-	defer pass.Release() // the window's bounds are all taken before it returns
-	res, err := ix.approxLocked(ctx, q, &pass.Table)
-	res.Dist = math.Sqrt(res.Dist)
-	return res, err
-}
-
-// approxLocked is the internal form of ApproxSearch: res.Dist holds the
-// SQUARED best distance (the LSM query path, like core's, stays in squared
-// space until a public entry point materializes a Euclidean distance). tbl
-// is q's MinDistTable.
-func (ix *Index) approxLocked(ctx context.Context, q series.Series, tbl *summary.MinDistTable) (core.Result, error) {
-	res := core.Result{Pos: -1, Dist: math.Inf(1)}
-	if ix.count == 0 {
-		return res, errors.New("lsm: index is empty")
-	}
-	below, above, runs, err := ix.windowCandsLocked(q, tbl)
-	if err != nil {
-		return res, err
-	}
-	res.VisitedLeaves = runs // runs probed travel in the leaf slot
-	pos, sq, visited, err := core.EvalWindow(ctx, q, window.Merge(below, above, ix.opt.Window/2), core.ApproxWindow{Raw: ix.rawFile, Sums: ix.rawSums})
-	res.Pos, res.Dist, res.VisitedRecords = pos, sq, visited
-	return res, err
-}
-
 // windowCandsLocked collects this index's window contributions: for each
 // run a binary search finds where the query key sorts and the surrounding
 // half-windows become candidates; the (unsorted) memtable's records are
@@ -1014,12 +901,19 @@ func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (
 	return below, above, runs, nil
 }
 
-// ApproxWindowCands is the partition-layer entry: this index's window
-// contributions for q, to be merged with the other partitions' before one
-// global evaluation. An empty index contributes nothing (no error — the
-// cross-partition window may still be non-empty). The Leaves counter
-// reports runs probed; the candidates are read from the raw file by
-// whoever evaluates the merged window (core.EvalWindow).
+// ApproxWindowCands is this index's contribution to an approximate search:
+// from every run and the memtable, a half-window of records on each side of
+// where the query's key sorts, to be merged with the other partitions'
+// before one global evaluation best-lower-bound-first with early abandoning
+// (see internal/window). The merged window is a pure function of the record
+// multiset, so the answer is identical for any run layout — before or after
+// flushes and compactions, and across partition counts. An empty index
+// contributes nothing (no error — the cross-partition window may still be
+// non-empty). The Leaves counter reports runs probed; the candidates are
+// read from the raw file by whoever evaluates the merged window
+// (core.EvalWindow), which observes its ctx between records. The radius
+// every index takes is ignored here and below: the LSM window is sized by
+// Options.Window.
 func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, _ int) (core.ApproxWindow, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -1041,51 +935,19 @@ func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, _ int) (c
 	return aw, nil
 }
 
-// ExactSearch is SIMS over the union of all runs' key blocks and the
-// memtable: squared lower bounds for every record (one per-query
-// MinDistTable shared by the approximate window, every run and the
-// memtable, evaluated per run across QueryWorkers; a run is swept block by
-// block without evicting what the cache holds, and a block whose key range
-// the table bounds at or above the seed is never read, see
+// ExactVerify is SIMS over the union of all runs' key blocks and the
+// memtable against the seed (seedPos, seedSq — SQUARED): squared lower
+// bounds for every record (one per-query MinDistTable shared by every run
+// and the memtable, evaluated per run across QueryWorkers; a run is swept
+// block by block without evicting what the cache holds, and a block whose
+// key range the table bounds at or above the seed is never read, see
 // runblock.Reader.Scan and MinDistTable.KeyRange), then a position-ordered
 // skip-sequential scan of the raw file (core.VerifyRaw: file-adjacent
-// candidates share one read), sharded by position range with a shared
-// squared best-so-far bound — the Euclidean distance is materialized once,
-// at return. Safe for concurrent use; (Pos, Dist) is identical for any
-// worker count. Every phase — window fetch, per-run lower bounds,
-// verification scan — observes ctx and returns ctx.Err() without a partial
-// answer.
-func (ix *Index) ExactSearch(ctx context.Context, q series.Series, _ int) (core.Result, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	res, err := ix.exactLocked(ctx, q)
-	res.Dist = math.Sqrt(res.Dist)
-	return res, err
-}
-
-// exactLocked runs the SIMS pipeline in squared space, both phases on one
-// per-query table.
-func (ix *Index) exactLocked(ctx context.Context, q series.Series) (core.Result, error) {
-	pass, err := ix.opt.S.NewPass(q)
-	if err != nil {
-		return core.Result{Pos: -1, Dist: math.Inf(1)}, err
-	}
-	res, err := ix.approxLocked(ctx, q, &pass.Table)
-	if err != nil {
-		if ctx.Err() == nil {
-			pass.Release()
-		}
-		return res, err
-	}
-	var bound shard.BSF
-	bound.Init(res.Dist)
-	return ix.exactVerifyLocked(ctx, q, res, &bound, pass)
-}
-
-// ExactVerify is the partition-layer entry: verify the seed (seedPos,
-// seedSq — SQUARED) against this index's records, pruning with the shared
-// cross-partition bound, and return the best in squared space with
-// verify-phase counters only. An empty index returns the seed unchanged.
+// candidates share one read), sharded by position range, pruning with the
+// shared cross-partition bound. It returns the best in squared space with
+// verify-phase counters only; an empty index returns the seed unchanged.
+// Safe for concurrent use; (Pos, Dist) is identical for any worker count.
+// Every phase observes ctx and returns ctx.Err() without a partial answer.
 func (ix *Index) ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (core.Result, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -1097,17 +959,9 @@ func (ix *Index) ExactVerify(ctx context.Context, q series.Series, seedPos int64
 	if err != nil {
 		return res, err
 	}
-	return ix.exactVerifyLocked(ctx, q, res, bound, pass)
-}
-
-// exactVerifyLocked is the verification phase: lower-bound every record of
-// a block the seed does not rule out whole, then scan the surviving
-// candidates in position order, tightening res (and the shared bound) as
-// closer records are found. pass holds q's table; the call owns pass and
-// returns it to the pool unless ctx ended it.
-func (ix *Index) exactVerifyLocked(ctx context.Context, q series.Series, res core.Result, bound *shard.BSF, pass *summary.Pass) (core.Result, error) {
-	// One lookup table serves the whole query: it is read-only after the
-	// build, so every run shard and the memtable pass read it concurrently.
+	// One lookup table serves the whole step: it is read-only after the
+	// build, so every run shard and the memtable pass read it concurrently,
+	// and it goes back to the pool at the end unless ctx ended the step.
 	tbl, limit := &pass.Table, bound.Limit(res.Dist)
 	skip := func(lo, hi *summary.Key) bool { return tbl.KeyRange(lo, hi) >= limit }
 	// Lower-bound the runs block by block — the working set is one decoded
@@ -1122,7 +976,7 @@ func (ix *Index) exactVerifyLocked(ctx context.Context, q series.Series, res cor
 	innerWorkers := shard.PerGroup(ix.opt.QueryWorkers, runWorkers)
 	perShard := make([][]summary.Cand, runWorkers)
 	perShard[0] = pass.Cands
-	err := shard.Scan(ctx, runWorkers, len(ix.runs), func(si int, rr shard.Range, cancelled func() bool) error {
+	err = shard.Scan(ctx, runWorkers, len(ix.runs), func(si int, rr shard.Range, cancelled func() bool) error {
 		for _, r := range ix.runs[rr.Lo:rr.Hi] {
 			if cancelled() {
 				return nil

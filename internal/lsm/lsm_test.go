@@ -26,7 +26,7 @@ func tSummarizer(t *testing.T) *summary.Summarizer {
 	return s
 }
 
-func buildFixture(t *testing.T, memBudget int64) (*Index, []series.Series, *storage.MemFS) {
+func buildFixture(t *testing.T, memBudget int64) (*lone, []series.Series, *storage.MemFS) {
 	t.Helper()
 	fs := storage.NewMemFS()
 	gen := dataset.NewRandomWalk()
@@ -34,7 +34,7 @@ func buildFixture(t *testing.T, memBudget int64) (*Index, []series.Series, *stor
 		t.Fatal(err)
 	}
 	data := dataset.Generate(gen, tCount, tLen, 42)
-	ix, err := Build(Options{
+	ix, err := buildLone(Options{
 		FS:             fs,
 		Name:           "lsm",
 		S:              tSummarizer(t),
@@ -211,7 +211,7 @@ func TestApproxSearchFindsMember(t *testing.T) {
 func TestEmptyAndValidation(t *testing.T) {
 	fs := storage.NewMemFS()
 	dataset.WriteFile(fs, "raw", dataset.NewRandomWalk(), 0, tLen, 1)
-	ix, err := Build(Options{FS: fs, Name: "l", S: tSummarizer(t), RawName: "raw"})
+	ix, err := buildLone(Options{FS: fs, Name: "l", S: tSummarizer(t), RawName: "raw"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,6 @@ func Open(opt Options) (*Index, error) {
 	if m.LSM == nil {
 		return nil, fmt.Errorf("lsm: %w: lsm manifest without lsm layout", manifest.ErrCorruptManifest)
 	}
-	if opt.RawName == "" {
-		opt.RawName = m.RawName
-	}
 	if err := m.CheckParams(opt.S.Params(), false, opt.RawName); err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
@@ -91,10 +88,6 @@ func (ix *Index) reopen(m *manifest.Manifest) error {
 	if ix.count != m.Count {
 		return fmt.Errorf("lsm: %w: runs hold %d records, manifest says %d",
 			manifest.ErrCorruptManifest, ix.count, m.Count)
-	}
-	var err error
-	if ix.rawSums, ix.ownSums, err = core.AttachRawSums(opt.FS, opt.RawName, opt.S, opt.RawSums, ix.rawFile); err != nil {
-		return err
 	}
 	ix.nextRun = m.LSM.NextRun
 	ix.nextSeq = m.LSM.NextSeq

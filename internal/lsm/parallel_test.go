@@ -20,7 +20,7 @@ import (
 // budget/fanout combination (1 MiB budget, 256 KiB merge buffers, fanout 4
 // > final fan-in 3) forces a multi-pass compaction whose merge grouping
 // differs between worker counts — the hardest case for determinism.
-func buildParallelFixture(t *testing.T, workers int) (*Index, *storage.MemFS) {
+func buildParallelFixture(t *testing.T, workers int) (*lone, *storage.MemFS) {
 	t.Helper()
 	fs := storage.NewMemFS()
 	gen := dataset.NewRandomWalk()
@@ -31,7 +31,7 @@ func buildParallelFixture(t *testing.T, workers int) (*Index, *storage.MemFS) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(Options{
+	ix, err := buildLone(Options{
 		FS:             fs,
 		Name:           "lsm",
 		S:              s,
@@ -160,7 +160,7 @@ func TestBuildReadsRawOnce(t *testing.T) {
 					f.Close()
 				}
 				before := fs.Stats().Snapshot()
-				ix, err := Build(Options{
+				ix, err := buildLone(Options{
 					FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw",
 					MemBudgetBytes: 1 << 20, Workers: workers,
 				})

@@ -20,9 +20,9 @@ import (
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
-func reopen(t *testing.T, fs *storage.MemFS) *Index {
+func reopen(t *testing.T, fs *storage.MemFS) *lone {
 	t.Helper()
-	ix, err := Open(Options{
+	ix, err := openLone(Options{
 		FS:             fs,
 		Name:           "lsm",
 		S:              tSummarizer(t),
@@ -121,7 +121,7 @@ func TestOpenContinuesDeterministicSequence(t *testing.T) {
 			FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw",
 			MemBudgetBytes: 25 * recordSize, Fanout: 2, Workers: 2,
 		}
-		ix, err := Build(opt)
+		ix, err := buildLone(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestOpenContinuesDeterministicSequence(t *testing.T) {
 				if err := ix.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if ix, err = Open(opt); err != nil {
+				if ix, err = openLone(opt); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -186,7 +186,7 @@ func TestOpenDetectsCorruption(t *testing.T) {
 	if err := storage.WriteFileAll(fs, runName, orig[:len(orig)-recordSize]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw"}); !errors.Is(err, manifest.ErrCorruptManifest) {
+	if _, err := openLone(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw"}); !errors.Is(err, manifest.ErrCorruptManifest) {
 		t.Fatalf("truncated run: got %v, want ErrCorruptManifest", err)
 	}
 
@@ -196,7 +196,7 @@ func TestOpenDetectsCorruption(t *testing.T) {
 	if err := storage.WriteFileAll(fs, runName, mut); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw"}); !errors.Is(err, manifest.ErrCorruptManifest) {
+	if _, err := openLone(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw"}); !errors.Is(err, manifest.ErrCorruptManifest) {
 		t.Fatalf("mutilated run: got %v, want ErrCorruptManifest", err)
 	}
 	if err := storage.WriteFileAll(fs, runName, orig); err != nil {
@@ -208,15 +208,15 @@ func TestOpenDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{FS: fs, Name: "lsm", S: s2, RawName: "raw"}); !errors.Is(err, manifest.ErrConfigMismatch) {
+	if _, err := openLone(Options{FS: fs, Name: "lsm", S: s2, RawName: "raw"}); !errors.Is(err, manifest.ErrConfigMismatch) {
 		t.Fatalf("segment mismatch: got %v, want ErrConfigMismatch", err)
 	}
-	if _, err := Open(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw", Fanout: 5}); !errors.Is(err, manifest.ErrConfigMismatch) {
+	if _, err := openLone(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw", Fanout: 5}); !errors.Is(err, manifest.ErrConfigMismatch) {
 		t.Fatalf("fanout mismatch: got %v, want ErrConfigMismatch", err)
 	}
 
 	// And the repaired index opens again.
-	re, err := Open(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw"})
+	re, err := openLone(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestCloseFlushesMemtable(t *testing.T) {
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw",
+	re, err := openLone(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw",
 		MemBudgetBytes: 1 << 20, Window: 40})
 	if err != nil {
 		t.Fatal(err)

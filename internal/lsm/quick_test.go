@@ -24,7 +24,7 @@ func TestQuickMembershipUnderRandomBatching(t *testing.T) {
 		if _, err := dataset.WriteFile(fs, "raw", gen, 60, tLen, seed); err != nil {
 			return false
 		}
-		ix, err := Build(Options{
+		ix, err := buildLone(Options{
 			FS:             fs,
 			Name:           "q",
 			S:              tSummarizerQuick(),

@@ -43,7 +43,7 @@ func TestExactMatchesReferencePass(t *testing.T) {
 		if _, err := dataset.WriteFile(fs, "raw", gen, tCount, tLen, 42); err != nil {
 			t.Fatal(err)
 		}
-		ix, err := Build(Options{FS: fs, Name: "lsm", S: s, RawName: "raw", MemBudgetBytes: 1 << 20, Fanout: 4, Window: 40,
+		ix, err := buildLone(Options{FS: fs, Name: "lsm", S: s, RawName: "raw", MemBudgetBytes: 1 << 20, Fanout: 4, Window: 40,
 			Cache: blockcache.New(64 << 10)})
 		if err != nil {
 			t.Fatal(err)
@@ -80,15 +80,10 @@ func TestExactMatchesReferencePass(t *testing.T) {
 			keys, positions = append(keys, e.key), append(positions, e.pos)
 		}
 		for qi, q := range queries {
-			pass, err := s.NewPass(q)
+			seed, err := ix.approxSq(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			seed, err := ix.approxLocked(context.Background(), q, &pass.Table)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pass.Release()
 			want := referenceExact(s, q, data, keys, positions, seed)
 			for _, w := range []int{1, 2, 8} {
 				ix.opt.QueryWorkers = w
@@ -146,7 +141,7 @@ func TestExactSkipsRunBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := append(dataset.Generate(gen, bulk, tLen, 42), dataset.Generate(gen, 1300, tLen, 7)...)
-	ix, err := Build(Options{FS: fs, Name: "lsm", S: s, RawName: "raw", MemBudgetBytes: 1 << 20, Fanout: 4, Window: 40,
+	ix, err := buildLone(Options{FS: fs, Name: "lsm", S: s, RawName: "raw", MemBudgetBytes: 1 << 20, Fanout: 4, Window: 40,
 		QueryWorkers: 1, Cache: blockcache.New(1 << 10)})
 	if err != nil {
 		t.Fatal(err)
@@ -188,15 +183,10 @@ func TestExactSkipsRunBlocks(t *testing.T) {
 	}
 	fewer := 0
 	for qi, q := range append(dataset.Queries(gen, 16, tLen, 77), data[5], data[bulk+700]) {
-		pass, err := s.NewPass(q)
+		seed, err := ix.approxSq(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seed, err := ix.approxLocked(context.Background(), q, &pass.Table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pass.Release()
 		want := referenceExact(s, q, data, keys, positions, seed)
 		var bound shard.BSF
 		bound.Init(seed.Dist)

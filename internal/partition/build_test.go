@@ -158,18 +158,9 @@ func variants(t *testing.T, fs storage.FS, workers int) map[string]Variant {
 	}
 }
 
-// buildIndex builds variant over fs — the lone index for parts == 1, the
-// Composite otherwise.
-func buildIndex(t *testing.T, variant string, fs storage.FS, workers, parts int) (Index, error) {
-	v := variants(t, fs, workers)[variant]
-	if parts == 1 {
-		return v.Build()
-	}
-	c, err := Build(v, parts, nil)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
+// buildIndex builds the parts-way Composite of variant over fs.
+func buildIndex(t *testing.T, variant string, fs storage.FS, workers, parts int) (*Composite, error) {
+	return Build(variants(t, fs, workers)[variant], parts, nil)
 }
 
 // TestPartitionedBuildReadsRawOnce: every partitioned build, at any worker

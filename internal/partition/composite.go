@@ -15,36 +15,47 @@ import (
 	"github.com/coconut-db/coconut/internal/window"
 )
 
-// Composite is the N-way partitioned index: N independent children of one
-// Variant split by invSAX key range, answering byte-identically to a single
-// index over the same records. What the children can do beyond searching —
-// k-NN, inserts, LSM housekeeping — the Composite can do, and nothing more.
+// Composite is the one index: N children of one Variant split by invSAX
+// key range — one, stored under the index name, when unpartitioned —
+// answering byte-identically for any N. It owns what the children share:
+// the raw log and the handle lock. What the children can do beyond
+// searching — k-NN, inserts, LSM housekeeping — the Composite can do, and
+// nothing more.
 type Composite struct {
 	v      Variant
 	bounds []summary.Key
 	// kids holds one child per partition.
 	kids []Child
 
-	// rawSums is the parent-owned raw log of the shared dataset file: only
-	// the parent appends raw bytes, and it commits them once per insert for
-	// every child.
+	// rawSums is the raw log of the shared dataset file: only the Composite
+	// appends raw bytes, and it commits them once per insert for every child.
 	rawSums *storage.RecordSums
 
-	// mu serializes inserts: raw-log appends assign global arrival-order
-	// positions before records route to their owning partition.
-	mu     sync.Mutex
+	// mu is the handle lock. A query holds it shared from its first child
+	// step to its last fetch: a window's candidates are read after the steps
+	// that collected them have returned. An insert's append and route hold it
+	// exclusively — raw-log appends assign global arrival-order positions
+	// before records route to their owning child, and no query reads a leaf
+	// a split is rewriting — but not its commit wait; Close holds it
+	// exclusively too.
+	mu     sync.RWMutex
 	closed bool
 }
 
-// Build builds the N-way Composite of v: one summarization pass scatters
-// records to per-partition files by key range, the children bulk-load in
-// parallel, and the parent manifest commits last. A failed build removes
-// the children it finished. bounds, when set, are the parts-1 boundaries to
-// keep — a rebuild's, so that every child it commits holds exactly the
-// records of the child it replaces and a rebuild cut short between two child
-// commits still splits the records one way; nil samples them from the
-// dataset.
+// Build builds the Composite of parts children of v; a failed build removes
+// the children it finished. With parts < 2 the one child is the
+// unpartitioned index: it bulk-loads, under v's name, from the
+// summarization pass over the raw file, and its manifest is the index's.
+// Otherwise one summarization pass scatters records to per-partition files
+// by key range, the children bulk-load in parallel, and the parent manifest
+// commits last. bounds, when set, are the parts-1 boundaries to keep — a
+// rebuild's, so that every child it commits holds exactly the records of
+// the child it replaces and a rebuild cut short between two child commits
+// still splits the records one way; nil samples them from the dataset.
 func Build(v Variant, parts int, bounds []summary.Key) (*Composite, error) {
+	if parts < 2 {
+		return buildOne(v)
+	}
 	sc, err := scatterDataset(v, parts, bounds)
 	if err != nil {
 		return nil, err
@@ -55,8 +66,13 @@ func Build(v Variant, parts int, bounds []summary.Key) (*Composite, error) {
 		if cancelled() {
 			return nil
 		}
+		src, err := core.RecordSource(v.fs, scatterName(v.name, i))
+		if err != nil {
+			return fmt.Errorf("partition %d: %w", i, err)
+		}
+		defer src.Close()
 		ix, err := v.child(childPlan{i: i, parts: parts, par: buildPar, name: sc.children[i],
-			records: scatterName(v.name, i), bounds: sc.bounds, sums: sc.sums})
+			records: src, bounds: sc.bounds, sums: sc.sums})
 		if err != nil {
 			return fmt.Errorf("partition %d: %w", i, err)
 		}
@@ -81,22 +97,49 @@ func Build(v Variant, parts int, bounds []summary.Key) (*Composite, error) {
 	return c, nil
 }
 
-// Open reopens the Composite of v from its parent manifest; each child
-// restores its own state from its child manifest, which stays authoritative
-// for everything mutable. parts == 0 adopts the stored partition count; a
-// non-zero mismatch fails with manifest.ErrConfigMismatch. A child that
-// fails to open closes the already-open siblings — never a partial handle.
-func Open(v Variant, parts int) (*Composite, error) {
-	m, err := loadParent(v, parts)
+// buildOne builds the one-child Composite from the summarization pass over
+// the raw file, which fills the raw log's fresh sidecar on the way; the
+// child persists it before it commits its manifest.
+func buildOne(v Variant) (*Composite, error) {
+	raw, err := v.fs.Open(v.rawName)
 	if err != nil {
 		return nil, err
 	}
-	c := &Composite{v: v, bounds: m.Part.Boundaries}
+	defer raw.Close()
+	src, sums, err := core.SummarySource(v.fs, v.s, raw, v.rawName, v.materialized, v.workers)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	kid, err := v.child(childPlan{parts: 1, par: 1, name: v.name, records: src, sums: sums})
+	if err != nil {
+		return nil, err
+	}
+	return &Composite{v: v, kids: []Child{kid}, rawSums: sums}, nil
+}
+
+// Open reopens the Composite of v: an unpartitioned index's one child from
+// its own manifest, a partitioned index's children through the parent
+// manifest, each restoring its own state from its child manifest, which
+// stays authoritative for everything mutable. parts == 0 adopts the stored
+// partition count; a non-zero mismatch fails with manifest.ErrConfigMismatch.
+// A child that fails to open closes the already-open siblings — never a
+// partial handle.
+func Open(v Variant, parts int) (*Composite, error) {
+	m, err := loadStored(v, parts)
+	if err != nil {
+		return nil, err
+	}
+	c := &Composite{v: v}
+	names := []string{v.name}
+	if m.Part != nil {
+		c.bounds, names = m.Part.Boundaries, m.Part.Children
+	}
 	if c.rawSums, err = attachRawSums(v); err != nil {
 		return nil, err
 	}
-	n := m.Part.Partitions
-	for i, cname := range m.Part.Children {
+	n := len(names)
+	for i, cname := range names {
 		ix, err := v.child(childPlan{i: i, parts: n, par: n, name: cname,
 			bounds: c.bounds, sums: c.rawSums})
 		if err != nil {
@@ -132,46 +175,91 @@ func (c *Composite) Count() int64 {
 	return n
 }
 
-// approxSq is the scatter-gather approximate search (squared space): every
-// partition contributes its window candidates, internal/window merges them
-// into exactly the window a single sorted sequence of the union would
-// produce, and one global evaluation visits them best-lower-bound-first,
-// dispatching fetches back to the owning partition.
-func (c *Composite) approxSq(ctx context.Context, q series.Series, radius int) (core.Result, error) {
-	res := core.Result{Pos: -1, Dist: math.Inf(1)}
-	if c.Count() == 0 {
-		return res, core.ErrEmptyIndex
+// each runs step on every child and returns the outcome: the caller's
+// cancellation first — a query never reports a child error when the caller
+// itself gave up — then the first child failure (a sibling that merely
+// observed the cancellation it caused reports context.Canceled, which must
+// not mask it). Several children run concurrently under a derived context
+// that the first failure cancels, so a parent cancel reaches every child
+// too; a lone child runs on the caller's goroutine under the caller's own
+// context, so its scans start no watcher for a scope nobody else cancels.
+// On a ctx error abandoned children may still be writing the slots step
+// fills; the caller must not read them.
+func (c *Composite) each(ctx context.Context, step func(ctx context.Context, i int) error) error {
+	if len(c.kids) == 1 {
+		err := step(ctx, 0)
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		return err
 	}
-	cc := newChildCancel(ctx)
-	defer cc.cancel()
-	aws := make([]core.ApproxWindow, len(c.kids))
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		mu    sync.Mutex
+		first error
+	)
 	ferr := shard.FanOut(ctx, shard.Resolve(c.v.queryWorkers, len(c.kids)), len(c.kids),
 		func(i int, cancelled func() bool) error {
 			if cancelled() {
 				return nil
 			}
-			aw, err := c.kids[i].ApproxWindowCands(cc.cctx, q, radius)
+			err := step(cctx, i)
 			if err != nil {
-				return cc.fail(err)
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
+				cancel()
 			}
-			aws[i] = aw
-			return nil
+			return err
 		})
-	if err := cc.resolve(ctx, ferr); err != nil {
-		// On a ctx error abandoned children may still be writing aws; it is
-		// never read on this path.
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if first != nil {
+		return first
+	}
+	return ferr
+}
+
+// approxSq is the scatter-gather approximate search (squared space): every
+// partition contributes its window candidates, internal/window merges them
+// into exactly the window a single sorted sequence of the union would
+// produce, and one global evaluation visits them best-lower-bound-first,
+// dispatching fetches back to the owning partition. Callers hold mu shared.
+func (c *Composite) approxSq(ctx context.Context, q series.Series, radius int) (core.Result, error) {
+	res := core.Result{Pos: -1, Dist: math.Inf(1)}
+	if c.Count() == 0 {
+		return res, core.ErrEmptyIndex
+	}
+	aws := make([]core.ApproxWindow, len(c.kids))
+	err := c.each(ctx, func(ctx context.Context, i int) (err error) {
+		aws[i], err = c.kids[i].ApproxWindowCands(ctx, q, radius)
+		return err
+	})
+	if err != nil {
 		return res, err
 	}
-	var below, above []window.Cand
+	// A lone window's candidates are already tagged with source 0.
+	below, above := aws[0].Below, aws[0].Above
+	if len(aws) > 1 {
+		below, above = nil, nil
+		for i := range aws {
+			for _, cand := range aws[i].Below {
+				cand.Src = i
+				below = append(below, cand)
+			}
+			for _, cand := range aws[i].Above {
+				cand.Src = i
+				above = append(above, cand)
+			}
+		}
+	}
 	for i := range aws {
-		for _, cand := range aws[i].Below {
-			cand.Src = i
-			below = append(below, cand)
-		}
-		for _, cand := range aws[i].Above {
-			cand.Src = i
-			above = append(above, cand)
-		}
 		res.VisitedLeaves += aws[i].Leaves
 	}
 	pos, sq, visited, err := core.EvalWindow(ctx, q, window.Merge(below, above, c.v.half(radius)), aws...)
@@ -185,6 +273,7 @@ func (c *Composite) approxSq(ctx context.Context, q series.Series, radius int) (
 // differently), the shared atomic bound lets partitions prune each other,
 // and the per-partition results merge under the total (distance, position)
 // order — the same order a single index's sharded scan reduces under.
+// Callers hold mu shared.
 func (c *Composite) exactSq(ctx context.Context, q series.Series, radius int) (core.Result, error) {
 	res, err := c.approxSq(ctx, q, radius)
 	if err != nil {
@@ -193,26 +282,11 @@ func (c *Composite) exactSq(ctx context.Context, q series.Series, radius int) (c
 	var bound shard.BSF
 	bound.Init(res.Dist)
 	outs := make([]core.Result, len(c.kids))
-	for i := range outs {
-		outs[i] = core.Result{Pos: -1, Dist: math.Inf(1)}
-	}
-	cc := newChildCancel(ctx)
-	defer cc.cancel()
-	ferr := shard.FanOut(ctx, shard.Resolve(c.v.queryWorkers, len(c.kids)), len(c.kids),
-		func(i int, cancelled func() bool) error {
-			if cancelled() {
-				return nil
-			}
-			r, err := c.kids[i].ExactVerify(cc.cctx, q, res.Pos, res.Dist, &bound)
-			if err != nil {
-				return cc.fail(err)
-			}
-			outs[i] = r
-			return nil
-		})
-	if err := cc.resolve(ctx, ferr); err != nil {
-		// On a ctx error abandoned children may still be writing outs; it is
-		// never read on this path.
+	err = c.each(ctx, func(ctx context.Context, i int) (err error) {
+		outs[i], err = c.kids[i].ExactVerify(ctx, q, res.Pos, res.Dist, &bound)
+		return err
+	})
+	if err != nil {
 		return res, err
 	}
 	for _, r := range outs {
@@ -226,23 +300,31 @@ func (c *Composite) exactSq(ctx context.Context, q series.Series, radius int) (c
 }
 
 // finish materializes the Euclidean distance — the single square root of a
-// partitioned query.
+// query. sqrt is monotone on non-negative reals, so the (Pos, squared
+// distance) pair picked by squared comparisons is the record a sqrt-space
+// search would pick, and sqrt of its exact squared sum is the distance it
+// would report.
 func finish(r core.Result, err error) (core.Result, error) {
 	r.Dist = math.Sqrt(r.Dist)
 	return r, err
 }
 
 // ExactSearch returns the exact nearest neighbor of q via scatter-gather
-// SIMS, identical to a single index's answer. A parent cancel cancels every
-// partition's verification, the first child error cancels its siblings, and
-// a done ctx returns ctx.Err() — never a partial answer.
+// SIMS, identical for any partition count; an empty index fails with
+// core.ErrEmptyIndex. A parent cancel cancels every partition's
+// verification, the first child error cancels its siblings, and a done ctx
+// returns ctx.Err() — never a partial answer.
 func (c *Composite) ExactSearch(ctx context.Context, q series.Series, radius int) (core.Result, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return finish(c.exactSq(ctx, q, radius))
 }
 
 // ApproxSearch returns the approximate nearest neighbor from the merged
 // cross-partition window; it observes ctx as ExactSearch does.
 func (c *Composite) ApproxSearch(ctx context.Context, q series.Series, radius int) (core.Result, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return finish(c.approxSq(ctx, q, radius))
 }
 
@@ -253,6 +335,8 @@ func (c *Composite) ApproxSearch(ctx context.Context, q series.Series, radius in
 // error cancels its siblings, and a done ctx returns ctx.Err() — never a
 // partial top-k.
 func (c *Composite) ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]core.Neighbor, core.Result, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	stats := core.Result{Pos: -1, Dist: math.Inf(1)}
 	kids, ok := capable[sharedKNN](c.kids)
 	if !ok {
@@ -266,23 +350,16 @@ func (c *Composite) ExactSearchKNN(ctx context.Context, q series.Series, k, radi
 	}
 	var kb shard.BSF
 	kb.Init(math.Inf(1))
-	n := len(kids)
-	perChild := make([][]core.Neighbor, n)
-	childStats := make([]core.Result, n)
-	cc := newChildCancel(ctx)
-	defer cc.cancel()
-	ferr := shard.FanOut(ctx, shard.Resolve(c.v.queryWorkers, n), n, func(i int, cancelled func() bool) error {
-		if cancelled() || c.kids[i].Count() == 0 {
+	perChild := make([][]core.Neighbor, len(kids))
+	childStats := make([]core.Result, len(kids))
+	err := c.each(ctx, func(ctx context.Context, i int) (err error) {
+		if c.kids[i].Count() == 0 {
 			return nil
 		}
-		ns, st, err := kids[i].ExactSearchKNNShared(cc.cctx, q, k, radius, &kb)
-		if err != nil {
-			return cc.fail(err)
-		}
-		perChild[i], childStats[i] = ns, st
-		return nil
+		perChild[i], childStats[i], err = kids[i].ExactSearchKNNShared(ctx, q, k, radius, &kb)
+		return err
 	})
-	if err := cc.resolve(ctx, ferr); err != nil {
+	if err != nil {
 		// On a ctx error abandoned children may still be writing perChild
 		// and childStats; neither is read on this path.
 		return nil, stats, err
@@ -454,17 +531,16 @@ func (c *Composite) CacheStats() blockcache.Stats {
 	return blockcache.Stats{}
 }
 
-// Close syncs and closes every partition and releases the raw log. It is
-// idempotent and safe to call concurrently with cancelled queries and
-// abandoned commit waits.
+// Close syncs and closes every partition and releases the raw log, waiting
+// for in-flight queries. It is idempotent and safe to call concurrently
+// with cancelled queries and abandoned commit waits.
 func (c *Composite) Close() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil
 	}
 	c.closed = true
-	c.mu.Unlock()
 	first := c.commitRaw()
 	if err := c.closeFiles(); first == nil {
 		first = err

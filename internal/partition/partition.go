@@ -1,44 +1,50 @@
-// Package partition holds the one index abstraction above the three
-// Coconut variants and the N-way partitioned architecture written once over
-// it.
+// Package partition holds the one index of this module: the Composite, N
+// Coconut children of one variant split by invSAX key range, with N = 1
+// for an unpartitioned index.
 //
-// Index is the surface a Coconut-Tree, a Coconut-Trie and a Coconut-LSM all
-// offer natively (count, the two searches, shape, size, sync, close); Child
-// adds the two steps every exact query is made of — an approximate window
-// that seeds a best-so-far, and a SIMS verification pass under it — which is
-// all the scatter-gather needs. k-NN, inserts and LSM housekeeping are
-// optional capabilities (KNNSearcher, Inserter, Maintainer) an index has or
-// lacks. A Variant names one kind of index over one option set by the few
-// things that differ — how to build, open and remove one, how the window
-// scales with the radius — and Composite is the partitioned index over a
-// slice of Child: records are routed to partitions by invSAX key range
-// (boundaries chosen from a dataset sample so partitions balance), each
-// partition builds as an independent index in parallel, and queries scatter
-// to every partition and gather deterministically. The public package holds
-// an Index: the lone child when unpartitioned, the Composite otherwise.
+// Child is what a Coconut-Tree, a Coconut-Trie and a Coconut-LSM all offer:
+// count, shape, size, sync and close, and the two steps every query is made
+// of — an approximate window contribution that seeds a best-so-far, and a
+// SIMS verification pass under it — in squared space. A tree also answers
+// its own top-k under a shared bound, and a tree or an LSM takes records
+// whose raw bytes the Composite already appended; an LSM flushes and reports
+// its block cache. A Variant names one kind of child over one option set by
+// the few things that differ — how to build, open and remove one, how the
+// window scales with the radius.
+//
+// The Composite owns what its children share: the raw log (the raw file and
+// its CRC sidecar, storage.RecordSums), the build's record stream, and the
+// handle lock. A one-child index is stored exactly as an unpartitioned one —
+// its files under the index name, no parent manifest — and bulk-loads from
+// the summarization pass over the raw file. With N >= 2 records are routed
+// to partitions by key range (boundaries chosen from a dataset sample so
+// partitions balance): one pass scatters them into one file per partition,
+// the children build in parallel, and queries scatter to every partition
+// and gather deterministically.
 //
 // Everything below the public package takes its context first and has no
 // context-free twin; a build, an open or a test with no caller context
 // passes context.Background() itself.
 //
-// The determinism contract is exact: answers are byte-identical to a
-// single-partition index for any partition count and any worker count.
-// Approximate search composes per-partition window contributions through
-// internal/window (the window is a pure function of the record multiset);
-// exact search seeds every partition with the GLOBAL approximate answer
-// and merges per-partition verifications under the total (distance,
-// position) order, sharing one atomic squared best-so-far bound so
-// partitions prune each other; k-NN merges self-seeded per-partition top-k
-// sets through the shared shard.KNNHeap order.
+// The determinism contract is exact: answers are byte-identical for any
+// partition count and any worker count. Approximate search composes
+// per-partition window contributions through internal/window (the window is
+// a pure function of the record multiset); exact search seeds every
+// partition with the GLOBAL approximate answer and merges per-partition
+// verifications under the total (distance, position) order, sharing one
+// atomic squared best-so-far bound so partitions prune each other; k-NN
+// merges self-seeded per-partition top-k sets through the shared
+// shard.KNNHeap order.
 //
-// Durability: each child index commits its own manifest BEFORE the parent
-// manifest is committed, so an existing parent always references fully
-// durable children. The parent manifest (boundaries + child names) is
-// immutable after the build; mutable state (LSM run sets, insert counts)
-// lives in the child manifests, which stay authoritative across reopens.
-// Inserts go through one raw log, the parent's: it appends every batch to
-// the shared raw file and commits it once, and each child commits it again
-// before a manifest of its own may reference the new positions.
+// Durability: each child commits its own manifest, after the raw log's
+// sidecar is durable, and with N >= 2 BEFORE the parent manifest is
+// committed, so an existing parent always references fully durable
+// children. The parent manifest (boundaries + child names) is immutable
+// after the build; mutable state (LSM run sets, insert counts) lives in the
+// child manifests, which stay authoritative across reopens. Inserts go
+// through the one raw log: the Composite appends every batch and commits it
+// once, and each child commits it again before a manifest of its own may
+// reference the new positions.
 package partition
 
 import (
@@ -47,7 +53,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/lsm"
@@ -59,63 +64,46 @@ import (
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
-// Index is the one internal index surface: what a Coconut-Tree, a
-// Coconut-Trie, a Coconut-LSM and the Composite of any of them all offer.
+// Child is one index the Composite scatter-gathers over: the two steps of
+// an exact query on their own, in SQUARED space — its contribution to a
+// (cross-partition) approximate window, and the SIMS verification of an
+// external seed under a shared bound — plus what every index reports.
 // Distances are Euclidean; radius widens the approximate window (an LSM
 // sizes its own and ignores it).
-type Index interface {
+type Child interface {
+	ApproxWindowCands(ctx context.Context, q series.Series, radius int) (core.ApproxWindow, error)
+	ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (core.Result, error)
 	Count() int64
-	ApproxSearch(ctx context.Context, q series.Series, radius int) (core.Result, error)
-	ExactSearch(ctx context.Context, q series.Series, radius int) (core.Result, error)
 	Shape() core.Shape
 	SizeBytes() int64
 	Sync() error
 	Close() error
 }
 
-// Child is an Index the Composite can scatter-gather over: it also exposes
-// the two steps of an exact query on their own, in SQUARED space — its
-// contribution to a cross-partition approximate window, and the SIMS
-// verification of an external seed under a shared bound. (The Composite is
-// an Index but not a Child: the fetchers of its merged window live only as
-// long as the query's sibling-cancel scope.)
-type Child interface {
-	Index
-	ApproxWindowCands(ctx context.Context, q series.Series, radius int) (core.ApproxWindow, error)
-	ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (core.Result, error)
-}
-
-// Optional capabilities: an Index has them or lacks them, and the Composite
-// offers each exactly when its children do (ErrUnsupported otherwise).
+// Optional steps: a Child has them or lacks them, and the Composite offers
+// what they make possible exactly when its children do (ErrUnsupported
+// otherwise).
 type (
-	// KNNSearcher answers exact k-NN (trees).
-	KNNSearcher interface {
-		ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]core.Neighbor, core.Result, error)
-	}
-	// Inserter accepts new series (trees and LSMs).
-	Inserter interface {
-		Insert(ctx context.Context, batch []series.Series) error
-	}
 	// Maintainer is the LSM's housekeeping: flush the memtable, report the
 	// block cache.
 	Maintainer interface {
 		Flush() error
 		CacheStats() blockcache.Stats
 	}
-
-	// What the Composite needs of a child to offer the above itself: the
-	// self-seeded top-k under a shared bound, and a routed insert of records
-	// whose raw bytes the Composite already appended to the shared raw log.
+	// sharedKNN answers a self-seeded exact top-k under a shared bound
+	// (trees).
 	sharedKNN interface {
 		ExactSearchKNNShared(ctx context.Context, q series.Series, k, radius int, kb *shard.BSF) ([]core.Neighbor, core.Result, error)
 	}
+	// recordInserter takes records whose raw bytes the Composite already
+	// appended to the raw log (trees and LSMs).
 	recordInserter interface {
 		InsertRecords(recs []core.InsertRec) error
 	}
 )
 
-// ErrUnsupported reports a capability the index (or the children of a
-// Composite) does not have; it matches errors.ErrUnsupported.
+// ErrUnsupported reports a capability the children of a Composite do not
+// have; it matches errors.ErrUnsupported.
 var ErrUnsupported = fmt.Errorf("partition: %w by this index variant", errors.ErrUnsupported)
 
 // capable returns kids as their capability C, or false when a child lacks
@@ -133,12 +121,8 @@ func capable[C any](kids []Child) ([]C, bool) {
 }
 
 // Variant names one kind of index over one option set by what differs
-// between the kinds. Build and Open make the unpartitioned index; Build and
-// Open of this package the N-way Composite of the same.
+// between the kinds; Build and Open make the Composite of N of them.
 type Variant struct {
-	// Build bulk-loads and Open reopens the lone index.
-	Build, Open func() (Child, error)
-
 	kind          manifest.Variant
 	fs            storage.FS
 	name, rawName string
@@ -154,29 +138,21 @@ type Variant struct {
 	// ackInserts says an insert is acknowledged once the raw log commits it
 	// (the LSM's contract); otherwise inserts become durable at Sync.
 	ackInserts bool
-	// child builds partition p from its scatter file when p.records is set
-	// and reopens it otherwise; remove deletes a finished child's files.
+	// child builds the child p plans from p.records when set and reopens it
+	// otherwise; remove deletes a finished child's files.
 	child  func(p childPlan) (Child, error)
 	remove func(fs storage.FS, name string)
 }
 
-// childPlan is one partition as its Variant sees it: which of how many it
-// is, how many build or open at once (budgets divide by it), and what the
-// parent hands down — the key ranges, the scatter file, the shared sidecar.
+// childPlan is one child as its Variant sees it: which of how many it is,
+// how many build or open at once (budgets divide by it), and what the
+// Composite hands down — the key ranges, the record stream, the raw log.
 type childPlan struct {
 	i, parts, par int
-	name, records string
+	name          string
+	records       *core.BuildSource
 	bounds        []summary.Key
 	sums          *storage.RecordSums
-}
-
-// asChild turns a concrete index and its error into a Child, keeping a
-// failed build's nil pointer out of the interface.
-func asChild[T Child](ix T, err error) (Child, error) {
-	if err != nil {
-		return nil, err
-	}
-	return ix, nil
 }
 
 // TreeVariant is Coconut-Tree over opt.
@@ -196,31 +172,36 @@ func coreVariant[T Child](kind manifest.Variant, opt core.Options,
 		aw = 32
 	}
 	return Variant{
-		kind:  kind,
-		Build: func() (Child, error) { return asChild(build(opt)) },
-		Open:  func() (Child, error) { return asChild(open(opt)) },
-		fs:    opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
+		kind: kind,
+		fs:   opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
 		materialized: opt.Materialized, leafCap: opt.LeafCap,
 		workers: opt.Workers, queryWorkers: opt.QueryWorkers,
 		half:   func(radius int) int { return aw * (radius + 1) / 2 },
 		remove: remove,
-		// Same geometry and summarization, divided worker and memory budgets.
+		// Same geometry and summarization; a partition divides the worker
+		// and memory budgets.
 		child: func(p childPlan) (Child, error) {
 			co := opt
-			co.Name, co.RecordsName, co.RawSums = p.name, p.records, p.sums
-			co.MemBudgetBytes = divideBudget(opt.MemBudgetBytes, p.par, 1<<20)
-			co.Workers = shard.PerGroup(opt.Workers, p.par)
-			co.QueryWorkers = shard.PerGroup(opt.QueryWorkers, p.parts)
-			if p.records != "" {
-				return asChild(build(co))
+			co.Name, co.Records, co.RawSums = p.name, p.records, p.sums
+			if p.parts > 1 {
+				co.MemBudgetBytes = divideBudget(opt.MemBudgetBytes, p.par, 1<<20)
+				co.Workers = shard.PerGroup(opt.Workers, p.par)
+				co.QueryWorkers = shard.PerGroup(opt.QueryWorkers, p.parts)
 			}
-			return asChild(open(co))
+			load := open
+			if p.records != nil {
+				load = build
+			}
+			ix, err := load(co)
+			if err != nil {
+				return nil, err
+			}
+			return ix, nil
 		},
 	}
 }
 
-// LSMVariant is Coconut-LSM over opt. One block cache serves the lone index
-// or every child alike.
+// LSMVariant is Coconut-LSM over opt. One block cache serves every child.
 func LSMVariant(opt lsm.Options) Variant {
 	if opt.Cache == nil {
 		opt.Cache = blockcache.New(0)
@@ -230,31 +211,36 @@ func LSMVariant(opt lsm.Options) Variant {
 		w = 100
 	}
 	return Variant{
-		kind:  manifest.VariantLSM,
-		Build: func() (Child, error) { return asChild(lsm.Build(opt)) },
-		Open:  func() (Child, error) { return asChild(lsm.Open(opt)) },
-		fs:    opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
+		kind: manifest.VariantLSM,
+		fs:   opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
 		workers: opt.Workers, queryWorkers: opt.QueryWorkers,
 		half:       func(int) int { return w / 2 },
 		ackInserts: true,
 		remove:     lsm.Remove,
-		// The global memory and worker budgets divide across partitions so
-		// aggregate resource use matches the unpartitioned configuration.
-		// The ownership filter scopes any reconstruction-from-raw to the
-		// child's key range — the raw dataset is shared, and a child
+		// A partition divides the global memory and worker budgets, so
+		// aggregate resource use matches the unpartitioned configuration. The
+		// ownership filter scopes any reconstruction-from-raw to the
+		// partition's key range — the raw dataset is shared, and a partition
 		// re-indexing a sibling's records would duplicate them across the
 		// index.
 		child: func(p childPlan) (Child, error) {
 			co := opt
-			co.Name, co.RecordsName, co.RawSums = p.name, p.records, p.sums
-			co.Owns = func(k summary.Key) bool { return route(p.bounds, k) == p.i }
-			co.MemBudgetBytes = divideBudget(opt.MemBudgetBytes, p.parts, 64<<10)
-			co.Workers = shard.PerGroup(opt.Workers, p.par)
-			co.QueryWorkers = shard.PerGroup(opt.QueryWorkers, p.parts)
-			if p.records != "" {
-				return asChild(lsm.Build(co))
+			co.Name, co.Records, co.RawSums = p.name, p.records, p.sums
+			if p.parts > 1 {
+				co.Owns = func(k summary.Key) bool { return route(p.bounds, k) == p.i }
+				co.MemBudgetBytes = divideBudget(opt.MemBudgetBytes, p.parts, 64<<10)
+				co.Workers = shard.PerGroup(opt.Workers, p.par)
+				co.QueryWorkers = shard.PerGroup(opt.QueryWorkers, p.parts)
 			}
-			return asChild(lsm.Open(co))
+			load := lsm.Open
+			if p.records != nil {
+				load = lsm.Build
+			}
+			ix, err := load(co)
+			if err != nil {
+				return nil, err
+			}
+			return ix, nil
 		},
 	}
 }
@@ -347,9 +333,9 @@ type scattered struct {
 	bounds   []summary.Key
 	children []string
 	total    int64
-	// sums is the parent-owned raw log of the shared dataset file, already
+	// sums is the Composite's raw log of the shared dataset file, already
 	// persisted. Every child verifies its raw fetches through this one
-	// handle, and only the parent — the sole raw writer — appends to it.
+	// handle, and only the Composite — the sole raw writer — appends to it.
 	sums *storage.RecordSums
 }
 
@@ -361,9 +347,6 @@ type scattered struct {
 // dataset, so a build never reuses one). On error no scatter file is left
 // behind.
 func scatterDataset(v Variant, parts int, bounds []summary.Key) (*scattered, error) {
-	if parts < 2 {
-		return nil, fmt.Errorf("partition: need at least 2 partitions, got %d", parts)
-	}
 	fs, name, s := v.fs, v.name, v.s
 	raw, err := fs.Open(v.rawName)
 	if err != nil {
@@ -376,10 +359,7 @@ func scatterDataset(v Variant, parts int, bounds []summary.Key) (*scattered, err
 			return nil, err
 		}
 	}
-	src, err := core.OpenBuildSource(core.BuildSourceConfig{
-		FS: fs, S: s, Raw: raw, RawName: v.rawName,
-		Materialized: v.materialized, Workers: v.workers,
-	})
+	src, sums, err := core.SummarySource(fs, s, raw, v.rawName, v.materialized, v.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -393,11 +373,11 @@ func scatterDataset(v Variant, parts int, bounds []summary.Key) (*scattered, err
 		recSize += series.EncodedSize(s.Params().SeriesLen)
 	}
 	sc.total, err = scatter(fs, src, recSize, sc.bounds, names)
-	sc.sums, _, err = src.Finish(err)
-	if err != nil {
+	if err = src.Finish(err); err != nil {
 		removeScatter(fs, name, parts)
 		return nil, err
 	}
+	sc.sums = sums
 	return sc, nil
 }
 
@@ -493,37 +473,45 @@ func commitParent(v Variant, sc *scattered) error {
 	})
 }
 
-// attachRawSums opens the parent-owned raw log of the shared dataset file at
-// Open (see scattered.sums for the ownership rule).
+// attachRawSums opens the raw log of the dataset file at Open: the
+// persisted sidecar is the dataset's end (storage.LoadRecordSums).
 func attachRawSums(v Variant) (*storage.RecordSums, error) {
 	raw, err := v.fs.Open(v.rawName)
 	if err != nil {
 		return nil, err
 	}
 	defer raw.Close()
-	sums, _, err := core.AttachRawSums(v.fs, v.rawName, v.s, nil, raw)
-	return sums, err
+	sums, err := storage.LoadRecordSums(v.fs, v.rawName, series.EncodedSize(v.s.Params().SeriesLen), raw)
+	if err != nil {
+		return nil, fmt.Errorf("raw sidecar of %q: %w", v.rawName, err)
+	}
+	return sums, nil
 }
 
-// loadParent loads the parent manifest and runs the loud config-mismatch
-// checks every partitioned Open performs before touching child indexes:
-// variant, child variant, partition count (parts == 0 adopts the stored
-// count), and summarization/materialization/dataset parameters.
-func loadParent(v Variant, parts int) (*manifest.Manifest, error) {
+// loadStored loads the root manifest of v's index and runs the loud
+// config-mismatch checks every Open performs before touching a child: the
+// variant (v's own kind, or a partitioned index of such children), the
+// partition count (parts == 0 adopts the stored one, and an unpartitioned
+// index has one), and the summarization, materialization and dataset
+// parameters.
+func loadStored(v Variant, parts int) (*manifest.Manifest, error) {
 	m, err := manifest.Load(v.fs, v.name)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.CheckVariant(manifest.VariantPartitioned); err != nil {
+	stored := 1
+	if m.Variant == manifest.VariantPartitioned {
+		if m.Part.ChildVariant != v.kind {
+			return nil, fmt.Errorf("%w: stored partitioned index has %s children, not %s",
+				manifest.ErrConfigMismatch, m.Part.ChildVariant, v.kind)
+		}
+		stored = m.Part.Partitions
+	} else if err := m.CheckVariant(v.kind); err != nil {
 		return nil, err
 	}
-	if m.Part.ChildVariant != v.kind {
-		return nil, fmt.Errorf("%w: stored partitioned index has %s children, not %s",
-			manifest.ErrConfigMismatch, m.Part.ChildVariant, v.kind)
-	}
-	if parts != 0 && parts != m.Part.Partitions {
+	if parts != 0 && parts != stored {
 		return nil, fmt.Errorf("%w: Partitions=%d, stored index has %d partitions",
-			manifest.ErrConfigMismatch, parts, m.Part.Partitions)
+			manifest.ErrConfigMismatch, parts, stored)
 	}
 	if err := m.CheckParams(v.s.Params(), v.materialized, v.rawName); err != nil {
 		return nil, err
@@ -543,54 +531,4 @@ func divideBudget(total int64, n int, floor int64) int64 {
 		b = floor
 	}
 	return b
-}
-
-// childCancel wires "the first child error cancels its siblings" onto a
-// scatter fan-out: children run under a derived context (so a parent
-// cancel reaches every child too), fail records the first real failure and
-// cancels the rest, and finish resolves the fan-out's outcome with the
-// parent's cancellation taking precedence over everything — a query never
-// reports a child error when the caller itself gave up.
-type childCancel struct {
-	cctx   context.Context
-	cancel context.CancelFunc
-	mu     sync.Mutex
-	err    error
-}
-
-func newChildCancel(ctx context.Context) *childCancel {
-	cc := &childCancel{}
-	cc.cctx, cc.cancel = context.WithCancel(ctx)
-	return cc
-}
-
-// fail records the first failure and cancels the sibling children.
-func (cc *childCancel) fail(err error) error {
-	cc.mu.Lock()
-	if cc.err == nil {
-		cc.err = err
-	}
-	cc.mu.Unlock()
-	cc.cancel()
-	return err
-}
-
-// resolve decides the fan-out result: parent cancellation first, then the
-// first child failure (a sibling that merely observed the cancellation
-// reports context.Canceled, which must not mask the failure that caused
-// it), then the fan-out's own error. It deliberately does NOT cancel the
-// derived context — children hand back fetch closures bound to cc.cctx
-// that the merged evaluation calls after the fan-out joins, so the caller
-// defers cc.cancel() to its own exit instead.
-func (cc *childCancel) resolve(ctx context.Context, ferr error) error {
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	cc.mu.Lock()
-	err := cc.err
-	cc.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return ferr
 }

@@ -36,13 +36,6 @@ func ptSummarizer(t *testing.T) *summary.Summarizer {
 	return s
 }
 
-// lsmLike is the surface the single LSM and the Composite of LSMs share.
-type lsmLike interface {
-	Index
-	Inserter
-	Maintainer
-}
-
 // lsmOptions is the LSM the crash tests run over fs: a memtable no stream
 // here fills, so every flush is an explicit one.
 func lsmOptions(t *testing.T, fs storage.FS) lsm.Options {
@@ -50,27 +43,13 @@ func lsmOptions(t *testing.T, fs storage.FS) lsm.Options {
 	return lsm.Options{FS: fs, Name: "x", S: ptSummarizer(t), RawName: "raw", MemBudgetBytes: 1 << 20, Fanout: 2}
 }
 
-// lsmLayout builds (or reopens) the parts-way layout of opt: 1 is the
-// unpartitioned lsm.Index, more the Composite of LSMs.
-func lsmLayout(opt lsm.Options, parts int, build bool) (lsmLike, error) {
-	if parts == 1 {
-		open := lsm.Open
-		if build {
-			open = lsm.Build
-		}
-		return asLSM(open(opt))
-	}
+// lsmLayout builds (or reopens) the parts-way Composite of opt's LSMs: 1 is
+// the unpartitioned index.
+func lsmLayout(opt lsm.Options, parts int, build bool) (*Composite, error) {
 	if build {
-		return asLSM(Build(LSMVariant(opt), parts, nil))
+		return Build(LSMVariant(opt), parts, nil)
 	}
-	return asLSM(Open(LSMVariant(opt), parts))
-}
-
-func asLSM[T lsmLike](ix T, err error) (lsmLike, error) {
-	if err != nil {
-		return nil, err
-	}
-	return ix, nil
+	return Open(LSMVariant(opt), parts)
 }
 
 // rawSeed writes n random-walk series as the raw file of a fresh MemFS.
@@ -89,7 +68,7 @@ type answer struct {
 }
 
 // answers are ix's exact and approximate answers to queries, in turn.
-func answers(t *testing.T, ix Index, queries []series.Series) []answer {
+func answers(t *testing.T, ix *Composite, queries []series.Series) []answer {
 	t.Helper()
 	out := make([]answer, 0, 2*len(queries))
 	for _, q := range queries {
@@ -116,7 +95,7 @@ func referenceAnswers(t *testing.T, base int, stream, queries []series.Series) f
 		if a, ok := refs[c]; ok {
 			return a
 		}
-		ix, err := lsm.Build(lsmOptions(t, rawSeed(t, base)))
+		ix, err := lsmLayout(lsmOptions(t, rawSeed(t, base)), 1, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +358,7 @@ func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			lone, err := variants(t, storage.NewMemFS(), 2)[tc.variant].Build()
+			lone, err := Build(variants(t, storage.NewMemFS(), 2)[tc.variant], 1, nil)
 			if err == nil {
 				t.Fatal("a build over a device with no dataset succeeded")
 			}
@@ -390,8 +369,8 @@ func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 			for _, k := range c.kids {
 				kid = k
 			}
-			_, kidKNN := kid.(KNNSearcher)
-			_, kidInsert := kid.(Inserter)
+			_, kidKNN := kid.(sharedKNN)
+			_, kidInsert := kid.(recordInserter)
 			_, kidFlush := kid.(Maintainer)
 			if kidKNN != tc.knn || kidInsert != tc.insert || kidFlush != tc.flush {
 				t.Fatalf("a %s child: knn=%v insert=%v maintain=%v, want %v %v %v",

@@ -17,9 +17,9 @@ import (
 	"math"
 	"testing"
 
-	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/summary"
 )
 
 // reopenBackend abstracts "the same directory seen by a fresh process".
@@ -364,38 +364,41 @@ func TestTreeCrashStatesFailTyped(t *testing.T) {
 			if err := ix.Close(); err != nil {
 				t.Fatal(err)
 			}
-			committed, err := storage.ReadFileAll(fs, "conf.manifest")
-			if err != nil {
-				t.Fatal(err)
+			// The committed state: the manifest, with the leaf directory, and
+			// the raw log's sidecar, whose end is the acknowledged dataset.
+			committed := map[string][]byte{}
+			for _, name := range []string{"conf.manifest", storage.RecordSumsName("conf.bin")} {
+				if committed[name], err = storage.ReadFileAll(fs, name); err != nil {
+					t.Fatal(err)
+				}
 			}
 			live, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			tree := live.ix.(*core.TreeIndex)
-			order, err := tree.ScanAllPositions()
-			if err != nil {
-				t.Fatal(err)
-			}
 			// Copies of the smallest key's series land in the first leaf, in
 			// front of its first record.
+			first := smallestKey(t, data)
 			extra := make([]Series, tc.copies)
 			for i := range extra {
-				extra[i] = data[order[0]]
+				extra[i] = data[first]
 			}
 			if err := live.Insert(extra); err != nil {
 				t.Fatal(err)
 			}
-			if tc.name == "split-refilled" && tree.Shape().Leaves != 51 {
-				t.Fatalf("%d leaves after the inserts, want one split", tree.Shape().Leaves)
+			if tc.name == "split-refilled" && live.NumLeaves() != 51 {
+				t.Fatalf("%d leaves after the inserts, want one split", live.NumLeaves())
 			}
 			// The crash: the inserts' pages are on disk, under the manifest
-			// committed before them. The live handle is abandoned, not closed.
-			if err := tree.DropCaches(); err != nil {
+			// and the sidecar committed before them — the state a live handle
+			// leaves once its page cache is written back, and nothing else.
+			if err := live.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := storage.WriteFileAll(fs, "conf.manifest", committed); err != nil {
-				t.Fatal(err)
+			for name, b := range committed {
+				if err := storage.WriteFileAll(fs, name, b); err != nil {
+					t.Fatal(err)
+				}
 			}
 			re, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"})
 			if err == nil {
@@ -605,4 +608,24 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 			})
 		}
 	}
+}
+
+// smallestKey returns the position of a series of data whose invSAX key,
+// under the conformance summarization, is the smallest.
+func smallestKey(t *testing.T, data []Series) int {
+	t.Helper()
+	s, err := summary.NewSummarizer(summary.Params{SeriesLen: confLen, Segments: 8, CardBits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, keys := 0, make([]summary.Key, len(data))
+	for i, x := range data {
+		if keys[i], err = s.KeyOf(x); err != nil {
+			t.Fatal(err)
+		}
+		if keys[i].Less(keys[best]) {
+			best = i
+		}
+	}
+	return best
 }

@@ -22,6 +22,7 @@ import (
 	"github.com/coconut-db/coconut/internal/partition"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/summary"
 )
 
 // ScrubFinding is one artifact's verification outcome.
@@ -181,14 +182,18 @@ func Repair(cfg Config) (*ScrubReport, error) {
 			return pre, fmt.Errorf("coconut: repair: raw dataset %q is damaged, cannot rebuild from it: %w", m.RawName, f.Err)
 		}
 	}
-	kind := m.Variant
-	if kind == manifest.VariantPartitioned {
-		kind = m.Part.ChildVariant
+	kind, parts := m.Variant, 1
+	var bounds []summary.Key
+	if m.Part != nil {
+		kind, parts, bounds = m.Part.ChildVariant, m.Part.Partitions, m.Part.Boundaries
 	}
 	rcfg := cfg
-	partitioned, err := rcfg.mergeStored(kind)
-	if err != nil {
+	if err := rcfg.mergeStored(kind); err != nil {
 		return pre, fmt.Errorf("coconut: repair: %w", err)
+	}
+	if rcfg.Partitions != 0 && rcfg.Partitions != parts {
+		return pre, fmt.Errorf("coconut: repair: %w: Partitions=%d, stored index has %d partitions",
+			ErrConfigMismatch, rcfg.Partitions, parts)
 	}
 	opt, err := rcfg.toCore()
 	if err != nil {
@@ -197,13 +202,7 @@ func Repair(cfg Config) (*ScrubReport, error) {
 	if err := m.CheckParams(opt.S.Params(), opt.Materialized, opt.RawName); err != nil {
 		return pre, fmt.Errorf("coconut: repair: %w", err)
 	}
-	v := rcfg.variant(kind, opt)
-	var ix partition.Index
-	if partitioned {
-		ix, err = partition.Build(v, rcfg.Partitions, m.Part.Boundaries)
-	} else {
-		ix, err = v.Build()
-	}
+	ix, err := partition.Build(rcfg.variant(kind, opt), parts, bounds)
 	if err != nil {
 		return pre, fmt.Errorf("coconut: repair: rebuilding %s: %w", kind, err)
 	}

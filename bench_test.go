@@ -24,7 +24,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/coconut-db/coconut/internal/bptree"
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/experiments"
@@ -819,46 +818,6 @@ func BenchmarkIngestLatency(b *testing.B) {
 	b.ReportMetric(float64(p50.Nanoseconds())/float64(b.N), "p50-append-ns")
 	b.ReportMetric(float64(p99.Nanoseconds())/float64(b.N), "p99-append-ns")
 	b.ReportMetric(float64(max.Nanoseconds())/float64(b.N), "max-append-ns")
-}
-
-func BenchmarkBPTreeBulkLoad(b *testing.B) {
-	const n = 50000
-	recs := make([][]byte, n)
-	for i := range recs {
-		rec := make([]byte, 24)
-		for j := 0; j < 16; j++ {
-			rec[j] = byte(i >> (j % 3 * 8))
-		}
-		recs[i] = rec
-	}
-	// Records must be sorted for bulk loading.
-	extRecs := make([]byte, 0, n*24)
-	for _, r := range recs {
-		extRecs = append(extRecs, r...)
-	}
-	extsort.SortInMemory(extRecs, 24, extsort.CompareKeyPrefix(16))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs := storage.NewMemFS()
-		ld, err := bptree.NewLoader(bptree.Config{FS: fs, Name: "b", RecordSize: 24, KeyLen: 16, LeafCap: 256})
-		if err != nil {
-			b.Fatal(err)
-		}
-		inner, err := fs.Create("b.leaves")
-		if err != nil {
-			b.Fatal(err)
-		}
-		f, err := ld.Wrap(inner)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := f.WriteAt(extRecs, 0); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- ablation benchmarks (design choices beyond the paper's figures) ------

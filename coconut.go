@@ -117,14 +117,16 @@
 // at worst the last committed state reopens. On reopen, unset Config
 // fields (series length, segments, leaf size, data file) are adopted from
 // the manifest; explicitly conflicting values fail loudly rather than
-// misread the stored bytes. One stored format is read, manifest version 8,
+// misread the stored bytes. One stored format is read, manifest version 9,
 // in which no stored file carries more than one integrity layer: CRC'd
-// blocks for B+-tree pages and trie leaves, the run codec's own block,
-// directory and footer CRCs for LSM runs, per-record CRCs (in a sidecar) for
-// the raw dataset, and one CRC over the manifest, which is also where a
-// Coconut-Tree keeps its leaf directory and a Coconut-LSM its one raw-file
-// cursor. Any other version fails Open, Scrub and Repair with
-// ErrVersionMismatch (rebuild the index).
+// blocks for the leaf run of a tree or a trie (the sorted records, one file
+// each), the run codec's own block, directory and footer CRCs for LSM runs,
+// per-record CRCs (in a sidecar) for the raw dataset, and one CRC over the
+// manifest, which is also where a Coconut-Tree keeps its leaf directory and
+// a Coconut-LSM its one raw-file cursor. A tree insert merges into the
+// next generation of its leaf run, which the manifest names at the next
+// Sync, so a crash between Syncs reopens at the last one. Any other version
+// fails Open, Scrub and Repair with ErrVersionMismatch (rebuild the index).
 package coconut
 
 import (
@@ -151,11 +153,11 @@ var (
 	// describes) that failed checksum or structural validation.
 	ErrCorruptManifest = manifest.ErrCorruptManifest
 	// ErrVersionMismatch reports an index stored in a format this build
-	// does not read: any manifest version but 8, whose files (LSM
-	// write-ahead logs before 8, tree directories in a separate meta file
-	// before 7, LSM runs framed in checksum blocks before 6, flat runs or
-	// padded trie leaves before 5) no reader here understands. Rebuild the
-	// index.
+	// does not read: any manifest version but 9, whose files (tree leaves on
+	// stamped B+-tree pages before 9, LSM write-ahead logs before 8, tree
+	// directories in a separate meta file before 7, LSM runs framed in
+	// checksum blocks before 6, flat runs or padded trie leaves before 5) no
+	// reader here understands. Rebuild the index.
 	ErrVersionMismatch = manifest.ErrVersionMismatch
 	// ErrConfigMismatch reports a Config that conflicts with the stored
 	// index (different summarization, materialization, or dataset file).
@@ -386,7 +388,7 @@ type Result struct {
 	Distance float64
 	// VisitedSeries counts how many raw series were examined.
 	VisitedSeries int64
-	// VisitedLeaves counts index leaf pages read.
+	// VisitedLeaves counts index leaves read.
 	VisitedLeaves int64
 }
 
@@ -545,7 +547,7 @@ func (t *TreeIndex) InsertCtx(ctx context.Context, batch []Series) error {
 // Count returns the number of indexed series.
 func (t *TreeIndex) Count() int64 { return t.ix.Count() }
 
-// NumLeaves returns the number of leaf pages.
+// NumLeaves returns the number of leaves.
 func (t *TreeIndex) NumLeaves() int { return t.ix.Shape().Leaves }
 
 // LeafFill returns the mean leaf occupancy in [0,1].
@@ -555,8 +557,9 @@ func (t *TreeIndex) LeafFill() float64 { return t.ix.Shape().LeafFill }
 func (t *TreeIndex) SizeBytes() int64 { return t.ix.SizeBytes() }
 
 // Sync persists what Insert made stale — the inserted series (a commit of
-// the raw log), then the leaf pages and the manifest — so a crash afterwards
-// loses nothing. Close syncs too.
+// the raw log), then the leaf run they were merged into and the manifest
+// that names it — so a crash afterwards loses nothing, and a crash before it
+// reopens at the previous Sync. Close syncs too.
 func (t *TreeIndex) Sync() error { return t.ix.Sync() }
 
 // Close persists pending metadata and releases the index's file handles;

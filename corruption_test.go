@@ -1,7 +1,7 @@
 package coconut
 
 // The end-to-end corruption sweep: every class of persistent artifact —
-// LSM run file, B+-tree page file, trie leaf file, raw dataset, and the
+// LSM run file, tree and trie leaf run, raw dataset, and the
 // un-flushed LSM tail in the raw file or in its sidecar — is bit-rotted in
 // turn, on both storage backends and for both single and partitioned
 // indexes, and the public API must (1) never return a silently wrong
@@ -376,8 +376,8 @@ func TestCorruptionSweep(t *testing.T) {
 	for beName, mkFS := range sweepBackends(t) {
 		for _, parts := range []int{1, 3} {
 			prefix := fmt.Sprintf("%s/parts=%d/", beName, parts)
-			t.Run(prefix+"tree-page", func(t *testing.T) { sweepTreePage(t, mkFS(t), parts) })
-			t.Run(prefix+"trie-leaf", func(t *testing.T) { sweepTrieLeaf(t, mkFS(t), parts) })
+			t.Run(prefix+"tree-leaf", func(t *testing.T) { sweepLeafRun(t, mkFS(t), parts, leafRunKinds["tree"]) })
+			t.Run(prefix+"trie-leaf", func(t *testing.T) { sweepLeafRun(t, mkFS(t), parts, leafRunKinds["trie"]) })
 			t.Run(prefix+"lsm-run", func(t *testing.T) { sweepLSMRun(t, mkFS(t), parts) })
 			t.Run(prefix+"raw", func(t *testing.T) { sweepRaw(t, mkFS(t), parts) })
 			t.Run(prefix+"tail-raw", func(t *testing.T) { sweepTail(t, mkFS(t), parts, false) })
@@ -386,47 +386,29 @@ func TestCorruptionSweep(t *testing.T) {
 	}
 }
 
-// sweepTreePage rots the first page block of a B+-tree leaf file. Tree
-// pages are read lazily, so the open may succeed; the SIMS pass of every
-// exact search reads the leaves, so detection lands on the first query.
-func sweepTreePage(t *testing.T, inner sweepFS, parts int) {
-	ffs, qs := sweepSetup(t, inner)
-	ix, err := BuildTreeIndex(sweepConfig(ffs, parts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := sweepBaseline(t, ix, qs)
-	if err := ix.Close(); err != nil {
-		t.Fatal(err)
-	}
-	leaves := findLargest(t, inner, ".leaves")
-	if err := ffs.Rot(leaves, storage.ChecksumHeaderSize+4, 8); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenTreeIndex(Config{Storage: ffs, Name: "sw"})
-	if err != nil {
-		requireCorrupt(t, err)
-	} else {
-		assertNoWrongAnswer(t, re, qs, base)
-		re.Close()
-	}
-	requireScrubFlags(t, ffs, "sw", leaves)
-	requireRepairClean(t, ffs, "sw")
-
-	re2, err := OpenTreeIndex(Config{Storage: ffs, Name: "sw"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	assertExactAnswers(t, re2, qs, base)
+// leafRunKind builds or opens a tree or a trie, the two index types stored
+// as a leaf run.
+type leafRunKind struct {
+	build, open func(Config) (leafRunIndex, error)
 }
 
-// sweepTrieLeaf rots a trie leaf block. The trie reloads every leaf at
-// open, so opens fail typed.
-func sweepTrieLeaf(t *testing.T, inner sweepFS, parts int) {
+type leafRunIndex interface {
+	sweepSearcher
+	Close() error
+}
+
+var leafRunKinds = map[string]leafRunKind{
+	"tree": {func(c Config) (leafRunIndex, error) { return BuildTreeIndex(c) },
+		func(c Config) (leafRunIndex, error) { return OpenTreeIndex(c) }},
+	"trie": {func(c Config) (leafRunIndex, error) { return BuildTrieIndex(c) },
+		func(c Config) (leafRunIndex, error) { return OpenTrieIndex(c) }},
+}
+
+// sweepLeafRun rots the first block of the largest leaf run of a tree or a
+// trie. The run is read whole at open, so opens fail typed.
+func sweepLeafRun(t *testing.T, inner sweepFS, parts int, kind leafRunKind) {
 	ffs, qs := sweepSetup(t, inner)
-	ix, err := BuildTrieIndex(sweepConfig(ffs, parts))
+	ix, err := kind.build(sweepConfig(ffs, parts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,21 +420,82 @@ func sweepTrieLeaf(t *testing.T, inner sweepFS, parts int) {
 	if err := ffs.Rot(leaves, storage.ChecksumHeaderSize+4, 8); err != nil {
 		t.Fatal(err)
 	}
-
-	if _, err := OpenTrieIndex(Config{Storage: ffs, Name: "sw"}); err == nil {
-		t.Fatal("open of a rotted trie succeeded")
+	if _, err := kind.open(Config{Storage: ffs, Name: "sw"}); err == nil {
+		t.Fatal("open of a rotted leaf run succeeded")
 	} else {
 		requireCorrupt(t, err)
 	}
 	requireScrubFlags(t, ffs, "sw", leaves)
 	requireRepairClean(t, ffs, "sw")
 
-	re, err := OpenTrieIndex(Config{Storage: ffs, Name: "sw"})
+	re, err := kind.open(Config{Storage: ffs, Name: "sw"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
 	assertExactAnswers(t, re, qs, base)
+}
+
+// TestScrubChecksLeafRunLength: a leaf run cut at a checksum-frame
+// boundary — its tail frame cut off, or a frame dropped from its middle —
+// keeps every remaining block intact, so only its length against the
+// manifest's count tells it. Scrub runs the loader Open runs, so it names
+// the run, and Repair rebuilds an index that opens and answers as before,
+// for a tree and a trie, 1 and 2 partitions.
+func TestScrubChecksLeafRunLength(t *testing.T) {
+	qs, err := GenerateQueries(RandomWalk, 4, confLen, confSeed+2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stride = 4 + 170*24 // a frame: CRC and 170 records of (key, position)
+	for name, kind := range leafRunKinds {
+		for _, parts := range []int{1, 2} {
+			for _, damage := range []string{"cut-tail-frame", "drop-middle-frame"} {
+				t.Run(fmt.Sprintf("%s/parts=%d/%s", name, parts, damage), func(t *testing.T) {
+					fs, _ := confFS(t)
+					cfg := confConfig(fs, 1, false)
+					cfg.Partitions = parts
+					ix, err := kind.build(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					base := sweepBaseline(t, ix, qs)
+					if err := ix.Close(); err != nil {
+						t.Fatal(err)
+					}
+					leaves := findLargest(t, fs.(*storage.MemFS), ".leaves")
+					data, err := storage.ReadFileAll(fs, leaves)
+					if err != nil {
+						t.Fatal(err)
+					}
+					frame := func(i int) int { return storage.ChecksumHeaderSize + i*stride }
+					frames := (len(data) - frame(0) + stride - 1) / stride
+					if frames < 3 {
+						t.Fatalf("%s holds %d frames, want at least 3", leaves, frames)
+					}
+					if damage == "cut-tail-frame" {
+						data = data[:frame(frames-1)]
+					} else {
+						data = append(data[:frame(1):frame(1)], data[frame(2):]...)
+					}
+					if err := storage.WriteFileAll(fs, leaves, data); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := kind.open(Config{Storage: fs, Name: "conf"}); !errors.Is(err, ErrCorruptData) {
+						t.Fatalf("open: %v, want ErrCorruptData", err)
+					}
+					requireScrubFlags(t, fs, "conf", leaves)
+					requireRepairClean(t, fs, "conf")
+					re, err := kind.open(Config{Storage: fs, Name: "conf"})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer re.Close()
+					assertExactAnswers(t, re, qs, base)
+				})
+			}
+		}
+	}
 }
 
 // sweepLSMRun rots a sorted-run key block, which only the run codec's own

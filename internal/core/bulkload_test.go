@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"testing"
 
@@ -82,21 +83,85 @@ func logicalBytes(t *testing.T, fs storage.FS, name string) []byte {
 type trieShape struct {
 	rows      []uint8
 	positions []int64
-	leafStart []int
-	prefixes  []string
+	starts    []int
 }
 
 func shapeOf(ix *TrieIndex) trieShape {
-	sh := trieShape{rows: ix.sims.col.Syms, positions: ix.sims.positions, leafStart: ix.leafStart}
-	for _, l := range ix.leaves {
-		sh.prefixes = append(sh.prefixes, fmt.Sprintf("%x/%v/%d/%v", l.Syms, l.Bits, l.Count, l.Leaf))
-	}
-	return sh
+	return trieShape{rows: ix.sims.col.Syms, positions: ix.sims.positions, starts: ix.starts}
 }
 
 func (a trieShape) equal(b trieShape) bool {
-	return slices.Equal(a.rows, b.rows) && slices.Equal(a.positions, b.positions) &&
-		slices.Equal(a.leafStart, b.leafStart) && slices.Equal(a.prefixes, b.prefixes)
+	return slices.Equal(a.rows, b.rows) && slices.Equal(a.positions, b.positions) && slices.Equal(a.starts, b.starts)
+}
+
+// checkTrieLeaves asserts the leaf-level trie invariant: the leaves tile
+// the run, and each is a maximal prefix-aligned group — no record outside a
+// leaf shares the common prefix of its records, a leaf holds more than
+// LeafCap records only when its keys are all equal, and the records sharing
+// the longest prefix a leaf shares with an outside record are more than
+// LeafCap (else they would be one leaf), unless that prefix stops short of
+// the root fan-out's first bit of every segment.
+func checkTrieLeaves(t *testing.T, ix *TrieIndex) {
+	t.Helper()
+	col, p := ix.sims.col, ix.opt.S.Params()
+	shared := func(a, b int) int { return summary.RowPrefixBits(col.Row(a), col.Row(b), p.CardBits) }
+	starts := ix.starts
+	if starts[0] != 0 || starts[len(starts)-1] != col.Len() {
+		t.Fatalf("leaves cover records [%d, %d) of %d", starts[0], starts[len(starts)-1], col.Len())
+	}
+	for li := 0; li+1 < len(starts); li++ {
+		lo, hi := starts[li], starts[li+1]
+		if hi <= lo {
+			t.Fatalf("leaf %d is empty", li)
+		}
+		common := shared(lo, hi-1)
+		if hi-lo > ix.opt.LeafCap && common < p.Segments*p.CardBits {
+			t.Fatalf("leaf %d holds %d distinct-key records, capacity %d", li, hi-lo, ix.opt.LeafCap)
+		}
+		outside := -1
+		if lo > 0 {
+			outside = shared(lo-1, lo)
+		}
+		if hi < col.Len() {
+			outside = max(outside, shared(hi-1, hi))
+		}
+		if outside >= common {
+			t.Fatalf("leaf %d: a record outside it shares its %d-bit prefix", li, common)
+		}
+		if outside < p.Segments {
+			continue
+		}
+		group := hi - lo
+		for i := lo - 1; i >= 0 && shared(i, lo) >= outside; i-- {
+			group++
+		}
+		for i := hi; i < col.Len() && shared(lo, i) >= outside; i++ {
+			group++
+		}
+		if group <= ix.opt.LeafCap {
+			t.Fatalf("leaf %d is not maximal: the %d records sharing its %d-bit parent prefix fit one leaf", li, group, outside)
+		}
+	}
+}
+
+// digest condenses a leaf directory — its starts or its counts — for
+// comparison with recorded values.
+func digest(xs []int) string {
+	h := fnv.New64a()
+	for _, x := range xs {
+		fmt.Fprintf(h, "%d,", x)
+	}
+	return fmt.Sprintf("%d:%016x", len(xs), h.Sum64())
+}
+
+// parentTrieStarts are the trie's leaf starts on the datasets of
+// TestTrieLeafFileIsTheSortedRun by leaf capacity, as digest renders them,
+// recorded from the trie built as a tree of trie.Node objects.
+var parentTrieStarts = map[string]map[int]string{
+	"walk":           {2: "468:9b75b8e2a485881e", 16: "160:ef91d460fdc995a8", 2000: "131:2c0f2585cd095344"},
+	"empty":          {2: "0:cbf29ce484222325", 16: "0:cbf29ce484222325", 2000: "0:cbf29ce484222325"},
+	"single":         {2: "1:07fbfc07b4bcf299", 16: "1:07fbfc07b4bcf299", 2000: "1:07fbfc07b4bcf299"},
+	"all-equal-keys": {2: "1:07fbfc07b4bcf299", 16: "1:07fbfc07b4bcf299", 2000: "1:07fbfc07b4bcf299"},
 }
 
 func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
@@ -157,22 +222,11 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 					}
 					defer func() { ix.Close() }()
 
-					// The logical directory: leaves tile the run, and only a
-					// leaf of identical keys may exceed the capacity.
-					next := 0
-					for i, l := range ix.leaves {
-						if ix.leafStart[i] != next || l.Count == 0 {
-							t.Fatalf("leaf %d: starts at %d with %d records, want start %d", i, ix.leafStart[i], l.Count, next)
-						}
-						next += int(l.Count)
-						if int(l.Count) > leafCap && summary.CompareRows(ix.sims.col.Row(ix.leafStart[i]), ix.sims.col.Row(next-1)) != 0 {
-							t.Fatalf("leaf %d holds %d distinct-key records, capacity %d", i, l.Count, leafCap)
-						}
+					checkTrieLeaves(t, ix.TrieIndex)
+					if got, want := digest(ix.starts[:len(ix.starts)-1]), parentTrieStarts[ds.name][leafCap]; got != want {
+						t.Fatalf("leaf starts %s, the node-built trie's were %s", got, want)
 					}
-					if next != len(ds.data) {
-						t.Fatalf("leaves hold %d records, want %d", next, len(ds.data))
-					}
-					if ds.name == "all-equal-keys" && (ix.Shape().Leaves != 1 || ix.leaves[0].Count != 40) {
+					if ds.name == "all-equal-keys" && (ix.Shape().Leaves != 1 || ix.starts[1] != 40) {
 						t.Fatalf("identical keys split into %d leaves", ix.Shape().Leaves)
 					}
 					if n := ix.Shape().Leaves; n > 0 {
@@ -191,10 +245,7 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 					}
 					ix = re
 					if !built.equal(shapeOf(re.TrieIndex)) {
-						t.Fatal("OpenTrie did not reproduce the build-time keys, positions, leaf starts and prefixes")
-					}
-					if err := re.tr.CheckInvariants(8); err != nil {
-						t.Fatal(err)
+						t.Fatal("OpenTrie did not reproduce the build-time keys, positions and leaf starts")
 					}
 				})
 			}
@@ -218,16 +269,15 @@ func TestTrieLeafVisitReadsOnlyTheLeaf(t *testing.T) {
 	recSize := int64(opt.recordSize())
 	block := int64(leafBlockSize(opt.recordSize()))
 	var maxLeaf int64
-	for li, l := range ix.leaves {
-		lo := int64(ix.leafStart[li]) * recSize
-		hi := lo + l.Count*recSize
+	for li := 0; li+1 < len(ix.starts); li++ {
+		lo, hi := int64(ix.starts[li])*recSize, int64(ix.starts[li+1])*recSize
 		bound := ((hi-1)/block - lo/block + 1) * (block + 4)
 		before := fs.Stats().Snapshot()
-		if _, err := ix.readLeafRecords(li); err != nil {
+		if _, err := ix.readLeaf(li, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := fs.Stats().Snapshot().Sub(before).BytesRead; got > bound {
-			t.Fatalf("leaf %d (%d records, %d bytes) read %d bytes, more than its checksum blocks (%d)", li, l.Count, hi-lo, got, bound)
+			t.Fatalf("leaf %d (%d bytes) read %d bytes, more than its checksum blocks (%d)", li, hi-lo, got, bound)
 		}
 		maxLeaf = max(maxLeaf, hi-lo)
 	}
@@ -246,7 +296,8 @@ func TestTrieLeafVisitReadsOnlyTheLeaf(t *testing.T) {
 
 // TestTrieLeafFileDamageIsTyped: a leaf file shorter than the manifest's
 // record count is both corrupt data and a broken manifest promise, a longer
-// one a broken promise, and a flipped bit corrupt data.
+// one a broken promise, a flipped bit corrupt data, and a missing one fails
+// the open.
 func TestTrieLeafFileDamageIsTyped(t *testing.T) {
 	fs, _ := fixtureFS(t)
 	opt := baseOptions(t, fs, false)
@@ -311,6 +362,12 @@ func TestTrieLeafFileDamageIsTyped(t *testing.T) {
 	flipped[len(flipped)/2] ^= 0x10
 	if err := reopen(flipped); !errors.Is(err, storage.ErrCorruptData) {
 		t.Fatalf("flipped leaf byte: got %v, want ErrCorruptData", err)
+	}
+	if err := fs.Remove("cx.leaves"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openTrie(opt); !errors.Is(err, storage.ErrNotExist) {
+		t.Fatalf("missing leaf file: got %v, want ErrNotExist", err)
 	}
 	if err := reopen(good); err != nil {
 		t.Fatalf("restored leaf file failed to open: %v", err)

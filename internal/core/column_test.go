@@ -35,8 +35,7 @@ func sliceBytes(v reflect.Value, skip ...string) (lenB, capB int64) {
 
 // TestSIMSColumnBytes is the heap guard of the sorted summary array: after
 // a build, after a reopen, and after a tree insert followed by a query, the
-// tree's and the trie's slices — the per-leaf directory of the trie aside —
-// hold exactly Segments + 8 bytes a series, in length and in capacity: the
+// tree's and the trie's slices — the leaf directory aside — hold exactly Segments + 8 bytes a series, in length and in capacity: the
 // symbol column and the positions, and nothing beside them. A key array
 // kept next to the column would add 16 bytes a series and fail it.
 func TestSIMSColumnBytes(t *testing.T) {
@@ -49,7 +48,7 @@ func TestSIMSColumnBytes(t *testing.T) {
 		}
 		check := func(state string, ix any, n int) {
 			t.Helper()
-			lenB, capB := sliceBytes(reflect.ValueOf(ix).Elem(), "leaves", "leafStart")
+			lenB, capB := sliceBytes(reflect.ValueOf(ix).Elem(), "starts")
 			if want := int64(n) * int64(p.Segments+8); lenB != want || capB != want {
 				t.Fatalf("%dx%d %s: %d series hold %d bytes (capacity %d), want %d", p.Segments, p.CardBits, state, n, lenB, capB, want)
 			}

@@ -2,21 +2,21 @@
 // indexes built bottom-up over SORTABLE summarizations (invSAX — z-order
 // interleaved SAX bits).
 //
-// Both variants share the same pipeline (§4): one sequential pass over the
-// raw file computes each series' invSAX key, the (key, position[, raw])
-// records are externally sorted under the memory budget, and the index is
-// bulk-loaded from the sorted stream:
+// Both variants share the same pipeline (§4) and the same stored form, the
+// leaf run: one sequential pass over the raw file computes each series'
+// invSAX key, the (key, position[, raw]) records are externally sorted under
+// the memory budget straight into one file, written once, and a leaf
+// directory of record counts cuts the sorted run into contiguous leaves. The
+// variants differ only in where the leaf boundaries fall:
 //
-//   - Coconut-Trie (Algorithm 2) groups the sorted records into an
-//     iSAX-style prefix trie whose leaves are contiguous ranges of the
-//     sorted run, which is written once and is the leaf file
-//     (insertBottomUp + CompactSubtree — realized here as the equivalent
-//     recursive partitioning of the sorted key range along interleaved
-//     bits, which yields exactly the maximal prefix-aligned leaf groups).
-//   - Coconut-Tree (Algorithm 3) feeds the sorted stream into the
-//     UB-tree-style bulk loader: contiguous leaf pages packed to the
-//     configured fill factor, under a flat leaf directory the manifest
-//     holds.
+//   - Coconut-Trie (Algorithm 2) cuts it into the leaves of an iSAX-style
+//     prefix trie (insertBottomUp + CompactSubtree — realized here as the
+//     equivalent recursive partitioning of the sorted key range along
+//     interleaved bits, which yields exactly the maximal prefix-aligned leaf
+//     groups).
+//   - Coconut-Tree (Algorithm 3) cuts it as a UB-tree bulk load packs its
+//     leaves, to the configured fill factor, and splits a full leaf at the
+//     median when inserts arrive.
 //
 // The "-Full" (materialized) variants carry the raw series through the sort
 // and into the leaves; the plain variants store only (key, position) and
@@ -141,12 +141,12 @@ type Result struct {
 	// VisitedRecords counts series whose true distance was computed
 	// (Figure 9f).
 	VisitedRecords int64
-	// VisitedLeaves counts leaf pages read.
+	// VisitedLeaves counts leaves read.
 	VisitedLeaves int64
 }
 
-// Shape describes how an index lays its records out on the device: leaf
-// pages and their mean occupancy in [0,1] for the tree and the trie, sorted
+// Shape describes how an index lays its records out on the device: leaves
+// and their mean occupancy in [0,1] for the tree and the trie, sorted
 // runs for the LSM. The fields a variant has no notion of stay zero.
 type Shape struct {
 	Leaves   int
@@ -384,7 +384,7 @@ type ApproxWindow struct {
 	// Fetch, set instead by a materialized source, loads one of its
 	// candidates from its own leaves (serial, per-query).
 	Fetch window.FetchFunc
-	// Leaves counts the leaf pages the window spans (LSM: runs probed).
+	// Leaves counts the leaves the window spans (LSM: runs probed).
 	Leaves int64
 }
 

@@ -206,15 +206,14 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer trie.Close()
-		_, bases := tree.leafBases()
 		for name, ix := range map[string]struct {
 			sims      *simsArray
 			leafStart []int
-			window    func(series.Series, int) (ApproxWindow, error)
+			window    func(context.Context, series.Series, int) (ApproxWindow, error)
 			search    func(context.Context, series.Series, int) (Result, error)
 		}{
-			"tree": {&tree.sims, bases, tree.approxWindow, tree.approxSearch},
-			"trie": {&trie.sims, trie.leafStart, trie.approxWindow, trie.approxSearch},
+			"tree": {&tree.sims, tree.starts, tree.ApproxWindowCands, tree.approxSearch},
+			"trie": {&trie.sims, trie.starts, trie.ApproxWindowCands, trie.approxSearch},
 		} {
 			for qi, q := range queries {
 				for _, radius := range []int{0, 1, 3, 100} {
@@ -242,7 +241,7 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 							best.Pos, best.Dist = c.Pos, sq
 						}
 					}
-					aw, err := ix.window(q, radius)
+					aw, err := ix.window(context.Background(), q, radius)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -372,23 +371,9 @@ func TestBuildTrieShape(t *testing.T) {
 		if ix.Count() != tCount {
 			t.Fatalf("Count = %d", ix.Count())
 		}
-		if err := ix.tr.CheckInvariants(8); err != nil {
-			t.Fatal(err)
-		}
+		checkTrieLeaves(t, ix.TrieIndex)
 		if ix.Shape().Leaves == 0 || ix.SizeBytes() == 0 {
 			t.Fatal("trie index empty")
-		}
-		// Leaf counts must cover all records.
-		var total int64
-		for _, l := range ix.leaves {
-			total += l.Count
-			if l.Count > int64(ix.opt.LeafCap) {
-				// Only allowed for fully-identical-key degenerate leaves.
-				t.Logf("oversized leaf with %d records", l.Count)
-			}
-		}
-		if total != tCount {
-			t.Fatalf("leaves hold %d records", total)
 		}
 		if fs.Exists("cx.sorted") {
 			t.Fatal("sorted temp file left behind")
@@ -404,19 +389,13 @@ func TestTrieLeavesAreContiguousAndSorted(t *testing.T) {
 	}
 	defer ix.Close()
 	// Leaves tile the sorted run in leaf order with no gaps.
-	next := 0
-	for i, l := range ix.leaves {
-		if ix.leafStart[i] != next {
-			t.Fatalf("leaf %d not contiguous: starts at record %d, want %d", i, ix.leafStart[i], next)
-		}
-		next += int(l.Count)
-	}
+	checkTrieLeaves(t, ix.TrieIndex)
 	// Records across leaves follow global key order.
 	var prev summary.Key
 	first := true
 	recSize := ix.opt.recordSize()
-	for li := range ix.leaves {
-		recs, err := ix.readLeafRecords(li)
+	for li := 0; li+1 < len(ix.starts); li++ {
+		recs, err := ix.readLeaf(li, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,20 +513,5 @@ func TestOptionsValidation(t *testing.T) {
 	fs := storage.NewMemFS()
 	if _, err := buildTree(Options{FS: fs, Name: "x", S: tSummarizer(t), RawName: "missing", LeafCap: 10}); err == nil {
 		t.Fatal("expected error for missing raw file")
-	}
-}
-
-func TestFillFactorControlsPacking(t *testing.T) {
-	fs, _ := fixtureFS(t)
-	opt := baseOptions(t, fs, false)
-	opt.FillFactor = 0.5
-	ix, err := buildTree(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	fill := ix.Shape().LeafFill
-	if fill < 0.4 || fill > 0.6 {
-		t.Fatalf("fill factor 0.5 gave %v", fill)
 	}
 }

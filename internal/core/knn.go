@@ -50,11 +50,8 @@ func (ix *TreeIndex) ExactSearchKNNShared(ctx context.Context, q series.Series, 
 	if k < 1 {
 		k = 1
 	}
-	if ix.count == 0 {
+	if ix.sims.col.Len() == 0 {
 		return nil, stats, ErrEmptyIndex
-	}
-	if err := ix.ensureSIMS(); err != nil {
-		return nil, stats, err
 	}
 	// Seed: scan the target neighborhood, collecting up to k candidates.
 	h := shard.NewKNNHeap(k)
@@ -158,38 +155,37 @@ func (ix *TreeIndex) knnScanRawFile(ctx context.Context, q series.Series, k int,
 // (cands in summary-array order, IDs being ordinals) within the shard's
 // bound and scan the rest in place.
 func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, seed []Neighbor, cands []summary.Cand, stats *Result, kb *shard.BSF) ([][]Neighbor, error) {
-	dir, bases := ix.leafBases()
 	recSize := ix.opt.recordSize()
-	workers := shard.Resolve(ix.opt.QueryWorkers, len(dir))
+	leaves := len(ix.starts) - 1
+	workers := shard.Resolve(ix.opt.QueryWorkers, leaves)
 	perShard := make([][]Neighbor, workers)
 	visited := make([][2]int64, workers) // records, leaves
-	err := shard.Scan(ctx, workers, len(dir), func(si int, rr shard.Range, cancelled func() bool) error {
+	err := shard.Scan(ctx, workers, leaves, func(si int, rr shard.Range, cancelled func() bool) error {
 		lh := shard.NewKNNHeap(k)
 		for _, n := range seed {
 			lh.Offer(n)
 		}
-		buf := make([]byte, ix.opt.LeafCap*recSize)
-		rest := candsFrom(cands, bases[rr.Lo])
+		var buf []byte
+		rest := candsFrom(cands, ix.starts[rr.Lo])
 		for li := rr.Lo; li < rr.Hi && len(rest) > 0; li++ {
 			if cancelled() {
 				return nil
 			}
 			var leaf []summary.Cand
-			leaf, rest = leafCands(rest, bases[li]+dir[li].Count)
+			leaf, rest = leafCands(rest, ix.starts[li+1])
 			if !slices.ContainsFunc(leaf, func(c summary.Cand) bool { return c.LB <= lh.Bound() && !kb.Prunes(c.LB) }) {
 				continue
 			}
-			n, err := ix.bt.ReadLeaf(li, buf)
-			if err != nil {
+			var err error
+			if buf, err = ix.readLeaf(li, buf); err != nil {
 				return err
 			}
 			visited[si][1]++
 			for _, c := range leaf {
-				i := int(c.ID) - bases[li]
-				if i >= n || c.LB > lh.Bound() || kb.Prunes(c.LB) {
+				if c.LB > lh.Bound() || kb.Prunes(c.LB) {
 					continue
 				}
-				pos, sq := leafSquaredDistance(q, buf[i*recSize:(i+1)*recSize])
+				pos, sq := leafSquaredDistance(q, buf[(int(c.ID)-ix.starts[li])*recSize:][:recSize])
 				visited[si][0]++
 				if lh.Offer(Neighbor{Pos: pos, Dist: sq}) {
 					kb.Lower(lh.Bound())
@@ -212,32 +208,30 @@ func (ix *TreeIndex) knnScanLeaves(ctx context.Context, q series.Series, k int, 
 // knnSeed scans the query's target leaf (±radius) into the heap,
 // checking ctx once per leaf. It reads the SIMS summary array, whose rows
 // bound the records of a non-materialized leaf before their series are
-// fetched, so ensureSIMS must have run.
+// fetched.
 func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h *shard.KNNHeap, stats *Result) (err error) {
 	qPAA, err := ix.opt.S.PAA(q, nil)
 	if err != nil {
 		return err
 	}
-	_, bases := ix.leafBases()
-	center := seedLeaf(ix.sims.col, bases, ix.opt.S.SAXFromPAA(qPAA, nil))
-	lo, hi := max(center-radius, 0), min(center+radius, len(bases)-1)
+	center := seedLeaf(ix.sims.col, ix.starts, ix.opt.S.SAXFromPAA(qPAA, nil))
+	lo, hi := max(center-radius, 0), min(center+radius, len(ix.starts)-2)
 	sc := GetRawScratch(ix.opt.S.Params().SeriesLen, 1)
 	defer PutRawScratch(sc)
 	raw := storage.PinViews(ix.rawFile)
 	defer raw.Release(&err)
 	recSize := ix.opt.recordSize()
-	buf := make([]byte, ix.opt.LeafCap*recSize)
+	var buf []byte
 	for li := lo; li <= hi; li++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		n, err := ix.bt.ReadLeaf(li, buf)
-		if err != nil {
+		if buf, err = ix.readLeaf(li, buf); err != nil {
 			return err
 		}
 		stats.VisitedLeaves++
-		for i := 0; i < n; i++ {
-			if !ix.opt.Materialized && ix.opt.S.MinDistSqPAAToSAX(qPAA, ix.sims.col.Row(bases[li]+i)) > h.Bound() {
+		for i := 0; i < len(buf)/recSize; i++ {
+			if !ix.opt.Materialized && ix.opt.S.MinDistSqPAAToSAX(qPAA, ix.sims.col.Row(ix.starts[li]+i)) > h.Bound() {
 				continue
 			}
 			pos, sq, err := recordSquaredDistance(&ix.opt, raw, ix.rawSums, q, buf[i*recSize:(i+1)*recSize], sc)
@@ -251,9 +245,9 @@ func (ix *TreeIndex) knnSeed(ctx context.Context, q series.Series, radius int, h
 	return nil
 }
 
-// seedLeaf is the k-NN seed's centre: the leaf (of the directory whose
-// starting ordinals are bases) holding the first row at or above word in
-// the sorted column, or the last leaf when there is none.
-func seedLeaf(col summary.Column, bases []int, word summary.SAX) int {
-	return leafOfOrd(bases, min(col.Search(word), col.Len()-1))
+// seedLeaf is the k-NN seed's centre: the leaf (of the directory starts)
+// holding the first row at or above word in the sorted column, or the last
+// leaf when there is none.
+func seedLeaf(col summary.Column, starts []int, word summary.SAX) int {
+	return leafOfOrd(starts, min(col.Search(word), col.Len()-1))
 }

@@ -214,15 +214,13 @@ func TestKNNSeedLeaf(t *testing.T) {
 		if err := ix.Insert(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := ix.ensureSIMS(); err != nil {
-			t.Fatal(err)
-		}
-		dir, bases := ix.leafBases()
-		seps := make([]summary.Key, len(dir))
-		for i, l := range dir {
-			seps[i] = summary.Key(l.Sep)
-		}
+		// A leaf's separator is its first key.
 		keys := keysOf(ix.sims.col)
+		bases := ix.starts[:len(ix.starts)-1]
+		seps := make([]summary.Key, len(bases))
+		for i, b := range bases {
+			seps[i] = keys[b]
+		}
 		probes := append([]summary.Key{k(0), k(255)}, keys...)
 		for _, s := range dataset.Queries(dataset.NewRandomWalk(), 50, tLen, 35) {
 			key, err := opt.S.KeyOf(s)

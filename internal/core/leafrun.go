@@ -1,0 +1,595 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"slices"
+	"sync"
+
+	"github.com/coconut-db/coconut/internal/extsort"
+	"github.com/coconut-db/coconut/internal/manifest"
+	"github.com/coconut-db/coconut/internal/series"
+	"github.com/coconut-db/coconut/internal/shard"
+	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/summary"
+	"github.com/coconut-db/coconut/internal/window"
+)
+
+// leafRun is the one stored form of Coconut-Tree and Coconut-Trie: the
+// sorted (key, position[, raw]) record run, flat and unpadded in one
+// checksummed file, cut into leaves by a directory of record counts (a
+// tree's held by its manifest, a trie's derived from its keys). The two
+// index types differ only in where the leaf boundaries fall — packed to the
+// fill factor and split at the median (TreeIndex), or prefix-aligned
+// (TrieIndex) — and share everything else
+// here: the bulk load, the one loader Open and Scrub both run, the in-memory
+// summary column, the two steps of a query, and the merge a tree insert
+// batch makes into the next generation of the run.
+//
+// A leafRun is a partition child's state (internal/partition): any number of
+// query steps may run at once on one handle, and mutations (InsertRecords,
+// Sync, Close) serialize against them through a handle-level RWMutex; a
+// query's window fetches, which outlive ApproxWindowCands, are serialized
+// against inserts by the partition layer's handle lock. Per-query scratch is
+// allocated per call.
+type leafRun struct {
+	opt     Options
+	variant manifest.Variant
+	rawFile storage.File
+	// rawSums is the partition layer's raw log: it verifies raw reads, and
+	// Sync commits it before the manifest may reference inserted positions.
+	rawSums *storage.RecordSums
+	// qmu is the handle lock: queries hold it shared, mutations exclusively.
+	qmu sync.RWMutex
+	// closed makes Close idempotent: a second Close (or one racing a
+	// cancelled query's teardown) is a no-op instead of a double file close.
+	closed bool
+	// file is generation gen of the run. The manifest names generation
+	// committed, the only other one on the device.
+	file           storage.File
+	gen, committed int64
+	// sims is the in-memory sorted summary array: row i is the run's
+	// record i.
+	sims simsArray
+	// starts is the leaf directory: leaf i holds records
+	// [starts[i], starts[i+1]) of the run.
+	starts []int
+}
+
+// runName names generation gen of the leaf run of index name.
+func runName(name string, gen int64) string {
+	if gen == 0 {
+		return name + ".leaves"
+	}
+	return fmt.Sprintf("%s.%d.leaves", name, gen)
+}
+
+// leafBlockSize is the checksum-block payload of a leaf run: a whole number
+// of records, about 4 KiB, so no record straddles two blocks and a leaf read
+// verifies little beyond the leaf.
+func leafBlockSize(recordSize int) int {
+	return max(1, 4096/recordSize) * recordSize
+}
+
+// createRun gives a freshly created file the leaf run's layout.
+func (r *leafRun) createRun(f storage.File) (storage.File, error) {
+	return storage.CreateChecksumFile(f, leafBlockSize(r.opt.recordSize()))
+}
+
+// openGen opens generation gen of the run. A corrupt structure in this
+// manifest-referenced artifact is typed as both the stored-bytes failure and
+// the broken manifest promise, matching the LSM run convention.
+func (r *leafRun) openGen(gen int64) (storage.File, error) {
+	inner, err := r.opt.FS.Open(runName(r.opt.Name, gen))
+	if err != nil {
+		return nil, err
+	}
+	f, err := storage.OpenChecksumFile(inner)
+	if err != nil {
+		inner.Close()
+		if errors.Is(err, storage.ErrCorruptData) {
+			err = fmt.Errorf("%w: %w", manifest.ErrCorruptManifest, err)
+		}
+		return nil, fmt.Errorf("core: open leaf run: %w", err)
+	}
+	return f, nil
+}
+
+// startsOf returns the leaf directory of counts.
+func startsOf(counts []int) []int {
+	starts := make([]int, 1, len(counts)+1)
+	for _, c := range counts {
+		starts = append(starts, starts[len(starts)-1]+c)
+	}
+	return starts
+}
+
+// buildRun is the pipeline both index types share: the external sort of
+// opt.Records straight into generation 0 of the leaf run — the one large
+// sequential write that replaces the state of the art's scattered
+// allocations — capturing the summary column on the way. cut lays the leaf
+// directory over the column, and the manifest commit makes the index
+// durable. A failed build leaves none of its files behind.
+func (r *leafRun) buildRun(opt Options, variant manifest.Variant, cut func(summary.Column, *Options) []int) error {
+	if err := opt.validate(); err != nil {
+		return err
+	}
+	raw, err := opt.FS.Open(opt.RawName)
+	if err != nil {
+		return err
+	}
+	r.opt, r.variant, r.rawFile, r.rawSums = opt, variant, raw, opt.RawSums
+	if err := r.build(cut); err != nil {
+		r.closeFiles()
+		removeFiles(opt.FS, runName(opt.Name, 0))
+		return err
+	}
+	return nil
+}
+
+func (r *leafRun) build(cut func(summary.Column, *Options) []int) error {
+	var err error
+	if r.sims, err = sortRecords(&r.opt, runName(r.opt.Name, 0), r.createRun); err != nil {
+		return fmt.Errorf("core: sorting summarizations into the leaf run: %w", err)
+	}
+	if r.file, err = r.openGen(0); err != nil {
+		return err
+	}
+	// The manifest committed below references the run; it must be on
+	// stable storage first.
+	if err := r.file.Sync(); err != nil {
+		return err
+	}
+	r.starts = cut(r.sims.col, &r.opt)
+	return r.writeManifest()
+}
+
+// Remove deletes the files a tree or a trie build of name writes, manifest
+// included: the partition layer's undo for the finished children of a build
+// that failed as a whole.
+func Remove(fs storage.FS, name string) {
+	removeFiles(fs, runName(name, 0), manifest.FileName(name))
+}
+
+// LoadManifest reads the manifest of a persisted index. It is exposed so
+// the public API and the CLI can adopt stored parameters (summarization,
+// leaf capacity, dataset file) before constructing open options.
+func LoadManifest(fs storage.FS, name string) (*manifest.Manifest, error) {
+	m, err := manifest.Load(fs, name)
+	if err != nil {
+		return nil, fmt.Errorf("core: loading manifest for %q: %w", name, err)
+	}
+	return m, nil
+}
+
+// openRun reopens the tree or trie opt names from its manifest and its
+// leaf run. The options must name the same FS, Name, RawName, summarizer
+// configuration, materialization and leaf capacity as the build — mismatches
+// fail loudly with manifest.ErrConfigMismatch. The raw dataset file is
+// opened for query-time fetches but never read here.
+func (r *leafRun) openRun(opt Options, variant manifest.Variant) error {
+	if err := opt.validate(); err != nil {
+		return err
+	}
+	m, err := LoadManifest(opt.FS, opt.Name)
+	if err != nil {
+		return err
+	}
+	if err := m.CheckVariant(variant); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if err := m.CheckParams(opt.S.Params(), opt.Materialized, opt.RawName); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	// The leaf capacity shapes the leaf directory; the stored value is the
+	// only one that can interpret it. (The public API and the CLI adopt the
+	// stored value for unset fields before reaching here.)
+	if opt.LeafCap != m.LeafCap {
+		return fmt.Errorf("core: %w: leaf capacity %d, stored index was built with %d",
+			manifest.ErrConfigMismatch, opt.LeafCap, m.LeafCap)
+	}
+	raw, err := opt.FS.Open(opt.RawName)
+	if err != nil {
+		return err
+	}
+	r.opt, r.variant, r.rawFile, r.rawSums = opt, variant, raw, opt.RawSums
+	if err := r.load(m); err != nil {
+		r.closeFiles()
+		return err
+	}
+	return nil
+}
+
+// load opens the run generation m names and checks it against m — what
+// Open and Scrub both run: the run holds exactly m.Count records (a run
+// cut at a checksum-block boundary passes every block check), every block
+// verifies, and the keys are in order. A tree's leaf directory is the
+// manifest's; a trie's is derived from its keys and must have the
+// manifest's number of leaves. The summary column is filled on the way.
+func (r *leafRun) load(m *manifest.Manifest) error {
+	r.gen, r.committed = runGen(m), runGen(m)
+	var err error
+	if r.file, err = r.openGen(r.gen); err != nil {
+		return err
+	}
+	recSize := r.opt.recordSize()
+	size, err := r.file.Size()
+	if err != nil {
+		return err
+	}
+	if want := m.Count * int64(recSize); size != want {
+		return fmt.Errorf("core: %w: leaf run holds %d bytes, the manifest's %d records take %d: %w",
+			manifest.ErrCorruptManifest, size, m.Count, want, storage.ErrCorruptData)
+	}
+	sr := storage.NewSequentialReader(r.file, 0, size, 0)
+	rec := make([]byte, recSize)
+	r.sims = newSimsArray(r.opt.S, int(m.Count))
+	var prev summary.Key
+	for i := int64(0); i < m.Count; i++ {
+		if _, err := io.ReadFull(sr, rec); err != nil {
+			return fmt.Errorf("core: read leaf run: %w", truncatedLeaves(err))
+		}
+		key, _, _ := decodeRecord(rec, false)
+		if i > 0 && key.Less(prev) {
+			return fmt.Errorf("core: %w: leaf records out of key order", manifest.ErrCorruptManifest)
+		}
+		prev = key
+		r.sims.add(rec)
+	}
+	if m.Tree != nil {
+		r.starts = startsOf(m.Tree.Counts)
+		return nil
+	}
+	// The structure is deterministic, so a different leaf count means the
+	// manifest and the leaf run are from different builds.
+	if r.starts = trieStarts(r.sims.col, &r.opt); len(r.starts)-1 != m.Trie.NumLeaves {
+		return fmt.Errorf("core: %w: the trie's keys derive %d leaves, its manifest says %d",
+			manifest.ErrCorruptManifest, len(r.starts)-1, m.Trie.NumLeaves)
+	}
+	return nil
+}
+
+// runGen returns the run generation m names: a tree's, or a trie's, which
+// is always 0.
+func runGen(m *manifest.Manifest) int64 {
+	if m.Tree != nil {
+		return m.Tree.Gen
+	}
+	return 0
+}
+
+// VerifyLeafRun checks the leaf run of the tree or trie index name against
+// its manifest m with the loader Open runs, and returns the run's file name
+// and the number of checksum blocks it holds.
+func VerifyLeafRun(fs storage.FS, name string, m *manifest.Manifest) (string, int64, error) {
+	file := runName(name, runGen(m))
+	s, err := summary.NewSummarizer(summary.Params{SeriesLen: m.SeriesLen, Segments: m.Segments, CardBits: m.CardBits})
+	if err != nil {
+		return file, 0, err
+	}
+	r := &leafRun{opt: Options{FS: fs, Name: name, S: s, Materialized: m.Materialized, LeafCap: m.LeafCap}, variant: m.Variant}
+	err = r.load(m)
+	if r.file != nil {
+		r.file.Close()
+	}
+	block := int64(leafBlockSize(r.opt.recordSize()))
+	return file, (m.Count*int64(r.opt.recordSize()) + block - 1) / block, err
+}
+
+// writeManifest commits the manifest naming the current generation of the
+// run and its leaf directory — a trie's only by its size, since its keys
+// derive it: called once the run is durable.
+func (r *leafRun) writeManifest() error {
+	p := r.opt.S.Params()
+	m := &manifest.Manifest{
+		Variant:      r.variant,
+		SeriesLen:    p.SeriesLen,
+		Segments:     p.Segments,
+		CardBits:     p.CardBits,
+		Materialized: r.opt.Materialized,
+		LeafCap:      r.opt.LeafCap,
+		RawName:      r.opt.RawName,
+		Count:        int64(r.sims.col.Len()),
+		Trie:         &manifest.TrieLayout{NumLeaves: len(r.starts) - 1},
+	}
+	if r.variant == manifest.VariantTree {
+		counts := make([]int, len(r.starts)-1)
+		for i := range counts {
+			counts[i] = r.starts[i+1] - r.starts[i]
+		}
+		m.Tree, m.Trie = &manifest.TreeLayout{Gen: r.gen, Counts: counts}, nil
+	}
+	return manifest.Commit(r.opt.FS, r.opt.Name, m)
+}
+
+// mergeNext merges batch — encoded records sorted under the run's order —
+// and the current run into the next generation of the run: one sequential
+// pass (extsort.Merge) that captures the new summary column on the way. The
+// new generation becomes the current one, and the one it replaces is
+// removed unless the manifest names it.
+func (r *leafRun) mergeNext(batch []byte) error {
+	fs, recSize := r.opt.FS, r.opt.recordSize()
+	pending := r.opt.Name + ".insert"
+	if err := r.writeBatch(pending, batch); err != nil {
+		removeFiles(fs, pending)
+		return err
+	}
+	defer removeFiles(fs, pending)
+	next := r.gen + 1
+	sims := newSimsArray(r.opt.S, r.sims.col.Len()+len(batch)/recSize)
+	err := extsort.Merge(extsort.Config{
+		FS:         fs,
+		RecordSize: recSize,
+		Compare:    extsort.CompareKeyPrefix(summary.KeySize),
+		MemBudget:  r.opt.MemBudgetBytes,
+		TempPrefix: r.opt.Name + ".sort",
+		Tee:        sims.add,
+		WrapIn:     func(f storage.File) (storage.File, error) { return storage.OpenChecksumFile(f) },
+		WrapOut:    r.createRun,
+	}, []string{runName(r.opt.Name, r.gen), pending}, runName(r.opt.Name, next))
+	if err != nil {
+		return fmt.Errorf("core: merging inserts into the leaf run: %w", err)
+	}
+	f, err := r.openGen(next)
+	if err != nil {
+		removeFiles(fs, runName(r.opt.Name, next))
+		return err
+	}
+	r.file.Close()
+	if r.gen != r.committed {
+		removeFiles(fs, runName(r.opt.Name, r.gen))
+	}
+	r.file, r.gen, r.sims = f, next, sims
+	return nil
+}
+
+// writeBatch stores batch as a file of the run's layout, the second input
+// of the merge.
+func (r *leafRun) writeBatch(name string, batch []byte) error {
+	inner, err := r.opt.FS.Create(name)
+	if err != nil {
+		return err
+	}
+	f, err := r.createRun(inner)
+	if err != nil {
+		inner.Close()
+		return err
+	}
+	_, err = f.WriteAt(batch, 0)
+	return errors.Join(err, f.Close())
+}
+
+// truncatedLeaves types a short read of the leaf run: an extent the
+// manifest promises but the file does not hold is corruption (truncation),
+// not an I/O condition.
+func truncatedLeaves(err error) error {
+	if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: truncated leaf run: %w", manifest.ErrCorruptManifest, storage.ErrCorruptData)
+	}
+	return err
+}
+
+// readLeaf returns the records of leaf li — exactly its extent of the run —
+// in buf when it is large enough.
+func (r *leafRun) readLeaf(li int, buf []byte) ([]byte, error) {
+	recSize := r.opt.recordSize()
+	n := (r.starts[li+1] - r.starts[li]) * recSize
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if got, err := r.file.ReadAt(buf, int64(r.starts[li])*int64(recSize)); got != n {
+		return nil, fmt.Errorf("core: read leaf %d: %w", li, truncatedLeaves(err))
+	}
+	return buf, nil
+}
+
+// Count returns the number of indexed series.
+func (r *leafRun) Count() int64 {
+	r.qmu.RLock()
+	defer r.qmu.RUnlock()
+	return int64(r.sims.col.Len())
+}
+
+// Shape returns the number of leaves and their mean occupancy (the paper's
+// ~97% for a packed tree).
+func (r *leafRun) Shape() Shape {
+	r.qmu.RLock()
+	defer r.qmu.RUnlock()
+	sh := Shape{Leaves: len(r.starts) - 1}
+	if sh.Leaves > 0 {
+		sh.LeafFill = float64(r.sims.col.Len()) / float64(int64(sh.Leaves)*int64(r.opt.LeafCap))
+	}
+	return sh
+}
+
+// SizeBytes returns the on-device index footprint: the run's record bytes.
+func (r *leafRun) SizeBytes() int64 {
+	r.qmu.RLock()
+	defer r.qmu.RUnlock()
+	size, err := r.file.Size()
+	if err != nil {
+		return 0
+	}
+	return size
+}
+
+// Sync makes what inserts changed durable: the raw log they appended to,
+// then the run generation they merged into, then the manifest that names it
+// — the one commit point, so a crash anywhere before it reopens at the last
+// Sync. The superseded generation is removed after the commit. A freshly
+// built or unmodified handle syncs for free.
+func (r *leafRun) Sync() error {
+	r.qmu.Lock()
+	defer r.qmu.Unlock()
+	return r.syncLocked()
+}
+
+func (r *leafRun) syncLocked() error {
+	if r.gen == r.committed {
+		return nil
+	}
+	if err := r.rawSums.Commit(context.Background(), r.rawSums.Records()); err != nil {
+		return err
+	}
+	if err := r.file.Sync(); err != nil {
+		return err
+	}
+	if err := r.writeManifest(); err != nil {
+		return err
+	}
+	old := r.committed
+	r.committed = r.gen
+	return r.opt.FS.Remove(runName(r.opt.Name, old))
+}
+
+// Close persists pending inserts (see Sync) and releases the file handles,
+// waiting for in-flight queries. It is idempotent, and shards a cancelled
+// query abandoned may still touch the files after Close — those reads fail
+// with an I/O error that nobody reads, which is safe by construction.
+func (r *leafRun) Close() error {
+	r.qmu.Lock()
+	defer r.qmu.Unlock()
+	if r.closed {
+		return nil
+	}
+	r.closed = true
+	return errors.Join(r.syncLocked(), r.closeFiles())
+}
+
+func (r *leafRun) closeFiles() error {
+	var err error
+	if r.file != nil {
+		err = r.file.Close()
+	}
+	return errors.Join(err, r.rawFile.Close())
+}
+
+// ApproxWindowCands is the index's contribution to an approximate search,
+// Algorithm 4 on the sorted summary array: the ApproxWindow*(radius+1)
+// records surrounding the query key's insertion position in the global
+// record order — the paper's "all data series in a specific radius from this
+// specific point ... usually a disk page" (§4.3) — which the partition layer
+// merges with its siblings' and evaluates in lower-bound order with early
+// stop (see internal/window). Its candidates are read from the index/dataset
+// files after the handle lock is released, under the partition layer's
+// handle lock, which keeps inserts out until the last fetch. An empty index
+// contributes nothing. Whoever evaluates the merged window (EvalWindow)
+// observes its ctx between records. Leaves counts the leaves the window
+// spans.
+func (r *leafRun) ApproxWindowCands(_ context.Context, q series.Series, radius int) (ApproxWindow, error) {
+	r.qmu.RLock()
+	defer r.qmu.RUnlock()
+	if r.sims.col.Len() == 0 {
+		return ApproxWindow{}, nil
+	}
+	aw, lo, hi, err := windowCands(&r.opt, &r.sims, q, radius)
+	if err == nil && lo < hi {
+		aw.Leaves = int64(leafOfOrd(r.starts, hi-1) - leafOfOrd(r.starts, lo) + 1)
+	}
+	if aw.Fetch = r.leafFetch(); aw.Fetch == nil {
+		aw.Raw, aw.Sums = r.rawFile, r.rawSums
+	}
+	return aw, err
+}
+
+// leafFetch returns a materialized index's per-query window candidate
+// fetcher: it reads the index's own leaves, caching each for the duration
+// of the query and never touching the raw dataset. Nil when not
+// materialized: the candidates are read from the raw dataset
+// (ApproxWindow.Raw).
+func (r *leafRun) leafFetch() window.FetchFunc {
+	if !r.opt.Materialized {
+		return nil
+	}
+	cache := make(map[int][]byte)
+	recSize := r.opt.recordSize()
+	return func(c window.Cand, _ []byte) ([]byte, error) {
+		li := leafOfOrd(r.starts, c.Ord)
+		recs, ok := cache[li]
+		if !ok {
+			var err error
+			if recs, err = r.readLeaf(li, nil); err != nil {
+				return nil, err
+			}
+			cache[li] = recs
+		}
+		_, _, raw := decodeRecord(recs[(c.Ord-r.starts[li])*recSize:][:recSize], true)
+		return raw, nil
+	}
+}
+
+// ExactVerify is the verification phase of SIMS (Algorithm 5) against an
+// externally computed seed (the partition layer's global approximate answer)
+// and a shared cross-partition bound: lower bounds are computed for all
+// series in parallel from the in-memory sorted summaries, and unpruned
+// candidates are fetched with a skip-sequential scan sharded across
+// Options.QueryWorkers — over the index's own leaves when materialized, else
+// over the raw file in position order, file-adjacent candidates sharing one
+// read (scanRaw). The returned Result is in SQUARED space and its counters
+// cover this index's verification work only; an index that finds no
+// improvement returns the seed unchanged. (Pos, Dist) is identical for any
+// worker count. Cancellation is checked at leaf-visit granularity, a
+// cancelled query returns ctx.Err() promptly (never a partial answer), and
+// shards stuck in a blocking read are abandoned rather than waited for.
+func (r *leafRun) ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (Result, error) {
+	r.qmu.RLock()
+	defer r.qmu.RUnlock()
+	res := Result{Pos: seedPos, Dist: seedSq}
+	if r.sims.col.Len() == 0 {
+		return res, nil
+	}
+	return simsVerify(ctx, &r.opt, q, &r.sims, res, bound, r.rawFile, r.rawSums, r.simsOverLeaves)
+}
+
+// simsOverLeaves is the materialized scan: walk the leaf directory in
+// order, skipping leaves with no unpruned candidate. cands are the
+// survivors of the lower-bound pass in summary-array order, IDs being
+// ordinals; a record that is not among them was at or above the seed bound
+// and could pass none of the checks below. The directory is partitioned
+// into contiguous shards that scan concurrently, sharing a best-so-far
+// bound; each shard prunes with its own running bound (exact serial
+// semantics) plus the shared bound under strict inequality, which keeps the
+// reduced answer identical to a serial scan. Lower bounds and all Dist
+// fields are squared distances; the pruning logic is oblivious to the space
+// because sqrt preserves order.
+func (r *leafRun) simsOverLeaves(ctx context.Context, q series.Series, cands []summary.Cand, res Result, bound *shard.BSF) (Result, error) {
+	recSize := r.opt.recordSize()
+	pos, dist, vr, vl, err := shard.ScanReduce(ctx, r.opt.QueryWorkers, len(r.starts)-1, res.Pos, res.Dist, func(rr shard.Range, local *shard.Outcome, cancelled func() bool) error {
+		var buf []byte
+		rest := candsFrom(cands, r.starts[rr.Lo])
+		for li := rr.Lo; li < rr.Hi && len(rest) > 0; li++ {
+			if cancelled() {
+				return nil
+			}
+			var leaf []summary.Cand
+			leaf, rest = leafCands(rest, r.starts[li+1])
+			if !slices.ContainsFunc(leaf, func(c summary.Cand) bool { return c.LB < local.Dist && !bound.Prunes(c.LB) }) {
+				continue
+			}
+			var err error
+			if buf, err = r.readLeaf(li, buf); err != nil {
+				return err
+			}
+			local.VisitedLeaves++
+			for _, c := range leaf {
+				if c.LB >= local.Dist || bound.Prunes(c.LB) {
+					continue
+				}
+				pos, sq := leafSquaredDistance(q, buf[(int(c.ID)-r.starts[li])*recSize:][:recSize])
+				local.VisitedRecords++
+				if sq < local.Dist {
+					local.Dist, local.Pos = sq, pos
+					bound.Lower(sq)
+				}
+			}
+		}
+		return nil
+	})
+	res.Pos, res.Dist = pos, dist
+	res.VisitedRecords += vr
+	res.VisitedLeaves += vl
+	return res, err
+}

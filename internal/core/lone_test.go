@@ -176,15 +176,22 @@ func (l *loneTrie) ExactSearch(ctx context.Context, q series.Series, radius int)
 	return exact(ctx, l.TrieIndex, l.opt.half(radius), q, radius)
 }
 
-// positions streams every indexed position of the tree in key order.
+// positions reads every indexed position of the tree in key order, leaf by
+// leaf.
 func (l *loneTree) positions() ([]int64, error) {
 	var out []int64
-	err := l.bt.ScanAll(func(rec []byte) error {
-		_, pos, _ := decodeRecord(rec, false)
-		out = append(out, pos)
-		return nil
-	})
-	return out, err
+	recSize := l.opt.recordSize()
+	for li := 0; li+1 < len(l.starts); li++ {
+		recs, err := l.readLeaf(li, nil)
+		if err != nil {
+			return nil, err
+		}
+		for off := 0; off < len(recs); off += recSize {
+			_, pos, _ := decodeRecord(recs[off:], false)
+			out = append(out, pos)
+		}
+	}
+	return out, nil
 }
 
 // ExactSearchKNN is the one-child composite's k-NN: the tree's own top-k

@@ -41,6 +41,15 @@ func newSimsRef(s *summary.Summarizer, q series.Series, data []series.Series, si
 	return simsRef{data: data, positions: sims.positions, lbs: lbs, leaves: leaves}
 }
 
+// leafSpans lists the [first, end) ordinals of every leaf of a directory.
+func leafSpans(starts []int) [][2]int {
+	var spans [][2]int
+	for i := 0; i+1 < len(starts); i++ {
+		spans = append(spans, [2]int{starts[i], starts[i+1]})
+	}
+	return spans
+}
+
 // keysOf re-interleaves every row of a column into its key.
 func keysOf(col summary.Column) []summary.Key {
 	keys := make([]summary.Key, col.Len())
@@ -182,10 +191,7 @@ func TestTreeExactMatchesReferencePass(t *testing.T) {
 			defer ix.Close()
 			var leaves [][2]int
 			if mat {
-				dir, bases := ix.leafBases()
-				for li, l := range dir {
-					leaves = append(leaves, [2]int{bases[li], bases[li] + l.Count})
-				}
+				leaves = leafSpans(ix.starts)
 			}
 			for qi, q := range queries {
 				seed, err := ix.approxSearch(context.Background(), q, 1)
@@ -219,9 +225,7 @@ func TestTrieExactMatchesReferencePass(t *testing.T) {
 			defer ix.Close()
 			var leaves [][2]int
 			if mat {
-				for li, leaf := range ix.leaves {
-					leaves = append(leaves, [2]int{ix.leafStart[li], ix.leafStart[li] + int(leaf.Count)})
-				}
+				leaves = leafSpans(ix.starts)
 			}
 			for qi, q := range queries {
 				seed, err := ix.approxSearch(context.Background(), q, 1)
@@ -255,10 +259,7 @@ func TestKNNMatchesReferencePass(t *testing.T) {
 			defer ix.Close()
 			var leaves [][2]int
 			if mat {
-				dir, bases := ix.leafBases()
-				for li, l := range dir {
-					leaves = append(leaves, [2]int{bases[li], bases[li] + l.Count})
-				}
+				leaves = leafSpans(ix.starts)
 			}
 			for qi, q := range queries {
 				for _, k := range []int{1, 7, tCount + 5} {

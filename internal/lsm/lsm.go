@@ -249,7 +249,7 @@ func (ix *Index) abandon() {
 // Remove deletes every file of the Coconut-LSM name that Build writes —
 // the bulk run and the manifest: the partition layer's undo for the finished
 // children of a build that failed as a whole. Best effort, like
-// core.RemoveTree: the build's own error is what is reported.
+// core.Remove: the build's own error is what is reported.
 func Remove(fs storage.FS, name string) {
 	for _, n := range []string{runFileName(name, 0), manifest.FileName(name)} {
 		if fs.Exists(n) {

@@ -2,9 +2,9 @@
 // truth: a small, versioned, checksummed file that records everything
 // needed to reopen a built Coconut index from storage without touching the
 // raw dataset — the format version, the summarization parameters, and the
-// per-variant on-device layout (the leaf directory for Coconut-Tree, the
-// leaf count for Coconut-Trie, and the full run set plus scheduling cursors
-// for Coconut-LSM).
+// per-variant on-device layout (the leaf run's generation and leaf
+// directory for Coconut-Tree, the leaf count for Coconut-Trie, and the full
+// run set plus scheduling cursors for Coconut-LSM).
 //
 // A manifest is committed atomically: the encoding is written to a sibling
 // temporary file and renamed over the live manifest (storage.FS.Rename), so
@@ -59,9 +59,10 @@ const (
 	// version is the one format this build writes and reads. Earlier
 	// versions describe layouts no reader exists for any more (padded trie
 	// leaf pages, flat LSM runs, LSM runs framed in checksum blocks, tree
-	// directories in a separate B+-tree meta file, LSM write-ahead logs) and
-	// fail with ErrVersionMismatch: rebuild the index.
-	version uint32 = 8
+	// directories in a separate B+-tree meta file, LSM write-ahead logs, tree
+	// leaves on stamped B+-tree pages) and fail with ErrVersionMismatch:
+	// rebuild the index.
+	version uint32 = 9
 	// headerSize is magic + version + payload length + CRC32-C.
 	headerSize = 16
 	// maxStringLen bounds decoded string fields (file names).
@@ -70,24 +71,15 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// TreeLayout is a Coconut-Tree's leaf directory, the one place it is
-// stored: its leaves in key order. The leaf file holds pages only.
+// TreeLayout is a Coconut-Tree's leaf run: the generation of its one file
+// (a build writes generation 0, and each insert batch merges into the next)
+// and its leaf directory, the one place it is stored: each leaf's record
+// count in key order. Leaf i is the Counts[i] records that follow the
+// earlier leaves' in the run.
 type TreeLayout struct {
-	Leaves []TreeLeaf
+	Gen    int64
+	Counts []int
 }
-
-// TreeLeaf is one leaf of a Coconut-Tree: the page holding it (pages
-// [0, len(Leaves)) each hold one leaf), its record count, the stamp its page
-// was written with, and its separator, the leaf's first key.
-type TreeLeaf struct {
-	Page  int64
-	Count int
-	Stamp uint32
-	Sep   summary.Key
-}
-
-// treeLeafSize is the encoded size of one TreeLeaf.
-const treeLeafSize = 4 + 4 + 4 + summary.KeySize
 
 // TrieLayout records what a reopen cross-checks a Coconut-Trie against.
 // The leaf file is the sorted record run and the leaf directory is a pure
@@ -220,12 +212,10 @@ func (m *Manifest) Encode() ([]byte, error) {
 		if m.Tree == nil {
 			return nil, errors.New("manifest: tree variant without tree layout")
 		}
-		w.u32(uint32(len(m.Tree.Leaves)))
-		for _, l := range m.Tree.Leaves {
-			w.u32(uint32(l.Page))
-			w.u32(uint32(l.Count))
-			w.u32(l.Stamp)
-			w.bytes(l.Sep[:])
+		w.u64(uint64(m.Tree.Gen))
+		w.u32(uint32(len(m.Tree.Counts)))
+		for _, c := range m.Tree.Counts {
+			w.u32(uint32(c))
 		}
 	case VariantTrie:
 		if m.Trie == nil {
@@ -325,16 +315,16 @@ func Decode(data []byte) (*Manifest, error) {
 	m.Count = int64(r.u64())
 	switch m.Variant {
 	case VariantTree:
+		l := &TreeLayout{Gen: int64(r.u64())}
 		n := r.u32()
-		if r.err == nil && int64(n) > int64(r.remaining()/treeLeafSize) {
+		if r.err == nil && int64(n) > int64(r.remaining()/4) {
 			return nil, fmt.Errorf("%w: %d tree leaves exceed payload", ErrCorruptManifest, n)
 		}
-		m.Tree = &TreeLayout{Leaves: make([]TreeLeaf, n)}
-		for i := range m.Tree.Leaves {
-			l := &m.Tree.Leaves[i]
-			*l = TreeLeaf{Page: int64(r.u32()), Count: int(r.u32()), Stamp: r.u32()}
-			r.keyInto(&l.Sep)
+		l.Counts = make([]int, n)
+		for i := range l.Counts {
+			l.Counts[i] = int(r.u32())
 		}
+		m.Tree = l
 	case VariantTrie:
 		m.Trie = &TrieLayout{NumLeaves: int(r.u32())}
 	case VariantLSM:
@@ -477,25 +467,19 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
-// validate checks the directory describes an index of count records in
-// leaves of at most leafCap: one page per leaf, the pages [0, n) each once,
-// every leaf non-empty and within capacity, the counts summing to count,
-// and the separators in key order.
+// validate checks the layout describes a run of count records in leaves
+// of at most leafCap: a generation in range, every leaf non-empty and
+// within capacity, and the counts summing to count.
 func (t *TreeLayout) validate(leafCap int, count int64) error {
-	seen := make([]bool, len(t.Leaves))
+	if t.Gen < 0 {
+		return fmt.Errorf("%w: leaf run generation %d", ErrCorruptManifest, t.Gen)
+	}
 	var total int64
-	for i, l := range t.Leaves {
-		switch {
-		case l.Page < 0 || l.Page >= int64(len(seen)) || seen[l.Page]:
-			return fmt.Errorf("%w: tree leaf %d on page %d: the pages are not a permutation of [0, %d)",
-				ErrCorruptManifest, i, l.Page, len(seen))
-		case l.Count < 1 || l.Count > leafCap:
-			return fmt.Errorf("%w: tree leaf %d holds %d records, capacity %d", ErrCorruptManifest, i, l.Count, leafCap)
-		case i > 0 && l.Sep.Less(t.Leaves[i-1].Sep):
-			return fmt.Errorf("%w: tree leaf %d's separator is below its predecessor's", ErrCorruptManifest, i)
+	for i, c := range t.Counts {
+		if c < 1 || c > leafCap {
+			return fmt.Errorf("%w: tree leaf %d holds %d records, capacity %d", ErrCorruptManifest, i, c, leafCap)
 		}
-		seen[l.Page] = true
-		total += int64(l.Count)
+		total += int64(c)
 	}
 	if total != count {
 		return fmt.Errorf("%w: tree leaves hold %d records, manifest count is %d", ErrCorruptManifest, total, count)

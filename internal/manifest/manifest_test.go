@@ -11,21 +11,13 @@ import (
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
-// sampleTree is a tree grown by inserts: leaf 0 split, its upper half on
-// the appended page 3, and a separator shared by two leaves (duplicates
-// straddling their boundary).
+// sampleTree is a tree grown by inserts: its run in generation 3, leaf 0
+// split in two halves.
 func sampleTree() *Manifest {
-	var a, b, c summary.Key
-	a[0], b[0], c[0] = 0x10, 0x40, 0x90
 	return &Manifest{
 		Variant: VariantTree, SeriesLen: 256, Segments: 16, CardBits: 8,
 		Materialized: true, LeafCap: 100, RawName: "walk.bin", Count: 330,
-		Tree: &TreeLayout{Leaves: []TreeLeaf{
-			{Page: 0, Count: 60, Stamp: 2, Sep: a},
-			{Page: 3, Count: 70, Stamp: 2, Sep: b},
-			{Page: 1, Count: 100, Stamp: 1, Sep: b},
-			{Page: 2, Count: 100, Stamp: 1, Sep: c},
-		}},
+		Tree: &TreeLayout{Gen: 3, Counts: []int{60, 70, 100, 100}},
 	}
 }
 
@@ -37,15 +29,17 @@ func sampleTrie() *Manifest {
 	}
 }
 
-// legacyEncode is m as format version ver (1–7) wrote it: version 2 added
+// legacyEncode is m as format version ver (1–8) wrote it: version 2 added
 // the LSM WAL cursors (the flushed position and two segment numbers, of
 // which version 8 keeps the position), 3 a checksums flag and 4 a
 // compressed-runs flag (both set by every version-5 writer that could be
 // read, and gone since 6, whose LSM runs are no longer framed in checksum
 // blocks), a trie before version 5 stored a per-leaf {count, first page,
 // pages} directory over a padded page file, and a tree before version 7
-// stored its B+-tree geometry, its directory living in a separate meta
-// file. Everything else is laid out as today.
+// stored its B+-tree geometry, its
+// directory living in a separate meta file, and in versions 7 and 8 a
+// {page, count, stamp, separator} entry per leaf page. Everything else is
+// laid out as today.
 func legacyEncode(m *Manifest, ver uint32) []byte {
 	cur, err := m.Encode()
 	if err != nil {
@@ -74,8 +68,16 @@ func legacyEncode(m *Manifest, ver uint32) []byte {
 			w.u32(v)
 		}
 		w.u64(0x3FF0000000000000) // fill factor 1.0
-		w.u32(uint32(len(m.Tree.Leaves)))
-		w.u64(uint64(len(m.Tree.Leaves))) // next page
+		w.u32(uint32(len(m.Tree.Counts)))
+		w.u64(uint64(len(m.Tree.Counts))) // next page
+	case m.Variant == VariantTree:
+		w.u32(uint32(len(m.Tree.Counts)))
+		for i, c := range m.Tree.Counts {
+			w.u32(uint32(i)) // page
+			w.u32(uint32(c))
+			w.u32(1) // stamp
+			w.bytes(make([]byte, summary.KeySize))
+		}
 	case m.Variant == VariantTrie && ver < 5:
 		w.u64(3) // pages
 		w.u32(2) // leaves
@@ -135,7 +137,7 @@ func samples() []*Manifest {
 }
 
 // refusedEncodings are well-formed manifests of layouts no reader exists
-// for: every variant at format versions 1–7.
+// for: every variant at format versions 1–8.
 func refusedEncodings() [][]byte {
 	var out [][]byte
 	for _, m := range samples() {
@@ -249,7 +251,7 @@ func TestCommitAtomicity(t *testing.T) {
 	}
 	second := sampleTree()
 	second.Count++ // one more record, in the first leaf
-	second.Tree.Leaves[0].Count++
+	second.Tree.Counts[0]++
 
 	boom := errors.New("boom")
 	fs.SetFault(func(op storage.Op, name string, off int64, n int) error {
@@ -342,10 +344,10 @@ func TestReencodeBitExact(t *testing.T) {
 	}
 }
 
-// TestOldLayoutsRefused: format v8 is the only one read. A manifest of an
+// TestOldLayoutsRefused: format v9 is the only one read. A manifest of an
 // earlier version, of any variant, is a version mismatch (rebuild), not
 // corruption — v7 included, whose LSM layout ended in two WAL segment
-// cursors.
+// cursors, and v8, whose tree directory named stamped leaf pages.
 func TestOldLayoutsRefused(t *testing.T) {
 	for i, enc := range refusedEncodings() {
 		if _, err := Decode(enc); !errors.Is(err, ErrVersionMismatch) {
@@ -429,21 +431,20 @@ func reseal(payload []byte) []byte {
 }
 
 // TestTreeDirectoryChecksBehindCRC covers the checks the manifest's CRC
-// does not make redundant: a tree directory whose CRC matches but whose
-// entries do not describe a well-formed tree — a leaf count that overflows
-// the size computation or disagrees with the directory length, a directory
-// cut mid-entry or before its count, pages that are not a permutation of
-// [0, n), an empty or over-full leaf, counts that do not sum to the
-// manifest's, separators out of order — fails Decode with
-// ErrCorruptManifest, never a panic.
+// does not make redundant: a tree's leaf layout whose CRC matches but which
+// does not describe a well-formed run — a leaf count that overflows the size
+// computation or disagrees with the directory length, a directory cut
+// mid-entry or before its count, a negative generation, an empty or
+// over-full leaf, counts that do not sum to the manifest's — fails Decode
+// with ErrCorruptManifest, never a panic.
 func TestTreeDirectoryChecksBehindCRC(t *testing.T) {
 	enc, err := sampleTree().Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := enc[headerSize:]
-	leaves := len(sampleTree().Tree.Leaves)
-	countOff := len(payload) - leaves*treeLeafSize - 4
+	leaves := len(sampleTree().Tree.Counts)
+	countOff := len(payload) - leaves*4 - 4
 	if got := binary.LittleEndian.Uint32(payload[countOff:]); got != uint32(leaves) {
 		t.Fatalf("leaf count at payload offset %d reads %d, want %d", countOff, got, leaves)
 	}
@@ -457,17 +458,14 @@ func TestTreeDirectoryChecksBehindCRC(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[countOff:], uint32(leaves+1))
 			return b
 		},
+		"negative-generation":        func(b []byte) []byte { b[countOff-1] |= 0x80; return b },
 		"directory-cut-mid-entry":    func(b []byte) []byte { return b[:len(b)-3] },
 		"directory-cut-before-count": func(b []byte) []byte { return b[:countOff+2] },
 	}
-	fieldCases := map[string]func(l []TreeLeaf){
-		"page-out-of-range":    func(l []TreeLeaf) { l[1].Page = int64(len(l)) },
-		"page-twice":           func(l []TreeLeaf) { l[1].Page = l[0].Page },
-		"empty-leaf":           func(l []TreeLeaf) { l[0].Count, l[1].Count = 0, l[1].Count+l[0].Count },
-		"over-full-leaf":       func(l []TreeLeaf) { l[0].Count, l[2].Count = 101, l[2].Count-41 },
-		"counts-miss-total":    func(l []TreeLeaf) { l[3].Count-- },
-		"separators-decrease":  func(l []TreeLeaf) { l[3].Sep, l[2].Sep = l[2].Sep, l[3].Sep },
-		"separator-below-head": func(l []TreeLeaf) { l[1].Sep = summary.Key{} },
+	fieldCases := map[string]func(l []int){
+		"empty-leaf":        func(l []int) { l[0], l[1] = 0, l[1]+l[0] },
+		"over-full-leaf":    func(l []int) { l[0], l[2] = 101, l[2]-41 },
+		"counts-miss-total": func(l []int) { l[3]-- },
 	}
 	for name, mutate := range bytesCases {
 		t.Run(name, func(t *testing.T) {
@@ -479,7 +477,7 @@ func TestTreeDirectoryChecksBehindCRC(t *testing.T) {
 	for name, mutate := range fieldCases {
 		t.Run(name, func(t *testing.T) {
 			m := sampleTree()
-			mutate(m.Tree.Leaves)
+			mutate(m.Tree.Counts)
 			data, err := m.Encode()
 			if err != nil {
 				t.Fatal(err)

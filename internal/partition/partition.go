@@ -157,16 +157,15 @@ type childPlan struct {
 
 // TreeVariant is Coconut-Tree over opt.
 func TreeVariant(opt core.Options) Variant {
-	return coreVariant(manifest.VariantTree, opt, core.BuildTree, core.OpenTree, core.RemoveTree)
+	return coreVariant(manifest.VariantTree, opt, core.BuildTree, core.OpenTree)
 }
 
 // TrieVariant is Coconut-Trie over opt.
 func TrieVariant(opt core.Options) Variant {
-	return coreVariant(manifest.VariantTrie, opt, core.BuildTrie, core.OpenTrie, core.RemoveTrie)
+	return coreVariant(manifest.VariantTrie, opt, core.BuildTrie, core.OpenTrie)
 }
 
-func coreVariant[T Child](kind manifest.Variant, opt core.Options,
-	build, open func(core.Options) (T, error), remove func(storage.FS, string)) Variant {
+func coreVariant[T Child](kind manifest.Variant, opt core.Options, build, open func(core.Options) (T, error)) Variant {
 	aw := opt.ApproxWindow
 	if aw <= 0 {
 		aw = 32
@@ -177,7 +176,7 @@ func coreVariant[T Child](kind manifest.Variant, opt core.Options,
 		materialized: opt.Materialized, leafCap: opt.LeafCap,
 		workers: opt.Workers, queryWorkers: opt.QueryWorkers,
 		half:   func(radius int) int { return aw * (radius + 1) / 2 },
-		remove: remove,
+		remove: core.Remove,
 		// Same geometry and summarization; a partition divides the worker
 		// and memory budgets.
 		child: func(p childPlan) (Child, error) {

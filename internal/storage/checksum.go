@@ -47,9 +47,8 @@ const (
 // Write support is deliberately narrow, matching how index artifacts are
 // produced: sequential appends at the logical end of file (any length —
 // the partial tail block is buffered in memory until it fills or Sync is
-// called), and in-place rewrites of whole, block-aligned ranges that lie
-// entirely within already-complete blocks (the B+-tree page update path).
-// Any other write returns an error.
+// called). A file is written once and never rewritten in place; any other
+// write returns an error.
 //
 // ReadAt verifies the CRC of every block it touches and returns
 // ErrCorruptData on mismatch — a flipped bit yields a typed error, never
@@ -69,12 +68,11 @@ type ChecksumFile struct {
 }
 
 // readBufPool holds the buffers ReadAt reads framed blocks into when they
-// span at most maxPooledRead bytes. A B+-tree page and a trie leaf are the
-// reads this is for: each is one or a few framed blocks, read on every
-// page a tree scan or insert misses in its cache and every trie leaf an
-// exact query visits. A bulk read (a sequential reader's megabyte)
-// allocates as before: a buffer that size is not worth keeping around.
-// Process-wide, so an idle file holds none.
+// span at most maxPooledRead bytes. A leaf is the read this is for: one or
+// a few framed blocks, read for every leaf a materialized query visits. A
+// bulk read (a sequential reader's megabyte) allocates as before: a buffer
+// that size is not worth keeping around. Process-wide, so an idle file
+// holds none.
 var readBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledRead = 32 << 10
@@ -99,7 +97,7 @@ func CreateChecksumFile(inner File, blockSize int) (*ChecksumFile, error) {
 // OpenChecksumFile validates inner's header and trailing block structure
 // and returns the logical wrapper. The tail block (if any) is verified
 // eagerly and buffered so later appends can extend it; full blocks are
-// verified lazily by ReadAt (use VerifyChecksumBlocks for a full pass).
+// verified lazily by ReadAt.
 func OpenChecksumFile(inner File) (*ChecksumFile, error) {
 	phys, err := inner.Size()
 	if err != nil {
@@ -241,21 +239,15 @@ func (c *ChecksumFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// WriteAt accepts exactly two shapes of write: an append starting at the
-// logical end of file (any length), or an in-place rewrite of whole
-// blocks that already exist. Everything else errors.
+// WriteAt accepts one shape of write: an append starting at the logical
+// end of file (any length). Everything else errors.
 func (c *ChecksumFile) WriteAt(p []byte, off int64) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	size := c.full*int64(c.block) + int64(len(c.tail))
-	switch {
-	case off == size:
-		return c.appendLocked(p)
-	case off >= 0 && off%int64(c.block) == 0 && len(p)%c.block == 0 && off+int64(len(p)) <= c.full*int64(c.block):
-		return c.rewriteLocked(p, off)
-	default:
+	if size := c.full*int64(c.block) + int64(len(c.tail)); off != size {
 		return 0, fmt.Errorf("storage: checksum file %q: unsupported write (off=%d len=%d logical size=%d block=%d)", c.inner.Name(), off, len(p), size, c.block)
 	}
+	return c.appendLocked(p)
 }
 
 func (c *ChecksumFile) appendLocked(p []byte) (int, error) {
@@ -286,20 +278,7 @@ func (c *ChecksumFile) appendLocked(p []byte) (int, error) {
 	return written, nil
 }
 
-func (c *ChecksumFile) rewriteLocked(p []byte, off int64) (int, error) {
-	written := 0
-	for i := off / int64(c.block); len(p) > 0; i++ {
-		if err := c.writeBlockLocked(i, p[:c.block]); err != nil {
-			return written, err
-		}
-		p = p[c.block:]
-		written += c.block
-	}
-	return written, nil
-}
-
-// writeBlockLocked frames payload with its CRC and writes block i in
-// place.
+// writeBlockLocked frames payload with its CRC and writes it as block i.
 func (c *ChecksumFile) writeBlockLocked(i int64, payload []byte) error {
 	need := checksumCRCSize + len(payload)
 	if cap(c.wbuf) < need {
@@ -376,31 +355,4 @@ func (c *ChecksumFile) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// VerifyChecksumBlocks reads every block of an (already open) checksum
-// file and verifies its CRC, returning the number of blocks checked. The
-// first failure is returned with its block index and physical offset; the
-// error matches ErrCorruptData for structural and checksum failures.
-func VerifyChecksumBlocks(f File) (int64, error) {
-	c, err := OpenChecksumFile(f)
-	if err != nil {
-		return 0, err
-	}
-	stride := int64(checksumCRCSize + c.block)
-	buf := make([]byte, stride)
-	for i := int64(0); i < c.full; i++ {
-		if n, err := f.ReadAt(buf, c.phys(i)); n != len(buf) {
-			return i, fmt.Errorf("storage: checksum file %q: read block %d: %w", f.Name(), i, readFailure(err))
-		}
-		want := binary.LittleEndian.Uint32(buf[:checksumCRCSize])
-		if crc32.Checksum(buf[checksumCRCSize:], crcTable) != want {
-			return i, fmt.Errorf("storage: checksum file %q: block %d (physical offset %d) crc mismatch: %w", f.Name(), i, c.phys(i), ErrCorruptData)
-		}
-	}
-	blocks := c.full
-	if len(c.tail) > 0 {
-		blocks++ // tail was verified by OpenChecksumFile
-	}
-	return blocks, nil
 }

@@ -91,8 +91,8 @@ func TestChecksumFileRoundTrip(t *testing.T) {
 			if _, err := cf.ReadAt(make([]byte, 1), int64(tc.size)); err != io.EOF {
 				t.Fatalf("read at EOF: %v, want io.EOF", err)
 			}
-			if blocks, err := VerifyChecksumBlocks(inner); err != nil {
-				t.Fatalf("VerifyChecksumBlocks: blocks=%d err=%v", blocks, err)
+			if err := readWhole(inner); err != nil {
+				t.Fatalf("whole-file read: %v", err)
 			}
 			cf.Close()
 		})
@@ -147,8 +147,8 @@ func TestChecksumFileDetectsRot(t *testing.T) {
 		default:
 			t.Fatalf("rot at %d: unexpected error %v", off, err)
 		}
-		if _, err := VerifyChecksumBlocks(inner); !errors.Is(err, ErrCorruptData) {
-			t.Fatalf("rot at %d: VerifyChecksumBlocks error %v is not ErrCorruptData", off, err)
+		if err := readWhole(inner); !errors.Is(err, ErrCorruptData) {
+			t.Fatalf("rot at %d: whole-file read error %v is not ErrCorruptData", off, err)
 		}
 		cf.Close()
 	}
@@ -209,7 +209,10 @@ func TestChecksumFileReadBuffer(t *testing.T) {
 	}
 }
 
-func TestChecksumFileRewriteAndAlignment(t *testing.T) {
+// TestChecksumFileAppendOnly: a checksum file is written once, by appends
+// at its logical end; a rewrite of a complete block, a misaligned or a
+// mid-file write is refused and leaves the file as it was.
+func TestChecksumFileAppendOnly(t *testing.T) {
 	fs := NewMemFS()
 	const block = 16
 	payload := bytes.Repeat([]byte{1}, block*3)
@@ -222,25 +225,37 @@ func TestChecksumFileRewriteAndAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Whole-block rewrite succeeds and reads back verified.
-	newBlock := bytes.Repeat([]byte{9}, block)
-	if _, err := cf.WriteAt(newBlock, block); err != nil {
-		t.Fatalf("rewrite: %v", err)
-	}
-	got := make([]byte, block)
-	if _, err := cf.ReadAt(got, block); err != nil || !bytes.Equal(got, newBlock) {
-		t.Fatalf("read back rewrite: %v", err)
-	}
-	// Misaligned or mid-file writes are rejected.
 	for _, bad := range []struct {
 		off int64
 		n   int
-	}{{1, block}, {block, block - 1}, {int64(block * 10), block}} {
-		if _, err := cf.WriteAt(make([]byte, bad.n), bad.off); err == nil {
+	}{{block, block}, {0, block * 3}, {1, block}, {block, block - 1}, {int64(block * 10), block}} {
+		if _, err := cf.WriteAt(bytes.Repeat([]byte{9}, bad.n), bad.off); err == nil {
 			t.Fatalf("write off=%d len=%d unexpectedly succeeded", bad.off, bad.n)
 		}
 	}
+	got := make([]byte, len(payload))
+	if _, err := cf.ReadAt(got, 0); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("payload after refused writes: %v", err)
+	}
+	// An append at the logical end extends the file.
+	if _, err := cf.WriteAt(bytes.Repeat([]byte{9}, block), int64(len(payload))); err != nil {
+		t.Fatalf("append: %v", err)
+	}
 	cf.Close()
+}
+
+// readWhole opens f as a checksum file and reads its whole logical content,
+// which verifies every block.
+func readWhole(f File) error {
+	cf, err := OpenChecksumFile(f)
+	if err != nil {
+		return err
+	}
+	size, _ := cf.Size()
+	if _, err := cf.ReadAt(make([]byte, size), 0); err != nil && err != io.EOF {
+		return err
+	}
+	return nil
 }
 
 func TestChecksumFileTornTail(t *testing.T) {
@@ -568,7 +583,7 @@ func TestFaultFSRotOverOSFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inner.Close()
-	if _, err := VerifyChecksumBlocks(inner); !errors.Is(err, ErrCorruptData) {
+	if err := readWhole(inner); !errors.Is(err, ErrCorruptData) {
 		t.Fatalf("rot over OSFS: %v, want ErrCorruptData", err)
 	}
 	// Crash recovery still works over a non-mem inner: durable snapshot
@@ -630,8 +645,7 @@ func FuzzChecksumFile(f *testing.F) {
 		if n, err := cf.ReadAt(buf, 0); err != nil && !errors.Is(err, ErrCorruptData) && err != io.EOF {
 			t.Fatalf("read: n=%d err=%v", n, err)
 		}
-		_, verr := VerifyChecksumBlocks(file)
-		if verr != nil && !errors.Is(verr, ErrCorruptData) {
+		if verr := readWhole(file); verr != nil && !errors.Is(verr, ErrCorruptData) {
 			t.Fatalf("verify: %v", verr)
 		}
 	})

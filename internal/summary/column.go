@@ -108,24 +108,3 @@ func RowPrefixBits(a, b SAX, cardBits int) int {
 	}
 	return (cardBits-bits.Len8(top))*len(a) + j
 }
-
-// RowPrefix writes the iSAX node that the first prefixLen interleaved bits
-// of row's key fix: bits[j] is how many leading bits of segment j's symbol
-// they fix and syms[j] is that symbol with the other bits cleared.
-// Interleaved bit p is bit p/w (from the symbol's most significant) of
-// segment p mod w, with w = len(row), so the prefix fixes ⌈(prefixLen-j)/w⌉
-// bits of segment j, at most cardBits. syms and bits need one entry per
-// segment; syms may be row itself.
-func RowPrefix(row SAX, prefixLen, cardBits int, syms SAX, bits []uint8) {
-	w := len(row)
-	for j, sym := range row {
-		n := prefixLen / w
-		if prefixLen%w > j {
-			n++
-		}
-		n = min(n, cardBits)
-		bits[j] = uint8(n)
-		shift := uint(cardBits - n)
-		syms[j] = sym >> shift << shift
-	}
-}

@@ -100,7 +100,7 @@ func TestOnePartitionIsUnpartitionedLayout(t *testing.T) {
 		files       []string
 		build, open func(Config) (handle, error)
 	}{
-		"tree": {[]string{"conf.bin", "conf.bin.crc", "conf.bt.leaves", "conf.manifest"},
+		"tree": {[]string{"conf.bin", "conf.bin.crc", "conf.leaves", "conf.manifest"},
 			func(c Config) (handle, error) { return BuildTreeIndex(c) },
 			func(c Config) (handle, error) { return OpenTreeIndex(c) }},
 		"trie": {[]string{"conf.bin", "conf.bin.crc", "conf.leaves", "conf.manifest"},

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/manifest"
@@ -332,14 +333,17 @@ func TestBackendParity(t *testing.T) {
 	}
 }
 
-// TestTreeCrashStatesFailTyped: tree inserts rewrite committed leaf pages
-// in place between Syncs, so a crash can leave pages on disk that the last
-// committed manifest does not describe. Three such states — an in-place
-// insert, a split, and a split whose lower half refilled to the committed
-// count, which only the page stamp tells apart — must each fail the open or
-// the first search with ErrCorruptData, be named by Scrub under the leaf
-// file, and answer as brute force does after Repair.
-func TestTreeCrashStatesFailTyped(t *testing.T) {
+// TestTreeCrashBetweenSyncsReopensCommitted: tree inserts merge into the
+// next generation of the leaf run and leave the committed one — the one the
+// manifest names — untouched until the next Sync commits a manifest naming
+// the new one, so a crash between Syncs reopens at the last Sync, without
+// Repair. Four states: after an insert that fits its leaf, after one that
+// splits a leaf, after enough to refill the split's lower half to the
+// committed count, and after a Sync that wrote and fsynced the next
+// generation but lost power as its manifest commit began. Each opens with
+// the committed count, answers as brute force over the committed data does,
+// and scrubs clean.
+func TestTreeCrashBetweenSyncsReopensCommitted(t *testing.T) {
 	queries, err := GenerateQueries(RandomWalk, 4, confLen, confSeed+2)
 	if err != nil {
 		t.Fatal(err)
@@ -348,14 +352,17 @@ func TestTreeCrashStatesFailTyped(t *testing.T) {
 		name   string
 		fill   float64
 		copies int
+		sync   bool
 	}{
-		{"in-place", 0.8, 1},
-		{"split", 1, 1},
-		{"split-refilled", 1, 25}, // half of LeafSize 50
+		{"in-place", 0.8, 1, false},
+		{"split", 1, 1, false},
+		{"split-refilled", 1, 25, false}, // half of LeafSize 50
+		{"next-generation-fsynced", 1, 25, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fs, data := confFS(t)
-			cfg := confConfig(fs, 1, false)
+			mem, data := confFS(t)
+			ffs := storage.NewFaultFS(mem)
+			cfg := confConfig(ffs, 1, false)
 			cfg.FillFactor = tc.fill
 			ix, err := BuildTreeIndex(cfg)
 			if err != nil {
@@ -364,15 +371,7 @@ func TestTreeCrashStatesFailTyped(t *testing.T) {
 			if err := ix.Close(); err != nil {
 				t.Fatal(err)
 			}
-			// The committed state: the manifest, with the leaf directory, and
-			// the raw log's sidecar, whose end is the acknowledged dataset.
-			committed := map[string][]byte{}
-			for _, name := range []string{"conf.manifest", storage.RecordSumsName("conf.bin")} {
-				if committed[name], err = storage.ReadFileAll(fs, name); err != nil {
-					t.Fatal(err)
-				}
-			}
-			live, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"})
+			live, err := OpenTreeIndex(Config{Storage: ffs, Name: "conf"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,48 +385,54 @@ func TestTreeCrashStatesFailTyped(t *testing.T) {
 			if err := live.Insert(extra); err != nil {
 				t.Fatal(err)
 			}
-			if tc.name == "split-refilled" && live.NumLeaves() != 51 {
+			if tc.copies == 25 && live.NumLeaves() != 51 {
 				t.Fatalf("%d leaves after the inserts, want one split", live.NumLeaves())
 			}
-			// The crash: the inserts' pages are on disk, under the manifest
-			// and the sidecar committed before them — the state a live handle
-			// leaves once its page cache is written back, and nothing else.
-			if err := live.Close(); err != nil {
-				t.Fatal(err)
-			}
-			for name, b := range committed {
-				if err := storage.WriteFileAll(fs, name, b); err != nil {
-					t.Fatal(err)
+			if tc.sync {
+				ffs.SetHook(func(op storage.Op, name string) {
+					if op == storage.OpCreate && name == "conf.manifest.tmp" {
+						ffs.Crash()
+					}
+				})
+				if err := live.Sync(); !errors.Is(err, storage.ErrCrashed) {
+					t.Fatalf("sync across the power loss: %v, want ErrCrashed", err)
 				}
 			}
-			re, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"})
-			if err == nil {
-				_, err = re.Search(queries[0])
-				re.Close()
+			ffs.Crash()
+			live.Close()
+			img := ffs.Recover(0)
+			var runs int
+			for _, name := range img.Names() {
+				if strings.HasSuffix(name, ".leaves") {
+					runs++
+				}
 			}
-			if !errors.Is(err, ErrCorruptData) {
-				t.Fatalf("open and search over pages newer than the manifest: %v, want ErrCorruptData", err)
+			if want := map[bool]int{false: 1, true: 2}[tc.sync]; runs != want {
+				t.Fatalf("the device holds %d leaf runs after the crash, want %d: %v", runs, want, img.Names())
 			}
-			requireScrubFlags(t, fs, "conf", "conf.bt.leaves")
-			requireRepairClean(t, fs, "conf")
-
-			fixed, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"})
+			re, err := OpenTreeIndex(Config{Storage: img, Name: "conf"})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("open after the crash: %v", err)
 			}
-			defer fixed.Close()
-			data = append(data, extra...)
-			if got := fixed.Count(); got != int64(len(data)) {
-				t.Fatalf("repaired index holds %d records, want %d", got, len(data))
+			defer re.Close()
+			if got := re.Count(); got != int64(len(data)) {
+				t.Fatalf("reopened index holds %d records, want the %d committed", got, len(data))
 			}
 			for qi, q := range queries {
-				res, err := fixed.Search(q)
+				res, err := re.Search(q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if pos, dist := bruteForce(q, data); res.Position != pos || math.Abs(res.Distance-dist) > 1e-9 {
-					t.Fatalf("query %d after repair: (#%d, %v), brute force (#%d, %v)", qi, res.Position, res.Distance, pos, dist)
+					t.Fatalf("query %d after the crash: (#%d, %v), brute force (#%d, %v)", qi, res.Position, res.Distance, pos, dist)
 				}
+			}
+			rep, err := Scrub(img, "conf")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Clean() {
+				t.Fatalf("scrub after the crash: %+v", rep.Corrupt())
 			}
 		})
 	}
@@ -540,9 +545,10 @@ func asFormatV5(t *testing.T, good []byte) []byte {
 
 // TestOpenRefusesOtherFormats: one stored format is read. An index whose
 // manifest is of an earlier version — including a well-formed version 5,
-// whose LSM runs were framed in checksum blocks — is refused by Open, Scrub
-// and Repair with ErrVersionMismatch, never misread as corruption, and opens
-// again once the manifest is restored.
+// whose LSM runs were framed in checksum blocks, and version 8, whose tree
+// leaves were stamped B+-tree pages — is refused by Open, Scrub and Repair
+// with ErrVersionMismatch, never misread as corruption, and opens again once
+// the manifest is restored.
 func TestOpenRefusesOtherFormats(t *testing.T) {
 	variants := []struct {
 		name  string
@@ -585,7 +591,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 						t.Fatalf("%s: repair: got %v, want ErrVersionMismatch", what, err)
 					}
 				}
-				for ver := uint32(1); ver < 5; ver++ {
+				for _, ver := range []uint32{1, 2, 3, 4, 6, 7, 8} {
 					old := append([]byte(nil), good...)
 					binary.LittleEndian.PutUint32(old[4:], ver)
 					if err := storage.WriteFileAll(fs, manifest.FileName("conf"), old); err != nil {

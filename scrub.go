@@ -1,13 +1,14 @@
 package coconut
 
 // Scrub is the offline integrity pass: it walks every persistent artifact
-// an index's manifest references — the manifest itself, B+-tree page
-// files, trie leaf files, LSM run files, the raw dataset via its CRC
-// sidecar, and (for partitioned indexes) each child's artifacts — and
-// verifies each against its one integrity layer (block CRCs, the run
-// codec's CRCs, record CRCs) and against what its manifest promises (a
-// tree's pages against the leaf directory, a run against its count and key
-// range), reporting a per-file finding for each. Repair rebuilds a damaged
+// an index's manifest references — the manifest itself, the leaf run of a
+// tree or a trie, LSM run files, the raw dataset via its CRC sidecar, and
+// (for partitioned indexes) each child's artifacts — and verifies each
+// against its one integrity layer (block CRCs, the run codec's CRCs, record
+// CRCs) and against what its manifest promises (a leaf run against its
+// count, key order and leaf directory, through the loader Open runs; an LSM
+// run against its count and key range), reporting a per-file finding for
+// each. Repair rebuilds a damaged
 // index from the verified raw dataset: every index artifact is a pure
 // function of the records it covers, and window invariance makes the
 // rebuilt index answer byte-identically.
@@ -29,10 +30,9 @@ import (
 type ScrubFinding struct {
 	// File is the artifact's name on the storage device.
 	File string
-	// Units is how much was verified: checksum blocks for block-format
-	// artifacts (a tree's leaf file: its pages, each checked against its
-	// directory entry too), run blocks for LSM runs, records for the raw
-	// dataset, 0 for the manifest (verified whole).
+	// Units is how much was verified: checksum blocks for a leaf run, run
+	// blocks for LSM runs, records for the raw dataset, 0 for the manifest
+	// (verified whole).
 	Units int64
 	// Err is nil for a healthy artifact, otherwise the typed failure —
 	// errors.Is(Err, ErrCorruptData) identifies detected corruption.
@@ -106,11 +106,8 @@ func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) error {
 				return err
 			}
 		}
-	case manifest.VariantTree:
-		n, err := core.VerifyTree(fs, name, m)
-		rep.add(name+".bt.leaves", n, err)
-	case manifest.VariantTrie:
-		scrubBlockFile(fs, name+".leaves", rep)
+	case manifest.VariantTree, manifest.VariantTrie:
+		rep.add(core.VerifyLeafRun(fs, name, m))
 	case manifest.VariantLSM:
 		for _, ri := range m.LSM.Runs {
 			n, err := lsm.VerifyRun(fs, ri)
@@ -123,18 +120,6 @@ func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) error {
 		rep.add(m.RawName, n, err)
 	}
 	return nil
-}
-
-// scrubBlockFile verifies one checksummed-block artifact end to end.
-func scrubBlockFile(fs Storage, name string, rep *ScrubReport) {
-	f, err := fs.Open(name)
-	if err != nil {
-		rep.add(name, 0, err)
-		return
-	}
-	defer f.Close()
-	n, err := storage.VerifyChecksumBlocks(f)
-	rep.add(name, n, err)
 }
 
 // Repair rebuilds the index cfg names from its raw dataset when Scrub finds

@@ -18,8 +18,8 @@ type ctxVariant struct {
 	name   string
 	search func(ctx context.Context, q Series) (Result, error)
 	approx func(ctx context.Context, q Series) (Result, error)
-	knn    func(ctx context.Context, q Series, k int) ([]Neighbor, error) // nil if unsupported
-	insert func(ctx context.Context, batch []Series) error                // nil if unsupported
+	knn    func(ctx context.Context, q Series, k int) ([]Neighbor, error)
+	insert func(ctx context.Context, batch []Series) error // nil if unsupported
 	count  func() int64
 	close  func() error
 }
@@ -86,6 +86,7 @@ func cancelVariant(t *testing.T, cfg Config, variant string, reopen bool) ctxVar
 			name:   variant,
 			search: ix.SearchCtx,
 			approx: func(ctx context.Context, q Series) (Result, error) { return ix.SearchApproxCtx(ctx, q, 1) },
+			knn:    ix.SearchKNNCtx,
 			count:  ix.Count,
 			close:  ix.Close,
 		}
@@ -102,6 +103,7 @@ func cancelVariant(t *testing.T, cfg Config, variant string, reopen bool) ctxVar
 			name:   variant,
 			search: ix.SearchCtx,
 			approx: ix.SearchApproxCtx,
+			knn:    ix.SearchKNNCtx,
 			insert: ix.InsertCtx,
 			count:  ix.Count,
 			close:  ix.Close,
@@ -199,18 +201,16 @@ func TestCtxVariantsMatchPlainAPI(t *testing.T) {
 				if ga.Position != ga2.Position || ga.Distance != ga2.Distance {
 					t.Fatalf("query %d: approx answers differ across calls", qi)
 				}
-				if v.knn != nil {
-					ns, err := v.knn(ctx, q, 5)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(ns) != 5 {
-						t.Fatalf("query %d: knn returned %d neighbors, want 5", qi, len(ns))
-					}
-					if ns[0].Position != got.Position || ns[0].Distance != got.Distance {
-						t.Fatalf("query %d: knn[0] (%d, %v) != exact (%d, %v)",
-							qi, ns[0].Position, ns[0].Distance, got.Position, got.Distance)
-					}
+				ns, err := v.knn(ctx, q, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ns) != 5 {
+					t.Fatalf("query %d: knn returned %d neighbors, want 5", qi, len(ns))
+				}
+				if ns[0].Position != got.Position || ns[0].Distance != got.Distance {
+					t.Fatalf("query %d: knn[0] (%d, %v) != exact (%d, %v)",
+						qi, ns[0].Position, ns[0].Distance, got.Position, got.Distance)
 				}
 			}
 		})

@@ -93,7 +93,7 @@ func parseFlags(args []string) (*config, error) {
 	queryWorkers := fl.Int("query-workers", 0, "per-query fan-out for exact search (0 = all CPUs)")
 	queries := fl.String("queries", "", "query series file (raw format)")
 	partitions := fl.Int("partitions", 1, "key-range partitions to build (1 = single index; open adopts the stored layout)")
-	radius := fl.Int("radius", 1, "approximate-search leaf radius")
+	radius := fl.Int("radius", 1, "approximate-search radius: evaluate 32×(radius+1) records around the query's sort position (lsm: its own 100-record window, no radius)")
 	approx := fl.Bool("approx", false, "run approximate instead of exact search")
 	k := fl.Int("k", 1, "number of nearest neighbors to return")
 	appendFile := fl.String("append", "", "series file to stream into the LSM index (stream command)")
@@ -366,10 +366,6 @@ func runQuery(cfg *config) error {
 		ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
 		start := time.Now()
 		if cfg.k > 1 {
-			if ix.SearchKNN == nil {
-				cancel()
-				return errors.New("-k > 1 is only supported on tree indexes")
-			}
 			ns, err := ix.SearchKNN(ctx, q, cfg.k)
 			cancel()
 			if err != nil {

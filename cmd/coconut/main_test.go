@@ -22,6 +22,15 @@ const (
 	cliExtra   = 120
 )
 
+// publicAPI is what the round trip asks of an index through the public
+// package: exact, approximate at radius 1, and k-NN.
+type publicAPI struct {
+	search func(coconut.Series) (coconut.Result, error)
+	approx func(coconut.Series) (coconut.Result, error)
+	knn    func(coconut.Series, int) ([]coconut.Neighbor, error)
+	close  func() error
+}
+
 // runCLI runs one coconut command the way main does — a fresh parseFlags
 // per invocation — and returns what it printed.
 func runCLI(t *testing.T, cmd string, args ...string) (string, error) {
@@ -156,76 +165,52 @@ func TestCLIRoundTrip(t *testing.T) {
 				}
 
 				// What the public API answers on the same files.
-				var exact, approx []answer
-				var knn [][]answer
 				cfg := coconut.Config{Storage: fs, Name: "idx"}
+				var ix publicAPI
 				switch variant {
 				case "tree":
-					ix, err := coconut.OpenTreeIndex(cfg)
+					tree, err := coconut.OpenTreeIndex(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, q := range queries {
-						e, err := ix.Search(q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						a, err := ix.SearchApprox(q, 1)
-						if err != nil {
-							t.Fatal(err)
-						}
-						ns, err := ix.SearchKNN(q, 3)
-						if err != nil {
-							t.Fatal(err)
-						}
-						exact, approx = append(exact, printed(e.Position, e.Distance)), append(approx, printed(a.Position, a.Distance))
-						var row []answer
-						for _, n := range ns {
-							row = append(row, printed(n.Position, n.Distance))
-						}
-						knn = append(knn, row)
-					}
-					if err := ix.Close(); err != nil {
-						t.Fatal(err)
-					}
+					ix = publicAPI{tree.Search, func(q coconut.Series) (coconut.Result, error) { return tree.SearchApprox(q, 1) }, tree.SearchKNN, tree.Close}
 				case "trie":
-					ix, err := coconut.OpenTrieIndex(cfg)
+					trie, err := coconut.OpenTrieIndex(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, q := range queries {
-						e, err := ix.Search(q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						a, err := ix.SearchApprox(q, 1)
-						if err != nil {
-							t.Fatal(err)
-						}
-						exact, approx = append(exact, printed(e.Position, e.Distance)), append(approx, printed(a.Position, a.Distance))
-					}
-					if err := ix.Close(); err != nil {
-						t.Fatal(err)
-					}
+					ix = publicAPI{trie.Search, func(q coconut.Series) (coconut.Result, error) { return trie.SearchApprox(q, 1) }, trie.SearchKNN, trie.Close}
 				case "lsm":
-					ix, err := coconut.OpenLSMIndex(cfg)
+					lsm, err := coconut.OpenLSMIndex(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, q := range queries {
-						e, err := ix.Search(q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						a, err := ix.SearchApprox(q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						exact, approx = append(exact, printed(e.Position, e.Distance)), append(approx, printed(a.Position, a.Distance))
-					}
-					if err := ix.Close(); err != nil {
+					ix = publicAPI{lsm.Search, lsm.SearchApprox, lsm.SearchKNN, lsm.Close}
+				}
+				var exact, approx []answer
+				var knn [][]answer
+				for _, q := range queries {
+					e, err := ix.search(q)
+					if err != nil {
 						t.Fatal(err)
 					}
+					a, err := ix.approx(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ns, err := ix.knn(q, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					exact, approx = append(exact, printed(e.Position, e.Distance)), append(approx, printed(a.Position, a.Distance))
+					var row []answer
+					for _, n := range ns {
+						row = append(row, printed(n.Position, n.Distance))
+					}
+					knn = append(knn, row)
+				}
+				if err := ix.close(); err != nil {
+					t.Fatal(err)
 				}
 
 				out = mustCLI(t, "query", with("-queries", "q.bin")...)
@@ -239,21 +224,14 @@ func TestCLIRoundTrip(t *testing.T) {
 				if got := parseAnswers(t, nearestRE, out); fmt.Sprint(got) != fmt.Sprint(approx) {
 					t.Fatalf("query -approx printed %v, the public API answers %v:\n%s", got, approx, out)
 				}
-				out, err = runCLI(t, "query", with("-queries", "q.bin", "-k", "3")...)
-				if variant == "tree" {
-					if err != nil {
-						t.Fatalf("query -k 3: %v", err)
-					}
-					got := parseAnswers(t, neighborRE, out)
-					var want []answer
-					for _, row := range knn {
-						want = append(want, row...)
-					}
-					if len(got) != 3*cliQueries || fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("query -k 3 printed %v, the public API answers %v:\n%s", got, want, out)
-					}
-				} else if err == nil || !strings.Contains(err.Error(), "only supported on tree") {
-					t.Fatalf("query -k 3 on a %s index: err = %v, want a rejection", variant, err)
+				out = mustCLI(t, "query", with("-queries", "q.bin", "-k", "3")...)
+				got := parseAnswers(t, neighborRE, out)
+				var want []answer
+				for _, row := range knn {
+					want = append(want, row...)
+				}
+				if len(got) != 3*cliQueries || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("query -k 3 printed %v, the public API answers %v:\n%s", got, want, out)
 				}
 
 				if variant == "lsm" {

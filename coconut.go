@@ -44,9 +44,9 @@
 //
 // Within a single query, the library shards the heavy phases of SIMS exact
 // search across Config.QueryWorkers goroutines: the lower-bound pass over
-// the in-memory summaries, the candidate-verification scan of both 1-NN and
-// k-NN search (by leaf range when materialized, by raw-file position range
-// otherwise, with deterministic per-shard bounds reduced in shard order),
+// the in-memory summaries, the candidate-verification scan of exact search
+// for any k (by leaf range when materialized, by raw-file position range
+// otherwise, per-shard top-k heaps reduced in shard order),
 // and — for LSM indexes — the per-run probes of multi-run queries.
 // QueryWorkers = 0 uses all CPUs; the answers (positions, distances) are
 // identical for any setting, so it is purely a latency knob. For maximum
@@ -96,14 +96,15 @@
 // # One index, three layouts
 //
 // Coconut-Tree, -Trie and -LSM are one family: a sorted array of invSAX
-// summaries answered by the same two steps, an approximate window that
-// seeds a best-so-far and a SIMS verification pass under it. TreeIndex,
+// summaries answered by the same two steps, an approximate window whose k
+// best seed a SIMS verification pass under the k-th best — exact 1-NN being
+// k = 1 on every index type. TreeIndex,
 // TrieIndex and LSMIndex therefore all hold the same internal index
 // (internal/partition.Composite), built and opened through one helper: N
 // children of the variant split by key range, with N = 1 — stored exactly
 // as an unpartitioned index — unless Config.Partitions >= 2. The composite
 // owns the raw log and drives both query steps, inserts included, the same
-// way for any N; what only some variants can do — k-NN, inserts, LSM
+// way for any N; what only some variants can do — inserts, LSM
 // housekeeping — it offers exactly when its children have it.
 //
 // # Persistence
@@ -258,7 +259,7 @@ type Config struct {
 	// built index is byte-identical for any value.
 	Workers int
 	// QueryWorkers is the per-query fan-out: the SIMS lower-bound pass and
-	// the exact-search candidate-verification scan (1-NN and k-NN) shard
+	// the exact-search candidate-verification scan (any k) shard
 	// across this many goroutines (LSM indexes also probe independent runs
 	// concurrently). 0 means all CPUs. Search answers are identical for any
 	// value; see the package-level Concurrency section for how to choose it.
@@ -505,7 +506,9 @@ func OpenTreeIndexCtx(ctx context.Context, cfg Config) (*TreeIndex, error) {
 	return &TreeIndex{ix: ix}, nil
 }
 
-// Search returns the exact nearest neighbor of q (CoconutTreeSIMS).
+// Search returns the exact nearest neighbor of q (CoconutTreeSIMS): it is
+// SearchKNN with k = 1, so an exact distance tie goes to the lowest
+// position, as it does on every index type and partition count.
 func (t *TreeIndex) Search(q Series) (Result, error) {
 	return t.SearchCtx(context.Background(), q)
 }
@@ -519,8 +522,9 @@ func (t *TreeIndex) SearchCtx(ctx context.Context, q Series) (Result, error) {
 	return fromCore(r), err
 }
 
-// SearchApprox returns a fast approximate nearest neighbor, examining the
-// target leaf plus radius neighbors on each side (Algorithm 4).
+// SearchApprox returns a fast approximate nearest neighbor (Algorithm 4):
+// the best of the ApproxWindow×(radius+1) records around the query's sort
+// position in the summaries of every partition, ApproxWindow being 32.
 func (t *TreeIndex) SearchApprox(q Series, radius int) (Result, error) {
 	return t.SearchApproxCtx(context.Background(), q, radius)
 }
@@ -610,7 +614,8 @@ func OpenTrieIndexCtx(ctx context.Context, cfg Config) (*TrieIndex, error) {
 	return &TrieIndex{ix: ix}, nil
 }
 
-// Search returns the exact nearest neighbor of q.
+// Search returns the exact nearest neighbor of q; an exact distance tie
+// goes to the lowest position (see TreeIndex.Search).
 func (t *TrieIndex) Search(q Series) (Result, error) {
 	return t.SearchCtx(context.Background(), q)
 }
@@ -622,7 +627,9 @@ func (t *TrieIndex) SearchCtx(ctx context.Context, q Series) (Result, error) {
 	return fromCore(r), err
 }
 
-// SearchApprox returns a fast approximate nearest neighbor.
+// SearchApprox returns a fast approximate nearest neighbor: the best of the
+// ApproxWindow×(radius+1) records around the query's sort position (see
+// TreeIndex.SearchApprox).
 func (t *TrieIndex) SearchApprox(q Series, radius int) (Result, error) {
 	return t.SearchApproxCtx(context.Background(), q, radius)
 }
@@ -648,7 +655,7 @@ func (t *TrieIndex) SizeBytes() int64 { return t.ix.SizeBytes() }
 // Close releases the index's file handles.
 func (t *TrieIndex) Close() error { return t.ix.Close() }
 
-// Neighbor is one k-NN answer.
+// Neighbor is one SearchKNN answer.
 type Neighbor struct {
 	// Position is the series' ordinal in the dataset file.
 	Position int64
@@ -656,8 +663,10 @@ type Neighbor struct {
 	Distance float64
 }
 
-// SearchKNN returns the k exact nearest neighbors of q in ascending
-// distance order.
+// SearchKNN returns the k exact nearest neighbors of q, ranked by distance
+// and, on an exact tie, by position; k < 1 means 1, and a k past the
+// indexed count returns every series. It is the one exact search every
+// index type runs, Search being k = 1.
 func (t *TreeIndex) SearchKNN(q Series, k int) ([]Neighbor, error) {
 	return t.SearchKNNCtx(context.Background(), q, k)
 }
@@ -665,7 +674,22 @@ func (t *TreeIndex) SearchKNN(q Series, k int) ([]Neighbor, error) {
 // SearchKNNCtx is SearchKNN with cancellation (see SearchCtx): a done ctx
 // returns ctx.Err(), never a truncated neighbor list.
 func (t *TreeIndex) SearchKNNCtx(ctx context.Context, q Series, k int) ([]Neighbor, error) {
-	ns, _, err := t.ix.ExactSearchKNN(ctx, q, k, 1)
+	return neighbors(t.ix.ExactSearchKNN(ctx, q, k, 1))
+}
+
+// SearchKNN returns the k exact nearest neighbors of q (see
+// TreeIndex.SearchKNN).
+func (t *TrieIndex) SearchKNN(q Series, k int) ([]Neighbor, error) {
+	return t.SearchKNNCtx(context.Background(), q, k)
+}
+
+// SearchKNNCtx is SearchKNN with cancellation (see SearchCtx).
+func (t *TrieIndex) SearchKNNCtx(ctx context.Context, q Series, k int) ([]Neighbor, error) {
+	return neighbors(t.ix.ExactSearchKNN(ctx, q, k, 0))
+}
+
+// neighbors converts the internal top-k.
+func neighbors(ns []core.Neighbor, _ core.Result, err error) ([]Neighbor, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -748,7 +772,8 @@ func fromLSM(r core.Result) Result {
 	return fromCore(r)
 }
 
-// Search returns the exact nearest neighbor of q.
+// Search returns the exact nearest neighbor of q; an exact distance tie
+// goes to the lowest position (see TreeIndex.Search).
 func (l *LSMIndex) Search(q Series) (Result, error) {
 	return l.SearchCtx(context.Background(), q)
 }
@@ -761,7 +786,20 @@ func (l *LSMIndex) SearchCtx(ctx context.Context, q Series) (Result, error) {
 	return fromLSM(r), err
 }
 
-// SearchApprox returns a fast approximate nearest neighbor.
+// SearchKNN returns the k exact nearest neighbors of q, memtable included
+// (see TreeIndex.SearchKNN).
+func (l *LSMIndex) SearchKNN(q Series, k int) ([]Neighbor, error) {
+	return l.SearchKNNCtx(context.Background(), q, k)
+}
+
+// SearchKNNCtx is SearchKNN with cancellation (see SearchCtx).
+func (l *LSMIndex) SearchKNNCtx(ctx context.Context, q Series, k int) ([]Neighbor, error) {
+	return neighbors(l.ix.ExactSearchKNN(ctx, q, k, 0))
+}
+
+// SearchApprox returns a fast approximate nearest neighbor: the best of the
+// records around the query's sort position over every run and the memtable,
+// a window of the LSM's own size (100 records) that takes no radius.
 func (l *LSMIndex) SearchApprox(q Series) (Result, error) {
 	return l.SearchApproxCtx(context.Background(), q)
 }

@@ -2,6 +2,7 @@ package coconut
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -127,39 +128,88 @@ func TestDistanceAndZNormalize(t *testing.T) {
 	}
 }
 
+// TestPublicAPISearchKNN: SearchKNN on every index type — tree, trie plain
+// and materialized, and an LSM of one run or four, each with records still
+// in its memtable — is the brute-force top-k under the (distance, position)
+// order, ranked, and its head is Search's answer; a k past the record count
+// returns every record.
 func TestPublicAPISearchKNN(t *testing.T) {
-	fs := NewMemStorage()
-	GenerateDataset(fs, "data.bin", RandomWalk, 400, 64, 8)
-	idx, err := BuildTreeIndex(Config{
-		Storage: fs, Name: "k", DataFile: "data.bin",
-		SeriesLen: 64, Segments: 8, LeafSize: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	qs, _ := GenerateQueries(RandomWalk, 3, 64, 9)
-	for _, q := range qs {
-		ns, err := idx.SearchKNN(q, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ns) != 7 {
-			t.Fatalf("got %d neighbors", len(ns))
-		}
-		for i := 1; i < len(ns); i++ {
-			if ns[i-1].Distance > ns[i].Distance {
-				t.Fatal("neighbors not sorted")
+	lsm := func(flushes int) func(*testing.T, Storage) (exactIndex, []Series, error) {
+		return func(t *testing.T, fs Storage) (exactIndex, []Series, error) {
+			ix, err := BuildLSMIndex(confConfig(fs, 2, false))
+			if err != nil {
+				return nil, nil, err
 			}
+			return ix, confAppend(t, ix, flushes), nil
 		}
-		// First neighbor must agree with 1-NN search.
-		one, err := idx.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(one.Distance-ns[0].Distance) > 1e-9 {
-			t.Fatalf("kNN head %v != 1-NN %v", ns[0].Distance, one.Distance)
-		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T, Storage) (exactIndex, []Series, error)
+		runs  int
+	}{
+		{"tree", func(_ *testing.T, fs Storage) (exactIndex, []Series, error) {
+			ix, err := BuildTreeIndex(confConfig(fs, 2, false))
+			return ix, nil, err
+		}, 0},
+		{"trie", func(_ *testing.T, fs Storage) (exactIndex, []Series, error) {
+			ix, err := BuildTrieIndex(confConfig(fs, 2, false))
+			return ix, nil, err
+		}, 0},
+		{"trie-materialized", func(_ *testing.T, fs Storage) (exactIndex, []Series, error) {
+			ix, err := BuildTrieIndex(confConfig(fs, 2, true))
+			return ix, nil, err
+		}, 0},
+		{"lsm-1run", lsm(0), 1},
+		{"lsm-4runs", lsm(3), 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, data := confFS(t)
+			ix, extra, err := tc.build(t, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			if l, ok := ix.(*LSMIndex); ok && l.NumRuns() != tc.runs {
+				t.Fatalf("fixture built %d runs, want %d", l.NumRuns(), tc.runs)
+			}
+			data = append(data, extra...)
+			qs, err := GenerateQueries(RandomWalk, 3, confLen, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range append(qs, data[len(data)-1]) {
+				want := make([]Neighbor, len(data))
+				for i, d := range data {
+					dist, err := Distance(q, d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[i] = Neighbor{Position: int64(i), Distance: dist}
+				}
+				sort.SliceStable(want, func(a, b int) bool { return want[a].Distance < want[b].Distance })
+				ns, err := ix.SearchKNN(q, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ns) != 7 {
+					t.Fatalf("query %d: %d neighbors, want 7", qi, len(ns))
+				}
+				for i, n := range ns {
+					if n.Position != want[i].Position || math.Abs(n.Distance-want[i].Distance) > 1e-9 {
+						t.Fatalf("query %d rank %d: %+v, brute force %+v", qi, i, n, want[i])
+					}
+				}
+				one, err := ix.Search(q)
+				if err != nil || one.Position != ns[0].Position || one.Distance != ns[0].Distance {
+					t.Fatalf("query %d: Search (#%d, %v), %v; SearchKNN head %+v", qi, one.Position, one.Distance, err, ns[0])
+				}
+			}
+			// A k past the record count, as a client may send, is every record.
+			if ns, err := ix.SearchKNN(qs[0], math.MaxInt); err != nil || len(ns) != len(data) {
+				t.Fatalf("k = MaxInt: %d neighbors, %v; want all %d", len(ns), err, len(data))
+			}
+		})
 	}
 }
 

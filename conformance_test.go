@@ -192,3 +192,84 @@ func bruteForce(q Series, data []Series) (int64, float64) {
 	}
 	return bestPos, bestDist
 }
+
+// TestExactTieConformance: exact duplicates at #1 and #2560 — the copy
+// inserted into a tree (plain and materialized, 1 and 3 partitions) or an
+// LSM (1 and 3 partitions), or already in the raw file a trie is built over
+// — are a distance tie that resolves to the lower position. Search,
+// SearchKNN(q, 1)[0] and the brute force all answer #1 at distance 0, for
+// every QueryWorkers, although the approximate window meets #2560 first.
+func TestExactTieConformance(t *testing.T) {
+	const dup = confCount + 60
+	extra := dataset.Generate(dataset.NewSeismic(), 61, confLen, confSeed+5)
+	inserted := func(build func(Config) (exactIndex, error), insert func(exactIndex, []Series) error) func(Storage, Config) (exactIndex, error) {
+		return func(_ Storage, cfg Config) (exactIndex, error) {
+			ix, err := build(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return ix, insert(ix, extra)
+		}
+	}
+	tree := inserted(func(c Config) (exactIndex, error) { return BuildTreeIndex(c) },
+		func(ix exactIndex, b []Series) error { return ix.(*TreeIndex).Insert(b) })
+	lsm := inserted(func(c Config) (exactIndex, error) { return BuildLSMIndex(c) },
+		func(ix exactIndex, b []Series) error { return ix.(*LSMIndex).Insert(b) })
+	trie := func(fs Storage, cfg Config) (exactIndex, error) {
+		f, err := fs.Open("conf.bin")
+		if err != nil {
+			return nil, err
+		}
+		var enc []byte
+		for _, s := range extra {
+			enc = series.AppendEncode(enc, s)
+		}
+		if _, err := f.WriteAt(enc, int64(confCount*series.EncodedSize(confLen))); err != nil {
+			return nil, err
+		}
+		if err := f.Close(); err != nil {
+			return nil, err
+		}
+		return BuildTrieIndex(cfg)
+	}
+	for _, tc := range []struct {
+		name  string
+		mat   bool
+		build func(Storage, Config) (exactIndex, error)
+	}{
+		{"tree", false, tree},
+		{"tree-materialized", true, tree},
+		{"lsm", false, lsm},
+		{"trie", false, trie},
+		{"trie-materialized", true, trie},
+	} {
+		for _, parts := range []int{1, 3} {
+			for _, qw := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("%s/partitions=%d/workers=%d", tc.name, parts, qw), func(t *testing.T) {
+					fs, data := confFS(t)
+					extra[len(extra)-1] = data[1]
+					ix, err := tc.build(fs, partConfig(fs, parts, qw, tc.mat))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer ix.Close()
+					q := data[1]
+					if pos, dist := bruteForce(q, append(data, extra...)); pos != 1 || dist != 0 {
+						t.Fatalf("brute force: (#%d, %v), want (#1, 0)", pos, dist)
+					}
+					if d, err := Distance(q, extra[dup-confCount]); err != nil || d != 0 {
+						t.Fatalf("#%d is no copy of #1: distance %v, %v", dup, d, err)
+					}
+					res, err := ix.Search(q)
+					if err != nil || res.Position != 1 || res.Distance != 0 {
+						t.Fatalf("Search: (#%d, %v), %v; want (#1, 0)", res.Position, res.Distance, err)
+					}
+					ns, err := ix.SearchKNN(q, 1)
+					if err != nil || len(ns) != 1 || ns[0] != (Neighbor{Position: 1, Distance: 0}) {
+						t.Fatalf("SearchKNN(q, 1): %+v, %v; want [(#1, 0)]", ns, err)
+					}
+				})
+			}
+		}
+	}
+}

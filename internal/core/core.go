@@ -79,12 +79,11 @@ type Options struct {
 	// Visited* counters and the I/O interleaving vary, so experiments that
 	// compare I/O traces pin QueryWorkers to 1.
 	QueryWorkers int
-	// ApproxWindow caps how many records around the query's sort position
-	// a NON-materialized approximate search fetches from the raw file
-	// (scaled by radius+1) — the paper's "all data series in a specific
-	// radius from this specific point ... usually a disk page" (§4.3).
-	// Materialized indexes scan whole leaves instead (the raw data is
-	// already there). Default 32.
+	// ApproxWindow is how many records around the query's sort position an
+	// approximate search evaluates, scaled by radius+1 — the paper's "all
+	// data series in a specific radius from this specific point ... usually
+	// a disk page" (§4.3). A materialized index reads them from its own
+	// leaves, the others from the raw file. Default 32.
 	ApproxWindow int
 	// RawSums is the raw log, owned by the partition layer: it appends every
 	// insert and commits it, and the index verifies every raw read against it,
@@ -131,6 +130,14 @@ func recordSize(seriesLen int, materialized bool) int {
 	}
 	return n
 }
+
+// Neighbor is one exact search answer: a record position and its distance
+// to the query — SQUARED below the partition layer, which takes the square
+// roots once, when the final top-k is materialized. It is shard.Neighbor,
+// so every merge step — per-shard heaps, the shard reduce, and the
+// cross-partition gather — ranks under the one (distance, position) total
+// order shard.KNNHeap implements.
+type Neighbor = shard.Neighbor
 
 // Result is a search answer.
 type Result struct {
@@ -413,10 +420,11 @@ func windowCands(opt *Options, sims *simsArray, q series.Series, radius int) (aw
 	return aw, lo, hi, nil
 }
 
-// EvalWindow evaluates a merged approximate window (window.Eval) under ctx,
-// with a pooled read buffer: each candidate is loaded from the source its
-// Src names, whose raw file stays pinned until the evaluation is over.
-func EvalWindow(ctx context.Context, q series.Series, cands []window.Cand, srcs ...ApproxWindow) (pos int64, sqDist float64, visited int64, err error) {
+// EvalWindow evaluates a merged approximate window for its k best
+// (window.Eval) under ctx, with a pooled read buffer: each candidate is
+// loaded from the source its Src names, whose raw file stays pinned until
+// the evaluation is over.
+func EvalWindow(ctx context.Context, q series.Series, k int, cands []window.Cand, srcs ...ApproxWindow) (top []Neighbor, visited int64, err error) {
 	sc := GetRawScratch(len(q), 1)
 	defer PutRawScratch(sc)
 	raws := make([]storage.Views, len(srcs))
@@ -429,7 +437,7 @@ func EvalWindow(ctx context.Context, q series.Series, cands []window.Cand, srcs 
 	// The fetches are serial, so a check before each is this phase's
 	// cancellation granularity (the sharded verification scans detach
 	// instead; see shard.Scan).
-	return window.Eval(q, cands, func(c window.Cand, buf []byte) ([]byte, error) {
+	return window.Eval(q, cands, k, func(c window.Cand, buf []byte) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -517,87 +525,50 @@ func GetRawScratch(seriesLen, records int) *RawScratch {
 // PutRawScratch returns sc to the pool.
 func PutRawScratch(sc *RawScratch) { rawScratchPool.Put(sc) }
 
-// recordSquaredDistance computes the true SQUARED distance from q to a leaf
-// record of either index — over the raw bytes a materialized record carries,
-// else over the series its position names in the raw file. Search state
-// stays in squared space end to end; only the partition layer takes a
-// square root, once per answer.
-func recordSquaredDistance(opt *Options, raw storage.Views, sums *storage.RecordSums, q series.Series, rec []byte, sc *RawScratch) (int64, float64, error) {
-	_, pos, enc := decodeRecord(rec, opt.Materialized)
-	if enc == nil {
-		var err error
-		if enc, err = ReadRawAt(raw, sums, pos, sc.Buf); err != nil {
-			return 0, 0, err
-		}
-	}
-	sq, _ := series.SquaredEDEarlyAbandonEncoded(q, enc, math.Inf(1))
-	return pos, sq, nil
-}
-
-// leafSquaredDistance is recordSquaredDistance for the scans only a
-// materialized index runs: the record carries its series.
+// leafSquaredDistance computes the true SQUARED distance from q to a
+// record of a materialized index, over the series the record carries.
+// Search state stays in squared space end to end; only the partition layer
+// takes a square root, once per answer.
 func leafSquaredDistance(q series.Series, rec []byte) (int64, float64) {
 	_, pos, enc := decodeRecord(rec, true)
 	sq, _ := series.SquaredEDEarlyAbandonEncoded(q, enc, math.Inf(1))
 	return pos, sq
 }
 
-// simsVerify is the SIMS verification phase the tree and the trie share:
-// one fused lower-bound pass over the sorted summary array keeps the
-// candidates under the seed res and the shared bound — the query's own when
-// monolithic, the cross-partition one when scatter-gathered — and the
-// survivors are verified against the raw file or, when materialized, by the
-// index's own walk over its leaves.
-func simsVerify(ctx context.Context, opt *Options, q series.Series, sims *simsArray, res Result, bound *shard.BSF,
-	raw storage.File, sums *storage.RecordSums,
-	overLeaves func(context.Context, series.Series, []summary.Cand, Result, *shard.BSF) (Result, error),
-) (Result, error) {
-	pass, err := opt.S.NewPass(q)
-	if err != nil {
-		return res, err
-	}
-	limit := bound.Limit(res.Dist)
-	if opt.Materialized {
-		pass.Cands = pass.Table.Filter(pass.Cands, sims.col, nil, limit, opt.QueryWorkers)
-		res, err = overLeaves(ctx, q, pass.Cands, res, bound)
-	} else {
-		pass.Cands = pass.Table.Filter(pass.Cands, sims.col, sims.positions, limit, opt.QueryWorkers)
-		var visited int64
-		res.Pos, res.Dist, visited, err = VerifyRaw(ctx, raw, sums, q, pass.Cands, res.Pos, res.Dist, bound, opt.QueryWorkers)
-		res.VisitedRecords += visited
-	}
-	if ctx.Err() == nil {
-		pass.Release()
-	}
-	return res, err
-}
-
 // VerifyRaw is the non-materialized SIMS verification scan of every index:
 // cands, survivors of the lower-bound pass whose IDs are raw-file positions,
 // are put in position order (in place) so the dataset is read strictly
 // forward, and the order is cut into contiguous shards across workers. A
-// shard runs its candidates through scanRaw, keeping those still under its
-// own best-so-far and, strictly, under the shared bound, which lets shards
-// prune each other's candidates. It returns the best (position, squared
-// distance) found under the seed, else the seed, and the number of series
-// measured.
+// shard runs its candidates through scanRaw into a heap of its own seeded
+// with top's neighbors, keeping those whose lower bound is at or under the
+// heap's k-th best and, strictly, under the shared bound, which lets shards
+// prune each other's candidates; the shard heaps reduce into top
+// (shard.ScanKNN). A tie with either bound is still verified: the abandon
+// limit is the k-th best itself and the kernel abandons only on a strict
+// excess, so a distance that ties it completes and the (distance, position)
+// order decides. It returns the number of series measured.
 func VerifyRaw(ctx context.Context, f storage.File, sums *storage.RecordSums, q series.Series, cands []summary.Cand,
-	seedPos int64, seedDist float64, bound *shard.BSF, workers int,
-) (pos int64, dist float64, visited int64, err error) {
+	top *shard.KNNHeap, bound *shard.BSF, workers int,
+) (visited int64, err error) {
 	slices.SortFunc(cands, func(a, b summary.Cand) int { return cmp.Compare(a.ID, b.ID) })
-	pos, dist, visited, _, err = shard.ScanReduce(ctx, workers, len(cands), seedPos, seedDist, func(r shard.Range, local *shard.Outcome, cancelled func() bool) (err error) {
-		// The abandon limit is the exact squared best-so-far, so it is tight.
+	visited, _, err = shard.ScanKNN(ctx, workers, len(cands), top, func(r shard.Range, local *shard.Local, cancelled func() bool) (err error) {
 		local.VisitedRecords, err = scanRaw(f, sums, q, cands[r.Lo:r.Hi], cancelled,
-			func(lb float64) (float64, bool) { return local.Dist, !(lb >= local.Dist || bound.Prunes(lb)) },
+			func(lb float64) (float64, bool) { return local.Top.Bound(), admits(local.Top, bound, lb) },
 			func(pos int64, sq float64) {
-				if sq < local.Dist {
-					local.Dist, local.Pos = sq, pos
-					bound.Lower(sq)
+				if local.Top.Offer(Neighbor{Pos: pos, Dist: sq}) {
+					bound.Lower(local.Top.Bound())
 				}
 			})
 		return err
 	})
-	return pos, dist, visited, err
+	return visited, err
+}
+
+// admits says whether a candidate with lower bound lb can still reach the
+// top-k of a scan whose heap is top: lb is at or under top's k-th best, and
+// not strictly over the shared bound.
+func admits(top *shard.KNNHeap, bound *shard.BSF, lb float64) bool {
+	return lb <= top.Bound() && !bound.Prunes(lb)
 }
 
 // scanRaw is the one raw-candidate scanner: a shard of position-sorted

@@ -8,7 +8,6 @@ import (
 
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/series"
-	"github.com/coconut-db/coconut/internal/summary"
 )
 
 func bruteForceKNN(q series.Series, data []series.Series, k int) []Neighbor {
@@ -17,36 +16,48 @@ func bruteForceKNN(q series.Series, data []series.Series, k int) []Neighbor {
 		dist, _ := series.ED(q, d)
 		out = append(out, Neighbor{Pos: int64(i), Dist: dist})
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Dist < out[b].Dist })
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Dist < out[b].Dist })
 	if len(out) > k {
 		out = out[:k]
 	}
 	return out
 }
 
+// knnSearcher is the k-NN both lone index types answer.
+type knnSearcher interface {
+	ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]Neighbor, Result, error)
+	Close() error
+}
+
 func TestKNNMatchesBruteForce(t *testing.T) {
-	for _, mat := range []bool{false, true} {
-		fs, data := fixtureFS(t)
-		ix, err := buildTree(baseOptions(t, fs, mat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		qs := dataset.Queries(dataset.NewRandomWalk(), 8, tLen, 21)
-		for qi, q := range qs {
-			for _, k := range []int{1, 5, 20} {
-				want := bruteForceKNN(q, data, k)
-				got, _, err := ix.ExactSearchKNN(context.Background(), q, k, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != k {
-					t.Fatalf("mat=%v query %d k=%d: got %d neighbors", mat, qi, k, len(got))
-				}
-				for i := range got {
-					if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-						t.Fatalf("mat=%v query %d k=%d neighbor %d: dist %v != %v",
-							mat, qi, k, i, got[i].Dist, want[i].Dist)
+	builds := map[string]func(Options) (knnSearcher, error){
+		"tree": func(o Options) (knnSearcher, error) { return buildTree(o) },
+		"trie": func(o Options) (knnSearcher, error) { return buildTrie(o) },
+	}
+	qs := dataset.Queries(dataset.NewRandomWalk(), 8, tLen, 21)
+	for variant, build := range builds {
+		for _, mat := range []bool{false, true} {
+			fs, data := fixtureFS(t)
+			ix, err := build(baseOptions(t, fs, mat))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			for qi, q := range qs {
+				for _, k := range []int{1, 5, 20} {
+					want := bruteForceKNN(q, data, k)
+					got, _, err := ix.ExactSearchKNN(context.Background(), q, k, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != k {
+						t.Fatalf("%s mat=%v query %d k=%d: got %d neighbors", variant, mat, qi, k, len(got))
+					}
+					for i := range got {
+						if got[i].Pos != want[i].Pos || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
+							t.Fatalf("%s mat=%v query %d k=%d neighbor %d: %+v != %+v",
+								variant, mat, qi, k, i, got[i], want[i])
+						}
 					}
 				}
 			}
@@ -136,105 +147,6 @@ func TestKNNAfterInsert(t *testing.T) {
 			t.Fatalf("post-insert kNN neighbor %d: %v != %v", i, got[i].Dist, want[i].Dist)
 		}
 	}
-}
-
-// seekLeaf is the leaf a B+-tree Seek for key lands on: descend to the
-// leaf that the separators of leaves 1…n−1 route key to, and step to the
-// next leaf when every key there is below key; past the end, the last leaf.
-func seekLeaf(keys []summary.Key, bases []int, seps []summary.Key, key summary.Key) int {
-	li := 0
-	for li+1 < len(seps) && seps[li+1].Less(key) {
-		li++
-	}
-	end := len(keys)
-	if li+1 < len(bases) {
-		end = bases[li+1]
-	}
-	for i := bases[li]; i < end; i++ {
-		if !keys[i].Less(key) {
-			return li
-		}
-	}
-	return min(li+1, len(bases)-1)
-}
-
-// TestKNNSeedLeaf: the k-NN seed's centre leaf is the leaf of the first
-// record at or above the query key, else the last leaf — the leaf a
-// descent-and-step Seek lands on — for a key inside a leaf, between two
-// leaves, equal to a separator that duplicates straddle, and past the last
-// key, and over the directory of a tree grown by runs of duplicates.
-func TestKNNSeedLeaf(t *testing.T) {
-	k := func(b byte) (key summary.Key) { key[0] = b; return key }
-	s := tSummarizer(t)
-	// Leaves [10 20 30] [40 50 50] [50 60 70] [80 90 95]: 50 straddles the
-	// boundary of leaves 1 and 2, and is leaf 2's separator.
-	var keys []summary.Key
-	for _, b := range []byte{10, 20, 30, 40, 50, 50, 50, 60, 70, 80, 90, 95} {
-		keys = append(keys, k(b))
-	}
-	bases := []int{0, 3, 6, 9}
-	seps := []summary.Key{k(10), k(40), k(50), k(80)}
-	for _, tc := range []struct {
-		name string
-		key  byte
-		want int
-	}{
-		{"before-first", 5, 0},
-		{"inside-a-leaf", 60, 2},
-		{"on-a-record", 20, 0},
-		{"between-leaves", 35, 1},
-		{"separator-with-straddling-duplicates", 50, 1},
-		{"past-a-leaf-end", 75, 3},
-		{"past-the-last-key", 99, 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := seedLeaf(s.ColumnOf(keys), bases, s.SAXFromKey(k(tc.key))); got != tc.want {
-				t.Fatalf("key %d: seed leaf %d, want %d", tc.key, got, tc.want)
-			}
-			if got := seekLeaf(keys, bases, seps, k(tc.key)); got != tc.want {
-				t.Fatalf("key %d: reference seek leaf %d, want %d", tc.key, got, tc.want)
-			}
-		})
-	}
-	t.Run("grown-tree", func(t *testing.T) {
-		fs, data := fixtureFS(t)
-		opt := baseOptions(t, fs, false)
-		opt.FillFactor = 0.6
-		ix, err := buildTree(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		var batch []series.Series
-		for _, s := range data[:6] {
-			for i := 0; i < 2*opt.LeafCap; i++ {
-				batch = append(batch, s)
-			}
-		}
-		if err := ix.Insert(context.Background(), batch); err != nil {
-			t.Fatal(err)
-		}
-		// A leaf's separator is its first key.
-		keys := keysOf(ix.sims.col)
-		bases := ix.starts[:len(ix.starts)-1]
-		seps := make([]summary.Key, len(bases))
-		for i, b := range bases {
-			seps[i] = keys[b]
-		}
-		probes := append([]summary.Key{k(0), k(255)}, keys...)
-		for _, s := range dataset.Queries(dataset.NewRandomWalk(), 50, tLen, 35) {
-			key, err := opt.S.KeyOf(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			probes = append(probes, key)
-		}
-		for _, key := range probes {
-			if got, want := seedLeaf(ix.sims.col, bases, s.SAXFromKey(key)), seekLeaf(keys, bases, seps, key); got != want {
-				t.Fatalf("key %x: seed leaf %d, reference seek leaf %d", key, got, want)
-			}
-		}
-	})
 }
 
 func TestOpenTreeRoundTrip(t *testing.T) {

@@ -521,43 +521,62 @@ func (r *leafRun) leafFetch() window.FetchFunc {
 	}
 }
 
-// ExactVerify is the verification phase of SIMS (Algorithm 5) against an
-// externally computed seed (the partition layer's global approximate answer)
-// and a shared cross-partition bound: lower bounds are computed for all
-// series in parallel from the in-memory sorted summaries, and unpruned
-// candidates are fetched with a skip-sequential scan sharded across
-// Options.QueryWorkers — over the index's own leaves when materialized, else
-// over the raw file in position order, file-adjacent candidates sharing one
-// read (scanRaw). The returned Result is in SQUARED space and its counters
-// cover this index's verification work only; an index that finds no
-// improvement returns the seed unchanged. (Pos, Dist) is identical for any
-// worker count. Cancellation is checked at leaf-visit granularity, a
-// cancelled query returns ctx.Err() promptly (never a partial answer), and
-// shards stuck in a blocking read are abandoned rather than waited for.
-func (r *leafRun) ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (Result, error) {
+// ExactVerify is the verification phase of SIMS (Algorithm 5) for the k
+// nearest neighbors, against externally computed seed neighbors (the
+// partition layer's global approximate top-k) and a shared cross-partition
+// bound on the k-th best: lower bounds are computed for all series in
+// parallel from the in-memory sorted summaries, and unpruned candidates are
+// fetched with a skip-sequential scan sharded across Options.QueryWorkers —
+// over the index's own leaves when materialized, else over the raw file in
+// position order, file-adjacent candidates sharing one read (VerifyRaw).
+// It returns the top-k, under the (distance, position) order, of the seed
+// and this index's records — unsorted, in SQUARED space — with this index's
+// verification counters; an empty index returns the seed.
+// The neighbors are identical for any worker count. Cancellation is checked
+// at leaf-visit granularity, a cancelled query returns ctx.Err() promptly
+// (never a partial answer), and shards stuck in a blocking read are
+// abandoned rather than waited for.
+func (r *leafRun) ExactVerify(ctx context.Context, q series.Series, k int, seed []Neighbor, bound *shard.BSF) ([]Neighbor, Result, error) {
 	r.qmu.RLock()
 	defer r.qmu.RUnlock()
-	res := Result{Pos: seedPos, Dist: seedSq}
+	top := shard.NewKNNHeap(k)
+	top.OfferAll(seed)
+	var res Result
 	if r.sims.col.Len() == 0 {
-		return res, nil
+		return top.Items(), res, nil
 	}
-	return simsVerify(ctx, &r.opt, q, &r.sims, res, bound, r.rawFile, r.rawSums, r.simsOverLeaves)
+	pass, err := r.opt.S.NewPass(q)
+	if err != nil {
+		return nil, res, err
+	}
+	limit := bound.Limit(top.Bound())
+	if r.opt.Materialized {
+		pass.Cands = pass.Table.Filter(pass.Cands, r.sims.col, nil, limit, r.opt.QueryWorkers)
+		res.VisitedRecords, res.VisitedLeaves, err = r.simsOverLeaves(ctx, q, pass.Cands, top, bound)
+	} else {
+		pass.Cands = pass.Table.Filter(pass.Cands, r.sims.col, r.sims.positions, limit, r.opt.QueryWorkers)
+		res.VisitedRecords, err = VerifyRaw(ctx, r.rawFile, r.rawSums, q, pass.Cands, top, bound, r.opt.QueryWorkers)
+	}
+	if ctx.Err() == nil {
+		pass.Release()
+	}
+	return top.Items(), res, err
 }
 
 // simsOverLeaves is the materialized scan: walk the leaf directory in
 // order, skipping leaves with no unpruned candidate. cands are the
 // survivors of the lower-bound pass in summary-array order, IDs being
-// ordinals; a record that is not among them was at or above the seed bound
-// and could pass none of the checks below. The directory is partitioned
-// into contiguous shards that scan concurrently, sharing a best-so-far
-// bound; each shard prunes with its own running bound (exact serial
-// semantics) plus the shared bound under strict inequality, which keeps the
-// reduced answer identical to a serial scan. Lower bounds and all Dist
-// fields are squared distances; the pruning logic is oblivious to the space
-// because sqrt preserves order.
-func (r *leafRun) simsOverLeaves(ctx context.Context, q series.Series, cands []summary.Cand, res Result, bound *shard.BSF) (Result, error) {
+// ordinals; a record that is not among them was over the seed bound and
+// could pass none of the checks below. The directory is partitioned into
+// contiguous shards that scan concurrently into heaps of their own, seeded
+// from top and reduced into it (shard.ScanKNN); each shard prunes with its
+// own k-th best plus the shared bound, both tie-inclusive, which keeps the
+// reduced top-k identical to a serial scan. Lower bounds and distances are
+// squared; the pruning logic is oblivious to the space because sqrt
+// preserves order. It returns the records and leaves visited.
+func (r *leafRun) simsOverLeaves(ctx context.Context, q series.Series, cands []summary.Cand, top *shard.KNNHeap, bound *shard.BSF) (int64, int64, error) {
 	recSize := r.opt.recordSize()
-	pos, dist, vr, vl, err := shard.ScanReduce(ctx, r.opt.QueryWorkers, len(r.starts)-1, res.Pos, res.Dist, func(rr shard.Range, local *shard.Outcome, cancelled func() bool) error {
+	return shard.ScanKNN(ctx, r.opt.QueryWorkers, len(r.starts)-1, top, func(rr shard.Range, local *shard.Local, cancelled func() bool) error {
 		var buf []byte
 		rest := candsFrom(cands, r.starts[rr.Lo])
 		for li := rr.Lo; li < rr.Hi && len(rest) > 0; li++ {
@@ -566,7 +585,7 @@ func (r *leafRun) simsOverLeaves(ctx context.Context, q series.Series, cands []s
 			}
 			var leaf []summary.Cand
 			leaf, rest = leafCands(rest, r.starts[li+1])
-			if !slices.ContainsFunc(leaf, func(c summary.Cand) bool { return c.LB < local.Dist && !bound.Prunes(c.LB) }) {
+			if !slices.ContainsFunc(leaf, func(c summary.Cand) bool { return admits(local.Top, bound, c.LB) }) {
 				continue
 			}
 			var err error
@@ -575,21 +594,16 @@ func (r *leafRun) simsOverLeaves(ctx context.Context, q series.Series, cands []s
 			}
 			local.VisitedLeaves++
 			for _, c := range leaf {
-				if c.LB >= local.Dist || bound.Prunes(c.LB) {
+				if !admits(local.Top, bound, c.LB) {
 					continue
 				}
 				pos, sq := leafSquaredDistance(q, buf[(int(c.ID)-r.starts[li])*recSize:][:recSize])
 				local.VisitedRecords++
-				if sq < local.Dist {
-					local.Dist, local.Pos = sq, pos
-					bound.Lower(sq)
+				if local.Top.Offer(Neighbor{Pos: pos, Dist: sq}) {
+					bound.Lower(local.Top.Bound())
 				}
 			}
 		}
 		return nil
 	})
-	res.Pos, res.Dist = pos, dist
-	res.VisitedRecords += vr
-	res.VisitedLeaves += vl
-	return res, err
 }

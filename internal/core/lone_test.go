@@ -106,41 +106,70 @@ func openLone[T any](opt Options, open func(Options) (T, error)) (ix T, sums *st
 // child is the query surface both index types offer the partition layer.
 type child interface {
 	ApproxWindowCands(ctx context.Context, q series.Series, radius int) (ApproxWindow, error)
-	ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (Result, error)
+	ExactVerify(ctx context.Context, q series.Series, k int, seed []Neighbor, bound *shard.BSF) ([]Neighbor, Result, error)
 	Count() int64
 }
 
-// approx is the one-child composite's approximate answer, in squared space:
-// the index's window, trimmed to half records a side, evaluated by
-// EvalWindow.
-func approx(ctx context.Context, ix child, half int, q series.Series, radius int) (Result, error) {
+// approxKNN is the one-child composite's approximate top-k, in squared
+// space: the index's window, trimmed to half records a side, evaluated by
+// EvalWindow. The Result holds its visit counters.
+func approxKNN(ctx context.Context, ix child, half int, q series.Series, k, radius int) ([]Neighbor, Result, error) {
 	res := Result{Pos: -1, Dist: math.Inf(1)}
 	if ix.Count() == 0 {
-		return res, ErrEmptyIndex
+		return nil, res, ErrEmptyIndex
 	}
 	aw, err := ix.ApproxWindowCands(ctx, q, radius)
 	if err != nil {
-		return res, err
+		return nil, res, err
 	}
-	res.Pos, res.Dist, res.VisitedRecords, err = EvalWindow(ctx, q, window.Merge(aw.Below, aw.Above, half), aw)
-	res.VisitedLeaves = aw.Leaves
+	top, visited, err := EvalWindow(ctx, q, k, window.Merge(aw.Below, aw.Above, half), aw)
+	res.VisitedRecords, res.VisitedLeaves = visited, aw.Leaves
+	return top, res, err
+}
+
+// approx is the approximate answer, in squared space: the window's best.
+func approx(ctx context.Context, ix child, half int, q series.Series, radius int) (Result, error) {
+	top, res, err := approxKNN(ctx, ix, half, q, 1, radius)
+	if len(top) > 0 {
+		res.Pos, res.Dist = top[0].Pos, top[0].Dist
+	}
 	return res, err
 }
 
-// exact is the one-child composite's exact answer: the approximate one
-// seeds the verification step, and the distance is rooted once, at the end.
-func exact(ctx context.Context, ix child, half int, q series.Series, radius int) (Result, error) {
-	res, err := approx(ctx, ix, half, q, radius)
-	if err == nil {
-		var bound shard.BSF
-		bound.Init(res.Dist)
-		var v Result
-		v, err = ix.ExactVerify(ctx, q, res.Pos, res.Dist, &bound)
-		res.Pos, res.Dist = v.Pos, v.Dist
-		res.VisitedRecords += v.VisitedRecords
-		res.VisitedLeaves += v.VisitedLeaves
+// exactKNN is the one-child composite's exact top-k: the window's k best
+// seed the verification step, and the distances are rooted once, at the
+// end. The Result holds the best neighbor and the visit counters.
+func exactKNN(ctx context.Context, ix child, half int, q series.Series, k, radius int) ([]Neighbor, Result, error) {
+	k = max(k, 1)
+	seed, res, err := approxKNN(ctx, ix, half, q, k, radius)
+	if err != nil {
+		return nil, res, err
 	}
-	return rooted(res), err
+	var bound shard.BSF
+	bound.Init(math.Inf(1))
+	if len(seed) == k {
+		bound.Init(seed[k-1].Dist)
+	}
+	ns, v, err := ix.ExactVerify(ctx, q, k, seed, &bound)
+	if err != nil {
+		return nil, res, err
+	}
+	top := shard.NewKNNHeap(k)
+	top.OfferAll(ns)
+	out := top.Sorted()
+	for i := range out {
+		out[i].Dist = math.Sqrt(out[i].Dist)
+	}
+	res.Pos, res.Dist = out[0].Pos, out[0].Dist
+	res.VisitedRecords += v.VisitedRecords
+	res.VisitedLeaves += v.VisitedLeaves
+	return out, res, nil
+}
+
+// exact is exactKNN with k = 1.
+func exact(ctx context.Context, ix child, half int, q series.Series, radius int) (Result, error) {
+	_, res, err := exactKNN(ctx, ix, half, q, 1, radius)
+	return res, err
 }
 
 func rooted(r Result) Result {
@@ -194,22 +223,13 @@ func (l *loneTree) positions() ([]int64, error) {
 	return out, nil
 }
 
-// ExactSearchKNN is the one-child composite's k-NN: the tree's own top-k
-// under an unset shared bound, rooted.
+// ExactSearchKNN is the one-child composite's k-NN.
 func (l *loneTree) ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]Neighbor, Result, error) {
-	var kb shard.BSF
-	kb.Init(math.Inf(1))
-	out, stats, err := l.ExactSearchKNNShared(ctx, q, k, radius, &kb)
-	if err != nil {
-		return nil, stats, err
-	}
-	for i := range out {
-		out[i].Dist = math.Sqrt(out[i].Dist)
-	}
-	if len(out) > 0 {
-		stats.Pos, stats.Dist = out[0].Pos, out[0].Dist
-	}
-	return out, stats, nil
+	return exactKNN(ctx, l.TreeIndex, l.opt.half(radius), q, k, radius)
+}
+
+func (l *loneTrie) ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]Neighbor, Result, error) {
+	return exactKNN(ctx, l.TrieIndex, l.opt.half(radius), q, k, radius)
 }
 
 // Insert appends the batch to the raw log and inserts its records; they

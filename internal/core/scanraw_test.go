@@ -22,8 +22,10 @@ import (
 // run of file-adjacent candidates, and no distance from bytes that failed a
 // check.
 
-// refVerifyRaw is that per-record scan, serial: every candidate still under
-// the running bound costs one read, one CRC, one decode and one distance.
+// refVerifyRaw is that per-record scan, serial, for the nearest candidate:
+// every candidate at or under the running bound costs one read, one CRC, one
+// decode and one distance, and a distance tie goes to the lower position —
+// the earlier one in the position order the scan runs in.
 func refVerifyRaw(t *testing.T, f storage.File, sums *storage.RecordSums, q series.Series, cands []summary.Cand, seedPos int64, seedDist float64) (pos int64, dist float64, visited int64) {
 	t.Helper()
 	cands = slices.Clone(cands)
@@ -34,7 +36,7 @@ func refVerifyRaw(t *testing.T, f storage.File, sums *storage.RecordSums, q seri
 	raw := storage.PinViews(f)
 	defer raw.Release(&fault)
 	for _, c := range cands {
-		if c.LB >= dist {
+		if c.LB > dist {
 			continue
 		}
 		enc, err := ReadRawAt(raw, sums, c.ID, buf)
@@ -48,6 +50,20 @@ func refVerifyRaw(t *testing.T, f storage.File, sums *storage.RecordSums, q seri
 		}
 	}
 	return pos, dist, visited
+}
+
+// verify1 runs VerifyRaw for the nearest candidate from an empty seed and
+// an unset shared bound: (-1, +Inf) when it measured none.
+func verify1(f storage.File, sums *storage.RecordSums, q series.Series, cands []summary.Cand, workers int) (pos int64, dist float64, visited int64, err error) {
+	var bound shard.BSF
+	bound.Init(math.Inf(1))
+	top := shard.NewKNNHeap(1)
+	visited, err = VerifyRaw(context.Background(), f, sums, q, cands, top, &bound, workers)
+	pos, dist = -1, math.Inf(1)
+	if ns := top.Sorted(); len(ns) > 0 {
+		pos, dist = ns[0].Pos, ns[0].Dist
+	}
+	return pos, dist, visited, err
 }
 
 // runsOf counts the reads the scanner owes positions (ascending) when every
@@ -138,10 +154,8 @@ func TestScanRawMatchesPerRecordScan(t *testing.T) {
 			wantPos, wantDist, wantVisited := refVerifyRaw(t, fx.raw, fx.sums, fx.q, cands, -1, math.Inf(1))
 			for _, workers := range []int{1, 2, 8} {
 				name := fmt.Sprintf("%s/lb*%v/workers=%d", tc.name, scale, workers)
-				var bound shard.BSF
-				bound.Init(math.Inf(1))
 				before := fx.fs.Stats().Snapshot()
-				pos, dist, visited, err := VerifyRaw(context.Background(), fx.raw, fx.sums, fx.q, slices.Clone(cands), -1, math.Inf(1), &bound, workers)
+				pos, dist, visited, err := verify1(fx.raw, fx.sums, fx.q, slices.Clone(cands), workers)
 				io := fx.fs.Stats().Snapshot().Sub(before)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -188,10 +202,8 @@ func TestScanRawPruneInsideRun(t *testing.T) {
 	if err := ffs.Rot("raw", 107*int64(series.EncodedSize(tLen)), 8); err != nil {
 		t.Fatal(err)
 	}
-	var bound shard.BSF
-	bound.Init(math.Inf(1))
 	before := fx.fs.Stats().Snapshot()
-	pos, dist, visited, err := VerifyRaw(context.Background(), fx.raw, fx.sums, fx.q, cands, -1, math.Inf(1), &bound, 1)
+	pos, dist, visited, err := verify1(fx.raw, fx.sums, fx.q, cands, 1)
 	io := fx.fs.Stats().Snapshot().Sub(before)
 	if err != nil || pos != wantPos || dist != wantDist || visited != wantVisited {
 		t.Fatalf("(%d, %v) after %d, err %v; per-record scan (%d, %v) after %d", pos, dist, visited, err, wantPos, wantDist, wantVisited)
@@ -213,9 +225,7 @@ func TestScanRawDetectsRotAndShortReads(t *testing.T) {
 		if err := ffs.Rot("raw", (first+k)*recSize+11, 1); err != nil {
 			t.Fatal(err)
 		}
-		var bound shard.BSF
-		bound.Init(math.Inf(1))
-		_, _, visited, err := VerifyRaw(context.Background(), fx.raw, fx.sums, fx.q, fx.cands(span(first, first+2*rawRunCap), 0), -1, math.Inf(1), &bound, 1)
+		_, _, visited, err := verify1(fx.raw, fx.sums, fx.q, fx.cands(span(first, first+2*rawRunCap), 0), 1)
 		if !errors.Is(err, storage.ErrCorruptData) || !strings.Contains(err.Error(), fmt.Sprintf("raw series %d:", first+k)) {
 			t.Fatalf("rot in record %d of the run: %v", k, err)
 		}
@@ -227,9 +237,7 @@ func TestScanRawDetectsRotAndShortReads(t *testing.T) {
 	if err := fx.raw.Truncate(tCount*recSize - recSize/2); err != nil {
 		t.Fatal(err)
 	}
-	var bound shard.BSF
-	bound.Init(math.Inf(1))
-	pos, _, visited, err := VerifyRaw(context.Background(), fx.raw, fx.sums, fx.q, fx.cands(span(tCount-4, tCount), 0), -1, math.Inf(1), &bound, 1)
+	pos, _, visited, err := verify1(fx.raw, fx.sums, fx.q, fx.cands(span(tCount-4, tCount), 0), 1)
 	if err == nil || pos != -1 || visited != 0 {
 		t.Fatalf("short read of the last run: pos %d after %d, err %v", pos, visited, err)
 	}
@@ -289,9 +297,7 @@ func BenchmarkScanRaw(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(scratch, cands)
-				var bound shard.BSF
-				bound.Init(math.Inf(1))
-				if _, _, visited, err := VerifyRaw(context.Background(), raw, sums, q, scratch, -1, math.Inf(1), &bound, 1); err != nil || visited != survivors {
+				if _, _, visited, err := verify1(raw, sums, q, scratch, 1); err != nil || visited != survivors {
 					b.Fatalf("visited %d, err %v", visited, err)
 				}
 			}

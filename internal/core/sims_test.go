@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -101,35 +102,13 @@ func (r simsRef) scan(keep func(lb float64) bool, visit func(ord int)) (records,
 	return records, leaves
 }
 
-// exact replays 1-NN verification from a squared-space seed.
-func (r simsRef) exact(q series.Series, seed Result) Result {
-	best := seed
-	records, leaves := r.scan(
-		func(lb float64) bool { return lb < best.Dist },
-		func(i int) {
-			x := r.data[r.positions[i]]
-			var sq float64
-			ok := true
-			if r.leaves == nil {
-				sq, ok = series.SquaredEDEarlyAbandon(q, x, best.Dist)
-			} else {
-				sq, _ = series.SquaredED(q, x)
-			}
-			if ok && sq < best.Dist {
-				best.Dist, best.Pos = sq, r.positions[i]
-			}
-		})
-	best.VisitedRecords += records
-	best.VisitedLeaves += leaves
-	return rooted(best)
-}
-
-// knn replays k-NN verification from the seeding heap's items.
+// knn replays k-NN verification from the seed neighbors (squared): a
+// record is measured while its lower bound is at or under the k-th best,
+// and ranks under the (distance, position) order. stats holds the seed's
+// counters; the returned Result adds the scan's and names the best.
 func (r simsRef) knn(q series.Series, k int, seed []Neighbor, stats Result) ([]Neighbor, Result) {
 	lh := shard.NewKNNHeap(k)
-	for _, n := range seed {
-		lh.Offer(n)
-	}
+	lh.OfferAll(seed)
 	records, leaves := r.scan(
 		func(lb float64) bool { return lb <= lh.Bound() },
 		func(i int) {
@@ -151,6 +130,7 @@ func (r simsRef) knn(q series.Series, k int, seed []Neighbor, stats Result) ([]N
 	for i := range out {
 		out[i].Dist = math.Sqrt(out[i].Dist)
 	}
+	stats.Pos, stats.Dist = out[0].Pos, out[0].Dist
 	return out, stats
 }
 
@@ -180,116 +160,88 @@ func simsFixture(t *testing.T, p summary.Params, materialized bool) (Options, []
 
 var workerSweep = []int{1, 2, 8}
 
-func TestTreeExactMatchesReferencePass(t *testing.T) {
+// lone is a lone tree or trie as the reference-pass tests drive it.
+type lone interface {
+	child
+	ExactSearch(ctx context.Context, q series.Series, radius int) (Result, error)
+	ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]Neighbor, Result, error)
+	Close() error
+}
+
+// checkReferencePass holds an index's exact search, 1-NN through
+// ExactSearch and every k of ks through ExactSearchKNN, to the reference
+// pass from the same seed — the window's k best — for every QueryWorkers,
+// and with one worker to its visit counters too.
+func checkReferencePass(t *testing.T, build func(Options) (lone, *leafRun, error), ks []int) {
 	for _, p := range simsShapes {
 		for _, mat := range []bool{false, true} {
 			opt, data, queries := simsFixture(t, p, mat)
-			ix, err := buildTree(opt)
+			ix, run, err := build(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ix.Close()
 			var leaves [][2]int
 			if mat {
-				leaves = leafSpans(ix.starts)
+				leaves = leafSpans(run.starts)
 			}
 			for qi, q := range queries {
-				seed, err := ix.approxSearch(context.Background(), q, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := newSimsRef(opt.S, q, data, ix.sims, leaves).exact(q, seed)
-				for _, w := range workerSweep {
-					ix.opt.QueryWorkers = w
-					got, err := ix.ExactSearch(context.Background(), q, 1)
+				for _, k := range ks {
+					seed, stats, err := approxKNN(context.Background(), ix, run.opt.half(1), q, k, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got.Pos != want.Pos || got.Dist != want.Dist || (w == 1 && got != want) {
-						t.Fatalf("%dx%d mat=%v query %d workers=%d: %+v, reference pass %+v", p.Segments, p.CardBits, mat, qi, w, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestTrieExactMatchesReferencePass(t *testing.T) {
-	for _, p := range simsShapes {
-		for _, mat := range []bool{false, true} {
-			opt, data, queries := simsFixture(t, p, mat)
-			ix, err := buildTrie(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ix.Close()
-			var leaves [][2]int
-			if mat {
-				leaves = leafSpans(ix.starts)
-			}
-			for qi, q := range queries {
-				seed, err := ix.approxSearch(context.Background(), q, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := newSimsRef(opt.S, q, data, ix.sims, leaves).exact(q, seed)
-				for _, w := range workerSweep {
-					ix.opt.QueryWorkers = w
-					got, err := ix.ExactSearch(context.Background(), q, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Pos != want.Pos || got.Dist != want.Dist || (w == 1 && got != want) {
-						t.Fatalf("%dx%d mat=%v query %d workers=%d: %+v, reference pass %+v", p.Segments, p.CardBits, mat, qi, w, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestKNNMatchesReferencePass(t *testing.T) {
-	for _, p := range simsShapes {
-		for _, mat := range []bool{false, true} {
-			opt, data, queries := simsFixture(t, p, mat)
-			ix, err := buildTree(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ix.Close()
-			var leaves [][2]int
-			if mat {
-				leaves = leafSpans(ix.starts)
-			}
-			for qi, q := range queries {
-				for _, k := range []int{1, 7, tCount + 5} {
-					h := shard.NewKNNHeap(k)
-					stats := Result{Pos: -1, Dist: math.Inf(1)}
-					if err := ix.knnSeed(context.Background(), q, 1, h, &stats); err != nil {
-						t.Fatal(err)
-					}
-					want, wantStats := newSimsRef(opt.S, q, data, ix.sims, leaves).knn(q, k, h.Items(), stats)
+					want, wantStats := newSimsRef(opt.S, q, data, run.sims, leaves).knn(q, k, seed, stats)
 					for _, w := range workerSweep {
-						ix.opt.QueryWorkers = w
-						got, gotStats, err := ix.ExactSearchKNN(context.Background(), q, k, 1)
+						run.opt.QueryWorkers = w
+						var got []Neighbor
+						var gotStats Result
+						if k == 1 {
+							gotStats, err = ix.ExactSearch(context.Background(), q, 1)
+							got = []Neighbor{{Pos: gotStats.Pos, Dist: gotStats.Dist}}
+						} else {
+							got, gotStats, err = ix.ExactSearchKNN(context.Background(), q, k, 1)
+						}
 						if err != nil {
 							t.Fatal(err)
 						}
-						if len(got) != len(want) {
-							t.Fatalf("%dx%d mat=%v query %d k=%d workers=%d: %d neighbors, reference pass %d", p.Segments, p.CardBits, mat, qi, k, w, len(got), len(want))
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("%dx%d mat=%v query %d k=%d workers=%d: %v, reference pass %v", p.Segments, p.CardBits, mat, qi, k, w, got, want)
 						}
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("%dx%d mat=%v query %d k=%d workers=%d: neighbor %d is %+v, reference pass %+v", p.Segments, p.CardBits, mat, qi, k, w, i, got[i], want[i])
-							}
-						}
-						if w == 1 && (gotStats.VisitedRecords != wantStats.VisitedRecords || gotStats.VisitedLeaves != wantStats.VisitedLeaves) {
-							t.Fatalf("%dx%d mat=%v query %d k=%d: visited %d records %d leaves, reference pass %d and %d", p.Segments, p.CardBits, mat, qi, k,
-								gotStats.VisitedRecords, gotStats.VisitedLeaves, wantStats.VisitedRecords, wantStats.VisitedLeaves)
+						if w == 1 && gotStats != wantStats {
+							t.Fatalf("%dx%d mat=%v query %d k=%d: %+v, reference pass %+v", p.Segments, p.CardBits, mat, qi, k, gotStats, wantStats)
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// treeRef and trieRef build the lone index a reference-pass test drives.
+func treeRef(o Options) (lone, *leafRun, error) {
+	ix, err := buildTree(o)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ix, &ix.leafRun, nil
+}
+
+func trieRef(o Options) (lone, *leafRun, error) {
+	ix, err := buildTrie(o)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ix, &ix.leafRun, nil
+}
+
+func TestTreeExactMatchesReferencePass(t *testing.T) { checkReferencePass(t, treeRef, []int{1}) }
+
+func TestTrieExactMatchesReferencePass(t *testing.T) { checkReferencePass(t, trieRef, []int{1}) }
+
+// TestKNNMatchesReferencePass: k > 1 on both index types, k beyond the
+// record count included — the seed window then holds fewer than k.
+func TestKNNMatchesReferencePass(t *testing.T) {
+	checkReferencePass(t, treeRef, []int{7, tCount + 5})
+	checkReferencePass(t, trieRef, []int{7, tCount + 5})
 }

@@ -69,19 +69,28 @@ func openLone(opt Options) (*lone, error) {
 	return &lone{ix, sums}, nil
 }
 
-// approxSq is the one-child composite's approximate answer, in squared
-// space.
-func (l *lone) approxSq(ctx context.Context, q series.Series) (core.Result, error) {
+// approxKNN is the one-child composite's approximate top-k, in squared
+// space; the Result holds its visit counters.
+func (l *lone) approxKNN(ctx context.Context, q series.Series, k int) ([]core.Neighbor, core.Result, error) {
 	res := core.Result{Pos: -1, Dist: math.Inf(1)}
 	if l.Count() == 0 {
-		return res, core.ErrEmptyIndex
+		return nil, res, core.ErrEmptyIndex
 	}
 	aw, err := l.ApproxWindowCands(ctx, q, 0)
 	if err != nil {
-		return res, err
+		return nil, res, err
 	}
-	res.Pos, res.Dist, res.VisitedRecords, err = core.EvalWindow(ctx, q, window.Merge(aw.Below, aw.Above, l.opt.Window/2), aw)
-	res.VisitedLeaves = aw.Leaves
+	top, visited, err := core.EvalWindow(ctx, q, k, window.Merge(aw.Below, aw.Above, l.opt.Window/2), aw)
+	res.VisitedRecords, res.VisitedLeaves = visited, aw.Leaves
+	return top, res, err
+}
+
+// approxSq is the approximate answer, in squared space: the window's best.
+func (l *lone) approxSq(ctx context.Context, q series.Series) (core.Result, error) {
+	top, res, err := l.approxKNN(ctx, q, 1)
+	if len(top) > 0 {
+		res.Pos, res.Dist = top[0].Pos, top[0].Dist
+	}
 	return res, err
 }
 
@@ -91,19 +100,38 @@ func (l *lone) ApproxSearch(ctx context.Context, q series.Series, _ int) (core.R
 	return res, err
 }
 
-// ExactSearch seeds the verification step with the approximate answer.
-func (l *lone) ExactSearch(ctx context.Context, q series.Series, _ int) (core.Result, error) {
-	res, err := l.approxSq(ctx, q)
-	if err == nil {
-		var bound shard.BSF
-		bound.Init(res.Dist)
-		var v core.Result
-		v, err = l.ExactVerify(ctx, q, res.Pos, res.Dist, &bound)
-		res.Pos, res.Dist = v.Pos, v.Dist
-		res.VisitedRecords += v.VisitedRecords
-		res.VisitedLeaves += v.VisitedLeaves
+// ExactSearchKNN seeds the verification step with the window's k best and
+// roots the distances once, at the end.
+func (l *lone) ExactSearchKNN(ctx context.Context, q series.Series, k, _ int) ([]core.Neighbor, core.Result, error) {
+	k = max(k, 1)
+	seed, res, err := l.approxKNN(ctx, q, k)
+	if err != nil {
+		return nil, res, err
 	}
-	res.Dist = math.Sqrt(res.Dist)
+	var bound shard.BSF
+	bound.Init(math.Inf(1))
+	if len(seed) == k {
+		bound.Init(seed[k-1].Dist)
+	}
+	ns, v, err := l.ExactVerify(ctx, q, k, seed, &bound)
+	if err != nil {
+		return nil, res, err
+	}
+	top := shard.NewKNNHeap(k)
+	top.OfferAll(ns)
+	out := top.Sorted()
+	for i := range out {
+		out[i].Dist = math.Sqrt(out[i].Dist)
+	}
+	res.Pos, res.Dist = out[0].Pos, out[0].Dist
+	res.VisitedRecords += v.VisitedRecords
+	res.VisitedLeaves += v.VisitedLeaves
+	return out, res, nil
+}
+
+// ExactSearch is ExactSearchKNN with k = 1.
+func (l *lone) ExactSearch(ctx context.Context, q series.Series, radius int) (core.Result, error) {
+	_, res, err := l.ExactSearchKNN(ctx, q, 1, radius)
 	return res, err
 }
 

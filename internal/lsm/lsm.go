@@ -935,34 +935,37 @@ func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, _ int) (c
 	return aw, nil
 }
 
-// ExactVerify is SIMS over the union of all runs' key blocks and the
-// memtable against the seed (seedPos, seedSq — SQUARED): squared lower
-// bounds for every record (one per-query MinDistTable shared by every run
-// and the memtable, evaluated per run across QueryWorkers; a run is swept
-// block by block without evicting what the cache holds, and a block whose
-// key range the table bounds at or above the seed is never read, see
-// runblock.Reader.Scan and MinDistTable.KeyRange), then a position-ordered
-// skip-sequential scan of the raw file (core.VerifyRaw: file-adjacent
-// candidates share one read), sharded by position range, pruning with the
-// shared cross-partition bound. It returns the best in squared space with
-// verify-phase counters only; an empty index returns the seed unchanged.
-// Safe for concurrent use; (Pos, Dist) is identical for any worker count.
-// Every phase observes ctx and returns ctx.Err() without a partial answer.
-func (ix *Index) ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (core.Result, error) {
+// ExactVerify is SIMS for the k nearest neighbors over the union of all
+// runs' key blocks and the memtable, against the seed neighbors (SQUARED):
+// squared lower bounds for every record (one per-query MinDistTable shared
+// by every run and the memtable, evaluated per run across QueryWorkers; a
+// run is swept block by block without evicting what the cache holds, and a
+// block whose key range the table bounds over the seed's k-th best is never
+// read, see runblock.Reader.Scan and MinDistTable.KeyRange), then a
+// position-ordered skip-sequential scan of the raw file (core.VerifyRaw:
+// file-adjacent candidates share one read), sharded by position range,
+// pruning with the shared cross-partition bound. It returns the top-k of the
+// seed and this index's records, unsorted, with verify-phase counters only;
+// an empty index returns the seed. Safe for concurrent use; the neighbors
+// are identical for any worker count. Every phase observes ctx and returns
+// ctx.Err() without a partial answer.
+func (ix *Index) ExactVerify(ctx context.Context, q series.Series, k int, seed []core.Neighbor, bound *shard.BSF) ([]core.Neighbor, core.Result, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	res := core.Result{Pos: seedPos, Dist: seedSq}
+	top := shard.NewKNNHeap(k)
+	top.OfferAll(seed)
+	var res core.Result
 	if ix.count == 0 {
-		return res, nil
+		return top.Items(), res, nil
 	}
 	pass, err := ix.opt.S.NewPass(q)
 	if err != nil {
-		return res, err
+		return nil, res, err
 	}
 	// One lookup table serves the whole step: it is read-only after the
 	// build, so every run shard and the memtable pass read it concurrently,
 	// and it goes back to the pool at the end unless ctx ended the step.
-	tbl, limit := &pass.Table, bound.Limit(res.Dist)
+	tbl, limit := &pass.Table, bound.Limit(top.Bound())
 	skip := func(lo, hi *summary.Key) bool { return tbl.KeyRange(lo, hi) >= limit }
 	// Lower-bound the runs block by block — the working set is one decoded
 	// block, never the run. Each run is independent, so the pass fans out
@@ -994,7 +997,7 @@ func (ix *Index) ExactVerify(ctx context.Context, q series.Series, seedPos int64
 	if err != nil {
 		// On a ctx error abandoned shards may still be filtering into
 		// perShard; it is not read on this path and the pass is not reused.
-		return res, err
+		return nil, res, err
 	}
 	cands := perShard[0]
 	for _, cs := range perShard[1:] {
@@ -1006,11 +1009,9 @@ func (ix *Index) ExactVerify(ctx context.Context, q series.Series, seedPos int64
 		}
 	}
 	pass.Cands = cands
-	var visited int64
-	res.Pos, res.Dist, visited, err = core.VerifyRaw(ctx, ix.rawFile, ix.rawSums, q, cands, res.Pos, res.Dist, bound, ix.opt.QueryWorkers)
-	res.VisitedRecords += visited
+	res.VisitedRecords, err = core.VerifyRaw(ctx, ix.rawFile, ix.rawSums, q, cands, top, bound, ix.opt.QueryWorkers)
 	if ctx.Err() == nil {
 		pass.Release()
 	}
-	return res, err
+	return top.Items(), res, err
 }

@@ -191,13 +191,13 @@ func TestExactSkipsRunBlocks(t *testing.T) {
 		var bound shard.BSF
 		bound.Init(seed.Dist)
 		before := fs.bytes.Load()
-		got, err := ix.ExactVerify(context.Background(), q, seed.Pos, seed.Dist, &bound)
+		top, got, err := ix.ExactVerify(context.Background(), q, 1, []core.Neighbor{{Pos: seed.Pos, Dist: seed.Dist}}, &bound)
 		if err != nil {
 			t.Fatal(err)
 		}
 		read := fs.bytes.Load() - before
-		if got.Pos != want.Pos || math.Sqrt(got.Dist) != want.Dist || got.VisitedRecords != want.VisitedRecords-seed.VisitedRecords {
-			t.Fatalf("query %d: exact pass %+v from seed %+v, reference pass %+v", qi, got, seed, want)
+		if len(top) != 1 || top[0].Pos != want.Pos || math.Sqrt(top[0].Dist) != want.Dist || got.VisitedRecords != want.VisitedRecords-seed.VisitedRecords {
+			t.Fatalf("query %d: exact pass %v (%+v) from seed %+v, reference pass %+v", qi, top, got, seed, want)
 		}
 		if res, err := ix.ExactSearch(context.Background(), q, 0); err != nil || res != want {
 			t.Fatalf("query %d: ExactSearch %+v (%v), reference pass %+v", qi, res, err, want)
@@ -218,7 +218,9 @@ func TestExactSkipsRunBlocks(t *testing.T) {
 }
 
 // referenceExact replays the serial verification scan from the squared-space
-// approximate answer seed over every (key, position) of the index.
+// approximate answer seed over every (key, position) of the index: a record
+// is measured while its lower bound is at or under the best distance, and a
+// distance tie goes to the lower position.
 func referenceExact(s *summary.Summarizer, q series.Series, data []series.Series, keys []summary.Key, positions []int64, seed core.Result) core.Result {
 	p := s.Params()
 	qPAA, _ := s.PAA(q, nil)
@@ -228,18 +230,18 @@ func referenceExact(s *summary.Summarizer, q series.Series, data []series.Series
 	}
 	var cands []cand
 	for i, k := range keys {
-		if lb := s.MinDistSqPAAToSAX(qPAA, summary.Deinterleave(k, p.Segments, p.CardBits)); lb < seed.Dist {
+		if lb := s.MinDistSqPAAToSAX(qPAA, summary.Deinterleave(k, p.Segments, p.CardBits)); lb <= seed.Dist {
 			cands = append(cands, cand{positions[i], lb})
 		}
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].pos < cands[b].pos })
 	best := seed
 	for _, c := range cands {
-		if c.lb >= best.Dist {
+		if c.lb > best.Dist {
 			continue
 		}
 		best.VisitedRecords++
-		if sq, ok := series.SquaredEDEarlyAbandon(q, data[c.pos], best.Dist); ok && sq < best.Dist {
+		if sq, ok := series.SquaredEDEarlyAbandon(q, data[c.pos], best.Dist); ok && (sq < best.Dist || sq == best.Dist && c.pos < best.Pos) {
 			best.Dist, best.Pos = sq, c.pos
 		}
 	}

@@ -18,9 +18,9 @@ import (
 // Composite is the one index: N children of one Variant split by invSAX
 // key range — one, stored under the index name, when unpartitioned —
 // answering byte-identically for any N. It owns what the children share:
-// the raw log and the handle lock. What the children can do beyond
-// searching — k-NN, inserts, LSM housekeeping — the Composite can do, and
-// nothing more.
+// the raw log and the handle lock. Every Composite answers every search,
+// exact search for any k; what the children can do beyond searching —
+// inserts, LSM housekeeping — the Composite can do, and nothing more.
 type Composite struct {
 	v      Variant
 	bounds []summary.Key
@@ -226,15 +226,16 @@ func (c *Composite) each(ctx context.Context, step func(ctx context.Context, i i
 	return ferr
 }
 
-// approxSq is the scatter-gather approximate search (squared space): every
-// partition contributes its window candidates, internal/window merges them
-// into exactly the window a single sorted sequence of the union would
-// produce, and one global evaluation visits them best-lower-bound-first,
-// dispatching fetches back to the owning partition. Callers hold mu shared.
-func (c *Composite) approxSq(ctx context.Context, q series.Series, radius int) (core.Result, error) {
+// approxSq is the scatter-gather approximate search for the k best
+// (squared space): every partition contributes its window candidates,
+// internal/window merges them into exactly the window a single sorted
+// sequence of the union would produce, and one global evaluation visits them
+// best-lower-bound-first, dispatching fetches back to the owning partition.
+// Callers hold mu shared.
+func (c *Composite) approxSq(ctx context.Context, q series.Series, k, radius int) ([]core.Neighbor, core.Result, error) {
 	res := core.Result{Pos: -1, Dist: math.Inf(1)}
 	if c.Count() == 0 {
-		return res, core.ErrEmptyIndex
+		return nil, res, core.ErrEmptyIndex
 	}
 	aws := make([]core.ApproxWindow, len(c.kids))
 	err := c.each(ctx, func(ctx context.Context, i int) (err error) {
@@ -242,7 +243,7 @@ func (c *Composite) approxSq(ctx context.Context, q series.Series, radius int) (
 		return err
 	})
 	if err != nil {
-		return res, err
+		return nil, res, err
 	}
 	// A lone window's candidates are already tagged with source 0.
 	below, above := aws[0].Below, aws[0].Above
@@ -262,126 +263,83 @@ func (c *Composite) approxSq(ctx context.Context, q series.Series, radius int) (
 	for i := range aws {
 		res.VisitedLeaves += aws[i].Leaves
 	}
-	pos, sq, visited, err := core.EvalWindow(ctx, q, window.Merge(below, above, c.v.half(radius)), aws...)
-	res.Pos, res.Dist, res.VisitedRecords = pos, sq, visited
-	return res, err
+	top, visited, err := core.EvalWindow(ctx, q, k, window.Merge(below, above, c.v.half(radius)), aws...)
+	res.VisitedRecords = visited
+	return top, res, err
 }
 
-// exactSq is the scatter-gather exact search (squared space): the GLOBAL
-// approximate answer seeds every partition's verification (each child
-// would otherwise seed from a different local approximation and tie-break
-// differently), the shared atomic bound lets partitions prune each other,
-// and the per-partition results merge under the total (distance, position)
-// order — the same order a single index's sharded scan reduces under.
-// Callers hold mu shared.
-func (c *Composite) exactSq(ctx context.Context, q series.Series, radius int) (core.Result, error) {
-	res, err := c.approxSq(ctx, q, radius)
-	if err != nil {
-		return res, err
-	}
-	var bound shard.BSF
-	bound.Init(res.Dist)
-	outs := make([]core.Result, len(c.kids))
-	err = c.each(ctx, func(ctx context.Context, i int) (err error) {
-		outs[i], err = c.kids[i].ExactVerify(ctx, q, res.Pos, res.Dist, &bound)
-		return err
-	})
-	if err != nil {
-		return res, err
-	}
-	for _, r := range outs {
-		res.VisitedRecords += r.VisitedRecords
-		res.VisitedLeaves += r.VisitedLeaves
-		if r.Pos >= 0 && (r.Dist < res.Dist || (r.Dist == res.Dist && r.Pos < res.Pos)) {
-			res.Pos, res.Dist = r.Pos, r.Dist
-		}
-	}
-	return res, nil
-}
-
-// finish materializes the Euclidean distance — the single square root of a
-// query. sqrt is monotone on non-negative reals, so the (Pos, squared
-// distance) pair picked by squared comparisons is the record a sqrt-space
-// search would pick, and sqrt of its exact squared sum is the distance it
-// would report.
-func finish(r core.Result, err error) (core.Result, error) {
-	r.Dist = math.Sqrt(r.Dist)
-	return r, err
-}
-
-// ExactSearch returns the exact nearest neighbor of q via scatter-gather
-// SIMS, identical for any partition count; an empty index fails with
-// core.ErrEmptyIndex. A parent cancel cancels every partition's
+// ExactSearchKNN returns the k exact nearest neighbors of q, best first,
+// identical for any partition count: the GLOBAL approximate window's k best
+// seed every partition's verification (each child would otherwise seed from
+// a different local approximation), the shared atomic bound on the k-th best
+// lets partitions prune each other, and the per-partition top-k sets merge
+// under the total (distance, position) order — the order a single index's
+// sharded scan reduces under, so a distance tie goes to the lower position.
+// The Result holds the best neighbor and the query's visit counters. An
+// empty index fails with core.ErrEmptyIndex; k < 1 means 1, and k over the
+// record count means all of them. A parent cancel cancels every partition's
 // verification, the first child error cancels its siblings, and a done ctx
-// returns ctx.Err() — never a partial answer.
-func (c *Composite) ExactSearch(ctx context.Context, q series.Series, radius int) (core.Result, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return finish(c.exactSq(ctx, q, radius))
-}
-
-// ApproxSearch returns the approximate nearest neighbor from the merged
-// cross-partition window; it observes ctx as ExactSearch does.
-func (c *Composite) ApproxSearch(ctx context.Context, q series.Series, radius int) (core.Result, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return finish(c.approxSq(ctx, q, radius))
-}
-
-// ExactSearchKNN returns the k exact nearest neighbors: every partition
-// answers with its self-seeded local top-k (pruning on the shared bound),
-// and the per-partition sets merge under the (distance, position) total
-// order. A parent cancel cancels every partition's scan, the first child
-// error cancels its siblings, and a done ctx returns ctx.Err() — never a
-// partial top-k.
+// returns ctx.Err() — never a partial top-k.
 func (c *Composite) ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]core.Neighbor, core.Result, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	stats := core.Result{Pos: -1, Dist: math.Inf(1)}
-	kids, ok := capable[sharedKNN](c.kids)
-	if !ok {
-		return nil, stats, ErrUnsupported
+	k = max(k, 1)
+	seed, res, err := c.approxSq(ctx, q, k, radius)
+	if err != nil {
+		return nil, res, err
 	}
-	if k < 1 {
-		k = 1
+	var bound shard.BSF
+	bound.Init(math.Inf(1))
+	if len(seed) == k {
+		bound.Init(seed[k-1].Dist)
 	}
-	if c.Count() == 0 {
-		return nil, stats, core.ErrEmptyIndex
-	}
-	var kb shard.BSF
-	kb.Init(math.Inf(1))
-	perChild := make([][]core.Neighbor, len(kids))
-	childStats := make([]core.Result, len(kids))
-	err := c.each(ctx, func(ctx context.Context, i int) (err error) {
-		if c.kids[i].Count() == 0 {
-			return nil
-		}
-		perChild[i], childStats[i], err = kids[i].ExactSearchKNNShared(ctx, q, k, radius, &kb)
+	perChild := make([][]core.Neighbor, len(c.kids))
+	outs := make([]core.Result, len(c.kids))
+	err = c.each(ctx, func(ctx context.Context, i int) (err error) {
+		perChild[i], outs[i], err = c.kids[i].ExactVerify(ctx, q, k, seed, &bound)
 		return err
 	})
 	if err != nil {
 		// On a ctx error abandoned children may still be writing perChild
-		// and childStats; neither is read on this path.
-		return nil, stats, err
+		// and outs; neither is read on this path.
+		return nil, res, err
 	}
-	final := shard.NewKNNHeap(k)
-	for _, ns := range perChild {
-		for _, nb := range ns {
-			final.Offer(nb)
-		}
+	// Every child's top-k holds the seed's neighbors it did not beat.
+	top := shard.NewKNNHeap(k)
+	for i, ns := range perChild {
+		top.OfferAll(ns)
+		res.VisitedRecords += outs[i].VisitedRecords
+		res.VisitedLeaves += outs[i].VisitedLeaves
 	}
-	out := final.Sorted()
+	out := top.Sorted()
 	for i := range out {
 		out[i].Dist = math.Sqrt(out[i].Dist)
 	}
-	for _, st := range childStats {
-		stats.VisitedRecords += st.VisitedRecords
-		stats.VisitedLeaves += st.VisitedLeaves
-	}
 	if len(out) > 0 {
-		stats.Pos, stats.Dist = out[0].Pos, out[0].Dist
+		res.Pos, res.Dist = out[0].Pos, out[0].Dist
 	}
-	return out, stats, nil
+	return out, res, nil
+}
+
+// ExactSearch returns the exact nearest neighbor of q: ExactSearchKNN with
+// k = 1, whose Result it is.
+func (c *Composite) ExactSearch(ctx context.Context, q series.Series, radius int) (core.Result, error) {
+	_, res, err := c.ExactSearchKNN(ctx, q, 1, radius)
+	return res, err
+}
+
+// ApproxSearch returns the approximate nearest neighbor from the merged
+// cross-partition window — the first strict improvement in its evaluation
+// order — with its Euclidean distance; it observes ctx as ExactSearchKNN
+// does.
+func (c *Composite) ApproxSearch(ctx context.Context, q series.Series, radius int) (core.Result, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	top, res, err := c.approxSq(ctx, q, 1, radius)
+	if len(top) > 0 {
+		res.Pos, res.Dist = top[0].Pos, math.Sqrt(top[0].Dist)
+	}
+	return res, err
 }
 
 // Insert adds new series: raw bytes go to the shared raw log under the

@@ -4,11 +4,10 @@
 //
 // Child is what a Coconut-Tree, a Coconut-Trie and a Coconut-LSM all offer:
 // count, shape, size, sync and close, and the two steps every query is made
-// of — an approximate window contribution that seeds a best-so-far, and a
-// SIMS verification pass under it — in squared space. A tree also answers
-// its own top-k under a shared bound, and a tree or an LSM takes records
-// whose raw bytes the Composite already appended; an LSM flushes and reports
-// its block cache. A Variant names one kind of child over one option set by
+// of — an approximate window contribution that seeds the k best so far, and
+// a SIMS verification pass under them — in squared space. A tree or an LSM
+// also takes records whose raw bytes the Composite already appended; an LSM
+// flushes and reports its block cache. A Variant names one kind of child over one option set by
 // the few things that differ — how to build, open and remove one, how the
 // window scales with the radius.
 //
@@ -30,11 +29,10 @@
 // partition count and any worker count. Approximate search composes
 // per-partition window contributions through internal/window (the window is
 // a pure function of the record multiset); exact search seeds every
-// partition with the GLOBAL approximate answer and merges per-partition
-// verifications under the total (distance, position) order, sharing one
-// atomic squared best-so-far bound so partitions prune each other; k-NN
-// merges self-seeded per-partition top-k sets through the shared
-// shard.KNNHeap order.
+// partition with the GLOBAL approximate top-k and merges the per-partition
+// top-k sets under the total (distance, position) order of shard.KNNHeap,
+// sharing one atomic squared bound on the k-th best so partitions prune
+// each other — one path for every k, 1-NN being k = 1.
 //
 // Durability: each child commits its own manifest, after the raw log's
 // sidecar is durable, and with N >= 2 BEFORE the parent manifest is
@@ -66,13 +64,14 @@ import (
 
 // Child is one index the Composite scatter-gathers over: the two steps of
 // an exact query on their own, in SQUARED space — its contribution to a
-// (cross-partition) approximate window, and the SIMS verification of an
-// external seed under a shared bound — plus what every index reports.
-// Distances are Euclidean; radius widens the approximate window (an LSM
-// sizes its own and ignores it).
+// (cross-partition) approximate window, and the SIMS verification of the k
+// external seed neighbors under a shared bound on the k-th best, which
+// returns its local top-k — plus what every index reports. Distances are
+// Euclidean; radius widens the approximate window (an LSM sizes its own and
+// ignores it).
 type Child interface {
 	ApproxWindowCands(ctx context.Context, q series.Series, radius int) (core.ApproxWindow, error)
-	ExactVerify(ctx context.Context, q series.Series, seedPos int64, seedSq float64, bound *shard.BSF) (core.Result, error)
+	ExactVerify(ctx context.Context, q series.Series, k int, seed []core.Neighbor, bound *shard.BSF) ([]core.Neighbor, core.Result, error)
 	Count() int64
 	Shape() core.Shape
 	SizeBytes() int64
@@ -89,11 +88,6 @@ type (
 	Maintainer interface {
 		Flush() error
 		CacheStats() blockcache.Stats
-	}
-	// sharedKNN answers a self-seeded exact top-k under a shared bound
-	// (trees).
-	sharedKNN interface {
-		ExactSearchKNNShared(ctx context.Context, q series.Series, k, radius int, kb *shard.BSF) ([]core.Neighbor, core.Result, error)
 	}
 	// recordInserter takes records whose raw bytes the Composite already
 	// appended to the raw log (trees and LSMs).

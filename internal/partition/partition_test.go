@@ -332,20 +332,21 @@ func TestFailedFsyncIsStickyAndNeverAcknowledged(t *testing.T) {
 	}
 }
 
-// TestCompositeOffersWhatItsChildrenDo: the Composite has k-NN, inserts and
-// LSM housekeeping exactly when its children do — a Composite of tries takes
-// no insert and answers no k-NN, with a typed refusal before any byte moves,
-// never a panic or a silent no-op.
+// TestCompositeOffersWhatItsChildrenDo: the Composite has inserts and LSM
+// housekeeping exactly when its children do — a Composite of tries takes no
+// insert, with a typed refusal before any byte moves, never a panic or a
+// silent no-op — and answers k-NN over every variant, exact search being
+// its k = 1.
 func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 	batch := dataset.Generate(dataset.NewSeismic(), 4, ptLen, 3)
 	q := dataset.Queries(dataset.NewRandomWalk(), 1, ptLen, 5)[0]
 	for _, tc := range []struct {
-		variant            string
-		knn, insert, flush bool
+		variant       string
+		insert, flush bool
 	}{
-		{"tree", true, true, false},
-		{"trie", false, false, false},
-		{"lsm", false, true, true},
+		{"tree", true, false},
+		{"trie", false, false},
+		{"lsm", true, true},
 	} {
 		t.Run(tc.variant, func(t *testing.T) {
 			fs := storage.NewMemFS()
@@ -369,12 +370,11 @@ func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 			for _, k := range c.kids {
 				kid = k
 			}
-			_, kidKNN := kid.(sharedKNN)
 			_, kidInsert := kid.(recordInserter)
 			_, kidFlush := kid.(Maintainer)
-			if kidKNN != tc.knn || kidInsert != tc.insert || kidFlush != tc.flush {
-				t.Fatalf("a %s child: knn=%v insert=%v maintain=%v, want %v %v %v",
-					tc.variant, kidKNN, kidInsert, kidFlush, tc.knn, tc.insert, tc.flush)
+			if kidInsert != tc.insert || kidFlush != tc.flush {
+				t.Fatalf("a %s child: insert=%v maintain=%v, want %v %v",
+					tc.variant, kidInsert, kidFlush, tc.insert, tc.flush)
 			}
 			supported := func(what string, err error, want bool) {
 				t.Helper()
@@ -386,8 +386,8 @@ func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 				}
 			}
 			ns, _, err := c.ExactSearchKNN(context.Background(), q, 3, 1)
-			supported("k-NN", err, tc.knn)
-			if tc.knn && len(ns) != 3 {
+			supported("k-NN", err, true)
+			if len(ns) != 3 {
 				t.Fatalf("k-NN returned %d neighbors, want 3", len(ns))
 			}
 			rawSize := func() int64 {

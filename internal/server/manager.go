@@ -20,8 +20,8 @@ import (
 )
 
 // Handle is one served index: the capability set of its variant behind a
-// uniform surface. Nil capability funcs mean the variant does not support
-// the operation (e.g. insert on a trie).
+// uniform surface. Every variant answers every query; a nil insert means
+// the variant takes none (a trie).
 type Handle struct {
 	// Name is the index's serving name (the manifest prefix).
 	Name string
@@ -37,8 +37,8 @@ type Handle struct {
 	SeriesLen int
 
 	// Search, SearchApprox, SearchKNN and Close are the handle's query
-	// surface, for the HTTP handlers and the coconut CLI alike; SearchKNN is
-	// nil where the variant has no k-NN.
+	// surface, for the HTTP handlers and the coconut CLI alike; Search is
+	// SearchKNN's first neighbor.
 	Search       func(ctx context.Context, q coconut.Series) (coconut.Result, error)
 	SearchApprox func(ctx context.Context, q coconut.Series, radius int) (coconut.Result, error)
 	SearchKNN    func(ctx context.Context, q coconut.Series, k int) ([]coconut.Neighbor, error)
@@ -97,6 +97,7 @@ func NewTrieHandle(name string, ix *coconut.TrieIndex, seriesLen int) *Handle {
 		SeriesLen:    seriesLen,
 		Search:       ix.SearchCtx,
 		SearchApprox: ix.SearchApproxCtx,
+		SearchKNN:    ix.SearchKNNCtx,
 		Close:        ix.Close,
 		count:        ix.Count,
 	}
@@ -115,6 +116,7 @@ func NewLSMHandle(name string, ix *coconut.LSMIndex, seriesLen int) *Handle {
 		SearchApprox: func(ctx context.Context, q coconut.Series, _ int) (coconut.Result, error) {
 			return ix.SearchApproxCtx(ctx, q)
 		},
+		SearchKNN:  ix.SearchKNNCtx,
 		insert:     ix.InsertCtx,
 		sync:       ix.Sync,
 		Close:      ix.Close,

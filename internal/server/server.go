@@ -280,7 +280,9 @@ type QueryRequest struct {
 	Mode string `json:"mode,omitempty"`
 	// K is the neighbor count for knn mode (default 1).
 	K int `json:"k,omitempty"`
-	// Radius is the approximate-search leaf radius (default 1).
+	// Radius widens the approximate search (default 1): it evaluates
+	// 32×(Radius+1) records around the query's sort position. An LSM index
+	// evaluates its own 100-record window and ignores it.
 	Radius int `json:"radius,omitempty"`
 	// TimeoutMS overrides the server's default deadline, capped at its
 	// maximum.
@@ -378,10 +380,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Results = []QueryNeighbor{{Position: res.Position, Distance: res.Distance}}
 		resp.VisitedSeries = res.VisitedSeries
 	case "knn":
-		if h.SearchKNN == nil {
-			writeError(w, http.StatusBadRequest, "index %q (%s) does not support knn", h.Name, h.Variant)
-			return
-		}
 		k := req.K
 		if k <= 0 {
 			k = 1

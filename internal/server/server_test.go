@@ -5,13 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"testing"
 	"time"
 
 	coconut "github.com/coconut-db/coconut"
+	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 )
 
@@ -188,6 +191,90 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if stats.Indexes[0].Count != testSeries+2 {
 		t.Fatalf("count after append = %d, want %d", stats.Indexes[0].Count, testSeries+2)
+	}
+}
+
+// TestServerKNNEveryVariant: "mode":"knn" on a trie handle and on an LSM
+// handle — inserted records still in its memtable included — returns the
+// brute-force top-k under the (distance, position) order.
+func TestServerKNNEveryVariant(t *testing.T) {
+	const k = 5
+	qs, err := coconut.GenerateQueries(coconut.RandomWalk, 3, testLen, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra, err := coconut.GenerateQueries(coconut.RandomWalk, 40, testLen, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := NewManager()
+	defer mgr.CloseAll()
+	want := map[string][]coconut.Series{}
+	for _, variant := range []string{"trie", "lsm"} {
+		fs := storage.NewMemFS()
+		if err := coconut.GenerateDataset(fs, "data.bin", coconut.RandomWalk, testSeries, testLen, 3); err != nil {
+			t.Fatal(err)
+		}
+		cfg := coconut.Config{Storage: fs, Name: variant, DataFile: "data.bin", SeriesLen: testLen, LeafSize: 32}
+		if variant == "trie" {
+			ix, err := coconut.BuildTrieIndex(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr.Add(NewTrieHandle(variant, ix, testLen))
+		} else {
+			ix, err := coconut.BuildLSMIndex(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Insert(extra); err != nil {
+				t.Fatal(err)
+			}
+			mgr.Add(NewLSMHandle(variant, ix, testLen))
+		}
+		raw, err := storage.ReadFileAll(fs, "data.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sz := series.EncodedSize(testLen)
+		for off := 0; off < len(raw); off += sz {
+			s := make(coconut.Series, testLen)
+			series.DecodeInto(raw[off:off+sz], s)
+			want[variant] = append(want[variant], s)
+		}
+	}
+	if n := len(want["lsm"]); n != testSeries+len(extra) {
+		t.Fatalf("the LSM's dataset holds %d series, want %d", n, testSeries+len(extra))
+	}
+	ts := startServer(t, New(mgr, Options{}))
+	for variant, data := range want {
+		for qi, q := range qs {
+			st, body, _ := postJSON(t, ts.URL+"/query", QueryRequest{Index: variant, Series: q, Mode: "knn", K: k})
+			if st != http.StatusOK {
+				t.Fatalf("%s knn query %d: %d %s", variant, qi, st, body)
+			}
+			var qr QueryResponse
+			if err := json.Unmarshal(body, &qr); err != nil {
+				t.Fatal(err)
+			}
+			brute := make([]QueryNeighbor, len(data))
+			for i, d := range data {
+				dist, err := coconut.Distance(q, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				brute[i] = QueryNeighbor{Position: int64(i), Distance: dist}
+			}
+			sort.SliceStable(brute, func(a, b int) bool { return brute[a].Distance < brute[b].Distance })
+			if len(qr.Results) != k {
+				t.Fatalf("%s knn query %d: %d results, want %d", variant, qi, len(qr.Results), k)
+			}
+			for i, n := range qr.Results {
+				if n.Position != brute[i].Position || math.Abs(n.Distance-brute[i].Distance) > 1e-9 {
+					t.Fatalf("%s knn query %d rank %d: %+v, brute force %+v", variant, qi, i, n, brute[i])
+				}
+			}
+		}
 	}
 }
 

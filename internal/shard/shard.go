@@ -12,7 +12,6 @@
 package shard
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"runtime"
@@ -78,39 +77,6 @@ func PerGroup(requested, groups int) int {
 	return per
 }
 
-// Outcome is one shard's contribution to a sharded verification scan: the
-// first strict improvement it found over the seed bound (Pos = -1 when
-// none) plus its visit counters. ScanReduce seeds and collects these;
-// scan bodies only ever update the Outcome they are handed.
-type Outcome struct {
-	Pos            int64
-	Dist           float64
-	VisitedRecords int64
-	VisitedLeaves  int64
-}
-
-// Reduce folds shard outcomes IN SHARD ORDER into the seed answer. Shards
-// cover contiguous ascending ranges of the serial scan order and each kept
-// the first strict improvement it saw, so folding with the same strict
-// comparison reproduces the serial scan's answer exactly — this is the
-// single copy of the determinism contract every sharded scan relies on.
-// Every entry of outs must have been seeded (a zero-value Outcome reads as
-// a real answer at position 0); ScanReduce guarantees that by seeding each
-// shard's slot before running its body, even for shards cancelled before
-// doing any work.
-func Reduce(seedPos int64, seedDist float64, outs []Outcome) (int64, float64, int64, int64) {
-	pos, dist := seedPos, seedDist
-	var vr, vl int64
-	for _, o := range outs {
-		vr += o.VisitedRecords
-		vl += o.VisitedLeaves
-		if o.Pos >= 0 && o.Dist < dist {
-			dist, pos = o.Dist, o.Pos
-		}
-	}
-	return pos, dist, vr, vl
-}
-
 // BSF is a shared best-so-far distance bound, safe for concurrent use. It
 // only ever decreases. The zero value is unusable; call Init first.
 type BSF struct {
@@ -147,15 +113,14 @@ func (b *BSF) Lower(d float64) {
 func (b *BSF) Prunes(lb float64) bool { return lb > b.Load() }
 
 // Limit returns the exclusive bound under which a lower-bound pass should
-// collect candidates for a scan seeded at own: lb < Limit(own) exactly when
-// lb < own and !Prunes(lb) as of this call. The scan checks every candidate
-// again as the bounds tighten, so a limit gone stale costs list entries,
-// never visits or answers.
+// collect candidates for a scan whose own k-th best is own: lb < Limit(own)
+// exactly when lb <= own and !Prunes(lb) as of this call. The collection is
+// tie-inclusive because a candidate whose lower bound exactly ties the k-th
+// best can still outrank it under NeighborLess. The scan checks every
+// candidate again as the bounds tighten, so a limit gone stale costs list
+// entries, never visits or answers.
 func (b *BSF) Limit(own float64) float64 {
-	if shared := b.Load(); shared < own {
-		return math.Nextafter(shared, math.Inf(1))
-	}
-	return own
+	return math.Nextafter(min(own, b.Load()), math.Inf(1))
 }
 
 // Scan runs fn over the shards of [0, n) on up to workers goroutines. fn
@@ -334,34 +299,28 @@ func NeighborLess(a, b Neighbor) bool {
 // by the approximate seed, several shards, or several partitions). All
 // k-NN mergers — per-shard locals, the cross-shard reduce, and the
 // cross-partition gather — go through this one type, so the merge
-// semantics cannot drift apart.
+// semantics cannot drift apart. An exact 1-NN search builds a handful of
+// them, so a small heap costs two allocations and no offer allocates.
 type KNNHeap struct {
 	items []Neighbor
 	k     int
-	seen  map[int64]bool
+	// seen holds the retained positions of a heap of more than
+	// linearDedup neighbors; a smaller heap scans its items instead.
+	seen map[int64]bool
 }
+
+// linearDedup is the largest k whose heap finds a retained position by
+// scanning its items: cheaper, at that size, than a map's allocation and
+// hashing.
+const linearDedup = 16
 
 // NewKNNHeap returns an empty heap retaining the k best neighbors.
 func NewKNNHeap(k int) *KNNHeap {
-	return &KNNHeap{k: k, seen: make(map[int64]bool, k)}
-}
-
-func (h *KNNHeap) Len() int { return len(h.items) }
-
-// Less orders the heap as a MAX-heap on NeighborLess, so the root is the
-// current k-th best and Pop evicts the worst retained neighbor.
-func (h *KNNHeap) Less(i, j int) bool { return NeighborLess(h.items[j], h.items[i]) }
-
-func (h *KNNHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-
-// Push and Pop implement heap.Interface; use Offer, not these.
-func (h *KNNHeap) Push(x any) { h.items = append(h.items, x.(Neighbor)) }
-func (h *KNNHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+	h := &KNNHeap{k: k, items: make([]Neighbor, 0, min(k, linearDedup))}
+	if k > linearDedup {
+		h.seen = make(map[int64]bool)
+	}
+	return h
 }
 
 // Bound returns the current k-th-best distance: +Inf until the heap holds
@@ -378,22 +337,67 @@ func (h *KNNHeap) Bound() float64 {
 // already-retained position are ignored. Returns true when the heap
 // changed.
 func (h *KNNHeap) Offer(n Neighbor) bool {
-	if h.seen[n.Pos] {
+	full := len(h.items) >= h.k
+	if full && !NeighborLess(n, h.items[0]) || h.holds(n.Pos) {
 		return false
 	}
-	if len(h.items) < h.k {
+	if h.seen != nil {
+		if full {
+			delete(h.seen, h.items[0].Pos)
+		}
 		h.seen[n.Pos] = true
-		heap.Push(h, n)
+	}
+	if full {
+		h.items[0] = n
+		h.down(0)
 		return true
 	}
-	if !NeighborLess(n, h.items[0]) {
-		return false
-	}
-	delete(h.seen, h.items[0].Pos)
-	h.seen[n.Pos] = true
-	h.items[0] = n
-	heap.Fix(h, 0)
+	h.items = append(h.items, n)
+	h.up(len(h.items) - 1)
 	return true
+}
+
+// holds reports whether a neighbor at pos is retained.
+func (h *KNNHeap) holds(pos int64) bool {
+	if h.seen != nil {
+		return h.seen[pos]
+	}
+	for _, n := range h.items {
+		if n.Pos == pos {
+			return true
+		}
+	}
+	return false
+}
+
+// up and down restore the MAX-heap order on NeighborLess — the root is the
+// current k-th best, the first to be evicted — after item i moved.
+func (h *KNNHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !NeighborLess(h.items[p], h.items[i]) {
+			return
+		}
+		h.items[p], h.items[i] = h.items[i], h.items[p]
+		i = p
+	}
+}
+
+func (h *KNNHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h.items) {
+			return
+		}
+		if c+1 < len(h.items) && NeighborLess(h.items[c], h.items[c+1]) {
+			c++
+		}
+		if !NeighborLess(h.items[i], h.items[c]) {
+			return
+		}
+		h.items[i], h.items[c] = h.items[c], h.items[i]
+		i = c
+	}
 }
 
 // Items returns the retained neighbors in heap order (NOT sorted); use it
@@ -409,29 +413,54 @@ func (h *KNNHeap) Sorted() []Neighbor {
 	return out
 }
 
-// ScanReduce is the complete sharded-verification-scan harness: it splits
-// [0, n) across workers, seeds one Outcome per shard with {Pos: -1, Dist:
-// seedDist}, hands fn a pointer to its shard's outcome, and reduces the
-// outcomes in shard order onto the seed answer — so call sites cannot
-// forget the seeding, the store, or the in-order reduce that the
-// determinism contract depends on. The reduced answer and summed visit
-// counters are returned even when fn failed (partial counters, seed
-// answer preserved), alongside the lowest-indexed shard's error. On a ctx
-// error the outcomes are never read (detached shards may still be writing
-// them) and the seed answer is returned untouched with zero counters — the
-// caller sees ctx.Err() and must discard the result.
-func ScanReduce(ctx context.Context, workers, n int, seedPos int64, seedDist float64,
-	fn func(r Range, local *Outcome, cancelled func() bool) error,
-) (pos int64, dist float64, visitedRecords, visitedLeaves int64, err error) {
+// OfferAll offers every neighbor of ns, in order.
+func (h *KNNHeap) OfferAll(ns []Neighbor) {
+	for _, n := range ns {
+		h.Offer(n)
+	}
+}
+
+// Local is one shard's share of a sharded verification scan: a heap of its
+// own, holding the scan's seed when the shard starts, and its visit
+// counters. ScanKNN seeds and reduces these; scan bodies only ever update
+// the Local they are handed.
+type Local struct {
+	Top            *KNNHeap
+	VisitedRecords int64
+	VisitedLeaves  int64
+}
+
+// ScanKNN is the sharded verification scan of every exact search, for any
+// k: it splits [0, n) across workers, hands fn its shard's Local — a heap
+// of top's capacity seeded with top's neighbors — and offers every shard's
+// heap into top in shard order. Each shard keeps the top-k of the seed and
+// its range under NeighborLess, a total order, so the reduce is the top-k
+// of the union wherever the shard boundaries fall: byte-identical for any
+// worker count. The summed visit counters are returned even when fn failed
+// (partial counters, top reduced from what the shards held), alongside the
+// lowest-indexed shard's error. On a ctx error the shard heaps are never
+// read (detached shards may still be writing them): top is untouched, the
+// counters are zero, and the caller sees ctx.Err() and must discard.
+func ScanKNN(ctx context.Context, workers, n int, top *KNNHeap,
+	fn func(r Range, local *Local, cancelled func() bool) error,
+) (visitedRecords, visitedLeaves int64, err error) {
 	ranges := Split(n, workers)
-	outs := make([]Outcome, len(ranges))
+	locals := make([]Local, len(ranges))
+	seed := append([]Neighbor(nil), top.items...)
 	err = scanRanges(ctx, ranges, func(i int, r Range, cancelled func() bool) error {
-		outs[i] = Outcome{Pos: -1, Dist: seedDist}
-		return fn(r, &outs[i], cancelled)
+		locals[i].Top = NewKNNHeap(top.k)
+		locals[i].Top.OfferAll(seed)
+		return fn(r, &locals[i], cancelled)
 	})
 	if cerr := ctx.Err(); cerr != nil {
-		return seedPos, seedDist, 0, 0, cerr
+		return 0, 0, cerr
 	}
-	pos, dist, visitedRecords, visitedLeaves = Reduce(seedPos, seedDist, outs)
-	return pos, dist, visitedRecords, visitedLeaves, err
+	for _, l := range locals {
+		visitedRecords += l.VisitedRecords
+		visitedLeaves += l.VisitedLeaves
+		if l.Top != nil {
+			top.OfferAll(l.Top.items)
+		}
+	}
+	return visitedRecords, visitedLeaves, err
 }

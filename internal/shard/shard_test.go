@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -147,16 +148,17 @@ func TestCtxPreCancelled(t *testing.T) {
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("FanOut: got %v, want context.Canceled", err)
 	}
-	pos, dist, _, _, err := ScanReduce(ctx, 4, 100, 7, 3.5,
-		func(r Range, local *Outcome, cancelled func() bool) error {
-			called.Add(1)
-			return nil
-		})
+	top := NewKNNHeap(2)
+	top.OfferAll([]Neighbor{{Pos: 7, Dist: 3.5}})
+	vr, vl, err := ScanKNN(ctx, 4, 100, top, func(r Range, local *Local, cancelled func() bool) error {
+		called.Add(1)
+		return nil
+	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ScanReduce: got %v, want context.Canceled", err)
+		t.Fatalf("ScanKNN: got %v, want context.Canceled", err)
 	}
-	if pos != 7 || dist != 3.5 {
-		t.Fatalf("ScanReduce after cancel returned (%d, %v), want untouched seed (7, 3.5)", pos, dist)
+	if got := top.Sorted(); len(got) != 1 || got[0] != (Neighbor{Pos: 7, Dist: 3.5}) || vr != 0 || vl != 0 {
+		t.Fatalf("ScanKNN after cancel left top %v and counters (%d, %d), want the untouched seed and zeros", got, vr, vl)
 	}
 	if n := called.Load(); n != 0 {
 		t.Fatalf("work function ran %d times under a pre-cancelled ctx", n)
@@ -191,6 +193,61 @@ func TestScanCtxMidFlightCancel(t *testing.T) {
 		t.Fatal("Scan did not return promptly after cancel; it waited for the stuck shard")
 	}
 	close(release) // let the detached goroutine drain
+}
+
+// TestScanKNNReducesAnyWorkerCount: shards that each offer their range
+// reduce into the top-k of the seed and the whole range, ties broken by
+// position, for any worker count; a cancel while a shard is stuck returns
+// ctx.Err() and leaves top as it was, the finished shards' heaps unread.
+func TestScanKNNReducesAnyWorkerCount(t *testing.T) {
+	// Distances repeat every 10 positions, so the top-k is all ties.
+	dist := func(i int) float64 { return float64(i % 10) }
+	for _, workers := range []int{1, 2, 3, 8} {
+		top := NewKNNHeap(5)
+		top.OfferAll([]Neighbor{{Pos: 95, Dist: 0}, {Pos: 1000, Dist: 0.5}})
+		vr, _, err := ScanKNN(context.Background(), workers, 100, top, func(r Range, local *Local, _ func() bool) error {
+			for i := r.Lo; i < r.Hi; i++ {
+				local.Top.Offer(Neighbor{Pos: int64(i), Dist: dist(i)})
+				local.VisitedRecords++
+			}
+			return nil
+		})
+		want := []Neighbor{{0, 0}, {10, 0}, {20, 0}, {30, 0}, {40, 0}}
+		if got := top.Sorted(); err != nil || vr != 100 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: top %v, %d visited, err %v; want %v, 100", workers, got, vr, err, want)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	top := NewKNNHeap(3)
+	top.OfferAll([]Neighbor{{Pos: 7, Dist: 3.5}})
+	var done sync.WaitGroup
+	done.Add(3)
+	blocked, release := make(chan struct{}), make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := ScanKNN(ctx, 4, 4, top, func(r Range, local *Local, _ func() bool) error {
+			if r.Lo == 0 {
+				close(blocked)
+				<-release
+				return nil
+			}
+			local.Top.Offer(Neighbor{Pos: int64(r.Lo), Dist: 0})
+			done.Done()
+			return nil
+		})
+		errc <- err
+	}()
+	<-blocked
+	done.Wait()
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if got := top.Sorted(); len(got) != 1 || got[0] != (Neighbor{Pos: 7, Dist: 3.5}) {
+		t.Fatalf("a cancelled ScanKNN left top %v, want the untouched seed", got)
+	}
+	close(release)
 }
 
 // TestFanOutCtxMidFlightCancelStopsWork: once ctx is done, workers stop

@@ -18,11 +18,11 @@
 package window
 
 import (
-	"math"
 	"math/bits"
 	"sort"
 
 	"github.com/coconut-db/coconut/internal/series"
+	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
@@ -87,16 +87,19 @@ func Merge(below, above []Cand, half int) []Cand {
 // (they may cache leaf pages) and are called serially.
 type FetchFunc func(c Cand, buf []byte) (enc []byte, err error)
 
-// Eval evaluates the window: candidates are visited in ascending LB order
-// (stable over the record order Merge produced, so the evaluation sequence
-// is a pure function of the candidate list), stopping as soon as the next
-// lower bound cannot beat the best squared distance found, and abandoning
-// each distance computation — taken on the encoded bytes — once it exceeds
-// the running best. buf is fetch's read buffer. Returns the best (position,
-// SQUARED distance) — (-1, +Inf) when cands is empty — and the number of
+// Eval evaluates the window for the k best: candidates are visited in
+// ascending LB order (stable over the record order Merge produced, so the
+// evaluation sequence is a pure function of the candidate list), stopping as
+// soon as the next lower bound cannot beat the k-th best squared distance
+// found, and abandoning each distance computation — taken on the encoded
+// bytes — once it exceeds it. A record joins the top-k while fewer than k
+// are held, and after that only by STRICTLY beating the k-th best, so with
+// k = 1 the answer is the first strict improvement in evaluation order.
+// buf is fetch's read buffer. Returns the top-k (position, SQUARED
+// distance) ranked best-first — empty when cands is — and the number of
 // records fetched.
-func Eval(q series.Series, cands []Cand, fetch FetchFunc, buf []byte) (pos int64, sqDist float64, visited int64, err error) {
-	pos, sqDist = -1, math.Inf(1)
+func Eval(q series.Series, cands []Cand, k int, fetch FetchFunc, buf []byte) (top []shard.Neighbor, visited int64, err error) {
+	h := shard.NewKNNHeap(k)
 	order := make([]int, len(cands))
 	for i := range order {
 		order[i] = i
@@ -104,17 +107,17 @@ func Eval(q series.Series, cands []Cand, fetch FetchFunc, buf []byte) (pos int64
 	sort.SliceStable(order, func(a, b int) bool { return cands[order[a]].LB < cands[order[b]].LB })
 	for _, ci := range order {
 		c := cands[ci]
-		if c.LB >= sqDist {
+		if c.LB >= h.Bound() {
 			break
 		}
 		enc, err := fetch(c, buf)
 		if err != nil {
-			return pos, sqDist, visited, err
+			return h.Sorted(), visited, err
 		}
 		visited++
-		if sq, ok := series.SquaredEDEarlyAbandonEncoded(q, enc, sqDist); ok && sq < sqDist {
-			sqDist, pos = sq, c.Pos
+		if sq, ok := series.SquaredEDEarlyAbandonEncoded(q, enc, h.Bound()); ok && sq < h.Bound() {
+			h.Offer(shard.Neighbor{Pos: c.Pos, Dist: sq})
 		}
 	}
-	return pos, sqDist, visited, nil
+	return h.Sorted(), visited, nil
 }

@@ -180,8 +180,10 @@ func TestEmptyIndexTyped(t *testing.T) {
 		"tree/knn":    func() error { _, err := tree.SearchKNN(q, 3); return err },
 		"trie/exact":  func() error { _, err := trie.Search(q); return err },
 		"trie/approx": func() error { _, err := trie.SearchApprox(q, 1); return err },
+		"trie/knn":    func() error { _, err := trie.SearchKNN(q, 3); return err },
 		"lsm/exact":   func() error { _, err := lsm.Search(q); return err },
 		"lsm/approx":  func() error { _, err := lsm.SearchApprox(q); return err },
+		"lsm/knn":     func() error { _, err := lsm.SearchKNN(q, 3); return err },
 	} {
 		if err := search(); !errors.Is(err, ErrEmptyIndex) {
 			t.Errorf("%s over an empty index: %v, want ErrEmptyIndex", name, err)

@@ -51,8 +51,15 @@ func partQueries(t *testing.T) []Series {
 	return qs
 }
 
-// collectTree gathers exact, approximate, and k-NN answers from a tree.
-func collectTree(t *testing.T, ix *TreeIndex, queries []Series) partAnswers {
+// exactIndex is the exact search every index type offers.
+type exactIndex interface {
+	Search(q Series) (Result, error)
+	SearchKNN(q Series, k int) ([]Neighbor, error)
+	Close() error
+}
+
+// collect gathers exact, approximate, and k-NN answers from an index.
+func collect(t *testing.T, ix exactIndex, approx searchFn, queries []Series) partAnswers {
 	t.Helper()
 	var a partAnswers
 	for _, q := range queries {
@@ -60,7 +67,7 @@ func collectTree(t *testing.T, ix *TreeIndex, queries []Series) partAnswers {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ap, err := ix.SearchApprox(q, 1)
+		ap, err := approx(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,6 +80,12 @@ func collectTree(t *testing.T, ix *TreeIndex, queries []Series) partAnswers {
 		a.knn = append(a.knn, ns)
 	}
 	return a
+}
+
+// collectTree gathers a tree's answers, approximate ones at radius 1.
+func collectTree(t *testing.T, ix *TreeIndex, queries []Series) partAnswers {
+	t.Helper()
+	return collect(t, ix, func(q Series) (Result, error) { return ix.SearchApprox(q, 1) }, queries)
 }
 
 // samePos reports byte-identity of the (position, distance) answer; the
@@ -94,9 +107,6 @@ func checkAnswers(t *testing.T, label string, base, got partAnswers) {
 			t.Errorf("%s: approx query %d: got (#%d, %v), baseline (#%d, %v)", label, qi,
 				got.approx[qi].Position, got.approx[qi].Distance,
 				base.approx[qi].Position, base.approx[qi].Distance)
-		}
-		if base.knn == nil {
-			continue
 		}
 		if len(base.knn[qi]) != len(got.knn[qi]) {
 			t.Errorf("%s: knn query %d: got %d neighbors, baseline %d", label, qi,
@@ -175,21 +185,8 @@ func TestPartitionConformanceTrie(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			queries := partQueries(t)
-			collect := func(ix *TrieIndex) partAnswers {
-				var a partAnswers
-				for _, q := range queries {
-					e, err := ix.Search(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ap, err := ix.SearchApprox(q, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					a.exact = append(a.exact, e)
-					a.approx = append(a.approx, ap)
-				}
-				return a
+			answers := func(ix *TrieIndex) partAnswers {
+				return collect(t, ix, func(q Series) (Result, error) { return ix.SearchApprox(q, 1) }, queries)
 			}
 			buildAnswers := func(parts int) (Storage, partAnswers) {
 				fs := partFS(t)
@@ -197,7 +194,7 @@ func TestPartitionConformanceTrie(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parts=%d: build: %v", parts, err)
 				}
-				a := collect(ix)
+				a := answers(ix)
 				if err := ix.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -211,7 +208,7 @@ func TestPartitionConformanceTrie(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parts=%d: open: %v", parts, err)
 				}
-				got = collect(ix)
+				got = answers(ix)
 				checkAnswers(t, name+"/reopened", base, got)
 				if err := ix.Close(); err != nil {
 					t.Fatal(err)
@@ -226,22 +223,7 @@ func TestPartitionConformanceTrie(t *testing.T) {
 // byte-identity with the single-partition index.
 func TestPartitionConformanceLSM(t *testing.T) {
 	queries := partQueries(t)
-	collect := func(ix *LSMIndex) partAnswers {
-		var a partAnswers
-		for _, q := range queries {
-			e, err := ix.Search(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ap, err := ix.SearchApprox(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.exact = append(a.exact, e)
-			a.approx = append(a.approx, ap)
-		}
-		return a
-	}
+	answers := func(ix *LSMIndex) partAnswers { return collect(t, ix, ix.SearchApprox, queries) }
 	buildAnswers := func(parts int) (Storage, partAnswers) {
 		fs := partFS(t)
 		ix, err := BuildLSMIndex(partConfig(fs, parts, 2, false))
@@ -250,7 +232,7 @@ func TestPartitionConformanceLSM(t *testing.T) {
 		}
 		// Stream appends so runs accumulate, with a tail left in memtables.
 		confAppend(t, ix, 3)
-		a := collect(ix)
+		a := answers(ix)
 		if err := ix.Close(); err != nil {
 			t.Fatalf("parts=%d: close: %v", parts, err)
 		}
@@ -264,7 +246,7 @@ func TestPartitionConformanceLSM(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parts=%d: open: %v", parts, err)
 		}
-		got = collect(ix)
+		got = answers(ix)
 		checkAnswers(t, "lsm/reopened", base, got)
 		if err := ix.Close(); err != nil {
 			t.Fatal(err)

@@ -96,13 +96,11 @@ func collectAnswers(t *testing.T, queries []Series,
 			t.Fatal(err)
 		}
 		a.approx = append(a.approx, ap)
-		if knn != nil {
-			ns, err := knn(q, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.knn = append(a.knn, ns)
+		ns, err := knn(q, 3)
+		if err != nil {
+			t.Fatal(err)
 		}
+		a.knn = append(a.knn, ns)
 	}
 	return a
 }
@@ -184,7 +182,7 @@ func TestReopenConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			built := collectAnswers(t, queries, ix.Search,
-				func(q Series) (Result, error) { return ix.SearchApprox(q, 1) }, nil)
+				func(q Series) (Result, error) { return ix.SearchApprox(q, 1) }, ix.SearchKNN)
 			if err := ix.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +195,7 @@ func TestReopenConformance(t *testing.T) {
 			guard(false)
 			defer re.Close()
 			reopened := collectAnswers(t, queries, re.Search,
-				func(q Series) (Result, error) { return re.SearchApprox(q, 1) }, nil)
+				func(q Series) (Result, error) { return re.SearchApprox(q, 1) }, re.SearchKNN)
 			assertAnswersEqual(t, built, reopened)
 		}
 	}
@@ -220,7 +218,7 @@ func TestReopenConformance(t *testing.T) {
 		if got := ix.NumRuns(); got < 2 {
 			t.Fatalf("fixture built %d runs, want multi-run", got)
 		}
-		built := collectAnswers(t, queries, ix.Search, ix.SearchApprox, nil)
+		built := collectAnswers(t, queries, ix.Search, ix.SearchApprox, ix.SearchKNN)
 		if err := ix.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +230,7 @@ func TestReopenConformance(t *testing.T) {
 		}
 		guard(false)
 		defer re.Close()
-		reopened := collectAnswers(t, queries, re.Search, re.SearchApprox, nil)
+		reopened := collectAnswers(t, queries, re.Search, re.SearchApprox, re.SearchKNN)
 		assertAnswersEqual(t, built, reopened)
 	}
 	variants := []variant{

@@ -80,11 +80,9 @@ func TestViewsParity(t *testing.T) {
 					before = osfs.Stats().Snapshot()
 					res, err = v.search(context.Background(), q)
 					note("exact", res, nil, err, before)
-					if v.knn != nil {
-						before = osfs.Stats().Snapshot()
-						nn, err := v.knn(context.Background(), q, 5)
-						note("knn", Result{}, nn, err, before)
-					}
+					before = osfs.Stats().Snapshot()
+					nn, err := v.knn(context.Background(), q, 5)
+					note("knn", Result{}, nn, err, before)
 				}
 				return outs
 			}
@@ -302,10 +300,8 @@ func TestViewsTruncatedFileIsAnError(t *testing.T) {
 			if _, err := victim.search(context.Background(), q); !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("search over a truncated raw file: %v, want io.ErrUnexpectedEOF", err)
 			}
-			if v := victim.knn; v != nil {
-				if _, err := v(context.Background(), q, 3); !errors.Is(err, io.ErrUnexpectedEOF) {
-					t.Fatalf("k-NN over a truncated raw file: %v, want io.ErrUnexpectedEOF", err)
-				}
+			if _, err := victim.knn(context.Background(), q, 3); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("k-NN over a truncated raw file: %v, want io.ErrUnexpectedEOF", err)
 			}
 			if got, err := bystander.search(context.Background(), q); err != nil || got != want {
 				t.Fatalf("the untouched index afterwards: %+v, %v, want %+v", got, err, want)

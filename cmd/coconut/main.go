@@ -198,15 +198,6 @@ func main() {
 	}
 }
 
-// leafIndex is what build and info report of a tree or a trie.
-type leafIndex interface {
-	Count() int64
-	NumLeaves() int
-	LeafFill() float64
-	SizeBytes() int64
-	Close() error
-}
-
 func runBuild(cfg *config) error {
 	if cfg.build.DataFile == "" {
 		return errors.New("-data is required for build")
@@ -216,37 +207,26 @@ func runBuild(cfg *config) error {
 	if cfg.build.Partitions > 1 {
 		part = fmt.Sprintf(" in %d partitions", cfg.build.Partitions)
 	}
-	var (
-		ix    leafIndex
-		title string
-		err   error
-	)
-	switch cfg.variant {
-	case "tree":
-		title = "Coconut-Tree"
-		ix, err = coconut.BuildTreeIndex(cfg.build)
-	case "trie":
-		title = "Coconut-Trie"
-		ix, err = coconut.BuildTrieIndex(cfg.build)
-	case "lsm":
-		ix, err := coconut.BuildLSMIndex(cfg.build)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("built Coconut-LSM %q%s: %d series across %d runs, %s on disk, in %v\n",
-			cfg.build.Name, part, ix.Count(), ix.NumRuns(), byteSize(ix.SizeBytes()),
-			time.Since(start).Round(time.Millisecond))
-		return ix.Close()
-	default:
-		return fmt.Errorf("unknown variant %q (want tree, trie, or lsm)", cfg.variant)
-	}
+	ix, err := coconut.Build(context.Background(), cfg.build, coconut.Variant(cfg.variant))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("built %s %q%s: %d series, %d leaves (%.0f%% full), %s on disk, in %v\n",
-		title, cfg.build.Name, part, ix.Count(), ix.NumLeaves(), ix.LeafFill()*100,
+	fmt.Printf("built %s %q%s: %d series%s, %s on disk, in %v\n",
+		titles[ix.Variant()], cfg.build.Name, part, ix.Count(), shape(ix),
 		byteSize(ix.SizeBytes()), time.Since(start).Round(time.Millisecond))
 	return ix.Close()
+}
+
+// titles are the paper's names of the variants.
+var titles = map[coconut.Variant]string{coconut.Tree: "Coconut-Tree", coconut.Trie: "Coconut-Trie", coconut.LSM: "Coconut-LSM"}
+
+// shape describes what the index is made of: an LSM's runs, or a tree's or
+// a trie's leaves.
+func shape(ix *coconut.Index) string {
+	if n := ix.NumRuns(); n > 0 {
+		return fmt.Sprintf(" across %d runs", n)
+	}
+	return fmt.Sprintf(", %d leaves (%.0f%% full)", ix.NumLeaves(), ix.LeafFill()*100)
 }
 
 // runScrub verifies every block of every artifact the index's manifest
@@ -296,21 +276,19 @@ func runInfo(cfg *config) error {
 	}
 	fmt.Printf("index %q (%s)\n  dataset:   %s\n  series:    %d\n  summarization: len=%d segments=%d cardbits=%d\n  materialized:  %v\n",
 		cfg.build.Name, m.Variant, m.RawName, m.Count, m.SeriesLen, m.Segments, m.CardBits, m.Materialized)
-	switch m.Variant {
-	case manifest.VariantTree, manifest.VariantTrie:
-		var ix leafIndex
-		if m.Variant == manifest.VariantTree {
-			ix, err = coconut.OpenTreeIndex(cfg.openConfig())
-		} else {
-			ix, err = coconut.OpenTrieIndex(cfg.openConfig())
-		}
+	// Each layout section the manifest holds is described: a tree's or a
+	// trie's leaves through the open index, an LSM's runs and a partitioned
+	// index's children from the manifests.
+	if m.Tree != nil || m.Trie != nil {
+		ix, err := coconut.Open(context.Background(), cfg.openConfig())
 		if err != nil {
 			return err
 		}
 		defer ix.Close()
 		fmt.Printf("  leaves:    %d\n  leaf fill: %.0f%%\n  size:      %s\n",
 			ix.NumLeaves(), ix.LeafFill()*100, byteSize(ix.SizeBytes()))
-	case manifest.VariantLSM:
+	}
+	if m.LSM != nil {
 		fmt.Printf("  runs:      %d\n", len(m.LSM.Runs))
 		for _, r := range m.LSM.Runs {
 			tier := fmt.Sprintf("%d", r.Tier)
@@ -319,7 +297,8 @@ func runInfo(cfg *config) error {
 			}
 			fmt.Printf("    %-24s tier=%-4s %d records\n", r.Name, tier, r.Count)
 		}
-	case manifest.VariantPartitioned:
+	}
+	if m.Part != nil {
 		fmt.Printf("  partitions: %d (%s children)\n", m.Part.Partitions, m.Part.ChildVariant)
 		for _, c := range m.Part.Children {
 			cm, err := manifest.Load(cfg.build.Storage, c)
@@ -336,9 +315,9 @@ func runQuery(cfg *config) error {
 	if cfg.queries == "" {
 		return errors.New("-queries is required for query")
 	}
-	// The handle detects the stored variant (a partitioned index is served
-	// as its child variant) and carries its capability set.
-	ix, err := server.OpenHandle(context.Background(), cfg.openConfig())
+	// Open detects the stored variant (a partitioned index opens as its
+	// child variant).
+	ix, err := coconut.Open(context.Background(), cfg.openConfig())
 	if err != nil {
 		return err
 	}
@@ -349,7 +328,7 @@ func runQuery(cfg *config) error {
 		return err
 	}
 	defer qf.Close()
-	r := series.NewReader(storage.NewSequentialReader(qf, 0, -1, 0), ix.SeriesLen)
+	r := series.NewReader(storage.NewSequentialReader(qf, 0, -1, 0), ix.SeriesLen())
 	qnum := 0
 	for {
 		q, err := r.Next()
@@ -366,7 +345,7 @@ func runQuery(cfg *config) error {
 		ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
 		start := time.Now()
 		if cfg.k > 1 {
-			ns, err := ix.SearchKNN(ctx, q, cfg.k)
+			ns, err := ix.SearchKNNCtx(ctx, q, cfg.k)
 			cancel()
 			if err != nil {
 				return err
@@ -382,9 +361,9 @@ func runQuery(cfg *config) error {
 		mode := "exact"
 		if cfg.approx {
 			mode = "approx"
-			res, err = ix.SearchApprox(ctx, q, cfg.radius)
+			res, err = ix.SearchApproxCtx(ctx, q, cfg.radius)
 		} else {
-			res, err = ix.Search(ctx, q)
+			res, err = ix.SearchCtx(ctx, q)
 		}
 		cancel()
 		if err != nil {
@@ -503,7 +482,7 @@ func runStream(cfg *config) error {
 // the whole request lifecycle — deadlines, admission control, health and
 // stats, graceful drain — to the internal/server package coconutd uses.
 func runServe(cfg *config) error {
-	h, err := server.OpenHandle(context.Background(), coconut.Config{
+	ix, err := coconut.Open(context.Background(), coconut.Config{
 		Storage:      cfg.build.Storage,
 		Name:         cfg.build.Name,
 		QueryWorkers: cfg.build.QueryWorkers,
@@ -512,11 +491,12 @@ func runServe(cfg *config) error {
 	if err != nil {
 		return err
 	}
+	h := server.NewHandle(cfg.build.Name, ix)
 	mgr := server.NewManager()
 	mgr.Add(h)
 	srv := server.New(mgr, server.Options{DefaultTimeout: cfg.timeout})
 	hs := srv.NewHTTPServer(cfg.addr)
-	fmt.Printf("serving index %q (%s, %d series) on %s\n", h.Name, h.Variant, h.Count(), cfg.addr)
+	fmt.Printf("serving index %q (%s, %d series) on %s\n", h.Name, ix.Variant(), ix.Count(), cfg.addr)
 
 	errc := make(chan error, 1)
 	go func() {

@@ -107,7 +107,7 @@ func run(args []string) error {
 			if name == "" {
 				continue
 			}
-			h, err := server.OpenHandle(context.Background(), coconut.Config{
+			ix, err := coconut.Open(context.Background(), coconut.Config{
 				Storage:      fs,
 				Name:         name,
 				QueryWorkers: *queryWorkers,
@@ -115,8 +115,9 @@ func run(args []string) error {
 			if err != nil {
 				return fmt.Errorf("opening index %q: %w", name, err)
 			}
+			h := server.NewHandle(name, ix)
 			mgr.Add(h)
-			log.Printf("serving index %q (%s, %d series, uuid %s)", h.Name, h.Variant, h.Count(), h.UUID)
+			log.Printf("serving index %q (%s, %d series, uuid %s)", h.Name, ix.Variant(), ix.Count(), h.UUID)
 		}
 	}
 
@@ -163,15 +164,15 @@ func buildDemo(count, seriesLen, queryWorkers int) (*server.Handle, error) {
 	if err := coconut.GenerateDataset(fs, "demo.bin", coconut.RandomWalk, count, seriesLen, 1); err != nil {
 		return nil, err
 	}
-	ix, err := coconut.BuildTreeIndex(coconut.Config{
+	ix, err := coconut.Build(context.Background(), coconut.Config{
 		Storage:      fs,
 		Name:         "demo",
 		DataFile:     "demo.bin",
 		SeriesLen:    seriesLen,
 		QueryWorkers: queryWorkers,
-	})
+	}, coconut.Tree)
 	if err != nil {
 		return nil, err
 	}
-	return server.NewTreeHandle("demo", ix, seriesLen), nil
+	return server.NewHandle("demo", ix), nil
 }

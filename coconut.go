@@ -13,12 +13,12 @@
 //
 //	fs := coconut.NewMemStorage()           // or NewDiskStorage(dir)
 //	coconut.GenerateDataset(fs, "data.bin", coconut.RandomWalk, 100000, 256, 1)
-//	idx, err := coconut.BuildTreeIndex(coconut.Config{
+//	idx, err := coconut.Build(ctx, coconut.Config{
 //	    Storage:   fs,
 //	    Name:      "myindex",
 //	    DataFile:  "data.bin",
 //	    SeriesLen: 256,
-//	})
+//	}, coconut.Tree)                        // or coconut.Trie, coconut.LSM
 //	...
 //	res, err := idx.Search(query)        // exact 1-NN
 //	res, err = idx.SearchApprox(query, 1) // fast approximate, radius 1
@@ -60,7 +60,7 @@
 // formation in order), the external sort forms and merges runs across the
 // same workers, and the built index is byte-identical for any worker count.
 //
-// LSM ingest (Insert on an LSMIndex) appends raw bytes, summarizes each
+// LSM ingest (Insert on an LSM index) appends raw bytes, summarizes each
 // batch across Workers goroutines, and flushes full memtables as sorted
 // runs. The raw file is the log: every index key is a pure function of the
 // raw bytes, so nothing else is logged. Every Insert returns only after its
@@ -81,8 +81,8 @@
 // # Cancellation
 //
 // Every query and mutation has a context-taking variant (SearchCtx,
-// SearchApproxCtx, SearchKNNCtx, InsertCtx, and ctx-taking Build/Open
-// wrappers). Cancellation is honored end to end: a query observes its
+// SearchApproxCtx, SearchKNNCtx, InsertCtx), and Build and Open take a
+// context first. Cancellation is honored end to end: a query observes its
 // context between leaf visits, candidate verifications, partition probes,
 // and LSM run probes, so a cancelled or deadline-exceeded context returns
 // ctx.Err() promptly — never a partial or wrong answer. On the write path
@@ -98,21 +98,24 @@
 // Coconut-Tree, -Trie and -LSM are one family: a sorted array of invSAX
 // summaries answered by the same two steps, an approximate window whose k
 // best seed a SIMS verification pass under the k-th best — exact 1-NN being
-// k = 1 on every index type. TreeIndex,
-// TrieIndex and LSMIndex therefore all hold the same internal index
-// (internal/partition.Composite), built and opened through one helper: N
-// children of the variant split by key range, with N = 1 — stored exactly
-// as an unpartitioned index — unless Config.Partitions >= 2. The composite
-// owns the raw log and drives both query steps, inserts included, the same
-// way for any N; what only some variants can do — inserts, LSM
-// housekeeping — it offers exactly when its children have it.
+// k = 1 on every index type. So there is one handle, Index, for every
+// Variant: Build bulk-loads one of the variant it is given, and Open reopens
+// one of the variant its manifest records. Each holds the same internal
+// index (internal/partition.Composite): N children of the variant split by
+// key range, with N = 1 — stored exactly as an unpartitioned index — unless
+// Config.Partitions >= 2. The composite owns the raw log and drives both
+// query steps, inserts included, the same way for any N; what only some
+// variants can do — inserts, LSM housekeeping — it offers exactly when its
+// children have it, and fails with errors.ErrUnsupported otherwise. The
+// typed names TreeIndex, TrieIndex and LSMIndex, and their Build*/Open*
+// constructors, are kept for callers that use them.
 //
 // # Persistence
 //
 // Every build commits a versioned, checksummed manifest alongside the
 // index files, and Close leaves a fully durable index behind: a later
-// process reopens it with OpenTreeIndex, OpenTrieIndex, or OpenLSMIndex
-// and gets byte-identical answers without re-reading the raw dataset
+// process reopens it with Open, whatever its variant, and gets
+// byte-identical answers without re-reading the raw dataset
 // (LSM runs reopen from the run files themselves). Manifest commits are
 // atomic (write-temp + rename), so a crash never leaves a torn manifest —
 // at worst the last committed state reopens. On reopen, unset Config
@@ -134,7 +137,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
@@ -284,14 +286,6 @@ type Config struct {
 	// below the decoded key set (24 bytes per series) slows them without
 	// disturbing the blocks approximate searches keep resident.
 	CacheBytes int64
-	// ReadRetries re-attempts transient device read errors this many times
-	// (exponential backoff starting at RetryBackoff) before the error
-	// turns sticky for the handle. Deterministic failures — checksum
-	// mismatches, missing files — are never retried. 0 disables retries.
-	ReadRetries int
-	// RetryBackoff is the initial retry delay (default 1ms), doubling per
-	// attempt.
-	RetryBackoff time.Duration
 }
 
 func (c *Config) toCore() (core.Options, error) {
@@ -322,12 +316,8 @@ func (c *Config) toCore() (core.Options, error) {
 	if leaf == 0 {
 		leaf = 2000
 	}
-	fs := c.Storage
-	if c.ReadRetries > 0 {
-		fs = storage.NewRetryFS(fs, storage.RetryPolicy{Retries: c.ReadRetries, Backoff: c.RetryBackoff})
-	}
 	return core.Options{
-		FS:             fs,
+		FS:             c.Storage,
 		Name:           c.Name,
 		S:              s,
 		RawName:        c.DataFile,
@@ -340,26 +330,23 @@ func (c *Config) toCore() (core.Options, error) {
 	}, nil
 }
 
-// mergeStored loads the manifest of the persisted index cfg names and
-// adopts stored parameters into unset Config fields, so reopening needs
-// only Storage and Name. Explicitly set fields are left alone — the Open
-// paths fail loudly (ErrConfigMismatch) if they conflict with the store,
-// as they do for a stored index of another variant than want or of another
-// partition count than a non-zero cfg.Partitions.
-func (c *Config) mergeStored(want manifest.Variant) error {
+// mergeStored loads the manifest of the persisted index cfg names, adopts
+// stored parameters into unset Config fields, so reopening needs only
+// Storage and Name, and returns the stored variant (a partitioned index's
+// child variant). Explicitly set fields are left alone — the Open paths fail
+// loudly (ErrConfigMismatch) if they conflict with the store, as they do for
+// a stored index of another partition count than a non-zero cfg.Partitions.
+func (c *Config) mergeStored() (Variant, error) {
 	if c.Storage == nil {
-		return errors.New("coconut: nil Storage")
+		return "", errors.New("coconut: nil Storage")
 	}
 	m, err := core.LoadManifest(c.Storage, c.Name)
 	if err != nil {
-		return err
+		return "", err
 	}
 	kind := m.Variant
 	if kind == manifest.VariantPartitioned {
 		kind = m.Part.ChildVariant
-	}
-	if kind != want {
-		return fmt.Errorf("coconut: %w: stored index is a %s index, not %s", ErrConfigMismatch, kind, want)
 	}
 	if c.SeriesLen == 0 {
 		c.SeriesLen = m.SeriesLen
@@ -378,7 +365,7 @@ func (c *Config) mergeStored(want manifest.Variant) error {
 	}
 	// Materialization is a property of the stored bytes, not a knob.
 	c.Materialized = m.Materialized
-	return nil
+	return Variant(kind), nil
 }
 
 // Result is a search answer.
@@ -402,314 +389,131 @@ func fromCore(r core.Result) Result {
 	}
 }
 
-// TreeIndex is a Coconut-Tree index: balanced, contiguous, densely packed —
-// the paper's recommended design. With Config.Partitions >= 2 it is an
-// N-way key-range-partitioned composition of such trees, built in parallel
-// and queried scatter-gather with byte-identical answers.
-type TreeIndex struct {
+// Variant names one of the three index layouts.
+type Variant string
+
+// The index layouts: one sorted array of invSAX summaries each, answered by
+// the same query path.
+const (
+	// Tree is Coconut-Tree: balanced, contiguous, densely packed — the
+	// paper's recommended design. It takes inserts, durable at Sync.
+	Tree Variant = "tree"
+	// Trie is Coconut-Trie: prefix-split, bottom-up bulk-loaded, contiguous
+	// leaves; read-only. Mostly of interest for studying the design space.
+	Trie Variant = "trie"
+	// LSM is Coconut-LSM, the paper's future-work design for update-heavy
+	// workloads: inserts land in a memtable and flush as immutable sorted
+	// runs; full tiers compact inline (see the package-level Write path
+	// section). Its approximate window is its own size (100 records) and
+	// takes no radius.
+	LSM Variant = "lsm"
+)
+
+// Index is a Coconut index of any Variant. With Config.Partitions >= 2 it is
+// an N-way key-range-partitioned composition of such indexes, built in
+// parallel and queried scatter-gather with byte-identical answers. Every
+// Index answers every search; an operation its variant lacks — Insert on a
+// trie, Flush on a tree or a trie — fails with an error that matches
+// errors.ErrUnsupported. Build and Open make one; the typed names
+// TreeIndex, TrieIndex and LSMIndex, and their constructors, are kept for
+// callers that use them.
+type Index struct {
 	// ix is the one internal index: the composite of Config.Partitions
-	// trees, one when unpartitioned (the same holds for TrieIndex and
-	// LSMIndex). Every partition count answers byte-identically.
-	ix *partition.Composite
+	// children, one when unpartitioned.
+	ix        *partition.Composite
+	variant   Variant
+	seriesLen int
 }
 
-// ctxGate implements the coarse-grained cancellation contract of the
-// Build*/Open* Ctx wrappers: the context is checked at entry (before any
-// file is touched) and again after the phase completes — a build/open that
-// finishes under an already-done ctx closes the fresh handle and returns
-// ctx.Err(). Construction itself is not interrupted mid-pass; its phases
-// are sequential bulk I/O, and a cancelled caller loses nothing but time
-// already spent.
-func ctxGate(ctx context.Context, build func() (*partition.Composite, error)) (*partition.Composite, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ix, err := build()
-	if err != nil {
-		return nil, err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		ix.Close()
-		return nil, cerr
-	}
-	return ix, nil
+// TreeIndex and TrieIndex are Index under the names of the typed
+// constructors, kept for callers that use them.
+type (
+	TreeIndex = Index
+	TrieIndex = Index
+)
+
+// LSMIndex is an Index of the LSM variant under the name of the typed
+// constructors, kept for callers that use them. It differs from Index only
+// in its approximate search, which takes no radius.
+type LSMIndex struct{ *Index }
+
+// Build bulk-loads an index of variant v over the dataset cfg names.
+// Cancellation is coarse-grained: ctx is checked before the build starts and
+// after it finishes — a build that finishes under a done ctx closes the fresh
+// index and returns ctx.Err() — but the bulk load, sequential passes of bulk
+// I/O, is not interrupted mid-pass.
+func Build(ctx context.Context, cfg Config, v Variant) (*Index, error) {
+	return cfg.index(ctx, v, false)
+}
+
+// Open reopens the index previously built (and Closed) under cfg.Name over
+// cfg.Storage, of whichever variant its manifest records, without touching
+// the raw dataset: a tree's leaf directory comes from its manifest, a
+// trie's sorted summaries from its own leaves, an LSM's runs from the run
+// files themselves (with the compaction cursors restored, so later Inserts
+// continue the flush/compaction sequence a never-closed index would have
+// produced), and a partitioned index reopens through its parent manifest,
+// child by child, never partially. Unset Config fields are adopted from the
+// manifest; conflicting ones fail with ErrConfigMismatch. ctx is checked
+// before the manifest is read and after the reopen, as in Build.
+func Open(ctx context.Context, cfg Config) (*Index, error) {
+	return cfg.index(ctx, "", true)
 }
 
 // index is the one way an index comes to be: it bulk-loads — or, with
 // reopen, reopens from the manifest — the composite of cfg.Partitions
-// indexes of variant kind that cfg names, one when unpartitioned.
-func (c Config) index(ctx context.Context, kind manifest.Variant, reopen bool) (*partition.Composite, error) {
+// indexes of variant v that cfg names, one when unpartitioned. A reopen
+// with v set fails with ErrConfigMismatch over a stored index of another
+// variant.
+func (c Config) index(ctx context.Context, v Variant, reopen bool) (*Index, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if reopen {
-		if err := c.mergeStored(kind); err != nil {
+		stored, err := c.mergeStored()
+		if err != nil {
 			return nil, err
 		}
+		if v != "" && v != stored {
+			return nil, fmt.Errorf("coconut: %w: stored index is a %s index, not %s", ErrConfigMismatch, stored, v)
+		}
+		v = stored
 	}
 	opt, err := c.toCore()
 	if err != nil {
 		return nil, err
 	}
-	v := c.variant(kind, opt)
-	return ctxGate(ctx, func() (*partition.Composite, error) {
-		if reopen {
-			return partition.Open(v, c.Partitions)
-		}
-		return partition.Build(v, c.Partitions, nil)
-	})
-}
-
-// variant is the index kind over opt, cfg's core options.
-func (c Config) variant(kind manifest.Variant, opt core.Options) partition.Variant {
-	switch kind {
-	case manifest.VariantTree:
-		return partition.TreeVariant(opt)
-	case manifest.VariantTrie:
-		return partition.TrieVariant(opt)
-	}
-	return partition.LSMVariant(c.toLSM(opt))
-}
-
-// BuildTreeIndex bulk-loads a Coconut-Tree over the dataset.
-func BuildTreeIndex(cfg Config) (*TreeIndex, error) {
-	return BuildTreeIndexCtx(context.Background(), cfg)
-}
-
-// BuildTreeIndexCtx is BuildTreeIndex with coarse-grained cancellation:
-// ctx is checked before the build starts and after it finishes (see
-// ctxGate); it does not interrupt the bulk-load mid-pass.
-func BuildTreeIndexCtx(ctx context.Context, cfg Config) (*TreeIndex, error) {
-	ix, err := cfg.index(ctx, manifest.VariantTree, false)
+	pv, err := c.variant(v, opt)
 	if err != nil {
 		return nil, err
 	}
-	return &TreeIndex{ix: ix}, nil
-}
-
-// OpenTreeIndex reopens a Coconut-Tree previously built (and Closed) over
-// cfg.Storage, reconstructing the handle from the persisted manifest (which
-// holds the leaf directory) and leaf file without touching the raw dataset.
-// A partitioned tree reopens
-// through its parent manifest (child by child, never partially). Unset
-// Config fields are adopted from the manifest; conflicting ones fail with
-// ErrConfigMismatch.
-func OpenTreeIndex(cfg Config) (*TreeIndex, error) {
-	return OpenTreeIndexCtx(context.Background(), cfg)
-}
-
-// OpenTreeIndexCtx is OpenTreeIndex with coarse-grained cancellation:
-// ctx is checked before the manifest is read and after the handle is
-// reconstructed (see ctxGate); the reopen is not interrupted mid-pass.
-func OpenTreeIndexCtx(ctx context.Context, cfg Config) (*TreeIndex, error) {
-	ix, err := cfg.index(ctx, manifest.VariantTree, true)
+	var ix *partition.Composite
+	if reopen {
+		ix, err = partition.Open(pv, c.Partitions)
+	} else {
+		ix, err = partition.Build(pv, c.Partitions, nil)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &TreeIndex{ix: ix}, nil
-}
-
-// Search returns the exact nearest neighbor of q (CoconutTreeSIMS): it is
-// SearchKNN with k = 1, so an exact distance tie goes to the lowest
-// position, as it does on every index type and partition count.
-func (t *TreeIndex) Search(q Series) (Result, error) {
-	return t.SearchCtx(context.Background(), q)
-}
-
-// SearchCtx is Search with cancellation: the query observes ctx between
-// leaf visits and candidate verifications (across every partition), so a
-// cancelled or expired ctx returns ctx.Err() promptly — never a partial
-// answer.
-func (t *TreeIndex) SearchCtx(ctx context.Context, q Series) (Result, error) {
-	r, err := t.ix.ExactSearch(ctx, q, 1)
-	return fromCore(r), err
-}
-
-// SearchApprox returns a fast approximate nearest neighbor (Algorithm 4):
-// the best of the ApproxWindow×(radius+1) records around the query's sort
-// position in the summaries of every partition, ApproxWindow being 32.
-func (t *TreeIndex) SearchApprox(q Series, radius int) (Result, error) {
-	return t.SearchApproxCtx(context.Background(), q, radius)
-}
-
-// SearchApproxCtx is SearchApprox with cancellation (see SearchCtx).
-func (t *TreeIndex) SearchApproxCtx(ctx context.Context, q Series, radius int) (Result, error) {
-	r, err := t.ix.ApproxSearch(ctx, q, radius)
-	return fromCore(r), err
-}
-
-// Insert adds new series to the index and dataset (batched; sorting the
-// batch internally concentrates leaf touches).
-func (t *TreeIndex) Insert(batch []Series) error { return t.InsertCtx(context.Background(), batch) }
-
-// InsertCtx is Insert with admission control: ctx is checked before any
-// bytes move, so a done ctx rejects the batch up front with ctx.Err().
-// Once the batch is admitted it runs to completion — aborting a routed
-// multi-partition insert midway would leave the dataset and index out of
-// step.
-func (t *TreeIndex) InsertCtx(ctx context.Context, batch []Series) error {
-	return t.ix.Insert(ctx, batch)
-}
-
-// Count returns the number of indexed series.
-func (t *TreeIndex) Count() int64 { return t.ix.Count() }
-
-// NumLeaves returns the number of leaves.
-func (t *TreeIndex) NumLeaves() int { return t.ix.Shape().Leaves }
-
-// LeafFill returns the mean leaf occupancy in [0,1].
-func (t *TreeIndex) LeafFill() float64 { return t.ix.Shape().LeafFill }
-
-// SizeBytes returns the on-device index size.
-func (t *TreeIndex) SizeBytes() int64 { return t.ix.SizeBytes() }
-
-// Sync persists what Insert made stale — the inserted series (a commit of
-// the raw log), then the leaf run they were merged into and the manifest
-// that names it — so a crash afterwards loses nothing, and a crash before it
-// reopens at the previous Sync. Close syncs too.
-func (t *TreeIndex) Sync() error { return t.ix.Sync() }
-
-// Close persists pending metadata and releases the index's file handles;
-// the index can later be reopened with OpenTreeIndex.
-func (t *TreeIndex) Close() error { return t.ix.Close() }
-
-// TrieIndex is a Coconut-Trie index: prefix-split, bottom-up bulk-loaded,
-// contiguous leaves. Mostly of interest for studying the design space; use
-// TreeIndex for applications. Config.Partitions >= 2 composes N of them by
-// key range with byte-identical answers.
-type TrieIndex struct {
-	ix *partition.Composite
-}
-
-// BuildTrieIndex bulk-loads a Coconut-Trie over the dataset.
-func BuildTrieIndex(cfg Config) (*TrieIndex, error) {
-	return BuildTrieIndexCtx(context.Background(), cfg)
-}
-
-// BuildTrieIndexCtx is BuildTrieIndex with coarse-grained cancellation
-// (see BuildTreeIndexCtx).
-func BuildTrieIndexCtx(ctx context.Context, cfg Config) (*TrieIndex, error) {
-	ix, err := cfg.index(ctx, manifest.VariantTrie, false)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
+		ix.Close()
 		return nil, err
 	}
-	return &TrieIndex{ix: ix}, nil
+	return &Index{ix: ix, variant: v, seriesLen: c.SeriesLen}, nil
 }
 
-// OpenTrieIndex reopens a Coconut-Trie previously built (and Closed) over
-// cfg.Storage: the sorted summary array reloads from the index's own
-// contiguous leaves and the in-memory trie is reconstructed and verified
-// against the manifest — the raw dataset is never read. A partitioned
-// trie reopens through its parent manifest. Unset Config fields are
-// adopted from the manifest; conflicting ones fail with
-// ErrConfigMismatch.
-func OpenTrieIndex(cfg Config) (*TrieIndex, error) {
-	return OpenTrieIndexCtx(context.Background(), cfg)
-}
-
-// OpenTrieIndexCtx is OpenTrieIndex with coarse-grained cancellation
-// (see OpenTreeIndexCtx).
-func OpenTrieIndexCtx(ctx context.Context, cfg Config) (*TrieIndex, error) {
-	ix, err := cfg.index(ctx, manifest.VariantTrie, true)
-	if err != nil {
-		return nil, err
+// variant is the internal index kind v over opt, cfg's core options.
+func (c Config) variant(v Variant, opt core.Options) (partition.Variant, error) {
+	switch v {
+	case Tree:
+		return partition.TreeVariant(opt), nil
+	case Trie:
+		return partition.TrieVariant(opt), nil
+	case LSM:
+		return partition.LSMVariant(c.toLSM(opt)), nil
 	}
-	return &TrieIndex{ix: ix}, nil
-}
-
-// Search returns the exact nearest neighbor of q; an exact distance tie
-// goes to the lowest position (see TreeIndex.Search).
-func (t *TrieIndex) Search(q Series) (Result, error) {
-	return t.SearchCtx(context.Background(), q)
-}
-
-// SearchCtx is Search with cancellation: a done ctx returns ctx.Err()
-// promptly, never a partial answer.
-func (t *TrieIndex) SearchCtx(ctx context.Context, q Series) (Result, error) {
-	r, err := t.ix.ExactSearch(ctx, q, 0)
-	return fromCore(r), err
-}
-
-// SearchApprox returns a fast approximate nearest neighbor: the best of the
-// ApproxWindow×(radius+1) records around the query's sort position (see
-// TreeIndex.SearchApprox).
-func (t *TrieIndex) SearchApprox(q Series, radius int) (Result, error) {
-	return t.SearchApproxCtx(context.Background(), q, radius)
-}
-
-// SearchApproxCtx is SearchApprox with cancellation (see SearchCtx).
-func (t *TrieIndex) SearchApproxCtx(ctx context.Context, q Series, radius int) (Result, error) {
-	r, err := t.ix.ApproxSearch(ctx, q, radius)
-	return fromCore(r), err
-}
-
-// Count returns the number of indexed series.
-func (t *TrieIndex) Count() int64 { return t.ix.Count() }
-
-// NumLeaves returns the number of leaves.
-func (t *TrieIndex) NumLeaves() int { return t.ix.Shape().Leaves }
-
-// LeafFill returns the mean leaf occupancy in [0,1].
-func (t *TrieIndex) LeafFill() float64 { return t.ix.Shape().LeafFill }
-
-// SizeBytes returns the on-device index size.
-func (t *TrieIndex) SizeBytes() int64 { return t.ix.SizeBytes() }
-
-// Close releases the index's file handles.
-func (t *TrieIndex) Close() error { return t.ix.Close() }
-
-// Neighbor is one SearchKNN answer.
-type Neighbor struct {
-	// Position is the series' ordinal in the dataset file.
-	Position int64
-	// Distance is its Euclidean distance to the query.
-	Distance float64
-}
-
-// SearchKNN returns the k exact nearest neighbors of q, ranked by distance
-// and, on an exact tie, by position; k < 1 means 1, and a k past the
-// indexed count returns every series. It is the one exact search every
-// index type runs, Search being k = 1.
-func (t *TreeIndex) SearchKNN(q Series, k int) ([]Neighbor, error) {
-	return t.SearchKNNCtx(context.Background(), q, k)
-}
-
-// SearchKNNCtx is SearchKNN with cancellation (see SearchCtx): a done ctx
-// returns ctx.Err(), never a truncated neighbor list.
-func (t *TreeIndex) SearchKNNCtx(ctx context.Context, q Series, k int) ([]Neighbor, error) {
-	return neighbors(t.ix.ExactSearchKNN(ctx, q, k, 1))
-}
-
-// SearchKNN returns the k exact nearest neighbors of q (see
-// TreeIndex.SearchKNN).
-func (t *TrieIndex) SearchKNN(q Series, k int) ([]Neighbor, error) {
-	return t.SearchKNNCtx(context.Background(), q, k)
-}
-
-// SearchKNNCtx is SearchKNN with cancellation (see SearchCtx).
-func (t *TrieIndex) SearchKNNCtx(ctx context.Context, q Series, k int) ([]Neighbor, error) {
-	return neighbors(t.ix.ExactSearchKNN(ctx, q, k, 0))
-}
-
-// neighbors converts the internal top-k.
-func neighbors(ns []core.Neighbor, _ core.Result, err error) ([]Neighbor, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Neighbor, len(ns))
-	for i, n := range ns {
-		out[i] = Neighbor{Position: n.Pos, Distance: n.Dist}
-	}
-	return out, nil
-}
-
-// LSMIndex is Coconut-LSM: the paper's future-work design for update-heavy
-// workloads. Inserts land in a memtable and flush as immutable sorted runs
-// (append-only sequential I/O); full tiers compact by merge-sorting inline,
-// inside the Insert or Flush whose flush filled them (see the package-level
-// Write path section). Queries see the memtable and all runs. With
-// Config.Partitions >= 2 inserts route to the owning partition's memtable
-// and each partition compacts independently under the divided global
-// budgets.
-type LSMIndex struct {
-	ix *partition.Composite
+	return partition.Variant{}, fmt.Errorf("coconut: unknown index variant %q (want tree, trie, or lsm)", v)
 }
 
 // toLSM derives the LSM option set from the resolved core options. The
@@ -728,121 +532,196 @@ func (c *Config) toLSM(opt core.Options) lsm.Options {
 	}
 }
 
-// BuildLSMIndex bulk-loads the initial run over the dataset.
+// lsmIndex wraps a Build or Open of the LSM variant.
+func lsmIndex(ix *Index, err error) (*LSMIndex, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &LSMIndex{ix}, nil
+}
+
+// The typed constructors are Build and Open of one variant, kept for callers
+// that use them; a typed Open fails with ErrConfigMismatch over a stored
+// index of another variant.
+
+// BuildTreeIndex is Build of a Tree under context.Background().
+func BuildTreeIndex(cfg Config) (*TreeIndex, error) { return Build(context.Background(), cfg, Tree) }
+
+// BuildTreeIndexCtx is Build of a Tree.
+func BuildTreeIndexCtx(ctx context.Context, cfg Config) (*TreeIndex, error) {
+	return Build(ctx, cfg, Tree)
+}
+
+// OpenTreeIndex is OpenTreeIndexCtx under context.Background().
+func OpenTreeIndex(cfg Config) (*TreeIndex, error) {
+	return cfg.index(context.Background(), Tree, true)
+}
+
+// OpenTreeIndexCtx is Open of a stored Tree.
+func OpenTreeIndexCtx(ctx context.Context, cfg Config) (*TreeIndex, error) {
+	return cfg.index(ctx, Tree, true)
+}
+
+// BuildTrieIndex is Build of a Trie under context.Background().
+func BuildTrieIndex(cfg Config) (*TrieIndex, error) { return Build(context.Background(), cfg, Trie) }
+
+// BuildTrieIndexCtx is Build of a Trie.
+func BuildTrieIndexCtx(ctx context.Context, cfg Config) (*TrieIndex, error) {
+	return Build(ctx, cfg, Trie)
+}
+
+// OpenTrieIndex is OpenTrieIndexCtx under context.Background().
+func OpenTrieIndex(cfg Config) (*TrieIndex, error) {
+	return cfg.index(context.Background(), Trie, true)
+}
+
+// OpenTrieIndexCtx is Open of a stored Trie.
+func OpenTrieIndexCtx(ctx context.Context, cfg Config) (*TrieIndex, error) {
+	return cfg.index(ctx, Trie, true)
+}
+
+// BuildLSMIndex is Build of an LSM under context.Background().
 func BuildLSMIndex(cfg Config) (*LSMIndex, error) {
-	return BuildLSMIndexCtx(context.Background(), cfg)
+	return lsmIndex(Build(context.Background(), cfg, LSM))
 }
 
-// BuildLSMIndexCtx is BuildLSMIndex with coarse-grained cancellation
-// (see BuildTreeIndexCtx).
+// BuildLSMIndexCtx is Build of an LSM.
 func BuildLSMIndexCtx(ctx context.Context, cfg Config) (*LSMIndex, error) {
-	ix, err := cfg.index(ctx, manifest.VariantLSM, false)
-	if err != nil {
-		return nil, err
-	}
-	return &LSMIndex{ix: ix}, nil
+	return lsmIndex(Build(ctx, cfg, LSM))
 }
 
-// OpenLSMIndex reopens a Coconut-LSM previously built (and Closed) over
-// cfg.Storage: every run reopens from the run file itself — never the raw
-// dataset — and the deterministic compaction cursors are
-// restored, so subsequent Inserts continue the exact flush/compaction
-// sequence a never-closed index would have produced. A partitioned LSM
-// reopens through its parent manifest, each child restoring its own run
-// set. Unset Config fields are adopted from the manifest; conflicting
-// ones fail with ErrConfigMismatch.
+// OpenLSMIndex is OpenLSMIndexCtx under context.Background().
 func OpenLSMIndex(cfg Config) (*LSMIndex, error) {
-	return OpenLSMIndexCtx(context.Background(), cfg)
+	return lsmIndex(cfg.index(context.Background(), LSM, true))
 }
 
-// OpenLSMIndexCtx is OpenLSMIndex with coarse-grained cancellation
-// (see OpenTreeIndexCtx).
+// OpenLSMIndexCtx is Open of a stored LSM.
 func OpenLSMIndexCtx(ctx context.Context, cfg Config) (*LSMIndex, error) {
-	ix, err := cfg.index(ctx, manifest.VariantLSM, true)
-	if err != nil {
-		return nil, err
-	}
-	return &LSMIndex{ix: ix}, nil
+	return lsmIndex(cfg.index(ctx, LSM, true))
 }
 
-// fromLSM is fromCore for an index without leaves (internally the slot
-// carries the runs a query probed).
-func fromLSM(r core.Result) Result {
-	r.VisitedLeaves = 0
-	return fromCore(r)
-}
+// Variant returns the index's layout.
+func (x *Index) Variant() Variant { return x.variant }
 
-// Search returns the exact nearest neighbor of q; an exact distance tie
-// goes to the lowest position (see TreeIndex.Search).
-func (l *LSMIndex) Search(q Series) (Result, error) {
-	return l.SearchCtx(context.Background(), q)
-}
+// SeriesLen returns the length of every indexed series.
+func (x *Index) SeriesLen() int { return x.seriesLen }
+
+// Search returns the exact nearest neighbor of q (CoconutTreeSIMS): it is
+// SearchKNN with k = 1, so an exact distance tie goes to the lowest
+// position, as it does on every index type and partition count.
+func (x *Index) Search(q Series) (Result, error) { return x.SearchCtx(context.Background(), q) }
 
 // SearchCtx is Search with cancellation: the query observes ctx between
-// run probes and candidate verifications (across every partition), so a
-// done ctx returns ctx.Err() promptly — never a partial answer.
-func (l *LSMIndex) SearchCtx(ctx context.Context, q Series) (Result, error) {
-	r, err := l.ix.ExactSearch(ctx, q, 0)
-	return fromLSM(r), err
+// leaf visits, run probes and candidate verifications (across every
+// partition), so a cancelled or expired ctx returns ctx.Err() promptly —
+// never a partial answer.
+func (x *Index) SearchCtx(ctx context.Context, q Series) (Result, error) {
+	r, err := x.ix.ExactSearch(ctx, q)
+	return fromCore(r), err
 }
 
-// SearchKNN returns the k exact nearest neighbors of q, memtable included
-// (see TreeIndex.SearchKNN).
-func (l *LSMIndex) SearchKNN(q Series, k int) ([]Neighbor, error) {
-	return l.SearchKNNCtx(context.Background(), q, k)
-}
-
-// SearchKNNCtx is SearchKNN with cancellation (see SearchCtx).
-func (l *LSMIndex) SearchKNNCtx(ctx context.Context, q Series, k int) ([]Neighbor, error) {
-	return neighbors(l.ix.ExactSearchKNN(ctx, q, k, 0))
-}
-
-// SearchApprox returns a fast approximate nearest neighbor: the best of the
-// records around the query's sort position over every run and the memtable,
-// a window of the LSM's own size (100 records) that takes no radius.
-func (l *LSMIndex) SearchApprox(q Series) (Result, error) {
-	return l.SearchApproxCtx(context.Background(), q)
+// SearchApprox returns a fast approximate nearest neighbor (Algorithm 4):
+// the best of the ApproxWindow×(radius+1) records around the query's sort
+// position in the summaries of every partition, ApproxWindow being 32. A
+// negative radius means 0, and a window past the indexed count covers
+// every series. An LSM evaluates its own 100-record window and ignores the
+// radius.
+func (x *Index) SearchApprox(q Series, radius int) (Result, error) {
+	return x.SearchApproxCtx(context.Background(), q, radius)
 }
 
 // SearchApproxCtx is SearchApprox with cancellation (see SearchCtx).
+func (x *Index) SearchApproxCtx(ctx context.Context, q Series, radius int) (Result, error) {
+	r, err := x.ix.ApproxSearch(ctx, q, radius)
+	return fromCore(r), err
+}
+
+// SearchApprox is Index.SearchApprox, whose radius an LSM ignores.
+func (l *LSMIndex) SearchApprox(q Series) (Result, error) { return l.Index.SearchApprox(q, 0) }
+
+// SearchApproxCtx is Index.SearchApproxCtx, whose radius an LSM ignores.
 func (l *LSMIndex) SearchApproxCtx(ctx context.Context, q Series) (Result, error) {
-	r, err := l.ix.ApproxSearch(ctx, q, 0)
-	return fromLSM(r), err
+	return l.Index.SearchApproxCtx(ctx, q, 0)
 }
 
-// Insert appends new series; full memtables flush to new sorted runs and
-// full tiers compact inline. A nil return means the batch is durable (the
-// raw log committed it); a compaction merge that fails is retried later, not
-// returned here, while a failed fsync is returned here and by every later
-// Insert, Flush and Sync.
-func (l *LSMIndex) Insert(batch []Series) error { return l.InsertCtx(context.Background(), batch) }
-
-// InsertCtx is Insert with cancellation. The ctx is admission control —
-// checked before any bytes move — plus an interruptible durability wait:
-// if ctx expires while the insert waits on the raw log's group commit,
-// InsertCtx returns ctx.Err() without disturbing the batch (the records
-// still become durable; only this caller stops waiting for the fsync).
-func (l *LSMIndex) InsertCtx(ctx context.Context, batch []Series) error {
-	return l.ix.Insert(ctx, batch)
+// Neighbor is one SearchKNN answer.
+type Neighbor struct {
+	// Position is the series' ordinal in the dataset file.
+	Position int64
+	// Distance is its Euclidean distance to the query.
+	Distance float64
 }
 
-// Flush forces the memtable to disk and lands every ready compaction,
+// SearchKNN returns the k exact nearest neighbors of q, ranked by distance
+// and, on an exact tie, by position; k < 1 means 1, and a k past the
+// indexed count returns every series. It is the one exact search every
+// index type runs, Search being k = 1; an LSM's memtable is included.
+func (x *Index) SearchKNN(q Series, k int) ([]Neighbor, error) {
+	return x.SearchKNNCtx(context.Background(), q, k)
+}
+
+// SearchKNNCtx is SearchKNN with cancellation (see SearchCtx): a done ctx
+// returns ctx.Err(), never a truncated neighbor list.
+func (x *Index) SearchKNNCtx(ctx context.Context, q Series, k int) ([]Neighbor, error) {
+	ns, _, err := x.ix.ExactSearchKNN(ctx, q, k)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Neighbor, len(ns))
+	for i, n := range ns {
+		out[i] = Neighbor{Position: n.Pos, Distance: n.Dist}
+	}
+	return out, nil
+}
+
+// Insert adds new series to the dataset and the index: a tree merges them
+// into its leaf run, durable at the next Sync; an LSM adds them to its
+// memtable, flushes full memtables to new sorted runs and compacts full
+// tiers inline, and returns once the raw log committed the batch (a failed
+// fsync is returned here and by every later Insert, Flush and Sync; a
+// failed compaction merge is retried later, not returned). A trie takes no
+// inserts.
+func (x *Index) Insert(batch []Series) error { return x.InsertCtx(context.Background(), batch) }
+
+// InsertCtx is Insert with admission control: ctx is checked before any
+// bytes move, so a done ctx rejects the batch up front with ctx.Err(). Once
+// the batch is admitted it is routed to completion — aborting a routed
+// multi-partition insert midway would leave the dataset and index out of
+// step. An LSM insert whose ctx expires while it waits on the raw log's
+// group commit returns ctx.Err() without disturbing the batch: the records
+// still become durable; only this caller stops waiting.
+func (x *Index) InsertCtx(ctx context.Context, batch []Series) error {
+	return x.ix.Insert(ctx, batch)
+}
+
+// Flush forces an LSM's memtable to disk and lands every ready compaction,
 // retrying any merge an earlier Insert could not complete; it returns a
-// merge that still fails.
-func (l *LSMIndex) Flush() error { return l.ix.Flush() }
+// merge that still fails. A tree or a trie has no memtable to flush.
+func (x *Index) Flush() error { return x.ix.Flush() }
 
-// Sync is Flush: after a nil Sync every ready compaction has landed and
-// the on-disk state is the deterministic function of the inserts so far.
-func (l *LSMIndex) Sync() error { return l.ix.Sync() }
+// Sync persists what Insert made stale, so a crash afterwards loses
+// nothing: a tree's inserted series (a commit of the raw log), then the
+// leaf run they were merged into and the manifest that names it — a crash
+// before it reopens at the previous Sync; an LSM's memtable and every
+// ready compaction, after which the on-disk state is the deterministic
+// function of the inserts so far. A trie has nothing to sync. Close syncs
+// too.
+func (x *Index) Sync() error { return x.ix.Sync() }
 
 // Count returns the number of indexed series.
-func (l *LSMIndex) Count() int64 { return l.ix.Count() }
+func (x *Index) Count() int64 { return x.ix.Count() }
 
-// NumRuns returns the number of on-disk sorted runs.
-func (l *LSMIndex) NumRuns() int { return l.ix.Shape().Runs }
+// NumLeaves returns the number of leaves of a tree or a trie.
+func (x *Index) NumLeaves() int { return x.ix.Shape().Leaves }
 
-// SizeBytes returns the total size of all runs.
-func (l *LSMIndex) SizeBytes() int64 { return l.ix.SizeBytes() }
+// LeafFill returns the mean leaf occupancy in [0,1] of a tree or a trie.
+func (x *Index) LeafFill() float64 { return x.ix.Shape().LeafFill }
+
+// NumRuns returns the number of an LSM's on-disk sorted runs.
+func (x *Index) NumRuns() int { return x.ix.Shape().Runs }
+
+// SizeBytes returns the on-device index size.
+func (x *Index) SizeBytes() int64 { return x.ix.SizeBytes() }
 
 // CacheStats is a snapshot of the shared decoded-block cache's counters:
 // hits, misses, evictions, scan decodes (blocks an exact search decoded
@@ -851,15 +730,15 @@ func (l *LSMIndex) SizeBytes() int64 { return l.ix.SizeBytes() }
 type CacheStats = blockcache.Stats
 
 // CacheStats reports the handle's block-cache counters — one cache serves
-// all runs and partitions, so these are whole-index numbers. Use the
-// hit/miss ratio under a representative query load to size
-// Config.CacheBytes.
-func (l *LSMIndex) CacheStats() CacheStats { return l.ix.CacheStats() }
+// all runs and partitions of an LSM, so these are whole-index numbers; a
+// tree or a trie reads none and reports zeros. Use the hit/miss ratio under
+// a representative query load to size Config.CacheBytes.
+func (x *Index) CacheStats() CacheStats { return x.ix.CacheStats() }
 
-// Close flushes the memtable, lands every ready compaction (returning a
-// merge that still fails), commits the manifest, and releases file
-// handles; the index can later be reopened with OpenLSMIndex.
-func (l *LSMIndex) Close() error { return l.ix.Close() }
+// Close syncs (an LSM: flushes the memtable, lands every ready compaction,
+// returning a merge that still fails), commits the manifest, and releases
+// the index's file handles; the index can later be reopened with Open.
+func (x *Index) Close() error { return x.ix.Close() }
 
 // ZNormalize z-normalizes s in place and returns it. Queries against the
 // built-in generators' datasets should be z-normalized.

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -27,12 +28,12 @@ func main() {
 	}
 
 	start := time.Now()
-	idx, err := coconut.BuildTreeIndex(coconut.Config{
+	idx, err := coconut.Build(context.Background(), coconut.Config{
 		Storage:   fs,
 		Name:      "quickstart",
 		DataFile:  "data.bin",
 		SeriesLen: seriesLen,
-	})
+	}, coconut.Tree)
 	if err != nil {
 		log.Fatal(err)
 	}

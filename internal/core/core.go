@@ -391,8 +391,19 @@ type ApproxWindow struct {
 	// Fetch, set instead by a materialized source, loads one of its
 	// candidates from its own leaves (serial, per-query).
 	Fetch window.FetchFunc
-	// Leaves counts the leaves the window spans (LSM: runs probed).
+	// Leaves counts the leaves the window spans (an LSM has none).
 	Leaves int64
+}
+
+// WindowHalf is the per-side size of the approximate window of
+// approxWindow×(radius+1) records over n records, saturated at n: a negative
+// radius means 0, and a radius past what n records fill cannot overflow.
+func WindowHalf(approxWindow, radius, n int) int {
+	radius = max(radius, 0)
+	if radius >= 2*n/approxWindow {
+		return n
+	}
+	return approxWindow * (radius + 1) / 2
 }
 
 // windowCands collects the window contribution of a sorted summary array —
@@ -405,7 +416,7 @@ func windowCands(opt *Options, sims *simsArray, q series.Series, radius int) (aw
 	if err != nil {
 		return aw, 0, 0, err
 	}
-	half := opt.ApproxWindow * (radius + 1) / 2
+	half := WindowHalf(opt.ApproxWindow, radius, sims.col.Len())
 	ins := sims.col.Search(opt.S.SAXFromPAA(qPAA, nil))
 	lo, hi = max(ins-half, 0), min(ins+half, sims.col.Len())
 	aw.Below, aw.Above = make([]window.Cand, 0, ins-lo), make([]window.Cand, 0, hi-ins)

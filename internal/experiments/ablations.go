@@ -199,7 +199,7 @@ func AblationLSMUpdates(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ix, _, err := e.buildCTree(false, budget)
+		ix, _, err := e.buildCoconut(seededTree(0), false, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -217,7 +217,7 @@ func AblationLSMUpdates(sc Scale) (*Table, error) {
 		}
 		q := e.queries(1)[0]
 		qc, err := measure(e.fs, func() error {
-			_, err := ix.ExactSearch(context.Background(), q, 0)
+			_, err := ix.ExactSearch(context.Background(), q)
 			return err
 		})
 		ix.Close()
@@ -296,7 +296,7 @@ func AblationLSMUpdates(sc Scale) (*Table, error) {
 		}
 		q := e.queries(1)[0]
 		qc, err := measure(e.fs, func() error {
-			_, err := ix.ExactSearch(context.Background(), q, 0)
+			_, err := ix.ExactSearch(context.Background(), q)
 			return err
 		})
 		ix.Close()
@@ -335,7 +335,7 @@ func AblationLeafSize(sc Scale) (*Table, error) {
 		}
 		qc, err := measure(e.fs, func() error {
 			for _, q := range e.queries(lsc.Queries) {
-				if _, err := ix.ExactSearch(context.Background(), q, 1); err != nil {
+				if _, err := ix.ExactSearch(context.Background(), q); err != nil {
 					return err
 				}
 			}

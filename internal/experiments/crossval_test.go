@@ -61,7 +61,7 @@ func TestAllIndexesAgreeOnExactNN(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("Coconut-Tree", func(q series.Series) (float64, error) {
-				r, err := ix.ExactSearch(context.Background(), q, 1)
+				r, err := ix.ExactSearch(context.Background(), q)
 				return r.Dist, err
 			})
 			ix.Close()
@@ -73,7 +73,7 @@ func TestAllIndexesAgreeOnExactNN(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("Coconut-Tree-Full", func(q series.Series) (float64, error) {
-				r, err := ix.ExactSearch(context.Background(), q, 1)
+				r, err := ix.ExactSearch(context.Background(), q)
 				return r.Dist, err
 			})
 			ix.Close()
@@ -85,7 +85,7 @@ func TestAllIndexesAgreeOnExactNN(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("Coconut-Trie", func(q series.Series) (float64, error) {
-				r, err := ix.ExactSearch(context.Background(), q, 0)
+				r, err := ix.ExactSearch(context.Background(), q)
 				return r.Dist, err
 			})
 			ix.Close()
@@ -161,7 +161,7 @@ func TestAllIndexesAgreeOnExactNN(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("Coconut-LSM", func(q series.Series) (float64, error) {
-				r, err := ix.ExactSearch(context.Background(), q, 0)
+				r, err := ix.ExactSearch(context.Background(), q)
 				return r.Dist, err
 			})
 			ix.Close()

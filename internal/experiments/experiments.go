@@ -250,6 +250,12 @@ func (e *env) buildCTrie(mat bool, budget int64) (*partition.Composite, Cost, er
 	return e.buildCoconut(partition.TrieVariant, mat, budget)
 }
 
+// seededTree is Coconut-Tree with its exact search seeded from the radius
+// window.
+func seededTree(radius int) func(core.Options) partition.Variant {
+	return func(opt core.Options) partition.Variant { return partition.TreeVariant(opt).Seeded(radius) }
+}
+
 // buildCoconut bulk-loads the unpartitioned Coconut index of variant over
 // the environment's dataset.
 func (e *env) buildCoconut(variant func(core.Options) partition.Variant, mat bool, budget int64) (*partition.Composite, Cost, error) {

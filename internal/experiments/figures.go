@@ -7,6 +7,7 @@ import (
 
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/isax"
+	"github.com/coconut-db/coconut/internal/partition"
 )
 
 // memorySweep is the fraction-of-dataset memory regimes used by the
@@ -493,7 +494,7 @@ func Fig9aExact(sc Scale) (*Table, error) {
 			}
 			c, err := measure(e.fs, func() error {
 				for _, q := range qs(e) {
-					if _, err := ix.ExactSearch(context.Background(), q, 1); err != nil {
+					if _, err := ix.ExactSearch(context.Background(), q); err != nil {
 						return err
 					}
 				}
@@ -516,7 +517,7 @@ func Fig9aExact(sc Scale) (*Table, error) {
 			}
 			c, err := measure(e.fs, func() error {
 				for _, q := range qs(e) {
-					if _, err := ix.ExactSearch(context.Background(), q, 1); err != nil {
+					if _, err := ix.ExactSearch(context.Background(), q); err != nil {
 						return err
 					}
 				}
@@ -886,7 +887,19 @@ func Fig9ef(sc Scale) (timeTable, visitedTable *Table, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := ix.Close(); err != nil {
+		return nil, nil, err
+	}
+	opt, err := e.coreOptions(true, budget)
+	if err != nil {
+		return nil, nil, err
+	}
 	for _, radius := range []int{0, 1, 10} {
+		// The tree reopens with its exact search seeded from this radius.
+		ix, err := partition.Open(seededTree(radius)(opt), 1)
+		if err != nil {
+			return nil, nil, err
+		}
 		var visited int64
 		c, err := measure(e.fs, func() error {
 			for _, q := range e.queries(sc.Queries) {
@@ -898,7 +911,7 @@ func Fig9ef(sc Scale) (timeTable, visitedTable *Table, err error) {
 				if err != nil {
 					return err
 				}
-				r, err := ix.ExactSearch(context.Background(), q, radius)
+				r, err := ix.ExactSearch(context.Background(), q)
 				if err != nil {
 					return err
 				}
@@ -906,6 +919,7 @@ func Fig9ef(sc Scale) (timeTable, visitedTable *Table, err error) {
 			}
 			return nil
 		})
+		ix.Close()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -913,7 +927,6 @@ func Fig9ef(sc Scale) (timeTable, visitedTable *Table, err error) {
 		timeTable.Add(name, ms(c.Total()/time1(sc.Queries)), ms(c.Sim/time1(sc.Queries)), ms(c.Wall/time1(sc.Queries)))
 		visitedTable.Add(name, fmt.Sprint(visited/int64(sc.Queries)))
 	}
-	ix.Close()
 
 	for _, mode := range []isax.Mode{isax.ADSFull, isax.ADSPlus} {
 		e2, err := newEnv(sc, "randomwalk", n)
@@ -980,7 +993,7 @@ func Fig10aMixedWorkload(sc Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ix, _, err := e.buildCTree(false, budget)
+			ix, _, err := e.buildCoconut(seededTree(0), false, budget)
 			if err != nil {
 				return nil, err
 			}
@@ -995,7 +1008,7 @@ func Fig10aMixedWorkload(sc Scale) (*Table, error) {
 						return err
 					}
 					for k := 0; k < 2; k++ {
-						if _, err := ix.ExactSearch(context.Background(), qs[2*b+k], 0); err != nil {
+						if _, err := ix.ExactSearch(context.Background(), qs[2*b+k]); err != nil {
 							return err
 						}
 					}
@@ -1071,7 +1084,7 @@ func RealWorkload(sc Scale, kind string, id string) (*Table, error) {
 			total = c
 			c, err = measure(e.fs, func() error {
 				for _, q := range e.queries(sc.Queries) {
-					if _, err := ix.ExactSearch(context.Background(), q, 1); err != nil {
+					if _, err := ix.ExactSearch(context.Background(), q); err != nil {
 						return err
 					}
 				}
@@ -1098,7 +1111,7 @@ func RealWorkload(sc Scale, kind string, id string) (*Table, error) {
 			total = c
 			c, err = measure(e.fs, func() error {
 				for _, q := range e.queries(sc.Queries) {
-					if _, err := ix.ExactSearch(context.Background(), q, 1); err != nil {
+					if _, err := ix.ExactSearch(context.Background(), q); err != nil {
 						return err
 					}
 				}

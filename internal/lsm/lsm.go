@@ -848,10 +848,10 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 // trimming never changes the merged global window — a record in the global
 // trailing half is necessarily in its own source's trailing half. Lower
 // bounds come from q's table tbl, shared by every source.
-func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (below, above []window.Cand, runs int64, err error) {
+func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (below, above []window.Cand, err error) {
 	key, err := ix.opt.S.KeyOf(q)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	half := ix.opt.Window / 2
 	// Each run and the memtable contribute at most half a window per side.
@@ -860,7 +860,7 @@ func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (
 	for _, r := range ix.runs {
 		idx, serr := r.rb.Search(key)
 		if serr != nil {
-			return nil, nil, 0, serr
+			return nil, nil, serr
 		}
 		lo, hi := idx-int64(half), idx+int64(half)
 		err := r.rb.Range(lo, idx, func(k summary.Key, pos int64) error {
@@ -868,16 +868,15 @@ func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (
 			return nil
 		})
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		err = r.rb.Range(idx, hi, func(k summary.Key, pos int64) error {
 			above = append(above, window.Cand{Key: k, Pos: pos, LB: tbl.Key(k)})
 			return nil
 		})
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
-		runs++
 	}
 	var mb, ma []window.Cand
 	for _, e := range ix.mem {
@@ -898,7 +897,7 @@ func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (
 	}
 	below = append(below, mb...)
 	above = append(above, ma...)
-	return below, above, runs, nil
+	return below, above, nil
 }
 
 // ApproxWindowCands is this index's contribution to an approximate search:
@@ -909,7 +908,7 @@ func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (
 // multiset, so the answer is identical for any run layout — before or after
 // flushes and compactions, and across partition counts. An empty index
 // contributes nothing (no error — the cross-partition window may still be
-// non-empty). The Leaves counter reports runs probed; the candidates are
+// non-empty). An LSM has no leaves, so Leaves stays 0; the candidates are
 // read from the raw file by whoever evaluates the merged window
 // (core.EvalWindow), which observes its ctx between records. The radius
 // every index takes is ignored here and below: the LSM window is sized by
@@ -926,11 +925,11 @@ func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, _ int) (c
 		return aw, err
 	}
 	defer pass.Release() // the window's bounds are all taken before it returns
-	below, above, runs, err := ix.windowCandsLocked(q, &pass.Table)
+	below, above, err := ix.windowCandsLocked(q, &pass.Table)
 	if err != nil {
 		return aw, err
 	}
-	aw.Below, aw.Above, aw.Leaves = below, above, runs
+	aw.Below, aw.Above = below, above
 	aw.Raw, aw.Sums = ix.rawFile, ix.rawSums
 	return aw, nil
 }

@@ -234,7 +234,8 @@ func (c *Composite) each(ctx context.Context, step func(ctx context.Context, i i
 // Callers hold mu shared.
 func (c *Composite) approxSq(ctx context.Context, q series.Series, k, radius int) ([]core.Neighbor, core.Result, error) {
 	res := core.Result{Pos: -1, Dist: math.Inf(1)}
-	if c.Count() == 0 {
+	n := c.Count()
+	if n == 0 {
 		return nil, res, core.ErrEmptyIndex
 	}
 	aws := make([]core.ApproxWindow, len(c.kids))
@@ -263,7 +264,7 @@ func (c *Composite) approxSq(ctx context.Context, q series.Series, k, radius int
 	for i := range aws {
 		res.VisitedLeaves += aws[i].Leaves
 	}
-	top, visited, err := core.EvalWindow(ctx, q, k, window.Merge(below, above, c.v.half(radius)), aws...)
+	top, visited, err := core.EvalWindow(ctx, q, k, window.Merge(below, above, c.v.half(radius, int(n))), aws...)
 	res.VisitedRecords = visited
 	return top, res, err
 }
@@ -280,11 +281,11 @@ func (c *Composite) approxSq(ctx context.Context, q series.Series, k, radius int
 // record count means all of them. A parent cancel cancels every partition's
 // verification, the first child error cancels its siblings, and a done ctx
 // returns ctx.Err() — never a partial top-k.
-func (c *Composite) ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]core.Neighbor, core.Result, error) {
+func (c *Composite) ExactSearchKNN(ctx context.Context, q series.Series, k int) ([]core.Neighbor, core.Result, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	k = max(k, 1)
-	seed, res, err := c.approxSq(ctx, q, k, radius)
+	seed, res, err := c.approxSq(ctx, q, k, c.v.seedRadius)
 	if err != nil {
 		return nil, res, err
 	}
@@ -323,8 +324,8 @@ func (c *Composite) ExactSearchKNN(ctx context.Context, q series.Series, k, radi
 
 // ExactSearch returns the exact nearest neighbor of q: ExactSearchKNN with
 // k = 1, whose Result it is.
-func (c *Composite) ExactSearch(ctx context.Context, q series.Series, radius int) (core.Result, error) {
-	_, res, err := c.ExactSearchKNN(ctx, q, 1, radius)
+func (c *Composite) ExactSearch(ctx context.Context, q series.Series) (core.Result, error) {
+	_, res, err := c.ExactSearchKNN(ctx, q, 1)
 	return res, err
 }
 

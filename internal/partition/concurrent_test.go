@@ -86,11 +86,11 @@ func TestConcurrentTreeQueriesSharedHandle(t *testing.T) {
 								var err error
 								switch (g + it) % 3 {
 								case 0:
-									_, err = ix.ExactSearch(context.Background(), q, 1)
+									_, err = ix.ExactSearch(context.Background(), q)
 								case 1:
 									_, err = ix.ApproxSearch(context.Background(), q, 1)
 								default:
-									_, _, err = ix.ExactSearchKNN(context.Background(), q, 3, 1)
+									_, _, err = ix.ExactSearchKNN(context.Background(), q, 3)
 								}
 								if err != nil {
 									return err
@@ -127,7 +127,7 @@ func TestConcurrentTreeQueriesWithInserts(t *testing.T) {
 				for g := 0; g < 6; g++ {
 					work = append(work, func() error {
 						for it := 0; it < 4; it++ {
-							if _, err := ix.ExactSearch(context.Background(), qs[g%len(qs)], 0); err != nil {
+							if _, err := ix.ExactSearch(context.Background(), qs[g%len(qs)]); err != nil {
 								return err
 							}
 						}
@@ -147,7 +147,7 @@ func TestConcurrentTreeQueriesWithInserts(t *testing.T) {
 					t.Fatalf("Count = %d after concurrent inserts", ix.Count())
 				}
 				// Post-condition: a fresh query sees every inserted series.
-				res, err := ix.ExactSearch(context.Background(), batches[13], 0)
+				res, err := ix.ExactSearch(context.Background(), batches[13])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -179,7 +179,7 @@ func TestConcurrentTrieQueriesSharedHandle(t *testing.T) {
 						for it := 0; it < 3; it++ {
 							var err error
 							if it%2 == 0 {
-								_, err = ix.ExactSearch(context.Background(), q, 1)
+								_, err = ix.ExactSearch(context.Background(), q)
 							} else {
 								_, err = ix.ApproxSearch(context.Background(), q, 1)
 							}
@@ -258,7 +258,7 @@ func TestConcurrentLSMQueriesWithAppend(t *testing.T) {
 					for it := 0; it < 4; it++ {
 						var err error
 						if it%2 == 0 {
-							_, err = ix.ExactSearch(context.Background(), q, 0)
+							_, err = ix.ExactSearch(context.Background(), q)
 						} else {
 							_, err = ix.ApproxSearch(context.Background(), q, 0)
 						}
@@ -319,7 +319,7 @@ func TestConcurrentLSMQueriesWithAppend(t *testing.T) {
 			// nearest neighbor at its own position, and Count rules out a
 			// second copy.
 			for p, s := range all {
-				res, err := ix.ExactSearch(context.Background(), s, 0)
+				res, err := ix.ExactSearch(context.Background(), s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -328,7 +328,7 @@ func TestConcurrentLSMQueriesWithAppend(t *testing.T) {
 				}
 			}
 			// Every appended series is findable.
-			if res, err := ix.ExactSearch(context.Background(), streams[1][123], 0); err != nil || res.Dist > 1e-9 {
+			if res, err := ix.ExactSearch(context.Background(), streams[1][123]); err != nil || res.Dist > 1e-9 {
 				t.Fatalf("appended series lost during concurrent load: dist=%v err=%v", res.Dist, err)
 			}
 			// Every merged-away input was deleted and no temporary survived:
@@ -342,7 +342,7 @@ func TestConcurrentLSMQueriesWithAppend(t *testing.T) {
 			type answer struct{ exact, approx core.Result }
 			answers := make([]answer, len(qs))
 			for i, q := range qs {
-				e, err := ix.ExactSearch(context.Background(), q, 0)
+				e, err := ix.ExactSearch(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -368,7 +368,7 @@ func TestConcurrentLSMQueriesWithAppend(t *testing.T) {
 				t.Fatalf("reopened Count = %d, want %d", re.Count(), want)
 			}
 			for i, q := range qs {
-				e, err := re.ExactSearch(context.Background(), q, 0)
+				e, err := re.ExactSearch(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,7 +9,7 @@
 // also takes records whose raw bytes the Composite already appended; an LSM
 // flushes and reports its block cache. A Variant names one kind of child over one option set by
 // the few things that differ — how to build, open and remove one, how the
-// window scales with the radius.
+// window scales with the radius, which radius seeds an exact search.
 //
 // The Composite owns what its children share: the raw log (the raw file and
 // its CRC sidecar, storage.RecordSums), the build's record stream, and the
@@ -127,8 +127,10 @@ type Variant struct {
 	leafCap      int
 	workers      int
 	queryWorkers int
-	// half returns the per-side global window size for a radius.
-	half func(radius int) int
+	// half returns the per-side size of a radius's window over n records.
+	half func(radius, n int) int
+	// seedRadius is the radius of the window that seeds an exact search.
+	seedRadius int
 	// ackInserts says an insert is acknowledged once the raw log commits it
 	// (the LSM's contract); otherwise inserts become durable at Sync.
 	ackInserts bool
@@ -149,9 +151,12 @@ type childPlan struct {
 	sums          *storage.RecordSums
 }
 
-// TreeVariant is Coconut-Tree over opt.
+// TreeVariant is Coconut-Tree over opt; its exact search seeds from the
+// radius-1 window.
 func TreeVariant(opt core.Options) Variant {
-	return coreVariant(manifest.VariantTree, opt, core.BuildTree, core.OpenTree)
+	v := coreVariant(manifest.VariantTree, opt, core.BuildTree, core.OpenTree)
+	v.seedRadius = 1
+	return v
 }
 
 // TrieVariant is Coconut-Trie over opt.
@@ -169,7 +174,7 @@ func coreVariant[T Child](kind manifest.Variant, opt core.Options, build, open f
 		fs:   opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
 		materialized: opt.Materialized, leafCap: opt.LeafCap,
 		workers: opt.Workers, queryWorkers: opt.QueryWorkers,
-		half:   func(radius int) int { return aw * (radius + 1) / 2 },
+		half:   func(radius, n int) int { return core.WindowHalf(aw, radius, n) },
 		remove: core.Remove,
 		// Same geometry and summarization; a partition divides the worker
 		// and memory budgets.
@@ -207,7 +212,7 @@ func LSMVariant(opt lsm.Options) Variant {
 		kind: manifest.VariantLSM,
 		fs:   opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
 		workers: opt.Workers, queryWorkers: opt.QueryWorkers,
-		half:       func(int) int { return w / 2 },
+		half:       func(int, int) int { return w / 2 },
 		ackInserts: true,
 		remove:     lsm.Remove,
 		// A partition divides the global memory and worker budgets, so
@@ -236,6 +241,13 @@ func LSMVariant(opt lsm.Options) Variant {
 			return ix, nil
 		},
 	}
+}
+
+// Seeded is v with exact searches seeded from the radius window instead of
+// the variant's own: the knob the experiments on the seed's quality turn.
+func (v Variant) Seeded(radius int) Variant {
+	v.seedRadius = radius
+	return v
 }
 
 // childName returns the index-name prefix of partition i.

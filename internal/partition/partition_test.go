@@ -72,7 +72,7 @@ func answers(t *testing.T, ix *Composite, queries []series.Series) []answer {
 	t.Helper()
 	out := make([]answer, 0, 2*len(queries))
 	for _, q := range queries {
-		e, err := ix.ExactSearch(context.Background(), q, 0)
+		e, err := ix.ExactSearch(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +385,7 @@ func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 					t.Fatalf("%s: err = %v, want ErrUnsupported", what, err)
 				}
 			}
-			ns, _, err := c.ExactSearchKNN(context.Background(), q, 3, 1)
+			ns, _, err := c.ExactSearchKNN(context.Background(), q, 3)
 			supported("k-NN", err, true)
 			if len(ns) != 3 {
 				t.Fatalf("k-NN returned %d neighbors, want 3", len(ns))
@@ -414,7 +414,7 @@ func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 				t.Fatalf("sync: %v", err)
 			}
 			var res core.Result
-			if res, err = c.ExactSearch(context.Background(), q, 1); err != nil || res.Pos < 0 {
+			if res, err = c.ExactSearch(context.Background(), q); err != nil || res.Pos < 0 {
 				t.Fatalf("exact search after the capability calls: %+v, %v", res, err)
 			}
 		})

@@ -182,8 +182,6 @@ func (s *Server) errStatus(err error) int {
 		// gone).
 		s.canceled.Add(1)
 		return http.StatusServiceUnavailable
-	case errors.Is(err, coconut.ErrCorruptData):
-		return http.StatusInternalServerError
 	default:
 		return http.StatusInternalServerError
 	}
@@ -227,9 +225,9 @@ func (s *Server) indexInfos() []IndexInfo {
 	out := make([]IndexInfo, len(hs))
 	for i, h := range hs {
 		out[i] = IndexInfo{
-			Name: h.Name, UUID: h.UUID, Variant: h.Variant,
-			SeriesLen: h.SeriesLen, Count: h.Count(),
-			BlockCache: h.CacheStats(),
+			Name: h.Name, UUID: h.UUID, Variant: string(h.Index.Variant()),
+			SeriesLen: h.SeriesLen, Count: h.Index.Count(),
+			BlockCache: h.Index.CacheStats(),
 		}
 	}
 	return out
@@ -364,7 +362,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp := QueryResponse{Index: h.Name, UUID: h.UUID, Mode: mode}
 	switch mode {
 	case "exact":
-		res, err := h.Search(ctx, q)
+		res, err := h.Index.SearchCtx(ctx, q)
 		if err != nil {
 			writeError(w, s.errStatus(err), "exact search: %v", err)
 			return
@@ -372,7 +370,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Results = []QueryNeighbor{{Position: res.Position, Distance: res.Distance}}
 		resp.VisitedSeries = res.VisitedSeries
 	case "approx":
-		res, err := h.SearchApprox(ctx, q, radius)
+		res, err := h.Index.SearchApproxCtx(ctx, q, radius)
 		if err != nil {
 			writeError(w, s.errStatus(err), "approximate search: %v", err)
 			return
@@ -384,7 +382,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if k <= 0 {
 			k = 1
 		}
-		ns, err := h.SearchKNN(ctx, q, k)
+		ns, err := h.Index.SearchKNNCtx(ctx, q, k)
 		if err != nil {
 			writeError(w, s.errStatus(err), "knn search: %v", err)
 			return
@@ -450,10 +448,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "index %q is now generation %s (request pinned %s)", h.Name, h.UUID, req.UUID)
 		return
 	}
-	if h.insert == nil {
-		writeError(w, http.StatusBadRequest, "index %q (%s) is read-only", h.Name, h.Variant)
-		return
-	}
 	if len(req.Series) == 0 {
 		writeError(w, http.StatusBadRequest, "empty batch")
 		return
@@ -471,7 +465,11 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMS))
 	defer cancel()
 	start := time.Now()
-	if err := h.insert(ctx, batch); err != nil {
+	if err := h.Index.InsertCtx(ctx, batch); err != nil {
+		if errors.Is(err, errors.ErrUnsupported) {
+			writeError(w, http.StatusBadRequest, "index %q (%s) is read-only", h.Name, h.Index.Variant())
+			return
+		}
 		writeError(w, s.errStatus(err), "append: %v", err)
 		return
 	}

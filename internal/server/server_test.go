@@ -103,7 +103,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewTreeHandle("ix", ix, testLen)
+	h := NewHandle("ix", ix)
 	mgr := NewManager()
 	mgr.Add(h)
 	s := New(mgr, Options{})
@@ -230,7 +230,7 @@ func TestServerKNNEveryVariant(t *testing.T) {
 			if err := ix.Insert(extra); err != nil {
 				t.Fatal(err)
 			}
-			mgr.Add(NewLSMHandle(variant, ix, testLen))
+			mgr.Add(NewHandle(variant, ix.Index))
 		}
 		raw, err := storage.ReadFileAll(fs, "data.bin")
 		if err != nil {
@@ -282,26 +282,30 @@ func TestServerKNNEveryVariant(t *testing.T) {
 // request is shed with 429 + Retry-After within milliseconds — admission
 // control rejects instead of queueing.
 func TestServerShedsAtCapacity(t *testing.T) {
-	block := make(chan struct{})
-	h := &Handle{
-		Name: "slow", UUID: newUUID(), Variant: "tree", SeriesLen: 4,
-		Search: func(ctx context.Context, q coconut.Series) (coconut.Result, error) {
-			select {
-			case <-block:
-				return coconut.Result{}, nil
-			case <-ctx.Done():
-				return coconut.Result{}, ctx.Err()
-			}
-		},
-		count: func() int64 { return 0 },
-		Close: func() error { return nil },
-	}
+	ffs := storage.NewFaultFS(storage.NewMemFS())
+	ix, q := buildServedTree(t, ffs)
 	mgr := NewManager()
-	mgr.Add(h)
+	mgr.Add(NewHandle("slow", ix))
+	defer mgr.CloseAll()
 	s := New(mgr, Options{MaxInFlightQueries: 2})
 	ts := startServer(t, s)
+	// Every read blocks until the test unblocks it, so admitted queries
+	// hold their slots.
+	block := make(chan struct{})
+	ffs.SetHook(func(op storage.Op, _ string) {
+		if op == storage.OpRead {
+			<-block
+		}
+	})
+	defer func() {
+		select {
+		case <-block:
+		default:
+			close(block)
+		}
+	}()
 
-	req := QueryRequest{Index: "slow", Series: []float64{0, 0, 0, 0}}
+	req := QueryRequest{Index: "slow", Series: q}
 	done := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
@@ -353,7 +357,7 @@ func TestServerShedsAtCapacity(t *testing.T) {
 func TestServerDeadlineMapsTo504(t *testing.T) {
 	ffs := storage.NewFaultFS(storage.NewMemFS())
 	ix, q := buildServedTree(t, ffs)
-	h := NewTreeHandle("ix", ix, testLen)
+	h := NewHandle("ix", ix)
 	mgr := NewManager()
 	mgr.Add(h)
 	s := New(mgr, Options{})
@@ -395,7 +399,7 @@ func TestServerGracefulDrain(t *testing.T) {
 	ffs := storage.NewFaultFS(storage.NewMemFS())
 	ix, q := buildServedTree(t, ffs)
 	mgr := NewManager()
-	mgr.Add(NewTreeHandle("ix", ix, testLen))
+	mgr.Add(NewHandle("ix", ix))
 	s := New(mgr, Options{DrainTimeout: 5 * time.Second})
 	ts := startServer(t, s)
 
@@ -428,7 +432,7 @@ func TestServerDrainForceCancelsStalledRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := NewManager()
-	mgr.Add(NewTreeHandle("ix", ix, testLen))
+	mgr.Add(NewHandle("ix", ix))
 	s := New(mgr, Options{DrainTimeout: 300 * time.Millisecond})
 	ts := startServer(t, s)
 
@@ -482,11 +486,11 @@ func TestServerDrainForceCancelsStalledRequest(t *testing.T) {
 	}
 
 	// Crash consistency: the closed index reopens and answers identically.
-	h2, err := OpenHandle(context.Background(), coconut.Config{Storage: ffs, Name: "ix", QueryWorkers: 1})
+	ix2, err := coconut.Open(context.Background(), coconut.Config{Storage: ffs, Name: "ix", QueryWorkers: 1})
 	if err != nil {
 		t.Fatalf("reopen after forced drain: %v", err)
 	}
-	got, err := h2.Search(context.Background(), q)
+	got, err := ix2.Search(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +498,7 @@ func TestServerDrainForceCancelsStalledRequest(t *testing.T) {
 		t.Fatalf("reopened answer (%d, %v) != pre-drain answer (%d, %v)",
 			got.Position, got.Distance, want.Position, want.Distance)
 	}
-	if err := h2.Close(); err != nil {
+	if err := ix2.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -560,7 +564,7 @@ func TestStatsExposeBlockCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := NewManager()
-	mgr.Add(NewLSMHandle("lx", ix, testLen))
+	mgr.Add(NewHandle("lx", ix.Index))
 	s := New(mgr, Options{})
 	defer mgr.CloseAll()
 	ts := startServer(t, s)
@@ -588,5 +592,58 @@ func TestStatsExposeBlockCache(t *testing.T) {
 	}
 	if bc.ScanDecodes != 0 {
 		t.Fatalf("a cache that fits reports %d scan decodes", bc.ScanDecodes)
+	}
+}
+
+// buildServedTrie builds a 2-partition trie over a fresh dataset and serves
+// it under the name "trie".
+func buildServedTrie(t *testing.T) (*Manager, *httptest.Server) {
+	t.Helper()
+	fs := storage.NewMemFS()
+	if err := coconut.GenerateDataset(fs, "data.bin", coconut.RandomWalk, testSeries, testLen, 3); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := coconut.Build(context.Background(), coconut.Config{
+		Storage: fs, Name: "trie", DataFile: "data.bin", SeriesLen: testLen, LeafSize: 32, Partitions: 2,
+	}, coconut.Trie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := NewManager()
+	mgr.Add(NewHandle("trie", ix))
+	t.Cleanup(func() { mgr.CloseAll() })
+	return mgr, startServer(t, New(mgr, Options{}))
+}
+
+// TestServerApproxRadiusOutOfRange: an approximate query with a radius
+// below 0 or past what any index fills is answered — a radius whose window
+// overflowed once panicked on a partition's fan-out goroutine, which no
+// handler can recover, and took the daemon down.
+func TestServerApproxRadiusOutOfRange(t *testing.T) {
+	_, ts := buildServedTrie(t)
+	qs, err := coconut.GenerateQueries(coconut.RandomWalk, 1, testLen, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, radius := range []int{-1, -2, math.MinInt, 1 << 58, math.MaxInt} {
+		st, body, _ := postJSON(t, ts.URL+"/query", QueryRequest{Index: "trie", Series: qs[0], Mode: "approx", Radius: radius})
+		if st != http.StatusOK {
+			t.Fatalf("radius %d: %d %s", radius, st, body)
+		}
+	}
+}
+
+// TestServerAppendToTrieRefused: a trie takes no inserts, so /append to it
+// is a 400 that names it read-only, and the index keeps its count.
+func TestServerAppendToTrieRefused(t *testing.T) {
+	mgr, ts := buildServedTrie(t)
+	batch := [][]float64{make([]float64, testLen)}
+	st, body, _ := postJSON(t, ts.URL+"/append", AppendRequest{Index: "trie", Series: batch})
+	if st != http.StatusBadRequest || !bytes.Contains(body, []byte("read-only")) {
+		t.Fatalf("append to a trie: %d %s, want 400 read-only", st, body)
+	}
+	h, _ := mgr.Get("trie")
+	if n := h.Index.Count(); n != testSeries {
+		t.Fatalf("the trie holds %d series after a refused append, want %d", n, testSeries)
 	}
 }

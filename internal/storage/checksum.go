@@ -156,8 +156,7 @@ func (c *ChecksumFile) phys(i int64) int64 {
 
 // readFailure classifies an inner-read error for wrapping: EOF-shaped
 // failures mean the physical file is shorter than its own structure claims
-// (corruption); anything else is a device error passed through untouched
-// so retry/injection semantics survive.
+// (corruption); anything else is a device error, passed through untouched.
 func readFailure(err error) error {
 	if err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return fmt.Errorf("truncated: %w", ErrCorruptData)

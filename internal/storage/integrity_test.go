@@ -8,7 +8,6 @@ import (
 	"io"
 	"sync"
 	"testing"
-	"time"
 )
 
 // writeChecksummed builds a checksum file on fs with the given block size
@@ -458,105 +457,6 @@ func TestRecordSumsFillMatchesBuild(t *testing.T) {
 		})
 	}
 }
-
-func TestRetryFSRecoversTransientAndSticksAfterExhaustion(t *testing.T) {
-	mem := NewMemFS()
-	if err := WriteFileAll(mem, "f", bytes.Repeat([]byte{5}, 64)); err != nil {
-		t.Fatal(err)
-	}
-	ff := NewFaultFS(mem)
-	ff.SetCounted(OpRead)
-
-	var slept []time.Duration
-	rfs := NewRetryFS(ff, RetryPolicy{Retries: 3, Backoff: time.Millisecond})
-	rfs.sleep = func(d time.Duration) { slept = append(slept, d) }
-
-	f, err := rfs.Open("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One injected EIO: the first read fails, the retry succeeds.
-	ff.FailAt(ff.OpCount() + 1)
-	buf := make([]byte, 8)
-	if n, err := f.ReadAt(buf, 0); err != nil || n != 8 {
-		t.Fatalf("read with transient fault: n=%d err=%v", n, err)
-	}
-	if len(slept) != 1 || slept[0] != time.Millisecond {
-		t.Fatalf("backoff sleeps %v, want [1ms]", slept)
-	}
-	// EOF-shaped and corruption errors are never retried.
-	slept = nil
-	if _, err := f.ReadAt(make([]byte, 8), 1000); err != io.EOF {
-		t.Fatalf("EOF read: %v", err)
-	}
-	if len(slept) != 0 {
-		t.Fatalf("EOF read slept %v, want none", slept)
-	}
-	// A persistent fault exhausts the budget with doubling backoff and the
-	// handle goes sticky: the next read fails without touching the device.
-	ff.Crash()
-	_, err = f.ReadAt(buf, 0)
-	if !errors.Is(err, ErrCrashed) {
-		t.Fatalf("crashed read error %v, want ErrCrashed", err)
-	}
-	if len(slept) != 0 {
-		t.Fatalf("ErrCrashed retried: slept %v", slept)
-	}
-	// ErrCrashed is non-retryable; use a second FaultFS layer for a
-	// generic persistent error instead.
-	mem2 := NewMemFS()
-	if err := WriteFileAll(mem2, "g", bytes.Repeat([]byte{6}, 16)); err != nil {
-		t.Fatal(err)
-	}
-	persistent := &alwaysFailFS{inner: mem2}
-	rfs2 := NewRetryFS(persistent, RetryPolicy{Retries: 2, Backoff: time.Millisecond})
-	slept = nil
-	rfs2.sleep = func(d time.Duration) { slept = append(slept, d) }
-	g, err := rfs2.Open("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = g.ReadAt(buf, 0)
-	if err == nil || !errors.Is(err, errAlwaysFail) {
-		t.Fatalf("exhausted read error %v, want wrapped errAlwaysFail", err)
-	}
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond}
-	if len(slept) != len(want) || slept[0] != want[0] || slept[1] != want[1] {
-		t.Fatalf("backoff %v, want %v", slept, want)
-	}
-	slept = nil
-	if _, err2 := g.ReadAt(buf, 0); !errors.Is(err2, errAlwaysFail) || len(slept) != 0 {
-		t.Fatalf("sticky read: err=%v slept=%v, want immediate same error", err2, slept)
-	}
-}
-
-var errAlwaysFail = errors.New("device gone")
-
-// alwaysFailFS fails every ReadAt with a generic (retryable) error.
-type alwaysFailFS struct{ inner FS }
-
-func (a *alwaysFailFS) Create(name string) (File, error) {
-	f, err := a.inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &alwaysFailFile{f}, nil
-}
-func (a *alwaysFailFS) Open(name string) (File, error) {
-	f, err := a.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &alwaysFailFile{f}, nil
-}
-func (a *alwaysFailFS) Remove(name string) error { return a.inner.Remove(name) }
-func (a *alwaysFailFS) Rename(o, n string) error { return a.inner.Rename(o, n) }
-func (a *alwaysFailFS) Exists(name string) bool  { return a.inner.Exists(name) }
-func (a *alwaysFailFS) Stats() *Stats            { return a.inner.Stats() }
-
-type alwaysFailFile struct{ File }
-
-func (f *alwaysFailFile) ReadAt(p []byte, off int64) (int, error) { return 0, errAlwaysFail }
 
 func TestFaultFSRotOverOSFS(t *testing.T) {
 	// The generalized FaultFS must drive rot injection over a real

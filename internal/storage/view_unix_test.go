@@ -190,45 +190,3 @@ func TestViewFaultIsAnError(t *testing.T) {
 	defer PinViews(f).Release(&err)
 	panic("not a fault")
 }
-
-// TestRetryFSForwardsViews: a retrying handle offers its inner file's views
-// (or Config.ReadRetries > 0 would silently read through ReadAt), none over
-// a file system without them, and none once its reads are spent.
-func TestRetryFSForwardsViews(t *testing.T) {
-	osfs, f, data := viewFile(t, 3000)
-	f.Close()
-	rf, err := NewRetryFS(osfs, RetryPolicy{Retries: 1}).Open("raw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
-	v := rf.(Viewer)
-	if !v.PinViews() {
-		t.Fatal("a retrying handle over OSFS offers no views")
-	}
-	defer v.UnpinViews()
-	if b, err := v.View(1000, 2000); err != nil || !bytes.Equal(b, data[1000:]) {
-		t.Fatalf("forwarded view: %d bytes, %v", len(b), err)
-	}
-	if snap := osfs.Stats().Snapshot(); snap.BytesRead != 2000 || snap.RandReads != 1 {
-		t.Fatalf("forwarded view counted as %v", snap)
-	}
-	spent := errors.New("retries exhausted")
-	rf.(*retryFile).sticky = spent
-	if _, err := v.View(0, 10); err != spent {
-		t.Fatalf("view through a spent handle: %v", err)
-	}
-
-	ffs := NewFaultFS(NewMemFS())
-	if err := WriteFileAll(ffs, "raw", data); err != nil {
-		t.Fatal(err)
-	}
-	ff, err := NewRetryFS(ffs, RetryPolicy{Retries: 1}).Open("raw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ff.Close()
-	if ff.(Viewer).PinViews() {
-		t.Fatal("a retrying handle over FaultFS offers views")
-	}
-}

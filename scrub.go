@@ -167,13 +167,14 @@ func Repair(cfg Config) (*ScrubReport, error) {
 			return pre, fmt.Errorf("coconut: repair: raw dataset %q is damaged, cannot rebuild from it: %w", m.RawName, f.Err)
 		}
 	}
-	kind, parts := m.Variant, 1
+	parts := 1
 	var bounds []summary.Key
 	if m.Part != nil {
-		kind, parts, bounds = m.Part.ChildVariant, m.Part.Partitions, m.Part.Boundaries
+		parts, bounds = m.Part.Partitions, m.Part.Boundaries
 	}
 	rcfg := cfg
-	if err := rcfg.mergeStored(kind); err != nil {
+	kind, err := rcfg.mergeStored()
+	if err != nil {
 		return pre, fmt.Errorf("coconut: repair: %w", err)
 	}
 	if rcfg.Partitions != 0 && rcfg.Partitions != parts {
@@ -187,7 +188,11 @@ func Repair(cfg Config) (*ScrubReport, error) {
 	if err := m.CheckParams(opt.S.Params(), opt.Materialized, opt.RawName); err != nil {
 		return pre, fmt.Errorf("coconut: repair: %w", err)
 	}
-	ix, err := partition.Build(rcfg.variant(kind, opt), parts, bounds)
+	v, err := rcfg.variant(kind, opt)
+	if err != nil {
+		return pre, fmt.Errorf("coconut: repair: %w", err)
+	}
+	ix, err := partition.Build(v, parts, bounds)
 	if err != nil {
 		return pre, fmt.Errorf("coconut: repair: rebuilding %s: %w", kind, err)
 	}

@@ -47,11 +47,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 	"time"
 
 	coconut "github.com/coconut-db/coconut"
@@ -495,31 +492,10 @@ func runServe(cfg *config) error {
 	mgr := server.NewManager()
 	mgr.Add(h)
 	srv := server.New(mgr, server.Options{DefaultTimeout: cfg.timeout})
-	hs := srv.NewHTTPServer(cfg.addr)
 	fmt.Printf("serving index %q (%s, %d series) on %s\n", h.Name, ix.Variant(), ix.Count(), cfg.addr)
-
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		mgr.CloseAll()
-		return err
-	case sig := <-sigc:
+	return srv.ListenAndServe(srv.NewHTTPServer(cfg.addr), func(sig os.Signal) {
 		fmt.Printf("received %v, draining\n", sig)
-		if err := srv.Shutdown(context.Background(), hs); err != nil {
-			return err
-		}
-		<-errc
-		return nil
-	}
+	})
 }
 
 func byteSize(n int64) string {

@@ -30,11 +30,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	coconut "github.com/coconut-db/coconut"
 	"github.com/coconut-db/coconut/internal/server"
@@ -128,33 +125,14 @@ func run(args []string) error {
 		MaxInFlightAppends: *maxAppends,
 		DrainTimeout:       *drainTimeout,
 	})
-	hs := srv.NewHTTPServer(*addr)
-
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s", *addr)
-		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		mgr.CloseAll()
-		return err
-	case sig := <-sigc:
+	log.Printf("listening on %s", *addr)
+	err := srv.ListenAndServe(srv.NewHTTPServer(*addr), func(sig os.Signal) {
 		log.Printf("received %v, draining (budget %v)", sig, *drainTimeout)
-		if err := srv.Shutdown(context.Background(), hs); err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-		<-errc
+	})
+	if err == nil {
 		log.Printf("drained cleanly")
-		return nil
 	}
+	return err
 }
 
 // buildDemo builds a small in-memory Coconut-Tree over a generated

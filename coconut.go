@@ -121,16 +121,17 @@
 // at worst the last committed state reopens. On reopen, unset Config
 // fields (series length, segments, leaf size, data file) are adopted from
 // the manifest; explicitly conflicting values fail loudly rather than
-// misread the stored bytes. One stored format is read, manifest version 9,
+// misread the stored bytes. One stored format is read, manifest version 10,
 // in which no stored file carries more than one integrity layer: CRC'd
 // blocks for the leaf run of a tree or a trie (the sorted records, one file
 // each), the run codec's own block, directory and footer CRCs for LSM runs,
 // per-record CRCs (in a sidecar) for the raw dataset, and one CRC over the
 // manifest, which is also where a Coconut-Tree keeps its leaf directory and
-// a Coconut-LSM its one raw-file cursor. A tree insert merges into the
-// next generation of its leaf run, which the manifest names at the next
-// Sync, so a crash between Syncs reopens at the last one. Any other version
-// fails Open, Scrub and Repair with ErrVersionMismatch (rebuild the index).
+// a Coconut-LSM its run list and its one raw-file cursor. A tree insert
+// merges into the next generation of its leaf run, which the manifest names
+// at the next Sync, so a crash between Syncs reopens at the last one. Any
+// other version fails Open, Scrub and Repair with ErrVersionMismatch
+// (rebuild the index).
 package coconut
 
 import (
@@ -450,9 +451,9 @@ func Build(ctx context.Context, cfg Config, v Variant) (*Index, error) {
 // cfg.Storage, of whichever variant its manifest records, without touching
 // the raw dataset: a tree's leaf directory comes from its manifest, a
 // trie's sorted summaries from its own leaves, an LSM's runs from the run
-// files themselves (with the compaction cursors restored, so later Inserts
-// continue the flush/compaction sequence a never-closed index would have
-// produced), and a partitioned index reopens through its parent manifest,
+// files themselves (its run list is its compaction schedule, so later
+// Inserts continue the flush/compaction sequence a never-closed index would
+// have produced), and a partitioned index reopens through its parent manifest,
 // child by child, never partially. Unset Config fields are adopted from the
 // manifest; conflicting ones fail with ErrConfigMismatch. ctx is checked
 // before the manifest is read and after the reopen, as in Build.
@@ -621,11 +622,10 @@ func (x *Index) SearchCtx(ctx context.Context, q Series) (Result, error) {
 }
 
 // SearchApprox returns a fast approximate nearest neighbor (Algorithm 4):
-// the best of the ApproxWindow×(radius+1) records around the query's sort
-// position in the summaries of every partition, ApproxWindow being 32. A
-// negative radius means 0, and a window past the indexed count covers
-// every series. An LSM evaluates its own 100-record window and ignores the
-// radius.
+// the best of the 32×(radius+1) records around the query's sort position in
+// the summaries of every partition. A negative radius means 0, and a window
+// past the indexed count covers every series. An LSM evaluates its own
+// 100-record window and ignores the radius.
 func (x *Index) SearchApprox(q Series, radius int) (Result, error) {
 	return x.SearchApproxCtx(context.Background(), q, radius)
 }

@@ -79,12 +79,6 @@ type Options struct {
 	// Visited* counters and the I/O interleaving vary, so experiments that
 	// compare I/O traces pin QueryWorkers to 1.
 	QueryWorkers int
-	// ApproxWindow is how many records around the query's sort position an
-	// approximate search evaluates, scaled by radius+1 — the paper's "all
-	// data series in a specific radius from this specific point ... usually
-	// a disk page" (§4.3). A materialized index reads them from its own
-	// leaves, the others from the raw file. Default 32.
-	ApproxWindow int
 	// RawSums is the raw log, owned by the partition layer: it appends every
 	// insert and commits it, and the index verifies every raw read against it,
 	// as every page and leaf read is against the block CRCs of its file, so
@@ -112,9 +106,6 @@ func (o *Options) validate() error {
 	}
 	if o.FillFactor <= 0 || o.FillFactor > 1 {
 		o.FillFactor = 1
-	}
-	if o.ApproxWindow <= 0 {
-		o.ApproxWindow = 32
 	}
 	return nil
 }
@@ -395,10 +386,17 @@ type ApproxWindow struct {
 	Leaves int64
 }
 
+// approxWindow is how many records around the query's sort position an
+// approximate search evaluates at radius 0 — the paper's "all data series in
+// a specific radius from this specific point ... usually a disk page"
+// (§4.3). A materialized index reads them from its own leaves, the others
+// from the raw file.
+const approxWindow = 32
+
 // WindowHalf is the per-side size of the approximate window of
 // approxWindow×(radius+1) records over n records, saturated at n: a negative
 // radius means 0, and a radius past what n records fill cannot overflow.
-func WindowHalf(approxWindow, radius, n int) int {
+func WindowHalf(radius, n int) int {
 	radius = max(radius, 0)
 	if radius >= 2*n/approxWindow {
 		return n
@@ -416,7 +414,7 @@ func windowCands(opt *Options, sims *simsArray, q series.Series, radius int) (aw
 	if err != nil {
 		return aw, 0, 0, err
 	}
-	half := WindowHalf(opt.ApproxWindow, radius, sims.col.Len())
+	half := WindowHalf(radius, sims.col.Len())
 	ins := sims.col.Search(opt.S.SAXFromPAA(qPAA, nil))
 	lo, hi = max(ins-half, 0), min(ins+half, sims.col.Len())
 	aw.Below, aw.Above = make([]window.Cand, 0, ins-lo), make([]window.Cand, 0, hi-ins)

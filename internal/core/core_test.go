@@ -219,7 +219,7 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 				for _, radius := range []int{0, 1, 3, 100} {
 					key, _ := opt.S.KeyOf(q)
 					qPAA, _ := opt.S.PAA(q, nil)
-					half := tree.opt.ApproxWindow * (radius + 1) / 2
+					half := approxWindow * (radius + 1) / 2
 					keys := keysOf(ix.sims.col)
 					ins := 0
 					for ins < len(keys) && keys[ins].Less(key) {

@@ -468,7 +468,7 @@ func (r *leafRun) closeFiles() error {
 }
 
 // ApproxWindowCands is the index's contribution to an approximate search,
-// Algorithm 4 on the sorted summary array: the ApproxWindow*(radius+1)
+// Algorithm 4 on the sorted summary array: the approxWindow×(radius+1)
 // records surrounding the query key's insertion position in the global
 // record order — the paper's "all data series in a specific radius from this
 // specific point ... usually a disk page" (§4.3) — which the partition layer

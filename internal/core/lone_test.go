@@ -177,7 +177,7 @@ func rooted(r Result) Result {
 	return r
 }
 
-func (o *Options) half(radius int) int { return o.ApproxWindow * (radius + 1) / 2 }
+func (o *Options) half(radius int) int { return approxWindow * (radius + 1) / 2 }
 
 func (l *loneTree) approxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
 	return approx(ctx, l.TreeIndex, l.opt.half(radius), q, radius)

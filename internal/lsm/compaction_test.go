@@ -9,11 +9,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/dataset"
+	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/storage"
 )
@@ -33,10 +35,9 @@ func buildStreamed(t *testing.T) (*lone, *storage.MemFS) {
 		Name:    "lsm",
 		S:       tSummarizer(t),
 		RawName: "raw",
-		// Tiny memtable: every 50-series batch flushes several times, and
-		// fanout 2 cascades compactions across multiple tiers.
-		MemBudgetBytes: 32 * recordSize,
-		Fanout:         2,
+		// Smallest memtable (16 records): every 50-series batch flushes
+		// three times, and the 25 flushes cascade compactions into tier 2.
+		MemBudgetBytes: 16 * recordSize,
 		Workers:        2,
 		QueryWorkers:   1, // whole Results are compared; visit counts need a serial scan
 	})
@@ -81,9 +82,9 @@ func runFiles(st map[string][]byte) map[string][]byte {
 	return out
 }
 
-// buildFaultable builds the index the compaction-fault tests share: a
-// 32-record memtable and fanout 2, so a few hundred inserts flush many
-// times and make groups ready on several tiers.
+// buildFaultable builds the index the compaction-fault tests share: the
+// smallest memtable (16 records), so a few hundred inserts flush many times
+// and make groups ready on several tiers.
 func buildFaultable(t *testing.T) (*lone, *storage.MemFS) {
 	t.Helper()
 	fs := storage.NewMemFS()
@@ -95,8 +96,7 @@ func buildFaultable(t *testing.T) (*lone, *storage.MemFS) {
 		Name:           "lsm",
 		S:              tSummarizer(t),
 		RawName:        "raw",
-		MemBudgetBytes: 32 * recordSize,
-		Fanout:         2,
+		MemBudgetBytes: 16 * recordSize,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,6 +316,73 @@ func TestCompactionFaultCloseThenReopen(t *testing.T) {
 		}
 		if want := bruteForce1NN(q, all); math.Abs(res.Dist-want) > 1e-9 {
 			t.Fatalf("query %d after reopen: exact %v, brute force %v", i, res.Dist, want)
+		}
+	}
+}
+
+// TestScheduleFromRunList pins the compaction schedule the run list alone
+// determines: after n flushes without a failure, tier t holds ⌊n/4ᵗ⌋ mod 4
+// runs, oldest first; flush k is the tier-0 run lsm.run.<k>, and the tier-t
+// run over flushes [a, a+4ᵗ) is lsm.cmp.t<t-1>.<a>, named by its input tier
+// and its oldest input's seq. A Close and Open after every fifth flush
+// leaves the run list as it was.
+func TestScheduleFromRunList(t *testing.T) {
+	fs := storage.NewMemFS()
+	if _, err := dataset.WriteFile(fs, "raw", dataset.NewRandomWalk(), 32, tLen, 42); err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw", MemBudgetBytes: 1 << 20}
+	ix, err := buildLone(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { ix.Close() }()
+	runList := func() []string {
+		var out []string
+		for _, r := range ix.runs {
+			out = append(out, fmt.Sprintf("%s tier %d seq %d", r.name, r.tier, r.seq))
+		}
+		return out
+	}
+	stream := dataset.Generate(dataset.NewSeismic(), 70, tLen, 5)
+	for n := 1; n <= len(stream); n++ {
+		if err := ix.Insert(context.Background(), stream[n-1:n]); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n%5 == 0 {
+			before := runList()
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if ix, err = openLone(opt); err != nil {
+				t.Fatal(err)
+			}
+			if after := runList(); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Fatalf("after %d flushes, Close and Open changed the run list:\n%v\n%v", n, before, after)
+			}
+		}
+		if ix.runs[0].tier != manifest.BulkTier || ix.runs[0].name != "lsm.run.000000" {
+			t.Fatalf("after %d flushes the oldest run is %v", n, runList())
+		}
+		// Expected runs, oldest first: the highest tier's groups first, each
+		// tier's complete groups of 4ᵗ flushes in flush order.
+		var want []string
+		first := 1 // the oldest flush no higher tier covers
+		for tier, size := 3, 64; tier >= 0; tier, size = tier-1, size/4 {
+			for i := 0; i < n/size%4; i++ {
+				name := fmt.Sprintf("lsm.run.%06d", first)
+				if tier > 0 {
+					name = fmt.Sprintf("lsm.cmp.t%d.%06d", tier-1, first)
+				}
+				want = append(want, fmt.Sprintf("%s tier %d seq %d", name, tier, first))
+				first += size
+			}
+		}
+		if got := runList()[1:]; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("after %d flushes the runs are\n%v\nwant\n%v", n, got, want)
 		}
 	}
 }

@@ -31,8 +31,6 @@ func buildPair(t *testing.T, memBudget int64) (roomy, tiny *lone, tinyFS *storag
 			S:              tSummarizer(t),
 			RawName:        "raw",
 			MemBudgetBytes: memBudget,
-			Fanout:         3,
-			Window:         40,
 		}
 		if tinyCache {
 			// ~2 decoded blocks resident: far below the full key set.
@@ -170,7 +168,6 @@ func TestCompressedReopen(t *testing.T) {
 		S:              tSummarizer(t),
 		RawName:        "raw",
 		MemBudgetBytes: 1 << 20,
-		Window:         40,
 		Cache:          blockcache.New(64 << 10),
 	})
 	if err != nil {

@@ -31,16 +31,15 @@ import (
 // workload appends on top of.
 const sweepBase = 64
 
-// sweepOptions: a deliberately tiny memtable (16 records) so the short
-// append stream crosses several flushes, compactions and manifest commits —
-// the windows the sweep wants to crash inside of.
+// sweepOptions: the smallest memtable (16 records) so the short append
+// stream crosses several flushes, a compaction and manifest commits — the
+// windows the sweep wants to crash inside of.
 // Compaction is synchronous so the op sequence is deterministic.
 func sweepOptions(t *testing.T, fs storage.FS) Options {
 	t.Helper()
 	return Options{
 		FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw",
 		MemBudgetBytes: 16 * recordSize,
-		Fanout:         2,
 	}
 }
 
@@ -63,7 +62,9 @@ func sweepSeed(t *testing.T) *storage.MemFS {
 }
 
 func TestAppendCrashSweep(t *testing.T) {
-	stream := dataset.Generate(dataset.NewSeismic(), 40, tLen, 911)
+	// Four memtables' worth: the last append's flush completes the first
+	// tier-0 group, so the sweep crashes inside a compaction too.
+	stream := dataset.Generate(dataset.NewSeismic(), 64, tLen, 911)
 	extra := dataset.Generate(dataset.NewRandomWalk(), 1, tLen, 7777)
 	queries := dataset.Queries(dataset.NewRandomWalk(), 4, tLen, 321)
 

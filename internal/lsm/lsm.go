@@ -12,8 +12,8 @@
 //     records past the manifest's flushed position into the memtable;
 //   - a full memtable is sorted and flushed as an immutable sorted RUN
 //     (one sequential write — no read-modify-write of existing leaves);
-//   - runs are organized in tiers; when a tier collects Fanout runs they
-//     are merge-sorted into the next tier (sequential I/O only);
+//   - runs are organized in tiers; when a tier collects four runs they
+//     are merge-sorted into one run of the next tier (sequential I/O only);
 //   - queries consult the memtable plus every run: a run is a
 //     block-compressed sorted file (internal/runblock) read through a
 //     shared byte-budgeted block cache, so approximate search is a binary
@@ -28,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 
@@ -47,6 +46,16 @@ import (
 // recordSize is the fixed run record size: key + position.
 const recordSize = summary.KeySize + 8
 
+// fanout is the tiering factor: a tier holding fanout runs compacts into one
+// run of the next.
+const fanout = 4
+
+// WindowHalf is how many records each run and the memtable contribute on
+// each side of where the query's key sorts in an approximate search, and
+// how many the merged window keeps: a 100-record window. The radius every
+// index takes is ignored.
+const WindowHalf = 50
+
 // Options configures a Coconut-LSM index.
 type Options struct {
 	// FS hosts the runs and the raw dataset file.
@@ -64,12 +73,6 @@ type Options struct {
 	Records *core.BuildSource
 	// MemBudgetBytes bounds the memtable (and the initial bulk sort).
 	MemBudgetBytes int64
-	// Fanout is the tiering factor: a tier holding Fanout runs compacts
-	// into one run of the next tier (default 4).
-	Fanout int
-	// Window is the number of records examined around the query key in
-	// each run during approximate search (default 100).
-	Window int
 	// Workers is the number of concurrent workers used by the bulk-load
 	// sort, ingest summarization, and compaction merges (0 means
 	// runtime.NumCPU()). Runs and query answers are identical for any
@@ -119,12 +122,6 @@ func (o *Options) validate() error {
 	if o.MemBudgetBytes <= 0 {
 		o.MemBudgetBytes = 16 << 20
 	}
-	if o.Fanout < 2 {
-		o.Fanout = 4
-	}
-	if o.Window <= 0 {
-		o.Window = 100
-	}
 	if o.Cache == nil {
 		o.Cache = blockcache.New(0)
 	}
@@ -141,17 +138,10 @@ type run struct {
 	// rb is a directory-only reader over the run file, decoding blocks on
 	// demand through the shared cache.
 	rb *runblock.Reader
-	// seq is the run's global age: flush runs take consecutive ordinals and
-	// a compacted run inherits the seq of its oldest input, so ix.runs stays
-	// sorted oldest-first no matter how compactions interleave.
+	// seq is the run's age: flush runs take consecutive ordinals and a
+	// compacted run inherits the seq of its oldest input, so ix.runs stays
+	// sorted oldest-first, and a run's tier and seq name its file.
 	seq int64
-	// tierSeq is the run's arrival ordinal WITHIN its tier: the k-th tier-0
-	// flush and the output of the k-th compaction of tier t-1 both get
-	// tierSeq k. Compaction groups are formed from consecutive tierSeq
-	// ranges of exactly Fanout runs, which makes the whole compaction DAG —
-	// and therefore the on-disk state — a pure function of the flush
-	// sequence, independent of when each merge runs.
-	tierSeq int
 }
 
 // memEntry is one memtable record.
@@ -169,8 +159,8 @@ type memEntry struct {
 //
 // Compactions run inline, under mu, right after the flush that made a
 // group ready. mu is released only for manifest fsyncs, and by then a
-// compaction's merged run is installed and its group counted, so no other
-// goroutine ever observes a half-landed merge.
+// compaction's merged run has replaced its inputs in the run list, so no
+// other goroutine ever observes a half-landed merge.
 type Index struct {
 	opt     Options
 	rawFile storage.File
@@ -180,21 +170,13 @@ type Index struct {
 	mu      sync.RWMutex
 	// closed makes Close idempotent: a second Close (even concurrent with
 	// the first) returns nil instead of double-closing the files.
-	closed  bool
-	runs    []*run
-	mem     []memEntry
-	count   int64
-	nextRun int
-	// nextSeq feeds run.seq; tier0Seq counts flushes (tier-0 tierSeq).
-	nextSeq  int64
-	tier0Seq int
-	// committedGroups[t] is the number of tier-t compaction groups whose
-	// merged output has been swapped in: group k covers tierSeq
-	// [k*Fanout, (k+1)*Fanout) and is ready once every member has arrived.
-	// Groups land strictly in order, so this single number fully describes
-	// recovery: groups below it are done and their inputs deleted, groups at
-	// or above it are still on disk as input runs and re-form after a crash.
-	committedGroups map[int]int
+	closed bool
+	// runs is the whole compaction schedule: the run set, oldest first.
+	runs  []*run
+	mem   []memEntry
+	count int64
+	// nextSeq is the seq, and so the file name, of the next flush run.
+	nextSeq int64
 	// commitErr is the sticky first failed manifest commit of a compaction
 	// swap: durably the previous manifest stays authoritative, so no later
 	// commit may supersede it and every write refuses.
@@ -237,7 +219,7 @@ func Build(opt Options) (*Index, error) {
 }
 
 func newIndex(opt Options, raw storage.File) *Index {
-	return &Index{opt: opt, rawFile: raw, rawSums: opt.RawSums, committedGroups: map[int]int{}}
+	return &Index{opt: opt, rawFile: raw, rawSums: opt.RawSums}
 }
 
 // abandon releases what a Build or Open that failed got as far as holding.
@@ -260,9 +242,9 @@ func Remove(fs storage.FS, name string) {
 
 func (ix *Index) build() error {
 	opt := ix.opt
-	// Sort the existing data into run 0 (tier determined by
-	// later compactions; the initial bulk run sits at a high tier).
-	name := ix.runName()
+	// Sort the existing data into run 0, which sits at a tier no
+	// compaction reaches.
+	name := runFileName(opt.Name, ix.nextSeq)
 	cfg := extsort.Config{
 		FS:         opt.FS,
 		RecordSize: recordSize,
@@ -285,7 +267,7 @@ func (ix *Index) build() error {
 		if err := syncFile(opt.FS, name); err != nil {
 			return err
 		}
-		r, err := ix.openRun(name, manifest.BulkTier, ix.nextSeq, 0, n)
+		r, err := ix.openRun(name, manifest.BulkTier, ix.nextSeq, n)
 		if err != nil {
 			return err
 		}
@@ -304,14 +286,8 @@ func (ix *Index) build() error {
 	return ix.commitManifestLocked()
 }
 
-func (ix *Index) runName() string {
-	name := runFileName(ix.opt.Name, ix.nextRun)
-	ix.nextRun++
-	return name
-}
-
-// runFileName names the n-th flushed (or bulk-loaded) run of the index name.
-func runFileName(name string, n int) string { return fmt.Sprintf("%s.run.%06d", name, n) }
+// runFileName names the flushed (or bulk-loaded) run of seq seq.
+func runFileName(name string, seq int64) string { return fmt.Sprintf("%s.run.%06d", name, seq) }
 
 // wrapRunOut is the extsort final-output wrapper that writes a run file in
 // its physical layout, the block compressor (internal/runblock), whose block,
@@ -337,7 +313,7 @@ func wrapRunIn(f storage.File) (storage.File, error) {
 // count is cross-checked against what the writer produced; the full
 // streaming Verify is reserved for reopen (loadRun), where the bytes'
 // provenance is unknown.
-func (ix *Index) openRun(name string, tier int, seq int64, tierSeq int, count int64) (*run, error) {
+func (ix *Index) openRun(name string, tier int, seq int64, count int64) (*run, error) {
 	f, err := ix.opt.FS.Open(name)
 	if err != nil {
 		return nil, err
@@ -351,7 +327,7 @@ func (ix *Index) openRun(name string, tier int, seq int64, tierSeq int, count in
 		rb.Close()
 		return nil, fmt.Errorf("lsm: run %s holds %d records, wrote %d", name, rb.Count(), count)
 	}
-	return &run{name: name, tier: tier, count: count, seq: seq, tierSeq: tierSeq, rb: rb}, nil
+	return &run{name: name, tier: tier, count: count, seq: seq, rb: rb}, nil
 }
 
 // memCapacity returns the memtable capacity in records.
@@ -393,22 +369,14 @@ func (ix *Index) insertLocked(recs []core.InsertRec) error {
 	return nil
 }
 
-// lePosLess orders positions by the lexicographic order of their
-// little-endian encoding — the order extsort's full-record tie-break sees,
-// since pos is encoded little-endian right after the key. Reversing the
-// byte order makes the LSB most significant, which is exactly that order.
-func lePosLess(a, b int64) bool {
-	return bits.ReverseBytes64(uint64(a)) < bits.ReverseBytes64(uint64(b))
-}
-
 // Flush sorts the memtable and writes it as a new tier-0 run, then runs
 // every compaction that is ready before it returns — including any whose
 // merge failed on an earlier write, which is retried here and whose error
 // Flush returns.
 //
-// Entries sort by key with ties broken in encoded-record byte order, so
+// Entries sort under the refined record order (summary.RecordLess), so
 // every run on disk — flushed or compacted — is totally ordered under the
-// same refined order extsort uses. Compacted runs are then exactly the
+// same order extsort uses. Compacted runs are then exactly the
 // totally sorted multiset of their inputs, a state that is trivially
 // independent of Workers and easy to audit.
 func (ix *Index) Flush() error {
@@ -444,10 +412,7 @@ func (ix *Index) flushLocked() error {
 		return nil
 	}
 	sort.Slice(ix.mem, func(a, b int) bool {
-		if c := ix.mem[a].key.Compare(ix.mem[b].key); c != 0 {
-			return c < 0
-		}
-		return lePosLess(ix.mem[a].pos, ix.mem[b].pos)
+		return summary.RecordLess(ix.mem[a].key, ix.mem[a].pos, ix.mem[b].key, ix.mem[b].pos)
 	})
 	// Every record below the run's last position that this index owns is in
 	// the memtable or a run. The raw log commits through that position before
@@ -460,14 +425,13 @@ func (ix *Index) flushLocked() error {
 	if err := ix.rawSums.Commit(context.Background(), flushed); err != nil {
 		return err
 	}
-	r, err := ix.writeRunFile(ix.runName(), ix.mem, 0, ix.nextSeq, ix.tier0Seq)
+	r, err := ix.writeRunFile(ix.mem)
 	if err != nil {
 		return err
 	}
 	ix.mem = ix.mem[:0]
 	ix.runs = append(ix.runs, r)
 	ix.nextSeq++
-	ix.tier0Seq++
 	ix.flushed = flushed
 	// Commit the manifest before compacting: the new run is durable the
 	// moment Flush's structural change exists, and every later compaction
@@ -476,10 +440,11 @@ func (ix *Index) flushLocked() error {
 	return ix.commitManifestLocked()
 }
 
-// writeRunFile persists one sorted run file, fsyncs it (the manifest commit
-// that will reference it requires the bytes on stable storage first), and
-// returns the opened run handle.
-func (ix *Index) writeRunFile(name string, entries []memEntry, tier int, seq int64, tierSeq int) (*run, error) {
+// writeRunFile persists sorted entries as the next tier-0 run file, fsyncs it
+// (the manifest commit that will reference it requires the bytes on stable
+// storage first), and returns the opened run handle.
+func (ix *Index) writeRunFile(entries []memEntry) (*run, error) {
+	name := runFileName(ix.opt.Name, ix.nextSeq)
 	f, err := ix.opt.FS.Create(name)
 	if err != nil {
 		return nil, err
@@ -502,74 +467,46 @@ func (ix *Index) writeRunFile(name string, entries []memEntry, tier int, seq int
 	if err := f.Close(); err != nil {
 		return nil, err
 	}
-	return ix.openRun(name, tier, seq, tierSeq, int64(len(entries)))
+	return ix.openRun(name, 0, ix.nextSeq, int64(len(entries)))
 }
 
-// compactJob is one ready compaction: Fanout consecutive runs of one tier
-// merging into a single run of the next.
-type compactJob struct {
-	inputs  []*run
-	outName string
-	outTier int
-	// group is the job's ordinal among its input tier's compactions — the k
-	// in the deterministic naming/grouping scheme (and the output's tierSeq
-	// at the next tier).
-	group int
-}
-
-// findGroupLocked locates the next ready compaction group: the lowest tier
-// whose next Fanout-sized tierSeq window [k*Fanout, (k+1)*Fanout), k the
-// tier's committed-groups count, has fully arrived.
-//
-// Groups are pure functions of the flush sequence — which runs, in which
-// order, merge into which output name — so the on-disk state after a
-// Flush is the same whether a group merged right after the flush that
-// completed it or several flushes later, after a failed merge.
-func (ix *Index) findGroupLocked() *compactJob {
+// findGroupLocked returns the next ready compaction group, oldest first: the
+// fanout oldest runs of the lowest tier that holds fanout runs, or nil.
+// Merges run inline, so the groups of a tier land strictly in order and a
+// tier holds no run of an earlier group: the groups — which runs, in which
+// order, merge into which output name — are a function of the flush
+// sequence alone, and the on-disk state after a Flush is the same whether a
+// group merged right after the flush that completed it or several flushes
+// later, after a failed merge.
+func (ix *Index) findGroupLocked() []*run {
 	byTier := map[int][]*run{}
 	for _, r := range ix.runs {
-		if r.tier != manifest.BulkTier {
+		if r.tier != manifest.BulkTier && len(byTier[r.tier]) < fanout {
 			byTier[r.tier] = append(byTier[r.tier], r)
 		}
 	}
-	tiers := make([]int, 0, len(byTier))
-	for tier := range byTier {
-		tiers = append(tiers, tier)
-	}
-	sort.Ints(tiers)
-	for _, tier := range tiers {
-		k := ix.committedGroups[tier]
-		lo := k * ix.opt.Fanout
-		group := make([]*run, 0, ix.opt.Fanout)
-		for _, r := range byTier[tier] {
-			if r.tierSeq >= lo && r.tierSeq < lo+ix.opt.Fanout {
-				group = append(group, r)
-			}
-		}
-		if len(group) < ix.opt.Fanout {
-			continue
-		}
-		sort.Slice(group, func(a, b int) bool { return group[a].tierSeq < group[b].tierSeq })
-		return &compactJob{
-			inputs:  group,
-			outName: fmt.Sprintf("%s.cmp.t%d.%06d", ix.opt.Name, tier, k),
-			outTier: tier + 1,
-			group:   k,
+	var group []*run
+	for tier, rs := range byTier {
+		if len(rs) == fanout && (group == nil || tier < group[0].tier) {
+			group = rs
 		}
 	}
-	return nil
+	return group
 }
 
-// runCompaction merge-sorts a ready group via the parallel sorter's merge
+// runCompaction merge-sorts a ready group into one run of the next tier,
+// named by the group's tier and oldest seq, via the parallel sorter's merge
 // machinery — strictly sequential reads and writes, memory budget and
 // worker pool shared with the bulk-load path. The output is re-encoded
 // through the write adapter and reopened as a block directory (no key array
 // ever materializes). extsort.Merge removes its temporaries (and a partial
 // output) on error, so a failed merge leaves only its inputs.
-func (ix *Index) runCompaction(job *compactJob) (*run, error) {
-	names := make([]string, len(job.inputs))
+func (ix *Index) runCompaction(group []*run) (*run, error) {
+	oldest := group[0]
+	outName := fmt.Sprintf("%s.cmp.t%d.%06d", ix.opt.Name, oldest.tier, oldest.seq)
+	names := make([]string, len(group))
 	var want int64
-	for i, r := range job.inputs {
+	for i, r := range group {
 		names[i] = r.name
 		want += r.count
 	}
@@ -578,18 +515,18 @@ func (ix *Index) runCompaction(job *compactJob) (*run, error) {
 		RecordSize: recordSize,
 		Compare:    extsort.CompareKeyPrefix(summary.KeySize),
 		MemBudget:  ix.opt.MemBudgetBytes,
-		TempPrefix: job.outName + ".compact",
+		TempPrefix: outName + ".compact",
 		Workers:    ix.opt.Workers,
 		WrapOut:    wrapRunOut,
 		WrapIn:     wrapRunIn,
 	}
-	if err := extsort.Merge(cfg, names, job.outName); err != nil {
+	if err := extsort.Merge(cfg, names, outName); err != nil {
 		return nil, err
 	}
-	if err := syncFile(ix.opt.FS, job.outName); err != nil {
+	if err := syncFile(ix.opt.FS, outName); err != nil {
 		return nil, err
 	}
-	return ix.openRun(job.outName, job.outTier, job.inputs[0].seq, job.group, want)
+	return ix.openRun(outName, oldest.tier+1, oldest.seq, want)
 }
 
 // closeRunsLocked closes every run's reader (dropping its cached blocks),
@@ -624,9 +561,9 @@ func syncFile(fs storage.FS, name string) error {
 // every instant the on-disk manifest references only files that exist, and
 // a crash between commit and deletion merely leaks orphan inputs the next
 // Open ignores.
-func (ix *Index) swapLocked(job *compactJob, newRun *run) error {
-	dropped := make(map[*run]bool, len(job.inputs))
-	for _, r := range job.inputs {
+func (ix *Index) swapLocked(group []*run, newRun *run) error {
+	dropped := make(map[*run]bool, len(group))
+	for _, r := range group {
 		dropped[r] = true
 	}
 	keep := ix.runs[:0]
@@ -652,7 +589,7 @@ func (ix *Index) swapLocked(job *compactJob, newRun *run) error {
 		}
 		return err
 	}
-	for _, r := range job.inputs {
+	for _, r := range group {
 		_ = r.rb.Close()
 		_ = ix.opt.FS.Remove(r.name)
 	}
@@ -661,29 +598,21 @@ func (ix *Index) swapLocked(job *compactJob, newRun *run) error {
 
 // compactPendingLocked merges ready groups, lowest tier first, until none
 // is ready. A failed merge returns its error with the group's inputs in
-// place and the cursor unmoved, so the next call retries the same group.
+// place, so the next call retries the same group.
 func (ix *Index) compactPendingLocked() error {
 	for {
 		if ix.commitErr != nil {
 			return ix.commitErr
 		}
-		job := ix.findGroupLocked()
-		if job == nil {
+		group := ix.findGroupLocked()
+		if group == nil {
 			return nil
 		}
-		newRun, err := ix.runCompaction(job)
+		newRun, err := ix.runCompaction(group)
 		if err != nil {
 			return err
 		}
-		// Advance the cursor BEFORE the swap commits the manifest: the
-		// committed manifest deletes this group's inputs from the run set,
-		// so it must also record the group as done — otherwise a reopen
-		// would wait forever for a window whose runs no longer exist. If
-		// the commit fails the failure is sticky and the durable state
-		// remains the previous manifest, where the cursor and the inputs
-		// are still consistent.
-		ix.committedGroups[job.outTier-1]++
-		if err := ix.swapLocked(job, newRun); err != nil {
+		if err := ix.swapLocked(group, newRun); err != nil {
 			return err
 		}
 	}
@@ -746,31 +675,10 @@ func (ix *Index) Close() error {
 	return errors.Join(err, ix.closeRunsLocked(), ix.rawFile.Close())
 }
 
-// tierCursorsLocked snapshots the committed-groups cursor of every tier.
-// A crash mid-merge reopens with the unfinished group at or above the
-// cursor, so it re-forms and re-merges to the same deterministic output —
-// and because groups land one at a time in order, the cursor can never
-// run ahead of an unfinished group.
-func (ix *Index) tierCursorsLocked() []manifest.TierCursor {
-	tiers := make([]int, 0, len(ix.committedGroups))
-	for tier := range ix.committedGroups {
-		tiers = append(tiers, tier)
-	}
-	sort.Ints(tiers)
-	out := make([]manifest.TierCursor, 0, len(tiers))
-	for _, tier := range tiers {
-		if groups := ix.committedGroups[tier]; groups > 0 {
-			out = append(out, manifest.TierCursor{Tier: tier, Groups: groups})
-		}
-	}
-	return out
-}
-
 // commitManifestLocked commits the manifest describing the current run
-// set and scheduling cursors. Callers hold mu; the snapshot is taken
-// under mu, but the encode+fsync runs on a dedicated commit mutex with
-// mu RELEASED, so queries (which take mu.RLock) proceed during a slow
-// manifest sync. mu is re-acquired before returning — callers must
+// set. Callers hold mu; the snapshot is taken under mu, but the
+// encode+fsync runs on a dedicated commit mutex with mu RELEASED, so
+// queries (which take mu.RLock) proceed during a slow manifest sync. mu is re-acquired before returning — callers must
 // tolerate the drop. Every commit happens before any input-file deletion
 // it supersedes, and commits carry a sequence number assigned under mu:
 // if a later snapshot already reached disk, an earlier one is skipped
@@ -807,13 +715,7 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 	var total int64
 	runs := make([]manifest.RunInfo, len(ix.runs))
 	for i, r := range ix.runs {
-		ri := manifest.RunInfo{
-			Name:    r.name,
-			Tier:    r.tier,
-			TierSeq: r.tierSeq,
-			Seq:     r.seq,
-			Count:   r.count,
-		}
+		ri := manifest.RunInfo{Name: r.name, Tier: r.tier, Seq: r.seq, Count: r.count}
 		if r.count > 0 {
 			ri.MinKey = r.rb.MinKey()
 			ri.MaxKey = r.rb.MaxKey()
@@ -828,15 +730,7 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 		CardBits:  p.CardBits,
 		RawName:   ix.opt.RawName,
 		Count:     total,
-		LSM: &manifest.LSMLayout{
-			Fanout:   ix.opt.Fanout,
-			NextRun:  ix.nextRun,
-			NextSeq:  ix.nextSeq,
-			Tier0Seq: ix.tier0Seq,
-			Cursors:  ix.tierCursorsLocked(),
-			Runs:     runs,
-			Flushed:  ix.flushed,
-		},
+		LSM:       &manifest.LSMLayout{NextSeq: ix.nextSeq, Runs: runs, Flushed: ix.flushed},
 	}
 	return m
 }
@@ -853,7 +747,7 @@ func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (
 	if err != nil {
 		return nil, nil, err
 	}
-	half := ix.opt.Window / 2
+	half := WindowHalf
 	// Each run and the memtable contribute at most half a window per side.
 	below = make([]window.Cand, 0, half*(len(ix.runs)+1))
 	above = make([]window.Cand, 0, half*(len(ix.runs)+1))
@@ -887,8 +781,8 @@ func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (
 			ma = append(ma, c)
 		}
 	}
-	sort.Slice(mb, func(i, j int) bool { return window.Less(mb[i], mb[j]) })
-	sort.Slice(ma, func(i, j int) bool { return window.Less(ma[i], ma[j]) })
+	window.SortRecords(mb)
+	window.SortRecords(ma)
 	if len(mb) > half {
 		mb = mb[len(mb)-half:]
 	}
@@ -911,8 +805,8 @@ func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (
 // non-empty). An LSM has no leaves, so Leaves stays 0; the candidates are
 // read from the raw file by whoever evaluates the merged window
 // (core.EvalWindow), which observes its ctx between records. The radius
-// every index takes is ignored here and below: the LSM window is sized by
-// Options.Window.
+// every index takes is ignored here and below: the LSM window is
+// 2×WindowHalf records.
 func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, _ int) (core.ApproxWindow, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

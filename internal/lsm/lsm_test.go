@@ -40,8 +40,6 @@ func buildFixture(t *testing.T, memBudget int64) (*lone, []series.Series, *stora
 		S:              tSummarizer(t),
 		RawName:        "raw",
 		MemBudgetBytes: memBudget,
-		Fanout:         3,
-		Window:         40,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +112,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 func TestAppendFlushCompact(t *testing.T) {
 	// Tiny memtable: appends roll over into many runs, triggering tiered
 	// compaction.
-	ix, data, _ := buildFixture(t, 64*recordSize)
+	ix, data, _ := buildFixture(t, 32*recordSize)
 	defer ix.Close()
 	gen := dataset.NewSeismic()
 	batch := dataset.Generate(gen, 400, tLen, 777)
@@ -127,8 +125,8 @@ func TestAppendFlushCompact(t *testing.T) {
 	if ix.Count() != tCount+400 {
 		t.Fatalf("Count = %d", ix.Count())
 	}
-	// 400 appends / 64-record memtable = 7 flushes; with fanout 3 they
-	// must have compacted well below 8 runs.
+	// 400 appends / 32-record memtable = 13 flushes; with fanout 4 they
+	// must have compacted well below 14 runs.
 	if ix.Shape().Runs >= 8 {
 		t.Fatalf("compaction did not run: %d runs", ix.Shape().Runs)
 	}

@@ -16,15 +16,14 @@ import (
 // run's block directory is reloaded and its file verified by one
 // sequential pass, the appends no run holds yet are re-summarized from the
 // raw log (none after a clean Close, so the raw dataset is then opened for
-// query-time fetches but never read), and the scheduling counters (run
-// naming, seq, tierSeq, compaction-group cursors) are restored so
-// subsequent flushes and compactions continue the exact deterministic
-// sequence a never-closed index would have produced.
+// query-time fetches but never read). The run list is the whole compaction
+// schedule, so subsequent flushes and compactions continue the exact
+// deterministic sequence a never-closed index would have produced.
 //
-// Configuration mismatches (summarization parameters, dataset file, tier
-// fanout) fail loudly with manifest.ErrConfigMismatch; a run file whose
-// size, record count, key range, or sort order disagrees with the manifest
-// fails with manifest.ErrCorruptManifest.
+// Configuration mismatches (summarization parameters, dataset file) fail
+// loudly with manifest.ErrConfigMismatch; a run file whose size, record
+// count, key range, or sort order disagrees with the manifest fails with
+// manifest.ErrCorruptManifest.
 func Open(opt Options) (*Index, error) {
 	if opt.FS == nil || opt.Name == "" || opt.S == nil {
 		return nil, errors.New("lsm: open needs FS, Name, and summarizer")
@@ -42,18 +41,8 @@ func Open(opt Options) (*Index, error) {
 	if err := m.CheckParams(opt.S.Params(), false, opt.RawName); err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
-	// The tier fanout shapes the deterministic compaction DAG; the stored
-	// value is authoritative. Adopt it when the caller left it unset, and
-	// fail loudly on an explicit conflict.
-	if opt.Fanout == 0 {
-		opt.Fanout = m.LSM.Fanout
-	}
 	if err := opt.validate(); err != nil {
 		return nil, err
-	}
-	if opt.Fanout != m.LSM.Fanout {
-		return nil, fmt.Errorf("lsm: %w: fanout %d, stored index was built with %d",
-			manifest.ErrConfigMismatch, opt.Fanout, m.LSM.Fanout)
 	}
 
 	raw, err := opt.FS.Open(opt.RawName)
@@ -68,16 +57,10 @@ func Open(opt Options) (*Index, error) {
 	return ix, nil
 }
 
-// reopen restores the run set, the scheduling cursors and the memtable from
-// m and the raw log.
+// reopen restores the run set and the memtable from m and the raw log.
 func (ix *Index) reopen(m *manifest.Manifest) error {
 	opt := ix.opt
-	lastSeq := int64(-1)
 	for i, ri := range m.LSM.Runs {
-		if ri.Seq < lastSeq {
-			return fmt.Errorf("lsm: %w: runs out of age order", manifest.ErrCorruptManifest)
-		}
-		lastSeq = ri.Seq
 		r, err := loadRun(opt.FS, ri, opt.Cache)
 		if err != nil {
 			return fmt.Errorf("lsm: reloading run %d (%s): %w", i, ri.Name, err)
@@ -89,14 +72,7 @@ func (ix *Index) reopen(m *manifest.Manifest) error {
 		return fmt.Errorf("lsm: %w: runs hold %d records, manifest says %d",
 			manifest.ErrCorruptManifest, ix.count, m.Count)
 	}
-	ix.nextRun = m.LSM.NextRun
 	ix.nextSeq = m.LSM.NextSeq
-	ix.tier0Seq = m.LSM.Tier0Seq
-	for _, c := range m.LSM.Cursors {
-		// Everything below the durable cursor is done; everything at or
-		// above it re-forms and re-merges.
-		ix.committedGroups[c.Tier] = c.Groups
-	}
 	if err := ix.recoverTail(m.LSM.Flushed); err != nil {
 		return err
 	}
@@ -199,5 +175,5 @@ func loadRun(fs storage.FS, ri manifest.RunInfo, cache *blockcache.Cache) (*run,
 		}
 		return fail(err)
 	}
-	return &run{name: ri.Name, tier: ri.Tier, count: ri.Count, seq: ri.Seq, tierSeq: ri.TierSeq, rb: rb}, nil
+	return &run{name: ri.Name, tier: ri.Tier, count: ri.Count, seq: ri.Seq, rb: rb}, nil
 }

@@ -37,8 +37,6 @@ func buildParallelFixture(t *testing.T, workers int) (*lone, *storage.MemFS) {
 		S:              s,
 		RawName:        "raw",
 		MemBudgetBytes: 1 << 20,
-		Fanout:         4,
-		Window:         40,
 		Workers:        workers,
 	})
 	if err != nil {

@@ -27,8 +27,7 @@ func reopen(t *testing.T, fs *storage.MemFS) *lone {
 		Name:           "lsm",
 		S:              tSummarizer(t),
 		RawName:        "raw",
-		MemBudgetBytes: 32 * recordSize,
-		Fanout:         2,
+		MemBudgetBytes: 16 * recordSize,
 		Workers:        2,
 		QueryWorkers:   1, // whole Results are compared; visit counts need a serial scan
 	})
@@ -104,8 +103,8 @@ func TestOpenRoundTrip(t *testing.T) {
 // TestOpenContinuesDeterministicSequence is the strongest durability
 // check: interrupting a stream with Close+Open in the middle must leave
 // the final quiesced on-disk state byte-identical to a never-closed index
-// fed the same flush sequence — proving the manifest restores every
-// scheduling cursor (run naming, seq, tierSeq, group formation) exactly.
+// fed the same flush sequence — proving the manifest's run list and next
+// seq restore the whole schedule (run naming, group formation) exactly.
 func TestOpenContinuesDeterministicSequence(t *testing.T) {
 	gen := dataset.NewRandomWalk()
 	stream := dataset.Generate(gen, 400, tLen, 7)
@@ -116,10 +115,11 @@ func TestOpenContinuesDeterministicSequence(t *testing.T) {
 		}
 		// The memtable capacity (25 records) divides the batch size, so the
 		// memtable is empty at every batch boundary — the mid-stream Close
-		// then adds no extra flush and both sequences see identical flushes.
+		// then adds no extra flush and both sequences see identical flushes,
+		// 16 of them: groups land on tiers 0 and 1 on both sides of it.
 		opt := Options{
 			FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw",
-			MemBudgetBytes: 25 * recordSize, Fanout: 2, Workers: 2,
+			MemBudgetBytes: 25 * recordSize, Workers: 2,
 		}
 		ix, err := buildLone(opt)
 		if err != nil {
@@ -166,7 +166,8 @@ func TestOpenContinuesDeterministicSequence(t *testing.T) {
 }
 
 // TestOpenDetectsCorruption: a truncated run file, a mutilated run record,
-// and a config conflict all fail loudly with typed errors.
+// runs that share a seq, and a config conflict all fail loudly with typed
+// errors.
 func TestOpenDetectsCorruption(t *testing.T) {
 	ix, fs := buildStreamed(t)
 	if err := ix.Close(); err != nil {
@@ -203,16 +204,35 @@ func TestOpenDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Config conflicts: wrong summarization, wrong fanout.
+	// Two runs of one seq: the seq names a run's file and orders its age,
+	// so the manifest describes no state a writer could have left.
+	m, err = manifest.Load(fs, "lsm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := *m.LSM
+	dup := good
+	dup.Runs = append([]manifest.RunInfo(nil), good.Runs...)
+	dup.Runs[2].Seq = dup.Runs[1].Seq
+	m.LSM = &dup
+	if err := manifest.Commit(fs, "lsm", m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openLone(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw"}); !errors.Is(err, manifest.ErrCorruptManifest) {
+		t.Fatalf("runs sharing a seq: got %v, want ErrCorruptManifest", err)
+	}
+	m.LSM = &good
+	if err := manifest.Commit(fs, "lsm", m); err != nil {
+		t.Fatal(err)
+	}
+
+	// Config conflict: wrong summarization.
 	s2, err := summary.NewSummarizer(summary.Params{SeriesLen: tLen, Segments: 16, CardBits: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := openLone(Options{FS: fs, Name: "lsm", S: s2, RawName: "raw"}); !errors.Is(err, manifest.ErrConfigMismatch) {
 		t.Fatalf("segment mismatch: got %v, want ErrConfigMismatch", err)
-	}
-	if _, err := openLone(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw", Fanout: 5}); !errors.Is(err, manifest.ErrConfigMismatch) {
-		t.Fatalf("fanout mismatch: got %v, want ErrConfigMismatch", err)
 	}
 
 	// And the repaired index opens again.
@@ -238,7 +258,7 @@ func TestCloseFlushesMemtable(t *testing.T) {
 		t.Fatal(err)
 	}
 	re, err := openLone(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw",
-		MemBudgetBytes: 1 << 20, Window: 40})
+		MemBudgetBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

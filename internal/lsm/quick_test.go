@@ -13,12 +13,12 @@ import (
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
-// TestQuickMembershipUnderRandomBatching: whatever the batch sizes,
-// memtable capacity, and fanout, every ingested series must remain
+// TestQuickMembershipUnderRandomBatching: whatever the batch sizes and
+// memtable capacity, every ingested series must remain
 // findable at distance zero, and the record count must be conserved
 // across flushes and compactions.
 func TestQuickMembershipUnderRandomBatching(t *testing.T) {
-	f := func(seed int64, memCap uint8, fanout uint8, nBatches uint8) bool {
+	f := func(seed int64, memCap uint8, nBatches uint8) bool {
 		fs := storage.NewMemFS()
 		gen := dataset.NewRandomWalk()
 		if _, err := dataset.WriteFile(fs, "raw", gen, 60, tLen, seed); err != nil {
@@ -29,9 +29,7 @@ func TestQuickMembershipUnderRandomBatching(t *testing.T) {
 			Name:           "q",
 			S:              tSummarizerQuick(),
 			RawName:        "raw",
-			MemBudgetBytes: int64(memCap%64+16) * recordSize,
-			Fanout:         int(fanout%4) + 2,
-			Window:         16,
+			MemBudgetBytes: int64(memCap%32+16) * recordSize,
 		})
 		if err != nil {
 			return false

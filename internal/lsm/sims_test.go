@@ -43,7 +43,7 @@ func TestExactMatchesReferencePass(t *testing.T) {
 		if _, err := dataset.WriteFile(fs, "raw", gen, tCount, tLen, 42); err != nil {
 			t.Fatal(err)
 		}
-		ix, err := buildLone(Options{FS: fs, Name: "lsm", S: s, RawName: "raw", MemBudgetBytes: 1 << 20, Fanout: 4, Window: 40,
+		ix, err := buildLone(Options{FS: fs, Name: "lsm", S: s, RawName: "raw", MemBudgetBytes: 1 << 20,
 			Cache: blockcache.New(64 << 10)})
 		if err != nil {
 			t.Fatal(err)
@@ -141,7 +141,7 @@ func TestExactSkipsRunBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := append(dataset.Generate(gen, bulk, tLen, 42), dataset.Generate(gen, 1300, tLen, 7)...)
-	ix, err := buildLone(Options{FS: fs, Name: "lsm", S: s, RawName: "raw", MemBudgetBytes: 1 << 20, Fanout: 4, Window: 40,
+	ix, err := buildLone(Options{FS: fs, Name: "lsm", S: s, RawName: "raw", MemBudgetBytes: 1 << 20,
 		QueryWorkers: 1, Cache: blockcache.New(1 << 10)})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // fail with one of the typed errors — and never panic, hang, or allocate
 // proportionally to a forged length field. Any other format version is a
 // version mismatch. The seeds are every variant (the tree a multi-leaf
-// directory) and each of them at the refused versions 1–8.
+// directory) and each of them at the refused versions 1–9.
 func FuzzDecode(f *testing.F) {
 	for _, m := range samples() {
 		data, err := m.Encode()

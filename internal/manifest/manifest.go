@@ -3,8 +3,8 @@
 // needed to reopen a built Coconut index from storage without touching the
 // raw dataset — the format version, the summarization parameters, and the
 // per-variant on-device layout (the leaf run's generation and leaf
-// directory for Coconut-Tree, the leaf count for Coconut-Trie, and the full
-// run set plus scheduling cursors for Coconut-LSM).
+// directory for Coconut-Tree, the leaf count for Coconut-Trie, and the run
+// list for Coconut-LSM, which is its whole compaction schedule).
 //
 // A manifest is committed atomically: the encoding is written to a sibling
 // temporary file and renamed over the live manifest (storage.FS.Rename), so
@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
@@ -60,9 +59,9 @@ const (
 	// versions describe layouts no reader exists for any more (padded trie
 	// leaf pages, flat LSM runs, LSM runs framed in checksum blocks, tree
 	// directories in a separate B+-tree meta file, LSM write-ahead logs, tree
-	// leaves on stamped B+-tree pages) and fail with ErrVersionMismatch:
-	// rebuild the index.
-	version uint32 = 9
+	// leaves on stamped B+-tree pages, LSM compaction cursors beside the run
+	// list) and fail with ErrVersionMismatch: rebuild the index.
+	version uint32 = 10
 	// headerSize is magic + version + payload length + CRC32-C.
 	headerSize = 16
 	// maxStringLen bounds decoded string fields (file names).
@@ -90,40 +89,28 @@ type TrieLayout struct {
 }
 
 // RunInfo describes one immutable LSM run: its file, its place in the
-// deterministic compaction DAG (tier, tierSeq, seq), and integrity bounds
+// compaction schedule (tier, and seq: its age), and integrity bounds
 // (record count and key range) verified when the run file is reloaded.
 type RunInfo struct {
-	Name    string
-	Tier    int
-	TierSeq int
-	Seq     int64
-	Count   int64
-	MinKey  summary.Key
-	MaxKey  summary.Key
+	Name   string
+	Tier   int
+	Seq    int64
+	Count  int64
+	MinKey summary.Key
+	MaxKey summary.Key
 }
 
 // BulkTier is the tier of an LSM's bulk-loaded run: effectively maximal, so
 // ingest-time compactions never try to fold it.
 const BulkTier = 1 << 30
 
-// TierCursor records how many compaction groups of one input tier have
-// completed — the formation cursor that keeps group naming deterministic
-// across restarts.
-type TierCursor struct {
-	Tier   int
-	Groups int
-}
-
-// LSMLayout records the full LSM state needed to reopen: the run set and
-// the scheduling counters that make future flushes and compactions continue
-// the same deterministic sequence.
+// LSMLayout records the full LSM state needed to reopen. The run list,
+// oldest first, is the whole compaction schedule: the next group is the
+// oldest runs of the lowest full tier, and a run's tier and seq name its
+// file. NextSeq is the seq of the next flush run.
 type LSMLayout struct {
-	Fanout   int
-	NextRun  int
-	NextSeq  int64
-	Tier0Seq int
-	Cursors  []TierCursor
-	Runs     []RunInfo
+	NextSeq int64
+	Runs    []RunInfo
 
 	// Flushed is a raw-file position: every record below it that the index
 	// owns is in a run. Open re-summarizes the owned records from it up to
@@ -227,22 +214,11 @@ func (m *Manifest) Encode() ([]byte, error) {
 			return nil, errors.New("manifest: lsm variant without lsm layout")
 		}
 		l := m.LSM
-		w.u32(uint32(l.Fanout))
-		w.u32(uint32(l.NextRun))
 		w.u64(uint64(l.NextSeq))
-		w.u32(uint32(l.Tier0Seq))
-		cursors := append([]TierCursor(nil), l.Cursors...)
-		sort.Slice(cursors, func(a, b int) bool { return cursors[a].Tier < cursors[b].Tier })
-		w.u32(uint32(len(cursors)))
-		for _, c := range cursors {
-			w.u32(uint32(c.Tier))
-			w.u32(uint32(c.Groups))
-		}
 		w.u32(uint32(len(l.Runs)))
 		for _, r := range l.Runs {
 			w.str(r.Name)
 			w.u32(uint32(r.Tier))
-			w.u32(uint32(r.TierSeq))
 			w.u64(uint64(r.Seq))
 			w.u64(uint64(r.Count))
 			w.bytes(r.MinKey[:])
@@ -328,32 +304,15 @@ func Decode(data []byte) (*Manifest, error) {
 	case VariantTrie:
 		m.Trie = &TrieLayout{NumLeaves: int(r.u32())}
 	case VariantLSM:
-		l := &LSMLayout{}
-		l.Fanout = int(r.u32())
-		l.NextRun = int(r.u32())
-		l.NextSeq = int64(r.u64())
-		l.Tier0Seq = int(r.u32())
-		nc := int(r.u32())
-		if r.err == nil && nc > r.remaining()/8 {
-			return nil, fmt.Errorf("%w: %d tier cursors exceed payload", ErrCorruptManifest, nc)
-		}
-		for i := 0; i < nc && r.err == nil; i++ {
-			l.Cursors = append(l.Cursors, TierCursor{Tier: int(r.u32()), Groups: int(r.u32())})
-		}
+		l := &LSMLayout{NextSeq: int64(r.u64())}
 		nr := int(r.u32())
 		// A run entry is at least name length + fixed fields + two keys.
-		minRun := 4 + 4 + 4 + 8 + 8 + 2*summary.KeySize
+		minRun := 4 + 4 + 8 + 8 + 2*summary.KeySize
 		if r.err == nil && nr > r.remaining()/minRun {
 			return nil, fmt.Errorf("%w: %d runs exceed payload", ErrCorruptManifest, nr)
 		}
 		for i := 0; i < nr && r.err == nil; i++ {
-			ri := RunInfo{
-				Name:    r.str(),
-				Tier:    int(r.u32()),
-				TierSeq: int(r.u32()),
-				Seq:     int64(r.u64()),
-				Count:   int64(r.u64()),
-			}
+			ri := RunInfo{Name: r.str(), Tier: int(r.u32()), Seq: int64(r.u64()), Count: int64(r.u64())}
 			r.keyInto(&ri.MinKey)
 			r.keyInto(&ri.MaxKey)
 			l.Runs = append(l.Runs, ri)
@@ -419,16 +378,19 @@ func (m *Manifest) validate() error {
 		}
 	}
 	if m.LSM != nil {
-		for i := 1; i < len(m.LSM.Cursors); i++ {
-			if m.LSM.Cursors[i].Tier <= m.LSM.Cursors[i-1].Tier {
-				return fmt.Errorf("%w: tier cursors out of order", ErrCorruptManifest)
-			}
-		}
 		var total int64
+		last := int64(-1)
 		for _, ri := range m.LSM.Runs {
 			if ri.Name == "" || ri.Count <= 0 || ri.Tier < 0 {
 				return fmt.Errorf("%w: impossible run entry", ErrCorruptManifest)
 			}
+			// Names derive from seqs: a repeated seq, or one the next flush
+			// would take, is two runs for one file.
+			if ri.Seq <= last || ri.Seq >= m.LSM.NextSeq {
+				return fmt.Errorf("%w: run seq %d out of age order (previous %d, next %d)",
+					ErrCorruptManifest, ri.Seq, last, m.LSM.NextSeq)
+			}
+			last = ri.Seq
 			total += ri.Count
 		}
 		if total != m.Count {

@@ -29,7 +29,7 @@ func sampleTrie() *Manifest {
 	}
 }
 
-// legacyEncode is m as format version ver (1–8) wrote it: version 2 added
+// legacyEncode is m as format version ver (1–9) wrote it: version 2 added
 // the LSM WAL cursors (the flushed position and two segment numbers, of
 // which version 8 keeps the position), 3 a checksums flag and 4 a
 // compressed-runs flag (both set by every version-5 writer that could be
@@ -38,8 +38,9 @@ func sampleTrie() *Manifest {
 // pages} directory over a padded page file, and a tree before version 7
 // stored its B+-tree geometry, its
 // directory living in a separate meta file, and in versions 7 and 8 a
-// {page, count, stamp, separator} entry per leaf page. Everything else is
-// laid out as today.
+// {page, count, stamp, separator} entry per leaf page. An LSM before
+// version 10 kept compaction cursors beside its run list (legacyLSM).
+// Everything else is laid out as today.
 func legacyEncode(m *Manifest, ver uint32) []byte {
 	cur, err := m.Encode()
 	if err != nil {
@@ -56,6 +57,9 @@ func legacyEncode(m *Manifest, ver uint32) []byte {
 	w.u64(uint64(m.Count))
 	// Today's payload: the fields above, then the variant layout.
 	layout := cur[headerSize+len(w.buf):]
+	if m.Variant == VariantLSM {
+		layout = legacyLSM(m.LSM)
+	}
 	if ver >= 3 {
 		w.bool(true)
 	}
@@ -102,6 +106,33 @@ func legacyEncode(m *Manifest, ver uint32) []byte {
 	return append(out, w.buf...)
 }
 
+// legacyLSM is l as versions 2–9 laid it out: the fanout, the next run
+// number, the next seq, the tier-0 flush count and one {tier, groups}
+// cursor per tier before the run list, and each run's ordinal within its
+// tier after its tier.
+func legacyLSM(l *LSMLayout) []byte {
+	var w writer
+	w.u32(4)                     // fanout
+	w.u32(uint32(l.NextSeq))     // next run number
+	w.u64(uint64(l.NextSeq))     // next seq
+	w.u32(uint32(l.NextSeq - 1)) // tier-0 flushes
+	w.u32(1)                     // one cursor: tier 0, one group done
+	w.u32(0)
+	w.u32(1)
+	w.u32(uint32(len(l.Runs)))
+	for i, r := range l.Runs {
+		w.str(r.Name)
+		w.u32(uint32(r.Tier))
+		w.u32(uint32(i)) // ordinal within the tier
+		w.u64(uint64(r.Seq))
+		w.u64(uint64(r.Count))
+		w.bytes(r.MinKey[:])
+		w.bytes(r.MaxKey[:])
+	}
+	w.u64(uint64(l.Flushed))
+	return w.buf
+}
+
 func sampleLSM() *Manifest {
 	var lo, hi summary.Key
 	hi[0], hi[15] = 0xff, 0x7f
@@ -109,12 +140,11 @@ func sampleLSM() *Manifest {
 		Variant: VariantLSM, SeriesLen: 128, Segments: 16, CardBits: 8,
 		LeafCap: 2000, RawName: "data.bin", Count: 300,
 		LSM: &LSMLayout{
-			Fanout: 4, NextRun: 7, NextSeq: 9, Tier0Seq: 6,
-			Cursors: []TierCursor{{Tier: 0, Groups: 1}, {Tier: 1, Groups: 0}},
+			NextSeq: 6,
 			Runs: []RunInfo{
-				{Name: "ix.run.000000", Tier: 1 << 30, TierSeq: 0, Seq: 0, Count: 200, MinKey: lo, MaxKey: hi},
-				{Name: "ix.cmp.t0.000000", Tier: 1, TierSeq: 0, Seq: 1, Count: 80, MinKey: lo, MaxKey: hi},
-				{Name: "ix.run.000005", Tier: 0, TierSeq: 4, Seq: 5, Count: 20, MinKey: lo, MaxKey: hi},
+				{Name: "ix.run.000000", Tier: 1 << 30, Seq: 0, Count: 200, MinKey: lo, MaxKey: hi},
+				{Name: "ix.cmp.t0.000001", Tier: 1, Seq: 1, Count: 80, MinKey: lo, MaxKey: hi},
+				{Name: "ix.run.000005", Tier: 0, Seq: 5, Count: 20, MinKey: lo, MaxKey: hi},
 			},
 			Flushed: 320,
 		},
@@ -137,7 +167,7 @@ func samples() []*Manifest {
 }
 
 // refusedEncodings are well-formed manifests of layouts no reader exists
-// for: every variant at format versions 1–8.
+// for: every variant at format versions 1–9.
 func refusedEncodings() [][]byte {
 	var out [][]byte
 	for _, m := range samples() {
@@ -182,8 +212,7 @@ func assertEqual(t *testing.T, want, got *Manifest) {
 		}
 	case VariantLSM:
 		w, g := want.LSM, got.LSM
-		if w.Fanout != g.Fanout || w.NextRun != g.NextRun || w.NextSeq != g.NextSeq ||
-			w.Tier0Seq != g.Tier0Seq || w.Flushed != g.Flushed || len(w.Cursors) != len(g.Cursors) || len(w.Runs) != len(g.Runs) {
+		if w.NextSeq != g.NextSeq || w.Flushed != g.Flushed || len(w.Runs) != len(g.Runs) {
 			t.Fatalf("lsm layout mismatch: want %+v, got %+v", w, g)
 		}
 		for i := range w.Runs {
@@ -344,10 +373,11 @@ func TestReencodeBitExact(t *testing.T) {
 	}
 }
 
-// TestOldLayoutsRefused: format v9 is the only one read. A manifest of an
+// TestOldLayoutsRefused: format v10 is the only one read. A manifest of an
 // earlier version, of any variant, is a version mismatch (rebuild), not
 // corruption — v7 included, whose LSM layout ended in two WAL segment
-// cursors, and v8, whose tree directory named stamped leaf pages.
+// cursors, v8, whose tree directory named stamped leaf pages, and v9, whose
+// LSM layout kept compaction cursors beside its run list.
 func TestOldLayoutsRefused(t *testing.T) {
 	for i, enc := range refusedEncodings() {
 		if _, err := Decode(enc); !errors.Is(err, ErrVersionMismatch) {
@@ -416,6 +446,28 @@ func TestLSMFlushedPosition(t *testing.T) {
 		}
 		if !tc.ok && !errors.Is(err, ErrCorruptManifest) {
 			t.Fatalf("flushed %d below %d records: decode %v, want ErrCorruptManifest", tc.flushed, m.Count, err)
+		}
+	}
+}
+
+// TestLSMRunSeqs: a run's seq is its age and names its file, so the run
+// list must be strictly increasing in seq and below NextSeq; a repeated,
+// decreasing or not-yet-issued seq — which no writer produces — fails Decode
+// with ErrCorruptManifest.
+func TestLSMRunSeqs(t *testing.T) {
+	for name, mutate := range map[string]func(l *LSMLayout){
+		"repeated":   func(l *LSMLayout) { l.Runs[2].Seq = l.Runs[1].Seq },
+		"decreasing": func(l *LSMLayout) { l.Runs[0].Seq, l.Runs[1].Seq = 1, 0 },
+		"next-seq":   func(l *LSMLayout) { l.NextSeq = l.Runs[2].Seq },
+	} {
+		m := sampleLSM()
+		mutate(m.LSM)
+		data, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(data); !errors.Is(err, ErrCorruptManifest) {
+			t.Fatalf("%s seq: decode %v, want ErrCorruptManifest", name, err)
 		}
 	}
 }

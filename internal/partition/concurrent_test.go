@@ -232,11 +232,10 @@ func TestConcurrentLSMQueriesWithAppend(t *testing.T) {
 		t.Run(fmt.Sprintf("%dp", parts), func(t *testing.T) {
 			fs, data := stressFS(t)
 			opt := lsm.Options{FS: fs, Name: "lsm", S: ptSummarizer(t), RawName: "raw",
-				// Tiny memtable + fanout 2: unpartitioned, every 50-series
-				// batch flushes, and the flushes cascade into multi-tier
-				// compactions mid-query.
-				MemBudgetBytes: 32 * (summary.KeySize + 8),
-				Fanout:         2,
+				// Smallest memtable (16 records): unpartitioned, every
+				// 50-series batch flushes three times, and the flushes
+				// cascade into multi-tier compactions mid-query.
+				MemBudgetBytes: 16 * (summary.KeySize + 8),
 				Workers:        2,
 				QueryWorkers:   4,
 			}
@@ -408,7 +407,7 @@ func TestConcurrentFlushCoversOnlyInsertedRecords(t *testing.T) {
 	const base = 64
 	opt := func(fs storage.FS) lsm.Options {
 		return lsm.Options{FS: fs, Name: "lsm", S: ptSummarizer(t), RawName: "raw",
-			MemBudgetBytes: 16 * (summary.KeySize + 8), Fanout: 2}
+			MemBudgetBytes: 16 * (summary.KeySize + 8)}
 	}
 	seed := rawSeed(t, base)
 	ix, err := Build(LSMVariant(opt(seed)), 1, nil)

@@ -165,16 +165,12 @@ func TrieVariant(opt core.Options) Variant {
 }
 
 func coreVariant[T Child](kind manifest.Variant, opt core.Options, build, open func(core.Options) (T, error)) Variant {
-	aw := opt.ApproxWindow
-	if aw <= 0 {
-		aw = 32
-	}
 	return Variant{
 		kind: kind,
 		fs:   opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
 		materialized: opt.Materialized, leafCap: opt.LeafCap,
 		workers: opt.Workers, queryWorkers: opt.QueryWorkers,
-		half:   func(radius, n int) int { return core.WindowHalf(aw, radius, n) },
+		half:   core.WindowHalf,
 		remove: core.Remove,
 		// Same geometry and summarization; a partition divides the worker
 		// and memory budgets.
@@ -204,15 +200,11 @@ func LSMVariant(opt lsm.Options) Variant {
 	if opt.Cache == nil {
 		opt.Cache = blockcache.New(0)
 	}
-	w := opt.Window
-	if w <= 0 {
-		w = 100
-	}
 	return Variant{
 		kind: manifest.VariantLSM,
 		fs:   opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
 		workers: opt.Workers, queryWorkers: opt.QueryWorkers,
-		half:       func(int, int) int { return w / 2 },
+		half:       func(int, int) int { return lsm.WindowHalf },
 		ackInserts: true,
 		remove:     lsm.Remove,
 		// A partition divides the global memory and worker budgets, so

@@ -40,7 +40,7 @@ func ptSummarizer(t *testing.T) *summary.Summarizer {
 // here fills, so every flush is an explicit one.
 func lsmOptions(t *testing.T, fs storage.FS) lsm.Options {
 	t.Helper()
-	return lsm.Options{FS: fs, Name: "x", S: ptSummarizer(t), RawName: "raw", MemBudgetBytes: 1 << 20, Fanout: 2}
+	return lsm.Options{FS: fs, Name: "x", S: ptSummarizer(t), RawName: "raw", MemBudgetBytes: 1 << 20}
 }
 
 // lsmLayout builds (or reopens) the parts-way Composite of opt's LSMs: 1 is
@@ -111,7 +111,8 @@ func referenceAnswers(t *testing.T, base int, stream, queries []series.Series) f
 }
 
 // TestPartitionedAppendCrashSweep power-fails an acknowledged append stream
-// — with a flush inside it — at every counted storage operation, over the
+// — with four flushes inside it, the last of which compacts the unpartitioned
+// index's tier 0 — at every counted storage operation, over the
 // unpartitioned LSM and a Composite of three whose children share one raw
 // log. After every crash point: (a) every acknowledged append is recovered,
 // (b) nothing beyond the one append in flight, (c) exact and approximate
@@ -148,7 +149,7 @@ func TestPartitionedAppendCrashSweep(t *testing.T) {
 						return acked, 3
 					}
 					acked += 3
-					if lo == 9 {
+					if lo%6 == 3 {
 						if err := ix.Flush(); err != nil {
 							return acked, 0
 						}

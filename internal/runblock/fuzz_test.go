@@ -22,7 +22,7 @@ func fuzzSeedFile(n, blockRecords int, seed int64) []byte {
 		recs[i] = rec{key: k, pos: int64(rng.Intn(1 << 20))}
 	}
 	sort.Slice(recs, func(a, b int) bool {
-		return recLess(recs[a].key, recs[a].pos, recs[b].key, recs[b].pos)
+		return summary.RecordLess(recs[a].key, recs[a].pos, recs[b].key, recs[b].pos)
 	})
 	fs := storage.NewMemFS()
 	f, _ := fs.Create("seed")
@@ -89,7 +89,7 @@ func FuzzRunBlock(f *testing.F) {
 		var prevPos int64
 		var n int64
 		err = r.Range(0, r.Count(), func(k summary.Key, p int64) error {
-			if n > 0 && recLess(k, p, prevKey, prevPos) {
+			if n > 0 && summary.RecordLess(k, p, prevKey, prevPos) {
 				t.Fatal("decoded records out of refined order")
 			}
 			prevKey, prevPos = k, p
@@ -131,7 +131,7 @@ func FuzzRoundTrip(f *testing.F) {
 			recs = append(recs, rec{key: k, pos: pos})
 		}
 		sort.Slice(recs, func(a, b int) bool {
-			return recLess(recs[a].key, recs[a].pos, recs[b].key, recs[b].pos)
+			return summary.RecordLess(recs[a].key, recs[a].pos, recs[b].key, recs[b].pos)
 		})
 		fs := storage.NewMemFS()
 		file, err := fs.Create("run")

@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/storage"
@@ -67,16 +66,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // errCorrupt types every decode failure as on-disk corruption.
 func errCorrupt(format string, args ...any) error {
 	return fmt.Errorf("runblock: "+format+": %w", append(args, storage.ErrCorruptData)...)
-}
-
-// recLess is the refined order every run is sorted under: key bytes first,
-// ties broken by the lexicographic order of the position's little-endian
-// encoding (reversing the bytes of the integer compares exactly that).
-func recLess(ak summary.Key, ap int64, bk summary.Key, bp int64) bool {
-	if c := ak.Compare(bk); c != 0 {
-		return c < 0
-	}
-	return bits.ReverseBytes64(uint64(ap)) < bits.ReverseBytes64(uint64(bp))
 }
 
 // Block is one decoded block: parallel key/position arrays, the unit the
@@ -160,7 +149,7 @@ func (w *Writer) Add(key summary.Key, pos int64) error {
 		}
 		w.started = true
 		w.minKey = key
-	} else if recLess(key, pos, w.prevKey, w.prevPos) {
+	} else if summary.RecordLess(key, pos, w.prevKey, w.prevPos) {
 		w.err = fmt.Errorf("runblock: records out of order")
 		return w.err
 	}
@@ -610,7 +599,7 @@ func (r *Reader) decodeBlockInto(b int, blk *Block, sc *scratch) error {
 			}
 			payload = payload[n:]
 			pos = int64(uint64(prevPos) + uint64(delta))
-			if recLess(key, pos, prevKey, prevPos) {
+			if summary.RecordLess(key, pos, prevKey, prevPos) {
 				return errCorrupt("block %d records out of order at %d", b, i)
 			}
 		}
@@ -730,7 +719,7 @@ func (r *Reader) Verify() error {
 		if err := r.decodeBlockInto(b, blk, sc); err != nil {
 			return err
 		}
-		if b > 0 && recLess(blk.Keys[0], blk.Pos[0], prevKey, prevPos) {
+		if b > 0 && summary.RecordLess(blk.Keys[0], blk.Pos[0], prevKey, prevPos) {
 			return errCorrupt("blocks %d/%d out of order", b-1, b)
 		}
 		n := len(blk.Keys)

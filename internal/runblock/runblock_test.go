@@ -39,7 +39,7 @@ func genRecords(t *testing.T, rng *rand.Rand, n int) []rec {
 		}
 	}
 	sort.Slice(recs, func(a, b int) bool {
-		return recLess(recs[a].key, recs[a].pos, recs[b].key, recs[b].pos)
+		return summary.RecordLess(recs[a].key, recs[a].pos, recs[b].key, recs[b].pos)
 	})
 	return recs
 }
@@ -414,7 +414,7 @@ func TestCompressionRatioOnClustered(t *testing.T) {
 		recs[i] = rec{key: k, pos: int64(i)*200 + int64(rng.Intn(100))}
 	}
 	sort.Slice(recs, func(a, b int) bool {
-		return recLess(recs[a].key, recs[a].pos, recs[b].key, recs[b].pos)
+		return summary.RecordLess(recs[a].key, recs[a].pos, recs[b].key, recs[b].pos)
 	})
 	fs := storage.NewMemFS()
 	writeRun(t, fs, "run", recs, DefaultBlockRecords)

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"os/signal"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	coconut "github.com/coconut-db/coconut"
@@ -140,6 +143,35 @@ func (s *Server) Shutdown(parent context.Context, hs *http.Server) error {
 		err = cerr
 	}
 	return err
+}
+
+// ListenAndServe serves hs until it fails or the process receives SIGINT or
+// SIGTERM. A serve failure closes every index and is returned. A signal is
+// handed to onSignal, then drains through Shutdown; the result is nil once
+// the drain was clean and the listener has stopped.
+func (s *Server) ListenAndServe(hs *http.Server, onSignal func(os.Signal)) error {
+	errc := make(chan error, 1)
+	go func() {
+		err := hs.ListenAndServe()
+		if errors.Is(err, http.ErrServerClosed) {
+			err = nil
+		}
+		errc <- err
+	}()
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+	select {
+	case err := <-errc:
+		s.mgr.CloseAll()
+		return err
+	case sig := <-sigc:
+		onSignal(sig)
+		if err := s.Shutdown(context.Background(), hs); err != nil {
+			return fmt.Errorf("shutdown: %w", err)
+		}
+		return <-errc
+	}
 }
 
 // timeoutFor resolves the effective per-request deadline: the server

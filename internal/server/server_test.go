@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"testing"
 	"time"
@@ -645,5 +646,35 @@ func TestServerAppendToTrieRefused(t *testing.T) {
 	h, _ := mgr.Get("trie")
 	if n := h.Index.Count(); n != testSeries {
 		t.Fatalf("the trie holds %d series after a refused append, want %d", n, testSeries)
+	}
+}
+
+// managerClosed reports whether mgr's indexes were closed.
+func managerClosed(mgr *Manager) bool {
+	mgr.mu.Lock()
+	defer mgr.mu.Unlock()
+	return mgr.closed
+}
+
+// TestListenAndServeFailureClosesIndexes: a listener that cannot start ends
+// ListenAndServe with its error, every index closed and no signal handled.
+func TestListenAndServeFailureClosesIndexes(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	ix, _ := buildServedTree(t, storage.NewMemFS())
+	mgr := NewManager()
+	mgr.Add(NewHandle("ix", ix))
+	s := New(mgr, Options{})
+	err = s.ListenAndServe(s.NewHTTPServer(taken.Addr().String()), func(sig os.Signal) {
+		t.Errorf("signal %v handled on a failed listen", sig)
+	})
+	if err == nil {
+		t.Fatal("serving on a taken address returned nil")
+	}
+	if !managerClosed(mgr) {
+		t.Fatal("a failed listen left the indexes open")
 	}
 }

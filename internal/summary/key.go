@@ -25,6 +25,19 @@ func (k Key) Compare(o Key) int { return bytes.Compare(k[:], o[:]) }
 // Less reports whether k sorts before o.
 func (k Key) Less(o Key) bool { return k.Compare(o) < 0 }
 
+// RecordLess is the refined record order every sorted run and window
+// follows: key first, ties broken by the lexicographic order of the
+// position's little-endian encoding — the order the external sort's
+// full-record comparison sees, since a record stores its position
+// little-endian right after the key. Reversing the integer's bytes compares
+// exactly that. Positions are unique, so the order is strict.
+func RecordLess(ak Key, ap int64, bk Key, bp int64) bool {
+	if c := ak.Compare(bk); c != 0 {
+		return c < 0
+	}
+	return bits.ReverseBytes64(uint64(ap)) < bits.ReverseBytes64(uint64(bp))
+}
+
 // String returns the key as hex, for debugging.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 

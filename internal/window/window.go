@@ -18,7 +18,6 @@
 package window
 
 import (
-	"math/bits"
 	"sort"
 
 	"github.com/coconut-db/coconut/internal/series"
@@ -44,31 +43,20 @@ type Cand struct {
 	Ord int
 }
 
-// LePosLess orders positions by their little-endian byte encoding — the
-// tie-break the external sort's full-record comparison applies to equal
-// keys, so (Key, LePosLess) is exactly the persisted record order.
-func LePosLess(a, b int64) bool {
-	return bits.ReverseBytes64(uint64(a)) < bits.ReverseBytes64(uint64(b))
-}
-
-// Less is the refined total record order: key first, encoded position as
-// the tie-break. Positions are unique, so the order is strict.
-func Less(a, b Cand) bool {
-	if c := a.Key.Compare(b.Key); c != 0 {
-		return c < 0
-	}
-	return LePosLess(a.Pos, b.Pos)
+// SortRecords sorts cs under the refined record order (summary.RecordLess).
+func SortRecords(cs []Cand) {
+	sort.Slice(cs, func(i, j int) bool { return summary.RecordLess(cs[i].Key, cs[i].Pos, cs[j].Key, cs[j].Pos) })
 }
 
 // Merge combines per-source window contributions into the global window:
 // below holds each source's trailing records with key < query key, above
 // each source's leading records with key >= query key (concatenated in any
-// order). Both groups are sorted under Less and trimmed to half records
-// each — the last half below the insertion point and the first half at or
-// above it — returning the merged window in record order.
+// order). Both groups are sorted under the record order and trimmed to half
+// records each — the last half below the insertion point and the first half
+// at or above it — returning the merged window in record order.
 func Merge(below, above []Cand, half int) []Cand {
-	sort.Slice(below, func(i, j int) bool { return Less(below[i], below[j]) })
-	sort.Slice(above, func(i, j int) bool { return Less(above[i], above[j]) })
+	SortRecords(below)
+	SortRecords(above)
 	if len(below) > half {
 		below = below[len(below)-half:]
 	}

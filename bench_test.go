@@ -329,6 +329,11 @@ func BenchmarkKeysInto(b *testing.B) {
 	})
 }
 
+// raceEnabled reports whether the tests run under the race detector
+// (race_test.go), whose sync.Pool drops Puts at random: the allocation
+// guards hold a separate bound there.
+var raceEnabled bool
+
 // benchSink keeps benchmarked kernel results alive so the compiler cannot
 // dead-code-eliminate the loops being measured.
 var benchSink float64
@@ -414,6 +419,110 @@ func TestExactQueryAllocations(t *testing.T) {
 		r := testing.Benchmark(func(b *testing.B) { benchExactQueryAllocs(b, name) })
 		if r.AllocsPerOp() >= 100 || r.AllocedBytesPerOp() >= kind.maxBytes {
 			t.Errorf("%s: exact query on 20k series allocates %d objects, %d bytes; want < 100 and < %d KiB", name, r.AllocsPerOp(), r.AllocedBytesPerOp(), kind.maxBytes>>10)
+		}
+	}
+}
+
+// approxQueryAllocIndexes are the indexes the approximate-query allocation
+// guard runs on: 20k random-walk series at the default shape with
+// QueryWorkers pinned to 1 — a non-materialized tree (one sorted source, a
+// 32-record window), a single-run LSM (one source, 100 records) and an LSM of
+// three runs and a part-full memtable (four sorted sources merged into one
+// window). maxBytes bounds the bytes one query allocates, raceMaxBytes the
+// same under the race detector, whose sync.Pool drops a quarter of all Puts
+// (an LSM query's pooled lower-bound table is 33 KB): both sit below what
+// the per-query sort the merge replaced allocated in the same mode (tree,
+// LSM, three runs: 4.0, 15.9 and 67.7 KiB; 4.6, 24.6 and 76.9 KiB under
+// -race), with room over the merge's own figures (2.2, 6.2 and 26.8 KiB;
+// 2.8, 14.3 and 37.5 KiB).
+var approxQueryAllocIndexes = map[string]struct {
+	maxBytes, raceMaxBytes int64
+	build                  func(fs Storage) (*Index, error)
+}{
+	"tree": {3584, 4608, func(fs Storage) (*Index, error) {
+		return BuildTreeIndex(Config{Storage: fs, Name: "aq", DataFile: "aq.bin", SeriesLen: 256, QueryWorkers: 1})
+	}},
+	"lsm": {10 << 10, 22 << 10, func(fs Storage) (*Index, error) {
+		ix, err := BuildLSMIndex(Config{Storage: fs, Name: "aq", DataFile: "aq.bin", SeriesLen: 256, QueryWorkers: 1})
+		if err != nil {
+			return nil, err
+		}
+		return ix.Index, nil
+	}},
+	"lsm-3runs": {40 << 10, 56 << 10, func(fs Storage) (*Index, error) {
+		// A 512-record memtable: two full ones flush behind the bulk run
+		// and 300 records stay in the third.
+		ix, err := BuildLSMIndex(Config{Storage: fs, Name: "aq", DataFile: "aq.bin", SeriesLen: 256, QueryWorkers: 1,
+			MemoryBudget: 512 * (summary.KeySize + 8)})
+		if err != nil {
+			return nil, err
+		}
+		batch, err := GenerateQueries(RandomWalk, 2*512+300, 256, 33)
+		if err == nil {
+			err = ix.Insert(batch)
+		}
+		if err == nil && ix.NumRuns() != 3 {
+			err = fmt.Errorf("%d runs, want 3", ix.NumRuns())
+		}
+		if err != nil {
+			ix.Close()
+			return nil, err
+		}
+		return ix.Index, nil
+	}},
+}
+
+// benchApproxQueryAllocs measures one approximate query per op on a warm
+// handle.
+func benchApproxQueryAllocs(b *testing.B, name string) {
+	fs := storage.NewMemFS()
+	if err := GenerateDataset(fs, "aq.bin", RandomWalk, 20000, 256, 31); err != nil {
+		b.Fatal(err)
+	}
+	ix, err := approxQueryAllocIndexes[name].build(fs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	queries, err := GenerateQueries(RandomWalk, 16, 256, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range queries { // warm-up: lazy state, pools, block cache
+		if _, err := ix.SearchApprox(q, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ix.SearchApprox(queries[i%len(queries)], 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkApproxQueryAllocs reports, under -benchmem, what one approximate
+// query allocates: the sources' window contributions, one merged window and
+// the evaluation's order — no per-source copies, no memtable-sized slice.
+// TestApproxQueryAllocations holds the line; CI prints these so a
+// regression is visible in the log.
+func BenchmarkApproxQueryAllocs(b *testing.B) {
+	for _, name := range []string{"tree", "lsm", "lsm-3runs"} {
+		b.Run(name, func(b *testing.B) { benchApproxQueryAllocs(b, name) })
+	}
+}
+
+// TestApproxQueryAllocations is the allocation guard on the benchmark above.
+func TestApproxQueryAllocations(t *testing.T) {
+	for name, kind := range approxQueryAllocIndexes {
+		r := testing.Benchmark(func(b *testing.B) { benchApproxQueryAllocs(b, name) })
+		maxBytes := kind.maxBytes
+		if raceEnabled {
+			maxBytes = kind.raceMaxBytes
+		}
+		if r.AllocsPerOp() >= 32 || r.AllocedBytesPerOp() >= maxBytes {
+			t.Errorf("%s: approximate query on 20k series allocates %d objects, %d bytes; want < 32 and < %d bytes", name, r.AllocsPerOp(), r.AllocedBytesPerOp(), maxBytes)
 		}
 	}
 }

@@ -370,9 +370,10 @@ func (a *simsArray) clip() {
 // and the I/O accounting for collecting them. See internal/window
 // for the semantics that make these contributions composable.
 type ApproxWindow struct {
-	// Below and Above are the candidates with key < query key (the source's
-	// trailing half-window) and key >= query key (its leading half-window).
-	Below, Above []window.Cand
+	// Source holds the candidates in record order, the first Split of them
+	// with key < query key (the source's trailing half-window) and the rest
+	// with key >= query key (its leading half-window).
+	window.Source
 	// Raw and Sums are the raw dataset file, and its CRC sidecar, that a
 	// non-materialized source's candidates are positions in: EvalWindow
 	// pins the file for the evaluation and reads each visited record once,
@@ -406,7 +407,8 @@ func WindowHalf(radius, n int) int {
 
 // windowCands collects the window contribution of a sorted summary array —
 // the tree's and the trie's alike: the trailing and leading half-windows
-// around q's insertion position, with the ordinal range [lo, hi) they span.
+// around q's insertion position, one slice of the array in record order,
+// with the ordinal range [lo, hi) they span.
 // A candidate's key is re-interleaved from its row, for the window's merge
 // across partitions.
 func windowCands(opt *Options, sims *simsArray, q series.Series, radius int) (aw ApproxWindow, lo, hi int, err error) {
@@ -417,14 +419,9 @@ func windowCands(opt *Options, sims *simsArray, q series.Series, radius int) (aw
 	half := WindowHalf(radius, sims.col.Len())
 	ins := sims.col.Search(opt.S.SAXFromPAA(qPAA, nil))
 	lo, hi = max(ins-half, 0), min(ins+half, sims.col.Len())
-	aw.Below, aw.Above = make([]window.Cand, 0, ins-lo), make([]window.Cand, 0, hi-ins)
+	aw.Cands, aw.Split = make([]window.Cand, hi-lo), ins-lo
 	for i := lo; i < hi; i++ {
-		c := window.Cand{Key: sims.col.Key(i), Pos: sims.positions[i], LB: opt.S.MinDistSqPAAToSAX(qPAA, sims.col.Row(i)), Ord: i}
-		if i < ins {
-			aw.Below = append(aw.Below, c)
-		} else {
-			aw.Above = append(aw.Above, c)
-		}
+		aw.Cands[i-lo] = window.Cand{Key: sims.col.Key(i), Pos: sims.positions[i], LB: opt.S.MinDistSqPAAToSAX(qPAA, sims.col.Row(i)), Ord: i}
 	}
 	return aw, lo, hi, nil
 }

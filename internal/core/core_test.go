@@ -225,17 +225,13 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 					for ins < len(keys) && keys[ins].Less(key) {
 						ins++
 					}
-					var below, above []window.Cand
+					var cands []window.Cand
 					leaves := map[int]bool{}
 					best := Result{Pos: -1, Dist: math.Inf(1)}
 					for i := max(ins-half, 0); i < min(ins+half, len(keys)); i++ {
 						sax := summary.Deinterleave(keys[i], opt.S.Params().Segments, opt.S.Params().CardBits)
 						c := window.Cand{Key: keys[i], Pos: ix.sims.positions[i], Ord: i, LB: opt.S.MinDistSqPAAToSAX(qPAA, sax)}
-						if i < ins {
-							below = append(below, c)
-						} else {
-							above = append(above, c)
-						}
+						cands = append(cands, c)
 						leaves[leafOfOrd(ix.leafStart, i)] = true
 						if sq, _ := series.SquaredED(q, data[c.Pos]); sq < best.Dist {
 							best.Pos, best.Dist = c.Pos, sq
@@ -245,15 +241,16 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !slices.Equal(aw.Below, below) || !slices.Equal(aw.Above, above) || aw.Leaves != int64(len(leaves)) {
-						t.Fatalf("%s mat=%v query %d radius %d: window %d+%d over %d leaves, reference %d+%d over %d",
-							name, mat, qi, radius, len(aw.Below), len(aw.Above), aw.Leaves, len(below), len(above), len(leaves))
+					split := ins - max(ins-half, 0)
+					if !slices.Equal(aw.Cands, cands) || aw.Split != split || aw.Leaves != int64(len(leaves)) {
+						t.Fatalf("%s mat=%v query %d radius %d: window %d split at %d over %d leaves, reference %d split at %d over %d",
+							name, mat, qi, radius, len(aw.Cands), aw.Split, aw.Leaves, len(cands), split, len(leaves))
 					}
 					got, err := ix.search(context.Background(), q, radius)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got.Pos != best.Pos || got.Dist != best.Dist || got.VisitedLeaves != aw.Leaves || got.VisitedRecords < 1 || got.VisitedRecords > int64(len(below)+len(above)) {
+					if got.Pos != best.Pos || got.Dist != best.Dist || got.VisitedLeaves != aw.Leaves || got.VisitedRecords < 1 || got.VisitedRecords > int64(len(cands)) {
 						t.Fatalf("%s mat=%v query %d radius %d: %+v, nearest of the window %+v", name, mat, qi, radius, got, best)
 					}
 				}

@@ -122,7 +122,7 @@ func approxKNN(ctx context.Context, ix child, half int, q series.Series, k, radi
 	if err != nil {
 		return nil, res, err
 	}
-	top, visited, err := EvalWindow(ctx, q, k, window.Merge(aw.Below, aw.Above, half), aw)
+	top, visited, err := EvalWindow(ctx, q, k, window.Merge(half, aw.Source).Cands, aw)
 	res.VisitedRecords, res.VisitedLeaves = visited, aw.Leaves
 	return top, res, err
 }

@@ -80,18 +80,13 @@ func requireSameAnswers(t *testing.T, roomy, tiny *lone, data []series.Series) {
 		if err1 != nil || err2 != nil {
 			t.Fatalf("query %d window: %v / %v", qi, err1, err2)
 		}
-		if len(w1.Below) != len(w2.Below) || len(w1.Above) != len(w2.Above) {
-			t.Fatalf("query %d window sizes diverge: %d/%d vs %d/%d",
-				qi, len(w1.Below), len(w1.Above), len(w2.Below), len(w2.Above))
+		if len(w1.Cands) != len(w2.Cands) || w1.Split != w2.Split {
+			t.Fatalf("query %d window sizes diverge: %d split at %d vs %d split at %d",
+				qi, len(w1.Cands), w1.Split, len(w2.Cands), w2.Split)
 		}
-		for i := range w1.Below {
-			if w1.Below[i].Key != w2.Below[i].Key || w1.Below[i].Pos != w2.Below[i].Pos {
-				t.Fatalf("query %d window below[%d] diverges", qi, i)
-			}
-		}
-		for i := range w1.Above {
-			if w1.Above[i].Key != w2.Above[i].Key || w1.Above[i].Pos != w2.Above[i].Pos {
-				t.Fatalf("query %d window above[%d] diverges", qi, i)
+		for i := range w1.Cands {
+			if w1.Cands[i].Key != w2.Cands[i].Key || w1.Cands[i].Pos != w2.Cands[i].Pos {
+				t.Fatalf("query %d window cands[%d] diverges", qi, i)
 			}
 		}
 	}

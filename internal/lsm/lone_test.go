@@ -80,7 +80,7 @@ func (l *lone) approxKNN(ctx context.Context, q series.Series, k int) ([]core.Ne
 	if err != nil {
 		return nil, res, err
 	}
-	top, visited, err := core.EvalWindow(ctx, q, k, window.Merge(aw.Below, aw.Above, WindowHalf), aw)
+	top, visited, err := core.EvalWindow(ctx, q, k, window.Merge(WindowHalf, aw.Source).Cands, aw)
 	res.VisitedRecords, res.VisitedLeaves = visited, aw.Leaves
 	return top, res, err
 }

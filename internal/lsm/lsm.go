@@ -5,19 +5,23 @@
 // Because invSAX keys are sortable, a Coconut index is just a sorted file —
 // which makes the LSM recipe apply directly:
 //
-//   - new series accumulate in an in-memory memtable, and the raw dataset
+//   - new series accumulate in an in-memory memtable of sorted pieces (each
+//     arriving batch is sorted, and pieces of similar length merge), and the
+//     raw dataset
 //     file is the log: a key is a pure function of a record's bytes, so an
 //     append is acknowledged once its raw bytes and their CRC sidecar
 //     entries are fsynced (storage.RecordSums), and Open re-summarizes the
 //     records past the manifest's flushed position into the memtable;
-//   - a full memtable is sorted and flushed as an immutable sorted RUN
+//   - a full memtable's pieces are merged as it is flushed, an immutable
+//     sorted RUN
 //     (one sequential write — no read-modify-write of existing leaves);
 //   - runs are organized in tiers; when a tier collects four runs they
 //     are merge-sorted into one run of the next tier (sequential I/O only);
 //   - queries consult the memtable plus every run: a run is a
 //     block-compressed sorted file (internal/runblock) read through a
 //     shared byte-budgeted block cache, so approximate search is a binary
-//     search per run and exact search is SIMS over the union of the runs'
+//     search per run and per memtable piece and a merge of the sorted windows
+//     around them, and exact search is SIMS over the union of the runs'
 //     key blocks.
 //
 // The index is non-materialized: records are (invSAX key, position) and
@@ -28,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -71,7 +76,9 @@ type Options struct {
 	// unpartitioned, a partition's scatter file otherwise. The partition
 	// layer opens it; Open ignores it.
 	Records *core.BuildSource
-	// MemBudgetBytes bounds the memtable (and the initial bulk sort).
+	// MemBudgetBytes bounds the memtable (and the initial bulk sort): it
+	// holds MemBudgetBytes/24 records. Merging two of its sorted pieces
+	// briefly copies the shorter one, at most half as much again.
 	MemBudgetBytes int64
 	// Workers is the number of concurrent workers used by the bulk-load
 	// sort, ingest summarization, and compaction merges (0 means
@@ -150,6 +157,9 @@ type memEntry struct {
 	pos int64
 }
 
+// compareMem is the record order (summary.RecordLess) on memtable entries.
+func compareMem(a, b memEntry) int { return summary.CompareRecords(a.key, a.pos, b.key, b.pos) }
+
 // Index is a Coconut-LSM index, a partition child (internal/partition): it
 // answers through the two steps of a query and takes records whose raw
 // bytes the partition layer appended to the raw log. A handle is safe for
@@ -172,9 +182,14 @@ type Index struct {
 	// the first) returns nil instead of double-closing the files.
 	closed bool
 	// runs is the whole compaction schedule: the run set, oldest first.
-	runs  []*run
-	mem   []memEntry
-	count int64
+	runs []*run
+	// mem is the memtable: sorted pieces laid end to end, each in record
+	// order (summary.RecordLess), the i-th ending at memEnds[i]. Each piece
+	// is more than twice as long as the next, so there are at most
+	// log2(len(mem))+1 of them.
+	mem     []memEntry
+	memEnds []int
+	count   int64
 	// nextSeq is the seq, and so the file name, of the next flush run.
 	nextSeq int64
 	// commitErr is the sticky first failed manifest commit of a compaction
@@ -355,11 +370,18 @@ func (ix *Index) InsertRecords(recs []core.InsertRec) error {
 	return ix.insertLocked(recs)
 }
 
-// insertLocked adds records to the memtable, flushing it whenever it fills.
+// insertLocked adds records to the memtable, flushing it whenever it fills:
+// the batch is cut where the memtable fills, and each cut is a new piece.
 func (ix *Index) insertLocked(recs []core.InsertRec) error {
-	for _, e := range recs {
-		ix.mem = append(ix.mem, memEntry{key: e.Key, pos: e.Pos})
-		ix.count++
+	for len(recs) > 0 {
+		n := min(len(recs), max(ix.memCapacity()-len(ix.mem), 1))
+		start := len(ix.mem)
+		for _, e := range recs[:n] {
+			ix.mem = append(ix.mem, memEntry{key: e.Key, pos: e.Pos})
+		}
+		recs = recs[n:]
+		ix.addMemPieceLocked(start)
+		ix.count += int64(n)
 		if len(ix.mem) >= ix.memCapacity() {
 			if err := ix.flushOnWriteLocked(); err != nil {
 				return err
@@ -369,14 +391,82 @@ func (ix *Index) insertLocked(recs []core.InsertRec) error {
 	return nil
 }
 
-// Flush sorts the memtable and writes it as a new tier-0 run, then runs
-// every compaction that is ready before it returns — including any whose
-// merge failed on an earlier write, which is retried here and whose error
-// Flush returns.
+// addMemPieceLocked sorts the memtable's records from start on, which
+// arrived together, into its newest piece, then merges the last two pieces
+// while the older is at most twice as long as the newer. Like a binary
+// counter, a record takes part in O(log len(mem)) merges, and the memtable
+// is never sorted again.
+func (ix *Index) addMemPieceLocked(start int) {
+	piece := ix.mem[start:]
+	if len(piece) == 0 {
+		return
+	}
+	slices.SortFunc(piece, compareMem)
+	ix.memEnds = append(ix.memEnds, len(ix.mem))
+	for n := len(ix.memEnds); n >= 2; n-- {
+		lo, mid, hi := 0, ix.memEnds[n-2], ix.memEnds[n-1]
+		if n >= 3 {
+			lo = ix.memEnds[n-3]
+		}
+		if mid-lo > 2*(hi-mid) {
+			break
+		}
+		mergePieces(ix.mem, lo, mid, hi)
+		ix.memEnds[n-2] = hi
+		ix.memEnds = ix.memEnds[:n-1]
+	}
+}
+
+// mergePieces merges the adjacent sorted pieces mem[lo:mid] and mem[mid:hi]
+// in place, through a copy of the shorter one: from the back when that is
+// the second, from the front when it is the first, so no record is
+// overwritten before it is read.
+func mergePieces(mem []memEntry, lo, mid, hi int) {
+	if hi-mid <= mid-lo {
+		b := slices.Clone(mem[mid:hi])
+		i, j := mid-1, len(b)-1
+		for k := hi - 1; j >= 0; k-- {
+			if i >= lo && compareMem(b[j], mem[i]) < 0 {
+				mem[k] = mem[i]
+				i--
+			} else {
+				mem[k] = b[j]
+				j--
+			}
+		}
+		return
+	}
+	a := slices.Clone(mem[lo:mid])
+	i, j := 0, mid
+	for k := lo; i < len(a); k++ {
+		if j < hi && compareMem(mem[j], a[i]) < 0 {
+			mem[k] = mem[j]
+			j++
+		} else {
+			mem[k] = a[i]
+			i++
+		}
+	}
+}
+
+// memPieces returns the memtable's sorted pieces, oldest first.
+func (ix *Index) memPieces() [][]memEntry {
+	ps := make([][]memEntry, len(ix.memEnds))
+	lo := 0
+	for i, hi := range ix.memEnds {
+		ps[i], lo = ix.mem[lo:hi], hi
+	}
+	return ps
+}
+
+// Flush writes the memtable as a new tier-0 run, its pieces merged on the
+// way, then runs every compaction that is ready before it returns —
+// including any whose merge failed on an earlier write, which is retried
+// here and whose error Flush returns.
 //
-// Entries sort under the refined record order (summary.RecordLess), so
-// every run on disk — flushed or compacted — is totally ordered under the
-// same order extsort uses. Compacted runs are then exactly the
+// The memtable's pieces are kept in the refined record order
+// (summary.RecordLess), so every run on disk — flushed or compacted — is
+// totally ordered under the same order extsort uses. Compacted runs are then exactly the
 // totally sorted multiset of their inputs, a state that is trivially
 // independent of Workers and easy to audit.
 func (ix *Index) Flush() error {
@@ -411,9 +501,6 @@ func (ix *Index) flushLocked() error {
 	if len(ix.mem) == 0 {
 		return nil
 	}
-	sort.Slice(ix.mem, func(a, b int) bool {
-		return summary.RecordLess(ix.mem[a].key, ix.mem[a].pos, ix.mem[b].key, ix.mem[b].pos)
-	})
 	// Every record below the run's last position that this index owns is in
 	// the memtable or a run. The raw log commits through that position before
 	// a run — and the manifest — references it: no manifest ever names a
@@ -425,11 +512,11 @@ func (ix *Index) flushLocked() error {
 	if err := ix.rawSums.Commit(context.Background(), flushed); err != nil {
 		return err
 	}
-	r, err := ix.writeRunFile(ix.mem)
+	r, err := ix.writeRunFile(ix.memPieces(), len(ix.mem))
 	if err != nil {
 		return err
 	}
-	ix.mem = ix.mem[:0]
+	ix.mem, ix.memEnds = ix.mem[:0], ix.memEnds[:0]
 	ix.runs = append(ix.runs, r)
 	ix.nextSeq++
 	ix.flushed = flushed
@@ -440,17 +527,29 @@ func (ix *Index) flushLocked() error {
 	return ix.commitManifestLocked()
 }
 
-// writeRunFile persists sorted entries as the next tier-0 run file, fsyncs it
-// (the manifest commit that will reference it requires the bytes on stable
-// storage first), and returns the opened run handle.
-func (ix *Index) writeRunFile(entries []memEntry) (*run, error) {
+// writeRunFile persists the n entries of the sorted pieces, merged, as the
+// next tier-0 run file, fsyncs it (the manifest commit that will reference
+// it requires the bytes on stable storage first), and returns the opened
+// run handle.
+func (ix *Index) writeRunFile(pieces [][]memEntry, n int) (*run, error) {
 	name := runFileName(ix.opt.Name, ix.nextSeq)
 	f, err := ix.opt.FS.Create(name)
 	if err != nil {
 		return nil, err
 	}
 	bw := runblock.NewWriter(f, 0)
-	for _, e := range entries {
+	for len(pieces) > 0 {
+		// The least head of the pieces is the next record.
+		best := 0
+		for i := 1; i < len(pieces); i++ {
+			if compareMem(pieces[i][0], pieces[best][0]) < 0 {
+				best = i
+			}
+		}
+		e := pieces[best][0]
+		if pieces[best] = pieces[best][1:]; len(pieces[best]) == 0 {
+			pieces = slices.Delete(pieces, best, best+1)
+		}
 		if err := bw.Add(e.key, e.pos); err != nil {
 			f.Close()
 			return nil, err
@@ -467,7 +566,7 @@ func (ix *Index) writeRunFile(entries []memEntry) (*run, error) {
 	if err := f.Close(); err != nil {
 		return nil, err
 	}
-	return ix.openRun(name, 0, ix.nextSeq, int64(len(entries)))
+	return ix.openRun(name, 0, ix.nextSeq, int64(n))
 }
 
 // findGroupLocked returns the next ready compaction group, oldest first: the
@@ -735,77 +834,72 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 	return m
 }
 
-// windowCandsLocked collects this index's window contributions: for each
-// run a binary search finds where the query key sorts and the surrounding
-// half-windows become candidates; the (unsorted) memtable's records are
-// classified per side, ordered, and trimmed to the half-window. Per-source
-// trimming never changes the merged global window — a record in the global
-// trailing half is necessarily in its own source's trailing half. Lower
-// bounds come from q's table tbl, shared by every source.
-func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (below, above []window.Cand, err error) {
+// windowCandsLocked collects this index's window contribution. Every run and
+// every memtable piece is sorted, so a binary search in each finds where the
+// query key sorts and the half-windows around it are one source each;
+// window.Merge picks this index's window from them — per-source trimming
+// never changes it, since a record in the merged trailing half is
+// necessarily in its own source's — and only its records get a lower bound,
+// from q's table tbl.
+func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (window.Source, error) {
 	key, err := ix.opt.S.KeyOf(q)
 	if err != nil {
-		return nil, nil, err
+		return window.Source{}, err
 	}
 	half := WindowHalf
-	// Each run and the memtable contribute at most half a window per side.
-	below = make([]window.Cand, 0, half*(len(ix.runs)+1))
-	above = make([]window.Cand, 0, half*(len(ix.runs)+1))
+	// One array holds every source's records: each run and each memtable
+	// piece contribute at most half a window per side.
+	size, lo := 2*half*len(ix.runs), 0
+	for _, hi := range ix.memEnds {
+		size, lo = size+min(2*half, hi-lo), hi
+	}
+	all := make([]window.Cand, 0, size)
+	srcs := make([]window.Source, 0, len(ix.runs)+len(ix.memEnds))
 	for _, r := range ix.runs {
-		idx, serr := r.rb.Search(key)
-		if serr != nil {
-			return nil, nil, serr
+		idx, err := r.rb.Search(key)
+		if err != nil {
+			return window.Source{}, err
 		}
-		lo, hi := idx-int64(half), idx+int64(half)
-		err := r.rb.Range(lo, idx, func(k summary.Key, pos int64) error {
-			below = append(below, window.Cand{Key: k, Pos: pos, LB: tbl.Key(k)})
+		lo, start := max(idx-int64(half), 0), len(all)
+		err = r.rb.Range(lo, idx+int64(half), func(k summary.Key, pos int64) error {
+			all = append(all, window.Cand{Key: k, Pos: pos})
 			return nil
 		})
 		if err != nil {
-			return nil, nil, err
+			return window.Source{}, err
 		}
-		err = r.rb.Range(idx, hi, func(k summary.Key, pos int64) error {
-			above = append(above, window.Cand{Key: k, Pos: pos, LB: tbl.Key(k)})
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
+		srcs = append(srcs, window.Source{Cands: all[start:], Split: int(idx - lo)})
+	}
+	lo = 0
+	for _, hi := range ix.memEnds {
+		p := ix.mem[lo:hi]
+		ins := sort.Search(len(p), func(i int) bool { return !p[i].key.Less(key) })
+		from, start := max(ins-half, 0), len(all)
+		for _, e := range p[from:min(ins+half, len(p))] {
+			all = append(all, window.Cand{Key: e.key, Pos: e.pos})
 		}
+		srcs = append(srcs, window.Source{Cands: all[start:], Split: ins - from})
+		lo = hi
 	}
-	var mb, ma []window.Cand
-	for _, e := range ix.mem {
-		c := window.Cand{Key: e.key, Pos: e.pos, LB: tbl.Key(e.key)}
-		if e.key.Less(key) {
-			mb = append(mb, c)
-		} else {
-			ma = append(ma, c)
-		}
+	w := window.Merge(half, srcs...)
+	for i := range w.Cands {
+		w.Cands[i].LB = tbl.Key(w.Cands[i].Key)
 	}
-	window.SortRecords(mb)
-	window.SortRecords(ma)
-	if len(mb) > half {
-		mb = mb[len(mb)-half:]
-	}
-	if len(ma) > half {
-		ma = ma[:half]
-	}
-	below = append(below, mb...)
-	above = append(above, ma...)
-	return below, above, nil
+	return w, nil
 }
 
 // ApproxWindowCands is this index's contribution to an approximate search:
-// from every run and the memtable, a half-window of records on each side of
-// where the query's key sorts, to be merged with the other partitions'
-// before one global evaluation best-lower-bound-first with early abandoning
-// (see internal/window). The merged window is a pure function of the record
-// multiset, so the answer is identical for any run layout — before or after
-// flushes and compactions, and across partition counts. An empty index
-// contributes nothing (no error — the cross-partition window may still be
-// non-empty). An LSM has no leaves, so Leaves stays 0; the candidates are
-// read from the raw file by whoever evaluates the merged window
-// (core.EvalWindow), which observes its ctx between records. The radius
-// every index takes is ignored here and below: the LSM window is
+// the 2×WindowHalf records around where the query's key sorts, merged from
+// the half-windows of every run and memtable piece, to be merged with the
+// other partitions' before one global evaluation best-lower-bound-first with
+// early abandoning (see internal/window). The merged window is a pure
+// function of the record multiset, so the answer is identical for any run
+// layout — before or after flushes and compactions, and across partition
+// counts. An empty index contributes nothing (no error — the cross-partition
+// window may still be non-empty). An LSM has no leaves, so Leaves stays 0;
+// the candidates are read from the raw file by whoever evaluates the merged
+// window (core.EvalWindow), which observes its ctx between records. The
+// radius every index takes is ignored here and below: the LSM window is
 // 2×WindowHalf records.
 func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, _ int) (core.ApproxWindow, error) {
 	ix.mu.RLock()
@@ -819,11 +913,9 @@ func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, _ int) (c
 		return aw, err
 	}
 	defer pass.Release() // the window's bounds are all taken before it returns
-	below, above, err := ix.windowCandsLocked(q, &pass.Table)
-	if err != nil {
+	if aw.Source, err = ix.windowCandsLocked(q, &pass.Table); err != nil {
 		return aw, err
 	}
-	aw.Below, aw.Above = below, above
 	aw.Raw, aw.Sums = ix.rawFile, ix.rawSums
 	return aw, nil
 }

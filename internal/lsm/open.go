@@ -112,6 +112,8 @@ func (ix *Index) recoverTail(flushed int64) (err error) {
 			ix.mem = append(ix.mem, memEntry{key: key, pos: pos})
 		}
 	}
+	// One sort makes the recovered tail the memtable's one piece.
+	ix.addMemPieceLocked(0)
 	ix.count += int64(len(ix.mem))
 	return nil
 }

@@ -227,10 +227,11 @@ func (c *Composite) each(ctx context.Context, step func(ctx context.Context, i i
 }
 
 // approxSq is the scatter-gather approximate search for the k best
-// (squared space): every partition contributes its window candidates,
-// internal/window merges them into exactly the window a single sorted
-// sequence of the union would produce, and one global evaluation visits them
-// best-lower-bound-first, dispatching fetches back to the owning partition.
+// (squared space): every partition contributes its window candidates as
+// one list in record order, internal/window merges the lists into exactly
+// the window a single sorted sequence of the union would produce, and one
+// global evaluation visits them best-lower-bound-first, dispatching fetches
+// back to the owning partition.
 // Callers hold mu shared.
 func (c *Composite) approxSq(ctx context.Context, q series.Series, k, radius int) ([]core.Neighbor, core.Result, error) {
 	res := core.Result{Pos: -1, Dist: math.Inf(1)}
@@ -246,25 +247,17 @@ func (c *Composite) approxSq(ctx context.Context, q series.Series, k, radius int
 	if err != nil {
 		return nil, res, err
 	}
-	// A lone window's candidates are already tagged with source 0.
-	below, above := aws[0].Below, aws[0].Above
-	if len(aws) > 1 {
-		below, above = nil, nil
-		for i := range aws {
-			for _, cand := range aws[i].Below {
-				cand.Src = i
-				below = append(below, cand)
-			}
-			for _, cand := range aws[i].Above {
-				cand.Src = i
-				above = append(above, cand)
-			}
-		}
-	}
+	// Each child's candidates are its own, so they are tagged with their
+	// source in place.
+	srcs := make([]window.Source, len(aws))
 	for i := range aws {
+		for j := range aws[i].Cands {
+			aws[i].Cands[j].Src = i
+		}
+		srcs[i] = aws[i].Source
 		res.VisitedLeaves += aws[i].Leaves
 	}
-	top, visited, err := core.EvalWindow(ctx, q, k, window.Merge(below, above, c.v.half(radius, int(n))), aws...)
+	top, visited, err := core.EvalWindow(ctx, q, k, window.Merge(c.v.half(radius, int(n)), srcs...).Cands, aws...)
 	res.VisitedRecords = visited
 	return top, res, err
 }

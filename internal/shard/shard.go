@@ -15,7 +15,7 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -409,7 +409,15 @@ func (h *KNNHeap) Items() []Neighbor { return h.items }
 func (h *KNNHeap) Sorted() []Neighbor {
 	out := make([]Neighbor, len(h.items))
 	copy(out, h.items)
-	sort.Slice(out, func(i, j int) bool { return NeighborLess(out[i], out[j]) })
+	slices.SortFunc(out, func(a, b Neighbor) int {
+		switch {
+		case NeighborLess(a, b):
+			return -1
+		case NeighborLess(b, a):
+			return 1
+		}
+		return 0
+	})
 	return out
 }
 

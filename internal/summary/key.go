@@ -1,7 +1,7 @@
 package summary
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/hex"
 	"math/bits"
@@ -19,8 +19,16 @@ import (
 // comparisons remain correct because every key has the same layout.
 type Key [KeySize]byte
 
-// Compare returns -1, 0, or 1 like bytes.Compare.
-func (k Key) Compare(o Key) int { return bytes.Compare(k[:], o[:]) }
+// A key is exactly two 64-bit words; this does not compile otherwise.
+const _ = uint(KeySize-16) + uint(16-KeySize)
+
+// Compare returns -1, 0, or 1 like bytes.Compare, one 64-bit word at a time.
+func (k Key) Compare(o Key) int {
+	if c := cmp.Compare(binary.BigEndian.Uint64(k[:8]), binary.BigEndian.Uint64(o[:8])); c != 0 {
+		return c
+	}
+	return cmp.Compare(binary.BigEndian.Uint64(k[8:]), binary.BigEndian.Uint64(o[8:]))
+}
 
 // Less reports whether k sorts before o.
 func (k Key) Less(o Key) bool { return k.Compare(o) < 0 }
@@ -32,10 +40,16 @@ func (k Key) Less(o Key) bool { return k.Compare(o) < 0 }
 // little-endian right after the key. Reversing the integer's bytes compares
 // exactly that. Positions are unique, so the order is strict.
 func RecordLess(ak Key, ap int64, bk Key, bp int64) bool {
+	return CompareRecords(ak, ap, bk, bp) < 0
+}
+
+// CompareRecords is the record order of RecordLess as a three-way
+// comparison: -1, 0 or 1.
+func CompareRecords(ak Key, ap int64, bk Key, bp int64) int {
 	if c := ak.Compare(bk); c != 0 {
-		return c < 0
+		return c
 	}
-	return bits.ReverseBytes64(uint64(ap)) < bits.ReverseBytes64(uint64(bp))
+	return cmp.Compare(bits.ReverseBytes64(uint64(ap)), bits.ReverseBytes64(uint64(bp)))
 }
 
 // String returns the key as hex, for debugging.

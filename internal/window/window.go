@@ -9,16 +9,17 @@
 // byte-identically: a monolithic index, the same index reopened, an LSM
 // tree after any flush/compaction history, and an N-way partitioned index
 // all produce the same candidate list and therefore the same answer. Each
-// source (one index, one LSM run, one memtable, one partition) contributes
-// its last W/2 records below the query key and its first W/2 at or above
-// it; Merge re-sorts the contributions under the refined (key, encoded
-// position) record order and trims to the global window — the standard
-// k-way top-k merge, which yields exactly the window a single sorted
-// sequence of the union would produce.
+// source (one index, one LSM run, one memtable, one partition) is sorted, so
+// it contributes its last W/2 records below the query key and its first W/2
+// at or above it as one list already in the refined (key, encoded position)
+// record order; Merge picks the global window from those lists by a k-way
+// merge outward from the insertion point — which yields exactly the window a
+// single sorted sequence of the union would produce, because the record
+// order is strict.
 package window
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
@@ -43,30 +44,71 @@ type Cand struct {
 	Ord int
 }
 
-// SortRecords sorts cs under the refined record order (summary.RecordLess).
-func SortRecords(cs []Cand) {
-	sort.Slice(cs, func(i, j int) bool { return summary.RecordLess(cs[i].Key, cs[i].Pos, cs[j].Key, cs[j].Pos) })
+// Source is one source's window contribution: records in record order
+// (summary.RecordLess), the first Split of them with key < query key (the
+// source's trailing half-window) and the rest with key >= query key (its
+// leading half-window).
+type Source struct {
+	Cands []Cand
+	Split int
 }
 
-// Merge combines per-source window contributions into the global window:
-// below holds each source's trailing records with key < query key, above
-// each source's leading records with key >= query key (concatenated in any
-// order). Both groups are sorted under the record order and trimmed to half
-// records each — the last half below the insertion point and the first half
-// at or above it — returning the merged window in record order.
-func Merge(below, above []Cand, half int) []Cand {
-	SortRecords(below)
-	SortRecords(above)
-	if len(below) > half {
-		below = below[len(below)-half:]
+// Merge combines per-source window contributions into the global window, in
+// record order: the last half records below the query's insertion point and
+// the first half at or above it, picked by a k-way merge outward from that
+// point — below it the greatest record left at the sources' trailing ends,
+// at or above it the least at their leading ends. The result is itself a
+// Source, so merged windows merge again. A lone non-empty source is returned
+// as it is, trimmed to the window: a subslice of its Cands, not a copy.
+func Merge(half int, srcs ...Source) Source {
+	nonEmpty, lone, nb, na := 0, 0, 0, 0
+	for i, s := range srcs {
+		if len(s.Cands) > 0 {
+			nonEmpty, lone = nonEmpty+1, i
+			nb += s.Split
+			na += len(s.Cands) - s.Split
+		}
 	}
-	if len(above) > half {
-		above = above[:half]
+	nb, na = min(nb, half), min(na, half)
+	switch nonEmpty {
+	case 0:
+		return Source{}
+	case 1:
+		s := srcs[lone]
+		return Source{Cands: s.Cands[s.Split-nb : s.Split+na], Split: nb}
 	}
-	out := make([]Cand, 0, len(below)+len(above))
-	out = append(out, below...)
-	return append(out, above...)
+	out := make([]Cand, nb+na)
+	cur := make([]int, len(srcs))
+	for i, s := range srcs {
+		cur[i] = s.Split
+	}
+	for k := nb - 1; k >= 0; k-- {
+		best := -1
+		for i, s := range srcs {
+			if cur[i] > 0 && (best < 0 || recordLess(&srcs[best].Cands[cur[best]-1], &s.Cands[cur[i]-1])) {
+				best = i
+			}
+		}
+		cur[best]--
+		out[k] = srcs[best].Cands[cur[best]]
+	}
+	for i, s := range srcs {
+		cur[i] = s.Split
+	}
+	for k := nb; k < nb+na; k++ {
+		best := -1
+		for i, s := range srcs {
+			if cur[i] < len(s.Cands) && (best < 0 || recordLess(&s.Cands[cur[i]], &srcs[best].Cands[cur[best]])) {
+				best = i
+			}
+		}
+		out[k] = srcs[best].Cands[cur[best]]
+		cur[best]++
+	}
+	return Source{Cands: out, Split: nb}
 }
+
+func recordLess(a, b *Cand) bool { return summary.RecordLess(a.Key, a.Pos, b.Key, b.Pos) }
 
 // FetchFunc loads the encoded raw series of one candidate, already verified
 // against whatever checksums guard it: into buf (one encoded series long)
@@ -92,7 +134,15 @@ func Eval(q series.Series, cands []Cand, k int, fetch FetchFunc, buf []byte) (to
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return cands[order[a]].LB < cands[order[b]].LB })
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case cands[a].LB < cands[b].LB:
+			return -1
+		case cands[b].LB < cands[a].LB:
+			return 1
+		}
+		return 0
+	})
 	for _, ci := range order {
 		c := cands[ci]
 		if c.LB >= h.Bound() {

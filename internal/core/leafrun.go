@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/coconut-db/coconut/internal/extsort"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
@@ -304,61 +304,81 @@ func (r *leafRun) writeManifest() error {
 	return manifest.Commit(r.opt.FS, r.opt.Name, m)
 }
 
-// mergeNext merges batch — encoded records sorted under the run's order —
-// and the current run into the next generation of the run: one sequential
-// pass (extsort.Merge) that captures the new summary column on the way. The
-// new generation becomes the current one, and the one it replaces is
-// removed unless the manifest names it.
-func (r *leafRun) mergeNext(batch []byte) error {
+// mergeNext merges batch — encoded records sorted under the run's order,
+// the full record bytes — and the current run into the next generation of
+// the run: one sequential pass, the current generation read through its
+// checksum blocks against the in-memory batch, that captures the new summary
+// column on the way. The new generation becomes the current one, and the one
+// it replaces is removed unless the manifest names it; a failed merge
+// removes what it wrote of the new one.
+func (r *leafRun) mergeNext(batch []byte) (err error) {
 	fs, recSize := r.opt.FS, r.opt.recordSize()
-	pending := r.opt.Name + ".insert"
-	if err := r.writeBatch(pending, batch); err != nil {
-		removeFiles(fs, pending)
+	next := runName(r.opt.Name, r.gen+1)
+	inner, err := fs.Create(next)
+	if err != nil {
 		return err
 	}
-	defer removeFiles(fs, pending)
-	next := r.gen + 1
-	sims := newSimsArray(r.opt.S, r.sims.col.Len()+len(batch)/recSize)
-	err := extsort.Merge(extsort.Config{
-		FS:         fs,
-		RecordSize: recSize,
-		Compare:    extsort.CompareKeyPrefix(summary.KeySize),
-		MemBudget:  r.opt.MemBudgetBytes,
-		TempPrefix: r.opt.Name + ".sort",
-		Tee:        sims.add,
-		WrapIn:     func(f storage.File) (storage.File, error) { return storage.OpenChecksumFile(f) },
-		WrapOut:    r.createRun,
-	}, []string{runName(r.opt.Name, r.gen), pending}, runName(r.opt.Name, next))
+	defer func() {
+		if err != nil {
+			removeFiles(fs, next)
+		}
+	}()
+	out, err := r.createRun(inner)
+	if err != nil {
+		inner.Close()
+		return err
+	}
+	n := r.sims.col.Len()
+	sims := newSimsArray(r.opt.S, n+len(batch)/recSize)
+	w := storage.NewSequentialWriter(out, 0, 0)
+	put := func(rec []byte) error {
+		sims.add(rec)
+		_, err := w.Write(rec)
+		return err
+	}
+	// cur is the current generation's next record, nil once all are merged.
+	in := storage.NewSequentialReader(r.file, 0, int64(n)*int64(recSize), 0)
+	cur, left := make([]byte, recSize), n
+	advance := func() error {
+		if left == 0 {
+			cur = nil
+			return nil
+		}
+		left--
+		if _, err := io.ReadFull(in, cur); err != nil {
+			return fmt.Errorf("core: read leaf run: %w", truncatedLeaves(err))
+		}
+		return nil
+	}
+	err = advance()
+	for err == nil && (cur != nil || len(batch) > 0) {
+		if cur != nil && (len(batch) == 0 || bytes.Compare(cur, batch[:recSize]) < 0) {
+			if err = put(cur); err == nil {
+				err = advance()
+			}
+		} else {
+			err, batch = put(batch[:recSize]), batch[recSize:]
+		}
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return fmt.Errorf("core: merging inserts into the leaf run: %w", err)
 	}
-	f, err := r.openGen(next)
+	f, err := r.openGen(r.gen + 1)
 	if err != nil {
-		removeFiles(fs, runName(r.opt.Name, next))
 		return err
 	}
 	r.file.Close()
 	if r.gen != r.committed {
 		removeFiles(fs, runName(r.opt.Name, r.gen))
 	}
-	r.file, r.gen, r.sims = f, next, sims
+	r.file, r.gen, r.sims = f, r.gen+1, sims
 	return nil
-}
-
-// writeBatch stores batch as a file of the run's layout, the second input
-// of the merge.
-func (r *leafRun) writeBatch(name string, batch []byte) error {
-	inner, err := r.opt.FS.Create(name)
-	if err != nil {
-		return err
-	}
-	f, err := r.createRun(inner)
-	if err != nil {
-		inner.Close()
-		return err
-	}
-	_, err = f.WriteAt(batch, 0)
-	return errors.Join(err, f.Close())
 }
 
 // truncatedLeaves types a short read of the leaf run: an extent the

@@ -1,22 +1,27 @@
-// Package extsort implements external sorting of fixed-size records under
-// an explicit memory budget: the partitioning phase scans the input in
-// memory-sized chunks, sorts each chunk, and flushes it as a sorted run;
-// the merging phase merge-sorts the runs with a tournament over buffered
-// sequential readers (§3.1 of the paper, "Bottom-up Bulk-Loading Using
-// External Sorting").
+// Package extsort is the bulk load's sort: external sorting of fixed-size
+// records under an explicit memory budget (§3.1 of the paper, "Bottom-up
+// Bulk-Loading Using External Sorting"). The partitioning phase scans the
+// input in memory-sized chunks, sorts each chunk, and flushes it as a sorted
+// run; the merging phase merge-sorts the runs with a tournament over
+// buffered sequential readers. An input that fits one chunk skips both: it
+// is sorted in memory and written once, straight to the output.
 //
 // Both phases are parallel: a reader goroutine hands fixed-size chunks to a
 // pool of Workers that sort and flush runs concurrently, and the independent
-// merges of each intermediate generation run concurrently. The memory budget
-// M is partitioned across the pipeline (Workers+1 chunk buffers during run
-// formation, per-merge buffer groups during merging), so the paper's memory
-// model stays honest at any worker count. The sorted output
-// is byte-identical for any worker count: comparator ties are broken on the
-// full record encoding, which makes the result a pure function of the input
-// multiset, independent of chunk boundaries and merge grouping.
+// merges of each intermediate generation of a multi-pass sort run
+// concurrently. The memory budget M is partitioned across the pipeline
+// (Workers+1 chunk buffers during run formation, per-merge buffer groups
+// during merging), so the paper's memory model stays honest at any worker
+// count. The sorted output is byte-identical for any worker count:
+// comparator ties are broken on the full record encoding, which makes the
+// result a pure function of the input multiset, independent of chunk
+// boundaries and merge grouping.
 //
 // Every byte moved goes through the storage VFS, so the paper's O(N/B)
-// sequential-I/O claim is directly observable in the I/O statistics.
+// sequential-I/O claim is directly observable in the I/O statistics. The
+// package sorts a record stream into a new file and nothing else: every
+// other sorted write — an LSM flush or compaction, a tree insert batch — is
+// an in-process merge of its owner's.
 package extsort
 
 import (
@@ -64,26 +69,19 @@ type Config struct {
 	Workers int
 	// Tee, when non-nil, is called for every record of the final sorted
 	// output, in output order, as it is written. The callback runs on the
-	// single goroutine performing the last pass and must not retain rec.
-	// It lets callers capture the sorted stream (e.g. LSM compaction
-	// building its in-memory key array) without a second read pass.
+	// single goroutine writing the output and must not retain rec. It lets
+	// callers capture the sorted stream (the summary column of a tree or a
+	// trie) without a second read pass.
 	Tee func(rec []byte)
-	// WrapOut, when non-nil, wraps the final output file handle right
-	// after creation and before any bytes are written — the hook the LSM
-	// and the trie use to give the sorted output its physical layout (the
-	// block-compressed run codec, checksum blocks for trie leaves). It applies
-	// only to outName: temporary runs and intermediate merge generations
-	// are written through unwrapped handles and deleted before Sort or
-	// Merge returns. The wrapper's Close is called in place of the inner
-	// file's.
+	// WrapOut, when non-nil, wraps the output file handle right after
+	// creation and before any bytes are written — the hook the LSM's bulk
+	// load and the tree's and trie's use to give the sorted output its
+	// physical layout (the block-compressed run codec, checksum blocks for
+	// leaf runs). It applies only to outName: temporary runs and
+	// intermediate merge generations are written through unwrapped handles
+	// and deleted before Sort returns. The wrapper's Close is called in
+	// place of the inner file's.
 	WrapOut func(storage.File) (storage.File, error)
-	// WrapIn, when non-nil, wraps the handle of each ORIGINAL input run
-	// named in a Merge call right after open — the read-side counterpart
-	// of WrapOut for inputs stored in a physical layout of their own (the
-	// LSM's compressed runs, decoded and CRC-checked block by block).
-	// Intermediate files extsort itself wrote are opened unwrapped. Sort
-	// ignores it (Sort's inputs come from a reader, not run files).
-	WrapIn func(storage.File) (storage.File, error)
 }
 
 func (c *Config) validate() error {
@@ -126,40 +124,32 @@ func totalOrder(cmp Compare) Compare {
 // Sort consumes all records from in, sorts them, and writes the sorted
 // stream to outName on cfg.FS. It returns the number of records sorted.
 // Records comparing equal under cfg.Compare are ordered by their full
-// encoding, so the output is deterministic for any cfg.Workers.
+// encoding, so the output is deterministic for any cfg.Workers. An input
+// that fits one chunk is sorted in memory and written once, straight to
+// outName; a longer one goes through run files and their merge.
 func Sort(cfg Config, in io.Reader, outName string) (int64, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
 	cfg.Compare = totalOrder(cfg.Compare)
-	cfg.WrapIn = nil // Sort's run files are its own, never in a wrapped layout
-	runs, total, err := makeRuns(cfg, in)
+	chunkLen, writerBuf := cfg.chunking()
+	first, last, err := readChunk(cfg, in, make([]byte, chunkLen))
+	if err != nil {
+		return 0, err
+	}
+	total := int64(len(first) / cfg.RecordSize)
+	if last {
+		return total, writeSorted(cfg, outName, first)
+	}
+	runs, more, err := makeRuns(cfg, first, in, writerBuf)
 	if err != nil {
 		cleanup(cfg.FS, runs)
 		return 0, err
 	}
-	if err := mergeAll(cfg, runs, outName, true); err != nil {
+	if err := mergeAll(cfg, runs, outName); err != nil {
 		return 0, err
 	}
-	return total, nil
-}
-
-// Merge merge-sorts the already-sorted run files named by runs into outName
-// without modifying or removing them. It shares Sort's merge machinery —
-// multi-pass generations, Workers-way parallelism, partitioned memory
-// budget — and cleans up every intermediate file it creates on both success
-// and error. LSM compaction uses it to fold tiers.
-//
-// The output is sorted under cfg.Compare and byte-identical for any
-// Workers: the merge heap refines comparator ties on full record bytes,
-// and greedy min-head merging under a total order is associative, so the
-// result does not depend on how the multi-pass grouping splits the runs.
-func Merge(cfg Config, runs []string, outName string) error {
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	cfg.Compare = totalOrder(cfg.Compare)
-	return mergeAll(cfg, runs, outName, false)
+	return total + more, nil
 }
 
 // SortInMemory sorts records (a concatenation of fixed-size records) in
@@ -191,36 +181,63 @@ func (r *recordSlice) Swap(i, j int) {
 	copy(b, r.swapBuf)
 }
 
-// makeRuns performs the partitioning phase: a single reader goroutine (the
-// caller) cuts the input into chunks of MemBudget/Workers bytes and hands
-// them to a pool of workers that sort and flush each chunk as a run file.
-// Run names are assigned by chunk index, so the set of runs produced is
-// deterministic for a given Workers. On error it returns every run name
-// that may exist so the caller can clean up.
-func makeRuns(cfg Config, in io.Reader) (runs []string, total int64, err error) {
-	if cfg.Workers == 1 {
-		return makeRunsSerial(cfg, in)
+// chunking returns the chunk length run formation cuts the input into and
+// the writer buffer each run is flushed through. With one worker that is one
+// full-M chunk buffer, sorted and flushed inline, plus the one BufSize writer
+// buffer the original algorithm always carried: keeping the single-worker
+// path unpipelined preserves the paper's N/M run count (and the I/O traces
+// the experiments reproduce) exactly. With more, resident memory is Workers+1
+// chunk buffers (Workers in flight plus the one the reader is filling) plus
+// one run-writer buffer per worker, all of it out of MemBudget; writer
+// buffers take at most half the budget, shrinking below BufSize when Workers
+// is large relative to it.
+func (c *Config) chunking() (chunkLen, writerBuf int) {
+	if c.Workers == 1 {
+		return int(c.MemBudget/int64(c.RecordSize)) * c.RecordSize, c.BufSize
 	}
-	// Resident memory during parallel run formation is Workers+1 chunk
-	// buffers (Workers in flight plus the one the reader is filling) plus
-	// one run-writer buffer per worker — all of it comes out of MemBudget.
-	// Writer buffers take at most half the budget, shrinking below BufSize
-	// when Workers is large relative to it.
-	writerBuf := cfg.BufSize
-	if max := int(cfg.MemBudget / int64(2*cfg.Workers)); writerBuf > max {
+	writerBuf = c.BufSize
+	if max := int(c.MemBudget / int64(2*c.Workers)); writerBuf > max {
 		writerBuf = max
 	}
-	if writerBuf < cfg.RecordSize {
-		writerBuf = cfg.RecordSize
+	if writerBuf < c.RecordSize {
+		writerBuf = c.RecordSize
 	}
-	chunkBytes := (cfg.MemBudget - int64(cfg.Workers*writerBuf)) / int64(cfg.Workers+1)
-	if min := int64(cfg.RecordSize) * 4; chunkBytes < min {
+	chunkBytes := (c.MemBudget - int64(c.Workers*writerBuf)) / int64(c.Workers+1)
+	if min := int64(c.RecordSize) * 4; chunkBytes < min {
 		chunkBytes = min
 	}
-	chunkLen := int(chunkBytes/int64(cfg.RecordSize)) * cfg.RecordSize
+	return int(chunkBytes/int64(c.RecordSize)) * c.RecordSize, writerBuf
+}
 
-	runName := func(i int) string { return fmt.Sprintf("%s.run.%d", cfg.TempPrefix, i) }
+// readChunk fills buf from in and returns the records read; last reports
+// that the input ended within them.
+func readChunk(cfg Config, in io.Reader, buf []byte) (recs []byte, last bool, err error) {
+	n, err := io.ReadFull(in, buf)
+	switch {
+	case err == nil:
+		return buf, false, nil
+	case err != io.EOF && err != io.ErrUnexpectedEOF:
+		return nil, true, fmt.Errorf("extsort: reading input: %w", err)
+	case n%cfg.RecordSize != 0:
+		return nil, true, fmt.Errorf("extsort: reading input: %w", io.ErrUnexpectedEOF)
+	}
+	return buf[:n], true, nil
+}
 
+// runName names run i of the partitioning phase.
+func runName(cfg Config, i int) string { return fmt.Sprintf("%s.run.%d", cfg.TempPrefix, i) }
+
+// makeRuns performs the partitioning phase on an input whose first, full
+// chunk was already read: a single reader goroutine (the caller) cuts the
+// rest into chunks of the same length and hands them, first included, to a
+// pool of workers that sort and flush each chunk as a run file. Run names
+// are assigned by chunk index, so the set of runs produced is deterministic
+// for a given Workers. It returns the records read past the first chunk and,
+// on error too, every run name that may exist so the caller can clean up.
+func makeRuns(cfg Config, first []byte, in io.Reader, writerBuf int) (runs []string, more int64, err error) {
+	if cfg.Workers == 1 {
+		return makeRunsSerial(cfg, first, in)
+	}
 	type job struct {
 		idx  int
 		data []byte
@@ -236,8 +253,8 @@ func makeRuns(cfg Config, in io.Reader) (runs []string, total int64, err error) 
 	setErr := func(e error) {
 		errOnce.Do(func() { firstErr = e; close(fail) })
 	}
-	for i := 0; i < cfg.Workers+1; i++ {
-		free <- make([]byte, 0, chunkLen)
+	for i := 0; i < cfg.Workers; i++ {
+		free <- make([]byte, len(first))
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
@@ -248,149 +265,138 @@ func makeRuns(cfg Config, in io.Reader) (runs []string, total int64, err error) 
 				case <-fail:
 					// A sibling already failed; just recycle the buffer.
 				default:
-					if e := writeRun(cfg, runName(j.idx), j.data, writerBuf); e != nil {
+					if e := writeSorted(cfg.temp(writerBuf), runName(cfg, j.idx), j.data); e != nil {
 						setErr(e)
 					}
 				}
-				free <- j.data[:0]
+				free <- j.data[:cap(j.data)]
 			}
 		}()
 	}
 
-	nRuns := 0
-reading:
-	for {
+	failed := func() bool {
 		select {
 		case <-fail:
-			break reading
+			return true
 		default:
+			return false
 		}
-		buf := (<-free)[:chunkLen]
-		n, rerr := io.ReadFull(in, buf)
-		if n > 0 {
-			if n%cfg.RecordSize != 0 {
-				setErr(fmt.Errorf("extsort: reading input: %w", io.ErrUnexpectedEOF))
-				break
-			}
-			jobs <- job{idx: nRuns, data: buf[:n]}
-			nRuns++
-			total += int64(n / cfg.RecordSize)
+	}
+	nRuns := 0
+	for data, last := first, false; len(data) > 0 && !failed(); {
+		jobs <- job{idx: nRuns, data: data}
+		nRuns++
+		if last {
+			break
 		}
-		switch rerr {
-		case nil:
-		case io.EOF, io.ErrUnexpectedEOF:
-			break reading
-		default:
-			setErr(fmt.Errorf("extsort: reading input: %w", rerr))
-			break reading
+		var rerr error
+		if data, last, rerr = readChunk(cfg, in, <-free); rerr != nil {
+			setErr(rerr)
+			break
 		}
+		more += int64(len(data) / cfg.RecordSize)
 	}
 	close(jobs)
 	wg.Wait()
 	for i := 0; i < nRuns; i++ {
-		runs = append(runs, runName(i))
+		runs = append(runs, runName(cfg, i))
 	}
-	return runs, total, firstErr
+	return runs, more, firstErr
 }
 
-// makeRunsSerial is the Workers=1 partitioning phase: one full-M chunk
-// buffer, sorted and flushed inline (plus the one BufSize writer buffer
-// the original algorithm always carried). Keeping the single-worker path
-// unpipelined preserves the paper's N/M run count (and the I/O traces the
-// experiments reproduce) exactly — partitioning the budget for a pipeline
-// only pays off when a second worker exists to overlap with.
-func makeRunsSerial(cfg Config, in io.Reader) (runs []string, total int64, err error) {
-	chunkLen := int(cfg.MemBudget/int64(cfg.RecordSize)) * cfg.RecordSize
-	buf := make([]byte, chunkLen)
-	for {
-		n, rerr := io.ReadFull(in, buf)
-		if n > 0 {
-			if n%cfg.RecordSize != 0 {
-				return runs, total, fmt.Errorf("extsort: reading input: %w", io.ErrUnexpectedEOF)
-			}
-			name := fmt.Sprintf("%s.run.%d", cfg.TempPrefix, len(runs))
-			runs = append(runs, name) // before writeRun: a partial file must reach cleanup
-			if err := writeRun(cfg, name, buf[:n], cfg.BufSize); err != nil {
-				return runs, total, err
-			}
-			total += int64(n / cfg.RecordSize)
+// makeRunsSerial is the Workers=1 partitioning phase: the one chunk buffer,
+// first, sorted and flushed inline, then refilled from in.
+func makeRunsSerial(cfg Config, first []byte, in io.Reader) (runs []string, more int64, err error) {
+	for data, last := first, false; len(data) > 0; {
+		name := runName(cfg, len(runs))
+		if err := writeSorted(cfg.temp(cfg.BufSize), name, data); err != nil {
+			return runs, more, err
 		}
-		switch rerr {
-		case nil:
-		case io.EOF, io.ErrUnexpectedEOF:
-			return runs, total, nil
-		default:
-			return runs, total, fmt.Errorf("extsort: reading input: %w", rerr)
+		runs = append(runs, name)
+		if last {
+			break
 		}
+		if data, last, err = readChunk(cfg, in, first); err != nil {
+			return runs, more, err
+		}
+		more += int64(len(data) / cfg.RecordSize)
 	}
+	return runs, more, nil
 }
 
-// writeRun sorts one chunk and flushes it as the named run file through a
-// bufSize-byte writer buffer.
-func writeRun(cfg Config, name string, data []byte, bufSize int) error {
+// temp returns cfg for the sort's own temporaries — runs and intermediate
+// merge generations: no Tee, no WrapOut, bufSize-byte writer buffers.
+func (c Config) temp(bufSize int) Config {
+	c.Tee, c.WrapOut, c.BufSize = nil, nil, bufSize
+	return c
+}
+
+// writeSorted sorts one chunk and writes it as file name.
+func writeSorted(cfg Config, name string, data []byte) error {
 	SortInMemory(data, cfg.RecordSize, cfg.Compare)
+	return writeOut(cfg, name, func(put func(rec []byte) error) error {
+		for ; len(data) > 0; data = data[cfg.RecordSize:] {
+			if err := put(data[:cfg.RecordSize]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// writeOut creates name, wraps it with WrapOut, and fills it through a
+// BufSize sequential writer: fill hands put each record in order, which
+// writes it and shows it to Tee. A failed write removes the file — from the
+// Create on, a pre-existing file at name is gone and the path is this
+// call's.
+func writeOut(cfg Config, name string, fill func(put func(rec []byte) error) error) (err error) {
 	f, err := cfg.FS.Create(name)
 	if err != nil {
 		return err
 	}
-	w := storage.NewSequentialWriter(f, 0, bufSize)
-	if _, err := w.Write(data); err != nil {
-		f.Close()
-		return err
+	defer func() {
+		if err != nil && cfg.FS.Exists(name) {
+			_ = cfg.FS.Remove(name)
+		}
+	}()
+	if cfg.WrapOut != nil {
+		wf, werr := cfg.WrapOut(f)
+		if werr != nil {
+			f.Close()
+			return werr
+		}
+		f = wf
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
+	w := storage.NewSequentialWriter(f, 0, cfg.BufSize)
+	err = fill(func(rec []byte) error {
+		if _, err := w.Write(rec); err != nil {
+			return err
+		}
+		if cfg.Tee != nil {
+			cfg.Tee(rec)
+		}
+		return nil
+	})
+	if err == nil {
+		err = w.Flush()
 	}
-	return f.Close()
+	// A failed Close can mean deferred write-back errors (ENOSPC/EIO);
+	// swallowing it would let callers install a truncated output.
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // mergeAll merges runs into outName, in multiple generations if the fan-in
-// exceeds what the memory budget allows. When ownsInputs, the input runs
-// are deleted as they are consumed. Every temporary this function creates —
-// and, when ownsInputs, every surviving input — is removed on every error
-// path, along with a partially written outName.
-func mergeAll(cfg Config, runs []string, outName string, ownsInputs bool) (err error) {
-	if len(runs) == 0 {
-		// Empty input: create an empty output file (wrapped, so even an
-		// empty output carries its layout's header and footer).
-		f, cerr := cfg.FS.Create(outName)
-		if cerr != nil {
-			return cerr
-		}
-		if cfg.WrapOut != nil {
-			wf, werr := cfg.WrapOut(f)
-			if werr != nil {
-				f.Close()
-				return werr
-			}
-			f = wf
-		}
-		return f.Close()
-	}
-	// Only the caller's original runs may be in a wrapped physical layout;
-	// intermediates below are extsort's own raw files.
-	var orig map[string]bool
-	if cfg.WrapIn != nil {
-		orig = make(map[string]bool, len(runs))
-		for _, n := range runs {
-			orig[n] = true
-		}
-	}
-	cur, owned := runs, ownsInputs
-	outCreated := false
+// exceeds what the memory budget allows, deleting the runs as they are
+// consumed. Every run and temporary is removed on every error path too,
+// along with a partially written outName.
+func mergeAll(cfg Config, runs []string, outName string) (err error) {
+	cur := runs
 	defer func() {
 		if err != nil {
-			if owned {
-				cleanup(cfg.FS, cur)
-			}
-			// Remove a partially written output — but only one this call
-			// created: a pre-existing file at outName (e.g. a retry over a
-			// previous result) is the caller's, not ours, until the final
-			// pass truncates it.
-			if outCreated && cfg.FS.Exists(outName) {
-				_ = cfg.FS.Remove(outName)
-			}
+			cleanup(cfg.FS, cur)
 		}
 	}()
 	// The final pass is a single merge using the whole budget.
@@ -399,35 +405,26 @@ func mergeAll(cfg Config, runs []string, outName string, ownsInputs bool) (err e
 		finalFanIn = 2
 	}
 	for gen := 0; len(cur) > finalFanIn; gen++ {
-		next, gerr := mergeGeneration(cfg, cur, gen, owned, orig)
+		next, gerr := mergeGeneration(cfg, cur, gen)
 		if gerr != nil {
 			return gerr
 		}
-		cur, owned = next, true
+		cur = next
 	}
-	markOut := func() { outCreated = true }
-	if len(cur) == 1 {
-		// Single run: rename by copy (VFS has no rename; a sequential copy
-		// keeps the I/O pattern honest).
-		if err := copyFile(cfg, cur[0], outName, markOut, orig); err != nil {
-			return err
-		}
-	} else if err := mergeOnce(cfg, cur, outName, cfg.Tee, markOut, cfg.WrapOut, orig); err != nil {
+	if err := mergeOnce(cfg, cur, outName); err != nil {
 		return err
 	}
-	if owned {
-		cleanup(cfg.FS, cur)
-	}
+	cleanup(cfg.FS, cur)
 	return nil
 }
 
 // mergeGeneration runs one pass of the multi-pass merge: inputs are grouped
 // by a fan-in sized from the per-worker budget share, and the groups —
 // independent by construction — merge concurrently on up to Workers
-// goroutines. On success the group outputs are returned and (when owned)
-// the inputs have been deleted; on error every output this generation
-// produced is removed and the surviving inputs are left to the caller.
-func mergeGeneration(cfg Config, inputs []string, gen int, owned bool, orig map[string]bool) ([]string, error) {
+// goroutines. On success the group outputs are returned and the inputs have
+// been deleted; on error every output this generation produced is removed
+// and the surviving inputs are left to the caller.
+func mergeGeneration(cfg Config, inputs []string, gen int) ([]string, error) {
 	// Partition the budget: each concurrent merge holds fanIn+1 buffers, so
 	// running Workers merges at once shrinks the per-merge fan-in. A tiny
 	// fan-in multiplies full passes over the data, which costs far more
@@ -470,15 +467,11 @@ func mergeGeneration(cfg Config, inputs []string, gen int, owned bool, orig map[
 		go func(g, lo, hi int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			// Intermediate generations never tee: only the final pass over
-			// outName sees each record exactly once.
-			if err := mergeOnce(cfg, inputs[lo:hi], outs[g], nil, nil, nil, orig); err != nil {
+			if err := mergeOnce(cfg.temp(cfg.BufSize), inputs[lo:hi], outs[g]); err != nil {
 				errs[g] = err
 				return
 			}
-			if owned {
-				cleanup(cfg.FS, inputs[lo:hi])
-			}
+			cleanup(cfg.FS, inputs[lo:hi])
 		}(g, lo, hi)
 	}
 	wg.Wait()
@@ -497,7 +490,7 @@ type mergeStream struct {
 	ok  bool
 }
 
-func (s *mergeStream) advance(recordSize int) error {
+func (s *mergeStream) advance() error {
 	_, err := io.ReadFull(s.r, s.rec)
 	if err == io.EOF {
 		s.ok = false
@@ -529,34 +522,8 @@ func (h *mergeHeap) Pop() any {
 	return s
 }
 
-// mergeOnce merges runs into outName. onCreate, when non-nil, fires right
-// after the output file is created/truncated — the point from which a
-// pre-existing file at outName is gone and cleanup owns the path.
-func mergeOnce(cfg Config, runs []string, outName string, tee func([]byte), onCreate func(), wrap func(storage.File) (storage.File, error), orig map[string]bool) (err error) {
-	out, err := cfg.FS.Create(outName)
-	if err != nil {
-		return err
-	}
-	if onCreate != nil {
-		onCreate()
-	}
-	if wrap != nil {
-		wrapped, werr := wrap(out)
-		if werr != nil {
-			out.Close()
-			return werr
-		}
-		out = wrapped
-	}
-	defer func() {
-		// A failed Close can mean deferred write-back errors (ENOSPC/EIO);
-		// swallowing it would let callers install a truncated output.
-		if cerr := out.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	w := storage.NewSequentialWriter(out, 0, cfg.BufSize)
-
+// mergeOnce merges runs — one or more — into outName.
+func mergeOnce(cfg Config, runs []string, outName string) error {
 	h := &mergeHeap{cmp: cfg.Compare}
 	var files []storage.File
 	defer func() {
@@ -565,7 +532,7 @@ func mergeOnce(cfg Config, runs []string, outName string, tee func([]byte), onCr
 		}
 	}()
 	for _, name := range runs {
-		f, err := openInput(cfg, name, orig)
+		f, err := cfg.FS.Open(name)
 		if err != nil {
 			return err
 		}
@@ -574,7 +541,7 @@ func mergeOnce(cfg Config, runs []string, outName string, tee func([]byte), onCr
 			r:   storage.NewSequentialReader(f, 0, -1, cfg.BufSize),
 			rec: make([]byte, cfg.RecordSize),
 		}
-		if err := s.advance(cfg.RecordSize); err != nil {
+		if err := s.advance(); err != nil {
 			return err
 		}
 		if s.ok {
@@ -582,107 +549,23 @@ func mergeOnce(cfg Config, runs []string, outName string, tee func([]byte), onCr
 		}
 	}
 	heap.Init(h)
-	for h.Len() > 0 {
-		s := h.streams[0]
-		if _, err := w.Write(s.rec); err != nil {
-			return err
-		}
-		if tee != nil {
-			tee(s.rec)
-		}
-		if err := s.advance(cfg.RecordSize); err != nil {
-			return err
-		}
-		if s.ok {
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
-	}
-	return w.Flush()
-}
-
-// openInput opens one merge input, wrapping it with WrapIn when it is one
-// of the caller's original runs (orig) rather than an intermediate.
-func openInput(cfg Config, name string, orig map[string]bool) (storage.File, error) {
-	f, err := cfg.FS.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.WrapIn != nil && orig[name] {
-		wf, werr := cfg.WrapIn(f)
-		if werr != nil {
-			f.Close()
-			return nil, werr
-		}
-		return wf, nil
-	}
-	return f, nil
-}
-
-// copyFile sequentially copies from to to. It is the final pass when a
-// single run remains, so a configured Tee sees every record here too;
-// onCreate fires as in mergeOnce.
-func copyFile(cfg Config, from, to string, onCreate func(), orig map[string]bool) (err error) {
-	src, err := openInput(cfg, from, orig)
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	dst, err := cfg.FS.Create(to)
-	if err != nil {
-		return err
-	}
-	if onCreate != nil {
-		onCreate()
-	}
-	if cfg.WrapOut != nil {
-		wrapped, werr := cfg.WrapOut(dst)
-		if werr != nil {
-			dst.Close()
-			return werr
-		}
-		dst = wrapped
-	}
-	defer func() {
-		if cerr := dst.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	r := storage.NewSequentialReader(src, 0, -1, cfg.BufSize)
-	w := storage.NewSequentialWriter(dst, 0, cfg.BufSize)
-	if cfg.Tee != nil {
-		rec := make([]byte, cfg.RecordSize)
-		for {
-			if _, err := io.ReadFull(r, rec); err != nil {
-				if err == io.EOF {
-					break
-				}
+	return writeOut(cfg, outName, func(put func(rec []byte) error) error {
+		for h.Len() > 0 {
+			s := h.streams[0]
+			if err := put(s.rec); err != nil {
 				return err
 			}
-			if _, err := w.Write(rec); err != nil {
+			if err := s.advance(); err != nil {
 				return err
 			}
-			cfg.Tee(rec)
-		}
-		return w.Flush()
-	}
-	buf := make([]byte, cfg.BufSize)
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return werr
+			if s.ok {
+				heap.Fix(h, 0)
+			} else {
+				heap.Pop(h)
 			}
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return w.Flush()
+		return nil
+	})
 }
 
 func cleanup(fs storage.FS, names []string) {

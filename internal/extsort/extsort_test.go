@@ -356,48 +356,74 @@ func TestSortFailurePreservesExistingOutput(t *testing.T) {
 	}
 }
 
-// TestMergeKeepsInputs: Merge must leave the caller's runs untouched (LSM
-// compaction owns its run files and deletes them only after the swap).
-func TestMergeKeepsInputs(t *testing.T) {
-	fs := storage.NewMemFS()
-	rng := rand.New(rand.NewSource(11))
-	cfg := sortCfg(fs, 1<<20)
-	var all []byte
-	names := []string{"runA", "runB", "runC"}
-	for _, name := range names {
-		data := makeRecords(rng, 100)
-		SortInMemory(data, recSize, cfg.Compare)
-		if err := storage.WriteFileAll(fs, name, data); err != nil {
+// TestSortOneChunkWritesOnce: an input that fits one chunk is sorted in
+// memory and written once, through WrapOut and Tee, straight to the output:
+// no run file is created and the bytes written are the output's alone.
+func TestSortOneChunkWritesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	in := makeRecords(rng, 50)
+	for _, workers := range []int{1, 4} {
+		fs := storage.NewMemFS()
+		var created []string
+		fs.SetFault(func(op storage.Op, name string, off int64, n int) error {
+			if op == storage.OpCreate {
+				created = append(created, name)
+			}
+			return nil
+		})
+		cfg := sortCfg(fs, 1<<20)
+		cfg.Workers = workers
+		var teed []byte
+		cfg.Tee = func(rec []byte) { teed = append(teed, rec...) }
+		wrapped := false
+		cfg.WrapOut = func(f storage.File) (storage.File, error) { wrapped = true; return f, nil }
+		if _, err := Sort(cfg, bytes.NewReader(in), "out"); err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, data...)
-	}
-	// A tiny budget (final fan-in 2 < three runs) forces the multi-pass path
-	// so intermediates are created (and must be cleaned up) even in the
-	// keep-inputs mode.
-	cfg.MemBudget = 3 * int64(cfg.BufSize)
-	cfg.TempPrefix = "cm"
-	if err := Merge(cfg, names, "merged"); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range names {
-		if !fs.Exists(name) {
-			t.Fatalf("Merge deleted input run %q", name)
+		out, err := storage.ReadFileAll(fs, "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSorted(t, out, cfg.Compare)
+		if multisetHash(in) != multisetHash(out) {
+			t.Fatalf("workers=%d: output is not a permutation of input", workers)
+		}
+		if len(created) != 1 || created[0] != "out" || !wrapped {
+			t.Fatalf("workers=%d: created %v (wrapped %v), want the wrapped output alone", workers, created, wrapped)
+		}
+		if w := fs.Stats().Snapshot().BytesWritten; w != int64(len(in)) {
+			t.Fatalf("workers=%d: wrote %d bytes for a %d-byte output", workers, w, len(in))
+		}
+		if !bytes.Equal(teed, out) {
+			t.Fatalf("workers=%d: Tee saw %d bytes, not the output", workers, len(teed))
 		}
 	}
-	out, err := storage.ReadFileAll(fs, "merged")
+}
+
+// TestSortExactlyOneFullChunk: an input that exactly fills the one-worker
+// chunk is found to end only on the next read, after its chunk became a
+// run; that lone run is a merge of one stream, teed like any final pass.
+func TestSortExactlyOneFullChunk(t *testing.T) {
+	fs := storage.NewMemFS()
+	rng := rand.New(rand.NewSource(14))
+	cfg := sortCfg(fs, 64*recSize)
+	cfg.Workers = 1
+	in := makeRecords(rng, 64)
+	var teed []byte
+	cfg.Tee = func(rec []byte) { teed = append(teed, rec...) }
+	if n, err := Sort(cfg, bytes.NewReader(in), "out"); err != nil || n != 64 {
+		t.Fatalf("sorted %d records: %v", n, err)
+	}
+	out, err := storage.ReadFileAll(fs, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(all) {
-		t.Fatalf("merged %d bytes, want %d", len(out), len(all))
-	}
 	checkSorted(t, out, cfg.Compare)
-	if multisetHash(all) != multisetHash(out) {
-		t.Fatal("merged output is not a permutation of the input runs")
+	if multisetHash(in) != multisetHash(out) || !bytes.Equal(teed, out) {
+		t.Fatal("output or Tee stream is not the sorted input")
 	}
-	if fs.Exists("cm.merge.0.0") || fs.Exists("cm.merge.0.1") {
-		t.Fatal("Merge left intermediate files behind")
+	if names := fs.Names(); len(names) != 1 {
+		t.Fatalf("files left behind: %v", names)
 	}
 }
 

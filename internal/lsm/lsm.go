@@ -81,9 +81,8 @@ type Options struct {
 	// briefly copies the shorter one, at most half as much again.
 	MemBudgetBytes int64
 	// Workers is the number of concurrent workers used by the bulk-load
-	// sort, ingest summarization, and compaction merges (0 means
-	// runtime.NumCPU()). Runs and query answers are identical for any
-	// value.
+	// sort and its summarization pass (0 means runtime.NumCPU()). Runs and
+	// query answers are identical for any value.
 	Workers int
 	// QueryWorkers is the fan-out of a single query: independent runs are
 	// probed concurrently during approximate search, and the exact-search
@@ -309,20 +308,6 @@ func runFileName(name string, seq int64) string { return fmt.Sprintf("%s.run.%06
 // directory and footer CRCs are the file's one integrity layer.
 func wrapRunOut(f storage.File) (storage.File, error) { return runblock.NewFileWriter(f, 0), nil }
 
-// wrapRunIn is the extsort merge-input wrapper that reads an existing run
-// file through its physical layout (the inverse of wrapRunOut). Inputs are
-// opened with their own block decoding, bypassing the shared cache:
-// one-shot merge traffic must never evict the hot query working set. Every
-// block's CRC is checked as it decodes, so a compaction can never launder
-// rotted records into a fresh (correctly checksummed) run.
-func wrapRunIn(f storage.File) (storage.File, error) {
-	r, err := runblock.NewFileReader(f)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // openRun opens a just-written run file and returns its run handle: a
 // footer + directory read only — no key data is materialized. The record
 // count is cross-checked against what the writer produced; the full
@@ -465,10 +450,11 @@ func (ix *Index) memPieces() [][]memEntry {
 // here and whose error Flush returns.
 //
 // The memtable's pieces are kept in the refined record order
-// (summary.RecordLess), so every run on disk — flushed or compacted — is
-// totally ordered under the same order extsort uses. Compacted runs are then exactly the
-// totally sorted multiset of their inputs, a state that is trivially
-// independent of Workers and easy to audit.
+// (summary.RecordLess), the order of the bulk load's sort too, and flush and
+// compaction merge under it, so every run on disk — bulk, flushed or
+// compacted — is totally ordered under one order. Compacted runs are then
+// exactly the totally sorted multiset of their inputs, a state that is
+// trivially independent of Workers and easy to audit.
 func (ix *Index) Flush() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -480,10 +466,10 @@ func (ix *Index) Flush() error {
 
 // flushOnWriteLocked is the flush an InsertRecords triggers when
 // the memtable fills. A failed compaction merge is not the writer's error:
-// the batch is durable either way, the group's inputs stay (extsort removes
-// its temporaries), and the next flush retries the merge — Flush, Sync and
-// Close return it. Only the flush's own failure is returned; a failed
-// swap commit is sticky and refuses the next write.
+// the batch is durable either way, the group's inputs stay (the merge
+// removes its partial output), and the next flush retries the merge —
+// Flush, Sync and Close return it. Only the flush's own failure is
+// returned; a failed swap commit is sticky and refuses the next write.
 func (ix *Index) flushOnWriteLocked() error {
 	if err := ix.flushLocked(); err != nil {
 		return err
@@ -512,7 +498,12 @@ func (ix *Index) flushLocked() error {
 	if err := ix.rawSums.Commit(context.Background(), flushed); err != nil {
 		return err
 	}
-	r, err := ix.writeRunFile(ix.memPieces(), len(ix.mem))
+	pieces := ix.memPieces()
+	srcs := make([]*mergeSource, len(pieces))
+	for i, p := range pieces {
+		srcs[i] = &mergeSource{recs: p}
+	}
+	r, err := ix.writeRun(runFileName(ix.opt.Name, ix.nextSeq), 0, ix.nextSeq, int64(len(ix.mem)), srcs)
 	if err != nil {
 		return err
 	}
@@ -527,46 +518,100 @@ func (ix *Index) flushLocked() error {
 	return ix.commitManifestLocked()
 }
 
-// writeRunFile persists the n entries of the sorted pieces, merged, as the
-// next tier-0 run file, fsyncs it (the manifest commit that will reference
-// it requires the bytes on stable storage first), and returns the opened
-// run handle.
-func (ix *Index) writeRunFile(pieces [][]memEntry, n int) (*run, error) {
-	name := runFileName(ix.opt.Name, ix.nextSeq)
+// mergeSource is one sorted input of a run merge: a memtable piece, whole,
+// or a run file, a block at a time.
+type mergeSource struct {
+	// recs are the source's records not merged yet, in record order.
+	recs []memEntry
+	// next returns the source's next records, none at its end; nil for a
+	// source whose recs are all it holds.
+	next func() ([]memEntry, error)
+}
+
+// runSource reads rb's records block by block. A compaction opens rb
+// without a cache: every block is decoded and CRC-checked as it is read, so
+// a merge never launders rotted records into a fresh, correctly checksummed
+// run, and one-shot merge traffic never touches the shared cache's hot query
+// working set.
+func runSource(rb *runblock.Reader) (*mergeSource, error) {
+	b, buf := 0, []memEntry(nil)
+	src := &mergeSource{next: func() ([]memEntry, error) {
+		if b == rb.NumBlocks() {
+			return nil, nil
+		}
+		blk, err := rb.Block(b)
+		if err != nil {
+			return nil, err
+		}
+		b, buf = b+1, buf[:0]
+		for i, k := range blk.Keys {
+			buf = append(buf, memEntry{key: k, pos: blk.Pos[i]})
+		}
+		return buf, nil
+	}}
+	var err error
+	src.recs, err = src.next()
+	return src, err
+}
+
+// mergeRecords adds the union of srcs to w in record order
+// (summary.CompareRecords): the one k-way merge of flush and compaction. k
+// is small — a flush's memtable pieces, a compaction's fanout runs — so the
+// least head is found by a scan. It consumes srcs.
+func mergeRecords(w *runblock.Writer, srcs []*mergeSource) error {
+	srcs = slices.DeleteFunc(srcs, func(s *mergeSource) bool { return len(s.recs) == 0 })
+	for len(srcs) > 0 {
+		best := 0
+		for i := 1; i < len(srcs); i++ {
+			if compareMem(srcs[i].recs[0], srcs[best].recs[0]) < 0 {
+				best = i
+			}
+		}
+		s := srcs[best]
+		if err := w.Add(s.recs[0].key, s.recs[0].pos); err != nil {
+			return err
+		}
+		if s.recs = s.recs[1:]; len(s.recs) == 0 && s.next != nil {
+			var err error
+			if s.recs, err = s.next(); err != nil {
+				return err
+			}
+		}
+		if len(s.recs) == 0 {
+			srcs = slices.Delete(srcs, best, best+1)
+		}
+	}
+	return nil
+}
+
+// writeRun writes the merge of srcs, n records, as run file name, fsyncs it
+// (the manifest commit that will reference it requires the bytes on stable
+// storage first), and returns it opened as run (tier, seq). A failed write
+// removes the partial file.
+func (ix *Index) writeRun(name string, tier int, seq, n int64, srcs []*mergeSource) (r *run, err error) {
 	f, err := ix.opt.FS.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	bw := runblock.NewWriter(f, 0)
-	for len(pieces) > 0 {
-		// The least head of the pieces is the next record.
-		best := 0
-		for i := 1; i < len(pieces); i++ {
-			if compareMem(pieces[i][0], pieces[best][0]) < 0 {
-				best = i
-			}
+	defer func() {
+		if err != nil {
+			_ = ix.opt.FS.Remove(name)
 		}
-		e := pieces[best][0]
-		if pieces[best] = pieces[best][1:]; len(pieces[best]) == 0 {
-			pieces = slices.Delete(pieces, best, best+1)
-		}
-		if err := bw.Add(e.key, e.pos); err != nil {
-			f.Close()
-			return nil, err
-		}
+	}()
+	w := runblock.NewWriter(f, 0)
+	if err = mergeRecords(w, srcs); err == nil {
+		err = w.Finish()
 	}
-	if err := bw.Finish(); err != nil {
-		f.Close()
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	return ix.openRun(name, 0, ix.nextSeq, int64(n))
+	return ix.openRun(name, tier, seq, n)
 }
 
 // findGroupLocked returns the next ready compaction group, oldest first: the
@@ -593,39 +638,33 @@ func (ix *Index) findGroupLocked() []*run {
 	return group
 }
 
-// runCompaction merge-sorts a ready group into one run of the next tier,
-// named by the group's tier and oldest seq, via the parallel sorter's merge
-// machinery — strictly sequential reads and writes, memory budget and
-// worker pool shared with the bulk-load path. The output is re-encoded
-// through the write adapter and reopened as a block directory (no key array
-// ever materializes). extsort.Merge removes its temporaries (and a partial
-// output) on error, so a failed merge leaves only its inputs.
+// runCompaction merges a ready group into one run of the next tier, named
+// by the group's tier and oldest seq: strictly sequential reads, one block
+// of each input at a time through a reader of its own, and one sequential
+// write (writeRun), reopened as a block directory — no key array ever
+// materializes. A failed merge leaves only its inputs.
 func (ix *Index) runCompaction(group []*run) (*run, error) {
 	oldest := group[0]
-	outName := fmt.Sprintf("%s.cmp.t%d.%06d", ix.opt.Name, oldest.tier, oldest.seq)
-	names := make([]string, len(group))
+	srcs := make([]*mergeSource, len(group))
 	var want int64
 	for i, r := range group {
-		names[i] = r.name
+		f, err := ix.opt.FS.Open(r.name)
+		if err != nil {
+			return nil, err
+		}
+		rb, err := runblock.OpenReader(f, nil)
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		defer rb.Close()
+		if srcs[i], err = runSource(rb); err != nil {
+			return nil, err
+		}
 		want += r.count
 	}
-	cfg := extsort.Config{
-		FS:         ix.opt.FS,
-		RecordSize: recordSize,
-		Compare:    extsort.CompareKeyPrefix(summary.KeySize),
-		MemBudget:  ix.opt.MemBudgetBytes,
-		TempPrefix: outName + ".compact",
-		Workers:    ix.opt.Workers,
-		WrapOut:    wrapRunOut,
-		WrapIn:     wrapRunIn,
-	}
-	if err := extsort.Merge(cfg, names, outName); err != nil {
-		return nil, err
-	}
-	if err := syncFile(ix.opt.FS, outName); err != nil {
-		return nil, err
-	}
-	return ix.openRun(outName, oldest.tier+1, oldest.seq, want)
+	name := fmt.Sprintf("%s.cmp.t%d.%06d", ix.opt.Name, oldest.tier, oldest.seq)
+	return ix.writeRun(name, oldest.tier+1, oldest.seq, want, srcs)
 }
 
 // closeRunsLocked closes every run's reader (dropping its cached blocks),

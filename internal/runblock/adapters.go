@@ -3,7 +3,6 @@ package runblock
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
@@ -123,83 +122,4 @@ func (fw *FileWriter) ReadAt(p []byte, off int64) (int, error) {
 // Truncate is not supported: the compressed stream is append-only.
 func (fw *FileWriter) Truncate(size int64) error {
 	return fmt.Errorf("runblock: FileWriter does not support truncate")
-}
-
-// FileReader adapts an open compressed run to the storage.File surface
-// the external sorter reads merge inputs through (extsort's WrapIn hook):
-// ReadAt serves the logical uncompressed 24-byte record stream, decoding
-// blocks on demand. It memoizes the most recently decoded block — the
-// sorter reads each input once, sequentially — and deliberately bypasses
-// any shared block cache so one-shot merge traffic never evicts the hot
-// query working set. Not safe for concurrent use (extsort reads each
-// input from a single goroutine).
-type FileReader struct {
-	r      *Reader
-	sc     scratch
-	blkIdx int
-}
-
-// NewFileReader opens inner, a run file, as a compressed run and serves
-// its logical record stream, checking each block's CRC as it decodes.
-// Close closes inner.
-func NewFileReader(inner storage.File) (*FileReader, error) {
-	r, err := OpenReader(inner, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &FileReader{r: r, blkIdx: -1}, nil
-}
-
-// ReadAt fills p with logical record-stream bytes starting at off.
-func (fr *FileReader) ReadAt(p []byte, off int64) (int, error) {
-	logical := fr.r.Count() * RecordSize
-	if off < 0 {
-		return 0, fmt.Errorf("runblock: negative offset %d", off)
-	}
-	n := 0
-	for n < len(p) && off < logical {
-		rec := off / RecordSize
-		skip := int(off % RecordSize)
-		b := fr.r.blockFor(rec)
-		if fr.blkIdx != b {
-			fr.blkIdx = -1
-			if err := fr.r.decodeBlockInto(b, &fr.sc.blk, &fr.sc); err != nil {
-				return n, err
-			}
-			fr.blkIdx = b
-		}
-		i := int(rec - fr.r.dir[b].startRec)
-		var buf [RecordSize]byte
-		copy(buf[:summary.KeySize], fr.sc.blk.Keys[i][:])
-		binary.LittleEndian.PutUint64(buf[summary.KeySize:], uint64(fr.sc.blk.Pos[i]))
-		c := copy(p[n:], buf[skip:])
-		n += c
-		off += int64(c)
-	}
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// Size returns the logical (uncompressed) stream length.
-func (fr *FileReader) Size() (int64, error) { return fr.r.Count() * RecordSize, nil }
-
-// Name returns the underlying file's name.
-func (fr *FileReader) Name() string { return fr.r.f.Name() }
-
-// Close closes the underlying file.
-func (fr *FileReader) Close() error { return fr.r.Close() }
-
-// Sync delegates to the underlying file.
-func (fr *FileReader) Sync() error { return fr.r.f.Sync() }
-
-// WriteAt is not supported on the read adapter.
-func (fr *FileReader) WriteAt(p []byte, off int64) (int, error) {
-	return 0, fmt.Errorf("runblock: FileReader is read-only")
-}
-
-// Truncate is not supported on the read adapter.
-func (fr *FileReader) Truncate(size int64) error {
-	return fmt.Errorf("runblock: FileReader is read-only")
 }

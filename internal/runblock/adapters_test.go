@@ -2,17 +2,16 @@ package runblock
 
 import (
 	"encoding/binary"
-	"io"
 	"math/rand"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/summary"
 )
 
 // TestAdapterRoundTrip pushes a record stream through the extsort-facing
-// write adapter with unaligned chunk boundaries, then reads it back
-// through the read adapter with a different unaligned chunking, and
-// requires the byte streams to match exactly.
+// write adapter with unaligned chunk boundaries, then reads the run back
+// and requires exactly the records written, in order.
 func TestAdapterRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	recs := genRecords(t, rng, 777)
@@ -47,25 +46,24 @@ func TestAdapterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := NewFileReader(in)
+	r, err := OpenReader(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fr.Close()
-	if sz, _ := fr.Size(); sz != int64(len(logical)) {
-		t.Fatalf("Size = %d, want %d", sz, len(logical))
+	defer r.Close()
+	if r.Count() != int64(len(recs)) {
+		t.Fatalf("run holds %d records, want %d", r.Count(), len(recs))
 	}
-	got, err := io.ReadAll(storage.NewSequentialReader(fr, 0, -1, 700)) // 700 % 24 != 0
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(logical) {
-		t.Fatalf("read %d bytes, want %d", len(got), len(logical))
-	}
-	for i := range got {
-		if got[i] != logical[i] {
-			t.Fatalf("byte %d differs", i)
+	i := 0
+	err = r.Range(0, r.Count(), func(k summary.Key, pos int64) error {
+		if k != recs[i].key || pos != recs[i].pos {
+			t.Fatalf("record %d = (%v, %d), want (%v, %d)", i, k, pos, recs[i].key, recs[i].pos)
 		}
+		i++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -121,50 +119,5 @@ func TestFileWriterEmptyStream(t *testing.T) {
 	defer r.Close()
 	if r.Count() != 0 {
 		t.Fatalf("Count = %d", r.Count())
-	}
-}
-
-func TestFileReaderRandomAccessOffsets(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	recs := genRecords(t, rng, 100)
-	fs := storage.NewMemFS()
-	writeRun(t, fs, "run", recs, 8)
-	in, err := fs.Open("run")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := NewFileReader(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fr.Close()
-	logical := make([]byte, 0, len(recs)*RecordSize)
-	for _, r := range recs {
-		logical = append(logical, r.key[:]...)
-		logical = binary.LittleEndian.AppendUint64(logical, uint64(r.pos))
-	}
-	for trial := 0; trial < 300; trial++ {
-		off := rng.Intn(len(logical) + 10)
-		ln := rng.Intn(100)
-		p := make([]byte, ln)
-		n, err := fr.ReadAt(p, int64(off))
-		want := len(logical) - off
-		if want < 0 {
-			want = 0
-		}
-		if want > ln {
-			want = ln
-		}
-		if n != want {
-			t.Fatalf("ReadAt(%d bytes at %d) = %d, want %d", ln, off, n, want)
-		}
-		if n < ln && err != io.EOF {
-			t.Fatalf("short read error = %v, want io.EOF", err)
-		}
-		for i := 0; i < n; i++ {
-			if p[i] != logical[off+i] {
-				t.Fatalf("byte %d of read at %d differs", i, off)
-			}
-		}
 	}
 }

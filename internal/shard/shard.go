@@ -166,13 +166,21 @@ func scanRanges(ctx context.Context, ranges []Range, fn func(shard int, r Range,
 			}
 		}(i, r)
 	}
-	if done == nil {
+	return join(ctx, &wg, errs)
+}
+
+// join is the tail of a fan-out: it waits for the workers in wg, but
+// detaches if ctx fires first — a worker blocked in a stalled read must not
+// hold the query hostage; the detached goroutines exit when their blocking
+// operation returns, and their writes land in slots nobody reads after a
+// ctx error. A worker may have observed cancellation and skipped work
+// items, so a done ctx always wins over a "complete" run: never a partial
+// answer dressed up as a full one. Otherwise the lowest-index error of errs
+// is the result.
+func join(ctx context.Context, wg *sync.WaitGroup, errs []error) error {
+	if done := ctx.Done(); done == nil {
 		wg.Wait()
 	} else {
-		// Wait for the shards, but detach if ctx fires first: a shard
-		// blocked in a stalled read must not hold the query hostage. The
-		// detached goroutines exit when their blocking operation returns;
-		// their writes land in slots nobody reads after a ctx error.
 		finished := make(chan struct{})
 		go func() {
 			wg.Wait()
@@ -184,9 +192,6 @@ func scanRanges(ctx context.Context, ranges []Range, fn func(shard int, r Range,
 			return ctx.Err()
 		}
 	}
-	// A shard may have observed cancellation and skipped work items, so a
-	// done ctx always wins over a "complete" scan: never a partial answer
-	// dressed up as a full one.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -250,29 +255,7 @@ func FanOut(ctx context.Context, workers, n int, fn func(group int, cancelled fu
 			}
 		}()
 	}
-	if done == nil {
-		wg.Wait()
-	} else {
-		finished := make(chan struct{})
-		go func() {
-			wg.Wait()
-			close(finished)
-		}()
-		select {
-		case <-finished:
-		case <-done:
-			return ctx.Err()
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return join(ctx, &wg, errs)
 }
 
 // Neighbor is one k-NN answer candidate: a record position and its

@@ -86,8 +86,8 @@ func parseFlags(args []string) (*config, error) {
 	leaf := fl.Int("leaf", 2000, "leaf capacity in records")
 	mat := fl.Bool("materialized", false, "store raw series inside the index")
 	mem := fl.Int64("mem", 256<<20, "memory budget in bytes")
-	workers := fl.Int("workers", 0, "construction workers (0 = all CPUs)")
-	queryWorkers := fl.Int("query-workers", 0, "per-query fan-out for exact search (0 = all CPUs)")
+	workers := fl.Int("workers", 0, "construction workers (0 = GOMAXPROCS)")
+	queryWorkers := fl.Int("query-workers", 0, "per-query fan-out for exact search (0 = GOMAXPROCS)")
 	queries := fl.String("queries", "", "query series file (raw format)")
 	partitions := fl.Int("partitions", 1, "key-range partitions to build (1 = single index; open adopts the stored layout)")
 	radius := fl.Int("radius", 1, "approximate-search radius: evaluate 32×(radius+1) records around the query's sort position (lsm: its own 100-record window, no radius)")
@@ -106,10 +106,10 @@ func parseFlags(args []string) (*config, error) {
 		return nil, fmt.Errorf("-partitions must be at least 1, got %d", *partitions)
 	}
 	if *workers < 0 {
-		return nil, fmt.Errorf("-workers must be at least 1, got %d (0 selects all CPUs)", *workers)
+		return nil, fmt.Errorf("-workers must be at least 1, got %d (0 selects GOMAXPROCS)", *workers)
 	}
 	if *queryWorkers < 0 {
-		return nil, fmt.Errorf("-query-workers must be at least 1, got %d (0 selects all CPUs)", *queryWorkers)
+		return nil, fmt.Errorf("-query-workers must be at least 1, got %d (0 selects GOMAXPROCS)", *queryWorkers)
 	}
 	if *timeout <= 0 {
 		return nil, fmt.Errorf("-timeout must be positive, got %v", *timeout)

@@ -49,7 +49,7 @@ func run(args []string) error {
 	addr := fl.String("addr", ":7737", "listen address")
 	dir := fl.String("dir", ".", "directory holding the persisted indexes")
 	indexes := fl.String("indexes", "", "comma-separated names of persisted indexes to serve")
-	queryWorkers := fl.Int("query-workers", 0, "per-query fan-out (0 = all CPUs; 1 maximizes throughput under load)")
+	queryWorkers := fl.Int("query-workers", 0, "per-query fan-out (0 = GOMAXPROCS; 1 maximizes throughput under load)")
 	requestTimeout := fl.Duration("request-timeout", server.Options{}.WithDefaults().DefaultTimeout,
 		"default per-request deadline when the client sends no timeout_ms")
 	maxTimeout := fl.Duration("max-timeout", server.Options{}.WithDefaults().MaxTimeout,

@@ -48,8 +48,9 @@
 // for any k (by leaf range when materialized, by raw-file position range
 // otherwise, per-shard top-k heaps reduced in shard order),
 // and — for LSM indexes — the per-run probes of multi-run queries.
-// QueryWorkers = 0 uses all CPUs; the answers (positions, distances) are
-// identical for any setting, so it is purely a latency knob. For maximum
+// QueryWorkers = 0 uses runtime.GOMAXPROCS(0) goroutines; the answers
+// (positions, distances) are identical for any setting, so it is purely a
+// latency knob. For maximum
 // throughput under many concurrent queries, QueryWorkers = 1 avoids
 // oversubscription; for minimum single-query latency, leave it 0.
 //
@@ -256,16 +257,17 @@ type Config struct {
 	// (default 1.0). Leave headroom (< 1.0) for update-heavy workloads.
 	FillFactor float64
 	// Workers is the number of concurrent workers used during index
-	// construction — chunk sorting, run merging, and (LSM) ingest
+	// construction — summarization, chunk sorting, run merging, and insert
 	// summarization all fan out across them, with MemoryBudget partitioned
-	// so the total stays within budget. 0 means runtime.NumCPU(). The
+	// so the total stays within budget. 0 means runtime.GOMAXPROCS(0). The
 	// built index is byte-identical for any value.
 	Workers int
 	// QueryWorkers is the per-query fan-out: the SIMS lower-bound pass and
 	// the exact-search candidate-verification scan (any k) shard
 	// across this many goroutines (LSM indexes also probe independent runs
-	// concurrently). 0 means all CPUs. Search answers are identical for any
-	// value; see the package-level Concurrency section for how to choose it.
+	// concurrently). 0 means runtime.GOMAXPROCS(0). Search answers are
+	// identical for any value; see the package-level Concurrency section
+	// for how to choose it.
 	QueryWorkers int
 	// Partitions splits the index into N independent key-range partitions
 	// (boundaries chosen from a dataset sample so partitions balance),

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -68,8 +67,8 @@ type Options struct {
 	// MemBudgetBytes is the memory budget M for sorting and buffering.
 	MemBudgetBytes int64
 	// Workers is the number of concurrent workers used by the bulk-load
-	// external sort (0 means runtime.NumCPU()). The built index is
-	// byte-identical for any value.
+	// summarization pass and external sort (0 means runtime.GOMAXPROCS(0)).
+	// The built index is byte-identical for any value.
 	Workers int
 	// QueryWorkers is the fan-out of a SINGLE query: the SIMS lower-bound
 	// computation and the candidate-verification scan are sharded across
@@ -173,12 +172,13 @@ func decodeRecord(rec []byte, materialized bool) (key summary.Key, pos int64, ra
 
 // summaryRecordReader streams the (invSAX, position[, raw]) sort records of
 // a raw dataset file — phase one of Algorithms 2 and 3 (lines 2-8) — as a
-// batched pipeline: a producer goroutine reads raw series in blocks, and
-// workers goroutines compute the invSAX keys and record encodings
-// concurrently (each with its own decode and key scratch, so the per-series
-// cost is allocation-free; in materialized mode the raw bytes are copied
-// straight from the input block, never re-encoded). Blocks are drained in
-// input order, so the stream is byte-identical for any worker count.
+// batched pipeline: a producer goroutine reads raw series in blocks, each
+// with one ReadAt straight into the block's buffer, and workers goroutines
+// key the records where they lie (summary.KeyOfEncoded: no decode, no
+// per-series allocation) and encode the sort records concurrently (in
+// materialized mode the raw bytes are copied straight from the input block,
+// never re-encoded). Blocks are drained in input order, so the stream is
+// byte-identical for any worker count.
 //
 // It is the only pass a bulk load makes over the raw file: sums (from
 // storage.NewRecordSums on the same file) has its per-record CRCs filled
@@ -204,33 +204,17 @@ func summaryRecordReader(s *summary.Summarizer, raw storage.File, materialized b
 	if sums.Records() != records {
 		return nil, fmt.Errorf("core: raw sidecar sized for %d records, %q holds %d", sums.Records(), raw.Name(), records)
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	type scratch struct {
-		ser series.Series
-		ks  summary.KeyScratch
-	}
-	scratches := make([]scratch, workers)
-	for i := range scratches {
-		scratches[i].ser = make(series.Series, p.SeriesLen)
-	}
 	return extsort.NewTransformReader(extsort.TransformConfig{
-		In:            storage.NewSequentialReader(raw, 0, records*int64(inSize), 0),
+		In:            io.NewSectionReader(raw, 0, records*int64(inSize)),
 		InRecordSize:  inSize,
 		OutRecordSize: outSize,
 		Workers:       workers,
-		Transform: func(worker int, in, out []byte, base int64) error {
-			sc := &scratches[worker]
+		Transform: func(in, out []byte, base int64) error {
 			sums.Fill(base, in)
 			n := len(in) / inSize
 			for i := 0; i < n; i++ {
 				rawRec := in[i*inSize : (i+1)*inSize]
-				series.DecodeInto(rawRec, sc.ser)
-				key, err := s.KeyOfScratch(sc.ser, &sc.ks)
-				if err != nil {
-					return err
-				}
+				key := s.KeyOfEncoded(rawRec)
 				rec := out[i*outSize : (i+1)*outSize]
 				if materialized {
 					encodeRecord(rec, key, base+int64(i), rawRec)

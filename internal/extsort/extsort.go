@@ -9,10 +9,12 @@
 // Both phases are parallel: a reader goroutine hands fixed-size chunks to a
 // pool of Workers that sort and flush runs concurrently, and the independent
 // merges of each intermediate generation of a multi-pass sort run
-// concurrently. The memory budget M is partitioned across the pipeline
-// (Workers+1 chunk buffers during run formation, per-merge buffer groups
-// during merging), so the paper's memory model stays honest at any worker
-// count. The sorted output is byte-identical for any worker count:
+// concurrently. The one chunk of an input that fits is sorted on every
+// worker too: as Workers contiguous slices, sorted concurrently in place and
+// merged straight into the output. The memory budget M is partitioned
+// across the pipeline (Workers+1 chunk buffers during run formation,
+// per-merge buffer groups during merging), so the paper's memory model stays
+// honest at any worker count. The sorted output is byte-identical for any worker count:
 // comparator ties are broken on the full record encoding, which makes the
 // result a pure function of the input multiset, independent of chunk
 // boundaries and merge grouping.
@@ -62,10 +64,11 @@ type Config struct {
 	TempPrefix string
 	// BufSize is the per-stream I/O buffer size (default 256 KiB).
 	BufSize int
-	// Workers is the number of goroutines used for run formation and for
-	// the concurrent merges of each intermediate generation (default
-	// runtime.NumCPU()). MemBudget is partitioned across workers; the
-	// output is byte-identical for any value.
+	// Workers is the number of goroutines used for run formation, for the
+	// sort of a lone chunk and for the concurrent merges of each
+	// intermediate generation (<= 0 means runtime.GOMAXPROCS(0)). MemBudget
+	// is partitioned across workers; the output is byte-identical for any
+	// value.
 	Workers int
 	// Tee, when non-nil, is called for every record of the final sorted
 	// output, in output order, as it is written. The callback runs on the
@@ -103,7 +106,7 @@ func (c *Config) validate() error {
 		c.BufSize = 256 << 10
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return nil
 }
@@ -125,21 +128,22 @@ func totalOrder(cmp Compare) Compare {
 // stream to outName on cfg.FS. It returns the number of records sorted.
 // Records comparing equal under cfg.Compare are ordered by their full
 // encoding, so the output is deterministic for any cfg.Workers. An input
-// that fits one chunk is sorted in memory and written once, straight to
-// outName; a longer one goes through run files and their merge.
+// that fits one chunk is sorted in memory, on every worker, and written
+// once, straight to outName; a longer one goes through run files and their
+// merge.
 func Sort(cfg Config, in io.Reader, outName string) (int64, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
 	cfg.Compare = totalOrder(cfg.Compare)
 	chunkLen, writerBuf := cfg.chunking()
-	first, last, err := readChunk(cfg, in, make([]byte, chunkLen))
+	first, last, err := readFirst(cfg, in, chunkLen)
 	if err != nil {
 		return 0, err
 	}
 	total := int64(len(first) / cfg.RecordSize)
 	if last {
-		return total, writeSorted(cfg, outName, first)
+		return total, writeSorted(cfg, outName, first, cfg.Workers)
 	}
 	runs, more, err := makeRuns(cfg, first, in, writerBuf)
 	if err != nil {
@@ -209,6 +213,28 @@ func (c *Config) chunking() (chunkLen, writerBuf int) {
 	return int(chunkBytes/int64(c.RecordSize)) * c.RecordSize, writerBuf
 }
 
+// firstChunkMin is the size the first chunk's buffer starts at: it grows with
+// the input, doubling up to the chunk length, so an input far below the
+// memory budget is not read into a buffer allocated, and zeroed, at the
+// budget's size.
+const firstChunkMin = 1 << 20
+
+// readFirst reads the first chunk, like readChunk into a buffer of chunkLen
+// bytes, but into one that grows with the input.
+func readFirst(cfg Config, in io.Reader, chunkLen int) (recs []byte, last bool, err error) {
+	buf := make([]byte, min(chunkLen, max(firstChunkMin/cfg.RecordSize, 1)*cfg.RecordSize))
+	for n := 0; ; {
+		recs, last, err = readChunk(cfg, in, buf[n:])
+		if err != nil || last || len(buf) == chunkLen {
+			// Capped at len(buf): the buffer is recycled as a full chunk,
+			// and append's growth may have left it larger than chunkLen.
+			return buf[: n+len(recs) : len(buf)], last, err
+		}
+		n = len(buf)
+		buf = append(buf, make([]byte, min(n, chunkLen-n))...)
+	}
+}
+
 // readChunk fills buf from in and returns the records read; last reports
 // that the input ended within them.
 func readChunk(cfg Config, in io.Reader, buf []byte) (recs []byte, last bool, err error) {
@@ -265,7 +291,7 @@ func makeRuns(cfg Config, first []byte, in io.Reader, writerBuf int) (runs []str
 				case <-fail:
 					// A sibling already failed; just recycle the buffer.
 				default:
-					if e := writeSorted(cfg.temp(writerBuf), runName(cfg, j.idx), j.data); e != nil {
+					if e := writeSorted(cfg.temp(writerBuf), runName(cfg, j.idx), j.data, 1); e != nil {
 						setErr(e)
 					}
 				}
@@ -309,7 +335,7 @@ func makeRuns(cfg Config, first []byte, in io.Reader, writerBuf int) (runs []str
 func makeRunsSerial(cfg Config, first []byte, in io.Reader) (runs []string, more int64, err error) {
 	for data, last := first, false; len(data) > 0; {
 		name := runName(cfg, len(runs))
-		if err := writeSorted(cfg.temp(cfg.BufSize), name, data); err != nil {
+		if err := writeSorted(cfg.temp(cfg.BufSize), name, data, 1); err != nil {
 			return runs, more, err
 		}
 		runs = append(runs, name)
@@ -331,17 +357,28 @@ func (c Config) temp(bufSize int) Config {
 	return c
 }
 
-// writeSorted sorts one chunk and writes it as file name.
-func writeSorted(cfg Config, name string, data []byte) error {
-	SortInMemory(data, cfg.RecordSize, cfg.Compare)
-	return writeOut(cfg, name, func(put func(rec []byte) error) error {
-		for ; len(data) > 0; data = data[cfg.RecordSize:] {
-			if err := put(data[:cfg.RecordSize]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+// writeSorted sorts one chunk and writes it as file name. The chunk is cut
+// into parts contiguous slices, sorted concurrently in place and merged
+// under cfg.Compare straight into the output: the same total order, and so
+// the same bytes and the same Tee sequence, for any parts, at no memory
+// beyond the chunk.
+func writeSorted(cfg Config, name string, data []byte, parts int) error {
+	size := cfg.RecordSize
+	n := len(data) / size
+	parts = min(parts, n)
+	streams := make([]*mergeStream, parts)
+	var wg sync.WaitGroup
+	for i := range streams {
+		part := data[i*n/parts*size : (i+1)*n/parts*size]
+		streams[i] = &mergeStream{r: bytes.NewReader(part), rec: make([]byte, size)}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			SortInMemory(part, size, cfg.Compare)
+		}()
+	}
+	wg.Wait()
+	return merge(cfg, name, streams)
 }
 
 // writeOut creates name, wraps it with WrapOut, and fills it through a
@@ -484,8 +521,10 @@ func mergeGeneration(cfg Config, inputs []string, gen int) ([]string, error) {
 	return outs, nil
 }
 
+// mergeStream is one sorted source of a merge — a run file or a sorted part
+// of an in-memory chunk — and rec its next record.
 type mergeStream struct {
-	r   *storage.SequentialReader
+	r   io.Reader
 	rec []byte
 	ok  bool
 }
@@ -524,7 +563,7 @@ func (h *mergeHeap) Pop() any {
 
 // mergeOnce merges runs — one or more — into outName.
 func mergeOnce(cfg Config, runs []string, outName string) error {
-	h := &mergeHeap{cmp: cfg.Compare}
+	var streams []*mergeStream
 	var files []storage.File
 	defer func() {
 		for _, f := range files {
@@ -537,10 +576,19 @@ func mergeOnce(cfg Config, runs []string, outName string) error {
 			return err
 		}
 		files = append(files, f)
-		s := &mergeStream{
+		streams = append(streams, &mergeStream{
 			r:   storage.NewSequentialReader(f, 0, -1, cfg.BufSize),
 			rec: make([]byte, cfg.RecordSize),
-		}
+		})
+	}
+	return merge(cfg, outName, streams)
+}
+
+// merge writes the records of streams, each sorted under cfg.Compare, to
+// name in one k-way merge under cfg.Compare.
+func merge(cfg Config, name string, streams []*mergeStream) error {
+	h := &mergeHeap{cmp: cfg.Compare}
+	for _, s := range streams {
 		if err := s.advance(); err != nil {
 			return err
 		}
@@ -549,7 +597,7 @@ func mergeOnce(cfg Config, runs []string, outName string) error {
 		}
 	}
 	heap.Init(h)
-	return writeOut(cfg, outName, func(put func(rec []byte) error) error {
+	return writeOut(cfg, name, func(put func(rec []byte) error) error {
 		for h.Len() > 0 {
 			s := h.streams[0]
 			if err := put(s.rec); err != nil {

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"sort"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -229,42 +232,119 @@ func TestSortFaultPropagates(t *testing.T) {
 }
 
 // TestSortDeterministicAcrossWorkers: the acceptance bar for the parallel
-// pipeline is byte-identical output for any worker count, including with
-// heavy comparator ties (records sharing a key prefix but differing in the
-// payload), so chunk boundaries and merge grouping must not show through.
+// pipeline is byte-identical output, and the same Tee sequence, for any
+// worker count, including with heavy comparator ties (records sharing a key
+// prefix but differing in the payload), so chunk boundaries, the slices a
+// lone chunk is sorted in, and merge grouping must not show through. The
+// cases run through run files and a multi-pass merge under a tiny budget,
+// through run formation with chunks larger than the first chunk's starting
+// buffer, and through the one-chunk path: a full chunk, an empty input, one
+// record, fewer records than workers, and materialized-size records.
 func TestSortDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const n = 3000
-	in := makeRecords(rng, n)
-	// Collapse keys onto 16 values to force many comparator ties.
-	for i := 0; i < n; i++ {
-		copy(in[i*recSize:], []byte{0, 0, 0, 0, 0, 0, 0, byte(rng.Intn(16))})
+	cases := []struct {
+		name       string
+		n, size    int
+		budgetRecs int64
+		// oneChunkUpTo is the largest Workers at which the input fits one
+		// chunk: 8 for every worker count, 0 for none.
+		oneChunkUpTo int
+	}{
+		{"multi-pass", 3000, recSize, 64, 0},
+		{"one chunk", 3000, recSize, 1 << 16, 8},
+		{"empty", 0, recSize, 1 << 16, 8},
+		{"one record", 1, recSize, 1 << 16, 8},
+		{"fewer than workers", 5, recSize, 1 << 16, 8},
+		{"materialized", 700, 8 + 8 + 64*8, 1 << 16, 8},
+		// Chunks of 1.68 MB at 2 workers and 1.26 MB at 3, past
+		// firstChunkMin, so the first chunk's buffer grows before it is
+		// recycled; 24 does not divide a page, so a buffer recycled past
+		// the chunk length would cut a record. The input is 4.9 chunks at
+		// 2 workers and 6.5 at 3, so the first buffer is refilled.
+		{"chunks past firstChunkMin", 340000, 24, 210000, 0},
 	}
-	var ref []byte
-	for _, workers := range []int{1, 2, 3, 8} {
+	for _, tc := range cases {
+		rng := rand.New(rand.NewSource(9))
+		in := make([]byte, tc.n*tc.size)
+		rng.Read(in)
+		for i := 0; i < tc.n; i++ {
+			copy(in[i*tc.size:], []byte{0, 0, 0, 0, 0, 0, 0, byte(rng.Intn(16))})
+		}
+		sorted := append([]byte(nil), in...)
+		SortInMemory(sorted, tc.size, totalOrder(CompareKeyPrefix(8)))
+		var ref, refTee []byte
+		for _, workers := range []int{1, 2, 3, 8} {
+			fs := storage.NewMemFS()
+			var created atomic.Int64 // concurrent run writers create files
+			fs.SetFault(func(op storage.Op, name string, off int64, n int) error {
+				if op == storage.OpCreate {
+					created.Add(1)
+				}
+				return nil
+			})
+			cfg := sortCfg(fs, tc.budgetRecs*int64(tc.size))
+			cfg.RecordSize, cfg.Workers = tc.size, workers
+			var teed []byte
+			cfg.Tee = func(rec []byte) { teed = append(teed, rec...) }
+			got, err := Sort(cfg, bytes.NewReader(in), "out")
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", tc.name, workers, err)
+			}
+			if got != int64(tc.n) {
+				t.Fatalf("%s, workers=%d: sorted %d records, want %d", tc.name, workers, got, tc.n)
+			}
+			if oneChunk := workers <= tc.oneChunkUpTo; oneChunk != (created.Load() == 1) {
+				t.Fatalf("%s, workers=%d: created %d files", tc.name, workers, created.Load())
+			}
+			out, err := storage.ReadFileAll(fs, "out")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, sorted) {
+				t.Fatalf("%s, workers=%d: output is not the sorted input", tc.name, workers)
+			}
+			if ref == nil {
+				ref, refTee = out, teed
+			} else if !bytes.Equal(ref, out) || !bytes.Equal(refTee, teed) {
+				t.Fatalf("%s, workers=%d: output or Tee sequence differs from workers=1", tc.name, workers)
+			}
+		}
+	}
+}
+
+// TestSortWorkersZeroIsGOMAXPROCS: Workers = 0 means runtime.GOMAXPROCS(0),
+// not runtime.NumCPU() — the chunks, and so the runs, of a sort under a
+// budget it does not fit are those of Workers = GOMAXPROCS. GOMAXPROCS is
+// set above NumCPU for the test, so the two readings differ on any machine.
+func TestSortWorkersZeroIsGOMAXPROCS(t *testing.T) {
+	procs := runtime.NumCPU() + 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	rng := rand.New(rand.NewSource(15))
+	in := makeRecords(rng, 2000)
+	runs := func(workers int) (created []string) {
 		fs := storage.NewMemFS()
-		cfg := sortCfg(fs, 64*recSize) // tiny budget: many runs, multi-pass merge
+		var mu sync.Mutex // concurrent run writers create files
+		fs.SetFault(func(op storage.Op, name string, off int64, n int) error {
+			if op == storage.OpCreate {
+				mu.Lock()
+				created = append(created, name)
+				mu.Unlock()
+			}
+			return nil
+		})
+		cfg := sortCfg(fs, 256*recSize)
 		cfg.Workers = workers
-		got, err := Sort(cfg, bytes.NewReader(in), "out")
-		if err != nil {
+		if _, err := Sort(cfg, bytes.NewReader(in), "out"); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got != n {
-			t.Fatalf("workers=%d: sorted %d records, want %d", workers, got, n)
-		}
-		out, err := storage.ReadFileAll(fs, "out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkSorted(t, out, cfg.Compare)
-		if multisetHash(in) != multisetHash(out) {
-			t.Fatalf("workers=%d: output is not a permutation of input", workers)
-		}
-		if ref == nil {
-			ref = out
-		} else if !bytes.Equal(ref, out) {
-			t.Fatalf("workers=%d: output differs from workers=1 output", workers)
-		}
+		sort.Strings(created) // concurrent run writers create in any order
+		return created
+	}
+	zero, procsRuns, cpus := runs(0), runs(procs), runs(procs-1)
+	if len(zero) < 3 || strings.Join(zero, " ") != strings.Join(procsRuns, " ") {
+		t.Fatalf("Workers=0 created %v, Workers=GOMAXPROCS=%d created %v", zero, procs, procsRuns)
+	}
+	if strings.Join(zero, " ") == strings.Join(cpus, " ") {
+		t.Fatalf("Workers=0 and Workers=NumCPU=%d created the same files %v: the test cannot tell them apart", procs-1, zero)
 	}
 }
 

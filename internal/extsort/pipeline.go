@@ -17,14 +17,16 @@ import (
 // byte-identical for any worker count.
 type TransformConfig struct {
 	// In supplies the raw input bytes; it is read sequentially by a single
-	// producer goroutine, InRecordSize granularity enforced.
+	// producer goroutine, InRecordSize granularity enforced, one block at a
+	// time into the block's buffer: an io.SectionReader over a file reads
+	// each block with one ReadAt, with no staging copy.
 	In io.Reader
 	// InRecordSize is the fixed encoded size of one input record.
 	InRecordSize int
 	// OutRecordSize is the fixed encoded size of one output record.
 	OutRecordSize int
 	// Workers is the number of transform goroutines (<= 0 means
-	// runtime.NumCPU()). The output stream is identical for any value.
+	// runtime.GOMAXPROCS(0)). The output stream is identical for any value.
 	Workers int
 	// BlockRecords is the number of records per block (default: sized so a
 	// block holds ~256 KiB of input). Blocks are the unit of hand-off;
@@ -33,9 +35,8 @@ type TransformConfig struct {
 	// Transform converts one block: in holds n*InRecordSize input bytes, out
 	// has room for n*OutRecordSize bytes and must be filled completely. base
 	// is the ordinal of the block's first record in the whole stream. It is
-	// called concurrently from Workers goroutines (worker in [0, Workers))
-	// and must only touch per-worker state indexed by worker.
-	Transform func(worker int, in, out []byte, base int64) error
+	// called concurrently from Workers goroutines.
+	Transform func(in, out []byte, base int64) error
 }
 
 func (c *TransformConfig) validate() error {
@@ -48,7 +49,7 @@ func (c *TransformConfig) validate() error {
 		return fmt.Errorf("extsort: transform: nil transform")
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.BlockRecords <= 0 {
 		c.BlockRecords = (256 << 10) / c.InRecordSize
@@ -104,9 +105,9 @@ func NewTransformReader(cfg TransformConfig) (*TransformReader, error) {
 		}
 	}
 	jobs := make(chan *tblock)
-	for w := 0; w < cfg.Workers; w++ {
+	for range cfg.Workers {
 		t.wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer t.wg.Done()
 			for {
 				select {
@@ -116,12 +117,12 @@ func NewTransformReader(cfg TransformConfig) (*TransformReader, error) {
 					if !ok {
 						return
 					}
-					b.err = cfg.Transform(w, b.in[:b.n*cfg.InRecordSize],
+					b.err = cfg.Transform(b.in[:b.n*cfg.InRecordSize],
 						b.out[:b.n*cfg.OutRecordSize], b.base)
 					close(b.ready)
 				}
 			}
-		}(w)
+		}()
 	}
 	t.wg.Add(1)
 	go func() {

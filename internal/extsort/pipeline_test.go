@@ -11,7 +11,7 @@ import (
 
 // doubleTransform is a trivial record transform for the tests: each 4-byte
 // input record becomes an 8-byte output record holding (input, ordinal).
-func doubleTransform(_ int, in, out []byte, base int64) error {
+func doubleTransform(in, out []byte, base int64) error {
 	n := len(in) / 4
 	for i := 0; i < n; i++ {
 		copy(out[i*8:], in[i*4:(i+1)*4])
@@ -81,11 +81,11 @@ func TestTransformReaderErrors(t *testing.T) {
 		OutRecordSize: 8,
 		Workers:       4,
 		BlockRecords:  16,
-		Transform: func(_ int, in, out []byte, base int64) error {
+		Transform: func(in, out []byte, base int64) error {
 			if base >= 256 {
 				return boom
 			}
-			return doubleTransform(0, in, out, base)
+			return doubleTransform(in, out, base)
 		},
 	})
 	if err != nil {
@@ -143,7 +143,7 @@ func TestTransformReaderFeedsSort(t *testing.T) {
 	plain := make([]byte, 0, n*8)
 	{
 		buf := make([]byte, n*8)
-		if err := doubleTransform(0, in, buf, 0); err != nil {
+		if err := doubleTransform(in, buf, 0); err != nil {
 			t.Fatal(err)
 		}
 		plain = append(plain, buf...)

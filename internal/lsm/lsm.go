@@ -81,7 +81,7 @@ type Options struct {
 	// briefly copies the shorter one, at most half as much again.
 	MemBudgetBytes int64
 	// Workers is the number of concurrent workers used by the bulk-load
-	// sort and its summarization pass (0 means runtime.NumCPU()). Runs and
+	// sort and its summarization pass (0 means runtime.GOMAXPROCS(0)). Runs and
 	// query answers are identical for any value.
 	Workers int
 	// QueryWorkers is the fan-out of a single query: independent runs are

@@ -94,8 +94,7 @@ func (ix *Index) recoverTail(flushed int64) (err error) {
 			manifest.ErrCorruptManifest, flushed, end)
 	}
 	ix.flushed = flushed
-	p := ix.opt.S.Params()
-	buf, ser := make([]byte, series.EncodedSize(p.SeriesLen)), make(series.Series, p.SeriesLen)
+	buf := make([]byte, series.EncodedSize(ix.opt.S.Params().SeriesLen))
 	raw := storage.PinViews(ix.rawFile)
 	defer raw.Release(&err)
 	for pos := flushed; pos < end; pos++ {
@@ -103,11 +102,7 @@ func (ix *Index) recoverTail(flushed int64) (err error) {
 		if err != nil {
 			return fmt.Errorf("lsm: recovering raw record %d of [%d, %d): %w", pos, flushed, end, err)
 		}
-		series.DecodeInto(enc, ser)
-		key, err := ix.opt.S.KeyOf(ser)
-		if err != nil {
-			return err
-		}
+		key := ix.opt.S.KeyOfEncoded(enc)
 		if ix.opt.Owns == nil || ix.opt.Owns(key) {
 			ix.mem = append(ix.mem, memEntry{key: key, pos: pos})
 		}

@@ -379,14 +379,11 @@ func (c *Composite) routeLocked(ctx context.Context, kids []recordInserter, batc
 			return 0, fmt.Errorf("partition: inserted series has length %d, want %d", len(s), p.SeriesLen)
 		}
 	}
-	keys, err := c.v.s.KeysOf(batch, c.v.workers)
-	if err != nil {
-		return 0, err
-	}
 	enc := make([]byte, 0, len(batch)*sz)
 	for _, s := range batch {
 		enc = series.AppendEncode(enc, s)
 	}
+	keys := c.v.s.KeysOfEncoded(enc, c.v.workers)
 	first, err := c.rawSums.Append(enc)
 	if err != nil {
 		return 0, err

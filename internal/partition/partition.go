@@ -287,7 +287,6 @@ func selectBoundaries(raw storage.File, s *summary.Summarizer, parts int) ([]sum
 	// the only one.
 	stride := count / target
 	buf := make([]byte, sz)
-	ser := make(series.Series, p.SeriesLen)
 	sample := make([]summary.Key, target)
 	for i := range sample {
 		if n, err := raw.ReadAt(buf, int64(i)*stride*sz); n != len(buf) {
@@ -296,10 +295,7 @@ func selectBoundaries(raw storage.File, s *summary.Summarizer, parts int) ([]sum
 			}
 			return nil, fmt.Errorf("partition: sampling dataset: %w", err)
 		}
-		series.DecodeInto(buf, ser)
-		if sample[i], err = s.KeyOf(ser); err != nil {
-			return nil, err
-		}
+		sample[i] = s.KeyOfEncoded(buf)
 	}
 	sort.Slice(sample, func(a, b int) bool { return sample[a].Less(sample[b]) })
 	bounds := make([]summary.Key, 0, parts-1)

@@ -2,56 +2,45 @@ package summary
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
 )
 
-// KeyScratch holds the reusable PAA and SAX buffers for repeated key
-// computation on one goroutine. The zero value is ready to use; buffers are
-// allocated on first use and reused afterwards, so a long-lived scratch
-// makes per-series key computation allocation-free.
-type KeyScratch struct {
-	paa []float64
-	sax SAX
-}
-
-// KeyOfScratch computes the sortable invSAX key of ser like KeyOf, reusing
-// sc's buffers. sc must not be shared between goroutines.
-func (s *Summarizer) KeyOfScratch(ser series.Series, sc *KeyScratch) (Key, error) {
-	var err error
-	if sc.paa, err = s.PAA(ser, sc.paa); err != nil {
-		return Key{}, err
-	}
-	sc.sax = s.SAXFromPAA(sc.paa, sc.sax)
-	return Interleave(sc.sax, s.p.CardBits), nil
-}
-
-// KeysOf computes the invSAX key of every series in batch, splitting the
-// batch across workers goroutines (shard.Split: workers <= 0 means
-// runtime.GOMAXPROCS(0), clamped to the batch size). Results are ordered
-// like batch, so the output is identical for any worker count. Concurrent
-// use is safe because the Summarizer is immutable; each worker reuses its
-// own KeyScratch, so the per-series cost is allocation-free.
+// KeysOf computes the invSAX key of every series in batch: it encodes the
+// batch in the raw file format and keys it with KeysOfEncoded.
 func (s *Summarizer) KeysOf(batch []series.Series, workers int) ([]Key, error) {
-	keys := make([]Key, len(batch))
+	enc := make([]byte, 0, len(batch)*series.EncodedSize(s.p.SeriesLen))
+	for _, ser := range batch {
+		if len(ser) != s.p.SeriesLen {
+			return nil, fmt.Errorf("summary: series length %d, summarizer expects %d", len(ser), s.p.SeriesLen)
+		}
+		enc = series.AppendEncode(enc, ser)
+	}
+	return s.KeysOfEncoded(enc, workers), nil
+}
+
+// KeysOfEncoded computes the invSAX key of every series of enc — a batch in
+// the raw file format, len(enc)/EncodedSize(SeriesLen) series back to back
+// — splitting it across workers goroutines (shard.Split: workers <= 0 means
+// runtime.GOMAXPROCS(0), clamped to the batch size). Each series is keyed in
+// place by KeyOfEncoded, so the per-series cost is allocation-free. Results
+// are ordered like the batch, so the output is identical for any worker
+// count.
+func (s *Summarizer) KeysOfEncoded(enc []byte, workers int) []Key {
+	size := series.EncodedSize(s.p.SeriesLen)
+	keys := make([]Key, len(enc)/size)
 	// The batch passes of this file are CPU-only and fill buffers their
 	// callers reuse, so they run to completion: there is nothing to cancel.
-	err := shard.Scan(context.Background(), workers, len(batch), func(_ int, r shard.Range, _ func() bool) error {
-		var sc KeyScratch
+	_ = shard.Scan(context.Background(), workers, len(keys), func(_ int, r shard.Range, _ func() bool) error {
 		for i := r.Lo; i < r.Hi; i++ {
-			var err error
-			if keys[i], err = s.KeyOfScratch(batch[i], &sc); err != nil {
-				return err
-			}
+			keys[i] = s.KeyOfEncoded(enc[i*size : (i+1)*size])
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return keys, nil
+	return keys
 }
 
 // KeysInto fills out[i] with the squared lower bound for keys[i], sharding

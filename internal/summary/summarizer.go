@@ -1,9 +1,10 @@
 package summary
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 
 	"github.com/coconut-db/coconut/internal/series"
 )
@@ -19,6 +20,10 @@ type SAX []uint8
 type Summarizer struct {
 	p  Params
 	bp []float64 // cardinality-1 Gaussian breakpoints
+	// bk[i] is orderKey(bp[i]); Symbol searches it without a branch. The
+	// entries past len(bp) are never read: the array's size lets an index
+	// masked to a byte skip the bounds check.
+	bk [256]uint64
 	// segBounds[j] is the first point index of segment j; segBounds has
 	// Segments+1 entries. Segment widths differ by at most one point when
 	// SeriesLen is not divisible by Segments.
@@ -31,6 +36,12 @@ func NewSummarizer(p Params) (*Summarizer, error) {
 		return nil, err
 	}
 	s := &Summarizer{p: p, bp: Breakpoints(p.Cardinality())}
+	for i, b := range s.bp {
+		// b + 0 keys a -0 breakpoint as +0: a key orders -0 below +0, so
+		// keyed as -0 it would count as below v = +0, which as floats it is
+		// not. Keyed as +0, it is below neither zero, as it must be.
+		s.bk[i] = orderKey(b + 0)
+	}
 	s.segBounds = make([]int, p.Segments+1)
 	for j := 0; j <= p.Segments; j++ {
 		s.segBounds[j] = j * p.SeriesLen / p.Segments
@@ -69,12 +80,106 @@ func (s *Summarizer) PAA(ser series.Series, dst []float64) ([]float64, error) {
 }
 
 // Symbol maps one value to its SAX symbol: the index of the Gaussian region
-// containing v.
+// containing v, which is the number of breakpoints below v — where a binary
+// search of Breakpoints() for the first breakpoint at or above v lands, NaN
+// (no breakpoint is at or above it) mapping to the top symbol.
 func (s *Summarizer) Symbol(v float64) uint8 {
-	// sort.SearchFloat64s returns the number of breakpoints < v or <= v;
-	// either convention lands v in a valid region, and ties on an exact
-	// breakpoint are vanishingly rare on real data.
-	return uint8(sort.SearchFloat64s(s.bp, v))
+	var sym [4]uint8
+	s.symbols4(&sym, v, v, v, v)
+	return sym[0]
+}
+
+// symbols4 is Symbol of four values. Each search is a binary search without
+// a data-dependent branch: each of the CardBits steps compares the value's
+// order key with one breakpoint's by the borrow of an unsigned subtraction
+// and adds the step under that mask (a compiled `if bk[i] < vk { i += step }`
+// stays a branch, mispredicted half the time on real data). The four
+// searches are interleaved step by step, so their chains of dependent loads
+// and adds overlap.
+func (s *Summarizer) symbols4(dst *[4]uint8, v0, v1, v2, v3 float64) {
+	k0, k1, k2, k3 := searchKey(v0), searchKey(v1), searchKey(v2), searchKey(v3)
+	var i0, i1, i2, i3 int
+	for step := len(s.bp)/2 + 1; step > 0; step >>= 1 {
+		_, b0 := bits.Sub64(s.bk[(i0+step-1)&0xFF], k0, 0)
+		_, b1 := bits.Sub64(s.bk[(i1+step-1)&0xFF], k1, 0)
+		_, b2 := bits.Sub64(s.bk[(i2+step-1)&0xFF], k2, 0)
+		_, b3 := bits.Sub64(s.bk[(i3+step-1)&0xFF], k3, 0)
+		i0 += step & -int(b0)
+		i1 += step & -int(b1)
+		i2 += step & -int(b2)
+		i3 += step & -int(b3)
+	}
+	dst[0], dst[1], dst[2], dst[3] = uint8(i0), uint8(i1), uint8(i2), uint8(i3)
+}
+
+// searchKey is the key Symbol searches the breakpoints' keys for: v's order
+// key, or for NaN of either sign one above every breakpoint's.
+func searchKey(v float64) uint64 {
+	if v != v {
+		return math.MaxUint64
+	}
+	return orderKey(v)
+}
+
+// orderKey maps a float64 to a uint64 whose unsigned order is the float's
+// numeric order: a non-negative float's bits with the sign bit set, a
+// negative one's bits inverted. It orders -0 just below +0.
+func orderKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// KeyOfEncoded is KeyOf over one series in the raw file format (SeriesLen
+// little-endian float64s, series.Encode's layout), read in place: the one
+// summarization kernel of every record a build, an insert, a sample or a
+// recovery keys. Each segment is summed in point order, exactly as PAA
+// sums the decoded series, so the key is bit-identical to KeyOf's; four
+// segments are summed at a time in independent accumulators, so their adds
+// overlap instead of waiting on one another. rec must be exactly one
+// series long, 8 bytes a point; KeyOfEncoded panics otherwise.
+func (s *Summarizer) KeyOfEncoded(rec []byte) Key {
+	if len(rec) != series.EncodedSize(s.p.SeriesLen) {
+		panic(fmt.Sprintf("summary: encoded series of %d bytes, summarizer expects %d", len(rec), series.EncodedSize(s.p.SeriesLen)))
+	}
+	var sax [KeyBits]uint8 // Segments*CardBits <= KeyBits bounds Segments
+	w, b := s.p.Segments, s.segBounds
+	j := 0
+	for ; j+4 <= w; j += 4 {
+		p0, p1, p2, p3 := rec[b[j]*8:b[j+1]*8], rec[b[j+1]*8:b[j+2]*8], rec[b[j+2]*8:b[j+3]*8], rec[b[j+3]*8:b[j+4]*8]
+		w0, w1, w2, w3 := float64(len(p0)/8), float64(len(p1)/8), float64(len(p2)/8), float64(len(p3)/8)
+		// Segment widths differ by at most one point: the four sums run
+		// together over the narrowest one's n bytes, then each adds the
+		// point it may have left.
+		n := min(len(p0), len(p1), len(p2), len(p3))
+		q0, q1, q2, q3 := p0[:n], p1[:n], p2[:n], p3[:n]
+		var a0, a1, a2, a3 float64
+		for i := 0; i+8 <= n; i += 8 {
+			a0 += point(q0[i : i+8])
+			a1 += point(q1[i : i+8])
+			a2 += point(q2[i : i+8])
+			a3 += point(q3[i : i+8])
+		}
+		s.symbols4((*[4]uint8)(sax[j:j+4]),
+			addPoints(a0, p0[n:])/w0, addPoints(a1, p1[n:])/w1, addPoints(a2, p2[n:])/w2, addPoints(a3, p3[n:])/w3)
+	}
+	for ; j < w; j++ {
+		p := rec[b[j]*8 : b[j+1]*8]
+		sax[j] = s.Symbol(addPoints(0, p) / float64(len(p)/8))
+	}
+	return Interleave(sax[:w], s.p.CardBits)
+}
+
+// point decodes the first value of an encoded series.
+func point(enc []byte) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(enc))
+}
+
+// addPoints adds the points of enc to acc, in order.
+func addPoints(acc float64, enc []byte) float64 {
+	for ; len(enc) >= 8; enc = enc[8:] {
+		acc += point(enc)
+	}
+	return acc
 }
 
 // SAXFromPAA discretizes a PAA vector into a SAX word, into dst when

@@ -425,10 +425,10 @@ func TestExactQueryAllocations(t *testing.T) {
 
 // approxQueryAllocIndexes are the indexes the approximate-query allocation
 // guard runs on: 20k random-walk series at the default shape with
-// QueryWorkers pinned to 1 — a non-materialized tree (one sorted source, a
-// 32-record window), a single-run LSM (one source, 100 records) and an LSM of
-// three runs and a part-full memtable (four sorted sources merged into one
-// window). maxBytes bounds the bytes one query allocates, raceMaxBytes the
+// QueryWorkers pinned to 1, each asked for radius 0's 32-record window — a
+// non-materialized tree (one sorted source), a single-run LSM (one source)
+// and an LSM of three runs and a part-full memtable (four sorted sources
+// merged into one window). maxBytes bounds the bytes one query allocates, raceMaxBytes the
 // same under the race detector, whose sync.Pool drops a quarter of all Puts
 // (an LSM query's pooled lower-bound table is 33 KB): both sit below what
 // the per-query sort the merge replaced allocated in the same mode (tree,

@@ -90,7 +90,7 @@ func parseFlags(args []string) (*config, error) {
 	queryWorkers := fl.Int("query-workers", 0, "per-query fan-out for exact search (0 = GOMAXPROCS)")
 	queries := fl.String("queries", "", "query series file (raw format)")
 	partitions := fl.Int("partitions", 1, "key-range partitions to build (1 = single index; open adopts the stored layout)")
-	radius := fl.Int("radius", 1, "approximate-search radius: evaluate 32×(radius+1) records around the query's sort position (lsm: its own 100-record window, no radius)")
+	radius := fl.Int("radius", 1, "approximate-search radius: every type evaluates 32×(radius+1) records around the query's sort position; exact search seeds from radius 1")
 	approx := fl.Bool("approx", false, "run approximate instead of exact search")
 	k := fl.Int("k", 1, "number of nearest neighbors to return")
 	appendFile := fl.String("append", "", "series file to stream into the LSM index (stream command)")
@@ -378,22 +378,24 @@ func runQuery(cfg *config) error {
 // by batch, reporting per-Insert latency percentiles (full tiers compact
 // inside the Insert that filled them). A persisted index (manifest
 // present) is reopened and continues its deterministic flush/compaction
-// sequence; otherwise the index is first bulk-loaded over -data.
+// sequence — a stored index of another variant is refused with
+// ErrConfigMismatch; otherwise the index is first bulk-loaded over -data.
 func runStream(cfg *config) error {
 	if cfg.appendFile == "" {
 		return errors.New("-append is required for stream")
 	}
 	start := time.Now()
-	var ix *coconut.LSMIndex
-	seriesLen := cfg.build.SeriesLen
+	var (
+		ix  *coconut.Index
+		err error
+	)
 	if cfg.build.Storage.Exists(manifest.FileName(cfg.build.Name)) {
-		m, err := manifest.Load(cfg.build.Storage, cfg.build.Name)
-		if err != nil {
+		if ix, err = coconut.Open(context.Background(), cfg.openConfig()); err != nil {
 			return err
 		}
-		seriesLen = m.SeriesLen
-		if ix, err = coconut.OpenLSMIndex(cfg.openConfig()); err != nil {
-			return err
+		if v := ix.Variant(); v != coconut.LSM {
+			ix.Close()
+			return fmt.Errorf("stream: %w: stored index is a %s index, not %s", coconut.ErrConfigMismatch, v, coconut.LSM)
 		}
 		fmt.Printf("reopened LSM index %q: %d series across %d runs in %v\n",
 			cfg.build.Name, ix.Count(), ix.NumRuns(), time.Since(start).Round(time.Millisecond))
@@ -401,8 +403,7 @@ func runStream(cfg *config) error {
 		if cfg.build.DataFile == "" {
 			return errors.New("-data is required to bulk-load a new stream index")
 		}
-		var err error
-		if ix, err = coconut.BuildLSMIndex(cfg.build); err != nil {
+		if ix, err = coconut.Build(context.Background(), cfg.build, coconut.LSM); err != nil {
 			return err
 		}
 		fmt.Printf("bulk-loaded LSM index %q: %d series in %v\n",
@@ -415,7 +416,7 @@ func runStream(cfg *config) error {
 		return err
 	}
 	defer af.Close()
-	r := series.NewReader(storage.NewSequentialReader(af, 0, -1, 0), seriesLen)
+	r := series.NewReader(storage.NewSequentialReader(af, 0, -1, 0), ix.SeriesLen())
 	var (
 		lats     []time.Duration
 		appended int64

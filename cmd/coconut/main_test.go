@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -21,15 +23,6 @@ const (
 	cliQueries = 3
 	cliExtra   = 120
 )
-
-// publicAPI is what the round trip asks of an index through the public
-// package: exact, approximate at radius 1, and k-NN.
-type publicAPI struct {
-	search func(coconut.Series) (coconut.Result, error)
-	approx func(coconut.Series) (coconut.Result, error)
-	knn    func(coconut.Series, int) ([]coconut.Neighbor, error)
-	close  func() error
-}
 
 // runCLI runs one coconut command the way main does — a fresh parseFlags
 // per invocation — and returns what it printed.
@@ -164,41 +157,29 @@ func TestCLIRoundTrip(t *testing.T) {
 					t.Fatalf("info does not describe the partition layout:\n%s", out)
 				}
 
-				// What the public API answers on the same files.
+				// What the public API answers on the same files: exact,
+				// approximate at radius 1 (query's default -radius), and
+				// k-NN.
 				cfg := coconut.Config{Storage: fs, Name: "idx"}
-				var ix publicAPI
-				switch variant {
-				case "tree":
-					tree, err := coconut.OpenTreeIndex(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ix = publicAPI{tree.Search, func(q coconut.Series) (coconut.Result, error) { return tree.SearchApprox(q, 1) }, tree.SearchKNN, tree.Close}
-				case "trie":
-					trie, err := coconut.OpenTrieIndex(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ix = publicAPI{trie.Search, func(q coconut.Series) (coconut.Result, error) { return trie.SearchApprox(q, 1) }, trie.SearchKNN, trie.Close}
-				case "lsm":
-					lsm, err := coconut.OpenLSMIndex(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ix = publicAPI{lsm.Search, lsm.SearchApprox, lsm.SearchKNN, lsm.Close}
+				ix, err := coconut.Open(context.Background(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := ix.Variant(); string(got) != variant {
+					t.Fatalf("opened a %s index, built a %s", got, variant)
 				}
 				var exact, approx []answer
 				var knn [][]answer
 				for _, q := range queries {
-					e, err := ix.search(q)
+					e, err := ix.Search(q)
 					if err != nil {
 						t.Fatal(err)
 					}
-					a, err := ix.approx(q)
+					a, err := ix.SearchApprox(q, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ns, err := ix.knn(q, 3)
+					ns, err := ix.SearchKNN(q, 3)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -209,7 +190,7 @@ func TestCLIRoundTrip(t *testing.T) {
 					}
 					knn = append(knn, row)
 				}
-				if err := ix.close(); err != nil {
+				if err := ix.Close(); err != nil {
 					t.Fatal(err)
 				}
 
@@ -246,7 +227,7 @@ func TestCLIRoundTrip(t *testing.T) {
 							t.Fatalf("stream (reopen) lacks %q:\n%s", want, out)
 						}
 					}
-					ix, err := coconut.OpenLSMIndex(cfg)
+					ix, err := coconut.Open(context.Background(), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -269,8 +250,8 @@ func TestCLIRoundTrip(t *testing.T) {
 						}
 					}
 					// A non-LSM index is refused, not streamed into.
-				} else if _, err := runCLI(t, "stream", with("-append", "extra.bin")...); err == nil {
-					t.Fatalf("stream into a %s index succeeded", variant)
+				} else if _, err := runCLI(t, "stream", with("-append", "extra.bin")...); !errors.Is(err, coconut.ErrConfigMismatch) {
+					t.Fatalf("stream into a %s index: %v, want ErrConfigMismatch", variant, err)
 				}
 
 				out = mustCLI(t, "scrub", at...)

@@ -99,9 +99,11 @@
 // Coconut-Tree, -Trie and -LSM are one family: a sorted array of invSAX
 // summaries answered by the same two steps, an approximate window whose k
 // best seed a SIMS verification pass under the k-th best — exact 1-NN being
-// k = 1 on every index type. So there is one handle, Index, for every
-// Variant: Build bulk-loads one of the variant it is given, and Open reopens
-// one of the variant its manifest records. Each holds the same internal
+// k = 1 on every index type. Every type evaluates 32×(radius+1) records
+// around the query's sort position; exact search seeds from radius 1. So
+// there is one handle, Index, for every Variant: Build bulk-loads one of the
+// variant it is given, and Open reopens one of the variant its manifest
+// records. Each holds the same internal
 // index (internal/partition.Composite): N children of the variant split by
 // key range, with N = 1 — stored exactly as an unpartitioned index — unless
 // Config.Partitions >= 2. The composite owns the raw log and drives both
@@ -407,8 +409,7 @@ const (
 	// LSM is Coconut-LSM, the paper's future-work design for update-heavy
 	// workloads: inserts land in a memtable and flush as immutable sorted
 	// runs; full tiers compact inline (see the package-level Write path
-	// section). Its approximate window is its own size (100 records) and
-	// takes no radius.
+	// section).
 	LSM Variant = "lsm"
 )
 
@@ -437,7 +438,7 @@ type (
 
 // LSMIndex is an Index of the LSM variant under the name of the typed
 // constructors, kept for callers that use them. It differs from Index only
-// in its approximate search, which takes no radius.
+// in its approximate search, which takes no radius and searches at radius 2.
 type LSMIndex struct{ *Index }
 
 // Build bulk-loads an index of variant v over the dataset cfg names.
@@ -623,11 +624,11 @@ func (x *Index) SearchCtx(ctx context.Context, q Series) (Result, error) {
 	return fromCore(r), err
 }
 
-// SearchApprox returns a fast approximate nearest neighbor (Algorithm 4):
-// the best of the 32×(radius+1) records around the query's sort position in
-// the summaries of every partition. A negative radius means 0, and a window
-// past the indexed count covers every series. An LSM evaluates its own
-// 100-record window and ignores the radius.
+// SearchApprox returns a fast approximate nearest neighbor (Algorithm 4)
+// from the summaries of every partition. Every type evaluates 32×(radius+1)
+// records around the query's sort position; exact search seeds from radius
+// 1. A negative radius means 0, and a window past the indexed count covers
+// every series.
 func (x *Index) SearchApprox(q Series, radius int) (Result, error) {
 	return x.SearchApproxCtx(context.Background(), q, radius)
 }
@@ -638,12 +639,13 @@ func (x *Index) SearchApproxCtx(ctx context.Context, q Series, radius int) (Resu
 	return fromCore(r), err
 }
 
-// SearchApprox is Index.SearchApprox, whose radius an LSM ignores.
-func (l *LSMIndex) SearchApprox(q Series) (Result, error) { return l.Index.SearchApprox(q, 0) }
+// SearchApprox is Index.SearchApprox at radius 2 (96 records, the closest to
+// the LSM's former 100), kept for callers of the typed handle (ROADMAP.md).
+func (l *LSMIndex) SearchApprox(q Series) (Result, error) { return l.Index.SearchApprox(q, 2) }
 
-// SearchApproxCtx is Index.SearchApproxCtx, whose radius an LSM ignores.
+// SearchApproxCtx is Index.SearchApproxCtx at radius 2, as SearchApprox.
 func (l *LSMIndex) SearchApproxCtx(ctx context.Context, q Series) (Result, error) {
-	return l.Index.SearchApproxCtx(ctx, q, 0)
+	return l.Index.SearchApproxCtx(ctx, q, 2)
 }
 
 // Neighbor is one SearchKNN answer.

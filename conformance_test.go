@@ -1,6 +1,7 @@
 package coconut
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -270,6 +271,109 @@ func TestExactTieConformance(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestTreeLSMConformance is the differential test of the window rule: a
+// tree and an LSM built from the same dataset (one Storage each), at 1 and
+// 2 partitions, answer byte-identically — SearchApprox at radius 0, 1, 2
+// and 5 in position, distance and visited series, Search and
+// SearchKNN(q, 5) in positions and distances. It holds after the bulk load,
+// after batched inserts through a memtable small enough that the LSM holds
+// several runs and a memtable, and after Close and Open.
+func TestTreeLSMConformance(t *testing.T) {
+	const batch = 450
+	extra := dataset.Generate(dataset.NewSeismic(), 13*batch, confLen, confSeed+7)
+	// The last batch stays in the memtable: 5 850 records fill 5 memtables
+	// of 1 000 at 1 partition and 2 of 2 730 at 2.
+	queries := append(dataset.Queries(dataset.NewRandomWalk(), 32, confLen, confSeed+8), extra[7], extra[len(extra)-3])
+	for _, parts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			var ixs [2]*Index
+			var cfgs [2]Config
+			for i, v := range []Variant{Tree, LSM} {
+				fs, _ := confFS(t)
+				cfgs[i] = partConfig(fs, parts, 2, false)
+				cfgs[i].MemoryBudget = 1000 * 24 // a 1000-record memtable, 64 KiB a partition
+				ix, err := Build(context.Background(), cfgs[i], v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ixs[i] = ix
+			}
+			defer func() {
+				for _, ix := range ixs {
+					ix.Close()
+				}
+			}()
+			treeLSMAgree(t, "bulk-loaded", ixs, queries)
+
+			for lo := 0; lo < len(extra); lo += batch {
+				for _, ix := range ixs {
+					if err := ix.Insert(extra[lo : lo+batch]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if runs := ixs[1].NumRuns(); runs < 2*parts {
+				t.Fatalf("the LSM holds %d runs after %d inserts; want several", runs, len(extra))
+			}
+			treeLSMAgree(t, "after inserts", ixs, queries)
+
+			for i, ix := range ixs {
+				if err := ix.Close(); err != nil {
+					t.Fatal(err)
+				}
+				cfgs[i].Partitions = 0 // adopted from the manifest
+				var err error
+				if ixs[i], err = Open(context.Background(), cfgs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			treeLSMAgree(t, "reopened", ixs, queries)
+		})
+	}
+}
+
+// treeLSMAgree fails unless the tree ixs[0] and the LSM ixs[1] answer every
+// query alike.
+func treeLSMAgree(t *testing.T, state string, ixs [2]*Index, queries []Series) {
+	t.Helper()
+	if a, b := ixs[0].Count(), ixs[1].Count(); a != b {
+		t.Fatalf("%s: the tree holds %d series, the LSM %d", state, a, b)
+	}
+	for qi, q := range queries {
+		for _, radius := range []int{0, 1, 2, 5} {
+			var got [2]Result
+			for i, ix := range ixs {
+				r, err := ix.SearchApprox(q, radius)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.VisitedLeaves = 0 // an LSM has no leaves
+				got[i] = r
+			}
+			if got[0] != got[1] {
+				t.Fatalf("%s, query %d, radius %d: tree %+v, LSM %+v", state, qi, radius, got[0], got[1])
+			}
+		}
+		var exact [2]Result
+		var knn [2][]Neighbor
+		for i, ix := range ixs {
+			var err error
+			if exact[i], err = ix.Search(q); err != nil {
+				t.Fatal(err)
+			}
+			if knn[i], err = ix.SearchKNN(q, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if exact[0].Position != exact[1].Position || exact[0].Distance != exact[1].Distance {
+			t.Fatalf("%s, query %d: Search on the tree %+v, on the LSM %+v", state, qi, exact[0], exact[1])
+		}
+		if fmt.Sprint(knn[0]) != fmt.Sprint(knn[1]) || len(knn[0]) != 5 {
+			t.Fatalf("%s, query %d: SearchKNN(q, 5) on the tree %v, on the LSM %v", state, qi, knn[0], knn[1])
 		}
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -27,7 +28,7 @@ func main() {
 	if err := coconut.GenerateDataset(fs, "sky.bin", coconut.Astronomy, initial, seriesLen, 11); err != nil {
 		log.Fatal(err)
 	}
-	idx, err := coconut.BuildTreeIndex(coconut.Config{
+	idx, err := coconut.Build(context.Background(), coconut.Config{
 		Storage:   fs,
 		Name:      "sky",
 		DataFile:  "sky.bin",
@@ -35,7 +36,7 @@ func main() {
 		// Leave update headroom in the leaves so early batches do not
 		// immediately split pages (the trade-off §3.2 analyzes).
 		FillFactor: 0.8,
-	})
+	}, coconut.Tree)
 	if err != nil {
 		log.Fatal(err)
 	}

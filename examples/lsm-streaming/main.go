@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -29,13 +30,13 @@ func main() {
 	if err := coconut.GenerateDataset(fs, "stream.bin", coconut.Seismic, initial, seriesLen, 3); err != nil {
 		log.Fatal(err)
 	}
-	idx, err := coconut.BuildLSMIndex(coconut.Config{
+	idx, err := coconut.Build(context.Background(), coconut.Config{
 		Storage:      fs,
 		Name:         "stream",
 		DataFile:     "stream.bin",
 		SeriesLen:    seriesLen,
 		MemoryBudget: 2048 * 24, // small memtable so flushes are visible
-	})
+	}, coconut.LSM)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -31,13 +32,13 @@ func main() {
 	if err := coconut.GenerateDataset(fs, "seismic.bin", coconut.Seismic, count, seriesLen, 7); err != nil {
 		log.Fatal(err)
 	}
-	idx, err := coconut.BuildTreeIndex(coconut.Config{
+	idx, err := coconut.Build(context.Background(), coconut.Config{
 		Storage:      fs,
 		Name:         "seismic",
 		DataFile:     "seismic.bin",
 		SeriesLen:    seriesLen,
 		Materialized: true, // leaves carry the waveforms: no second file needed
-	})
+	}, coconut.Tree)
 	if err != nil {
 		log.Fatal(err)
 	}

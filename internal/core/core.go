@@ -371,24 +371,6 @@ type ApproxWindow struct {
 	Leaves int64
 }
 
-// approxWindow is how many records around the query's sort position an
-// approximate search evaluates at radius 0 — the paper's "all data series in
-// a specific radius from this specific point ... usually a disk page"
-// (§4.3). A materialized index reads them from its own leaves, the others
-// from the raw file.
-const approxWindow = 32
-
-// WindowHalf is the per-side size of the approximate window of
-// approxWindow×(radius+1) records over n records, saturated at n: a negative
-// radius means 0, and a radius past what n records fill cannot overflow.
-func WindowHalf(radius, n int) int {
-	radius = max(radius, 0)
-	if radius >= 2*n/approxWindow {
-		return n
-	}
-	return approxWindow * (radius + 1) / 2
-}
-
 // windowCands collects the window contribution of a sorted summary array —
 // the tree's and the trie's alike: the trailing and leading half-windows
 // around q's insertion position, one slice of the array in record order,
@@ -400,7 +382,7 @@ func windowCands(opt *Options, sims *simsArray, q series.Series, radius int) (aw
 	if err != nil {
 		return aw, 0, 0, err
 	}
-	half := WindowHalf(radius, sims.col.Len())
+	half := window.Half(radius, sims.col.Len())
 	ins := sims.col.Search(opt.S.SAXFromPAA(qPAA, nil))
 	lo, hi = max(ins-half, 0), min(ins+half, sims.col.Len())
 	aw.Cands, aw.Split = make([]window.Cand, hi-lo), ins-lo

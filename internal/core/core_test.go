@@ -216,11 +216,15 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 			"trie": {&trie.sims, trie.starts, trie.ApproxWindowCands, trie.approxSearch},
 		} {
 			for qi, q := range queries {
-				for _, radius := range []int{0, 1, 3, 100} {
+				// Radius 100 saturates: its window is every record.
+				for _, radius := range []int{0, 1, 2, 100} {
 					key, _ := opt.S.KeyOf(q)
 					qPAA, _ := opt.S.PAA(q, nil)
-					half := approxWindow * (radius + 1) / 2
 					keys := keysOf(ix.sims.col)
+					half := window.Half(radius, len(keys))
+					if radius == 100 && half != len(keys) {
+						t.Fatalf("radius 100 does not saturate %d records: window.Half %d", len(keys), half)
+					}
 					ins := 0
 					for ins < len(keys) && keys[ins].Less(key) {
 						ins++

@@ -488,8 +488,8 @@ func (r *leafRun) closeFiles() error {
 }
 
 // ApproxWindowCands is the index's contribution to an approximate search,
-// Algorithm 4 on the sorted summary array: the approxWindow×(radius+1)
-// records surrounding the query key's insertion position in the global
+// Algorithm 4 on the sorted summary array: the 32×(radius+1) records
+// (window.Half) surrounding the query key's insertion position in the global
 // record order — the paper's "all data series in a specific radius from this
 // specific point ... usually a disk page" (§4.3) — which the partition layer
 // merges with its siblings' and evaluates in lower-bound order with early

@@ -111,9 +111,9 @@ type child interface {
 }
 
 // approxKNN is the one-child composite's approximate top-k, in squared
-// space: the index's window, trimmed to half records a side, evaluated by
-// EvalWindow. The Result holds its visit counters.
-func approxKNN(ctx context.Context, ix child, half int, q series.Series, k, radius int) ([]Neighbor, Result, error) {
+// space: the index's window, trimmed to window.Half records a side,
+// evaluated by EvalWindow. The Result holds its visit counters.
+func approxKNN(ctx context.Context, ix child, q series.Series, k, radius int) ([]Neighbor, Result, error) {
 	res := Result{Pos: -1, Dist: math.Inf(1)}
 	if ix.Count() == 0 {
 		return nil, res, ErrEmptyIndex
@@ -122,14 +122,14 @@ func approxKNN(ctx context.Context, ix child, half int, q series.Series, k, radi
 	if err != nil {
 		return nil, res, err
 	}
-	top, visited, err := EvalWindow(ctx, q, k, window.Merge(half, aw.Source).Cands, aw)
+	top, visited, err := EvalWindow(ctx, q, k, window.Merge(window.Half(radius, int(ix.Count())), aw.Source).Cands, aw)
 	res.VisitedRecords, res.VisitedLeaves = visited, aw.Leaves
 	return top, res, err
 }
 
 // approx is the approximate answer, in squared space: the window's best.
-func approx(ctx context.Context, ix child, half int, q series.Series, radius int) (Result, error) {
-	top, res, err := approxKNN(ctx, ix, half, q, 1, radius)
+func approx(ctx context.Context, ix child, q series.Series, radius int) (Result, error) {
+	top, res, err := approxKNN(ctx, ix, q, 1, radius)
 	if len(top) > 0 {
 		res.Pos, res.Dist = top[0].Pos, top[0].Dist
 	}
@@ -139,9 +139,9 @@ func approx(ctx context.Context, ix child, half int, q series.Series, radius int
 // exactKNN is the one-child composite's exact top-k: the window's k best
 // seed the verification step, and the distances are rooted once, at the
 // end. The Result holds the best neighbor and the visit counters.
-func exactKNN(ctx context.Context, ix child, half int, q series.Series, k, radius int) ([]Neighbor, Result, error) {
+func exactKNN(ctx context.Context, ix child, q series.Series, k, radius int) ([]Neighbor, Result, error) {
 	k = max(k, 1)
-	seed, res, err := approxKNN(ctx, ix, half, q, k, radius)
+	seed, res, err := approxKNN(ctx, ix, q, k, radius)
 	if err != nil {
 		return nil, res, err
 	}
@@ -167,8 +167,8 @@ func exactKNN(ctx context.Context, ix child, half int, q series.Series, k, radiu
 }
 
 // exact is exactKNN with k = 1.
-func exact(ctx context.Context, ix child, half int, q series.Series, radius int) (Result, error) {
-	_, res, err := exactKNN(ctx, ix, half, q, 1, radius)
+func exact(ctx context.Context, ix child, q series.Series, radius int) (Result, error) {
+	_, res, err := exactKNN(ctx, ix, q, 1, radius)
 	return res, err
 }
 
@@ -177,10 +177,8 @@ func rooted(r Result) Result {
 	return r
 }
 
-func (o *Options) half(radius int) int { return approxWindow * (radius + 1) / 2 }
-
 func (l *loneTree) approxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	return approx(ctx, l.TreeIndex, l.opt.half(radius), q, radius)
+	return approx(ctx, l.TreeIndex, q, radius)
 }
 
 func (l *loneTree) ApproxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
@@ -189,11 +187,11 @@ func (l *loneTree) ApproxSearch(ctx context.Context, q series.Series, radius int
 }
 
 func (l *loneTree) ExactSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	return exact(ctx, l.TreeIndex, l.opt.half(radius), q, radius)
+	return exact(ctx, l.TreeIndex, q, radius)
 }
 
 func (l *loneTrie) approxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	return approx(ctx, l.TrieIndex, l.opt.half(radius), q, radius)
+	return approx(ctx, l.TrieIndex, q, radius)
 }
 
 func (l *loneTrie) ApproxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
@@ -202,7 +200,7 @@ func (l *loneTrie) ApproxSearch(ctx context.Context, q series.Series, radius int
 }
 
 func (l *loneTrie) ExactSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	return exact(ctx, l.TrieIndex, l.opt.half(radius), q, radius)
+	return exact(ctx, l.TrieIndex, q, radius)
 }
 
 // positions reads every indexed position of the tree in key order, leaf by
@@ -225,11 +223,11 @@ func (l *loneTree) positions() ([]int64, error) {
 
 // ExactSearchKNN is the one-child composite's k-NN.
 func (l *loneTree) ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]Neighbor, Result, error) {
-	return exactKNN(ctx, l.TreeIndex, l.opt.half(radius), q, k, radius)
+	return exactKNN(ctx, l.TreeIndex, q, k, radius)
 }
 
 func (l *loneTrie) ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]Neighbor, Result, error) {
-	return exactKNN(ctx, l.TrieIndex, l.opt.half(radius), q, k, radius)
+	return exactKNN(ctx, l.TrieIndex, q, k, radius)
 }
 
 // Insert appends the batch to the raw log and inserts its records; they

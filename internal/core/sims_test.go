@@ -187,7 +187,7 @@ func checkReferencePass(t *testing.T, build func(Options) (lone, *leafRun, error
 			}
 			for qi, q := range queries {
 				for _, k := range ks {
-					seed, stats, err := approxKNN(context.Background(), ix, run.opt.half(1), q, k, 1)
+					seed, stats, err := approxKNN(context.Background(), ix, q, k, 1)
 					if err != nil {
 						t.Fatal(err)
 					}

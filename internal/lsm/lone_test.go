@@ -69,42 +69,43 @@ func openLone(opt Options) (*lone, error) {
 	return &lone{ix, sums}, nil
 }
 
-// approxKNN is the one-child composite's approximate top-k, in squared
-// space; the Result holds its visit counters.
-func (l *lone) approxKNN(ctx context.Context, q series.Series, k int) ([]core.Neighbor, core.Result, error) {
+// approxKNN is the one-child composite's approximate top-k at radius, in
+// squared space; the Result holds its visit counters.
+func (l *lone) approxKNN(ctx context.Context, q series.Series, k, radius int) ([]core.Neighbor, core.Result, error) {
 	res := core.Result{Pos: -1, Dist: math.Inf(1)}
 	if l.Count() == 0 {
 		return nil, res, core.ErrEmptyIndex
 	}
-	aw, err := l.ApproxWindowCands(ctx, q, 0)
+	aw, err := l.ApproxWindowCands(ctx, q, radius)
 	if err != nil {
 		return nil, res, err
 	}
-	top, visited, err := core.EvalWindow(ctx, q, k, window.Merge(WindowHalf, aw.Source).Cands, aw)
+	top, visited, err := core.EvalWindow(ctx, q, k, window.Merge(window.Half(radius, int(l.Count())), aw.Source).Cands, aw)
 	res.VisitedRecords, res.VisitedLeaves = visited, aw.Leaves
 	return top, res, err
 }
 
-// approxSq is the approximate answer, in squared space: the window's best.
-func (l *lone) approxSq(ctx context.Context, q series.Series) (core.Result, error) {
-	top, res, err := l.approxKNN(ctx, q, 1)
+// approxSq is the approximate answer at radius, in squared space: the
+// window's best.
+func (l *lone) approxSq(ctx context.Context, q series.Series, radius int) (core.Result, error) {
+	top, res, err := l.approxKNN(ctx, q, 1, radius)
 	if len(top) > 0 {
 		res.Pos, res.Dist = top[0].Pos, top[0].Dist
 	}
 	return res, err
 }
 
-func (l *lone) ApproxSearch(ctx context.Context, q series.Series, _ int) (core.Result, error) {
-	res, err := l.approxSq(ctx, q)
+func (l *lone) ApproxSearch(ctx context.Context, q series.Series, radius int) (core.Result, error) {
+	res, err := l.approxSq(ctx, q, radius)
 	res.Dist = math.Sqrt(res.Dist)
 	return res, err
 }
 
-// ExactSearchKNN seeds the verification step with the window's k best and
-// roots the distances once, at the end.
-func (l *lone) ExactSearchKNN(ctx context.Context, q series.Series, k, _ int) ([]core.Neighbor, core.Result, error) {
+// ExactSearchKNN seeds the verification step with the k best of the
+// radius window and roots the distances once, at the end.
+func (l *lone) ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]core.Neighbor, core.Result, error) {
 	k = max(k, 1)
-	seed, res, err := l.approxKNN(ctx, q, k)
+	seed, res, err := l.approxKNN(ctx, q, k, radius)
 	if err != nil {
 		return nil, res, err
 	}

@@ -55,12 +55,6 @@ const recordSize = summary.KeySize + 8
 // run of the next.
 const fanout = 4
 
-// WindowHalf is how many records each run and the memtable contribute on
-// each side of where the query's key sorts in an approximate search, and
-// how many the merged window keeps: a 100-record window. The radius every
-// index takes is ignored.
-const WindowHalf = 50
-
 // Options configures a Coconut-LSM index.
 type Options struct {
 	// FS hosts the runs and the raw dataset file.
@@ -873,26 +867,23 @@ func (ix *Index) manifestLocked() *manifest.Manifest {
 	return m
 }
 
-// windowCandsLocked collects this index's window contribution. Every run and
-// every memtable piece is sorted, so a binary search in each finds where the
-// query key sorts and the half-windows around it are one source each;
-// window.Merge picks this index's window from them — per-source trimming
-// never changes it, since a record in the merged trailing half is
+// windowCandsLocked collects this index's window contribution at radius.
+// Every run and every memtable piece is sorted, so a binary search in each
+// finds where the query key sorts and the half-windows around it are one
+// source each; window.Merge picks this index's window from them — per-source
+// trimming never changes it, since a record in the merged trailing half is
 // necessarily in its own source's — and only its records get a lower bound,
 // from q's table tbl.
-func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (window.Source, error) {
+func (ix *Index) windowCandsLocked(q series.Series, radius int, tbl *summary.MinDistTable) (window.Source, error) {
 	key, err := ix.opt.S.KeyOf(q)
 	if err != nil {
 		return window.Source{}, err
 	}
-	half := WindowHalf
+	half := window.Half(radius, int(ix.count))
 	// One array holds every source's records: each run and each memtable
-	// piece contribute at most half a window per side.
-	size, lo := 2*half*len(ix.runs), 0
-	for _, hi := range ix.memEnds {
-		size, lo = size+min(2*half, hi-lo), hi
-	}
-	all := make([]window.Cand, 0, size)
+	// piece contribute at most half a window per side, and all of them at
+	// most every record.
+	all := make([]window.Cand, 0, min(2*half*(len(ix.runs)+len(ix.memEnds)), int(ix.count)))
 	srcs := make([]window.Source, 0, len(ix.runs)+len(ix.memEnds))
 	for _, r := range ix.runs {
 		idx, err := r.rb.Search(key)
@@ -909,7 +900,7 @@ func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (
 		}
 		srcs = append(srcs, window.Source{Cands: all[start:], Split: int(idx - lo)})
 	}
-	lo = 0
+	lo := 0
 	for _, hi := range ix.memEnds {
 		p := ix.mem[lo:hi]
 		ins := sort.Search(len(p), func(i int) bool { return !p[i].key.Less(key) })
@@ -928,19 +919,19 @@ func (ix *Index) windowCandsLocked(q series.Series, tbl *summary.MinDistTable) (
 }
 
 // ApproxWindowCands is this index's contribution to an approximate search:
-// the 2×WindowHalf records around where the query's key sorts, merged from
-// the half-windows of every run and memtable piece, to be merged with the
-// other partitions' before one global evaluation best-lower-bound-first with
-// early abandoning (see internal/window). The merged window is a pure
-// function of the record multiset, so the answer is identical for any run
-// layout — before or after flushes and compactions, and across partition
-// counts. An empty index contributes nothing (no error — the cross-partition
-// window may still be non-empty). An LSM has no leaves, so Leaves stays 0;
-// the candidates are read from the raw file by whoever evaluates the merged
-// window (core.EvalWindow), which observes its ctx between records. The
-// radius every index takes is ignored here and below: the LSM window is
-// 2×WindowHalf records.
-func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, _ int) (core.ApproxWindow, error) {
+// the 32×(radius+1) records (window.Half) around where the query's key
+// sorts, merged from the half-windows of every run and memtable piece, to be
+// merged with the other partitions' before one global evaluation
+// best-lower-bound-first with early abandoning (see internal/window). The
+// merged window is a pure function of the record multiset and the radius —
+// the rule a tree and a trie follow too — so the answer is identical for any
+// run layout, before or after flushes and compactions, across partition
+// counts, and to a tree's over the same records. An empty index contributes
+// nothing (no error — the cross-partition window may still be non-empty).
+// An LSM has no leaves, so Leaves stays 0; the candidates are read from the
+// raw file by whoever evaluates the merged window (core.EvalWindow), which
+// observes its ctx between records.
+func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, radius int) (core.ApproxWindow, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	var aw core.ApproxWindow
@@ -952,7 +943,7 @@ func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, _ int) (c
 		return aw, err
 	}
 	defer pass.Release() // the window's bounds are all taken before it returns
-	if aw.Source, err = ix.windowCandsLocked(q, &pass.Table); err != nil {
+	if aw.Source, err = ix.windowCandsLocked(q, radius, &pass.Table); err != nil {
 		return aw, err
 	}
 	aw.Raw, aw.Sums = ix.rawFile, ix.rawSums

@@ -169,7 +169,7 @@ func TestCompactionBypassesCache(t *testing.T) {
 	}
 	fs.SetFault(nil)
 	for _, q := range stream[:8] {
-		if _, err := ix.approxSq(context.Background(), q); err != nil {
+		if _, err := ix.approxSq(context.Background(), q, 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ix.ExactSearch(context.Background(), q, 0); err != nil {

@@ -80,7 +80,7 @@ func TestExactMatchesReferencePass(t *testing.T) {
 			keys, positions = append(keys, e.key), append(positions, e.pos)
 		}
 		for qi, q := range queries {
-			seed, err := ix.approxSq(context.Background(), q)
+			seed, err := ix.approxSq(context.Background(), q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestExactSkipsRunBlocks(t *testing.T) {
 	}
 	fewer := 0
 	for qi, q := range append(dataset.Queries(gen, 16, tLen, 77), data[5], data[bulk+700]) {
-		seed, err := ix.approxSq(context.Background(), q)
+		seed, err := ix.approxSq(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,10 @@ import (
 )
 
 // TestApproxWindowMatchesReference is the LSM counterpart of internal/core's:
-// ApproxWindowCands must equal the WindowHalf records on each side of the
-// query key's insertion point in the sorted set of every record inserted,
-// each with its lower bound — with the records in the memtable only, in
+// ApproxWindowCands at radius 0, 1, 2 and 100 (which saturates) must equal
+// the window.Half records on each side of the query key's insertion point in
+// the sorted set of every record inserted, each with its lower bound — the
+// rule a tree and a trie follow — with the records in the memtable only, in
 // runs and the memtable, after a batch larger than the memtable flushed in
 // the middle of it, after a crash whose un-flushed tail Open replays, and
 // after a clean Close and Open. Every memtable piece must be in record order,
@@ -115,9 +116,10 @@ func requireMemPieces(t *testing.T, ix *Index) {
 	}
 }
 
-// requireWindow holds ix's window for every query to the reference: the
-// records of data (record i at position i) sorted under the record order,
-// and the WindowHalf of them on each side of where the query key sorts.
+// requireWindow holds ix's window for every query and radius to the
+// reference: the records of data (record i at position i) sorted under the
+// record order, and the window.Half of them on each side of where the query
+// key sorts.
 func requireWindow(t *testing.T, state string, ix *Index, s *summary.Summarizer, data []series.Series, queries []series.Series) {
 	t.Helper()
 	recs := make([]window.Cand, len(data))
@@ -141,19 +143,22 @@ func requireWindow(t *testing.T, state string, ix *Index, s *summary.Summarizer,
 			t.Fatal(err)
 		}
 		ins := sort.Search(len(recs), func(i int) bool { return !recs[i].Key.Less(key) })
-		lo, hi := max(ins-WindowHalf, 0), min(ins+WindowHalf, len(recs))
-		want := slices.Clone(recs[lo:hi])
-		for i := range want {
-			want[i].LB = pass.Table.Key(want[i].Key)
+		for _, radius := range []int{0, 1, 2, 100} {
+			half := window.Half(radius, len(recs))
+			lo, hi := max(ins-half, 0), min(ins+half, len(recs))
+			want := slices.Clone(recs[lo:hi])
+			for i := range want {
+				want[i].LB = pass.Table.Key(want[i].Key)
+			}
+			aw, err := ix.ApproxWindowCands(context.Background(), q, radius)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(aw.Cands, want) || aw.Split != ins-lo {
+				t.Fatalf("%s, query %d, radius %d: window of %d split at %d, reference %d split at %d",
+					state, qi, radius, len(aw.Cands), aw.Split, len(want), ins-lo)
+			}
 		}
 		pass.Release()
-		aw, err := ix.ApproxWindowCands(context.Background(), q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(aw.Cands, want) || aw.Split != ins-lo {
-			t.Fatalf("%s, query %d: window of %d split at %d, reference %d split at %d",
-				state, qi, len(aw.Cands), aw.Split, len(want), ins-lo)
-		}
 	}
 }

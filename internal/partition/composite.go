@@ -257,7 +257,7 @@ func (c *Composite) approxSq(ctx context.Context, q series.Series, k, radius int
 		srcs[i] = aws[i].Source
 		res.VisitedLeaves += aws[i].Leaves
 	}
-	top, visited, err := core.EvalWindow(ctx, q, k, window.Merge(c.v.half(radius, int(n)), srcs...).Cands, aws...)
+	top, visited, err := core.EvalWindow(ctx, q, k, window.Merge(window.Half(radius, int(n)), srcs...).Cands, aws...)
 	res.VisitedRecords = visited
 	return top, res, err
 }

@@ -7,9 +7,11 @@
 // of — an approximate window contribution that seeds the k best so far, and
 // a SIMS verification pass under them — in squared space. A tree or an LSM
 // also takes records whose raw bytes the Composite already appended; an LSM
-// flushes and reports its block cache. A Variant names one kind of child over one option set by
-// the few things that differ — how to build, open and remove one, how the
-// window scales with the radius, which radius seeds an exact search.
+// flushes and reports its block cache. A Variant names one kind of child
+// over one option set by the few things that differ — how to build, open and
+// remove one. The window is not among them: every child contributes the
+// window.Half(radius, n) records a side, and every exact search seeds from
+// radius 1, so the same records answer alike in every variant.
 //
 // The Composite owns what its children share: the raw log (the raw file and
 // its CRC sidecar, storage.RecordSums), the build's record stream, and the
@@ -67,8 +69,8 @@ import (
 // (cross-partition) approximate window, and the SIMS verification of the k
 // external seed neighbors under a shared bound on the k-th best, which
 // returns its local top-k — plus what every index reports. Distances are
-// Euclidean; radius widens the approximate window (an LSM sizes its own and
-// ignores it).
+// Euclidean; radius widens the approximate window (window.Half), alike on
+// every variant.
 type Child interface {
 	ApproxWindowCands(ctx context.Context, q series.Series, radius int) (core.ApproxWindow, error)
 	ExactVerify(ctx context.Context, q series.Series, k int, seed []core.Neighbor, bound *shard.BSF) ([]core.Neighbor, core.Result, error)
@@ -127,8 +129,6 @@ type Variant struct {
 	leafCap      int
 	workers      int
 	queryWorkers int
-	// half returns the per-side size of a radius's window over n records.
-	half func(radius, n int) int
 	// seedRadius is the radius of the window that seeds an exact search.
 	seedRadius int
 	// ackInserts says an insert is acknowledged once the raw log commits it
@@ -151,12 +151,13 @@ type childPlan struct {
 	sums          *storage.RecordSums
 }
 
-// TreeVariant is Coconut-Tree over opt; its exact search seeds from the
-// radius-1 window.
+// seedRadius is the radius every variant's exact search seeds from, unless
+// Seeded changes it.
+const seedRadius = 1
+
+// TreeVariant is Coconut-Tree over opt.
 func TreeVariant(opt core.Options) Variant {
-	v := coreVariant(manifest.VariantTree, opt, core.BuildTree, core.OpenTree)
-	v.seedRadius = 1
-	return v
+	return coreVariant(manifest.VariantTree, opt, core.BuildTree, core.OpenTree)
 }
 
 // TrieVariant is Coconut-Trie over opt.
@@ -170,8 +171,8 @@ func coreVariant[T Child](kind manifest.Variant, opt core.Options, build, open f
 		fs:   opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
 		materialized: opt.Materialized, leafCap: opt.LeafCap,
 		workers: opt.Workers, queryWorkers: opt.QueryWorkers,
-		half:   core.WindowHalf,
-		remove: core.Remove,
+		seedRadius: seedRadius,
+		remove:     core.Remove,
 		// Same geometry and summarization; a partition divides the worker
 		// and memory budgets.
 		child: func(p childPlan) (Child, error) {
@@ -204,7 +205,7 @@ func LSMVariant(opt lsm.Options) Variant {
 		kind: manifest.VariantLSM,
 		fs:   opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
 		workers: opt.Workers, queryWorkers: opt.QueryWorkers,
-		half:       func(int, int) int { return lsm.WindowHalf },
+		seedRadius: seedRadius,
 		ackInserts: true,
 		remove:     lsm.Remove,
 		// A partition divides the global memory and worker budgets, so
@@ -236,7 +237,7 @@ func LSMVariant(opt lsm.Options) Variant {
 }
 
 // Seeded is v with exact searches seeded from the radius window instead of
-// the variant's own: the knob the experiments on the seed's quality turn.
+// the radius-1 one: the knob the experiments on the seed's quality turn.
 func (v Variant) Seeded(radius int) Variant {
 	v.seedRadius = radius
 	return v

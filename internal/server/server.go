@@ -310,9 +310,11 @@ type QueryRequest struct {
 	Mode string `json:"mode,omitempty"`
 	// K is the neighbor count for knn mode (default 1).
 	K int `json:"k,omitempty"`
-	// Radius widens the approximate search (default 1): it evaluates
-	// 32×(Radius+1) records around the query's sort position. An LSM index
-	// evaluates its own 100-record window and ignores it.
+	// Radius widens the approximate search: every type evaluates
+	// 32×(radius+1) records around the query's sort position; exact search
+	// seeds from radius 1. An absent radius is 1 and a negative one is 0;
+	// a QueryRequest marshalled with Radius 0 sends none, so a Go client
+	// asks for radius 0 with a negative Radius.
 	Radius int `json:"radius,omitempty"`
 	// TimeoutMS overrides the server's default deadline, capped at its
 	// maximum.
@@ -356,7 +358,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-s.querySem }()
 	s.queriesTotal.Add(1)
 
-	var req QueryRequest
+	// Only an absent radius takes the default: an explicit 0 is radius 0.
+	req := QueryRequest{Radius: 1}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
@@ -379,10 +382,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if mode == "" {
 		mode = "exact"
 	}
-	radius := req.Radius
-	if radius <= 0 {
-		radius = 1
-	}
 	q := coconut.Series(req.Series)
 	if req.ZNormalize {
 		q = coconut.ZNormalize(q)
@@ -402,7 +401,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Results = []QueryNeighbor{{Position: res.Position, Distance: res.Distance}}
 		resp.VisitedSeries = res.VisitedSeries
 	case "approx":
-		res, err := h.Index.SearchApproxCtx(ctx, q, radius)
+		res, err := h.Index.SearchApproxCtx(ctx, q, req.Radius)
 		if err != nil {
 			writeError(w, s.errStatus(err), "approximate search: %v", err)
 			return

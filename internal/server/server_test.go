@@ -279,6 +279,80 @@ func TestServerKNNEveryVariant(t *testing.T) {
 	}
 }
 
+// TestServerApproxRadius: over HTTP an explicit "radius":0 is radius 0 and a
+// negative radius is 0 too, as in the library, while an absent radius is 1
+// — on a tree and on an LSM, each answer (position, distance, visited
+// series) equal to SearchApprox's at that radius. The queries must tell
+// radius 0 from radius 1 on each index, or the test would prove nothing.
+func TestServerApproxRadius(t *testing.T) {
+	qs, err := coconut.GenerateQueries(coconut.RandomWalk, 8, testLen, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := NewManager()
+	defer mgr.CloseAll()
+	ixs := map[string]*coconut.Index{}
+	for _, v := range []coconut.Variant{coconut.Tree, coconut.LSM} {
+		fs := storage.NewMemFS()
+		if err := coconut.GenerateDataset(fs, "data.bin", coconut.RandomWalk, testSeries, testLen, 3); err != nil {
+			t.Fatal(err)
+		}
+		cfg := coconut.Config{Storage: fs, Name: string(v), DataFile: "data.bin", SeriesLen: testLen, LeafSize: 32}
+		ix, err := coconut.Build(context.Background(), cfg, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixs[string(v)] = ix
+		mgr.Add(NewHandle(string(v), ix))
+	}
+	ts := startServer(t, New(mgr, Options{}))
+	for name, ix := range ixs {
+		distinct := false
+		for qi, q := range qs {
+			var want [2]QueryResponse
+			for radius := range want {
+				r, err := ix.SearchApprox(q, radius)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[radius] = QueryResponse{Results: []QueryNeighbor{{Position: r.Position, Distance: r.Distance}}, VisitedSeries: r.VisitedSeries}
+			}
+			distinct = distinct || want[0].Results[0] != want[1].Results[0] || want[0].VisitedSeries != want[1].VisitedSeries
+			for _, c := range []struct {
+				field  string
+				radius int
+			}{{`,"radius":0`, 0}, {`,"radius":-3`, 0}, {``, 1}, {`,"radius":1`, 1}} {
+				body := `{"index":"` + name + `","mode":"approx","series":` + string(mustJSON(t, q)) + c.field + `}`
+				st, raw, _ := postJSON(t, ts.URL+"/query", json.RawMessage(body))
+				if st != http.StatusOK {
+					t.Fatalf("%s query %d%s: %d %s", name, qi, c.field, st, raw)
+				}
+				var got QueryResponse
+				if err := json.Unmarshal(raw, &got); err != nil {
+					t.Fatal(err)
+				}
+				w := want[c.radius]
+				if len(got.Results) != 1 || got.Results[0] != w.Results[0] || got.VisitedSeries != w.VisitedSeries {
+					t.Fatalf("%s query %d%s: %+v visiting %d, SearchApprox at radius %d %+v visiting %d",
+						name, qi, c.field, got.Results, got.VisitedSeries, c.radius, w.Results, w.VisitedSeries)
+				}
+			}
+		}
+		if !distinct {
+			t.Fatalf("%s: no query tells radius 0 from radius 1", name)
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestServerShedsAtCapacity: with every query slot occupied, the next
 // request is shed with 429 + Retry-After within milliseconds — admission
 // control rejects instead of queueing.

@@ -110,6 +110,23 @@ func Merge(half int, srcs ...Source) Source {
 
 func recordLess(a, b *Cand) bool { return summary.RecordLess(a.Key, a.Pos, b.Key, b.Pos) }
 
+// records is how many records an approximate search evaluates at radius 0
+// around the query's sort position — the paper's "all data series in a
+// specific radius from this specific point ... usually a disk page" (§4.3).
+const records = 32
+
+// Half is the one window rule: the per-side size of the window of
+// 32×(radius+1) records over n records, saturated at n — a negative radius
+// means 0, and a radius past what n records fill cannot overflow. Every
+// index type sizes its sources' half-windows and their Merge with it.
+func Half(radius, n int) int {
+	radius = max(radius, 0)
+	if radius >= 2*n/records {
+		return n
+	}
+	return records * (radius + 1) / 2
+}
+
 // FetchFunc loads the encoded raw series of one candidate, already verified
 // against whatever checksums guard it: into buf (one encoded series long)
 // when the bytes have to be read, or as a slice of storage the fetcher owns.

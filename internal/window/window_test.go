@@ -1,6 +1,7 @@
 package window
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -96,6 +97,21 @@ func TestMergeMatchesReference(t *testing.T) {
 				t.Fatalf("iter %d, %d sources of %d records, half %d: merged %d split at %d, reference %d split at %d",
 					iter, nsrc, total(srcs), half, len(got.Cands), got.Split, len(want.Cands), want.Split)
 			}
+		}
+	}
+}
+
+// TestHalf pins the window rule: 16×(radius+1) records a side, a negative
+// radius as 0, and every record once the window would cover them all —
+// also at a radius whose window size would overflow an int.
+func TestHalf(t *testing.T) {
+	for _, c := range []struct{ radius, n, want int }{
+		{0, 1000, 16}, {1, 1000, 32}, {2, 1000, 48}, {-5, 1000, 16},
+		{61, 1000, 992}, {62, 1000, 1000}, {0, 10, 10}, {0, 0, 0},
+		{math.MaxInt, 1000, 1000}, {math.MaxInt / 16, 1 << 40, 1 << 40},
+	} {
+		if got := Half(c.radius, c.n); got != c.want {
+			t.Fatalf("Half(%d, %d) = %d, want %d", c.radius, c.n, got, c.want)
 		}
 	}
 }

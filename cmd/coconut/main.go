@@ -34,11 +34,30 @@
 //	coconut scrub -dir ./data -name myidx
 //	coconut scrub -dir ./data -name mylsm -repair
 //
-// Serve the index over HTTP/JSON (the full coconutd front end — deadlines,
-// load shedding, graceful drain; see cmd/coconutd for the endpoints and
-// for serving several indexes at once):
+// Serve persisted indexes over HTTP/JSON with request-lifecycle robustness
+// built in: every request runs under a deadline (-timeout, or the client's
+// timeout_ms capped at -max-timeout), admission control bounds in-flight
+// queries and appends (-max-queries, -max-appends: excess load is shed with
+// 429 + Retry-After instead of queueing), and SIGINT/SIGTERM triggers a
+// graceful drain — stop accepting, let in-flight requests finish within
+// -drain-timeout, force-cancel stragglers, then Sync+Close every index so
+// the on-disk state reopens clean. It serves every index of the
+// comma-separated -indexes, and -demo a freshly built in-memory index named
+// "demo" (-demo-count series of length -demo-len; nothing touches disk);
+// with neither, it serves -name:
 //
 //	coconut serve -dir ./data -name myidx -addr :7737 -timeout 5s
+//	coconut serve -dir ./data -indexes myidx,mylsm
+//	coconut serve -demo
+//
+// Endpoints:
+//
+//	GET  /healthz   liveness (503 while draining)
+//	GET  /stats     counters: in-flight, shed, deadline-exceeded, per-index info
+//	GET  /indexes   the served indexes with their generation UUIDs
+//	POST /query     {"index":"myidx","series":[...],"mode":"exact|approx|knn",
+//	                 "k":5,"radius":1,"timeout_ms":100,"znormalize":true}
+//	POST /append    {"index":"mylsm","series":[[...],...]}
 package main
 
 import (
@@ -47,8 +66,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	coconut "github.com/coconut-db/coconut"
@@ -72,6 +93,14 @@ type config struct {
 	repair     bool
 	timeout    time.Duration
 	addr       string
+	// serve's: the indexes to serve instead of -name, the demo index, and
+	// the request lifecycle's bounds (timeout is the default per-request
+	// deadline).
+	indexes   []string
+	demo      bool
+	demoCount int
+	demoLen   int
+	lifecycle server.Options
 }
 
 func parseFlags(args []string) (*config, error) {
@@ -96,8 +125,17 @@ func parseFlags(args []string) (*config, error) {
 	appendFile := fl.String("append", "", "series file to stream into the LSM index (stream command)")
 	batch := fl.Int("batch", 1000, "series per Append batch (stream command)")
 	repair := fl.Bool("repair", false, "after scrubbing, rebuild a damaged index from the raw dataset (scrub command)")
-	timeout := fl.Duration("timeout", 30*time.Second, "per-query deadline (query command) / per-request deadline (serve command)")
+	timeout := fl.Duration("timeout", 30*time.Second, "per-query deadline (query command) / default per-request deadline when the client sends no timeout_ms (serve command)")
 	addr := fl.String("addr", ":7737", "listen address (serve command)")
+	indexes := fl.String("indexes", "", "comma-separated names of persisted indexes to serve instead of -name (serve command)")
+	demo := fl.Bool("demo", false, "serve a freshly built in-memory demo index named \"demo\" (serve command)")
+	demoCount := fl.Int("demo-count", 2000, "demo dataset size in series (serve command)")
+	demoLen := fl.Int("demo-len", 64, "demo series length (serve command)")
+	defaults := server.Options{}.WithDefaults()
+	maxTimeout := fl.Duration("max-timeout", defaults.MaxTimeout, "upper bound on client-requested timeouts (serve command)")
+	maxQueries := fl.Int("max-queries", defaults.MaxInFlightQueries, "in-flight query bound; excess requests are shed with 429 (serve command)")
+	maxAppends := fl.Int("max-appends", defaults.MaxInFlightAppends, "in-flight append bound; excess requests are shed with 429 (serve command)")
+	drainTimeout := fl.Duration("drain-timeout", defaults.DrainTimeout, "graceful-shutdown budget before in-flight requests are force-cancelled (serve command)")
 	cacheBytes := fl.Int64("cache-bytes", 0, "decoded-block cache budget in bytes for LSM runs (0 = 128MiB default)")
 	if err := fl.Parse(args); err != nil {
 		return nil, err
@@ -113,6 +151,18 @@ func parseFlags(args []string) (*config, error) {
 	}
 	if *timeout <= 0 {
 		return nil, fmt.Errorf("-timeout must be positive, got %v", *timeout)
+	}
+	if *maxTimeout <= 0 {
+		return nil, fmt.Errorf("-max-timeout must be positive, got %v", *maxTimeout)
+	}
+	if *drainTimeout <= 0 {
+		return nil, fmt.Errorf("-drain-timeout must be positive, got %v", *drainTimeout)
+	}
+	if *maxQueries < 1 {
+		return nil, fmt.Errorf("-max-queries must be at least 1, got %d", *maxQueries)
+	}
+	if *maxAppends < 1 {
+		return nil, fmt.Errorf("-max-appends must be at least 1, got %d", *maxAppends)
 	}
 	if *cacheBytes < 0 {
 		return nil, fmt.Errorf("-cache-bytes must not be negative, got %d (0 selects the default)", *cacheBytes)
@@ -147,7 +197,29 @@ func parseFlags(args []string) (*config, error) {
 		repair:     *repair,
 		timeout:    *timeout,
 		addr:       *addr,
+		indexes:    splitNames(*indexes),
+		demo:       *demo,
+		demoCount:  *demoCount,
+		demoLen:    *demoLen,
+		lifecycle: server.Options{
+			DefaultTimeout:     *timeout,
+			MaxTimeout:         *maxTimeout,
+			MaxInFlightQueries: *maxQueries,
+			MaxInFlightAppends: *maxAppends,
+			DrainTimeout:       *drainTimeout,
+		},
 	}, nil
+}
+
+// splitNames splits a comma-separated list, dropping empty names.
+func splitNames(list string) []string {
+	var names []string
+	for _, n := range strings.Split(list, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			names = append(names, n)
+		}
+	}
+	return names
 }
 
 // openConfig is the configuration for reopening the persisted index: the
@@ -476,27 +548,67 @@ func runStream(cfg *config) error {
 	return nil
 }
 
-// runServe serves the persisted index -name over HTTP/JSON, delegating
-// the whole request lifecycle — deadlines, admission control, health and
-// stats, graceful drain — to the internal/server package coconutd uses.
+// runServe serves the persisted indexes — -indexes, or -name when neither
+// -indexes nor -demo is given — and the -demo index over HTTP/JSON,
+// delegating the whole request lifecycle (deadlines, admission control,
+// health and stats, graceful drain) to internal/server.
 func runServe(cfg *config) error {
-	ix, err := coconut.Open(context.Background(), coconut.Config{
-		Storage:      cfg.build.Storage,
-		Name:         cfg.build.Name,
-		QueryWorkers: cfg.build.QueryWorkers,
-		CacheBytes:   cfg.build.CacheBytes,
-	})
-	if err != nil {
-		return err
+	names := cfg.indexes
+	if len(names) == 0 && !cfg.demo {
+		names = []string{cfg.build.Name}
 	}
-	h := server.NewHandle(cfg.build.Name, ix)
 	mgr := server.NewManager()
-	mgr.Add(h)
-	srv := server.New(mgr, server.Options{DefaultTimeout: cfg.timeout})
-	fmt.Printf("serving index %q (%s, %d series) on %s\n", h.Name, ix.Variant(), ix.Count(), cfg.addr)
-	return srv.ListenAndServe(srv.NewHTTPServer(cfg.addr), func(sig os.Signal) {
-		fmt.Printf("received %v, draining\n", sig)
+	if cfg.demo {
+		h, err := buildDemo(cfg.demoCount, cfg.demoLen, cfg.build.QueryWorkers)
+		if err != nil {
+			return fmt.Errorf("building demo index: %w", err)
+		}
+		mgr.Add(h)
+		log.Printf("serving demo index: %d series of length %d", cfg.demoCount, cfg.demoLen)
+	}
+	for _, name := range names {
+		ix, err := coconut.Open(context.Background(), coconut.Config{
+			Storage:      cfg.build.Storage,
+			Name:         name,
+			QueryWorkers: cfg.build.QueryWorkers,
+			CacheBytes:   cfg.build.CacheBytes,
+		})
+		if err != nil {
+			return fmt.Errorf("opening index %q: %w", name, err)
+		}
+		h := server.NewHandle(name, ix)
+		mgr.Add(h)
+		log.Printf("serving index %q (%s, %d series, uuid %s)", h.Name, ix.Variant(), ix.Count(), h.UUID)
+	}
+	srv := server.New(mgr, cfg.lifecycle)
+	log.Printf("listening on %s", cfg.addr)
+	err := srv.ListenAndServe(srv.NewHTTPServer(cfg.addr), func(sig os.Signal) {
+		log.Printf("received %v, draining (budget %v)", sig, cfg.lifecycle.DrainTimeout)
 	})
+	if err == nil {
+		log.Printf("drained cleanly")
+	}
+	return err
+}
+
+// buildDemo builds a small in-memory Coconut-Tree over a generated
+// random-walk dataset and wraps it for serving.
+func buildDemo(count, seriesLen, queryWorkers int) (*server.Handle, error) {
+	fs := coconut.NewMemStorage()
+	if err := coconut.GenerateDataset(fs, "demo.bin", coconut.RandomWalk, count, seriesLen, 1); err != nil {
+		return nil, err
+	}
+	ix, err := coconut.Build(context.Background(), coconut.Config{
+		Storage:      fs,
+		Name:         "demo",
+		DataFile:     "demo.bin",
+		SeriesLen:    seriesLen,
+		QueryWorkers: queryWorkers,
+	}, coconut.Tree)
+	if err != nil {
+		return nil, err
+	}
+	return server.NewHandle("demo", ix), nil
 }
 
 func byteSize(n int64) string {

@@ -57,9 +57,9 @@
 // # Write path
 //
 // Index construction is parallel end to end: raw series are summarized in
-// blocks on Config.Workers goroutines (the batched pipeline feeding run
-// formation in order), the external sort forms and merges runs across the
-// same workers, and the built index is byte-identical for any worker count.
+// batches sharded across Config.Workers goroutines and read by the sort in
+// file order, the external sort forms and merges runs across the same
+// workers, and the built index is byte-identical for any worker count.
 //
 // LSM ingest (Insert on an LSM index) appends raw bytes, summarizes each
 // batch across Workers goroutines, and flushes full memtables as sorted

@@ -171,31 +171,42 @@ func decodeRecord(rec []byte, materialized bool) (key summary.Key, pos int64, ra
 }
 
 // summaryRecordReader streams the (invSAX, position[, raw]) sort records of
-// a raw dataset file — phase one of Algorithms 2 and 3 (lines 2-8) — as a
-// batched pipeline: a producer goroutine reads raw series in blocks, each
-// with one ReadAt straight into the block's buffer, and workers goroutines
-// key the records where they lie (summary.KeyOfEncoded: no decode, no
-// per-series allocation) and encode the sort records concurrently (in
-// materialized mode the raw bytes are copied straight from the input block,
-// never re-encoded). Blocks are drained in input order, so the stream is
-// byte-identical for any worker count.
+// a raw dataset file — phase one of Algorithms 2 and 3 (lines 2-8). It
+// summarizes the file in batches of workers × blockRecords records: one
+// shard.Scan a batch, each shard reading its contiguous range with one
+// Views.Read (a view of the mapped file on OSFS, one ReadAt otherwise),
+// keying the records where they lie (summary.KeyOfEncoded: no decode, no
+// per-series allocation) and encoding them into its own slice of the
+// batch's output (in materialized mode the raw bytes are copied straight
+// from the input, never re-encoded). Shards write disjoint slices and the
+// batch is drained in order, so the stream is byte-identical for any worker
+// count.
 //
 // It is the only pass a bulk load makes over the raw file: sums (from
 // storage.NewRecordSums on the same file) has its per-record CRCs filled
 // from the bytes each key is computed from, complete once the stream has
 // been read to EOF. A torn trailing partial record is not part of the
 // dataset and is left unread.
-//
-// The caller must Close the returned reader when done with it, including
-// when the downstream consumer (the external sort) fails early;
-// SummarySource wraps it for every bulk load.
-func summaryRecordReader(s *summary.Summarizer, raw storage.File, materialized bool, workers int, sums *storage.RecordSums) (*extsort.TransformReader, error) {
-	p := s.Params()
-	inSize := series.EncodedSize(p.SeriesLen)
-	outSize := summary.KeySize + 8
-	if materialized {
-		outSize += inSize
-	}
+type summaryRecordReader struct {
+	s            *summary.Summarizer
+	raw          storage.File
+	materialized bool
+	workers      int
+	sums         *storage.RecordSums
+	inSize       int
+	outSize      int
+	next, end    int64  // the next record to summarize, and the record count
+	in, out      []byte // one batch of raw input (unused under views) and of records
+	avail        []byte // the current batch's records not yet read
+	err          error
+}
+
+// blockRecords is the number of records each shard of a batch summarizes:
+// 256 KiB of raw input.
+func blockRecords(inSize int) int { return max((256<<10)/inSize, 1) }
+
+func newSummaryRecordReader(s *summary.Summarizer, raw storage.File, materialized bool, workers int, sums *storage.RecordSums) (*summaryRecordReader, error) {
+	inSize := series.EncodedSize(s.Params().SeriesLen)
 	size, err := raw.Size()
 	if err != nil {
 		return nil, err
@@ -204,27 +215,61 @@ func summaryRecordReader(s *summary.Summarizer, raw storage.File, materialized b
 	if sums.Records() != records {
 		return nil, fmt.Errorf("core: raw sidecar sized for %d records, %q holds %d", sums.Records(), raw.Name(), records)
 	}
-	return extsort.NewTransformReader(extsort.TransformConfig{
-		In:            io.NewSectionReader(raw, 0, records*int64(inSize)),
-		InRecordSize:  inSize,
-		OutRecordSize: outSize,
-		Workers:       workers,
-		Transform: func(in, out []byte, base int64) error {
-			sums.Fill(base, in)
-			n := len(in) / inSize
-			for i := 0; i < n; i++ {
-				rawRec := in[i*inSize : (i+1)*inSize]
-				key := s.KeyOfEncoded(rawRec)
-				rec := out[i*outSize : (i+1)*outSize]
-				if materialized {
-					encodeRecord(rec, key, base+int64(i), rawRec)
-				} else {
-					encodeRecord(rec, key, base+int64(i), nil)
-				}
+	workers = shard.Resolve(workers, math.MaxInt)
+	batch := int(min(int64(workers*blockRecords(inSize)), records))
+	outSize := recordSize(s.Params().SeriesLen, materialized)
+	return &summaryRecordReader{
+		s: s, raw: raw, materialized: materialized, workers: workers, sums: sums,
+		inSize: inSize, outSize: outSize, end: records,
+		in: make([]byte, batch*inSize), out: make([]byte, batch*outSize),
+	}, nil
+}
+
+func (r *summaryRecordReader) Read(p []byte) (int, error) {
+	for len(r.avail) == 0 && r.err == nil {
+		if r.next == r.end {
+			r.err = io.EOF
+		} else {
+			r.err = r.fill()
+		}
+	}
+	if len(r.avail) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.avail)
+	r.avail = r.avail[n:]
+	return n, nil
+}
+
+// fill summarizes the next batch into out.
+func (r *summaryRecordReader) fill() error {
+	base := r.next
+	n := int(min(int64(len(r.out)/r.outSize), r.end-base))
+	err := shard.Scan(context.Background(), r.workers, n, func(_ int, sh shard.Range, _ func() bool) (err error) {
+		views := storage.PinViews(r.raw)
+		defer views.Release(&err)
+		in, err := views.Read((base+int64(sh.Lo))*int64(r.inSize), r.in[sh.Lo*r.inSize:sh.Hi*r.inSize])
+		if err != nil {
+			return err
+		}
+		r.sums.Fill(base+int64(sh.Lo), in)
+		for i := range sh.Hi - sh.Lo {
+			rec := in[i*r.inSize : (i+1)*r.inSize]
+			var mat []byte
+			if r.materialized {
+				mat = rec
 			}
-			return nil
-		},
+			pos := sh.Lo + i
+			encodeRecord(r.out[pos*r.outSize:(pos+1)*r.outSize], r.s.KeyOfEncoded(rec), base+int64(pos), mat)
+		}
+		return nil
 	})
+	if err != nil {
+		return err
+	}
+	r.next += int64(n)
+	r.avail = r.out[:n*r.outSize]
+	return nil
 }
 
 // BuildSource is the unsorted (key, position[, raw]) record stream a bulk
@@ -247,11 +292,11 @@ func SummarySource(fs storage.FS, s *summary.Summarizer, raw storage.File, rawNa
 	if err != nil {
 		return nil, nil, err
 	}
-	src, err := summaryRecordReader(s, raw, materialized, workers, sums)
+	src, err := newSummaryRecordReader(s, raw, materialized, workers, sums)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &BuildSource{Reader: src, close: src.Close, sums: sums}, sums, nil
+	return &BuildSource{Reader: src, sums: sums}, sums, nil
 }
 
 // RecordSource opens the pre-summarized record file name — a partition's

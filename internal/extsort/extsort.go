@@ -6,18 +6,19 @@
 // buffered sequential readers. An input that fits one chunk skips both: it
 // is sorted in memory and written once, straight to the output.
 //
-// Both phases are parallel: a reader goroutine hands fixed-size chunks to a
-// pool of Workers that sort and flush runs concurrently, and the independent
-// merges of each intermediate generation of a multi-pass sort run
-// concurrently. The one chunk of an input that fits is sorted on every
-// worker too: as Workers contiguous slices, sorted concurrently in place and
-// merged straight into the output. The memory budget M is partitioned
-// across the pipeline (Workers+1 chunk buffers during run formation,
+// Both phases are parallel, and both fan out on internal/shard: Workers
+// goroutines, each owning one chunk buffer, take turns reading the next
+// chunk and then sort and flush it as a run while the next one reads, and
+// the independent merges of each intermediate generation of a multi-pass
+// sort run concurrently. The one chunk of an input that fits is sorted on
+// every worker too: as Workers contiguous slices, sorted concurrently in
+// place and merged straight into the output. The memory budget M is
+// partitioned across the workers (chunk buffers during run formation,
 // per-merge buffer groups during merging), so the paper's memory model stays
-// honest at any worker count. The sorted output is byte-identical for any worker count:
-// comparator ties are broken on the full record encoding, which makes the
-// result a pure function of the input multiset, independent of chunk
-// boundaries and merge grouping.
+// honest at any worker count. The sorted output is byte-identical for any
+// worker count: comparator ties are broken on the full record encoding,
+// which makes the result a pure function of the input multiset, independent
+// of chunk boundaries and merge grouping.
 //
 // Every byte moved goes through the storage VFS, so the paper's O(N/B)
 // sequential-I/O claim is directly observable in the I/O statistics. The
@@ -29,6 +30,7 @@ package extsort
 import (
 	"bytes"
 	"container/heap"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -36,6 +38,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
 )
 
@@ -188,13 +191,14 @@ func (r *recordSlice) Swap(i, j int) {
 // chunking returns the chunk length run formation cuts the input into and
 // the writer buffer each run is flushed through. With one worker that is one
 // full-M chunk buffer, sorted and flushed inline, plus the one BufSize writer
-// buffer the original algorithm always carried: keeping the single-worker
-// path unpipelined preserves the paper's N/M run count (and the I/O traces
-// the experiments reproduce) exactly. With more, resident memory is Workers+1
-// chunk buffers (Workers in flight plus the one the reader is filling) plus
-// one run-writer buffer per worker, all of it out of MemBudget; writer
+// buffer the original algorithm always carried: the paper's N/M run count
+// (and the I/O traces the experiments reproduce) exactly. With more, writer
 // buffers take at most half the budget, shrinking below BufSize when Workers
-// is large relative to it.
+// is large relative to it, one per worker; the rest is split Workers+1 ways
+// although only Workers chunk buffers are resident, one per worker. The
+// Workers+1 split is kept so that chunk lengths, and with them run
+// boundaries and run files, stay what they were when a separate reader held
+// a chunk of its own.
 func (c *Config) chunking() (chunkLen, writerBuf int) {
 	if c.Workers == 1 {
 		return int(c.MemBudget/int64(c.RecordSize)) * c.RecordSize, c.BufSize
@@ -254,100 +258,62 @@ func readChunk(cfg Config, in io.Reader, buf []byte) (recs []byte, last bool, er
 func runName(cfg Config, i int) string { return fmt.Sprintf("%s.run.%d", cfg.TempPrefix, i) }
 
 // makeRuns performs the partitioning phase on an input whose first, full
-// chunk was already read: a single reader goroutine (the caller) cuts the
-// rest into chunks of the same length and hands them, first included, to a
-// pool of workers that sort and flush each chunk as a run file. Run names
-// are assigned by chunk index, so the set of runs produced is deterministic
-// for a given Workers. It returns the records read past the first chunk and,
-// on error too, every run name that may exist so the caller can clean up.
+// chunk was already read: Workers goroutines, each owning one chunk buffer
+// (the first one's is first, run 0), take turns reading the next chunk from
+// in under a lock, then sort and flush it as a run file while the next
+// goroutine reads. A run is named by its chunk index, taken under the same
+// lock, so the set of runs is deterministic for a given chunk length. It
+// returns the records read past the first chunk and, on error too, every
+// run name that may exist so the caller can clean up.
 func makeRuns(cfg Config, first []byte, in io.Reader, writerBuf int) (runs []string, more int64, err error) {
-	if cfg.Workers == 1 {
-		return makeRunsSerial(cfg, first, in)
-	}
-	type job struct {
-		idx  int
-		data []byte
-	}
 	var (
-		jobs     = make(chan job)
-		free     = make(chan []byte, cfg.Workers+1)
-		fail     = make(chan struct{})
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
+		mu    sync.Mutex
+		nRuns = 1
+		done  bool
 	)
-	setErr := func(e error) {
-		errOnce.Do(func() { firstErr = e; close(fail) })
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		free <- make([]byte, len(first))
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				select {
-				case <-fail:
-					// A sibling already failed; just recycle the buffer.
-				default:
-					if e := writeSorted(cfg.temp(writerBuf), runName(cfg, j.idx), j.data, 1); e != nil {
-						setErr(e)
-					}
-				}
-				free <- j.data[:cap(j.data)]
-			}
-		}()
-	}
-
-	failed := func() bool {
-		select {
-		case <-fail:
-			return true
-		default:
-			return false
+	// next reads the next chunk into *buf, allocated on first use, and
+	// returns it with its run index: nil once the input is exhausted or a
+	// sibling failed.
+	next := func(buf *[]byte, cancelled func() bool) ([]byte, int, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if done || cancelled() {
+			return nil, 0, nil
 		}
-	}
-	nRuns := 0
-	for data, last := first, false; len(data) > 0 && !failed(); {
-		jobs <- job{idx: nRuns, data: data}
-		nRuns++
-		if last {
-			break
+		if *buf == nil {
+			*buf = make([]byte, len(first))
 		}
-		var rerr error
-		if data, last, rerr = readChunk(cfg, in, <-free); rerr != nil {
-			setErr(rerr)
-			break
+		data, last, err := readChunk(cfg, in, *buf)
+		done = last || err != nil
+		if len(data) == 0 {
+			return nil, 0, err
 		}
 		more += int64(len(data) / cfg.RecordSize)
+		nRuns++
+		return data, nRuns - 1, nil
 	}
-	close(jobs)
-	wg.Wait()
+	err = shard.FanOut(context.Background(), cfg.Workers, cfg.Workers, func(w int, cancelled func() bool) error {
+		var buf, data []byte
+		idx := 0
+		if w == 0 {
+			buf, data = first, first
+		}
+		for {
+			if data != nil {
+				if err := writeSorted(cfg.temp(writerBuf), runName(cfg, idx), data, 1); err != nil {
+					return err
+				}
+			}
+			var err error
+			if data, idx, err = next(&buf, cancelled); data == nil {
+				return err
+			}
+		}
+	})
 	for i := 0; i < nRuns; i++ {
 		runs = append(runs, runName(cfg, i))
 	}
-	return runs, more, firstErr
-}
-
-// makeRunsSerial is the Workers=1 partitioning phase: the one chunk buffer,
-// first, sorted and flushed inline, then refilled from in.
-func makeRunsSerial(cfg Config, first []byte, in io.Reader) (runs []string, more int64, err error) {
-	for data, last := first, false; len(data) > 0; {
-		name := runName(cfg, len(runs))
-		if err := writeSorted(cfg.temp(cfg.BufSize), name, data, 1); err != nil {
-			return runs, more, err
-		}
-		runs = append(runs, name)
-		if last {
-			break
-		}
-		if data, last, err = readChunk(cfg, in, first); err != nil {
-			return runs, more, err
-		}
-		more += int64(len(data) / cfg.RecordSize)
-	}
-	return runs, more, nil
+	return runs, more, err
 }
 
 // temp returns cfg for the sort's own temporaries — runs and intermediate
@@ -365,19 +331,17 @@ func (c Config) temp(bufSize int) Config {
 func writeSorted(cfg Config, name string, data []byte, parts int) error {
 	size := cfg.RecordSize
 	n := len(data) / size
-	parts = min(parts, n)
-	streams := make([]*mergeStream, parts)
-	var wg sync.WaitGroup
-	for i := range streams {
-		part := data[i*n/parts*size : (i+1)*n/parts*size]
-		streams[i] = &mergeStream{r: bytes.NewReader(part), rec: make([]byte, size)}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			SortInMemory(part, size, cfg.Compare)
-		}()
+	err := shard.Scan(context.Background(), parts, n, func(_ int, r shard.Range, _ func() bool) error {
+		SortInMemory(data[r.Lo*size:r.Hi*size], size, cfg.Compare)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
+	var streams []*mergeStream
+	for _, r := range shard.Split(n, parts) {
+		streams = append(streams, &mergeStream{r: bytes.NewReader(data[r.Lo*size : r.Hi*size]), rec: make([]byte, size)})
+	}
 	return merge(cfg, name, streams)
 }
 
@@ -489,34 +453,20 @@ func mergeGeneration(cfg Config, inputs []string, gen int) ([]string, error) {
 	}
 	nGroups := (len(inputs) + fanIn - 1) / fanIn
 	outs := make([]string, nGroups)
-	errs := make([]error, nGroups)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for g := 0; g < nGroups; g++ {
-		lo := g * fanIn
-		hi := lo + fanIn
-		if hi > len(inputs) {
-			hi = len(inputs)
-		}
+	for g := range outs {
 		outs[g] = fmt.Sprintf("%s.merge.%d.%d", cfg.TempPrefix, gen, g)
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(g, lo, hi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := mergeOnce(cfg.temp(cfg.BufSize), inputs[lo:hi], outs[g]); err != nil {
-				errs[g] = err
-				return
-			}
-			cleanup(cfg.FS, inputs[lo:hi])
-		}(g, lo, hi)
 	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			cleanup(cfg.FS, outs)
-			return nil, e
+	err := shard.FanOut(context.Background(), workers, nGroups, func(g int, _ func() bool) error {
+		group := inputs[g*fanIn : min((g+1)*fanIn, len(inputs))]
+		if err := mergeOnce(cfg.temp(cfg.BufSize), group, outs[g]); err != nil {
+			return err
 		}
+		cleanup(cfg.FS, group)
+		return nil
+	})
+	if err != nil {
+		cleanup(cfg.FS, outs)
+		return nil, err
 	}
 	return outs, nil
 }

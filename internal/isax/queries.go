@@ -2,12 +2,12 @@ package isax
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"github.com/coconut-db/coconut/internal/series"
+	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/summary"
 	"github.com/coconut-db/coconut/internal/trie"
 )
@@ -261,30 +261,13 @@ func (ix *Index) exactSearchSIMS(q series.Series) (Result, error) {
 // table is read-only, so all workers share it.
 func (ix *Index) parallelMinDists(tbl *summary.MinDistTable) []float64 {
 	out := make([]float64, len(ix.sums))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ix.sums) {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunk := (len(ix.sums) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(ix.sums) {
-			hi = len(ix.sums)
+	// The shards never fail and nothing cancels the scan: no error to see.
+	_ = shard.Scan(context.Background(), 0, len(ix.sums), func(_ int, r shard.Range, _ func() bool) error {
+		for i := r.Lo; i < r.Hi; i++ {
+			out[i] = tbl.Word(ix.sums[i])
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = tbl.Word(ix.sums[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		return nil
+	})
 	return out
 }
 

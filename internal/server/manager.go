@@ -1,4 +1,4 @@
-// Package server implements the coconutd HTTP/JSON front end: a Manager
+// Package server implements the HTTP/JSON front end of coconut serve: a Manager
 // of named indexes (each tagged with a UUID so stale clients are told the
 // index they knew was swapped out), per-request deadlines, bounded
 // admission (load shedding with 429 + Retry-After), health and stats
@@ -54,7 +54,7 @@ func NewTrieHandle(name string, ix *coconut.TrieIndex, seriesLen int) *Handle {
 	return &Handle{Name: name, UUID: newUUID(), SeriesLen: seriesLen, Index: ix}
 }
 
-// Manager holds the set of indexes a coconutd process serves, by name.
+// Manager holds the set of indexes a server process serves, by name.
 type Manager struct {
 	mu     sync.Mutex
 	byName map[string]*Handle

@@ -57,7 +57,7 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// Server is the coconutd request front end: admission control, deadlines,
+// Server is the request front end: admission control, deadlines,
 // and the HTTP/JSON handlers over a Manager of indexes.
 type Server struct {
 	mgr  *Manager

@@ -1,8 +1,9 @@
-// Package shard provides the fan-out machinery for sharded query
-// execution: a contiguous range of work items (leaves, candidate
-// positions, LSM runs) is partitioned across a bounded worker pool, the
-// shards share a monotonically tightening best-so-far bound, and a failure
-// in any shard cancels its siblings.
+// Package shard provides the one fan-out machinery of the repository, for
+// queries and builds alike: a contiguous range of work items (leaves,
+// candidate positions, LSM runs, a batch of raw series to summarize) is
+// partitioned across a bounded worker pool, or independent groups are
+// dispatched to one; query shards share a monotonically tightening
+// best-so-far bound, and a failure in any shard cancels its siblings.
 //
 // The helpers are written so that sharded scans stay DETERMINISTIC: the
 // shared bound is only used for strict-inequality pruning (a candidate
@@ -206,8 +207,9 @@ func join(ctx context.Context, wg *sync.WaitGroup, errs []error) error {
 // FanOut runs fn(i) once for every group i in [0, n) on up to workers
 // goroutines. Unlike Scan, which splits one contiguous range into shards,
 // each group here is an independent unit of work — a partition of a
-// partitioned index, an LSM run, a figure variant — dispatched from a
-// shared counter so finished workers steal the next group instead of
+// partitioned index to build, query or insert into, a run-forming worker of
+// the external sort, a merge of one of its intermediate generations —
+// dispatched from a shared counter so finished workers steal the next group instead of
 // idling. fn must poll cancelled between expensive steps; when any group
 // fails, unstarted groups are skipped, every goroutine is joined, and the
 // error of the lowest-numbered failing group is returned (deterministic,

@@ -273,10 +273,12 @@ type Config struct {
 	QueryWorkers int
 	// Partitions splits the index into N independent key-range partitions
 	// (boundaries chosen from a dataset sample so partitions balance),
-	// built in parallel and queried scatter-gather. 0 or 1 builds a single
-	// index; Open adopts the stored count when 0 and fails with
-	// ErrConfigMismatch when the value conflicts with the stored index.
-	// Search answers are byte-identical for any partition count.
+	// queried scatter-gather. The build sorts the dataset's summaries once
+	// and writes the partitions one after another from that one sorted
+	// stream, each from its key range. 0 or 1 builds a single index; Open
+	// adopts the stored count when 0 and fails with ErrConfigMismatch when
+	// the value conflicts with the stored index. Search answers are
+	// byte-identical for any partition count.
 	Partitions int
 	// CacheBytes bounds the shared decoded-block cache an LSM index reads
 	// its runs through (default 128 MiB): runs are block-compressed on disk
@@ -414,8 +416,8 @@ const (
 )
 
 // Index is a Coconut index of any Variant. With Config.Partitions >= 2 it is
-// an N-way key-range-partitioned composition of such indexes, built in
-// parallel and queried scatter-gather with byte-identical answers. Every
+// an N-way key-range-partitioned composition of such indexes, written from
+// one sort and queried scatter-gather with byte-identical answers. Every
 // Index answers every search; an operation its variant lacks — Insert on a
 // trie, Flush on a tree or a trie — fails with an error that matches
 // errors.ErrUnsupported. Build and Open make one; the typed names
@@ -551,37 +553,17 @@ func lsmIndex(ix *Index, err error) (*LSMIndex, error) {
 // BuildTreeIndex is Build of a Tree under context.Background().
 func BuildTreeIndex(cfg Config) (*TreeIndex, error) { return Build(context.Background(), cfg, Tree) }
 
-// BuildTreeIndexCtx is Build of a Tree.
-func BuildTreeIndexCtx(ctx context.Context, cfg Config) (*TreeIndex, error) {
-	return Build(ctx, cfg, Tree)
-}
-
-// OpenTreeIndex is OpenTreeIndexCtx under context.Background().
+// OpenTreeIndex is Open of a stored Tree under context.Background().
 func OpenTreeIndex(cfg Config) (*TreeIndex, error) {
 	return cfg.index(context.Background(), Tree, true)
-}
-
-// OpenTreeIndexCtx is Open of a stored Tree.
-func OpenTreeIndexCtx(ctx context.Context, cfg Config) (*TreeIndex, error) {
-	return cfg.index(ctx, Tree, true)
 }
 
 // BuildTrieIndex is Build of a Trie under context.Background().
 func BuildTrieIndex(cfg Config) (*TrieIndex, error) { return Build(context.Background(), cfg, Trie) }
 
-// BuildTrieIndexCtx is Build of a Trie.
-func BuildTrieIndexCtx(ctx context.Context, cfg Config) (*TrieIndex, error) {
-	return Build(ctx, cfg, Trie)
-}
-
-// OpenTrieIndex is OpenTrieIndexCtx under context.Background().
+// OpenTrieIndex is Open of a stored Trie under context.Background().
 func OpenTrieIndex(cfg Config) (*TrieIndex, error) {
 	return cfg.index(context.Background(), Trie, true)
-}
-
-// OpenTrieIndexCtx is Open of a stored Trie.
-func OpenTrieIndexCtx(ctx context.Context, cfg Config) (*TrieIndex, error) {
-	return cfg.index(ctx, Trie, true)
 }
 
 // BuildLSMIndex is Build of an LSM under context.Background().
@@ -589,19 +571,9 @@ func BuildLSMIndex(cfg Config) (*LSMIndex, error) {
 	return lsmIndex(Build(context.Background(), cfg, LSM))
 }
 
-// BuildLSMIndexCtx is Build of an LSM.
-func BuildLSMIndexCtx(ctx context.Context, cfg Config) (*LSMIndex, error) {
-	return lsmIndex(Build(ctx, cfg, LSM))
-}
-
-// OpenLSMIndex is OpenLSMIndexCtx under context.Background().
+// OpenLSMIndex is Open of a stored LSM under context.Background().
 func OpenLSMIndex(cfg Config) (*LSMIndex, error) {
 	return lsmIndex(cfg.index(context.Background(), LSM, true))
-}
-
-// OpenLSMIndexCtx is Open of a stored LSM.
-func OpenLSMIndexCtx(ctx context.Context, cfg Config) (*LSMIndex, error) {
-	return lsmIndex(cfg.index(ctx, LSM, true))
 }
 
 // Variant returns the index's layout.

@@ -5,8 +5,9 @@
 // Both variants share the same pipeline (§4) and the same stored form, the
 // leaf run: one sequential pass over the raw file computes each series'
 // invSAX key, the (key, position[, raw]) records are externally sorted under
-// the memory budget straight into one file, written once, and a leaf
-// directory of record counts cuts the sorted run into contiguous leaves. The
+// the memory budget (once per build, by the partition layer), the sorted
+// stream is written once, into one file, and a leaf directory of record
+// counts cuts the sorted run into contiguous leaves. The
 // variants differ only in where the leaf boundaries fall:
 //
 //   - Coconut-Trie (Algorithm 2) cuts it into the leaves of an iSAX-style
@@ -35,7 +36,6 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/coconut-db/coconut/internal/extsort"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
@@ -53,10 +53,10 @@ type Options struct {
 	S *summary.Summarizer
 	// RawName is the dataset file in raw binary format.
 	RawName string
-	// Records is the record stream a build bulk-loads (see BuildSource): the
-	// summarization pass over the raw file when unpartitioned, a partition's
-	// scatter file otherwise. The partition layer opens it; Open ignores it.
-	Records *BuildSource
+	// Records is the sorted (key, position[, raw]) record stream a build
+	// writes: the partition layer's one sort of the summarization pass, or
+	// the share of it below the child's key-range boundary. Open ignores it.
+	Records io.Reader
 	// Materialized stores raw series inside the index ("-Full" variants).
 	Materialized bool
 	// LeafCap is the records-per-leaf capacity (paper: 2000).
@@ -64,11 +64,13 @@ type Options struct {
 	// FillFactor packs bulk-loaded Tree leaves to this fraction (default 1:
 	// "as compactly as possible"; lower it to leave room for updates).
 	FillFactor float64
-	// MemBudgetBytes is the memory budget M for sorting and buffering.
+	// MemBudgetBytes is the memory budget M of the bulk load's sort, which
+	// the partition layer runs (DefaultMemBudget when unset).
 	MemBudgetBytes int64
-	// Workers is the number of concurrent workers used by the bulk-load
-	// summarization pass and external sort (0 means runtime.GOMAXPROCS(0)).
-	// The built index is byte-identical for any value.
+	// Workers is the number of concurrent workers used by the bulk load's
+	// summarization pass and sort, which the partition layer runs (0 means
+	// runtime.GOMAXPROCS(0)). The built index is byte-identical for any
+	// value.
 	Workers int
 	// QueryWorkers is the fan-out of a SINGLE query: the SIMS lower-bound
 	// computation and the candidate-verification scan are sharded across
@@ -85,6 +87,10 @@ type Options struct {
 	RawSums *storage.RecordSums
 }
 
+// DefaultMemBudget is the sort budget of a tree or a trie build whose
+// Options.MemBudgetBytes is unset.
+const DefaultMemBudget = 64 << 20
+
 func (o *Options) validate() error {
 	switch {
 	case o.FS == nil:
@@ -100,9 +106,6 @@ func (o *Options) validate() error {
 	case o.LeafCap < 2:
 		return errors.New("core: leaf capacity must be at least 2")
 	}
-	if o.MemBudgetBytes <= 0 {
-		o.MemBudgetBytes = 64 << 20
-	}
 	if o.FillFactor <= 0 || o.FillFactor > 1 {
 		o.FillFactor = 1
 	}
@@ -110,10 +113,10 @@ func (o *Options) validate() error {
 }
 
 // recordSize returns the sort/leaf record size for the configuration.
-func (o *Options) recordSize() int { return recordSize(o.S.Params().SeriesLen, o.Materialized) }
+func (o *Options) recordSize() int { return RecordSize(o.S.Params().SeriesLen, o.Materialized) }
 
-// recordSize is the size of a (key, position[, raw series]) record.
-func recordSize(seriesLen int, materialized bool) int {
+// RecordSize is the size of a (key, position[, raw series]) record.
+func RecordSize(seriesLen int, materialized bool) int {
 	n := summary.KeySize + 8
 	if materialized {
 		n += series.EncodedSize(seriesLen)
@@ -217,7 +220,7 @@ func newSummaryRecordReader(s *summary.Summarizer, raw storage.File, materialize
 	}
 	workers = shard.Resolve(workers, math.MaxInt)
 	batch := int(min(int64(workers*blockRecords(inSize)), records))
-	outSize := recordSize(s.Params().SeriesLen, materialized)
+	outSize := RecordSize(s.Params().SeriesLen, materialized)
 	return &summaryRecordReader{
 		s: s, raw: raw, materialized: materialized, workers: workers, sums: sums,
 		inSize: inSize, outSize: outSize, end: records,
@@ -272,22 +275,15 @@ func (r *summaryRecordReader) fill() error {
 	return nil
 }
 
-// BuildSource is the unsorted (key, position[, raw]) record stream a bulk
-// load consumes: read it to EOF (the external sort, or the partition
-// scatter), then call Finish.
-type BuildSource struct {
-	io.Reader
-	close func() error
-	// sums, set on a summarization pass, is the raw-dataset CRC sidecar the
-	// pass computes on the way; Finish persists it.
-	sums *storage.RecordSums
-}
-
-// SummarySource opens the summarization pass over raw (open on rawName), and
-// the fresh sidecar it fills: the raw file is read once, and an existing
-// sidecar file may describe a replaced dataset, so it is never reused.
+// SummarySource opens the summarization pass over raw (open on rawName): the
+// unsorted (key, position[, raw]) record stream a bulk load sorts, and the
+// fresh sidecar it fills on the way, complete once the stream has been read
+// to its end — the raw file is read once, and an existing sidecar file may
+// describe a replaced dataset, so it is never reused. Whoever drains the
+// stream persists the sidecar (RecordSums.Flush) before any manifest may
+// reference the build.
 func SummarySource(fs storage.FS, s *summary.Summarizer, raw storage.File, rawName string, materialized bool, workers int,
-) (*BuildSource, *storage.RecordSums, error) {
+) (io.Reader, *storage.RecordSums, error) {
 	sums, err := storage.NewRecordSums(fs, rawName, series.EncodedSize(s.Params().SeriesLen), raw)
 	if err != nil {
 		return nil, nil, err
@@ -296,67 +292,27 @@ func SummarySource(fs storage.FS, s *summary.Summarizer, raw storage.File, rawNa
 	if err != nil {
 		return nil, nil, err
 	}
-	return &BuildSource{Reader: src, sums: sums}, sums, nil
+	return src, sums, nil
 }
 
-// RecordSource opens the pre-summarized record file name — a partition's
-// share of the scatter, whose sidecar was persisted with it.
-func RecordSource(fs storage.FS, name string) (*BuildSource, error) {
-	f, err := fs.Open(name)
-	if err != nil {
+// ReadRecords reads the next records of a stream of size-byte records into
+// buf, as many whole ones as fit: none, and io.EOF, at the stream's end. A
+// stream that ends inside a record fails with io.ErrUnexpectedEOF.
+func ReadRecords(in io.Reader, buf []byte, size int) ([]byte, error) {
+	n, err := io.ReadFull(in, buf[:len(buf)/size*size])
+	switch {
+	case err == io.ErrUnexpectedEOF && n%size == 0:
+		return buf[:n], nil
+	case err == io.ErrUnexpectedEOF:
+		return nil, fmt.Errorf("core: record stream ends %d bytes into a record: %w", n%size, err)
+	case err != nil:
 		return nil, err
 	}
-	return &BuildSource{Reader: storage.NewSequentialReader(f, 0, -1, 0), close: f.Close}, nil
-}
-
-// Close releases the stream; it is idempotent, so whoever opened the source
-// may defer it whether or not the consumer got as far as Finish.
-func (b *BuildSource) Close() error {
-	c := b.close
-	b.close = nil
-	if c == nil {
-		return nil
-	}
-	return c()
-}
-
-// Finish closes the stream and, when the consumer succeeded (err == nil) and
-// the stream computed the sidecar, persists and fsyncs it — before any
-// manifest can reference the build.
-func (b *BuildSource) Finish(err error) error {
-	if cerr := b.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil && b.sums != nil {
-		err = b.sums.Flush()
-	}
-	return err
+	return buf[:n], nil
 }
 
 // ErrEmptyIndex is returned when searching an index with no records.
 var ErrEmptyIndex = errors.New("core: index is empty")
-
-// sortRecords externally sorts the build's record stream (Options.Records)
-// into outName, with wrapOut as in extsort.Config, capturing the sorted
-// summary array on the way, and finishes the stream.
-func sortRecords(opt *Options, outName string, wrapOut func(storage.File) (storage.File, error)) (simsArray, error) {
-	sims := newSimsArray(opt.S, 0)
-	if opt.Records == nil {
-		return sims, errors.New("core: build without a record stream")
-	}
-	_, err := extsort.Sort(extsort.Config{
-		FS:         opt.FS,
-		RecordSize: opt.recordSize(),
-		Compare:    extsort.CompareKeyPrefix(summary.KeySize),
-		MemBudget:  opt.MemBudgetBytes,
-		TempPrefix: opt.Name + ".sort",
-		Workers:    opt.Workers,
-		WrapOut:    wrapOut,
-		Tee:        sims.add,
-	}, opt.Records, outName)
-	sims.clip()
-	return sims, opt.Records.Finish(err)
-}
 
 // simsArray is the in-memory sorted summary array of a tree or a trie (the
 // paper: summaries are orders of magnitude smaller than the data and stay in
@@ -383,7 +339,7 @@ func (a *simsArray) add(rec []byte) {
 }
 
 // clip trims the arrays' capacity to their length: a build does not know
-// its record count until the sort is done.
+// its record count until its record stream ends.
 func (a *simsArray) clip() {
 	if cap(a.col.Syms) > len(a.col.Syms) {
 		a.col.Syms = append(make([]uint8, 0, len(a.col.Syms)), a.col.Syms...)

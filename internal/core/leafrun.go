@@ -73,9 +73,57 @@ func leafBlockSize(recordSize int) int {
 	return max(1, 4096/recordSize) * recordSize
 }
 
-// createRun gives a freshly created file the leaf run's layout.
-func (r *leafRun) createRun(f storage.File) (storage.File, error) {
-	return storage.CreateChecksumFile(f, leafBlockSize(r.opt.recordSize()))
+// genWriter writes one generation of the run: records in run order,
+// through the run's checksum blocks, each added on the way to the summary
+// column of the generation — what a bulk load (build) and an insert merge
+// (mergeNext) write alike.
+type genWriter struct {
+	fs   storage.FS
+	name string
+	f    storage.File
+	w    *storage.SequentialWriter
+	sims simsArray
+}
+
+// createGen starts generation gen of the run, with room in its summary
+// column for n records.
+func (r *leafRun) createGen(gen int64, n int) (*genWriter, error) {
+	fs, name := r.opt.FS, runName(r.opt.Name, gen)
+	inner, err := fs.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	f, err := storage.CreateChecksumFile(inner, leafBlockSize(r.opt.recordSize()))
+	if err != nil {
+		inner.Close()
+		removeFiles(fs, name)
+		return nil, err
+	}
+	// The checksum file frames its blocks itself: the writer's buffer only
+	// batches the calls into it.
+	return &genWriter{fs: fs, name: name, f: f, w: storage.NewSequentialWriter(f, 0, 64<<10), sims: newSimsArray(r.opt.S, n)}, nil
+}
+
+// put appends the next record.
+func (g *genWriter) put(rec []byte) error {
+	g.sims.add(rec)
+	_, err := g.w.Write(rec)
+	return err
+}
+
+// close completes the generation and closes it; err is the writer's own
+// failure, and with it, or a failure here, the file is removed.
+func (g *genWriter) close(err error) error {
+	if err == nil {
+		err = g.w.Flush()
+	}
+	if cerr := g.f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		removeFiles(g.fs, g.name)
+	}
+	return err
 }
 
 // openGen opens generation gen of the run. A corrupt structure in this
@@ -106,8 +154,8 @@ func startsOf(counts []int) []int {
 	return starts
 }
 
-// buildRun is the pipeline both index types share: the external sort of
-// opt.Records straight into generation 0 of the leaf run — the one large
+// buildRun is the bulk load both index types share: opt.Records, sorted,
+// written straight into generation 0 of the leaf run — the one large
 // sequential write that replaces the state of the art's scattered
 // allocations — capturing the summary column on the way. cut lays the leaf
 // directory over the column, and the manifest commit makes the index
@@ -115,6 +163,9 @@ func startsOf(counts []int) []int {
 func (r *leafRun) buildRun(opt Options, variant manifest.Variant, cut func(summary.Column, *Options) []int) error {
 	if err := opt.validate(); err != nil {
 		return err
+	}
+	if opt.Records == nil {
+		return errors.New("core: build without a record stream")
 	}
 	raw, err := opt.FS.Open(opt.RawName)
 	if err != nil {
@@ -130,10 +181,29 @@ func (r *leafRun) buildRun(opt Options, variant manifest.Variant, cut func(summa
 }
 
 func (r *leafRun) build(cut func(summary.Column, *Options) []int) error {
-	var err error
-	if r.sims, err = sortRecords(&r.opt, runName(r.opt.Name, 0), r.createRun); err != nil {
-		return fmt.Errorf("core: sorting summarizations into the leaf run: %w", err)
+	g, err := r.createGen(0, 0)
+	if err != nil {
+		return err
 	}
+	recSize := r.opt.recordSize()
+	buf := make([]byte, max(1, (64<<10)/recSize)*recSize)
+	for err == nil {
+		var recs []byte
+		if recs, err = ReadRecords(r.opt.Records, buf, recSize); err == nil {
+			for off := 0; off < len(recs) && err == nil; off += recSize {
+				err = g.put(recs[off : off+recSize])
+			}
+		}
+	}
+	if err == io.EOF {
+		err = nil
+	}
+	r.opt.Records = nil // the handle outlives the build's stream
+	if err = g.close(err); err != nil {
+		return fmt.Errorf("core: writing the leaf run: %w", err)
+	}
+	g.sims.clip()
+	r.sims = g.sims
 	if r.file, err = r.openGen(0); err != nil {
 		return err
 	}
@@ -311,29 +381,11 @@ func (r *leafRun) writeManifest() error {
 // column on the way. The new generation becomes the current one, and the one
 // it replaces is removed unless the manifest names it; a failed merge
 // removes what it wrote of the new one.
-func (r *leafRun) mergeNext(batch []byte) (err error) {
-	fs, recSize := r.opt.FS, r.opt.recordSize()
-	next := runName(r.opt.Name, r.gen+1)
-	inner, err := fs.Create(next)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			removeFiles(fs, next)
-		}
-	}()
-	out, err := r.createRun(inner)
-	if err != nil {
-		inner.Close()
-		return err
-	}
+func (r *leafRun) mergeNext(batch []byte) error {
+	recSize := r.opt.recordSize()
 	n := r.sims.col.Len()
-	sims := newSimsArray(r.opt.S, n+len(batch)/recSize)
-	w := storage.NewSequentialWriter(out, 0, 0)
-	put := func(rec []byte) error {
-		sims.add(rec)
-		_, err := w.Write(rec)
+	g, err := r.createGen(r.gen+1, n+len(batch)/recSize)
+	if err != nil {
 		return err
 	}
 	// cur is the current generation's next record, nil once all are merged.
@@ -353,31 +405,26 @@ func (r *leafRun) mergeNext(batch []byte) (err error) {
 	err = advance()
 	for err == nil && (cur != nil || len(batch) > 0) {
 		if cur != nil && (len(batch) == 0 || bytes.Compare(cur, batch[:recSize]) < 0) {
-			if err = put(cur); err == nil {
+			if err = g.put(cur); err == nil {
 				err = advance()
 			}
 		} else {
-			err, batch = put(batch[:recSize]), batch[recSize:]
+			err, batch = g.put(batch[:recSize]), batch[recSize:]
 		}
 	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err = g.close(err); err != nil {
 		return fmt.Errorf("core: merging inserts into the leaf run: %w", err)
 	}
 	f, err := r.openGen(r.gen + 1)
 	if err != nil {
+		removeFiles(r.opt.FS, g.name)
 		return err
 	}
 	r.file.Close()
 	if r.gen != r.committed {
-		removeFiles(fs, runName(r.opt.Name, r.gen))
+		removeFiles(r.opt.FS, runName(r.opt.Name, r.gen))
 	}
-	r.file, r.gen, r.sims = f, r.gen+1, sims
+	r.file, r.gen, r.sims = f, r.gen+1, g.sims
 	return nil
 }
 

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/coconut-db/coconut/internal/extsort"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/summary"
 	"github.com/coconut-db/coconut/internal/window"
 )
 
@@ -62,8 +64,9 @@ func openTrie(opt Options) (*loneTrie, error) {
 	return &loneTrie{ix, sums}, nil
 }
 
-// buildLone bulk-loads an index from the summarization pass over opt's raw
-// file, under the fresh raw log the pass fills.
+// buildLone bulk-loads an index from the sorted summarization pass over
+// opt's raw file, under the fresh raw log the pass fills and the sort's
+// budget and temporaries the partition layer gives an unpartitioned build.
 func buildLone[T any](opt Options, build func(Options) (T, error)) (ix T, sums *storage.RecordSums, err error) {
 	if opt.FS == nil || opt.S == nil {
 		return ix, nil, errors.New("core test: nil FS or summarizer")
@@ -77,8 +80,22 @@ func buildLone[T any](opt Options, build func(Options) (T, error)) (ix T, sums *
 	if err != nil {
 		return ix, nil, err
 	}
-	defer src.Close()
-	opt.Records, opt.RawSums = src, sums
+	budget := opt.MemBudgetBytes
+	if budget <= 0 {
+		budget = DefaultMemBudget
+	}
+	sorted, _, err := extsort.Sorted(extsort.Config{FS: opt.FS, RecordSize: opt.recordSize(),
+		Compare: extsort.CompareKeyPrefix(summary.KeySize), MemBudget: budget,
+		TempPrefix: opt.Name + ".sort", Workers: opt.Workers}, src)
+	if err == nil {
+		defer sorted.Close()
+		err = sums.Flush()
+	}
+	if err != nil {
+		sums.Close()
+		return ix, nil, err
+	}
+	opt.Records, opt.RawSums = sorted, sums
 	ix, err = build(opt)
 	return ix, sums, err
 }

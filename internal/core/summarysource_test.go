@@ -30,7 +30,7 @@ func TestSummarySourceAnyWorkers(t *testing.T) {
 			var want []byte
 			for i, d := range data {
 				enc := series.AppendEncode(nil, d)
-				rec := make([]byte, recordSize(tLen, materialized))
+				rec := make([]byte, RecordSize(tLen, materialized))
 				var raw []byte
 				if materialized {
 					raw = enc
@@ -63,7 +63,7 @@ func TestSummarySourceAnyWorkers(t *testing.T) {
 						if sums.Records() != int64(count) {
 							t.Fatalf("sidecar covers %d records, want %d", sums.Records(), count)
 						}
-						if err := src.Finish(nil); err != nil {
+						if err := sums.Flush(); err != nil {
 							t.Fatal(err)
 						}
 						filled, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"slices"
 
-	"github.com/coconut-db/coconut/internal/extsort"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/summary"
 )
@@ -18,9 +16,9 @@ import (
 // boundaries fall is the leaf run's (see leafRun).
 type TreeIndex struct{ leafRun }
 
-// BuildTree runs the Coconut-Tree pipeline over opt.Records: external sort
-// straight into the leaf run, capturing the sorted summary array on the way,
-// cut into leaves of the fill factor's size.
+// BuildTree runs the Coconut-Tree pipeline over opt.Records: the sorted
+// stream written straight into the leaf run, capturing the sorted summary
+// array on the way, cut into leaves of the fill factor's size.
 func BuildTree(opt Options) (*TreeIndex, error) {
 	ix := &TreeIndex{}
 	err := ix.buildRun(opt, manifest.VariantTree, func(col summary.Column, opt *Options) []int {
@@ -64,12 +62,14 @@ func (ix *TreeIndex) InsertRecords(recs []InsertRec) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	// Positions are unique, so this is the run's order: bytewise over the
+	// encoded records.
+	slices.SortFunc(recs, func(a, b InsertRec) int { return summary.CompareRecords(a.Key, a.Pos, b.Key, b.Pos) })
 	recSize := ix.opt.recordSize()
 	batch := make([]byte, len(recs)*recSize)
 	for i, r := range recs {
 		encodeRecord(batch[i*recSize:(i+1)*recSize], r.Key, r.Pos, r.Raw)
 	}
-	extsort.SortInMemory(batch, recSize, bytes.Compare)
 	if err := ix.mergeNext(batch); err != nil {
 		return err
 	}

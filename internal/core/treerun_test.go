@@ -500,7 +500,7 @@ func TestKeyOrderAgreesWithBytesCompare(t *testing.T) {
 		return k
 	}
 	rec := func(k summary.Key) []byte {
-		r := make([]byte, recordSize(tLen, false))
+		r := make([]byte, RecordSize(tLen, false))
 		encodeRecord(r, k, rng.Int63(), nil)
 		return r
 	}

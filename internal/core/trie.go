@@ -15,9 +15,9 @@ import (
 // leafRun). A trie takes no inserts, so it is immutable after BuildTrie.
 type TrieIndex struct{ leafRun }
 
-// BuildTrie runs the Coconut-Trie pipeline over opt.Records: external sort
-// straight into the leaf run, then the leaf directory over the keys
-// captured on the way. The sorted run IS the contiguous leaf write-out.
+// BuildTrie runs the Coconut-Trie pipeline over opt.Records: the sorted
+// stream written straight into the leaf run, then the leaf directory over
+// the keys captured on the way. The sorted run IS the contiguous leaf write-out.
 func BuildTrie(opt Options) (*TrieIndex, error) {
 	ix := &TrieIndex{}
 	if err := ix.buildRun(opt, manifest.VariantTrie, trieStarts); err != nil {

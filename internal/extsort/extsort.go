@@ -4,27 +4,33 @@
 // input in memory-sized chunks, sorts each chunk, and flushes it as a sorted
 // run; the merging phase merge-sorts the runs with a tournament over
 // buffered sequential readers. An input that fits one chunk skips both: it
-// is sorted in memory and written once, straight to the output.
+// is sorted in memory and merged from there.
+//
+// The sort's product is a stream (Sorted): the final merge — of the runs
+// left after the intermediate generations, or of the sorted slices of the
+// one chunk — runs as its consumer reads, so the sorted records are written
+// once, by whoever consumes them, in the layout of their own file: the leaf
+// run of a tree or a trie, the block-compressed run of an LSM. Sort is that
+// stream copied to a file.
 //
 // Both phases are parallel, and both fan out on internal/shard: Workers
 // goroutines, each owning one chunk buffer, take turns reading the next
 // chunk and then sort and flush it as a run while the next one reads, and
 // the independent merges of each intermediate generation of a multi-pass
 // sort run concurrently. The one chunk of an input that fits is sorted on
-// every worker too: as Workers contiguous slices, sorted concurrently in
-// place and merged straight into the output. The memory budget M is
-// partitioned across the workers (chunk buffers during run formation,
-// per-merge buffer groups during merging), so the paper's memory model stays
-// honest at any worker count. The sorted output is byte-identical for any
-// worker count: comparator ties are broken on the full record encoding,
-// which makes the result a pure function of the input multiset, independent
-// of chunk boundaries and merge grouping.
+// every worker too, as Workers contiguous slices sorted concurrently in
+// place. The memory budget M is partitioned across the workers (chunk
+// buffers during run formation, per-merge buffer groups during merging), so
+// the paper's memory model stays honest at any worker count. The sorted
+// stream is byte-identical for any worker count: comparator ties are broken
+// on the full record encoding, which makes the result a pure function of
+// the input multiset, independent of chunk boundaries and merge grouping.
 //
 // Every byte moved goes through the storage VFS, so the paper's O(N/B)
 // sequential-I/O claim is directly observable in the I/O statistics. The
-// package sorts a record stream into a new file and nothing else: every
-// other sorted write — an LSM flush or compaction, a tree insert batch — is
-// an in-process merge of its owner's.
+// package sorts a record stream and nothing else: every other sorted write
+// — an LSM flush or compaction, a tree insert batch — is an in-process
+// merge of its owner's.
 package extsort
 
 import (
@@ -54,7 +60,7 @@ func CompareKeyPrefix(n int) Compare {
 
 // Config parameterizes a sort.
 type Config struct {
-	// FS hosts the temporary runs and the output file.
+	// FS hosts the temporary runs (and Sort's output file).
 	FS storage.FS
 	// RecordSize is the fixed encoded size of each record, in bytes.
 	RecordSize int
@@ -70,24 +76,9 @@ type Config struct {
 	// Workers is the number of goroutines used for run formation, for the
 	// sort of a lone chunk and for the concurrent merges of each
 	// intermediate generation (<= 0 means runtime.GOMAXPROCS(0)). MemBudget
-	// is partitioned across workers; the output is byte-identical for any
-	// value.
+	// is partitioned across workers; the sorted stream is byte-identical
+	// for any value.
 	Workers int
-	// Tee, when non-nil, is called for every record of the final sorted
-	// output, in output order, as it is written. The callback runs on the
-	// single goroutine writing the output and must not retain rec. It lets
-	// callers capture the sorted stream (the summary column of a tree or a
-	// trie) without a second read pass.
-	Tee func(rec []byte)
-	// WrapOut, when non-nil, wraps the output file handle right after
-	// creation and before any bytes are written — the hook the LSM's bulk
-	// load and the tree's and trie's use to give the sorted output its
-	// physical layout (the block-compressed run codec, checksum blocks for
-	// leaf runs). It applies only to outName: temporary runs and
-	// intermediate merge generations are written through unwrapped handles
-	// and deleted before Sort returns. The wrapper's Close is called in
-	// place of the inner file's.
-	WrapOut func(storage.File) (storage.File, error)
 }
 
 func (c *Config) validate() error {
@@ -128,35 +119,61 @@ func totalOrder(cmp Compare) Compare {
 }
 
 // Sort consumes all records from in, sorts them, and writes the sorted
-// stream to outName on cfg.FS. It returns the number of records sorted.
-// Records comparing equal under cfg.Compare are ordered by their full
-// encoding, so the output is deterministic for any cfg.Workers. An input
-// that fits one chunk is sorted in memory, on every worker, and written
-// once, straight to outName; a longer one goes through run files and their
-// merge.
+// stream to outName on cfg.FS: the stream Sorted returns, copied to a file.
+// It returns the number of records sorted. A failed Sort removes what it
+// wrote of outName, and leaves a file there untouched if it failed before
+// creating it.
 func Sort(cfg Config, in io.Reader, outName string) (int64, error) {
-	if err := cfg.validate(); err != nil {
+	r, n, err := Sorted(cfg, in)
+	if err != nil {
 		return 0, err
+	}
+	defer r.Close()
+	if err := write(cfg.FS, outName, cfg.BufSize, r); err != nil {
+		return 0, err
+	}
+	return n, r.Close()
+}
+
+// Sorted consumes all records from in and returns them sorted, as a stream
+// read from the final k-way merge as it is pulled, and their number.
+// Records comparing equal under cfg.Compare are ordered by their full
+// encoding, so the stream is the same for any cfg.Workers. An input that
+// fits one chunk is sorted in memory, on every worker, and merged from
+// memory; a longer one goes through run files, merged in as many
+// generations as the budget's fan-in needs, the last of which is the
+// stream. Once Sorted returns, in has been read to its end. The caller
+// must Close the Reader, which removes the runs it reads.
+func Sorted(cfg Config, in io.Reader) (*Reader, int64, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, 0, err
 	}
 	cfg.Compare = totalOrder(cfg.Compare)
 	chunkLen, writerBuf := cfg.chunking()
 	first, last, err := readFirst(cfg, in, chunkLen)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	total := int64(len(first) / cfg.RecordSize)
 	if last {
-		return total, writeSorted(cfg, outName, first, cfg.Workers)
+		r, err := sortChunk(cfg, first, cfg.Workers)
+		return r, total, err
 	}
 	runs, more, err := makeRuns(cfg, first, in, writerBuf)
+	if err == nil {
+		runs, err = mergeGenerations(cfg, runs)
+	}
 	if err != nil {
 		cleanup(cfg.FS, runs)
-		return 0, err
+		return nil, 0, err
 	}
-	if err := mergeAll(cfg, runs, outName); err != nil {
-		return 0, err
+	r, err := openRuns(cfg, runs)
+	if err != nil {
+		cleanup(cfg.FS, runs)
+		return nil, 0, err
 	}
-	return total + more, nil
+	r.runs = runs
+	return r, total + more, nil
 }
 
 // SortInMemory sorts records (a concatenation of fixed-size records) in
@@ -300,7 +317,11 @@ func makeRuns(cfg Config, first []byte, in io.Reader, writerBuf int) (runs []str
 		}
 		for {
 			if data != nil {
-				if err := writeSorted(cfg.temp(writerBuf), runName(cfg, idx), data, 1); err != nil {
+				r, err := sortChunk(cfg, data, 1)
+				if err == nil {
+					err = write(cfg.FS, runName(cfg, idx), writerBuf, r)
+				}
+				if err != nil {
 					return err
 				}
 			}
@@ -316,19 +337,11 @@ func makeRuns(cfg Config, first []byte, in io.Reader, writerBuf int) (runs []str
 	return runs, more, err
 }
 
-// temp returns cfg for the sort's own temporaries — runs and intermediate
-// merge generations: no Tee, no WrapOut, bufSize-byte writer buffers.
-func (c Config) temp(bufSize int) Config {
-	c.Tee, c.WrapOut, c.BufSize = nil, nil, bufSize
-	return c
-}
-
-// writeSorted sorts one chunk and writes it as file name. The chunk is cut
+// sortChunk sorts one chunk and returns it as a stream. The chunk is cut
 // into parts contiguous slices, sorted concurrently in place and merged
-// under cfg.Compare straight into the output: the same total order, and so
-// the same bytes and the same Tee sequence, for any parts, at no memory
-// beyond the chunk.
-func writeSorted(cfg Config, name string, data []byte, parts int) error {
+// under cfg.Compare as the stream is read: the same total order, and so the
+// same bytes, for any parts, at no memory beyond the chunk.
+func sortChunk(cfg Config, data []byte, parts int) (*Reader, error) {
 	size := cfg.RecordSize
 	n := len(data) / size
 	err := shard.Scan(context.Background(), parts, n, func(_ int, r shard.Range, _ func() bool) error {
@@ -336,48 +349,58 @@ func writeSorted(cfg Config, name string, data []byte, parts int) error {
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var streams []*mergeStream
 	for _, r := range shard.Split(n, parts) {
 		streams = append(streams, &mergeStream{r: bytes.NewReader(data[r.Lo*size : r.Hi*size]), rec: make([]byte, size)})
 	}
-	return merge(cfg, name, streams)
+	return newReader(cfg, streams, nil)
 }
 
-// writeOut creates name, wraps it with WrapOut, and fills it through a
-// BufSize sequential writer: fill hands put each record in order, which
-// writes it and shows it to Tee. A failed write removes the file — from the
-// Create on, a pre-existing file at name is gone and the path is this
-// call's.
-func writeOut(cfg Config, name string, fill func(put func(rec []byte) error) error) (err error) {
-	f, err := cfg.FS.Create(name)
+// openRuns returns the merge of the run files runs as a stream, each read
+// through a BufSize sequential reader.
+func openRuns(cfg Config, runs []string) (*Reader, error) {
+	var streams []*mergeStream
+	var files []storage.File
+	for _, name := range runs {
+		f, err := cfg.FS.Open(name)
+		if err != nil {
+			closeAll(files)
+			return nil, err
+		}
+		files = append(files, f)
+		streams = append(streams, &mergeStream{
+			r:   storage.NewSequentialReader(f, 0, -1, cfg.BufSize),
+			rec: make([]byte, cfg.RecordSize),
+		})
+	}
+	return newReader(cfg, streams, files)
+}
+
+// write creates name and fills it with the records of r, an unread
+// stream, through a bufSize sequential writer. A failed write removes the
+// file — from the Create on, a pre-existing file at name is gone and the
+// path is this call's.
+func write(fs storage.FS, name string, bufSize int, r *Reader) (err error) {
+	f, err := fs.Create(name)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if err != nil && cfg.FS.Exists(name) {
-			_ = cfg.FS.Remove(name)
+		if err != nil && fs.Exists(name) {
+			_ = fs.Remove(name)
 		}
 	}()
-	if cfg.WrapOut != nil {
-		wf, werr := cfg.WrapOut(f)
-		if werr != nil {
-			f.Close()
-			return werr
+	w := storage.NewSequentialWriter(f, 0, bufSize)
+	for err == nil && r.err == nil && r.h.Len() > 0 {
+		if _, err = w.Write(r.h.streams[0].rec); err == nil {
+			r.pop()
 		}
-		f = wf
 	}
-	w := storage.NewSequentialWriter(f, 0, cfg.BufSize)
-	err = fill(func(rec []byte) error {
-		if _, err := w.Write(rec); err != nil {
-			return err
-		}
-		if cfg.Tee != nil {
-			cfg.Tee(rec)
-		}
-		return nil
-	})
+	if err == nil {
+		err = r.err
+	}
 	if err == nil {
 		err = w.Flush()
 	}
@@ -389,34 +412,25 @@ func writeOut(cfg Config, name string, fill func(put func(rec []byte) error) err
 	return err
 }
 
-// mergeAll merges runs into outName, in multiple generations if the fan-in
-// exceeds what the memory budget allows, deleting the runs as they are
-// consumed. Every run and temporary is removed on every error path too,
-// along with a partially written outName.
-func mergeAll(cfg Config, runs []string, outName string) (err error) {
-	cur := runs
-	defer func() {
-		if err != nil {
-			cleanup(cfg.FS, cur)
-		}
-	}()
+// mergeGenerations merges runs, in as many intermediate generations as the
+// fan-in the memory budget allows needs, down to the runs the final merge
+// takes at once, deleting the runs as they are consumed. On error it
+// returns the runs and temporaries that may still exist, for the caller to
+// remove.
+func mergeGenerations(cfg Config, runs []string) ([]string, error) {
 	// The final pass is a single merge using the whole budget.
 	finalFanIn := int(cfg.MemBudget/int64(cfg.BufSize)) - 1
 	if finalFanIn < 2 {
 		finalFanIn = 2
 	}
-	for gen := 0; len(cur) > finalFanIn; gen++ {
-		next, gerr := mergeGeneration(cfg, cur, gen)
-		if gerr != nil {
-			return gerr
+	for gen := 0; len(runs) > finalFanIn; gen++ {
+		next, err := mergeGeneration(cfg, runs, gen)
+		if err != nil {
+			return runs, err
 		}
-		cur = next
+		runs = next
 	}
-	if err := mergeOnce(cfg, cur, outName); err != nil {
-		return err
-	}
-	cleanup(cfg.FS, cur)
-	return nil
+	return runs, nil
 }
 
 // mergeGeneration runs one pass of the multi-pass merge: inputs are grouped
@@ -458,7 +472,15 @@ func mergeGeneration(cfg Config, inputs []string, gen int) ([]string, error) {
 	}
 	err := shard.FanOut(context.Background(), workers, nGroups, func(g int, _ func() bool) error {
 		group := inputs[g*fanIn : min((g+1)*fanIn, len(inputs))]
-		if err := mergeOnce(cfg.temp(cfg.BufSize), group, outs[g]); err != nil {
+		r, err := openRuns(cfg, group)
+		if err != nil {
+			return err
+		}
+		err = write(cfg.FS, outs[g], cfg.BufSize, r)
+		if cerr := r.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
 		cleanup(cfg.FS, group)
@@ -511,59 +533,108 @@ func (h *mergeHeap) Pop() any {
 	return s
 }
 
-// mergeOnce merges runs — one or more — into outName.
-func mergeOnce(cfg Config, runs []string, outName string) error {
-	var streams []*mergeStream
-	var files []storage.File
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	for _, name := range runs {
-		f, err := cfg.FS.Open(name)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		streams = append(streams, &mergeStream{
-			r:   storage.NewSequentialReader(f, 0, -1, cfg.BufSize),
-			rec: make([]byte, cfg.RecordSize),
-		})
-	}
-	return merge(cfg, outName, streams)
+// Reader is a sorted record stream: the k-way merge, under the sort's
+// order, of sorted streams — run files or the sorted slices of an
+// in-memory chunk — computed as it is read.
+type Reader struct {
+	fs    storage.FS
+	h     mergeHeap
+	files []storage.File
+	// runs are the run files the merge reads, removed by Close.
+	runs []string
+	// part is the rest of a record a short Read cut, in partBuf.
+	part, partBuf []byte
+	err           error
 }
 
-// merge writes the records of streams, each sorted under cfg.Compare, to
-// name in one k-way merge under cfg.Compare.
-func merge(cfg Config, name string, streams []*mergeStream) error {
-	h := &mergeHeap{cmp: cfg.Compare}
+// newReader merges streams, which read files, each sorted under cfg.Compare.
+func newReader(cfg Config, streams []*mergeStream, files []storage.File) (*Reader, error) {
+	r := &Reader{fs: cfg.FS, h: mergeHeap{cmp: cfg.Compare}, files: files, partBuf: make([]byte, cfg.RecordSize)}
 	for _, s := range streams {
 		if err := s.advance(); err != nil {
-			return err
+			r.Close()
+			return nil, err
 		}
 		if s.ok {
-			h.streams = append(h.streams, s)
+			r.h.streams = append(r.h.streams, s)
 		}
 	}
-	heap.Init(h)
-	return writeOut(cfg, name, func(put func(rec []byte) error) error {
-		for h.Len() > 0 {
-			s := h.streams[0]
-			if err := put(s.rec); err != nil {
-				return err
-			}
-			if err := s.advance(); err != nil {
-				return err
-			}
-			if s.ok {
-				heap.Fix(h, 0)
-			} else {
-				heap.Pop(h)
-			}
+	heap.Init(&r.h)
+	return r, nil
+}
+
+// pop advances past the head record.
+func (r *Reader) pop() {
+	s := r.h.streams[0]
+	if r.err = s.advance(); r.err != nil {
+		return
+	}
+	if s.ok {
+		heap.Fix(&r.h, 0)
+	} else {
+		heap.Pop(&r.h)
+	}
+}
+
+// Read reads the next records of the stream; a p that ends inside a record
+// gets its first bytes, and the next Read the rest.
+func (r *Reader) Read(p []byte) (int, error) { return r.readWhile(p, nil) }
+
+// readWhile reads like Read, but ends the stream — io.EOF — at the first
+// record keep rejects, which stays next. A nil keep takes every record.
+func (r *Reader) readWhile(p []byte, keep func(rec []byte) bool) (int, error) {
+	n := copy(p, r.part)
+	r.part = r.part[n:]
+	for n < len(p) && r.err == nil && r.h.Len() > 0 {
+		rec := r.h.streams[0].rec
+		if keep != nil && !keep(rec) {
+			break
 		}
-		return nil
-	})
+		c := copy(p[n:], rec)
+		if c < len(rec) {
+			r.part = append(r.partBuf[:0], rec[c:]...)
+		}
+		n += c
+		r.pop()
+	}
+	switch {
+	case n > 0:
+		return n, nil
+	case r.err != nil:
+		return 0, r.err
+	}
+	return 0, io.EOF
+}
+
+// While returns the stream's records up to the first one keep rejects, as
+// a reader of its own: it ends there, and the record keep rejected is the
+// next one r, or another While of r, reads.
+func (r *Reader) While(keep func(rec []byte) bool) io.Reader { return while{r, keep} }
+
+type while struct {
+	r    *Reader
+	keep func(rec []byte) bool
+}
+
+func (w while) Read(p []byte) (int, error) { return w.r.readWhile(p, w.keep) }
+
+// Close releases the stream: it closes the run files and removes them, and
+// lets go of the chunk an in-memory merge reads. It is idempotent.
+func (r *Reader) Close() error {
+	err := closeAll(r.files)
+	cleanup(r.fs, r.runs)
+	r.files, r.runs, r.h.streams = nil, nil, nil
+	return err
+}
+
+func closeAll(files []storage.File) error {
+	var first error
+	for _, f := range files {
+		if err := f.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 func cleanup(fs storage.FS, names []string) {

@@ -232,8 +232,8 @@ func TestSortFaultPropagates(t *testing.T) {
 }
 
 // TestSortDeterministicAcrossWorkers: the acceptance bar for the parallel
-// pipeline is byte-identical output, and the same Tee sequence, for any
-// worker count, including with heavy comparator ties (records sharing a key
+// pipeline is byte-identical output, Sort's file and Sorted's stream alike,
+// for any worker count, including with heavy comparator ties (records sharing a key
 // prefix but differing in the payload), so chunk boundaries, the slices a
 // lone chunk is sorted in, and merge grouping must not show through. The
 // cases run through run files and a multi-pass merge under a tiny budget,
@@ -271,7 +271,7 @@ func TestSortDeterministicAcrossWorkers(t *testing.T) {
 		}
 		sorted := append([]byte(nil), in...)
 		SortInMemory(sorted, tc.size, totalOrder(CompareKeyPrefix(8)))
-		var ref, refTee []byte
+		var ref []byte
 		for _, workers := range []int{1, 2, 3, 8} {
 			fs := storage.NewMemFS()
 			var created atomic.Int64 // concurrent run writers create files
@@ -283,8 +283,6 @@ func TestSortDeterministicAcrossWorkers(t *testing.T) {
 			})
 			cfg := sortCfg(fs, tc.budgetRecs*int64(tc.size))
 			cfg.RecordSize, cfg.Workers = tc.size, workers
-			var teed []byte
-			cfg.Tee = func(rec []byte) { teed = append(teed, rec...) }
 			got, err := Sort(cfg, bytes.NewReader(in), "out")
 			if err != nil {
 				t.Fatalf("%s, workers=%d: %v", tc.name, workers, err)
@@ -303,9 +301,20 @@ func TestSortDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("%s, workers=%d: output is not the sorted input", tc.name, workers)
 			}
 			if ref == nil {
-				ref, refTee = out, teed
-			} else if !bytes.Equal(ref, out) || !bytes.Equal(refTee, teed) {
-				t.Fatalf("%s, workers=%d: output or Tee sequence differs from workers=1", tc.name, workers)
+				ref = out
+			} else if !bytes.Equal(ref, out) {
+				t.Fatalf("%s, workers=%d: output differs from workers=1", tc.name, workers)
+			}
+			r, n, err := Sorted(cfg, bytes.NewReader(in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := io.ReadAll(r)
+			if err != nil || n != int64(tc.n) || !bytes.Equal(streamed, sorted) {
+				t.Fatalf("%s, workers=%d: Sorted streamed %d bytes of %d records (%v), not the sorted input", tc.name, workers, len(streamed), n, err)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -437,8 +446,9 @@ func TestSortFailurePreservesExistingOutput(t *testing.T) {
 }
 
 // TestSortOneChunkWritesOnce: an input that fits one chunk is sorted in
-// memory and written once, through WrapOut and Tee, straight to the output:
-// no run file is created and the bytes written are the output's alone.
+// memory and written once, straight to the output: no run file is created
+// and the bytes written are the output's alone. Sorted's stream of it
+// writes nothing at all.
 func TestSortOneChunkWritesOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	in := makeRecords(rng, 50)
@@ -453,10 +463,18 @@ func TestSortOneChunkWritesOnce(t *testing.T) {
 		})
 		cfg := sortCfg(fs, 1<<20)
 		cfg.Workers = workers
-		var teed []byte
-		cfg.Tee = func(rec []byte) { teed = append(teed, rec...) }
-		wrapped := false
-		cfg.WrapOut = func(f storage.File) (storage.File, error) { wrapped = true; return f, nil }
+		r, _, err := Sorted(cfg, bytes.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := io.ReadAll(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		if len(created) != 0 || fs.Stats().Snapshot().BytesWritten != 0 {
+			t.Fatalf("workers=%d: the stream of one chunk created %v", workers, created)
+		}
 		if _, err := Sort(cfg, bytes.NewReader(in), "out"); err != nil {
 			t.Fatal(err)
 		}
@@ -468,29 +486,27 @@ func TestSortOneChunkWritesOnce(t *testing.T) {
 		if multisetHash(in) != multisetHash(out) {
 			t.Fatalf("workers=%d: output is not a permutation of input", workers)
 		}
-		if len(created) != 1 || created[0] != "out" || !wrapped {
-			t.Fatalf("workers=%d: created %v (wrapped %v), want the wrapped output alone", workers, created, wrapped)
+		if len(created) != 1 || created[0] != "out" {
+			t.Fatalf("workers=%d: created %v, want the output alone", workers, created)
 		}
 		if w := fs.Stats().Snapshot().BytesWritten; w != int64(len(in)) {
 			t.Fatalf("workers=%d: wrote %d bytes for a %d-byte output", workers, w, len(in))
 		}
-		if !bytes.Equal(teed, out) {
-			t.Fatalf("workers=%d: Tee saw %d bytes, not the output", workers, len(teed))
+		if !bytes.Equal(streamed, out) {
+			t.Fatalf("workers=%d: the stream's %d bytes are not the output", workers, len(streamed))
 		}
 	}
 }
 
 // TestSortExactlyOneFullChunk: an input that exactly fills the one-worker
 // chunk is found to end only on the next read, after its chunk became a
-// run; that lone run is a merge of one stream, teed like any final pass.
+// run; that lone run is a merge of one stream, like any final pass.
 func TestSortExactlyOneFullChunk(t *testing.T) {
 	fs := storage.NewMemFS()
 	rng := rand.New(rand.NewSource(14))
 	cfg := sortCfg(fs, 64*recSize)
 	cfg.Workers = 1
 	in := makeRecords(rng, 64)
-	var teed []byte
-	cfg.Tee = func(rec []byte) { teed = append(teed, rec...) }
 	if n, err := Sort(cfg, bytes.NewReader(in), "out"); err != nil || n != 64 {
 		t.Fatalf("sorted %d records: %v", n, err)
 	}
@@ -499,8 +515,8 @@ func TestSortExactlyOneFullChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSorted(t, out, cfg.Compare)
-	if multisetHash(in) != multisetHash(out) || !bytes.Equal(teed, out) {
-		t.Fatal("output or Tee stream is not the sorted input")
+	if multisetHash(in) != multisetHash(out) {
+		t.Fatal("output is not the sorted input")
 	}
 	if names := fs.Names(); len(names) != 1 {
 		t.Fatalf("files left behind: %v", names)
@@ -521,5 +537,87 @@ func TestValidate(t *testing.T) {
 	fs := storage.NewMemFS()
 	if _, err := Sort(Config{FS: fs, RecordSize: 8}, bytes.NewReader(nil), "out"); err == nil {
 		t.Fatal("expected validation error for nil comparator")
+	}
+}
+
+// TestSortedStreamShares reads the stream of a multi-pass sort the way the
+// partition layer hands it to its children: as consecutive While shares
+// split at key boundaries, each read through buffers that end inside
+// records. The shares concatenate to the sorted input and each holds
+// exactly the records below its boundary; the final merge's runs stay on the
+// device until Close, which removes them; and a read fault in the final
+// merge surfaces through the stream with its cause, after which Close still
+// leaves nothing behind.
+func TestSortedStreamShares(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	in := makeRecords(rng, 3000)
+	sorted := append([]byte(nil), in...)
+	SortInMemory(sorted, recSize, totalOrder(CompareKeyPrefix(8)))
+	bounds := [][]byte{sorted[700*recSize : 700*recSize+8], sorted[2100*recSize : 2100*recSize+8]}
+	for _, workers := range []int{1, 4} {
+		fs := storage.NewMemFS()
+		cfg := sortCfg(fs, 64*recSize)
+		cfg.Workers = workers
+		r, n, err := Sorted(cfg, bytes.NewReader(in))
+		if err != nil || n != 3000 {
+			t.Fatalf("workers=%d: sorted %d records: %v", workers, n, err)
+		}
+		if len(fs.Names()) < 2 {
+			t.Fatalf("workers=%d: the final merge reads %v, want several runs", workers, fs.Names())
+		}
+		var all []byte
+		for i := 0; i <= len(bounds); i++ {
+			keep := func(rec []byte) bool { return i == len(bounds) || bytes.Compare(rec[:8], bounds[i]) < 0 }
+			var share []byte
+			buf := make([]byte, 7+i*recSize)
+			for {
+				m, err := r.While(keep).Read(buf)
+				share = append(share, buf[:m]...)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(share)%recSize != 0 {
+				t.Fatalf("workers=%d: share %d ends inside a record", workers, i)
+			}
+			for off := 0; off < len(share); off += recSize {
+				if !keep(share[off:]) {
+					t.Fatalf("workers=%d: share %d holds a record past its boundary", workers, i)
+				}
+			}
+			all = append(all, share...)
+		}
+		if !bytes.Equal(all, sorted) {
+			t.Fatalf("workers=%d: the shares are not the sorted input", workers)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if names := fs.Names(); len(names) != 0 {
+			t.Fatalf("workers=%d: Close left %v", workers, names)
+		}
+
+		boom := errors.New("injected run read failure")
+		r, _, err = Sorted(cfg, bytes.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.SetFault(func(op storage.Op, name string, off int64, n int) error {
+			if op == storage.OpRead && off > 0 {
+				return boom
+			}
+			return nil
+		})
+		if _, err := io.ReadAll(r); !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: stream error %v, want the injected cause", workers, err)
+		}
+		fs.SetFault(nil)
+		r.Close()
+		if names := fs.Names(); len(names) != 0 {
+			t.Fatalf("workers=%d: Close after a failed read left %v", workers, names)
+		}
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"math"
 
 	"github.com/coconut-db/coconut/internal/core"
+	"github.com/coconut-db/coconut/internal/extsort"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/summary"
 	"github.com/coconut-db/coconut/internal/window"
 )
 
@@ -38,8 +40,22 @@ func buildLone(opt Options) (*lone, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer src.Close()
-	opt.Records, opt.RawSums = src, sums
+	budget := opt.MemBudgetBytes
+	if budget <= 0 {
+		budget = DefaultMemBudget
+	}
+	sorted, _, err := extsort.Sorted(extsort.Config{FS: opt.FS, RecordSize: recordSize,
+		Compare: extsort.CompareKeyPrefix(summary.KeySize), MemBudget: budget,
+		TempPrefix: opt.Name + ".sort", Workers: opt.Workers}, src)
+	if err == nil {
+		defer sorted.Close()
+		err = sums.Flush()
+	}
+	if err != nil {
+		sums.Close()
+		return nil, err
+	}
+	opt.Records, opt.RawSums = sorted, sums
 	ix, err := Build(opt)
 	if err != nil {
 		return nil, err

@@ -30,14 +30,15 @@ package lsm
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/core"
-	"github.com/coconut-db/coconut/internal/extsort"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/series"
@@ -65,18 +66,19 @@ type Options struct {
 	S *summary.Summarizer
 	// RawName is the dataset file (grows on Append).
 	RawName string
-	// Records is the record stream the initial bulk load sorts
-	// (core.BuildSource): the summarization pass over the raw file when
-	// unpartitioned, a partition's scatter file otherwise. The partition
-	// layer opens it; Open ignores it.
-	Records *core.BuildSource
-	// MemBudgetBytes bounds the memtable (and the initial bulk sort): it
-	// holds MemBudgetBytes/24 records. Merging two of its sorted pieces
-	// briefly copies the shorter one, at most half as much again.
+	// Records is the sorted record stream the initial bulk load writes as
+	// its run: the partition layer's one sort of the summarization pass, or
+	// the share of it below the child's key-range boundary. Open ignores it.
+	Records io.Reader
+	// MemBudgetBytes bounds the memtable (and the bulk load's sort, which
+	// the partition layer runs; DefaultMemBudget when unset): it holds
+	// MemBudgetBytes/24 records. Merging two of its sorted pieces briefly
+	// copies the shorter one, at most half as much again.
 	MemBudgetBytes int64
-	// Workers is the number of concurrent workers used by the bulk-load
-	// sort and its summarization pass (0 means runtime.GOMAXPROCS(0)). Runs and
-	// query answers are identical for any value.
+	// Workers is the number of concurrent workers used by the bulk load's
+	// sort and its summarization pass, which the partition layer runs (0
+	// means runtime.GOMAXPROCS(0)). Runs and query answers are identical for
+	// any value.
 	Workers int
 	// QueryWorkers is the fan-out of a single query: independent runs are
 	// probed concurrently during approximate search, and the exact-search
@@ -106,6 +108,9 @@ type Options struct {
 	Cache *blockcache.Cache
 }
 
+// DefaultMemBudget is MemBudgetBytes when unset.
+const DefaultMemBudget = 16 << 20
+
 func (o *Options) validate() error {
 	switch {
 	case o.FS == nil:
@@ -120,7 +125,7 @@ func (o *Options) validate() error {
 		return errors.New("lsm: nil raw log")
 	}
 	if o.MemBudgetBytes <= 0 {
-		o.MemBudgetBytes = 16 << 20
+		o.MemBudgetBytes = DefaultMemBudget
 	}
 	if o.Cache == nil {
 		o.Cache = blockcache.New(0)
@@ -204,14 +209,17 @@ type Index struct {
 	durableSeq int64
 }
 
-// Build bulk-loads the initial run from opt.Records (external sort, exactly
-// the Coconut pipeline) and returns the index; every Build stage fans out
-// across opt.Workers. A failed Build removes the run it wrote; its
-// manifest commit is the last step, so a failed Build leaves any manifest
-// already stored under the name (the index a Repair rebuilds) in place.
+// Build bulk-loads the initial run from opt.Records, the sorted stream of
+// the Coconut pipeline, and returns the index. A failed Build removes the
+// run it wrote; its manifest commit is the last step, so a failed Build
+// leaves any manifest already stored under the name (the index a Repair
+// rebuilds) in place.
 func Build(opt Options) (*Index, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
+	}
+	if opt.Records == nil {
+		return nil, errors.New("lsm: build without a record stream")
 	}
 	raw, err := opt.FS.Open(opt.RawName)
 	if err != nil {
@@ -249,42 +257,22 @@ func Remove(fs storage.FS, name string) {
 }
 
 func (ix *Index) build() error {
-	opt := ix.opt
-	// Sort the existing data into run 0, which sits at a tier no
-	// compaction reaches.
-	name := runFileName(opt.Name, ix.nextSeq)
-	cfg := extsort.Config{
-		FS:         opt.FS,
-		RecordSize: recordSize,
-		Compare:    extsort.CompareKeyPrefix(summary.KeySize),
-		MemBudget:  opt.MemBudgetBytes,
-		TempPrefix: opt.Name + ".sort",
-		Workers:    opt.Workers,
-		WrapOut:    wrapRunOut,
-	}
-	if opt.Records == nil {
-		return errors.New("lsm: build without a record stream")
-	}
-	// Finishing the stream persists the raw-dataset CRC sidecar a
-	// summarization pass computed on the way.
-	n, err := extsort.Sort(cfg, opt.Records, name)
-	if err = opt.Records.Finish(err); err != nil {
+	// Write the sorted stream as run 0, which sits at a tier no compaction
+	// reaches; an empty stream writes no run.
+	src, err := streamSource(ix.opt.Records)
+	ix.opt.Records = nil // the handle outlives the build's stream
+	if err != nil {
 		return err
 	}
-	if n > 0 {
-		if err := syncFile(opt.FS, name); err != nil {
-			return err
-		}
-		r, err := ix.openRun(name, manifest.BulkTier, ix.nextSeq, n)
+	if len(src.recs) > 0 {
+		r, err := ix.writeRun(runFileName(ix.opt.Name, ix.nextSeq), manifest.BulkTier, ix.nextSeq, -1, []*mergeSource{src})
 		if err != nil {
 			return err
 		}
 		ix.runs = append(ix.runs, r)
-	} else {
-		_ = opt.FS.Remove(name)
+		ix.count = r.count
 	}
 	ix.nextSeq++
-	ix.count = n
 	// The bulk run holds every record of the dataset this index owns.
 	ix.flushed = ix.rawSums.Records()
 	// Durability point: the manifest makes the bulk-loaded run reopenable
@@ -296,11 +284,6 @@ func (ix *Index) build() error {
 
 // runFileName names the flushed (or bulk-loaded) run of seq seq.
 func runFileName(name string, seq int64) string { return fmt.Sprintf("%s.run.%06d", name, seq) }
-
-// wrapRunOut is the extsort final-output wrapper that writes a run file in
-// its physical layout, the block compressor (internal/runblock), whose block,
-// directory and footer CRCs are the file's one integrity layer.
-func wrapRunOut(f storage.File) (storage.File, error) { return runblock.NewFileWriter(f, 0), nil }
 
 // openRun opens a just-written run file and returns its run handle: a
 // footer + directory read only — no key data is materialized. The record
@@ -522,6 +505,31 @@ type mergeSource struct {
 	next func() ([]memEntry, error)
 }
 
+// streamSource reads a sorted record stream a block of records at a time.
+func streamSource(in io.Reader) (*mergeSource, error) {
+	buf, recs := make([]byte, 4096*recordSize), []memEntry(nil)
+	src := &mergeSource{next: func() ([]memEntry, error) {
+		b, err := core.ReadRecords(in, buf, recordSize)
+		if err == io.EOF {
+			return nil, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		recs = recs[:0]
+		for off := 0; off < len(b); off += recordSize {
+			var e memEntry
+			copy(e.key[:], b[off:])
+			e.pos = int64(binary.LittleEndian.Uint64(b[off+summary.KeySize:]))
+			recs = append(recs, e)
+		}
+		return recs, nil
+	}}
+	var err error
+	src.recs, err = src.next()
+	return src, err
+}
+
 // runSource reads rb's records block by block. A compaction opens rb
 // without a cache: every block is decoded and CRC-checked as it is read, so
 // a merge never launders rotted records into a fresh, correctly checksummed
@@ -578,8 +586,9 @@ func mergeRecords(w *runblock.Writer, srcs []*mergeSource) error {
 	return nil
 }
 
-// writeRun writes the merge of srcs, n records, as run file name, fsyncs it
-// (the manifest commit that will reference it requires the bytes on stable
+// writeRun writes the merge of srcs, n records (negative when only reading
+// them tells: a bulk load's stream), as run file name, fsyncs it (the
+// manifest commit that will reference it requires the bytes on stable
 // storage first), and returns it opened as run (tier, seq). A failed write
 // removes the partial file.
 func (ix *Index) writeRun(name string, tier int, seq, n int64, srcs []*mergeSource) (r *run, err error) {
@@ -604,6 +613,9 @@ func (ix *Index) writeRun(name string, tier int, seq, n int64, srcs []*mergeSour
 	}
 	if err != nil {
 		return nil, err
+	}
+	if n < 0 {
+		n = w.Count()
 	}
 	return ix.openRun(name, tier, seq, n)
 }
@@ -671,19 +683,6 @@ func (ix *Index) closeRunsLocked() error {
 		}
 	}
 	return first
-}
-
-// syncFile fsyncs an already-written file so a manifest may reference it.
-func syncFile(fs storage.FS, name string) error {
-	f, err := fs.Open(name)
-	if err != nil {
-		return err
-	}
-	serr := f.Sync()
-	if cerr := f.Close(); serr == nil {
-		serr = cerr
-	}
-	return serr
 }
 
 // swapLocked installs a finished compaction: the merged run replaces its

@@ -2,8 +2,8 @@ package partition
 
 // Build-path contracts of the partition layer: the parent reads the raw
 // dataset once (boundary sample by positioned reads, CRC sidecar out of the
-// scatter's summarization pass), and a build that fails at any storage
-// operation leaves no file behind.
+// sort's summarization pass), a one-chunk build writes no byte twice, and a
+// build that fails at any storage operation leaves no file behind.
 
 import (
 	"bytes"
@@ -11,6 +11,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/core"
@@ -166,7 +167,8 @@ func buildIndex(t *testing.T, variant string, fs storage.FS, workers, parts int)
 // TestPartitionedBuildReadsRawOnce: every partitioned build, at any worker
 // count, persists the sidecar storage.BuildRecordSums would — also over a
 // stale one from a longer dataset — and reads the raw file once: the
-// boundary sample, one summarization pass, and its own temporaries.
+// boundary sample and one summarization pass, whose records, sorted in one
+// chunk, are read back from no file.
 func TestPartitionedBuildReadsRawOnce(t *testing.T) {
 	const count, parts = 2000, 3
 	rawRec := series.EncodedSize(ptLen)
@@ -197,10 +199,14 @@ func TestPartitionedBuildReadsRawOnce(t *testing.T) {
 					if err := ix.Close(); err != nil {
 						t.Fatal(err)
 					}
-					// Temporaries read back once each: scatter files, sort
-					// runs and the tree's sorted file, 24 bytes a record.
-					sample, temporaries := int64(256*rawRec), int64(3*count*24)
-					if limit := rawSize + rawSize/20 + sample + temporaries; io.BytesRead > limit {
+					// The records fit one sort chunk: no temporary is
+					// written, so none is read back. Beyond the raw file and
+					// the sample, the build reads only what opening its
+					// index files reads (leaf-run headers, LSM run
+					// directories and footers) — far below one read of the
+					// 24-byte records.
+					sample := int64(256 * rawRec)
+					if limit := rawSize + rawSize/100 + sample; io.BytesRead > limit {
 						t.Fatalf("build read %d bytes of a %d-byte dataset, want at most %d (one pass)", io.BytesRead, rawSize, limit)
 					}
 					fused, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
@@ -216,6 +222,65 @@ func TestPartitionedBuildReadsRawOnce(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestPartitionedBuildWritesItsFilesOnce: a partitioned build whose records
+// fit one sort chunk writes every byte once — the bytes it writes are
+// exactly those of the files it leaves behind (child leaf runs or LSM runs,
+// child and parent manifests, the raw sidecar) — and creates no file that
+// does not survive it but a manifest's commit temporary: the sorted stream
+// is written straight into the children.
+func TestPartitionedBuildWritesItsFilesOnce(t *testing.T) {
+	for _, variant := range []string{"tree", "trie", "lsm"} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", variant, workers), func(t *testing.T) {
+				fs := storage.NewMemFS()
+				if _, err := dataset.WriteFile(fs, "raw", dataset.NewRandomWalk(), 2000, ptLen, 42); err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				var created []string
+				fs.SetFault(func(op storage.Op, name string, off int64, n int) error {
+					if op == storage.OpCreate {
+						mu.Lock()
+						created = append(created, name)
+						mu.Unlock()
+					}
+					return nil
+				})
+				before := fs.Stats().Snapshot()
+				ix, err := buildIndex(t, variant, fs, workers, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.Close(); err != nil {
+					t.Fatal(err)
+				}
+				written := fs.Stats().Snapshot().Sub(before).BytesWritten
+				left := map[string]bool{}
+				var size int64
+				for _, name := range fs.Names() {
+					if name == "raw" {
+						continue
+					}
+					left[name] = true
+					b, err := storage.ReadFileAll(fs, name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					size += int64(len(b))
+				}
+				if written != size {
+					t.Fatalf("build wrote %d bytes, its files %v hold %d", written, fs.Names(), size)
+				}
+				for _, name := range created {
+					if !left[name] && !strings.HasSuffix(name, ".tmp") {
+						t.Fatalf("build created %q and removed it (created %v)", name, created)
+					}
+				}
+			})
 		}
 	}
 }

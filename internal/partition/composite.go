@@ -1,12 +1,15 @@
 package partition
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/core"
+	"github.com/coconut-db/coconut/internal/extsort"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
@@ -43,53 +46,49 @@ type Composite struct {
 }
 
 // Build builds the Composite of parts children of v; a failed build removes
-// the children it finished. With parts < 2 the one child is the
-// unpartitioned index: it bulk-loads, under v's name, from the
-// summarization pass over the raw file, and its manifest is the index's.
-// Otherwise one summarization pass scatters records to per-partition files
-// by key range, the children bulk-load in parallel, and the parent manifest
-// commits last. bounds, when set, are the parts-1 boundaries to keep — a
-// rebuild's, so that every child it commits holds exactly the records of
-// the child it replaces and a rebuild cut short between two child commits
-// still splits the records one way; nil samples them from the dataset.
+// the children it finished. One summarization pass over the raw file feeds
+// one sort of its records; once the pass has been read to its end, the raw
+// log's fresh sidecar is made durable, and the children are written one
+// after another from the sorted stream, each from the records below its
+// key-range boundary. With parts < 2 the one child, holding every record,
+// is the unpartitioned index: stored under v's name, its manifest is the
+// index's. Otherwise the parent manifest commits last. bounds, when set,
+// are the parts-1 boundaries to keep — a rebuild's, so that every child it
+// commits holds exactly the records of the child it replaces and a rebuild
+// cut short between two child commits still splits the records one way;
+// nil samples them from the dataset.
 func Build(v Variant, parts int, bounds []summary.Key) (*Composite, error) {
-	if parts < 2 {
-		return buildOne(v)
-	}
-	sc, err := scatterDataset(v, parts, bounds)
+	raw, err := v.fs.Open(v.rawName)
 	if err != nil {
 		return nil, err
 	}
-	c := &Composite{v: v, bounds: sc.bounds, kids: make([]Child, parts), rawSums: sc.sums}
-	buildPar := shard.Resolve(v.workers, parts)
-	err = shard.FanOut(context.Background(), buildPar, parts, func(i int, cancelled func() bool) error {
-		if cancelled() {
-			return nil
+	defer raw.Close()
+	names := []string{v.name}
+	if parts > 1 {
+		if bounds == nil {
+			if bounds, err = selectBoundaries(raw, v.s, parts); err != nil {
+				return nil, err
+			}
 		}
-		src, err := core.RecordSource(v.fs, scatterName(v.name, i))
-		if err != nil {
-			return fmt.Errorf("partition %d: %w", i, err)
+		names = make([]string, parts)
+		for i := range names {
+			names[i] = childName(v.name, i)
 		}
-		defer src.Close()
-		ix, err := v.child(childPlan{i: i, parts: parts, par: buildPar, name: sc.children[i],
-			records: src, bounds: sc.bounds, sums: sc.sums})
-		if err != nil {
-			return fmt.Errorf("partition %d: %w", i, err)
-		}
-		c.kids[i] = ix
-		return nil
-	})
-	removeScatter(v.fs, v.name, parts)
+	}
+	src, sums, err := core.SummarySource(v.fs, v.s, raw, v.rawName, v.materialized, v.workers)
+	if err != nil {
+		return nil, err
+	}
+	c := &Composite{v: v, bounds: bounds, rawSums: sums}
+	total, err := c.buildChildren(src, names)
 	// The parent manifest commits last: nothing after it can fail the build.
-	if err == nil {
-		err = commitParent(v, sc)
+	if err == nil && len(names) > 1 {
+		err = commitParent(v, bounds, names, total)
 	}
 	if err != nil {
 		for i, k := range c.kids {
-			if k != nil {
-				k.Close()
-				v.remove(v.fs, sc.children[i])
-			}
+			k.Close()
+			v.remove(v.fs, names[i])
 		}
 		c.rawSums.Close()
 		return nil, err
@@ -97,25 +96,45 @@ func Build(v Variant, parts int, bounds []summary.Key) (*Composite, error) {
 	return c, nil
 }
 
-// buildOne builds the one-child Composite from the summarization pass over
-// the raw file, which fills the raw log's fresh sidecar on the way; the
-// child persists it before it commits its manifest.
-func buildOne(v Variant) (*Composite, error) {
-	raw, err := v.fs.Open(v.rawName)
+// buildChildren sorts the record stream src once and writes the children
+// names from it in key order, each from the records below its boundary. It
+// returns the number of records.
+func (c *Composite) buildChildren(src io.Reader, names []string) (int64, error) {
+	v := c.v
+	sorted, total, err := extsort.Sorted(extsort.Config{
+		FS:         v.fs,
+		RecordSize: core.RecordSize(v.s.Params().SeriesLen, v.materialized),
+		Compare:    extsort.CompareKeyPrefix(summary.KeySize),
+		MemBudget:  v.memBudget,
+		TempPrefix: v.name + ".sort",
+		Workers:    v.workers,
+	}, src)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	defer raw.Close()
-	src, sums, err := core.SummarySource(v.fs, v.s, raw, v.rawName, v.materialized, v.workers)
-	if err != nil {
-		return nil, err
+	defer sorted.Close()
+	// The sort has read the summarization pass to its end, so the sidecar
+	// it filled is complete; it is durable before any child commits.
+	if err := c.rawSums.Flush(); err != nil {
+		return 0, err
 	}
-	defer src.Close()
-	kid, err := v.child(childPlan{parts: 1, par: 1, name: v.name, records: src, sums: sums})
-	if err != nil {
-		return nil, err
+	for i, name := range names {
+		// Child i takes the records below bounds[i]; the last, the rest.
+		records := io.Reader(sorted)
+		if i < len(c.bounds) {
+			bound := c.bounds[i]
+			records = sorted.While(func(rec []byte) bool { return bytes.Compare(rec[:summary.KeySize], bound[:]) < 0 })
+		}
+		ix, err := v.child(childPlan{i: i, parts: len(names), name: name, records: records, bounds: c.bounds, sums: c.rawSums})
+		if err != nil {
+			if len(names) > 1 {
+				err = fmt.Errorf("partition %d: %w", i, err)
+			}
+			return 0, err
+		}
+		c.kids = append(c.kids, ix)
 	}
-	return &Composite{v: v, kids: []Child{kid}, rawSums: sums}, nil
+	return total, sorted.Close()
 }
 
 // Open reopens the Composite of v: an unpartitioned index's one child from
@@ -140,8 +159,7 @@ func Open(v Variant, parts int) (*Composite, error) {
 	}
 	n := len(names)
 	for i, cname := range names {
-		ix, err := v.child(childPlan{i: i, parts: n, par: n, name: cname,
-			bounds: c.bounds, sums: c.rawSums})
+		ix, err := v.child(childPlan{i: i, parts: n, name: cname, bounds: c.bounds, sums: c.rawSums})
 		if err != nil {
 			c.closeFiles()
 			return nil, fmt.Errorf("partition: opening child %q: %w", cname, err)

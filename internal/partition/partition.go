@@ -15,13 +15,14 @@
 //
 // The Composite owns what its children share: the raw log (the raw file and
 // its CRC sidecar, storage.RecordSums), the build's record stream, and the
-// handle lock. A one-child index is stored exactly as an unpartitioned one —
-// its files under the index name, no parent manifest — and bulk-loads from
-// the summarization pass over the raw file. With N >= 2 records are routed
-// to partitions by key range (boundaries chosen from a dataset sample so
-// partitions balance): one pass scatters them into one file per partition,
-// the children build in parallel, and queries scatter to every partition
-// and gather deterministically.
+// handle lock. A build is one summarization pass over the raw file and one
+// sort of its records (internal/extsort), read as one sorted stream: with N
+// >= 2 partitions split it by key range (boundaries chosen from a dataset
+// sample so partitions balance), and the children are written one after
+// another, each from the share of the stream below its boundary. A
+// one-child index is stored exactly as an unpartitioned one — its files
+// under the index name, no parent manifest. Queries scatter to every
+// partition and gather deterministically.
 //
 // Everything below the public package takes its context first and has no
 // context-free twin; a build, an open or a test with no caller context
@@ -123,11 +124,13 @@ type Variant struct {
 	fs            storage.FS
 	name, rawName string
 	s             *summary.Summarizer
-	// materialized and leafCap describe the children's records to the scatter
+	// materialized and leafCap describe the children's records to the sort
 	// and the parent manifest.
 	materialized bool
 	leafCap      int
+	// workers and memBudget are the build's summarization pass and sort's.
 	workers      int
+	memBudget    int64
 	queryWorkers int
 	// seedRadius is the radius of the window that seeds an exact search.
 	seedRadius int
@@ -141,14 +144,14 @@ type Variant struct {
 }
 
 // childPlan is one child as its Variant sees it: which of how many it is,
-// how many build or open at once (budgets divide by it), and what the
-// Composite hands down — the key ranges, the record stream, the raw log.
+// and what the Composite hands down — the key ranges, the sorted record
+// stream of a build, the raw log.
 type childPlan struct {
-	i, parts, par int
-	name          string
-	records       *core.BuildSource
-	bounds        []summary.Key
-	sums          *storage.RecordSums
+	i, parts int
+	name     string
+	records  io.Reader
+	bounds   []summary.Key
+	sums     *storage.RecordSums
 }
 
 // seedRadius is the radius every variant's exact search seeds from, unless
@@ -170,17 +173,16 @@ func coreVariant[T Child](kind manifest.Variant, opt core.Options, build, open f
 		kind: kind,
 		fs:   opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
 		materialized: opt.Materialized, leafCap: opt.LeafCap,
-		workers: opt.Workers, queryWorkers: opt.QueryWorkers,
-		seedRadius: seedRadius,
-		remove:     core.Remove,
-		// Same geometry and summarization; a partition divides the worker
-		// and memory budgets.
+		workers: opt.Workers, memBudget: orDefault(opt.MemBudgetBytes, core.DefaultMemBudget),
+		queryWorkers: opt.QueryWorkers,
+		seedRadius:   seedRadius,
+		remove:       core.Remove,
+		// Same geometry and summarization; a partition divides the query
+		// workers.
 		child: func(p childPlan) (Child, error) {
 			co := opt
 			co.Name, co.Records, co.RawSums = p.name, p.records, p.sums
 			if p.parts > 1 {
-				co.MemBudgetBytes = divideBudget(opt.MemBudgetBytes, p.par, 1<<20)
-				co.Workers = shard.PerGroup(opt.Workers, p.par)
 				co.QueryWorkers = shard.PerGroup(opt.QueryWorkers, p.parts)
 			}
 			load := open
@@ -204,11 +206,12 @@ func LSMVariant(opt lsm.Options) Variant {
 	return Variant{
 		kind: manifest.VariantLSM,
 		fs:   opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
-		workers: opt.Workers, queryWorkers: opt.QueryWorkers,
-		seedRadius: seedRadius,
-		ackInserts: true,
-		remove:     lsm.Remove,
-		// A partition divides the global memory and worker budgets, so
+		workers: opt.Workers, memBudget: orDefault(opt.MemBudgetBytes, lsm.DefaultMemBudget),
+		queryWorkers: opt.QueryWorkers,
+		seedRadius:   seedRadius,
+		ackInserts:   true,
+		remove:       lsm.Remove,
+		// A partition divides the global memtable and query budgets, so
 		// aggregate resource use matches the unpartitioned configuration. The
 		// ownership filter scopes any reconstruction-from-raw to the
 		// partition's key range — the raw dataset is shared, and a partition
@@ -219,8 +222,9 @@ func LSMVariant(opt lsm.Options) Variant {
 			co.Name, co.Records, co.RawSums = p.name, p.records, p.sums
 			if p.parts > 1 {
 				co.Owns = func(k summary.Key) bool { return route(p.bounds, k) == p.i }
-				co.MemBudgetBytes = divideBudget(opt.MemBudgetBytes, p.parts, 64<<10)
-				co.Workers = shard.PerGroup(opt.Workers, p.par)
+				if opt.MemBudgetBytes > 0 {
+					co.MemBudgetBytes = max(opt.MemBudgetBytes/int64(p.parts), 64<<10)
+				}
 				co.QueryWorkers = shard.PerGroup(opt.QueryWorkers, p.parts)
 			}
 			load := lsm.Open
@@ -245,9 +249,6 @@ func (v Variant) Seeded(radius int) Variant {
 
 // childName returns the index-name prefix of partition i.
 func childName(name string, i int) string { return fmt.Sprintf("%s.p%03d", name, i) }
-
-// scatterName returns partition i's temporary build-time record file.
-func scatterName(name string, i int) string { return childName(name, i) + ".scatter" }
 
 // route returns the partition owning key under bounds: partition i owns
 // keys in [bounds[i-1], bounds[i]), with the first and last ranges open
@@ -284,7 +285,7 @@ func selectBoundaries(raw storage.File, s *summary.Summarizer, parts int) ([]sum
 		return nil, fmt.Errorf("partition: dataset has %d series, too few for %d partitions", count, parts)
 	}
 	// The sample is every stride-th record: a few hundred positioned reads,
-	// not a pass over the dataset — the scatter's summarization pass stays
+	// not a pass over the dataset — the build's summarization pass stays
 	// the only one.
 	stride := count / target
 	buf := make([]byte, sz)
@@ -320,134 +321,9 @@ func selectBoundaries(raw storage.File, s *summary.Summarizer, parts int) ([]sum
 	return bounds, nil
 }
 
-// scattered is what the parent's pass over the dataset leaves for the
-// child builds: the key-range boundaries, the children's names, one
-// scatter file per child, and the total record count.
-type scattered struct {
-	bounds   []summary.Key
-	children []string
-	total    int64
-	// sums is the Composite's raw log of the shared dataset file, already
-	// persisted. Every child verifies its raw fetches through this one
-	// handle, and only the Composite — the sole raw writer — appends to it.
-	sums *storage.RecordSums
-}
-
-// scatterDataset is the first half of every partitioned build: boundaries
-// from a sample (unless bounds keeps a stored set), then ONE pass over the
-// raw dataset that summarizes it, scatters the (key, position[, raw])
-// records by key range into one file per partition and computes the CRC
-// sidecar from the same bytes (an existing sidecar may describe a replaced
-// dataset, so a build never reuses one). On error no scatter file is left
-// behind.
-func scatterDataset(v Variant, parts int, bounds []summary.Key) (*scattered, error) {
-	fs, name, s := v.fs, v.name, v.s
-	raw, err := fs.Open(v.rawName)
-	if err != nil {
-		return nil, err
-	}
-	defer raw.Close()
-	sc := &scattered{bounds: bounds, children: make([]string, parts)}
-	if bounds == nil {
-		if sc.bounds, err = selectBoundaries(raw, s, parts); err != nil {
-			return nil, err
-		}
-	}
-	src, sums, err := core.SummarySource(fs, s, raw, v.rawName, v.materialized, v.workers)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, parts)
-	for i := range names {
-		names[i] = scatterName(name, i)
-		sc.children[i] = childName(name, i)
-	}
-	recSize := summary.KeySize + 8
-	if v.materialized {
-		recSize += series.EncodedSize(s.Params().SeriesLen)
-	}
-	sc.total, err = scatter(fs, src, recSize, sc.bounds, names)
-	if err = src.Finish(err); err != nil {
-		removeScatter(fs, name, parts)
-		return nil, err
-	}
-	sc.sums = sums
-	return sc, nil
-}
-
-// scatter splits the record stream src (fixed-size records, key first)
-// into one file per partition, routed by key range. Returns the total
-// record count.
-func scatter(fs storage.FS, src io.Reader, recSize int, bounds []summary.Key, names []string) (int64, error) {
-	files := make([]storage.File, len(names))
-	ws := make([]*storage.SequentialWriter, len(names))
-	// Whatever is still open when scatter returns — on any error — is closed.
-	defer func() {
-		for _, f := range files {
-			if f != nil {
-				f.Close()
-			}
-		}
-	}()
-	for i, n := range names {
-		f, err := fs.Create(n)
-		if err != nil {
-			return 0, err
-		}
-		files[i] = f
-		ws[i] = storage.NewSequentialWriter(f, 0, 0)
-	}
-	var total int64
-	var key summary.Key
-	buf := make([]byte, recSize*512)
-	for {
-		n, err := io.ReadFull(src, buf)
-		if err == io.EOF {
-			break
-		}
-		if err == io.ErrUnexpectedEOF {
-			if n%recSize != 0 {
-				return 0, fmt.Errorf("partition: record stream truncated (%d trailing bytes)", n%recSize)
-			}
-		} else if err != nil {
-			return 0, err
-		}
-		for off := 0; off+recSize <= n; off += recSize {
-			copy(key[:], buf[off:off+summary.KeySize])
-			if _, werr := ws[route(bounds, key)].Write(buf[off : off+recSize]); werr != nil {
-				return 0, werr
-			}
-			total++
-		}
-		if err == io.ErrUnexpectedEOF {
-			break
-		}
-	}
-	for i := range ws {
-		if err := ws[i].Flush(); err != nil {
-			return 0, err
-		}
-	}
-	for i, f := range files {
-		files[i] = nil
-		if err := f.Close(); err != nil {
-			return 0, err
-		}
-	}
-	return total, nil
-}
-
-// removeScatter deletes the temporary scatter files (best-effort; they are
-// never referenced by a manifest).
-func removeScatter(fs storage.FS, name string, parts int) {
-	for i := 0; i < parts; i++ {
-		_ = fs.Remove(scatterName(name, i))
-	}
-}
-
 // commitParent writes the parent manifest, the build's durability point:
 // it is committed only after every child committed its own manifest.
-func commitParent(v Variant, sc *scattered) error {
+func commitParent(v Variant, bounds []summary.Key, children []string, total int64) error {
 	p := v.s.Params()
 	return manifest.Commit(v.fs, v.name, &manifest.Manifest{
 		Variant:      manifest.VariantPartitioned,
@@ -457,12 +333,12 @@ func commitParent(v Variant, sc *scattered) error {
 		Materialized: v.materialized,
 		LeafCap:      v.leafCap,
 		RawName:      v.rawName,
-		Count:        sc.total,
+		Count:        total,
 		Part: &manifest.PartitionLayout{
 			ChildVariant: v.kind,
-			Partitions:   len(sc.children),
-			Boundaries:   sc.bounds,
-			Children:     sc.children,
+			Partitions:   len(children),
+			Boundaries:   bounds,
+			Children:     children,
 		},
 	})
 }
@@ -513,16 +389,10 @@ func loadStored(v Variant, parts int) (*manifest.Manifest, error) {
 	return m, nil
 }
 
-// divideBudget splits a byte budget across n concurrent consumers with a
-// floor; zero (defaulted) budgets pass through so each consumer applies
-// its own default.
-func divideBudget(total int64, n int, floor int64) int64 {
-	if total <= 0 {
-		return 0
+// orDefault is a byte budget, or def when it is unset (<= 0).
+func orDefault(budget, def int64) int64 {
+	if budget <= 0 {
+		return def
 	}
-	b := total / int64(n)
-	if b < floor {
-		b = floor
-	}
-	return b
+	return budget
 }

@@ -312,10 +312,11 @@ type QueryRequest struct {
 	K int `json:"k,omitempty"`
 	// Radius widens the approximate search: every type evaluates
 	// 32×(radius+1) records around the query's sort position; exact search
-	// seeds from radius 1. An absent radius is 1 and a negative one is 0;
-	// a QueryRequest marshalled with Radius 0 sends none, so a Go client
-	// asks for radius 0 with a negative Radius.
-	Radius int `json:"radius,omitempty"`
+	// seeds from radius 1. A radius absent from the JSON body is 1, and a
+	// negative one is 0. A marshalled QueryRequest always sends its Radius,
+	// so a Go client's Radius is the radius searched at: set it to 1 for
+	// the default.
+	Radius int `json:"radius"`
 	// TimeoutMS overrides the server's default deadline, capped at its
 	// maximum.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`

@@ -337,6 +337,21 @@ func TestServerApproxRadius(t *testing.T) {
 						name, qi, c.field, got.Results, got.VisitedSeries, c.radius, w.Results, w.VisitedSeries)
 				}
 			}
+			// A Go client's QueryRequest asks for the radius it holds, 0 too.
+			for radius, w := range want {
+				st, raw, _ := postJSON(t, ts.URL+"/query", QueryRequest{Index: name, Series: q, Mode: "approx", Radius: radius})
+				if st != http.StatusOK {
+					t.Fatalf("%s query %d, Go-marshalled radius %d: %d %s", name, qi, radius, st, raw)
+				}
+				var got QueryResponse
+				if err := json.Unmarshal(raw, &got); err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Results) != 1 || got.Results[0] != w.Results[0] || got.VisitedSeries != w.VisitedSeries {
+					t.Fatalf("%s query %d, Go-marshalled radius %d: %+v visiting %d, SearchApprox %+v visiting %d",
+						name, qi, radius, got.Results, got.VisitedSeries, w.Results, w.VisitedSeries)
+				}
+			}
 		}
 		if !distinct {
 			t.Fatalf("%s: no query tells radius 0 from radius 1", name)

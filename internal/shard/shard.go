@@ -207,7 +207,7 @@ func join(ctx context.Context, wg *sync.WaitGroup, errs []error) error {
 // FanOut runs fn(i) once for every group i in [0, n) on up to workers
 // goroutines. Unlike Scan, which splits one contiguous range into shards,
 // each group here is an independent unit of work — a partition of a
-// partitioned index to build, query or insert into, a run-forming worker of
+// partitioned index to query or insert into, a run-forming worker of
 // the external sort, a merge of one of its intermediate generations —
 // dispatched from a shared counter so finished workers steal the next group instead of
 // idling. fn must poll cancelled between expensive steps; when any group

@@ -91,8 +91,8 @@ func TestConcurrentApproxWithInserts(t *testing.T) {
 
 // TestOnePartitionIsUnpartitionedLayout: with Partitions 0 or 1 every index
 // type stores exactly the unpartitioned layout — its manifest, its index
-// files, the raw file's sidecar, and no partition suffix, parent manifest
-// or scatter file — which Open with Partitions 0 or 1 accepts and 2 refuses
+// files, the raw file's sidecar, and no partition suffix or parent
+// manifest — which Open with Partitions 0 or 1 accepts and 2 refuses
 // with ErrConfigMismatch.
 func TestOnePartitionIsUnpartitionedLayout(t *testing.T) {
 	type handle interface{ Close() error }

@@ -255,8 +255,8 @@ func TestPartitionConformanceLSM(t *testing.T) {
 }
 
 // TestPartitionConformanceOSFS runs the tree conformance on a real
-// filesystem so the scatter files, child manifests, and parent manifest
-// exercise the OS-backed storage path.
+// filesystem so the sort's temporaries, child files and manifests, and
+// parent manifest exercise the OS-backed storage path.
 func TestPartitionConformanceOSFS(t *testing.T) {
 	queries := partQueries(t)
 	buildAnswers := func(parts int) partAnswers {

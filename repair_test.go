@@ -123,7 +123,8 @@ func TestRepairRebuildsUnreadableChildManifest(t *testing.T) {
 // TestRepairLeavesNoOrphans rots one run of an LSM that holds several —
 // flushed, compacted and bulk-loaded — and requires that after Repair every
 // run file on the device is one the post-repair Scrub names, and that no
-// sort or scatter temporary is left.
+// sort temporary, nor a per-partition .scatter file of the build the
+// partition layer once made, is left.
 func TestRepairLeavesNoOrphans(t *testing.T) {
 	for _, parts := range []int{1, 3} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {

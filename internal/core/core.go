@@ -4,10 +4,10 @@
 //
 // Both variants share the same pipeline (§4) and the same stored form, the
 // leaf run: one sequential pass over the raw file computes each series'
-// invSAX key, the (key, position[, raw]) records are externally sorted under
-// the memory budget (once per build, by the partition layer), the sorted
-// stream is written once, into one file, and a leaf directory of record
-// counts cuts the sorted run into contiguous leaves. The
+// invSAX key, the (key, position) records (summary.Record) are externally
+// sorted under the memory budget (once per build, by the partition layer),
+// the sorted stream is written once, into one file, and a leaf directory of
+// record counts cuts the sorted run into contiguous leaves. The
 // variants differ only in where the leaf boundaries fall:
 //
 //   - Coconut-Trie (Algorithm 2) cuts it into the leaves of an iSAX-style
@@ -19,9 +19,12 @@
 //     leaves, to the configured fill factor, and splits a full leaf at the
 //     median when inserts arrive.
 //
-// The "-Full" (materialized) variants carry the raw series through the sort
-// and into the leaves; the plain variants store only (key, position) and
-// fetch raw data from the dataset file at query time.
+// The "-Full" (materialized) variants store each record's raw series in the
+// leaves too. The sort never carries it: it sorts (key, position) records,
+// and the leaf-run writer gathers each series by position from the raw file
+// — a second, random-order read of it, verified against the raw log — as it
+// writes the record (a key-pointer sort, §4). The plain variants store only
+// (key, position) and fetch raw data from the dataset file at query time.
 package core
 
 import (
@@ -53,10 +56,11 @@ type Options struct {
 	S *summary.Summarizer
 	// RawName is the dataset file in raw binary format.
 	RawName string
-	// Records is the sorted (key, position[, raw]) record stream a build
-	// writes: the partition layer's one sort of the summarization pass, or
-	// the share of it below the child's key-range boundary. Open ignores it.
-	Records io.Reader
+	// Records is the sorted record stream a build writes: the partition
+	// layer's one sort of the summarization pass, or the share of it below
+	// the child's key-range boundary; its Len is the room the build reserves.
+	// Open ignores it.
+	Records summary.RecordReader
 	// Materialized stores raw series inside the index ("-Full" variants).
 	Materialized bool
 	// LeafCap is the records-per-leaf capacity (paper: 2000).
@@ -112,16 +116,13 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// recordSize returns the sort/leaf record size for the configuration.
-func (o *Options) recordSize() int { return RecordSize(o.S.Params().SeriesLen, o.Materialized) }
-
-// RecordSize is the size of a (key, position[, raw series]) record.
-func RecordSize(seriesLen int, materialized bool) int {
-	n := summary.KeySize + 8
-	if materialized {
-		n += series.EncodedSize(seriesLen)
+// recordSize returns the size of a leaf record: the key, the position
+// little-endian and, when materialized, the encoded raw series.
+func (o *Options) recordSize() int {
+	if o.Materialized {
+		return summary.RecordSize + series.EncodedSize(o.S.Params().SeriesLen)
 	}
-	return n
+	return summary.RecordSize
 }
 
 // Neighbor is one exact search answer: a record position and its distance
@@ -154,61 +155,49 @@ type Shape struct {
 	Runs     int
 }
 
-// encodeRecord packs (key, pos[, raw series]) into dst.
-func encodeRecord(dst []byte, key summary.Key, pos int64, raw []byte) {
-	copy(dst, key[:])
-	binary.LittleEndian.PutUint64(dst[summary.KeySize:], uint64(pos))
-	if raw != nil {
-		copy(dst[summary.KeySize+8:], raw)
-	}
+// decodeRecord unpacks a leaf record: its key and position, and the raw
+// series a materialized record carries after them (aliasing rec; empty
+// otherwise).
+func decodeRecord(rec []byte) (summary.Record, []byte) {
+	var r summary.Record
+	copy(r.Key[:], rec)
+	r.Pos = int64(binary.LittleEndian.Uint64(rec[summary.KeySize:]))
+	return r, rec[summary.RecordSize:]
 }
 
-// decodeRecord unpacks a record; raw aliases rec's storage when present.
-func decodeRecord(rec []byte, materialized bool) (key summary.Key, pos int64, raw []byte) {
-	copy(key[:], rec[:summary.KeySize])
-	pos = int64(binary.LittleEndian.Uint64(rec[summary.KeySize:]))
-	if materialized {
-		raw = rec[summary.KeySize+8:]
-	}
-	return key, pos, raw
-}
-
-// summaryRecordReader streams the (invSAX, position[, raw]) sort records of
-// a raw dataset file — phase one of Algorithms 2 and 3 (lines 2-8). It
-// summarizes the file in batches of workers × blockRecords records: one
-// shard.Scan a batch, each shard reading its contiguous range with one
-// Views.Read (a view of the mapped file on OSFS, one ReadAt otherwise),
-// keying the records where they lie (summary.KeyOfEncoded: no decode, no
-// per-series allocation) and encoding them into its own slice of the
-// batch's output (in materialized mode the raw bytes are copied straight
-// from the input, never re-encoded). Shards write disjoint slices and the
-// batch is drained in order, so the stream is byte-identical for any worker
-// count.
+// summaryRecordReader streams the (invSAX, position) records of a raw
+// dataset file — phase one of Algorithms 2 and 3 (lines 2-8). It summarizes
+// the file in batches of workers × blockRecords records: one shard.Scan a
+// batch, each shard reading its contiguous range with one Views.Read (a view
+// of the mapped file on OSFS, one ReadAt otherwise) and keying the records
+// where they lie (summary.KeyOfEncoded: no decode, no per-series allocation)
+// into its own slice of the batch's records. Shards write disjoint slices
+// and the batch is drained in order, so the stream is the same for any
+// worker count.
 //
-// It is the only pass a bulk load makes over the raw file: sums (from
-// storage.NewRecordSums on the same file) has its per-record CRCs filled
-// from the bytes each key is computed from, complete once the stream has
-// been read to EOF. A torn trailing partial record is not part of the
-// dataset and is left unread.
+// It is the only pass a bulk load makes over the raw file in file order:
+// sums (from storage.NewRecordSums on the same file) has its per-record CRCs
+// filled from the bytes each key is computed from, complete once the stream
+// has been read to its end. A torn trailing partial record is not part of
+// the dataset and is left unread.
 type summaryRecordReader struct {
-	s            *summary.Summarizer
-	raw          storage.File
-	materialized bool
-	workers      int
-	sums         *storage.RecordSums
-	inSize       int
-	outSize      int
-	next, end    int64  // the next record to summarize, and the record count
-	in, out      []byte // one batch of raw input (unused under views) and of records
-	avail        []byte // the current batch's records not yet read
-	err          error
+	s         *summary.Summarizer
+	raw       storage.File
+	workers   int
+	sums      *storage.RecordSums
+	inSize    int
+	next, end int64            // the next record to summarize, and the record count
+	in        []byte           // one batch of raw input (unused under views)
+	out       []summary.Record // one batch of records
+	avail     []summary.Record // the current batch's records not yet read
+	err       error
 }
 
 // blockRecords is the number of records each shard of a batch summarizes:
 // 256 KiB of raw input.
 func blockRecords(inSize int) int { return max((256<<10)/inSize, 1) }
 
-func newSummaryRecordReader(s *summary.Summarizer, raw storage.File, materialized bool, workers int, sums *storage.RecordSums) (*summaryRecordReader, error) {
+func newSummaryRecordReader(s *summary.Summarizer, raw storage.File, workers int, sums *storage.RecordSums) (*summaryRecordReader, error) {
 	inSize := series.EncodedSize(s.Params().SeriesLen)
 	size, err := raw.Size()
 	if err != nil {
@@ -220,15 +209,13 @@ func newSummaryRecordReader(s *summary.Summarizer, raw storage.File, materialize
 	}
 	workers = shard.Resolve(workers, math.MaxInt)
 	batch := int(min(int64(workers*blockRecords(inSize)), records))
-	outSize := RecordSize(s.Params().SeriesLen, materialized)
 	return &summaryRecordReader{
-		s: s, raw: raw, materialized: materialized, workers: workers, sums: sums,
-		inSize: inSize, outSize: outSize, end: records,
-		in: make([]byte, batch*inSize), out: make([]byte, batch*outSize),
+		s: s, raw: raw, workers: workers, sums: sums, inSize: inSize, end: records,
+		in: make([]byte, batch*inSize), out: make([]summary.Record, batch),
 	}, nil
 }
 
-func (r *summaryRecordReader) Read(p []byte) (int, error) {
+func (r *summaryRecordReader) Read(p []summary.Record) (int, error) {
 	for len(r.avail) == 0 && r.err == nil {
 		if r.next == r.end {
 			r.err = io.EOF
@@ -244,10 +231,13 @@ func (r *summaryRecordReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// Len is the number of records not read yet.
+func (r *summaryRecordReader) Len() int { return int(r.end-r.next) + len(r.avail) }
+
 // fill summarizes the next batch into out.
 func (r *summaryRecordReader) fill() error {
 	base := r.next
-	n := int(min(int64(len(r.out)/r.outSize), r.end-base))
+	n := int(min(int64(len(r.out)), r.end-base))
 	err := shard.Scan(context.Background(), r.workers, n, func(_ int, sh shard.Range, _ func() bool) (err error) {
 		views := storage.PinViews(r.raw)
 		defer views.Release(&err)
@@ -257,13 +247,8 @@ func (r *summaryRecordReader) fill() error {
 		}
 		r.sums.Fill(base+int64(sh.Lo), in)
 		for i := range sh.Hi - sh.Lo {
-			rec := in[i*r.inSize : (i+1)*r.inSize]
-			var mat []byte
-			if r.materialized {
-				mat = rec
-			}
 			pos := sh.Lo + i
-			encodeRecord(r.out[pos*r.outSize:(pos+1)*r.outSize], r.s.KeyOfEncoded(rec), base+int64(pos), mat)
+			r.out[pos] = summary.Record{Key: r.s.KeyOfEncoded(in[i*r.inSize : (i+1)*r.inSize]), Pos: base + int64(pos)}
 		}
 		return nil
 	})
@@ -271,44 +256,27 @@ func (r *summaryRecordReader) fill() error {
 		return err
 	}
 	r.next += int64(n)
-	r.avail = r.out[:n*r.outSize]
+	r.avail = r.out[:n]
 	return nil
 }
 
 // SummarySource opens the summarization pass over raw (open on rawName): the
-// unsorted (key, position[, raw]) record stream a bulk load sorts, and the
-// fresh sidecar it fills on the way, complete once the stream has been read
-// to its end — the raw file is read once, and an existing sidecar file may
-// describe a replaced dataset, so it is never reused. Whoever drains the
-// stream persists the sidecar (RecordSums.Flush) before any manifest may
-// reference the build.
-func SummarySource(fs storage.FS, s *summary.Summarizer, raw storage.File, rawName string, materialized bool, workers int,
-) (io.Reader, *storage.RecordSums, error) {
+// unsorted record stream a bulk load sorts, and the fresh sidecar it fills
+// on the way, complete once the stream has been read to its end — an
+// existing sidecar file may describe a replaced dataset, so it is never
+// reused. Whoever drains the stream persists the sidecar (RecordSums.Flush)
+// before any manifest may reference the build.
+func SummarySource(fs storage.FS, s *summary.Summarizer, raw storage.File, rawName string, workers int,
+) (summary.RecordReader, *storage.RecordSums, error) {
 	sums, err := storage.NewRecordSums(fs, rawName, series.EncodedSize(s.Params().SeriesLen), raw)
 	if err != nil {
 		return nil, nil, err
 	}
-	src, err := newSummaryRecordReader(s, raw, materialized, workers, sums)
+	src, err := newSummaryRecordReader(s, raw, workers, sums)
 	if err != nil {
 		return nil, nil, err
 	}
 	return src, sums, nil
-}
-
-// ReadRecords reads the next records of a stream of size-byte records into
-// buf, as many whole ones as fit: none, and io.EOF, at the stream's end. A
-// stream that ends inside a record fails with io.ErrUnexpectedEOF.
-func ReadRecords(in io.Reader, buf []byte, size int) ([]byte, error) {
-	n, err := io.ReadFull(in, buf[:len(buf)/size*size])
-	switch {
-	case err == io.ErrUnexpectedEOF && n%size == 0:
-		return buf[:n], nil
-	case err == io.ErrUnexpectedEOF:
-		return nil, fmt.Errorf("core: record stream ends %d bytes into a record: %w", n%size, err)
-	case err != nil:
-		return nil, err
-	}
-	return buf[:n], nil
 }
 
 // ErrEmptyIndex is returned when searching an index with no records.
@@ -329,17 +297,15 @@ func newSimsArray(s *summary.Summarizer, n int) simsArray {
 	return simsArray{col: s.NewColumn(n), positions: make([]int64, 0, n)}
 }
 
-// add appends a sorted (key, position[, raw]) record. Its key is
-// de-interleaved into a row here, once, instead of by every query's
-// lower-bound pass.
-func (a *simsArray) add(rec []byte) {
-	key, pos, _ := decodeRecord(rec, false)
-	a.col.AppendKey(key)
-	a.positions = append(a.positions, pos)
+// add appends a sorted record. Its key is de-interleaved into a row here,
+// once, instead of by every query's lower-bound pass.
+func (a *simsArray) add(rec summary.Record) {
+	a.col.AppendKey(rec.Key)
+	a.positions = append(a.positions, rec.Pos)
 }
 
-// clip trims the arrays' capacity to their length: a build does not know
-// its record count until its record stream ends.
+// clip trims the arrays' capacity to their length: a build knows its
+// record count only once its record stream ends, and reserves an estimate.
 func (a *simsArray) clip() {
 	if cap(a.col.Syms) > len(a.col.Syms) {
 		a.col.Syms = append(make([]uint8, 0, len(a.col.Syms)), a.col.Syms...)
@@ -427,17 +393,6 @@ func leafOfOrd(bases []int, ord int) int {
 	return sort.Search(len(bases), func(i int) bool { return bases[i] > ord }) - 1
 }
 
-// InsertRec is one pre-summarized insert record: the partition layer
-// writes the raw dataset bytes once, assigns global arrival-order
-// positions, and routes these to the owning partition's index.
-type InsertRec struct {
-	// Key is the series' invSAX key; Pos its ordinal in the dataset file.
-	Key summary.Key
-	Pos int64
-	// Raw holds the encoded series bytes; required when materialized.
-	Raw []byte
-}
-
 // ReadRawAt returns the encoded series at ordinal pos of a raw dataset file —
 // a view of it, or buf, exactly one record long, filled — verified against
 // the CRC sidecar: rot surfaces as storage.ErrCorruptData, never as a wrong
@@ -503,9 +458,9 @@ func PutRawScratch(sc *RawScratch) { rawScratchPool.Put(sc) }
 // Search state stays in squared space end to end; only the partition layer
 // takes a square root, once per answer.
 func leafSquaredDistance(q series.Series, rec []byte) (int64, float64) {
-	_, pos, enc := decodeRecord(rec, true)
+	r, enc := decodeRecord(rec)
 	sq, _ := series.SquaredEDEarlyAbandonEncoded(q, enc, math.Inf(1))
-	return pos, sq
+	return r.Pos, sq
 }
 
 // VerifyRaw is the non-materialized SIMS verification scan of every index:

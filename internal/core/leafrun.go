@@ -1,8 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -18,7 +18,7 @@ import (
 )
 
 // leafRun is the one stored form of Coconut-Tree and Coconut-Trie: the
-// sorted (key, position[, raw]) record run, flat and unpadded in one
+// sorted (key, position[, raw series]) record run, flat and unpadded in one
 // checksummed file, cut into leaves by a directory of record counts (a
 // tree's held by its manifest, a trie's derived from its keys). The two
 // index types differ only in where the leaf boundaries fall — packed to the
@@ -83,11 +83,18 @@ type genWriter struct {
 	f    storage.File
 	w    *storage.SequentialWriter
 	sims simsArray
+	// rec is the leaf record put encodes. A materialized record's raw
+	// series is gathered into it by position through raw, the caller's pin
+	// of the raw file, and verified against sums.
+	rec  []byte
+	raw  storage.Views
+	sums *storage.RecordSums
 }
 
 // createGen starts generation gen of the run, with room in its summary
-// column for n records.
-func (r *leafRun) createGen(gen int64, n int) (*genWriter, error) {
+// column for n records; raw is the caller's pin of the raw file
+// (storage.PinViews), which put gathers raw series through.
+func (r *leafRun) createGen(gen int64, n int, raw storage.Views) (*genWriter, error) {
 	fs, name := r.opt.FS, runName(r.opt.Name, gen)
 	inner, err := fs.Create(name)
 	if err != nil {
@@ -101,13 +108,30 @@ func (r *leafRun) createGen(gen int64, n int) (*genWriter, error) {
 	}
 	// The checksum file frames its blocks itself: the writer's buffer only
 	// batches the calls into it.
-	return &genWriter{fs: fs, name: name, f: f, w: storage.NewSequentialWriter(f, 0, 64<<10), sims: newSimsArray(r.opt.S, n)}, nil
+	return &genWriter{fs: fs, name: name, f: f, w: storage.NewSequentialWriter(f, 0, 64<<10),
+		sims: newSimsArray(r.opt.S, n), rec: make([]byte, r.opt.recordSize()), raw: raw, sums: r.rawSums}, nil
 }
 
-// put appends the next record.
-func (g *genWriter) put(rec []byte) error {
+// put appends rec, encoded: the key, the position little-endian and, in a
+// materialized run, the raw series at that position.
+func (g *genWriter) put(rec summary.Record) error {
+	copy(g.rec, rec.Key[:])
+	binary.LittleEndian.PutUint64(g.rec[summary.KeySize:], uint64(rec.Pos))
+	if enc := g.rec[summary.RecordSize:]; len(enc) > 0 {
+		raw, err := ReadRawAt(g.raw, g.sums, rec.Pos, enc)
+		if err != nil {
+			return err
+		}
+		copy(enc, raw) // a view, unless ReadAt filled enc itself
+	}
+	return g.putEncoded(rec, g.rec)
+}
+
+// putEncoded appends rec, whose leaf record enc is written as it is: a
+// record of the current generation, copied by an insert merge.
+func (g *genWriter) putEncoded(rec summary.Record, enc []byte) error {
 	g.sims.add(rec)
-	_, err := g.w.Write(rec)
+	_, err := g.w.Write(enc)
 	return err
 }
 
@@ -157,7 +181,9 @@ func startsOf(counts []int) []int {
 // buildRun is the bulk load both index types share: opt.Records, sorted,
 // written straight into generation 0 of the leaf run — the one large
 // sequential write that replaces the state of the art's scattered
-// allocations — capturing the summary column on the way. cut lays the leaf
+// allocations — capturing the summary column, sized for the stream's Len,
+// on the way; a materialized run gathers each record's raw series by
+// position as it is written. cut lays the leaf
 // directory over the column, and the manifest commit makes the index
 // durable. A failed build leaves none of its files behind.
 func (r *leafRun) buildRun(opt Options, variant manifest.Variant, cut func(summary.Column, *Options) []int) error {
@@ -180,19 +206,23 @@ func (r *leafRun) buildRun(opt Options, variant manifest.Variant, cut func(summa
 	return nil
 }
 
-func (r *leafRun) build(cut func(summary.Column, *Options) []int) error {
-	g, err := r.createGen(0, 0)
+func (r *leafRun) build(cut func(summary.Column, *Options) []int) (err error) {
+	raw := storage.PinViews(r.rawFile)
+	defer raw.Release(&err)
+	g, err := r.createGen(0, r.opt.Records.Len(), raw)
 	if err != nil {
 		return err
 	}
-	recSize := r.opt.recordSize()
-	buf := make([]byte, max(1, (64<<10)/recSize)*recSize)
+	buf := make([]summary.Record, 4096)
 	for err == nil {
-		var recs []byte
-		if recs, err = ReadRecords(r.opt.Records, buf, recSize); err == nil {
-			for off := 0; off < len(recs) && err == nil; off += recSize {
-				err = g.put(recs[off : off+recSize])
+		n, rerr := r.opt.Records.Read(buf)
+		for _, rec := range buf[:n] {
+			if err = g.put(rec); err != nil {
+				break
 			}
+		}
+		if err == nil {
+			err = rerr
 		}
 	}
 	if err == io.EOF {
@@ -301,12 +331,12 @@ func (r *leafRun) load(m *manifest.Manifest) error {
 		if _, err := io.ReadFull(sr, rec); err != nil {
 			return fmt.Errorf("core: read leaf run: %w", truncatedLeaves(err))
 		}
-		key, _, _ := decodeRecord(rec, false)
-		if i > 0 && key.Less(prev) {
+		next, _ := decodeRecord(rec)
+		if i > 0 && next.Key.Less(prev) {
 			return fmt.Errorf("core: %w: leaf records out of key order", manifest.ErrCorruptManifest)
 		}
-		prev = key
-		r.sims.add(rec)
+		prev = next.Key
+		r.sims.add(next)
 	}
 	if m.Tree != nil {
 		r.starts = startsOf(m.Tree.Counts)
@@ -374,42 +404,48 @@ func (r *leafRun) writeManifest() error {
 	return manifest.Commit(r.opt.FS, r.opt.Name, m)
 }
 
-// mergeNext merges batch — encoded records sorted under the run's order,
-// the full record bytes — and the current run into the next generation of
-// the run: one sequential pass, the current generation read through its
-// checksum blocks against the in-memory batch, that captures the new summary
-// column on the way. The new generation becomes the current one, and the one
-// it replaces is removed unless the manifest names it; a failed merge
-// removes what it wrote of the new one.
-func (r *leafRun) mergeNext(batch []byte) error {
+// mergeNext merges batch — records sorted under the run's order — and the
+// current run into the next generation of the run: one sequential pass, the
+// current generation read through its checksum blocks and copied as it is
+// against the in-memory batch, whose records are encoded as they are
+// written (their raw series gathered by position when materialized), that
+// captures the new summary column on the way. The new generation becomes the
+// current one, and the one it replaces is removed unless the manifest names
+// it; a failed merge removes what it wrote of the new one.
+func (r *leafRun) mergeNext(batch []summary.Record) (err error) {
+	raw := storage.PinViews(r.rawFile)
+	defer raw.Release(&err)
 	recSize := r.opt.recordSize()
 	n := r.sims.col.Len()
-	g, err := r.createGen(r.gen+1, n+len(batch)/recSize)
+	g, err := r.createGen(r.gen+1, n+len(batch), raw)
 	if err != nil {
 		return err
 	}
-	// cur is the current generation's next record, nil once all are merged.
+	// enc is the current generation's next record, and cur its key and
+	// position; ok is false once all are merged.
 	in := storage.NewSequentialReader(r.file, 0, int64(n)*int64(recSize), 0)
-	cur, left := make([]byte, recSize), n
+	enc, left := make([]byte, recSize), n
+	var cur summary.Record
+	ok := false
 	advance := func() error {
-		if left == 0 {
-			cur = nil
+		if ok = left > 0; !ok {
 			return nil
 		}
 		left--
-		if _, err := io.ReadFull(in, cur); err != nil {
+		if _, err := io.ReadFull(in, enc); err != nil {
 			return fmt.Errorf("core: read leaf run: %w", truncatedLeaves(err))
 		}
+		cur, _ = decodeRecord(enc)
 		return nil
 	}
 	err = advance()
-	for err == nil && (cur != nil || len(batch) > 0) {
-		if cur != nil && (len(batch) == 0 || bytes.Compare(cur, batch[:recSize]) < 0) {
-			if err = g.put(cur); err == nil {
+	for err == nil && (ok || len(batch) > 0) {
+		if ok && (len(batch) == 0 || summary.CompareRecords(cur, batch[0]) < 0) {
+			if err = g.putEncoded(cur, enc); err == nil {
 				err = advance()
 			}
 		} else {
-			err, batch = g.put(batch[:recSize]), batch[recSize:]
+			err, batch = g.put(batch[0]), batch[1:]
 		}
 	}
 	if err = g.close(err); err != nil {
@@ -583,7 +619,7 @@ func (r *leafRun) leafFetch() window.FetchFunc {
 			}
 			cache[li] = recs
 		}
-		_, _, raw := decodeRecord(recs[(c.Ord-r.starts[li])*recSize:][:recSize], true)
+		_, raw := decodeRecord(recs[(c.Ord-r.starts[li])*recSize:][:recSize])
 		return raw, nil
 	}
 }

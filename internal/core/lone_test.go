@@ -76,7 +76,7 @@ func buildLone[T any](opt Options, build func(Options) (T, error)) (ix T, sums *
 		return ix, nil, err
 	}
 	defer raw.Close()
-	src, sums, err := SummarySource(opt.FS, opt.S, raw, opt.RawName, opt.Materialized, opt.Workers)
+	src, sums, err := SummarySource(opt.FS, opt.S, raw, opt.RawName, opt.Workers)
 	if err != nil {
 		return ix, nil, err
 	}
@@ -84,8 +84,7 @@ func buildLone[T any](opt Options, build func(Options) (T, error)) (ix T, sums *
 	if budget <= 0 {
 		budget = DefaultMemBudget
 	}
-	sorted, _, err := extsort.Sorted(extsort.Config{FS: opt.FS, RecordSize: opt.recordSize(),
-		Compare: extsort.CompareKeyPrefix(summary.KeySize), MemBudget: budget,
+	sorted, _, err := extsort.Sorted(extsort.Config{FS: opt.FS, MemBudget: budget,
 		TempPrefix: opt.Name + ".sort", Workers: opt.Workers}, src)
 	if err == nil {
 		defer sorted.Close()
@@ -231,8 +230,8 @@ func (l *loneTree) positions() ([]int64, error) {
 			return nil, err
 		}
 		for off := 0; off < len(recs); off += recSize {
-			_, pos, _ := decodeRecord(recs[off:], false)
-			out = append(out, pos)
+			rec, _ := decodeRecord(recs[off:])
+			out = append(out, rec.Pos)
 		}
 	}
 	return out, nil
@@ -256,7 +255,7 @@ func (l *loneTree) Insert(ctx context.Context, batch []series.Series) error {
 	p := l.opt.S.Params()
 	sz := series.EncodedSize(p.SeriesLen)
 	enc := make([]byte, 0, len(batch)*sz)
-	recs := make([]InsertRec, len(batch))
+	recs := make([]summary.Record, len(batch))
 	for i, s := range batch {
 		if len(s) != p.SeriesLen {
 			return fmt.Errorf("core test: inserted series has length %d, want %d", len(s), p.SeriesLen)
@@ -274,9 +273,6 @@ func (l *loneTree) Insert(ctx context.Context, batch []series.Series) error {
 	}
 	for i := range recs {
 		recs[i].Pos = first + int64(i)
-		if l.opt.Materialized {
-			recs[i].Raw = enc[i*sz : (i+1)*sz]
-		}
 	}
 	return l.InsertRecords(recs)
 }

@@ -5,20 +5,22 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/summary"
 )
 
 // TestSummarySourceAnyWorkers pins the summarization pass, the one read of
-// the raw file a bulk load makes: for any Workers, over plain and
-// materialized records, it streams exactly the serial reference — each
-// whole record keyed by KeyOfEncoded and encoded in file order — including
-// record counts that are not a multiple of the batch, and none or one
-// record; it leaves a torn trailing partial record unstreamed; and the
-// sidecar it fills is byte-identical to storage.BuildRecordSums's.
+// the raw file in file order a bulk load makes: for any Workers it streams
+// exactly the serial reference — each whole record keyed by KeyOfEncoded, in
+// file order — including record counts that are not a multiple of the
+// batch, and none or one record, with Len the records still to come; it
+// leaves a torn trailing partial record unstreamed; and the sidecar it fills
+// is byte-identical to storage.BuildRecordSums's.
 func TestSummarySourceAnyWorkers(t *testing.T) {
 	s := tSummarizer(t)
 	inSize := series.EncodedSize(tLen)
@@ -26,60 +28,69 @@ func TestSummarySourceAnyWorkers(t *testing.T) {
 	// 16 blocks and a third: a multiple of no batch of Workers blocks.
 	for _, count := range []int{0, 1, 16*block + block/3} {
 		data := dataset.Generate(dataset.NewRandomWalk(), count, tLen, 5)
-		for _, materialized := range []bool{false, true} {
-			var want []byte
-			for i, d := range data {
-				enc := series.AppendEncode(nil, d)
-				rec := make([]byte, RecordSize(tLen, materialized))
-				var raw []byte
-				if materialized {
-					raw = enc
-				}
-				encodeRecord(rec, s.KeyOfEncoded(enc), int64(i), raw)
-				want = append(want, rec...)
+		var want []summary.Record
+		for i, d := range data {
+			want = append(want, summary.Record{Key: s.KeyOfEncoded(series.AppendEncode(nil, d)), Pos: int64(i)})
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			for _, torn := range []int{0, 13} {
+				t.Run(fmt.Sprintf("n=%d/workers=%d/torn=%d", count, workers, torn), func(t *testing.T) {
+					fs := storage.NewMemFS()
+					writeRaw(t, fs, data, torn)
+					raw, err := fs.Open("raw")
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer raw.Close()
+					src, sums, err := SummarySource(fs, s, raw, "raw", workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if src.Len() != count {
+						t.Fatalf("Len %d before the first read, want %d", src.Len(), count)
+					}
+					got, err := readAll(src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) || src.Len() != 0 {
+						t.Fatalf("streamed %d records (%d left), differing from the %d of the serial reference", len(got), src.Len(), len(want))
+					}
+					if sums.Records() != int64(count) {
+						t.Fatalf("sidecar covers %d records, want %d", sums.Records(), count)
+					}
+					if err := sums.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					filled, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := storage.BuildRecordSums(fs, "raw", inSize); err != nil {
+						t.Fatal(err)
+					}
+					ref, _ := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
+					if !bytes.Equal(filled, ref) {
+						t.Fatalf("filled sidecar (%d bytes) differs from BuildRecordSums's (%d bytes)", len(filled), len(ref))
+					}
+				})
 			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				for _, torn := range []int{0, 13} {
-					name := fmt.Sprintf("n=%d/materialized=%v/workers=%d/torn=%d", count, materialized, workers, torn)
-					t.Run(name, func(t *testing.T) {
-						fs := storage.NewMemFS()
-						writeRaw(t, fs, data, torn)
-						raw, err := fs.Open("raw")
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer raw.Close()
-						src, sums, err := SummarySource(fs, s, raw, "raw", materialized, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := io.ReadAll(src)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(got, want) {
-							t.Fatalf("streamed %d bytes, differing from the %d-byte serial reference", len(got), len(want))
-						}
-						if sums.Records() != int64(count) {
-							t.Fatalf("sidecar covers %d records, want %d", sums.Records(), count)
-						}
-						if err := sums.Flush(); err != nil {
-							t.Fatal(err)
-						}
-						filled, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if _, err := storage.BuildRecordSums(fs, "raw", inSize); err != nil {
-							t.Fatal(err)
-						}
-						ref, _ := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
-						if !bytes.Equal(filled, ref) {
-							t.Fatalf("filled sidecar (%d bytes) differs from BuildRecordSums's (%d bytes)", len(filled), len(ref))
-						}
-					})
-				}
-			}
+		}
+	}
+}
+
+// readAll reads src to its end.
+func readAll(src summary.RecordReader) ([]summary.Record, error) {
+	var out []summary.Record
+	buf := make([]summary.Record, 1000)
+	for {
+		n, err := src.Read(buf)
+		out = append(out, buf[:n]...)
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
 		}
 	}
 }
@@ -106,11 +117,11 @@ func TestSummarySourceReadFault(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src, _, err := SummarySource(fs, s, raw, "raw", false, workers)
+			src, _, err := SummarySource(fs, s, raw, "raw", workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := io.ReadAll(src); !errors.Is(err, boom) {
+			if _, err := readAll(src); !errors.Is(err, boom) {
 				t.Fatalf("workers=%d fault at byte %d: read error %v, want the injected cause", workers, at, err)
 			}
 			raw.Close()

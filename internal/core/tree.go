@@ -52,31 +52,24 @@ func packedStarts(n, fill int) []int {
 
 // InsertRecords inserts pre-summarized records whose raw bytes the
 // partition layer already appended to the raw log (the update path of
-// Figure 10a): the batch, sorted, and the current run merge into the next
-// generation of the run, and the leaf directory grows as top-down inserts
+// Figure 10a): the batch, sorted in place, and the current run merge into
+// the next generation of the run (a materialized tree reads each inserted
+// series back from the raw log), and the leaf directory grows as top-down inserts
 // with median splits grow it (splitStarts). The inserts become durable at the
 // next Sync.
-func (ix *TreeIndex) InsertRecords(recs []InsertRec) error {
+func (ix *TreeIndex) InsertRecords(recs []summary.Record) error {
 	ix.qmu.Lock()
 	defer ix.qmu.Unlock()
 	if len(recs) == 0 {
 		return nil
 	}
-	// Positions are unique, so this is the run's order: bytewise over the
-	// encoded records.
-	slices.SortFunc(recs, func(a, b InsertRec) int { return summary.CompareRecords(a.Key, a.Pos, b.Key, b.Pos) })
-	recSize := ix.opt.recordSize()
-	batch := make([]byte, len(recs)*recSize)
-	for i, r := range recs {
-		encodeRecord(batch[i*recSize:(i+1)*recSize], r.Key, r.Pos, r.Raw)
-	}
-	if err := ix.mergeNext(batch); err != nil {
+	slices.SortFunc(recs, summary.CompareRecords)
+	if err := ix.mergeNext(recs); err != nil {
 		return err
 	}
 	lbs := make([]int, len(recs))
-	for i := range lbs {
-		key, _, _ := decodeRecord(batch[i*recSize:], false)
-		lbs[i] = ix.sims.col.Search(ix.opt.S.SAXFromKey(key))
+	for i, rec := range recs {
+		lbs[i] = ix.sims.col.Search(ix.opt.S.SAXFromKey(rec.Key))
 	}
 	ix.starts = splitStarts(ix.starts, lbs, ix.opt.LeafCap)
 	return nil

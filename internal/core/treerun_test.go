@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/dataset"
-	"github.com/coconut-db/coconut/internal/extsort"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
@@ -50,10 +49,11 @@ func checkTreeRun(t *testing.T, ix *loneTree) {
 		}
 		for off := 0; off < len(recs); off += recSize {
 			rec := recs[off : off+recSize]
-			key, pos, _ := decodeRecord(rec, false)
+			r, _ := decodeRecord(rec)
+			key, pos := r.Key, r.Pos
 			if prev != nil {
-				pk, _, _ := decodeRecord(prev, false)
-				if bytes.Compare(prev[:summary.KeySize], rec[:summary.KeySize]) > 0 || key.Less(pk) {
+				p, _ := decodeRecord(prev)
+				if bytes.Compare(prev[:summary.KeySize], rec[:summary.KeySize]) > 0 || key.Less(p.Key) {
 					t.Fatalf("leaf %d: record out of key order", li)
 				}
 			}
@@ -156,7 +156,7 @@ func TestBulkLoadIsSequential(t *testing.T) {
 	}
 	defer ix.Close()
 	batch := dataset.Generate(dataset.NewRandomWalk(), 60, tLen, 5)
-	recs := make([]InsertRec, len(batch))
+	recs := make([]summary.Record, len(batch))
 	var enc []byte
 	for i, s := range batch {
 		if recs[i].Key, err = opt.S.KeyOf(s); err != nil {
@@ -350,9 +350,9 @@ func TestChecksummedTreeRoundTrip(t *testing.T) {
 	}
 	recSize := opt.recordSize()
 	for off := 0; off < len(got); off += recSize {
-		_, pos, raw := decodeRecord(got[off:off+recSize], true)
-		if !bytes.Equal(raw, series.AppendEncode(nil, data[pos])) {
-			t.Fatalf("record at %d carries another series than position %d's", off/recSize, pos)
+		rec, raw := decodeRecord(got[off : off+recSize])
+		if !bytes.Equal(raw, series.AppendEncode(nil, data[rec.Pos])) {
+			t.Fatalf("record at %d carries another series than position %d's", off/recSize, rec.Pos)
 		}
 	}
 	checkTreeRun(t, re)
@@ -485,12 +485,11 @@ func TestReadLeafAndDir(t *testing.T) {
 }
 
 // TestKeyOrderAgreesWithBytesCompare: the merge of an insert batch orders
-// records by extsort.CompareKeyPrefix, and the loader checks them by
+// records by summary.CompareRecords, and the loader checks them by
 // summary.Key.Less; on random keys — many sharing long prefixes — the two
-// agree, so a merged run always reopens.
+// agree with bytes.Compare on the keys, so a merged run always reopens.
 func TestKeyOrderAgreesWithBytesCompare(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	cmp := extsort.CompareKeyPrefix(summary.KeySize)
 	randKey := func() summary.Key {
 		var k summary.Key
 		rng.Read(k[:])
@@ -499,18 +498,14 @@ func TestKeyOrderAgreesWithBytesCompare(t *testing.T) {
 		}
 		return k
 	}
-	rec := func(k summary.Key) []byte {
-		r := make([]byte, RecordSize(tLen, false))
-		encodeRecord(r, k, rng.Int63(), nil)
-		return r
-	}
 	for i := 0; i < 3000; i++ {
 		a, b := randKey(), randKey()
 		if i%7 == 0 {
 			b = a
 		}
 		c := a.Compare(b)
-		if got := cmp(rec(a), rec(b)); got != c || a.Less(b) != (c < 0) || bytes.Compare(a[:], b[:]) != c {
+		got := summary.CompareRecords(summary.Record{Key: a, Pos: rng.Int63()}, summary.Record{Key: b, Pos: rng.Int63()})
+		if (c != 0 && got != c) || a.Less(b) != (c < 0) || bytes.Compare(a[:], b[:]) != c {
 			t.Fatalf("keys %s, %s: record order %d, Key.Compare %d, Less %v", a, b, got, c, a.Less(b))
 		}
 	}
@@ -618,7 +613,8 @@ func TestChecksummedTreeDetectsRot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pos, _ := decodeRecord(recs[(300-ix.starts[leafOfOrd(ix.starts, 300)])*recSize:], true)
+	rec, _ := decodeRecord(recs[(300-ix.starts[leafOfOrd(ix.starts, 300)])*recSize:])
+	pos := rec.Pos
 	// Rot a payload byte of the checksum block holding ordinal 300.
 	block := leafBlockSize(recSize)
 	off := int64(storage.ChecksumHeaderSize + (300*recSize/block)*(4+block) + 4 + 17)

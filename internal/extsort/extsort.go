@@ -1,17 +1,25 @@
-// Package extsort is the bulk load's sort: external sorting of fixed-size
-// records under an explicit memory budget (§3.1 of the paper, "Bottom-up
-// Bulk-Loading Using External Sorting"). The partitioning phase scans the
+// Package extsort is the bulk load's sort: external sorting of
+// summary.Record values — an invSAX key and a raw-file position, 24 bytes —
+// under an explicit memory budget (§3.1 of the paper, "Bottom-up
+// Bulk-Loading Using External Sorting"). The partitioning phase reads the
 // input in memory-sized chunks, sorts each chunk, and flushes it as a sorted
 // run; the merging phase merge-sorts the runs with a tournament over
 // buffered sequential readers. An input that fits one chunk skips both: it
 // is sorted in memory and merged from there.
 //
+// The records are sorted as values, with slices.SortFunc under the record
+// order (summary.CompareRecords), which is total because positions are
+// unique: the sort is on the fixed-width sortable key the paper's bulk load
+// rests on, and nothing else moves through it. A materialized index gathers
+// each raw series by position only when it writes its leaves. A temporary
+// run stores each record in 24 bytes, the key and then the position
+// little-endian, so the byte order of a run is the record order.
+//
 // The sort's product is a stream (Sorted): the final merge — of the runs
 // left after the intermediate generations, or of the sorted slices of the
 // one chunk — runs as its consumer reads, so the sorted records are written
 // once, by whoever consumes them, in the layout of their own file: the leaf
-// run of a tree or a trie, the block-compressed run of an LSM. Sort is that
-// stream copied to a file.
+// run of a tree or a trie, the block-compressed run of an LSM.
 //
 // Both phases are parallel, and both fan out on internal/shard: Workers
 // goroutines, each owning one chunk buffer, take turns reading the next
@@ -21,10 +29,10 @@
 // every worker too, as Workers contiguous slices sorted concurrently in
 // place. The memory budget M is partitioned across the workers (chunk
 // buffers during run formation, per-merge buffer groups during merging), so
-// the paper's memory model stays honest at any worker count. The sorted
-// stream is byte-identical for any worker count: comparator ties are broken
-// on the full record encoding, which makes the result a pure function of
-// the input multiset, independent of chunk boundaries and merge grouping.
+// the paper's memory model stays honest at any worker count. The order is
+// total, so the sorted stream is the same for any worker count: a pure
+// function of the input multiset, independent of chunk boundaries and merge
+// grouping.
 //
 // Every byte moved goes through the storage VFS, so the paper's O(N/B)
 // sequential-I/O claim is directly observable in the I/O statistics. The
@@ -35,25 +43,31 @@ package extsort
 
 import (
 	"bytes"
-	"container/heap"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/summary"
 )
 
-// Compare orders two records. It must be a strict weak ordering over the
-// full record encoding.
+// recordSize is the size of a record in a temporary run, and what one takes
+// of the memory budget.
+const recordSize = summary.RecordSize
+
+// Compare orders two encoded records. Only Sort's callers name it, and Sort
+// ignores it.
 type Compare func(a, b []byte) int
 
 // CompareKeyPrefix returns a Compare that orders records by their first n
-// bytes (the layout used for invSAX records, whose keys sort bytewise).
+// bytes. Sort ignores it: its key prefix under a full-record tie-break is
+// the record order Sort sorts under.
 func CompareKeyPrefix(n int) Compare {
 	return func(a, b []byte) int { return bytes.Compare(a[:n], b[:n]) }
 }
@@ -62,10 +76,10 @@ func CompareKeyPrefix(n int) Compare {
 type Config struct {
 	// FS hosts the temporary runs (and Sort's output file).
 	FS storage.FS
-	// RecordSize is the fixed encoded size of each record, in bytes.
+	// RecordSize and Compare describe Sort's byte records: RecordSize must
+	// be summary.RecordSize, and Compare is ignored. Sorted reads neither.
 	RecordSize int
-	// Compare orders records.
-	Compare Compare
+	Compare    Compare
 	// MemBudget is the maximum number of record bytes held in memory at
 	// once; it controls run length and merge fan-in. This is the paper's M.
 	MemBudget int64
@@ -76,22 +90,17 @@ type Config struct {
 	// Workers is the number of goroutines used for run formation, for the
 	// sort of a lone chunk and for the concurrent merges of each
 	// intermediate generation (<= 0 means runtime.GOMAXPROCS(0)). MemBudget
-	// is partitioned across workers; the sorted stream is byte-identical
-	// for any value.
+	// is partitioned across workers; the sorted stream is the same for any
+	// value.
 	Workers int
 }
 
 func (c *Config) validate() error {
-	switch {
-	case c.FS == nil:
+	if c.FS == nil {
 		return errors.New("extsort: nil FS")
-	case c.RecordSize <= 0:
-		return errors.New("extsort: record size must be positive")
-	case c.Compare == nil:
-		return errors.New("extsort: nil comparator")
 	}
-	if c.MemBudget < int64(c.RecordSize)*4 {
-		c.MemBudget = int64(c.RecordSize) * 4
+	if c.MemBudget < recordSize*4 {
+		c.MemBudget = recordSize * 4
 	}
 	if c.TempPrefix == "" {
 		c.TempPrefix = "extsort"
@@ -105,26 +114,20 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// totalOrder refines cmp with a full-record tie-break. Sorting under a total
-// order makes the output a pure function of the input multiset — the same
-// bytes regardless of how records were chunked into runs or how runs were
-// grouped into merges, and therefore regardless of Workers.
-func totalOrder(cmp Compare) Compare {
-	return func(a, b []byte) int {
-		if c := cmp(a, b); c != 0 {
-			return c
-		}
-		return bytes.Compare(a, b)
-	}
-}
-
-// Sort consumes all records from in, sorts them, and writes the sorted
-// stream to outName on cfg.FS: the stream Sorted returns, copied to a file.
-// It returns the number of records sorted. A failed Sort removes what it
-// wrote of outName, and leaves a file there untouched if it failed before
-// creating it.
+// Sort sorts a byte stream of encoded records — each the key, then the
+// position little-endian — into outName on cfg.FS: Sorted over the decoded
+// records, encoded again. It returns the number of records sorted. It
+// refuses a cfg.RecordSize other than summary.RecordSize. A failed Sort
+// removes what it wrote of outName, and leaves a file there untouched if it
+// failed before creating it. Delete it once its last caller sorts records.
 func Sort(cfg Config, in io.Reader, outName string) (int64, error) {
-	r, n, err := Sorted(cfg, in)
+	if cfg.RecordSize != recordSize {
+		return 0, fmt.Errorf("extsort: Sort takes %d-byte records, not %d", recordSize, cfg.RecordSize)
+	}
+	if err := cfg.validate(); err != nil {
+		return 0, err
+	}
+	r, n, err := Sorted(cfg, &decoder{r: in})
 	if err != nil {
 		return 0, err
 	}
@@ -135,29 +138,67 @@ func Sort(cfg Config, in io.Reader, outName string) (int64, error) {
 	return n, r.Close()
 }
 
+// decoder reads the records of a byte stream of encoded records.
+type decoder struct {
+	r   io.Reader
+	buf []byte
+}
+
+func (d *decoder) Read(p []summary.Record) (int, error) {
+	if d.buf == nil {
+		d.buf = make([]byte, 4096*recordSize)
+	}
+	b := d.buf[:min(len(p), 4096)*recordSize]
+	n, err := io.ReadFull(d.r, b)
+	switch {
+	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
+		return 0, err
+	case n%recordSize != 0:
+		return 0, fmt.Errorf("extsort: input ends %d bytes into a record: %w", n%recordSize, io.ErrUnexpectedEOF)
+	case n == 0:
+		return 0, io.EOF
+	}
+	for i := range n / recordSize {
+		p[i] = decode(b[i*recordSize:])
+	}
+	return n / recordSize, nil
+}
+
+// Len is 0: a byte stream does not tell its length.
+func (d *decoder) Len() int { return 0 }
+
+// encode packs rec into dst, which holds recordSize bytes.
+func encode(dst []byte, rec summary.Record) {
+	copy(dst, rec.Key[:])
+	binary.LittleEndian.PutUint64(dst[summary.KeySize:], uint64(rec.Pos))
+}
+
+// decode unpacks the record encoded at the start of b.
+func decode(b []byte) (rec summary.Record) {
+	copy(rec.Key[:], b)
+	rec.Pos = int64(binary.LittleEndian.Uint64(b[summary.KeySize:]))
+	return rec
+}
+
 // Sorted consumes all records from in and returns them sorted, as a stream
-// read from the final k-way merge as it is pulled, and their number.
-// Records comparing equal under cfg.Compare are ordered by their full
-// encoding, so the stream is the same for any cfg.Workers. An input that
-// fits one chunk is sorted in memory, on every worker, and merged from
-// memory; a longer one goes through run files, merged in as many
+// read from the final k-way merge as it is pulled, and their number. An
+// input that fits one chunk is sorted in memory, on every worker, and merged
+// from memory; a longer one goes through run files, merged in as many
 // generations as the budget's fan-in needs, the last of which is the
 // stream. Once Sorted returns, in has been read to its end. The caller
 // must Close the Reader, which removes the runs it reads.
-func Sorted(cfg Config, in io.Reader) (*Reader, int64, error) {
+func Sorted(cfg Config, in summary.RecordReader) (*Reader, int64, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, 0, err
 	}
-	cfg.Compare = totalOrder(cfg.Compare)
 	chunkLen, writerBuf := cfg.chunking()
-	first, last, err := readFirst(cfg, in, chunkLen)
+	first, last, err := readFirst(in, chunkLen)
 	if err != nil {
 		return nil, 0, err
 	}
-	total := int64(len(first) / cfg.RecordSize)
+	total := int64(len(first))
 	if last {
-		r, err := sortChunk(cfg, first, cfg.Workers)
-		return r, total, err
+		return sortChunk(cfg, first, cfg.Workers), total, nil
 	}
 	runs, more, err := makeRuns(cfg, first, in, writerBuf)
 	if err == nil {
@@ -172,103 +213,75 @@ func Sorted(cfg Config, in io.Reader) (*Reader, int64, error) {
 		cleanup(cfg.FS, runs)
 		return nil, 0, err
 	}
-	r.runs = runs
+	r.runs, r.left = runs, total+more
 	return r, total + more, nil
 }
 
-// SortInMemory sorts records (a concatenation of fixed-size records) in
-// place. It is the building block of the run-formation phase and is exposed
-// for callers whose data always fits in memory (e.g. sorting summaries for
-// a non-materialized index when M is ample).
-func SortInMemory(records []byte, recordSize int, cmp Compare) {
-	n := len(records) / recordSize
-	sort.Sort(&recordSlice{data: records, size: recordSize, n: n, cmp: cmp,
-		swapBuf: make([]byte, recordSize)})
-}
-
-type recordSlice struct {
-	data    []byte
-	size, n int
-	cmp     Compare
-	swapBuf []byte
-}
-
-func (r *recordSlice) Len() int { return r.n }
-func (r *recordSlice) Less(i, j int) bool {
-	return r.cmp(r.data[i*r.size:(i+1)*r.size], r.data[j*r.size:(j+1)*r.size]) < 0
-}
-func (r *recordSlice) Swap(i, j int) {
-	a := r.data[i*r.size : (i+1)*r.size]
-	b := r.data[j*r.size : (j+1)*r.size]
-	copy(r.swapBuf, a)
-	copy(a, b)
-	copy(b, r.swapBuf)
-}
-
-// chunking returns the chunk length run formation cuts the input into and
-// the writer buffer each run is flushed through. With one worker that is one
-// full-M chunk buffer, sorted and flushed inline, plus the one BufSize writer
-// buffer the original algorithm always carried: the paper's N/M run count
-// (and the I/O traces the experiments reproduce) exactly. With more, writer
-// buffers take at most half the budget, shrinking below BufSize when Workers
-// is large relative to it, one per worker; the rest is split Workers+1 ways
-// although only Workers chunk buffers are resident, one per worker. The
-// Workers+1 split is kept so that chunk lengths, and with them run
-// boundaries and run files, stay what they were when a separate reader held
-// a chunk of its own.
+// chunking returns the chunk length, in records, run formation cuts the
+// input into and the writer buffer, in bytes, each run is flushed through.
+// With one worker that is one full-M chunk buffer, sorted and flushed
+// inline, plus the one BufSize writer buffer the original algorithm always
+// carried: the paper's N/M run count (and the I/O traces the experiments
+// reproduce) exactly. With more, writer buffers take at most half the
+// budget, shrinking below BufSize when Workers is large relative to it, one
+// per worker; the rest is split Workers+1 ways although only Workers chunk
+// buffers are resident, one per worker. The Workers+1 split is kept so that
+// chunk lengths, and with them run boundaries and run files, stay what they
+// were when a separate reader held a chunk of its own.
 func (c *Config) chunking() (chunkLen, writerBuf int) {
 	if c.Workers == 1 {
-		return int(c.MemBudget/int64(c.RecordSize)) * c.RecordSize, c.BufSize
+		return int(c.MemBudget / recordSize), c.BufSize
 	}
 	writerBuf = c.BufSize
 	if max := int(c.MemBudget / int64(2*c.Workers)); writerBuf > max {
 		writerBuf = max
 	}
-	if writerBuf < c.RecordSize {
-		writerBuf = c.RecordSize
+	if writerBuf < recordSize {
+		writerBuf = recordSize
 	}
 	chunkBytes := (c.MemBudget - int64(c.Workers*writerBuf)) / int64(c.Workers+1)
-	if min := int64(c.RecordSize) * 4; chunkBytes < min {
+	if min := int64(recordSize) * 4; chunkBytes < min {
 		chunkBytes = min
 	}
-	return int(chunkBytes/int64(c.RecordSize)) * c.RecordSize, writerBuf
+	return int(chunkBytes / recordSize), writerBuf
 }
 
-// firstChunkMin is the size the first chunk's buffer starts at: it grows with
-// the input, doubling up to the chunk length, so an input far below the
-// memory budget is not read into a buffer allocated, and zeroed, at the
-// budget's size.
+// firstChunkMin is the size, in bytes, the first chunk's buffer starts at:
+// it grows with the input, doubling up to the chunk length, so an input far
+// below the memory budget is not read into a buffer allocated, and zeroed,
+// at the budget's size.
 const firstChunkMin = 1 << 20
 
 // readFirst reads the first chunk, like readChunk into a buffer of chunkLen
-// bytes, but into one that grows with the input.
-func readFirst(cfg Config, in io.Reader, chunkLen int) (recs []byte, last bool, err error) {
-	buf := make([]byte, min(chunkLen, max(firstChunkMin/cfg.RecordSize, 1)*cfg.RecordSize))
+// records, but into one that grows with the input.
+func readFirst(in summary.RecordReader, chunkLen int) (recs []summary.Record, last bool, err error) {
+	buf := make([]summary.Record, min(chunkLen, max(firstChunkMin/recordSize, 1)))
 	for n := 0; ; {
-		recs, last, err = readChunk(cfg, in, buf[n:])
+		recs, last, err = readChunk(in, buf[n:])
 		if err != nil || last || len(buf) == chunkLen {
 			// Capped at len(buf): the buffer is recycled as a full chunk,
 			// and append's growth may have left it larger than chunkLen.
 			return buf[: n+len(recs) : len(buf)], last, err
 		}
 		n = len(buf)
-		buf = append(buf, make([]byte, min(n, chunkLen-n))...)
+		buf = append(buf, make([]summary.Record, min(n, chunkLen-n))...)
 	}
 }
 
 // readChunk fills buf from in and returns the records read; last reports
 // that the input ended within them.
-func readChunk(cfg Config, in io.Reader, buf []byte) (recs []byte, last bool, err error) {
-	n, err := io.ReadFull(in, buf)
-	switch {
-	case err == nil:
-		return buf, false, nil
-	case err != io.EOF && err != io.ErrUnexpectedEOF:
-		return nil, true, fmt.Errorf("extsort: reading input: %w", err)
-	case n%cfg.RecordSize != 0:
-		return nil, true, fmt.Errorf("extsort: reading input: %w", io.ErrUnexpectedEOF)
+func readChunk(in summary.RecordReader, buf []summary.Record) (recs []summary.Record, last bool, err error) {
+	for n := 0; n < len(buf); {
+		m, err := in.Read(buf[n:])
+		n += m
+		switch {
+		case err == io.EOF:
+			return buf[:n], true, nil
+		case err != nil:
+			return nil, true, fmt.Errorf("extsort: reading input: %w", err)
+		}
 	}
-	return buf[:n], true, nil
+	return buf, false, nil
 }
 
 // runName names run i of the partitioning phase.
@@ -282,7 +295,7 @@ func runName(cfg Config, i int) string { return fmt.Sprintf("%s.run.%d", cfg.Tem
 // lock, so the set of runs is deterministic for a given chunk length. It
 // returns the records read past the first chunk and, on error too, every
 // run name that may exist so the caller can clean up.
-func makeRuns(cfg Config, first []byte, in io.Reader, writerBuf int) (runs []string, more int64, err error) {
+func makeRuns(cfg Config, first []summary.Record, in summary.RecordReader, writerBuf int) (runs []string, more int64, err error) {
 	var (
 		mu    sync.Mutex
 		nRuns = 1
@@ -291,37 +304,33 @@ func makeRuns(cfg Config, first []byte, in io.Reader, writerBuf int) (runs []str
 	// next reads the next chunk into *buf, allocated on first use, and
 	// returns it with its run index: nil once the input is exhausted or a
 	// sibling failed.
-	next := func(buf *[]byte, cancelled func() bool) ([]byte, int, error) {
+	next := func(buf *[]summary.Record, cancelled func() bool) ([]summary.Record, int, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if done || cancelled() {
 			return nil, 0, nil
 		}
 		if *buf == nil {
-			*buf = make([]byte, len(first))
+			*buf = make([]summary.Record, len(first))
 		}
-		data, last, err := readChunk(cfg, in, *buf)
+		data, last, err := readChunk(in, *buf)
 		done = last || err != nil
 		if len(data) == 0 {
 			return nil, 0, err
 		}
-		more += int64(len(data) / cfg.RecordSize)
+		more += int64(len(data))
 		nRuns++
 		return data, nRuns - 1, nil
 	}
 	err = shard.FanOut(context.Background(), cfg.Workers, cfg.Workers, func(w int, cancelled func() bool) error {
-		var buf, data []byte
+		var buf, data []summary.Record
 		idx := 0
 		if w == 0 {
 			buf, data = first, first
 		}
 		for {
 			if data != nil {
-				r, err := sortChunk(cfg, data, 1)
-				if err == nil {
-					err = write(cfg.FS, runName(cfg, idx), writerBuf, r)
-				}
-				if err != nil {
+				if err := write(cfg.FS, runName(cfg, idx), writerBuf, sortChunk(cfg, data, 1)); err != nil {
 					return err
 				}
 			}
@@ -338,30 +347,29 @@ func makeRuns(cfg Config, first []byte, in io.Reader, writerBuf int) (runs []str
 }
 
 // sortChunk sorts one chunk and returns it as a stream. The chunk is cut
-// into parts contiguous slices, sorted concurrently in place and merged
-// under cfg.Compare as the stream is read: the same total order, and so the
-// same bytes, for any parts, at no memory beyond the chunk.
-func sortChunk(cfg Config, data []byte, parts int) (*Reader, error) {
-	size := cfg.RecordSize
-	n := len(data) / size
-	err := shard.Scan(context.Background(), parts, n, func(_ int, r shard.Range, _ func() bool) error {
-		SortInMemory(data[r.Lo*size:r.Hi*size], size, cfg.Compare)
+// into parts contiguous slices, sorted concurrently in place and merged as
+// the stream is read: the same order, and so the same stream, for any
+// parts, at no memory beyond the chunk.
+func sortChunk(cfg Config, data []summary.Record, parts int) *Reader {
+	ranges := shard.Split(len(data), parts)
+	// The sorts cannot fail, and the context is never cancelled.
+	_ = shard.Scan(context.Background(), parts, len(data), func(_ int, r shard.Range, _ func() bool) error {
+		slices.SortFunc(data[r.Lo:r.Hi], summary.CompareRecords)
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	streams := make([]*stream, len(ranges))
+	for i, r := range ranges {
+		streams[i] = &stream{recs: data[r.Lo:r.Hi]}
 	}
-	var streams []*mergeStream
-	for _, r := range shard.Split(n, parts) {
-		streams = append(streams, &mergeStream{r: bytes.NewReader(data[r.Lo*size : r.Hi*size]), rec: make([]byte, size)})
-	}
-	return newReader(cfg, streams, nil)
+	r, _ := newReader(cfg, streams, nil) // in-memory streams cannot fail
+	r.left = int64(len(data))
+	return r
 }
 
 // openRuns returns the merge of the run files runs as a stream, each read
 // through a BufSize sequential reader.
 func openRuns(cfg Config, runs []string) (*Reader, error) {
-	var streams []*mergeStream
+	var streams []*stream
 	var files []storage.File
 	for _, name := range runs {
 		f, err := cfg.FS.Open(name)
@@ -370,15 +378,12 @@ func openRuns(cfg Config, runs []string) (*Reader, error) {
 			return nil, err
 		}
 		files = append(files, f)
-		streams = append(streams, &mergeStream{
-			r:   storage.NewSequentialReader(f, 0, -1, cfg.BufSize),
-			rec: make([]byte, cfg.RecordSize),
-		})
+		streams = append(streams, &stream{r: storage.NewSequentialReader(f, 0, -1, cfg.BufSize)})
 	}
 	return newReader(cfg, streams, files)
 }
 
-// write creates name and fills it with the records of r, an unread
+// write creates name and fills it with the encoded records of r, an unread
 // stream, through a bufSize sequential writer. A failed write removes the
 // file — from the Create on, a pre-existing file at name is gone and the
 // path is this call's.
@@ -393,8 +398,10 @@ func write(fs storage.FS, name string, bufSize int, r *Reader) (err error) {
 		}
 	}()
 	w := storage.NewSequentialWriter(f, 0, bufSize)
-	for err == nil && r.err == nil && r.h.Len() > 0 {
-		if _, err = w.Write(r.h.streams[0].rec); err == nil {
+	var rec [recordSize]byte
+	for err == nil && r.err == nil && len(r.h) > 0 {
+		encode(rec[:], r.h[0].head)
+		if _, err = w.Write(rec[:]); err == nil {
 			r.pop()
 		}
 	}
@@ -493,110 +500,123 @@ func mergeGeneration(cfg Config, inputs []string, gen int) ([]string, error) {
 	return outs, nil
 }
 
-// mergeStream is one sorted source of a merge — a run file or a sorted part
-// of an in-memory chunk — and rec its next record.
-type mergeStream struct {
-	r   io.Reader
-	rec []byte
-	ok  bool
+// stream is one sorted source of a merge — a run file, decoded as it is
+// read, or a sorted part of an in-memory chunk — and head its next record.
+type stream struct {
+	head summary.Record
+	// recs are an in-memory part's records after head; r reads a run file
+	// (nil for an in-memory part) through buf.
+	recs []summary.Record
+	r    io.Reader
+	buf  [recordSize]byte
 }
 
-func (s *mergeStream) advance() error {
-	_, err := io.ReadFull(s.r, s.rec)
-	if err == io.EOF {
-		s.ok = false
-		return nil
+// advance moves head to the stream's next record and reports whether there
+// was one.
+func (s *stream) advance() (bool, error) {
+	if s.r == nil {
+		if len(s.recs) == 0 {
+			return false, nil
+		}
+		s.head, s.recs = s.recs[0], s.recs[1:]
+		return true, nil
 	}
-	if err != nil {
-		return err
+	if _, err := io.ReadFull(s.r, s.buf[:]); err != nil {
+		if err == io.EOF {
+			return false, nil
+		}
+		return false, err
 	}
-	s.ok = true
-	return nil
+	s.head = decode(s.buf[:])
+	return true, nil
 }
 
-type mergeHeap struct {
-	streams []*mergeStream
-	cmp     Compare
-}
-
-func (h *mergeHeap) Len() int { return len(h.streams) }
-func (h *mergeHeap) Less(i, j int) bool {
-	return h.cmp(h.streams[i].rec, h.streams[j].rec) < 0
-}
-func (h *mergeHeap) Swap(i, j int) { h.streams[i], h.streams[j] = h.streams[j], h.streams[i] }
-func (h *mergeHeap) Push(x any)    { h.streams = append(h.streams, x.(*mergeStream)) }
-func (h *mergeHeap) Pop() any {
-	old := h.streams
-	n := len(old)
-	s := old[n-1]
-	h.streams = old[:n-1]
-	return s
-}
-
-// Reader is a sorted record stream: the k-way merge, under the sort's
+// Reader is a sorted record stream: the k-way merge, under the record
 // order, of sorted streams — run files or the sorted slices of an
 // in-memory chunk — computed as it is read.
 type Reader struct {
-	fs    storage.FS
-	h     mergeHeap
+	fs storage.FS
+	// h is the merge's heap of streams, least head first.
+	h     []*stream
 	files []storage.File
 	// runs are the run files the merge reads, removed by Close.
 	runs []string
-	// part is the rest of a record a short Read cut, in partBuf.
-	part, partBuf []byte
-	err           error
+	// left is the number of records not read yet.
+	left int64
+	err  error
 }
 
-// newReader merges streams, which read files, each sorted under cfg.Compare.
-func newReader(cfg Config, streams []*mergeStream, files []storage.File) (*Reader, error) {
-	r := &Reader{fs: cfg.FS, h: mergeHeap{cmp: cfg.Compare}, files: files, partBuf: make([]byte, cfg.RecordSize)}
+// newReader merges streams, which read files, each sorted.
+func newReader(cfg Config, streams []*stream, files []storage.File) (*Reader, error) {
+	r := &Reader{fs: cfg.FS, files: files}
 	for _, s := range streams {
-		if err := s.advance(); err != nil {
+		ok, err := s.advance()
+		if err != nil {
 			r.Close()
 			return nil, err
 		}
-		if s.ok {
-			r.h.streams = append(r.h.streams, s)
+		if ok {
+			r.h = append(r.h, s)
 		}
 	}
-	heap.Init(&r.h)
+	for i := len(r.h)/2 - 1; i >= 0; i-- {
+		r.down(i)
+	}
 	return r, nil
+}
+
+// down restores the heap below position i.
+func (r *Reader) down(i int) {
+	h := r.h
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && summary.CompareRecords(h[c+1].head, h[c].head) < 0 {
+			c++
+		}
+		if summary.CompareRecords(h[c].head, h[i].head) >= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // pop advances past the head record.
 func (r *Reader) pop() {
-	s := r.h.streams[0]
-	if r.err = s.advance(); r.err != nil {
+	ok, err := r.h[0].advance()
+	if r.err = err; err != nil {
 		return
 	}
-	if s.ok {
-		heap.Fix(&r.h, 0)
-	} else {
-		heap.Pop(&r.h)
+	if !ok {
+		last := len(r.h) - 1
+		r.h[0], r.h = r.h[last], r.h[:last]
 	}
+	r.down(0)
 }
 
-// Read reads the next records of the stream; a p that ends inside a record
-// gets its first bytes, and the next Read the rest.
-func (r *Reader) Read(p []byte) (int, error) { return r.readWhile(p, nil) }
+// Read reads the next records of the stream.
+func (r *Reader) Read(p []summary.Record) (int, error) { return r.readWhile(p, nil) }
+
+// Len is the number of records not read yet.
+func (r *Reader) Len() int { return int(r.left) }
 
 // readWhile reads like Read, but ends the stream — io.EOF — at the first
 // record keep rejects, which stays next. A nil keep takes every record.
-func (r *Reader) readWhile(p []byte, keep func(rec []byte) bool) (int, error) {
-	n := copy(p, r.part)
-	r.part = r.part[n:]
-	for n < len(p) && r.err == nil && r.h.Len() > 0 {
-		rec := r.h.streams[0].rec
+func (r *Reader) readWhile(p []summary.Record, keep func(summary.Record) bool) (int, error) {
+	n := 0
+	for n < len(p) && r.err == nil && len(r.h) > 0 {
+		rec := r.h[0].head
 		if keep != nil && !keep(rec) {
 			break
 		}
-		c := copy(p[n:], rec)
-		if c < len(rec) {
-			r.part = append(r.partBuf[:0], rec[c:]...)
-		}
-		n += c
+		p[n] = rec
+		n++
 		r.pop()
 	}
+	r.left -= int64(n)
 	switch {
 	case n > 0:
 		return n, nil
@@ -607,23 +627,27 @@ func (r *Reader) readWhile(p []byte, keep func(rec []byte) bool) (int, error) {
 }
 
 // While returns the stream's records up to the first one keep rejects, as
-// a reader of its own: it ends there, and the record keep rejected is the
-// next one r, or another While of r, reads.
-func (r *Reader) While(keep func(rec []byte) bool) io.Reader { return while{r, keep} }
+// a stream of its own: it ends there, and the record keep rejected is the
+// next one r, or another While of r, reads. Its Len is r's: at most what it
+// holds.
+func (r *Reader) While(keep func(summary.Record) bool) summary.RecordReader {
+	return while{r, keep}
+}
 
 type while struct {
 	r    *Reader
-	keep func(rec []byte) bool
+	keep func(summary.Record) bool
 }
 
-func (w while) Read(p []byte) (int, error) { return w.r.readWhile(p, w.keep) }
+func (w while) Read(p []summary.Record) (int, error) { return w.r.readWhile(p, w.keep) }
+func (w while) Len() int                             { return w.r.Len() }
 
 // Close releases the stream: it closes the run files and removes them, and
 // lets go of the chunk an in-memory merge reads. It is idempotent.
 func (r *Reader) Close() error {
 	err := closeAll(r.files)
 	cleanup(r.fs, r.runs)
-	r.files, r.runs, r.h.streams = nil, nil, nil
+	r.files, r.runs, r.h = nil, nil, nil
 	return err
 }
 

@@ -7,12 +7,12 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/coconut-db/coconut/internal/core"
+	"github.com/coconut-db/coconut/internal/summary"
 )
 
 // randomRecs returns n records with random keys at positions from, from+1, ….
-func randomRecs(rng *rand.Rand, from int64, n int) []core.InsertRec {
-	recs := make([]core.InsertRec, n)
+func randomRecs(rng *rand.Rand, from int64, n int) []summary.Record {
+	recs := make([]summary.Record, n)
 	for i := range recs {
 		rng.Read(recs[i].Key[:])
 		recs[i].Pos = from + int64(i)
@@ -26,7 +26,7 @@ func randomRecs(rng *rand.Rand, from int64, n int) []core.InsertRec {
 func TestMemPiecesMergeInserts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ix := &Index{opt: Options{MemBudgetBytes: 1 << 30}}
-	var want []memEntry
+	var want []summary.Record
 	for i := 0; i < 300; i++ {
 		n := 1 + rng.Intn(1+i%40*(1+i%3))
 		recs := randomRecs(rng, int64(len(want)), n)
@@ -40,13 +40,13 @@ func TestMemPiecesMergeInserts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range recs {
-			want = append(want, memEntry{key: r.Key, pos: r.Pos})
+			want = append(want, summary.Record{Key: r.Key, Pos: r.Pos})
 		}
 		requireMemPieces(t, ix)
 	}
-	slices.SortFunc(want, compareMem)
+	slices.SortFunc(want, summary.CompareRecords)
 	got := slices.Concat(ix.memPieces()...)
-	slices.SortFunc(got, compareMem)
+	slices.SortFunc(got, summary.CompareRecords)
 	if !slices.Equal(got, want) {
 		t.Fatalf("memtable holds %d records, not the %d inserted", len(got), len(want))
 	}
@@ -66,7 +66,7 @@ func TestMemtableInsertBytes(t *testing.T) {
 	}
 	// As a flush leaves it: empty, its array kept.
 	ix.mem, ix.memEnds = ix.mem[:0], ix.memEnds[:0]
-	allocated := func(recs []core.InsertRec) uint64 {
+	allocated := func(recs []summary.Record) uint64 {
 		t.Helper()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -105,7 +105,7 @@ func BenchmarkInsertSmallBatches(b *testing.B) {
 				return ix
 			}
 			ix := fresh()
-			batches := make([][]core.InsertRec, 1024)
+			batches := make([][]summary.Record, 1024)
 			for i := range batches {
 				batches[i] = randomRecs(rng, prefill+int64(i*batch), batch)
 			}

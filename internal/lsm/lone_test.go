@@ -36,7 +36,7 @@ func buildLone(opt Options) (*lone, error) {
 		return nil, err
 	}
 	defer raw.Close()
-	src, sums, err := core.SummarySource(opt.FS, opt.S, raw, opt.RawName, false, opt.Workers)
+	src, sums, err := core.SummarySource(opt.FS, opt.S, raw, opt.RawName, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -44,8 +44,7 @@ func buildLone(opt Options) (*lone, error) {
 	if budget <= 0 {
 		budget = DefaultMemBudget
 	}
-	sorted, _, err := extsort.Sorted(extsort.Config{FS: opt.FS, RecordSize: recordSize,
-		Compare: extsort.CompareKeyPrefix(summary.KeySize), MemBudget: budget,
+	sorted, _, err := extsort.Sorted(extsort.Config{FS: opt.FS, MemBudget: budget,
 		TempPrefix: opt.Name + ".sort", Workers: opt.Workers}, src)
 	if err == nil {
 		defer sorted.Close()
@@ -176,9 +175,9 @@ func (l *lone) Insert(ctx context.Context, batch []series.Series) error {
 	if err != nil {
 		return err
 	}
-	recs := make([]core.InsertRec, len(batch))
+	recs := make([]summary.Record, len(batch))
 	for i := range recs {
-		recs[i] = core.InsertRec{Key: keys[i], Pos: first + int64(i)}
+		recs[i] = summary.Record{Key: keys[i], Pos: first + int64(i)}
 	}
 	if err := l.InsertRecords(recs); err != nil {
 		return err

@@ -30,7 +30,6 @@ package lsm
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -69,7 +68,7 @@ type Options struct {
 	// Records is the sorted record stream the initial bulk load writes as
 	// its run: the partition layer's one sort of the summarization pass, or
 	// the share of it below the child's key-range boundary. Open ignores it.
-	Records io.Reader
+	Records summary.RecordReader
 	// MemBudgetBytes bounds the memtable (and the bulk load's sort, which
 	// the partition layer runs; DefaultMemBudget when unset): it holds
 	// MemBudgetBytes/24 records. Merging two of its sorted pieces briefly
@@ -149,15 +148,6 @@ type run struct {
 	seq int64
 }
 
-// memEntry is one memtable record.
-type memEntry struct {
-	key summary.Key
-	pos int64
-}
-
-// compareMem is the record order (summary.RecordLess) on memtable entries.
-func compareMem(a, b memEntry) int { return summary.CompareRecords(a.key, a.pos, b.key, b.pos) }
-
 // Index is a Coconut-LSM index, a partition child (internal/partition): it
 // answers through the two steps of a query and takes records whose raw
 // bytes the partition layer appended to the raw log. A handle is safe for
@@ -185,7 +175,7 @@ type Index struct {
 	// order (summary.RecordLess), the i-th ending at memEnds[i]. Each piece
 	// is more than twice as long as the next, so there are at most
 	// log2(len(mem))+1 of them.
-	mem     []memEntry
+	mem     []summary.Record
 	memEnds []int
 	count   int64
 	// nextSeq is the seq, and so the file name, of the next flush run.
@@ -323,7 +313,7 @@ func (ix *Index) memCapacity() int {
 // the whole batch, and serializes whole batches — append and insert — so no
 // flush's cursor passes records appended but not inserted yet. A failed
 // compaction merge is not an InsertRecords error (see flushOnWriteLocked).
-func (ix *Index) InsertRecords(recs []core.InsertRec) error {
+func (ix *Index) InsertRecords(recs []summary.Record) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.commitErr != nil {
@@ -334,13 +324,11 @@ func (ix *Index) InsertRecords(recs []core.InsertRec) error {
 
 // insertLocked adds records to the memtable, flushing it whenever it fills:
 // the batch is cut where the memtable fills, and each cut is a new piece.
-func (ix *Index) insertLocked(recs []core.InsertRec) error {
+func (ix *Index) insertLocked(recs []summary.Record) error {
 	for len(recs) > 0 {
 		n := min(len(recs), max(ix.memCapacity()-len(ix.mem), 1))
 		start := len(ix.mem)
-		for _, e := range recs[:n] {
-			ix.mem = append(ix.mem, memEntry{key: e.Key, pos: e.Pos})
-		}
+		ix.mem = append(ix.mem, recs[:n]...)
 		recs = recs[n:]
 		ix.addMemPieceLocked(start)
 		ix.count += int64(n)
@@ -363,7 +351,7 @@ func (ix *Index) addMemPieceLocked(start int) {
 	if len(piece) == 0 {
 		return
 	}
-	slices.SortFunc(piece, compareMem)
+	slices.SortFunc(piece, summary.CompareRecords)
 	ix.memEnds = append(ix.memEnds, len(ix.mem))
 	for n := len(ix.memEnds); n >= 2; n-- {
 		lo, mid, hi := 0, ix.memEnds[n-2], ix.memEnds[n-1]
@@ -383,12 +371,12 @@ func (ix *Index) addMemPieceLocked(start int) {
 // in place, through a copy of the shorter one: from the back when that is
 // the second, from the front when it is the first, so no record is
 // overwritten before it is read.
-func mergePieces(mem []memEntry, lo, mid, hi int) {
+func mergePieces(mem []summary.Record, lo, mid, hi int) {
 	if hi-mid <= mid-lo {
 		b := slices.Clone(mem[mid:hi])
 		i, j := mid-1, len(b)-1
 		for k := hi - 1; j >= 0; k-- {
-			if i >= lo && compareMem(b[j], mem[i]) < 0 {
+			if i >= lo && summary.CompareRecords(b[j], mem[i]) < 0 {
 				mem[k] = mem[i]
 				i--
 			} else {
@@ -401,7 +389,7 @@ func mergePieces(mem []memEntry, lo, mid, hi int) {
 	a := slices.Clone(mem[lo:mid])
 	i, j := 0, mid
 	for k := lo; i < len(a); k++ {
-		if j < hi && compareMem(mem[j], a[i]) < 0 {
+		if j < hi && summary.CompareRecords(mem[j], a[i]) < 0 {
 			mem[k] = mem[j]
 			j++
 		} else {
@@ -412,8 +400,8 @@ func mergePieces(mem []memEntry, lo, mid, hi int) {
 }
 
 // memPieces returns the memtable's sorted pieces, oldest first.
-func (ix *Index) memPieces() [][]memEntry {
-	ps := make([][]memEntry, len(ix.memEnds))
+func (ix *Index) memPieces() [][]summary.Record {
+	ps := make([][]summary.Record, len(ix.memEnds))
 	lo := 0
 	for i, hi := range ix.memEnds {
 		ps[i], lo = ix.mem[lo:hi], hi
@@ -470,7 +458,7 @@ func (ix *Index) flushLocked() error {
 	// position past the durable end of the raw file.
 	flushed := ix.flushed
 	for _, e := range ix.mem {
-		flushed = max(flushed, e.pos+1)
+		flushed = max(flushed, e.Pos+1)
 	}
 	if err := ix.rawSums.Commit(context.Background(), flushed); err != nil {
 		return err
@@ -499,31 +487,21 @@ func (ix *Index) flushLocked() error {
 // or a run file, a block at a time.
 type mergeSource struct {
 	// recs are the source's records not merged yet, in record order.
-	recs []memEntry
+	recs []summary.Record
 	// next returns the source's next records, none at its end; nil for a
 	// source whose recs are all it holds.
-	next func() ([]memEntry, error)
+	next func() ([]summary.Record, error)
 }
 
 // streamSource reads a sorted record stream a block of records at a time.
-func streamSource(in io.Reader) (*mergeSource, error) {
-	buf, recs := make([]byte, 4096*recordSize), []memEntry(nil)
-	src := &mergeSource{next: func() ([]memEntry, error) {
-		b, err := core.ReadRecords(in, buf, recordSize)
+func streamSource(in summary.RecordReader) (*mergeSource, error) {
+	buf := make([]summary.Record, 4096)
+	src := &mergeSource{next: func() ([]summary.Record, error) {
+		n, err := in.Read(buf)
 		if err == io.EOF {
-			return nil, nil
+			err = nil
 		}
-		if err != nil {
-			return nil, err
-		}
-		recs = recs[:0]
-		for off := 0; off < len(b); off += recordSize {
-			var e memEntry
-			copy(e.key[:], b[off:])
-			e.pos = int64(binary.LittleEndian.Uint64(b[off+summary.KeySize:]))
-			recs = append(recs, e)
-		}
-		return recs, nil
+		return buf[:n], err
 	}}
 	var err error
 	src.recs, err = src.next()
@@ -536,8 +514,8 @@ func streamSource(in io.Reader) (*mergeSource, error) {
 // run, and one-shot merge traffic never touches the shared cache's hot query
 // working set.
 func runSource(rb *runblock.Reader) (*mergeSource, error) {
-	b, buf := 0, []memEntry(nil)
-	src := &mergeSource{next: func() ([]memEntry, error) {
+	b, buf := 0, []summary.Record(nil)
+	src := &mergeSource{next: func() ([]summary.Record, error) {
 		if b == rb.NumBlocks() {
 			return nil, nil
 		}
@@ -547,7 +525,7 @@ func runSource(rb *runblock.Reader) (*mergeSource, error) {
 		}
 		b, buf = b+1, buf[:0]
 		for i, k := range blk.Keys {
-			buf = append(buf, memEntry{key: k, pos: blk.Pos[i]})
+			buf = append(buf, summary.Record{Key: k, Pos: blk.Pos[i]})
 		}
 		return buf, nil
 	}}
@@ -565,12 +543,12 @@ func mergeRecords(w *runblock.Writer, srcs []*mergeSource) error {
 	for len(srcs) > 0 {
 		best := 0
 		for i := 1; i < len(srcs); i++ {
-			if compareMem(srcs[i].recs[0], srcs[best].recs[0]) < 0 {
+			if summary.CompareRecords(srcs[i].recs[0], srcs[best].recs[0]) < 0 {
 				best = i
 			}
 		}
 		s := srcs[best]
-		if err := w.Add(s.recs[0].key, s.recs[0].pos); err != nil {
+		if err := w.Add(s.recs[0].Key, s.recs[0].Pos); err != nil {
 			return err
 		}
 		if s.recs = s.recs[1:]; len(s.recs) == 0 && s.next != nil {
@@ -902,10 +880,10 @@ func (ix *Index) windowCandsLocked(q series.Series, radius int, tbl *summary.Min
 	lo := 0
 	for _, hi := range ix.memEnds {
 		p := ix.mem[lo:hi]
-		ins := sort.Search(len(p), func(i int) bool { return !p[i].key.Less(key) })
+		ins := sort.Search(len(p), func(i int) bool { return !p[i].Key.Less(key) })
 		from, start := max(ins-half, 0), len(all)
 		for _, e := range p[from:min(ins+half, len(p))] {
-			all = append(all, window.Cand{Key: e.key, Pos: e.pos})
+			all = append(all, window.Cand{Key: e.Key, Pos: e.Pos})
 		}
 		srcs = append(srcs, window.Source{Cands: all[start:], Split: ins - from})
 		lo = hi
@@ -1018,8 +996,8 @@ func (ix *Index) ExactVerify(ctx context.Context, q series.Series, k int, seed [
 		cands = append(cands, cs...)
 	}
 	for _, e := range ix.mem {
-		if lb := tbl.Key(e.key); lb < limit {
-			cands = append(cands, summary.Cand{ID: e.pos, LB: lb})
+		if lb := tbl.Key(e.Key); lb < limit {
+			cands = append(cands, summary.Cand{ID: e.Pos, LB: lb})
 		}
 	}
 	pass.Cands = cands

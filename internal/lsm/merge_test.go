@@ -5,25 +5,26 @@ package lsm
 // checked, never the shared cache.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
-	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
 // runRecords returns every record of r in file order.
-func runRecords(t *testing.T, r *run) []memEntry {
+func runRecords(t *testing.T, r *run) []summary.Record {
 	t.Helper()
-	var out []memEntry
+	var out []summary.Record
 	err := r.rb.Range(0, r.count, func(k summary.Key, pos int64) error {
-		out = append(out, memEntry{key: k, pos: pos})
+		out = append(out, summary.Record{Key: k, Pos: pos})
 		return nil
 	})
 	if err != nil {
@@ -58,28 +59,29 @@ func TestMergeRecordOrder(t *testing.T) {
 	rng.Read(tie[:])
 	// Positions 1, 257, 2, 258, …: each low one's twin 256 above it sorts
 	// first under the record order and second as an integer.
-	var recs []core.InsertRec
+	var recs []summary.Record
 	for j := 0; j < fanout*16; j++ {
-		rec := core.InsertRec{Key: tie, Pos: int64(1 + j/2 + 256*(j%2))}
+		rec := summary.Record{Key: tie, Pos: int64(1 + j/2 + 256*(j%2))}
 		if j%5 == 0 {
 			rng.Read(rec.Key[:])
 		}
 		recs = append(recs, rec)
 	}
 	rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-	sorted := func(recs []core.InsertRec) []memEntry {
-		out := make([]memEntry, len(recs))
-		for i, r := range recs {
-			out[i] = memEntry{key: r.Key, pos: r.Pos}
-		}
-		slices.SortFunc(out, func(a, b memEntry) int { return summary.CompareRecords(a.key, a.pos, b.key, b.pos) })
+	// The reference is bytes.Compare on the encoded records.
+	enc := func(r summary.Record) []byte {
+		return binary.LittleEndian.AppendUint64(append([]byte(nil), r.Key[:]...), uint64(r.Pos))
+	}
+	sorted := func(recs []summary.Record) []summary.Record {
+		out := slices.Clone(recs)
+		slices.SortFunc(out, func(a, b summary.Record) int { return bytes.Compare(enc(a), enc(b)) })
 		return out
 	}
-	if ref := sorted(recs); slices.IsSortedFunc(ref, func(a, b memEntry) int {
-		if c := a.key.Compare(b.key); c != 0 {
+	if ref := sorted(recs); slices.IsSortedFunc(ref, func(a, b summary.Record) int {
+		if c := a.Key.Compare(b.Key); c != 0 {
 			return c
 		}
-		return int(a.pos - b.pos)
+		return int(a.Pos - b.Pos)
 	}) {
 		t.Fatal("the records order the same by integer positions: the test would not tell the orders apart")
 	}

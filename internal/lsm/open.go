@@ -10,6 +10,7 @@ import (
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/storage/blockcache"
+	"github.com/coconut-db/coconut/internal/summary"
 )
 
 // Open reopens a persisted Coconut-LSM index from its manifest: every
@@ -104,7 +105,7 @@ func (ix *Index) recoverTail(flushed int64) (err error) {
 		}
 		key := ix.opt.S.KeyOfEncoded(enc)
 		if ix.opt.Owns == nil || ix.opt.Owns(key) {
-			ix.mem = append(ix.mem, memEntry{key: key, pos: pos})
+			ix.mem = append(ix.mem, summary.Record{Key: key, Pos: pos})
 		}
 	}
 	// One sort makes the recovered tail the memtable's one piece.

@@ -77,7 +77,7 @@ func TestExactMatchesReferencePass(t *testing.T) {
 			}
 		}
 		for _, e := range ix.mem {
-			keys, positions = append(keys, e.key), append(positions, e.pos)
+			keys, positions = append(keys, e.Key), append(positions, e.Pos)
 		}
 		for qi, q := range queries {
 			seed, err := ix.approxSq(context.Background(), q, 0)
@@ -179,7 +179,7 @@ func TestExactSkipsRunBlocks(t *testing.T) {
 	}
 	full := fs.bytes.Load() - before
 	for _, e := range ix.mem {
-		keys, positions = append(keys, e.key), append(positions, e.pos)
+		keys, positions = append(keys, e.Key), append(positions, e.Pos)
 	}
 	fewer := 0
 	for qi, q := range append(dataset.Queries(gen, 16, tLen, 77), data[5], data[bulk+700]) {

@@ -103,7 +103,7 @@ func requireMemPieces(t *testing.T, ix *Index) {
 	ps := ix.memPieces()
 	n := 0
 	for i, p := range ps {
-		if !slices.IsSortedFunc(p, compareMem) {
+		if !slices.IsSortedFunc(p, summary.CompareRecords) {
 			t.Fatalf("memtable piece %d of %d records is not in record order", i, len(p))
 		}
 		if i > 0 && len(ps[i-1]) <= 2*len(p) {

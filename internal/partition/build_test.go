@@ -7,6 +7,7 @@ package partition
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -334,6 +335,48 @@ func TestFaultFSFailedBuildLeavesNoFiles(t *testing.T) {
 					t.Fatalf("only %d of %d injected faults failed the build", failed, ops)
 				}
 			})
+		}
+	}
+}
+
+// TestMaterializedBuildVerifiesTheGather: a materialized build reads each
+// raw series back by position as it writes the leaf run, verified against
+// the raw log its summarization pass filled. A raw file that rots after the
+// pass — as the first leaf run is created — fails the build with
+// storage.ErrCorruptData, and the device keeps the raw file and its sidecar
+// alone.
+func TestMaterializedBuildVerifiesTheGather(t *testing.T) {
+	for _, variant := range []func(core.Options) Variant{TreeVariant, TrieVariant} {
+		for _, parts := range []int{1, 3} {
+			inner := storage.NewMemFS()
+			if _, err := dataset.WriteFile(inner, "raw", dataset.NewRandomWalk(), 500, ptLen, 42); err != nil {
+				t.Fatal(err)
+			}
+			ffs := storage.NewFaultFS(inner)
+			var once sync.Once
+			var rotErr error
+			ffs.SetHook(func(op storage.Op, name string) {
+				if op == storage.OpCreate && strings.HasSuffix(name, ".leaves") {
+					once.Do(func() { rotErr = ffs.Rot("raw", int64(100*series.EncodedSize(ptLen)+3), 1) })
+				}
+			})
+			v := variant(core.Options{FS: ffs, Name: "px", S: ptSummarizer(t), RawName: "raw", LeafCap: 16,
+				Materialized: true, MemBudgetBytes: 1 << 20, Workers: 2})
+			ix, err := Build(v, parts, nil)
+			if rotErr != nil {
+				t.Fatal(rotErr)
+			}
+			if err == nil {
+				ix.Close()
+			}
+			if !errors.Is(err, storage.ErrCorruptData) {
+				t.Fatalf("%s parts=%d: a build over rotted raw bytes returned %v, want ErrCorruptData", v.kind, parts, err)
+			}
+			for _, name := range inner.Names() {
+				if name != "raw" && name != storage.RecordSumsName("raw") {
+					t.Fatalf("%s parts=%d: the failed build left %q (device: %v)", v.kind, parts, name, inner.Names())
+				}
+			}
 		}
 	}
 }

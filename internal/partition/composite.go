@@ -1,10 +1,8 @@
 package partition
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 
@@ -75,7 +73,7 @@ func Build(v Variant, parts int, bounds []summary.Key) (*Composite, error) {
 			names[i] = childName(v.name, i)
 		}
 	}
-	src, sums, err := core.SummarySource(v.fs, v.s, raw, v.rawName, v.materialized, v.workers)
+	src, sums, err := core.SummarySource(v.fs, v.s, raw, v.rawName, v.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -99,12 +97,10 @@ func Build(v Variant, parts int, bounds []summary.Key) (*Composite, error) {
 // buildChildren sorts the record stream src once and writes the children
 // names from it in key order, each from the records below its boundary. It
 // returns the number of records.
-func (c *Composite) buildChildren(src io.Reader, names []string) (int64, error) {
+func (c *Composite) buildChildren(src summary.RecordReader, names []string) (int64, error) {
 	v := c.v
 	sorted, total, err := extsort.Sorted(extsort.Config{
 		FS:         v.fs,
-		RecordSize: core.RecordSize(v.s.Params().SeriesLen, v.materialized),
-		Compare:    extsort.CompareKeyPrefix(summary.KeySize),
 		MemBudget:  v.memBudget,
 		TempPrefix: v.name + ".sort",
 		Workers:    v.workers,
@@ -119,11 +115,16 @@ func (c *Composite) buildChildren(src io.Reader, names []string) (int64, error) 
 		return 0, err
 	}
 	for i, name := range names {
-		// Child i takes the records below bounds[i]; the last, the rest.
-		records := io.Reader(sorted)
+		// Child i takes the records below bounds[i]; the last, the rest. One
+		// child holds every record; several reserve what a balanced split
+		// gives each.
+		records := summary.RecordReader(sorted)
 		if i < len(c.bounds) {
 			bound := c.bounds[i]
-			records = sorted.While(func(rec []byte) bool { return bytes.Compare(rec[:summary.KeySize], bound[:]) < 0 })
+			records = sorted.While(func(rec summary.Record) bool { return rec.Key.Less(bound) })
+		}
+		if len(names) > 1 {
+			records = share{records, int((total + int64(len(names)) - 1) / int64(len(names)))}
 		}
 		ix, err := v.child(childPlan{i: i, parts: len(names), name: name, records: records, bounds: c.bounds, sums: c.rawSums})
 		if err != nil {
@@ -136,6 +137,16 @@ func (c *Composite) buildChildren(src io.Reader, names []string) (int64, error) 
 	}
 	return total, sorted.Close()
 }
+
+// share is a child's share of the build's sorted stream when there are
+// several: its records, and its Len, the estimate the child reserves room
+// for.
+type share struct {
+	summary.RecordReader
+	n int
+}
+
+func (s share) Len() int { return s.n }
 
 // Open reopens the Composite of v: an unpartitioned index's one child from
 // its own manifest, a partitioned index's children through the parent
@@ -406,14 +417,10 @@ func (c *Composite) routeLocked(ctx context.Context, kids []recordInserter, batc
 	if err != nil {
 		return 0, err
 	}
-	perChild := make([][]core.InsertRec, len(kids))
-	for i := range batch {
-		rec := core.InsertRec{Key: keys[i], Pos: first + int64(i)}
-		if c.v.materialized {
-			rec.Raw = enc[i*sz : (i+1)*sz]
-		}
-		owner := route(c.bounds, keys[i])
-		perChild[owner] = append(perChild[owner], rec)
+	perChild := make([][]summary.Record, len(kids))
+	for i, key := range keys {
+		owner := route(c.bounds, key)
+		perChild[owner] = append(perChild[owner], summary.Record{Key: key, Pos: first + int64(i)})
 	}
 	// The batch is admitted: it routes to completion whatever the caller's
 	// context does meanwhile.

@@ -95,7 +95,7 @@ type (
 	// recordInserter takes records whose raw bytes the Composite already
 	// appended to the raw log (trees and LSMs).
 	recordInserter interface {
-		InsertRecords(recs []core.InsertRec) error
+		InsertRecords(recs []summary.Record) error
 	}
 )
 
@@ -149,7 +149,7 @@ type Variant struct {
 type childPlan struct {
 	i, parts int
 	name     string
-	records  io.Reader
+	records  summary.RecordReader
 	bounds   []summary.Key
 	sums     *storage.RecordSums
 }

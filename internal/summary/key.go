@@ -1,9 +1,9 @@
 package summary
 
 import (
-	"cmp"
 	"encoding/binary"
 	"encoding/hex"
+	"io"
 	"math/bits"
 )
 
@@ -23,34 +23,89 @@ type Key [KeySize]byte
 const _ = uint(KeySize-16) + uint(16-KeySize)
 
 // Compare returns -1, 0, or 1 like bytes.Compare, one 64-bit word at a time.
+// It inlines, as CompareRecords does: every sort and merge calls it per
+// comparison.
 func (k Key) Compare(o Key) int {
-	if c := cmp.Compare(binary.BigEndian.Uint64(k[:8]), binary.BigEndian.Uint64(o[:8])); c != 0 {
-		return c
+	a, b := binary.BigEndian.Uint64(k[:8]), binary.BigEndian.Uint64(o[:8])
+	if a == b {
+		a, b = binary.BigEndian.Uint64(k[8:]), binary.BigEndian.Uint64(o[8:])
 	}
-	return cmp.Compare(binary.BigEndian.Uint64(k[8:]), binary.BigEndian.Uint64(o[8:]))
+	return sign(a, b)
+}
+
+// sign is the three-way comparison of a and b.
+func sign(a, b uint64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // Less reports whether k sorts before o.
 func (k Key) Less(o Key) bool { return k.Compare(o) < 0 }
 
-// RecordLess is the refined record order every sorted run and window
-// follows: key first, ties broken by the lexicographic order of the
-// position's little-endian encoding — the order the external sort's
-// full-record comparison sees, since a record stores its position
-// little-endian right after the key. Reversing the integer's bytes compares
-// exactly that. Positions are unique, so the order is strict.
-func RecordLess(ak Key, ap int64, bk Key, bp int64) bool {
-	return CompareRecords(ak, ap, bk, bp) < 0
+// Record is one series as every sorted structure holds it: its invSAX key
+// and its position (ordinal) in the raw dataset file. It is what the bulk
+// load's summarization pass emits, its sort orders and every sorted writer
+// takes — a tree's or a trie's leaf run, an LSM run, a memtable.
+type Record struct {
+	Key Key
+	Pos int64
 }
 
-// CompareRecords is the record order of RecordLess as a three-way
-// comparison: -1, 0 or 1.
-func CompareRecords(ak Key, ap int64, bk Key, bp int64) int {
-	if c := ak.Compare(bk); c != 0 {
-		return c
-	}
-	return cmp.Compare(bits.ReverseBytes64(uint64(ap)), bits.ReverseBytes64(uint64(bp)))
+// RecordSize is the size of an encoded record: the key, then the position
+// little-endian — the layout of a temporary sort run.
+const RecordSize = KeySize + 8
+
+// RecordLess is the refined record order every sorted run and window
+// follows (CompareRecords) on a record given by its key and position.
+func RecordLess(ak Key, ap int64, bk Key, bp int64) bool {
+	return CompareRecords(Record{ak, ap}, Record{bk, bp}) < 0
 }
+
+// CompareRecords is the record order as a three-way comparison: key first,
+// ties broken by the lexicographic order of the position's little-endian
+// encoding — bytes.Compare on the encoded records, since a record stores its
+// position little-endian right after the key. Reversing the integer's bytes
+// compares exactly that. Positions are unique, so the order is total. It
+// inlines.
+func CompareRecords(x, y Record) int {
+	a, b := binary.BigEndian.Uint64(x.Key[:8]), binary.BigEndian.Uint64(y.Key[:8])
+	if a == b {
+		if a, b = binary.BigEndian.Uint64(x.Key[8:]), binary.BigEndian.Uint64(y.Key[8:]); a == b {
+			a, b = bits.ReverseBytes64(uint64(x.Pos)), bits.ReverseBytes64(uint64(y.Pos))
+		}
+	}
+	return sign(a, b)
+}
+
+// RecordReader is a stream of records, read like an io.Reader: Read fills p
+// with the next records and returns how many, and at the stream's end 0 and
+// io.EOF. Len is how many records the stream holds — exact, or for a share
+// of a stream an estimate: the room a writer of it reserves.
+type RecordReader interface {
+	Read(p []Record) (int, error)
+	Len() int
+}
+
+// SliceReader is the RecordReader of a slice's records.
+type SliceReader []Record
+
+// Read implements RecordReader.
+func (s *SliceReader) Read(p []Record) (int, error) {
+	if len(*s) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, *s)
+	*s = (*s)[n:]
+	return n, nil
+}
+
+// Len implements RecordReader: the records not read yet.
+func (s *SliceReader) Len() int { return len(*s) }
 
 // String returns the key as hex, for debugging.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }

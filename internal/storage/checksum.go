@@ -249,32 +249,33 @@ func (c *ChecksumFile) WriteAt(p []byte, off int64) (int, error) {
 	return c.appendLocked(p)
 }
 
+// appendLocked appends p: every block it completes — the first one
+// starting with the buffered tail — is framed into wbuf and written with one
+// WriteAt (blocks lie back to back, block i at phys(i)), and the rest of p
+// becomes the tail. A failed write changes nothing.
 func (c *ChecksumFile) appendLocked(p []byte) (int, error) {
-	written := 0
-	for len(p) > 0 {
-		if len(c.tail) == c.block {
-			if err := c.writeBlockLocked(c.full, c.tail); err != nil {
-				return written, err
-			}
-			c.full++
-			c.tail = c.tail[:0]
-			c.tailDirty = false
-		}
-		m := min(c.block-len(c.tail), len(p))
-		c.tail = append(c.tail, p[:m]...)
-		c.tailDirty = true
-		p = p[m:]
-		written += m
+	n := (len(c.tail) + len(p)) / c.block
+	if n == 0 {
+		c.tail = append(c.tail, p...)
+		c.tailDirty = c.tailDirty || len(p) > 0
+		return len(p), nil
 	}
-	if len(c.tail) == c.block {
-		if err := c.writeBlockLocked(c.full, c.tail); err != nil {
-			return written, err
-		}
-		c.full++
-		c.tail = c.tail[:0]
-		c.tailDirty = false
+	buf, head, rest := c.wbuf[:0], c.tail, p
+	for range n {
+		m := c.block - len(head)
+		crc := crc32.Update(crc32.Checksum(head, crcTable), crcTable, rest[:m])
+		buf = binary.LittleEndian.AppendUint32(buf, crc)
+		buf = append(append(buf, head...), rest[:m]...)
+		head, rest = nil, rest[m:]
 	}
-	return written, nil
+	c.wbuf = buf
+	if _, err := c.inner.WriteAt(buf, c.phys(c.full)); err != nil {
+		return 0, fmt.Errorf("storage: checksum file %q: write blocks [%d,%d]: %w", c.inner.Name(), c.full, c.full+int64(n)-1, err)
+	}
+	c.full += int64(n)
+	c.tail = append(c.tail[:0], rest...)
+	c.tailDirty = len(rest) > 0
+	return len(p), nil
 }
 
 // writeBlockLocked frames payload with its CRC and writes it as block i.

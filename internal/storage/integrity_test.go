@@ -3,8 +3,10 @@ package storage
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"sync"
 	"testing"
@@ -549,4 +551,52 @@ func FuzzChecksumFile(f *testing.F) {
 			t.Fatalf("verify: %v", verr)
 		}
 	})
+}
+
+// TestChecksumFileBatchesBlockWrites: an append writes every block it
+// completes with one WriteAt, the first one starting with the buffered
+// tail, and the physical bytes are the same whatever the append sizes: the
+// header, then each block's CRC32-C and payload, the tail last.
+func TestChecksumFileBatchesBlockWrites(t *testing.T) {
+	const block, size = 33, 1000
+	payload := make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	want := make([]byte, ChecksumHeaderSize)
+	copy(want, []byte{0x43, 0x43, 0x42, 0x46, 1, 0, 0, 0, block, 0, 0, 0})
+	for off := 0; off < size; off += block {
+		p := payload[off:min(off+block, size)]
+		want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(p, crcTable))
+		want = append(want, p...)
+	}
+	for _, chunk := range []int{1, 7, 33, 34, 501, size} {
+		fs := NewMemFS()
+		var writes int
+		fs.SetFault(func(op Op, name string, off int64, n int) error {
+			if op == OpWrite {
+				writes++
+			}
+			return nil
+		})
+		writeChecksummed(t, fs, "f", block, payload, chunk)
+		got, err := ReadFileAll(fs, "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("chunk=%d: the physical bytes differ from the reference framing", chunk)
+		}
+		// The header, one write per append that completes a block, and the
+		// tail at Sync.
+		completing := 0
+		for off := 0; off < size; off += chunk {
+			if (off+min(chunk, size-off))/block > off/block {
+				completing++
+			}
+		}
+		if want := 1 + completing + 1; writes != want {
+			t.Fatalf("chunk=%d: %d writes, want %d", chunk, writes, want)
+		}
+	}
 }

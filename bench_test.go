@@ -779,9 +779,9 @@ func BenchmarkBulkBuildTrie(b *testing.B) {
 }
 
 // BenchmarkBulkBuildMaterialized is the bulk-build bench for the "-Full"
-// variants, where the summarization pipeline also carries the raw series
-// through the sort (the path that used to allocate a fresh raw buffer per
-// record). Run with -benchmem to see the allocation profile.
+// variants, whose leaf-run writer gathers each record's raw series by
+// position from the raw file after the sort. Run with -benchmem to see the
+// allocation profile.
 func BenchmarkBulkBuildMaterialized(b *testing.B) {
 	const count = 10000
 	const seriesLen = 128

@@ -105,7 +105,8 @@ func BuildRecordSums(fs FS, rawName string, recSize int) (*RecordSums, error) {
 // NewRecordSums returns the sidecar of a fresh build over raw (open on
 // rawName): one entry per whole record, each still to be computed by Fill —
 // the build's summarization pass checksums the very bytes it derives keys
-// from, so the raw file is read once. Nothing is persisted until Flush.
+// from, so the raw file is read once in file order. Nothing is persisted
+// until Flush.
 func NewRecordSums(fs FS, rawName string, recSize int, raw File) (*RecordSums, error) {
 	if recSize <= 0 {
 		return nil, fmt.Errorf("storage: record sums for %q: invalid record size %d", rawName, recSize)

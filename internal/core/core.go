@@ -30,7 +30,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -153,16 +152,6 @@ type Shape struct {
 	Leaves   int
 	LeafFill float64
 	Runs     int
-}
-
-// decodeRecord unpacks a leaf record: its key and position, and the raw
-// series a materialized record carries after them (aliasing rec; empty
-// otherwise).
-func decodeRecord(rec []byte) (summary.Record, []byte) {
-	var r summary.Record
-	copy(r.Key[:], rec)
-	r.Pos = int64(binary.LittleEndian.Uint64(rec[summary.KeySize:]))
-	return r, rec[summary.RecordSize:]
 }
 
 // summaryRecordReader streams the (invSAX, position) records of a raw
@@ -458,9 +447,8 @@ func PutRawScratch(sc *RawScratch) { rawScratchPool.Put(sc) }
 // Search state stays in squared space end to end; only the partition layer
 // takes a square root, once per answer.
 func leafSquaredDistance(q series.Series, rec []byte) (int64, float64) {
-	r, enc := decodeRecord(rec)
-	sq, _ := series.SquaredEDEarlyAbandonEncoded(q, enc, math.Inf(1))
-	return r.Pos, sq
+	sq, _ := series.SquaredEDEarlyAbandonEncoded(q, rec[summary.RecordSize:], math.Inf(1))
+	return summary.DecodeRecord(rec).Pos, sq
 }
 
 // VerifyRaw is the non-materialized SIMS verification scan of every index:

@@ -401,7 +401,7 @@ func TestTrieLeavesAreContiguousAndSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 		for off := 0; off < len(recs); off += recSize {
-			rec, _ := decodeRecord(recs[off : off+recSize])
+			rec := summary.DecodeRecord(recs[off : off+recSize])
 			key := rec.Key
 			if !first && key.Less(prev) {
 				t.Fatal("leaf records out of global z-order")

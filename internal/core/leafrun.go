@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -112,24 +111,21 @@ func (r *leafRun) createGen(gen int64, n int, raw storage.Views) (*genWriter, er
 		sims: newSimsArray(r.opt.S, n), rec: make([]byte, r.opt.recordSize()), raw: raw, sums: r.rawSums}, nil
 }
 
-// put appends rec, encoded: the key, the position little-endian and, in a
+// put appends rec as enc, its leaf record in the current generation, or
+// when enc is nil encoded: the key, the position little-endian and, in a
 // materialized run, the raw series at that position.
-func (g *genWriter) put(rec summary.Record) error {
-	copy(g.rec, rec.Key[:])
-	binary.LittleEndian.PutUint64(g.rec[summary.KeySize:], uint64(rec.Pos))
-	if enc := g.rec[summary.RecordSize:]; len(enc) > 0 {
-		raw, err := ReadRawAt(g.raw, g.sums, rec.Pos, enc)
-		if err != nil {
-			return err
+func (g *genWriter) put(rec summary.Record, enc []byte) error {
+	if enc == nil {
+		enc = g.rec
+		rec.Encode(enc)
+		if series := enc[summary.RecordSize:]; len(series) > 0 {
+			raw, err := ReadRawAt(g.raw, g.sums, rec.Pos, series)
+			if err != nil {
+				return err
+			}
+			copy(series, raw) // a view, unless ReadAt filled series itself
 		}
-		copy(enc, raw) // a view, unless ReadAt filled enc itself
 	}
-	return g.putEncoded(rec, g.rec)
-}
-
-// putEncoded appends rec, whose leaf record enc is written as it is: a
-// record of the current generation, copied by an insert merge.
-func (g *genWriter) putEncoded(rec summary.Record, enc []byte) error {
 	g.sims.add(rec)
 	_, err := g.w.Write(enc)
 	return err
@@ -215,14 +211,10 @@ func (r *leafRun) build(cut func(summary.Column, *Options) []int) (err error) {
 	}
 	buf := make([]summary.Record, 4096)
 	for err == nil {
-		n, rerr := r.opt.Records.Read(buf)
-		for _, rec := range buf[:n] {
-			if err = g.put(rec); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			err = rerr
+		var n int
+		n, err = r.opt.Records.Read(buf)
+		for i := 0; i < n && err == nil; i++ {
+			err = g.put(buf[i], nil)
 		}
 	}
 	if err == io.EOF {
@@ -331,7 +323,7 @@ func (r *leafRun) load(m *manifest.Manifest) error {
 		if _, err := io.ReadFull(sr, rec); err != nil {
 			return fmt.Errorf("core: read leaf run: %w", truncatedLeaves(err))
 		}
-		next, _ := decodeRecord(rec)
+		next := summary.DecodeRecord(rec)
 		if i > 0 && next.Key.Less(prev) {
 			return fmt.Errorf("core: %w: leaf records out of key order", manifest.ErrCorruptManifest)
 		}
@@ -421,32 +413,25 @@ func (r *leafRun) mergeNext(batch []summary.Record) (err error) {
 	if err != nil {
 		return err
 	}
-	// enc is the current generation's next record, and cur its key and
-	// position; ok is false once all are merged.
+	// Each record of the current generation is written after the batch's
+	// records below it.
 	in := storage.NewSequentialReader(r.file, 0, int64(n)*int64(recSize), 0)
-	enc, left := make([]byte, recSize), n
-	var cur summary.Record
-	ok := false
-	advance := func() error {
-		if ok = left > 0; !ok {
-			return nil
+	enc := make([]byte, recSize)
+	for i := 0; i < n && err == nil; i++ {
+		if _, err = io.ReadFull(in, enc); err != nil {
+			err = fmt.Errorf("core: read leaf run: %w", truncatedLeaves(err))
+			break
 		}
-		left--
-		if _, err := io.ReadFull(in, enc); err != nil {
-			return fmt.Errorf("core: read leaf run: %w", truncatedLeaves(err))
+		cur := summary.DecodeRecord(enc)
+		for ; err == nil && len(batch) > 0 && summary.CompareRecords(batch[0], cur) < 0; batch = batch[1:] {
+			err = g.put(batch[0], nil)
 		}
-		cur, _ = decodeRecord(enc)
-		return nil
+		if err == nil {
+			err = g.put(cur, enc)
+		}
 	}
-	err = advance()
-	for err == nil && (ok || len(batch) > 0) {
-		if ok && (len(batch) == 0 || summary.CompareRecords(cur, batch[0]) < 0) {
-			if err = g.putEncoded(cur, enc); err == nil {
-				err = advance()
-			}
-		} else {
-			err, batch = g.put(batch[0]), batch[1:]
-		}
+	for ; err == nil && len(batch) > 0; batch = batch[1:] {
+		err = g.put(batch[0], nil)
 	}
 	if err = g.close(err); err != nil {
 		return fmt.Errorf("core: merging inserts into the leaf run: %w", err)
@@ -619,8 +604,7 @@ func (r *leafRun) leafFetch() window.FetchFunc {
 			}
 			cache[li] = recs
 		}
-		_, raw := decodeRecord(recs[(c.Ord-r.starts[li])*recSize:][:recSize])
-		return raw, nil
+		return recs[(c.Ord-r.starts[li])*recSize:][summary.RecordSize:recSize], nil
 	}
 }
 

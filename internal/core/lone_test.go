@@ -230,7 +230,7 @@ func (l *loneTree) positions() ([]int64, error) {
 			return nil, err
 		}
 		for off := 0; off < len(recs); off += recSize {
-			rec, _ := decodeRecord(recs[off:])
+			rec := summary.DecodeRecord(recs[off:])
 			out = append(out, rec.Pos)
 		}
 	}

@@ -49,10 +49,10 @@ func checkTreeRun(t *testing.T, ix *loneTree) {
 		}
 		for off := 0; off < len(recs); off += recSize {
 			rec := recs[off : off+recSize]
-			r, _ := decodeRecord(rec)
+			r := summary.DecodeRecord(rec)
 			key, pos := r.Key, r.Pos
 			if prev != nil {
-				p, _ := decodeRecord(prev)
+				p := summary.DecodeRecord(prev)
 				if bytes.Compare(prev[:summary.KeySize], rec[:summary.KeySize]) > 0 || key.Less(p.Key) {
 					t.Fatalf("leaf %d: record out of key order", li)
 				}
@@ -350,7 +350,7 @@ func TestChecksummedTreeRoundTrip(t *testing.T) {
 	}
 	recSize := opt.recordSize()
 	for off := 0; off < len(got); off += recSize {
-		rec, raw := decodeRecord(got[off : off+recSize])
+		rec, raw := summary.DecodeRecord(got[off:]), got[off+summary.RecordSize:off+recSize]
 		if !bytes.Equal(raw, series.AppendEncode(nil, data[rec.Pos])) {
 			t.Fatalf("record at %d carries another series than position %d's", off/recSize, rec.Pos)
 		}
@@ -613,7 +613,7 @@ func TestChecksummedTreeDetectsRot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := decodeRecord(recs[(300-ix.starts[leafOfOrd(ix.starts, 300)])*recSize:])
+	rec := summary.DecodeRecord(recs[(300-ix.starts[leafOfOrd(ix.starts, 300)])*recSize:])
 	pos := rec.Pos
 	// Rot a payload byte of the checksum block holding ordinal 300.
 	block := leafBlockSize(recSize)

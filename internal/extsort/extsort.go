@@ -7,13 +7,11 @@
 // buffered sequential readers. An input that fits one chunk skips both: it
 // is sorted in memory and merged from there.
 //
-// The records are sorted as values, with slices.SortFunc under the record
-// order (summary.CompareRecords), which is total because positions are
-// unique: the sort is on the fixed-width sortable key the paper's bulk load
-// rests on, and nothing else moves through it. A materialized index gathers
-// each raw series by position only when it writes its leaves. A temporary
-// run stores each record in 24 bytes, the key and then the position
-// little-endian, so the byte order of a run is the record order.
+// Records are sorted as values by slices.SortFunc under the record order
+// (summary.CompareRecords), total because positions are unique; a
+// materialized index gathers its raw series only as it writes its leaves. A
+// temporary run stores a record in 24 bytes, the key and then the position
+// little-endian, so a run's byte order is the record order.
 //
 // The sort's product is a stream (Sorted): the final merge — of the runs
 // left after the intermediate generations, or of the sorted slices of the
@@ -44,7 +42,6 @@ package extsort
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -61,8 +58,7 @@ import (
 // of the memory budget.
 const recordSize = summary.RecordSize
 
-// Compare orders two encoded records. Only Sort's callers name it, and Sort
-// ignores it.
+// Compare orders two encoded records; Sort ignores it.
 type Compare func(a, b []byte) int
 
 // CompareKeyPrefix returns a Compare that orders records by their first n
@@ -124,10 +120,21 @@ func Sort(cfg Config, in io.Reader, outName string) (int64, error) {
 	if cfg.RecordSize != recordSize {
 		return 0, fmt.Errorf("extsort: Sort takes %d-byte records, not %d", recordSize, cfg.RecordSize)
 	}
-	if err := cfg.validate(); err != nil {
+	data, err := io.ReadAll(in)
+	if err == nil && len(data)%recordSize != 0 {
+		err = fmt.Errorf("extsort: input ends %d bytes into a record: %w", len(data)%recordSize, io.ErrUnexpectedEOF)
+	}
+	if err == nil {
+		err = cfg.validate()
+	}
+	if err != nil {
 		return 0, err
 	}
-	r, n, err := Sorted(cfg, &decoder{r: in})
+	recs := make(summary.SliceReader, len(data)/recordSize)
+	for i := range recs {
+		recs[i] = summary.DecodeRecord(data[i*recordSize:])
+	}
+	r, n, err := Sorted(cfg, &recs)
 	if err != nil {
 		return 0, err
 	}
@@ -136,48 +143,6 @@ func Sort(cfg Config, in io.Reader, outName string) (int64, error) {
 		return 0, err
 	}
 	return n, r.Close()
-}
-
-// decoder reads the records of a byte stream of encoded records.
-type decoder struct {
-	r   io.Reader
-	buf []byte
-}
-
-func (d *decoder) Read(p []summary.Record) (int, error) {
-	if d.buf == nil {
-		d.buf = make([]byte, 4096*recordSize)
-	}
-	b := d.buf[:min(len(p), 4096)*recordSize]
-	n, err := io.ReadFull(d.r, b)
-	switch {
-	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
-		return 0, err
-	case n%recordSize != 0:
-		return 0, fmt.Errorf("extsort: input ends %d bytes into a record: %w", n%recordSize, io.ErrUnexpectedEOF)
-	case n == 0:
-		return 0, io.EOF
-	}
-	for i := range n / recordSize {
-		p[i] = decode(b[i*recordSize:])
-	}
-	return n / recordSize, nil
-}
-
-// Len is 0: a byte stream does not tell its length.
-func (d *decoder) Len() int { return 0 }
-
-// encode packs rec into dst, which holds recordSize bytes.
-func encode(dst []byte, rec summary.Record) {
-	copy(dst, rec.Key[:])
-	binary.LittleEndian.PutUint64(dst[summary.KeySize:], uint64(rec.Pos))
-}
-
-// decode unpacks the record encoded at the start of b.
-func decode(b []byte) (rec summary.Record) {
-	copy(rec.Key[:], b)
-	rec.Pos = int64(binary.LittleEndian.Uint64(b[summary.KeySize:]))
-	return rec
 }
 
 // Sorted consumes all records from in and returns them sorted, as a stream
@@ -400,7 +365,7 @@ func write(fs storage.FS, name string, bufSize int, r *Reader) (err error) {
 	w := storage.NewSequentialWriter(f, 0, bufSize)
 	var rec [recordSize]byte
 	for err == nil && r.err == nil && len(r.h) > 0 {
-		encode(rec[:], r.h[0].head)
+		r.h[0].head.Encode(rec[:])
 		if _, err = w.Write(rec[:]); err == nil {
 			r.pop()
 		}
@@ -527,7 +492,7 @@ func (s *stream) advance() (bool, error) {
 		}
 		return false, err
 	}
-	s.head = decode(s.buf[:])
+	s.head = summary.DecodeRecord(s.buf[:])
 	return true, nil
 }
 
@@ -627,20 +592,21 @@ func (r *Reader) readWhile(p []summary.Record, keep func(summary.Record) bool) (
 }
 
 // While returns the stream's records up to the first one keep rejects, as
-// a stream of its own: it ends there, and the record keep rejected is the
-// next one r, or another While of r, reads. Its Len is r's: at most what it
-// holds.
-func (r *Reader) While(keep func(summary.Record) bool) summary.RecordReader {
-	return while{r, keep}
+// a stream of its own whose Len is n, what its reader expects it to hold: it
+// ends there, and the record keep rejected is the next one r, or another
+// While of r, reads.
+func (r *Reader) While(keep func(summary.Record) bool, n int) summary.RecordReader {
+	return while{r, keep, n}
 }
 
 type while struct {
 	r    *Reader
 	keep func(summary.Record) bool
+	n    int
 }
 
 func (w while) Read(p []summary.Record) (int, error) { return w.r.readWhile(p, w.keep) }
-func (w while) Len() int                             { return w.r.Len() }
+func (w while) Len() int                             { return w.n }
 
 // Close releases the stream: it closes the run files and removes them, and
 // lets go of the chunk an in-memory merge reads. It is idempotent.

@@ -403,7 +403,8 @@ func TestSortedExactlyOneFullChunk(t *testing.T) {
 
 // TestSortedStreamShares reads the stream of a multi-pass sort the way the
 // partition layer hands it to its children: as consecutive While shares
-// split at key boundaries, each read through small buffers. The shares
+// split at key boundaries, each read through small buffers and with the Len
+// it is given. The shares
 // concatenate to the sorted input and each holds exactly the records below
 // its boundary; the final merge's runs stay on the device until Close,
 // which removes them; and a read fault in the final merge surfaces through
@@ -432,7 +433,11 @@ func TestSortedStreamShares(t *testing.T) {
 		var all []summary.Record
 		for i := 0; i <= len(bounds); i++ {
 			keep := func(rec summary.Record) bool { return i == len(bounds) || rec.Key.Less(bounds[i]) }
-			share, err := readAll(r.While(keep), 7+i)
+			w := r.While(keep, 1000+i)
+			if w.Len() != 1000+i {
+				t.Fatalf("workers=%d: share %d has Len %d, want the %d it was given", workers, i, w.Len(), 1000+i)
+			}
+			share, err := readAll(w, 7+i)
 			if err != nil {
 				t.Fatal(err)
 			}

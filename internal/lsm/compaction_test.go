@@ -18,6 +18,7 @@ import (
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/summary"
 )
 
 // buildStreamed builds an index over the shared dataset and streams extra
@@ -37,7 +38,7 @@ func buildStreamed(t *testing.T) (*lone, *storage.MemFS) {
 		RawName: "raw",
 		// Smallest memtable (16 records): every 50-series batch flushes
 		// three times, and the 25 flushes cascade compactions into tier 2.
-		MemBudgetBytes: 16 * recordSize,
+		MemBudgetBytes: 16 * summary.RecordSize,
 		Workers:        2,
 		QueryWorkers:   1, // whole Results are compared; visit counts need a serial scan
 	})
@@ -96,7 +97,7 @@ func buildFaultable(t *testing.T) (*lone, *storage.MemFS) {
 		Name:           "lsm",
 		S:              tSummarizer(t),
 		RawName:        "raw",
-		MemBudgetBytes: 16 * recordSize,
+		MemBudgetBytes: 16 * summary.RecordSize,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,6 +25,7 @@ import (
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/summary"
 )
 
 // sweepBase is the series count of the bulk-loaded seed the crash
@@ -39,7 +40,7 @@ func sweepOptions(t *testing.T, fs storage.FS) Options {
 	t.Helper()
 	return Options{
 		FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw",
-		MemBudgetBytes: 16 * recordSize,
+		MemBudgetBytes: 16 * summary.RecordSize,
 	}
 }
 

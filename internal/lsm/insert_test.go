@@ -59,7 +59,7 @@ func TestMemPiecesMergeInserts(t *testing.T) {
 func TestMemtableInsertBytes(t *testing.T) {
 	const m = 1 << 14
 	rng := rand.New(rand.NewSource(3))
-	ix := &Index{opt: Options{MemBudgetBytes: m * recordSize}}
+	ix := &Index{opt: Options{MemBudgetBytes: m * summary.RecordSize}}
 	fill := randomRecs(rng, 0, m-1)
 	if err := ix.InsertRecords(fill); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestMemtableInsertBytes(t *testing.T) {
 	if got := allocated(fill[:1]); got > slack {
 		t.Fatalf("one record into an empty memtable allocated %d bytes", got)
 	}
-	if got := allocated(fill[1:]); got > recordSize+slack {
+	if got := allocated(fill[1:]); got > summary.RecordSize+slack {
 		t.Fatalf("%d records onto a one-record memtable allocated %d bytes; want one record's copy", len(fill)-1, got)
 	}
 }

@@ -48,9 +48,6 @@ import (
 	"github.com/coconut-db/coconut/internal/window"
 )
 
-// recordSize is the fixed run record size: key + position.
-const recordSize = summary.KeySize + 8
-
 // fanout is the tiering factor: a tier holding fanout runs compacts into one
 // run of the next.
 const fanout = 4
@@ -299,7 +296,7 @@ func (ix *Index) openRun(name string, tier int, seq int64, count int64) (*run, e
 
 // memCapacity returns the memtable capacity in records.
 func (ix *Index) memCapacity() int {
-	c := int(ix.opt.MemBudgetBytes / recordSize)
+	c := int(ix.opt.MemBudgetBytes / summary.RecordSize)
 	if c < 16 {
 		c = 16
 	}

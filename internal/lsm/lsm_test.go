@@ -112,7 +112,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 func TestAppendFlushCompact(t *testing.T) {
 	// Tiny memtable: appends roll over into many runs, triggering tiered
 	// compaction.
-	ix, data, _ := buildFixture(t, 32*recordSize)
+	ix, data, _ := buildFixture(t, 32*summary.RecordSize)
 	defer ix.Close()
 	gen := dataset.NewSeismic()
 	batch := dataset.Generate(gen, 400, tLen, 777)
@@ -155,7 +155,7 @@ func TestAppendFlushCompact(t *testing.T) {
 }
 
 func TestCompactionTotalRecordsPreserved(t *testing.T) {
-	ix, _, _ := buildFixture(t, 32*recordSize)
+	ix, _, _ := buildFixture(t, 32*summary.RecordSize)
 	defer ix.Close()
 	batch := dataset.Generate(dataset.NewRandomWalk(), 300, tLen, 5)
 	if err := ix.Insert(context.Background(), batch); err != nil {

@@ -52,7 +52,7 @@ func tierRuns(ix *Index, tier int) []*run {
 // and every flushed run and the compacted one must be the reference sort of
 // its records.
 func TestMergeRecordOrder(t *testing.T) {
-	ix, _, _ := buildFixture(t, 16*recordSize) // a 16-record memtable
+	ix, _, _ := buildFixture(t, 16*summary.RecordSize) // a 16-record memtable
 	defer ix.Close()
 	rng := rand.New(rand.NewSource(17))
 	var tie summary.Key

@@ -172,7 +172,7 @@ func TestBuildReadsRawOnce(t *testing.T) {
 				ix.Close()
 				// Beyond the raw pass: the sort's merge reads its runs once,
 				// and opening the compressed run reads its footer.
-				if limit := rawSize + rawSize/20 + 2*tCount*recordSize; io.BytesRead > limit {
+				if limit := rawSize + rawSize/20 + 2*tCount*summary.RecordSize; io.BytesRead > limit {
 					t.Fatalf("build read %d bytes of a %d-byte dataset, want at most %d (one pass)", io.BytesRead, rawSize, limit)
 				}
 				fused, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))

@@ -27,7 +27,7 @@ func reopen(t *testing.T, fs *storage.MemFS) *lone {
 		Name:           "lsm",
 		S:              tSummarizer(t),
 		RawName:        "raw",
-		MemBudgetBytes: 16 * recordSize,
+		MemBudgetBytes: 16 * summary.RecordSize,
 		Workers:        2,
 		QueryWorkers:   1, // whole Results are compared; visit counts need a serial scan
 	})
@@ -119,7 +119,7 @@ func TestOpenContinuesDeterministicSequence(t *testing.T) {
 		// 16 of them: groups land on tiers 0 and 1 on both sides of it.
 		opt := Options{
 			FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw",
-			MemBudgetBytes: 25 * recordSize, Workers: 2,
+			MemBudgetBytes: 25 * summary.RecordSize, Workers: 2,
 		}
 		ix, err := buildLone(opt)
 		if err != nil {
@@ -184,7 +184,7 @@ func TestOpenDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := storage.WriteFileAll(fs, runName, orig[:len(orig)-recordSize]); err != nil {
+	if err := storage.WriteFileAll(fs, runName, orig[:len(orig)-summary.RecordSize]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := openLone(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw"}); !errors.Is(err, manifest.ErrCorruptManifest) {

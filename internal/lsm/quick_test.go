@@ -29,7 +29,7 @@ func TestQuickMembershipUnderRandomBatching(t *testing.T) {
 			Name:           "q",
 			S:              tSummarizerQuick(),
 			RawName:        "raw",
-			MemBudgetBytes: int64(memCap%32+16) * recordSize,
+			MemBudgetBytes: int64(memCap%32+16) * summary.RecordSize,
 		})
 		if err != nil {
 			return false

@@ -32,7 +32,7 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs := storage.NewFaultFS(inner)
-	opt := Options{FS: ffs, Name: "lsm", S: s, RawName: "raw", MemBudgetBytes: memRecords * recordSize}
+	opt := Options{FS: ffs, Name: "lsm", S: s, RawName: "raw", MemBudgetBytes: memRecords * summary.RecordSize}
 	ix, err := buildLone(opt)
 	if err != nil {
 		t.Fatal(err)

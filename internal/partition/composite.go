@@ -115,16 +115,13 @@ func (c *Composite) buildChildren(src summary.RecordReader, names []string) (int
 		return 0, err
 	}
 	for i, name := range names {
-		// Child i takes the records below bounds[i]; the last, the rest. One
-		// child holds every record; several reserve what a balanced split
-		// gives each.
+		// Child i takes the records below bounds[i], and reserves room for
+		// the share a balanced split gives it; the last takes the rest, whose
+		// length the stream knows.
 		records := summary.RecordReader(sorted)
 		if i < len(c.bounds) {
-			bound := c.bounds[i]
-			records = sorted.While(func(rec summary.Record) bool { return rec.Key.Less(bound) })
-		}
-		if len(names) > 1 {
-			records = share{records, int((total + int64(len(names)) - 1) / int64(len(names)))}
+			bound, share := c.bounds[i], int((total+int64(len(names))-1)/int64(len(names)))
+			records = sorted.While(func(rec summary.Record) bool { return rec.Key.Less(bound) }, share)
 		}
 		ix, err := v.child(childPlan{i: i, parts: len(names), name: name, records: records, bounds: c.bounds, sums: c.rawSums})
 		if err != nil {
@@ -137,16 +134,6 @@ func (c *Composite) buildChildren(src summary.RecordReader, names []string) (int
 	}
 	return total, sorted.Close()
 }
-
-// share is a child's share of the build's sorted stream when there are
-// several: its records, and its Len, the estimate the child reserves room
-// for.
-type share struct {
-	summary.RecordReader
-	n int
-}
-
-func (s share) Len() int { return s.n }
 
 // Open reopens the Composite of v: an unpartitioned index's one child from
 // its own manifest, a partitioned index's children through the parent

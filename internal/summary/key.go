@@ -22,9 +22,8 @@ type Key [KeySize]byte
 // A key is exactly two 64-bit words; this does not compile otherwise.
 const _ = uint(KeySize-16) + uint(16-KeySize)
 
-// Compare returns -1, 0, or 1 like bytes.Compare, one 64-bit word at a time.
-// It inlines, as CompareRecords does: every sort and merge calls it per
-// comparison.
+// Compare returns -1, 0, or 1 like bytes.Compare, one 64-bit word at a
+// time. It inlines, as CompareRecords does.
 func (k Key) Compare(o Key) int {
 	a, b := binary.BigEndian.Uint64(k[:8]), binary.BigEndian.Uint64(o[:8])
 	if a == b {
@@ -47,31 +46,27 @@ func sign(a, b uint64) int {
 // Less reports whether k sorts before o.
 func (k Key) Less(o Key) bool { return k.Compare(o) < 0 }
 
-// Record is one series as every sorted structure holds it: its invSAX key
-// and its position (ordinal) in the raw dataset file. It is what the bulk
-// load's summarization pass emits, its sort orders and every sorted writer
-// takes — a tree's or a trie's leaf run, an LSM run, a memtable.
+// Record is one series as the bulk load's pass emits it, its sort orders it
+// and every sorted writer takes it: its invSAX key and its position in the
+// raw dataset file.
 type Record struct {
 	Key Key
 	Pos int64
 }
 
 // RecordSize is the size of an encoded record: the key, then the position
-// little-endian — the layout of a temporary sort run.
+// little-endian, as a temporary sort run stores it.
 const RecordSize = KeySize + 8
 
-// RecordLess is the refined record order every sorted run and window
-// follows (CompareRecords) on a record given by its key and position.
+// RecordLess is CompareRecords(Record{ak, ap}, Record{bk, bp}) < 0.
 func RecordLess(ak Key, ap int64, bk Key, bp int64) bool {
 	return CompareRecords(Record{ak, ap}, Record{bk, bp}) < 0
 }
 
-// CompareRecords is the record order as a three-way comparison: key first,
-// ties broken by the lexicographic order of the position's little-endian
-// encoding — bytes.Compare on the encoded records, since a record stores its
-// position little-endian right after the key. Reversing the integer's bytes
-// compares exactly that. Positions are unique, so the order is total. It
-// inlines.
+// CompareRecords is the record order: key first, ties broken by the
+// position's little-endian bytes (reversed, compared as an integer) —
+// bytes.Compare on the encoded records. Positions are unique, so the order
+// is total. It inlines.
 func CompareRecords(x, y Record) int {
 	a, b := binary.BigEndian.Uint64(x.Key[:8]), binary.BigEndian.Uint64(y.Key[:8])
 	if a == b {
@@ -82,10 +77,24 @@ func CompareRecords(x, y Record) int {
 	return sign(a, b)
 }
 
-// RecordReader is a stream of records, read like an io.Reader: Read fills p
-// with the next records and returns how many, and at the stream's end 0 and
-// io.EOF. Len is how many records the stream holds — exact, or for a share
-// of a stream an estimate: the room a writer of it reserves.
+// Encode writes r into b, which holds RecordSize bytes.
+func (r Record) Encode(b []byte) {
+	copy(b, r.Key[:])
+	binary.LittleEndian.PutUint64(b[KeySize:], uint64(r.Pos))
+}
+
+// DecodeRecord returns the record encoded at the start of b.
+func DecodeRecord(b []byte) (r Record) {
+	copy(r.Key[:], b)
+	r.Pos = int64(binary.LittleEndian.Uint64(b[KeySize:]))
+	return r
+}
+
+// RecordReader is a stream of records. Read fills p with the next records
+// and returns how many, at least one, or 0 and io.EOF at the stream's end
+// (0 and the error on a failure). Len is how many records the stream holds
+// — exact, or for a share of a stream an estimate: the room a writer of it
+// reserves.
 type RecordReader interface {
 	Read(p []Record) (int, error)
 	Len() int

@@ -102,12 +102,12 @@ func readAll(src summary.RecordReader, bufLen int) ([]summary.Record, error) {
 	}
 }
 
-// TestSortedMatchesBytewiseSort: the typed sort's stream is the bytewise
+// TestSortMatchesStdlibSort: the typed sort's stream is the bytewise
 // sort of the encoded records, at Workers 1, 2 and 4, in one chunk and
 // through run files and a multi-pass merge — so a key tie goes to the
 // position whose little-endian bytes are less, 256 before 1 — and every
 // worker count creates the files its path needs, none for one chunk.
-func TestSortedMatchesBytewiseSort(t *testing.T) {
+func TestSortMatchesStdlibSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	recs := makeRecords(rng, 3000)
 	want := bytewise(recs)
@@ -144,13 +144,13 @@ func TestSortedMatchesBytewiseSort(t *testing.T) {
 	}
 }
 
-// TestSortedDeterministicAcrossWorkers: the stream is the same for any
+// TestSortDeterministicAcrossWorkers: the stream is the same for any
 // worker count, so chunk boundaries, the slices a lone chunk is sorted in,
 // and merge grouping must not show through: through run files and a
 // multi-pass merge under a tiny budget, through run formation with chunks
 // larger than the first chunk's starting buffer, and through the one-chunk
 // path — an empty input, one record, fewer records than workers.
-func TestSortedDeterministicAcrossWorkers(t *testing.T) {
+func TestSortDeterministicAcrossWorkers(t *testing.T) {
 	cases := []struct {
 		name       string
 		n          int
@@ -181,7 +181,7 @@ func TestSortedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestSortedPropertyBased(t *testing.T) {
+func TestSortPropertyBased(t *testing.T) {
 	f := func(seed int64, nSmall uint16, budgetFactor uint8) bool {
 		n := int(nSmall%600) + 1
 		recs := makeRecords(rand.New(rand.NewSource(seed)), n)
@@ -237,7 +237,7 @@ func TestTemporaryRunsHoldTwentyFourBytes(t *testing.T) {
 	}
 }
 
-func TestSortedIOIsSequential(t *testing.T) {
+func TestSortIOIsSequential(t *testing.T) {
 	fs := storage.NewMemFS()
 	const n = 4000
 	cfg := sortCfg(fs, 256)
@@ -259,11 +259,11 @@ func TestSortedIOIsSequential(t *testing.T) {
 	}
 }
 
-// TestSortedWorkersZeroIsGOMAXPROCS: Workers = 0 means runtime.GOMAXPROCS(0),
+// TestSortWorkersZeroIsGOMAXPROCS: Workers = 0 means runtime.GOMAXPROCS(0),
 // not runtime.NumCPU() — the chunks, and so the runs, of a sort under a
 // budget it does not fit are those of Workers = GOMAXPROCS. GOMAXPROCS is
 // set above NumCPU for the test, so the two readings differ on any machine.
-func TestSortedWorkersZeroIsGOMAXPROCS(t *testing.T) {
+func TestSortWorkersZeroIsGOMAXPROCS(t *testing.T) {
 	procs := runtime.NumCPU() + 1
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	recs := makeRecords(rand.New(rand.NewSource(15)), 2000)
@@ -293,11 +293,11 @@ func TestSortedWorkersZeroIsGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestSortedCleansTemporariesOnFault: after a failed sort nothing may
+// TestSortCleansTemporariesOnFault: after a failed sort nothing may
 // remain on the device — no runs, no merge intermediates — and the error
 // keeps its cause, wherever in run formation, the merge generations or the
 // final merge the fault strikes.
-func TestSortedCleansTemporariesOnFault(t *testing.T) {
+func TestSortCleansTemporariesOnFault(t *testing.T) {
 	boom := errors.New("injected device failure")
 	recs := makeRecords(rand.New(rand.NewSource(10)), 3000)
 	for _, workers := range []int{1, 4} {
@@ -334,9 +334,9 @@ func TestSortedCleansTemporariesOnFault(t *testing.T) {
 	}
 }
 
-// TestSortedInputErrorPropagates: a failing input fails the sort with its
+// TestSortFaultPropagates: a failing input fails the sort with its
 // cause, in the first chunk and past it.
-func TestSortedInputErrorPropagates(t *testing.T) {
+func TestSortFaultPropagates(t *testing.T) {
 	boom := errors.New("injected input failure")
 	for _, after := range []int{0, 500} {
 		fs := storage.NewMemFS()
@@ -363,9 +363,9 @@ func (f *failingReader) Read(p []summary.Record) (int, error) {
 	return 0, f.err
 }
 
-// TestSortedOneChunkWritesNothing: the stream of an input that fits one
+// TestSortOneChunkWritesOnce: the stream of an input that fits one
 // chunk is sorted in memory and creates no file.
-func TestSortedOneChunkWritesNothing(t *testing.T) {
+func TestSortOneChunkWritesOnce(t *testing.T) {
 	recs := makeRecords(rand.New(rand.NewSource(13)), 50)
 	for _, workers := range []int{1, 4} {
 		fs := storage.NewMemFS()
@@ -385,10 +385,10 @@ func TestSortedOneChunkWritesNothing(t *testing.T) {
 	}
 }
 
-// TestSortedExactlyOneFullChunk: an input that exactly fills the one-worker
+// TestSortExactlyOneFullChunk: an input that exactly fills the one-worker
 // chunk is found to end only on the next read, after its chunk became a
 // run; that lone run is a merge of one stream, like any final pass.
-func TestSortedExactlyOneFullChunk(t *testing.T) {
+func TestSortExactlyOneFullChunk(t *testing.T) {
 	fs := storage.NewMemFS()
 	cfg := sortCfg(fs, 64)
 	cfg.Workers = 1
@@ -484,44 +484,68 @@ func TestSortedStreamShares(t *testing.T) {
 	}
 }
 
-// TestSortByteAdapter: Sort, over the encoded records, writes the encoded
-// typed sort — whatever Compare says — at any worker count, in one chunk and
-// through runs; it refuses a record size other than 24 bytes and an input
-// that ends inside a record.
-func TestSortByteAdapter(t *testing.T) {
-	recs := makeRecords(rand.New(rand.NewSource(5)), 2000)
-	in := encodeAll(recs)
-	want := encodeAll(bytewise(recs))
-	for _, budget := range []int64{64, 1 << 16} {
-		for _, workers := range []int{1, 4} {
-			fs := storage.NewMemFS()
-			cfg := sortCfg(fs, budget)
-			cfg.RecordSize, cfg.Compare, cfg.Workers = recordSize, CompareKeyPrefix(summary.KeySize), workers
-			n, err := Sort(cfg, bytes.NewReader(in), "out")
-			if err != nil || n != int64(len(recs)) {
-				t.Fatalf("budget=%d workers=%d: sorted %d records: %v", budget, workers, n, err)
-			}
-			out, err := storage.ReadFileAll(fs, "out")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out, want) {
-				t.Fatalf("budget=%d workers=%d: the output is not the encoded sort", budget, workers)
-			}
-			if names := fs.Names(); len(names) != 1 {
-				t.Fatalf("budget=%d workers=%d: left %v", budget, workers, names)
-			}
+// sortBytes runs Sort over the encoded recs under cfg and returns the output
+// file, checking that it is the only file left.
+func sortBytes(t *testing.T, cfg Config, recs []summary.Record) []byte {
+	t.Helper()
+	cfg.RecordSize, cfg.Compare = recordSize, CompareKeyPrefix(summary.KeySize)
+	n, err := Sort(cfg, bytes.NewReader(encodeAll(recs)), "out")
+	if err != nil || n != int64(len(recs)) {
+		t.Fatalf("sorted %d of %d records: %v", n, len(recs), err)
+	}
+	out, err := storage.ReadFileAll(cfg.FS, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := cfg.FS.(*storage.MemFS).Names(); len(names) != 1 {
+		t.Fatalf("left %v", names)
+	}
+	return out
+}
+
+// TestSortSmallInMemoryPath: Sort, the byte adapter, writes the encoded
+// typed sort of an input that fits one chunk, at any worker count.
+func TestSortSmallInMemoryPath(t *testing.T) {
+	recs := makeRecords(rand.New(rand.NewSource(1)), 10)
+	for _, workers := range []int{1, 4} {
+		cfg := sortCfg(storage.NewMemFS(), 1<<16)
+		cfg.Workers = workers
+		if out := sortBytes(t, cfg, recs); !bytes.Equal(out, encodeAll(bytewise(recs))) {
+			t.Fatalf("workers=%d: the output is not the encoded sort", workers)
 		}
 	}
-	fs := storage.NewMemFS()
+}
+
+// TestSortManyRunsAndMultiPassMerge: Sort through runs and a multi-pass
+// merge writes the encoded typed sort — whatever Compare says — and removes
+// its temporaries.
+func TestSortManyRunsAndMultiPassMerge(t *testing.T) {
+	recs := makeRecords(rand.New(rand.NewSource(2)), 5000)
+	for _, workers := range []int{1, 4} {
+		cfg := sortCfg(storage.NewMemFS(), 64)
+		cfg.Workers = workers
+		if out := sortBytes(t, cfg, recs); !bytes.Equal(out, encodeAll(bytewise(recs))) {
+			t.Fatalf("workers=%d: the output is not the encoded sort", workers)
+		}
+	}
+}
+
+// TestSortEmptyInput: Sort of no records writes an empty output; it
+// refuses a record size other than 24 bytes, an input that ends inside a
+// record and a nil FS.
+func TestSortEmptyInput(t *testing.T) {
+	if out := sortBytes(t, sortCfg(storage.NewMemFS(), 64), nil); len(out) != 0 {
+		t.Fatalf("an empty input wrote %d bytes", len(out))
+	}
+	in := encodeAll(makeRecords(rand.New(rand.NewSource(3)), 10))
 	for _, size := range []int{0, 16, recordSize + 1} {
-		cfg := sortCfg(fs, 64)
+		cfg := sortCfg(storage.NewMemFS(), 64)
 		cfg.RecordSize = size
 		if _, err := Sort(cfg, bytes.NewReader(in), "out"); err == nil {
 			t.Fatalf("record size %d: want an error", size)
 		}
 	}
-	cfg := sortCfg(fs, 64)
+	cfg := sortCfg(storage.NewMemFS(), 64)
 	cfg.RecordSize = recordSize
 	if _, err := Sort(cfg, bytes.NewReader(in[:len(in)-5]), "out"); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("a torn input: error %v, want io.ErrUnexpectedEOF", err)

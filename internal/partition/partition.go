@@ -124,8 +124,8 @@ type Variant struct {
 	fs            storage.FS
 	name, rawName string
 	s             *summary.Summarizer
-	// materialized and leafCap describe the children's records to the sort
-	// and the parent manifest.
+	// materialized and leafCap describe the children to the parent
+	// manifest.
 	materialized bool
 	leafCap      int
 	// workers and memBudget are the build's summarization pass and sort's.

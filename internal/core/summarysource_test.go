@@ -20,7 +20,11 @@ import (
 // file order — including record counts that are not a multiple of the
 // batch, and none or one record, with Len the records still to come; it
 // leaves a torn trailing partial record unstreamed; and the sidecar it fills
-// is byte-identical to storage.BuildRecordSums's.
+// is byte-identical to storage.BuildRecordSums's. A materialized build
+// sorts the same (key, pos) stream and gathers each series by position, so
+// for it every streamed record's ReadRawAt, verified against the sidecar
+// the pass filled, is the series at that position, summarizing to the
+// record's key.
 func TestSummarySourceAnyWorkers(t *testing.T) {
 	s := tSummarizer(t)
 	inSize := series.EncodedSize(tLen)
@@ -32,51 +36,81 @@ func TestSummarySourceAnyWorkers(t *testing.T) {
 		for i, d := range data {
 			want = append(want, summary.Record{Key: s.KeyOfEncoded(series.AppendEncode(nil, d)), Pos: int64(i)})
 		}
-		for _, workers := range []int{1, 2, 3, 8} {
-			for _, torn := range []int{0, 13} {
-				t.Run(fmt.Sprintf("n=%d/workers=%d/torn=%d", count, workers, torn), func(t *testing.T) {
-					fs := storage.NewMemFS()
-					writeRaw(t, fs, data, torn)
-					raw, err := fs.Open("raw")
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer raw.Close()
-					src, sums, err := SummarySource(fs, s, raw, "raw", workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if src.Len() != count {
-						t.Fatalf("Len %d before the first read, want %d", src.Len(), count)
-					}
-					got, err := readAll(src)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(got, want) || src.Len() != 0 {
-						t.Fatalf("streamed %d records (%d left), differing from the %d of the serial reference", len(got), src.Len(), len(want))
-					}
-					if sums.Records() != int64(count) {
-						t.Fatalf("sidecar covers %d records, want %d", sums.Records(), count)
-					}
-					if err := sums.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					filled, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := storage.BuildRecordSums(fs, "raw", inSize); err != nil {
-						t.Fatal(err)
-					}
-					ref, _ := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
-					if !bytes.Equal(filled, ref) {
-						t.Fatalf("filled sidecar (%d bytes) differs from BuildRecordSums's (%d bytes)", len(filled), len(ref))
-					}
-				})
+		for _, materialized := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 3, 8} {
+				for _, torn := range []int{0, 13} {
+					name := fmt.Sprintf("n=%d/materialized=%v/workers=%d/torn=%d", count, materialized, workers, torn)
+					t.Run(name, func(t *testing.T) {
+						fs := storage.NewMemFS()
+						writeRaw(t, fs, data, torn)
+						raw, err := fs.Open("raw")
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer raw.Close()
+						src, sums, err := SummarySource(fs, s, raw, "raw", workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if src.Len() != count {
+							t.Fatalf("Len %d before the first read, want %d", src.Len(), count)
+						}
+						got, err := readAll(src)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got, want) || src.Len() != 0 {
+							t.Fatalf("streamed %d records (%d left), differing from the %d of the serial reference", len(got), src.Len(), len(want))
+						}
+						if materialized {
+							gathered, err := gatherRaw(raw, sums, got, inSize)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for i, rec := range got {
+								if !bytes.Equal(gathered[i], series.AppendEncode(nil, data[rec.Pos])) || s.KeyOfEncoded(gathered[i]) != rec.Key {
+									t.Fatalf("record at %d: the gathered series is not the one the pass keyed", rec.Pos)
+								}
+							}
+						}
+						if sums.Records() != int64(count) {
+							t.Fatalf("sidecar covers %d records, want %d", sums.Records(), count)
+						}
+						if err := sums.Flush(); err != nil {
+							t.Fatal(err)
+						}
+						filled, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := storage.BuildRecordSums(fs, "raw", inSize); err != nil {
+							t.Fatal(err)
+						}
+						ref, _ := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
+						if !bytes.Equal(filled, ref) {
+							t.Fatalf("filled sidecar (%d bytes) differs from BuildRecordSums's (%d bytes)", len(filled), len(ref))
+						}
+					})
+				}
 			}
 		}
 	}
+}
+
+// gatherRaw reads the series of every record by position, as a
+// materialized build's leaf-run writer does, each verified against sums.
+func gatherRaw(raw storage.File, sums *storage.RecordSums, recs []summary.Record, inSize int) (out [][]byte, err error) {
+	views := storage.PinViews(raw)
+	defer views.Release(&err)
+	buf := make([]byte, inSize)
+	for _, rec := range recs {
+		enc, err := ReadRawAt(views, sums, rec.Pos, buf)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, slices.Clone(enc))
+	}
+	return out, nil
 }
 
 // readAll reads src to its end.

@@ -601,6 +601,38 @@ func TestSortFailurePreservesExistingOutput(t *testing.T) {
 	}
 }
 
+// TestSortInMemory: the in-memory sort of one chunk, cut into any number
+// of parts sorted apart and merged as the stream is read, yields the
+// bytewise sort of the encoded records, counts them in Len and touches no
+// file.
+func TestSortInMemory(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{0, 1, 300} {
+		recs := makeRecords(rng, n)
+		want := bytewise(recs)
+		for _, parts := range []int{1, 2, 3, 8} {
+			fs := storage.NewMemFS()
+			r := sortChunk(sortCfg(fs, 1<<16), slices.Clone(recs), parts)
+			if r.Len() != n {
+				t.Fatalf("n=%d parts=%d: Len %d", n, parts, r.Len())
+			}
+			got, err := readAll(r, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d parts=%d: the stream is not the bytewise sort", n, parts)
+			}
+			if names := fs.Names(); len(names) != 0 {
+				t.Fatalf("n=%d parts=%d: created %v", n, parts, names)
+			}
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	src := summary.SliceReader(nil)
 	if _, _, err := Sorted(Config{}, &src); err == nil {

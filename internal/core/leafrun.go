@@ -83,11 +83,14 @@ type genWriter struct {
 	w    *storage.SequentialWriter
 	sims simsArray
 	// rec is the leaf record put encodes. A materialized record's raw
-	// series is gathered into it by position through raw, the caller's pin
-	// of the raw file, and verified against sums.
-	rec  []byte
-	raw  storage.Views
-	sums *storage.RecordSums
+	// series is gathered into it by position — from span, the records from
+	// spanLo on when the caller read them, else through raw, the caller's pin
+	// of the raw file — and verified against sums.
+	rec    []byte
+	raw    storage.Views
+	span   []byte
+	spanLo int64
+	sums   *storage.RecordSums
 }
 
 // createGen starts generation gen of the run, with room in its summary
@@ -119,7 +122,14 @@ func (g *genWriter) put(rec summary.Record, enc []byte) error {
 		enc = g.rec
 		rec.Encode(enc)
 		if series := enc[summary.RecordSize:]; len(series) > 0 {
-			raw, err := ReadRawAt(g.raw, g.sums, rec.Pos, series)
+			var raw []byte
+			var err error
+			if g.span != nil {
+				raw = g.span[int(rec.Pos-g.spanLo)*len(series):][:len(series)]
+				err = verifyRaw(g.sums, rec.Pos, raw)
+			} else {
+				raw, err = ReadRawAt(g.raw, g.sums, rec.Pos, series)
+			}
 			if err != nil {
 				return err
 			}
@@ -400,7 +410,7 @@ func (r *leafRun) writeManifest() error {
 // current run into the next generation of the run: one sequential pass, the
 // current generation read through its checksum blocks and copied as it is
 // against the in-memory batch, whose records are encoded as they are
-// written (their raw series gathered by position when materialized), that
+// written (their raw series, when materialized, read in one range), that
 // captures the new summary column on the way. The new generation becomes the
 // current one, and the one it replaces is removed unless the manifest names
 // it; a failed merge removes what it wrote of the new one.
@@ -412,6 +422,17 @@ func (r *leafRun) mergeNext(batch []summary.Record) (err error) {
 	g, err := r.createGen(r.gen+1, n+len(batch), raw)
 	if err != nil {
 		return err
+	}
+	if size := recSize - summary.RecordSize; size > 0 {
+		// The batch's series lie in the one range of the raw file the batch
+		// was just appended to (a partition's share of it when partitioned),
+		// read here at once.
+		lo, hi := batch[0].Pos, batch[0].Pos
+		for _, rec := range batch[1:] {
+			lo, hi = min(lo, rec.Pos), max(hi, rec.Pos)
+		}
+		g.span, err = readRawRun(raw, lo, int(hi-lo+1), make([]byte, int(hi-lo+1)*size))
+		g.spanLo = lo
 	}
 	// Each record of the current generation is written after the batch's
 	// records below it.

@@ -2,16 +2,19 @@
 // summary.Record values — an invSAX key and a raw-file position, 24 bytes —
 // under an explicit memory budget (§3.1 of the paper, "Bottom-up
 // Bulk-Loading Using External Sorting"). The partitioning phase reads the
-// input in memory-sized chunks, sorts each chunk, and flushes it as a sorted
-// run; the merging phase merge-sorts the runs with a tournament over
-// buffered sequential readers. An input that fits one chunk skips both: it
+// input in memory-sized chunks, sorts each chunk, and spills it as a sorted
+// run; the merging phase merges the runs with summary.Merge, the merge every
+// other sorted write shares too. An input that fits one chunk skips both: it
 // is sorted in memory and merged from there.
 //
 // Records are sorted as values by slices.SortFunc under the record order
 // (summary.CompareRecords), total because positions are unique; a
 // materialized index gathers its raw series only as it writes its leaves. A
-// temporary run stores a record in 24 bytes, the key and then the position
-// little-endian, so a run's byte order is the record order.
+// spilled run is a runblock run, the format of an LSM run: front-coded,
+// every block CRC-checked, its order checked as it is written. It is written
+// without an fsync, because it never outlives the build, and read back the
+// way a compaction reads its inputs (runblock.Records), so rot of a spill
+// fails the build instead of reaching the index.
 //
 // The sort's product is a stream (Sorted): the final merge — of the runs
 // left after the intermediate generations, or of the sorted slices of the
@@ -21,22 +24,20 @@
 //
 // Both phases are parallel, and both fan out on internal/shard: Workers
 // goroutines, each owning one chunk buffer, take turns reading the next
-// chunk and then sort and flush it as a run while the next one reads, and
-// the independent merges of each intermediate generation of a multi-pass
-// sort run concurrently. The one chunk of an input that fits is sorted on
-// every worker too, as Workers contiguous slices sorted concurrently in
-// place. The memory budget M is partitioned across the workers (chunk
-// buffers during run formation, per-merge buffer groups during merging), so
-// the paper's memory model stays honest at any worker count. The order is
-// total, so the sorted stream is the same for any worker count: a pure
-// function of the input multiset, independent of chunk boundaries and merge
-// grouping.
+// chunk and then sort and spill it while the next one reads, and the
+// independent merges of each intermediate generation of a multi-pass sort
+// run concurrently. The one chunk of an input that fits is sorted on every
+// worker too, as Workers contiguous slices sorted concurrently in place. The
+// memory budget M is partitioned across the workers (a chunk and a spill
+// writer each during run formation; a run block per open run during
+// merging), so the paper's memory model stays honest at any worker count.
+// The order is total, so the sorted stream is the same for any worker count:
+// a pure function of the input multiset, independent of chunk boundaries and
+// merge grouping.
 //
 // Every byte moved goes through the storage VFS, so the paper's O(N/B)
 // sequential-I/O claim is directly observable in the I/O statistics. The
-// package sorts a record stream and nothing else: every other sorted write
-// — an LSM flush or compaction, a tree insert batch — is an in-process
-// merge of its owner's.
+// package sorts a record stream and nothing else.
 package extsort
 
 import (
@@ -49,14 +50,19 @@ import (
 	"slices"
 	"sync"
 
+	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
-// recordSize is the size of a record in a temporary run, and what one takes
-// of the memory budget.
+// recordSize is the size of a record in Sort's byte stream, and what one
+// takes of the memory budget.
 const recordSize = summary.RecordSize
+
+// blockBytes is one run block's records in memory: what an open run costs
+// the merge that reads it, and the write buffer of a spill.
+const blockBytes = runblock.DefaultBlockRecords * recordSize
 
 // Compare orders two encoded records; Sort ignores it.
 type Compare func(a, b []byte) int
@@ -70,7 +76,7 @@ func CompareKeyPrefix(n int) Compare {
 
 // Config parameterizes a sort.
 type Config struct {
-	// FS hosts the temporary runs (and Sort's output file).
+	// FS hosts the spilled runs (and Sort's output file).
 	FS storage.FS
 	// RecordSize and Compare describe Sort's byte records: RecordSize must
 	// be summary.RecordSize, and Compare is ignored. Sorted reads neither.
@@ -79,10 +85,8 @@ type Config struct {
 	// MemBudget is the maximum number of record bytes held in memory at
 	// once; it controls run length and merge fan-in. This is the paper's M.
 	MemBudget int64
-	// TempPrefix names temporary run files (default "extsort").
+	// TempPrefix names spilled run files (default "extsort").
 	TempPrefix string
-	// BufSize is the per-stream I/O buffer size (default 256 KiB).
-	BufSize int
 	// Workers is the number of goroutines used for run formation, for the
 	// sort of a lone chunk and for the concurrent merges of each
 	// intermediate generation (<= 0 means runtime.GOMAXPROCS(0)). MemBudget
@@ -100,9 +104,6 @@ func (c *Config) validate() error {
 	}
 	if c.TempPrefix == "" {
 		c.TempPrefix = "extsort"
-	}
-	if c.BufSize <= 0 {
-		c.BufSize = 256 << 10
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -139,16 +140,39 @@ func Sort(cfg Config, in io.Reader, outName string) (int64, error) {
 		return 0, err
 	}
 	defer r.Close()
-	if err := write(cfg.FS, outName, cfg.BufSize, r); err != nil {
+	out := make([]summary.Record, n)
+	for k := 0; k < len(out); {
+		m, err := r.Read(out[k:])
+		if err != nil {
+			return 0, err
+		}
+		k += m
+	}
+	if err := r.Close(); err != nil {
 		return 0, err
 	}
-	return n, r.Close()
+	for i, rec := range out {
+		rec.Encode(data[i*recordSize:])
+	}
+	f, err := cfg.FS.Create(outName)
+	if err != nil {
+		return 0, err
+	}
+	_, err = f.WriteAt(data, 0)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = cfg.FS.Remove(outName)
+		return 0, err
+	}
+	return n, nil
 }
 
 // Sorted consumes all records from in and returns them sorted, as a stream
 // read from the final k-way merge as it is pulled, and their number. An
 // input that fits one chunk is sorted in memory, on every worker, and merged
-// from memory; a longer one goes through run files, merged in as many
+// from memory; a longer one is spilled in runs, merged in as many
 // generations as the budget's fan-in needs, the last of which is the
 // stream. Once Sorted returns, in has been read to its end. The caller
 // must Close the Reader, which removes the runs it reads.
@@ -163,51 +187,43 @@ func Sorted(cfg Config, in summary.RecordReader) (*Reader, int64, error) {
 	}
 	total := int64(len(first))
 	if last {
-		return sortChunk(cfg, first, cfg.Workers), total, nil
+		return sortChunk(first, cfg.Workers), total, nil
 	}
 	runs, more, err := makeRuns(cfg, first, in, writerBuf)
+	// Intermediate generations merge the runs, deleting them as they are
+	// consumed, down to what the final merge, on the whole budget, takes.
+	for gen := 0; err == nil && len(runs) > fanIn(cfg.MemBudget); gen++ {
+		var next []string
+		if next, err = mergeGeneration(cfg, runs, gen); err == nil {
+			runs = next
+		}
+	}
+	var r *Reader
 	if err == nil {
-		runs, err = mergeGenerations(cfg, runs)
+		r, err = openRuns(cfg.FS, runs)
 	}
 	if err != nil {
 		cleanup(cfg.FS, runs)
 		return nil, 0, err
 	}
-	r, err := openRuns(cfg, runs)
-	if err != nil {
-		cleanup(cfg.FS, runs)
-		return nil, 0, err
-	}
-	r.runs, r.left = runs, total+more
 	return r, total + more, nil
 }
 
 // chunking returns the chunk length, in records, run formation cuts the
-// input into and the writer buffer, in bytes, each run is flushed through.
-// With one worker that is one full-M chunk buffer, sorted and flushed
-// inline, plus the one BufSize writer buffer the original algorithm always
-// carried: the paper's N/M run count (and the I/O traces the experiments
-// reproduce) exactly. With more, writer buffers take at most half the
-// budget, shrinking below BufSize when Workers is large relative to it, one
-// per worker; the rest is split Workers+1 ways although only Workers chunk
-// buffers are resident, one per worker. The Workers+1 split is kept so that
-// chunk lengths, and with them run boundaries and run files, stay what they
-// were when a separate reader held a chunk of its own.
+// input into and the write buffer, in bytes, each run is spilled through.
+// With one worker that is one full-M chunk, sorted and spilled inline by
+// the one writer the original algorithm always carried: the paper's N/M run
+// count exactly. With more, the budget is split Workers ways, one share a
+// worker for its chunk and its spill writer: the block that writer encodes
+// and its write buffer, a block each but at most a quarter of the share
+// together, when the budget is small.
 func (c *Config) chunking() (chunkLen, writerBuf int) {
 	if c.Workers == 1 {
-		return int(c.MemBudget / recordSize), c.BufSize
+		return int(c.MemBudget / recordSize), blockBytes
 	}
-	writerBuf = c.BufSize
-	if max := int(c.MemBudget / int64(2*c.Workers)); writerBuf > max {
-		writerBuf = max
-	}
-	if writerBuf < recordSize {
-		writerBuf = recordSize
-	}
-	chunkBytes := (c.MemBudget - int64(c.Workers*writerBuf)) / int64(c.Workers+1)
-	if min := int64(recordSize) * 4; chunkBytes < min {
-		chunkBytes = min
-	}
+	share := c.MemBudget / int64(c.Workers)
+	writerBuf = max(min(blockBytes, int(share/4)), recordSize)
+	chunkBytes := max(share-int64(2*writerBuf), recordSize*4)
 	return int(chunkBytes / recordSize), writerBuf
 }
 
@@ -255,7 +271,7 @@ func runName(cfg Config, i int) string { return fmt.Sprintf("%s.run.%d", cfg.Tem
 // makeRuns performs the partitioning phase on an input whose first, full
 // chunk was already read: Workers goroutines, each owning one chunk buffer
 // (the first one's is first, run 0), take turns reading the next chunk from
-// in under a lock, then sort and flush it as a run file while the next
+// in under a lock, then sort and spill it as a run file while the next
 // goroutine reads. A run is named by its chunk index, taken under the same
 // lock, so the set of runs is deterministic for a given chunk length. It
 // returns the records read past the first chunk and, on error too, every
@@ -295,7 +311,9 @@ func makeRuns(cfg Config, first []summary.Record, in summary.RecordReader, write
 		}
 		for {
 			if data != nil {
-				if err := write(cfg.FS, runName(cfg, idx), writerBuf, sortChunk(cfg, data, 1)); err != nil {
+				slices.SortFunc(data, summary.CompareRecords)
+				sorted := summary.SliceReader(data)
+				if _, err := runblock.Write(cfg.FS, runName(cfg, idx), &sorted, writerBuf, false); err != nil {
 					return err
 				}
 			}
@@ -315,95 +333,48 @@ func makeRuns(cfg Config, first []summary.Record, in summary.RecordReader, write
 // into parts contiguous slices, sorted concurrently in place and merged as
 // the stream is read: the same order, and so the same stream, for any
 // parts, at no memory beyond the chunk.
-func sortChunk(cfg Config, data []summary.Record, parts int) *Reader {
+func sortChunk(data []summary.Record, parts int) *Reader {
 	ranges := shard.Split(len(data), parts)
 	// The sorts cannot fail, and the context is never cancelled.
 	_ = shard.Scan(context.Background(), parts, len(data), func(_ int, r shard.Range, _ func() bool) error {
 		slices.SortFunc(data[r.Lo:r.Hi], summary.CompareRecords)
 		return nil
 	})
-	streams := make([]*stream, len(ranges))
+	srcs := make([]summary.RecordReader, len(ranges))
 	for i, r := range ranges {
-		streams[i] = &stream{recs: data[r.Lo:r.Hi]}
+		part := summary.SliceReader(data[r.Lo:r.Hi])
+		srcs[i] = &part
 	}
-	r, _ := newReader(cfg, streams, nil) // in-memory streams cannot fail
-	r.left = int64(len(data))
-	return r
+	m, _ := summary.Merge(srcs...) // slices cannot fail
+	return &Reader{Merged: m}
 }
 
 // openRuns returns the merge of the run files runs as a stream, each read
-// through a BufSize sequential reader.
-func openRuns(cfg Config, runs []string) (*Reader, error) {
-	var streams []*stream
-	var files []storage.File
+// a block at a time (runblock.Records).
+func openRuns(fs storage.FS, runs []string) (*Reader, error) {
+	r := &Reader{fs: fs}
+	srcs := make([]summary.RecordReader, 0, len(runs))
 	for _, name := range runs {
-		f, err := cfg.FS.Open(name)
+		rr, err := runblock.OpenRecords(fs, name)
 		if err != nil {
-			closeAll(files)
+			r.Close()
 			return nil, err
 		}
-		files = append(files, f)
-		streams = append(streams, &stream{r: storage.NewSequentialReader(f, 0, -1, cfg.BufSize)})
+		r.files = append(r.files, rr)
+		srcs = append(srcs, rr)
 	}
-	return newReader(cfg, streams, files)
+	var err error
+	if r.Merged, err = summary.Merge(srcs...); err != nil {
+		r.Close()
+		return nil, err
+	}
+	r.runs = runs
+	return r, nil
 }
 
-// write creates name and fills it with the encoded records of r, an unread
-// stream, through a bufSize sequential writer. A failed write removes the
-// file — from the Create on, a pre-existing file at name is gone and the
-// path is this call's.
-func write(fs storage.FS, name string, bufSize int, r *Reader) (err error) {
-	f, err := fs.Create(name)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil && fs.Exists(name) {
-			_ = fs.Remove(name)
-		}
-	}()
-	w := storage.NewSequentialWriter(f, 0, bufSize)
-	var rec [recordSize]byte
-	for err == nil && r.err == nil && len(r.h) > 0 {
-		r.h[0].head.Encode(rec[:])
-		if _, err = w.Write(rec[:]); err == nil {
-			r.pop()
-		}
-	}
-	if err == nil {
-		err = r.err
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	// A failed Close can mean deferred write-back errors (ENOSPC/EIO);
-	// swallowing it would let callers install a truncated output.
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// mergeGenerations merges runs, in as many intermediate generations as the
-// fan-in the memory budget allows needs, down to the runs the final merge
-// takes at once, deleting the runs as they are consumed. On error it
-// returns the runs and temporaries that may still exist, for the caller to
-// remove.
-func mergeGenerations(cfg Config, runs []string) ([]string, error) {
-	// The final pass is a single merge using the whole budget.
-	finalFanIn := int(cfg.MemBudget/int64(cfg.BufSize)) - 1
-	if finalFanIn < 2 {
-		finalFanIn = 2
-	}
-	for gen := 0; len(runs) > finalFanIn; gen++ {
-		next, err := mergeGeneration(cfg, runs, gen)
-		if err != nil {
-			return runs, err
-		}
-		runs = next
-	}
-	return runs, nil
-}
+// fanIn is how many runs one merge holding share bytes of the budget reads
+// at once: a run block for each, and one more for its output, at least two.
+func fanIn(share int64) int { return max(int(share/blockBytes)-1, 2) }
 
 // mergeGeneration runs one pass of the multi-pass merge: inputs are grouped
 // by a fan-in sized from the per-worker budget share, and the groups —
@@ -412,51 +383,33 @@ func mergeGenerations(cfg Config, runs []string) ([]string, error) {
 // been deleted; on error every output this generation produced is removed
 // and the surviving inputs are left to the caller.
 func mergeGeneration(cfg Config, inputs []string, gen int) ([]string, error) {
-	// Partition the budget: each concurrent merge holds fanIn+1 buffers, so
-	// running Workers merges at once shrinks the per-merge fan-in. A tiny
-	// fan-in multiplies full passes over the data, which costs far more
-	// than lost concurrency — so concurrency yields first, shrinking until
-	// each merge keeps a fan-in of at least min(8, full-budget fan-in).
-	fullFanIn := int(cfg.MemBudget/int64(cfg.BufSize)) - 1
-	minFanIn := 8
-	if minFanIn > fullFanIn {
-		minFanIn = fullFanIn
-	}
-	if minFanIn < 2 {
-		minFanIn = 2
-	}
+	// Partition the budget: running Workers merges at once shrinks the
+	// per-merge fan-in. A tiny fan-in multiplies full passes over the data,
+	// which costs far more than lost concurrency — so concurrency yields
+	// first, shrinking until each merge keeps a fan-in of at least
+	// min(8, full-budget fan-in).
+	minFanIn := min(8, fanIn(cfg.MemBudget))
 	workers := cfg.Workers
-	fanIn := int(cfg.MemBudget/(int64(workers)*int64(cfg.BufSize))) - 1
-	if fanIn < minFanIn {
-		workers = int(cfg.MemBudget / (int64(minFanIn+1) * int64(cfg.BufSize)))
-		if workers < 1 {
-			workers = 1
-		}
-		fanIn = int(cfg.MemBudget/(int64(workers)*int64(cfg.BufSize))) - 1
-		if fanIn < 2 {
-			fanIn = 2
-		}
+	for workers > 1 && fanIn(cfg.MemBudget/int64(workers)) < minFanIn {
+		workers--
 	}
-	nGroups := (len(inputs) + fanIn - 1) / fanIn
+	k := fanIn(cfg.MemBudget / int64(workers))
+	nGroups := (len(inputs) + k - 1) / k
 	outs := make([]string, nGroups)
 	for g := range outs {
 		outs[g] = fmt.Sprintf("%s.merge.%d.%d", cfg.TempPrefix, gen, g)
 	}
 	err := shard.FanOut(context.Background(), workers, nGroups, func(g int, _ func() bool) error {
-		group := inputs[g*fanIn : min((g+1)*fanIn, len(inputs))]
-		r, err := openRuns(cfg, group)
+		group := inputs[g*k : min((g+1)*k, len(inputs))]
+		r, err := openRuns(cfg.FS, group)
 		if err != nil {
 			return err
 		}
-		err = write(cfg.FS, outs[g], cfg.BufSize, r)
+		_, err = runblock.Write(cfg.FS, outs[g], r, blockBytes, false)
 		if cerr := r.Close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
-			return err
-		}
-		cleanup(cfg.FS, group)
-		return nil
+		return err
 	})
 	if err != nil {
 		cleanup(cfg.FS, outs)
@@ -465,166 +418,26 @@ func mergeGeneration(cfg Config, inputs []string, gen int) ([]string, error) {
 	return outs, nil
 }
 
-// stream is one sorted source of a merge — a run file, decoded as it is
-// read, or a sorted part of an in-memory chunk — and head its next record.
-type stream struct {
-	head summary.Record
-	// recs are an in-memory part's records after head; r reads a run file
-	// (nil for an in-memory part) through buf.
-	recs []summary.Record
-	r    io.Reader
-	buf  [recordSize]byte
-}
-
-// advance moves head to the stream's next record and reports whether there
-// was one.
-func (s *stream) advance() (bool, error) {
-	if s.r == nil {
-		if len(s.recs) == 0 {
-			return false, nil
-		}
-		s.head, s.recs = s.recs[0], s.recs[1:]
-		return true, nil
-	}
-	if _, err := io.ReadFull(s.r, s.buf[:]); err != nil {
-		if err == io.EOF {
-			return false, nil
-		}
-		return false, err
-	}
-	s.head = summary.DecodeRecord(s.buf[:])
-	return true, nil
-}
-
-// Reader is a sorted record stream: the k-way merge, under the record
-// order, of sorted streams — run files or the sorted slices of an
-// in-memory chunk — computed as it is read.
+// Reader is a sorted record stream: the merge of the sorted slices of an
+// in-memory chunk, or of spilled runs, computed as it is read.
 type Reader struct {
-	fs storage.FS
-	// h is the merge's heap of streams, least head first.
-	h     []*stream
-	files []storage.File
+	*summary.Merged
+	fs    storage.FS
+	files []*runblock.Records
 	// runs are the run files the merge reads, removed by Close.
 	runs []string
-	// left is the number of records not read yet.
-	left int64
-	err  error
 }
-
-// newReader merges streams, which read files, each sorted.
-func newReader(cfg Config, streams []*stream, files []storage.File) (*Reader, error) {
-	r := &Reader{fs: cfg.FS, files: files}
-	for _, s := range streams {
-		ok, err := s.advance()
-		if err != nil {
-			r.Close()
-			return nil, err
-		}
-		if ok {
-			r.h = append(r.h, s)
-		}
-	}
-	for i := len(r.h)/2 - 1; i >= 0; i-- {
-		r.down(i)
-	}
-	return r, nil
-}
-
-// down restores the heap below position i.
-func (r *Reader) down(i int) {
-	h := r.h
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && summary.CompareRecords(h[c+1].head, h[c].head) < 0 {
-			c++
-		}
-		if summary.CompareRecords(h[c].head, h[i].head) >= 0 {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-}
-
-// pop advances past the head record.
-func (r *Reader) pop() {
-	ok, err := r.h[0].advance()
-	if r.err = err; err != nil {
-		return
-	}
-	if !ok {
-		last := len(r.h) - 1
-		r.h[0], r.h = r.h[last], r.h[:last]
-	}
-	r.down(0)
-}
-
-// Read reads the next records of the stream.
-func (r *Reader) Read(p []summary.Record) (int, error) { return r.readWhile(p, nil) }
-
-// Len is the number of records not read yet.
-func (r *Reader) Len() int { return int(r.left) }
-
-// readWhile reads like Read, but ends the stream — io.EOF — at the first
-// record keep rejects, which stays next. A nil keep takes every record.
-func (r *Reader) readWhile(p []summary.Record, keep func(summary.Record) bool) (int, error) {
-	n := 0
-	for n < len(p) && r.err == nil && len(r.h) > 0 {
-		rec := r.h[0].head
-		if keep != nil && !keep(rec) {
-			break
-		}
-		p[n] = rec
-		n++
-		r.pop()
-	}
-	r.left -= int64(n)
-	switch {
-	case n > 0:
-		return n, nil
-	case r.err != nil:
-		return 0, r.err
-	}
-	return 0, io.EOF
-}
-
-// While returns the stream's records up to the first one keep rejects, as
-// a stream of its own whose Len is n, what its reader expects it to hold: it
-// ends there, and the record keep rejected is the next one r, or another
-// While of r, reads.
-func (r *Reader) While(keep func(summary.Record) bool, n int) summary.RecordReader {
-	return while{r, keep, n}
-}
-
-type while struct {
-	r    *Reader
-	keep func(summary.Record) bool
-	n    int
-}
-
-func (w while) Read(p []summary.Record) (int, error) { return w.r.readWhile(p, w.keep) }
-func (w while) Len() int                             { return w.n }
 
 // Close releases the stream: it closes the run files and removes them, and
 // lets go of the chunk an in-memory merge reads. It is idempotent.
 func (r *Reader) Close() error {
-	err := closeAll(r.files)
-	cleanup(r.fs, r.runs)
-	r.files, r.runs, r.h = nil, nil, nil
-	return err
-}
-
-func closeAll(files []storage.File) error {
-	var first error
-	for _, f := range files {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
+	var errs []error
+	for _, f := range r.files {
+		errs = append(errs, f.Close())
 	}
-	return first
+	cleanup(r.fs, r.runs)
+	r.files, r.runs, r.Merged = nil, nil, nil
+	return errors.Join(errs...)
 }
 
 func cleanup(fs storage.FS, names []string) {

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
 )
@@ -37,7 +38,7 @@ func makeRecords(rng *rand.Rand, n int) []summary.Record {
 	return recs
 }
 
-// encodeAll encodes recs back to back, as a temporary run stores them.
+// encodeAll encodes recs back to back, as Sort's byte stream holds them.
 func encodeAll(recs []summary.Record) []byte {
 	out := make([]byte, 0, len(recs)*recordSize)
 	for _, r := range recs {
@@ -58,7 +59,7 @@ func bytewise(recs []summary.Record) []summary.Record {
 }
 
 func sortCfg(fs storage.FS, budgetRecs int64) Config {
-	return Config{FS: fs, MemBudget: budgetRecs * recordSize, BufSize: 64}
+	return Config{FS: fs, MemBudget: budgetRecs * recordSize}
 }
 
 // sorted sorts recs under cfg and reads the stream to its end.
@@ -199,54 +200,126 @@ func TestSortPropertyBased(t *testing.T) {
 	}
 }
 
-// TestTemporaryRunsHoldTwentyFourBytes: a temporary run stores each record
-// in 24 bytes, its key and its position little-endian — a one-generation
-// multi-chunk sort writes the records once, 24 bytes each, and removes the
-// runs at Close.
-func TestTemporaryRunsHoldTwentyFourBytes(t *testing.T) {
-	fs := storage.NewMemFS()
-	cfg := sortCfg(fs, 64)
-	cfg.Workers = 1
-	recs := makeRecords(rand.New(rand.NewSource(3)), 1000)
-	src := summary.SliceReader(slices.Clone(recs))
-	r, _, err := Sorted(cfg, &src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs := len(fs.Names()); runs != 16 {
-		t.Fatalf("%d runs of 64 records hold 1000, want 16", runs)
-	}
-	run0, err := storage.ReadFileAll(fs, "extsort.run.0")
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSpillRunsAreRunblockRuns: a spilled run is a runblock run, the format
+// of an LSM run — a one-generation multi-chunk sort spills 2 runs, run 0
+// opens and verifies as a runblock run and holds the sorted first chunk, no
+// spill is fsynced, and Close removes the runs. One byte of a spill rotted
+// before the merge opens it fails the sort with storage.ErrCorruptData and
+// leaves nothing behind.
+func TestSpillRunsAreRunblockRuns(t *testing.T) {
+	recs := makeRecords(rand.New(rand.NewSource(3)), 128)
 	first := slices.Clone(recs[:64])
 	slices.SortFunc(first, summary.CompareRecords)
-	if !bytes.Equal(run0, encodeAll(first)) {
-		t.Fatal("run 0 is not the encoded sorted first chunk")
-	}
-	if w := fs.Stats().Snapshot().BytesWritten; w != 1000*recordSize {
-		t.Fatalf("the runs took %d bytes, want %d", w, 1000*recordSize)
-	}
-	if _, err := readAll(r, 50); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	if names := fs.Names(); len(names) != 0 {
-		t.Fatalf("Close left %v", names)
+	for _, rot := range []bool{false, true} {
+		mem := storage.NewMemFS()
+		fs := storage.NewFaultFS(mem)
+		var syncs atomic.Int64
+		var rotErr error
+		fs.SetHook(func(op storage.Op, name string) {
+			switch {
+			case op == storage.OpSync:
+				syncs.Add(1)
+			case op == storage.OpOpen && rot && name == "extsort.run.1" && len(fs.Rots()) == 0:
+				run1, err := storage.ReadFileAll(mem, name)
+				if rotErr = err; err == nil {
+					rotErr = fs.Rot(name, int64(len(run1)/3), 1)
+				}
+			}
+		})
+		cfg := sortCfg(fs, 64)
+		cfg.Workers = 1
+		src := summary.SliceReader(slices.Clone(recs))
+		r, _, err := Sorted(cfg, &src)
+		if rotErr != nil {
+			t.Fatal(rotErr)
+		}
+		if rot {
+			if !errors.Is(err, storage.ErrCorruptData) {
+				t.Fatalf("a rotted spill: error %v, want ErrCorruptData", err)
+			}
+			if names := mem.Names(); len(names) != 0 {
+				t.Fatalf("the failed sort left %v", names)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs := len(mem.Names()); runs != 2 {
+			t.Fatalf("%d runs of 64 records hold 128, want 2", runs)
+		}
+		f, err := fs.Open("extsort.run.0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := runblock.OpenReader(f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rb.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		var run0 []summary.Record
+		if err := rb.Range(0, rb.Count(), func(key summary.Key, pos int64) error {
+			run0 = append(run0, summary.Record{Key: key, Pos: pos})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		rb.Close()
+		if !slices.Equal(run0, first) {
+			t.Fatal("run 0 is not the sorted first chunk")
+		}
+		if _, err := readAll(r, 50); err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		if names := mem.Names(); len(names) != 0 {
+			t.Fatalf("Close left %v", names)
+		}
+		if n := syncs.Load(); n != 0 {
+			t.Fatalf("the spills were fsynced %d times", n)
+		}
 	}
 }
 
+// TestSortIOIsSequential: spills are written and read back sequentially —
+// seeks happen once per opened stream (runs × merge passes), never per
+// record — with runs that span several blocks.
 func TestSortIOIsSequential(t *testing.T) {
 	fs := storage.NewMemFS()
 	const n = 4000
-	cfg := sortCfg(fs, 256)
-	cfg.BufSize = 1024
+	cfg := sortCfg(fs, 1024)
 	// Pin one worker: this test measures the per-stream I/O pattern of the
 	// core algorithm, and the seek budget below assumes the single-worker
 	// run/merge plan (more workers mean more, shorter streams).
 	cfg.Workers = 1
-	sorted(t, cfg, makeRecords(rand.New(rand.NewSource(6)), n))
+	// Random keys, which front-coding barely shrinks: a run of 1024 records
+	// is larger than the spill writer's buffer, and so written in several
+	// writes.
+	rng := rand.New(rand.NewSource(6))
+	src := summary.SliceReader(makeRecords(rng, n))
+	for i := range src {
+		rng.Read(src[i].Key[:])
+	}
+	r, _, err := Sorted(cfg, &src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range fs.Names() {
+		rr, err := runblock.OpenRecords(fs, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blocks := (rr.Len() + runblock.DefaultBlockRecords - 1) / runblock.DefaultBlockRecords; blocks < 2 {
+			t.Fatalf("%s holds %d records, %d block(s): the test needs runs of several", name, rr.Len(), blocks)
+		}
+		rr.Close()
+	}
+	if _, err := readAll(r, 100); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
 	snap := fs.Stats().Snapshot()
 	// External sort is the sequential-I/O workhorse: seeks happen once per
 	// opened stream (runs × merge passes), never per record. With 4000
@@ -612,7 +685,7 @@ func TestSortInMemory(t *testing.T) {
 		want := bytewise(recs)
 		for _, parts := range []int{1, 2, 3, 8} {
 			fs := storage.NewMemFS()
-			r := sortChunk(sortCfg(fs, 1<<16), slices.Clone(recs), parts)
+			r := sortChunk(slices.Clone(recs), parts)
 			if r.Len() != n {
 				t.Fatalf("n=%d parts=%d: Len %d", n, parts, r.Len())
 			}

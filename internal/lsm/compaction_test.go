@@ -188,7 +188,7 @@ func TestCompactionFaultRetried(t *testing.T) {
 	if err := ix.Sync(); !errors.Is(err, boom) {
 		t.Fatalf("Sync over a failing merge: %v, want the injected error", err)
 	}
-	// extsort removes its .compact intermediates and the partial output.
+	// The failed merge removes its partial output, and writes nothing else.
 	for _, name := range fs.Names() {
 		if strings.Contains(name, ".compact") || strings.Contains(name, ".cmp.") {
 			t.Fatalf("leaked compaction temporary %q (files: %v)", name, fs.Names())

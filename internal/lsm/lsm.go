@@ -16,7 +16,9 @@
 //     sorted RUN
 //     (one sequential write — no read-modify-write of existing leaves);
 //   - runs are organized in tiers; when a tier collects four runs they
-//     are merge-sorted into one run of the next tier (sequential I/O only);
+//     are merge-sorted into one run of the next tier (sequential I/O only):
+//     a flush and a compaction are summary.Merge, the merge of the bulk
+//     load's sort, into one run writer (runblock.Write);
 //   - queries consult the memtable plus every run: a run is a
 //     block-compressed sorted file (internal/runblock) read through a
 //     shared byte-budgeted block cache, so approximate search is a binary
@@ -32,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -246,16 +247,13 @@ func Remove(fs storage.FS, name string) {
 func (ix *Index) build() error {
 	// Write the sorted stream as run 0, which sits at a tier no compaction
 	// reaches; an empty stream writes no run.
-	src, err := streamSource(ix.opt.Records)
+	in := ix.opt.Records
 	ix.opt.Records = nil // the handle outlives the build's stream
+	r, err := ix.writeRun(runFileName(ix.opt.Name, ix.nextSeq), manifest.BulkTier, ix.nextSeq, -1, in)
 	if err != nil {
 		return err
 	}
-	if len(src.recs) > 0 {
-		r, err := ix.writeRun(runFileName(ix.opt.Name, ix.nextSeq), manifest.BulkTier, ix.nextSeq, -1, []*mergeSource{src})
-		if err != nil {
-			return err
-		}
+	if r != nil {
 		ix.runs = append(ix.runs, r)
 		ix.count = r.count
 	}
@@ -271,28 +269,6 @@ func (ix *Index) build() error {
 
 // runFileName names the flushed (or bulk-loaded) run of seq seq.
 func runFileName(name string, seq int64) string { return fmt.Sprintf("%s.run.%06d", name, seq) }
-
-// openRun opens a just-written run file and returns its run handle: a
-// footer + directory read only — no key data is materialized. The record
-// count is cross-checked against what the writer produced; the full
-// streaming Verify is reserved for reopen (loadRun), where the bytes'
-// provenance is unknown.
-func (ix *Index) openRun(name string, tier int, seq int64, count int64) (*run, error) {
-	f, err := ix.opt.FS.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	rb, err := runblock.OpenReader(f, ix.opt.Cache)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if rb.Count() != count {
-		rb.Close()
-		return nil, fmt.Errorf("lsm: run %s holds %d records, wrote %d", name, rb.Count(), count)
-	}
-	return &run{name: name, tier: tier, count: count, seq: seq, rb: rb}, nil
-}
 
 // memCapacity returns the memtable capacity in records.
 func (ix *Index) memCapacity() int {
@@ -412,9 +388,10 @@ func (ix *Index) memPieces() [][]summary.Record {
 // here and whose error Flush returns.
 //
 // The memtable's pieces are kept in the refined record order
-// (summary.RecordLess), the order of the bulk load's sort too, and flush and
-// compaction merge under it, so every run on disk — bulk, flushed or
-// compacted — is totally ordered under one order. Compacted runs are then
+// (summary.RecordLess), the order of the bulk load's sort too, and a flush
+// merges them, as a compaction merges its runs, with the sort's own merge
+// (summary.Merge), so every run on disk — bulk, flushed or compacted — is
+// totally ordered under one order. Compacted runs are then
 // exactly the totally sorted multiset of their inputs, a state that is
 // trivially independent of Workers and easy to audit.
 func (ix *Index) Flush() error {
@@ -461,11 +438,13 @@ func (ix *Index) flushLocked() error {
 		return err
 	}
 	pieces := ix.memPieces()
-	srcs := make([]*mergeSource, len(pieces))
+	srcs := make([]summary.RecordReader, len(pieces))
 	for i, p := range pieces {
-		srcs[i] = &mergeSource{recs: p}
+		piece := summary.SliceReader(p)
+		srcs[i] = &piece
 	}
-	r, err := ix.writeRun(runFileName(ix.opt.Name, ix.nextSeq), 0, ix.nextSeq, int64(len(ix.mem)), srcs)
+	merged, _ := summary.Merge(srcs...) // slices cannot fail
+	r, err := ix.writeRun(runFileName(ix.opt.Name, ix.nextSeq), 0, ix.nextSeq, int64(len(ix.mem)), merged)
 	if err != nil {
 		return err
 	}
@@ -480,119 +459,38 @@ func (ix *Index) flushLocked() error {
 	return ix.commitManifestLocked()
 }
 
-// mergeSource is one sorted input of a run merge: a memtable piece, whole,
-// or a run file, a block at a time.
-type mergeSource struct {
-	// recs are the source's records not merged yet, in record order.
-	recs []summary.Record
-	// next returns the source's next records, none at its end; nil for a
-	// source whose recs are all it holds.
-	next func() ([]summary.Record, error)
-}
-
-// streamSource reads a sorted record stream a block of records at a time.
-func streamSource(in summary.RecordReader) (*mergeSource, error) {
-	buf := make([]summary.Record, 4096)
-	src := &mergeSource{next: func() ([]summary.Record, error) {
-		n, err := in.Read(buf)
-		if err == io.EOF {
-			err = nil
-		}
-		return buf[:n], err
-	}}
-	var err error
-	src.recs, err = src.next()
-	return src, err
-}
-
-// runSource reads rb's records block by block. A compaction opens rb
-// without a cache: every block is decoded and CRC-checked as it is read, so
-// a merge never launders rotted records into a fresh, correctly checksummed
-// run, and one-shot merge traffic never touches the shared cache's hot query
-// working set.
-func runSource(rb *runblock.Reader) (*mergeSource, error) {
-	b, buf := 0, []summary.Record(nil)
-	src := &mergeSource{next: func() ([]summary.Record, error) {
-		if b == rb.NumBlocks() {
-			return nil, nil
-		}
-		blk, err := rb.Block(b)
-		if err != nil {
-			return nil, err
-		}
-		b, buf = b+1, buf[:0]
-		for i, k := range blk.Keys {
-			buf = append(buf, summary.Record{Key: k, Pos: blk.Pos[i]})
-		}
-		return buf, nil
-	}}
-	var err error
-	src.recs, err = src.next()
-	return src, err
-}
-
-// mergeRecords adds the union of srcs to w in record order
-// (summary.CompareRecords): the one k-way merge of flush and compaction. k
-// is small — a flush's memtable pieces, a compaction's fanout runs — so the
-// least head is found by a scan. It consumes srcs.
-func mergeRecords(w *runblock.Writer, srcs []*mergeSource) error {
-	srcs = slices.DeleteFunc(srcs, func(s *mergeSource) bool { return len(s.recs) == 0 })
-	for len(srcs) > 0 {
-		best := 0
-		for i := 1; i < len(srcs); i++ {
-			if summary.CompareRecords(srcs[i].recs[0], srcs[best].recs[0]) < 0 {
-				best = i
-			}
-		}
-		s := srcs[best]
-		if err := w.Add(s.recs[0].Key, s.recs[0].Pos); err != nil {
-			return err
-		}
-		if s.recs = s.recs[1:]; len(s.recs) == 0 && s.next != nil {
-			var err error
-			if s.recs, err = s.next(); err != nil {
-				return err
-			}
-		}
-		if len(s.recs) == 0 {
-			srcs = slices.Delete(srcs, best, best+1)
-		}
-	}
-	return nil
-}
-
-// writeRun writes the merge of srcs, n records (negative when only reading
-// them tells: a bulk load's stream), as run file name, fsyncs it (the
+// writeRun writes the records of in — n of them, or when n is negative (a
+// bulk load's stream) as many as it holds — as run file name, fsyncs it (the
 // manifest commit that will reference it requires the bytes on stable
-// storage first), and returns it opened as run (tier, seq). A failed write
-// removes the partial file.
-func (ix *Index) writeRun(name string, tier int, seq, n int64, srcs []*mergeSource) (r *run, err error) {
-	f, err := ix.opt.FS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			_ = ix.opt.FS.Remove(name)
-		}
-	}()
-	w := runblock.NewWriter(f, 0)
-	if err = mergeRecords(w, srcs); err == nil {
-		err = w.Finish()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+// storage first), and opens it as run (tier, seq): a footer and directory
+// read, no key materialized, its record count cross-checked against n (the
+// full Verify is reserved for reopen, where the bytes' provenance is
+// unknown). An empty stream writes no file and no run. A failed write or
+// open removes the file.
+func (ix *Index) writeRun(name string, tier int, seq, n int64, in summary.RecordReader) (*run, error) {
+	wrote, err := runblock.Write(ix.opt.FS, name, in, 0, true)
+	if err != nil || wrote == 0 {
 		return nil, err
 	}
 	if n < 0 {
-		n = w.Count()
+		n = wrote
 	}
-	return ix.openRun(name, tier, seq, n)
+	f, err := ix.opt.FS.Open(name)
+	var rb *runblock.Reader
+	if err == nil {
+		if rb, err = runblock.OpenReader(f, ix.opt.Cache); err != nil {
+			f.Close()
+		}
+	}
+	if err == nil && rb.Count() != n {
+		rb.Close()
+		err = fmt.Errorf("lsm: run %s holds %d records, wrote %d", name, rb.Count(), n)
+	}
+	if err != nil {
+		_ = ix.opt.FS.Remove(name)
+		return nil, err
+	}
+	return &run{name: name, tier: tier, count: n, seq: seq, rb: rb}, nil
 }
 
 // findGroupLocked returns the next ready compaction group, oldest first: the
@@ -621,31 +519,29 @@ func (ix *Index) findGroupLocked() []*run {
 
 // runCompaction merges a ready group into one run of the next tier, named
 // by the group's tier and oldest seq: strictly sequential reads, one block
-// of each input at a time through a reader of its own, and one sequential
-// write (writeRun), reopened as a block directory — no key array ever
-// materializes. A failed merge leaves only its inputs.
+// of each input at a time (runblock.Records: uncached, every block
+// CRC-checked as it is read), and one sequential write (writeRun), reopened
+// as a block directory — no key array ever materializes. A failed merge
+// leaves only its inputs.
 func (ix *Index) runCompaction(group []*run) (*run, error) {
 	oldest := group[0]
-	srcs := make([]*mergeSource, len(group))
+	srcs := make([]summary.RecordReader, len(group))
 	var want int64
 	for i, r := range group {
-		f, err := ix.opt.FS.Open(r.name)
+		rr, err := runblock.OpenRecords(ix.opt.FS, r.name)
 		if err != nil {
 			return nil, err
 		}
-		rb, err := runblock.OpenReader(f, nil)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		defer rb.Close()
-		if srcs[i], err = runSource(rb); err != nil {
-			return nil, err
-		}
+		defer rr.Close()
+		srcs[i] = rr
 		want += r.count
 	}
+	merged, err := summary.Merge(srcs...)
+	if err != nil {
+		return nil, err
+	}
 	name := fmt.Sprintf("%s.cmp.t%d.%06d", ix.opt.Name, oldest.tier, oldest.seq)
-	return ix.writeRun(name, oldest.tier+1, oldest.seq, want, srcs)
+	return ix.writeRun(name, oldest.tier+1, oldest.seq, want, merged)
 }
 
 // closeRunsLocked closes every run's reader (dropping its cached blocks),

@@ -339,6 +339,56 @@ func TestFaultFSFailedBuildLeavesNoFiles(t *testing.T) {
 	}
 }
 
+// TestBuildRefusesRottedSpillRun: a build whose sort spills reads its runs
+// back block by block, each checked against its CRC. One byte of the first
+// spilled run, rotted as the merge opens it, fails the build of every
+// variant at 1 and 3 partitions with storage.ErrCorruptData, and the device
+// keeps the raw file and its sidecar alone.
+func TestBuildRefusesRottedSpillRun(t *testing.T) {
+	const budget = 16 << 10
+	for _, kind := range []string{"tree", "trie", "lsm"} {
+		for _, parts := range []int{1, 3} {
+			inner := storage.NewMemFS()
+			if _, err := dataset.WriteFile(inner, "raw", dataset.NewRandomWalk(), 2000, ptLen, 42); err != nil {
+				t.Fatal(err)
+			}
+			ffs := storage.NewFaultFS(inner)
+			var rotErr error
+			ffs.SetHook(func(op storage.Op, name string) {
+				if op == storage.OpOpen && name == "px.sort.run.0" && len(ffs.Rots()) == 0 {
+					run, err := storage.ReadFileAll(inner, name)
+					if rotErr = err; err == nil {
+						rotErr = ffs.Rot(name, int64(len(run)/2), 1)
+					}
+				}
+			})
+			opt := core.Options{FS: ffs, Name: "px", S: ptSummarizer(t), RawName: "raw", LeafCap: 16,
+				MemBudgetBytes: budget, Workers: 2}
+			v := map[string]Variant{"tree": TreeVariant(opt), "trie": TrieVariant(opt),
+				"lsm": LSMVariant(lsm.Options{FS: ffs, Name: "px", S: opt.S, RawName: "raw",
+					MemBudgetBytes: budget, Workers: 2})}[kind]
+			ix, err := Build(v, parts, nil)
+			if rotErr != nil {
+				t.Fatal(rotErr)
+			}
+			if len(ffs.Rots()) == 0 {
+				t.Fatalf("%s parts=%d: the build opened no spill run", kind, parts)
+			}
+			if err == nil {
+				ix.Close()
+			}
+			if !errors.Is(err, storage.ErrCorruptData) {
+				t.Fatalf("%s parts=%d: a build over a rotted spill returned %v, want ErrCorruptData", kind, parts, err)
+			}
+			for _, name := range inner.Names() {
+				if name != "raw" && name != storage.RecordSumsName("raw") {
+					t.Fatalf("%s parts=%d: the failed build left %q (device: %v)", kind, parts, name, inner.Names())
+				}
+			}
+		}
+	}
+}
+
 // TestMaterializedBuildVerifiesTheGather: a materialized build reads each
 // raw series back by position as it writes the leaf run, verified against
 // the raw log its summarization pass filled. A raw file that rots after the

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/storage"
@@ -114,15 +115,68 @@ type Writer struct {
 }
 
 // NewWriter returns a writer emitting blocks of blockRecords records
-// (DefaultBlockRecords when <= 0) to f, starting at offset 0.
-func NewWriter(f storage.File, blockRecords int) *Writer {
+// (DefaultBlockRecords when <= 0) to f, starting at offset 0, through a
+// storage.DefaultBufferSize write buffer.
+func NewWriter(f storage.File, blockRecords int) *Writer { return newWriter(f, blockRecords, 0) }
+
+// newWriter is NewWriter with a write buffer of bufSize bytes
+// (storage.DefaultBufferSize when <= 0).
+func newWriter(f storage.File, blockRecords, bufSize int) *Writer {
 	if blockRecords <= 0 {
 		blockRecords = DefaultBlockRecords
 	}
 	if blockRecords > maxBlockRecords {
 		blockRecords = maxBlockRecords
 	}
-	return &Writer{f: f, w: storage.NewSequentialWriter(f, 0, 0), blockRecords: blockRecords}
+	return &Writer{f: f, w: storage.NewSequentialWriter(f, 0, bufSize), blockRecords: blockRecords}
+}
+
+// Write creates the run file name on fs and writes the records of in, which
+// arrive in record order, to it through a bufSize write buffer
+// (storage.DefaultBufferSize when <= 0); with sync it fsyncs the file before closing it. It returns
+// the number of records written. An empty stream writes no file, and a
+// failed write removes the file.
+func Write(fs storage.FS, name string, in summary.RecordReader, bufSize int, sync bool) (n int64, err error) {
+	buf := make([]summary.Record, 256) // the records read from in at a time
+	k, err := in.Read(buf)
+	if k == 0 {
+		if err == io.EOF {
+			err = nil
+		}
+		return 0, err
+	}
+	f, err := fs.Create(name)
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		if err != nil {
+			_ = fs.Remove(name)
+		}
+	}()
+	w := newWriter(f, 0, bufSize)
+	for err == nil {
+		for _, rec := range buf[:k] {
+			if err = w.Add(rec.Key, rec.Pos); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			k, err = in.Read(buf)
+		}
+	}
+	if err == io.EOF {
+		err = w.Finish()
+	}
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	// A failed Close can mean deferred write-back errors (ENOSPC/EIO);
+	// swallowing it would let a caller read a truncated run.
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return w.Count(), err
 }
 
 func (w *Writer) writeHeader() error {
@@ -613,6 +667,80 @@ func (r *Reader) decodeBlockInto(b int, blk *Block, sc *scratch) error {
 	return nil
 }
 
+// Records is a sequential, uncached read of one run file's records in
+// order, the read of a run that is merged rather than queried: an external
+// sort's spill, a compaction's input. Every block is read once, in file
+// order, straight from the file, checked against its CRC, decoded into the
+// reader's own arrays and checked to follow the block before it — so a merge
+// never launders rotted or misordered records into a fresh, correctly
+// checksummed run, and one-shot merge traffic never touches a shared cache.
+type Records struct {
+	r *Reader
+	// b is the next block to decode, blk the last one decoded and i its next
+	// record; last is the record that ended the block before blk.
+	b, i int
+	blk  Block
+	last summary.Record
+	left int64
+}
+
+// OpenRecords opens the run file name on fs for a sequential read of its
+// records; Close closes it.
+func OpenRecords(fs storage.FS, name string) (*Records, error) {
+	f, err := fs.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	r, err := OpenReader(f, nil)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &Records{r: r, left: r.count}, nil
+}
+
+// Read implements summary.RecordReader.
+func (rr *Records) Read(p []summary.Record) (int, error) {
+	if rr.i == len(rr.blk.Keys) {
+		if rr.b == len(rr.r.dir) {
+			return 0, io.EOF
+		}
+		if err := rr.next(); err != nil {
+			return 0, err
+		}
+	}
+	n := min(len(p), len(rr.blk.Keys)-rr.i)
+	for j := range p[:n] {
+		p[j] = summary.Record{Key: rr.blk.Keys[rr.i+j], Pos: rr.blk.Pos[rr.i+j]}
+	}
+	rr.i += n
+	rr.left -= int64(n)
+	return n, nil
+}
+
+// next decodes the next block and checks that it follows the one before.
+func (rr *Records) next() error {
+	sc := scratchPool.Get().(*scratch)
+	err := rr.r.decodeBlockInto(rr.b, &rr.blk, sc)
+	scratchPool.Put(sc)
+	if err != nil {
+		return err
+	}
+	keys, pos := rr.blk.Keys, rr.blk.Pos
+	if rr.b > 0 && summary.RecordLess(keys[0], pos[0], rr.last.Key, rr.last.Pos) {
+		return errCorrupt("blocks %d/%d out of order", rr.b-1, rr.b)
+	}
+	rr.b, rr.i = rr.b+1, 0
+	rr.last = summary.Record{Key: keys[len(keys)-1], Pos: pos[len(pos)-1]}
+	return nil
+}
+
+// Len implements summary.RecordReader: the records not read yet.
+func (rr *Records) Len() int { return int(rr.left) }
+
+// Close closes the run file.
+func (rr *Records) Close() error { return rr.r.Close() }
+
 // blockFor returns the block containing global record ordinal rec.
 func (r *Reader) blockFor(rec int64) int {
 	lo, hi := 0, len(r.dir)-1
@@ -709,27 +837,13 @@ func (r *Reader) Range(lo, hi int64, fn func(key summary.Key, pos int64) error) 
 // time verification pass does not evict a live working set — and checks
 // the cross-block refined order and the footer's key range. O(1) memory.
 func (r *Reader) Verify() error {
-	var prevKey summary.Key
-	var prevPos int64
-	var seen int64
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	blk := &sc.blk
-	for b := range r.dir {
-		if err := r.decodeBlockInto(b, blk, sc); err != nil {
+	rr := &Records{r: r}
+	for rr.b < len(r.dir) {
+		if err := rr.next(); err != nil {
 			return err
 		}
-		if b > 0 && summary.RecordLess(blk.Keys[0], blk.Pos[0], prevKey, prevPos) {
-			return errCorrupt("blocks %d/%d out of order", b-1, b)
-		}
-		n := len(blk.Keys)
-		prevKey, prevPos = blk.Keys[n-1], blk.Pos[n-1]
-		seen += int64(n)
 	}
-	if seen != r.count {
-		return errCorrupt("decoded %d records, footer says %d", seen, r.count)
-	}
-	if r.count > 0 && prevKey != r.maxKey {
+	if r.count > 0 && rr.last.Key != r.maxKey {
 		return errCorrupt("footer max key does not match last block")
 	}
 	return nil

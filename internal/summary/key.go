@@ -55,7 +55,7 @@ type Record struct {
 }
 
 // RecordSize is the size of an encoded record: the key, then the position
-// little-endian, as a temporary sort run stores it.
+// little-endian, as a leaf run stores it.
 const RecordSize = KeySize + 8
 
 // RecordLess is CompareRecords(Record{ak, ap}, Record{bk, bp}) < 0.

@@ -9,7 +9,7 @@ import (
 // FuzzRecordOrder: Key.Compare is bytes.Compare on the keys, and
 // CompareRecords is bytes.Compare on the encoded records — the key, then
 // the position little-endian — so the typed order every sort and merge uses
-// is the order of the bytes a temporary run or a leaf run stores.
+// is the order of the bytes a leaf run stores.
 func FuzzRecordOrder(f *testing.F) {
 	f.Add(make([]byte, KeySize), make([]byte, KeySize), int64(0), int64(0))
 	f.Add(make([]byte, KeySize), make([]byte, KeySize), int64(256), int64(1))

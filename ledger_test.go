@@ -12,7 +12,8 @@ package coconut
 // schedule (variants that take inserts), Syncs, Closes, reopens and Closes
 // again. The SHA-256 of every stored file is recorded after the build and at
 // the end, and must be the same at both worker counts: the determinism
-// contract. At Workers = 1 the cell also records, per phase, the bytes read
+// contract. So must the raw series a fixed query set visits after the
+// inserts, per search: exact, approximate at radius 0 and 1, and 5-NN. At Workers = 1 the cell also records, per phase, the bytes read
 // and written, the read and write operations and the fsyncs. The rand/seq
 // split of the operations is not recorded: at Workers > 1 it depends on how
 // shards interleave on one handle.
@@ -25,6 +26,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,11 +41,13 @@ var updateLedger = flag.Bool("update", false, "rewrite testdata/ledger.json from
 const ledgerFile = "testdata/ledger.json"
 
 // ledgerCell is one cell of the matrix: file name → SHA-256 after the build
-// and at the end, and phase → counted I/O at Workers = 1.
+// and at the end, phase → counted I/O at Workers = 1, and search → the raw
+// series it visited over the fixed query set.
 type ledgerCell struct {
-	Built map[string]string   `json:"built"`
-	Final map[string]string   `json:"final"`
-	IO    map[string]ledgerIO `json:"io"`
+	Built   map[string]string   `json:"built"`
+	Final   map[string]string   `json:"final"`
+	IO      map[string]ledgerIO `json:"io"`
+	Visited map[string]int64    `json:"visited"`
 }
 
 // ledgerIO is the counted cost of one phase.
@@ -157,6 +161,7 @@ func ledgerRun(t *testing.T, variant Variant, materialized bool, budget int64, p
 		}
 		return ix.Sync()
 	})
+	cell.Visited = ledgerVisits(t, ix, seriesLen)
 	phase("close", ix.Close)
 	phase("reopen", func() error {
 		re, err := Open(context.Background(), Config{Storage: fs, Name: "ix", Workers: workers, QueryWorkers: 1})
@@ -167,6 +172,36 @@ func ledgerRun(t *testing.T, variant Variant, materialized bool, budget int64, p
 	})
 	cell.Final = hashFiles(t, fs)
 	return cell
+}
+
+// ledgerVisits runs the fixed query set against ix — exact, approximate at
+// radius 0 and 1, and 5-NN — and returns, per search, the raw series it
+// visited in all.
+func ledgerVisits(t *testing.T, ix *Index, seriesLen int) map[string]int64 {
+	t.Helper()
+	qs, err := GenerateQueries(RandomWalk, 10, seriesLen, 55)
+	if err != nil {
+		t.Fatal(err)
+	}
+	visited := map[string]int64{}
+	for _, q := range qs {
+		for name, search := range map[string]func() (Result, error){
+			"exact":     func() (Result, error) { return ix.Search(q) },
+			"approx_r0": func() (Result, error) { return ix.SearchApprox(q, 0) },
+			"approx_r1": func() (Result, error) { return ix.SearchApprox(q, 1) },
+			"knn5": func() (Result, error) {
+				_, res, err := ix.ix.ExactSearchKNN(context.Background(), q, 5)
+				return fromCore(res), err
+			},
+		} {
+			res, err := search()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			visited[name] += res.VisitedSeries
+		}
+	}
+	return visited
 }
 
 func TestCostLedger(t *testing.T) {
@@ -195,6 +230,9 @@ func TestCostLedger(t *testing.T) {
 					for _, d := range diffHashes(stage.one, stage.four) {
 						t.Errorf("%s: %s at Workers=4 differs from Workers=1: %s", key, stage.name, d)
 					}
+				}
+				if !maps.Equal(cell.Visited, wide.Visited) {
+					t.Errorf("%s: visited %v at Workers=4, %v at Workers=1", key, wide.Visited, cell.Visited)
 				}
 				got[key] = cell
 			}
@@ -237,6 +275,11 @@ func TestCostLedger(t *testing.T) {
 		for _, ph := range sortedKeys(w.IO, g.IO) {
 			if w.IO[ph] != g.IO[ph] {
 				t.Errorf("%s: %s I/O moved: recorded %+v, now %+v", key, ph, w.IO[ph], g.IO[ph])
+			}
+		}
+		for _, search := range sortedKeys(w.Visited, g.Visited) {
+			if w.Visited[search] != g.Visited[search] {
+				t.Errorf("%s: %s visited %d series, recorded %d", key, search, g.Visited[search], w.Visited[search])
 			}
 		}
 	}

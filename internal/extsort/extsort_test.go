@@ -204,8 +204,8 @@ func TestSortPropertyBased(t *testing.T) {
 // of an LSM run — a one-generation multi-chunk sort spills 2 runs, run 0
 // opens and verifies as a runblock run and holds the sorted first chunk, no
 // spill is fsynced, and Close removes the runs. One byte of a spill rotted
-// before the merge opens it fails the sort with storage.ErrCorruptData and
-// leaves nothing behind.
+// before the merge opens it fails the sort with storage.ErrCorruptData,
+// naming the run, and leaves nothing behind.
 func TestSpillRunsAreRunblockRuns(t *testing.T) {
 	recs := makeRecords(rand.New(rand.NewSource(3)), 128)
 	first := slices.Clone(recs[:64])
@@ -234,8 +234,8 @@ func TestSpillRunsAreRunblockRuns(t *testing.T) {
 			t.Fatal(rotErr)
 		}
 		if rot {
-			if !errors.Is(err, storage.ErrCorruptData) {
-				t.Fatalf("a rotted spill: error %v, want ErrCorruptData", err)
+			if !errors.Is(err, storage.ErrCorruptData) || !strings.Contains(err.Error(), "extsort.run.1") {
+				t.Fatalf("a rotted spill: error %v, want ErrCorruptData naming the run", err)
 			}
 			if names := mem.Names(); len(names) != 0 {
 				t.Fatalf("the failed sort left %v", names)

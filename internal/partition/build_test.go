@@ -342,8 +342,8 @@ func TestFaultFSFailedBuildLeavesNoFiles(t *testing.T) {
 // TestBuildRefusesRottedSpillRun: a build whose sort spills reads its runs
 // back block by block, each checked against its CRC. One byte of the first
 // spilled run, rotted as the merge opens it, fails the build of every
-// variant at 1 and 3 partitions with storage.ErrCorruptData, and the device
-// keeps the raw file and its sidecar alone.
+// variant at 1 and 3 partitions with storage.ErrCorruptData naming the run,
+// and the device keeps the raw file and its sidecar alone.
 func TestBuildRefusesRottedSpillRun(t *testing.T) {
 	const budget = 16 << 10
 	for _, kind := range []string{"tree", "trie", "lsm"} {
@@ -377,8 +377,8 @@ func TestBuildRefusesRottedSpillRun(t *testing.T) {
 			if err == nil {
 				ix.Close()
 			}
-			if !errors.Is(err, storage.ErrCorruptData) {
-				t.Fatalf("%s parts=%d: a build over a rotted spill returned %v, want ErrCorruptData", kind, parts, err)
+			if !errors.Is(err, storage.ErrCorruptData) || !strings.Contains(err.Error(), "px.sort.run.0") {
+				t.Fatalf("%s parts=%d: a build over a rotted spill returned %v, want ErrCorruptData naming the run", kind, parts, err)
 			}
 			for _, name := range inner.Names() {
 				if name != "raw" && name != storage.RecordSumsName("raw") {

@@ -675,7 +675,8 @@ func (r *Reader) decodeBlockInto(b int, blk *Block, sc *scratch) error {
 // never launders rotted or misordered records into a fresh, correctly
 // checksummed run, and one-shot merge traffic never touches a shared cache.
 type Records struct {
-	r *Reader
+	r    *Reader
+	name string
 	// b is the next block to decode, blk the last one decoded and i its next
 	// record; last is the record that ended the block before blk.
 	b, i int
@@ -685,7 +686,7 @@ type Records struct {
 }
 
 // OpenRecords opens the run file name on fs for a sequential read of its
-// records; Close closes it.
+// records, whose errors name the file; Close closes it.
 func OpenRecords(fs storage.FS, name string) (*Records, error) {
 	f, err := fs.Open(name)
 	if err != nil {
@@ -694,9 +695,9 @@ func OpenRecords(fs storage.FS, name string) (*Records, error) {
 	r, err := OpenReader(f, nil)
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	return &Records{r: r, left: r.count}, nil
+	return &Records{r: r, name: name, left: r.count}, nil
 }
 
 // Read implements summary.RecordReader.
@@ -706,7 +707,7 @@ func (rr *Records) Read(p []summary.Record) (int, error) {
 			return 0, io.EOF
 		}
 		if err := rr.next(); err != nil {
-			return 0, err
+			return 0, fmt.Errorf("%s: %w", rr.name, err)
 		}
 	}
 	n := min(len(p), len(rr.blk.Keys)-rr.i)

@@ -13,8 +13,10 @@ package coconut
 // again. The SHA-256 of every stored file is recorded after the build and at
 // the end, and must be the same at both worker counts: the determinism
 // contract. So must the raw series a fixed query set visits after the
-// inserts, per search: exact, approximate at radius 0 and 1, and 5-NN. At Workers = 1 the cell also records, per phase, the bytes read
-// and written, the read and write operations and the fsyncs. The rand/seq
+// inserts, per search: exact, approximate at radius 0 and 1, and 5-NN. At
+// Workers = 1 the cell also records, per phase, the bytes read and written,
+// the read and write operations and the fsyncs; the queries' phases are one
+// per search mode (query_exact, ...), all at QueryWorkers = 1. The rand/seq
 // split of the operations is not recorded: at Workers > 1 it depends on how
 // shards interleave on one handle.
 
@@ -161,7 +163,9 @@ func ledgerRun(t *testing.T, variant Variant, materialized bool, budget int64, p
 		}
 		return ix.Sync()
 	})
-	cell.Visited = ledgerVisits(t, ix, seriesLen)
+	var queryIO map[string]ledgerIO
+	cell.Visited, queryIO = ledgerVisits(t, fs, ix, seriesLen)
+	maps.Copy(cell.IO, queryIO)
 	phase("close", ix.Close)
 	phase("reopen", func() error {
 		re, err := Open(context.Background(), Config{Storage: fs, Name: "ix", Workers: workers, QueryWorkers: 1})
@@ -174,34 +178,40 @@ func ledgerRun(t *testing.T, variant Variant, materialized bool, budget int64, p
 	return cell
 }
 
-// ledgerVisits runs the fixed query set against ix — exact, approximate at
-// radius 0 and 1, and 5-NN — and returns, per search, the raw series it
-// visited in all.
-func ledgerVisits(t *testing.T, ix *Index, seriesLen int) map[string]int64 {
+// ledgerVisits runs the fixed query set against ix on fs — exact,
+// approximate at radius 0 and 1, and 5-NN, one search mode after the other —
+// and returns, per search, the raw series it visited in all and the counted
+// I/O of its queries.
+func ledgerVisits(t *testing.T, fs *syncCounter, ix *Index, seriesLen int) (map[string]int64, map[string]ledgerIO) {
 	t.Helper()
 	qs, err := GenerateQueries(RandomWalk, 10, seriesLen, 55)
 	if err != nil {
 		t.Fatal(err)
 	}
-	visited := map[string]int64{}
-	for _, q := range qs {
-		for name, search := range map[string]func() (Result, error){
-			"exact":     func() (Result, error) { return ix.Search(q) },
-			"approx_r0": func() (Result, error) { return ix.SearchApprox(q, 0) },
-			"approx_r1": func() (Result, error) { return ix.SearchApprox(q, 1) },
-			"knn5": func() (Result, error) {
-				_, res, err := ix.ix.ExactSearchKNN(context.Background(), q, 5)
-				return fromCore(res), err
-			},
-		} {
-			res, err := search()
+	visited, io := map[string]int64{}, map[string]ledgerIO{}
+	for _, mode := range []struct {
+		name   string
+		search func(q Series) (Result, error)
+	}{
+		{"exact", func(q Series) (Result, error) { return ix.Search(q) }},
+		{"approx_r0", func(q Series) (Result, error) { return ix.SearchApprox(q, 0) }},
+		{"approx_r1", func(q Series) (Result, error) { return ix.SearchApprox(q, 1) }},
+		{"knn5", func(q Series) (Result, error) {
+			_, res, err := ix.ix.ExactSearchKNN(context.Background(), q, 5)
+			return fromCore(res), err
+		}},
+	} {
+		before := fs.counted()
+		for _, q := range qs {
+			res, err := mode.search(q)
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%s: %v", mode.name, err)
 			}
-			visited[name] += res.VisitedSeries
+			visited[mode.name] += res.VisitedSeries
 		}
+		io["query_"+mode.name] = fs.counted().sub(before)
 	}
-	return visited
+	return visited, io
 }
 
 func TestCostLedger(t *testing.T) {

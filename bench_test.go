@@ -573,7 +573,7 @@ func BenchmarkVerifyRaw(b *testing.B) {
 				copy(scratch, cands)
 				var bound shard.BSF
 				bound.Init(math.Inf(1))
-				if visited, err := core.VerifyRaw(context.Background(), raw, sums, q, scratch, shard.NewKNNHeap(1), &bound, 1); err != nil || visited != n {
+				if visited, err := core.VerifyRaw(context.Background(), core.RawStore(raw, sums, len(q)), q, scratch, shard.NewKNNHeap(1), &bound, 1); err != nil || visited != n {
 					b.Fatalf("visited %d, err %v", visited, err)
 				}
 			}

@@ -19,6 +19,7 @@ import (
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
+	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
 )
@@ -253,11 +254,30 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 	}
 }
 
-// TestTrieLeafVisitReadsOnlyTheLeaf fails if page padding ever comes back: a
-// materialized leaf visit may read the leaf's own bytes rounded out to the
-// checksum blocks they touch, and an exact search over a LeafCap-2000 trie
-// (leaves a few records full) reads kilobytes, not a megabyte per leaf.
-func TestTrieLeafVisitReadsOnlyTheLeaf(t *testing.T) {
+// readLog is a file that logs the extent of every ReadAt made through it.
+type readLog struct {
+	storage.File
+	reads [][2]int64 // offset, length
+}
+
+func (f *readLog) ReadAt(p []byte, off int64) (int, error) {
+	f.reads = append(f.reads, [2]int64{off, int64(len(p))})
+	return f.File.ReadAt(p, off)
+}
+
+// blockBytes is what reading the n bytes at off of a leaf run costs on the
+// device: every checksum block they touch, with its CRC.
+func blockBytes(off, n, block int64) int64 {
+	return ((off+n-1)/block - off/block + 1) * (block + 4)
+}
+
+// TestTrieCandidateRunReadsOnlyItsBlocks fails if page padding or a
+// leaf-sized read unit ever comes back: a materialized exact search reads
+// its candidates as the raw-file scan does, one read per run of adjacent
+// candidates (at most rawRunCap records, starting at a record the search
+// visits), and each read costs only the checksum blocks its records touch —
+// over a LeafCap-2000 trie too, whose leaves span hundreds of records.
+func TestTrieCandidateRunReadsOnlyItsBlocks(t *testing.T) {
 	fs, _ := fixtureFS(t)
 	opt := baseOptions(t, fs, true)
 	opt.LeafCap, opt.QueryWorkers = 2000, 1
@@ -266,30 +286,68 @@ func TestTrieLeafVisitReadsOnlyTheLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
+	log := &readLog{File: ix.file}
+	ix.file = log
 	recSize := int64(opt.recordSize())
 	block := int64(leafBlockSize(opt.recordSize()))
-	var maxLeaf int64
-	for li := 0; li+1 < len(ix.starts); li++ {
-		lo, hi := int64(ix.starts[li])*recSize, int64(ix.starts[li+1])*recSize
-		bound := ((hi-1)/block - lo/block + 1) * (block + 4)
-		before := fs.Stats().Snapshot()
-		if _, err := ix.readLeaf(li, nil); err != nil {
-			t.Fatal(err)
-		}
-		if got := fs.Stats().Snapshot().Sub(before).BytesRead; got > bound {
-			t.Fatalf("leaf %d (%d bytes) read %d bytes, more than its checksum blocks (%d)", li, hi-lo, got, bound)
-		}
-		maxLeaf = max(maxLeaf, hi-lo)
-	}
+	var visited int64
 	for _, q := range dataset.Queries(dataset.NewRandomWalk(), 5, tLen, 13) {
-		before := fs.Stats().Snapshot()
-		res, err := ix.ExactSearch(context.Background(), q, 0)
+		seed, _, err := approxKNN(context.Background(), ix, q, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := res.VisitedLeaves * (maxLeaf + 2*(block+4))
-		if got := fs.Stats().Snapshot().Sub(before).BytesRead; got > bound {
-			t.Fatalf("exact search visiting %d leaves read %d bytes, want at most %d", res.VisitedLeaves, got, bound)
+		var bound shard.BSF
+		bound.Init(seed[0].Dist)
+		log.reads = nil
+		before := fs.Stats().Snapshot()
+		_, res, err := ix.ExactVerify(context.Background(), q, 1, seed, &bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fs.Stats().Snapshot().Sub(before).BytesRead
+		var want int64
+		for _, r := range log.reads {
+			if r[0]%recSize != 0 || r[1]%recSize != 0 || r[1]/recSize > rawRunCap {
+				t.Fatalf("read of %d bytes at %d is not a run of at most %d records", r[1], r[0], rawRunCap)
+			}
+			want += blockBytes(r[0], r[1], block)
+		}
+		if int64(len(log.reads)) > res.VisitedRecords || got > want {
+			t.Fatalf("exact search visiting %d records made %d reads of %d bytes, want at most one a visit and %d bytes (their blocks)",
+				res.VisitedRecords, len(log.reads), got, want)
+		}
+		visited += res.VisitedRecords
+	}
+	if visited == 0 {
+		t.Fatal("no exact search visited a record: the bound checks nothing")
+	}
+}
+
+// TestFullApproxReadsOnlyVisitedBlocks: a materialized approximate search
+// reads each record it visits, and nothing else, from its leaf run — the
+// checksum block holding the record — however large the leaf around it (a
+// LeafCap-2000 tree holds the whole fixture in one leaf).
+func TestFullApproxReadsOnlyVisitedBlocks(t *testing.T) {
+	fs, _ := fixtureFS(t)
+	opt := baseOptions(t, fs, true)
+	opt.LeafCap, opt.QueryWorkers = 2000, 1
+	ix, err := buildTree(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	block := int64(leafBlockSize(opt.recordSize()))
+	for _, radius := range []int{0, 1, 4} {
+		for _, q := range dataset.Queries(dataset.NewRandomWalk(), 5, tLen, 13) {
+			before := fs.Stats().Snapshot()
+			res, err := ix.ApproxSearch(context.Background(), q, radius)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fs.Stats().Snapshot().Sub(before).BytesRead, res.VisitedRecords*(block+4); got > want {
+				t.Fatalf("radius %d: approximate search visiting %d records read %d bytes, want at most %d (a checksum block each)",
+					radius, res.VisitedRecords, got, want)
+			}
 		}
 	}
 }

@@ -141,7 +141,9 @@ type Result struct {
 	// VisitedRecords counts series whose true distance was computed
 	// (Figure 9f).
 	VisitedRecords int64
-	// VisitedLeaves counts leaves read.
+	// VisitedLeaves counts the leaves an approximate window spans (an LSM
+	// has none). Exact search reads candidate records, not leaves: its
+	// verification adds nothing, so it reports its seeding window's leaves.
 	VisitedLeaves int64
 }
 
@@ -306,23 +308,18 @@ func (a *simsArray) clip() {
 
 // ApproxWindow is one index's contribution to a (possibly cross-partition)
 // approximate search: its window candidates below and at-or-above the
-// query key under the global record order, where to load any of them from,
-// and the I/O accounting for collecting them. See internal/window
+// query key under the global record order, the store to load any of them
+// from, and the I/O accounting for collecting them. See internal/window
 // for the semantics that make these contributions composable.
 type ApproxWindow struct {
 	// Source holds the candidates in record order, the first Split of them
 	// with key < query key (the source's trailing half-window) and the rest
 	// with key >= query key (its leading half-window).
 	window.Source
-	// Raw and Sums are the raw dataset file, and its CRC sidecar, that a
-	// non-materialized source's candidates are positions in: EvalWindow
-	// pins the file for the evaluation and reads each visited record once,
-	// verified (what Result.VisitedRecords counts).
-	Raw  storage.File
-	Sums *storage.RecordSums
-	// Fetch, set instead by a materialized source, loads one of its
-	// candidates from its own leaves (serial, per-query).
-	Fetch window.FetchFunc
+	// Store is where the candidates are read from: EvalWindow pins its file
+	// for the evaluation and reads each visited record once, verified (what
+	// Result.VisitedRecords counts).
+	Store Store
 	// Leaves counts the leaves the window spans (an LSM has none).
 	Leaves int64
 }
@@ -350,30 +347,36 @@ func windowCands(opt *Options, sims *simsArray, q series.Series, radius int) (aw
 
 // EvalWindow evaluates a merged approximate window for its k best
 // (window.Eval) under ctx, with a pooled read buffer: each candidate is
-// loaded from the source its Src names, whose raw file stays pinned until
-// the evaluation is over.
+// read, one record, from the store of the source its Src names, whose file
+// stays pinned until the evaluation is over.
 func EvalWindow(ctx context.Context, q series.Series, k int, cands []window.Cand, srcs ...ApproxWindow) (top []Neighbor, visited int64, err error) {
-	sc := GetRawScratch(len(q), 1)
-	defer PutRawScratch(sc)
-	raws := make([]storage.Views, len(srcs))
+	recSize := 0
+	views := make([]storage.Views, len(srcs))
 	for i, src := range srcs {
-		if src.Fetch == nil && src.Raw != nil {
-			raws[i] = storage.PinViews(src.Raw)
-			defer raws[i].Release(&err)
+		if src.Store.File != nil {
+			recSize = max(recSize, src.Store.RecSize)
+			views[i] = storage.PinViews(src.Store.File)
+			defer views[i].Release(&err)
 		}
 	}
+	sc := getScratch(recSize)
+	defer putScratch(sc)
 	// The fetches are serial, so a check before each is this phase's
 	// cancellation granularity (the sharded verification scans detach
 	// instead; see shard.Scan).
-	return window.Eval(q, cands, k, func(c window.Cand, buf []byte) ([]byte, error) {
+	return window.Eval(q, cands, k, func(c window.Cand) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if src := &srcs[c.Src]; src.Fetch != nil {
-			return src.Fetch(c, buf)
+		st := &srcs[c.Src].Store
+		id := st.id(c)
+		rec, err := st.read(views[c.Src], id, 1, sc.Buf)
+		if err != nil {
+			return nil, err
 		}
-		return ReadRawAt(raws[c.Src], srcs[c.Src].Sums, c.Pos, buf)
-	}, sc.Buf)
+		enc := st.series(rec, 0)
+		return enc, st.verify(id, enc)
+	})
 }
 
 // leafOfOrd locates the leaf (by directory position) holding the record
@@ -382,27 +385,89 @@ func leafOfOrd(bases []int, ord int) int {
 	return sort.Search(len(bases), func(i int) bool { return bases[i] > ord }) - 1
 }
 
+// Store is the file an index's candidates are read from, and how its
+// records lie there. It is either
+//   - the raw dataset file (RawStore): candidate IDs are positions, records
+//     are series.EncodedSize apart and hold the series alone, and each is
+//     checked against the CRC sidecar Sums; or
+//   - a materialized ("-Full") tree's or trie's current leaf-run
+//     generation: candidate IDs are ordinals of the sorted summary array,
+//     records are leaf records apart with the series after the key and the
+//     position (Off = summary.RecordSize), the run's checksum blocks are
+//     checked as they are read, and Positions maps an ordinal to the raw
+//     position a search reports.
+//
+// Every candidate read goes through one: the verification scan (VerifyRaw),
+// the approximate window's evaluation (EvalWindow) and a materialized tree
+// insert's gather of its series. Rot surfaces as storage.ErrCorruptData,
+// never as a wrong distance.
+type Store struct {
+	File storage.File
+	// Sums is the raw file's CRC sidecar; nil for a leaf run.
+	Sums *storage.RecordSums
+	// Positions maps a leaf run's ordinals to raw positions; nil for the
+	// raw file, whose IDs are positions.
+	Positions []int64
+	// RecSize is the bytes a record takes, Off where its series starts.
+	RecSize, Off int
+}
+
+// RawStore is the store of the raw dataset file f, verified against sums.
+func RawStore(f storage.File, sums *storage.RecordSums, seriesLen int) Store {
+	return Store{File: f, Sums: sums, RecSize: series.EncodedSize(seriesLen)}
+}
+
+// id is the record a window candidate names in the store.
+func (s *Store) id(c window.Cand) int64 {
+	if s.Positions != nil {
+		return int64(c.Ord)
+	}
+	return c.Pos
+}
+
+// pos is the raw position of record id.
+func (s *Store) pos(id int64) int64 {
+	if s.Positions != nil {
+		return s.Positions[id]
+	}
+	return id
+}
+
+// read returns the n adjacent records starting at id, from one read: a
+// view of the file, or buf's first n records, filled. It is the one
+// primitive every candidate fetch goes through.
+func (s *Store) read(v storage.Views, id int64, n int, buf []byte) ([]byte, error) {
+	run, err := v.Read(id*int64(s.RecSize), buf[:n*s.RecSize])
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: records %d..%d: %w", s.File.Name(), id, id+int64(n)-1, err)
+	}
+	return run, nil
+}
+
+// series returns the encoded series of record k of a run read.
+func (s *Store) series(run []byte, k int) []byte {
+	return run[k*s.RecSize+s.Off : (k+1)*s.RecSize]
+}
+
+// verify checks the series of record id against the raw file's sidecar; a
+// leaf run's checksum blocks were checked when it was read.
+func (s *Store) verify(id int64, enc []byte) error {
+	if s.Sums == nil {
+		return nil
+	}
+	return verifyRaw(s.Sums, id, enc)
+}
+
 // ReadRawAt returns the encoded series at ordinal pos of a raw dataset file —
 // a view of it, or buf, exactly one record long, filled — verified against
 // the CRC sidecar: rot surfaces as storage.ErrCorruptData, never as a wrong
 // distance.
 func ReadRawAt(raw storage.Views, sums *storage.RecordSums, pos int64, buf []byte) ([]byte, error) {
-	enc, err := readRawRun(raw, pos, 1, buf)
+	enc, err := raw.Read(pos*int64(len(buf)), buf)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: raw series %d: %w", pos, err)
 	}
 	return enc, verifyRaw(sums, pos, enc)
-}
-
-// readRawRun returns the n file-adjacent records starting at ordinal pos,
-// len(buf) bytes in all, from one read: the one primitive every raw fetch
-// goes through.
-func readRawRun(raw storage.Views, pos int64, n int, buf []byte) ([]byte, error) {
-	enc, err := raw.Read(pos*int64(len(buf)/n), buf)
-	if err != nil {
-		return nil, fmt.Errorf("core: raw series %d (run of %d): %w", pos, n, err)
-	}
-	return enc, nil
 }
 
 func verifyRaw(sums *storage.RecordSums, pos int64, enc []byte) error {
@@ -417,21 +482,19 @@ func verifyRaw(sums *storage.RecordSums, pos int64, enc []byte) error {
 // cost, and a bound improvement inside a run wastes at most this many records.
 const rawRunCap = 16
 
-// RawScratch is the buffer one goroutine reads raw series through.
-type RawScratch struct{ Buf []byte }
+// rawScratch is the buffer one goroutine reads records through.
+type rawScratch struct{ Buf []byte }
 
 // The pool is process-wide, not per index handle, so that an idle index
 // holds no scratch at all: a garbage collection empties it.
-var rawScratchPool = sync.Pool{New: func() any { return new(RawScratch) }}
+var rawScratchPool = sync.Pool{New: func() any { return new(rawScratch) }}
 
-// GetRawScratch takes a scratch of records encoded series of seriesLen
-// points from the pool: rawRunCap for scanRaw, one for every fetch that
-// never coalesces. A verification shard takes one for its whole range and
-// puts it back itself, so one abandoned by a cancelled query keeps it until
-// it is done.
-func GetRawScratch(seriesLen, records int) *RawScratch {
-	sc := rawScratchPool.Get().(*RawScratch)
-	n := records * series.EncodedSize(seriesLen)
+// getScratch takes a scratch of n bytes from the pool: rawRunCap records
+// for scanRaw, one for the window's fetches. A verification shard takes one
+// for its whole range and puts it back itself, so one abandoned by a
+// cancelled query keeps it until it is done.
+func getScratch(n int) *rawScratch {
+	sc := rawScratchPool.Get().(*rawScratch)
 	if cap(sc.Buf) < n {
 		sc.Buf = make([]byte, n)
 	}
@@ -439,22 +502,14 @@ func GetRawScratch(seriesLen, records int) *RawScratch {
 	return sc
 }
 
-// PutRawScratch returns sc to the pool.
-func PutRawScratch(sc *RawScratch) { rawScratchPool.Put(sc) }
+// putScratch returns sc to the pool.
+func putScratch(sc *rawScratch) { rawScratchPool.Put(sc) }
 
-// leafSquaredDistance computes the true SQUARED distance from q to a
-// record of a materialized index, over the series the record carries.
-// Search state stays in squared space end to end; only the partition layer
-// takes a square root, once per answer.
-func leafSquaredDistance(q series.Series, rec []byte) (int64, float64) {
-	sq, _ := series.SquaredEDEarlyAbandonEncoded(q, rec[summary.RecordSize:], math.Inf(1))
-	return summary.DecodeRecord(rec).Pos, sq
-}
-
-// VerifyRaw is the non-materialized SIMS verification scan of every index:
-// cands, survivors of the lower-bound pass whose IDs are raw-file positions,
-// are put in position order (in place) so the dataset is read strictly
-// forward, and the order is cut into contiguous shards across workers. A
+// VerifyRaw is the SIMS verification scan of every index, over the store
+// its candidates lie in: cands, survivors of the lower-bound pass whose IDs
+// are the store's (raw positions, or a leaf run's ordinals), are put in ID
+// order (in place) so the file is read strictly forward, and the order is
+// cut into contiguous shards across workers. A
 // shard runs its candidates through scanRaw into a heap of its own seeded
 // with top's neighbors, keeping those whose lower bound is at or under the
 // heap's k-th best and, strictly, under the shared bound, which lets shards
@@ -463,12 +518,12 @@ func leafSquaredDistance(q series.Series, rec []byte) (int64, float64) {
 // limit is the k-th best itself and the kernel abandons only on a strict
 // excess, so a distance that ties it completes and the (distance, position)
 // order decides. It returns the number of series measured.
-func VerifyRaw(ctx context.Context, f storage.File, sums *storage.RecordSums, q series.Series, cands []summary.Cand,
+func VerifyRaw(ctx context.Context, st Store, q series.Series, cands []summary.Cand,
 	top *shard.KNNHeap, bound *shard.BSF, workers int,
 ) (visited int64, err error) {
 	slices.SortFunc(cands, func(a, b summary.Cand) int { return cmp.Compare(a.ID, b.ID) })
-	visited, _, err = shard.ScanKNN(ctx, workers, len(cands), top, func(r shard.Range, local *shard.Local, cancelled func() bool) (err error) {
-		local.VisitedRecords, err = scanRaw(f, sums, q, cands[r.Lo:r.Hi], cancelled,
+	return shard.ScanKNN(ctx, workers, len(cands), top, func(r shard.Range, local *shard.Local, cancelled func() bool) (err error) {
+		local.VisitedRecords, err = scanRaw(&st, q, cands[r.Lo:r.Hi], cancelled,
 			func(lb float64) (float64, bool) { return local.Top.Bound(), admits(local.Top, bound, lb) },
 			func(pos int64, sq float64) {
 				if local.Top.Offer(Neighbor{Pos: pos, Dist: sq}) {
@@ -477,7 +532,6 @@ func VerifyRaw(ctx context.Context, f storage.File, sums *storage.RecordSums, q 
 			})
 		return err
 	})
-	return visited, err
 }
 
 // admits says whether a candidate with lower bound lb can still reach the
@@ -487,27 +541,27 @@ func admits(top *shard.KNNHeap, bound *shard.BSF, lb float64) bool {
 	return lb <= top.Bound() && !bound.Prunes(lb)
 }
 
-// scanRaw is the one raw-candidate scanner: a shard of position-sorted
-// candidates (IDs are raw-file positions) fetched, checked and measured
-// against q. admit says whether a candidate with lower bound lb is still
-// under the scan's bounds and, if so, the limit its distance may abandon at;
-// found takes every distance that completed under its limit and may tighten
-// what admit answers next. Candidates adjacent in the file and admitted when
-// the run is formed, up to rawRunCap, are fetched with one read; each is
-// then admitted again in order, so one pruned by an improvement inside its
-// own run is skipped as if never fetched, and every other record is verified
-// against the CRC sidecar before its distance is taken — straight from the
+// scanRaw is the one candidate scanner: a shard of ID-sorted candidates
+// fetched from st, checked and measured against q. admit says whether a
+// candidate with lower bound lb is still under the scan's bounds and, if
+// so, the limit its distance may abandon at; found takes, at its raw
+// position, every distance that completed under its limit and may tighten
+// what admit answers next. Candidates adjacent in the store and admitted
+// when the run is formed, up to rawRunCap, are fetched with one read; each
+// is then admitted again in order, so one pruned by an improvement inside
+// its own run is skipped as if never fetched, and every other record is
+// verified (st.verify: the raw file's sidecar; a leaf run's blocks were
+// checked by the read) before its distance is taken — straight from the
 // encoded bytes, which are the file's own mapped pages when it offers views
 // (pinned here, once per scan: a shard detached by a cancelled query may
 // outlive the index's Close). It returns the number of distances taken.
-func scanRaw(f storage.File, sums *storage.RecordSums, q series.Series, cands []summary.Cand, cancelled func() bool,
+func scanRaw(st *Store, q series.Series, cands []summary.Cand, cancelled func() bool,
 	admit func(lb float64) (limit float64, ok bool), found func(pos int64, sq float64),
 ) (visited int64, err error) {
 	admitted := func(c summary.Cand) bool { _, ok := admit(c.LB); return ok }
-	recSize := series.EncodedSize(len(q))
-	sc := GetRawScratch(len(q), rawRunCap)
-	defer PutRawScratch(sc)
-	raw := storage.PinViews(f)
+	sc := getScratch(rawRunCap * st.RecSize)
+	defer putScratch(sc)
+	raw := storage.PinViews(st.File)
 	defer raw.Release(&err)
 	for i := 0; i < len(cands) && !cancelled(); {
 		if !admitted(cands[i]) {
@@ -518,7 +572,7 @@ func scanRaw(f storage.File, sums *storage.RecordSums, q series.Series, cands []
 		for n < rawRunCap && i+n < len(cands) && cands[i+n].ID == first+int64(n) && admitted(cands[i+n]) {
 			n++
 		}
-		buf, err := readRawRun(raw, first, n, sc.Buf[:n*recSize])
+		run, err := st.read(raw, first, n, sc.Buf)
 		if err != nil {
 			return visited, err
 		}
@@ -527,37 +581,18 @@ func scanRaw(f storage.File, sums *storage.RecordSums, q series.Series, cands []
 			if !ok {
 				continue
 			}
-			enc := buf[k*recSize:][:recSize]
-			if err := verifyRaw(sums, c.ID, enc); err != nil {
+			enc := st.series(run, k)
+			if err := st.verify(c.ID, enc); err != nil {
 				return visited, err
 			}
 			visited++
 			if sq, ok := series.SquaredEDEarlyAbandonEncoded(q, enc, limit); ok {
-				found(c.ID, sq)
+				found(st.pos(c.ID), sq)
 			}
 		}
 		i += n
 	}
 	return visited, nil
-}
-
-// leafCands splits index-ordered candidates (IDs are ordinals of the sorted
-// summary array, as Filter emits them) at ordinal end: those before it —
-// the candidates of the leaf ending there, once the earlier leaves' are
-// consumed — and the rest.
-func leafCands(cands []summary.Cand, end int) (leaf, rest []summary.Cand) {
-	n := 0
-	for n < len(cands) && cands[n].ID < int64(end) {
-		n++
-	}
-	return cands[:n], cands[n:]
-}
-
-// candsFrom skips the candidates before ordinal start: where a shard of a
-// leaf scan begins consuming the shared candidate list.
-func candsFrom(cands []summary.Cand, start int) []summary.Cand {
-	i := sort.Search(len(cands), func(i int) bool { return cands[i].ID >= int64(start) })
-	return cands[i:]
 }
 
 // removeFiles deletes those of names that exist — the undo of a failed

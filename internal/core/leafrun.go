@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/manifest"
@@ -13,7 +12,6 @@ import (
 	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
-	"github.com/coconut-db/coconut/internal/window"
 )
 
 // leafRun is the one stored form of Coconut-Tree and Coconut-Trie: the
@@ -423,7 +421,7 @@ func (r *leafRun) mergeNext(batch []summary.Record) (err error) {
 	if err != nil {
 		return err
 	}
-	if size := recSize - summary.RecordSize; size > 0 {
+	if r.opt.Materialized {
 		// The batch's series lie in the one range of the raw file the batch
 		// was just appended to (a partition's share of it when partitioned),
 		// read here at once.
@@ -431,7 +429,8 @@ func (r *leafRun) mergeNext(batch []summary.Record) (err error) {
 		for _, rec := range batch[1:] {
 			lo, hi = min(lo, rec.Pos), max(hi, rec.Pos)
 		}
-		g.span, err = readRawRun(raw, lo, int(hi-lo+1), make([]byte, int(hi-lo+1)*size))
+		st := RawStore(r.rawFile, r.rawSums, r.opt.S.Params().SeriesLen)
+		g.span, err = st.read(raw, lo, int(hi-lo+1), make([]byte, int(hi-lo+1)*st.RecSize))
 		g.spanLo = lo
 	}
 	// Each record of the current generation is written after the batch's
@@ -478,21 +477,6 @@ func truncatedLeaves(err error) error {
 		return fmt.Errorf("%w: truncated leaf run: %w", manifest.ErrCorruptManifest, storage.ErrCorruptData)
 	}
 	return err
-}
-
-// readLeaf returns the records of leaf li — exactly its extent of the run —
-// in buf when it is large enough.
-func (r *leafRun) readLeaf(li int, buf []byte) ([]byte, error) {
-	recSize := r.opt.recordSize()
-	n := (r.starts[li+1] - r.starts[li]) * recSize
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if got, err := r.file.ReadAt(buf, int64(r.starts[li])*int64(recSize)); got != n {
-		return nil, fmt.Errorf("core: read leaf %d: %w", li, truncatedLeaves(err))
-	}
-	return buf, nil
 }
 
 // Count returns the number of indexed series.
@@ -598,35 +582,19 @@ func (r *leafRun) ApproxWindowCands(_ context.Context, q series.Series, radius i
 	if err == nil && lo < hi {
 		aw.Leaves = int64(leafOfOrd(r.starts, hi-1) - leafOfOrd(r.starts, lo) + 1)
 	}
-	if aw.Fetch = r.leafFetch(); aw.Fetch == nil {
-		aw.Raw, aw.Sums = r.rawFile, r.rawSums
-	}
+	aw.Store, _ = r.store()
 	return aw, err
 }
 
-// leafFetch returns a materialized index's per-query window candidate
-// fetcher: it reads the index's own leaves, caching each for the duration
-// of the query and never touching the raw dataset. Nil when not
-// materialized: the candidates are read from the raw dataset
-// (ApproxWindow.Raw).
-func (r *leafRun) leafFetch() window.FetchFunc {
-	if !r.opt.Materialized {
-		return nil
+// store returns where the run's candidates are read from — the current
+// generation of the run itself when materialized, else the raw file — and
+// the IDs the lower-bound pass gives them there (Filter's ids: nil, the
+// ordinals, for the run; the positions for the raw file).
+func (r *leafRun) store() (Store, []int64) {
+	if r.opt.Materialized {
+		return Store{File: r.file, Positions: r.sims.positions, RecSize: r.opt.recordSize(), Off: summary.RecordSize}, nil
 	}
-	cache := make(map[int][]byte)
-	recSize := r.opt.recordSize()
-	return func(c window.Cand, _ []byte) ([]byte, error) {
-		li := leafOfOrd(r.starts, c.Ord)
-		recs, ok := cache[li]
-		if !ok {
-			var err error
-			if recs, err = r.readLeaf(li, nil); err != nil {
-				return nil, err
-			}
-			cache[li] = recs
-		}
-		return recs[(c.Ord-r.starts[li])*recSize:][summary.RecordSize:recSize], nil
-	}
+	return RawStore(r.rawFile, r.rawSums, r.opt.S.Params().SeriesLen), r.sims.positions
 }
 
 // ExactVerify is the verification phase of SIMS (Algorithm 5) for the k
@@ -634,14 +602,15 @@ func (r *leafRun) leafFetch() window.FetchFunc {
 // partition layer's global approximate top-k) and a shared cross-partition
 // bound on the k-th best: lower bounds are computed for all series in
 // parallel from the in-memory sorted summaries, and unpruned candidates are
-// fetched with a skip-sequential scan sharded across Options.QueryWorkers —
-// over the index's own leaves when materialized, else over the raw file in
-// position order, file-adjacent candidates sharing one read (VerifyRaw).
+// fetched with a skip-sequential scan sharded across Options.QueryWorkers
+// (VerifyRaw) from the index's store — its own leaf run in ordinal order
+// when materialized, else the raw file in position order — adjacent
+// candidates sharing one read.
 // It returns the top-k, under the (distance, position) order, of the seed
 // and this index's records — unsorted, in SQUARED space — with this index's
 // verification counters; an empty index returns the seed.
 // The neighbors are identical for any worker count. Cancellation is checked
-// at leaf-visit granularity, a cancelled query returns ctx.Err() promptly
+// between candidate runs, a cancelled query returns ctx.Err() promptly
 // (never a partial answer), and shards stuck in a blocking read are
 // abandoned rather than waited for.
 func (r *leafRun) ExactVerify(ctx context.Context, q series.Series, k int, seed []Neighbor, bound *shard.BSF) ([]Neighbor, Result, error) {
@@ -657,61 +626,11 @@ func (r *leafRun) ExactVerify(ctx context.Context, q series.Series, k int, seed 
 	if err != nil {
 		return nil, res, err
 	}
-	limit := bound.Limit(top.Bound())
-	if r.opt.Materialized {
-		pass.Cands = pass.Table.Filter(pass.Cands, r.sims.col, nil, limit, r.opt.QueryWorkers)
-		res.VisitedRecords, res.VisitedLeaves, err = r.simsOverLeaves(ctx, q, pass.Cands, top, bound)
-	} else {
-		pass.Cands = pass.Table.Filter(pass.Cands, r.sims.col, r.sims.positions, limit, r.opt.QueryWorkers)
-		res.VisitedRecords, err = VerifyRaw(ctx, r.rawFile, r.rawSums, q, pass.Cands, top, bound, r.opt.QueryWorkers)
-	}
+	st, ids := r.store()
+	pass.Cands = pass.Table.Filter(pass.Cands, r.sims.col, ids, bound.Limit(top.Bound()), r.opt.QueryWorkers)
+	res.VisitedRecords, err = VerifyRaw(ctx, st, q, pass.Cands, top, bound, r.opt.QueryWorkers)
 	if ctx.Err() == nil {
 		pass.Release()
 	}
 	return top.Items(), res, err
-}
-
-// simsOverLeaves is the materialized scan: walk the leaf directory in
-// order, skipping leaves with no unpruned candidate. cands are the
-// survivors of the lower-bound pass in summary-array order, IDs being
-// ordinals; a record that is not among them was over the seed bound and
-// could pass none of the checks below. The directory is partitioned into
-// contiguous shards that scan concurrently into heaps of their own, seeded
-// from top and reduced into it (shard.ScanKNN); each shard prunes with its
-// own k-th best plus the shared bound, both tie-inclusive, which keeps the
-// reduced top-k identical to a serial scan. Lower bounds and distances are
-// squared; the pruning logic is oblivious to the space because sqrt
-// preserves order. It returns the records and leaves visited.
-func (r *leafRun) simsOverLeaves(ctx context.Context, q series.Series, cands []summary.Cand, top *shard.KNNHeap, bound *shard.BSF) (int64, int64, error) {
-	recSize := r.opt.recordSize()
-	return shard.ScanKNN(ctx, r.opt.QueryWorkers, len(r.starts)-1, top, func(rr shard.Range, local *shard.Local, cancelled func() bool) error {
-		var buf []byte
-		rest := candsFrom(cands, r.starts[rr.Lo])
-		for li := rr.Lo; li < rr.Hi && len(rest) > 0; li++ {
-			if cancelled() {
-				return nil
-			}
-			var leaf []summary.Cand
-			leaf, rest = leafCands(rest, r.starts[li+1])
-			if !slices.ContainsFunc(leaf, func(c summary.Cand) bool { return admits(local.Top, bound, c.LB) }) {
-				continue
-			}
-			var err error
-			if buf, err = r.readLeaf(li, buf); err != nil {
-				return err
-			}
-			local.VisitedLeaves++
-			for _, c := range leaf {
-				if !admits(local.Top, bound, c.LB) {
-					continue
-				}
-				pos, sq := leafSquaredDistance(q, buf[(int(c.ID)-r.starts[li])*recSize:][:recSize])
-				local.VisitedRecords++
-				if local.Top.Offer(Neighbor{Pos: pos, Dist: sq}) {
-					bound.Lower(local.Top.Bound())
-				}
-			}
-		}
-		return nil
-	})
 }

@@ -178,7 +178,6 @@ func exactKNN(ctx context.Context, ix child, q series.Series, k, radius int) ([]
 	}
 	res.Pos, res.Dist = out[0].Pos, out[0].Dist
 	res.VisitedRecords += v.VisitedRecords
-	res.VisitedLeaves += v.VisitedLeaves
 	return out, res, nil
 }
 

@@ -58,7 +58,7 @@ func verify1(f storage.File, sums *storage.RecordSums, q series.Series, cands []
 	var bound shard.BSF
 	bound.Init(math.Inf(1))
 	top := shard.NewKNNHeap(1)
-	visited, err = VerifyRaw(context.Background(), f, sums, q, cands, top, &bound, workers)
+	visited, err = VerifyRaw(context.Background(), RawStore(f, sums, len(q)), q, cands, top, &bound, workers)
 	pos, dist = -1, math.Inf(1)
 	if ns := top.Sorted(); len(ns) > 0 {
 		pos, dist = ns[0].Pos, ns[0].Dist

@@ -23,15 +23,17 @@ import (
 // de-interleaved word, then the serial scan over all of them.
 
 // simsRef holds one index's sorted summary array with a reference lower
-// bound per record, and the leaf spans (ordinal ranges) when materialized.
+// bound per record, and whether its records are read in ordinal order (a
+// materialized index reads its own leaf run) or in position order (the raw
+// file).
 type simsRef struct {
 	data      []series.Series
 	positions []int64
 	lbs       []float64
-	leaves    [][2]int
+	byOrdinal bool
 }
 
-func newSimsRef(s *summary.Summarizer, q series.Series, data []series.Series, sims simsArray, leaves [][2]int) simsRef {
+func newSimsRef(s *summary.Summarizer, q series.Series, data []series.Series, sims simsArray, byOrdinal bool) simsRef {
 	p := s.Params()
 	qPAA, _ := s.PAA(q, nil)
 	keys := keysOf(sims.col)
@@ -39,16 +41,7 @@ func newSimsRef(s *summary.Summarizer, q series.Series, data []series.Series, si
 	for i, k := range keys {
 		lbs[i] = s.MinDistSqPAAToSAX(qPAA, summary.Deinterleave(k, p.Segments, p.CardBits))
 	}
-	return simsRef{data: data, positions: sims.positions, lbs: lbs, leaves: leaves}
-}
-
-// leafSpans lists the [first, end) ordinals of every leaf of a directory.
-func leafSpans(starts []int) [][2]int {
-	var spans [][2]int
-	for i := 0; i+1 < len(starts); i++ {
-		spans = append(spans, [2]int{starts[i], starts[i+1]})
-	}
-	return spans
+	return simsRef{data: data, positions: sims.positions, lbs: lbs, byOrdinal: byOrdinal}
 }
 
 // keysOf re-interleaves every row of a column into its key.
@@ -62,44 +55,26 @@ func keysOf(col summary.Column) []summary.Key {
 
 // scan replays a serial verification scan. keep says whether a lower bound
 // still passes the running bound, visit measures a record and tightens it.
-// Non-materialized: every record that passed at collection time (against
-// the seed bound, which is what keep sees first), in raw position order.
-// Materialized: leaf by leaf in key order, a leaf being read when any of
-// its records passes.
-func (r simsRef) scan(keep func(lb float64) bool, visit func(ord int)) (records, leaves int64) {
-	if r.leaves == nil {
-		var ords []int
-		for i, lb := range r.lbs {
-			if keep(lb) {
-				ords = append(ords, i)
-			}
+// Every record that passed at collection time (against the seed bound,
+// which is what keep sees first) is visited while it still passes, in
+// ordinal order when materialized, else in raw position order.
+func (r simsRef) scan(keep func(lb float64) bool, visit func(ord int)) (records int64) {
+	var ords []int
+	for i, lb := range r.lbs {
+		if keep(lb) {
+			ords = append(ords, i)
 		}
+	}
+	if !r.byOrdinal {
 		sort.Slice(ords, func(a, b int) bool { return r.positions[ords[a]] < r.positions[ords[b]] })
-		for _, i := range ords {
-			if keep(r.lbs[i]) {
-				visit(i)
-				records++
-			}
-		}
-		return records, 0
 	}
-	for _, span := range r.leaves {
-		read := false
-		for i := span[0]; i < span[1] && !read; i++ {
-			read = keep(r.lbs[i])
-		}
-		if !read {
-			continue
-		}
-		leaves++
-		for i := span[0]; i < span[1]; i++ {
-			if keep(r.lbs[i]) {
-				visit(i)
-				records++
-			}
+	for _, i := range ords {
+		if keep(r.lbs[i]) {
+			visit(i)
+			records++
 		}
 	}
-	return records, leaves
+	return records
 }
 
 // knn replays k-NN verification from the seed neighbors (squared): a
@@ -109,23 +84,13 @@ func (r simsRef) scan(keep func(lb float64) bool, visit func(ord int)) (records,
 func (r simsRef) knn(q series.Series, k int, seed []Neighbor, stats Result) ([]Neighbor, Result) {
 	lh := shard.NewKNNHeap(k)
 	lh.OfferAll(seed)
-	records, leaves := r.scan(
+	stats.VisitedRecords += r.scan(
 		func(lb float64) bool { return lb <= lh.Bound() },
 		func(i int) {
-			x := r.data[r.positions[i]]
-			var sq float64
-			ok := true
-			if r.leaves == nil {
-				sq, ok = series.SquaredEDEarlyAbandon(q, x, lh.Bound())
-			} else {
-				sq, _ = series.SquaredED(q, x)
-			}
-			if ok {
+			if sq, ok := series.SquaredEDEarlyAbandon(q, r.data[r.positions[i]], lh.Bound()); ok {
 				lh.Offer(Neighbor{Pos: r.positions[i], Dist: sq})
 			}
 		})
-	stats.VisitedRecords += records
-	stats.VisitedLeaves += leaves
 	out := lh.Sorted()
 	for i := range out {
 		out[i].Dist = math.Sqrt(out[i].Dist)
@@ -181,17 +146,13 @@ func checkReferencePass(t *testing.T, build func(Options) (lone, *leafRun, error
 				t.Fatal(err)
 			}
 			defer ix.Close()
-			var leaves [][2]int
-			if mat {
-				leaves = leafSpans(run.starts)
-			}
 			for qi, q := range queries {
 				for _, k := range ks {
 					seed, stats, err := approxKNN(context.Background(), ix, q, k, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, wantStats := newSimsRef(opt.S, q, data, run.sims, leaves).knn(q, k, seed, stats)
+					want, wantStats := newSimsRef(opt.S, q, data, run.sims, mat).knn(q, k, seed, stats)
 					for _, w := range workerSweep {
 						run.opt.QueryWorkers = w
 						var got []Neighbor

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -19,6 +20,22 @@ import (
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
 )
+
+// readLeaf returns the records of leaf li — exactly its extent of the run —
+// in buf when it is large enough: how the tests look at a leaf (queries read
+// candidate records, never leaves).
+func (r *leafRun) readLeaf(li int, buf []byte) ([]byte, error) {
+	recSize := r.opt.recordSize()
+	n := (r.starts[li+1] - r.starts[li]) * recSize
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if got, err := r.file.ReadAt(buf, int64(r.starts[li])*int64(recSize)); got != n {
+		return nil, fmt.Errorf("core: read leaf %d: %w", li, truncatedLeaves(err))
+	}
+	return buf, nil
+}
 
 // checkTreeRun holds a tree to the invariants the B+-tree's directory kept:
 // every leaf holds 1…LeafCap records, the leaves tile the run, each leaf

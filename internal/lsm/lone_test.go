@@ -141,7 +141,6 @@ func (l *lone) ExactSearchKNN(ctx context.Context, q series.Series, k, radius in
 	}
 	res.Pos, res.Dist = out[0].Pos, out[0].Dist
 	res.VisitedRecords += v.VisitedRecords
-	res.VisitedLeaves += v.VisitedLeaves
 	return out, res, nil
 }
 

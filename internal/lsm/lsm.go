@@ -816,8 +816,14 @@ func (ix *Index) ApproxWindowCands(_ context.Context, q series.Series, radius in
 	if aw.Source, err = ix.windowCandsLocked(q, radius, &pass.Table); err != nil {
 		return aw, err
 	}
-	aw.Raw, aw.Sums = ix.rawFile, ix.rawSums
+	aw.Store = ix.rawStore()
 	return aw, nil
+}
+
+// rawStore is the store every candidate of the index is read from: the raw
+// file, verified against the raw log's sidecar.
+func (ix *Index) rawStore() core.Store {
+	return core.RawStore(ix.rawFile, ix.rawSums, ix.opt.S.Params().SeriesLen)
 }
 
 // ExactVerify is SIMS for the k nearest neighbors over the union of all
@@ -894,7 +900,7 @@ func (ix *Index) ExactVerify(ctx context.Context, q series.Series, k int, seed [
 		}
 	}
 	pass.Cands = cands
-	res.VisitedRecords, err = core.VerifyRaw(ctx, ix.rawFile, ix.rawSums, q, cands, top, bound, ix.opt.QueryWorkers)
+	res.VisitedRecords, err = core.VerifyRaw(ctx, ix.rawStore(), q, cands, top, bound, ix.opt.QueryWorkers)
 	if ctx.Err() == nil {
 		pass.Release()
 	}

@@ -319,7 +319,6 @@ func (c *Composite) ExactSearchKNN(ctx context.Context, q series.Series, k int) 
 	for i, ns := range perChild {
 		top.OfferAll(ns)
 		res.VisitedRecords += outs[i].VisitedRecords
-		res.VisitedLeaves += outs[i].VisitedLeaves
 	}
 	out := top.Sorted()
 	for i := range out {

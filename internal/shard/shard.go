@@ -415,12 +415,11 @@ func (h *KNNHeap) OfferAll(ns []Neighbor) {
 
 // Local is one shard's share of a sharded verification scan: a heap of its
 // own, holding the scan's seed when the shard starts, and its visit
-// counters. ScanKNN seeds and reduces these; scan bodies only ever update
+// counter. ScanKNN seeds and reduces these; scan bodies only ever update
 // the Local they are handed.
 type Local struct {
 	Top            *KNNHeap
 	VisitedRecords int64
-	VisitedLeaves  int64
 }
 
 // ScanKNN is the sharded verification scan of every exact search, for any
@@ -429,14 +428,14 @@ type Local struct {
 // heap into top in shard order. Each shard keeps the top-k of the seed and
 // its range under NeighborLess, a total order, so the reduce is the top-k
 // of the union wherever the shard boundaries fall: byte-identical for any
-// worker count. The summed visit counters are returned even when fn failed
-// (partial counters, top reduced from what the shards held), alongside the
+// worker count. The summed visit counter is returned even when fn failed
+// (a partial count, top reduced from what the shards held), alongside the
 // lowest-indexed shard's error. On a ctx error the shard heaps are never
 // read (detached shards may still be writing them): top is untouched, the
-// counters are zero, and the caller sees ctx.Err() and must discard.
+// counter is zero, and the caller sees ctx.Err() and must discard.
 func ScanKNN(ctx context.Context, workers, n int, top *KNNHeap,
 	fn func(r Range, local *Local, cancelled func() bool) error,
-) (visitedRecords, visitedLeaves int64, err error) {
+) (visitedRecords int64, err error) {
 	ranges := Split(n, workers)
 	locals := make([]Local, len(ranges))
 	seed := append([]Neighbor(nil), top.items...)
@@ -446,14 +445,13 @@ func ScanKNN(ctx context.Context, workers, n int, top *KNNHeap,
 		return fn(r, &locals[i], cancelled)
 	})
 	if cerr := ctx.Err(); cerr != nil {
-		return 0, 0, cerr
+		return 0, cerr
 	}
 	for _, l := range locals {
 		visitedRecords += l.VisitedRecords
-		visitedLeaves += l.VisitedLeaves
 		if l.Top != nil {
 			top.OfferAll(l.Top.items)
 		}
 	}
-	return visitedRecords, visitedLeaves, err
+	return visitedRecords, err
 }

@@ -150,15 +150,15 @@ func TestCtxPreCancelled(t *testing.T) {
 	}
 	top := NewKNNHeap(2)
 	top.OfferAll([]Neighbor{{Pos: 7, Dist: 3.5}})
-	vr, vl, err := ScanKNN(ctx, 4, 100, top, func(r Range, local *Local, cancelled func() bool) error {
+	vr, err := ScanKNN(ctx, 4, 100, top, func(r Range, local *Local, cancelled func() bool) error {
 		called.Add(1)
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("ScanKNN: got %v, want context.Canceled", err)
 	}
-	if got := top.Sorted(); len(got) != 1 || got[0] != (Neighbor{Pos: 7, Dist: 3.5}) || vr != 0 || vl != 0 {
-		t.Fatalf("ScanKNN after cancel left top %v and counters (%d, %d), want the untouched seed and zeros", got, vr, vl)
+	if got := top.Sorted(); len(got) != 1 || got[0] != (Neighbor{Pos: 7, Dist: 3.5}) || vr != 0 {
+		t.Fatalf("ScanKNN after cancel left top %v and counter %d, want the untouched seed and zero", got, vr)
 	}
 	if n := called.Load(); n != 0 {
 		t.Fatalf("work function ran %d times under a pre-cancelled ctx", n)
@@ -205,7 +205,7 @@ func TestScanKNNReducesAnyWorkerCount(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		top := NewKNNHeap(5)
 		top.OfferAll([]Neighbor{{Pos: 95, Dist: 0}, {Pos: 1000, Dist: 0.5}})
-		vr, _, err := ScanKNN(context.Background(), workers, 100, top, func(r Range, local *Local, _ func() bool) error {
+		vr, err := ScanKNN(context.Background(), workers, 100, top, func(r Range, local *Local, _ func() bool) error {
 			for i := r.Lo; i < r.Hi; i++ {
 				local.Top.Offer(Neighbor{Pos: int64(i), Dist: dist(i)})
 				local.VisitedRecords++
@@ -226,7 +226,7 @@ func TestScanKNNReducesAnyWorkerCount(t *testing.T) {
 	blocked, release := make(chan struct{}), make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := ScanKNN(ctx, 4, 4, top, func(r Range, local *Local, _ func() bool) error {
+		_, err := ScanKNN(ctx, 4, 4, top, func(r Range, local *Local, _ func() bool) error {
 			if r.Lo == 0 {
 				close(blocked)
 				<-release

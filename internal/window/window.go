@@ -39,8 +39,7 @@ type Cand struct {
 	// fetch dispatch finds the owner.
 	Src int
 	// Ord is the record's ordinal within the source's sorted sequence —
-	// the handle the source's fetcher uses to locate the record (e.g. a
-	// leaf-relative slot in a materialized index).
+	// where a materialized index reads the record from its own leaf run.
 	Ord int
 }
 
@@ -127,13 +126,6 @@ func Half(radius, n int) int {
 	return records * (radius + 1) / 2
 }
 
-// FetchFunc loads the encoded raw series of one candidate, already verified
-// against whatever checksums guard it: into buf (one encoded series long)
-// when the bytes have to be read, or as a slice of storage the fetcher owns.
-// The result is valid until the next call. Fetchers are per-query state
-// (they may cache leaf pages) and are called serially.
-type FetchFunc func(c Cand, buf []byte) (enc []byte, err error)
-
 // Eval evaluates the window for the k best: candidates are visited in
 // ascending LB order (stable over the record order Merge produced, so the
 // evaluation sequence is a pure function of the candidate list), stopping as
@@ -142,10 +134,11 @@ type FetchFunc func(c Cand, buf []byte) (enc []byte, err error)
 // bytes — once it exceeds it. A record joins the top-k while fewer than k
 // are held, and after that only by STRICTLY beating the k-th best, so with
 // k = 1 the answer is the first strict improvement in evaluation order.
-// buf is fetch's read buffer. Returns the top-k (position, SQUARED
-// distance) ranked best-first — empty when cands is — and the number of
-// records fetched.
-func Eval(q series.Series, cands []Cand, k int, fetch FetchFunc, buf []byte) (top []shard.Neighbor, visited int64, err error) {
+// fetch, called serially, loads the encoded series of one candidate,
+// verified against whatever checksums guard it; the bytes are valid until
+// its next call. Returns the top-k (position, SQUARED distance) ranked
+// best-first — empty when cands is — and the number of records fetched.
+func Eval(q series.Series, cands []Cand, k int, fetch func(c Cand) ([]byte, error)) (top []shard.Neighbor, visited int64, err error) {
 	h := shard.NewKNNHeap(k)
 	order := make([]int, len(cands))
 	for i := range order {
@@ -165,7 +158,7 @@ func Eval(q series.Series, cands []Cand, k int, fetch FetchFunc, buf []byte) (to
 		if c.LB >= h.Bound() {
 			break
 		}
-		enc, err := fetch(c, buf)
+		enc, err := fetch(c)
 		if err != nil {
 			return h.Sorted(), visited, err
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/manifest"
@@ -81,14 +82,16 @@ type genWriter struct {
 	w    *storage.SequentialWriter
 	sims simsArray
 	// rec is the leaf record put encodes. A materialized record's raw
-	// series is gathered into it by position — from span, the records from
-	// spanLo on when the caller read them, else through raw, the caller's pin
-	// of the raw file — and verified against sums.
-	rec    []byte
-	raw    storage.Views
-	span   []byte
-	spanLo int64
-	sums   *storage.RecordSums
+	// series is gathered into it by position — from gathered when gather read
+	// it ahead, else through raw, the caller's pin of the raw file, verified
+	// against sums.
+	rec  []byte
+	raw  storage.Views
+	sums *storage.RecordSums
+	// gathered holds the verified series of the records at positions, in
+	// position order (see gather).
+	positions []int64
+	gathered  []byte
 }
 
 // createGen starts generation gen of the run, with room in its summary
@@ -120,23 +123,52 @@ func (g *genWriter) put(rec summary.Record, enc []byte) error {
 		enc = g.rec
 		rec.Encode(enc)
 		if series := enc[summary.RecordSize:]; len(series) > 0 {
-			var raw []byte
-			var err error
-			if g.span != nil {
-				raw = g.span[int(rec.Pos-g.spanLo)*len(series):][:len(series)]
-				err = verifyRaw(g.sums, rec.Pos, raw)
+			if i, ok := slices.BinarySearch(g.positions, rec.Pos); ok {
+				copy(series, g.gathered[i*len(series):])
 			} else {
-				raw, err = ReadRawAt(g.raw, g.sums, rec.Pos, series)
+				raw, err := ReadRawAt(g.raw, g.sums, rec.Pos, series)
+				if err != nil {
+					return err
+				}
+				copy(series, raw) // a view, unless ReadAt filled series itself
 			}
-			if err != nil {
-				return err
-			}
-			copy(series, raw) // a view, unless ReadAt filled series itself
 		}
 	}
 	g.sims.add(rec)
 	_, err := g.w.Write(enc)
 	return err
+}
+
+// gather reads ahead the raw series of recs from st, the raw store: their
+// positions, sorted, cut into maximal runs of adjacent positions, each run
+// read with one read and every series verified — the records themselves and
+// no byte between them.
+func (g *genWriter) gather(st Store, recs []summary.Record) error {
+	g.positions = make([]int64, len(recs))
+	for i, rec := range recs {
+		g.positions[i] = rec.Pos
+	}
+	slices.Sort(g.positions)
+	g.gathered = make([]byte, len(recs)*st.RecSize)
+	for i := 0; i < len(g.positions); {
+		first, n := g.positions[i], 1
+		for i+n < len(g.positions) && g.positions[i+n] == first+int64(n) {
+			n++
+		}
+		dst := g.gathered[i*st.RecSize : (i+n)*st.RecSize]
+		run, err := st.read(g.raw, first, n, dst)
+		if err != nil {
+			return err
+		}
+		copy(dst, run) // a view, unless ReadAt filled dst itself
+		for k := range n {
+			if err := st.verify(first+int64(k), st.series(dst, k)); err != nil {
+				return err
+			}
+		}
+		i += n
+	}
+	return nil
 }
 
 // close completes the generation and closes it; err is the writer's own
@@ -408,7 +440,7 @@ func (r *leafRun) writeManifest() error {
 // current run into the next generation of the run: one sequential pass, the
 // current generation read through its checksum blocks and copied as it is
 // against the in-memory batch, whose records are encoded as they are
-// written (their raw series, when materialized, read in one range), that
+// written (their raw series, when materialized, read ahead by gather), that
 // captures the new summary column on the way. The new generation becomes the
 // current one, and the one it replaces is removed unless the manifest names
 // it; a failed merge removes what it wrote of the new one.
@@ -422,16 +454,9 @@ func (r *leafRun) mergeNext(batch []summary.Record) (err error) {
 		return err
 	}
 	if r.opt.Materialized {
-		// The batch's series lie in the one range of the raw file the batch
-		// was just appended to (a partition's share of it when partitioned),
-		// read here at once.
-		lo, hi := batch[0].Pos, batch[0].Pos
-		for _, rec := range batch[1:] {
-			lo, hi = min(lo, rec.Pos), max(hi, rec.Pos)
-		}
-		st := RawStore(r.rawFile, r.rawSums, r.opt.S.Params().SeriesLen)
-		g.span, err = st.read(raw, lo, int(hi-lo+1), make([]byte, int(hi-lo+1)*st.RecSize))
-		g.spanLo = lo
+		// The batch's series lie in the range of the raw file the batch was
+		// just appended to: all of it, or a partition's share of it.
+		err = g.gather(RawStore(r.rawFile, r.rawSums, r.opt.S.Params().SeriesLen), batch)
 	}
 	// Each record of the current generation is written after the batch's
 	// records below it.

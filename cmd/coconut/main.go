@@ -438,7 +438,7 @@ func runQuery(cfg *config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("query %d (%s): nearest=#%d dist=%.4f visited=%d series, %d leaves, %v\n",
+		fmt.Printf("query %d (%s): nearest=#%d dist=%.4f visited=%d series, window over %d leaves, %v\n",
 			qnum, mode, res.Position, res.Distance, res.VisitedSeries, res.VisitedLeaves,
 			time.Since(start).Round(time.Microsecond))
 		qnum++

@@ -45,9 +45,10 @@
 // Within a single query, the library shards the heavy phases of SIMS exact
 // search across Config.QueryWorkers goroutines: the lower-bound pass over
 // the in-memory summaries, the candidate-verification scan of exact search
-// for any k (by leaf range when materialized, by raw-file position range
-// otherwise, per-shard top-k heaps reduced in shard order),
-// and — for LSM indexes — the per-run probes of multi-run queries.
+// for any k (one scan for every index type, sharded by candidate range —
+// raw-file positions, or the ordinals of a materialized index's own leaf
+// run — into per-shard top-k heaps reduced in shard order), and — for LSM
+// indexes — the per-run probes of multi-run queries.
 // QueryWorkers = 0 uses runtime.GOMAXPROCS(0) goroutines; the answers
 // (positions, distances) are identical for any setting, so it is purely a
 // latency knob. For maximum
@@ -84,8 +85,7 @@
 // Every query and mutation has a context-taking variant (SearchCtx,
 // SearchApproxCtx, SearchKNNCtx, InsertCtx), and Build and Open take a
 // context first. Cancellation is honored end to end: a query observes its
-// context between leaf visits, candidate verifications, partition probes,
-// and LSM run probes, so a cancelled or deadline-exceeded context returns
+// context between candidate reads, partition probes and LSM run probes, so a cancelled or deadline-exceeded context returns
 // ctx.Err() promptly — never a partial or wrong answer. On the write path
 // the context is admission control: it is checked before any bytes move,
 // and an LSM insert whose context expires while waiting for the raw log's
@@ -251,7 +251,9 @@ type Config struct {
 	// LeafSize is the records-per-leaf capacity (default 2000).
 	LeafSize int
 	// Materialized stores raw series inside the index (the paper's "-Full"
-	// variants): bigger index, but queries never touch the dataset file.
+	// variants): a bigger index, but queries never touch the dataset file.
+	// They read each candidate record from the index's own leaf run, with
+	// the scan every index uses, instead of from the dataset file.
 	Materialized bool
 	// MemoryBudget bounds construction memory in bytes (default 64 MiB).
 	MemoryBudget int64
@@ -383,7 +385,11 @@ type Result struct {
 	Distance float64
 	// VisitedSeries counts how many raw series were examined.
 	VisitedSeries int64
-	// VisitedLeaves counts index leaves read.
+	// VisitedLeaves counts the leaves of a tree or a trie that an
+	// approximate search's window spans (0 for an LSM, which has none).
+	// Every search reads candidate records, not leaves: an exact search's
+	// verification adds nothing, so it reports the leaves its seeding
+	// window (radius 1) spans.
 	VisitedLeaves int64
 }
 
@@ -588,7 +594,7 @@ func (x *Index) SeriesLen() int { return x.seriesLen }
 func (x *Index) Search(q Series) (Result, error) { return x.SearchCtx(context.Background(), q) }
 
 // SearchCtx is Search with cancellation: the query observes ctx between
-// leaf visits, run probes and candidate verifications (across every
+// run probes and candidate reads (across every
 // partition), so a cancelled or expired ctx returns ctx.Err() promptly —
 // never a partial answer.
 func (x *Index) SearchCtx(ctx context.Context, q Series) (Result, error) {

@@ -20,6 +20,7 @@ import (
 
 	"github.com/coconut-db/coconut/internal/runblock"
 	"github.com/coconut-db/coconut/internal/storage"
+	"github.com/coconut-db/coconut/internal/summary"
 )
 
 const (
@@ -378,6 +379,7 @@ func TestCorruptionSweep(t *testing.T) {
 			prefix := fmt.Sprintf("%s/parts=%d/", beName, parts)
 			t.Run(prefix+"tree-leaf", func(t *testing.T) { sweepLeafRun(t, mkFS(t), parts, leafRunKinds["tree"]) })
 			t.Run(prefix+"trie-leaf", func(t *testing.T) { sweepLeafRun(t, mkFS(t), parts, leafRunKinds["trie"]) })
+			t.Run(prefix+"full-leaf-query", func(t *testing.T) { sweepFullLeafQuery(t, mkFS(t), parts) })
 			t.Run(prefix+"lsm-run", func(t *testing.T) { sweepLSMRun(t, mkFS(t), parts) })
 			t.Run(prefix+"raw", func(t *testing.T) { sweepRaw(t, mkFS(t), parts) })
 			t.Run(prefix+"tail-raw", func(t *testing.T) { sweepTail(t, mkFS(t), parts, false) })
@@ -434,6 +436,83 @@ func sweepLeafRun(t *testing.T, inner sweepFS, parts int, kind leafRunKind) {
 	}
 	defer re.Close()
 	assertExactAnswers(t, re, qs, base)
+}
+
+// sweepFullLeafQuery rots, under an open materialized tree, the series of
+// the record its exact search answers the first query with and of the one
+// its approximate search does: both searches read their candidates from the
+// leaf run, so both fail typed with ErrCorruptData, and no other query
+// answers wrong.
+func sweepFullLeafQuery(t *testing.T, inner sweepFS, parts int) {
+	ffs, qs := sweepSetup(t, inner)
+	cfg := sweepConfig(ffs, parts)
+	cfg.Materialized = true
+	ix, err := BuildTreeIndex(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	base := sweepBaseline(t, ix, qs)
+	approx, err := ix.SearchApprox(qs[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotted := map[int64]bool{}
+	for _, pos := range []int64{base[0].Position, approx.Position} {
+		if rotted[pos] {
+			continue
+		}
+		rotted[pos] = true
+		name, off := findLeafSeries(t, inner, pos)
+		if err := ffs.Rot(name, off, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ix.Search(qs[0]); !errors.Is(err, ErrCorruptData) {
+		t.Fatalf("exact search over a rotted leaf record: %v, want ErrCorruptData", err)
+	}
+	if _, err := ix.SearchApprox(qs[0], 0); !errors.Is(err, ErrCorruptData) {
+		t.Fatalf("approximate search over a rotted leaf record: %v, want ErrCorruptData", err)
+	}
+	assertNoWrongAnswer(t, ix, qs[1:], base[1:])
+}
+
+// findLeafSeries returns the leaf run holding the record of raw position
+// pos and the physical offset of the first byte of its series.
+func findLeafSeries(t *testing.T, fs sweepFS, pos int64) (string, int64) {
+	t.Helper()
+	recSize := int64(summary.RecordSize + sweepLen*8)
+	for _, name := range fs.Names() {
+		if !strings.HasSuffix(name, ".leaves") {
+			continue
+		}
+		inner, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := storage.OpenChecksumFile(inner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := f.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := make([]byte, size)
+		if _, err := f.ReadAt(run, 0); err != nil {
+			t.Fatal(err)
+		}
+		block := int64(f.BlockSize())
+		f.Close()
+		for off := int64(0); off < size; off += recSize {
+			if summary.DecodeRecord(run[off:]).Pos == pos {
+				at := off + summary.RecordSize
+				return name, storage.ChecksumHeaderSize + at/block*(4+block) + 4 + at%block
+			}
+		}
+	}
+	t.Fatalf("no leaf run holds position %d", pos)
+	return "", 0
 }
 
 // TestScrubChecksLeafRunLength: a leaf run cut at a checksum-frame

@@ -24,7 +24,8 @@
 // and the leaf-run writer gathers each series by position from the raw file
 // — a second, random-order read of it, verified against the raw log — as it
 // writes the record (a key-pointer sort, §4). The plain variants store only
-// (key, position) and fetch raw data from the dataset file at query time.
+// (key, position) and fetch raw data from the dataset file at query time;
+// the materialized ones read it from their own run, with the same scan.
 package core
 
 import (
@@ -60,7 +61,9 @@ type Options struct {
 	// the child's key-range boundary; its Len is the room the build reserves.
 	// Open ignores it.
 	Records summary.RecordReader
-	// Materialized stores raw series inside the index ("-Full" variants).
+	// Materialized stores raw series inside the index ("-Full" variants),
+	// whose queries then read their candidates from the leaf run instead of
+	// the raw file (see Store).
 	Materialized bool
 	// LeafCap is the records-per-leaf capacity (paper: 2000).
 	LeafCap int
@@ -369,13 +372,7 @@ func EvalWindow(ctx context.Context, q series.Series, k int, cands []window.Cand
 			return nil, err
 		}
 		st := &srcs[c.Src].Store
-		id := st.id(c)
-		rec, err := st.read(views[c.Src], id, 1, sc.Buf)
-		if err != nil {
-			return nil, err
-		}
-		enc := st.series(rec, 0)
-		return enc, st.verify(id, enc)
+		return st.Fetch(views[c.Src], st.id(c), sc.Buf)
 	})
 }
 
@@ -385,29 +382,20 @@ func leafOfOrd(bases []int, ord int) int {
 	return sort.Search(len(bases), func(i int) bool { return bases[i] > ord }) - 1
 }
 
-// Store is the file an index's candidates are read from, and how its
-// records lie there. It is either
-//   - the raw dataset file (RawStore): candidate IDs are positions, records
-//     are series.EncodedSize apart and hold the series alone, and each is
-//     checked against the CRC sidecar Sums; or
-//   - a materialized ("-Full") tree's or trie's current leaf-run
-//     generation: candidate IDs are ordinals of the sorted summary array,
-//     records are leaf records apart with the series after the key and the
-//     position (Off = summary.RecordSize), the run's checksum blocks are
-//     checked as they are read, and Positions maps an ordinal to the raw
-//     position a search reports.
-//
-// Every candidate read goes through one: the verification scan (VerifyRaw),
-// the approximate window's evaluation (EvalWindow) and a materialized tree
-// insert's gather of its series. Rot surfaces as storage.ErrCorruptData,
-// never as a wrong distance.
+// Store is where an index's candidates are read from: the raw dataset file
+// (RawStore: IDs are positions, a record is the encoded series alone,
+// checked against the CRC sidecar Sums), or a materialized ("-Full") tree's
+// or trie's current leaf-run generation (IDs are ordinals of the summary
+// array, a record is a leaf record with its series at Off =
+// summary.RecordSize, checked by the run's checksum blocks as it is read,
+// and Positions maps an ordinal to the raw position a search reports). The
+// verification scan, the approximate window and a tree insert's gather all
+// read through one, so rot surfaces as storage.ErrCorruptData, never as a
+// wrong distance.
 type Store struct {
-	File storage.File
-	// Sums is the raw file's CRC sidecar; nil for a leaf run.
-	Sums *storage.RecordSums
-	// Positions maps a leaf run's ordinals to raw positions; nil for the
-	// raw file, whose IDs are positions.
-	Positions []int64
+	File      storage.File
+	Sums      *storage.RecordSums // nil for a leaf run
+	Positions []int64             // nil for the raw file
 	// RecSize is the bytes a record takes, Off where its series starts.
 	RecSize, Off int
 }
@@ -439,7 +427,7 @@ func (s *Store) pos(id int64) int64 {
 func (s *Store) read(v storage.Views, id int64, n int, buf []byte) ([]byte, error) {
 	run, err := v.Read(id*int64(s.RecSize), buf[:n*s.RecSize])
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: records %d..%d: %w", s.File.Name(), id, id+int64(n)-1, err)
+		return nil, fmt.Errorf("core: %s: %d records at %d: %w", s.File.Name(), n, id, err)
 	}
 	return run, nil
 }
@@ -455,26 +443,22 @@ func (s *Store) verify(id int64, enc []byte) error {
 	if s.Sums == nil {
 		return nil
 	}
-	return verifyRaw(s.Sums, id, enc)
-}
-
-// ReadRawAt returns the encoded series at ordinal pos of a raw dataset file —
-// a view of it, or buf, exactly one record long, filled — verified against
-// the CRC sidecar: rot surfaces as storage.ErrCorruptData, never as a wrong
-// distance.
-func ReadRawAt(raw storage.Views, sums *storage.RecordSums, pos int64, buf []byte) ([]byte, error) {
-	enc, err := raw.Read(pos*int64(len(buf)), buf)
-	if err != nil {
-		return nil, fmt.Errorf("core: raw series %d: %w", pos, err)
-	}
-	return enc, verifyRaw(sums, pos, enc)
-}
-
-func verifyRaw(sums *storage.RecordSums, pos int64, enc []byte) error {
-	if err := sums.Verify(pos, enc); err != nil {
-		return fmt.Errorf("core: raw series %d: %w", pos, err)
+	if err := s.Sums.Verify(id, enc); err != nil {
+		return fmt.Errorf("core: raw series %d: %w", id, err)
 	}
 	return nil
+}
+
+// Fetch returns the verified series of record id, read through v (a pin of
+// the store's file): a view of the file, or read into buf, which holds at
+// least one record.
+func (s *Store) Fetch(v storage.Views, id int64, buf []byte) ([]byte, error) {
+	rec, err := s.read(v, id, 1, buf)
+	if err != nil {
+		return nil, err
+	}
+	enc := s.series(rec, 0)
+	return enc, s.verify(id, enc)
 }
 
 // rawRunCap is the most file-adjacent candidates the verification scan

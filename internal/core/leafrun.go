@@ -24,7 +24,10 @@ import (
 // (TrieIndex) — and share everything else
 // here: the bulk load, the one loader Open and Scrub both run, the in-memory
 // summary column, the two steps of a query, and the merge a tree insert
-// batch makes into the next generation of the run.
+// batch makes into the next generation of the run. The leaf directory is
+// never read on the query path but to count the leaves a window spans: both
+// steps read candidate records, not leaves, from the store (see store) —
+// the run itself when materialized — through the scan every index uses.
 //
 // A leafRun is a partition child's state (internal/partition): any number of
 // query steps may run at once on one handle, and mutations (InsertRecords,
@@ -52,7 +55,9 @@ type leafRun struct {
 	// record i.
 	sims simsArray
 	// starts is the leaf directory: leaf i holds records
-	// [starts[i], starts[i+1]) of the run.
+	// [starts[i], starts[i+1]) of the run. It shapes the counters (Shape,
+	// ApproxWindow.Leaves), the manifest's layout and the trie's check at
+	// open, and no read.
 	starts []int
 }
 
@@ -83,11 +88,11 @@ type genWriter struct {
 	sims simsArray
 	// rec is the leaf record put encodes. A materialized record's raw
 	// series is gathered into it by position — from gathered when gather read
-	// it ahead, else through raw, the caller's pin of the raw file, verified
-	// against sums.
-	rec  []byte
-	raw  storage.Views
-	sums *storage.RecordSums
+	// it ahead, else fetched from src, the raw store, through raw, the
+	// caller's pin of its file.
+	rec []byte
+	raw storage.Views
+	src Store
 	// gathered holds the verified series of the records at positions, in
 	// position order (see gather).
 	positions []int64
@@ -112,7 +117,7 @@ func (r *leafRun) createGen(gen int64, n int, raw storage.Views) (*genWriter, er
 	// The checksum file frames its blocks itself: the writer's buffer only
 	// batches the calls into it.
 	return &genWriter{fs: fs, name: name, f: f, w: storage.NewSequentialWriter(f, 0, 64<<10),
-		sims: newSimsArray(r.opt.S, n), rec: make([]byte, r.opt.recordSize()), raw: raw, sums: r.rawSums}, nil
+		sims: newSimsArray(r.opt.S, n), rec: make([]byte, r.opt.recordSize()), raw: raw, src: r.rawStore()}, nil
 }
 
 // put appends rec as enc, its leaf record in the current generation, or
@@ -126,7 +131,7 @@ func (g *genWriter) put(rec summary.Record, enc []byte) error {
 			if i, ok := slices.BinarySearch(g.positions, rec.Pos); ok {
 				copy(series, g.gathered[i*len(series):])
 			} else {
-				raw, err := ReadRawAt(g.raw, g.sums, rec.Pos, series)
+				raw, err := g.src.Fetch(g.raw, rec.Pos, series)
 				if err != nil {
 					return err
 				}
@@ -139,11 +144,12 @@ func (g *genWriter) put(rec summary.Record, enc []byte) error {
 	return err
 }
 
-// gather reads ahead the raw series of recs from st, the raw store: their
+// gather reads ahead the raw series of recs from the raw store: their
 // positions, sorted, cut into maximal runs of adjacent positions, each run
 // read with one read and every series verified — the records themselves and
 // no byte between them.
-func (g *genWriter) gather(st Store, recs []summary.Record) error {
+func (g *genWriter) gather(recs []summary.Record) error {
+	st := &g.src
 	g.positions = make([]int64, len(recs))
 	for i, rec := range recs {
 		g.positions[i] = rec.Pos
@@ -456,7 +462,7 @@ func (r *leafRun) mergeNext(batch []summary.Record) (err error) {
 	if r.opt.Materialized {
 		// The batch's series lie in the range of the raw file the batch was
 		// just appended to: all of it, or a partition's share of it.
-		err = g.gather(RawStore(r.rawFile, r.rawSums, r.opt.S.Params().SeriesLen), batch)
+		err = g.gather(batch)
 	}
 	// Each record of the current generation is written after the batch's
 	// records below it.
@@ -619,7 +625,12 @@ func (r *leafRun) store() (Store, []int64) {
 	if r.opt.Materialized {
 		return Store{File: r.file, Positions: r.sims.positions, RecSize: r.opt.recordSize(), Off: summary.RecordSize}, nil
 	}
-	return RawStore(r.rawFile, r.rawSums, r.opt.S.Params().SeriesLen), r.sims.positions
+	return r.rawStore(), r.sims.positions
+}
+
+// rawStore is the raw file, verified against the raw log's sidecar.
+func (r *leafRun) rawStore() Store {
+	return RawStore(r.rawFile, r.rawSums, r.opt.S.Params().SeriesLen)
 }
 
 // ExactVerify is the verification phase of SIMS (Algorithm 5) for the k

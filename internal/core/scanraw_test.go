@@ -33,13 +33,14 @@ func refVerifyRaw(t *testing.T, f storage.File, sums *storage.RecordSums, q seri
 	pos, dist = seedPos, seedDist
 	buf, x := make([]byte, series.EncodedSize(len(q))), make(series.Series, len(q))
 	var fault error
+	st := RawStore(f, sums, len(q))
 	raw := storage.PinViews(f)
 	defer raw.Release(&fault)
 	for _, c := range cands {
 		if c.LB > dist {
 			continue
 		}
-		enc, err := ReadRawAt(raw, sums, c.ID, buf)
+		enc, err := st.Fetch(raw, c.ID, buf)
 		if err != nil {
 			t.Fatal(err)
 		}

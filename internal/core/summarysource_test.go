@@ -22,7 +22,7 @@ import (
 // leaves a torn trailing partial record unstreamed; and the sidecar it fills
 // is byte-identical to storage.BuildRecordSums's. A materialized build
 // sorts the same (key, pos) stream and gathers each series by position, so
-// for it every streamed record's ReadRawAt, verified against the sidecar
+// for it every streamed record's Fetch, verified against the sidecar
 // the pass filled, is the series at that position, summarizing to the
 // record's key.
 func TestSummarySourceAnyWorkers(t *testing.T) {
@@ -103,8 +103,9 @@ func gatherRaw(raw storage.File, sums *storage.RecordSums, recs []summary.Record
 	views := storage.PinViews(raw)
 	defer views.Release(&err)
 	buf := make([]byte, inSize)
+	st := Store{File: raw, Sums: sums, RecSize: inSize}
 	for _, rec := range recs {
-		enc, err := ReadRawAt(views, sums, rec.Pos, buf)
+		enc, err := st.Fetch(views, rec.Pos, buf)
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,9 @@ import (
 // bottom-up into leaves packed to the fill factor, as a UB-tree loads its
 // leaf pages, under a flat leaf directory that lives in the manifest.
 // Approximate search lands on the query key's position in the sorted
-// summary array, exact search is CoconutTreeSIMS (Algorithm 5), and inserts
+// summary array, exact search is CoconutTreeSIMS (Algorithm 5) — both read
+// candidate records, from the raw file or, materialized, from the run
+// itself, never whole leaves — and inserts
 // split full leaves at the median (§3.2). Everything but where its leaf
 // boundaries fall is the leaf run's (see leafRun).
 type TreeIndex struct{ leafRun }

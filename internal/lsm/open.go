@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/runblock"
-	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/storage/blockcache"
 	"github.com/coconut-db/coconut/internal/summary"
@@ -95,11 +93,12 @@ func (ix *Index) recoverTail(flushed int64) (err error) {
 			manifest.ErrCorruptManifest, flushed, end)
 	}
 	ix.flushed = flushed
-	buf := make([]byte, series.EncodedSize(ix.opt.S.Params().SeriesLen))
-	raw := storage.PinViews(ix.rawFile)
+	st := ix.rawStore()
+	buf := make([]byte, st.RecSize)
+	raw := storage.PinViews(st.File)
 	defer raw.Release(&err)
 	for pos := flushed; pos < end; pos++ {
-		enc, err := core.ReadRawAt(raw, ix.rawSums, pos, buf)
+		enc, err := st.Fetch(raw, pos, buf)
 		if err != nil {
 			return fmt.Errorf("lsm: recovering raw record %d of [%d, %d): %w", pos, flushed, end, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
@@ -65,10 +64,11 @@ func TestQuickMembershipUnderRandomBatching(t *testing.T) {
 		// Every probed series findable at distance ~0.
 		buf, ser := make([]byte, series.EncodedSize(tLen)), make(series.Series, tLen)
 		var fault error
-		raw := storage.PinViews(ix.rawFile)
+		st := ix.rawStore()
+		raw := storage.PinViews(st.File)
 		defer raw.Release(&fault)
 		for _, pos := range probes {
-			enc, err := core.ReadRawAt(raw, ix.rawSums, pos, buf)
+			enc, err := st.Fetch(raw, pos, buf)
 			if err != nil {
 				return false
 			}

@@ -91,7 +91,7 @@ func splitStarts(starts, lbs []int, leafCap int) []int {
 	for i := 1; i < len(starts); i++ {
 		counts = append(counts, starts[i]-starts[i-1])
 	}
-	if len(counts) == 0 {
+	if len(counts) == 0 && len(lbs) > 0 {
 		counts = append(counts, 0) // the first record opens leaf 0
 	}
 	li, start := 0, 0 // the leaf routed to last, and its first ordinal

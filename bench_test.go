@@ -257,7 +257,7 @@ func BenchmarkMinDist(b *testing.B) {
 
 // BenchmarkKeysInto measures the SIMS lower-bound kernel over a large
 // in-memory summary array — what every exact query runs once per indexed
-// series. "column" is the tree's and the trie's path: the full-cardinality
+// series. "column" is the tree's path: the full-cardinality
 // level of a per-query MinDistTable rebuilt each op into reused storage, then
 // Filter over the array held as a symbol column, 16 table loads and adds per
 // row, under a limit that skips no tile and keeps every row (0 allocs/op).
@@ -730,14 +730,14 @@ func BenchmarkParallelBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkBulkBuildTrie is the Coconut-Trie bulk load at the end-to-end
-// benchmark's scale (60k series, default LeafSize 2000, checksums on), where
-// prefix-split leaves are a few records full. Besides time it reports the
-// two byte ratios the build contract pins — everything left on the device
-// but the dataset, and everything read, per raw byte — so page padding
-// (index-bytes/raw-byte in the units, not hundredths) or a second pass over
-// the raw file (raw-bytes-read/raw-byte at 2) is visible in the CI log.
-func BenchmarkBulkBuildTrie(b *testing.B) {
+// BenchmarkBulkBuildTree is the Coconut-Tree bulk load at the end-to-end
+// benchmark's scale (60k series, default LeafSize 2000, checksums on).
+// Besides time it reports the two byte ratios the build contract pins —
+// everything left on the device but the dataset, and everything read, per
+// raw byte — so page padding (index-bytes/raw-byte in the units, not
+// hundredths) or a second pass over the raw file (raw-bytes-read/raw-byte at
+// 2) is visible in the CI log.
+func BenchmarkBulkBuildTree(b *testing.B) {
 	const count = 60000
 	const seriesLen = 128
 	fs := storage.NewMemFS()
@@ -749,9 +749,9 @@ func BenchmarkBulkBuildTrie(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		before := fs.Stats().Snapshot()
-		ix, err := BuildTrieIndex(Config{
+		ix, err := BuildTreeIndex(Config{
 			Storage:   fs,
-			Name:      "bench-trie",
+			Name:      "bench-tree",
 			DataFile:  "bench.bin",
 			SeriesLen: seriesLen,
 			Workers:   2,

@@ -73,23 +73,6 @@ func cancelVariant(t *testing.T, cfg Config, variant string, reopen bool) ctxVar
 			count:  ix.Count,
 			close:  ix.Close,
 		}
-	case "trie":
-		build := BuildTrieIndex
-		if reopen {
-			build = OpenTrieIndex
-		}
-		ix, err := build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ctxVariant{
-			name:   variant,
-			search: ix.SearchCtx,
-			approx: func(ctx context.Context, q Series) (Result, error) { return ix.SearchApproxCtx(ctx, q, 1) },
-			knn:    ix.SearchKNNCtx,
-			count:  ix.Count,
-			close:  ix.Close,
-		}
 	case "lsm":
 		build := BuildLSMIndex
 		if reopen {
@@ -155,7 +138,6 @@ var cancelCases = []struct {
 	parts   int
 }{
 	{"tree", 1}, {"tree", 3},
-	{"trie", 1}, {"trie", 3},
 	{"lsm", 1}, {"lsm", 3},
 }
 

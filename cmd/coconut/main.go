@@ -10,7 +10,6 @@
 // Build an index over a dataset (see cmd/datagen for producing one):
 //
 //	coconut build -dir ./data -data walk.bin -name myidx -len 256
-//	coconut build -dir ./data -data walk.bin -name mytrie -len 256 -variant trie
 //	coconut build -dir ./data -data walk.bin -name mylsm -len 256 -variant lsm
 //
 // Query it from a fresh process (the query file holds one or more series
@@ -108,7 +107,7 @@ func parseFlags(args []string) (*config, error) {
 	dir := fl.String("dir", ".", "directory holding the dataset and index files")
 	data := fl.String("data", "", "raw dataset file name (required for build)")
 	name := fl.String("name", "coconut", "index name prefix")
-	variant := fl.String("variant", "tree", "index variant to build: tree, trie, or lsm")
+	variant := fl.String("variant", "tree", "index variant to build: tree or lsm")
 	length := fl.Int("len", 256, "series length")
 	segments := fl.Int("segments", 16, "SAX segments")
 	cardBits := fl.Int("cardbits", 8, "bits per SAX symbol")
@@ -287,10 +286,10 @@ func runBuild(cfg *config) error {
 }
 
 // titles are the paper's names of the variants.
-var titles = map[coconut.Variant]string{coconut.Tree: "Coconut-Tree", coconut.Trie: "Coconut-Trie", coconut.LSM: "Coconut-LSM"}
+var titles = map[coconut.Variant]string{coconut.Tree: "Coconut-Tree", coconut.LSM: "Coconut-LSM"}
 
-// shape describes what the index is made of: an LSM's runs, or a tree's or
-// a trie's leaves.
+// shape describes what the index is made of: an LSM's runs, or a tree's
+// leaves.
 func shape(ix *coconut.Index) string {
 	if n := ix.NumRuns(); n > 0 {
 		return fmt.Sprintf(" across %d runs", n)
@@ -345,10 +344,10 @@ func runInfo(cfg *config) error {
 	}
 	fmt.Printf("index %q (%s)\n  dataset:   %s\n  series:    %d\n  summarization: len=%d segments=%d cardbits=%d\n  materialized:  %v\n",
 		cfg.build.Name, m.Variant, m.RawName, m.Count, m.SeriesLen, m.Segments, m.CardBits, m.Materialized)
-	// Each layout section the manifest holds is described: a tree's or a
-	// trie's leaves through the open index, an LSM's runs and a partitioned
-	// index's children from the manifests.
-	if m.Tree != nil || m.Trie != nil {
+	// Each layout section the manifest holds is described: a tree's leaves
+	// through the open index, an LSM's runs and a partitioned index's
+	// children from the manifests.
+	if m.Tree != nil {
 		ix, err := coconut.Open(context.Background(), cfg.openConfig())
 		if err != nil {
 			return err

@@ -110,7 +110,7 @@ func readSeries(t *testing.T, path string) []coconut.Series {
 // the index, and the answers query prints are the public API's on the same
 // files.
 func TestCLIRoundTrip(t *testing.T) {
-	for _, variant := range []string{"tree", "trie", "lsm"} {
+	for _, variant := range []string{"tree", "lsm"} {
 		for _, parts := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/partitions=%d", variant, parts), func(t *testing.T) {
 				dir := t.TempDir()

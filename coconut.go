@@ -18,7 +18,7 @@
 //	    Name:      "myindex",
 //	    DataFile:  "data.bin",
 //	    SeriesLen: 256,
-//	}, coconut.Tree)                        // or coconut.Trie, coconut.LSM
+//	}, coconut.Tree)                        // or coconut.LSM
 //	...
 //	res, err := idx.Search(query)        // exact 1-NN
 //	res, err = idx.SearchApprox(query, 1) // fast approximate, radius 1
@@ -94,9 +94,9 @@
 // exactly their Ctx counterparts under context.Background(); below this
 // package there are no such pairs — everything takes its context first.
 //
-// # One index, three layouts
+// # One index, two layouts
 //
-// Coconut-Tree, -Trie and -LSM are one family: a sorted array of invSAX
+// Coconut-Tree and Coconut-LSM are one family: a sorted array of invSAX
 // summaries answered by the same two steps, an approximate window whose k
 // best seed a SIMS verification pass under the k-th best — exact 1-NN being
 // k = 1 on every index type. Every type evaluates 32×(radius+1) records
@@ -107,11 +107,19 @@
 // index (internal/partition.Composite): N children of the variant split by
 // key range, with N = 1 — stored exactly as an unpartitioned index — unless
 // Config.Partitions >= 2. The composite owns the raw log and drives both
-// query steps, inserts included, the same way for any N; what only some
-// variants can do — inserts, LSM housekeeping — it offers exactly when its
-// children have it, and fails with errors.ErrUnsupported otherwise. The
-// typed names TreeIndex, TrieIndex and LSMIndex, and their Build*/Open*
-// constructors, are kept for callers that use them.
+// query steps and inserts the same way for any N; what only the LSM can do
+// — flush its memtable — it offers exactly when its children have it, and
+// fails with errors.ErrUnsupported otherwise. The typed names TreeIndex and
+// LSMIndex, and their Build*/Open* constructors, are kept for callers that
+// use them.
+//
+// The paper's third layout, Coconut-Trie, cut the same sorted run at iSAX
+// prefix boundaries and answered approximately from the leaf matching the
+// query's prefix. Here every search reads the record window around the
+// query's sort position and never a leaf, so a trie answered exactly as a
+// tree over the same records, and it is not a layout of its own: a stored
+// trie fails Open, Scrub and Repair with ErrVersionMismatch (rebuild it as
+// a tree).
 //
 // # Persistence
 //
@@ -126,9 +134,9 @@
 // the manifest; explicitly conflicting values fail loudly rather than
 // misread the stored bytes. One stored format is read, manifest version 10,
 // in which no stored file carries more than one integrity layer: CRC'd
-// blocks for the leaf run of a tree or a trie (the sorted records, one file
-// each), the run codec's own block, directory and footer CRCs for LSM runs,
-// per-record CRCs (in a sidecar) for the raw dataset, and one CRC over the
+// blocks for the leaf run of a tree (the sorted records, one file), the run
+// codec's own block, directory and footer CRCs for LSM runs, per-record
+// CRCs (in a sidecar) for the raw dataset, and one CRC over the
 // manifest, which is also where a Coconut-Tree keeps its leaf directory and
 // a Coconut-LSM its run list and its one raw-file cursor. A tree insert
 // merges into the next generation of its leaf run, which the manifest names
@@ -160,11 +168,13 @@ var (
 	// describes) that failed checksum or structural validation.
 	ErrCorruptManifest = manifest.ErrCorruptManifest
 	// ErrVersionMismatch reports an index stored in a format this build
-	// does not read: any manifest version but 9, whose files (tree leaves on
-	// stamped B+-tree pages before 9, LSM write-ahead logs before 8, tree
-	// directories in a separate meta file before 7, LSM runs framed in
-	// checksum blocks before 6, flat runs or padded trie leaves before 5) no
-	// reader here understands. Rebuild the index.
+	// does not read: any manifest version but 10, whose files (LSM
+	// compaction cursors before 10, tree leaves on stamped B+-tree pages
+	// before 9, LSM write-ahead logs before 8, tree directories in a
+	// separate meta file before 7, LSM runs framed in checksum blocks before
+	// 6, flat runs or padded trie leaves before 5) no reader here
+	// understands, and a Coconut-Trie of any version. Rebuild the index (a
+	// trie as a tree).
 	ErrVersionMismatch = manifest.ErrVersionMismatch
 	// ErrConfigMismatch reports a Config that conflicts with the stored
 	// index (different summarization, materialization, or dataset file).
@@ -248,7 +258,10 @@ type Config struct {
 	// CardinalityBits is the bits per SAX symbol (default 8 → cardinality
 	// 256).
 	CardinalityBits int
-	// LeafSize is the records-per-leaf capacity (default 2000).
+	// LeafSize is a tree's records-per-leaf capacity (default 2000): the
+	// bulk load packs leaves to FillFactor of it and an insert splits a
+	// full leaf at the median. It shapes the leaf counters (NumLeaves,
+	// LeafFill, Result.VisitedLeaves), never what a search reads.
 	LeafSize int
 	// Materialized stores raw series inside the index (the paper's "-Full"
 	// variants): a bigger index, but queries never touch the dataset file.
@@ -287,7 +300,7 @@ type Config struct {
 	// (sorted invSAX keys front-coded + delta-encoded, positions
 	// delta-varint-encoded), so resident memory is O(cache budget) rather
 	// than O(dataset) and indexes larger than RAM open and answer.
-	// Tree/Trie indexes are unaffected. One cache serves all runs,
+	// Tree indexes are unaffected. One cache serves all runs,
 	// partitions, and concurrent queries of the handle; CacheStats reports
 	// its hit/miss/eviction counters for sizing. Exact searches sweep every
 	// block of every run: they cache a block only where there is room and
@@ -385,8 +398,8 @@ type Result struct {
 	Distance float64
 	// VisitedSeries counts how many raw series were examined.
 	VisitedSeries int64
-	// VisitedLeaves counts the leaves of a tree or a trie that an
-	// approximate search's window spans (0 for an LSM, which has none).
+	// VisitedLeaves counts the leaves of a tree that an approximate
+	// search's window spans (0 for an LSM, which has none).
 	// Every search reads candidate records, not leaves: an exact search's
 	// verification adds nothing, so it reports the leaves its seeding
 	// window (radius 1) spans.
@@ -402,7 +415,7 @@ func fromCore(r core.Result) Result {
 	}
 }
 
-// Variant names one of the three index layouts.
+// Variant names one of the two index layouts.
 type Variant string
 
 // The index layouts: one sorted array of invSAX summaries each, answered by
@@ -411,9 +424,6 @@ const (
 	// Tree is Coconut-Tree: balanced, contiguous, densely packed — the
 	// paper's recommended design. It takes inserts, durable at Sync.
 	Tree Variant = "tree"
-	// Trie is Coconut-Trie: prefix-split, bottom-up bulk-loaded, contiguous
-	// leaves; read-only. Mostly of interest for studying the design space.
-	Trie Variant = "trie"
 	// LSM is Coconut-LSM, the paper's future-work design for update-heavy
 	// workloads: inserts land in a memtable and flush as immutable sorted
 	// runs; full tiers compact inline (see the package-level Write path
@@ -424,11 +434,10 @@ const (
 // Index is a Coconut index of any Variant. With Config.Partitions >= 2 it is
 // an N-way key-range-partitioned composition of such indexes, written from
 // one sort and queried scatter-gather with byte-identical answers. Every
-// Index answers every search; an operation its variant lacks — Insert on a
-// trie, Flush on a tree or a trie — fails with an error that matches
-// errors.ErrUnsupported. Build and Open make one; the typed names
-// TreeIndex, TrieIndex and LSMIndex, and their constructors, are kept for
-// callers that use them.
+// Index answers every search and takes inserts; Flush, which only an LSM
+// has, fails on a tree with an error that matches errors.ErrUnsupported.
+// Build and Open make one; the typed names TreeIndex and LSMIndex, and their
+// constructors, are kept for callers that use them.
 type Index struct {
 	// ix is the one internal index: the composite of Config.Partitions
 	// children, one when unpartitioned.
@@ -437,12 +446,13 @@ type Index struct {
 	seriesLen int
 }
 
-// TreeIndex and TrieIndex are Index under the names of the typed
-// constructors, kept for callers that use them.
-type (
-	TreeIndex = Index
-	TrieIndex = Index
-)
+// TreeIndex is Index under the name of the typed constructors, kept for
+// callers that use them.
+type TreeIndex = Index
+
+// TrieIndex is kept only because bench/e2e names it; ROADMAP.md item 14
+// deletes it.
+type TrieIndex = Index
 
 // LSMIndex is an Index of the LSM variant under the name of the typed
 // constructors, kept for callers that use them. It differs from Index only
@@ -460,12 +470,11 @@ func Build(ctx context.Context, cfg Config, v Variant) (*Index, error) {
 
 // Open reopens the index previously built (and Closed) under cfg.Name over
 // cfg.Storage, of whichever variant its manifest records, without touching
-// the raw dataset: a tree's leaf directory comes from its manifest, a
-// trie's sorted summaries from its own leaves, an LSM's runs from the run
-// files themselves (its run list is its compaction schedule, so later
-// Inserts continue the flush/compaction sequence a never-closed index would
-// have produced), and a partitioned index reopens through its parent manifest,
-// child by child, never partially. Unset Config fields are adopted from the
+// the raw dataset: a tree's leaf directory comes from its manifest, an
+// LSM's runs from the run files themselves (its run list is its compaction
+// schedule, so later Inserts continue the flush/compaction sequence a
+// never-closed index would have produced), and a partitioned index reopens
+// through its parent manifest, child by child, never partially. Unset Config fields are adopted from the
 // manifest; conflicting ones fail with ErrConfigMismatch. ctx is checked
 // before the manifest is read and after the reopen, as in Build.
 func Open(ctx context.Context, cfg Config) (*Index, error) {
@@ -520,12 +529,10 @@ func (c Config) variant(v Variant, opt core.Options) (partition.Variant, error) 
 	switch v {
 	case Tree:
 		return partition.TreeVariant(opt), nil
-	case Trie:
-		return partition.TrieVariant(opt), nil
 	case LSM:
 		return partition.LSMVariant(c.toLSM(opt)), nil
 	}
-	return partition.Variant{}, fmt.Errorf("coconut: unknown index variant %q (want tree, trie, or lsm)", v)
+	return partition.Variant{}, fmt.Errorf("coconut: unknown index variant %q (want tree or lsm)", v)
 }
 
 // toLSM derives the LSM option set from the resolved core options. The
@@ -564,12 +571,14 @@ func OpenTreeIndex(cfg Config) (*TreeIndex, error) {
 	return cfg.index(context.Background(), Tree, true)
 }
 
-// BuildTrieIndex is Build of a Trie under context.Background().
-func BuildTrieIndex(cfg Config) (*TrieIndex, error) { return Build(context.Background(), cfg, Trie) }
+// BuildTrieIndex is BuildTreeIndex, kept only because bench/e2e names it;
+// ROADMAP.md item 14 deletes it.
+func BuildTrieIndex(cfg Config) (*TrieIndex, error) { return Build(context.Background(), cfg, Tree) }
 
-// OpenTrieIndex is Open of a stored Trie under context.Background().
+// OpenTrieIndex is OpenTreeIndex, kept only because bench/e2e names it;
+// ROADMAP.md item 14 deletes it.
 func OpenTrieIndex(cfg Config) (*TrieIndex, error) {
-	return cfg.index(context.Background(), Trie, true)
+	return cfg.index(context.Background(), Tree, true)
 }
 
 // BuildLSMIndex is Build of an LSM under context.Background().
@@ -661,8 +670,7 @@ func (x *Index) SearchKNNCtx(ctx context.Context, q Series, k int) ([]Neighbor, 
 // memtable, flushes full memtables to new sorted runs and compacts full
 // tiers inline, and returns once the raw log committed the batch (a failed
 // fsync is returned here and by every later Insert, Flush and Sync; a
-// failed compaction merge is retried later, not returned). A trie takes no
-// inserts.
+// failed compaction merge is retried later, not returned).
 func (x *Index) Insert(batch []Series) error { return x.InsertCtx(context.Background(), batch) }
 
 // InsertCtx is Insert with admission control: ctx is checked before any
@@ -678,7 +686,8 @@ func (x *Index) InsertCtx(ctx context.Context, batch []Series) error {
 
 // Flush forces an LSM's memtable to disk and lands every ready compaction,
 // retrying any merge an earlier Insert could not complete; it returns a
-// merge that still fails. A tree or a trie has no memtable to flush.
+// merge that still fails. A tree has no memtable to flush: Flush on a tree
+// fails with an error that matches errors.ErrUnsupported.
 func (x *Index) Flush() error { return x.ix.Flush() }
 
 // Sync persists what Insert made stale, so a crash afterwards loses
@@ -686,17 +695,16 @@ func (x *Index) Flush() error { return x.ix.Flush() }
 // leaf run they were merged into and the manifest that names it — a crash
 // before it reopens at the previous Sync; an LSM's memtable and every
 // ready compaction, after which the on-disk state is the deterministic
-// function of the inserts so far. A trie has nothing to sync. Close syncs
-// too.
+// function of the inserts so far. Close syncs too.
 func (x *Index) Sync() error { return x.ix.Sync() }
 
 // Count returns the number of indexed series.
 func (x *Index) Count() int64 { return x.ix.Count() }
 
-// NumLeaves returns the number of leaves of a tree or a trie.
+// NumLeaves returns the number of leaves of a tree.
 func (x *Index) NumLeaves() int { return x.ix.Shape().Leaves }
 
-// LeafFill returns the mean leaf occupancy in [0,1] of a tree or a trie.
+// LeafFill returns the mean leaf occupancy in [0,1] of a tree.
 func (x *Index) LeafFill() float64 { return x.ix.Shape().LeafFill }
 
 // NumRuns returns the number of an LSM's on-disk sorted runs.
@@ -713,7 +721,7 @@ type CacheStats = blockcache.Stats
 
 // CacheStats reports the handle's block-cache counters — one cache serves
 // all runs and partitions of an LSM, so these are whole-index numbers; a
-// tree or a trie reads none and reports zeros. Use the hit/miss ratio under
+// tree reads none and reports zeros. Use the hit/miss ratio under
 // a representative query load to size Config.CacheBytes.
 func (x *Index) CacheStats() CacheStats { return x.ix.CacheStats() }
 

@@ -50,20 +50,35 @@ func TestPublicAPITreeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPublicAPITrie(t *testing.T) {
+// TestPublicAPITrieShims: BuildTrieIndex and OpenTrieIndex, kept for the
+// callers that name them, build and reopen a tree, which answers as one
+// built under its own name over the same records.
+func TestPublicAPITrieShims(t *testing.T) {
 	fs := NewMemStorage()
 	if err := GenerateDataset(fs, "data.bin", Seismic, 300, 64, 3); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := BuildTrieIndex(Config{
-		Storage:   fs,
-		Name:      "trie",
-		DataFile:  "data.bin",
-		SeriesLen: 64,
-		Segments:  8,
-		LeafSize:  16,
-	})
+	// One query worker: the visit counts of a sharded scan depend on the
+	// shards' timing.
+	cfg := Config{Storage: fs, DataFile: "data.bin", SeriesLen: 64, Segments: 8, LeafSize: 16, QueryWorkers: 1}
+	shim, tree := cfg, cfg
+	shim.Name, tree.Name = "shim", "tree"
+	idx, err := BuildTrieIndex(shim)
 	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := BuildTreeIndex(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if v := idx.Variant(); v != Tree {
+		t.Fatalf("BuildTrieIndex built a %s index, want a tree", v)
+	}
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if idx, err = OpenTrieIndex(Config{Storage: fs, Name: "shim", QueryWorkers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	defer idx.Close()
@@ -73,8 +88,12 @@ func TestPublicAPITrie(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.IsInf(res.Distance, 1) {
-			t.Fatal("no answer")
+		want, err := ref.Search(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsInf(res.Distance, 1) || res != want {
+			t.Fatalf("reopened shim answers %+v, the tree %+v", res, want)
 		}
 	}
 }
@@ -128,7 +147,7 @@ func TestDistanceAndZNormalize(t *testing.T) {
 	}
 }
 
-// TestPublicAPISearchKNN: SearchKNN on every index type — tree, trie plain
+// TestPublicAPISearchKNN: SearchKNN on every index type — tree plain
 // and materialized, and an LSM of one run or four, each with records still
 // in its memtable — is the brute-force top-k under the (distance, position)
 // order, ranked, and its head is Search's answer; a k past the record count
@@ -152,12 +171,8 @@ func TestPublicAPISearchKNN(t *testing.T) {
 			ix, err := BuildTreeIndex(confConfig(fs, 2, false))
 			return ix, nil, err
 		}, 0},
-		{"trie", func(_ *testing.T, fs Storage) (exactIndex, []Series, error) {
-			ix, err := BuildTrieIndex(confConfig(fs, 2, false))
-			return ix, nil, err
-		}, 0},
-		{"trie-materialized", func(_ *testing.T, fs Storage) (exactIndex, []Series, error) {
-			ix, err := BuildTrieIndex(confConfig(fs, 2, true))
+		{"tree-materialized", func(_ *testing.T, fs Storage) (exactIndex, []Series, error) {
+			ix, err := BuildTreeIndex(confConfig(fs, 2, true))
 			return ix, nil, err
 		}, 0},
 		{"lsm-1run", lsm(0), 1},

@@ -86,16 +86,6 @@ func confCases() []confCase {
 			return ix, ix.Search, data
 		}
 	}
-	trie := func(mat bool) func(*testing.T, int) (searcher, searchFn, []Series) {
-		return func(t *testing.T, qw int) (searcher, searchFn, []Series) {
-			fs, data := confFS(t)
-			ix, err := BuildTrieIndex(confConfig(fs, qw, mat))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ix, ix.Search, data
-		}
-	}
 	lsm := func(runs int) func(*testing.T, int) (searcher, searchFn, []Series) {
 		return func(t *testing.T, qw int) (searcher, searchFn, []Series) {
 			fs, data := confFS(t)
@@ -115,15 +105,13 @@ func confCases() []confCase {
 	return []confCase{
 		{"tree", tree(false)},
 		{"tree-materialized", tree(true)},
-		{"trie", trie(false)},
-		{"trie-materialized", trie(true)},
 		{"lsm-1run", lsm(1)},
 		{"lsm-4runs", lsm(4)},
 	}
 }
 
 // TestExactConformance is the exact-vs-brute-force conformance suite: every
-// index variant (tree/trie, materialized or not, single- and multi-run LSM)
+// index variant (tree, materialized or not, single- and multi-run LSM)
 // must answer exact 1-NN queries identically to a brute-force scan, and the
 // answers must be byte-identical for every QueryWorkers setting.
 func TestExactConformance(t *testing.T) {
@@ -196,8 +184,8 @@ func bruteForce(q Series, data []Series) (int64, float64) {
 
 // TestExactTieConformance: exact duplicates at #1 and #2560 — the copy
 // inserted into a tree (plain and materialized, 1 and 3 partitions) or an
-// LSM (1 and 3 partitions), or already in the raw file a trie is built over
-// — are a distance tie that resolves to the lower position. Search,
+// LSM (1 and 3 partitions), or already in the raw file a tree is
+// bulk-loaded over — are a distance tie that resolves to the lower position. Search,
 // SearchKNN(q, 1)[0] and the brute force all answer #1 at distance 0, for
 // every QueryWorkers, although the approximate window meets #2560 first.
 func TestExactTieConformance(t *testing.T) {
@@ -216,7 +204,7 @@ func TestExactTieConformance(t *testing.T) {
 		func(ix exactIndex, b []Series) error { return ix.(*TreeIndex).Insert(b) })
 	lsm := inserted(func(c Config) (exactIndex, error) { return BuildLSMIndex(c) },
 		func(ix exactIndex, b []Series) error { return ix.(*LSMIndex).Insert(b) })
-	trie := func(fs Storage, cfg Config) (exactIndex, error) {
+	bulk := func(fs Storage, cfg Config) (exactIndex, error) {
 		f, err := fs.Open("conf.bin")
 		if err != nil {
 			return nil, err
@@ -231,7 +219,7 @@ func TestExactTieConformance(t *testing.T) {
 		if err := f.Close(); err != nil {
 			return nil, err
 		}
-		return BuildTrieIndex(cfg)
+		return BuildTreeIndex(cfg)
 	}
 	for _, tc := range []struct {
 		name  string
@@ -241,8 +229,8 @@ func TestExactTieConformance(t *testing.T) {
 		{"tree", false, tree},
 		{"tree-materialized", true, tree},
 		{"lsm", false, lsm},
-		{"trie", false, trie},
-		{"trie-materialized", true, trie},
+		{"tree-bulk", false, bulk},
+		{"tree-bulk-materialized", true, bulk},
 	} {
 		for _, parts := range []int{1, 3} {
 			for _, qw := range []int{1, 2, 8} {

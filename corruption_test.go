@@ -1,7 +1,7 @@
 package coconut
 
 // The end-to-end corruption sweep: every class of persistent artifact —
-// LSM run file, tree and trie leaf run, raw dataset, and the
+// LSM run file, tree leaf run, raw dataset, and the
 // un-flushed LSM tail in the raw file or in its sidecar — is bit-rotted in
 // turn, on both storage backends and for both single and partitioned
 // indexes, and the public API must (1) never return a silently wrong
@@ -266,7 +266,6 @@ func TestMissingSidecarRefused(t *testing.T) {
 		open  func(Config) (closer, error)
 	}{
 		"tree": {func(c Config) (closer, error) { return BuildTreeIndex(c) }, func(c Config) (closer, error) { return OpenTreeIndex(c) }},
-		"trie": {func(c Config) (closer, error) { return BuildTrieIndex(c) }, func(c Config) (closer, error) { return OpenTrieIndex(c) }},
 		"lsm":  {func(c Config) (closer, error) { return BuildLSMIndex(c) }, func(c Config) (closer, error) { return OpenLSMIndex(c) }},
 	}
 	for vname, v := range variants {
@@ -377,8 +376,7 @@ func TestCorruptionSweep(t *testing.T) {
 	for beName, mkFS := range sweepBackends(t) {
 		for _, parts := range []int{1, 3} {
 			prefix := fmt.Sprintf("%s/parts=%d/", beName, parts)
-			t.Run(prefix+"tree-leaf", func(t *testing.T) { sweepLeafRun(t, mkFS(t), parts, leafRunKinds["tree"]) })
-			t.Run(prefix+"trie-leaf", func(t *testing.T) { sweepLeafRun(t, mkFS(t), parts, leafRunKinds["trie"]) })
+			t.Run(prefix+"tree-leaf", func(t *testing.T) { sweepLeafRun(t, mkFS(t), parts) })
 			t.Run(prefix+"full-leaf-query", func(t *testing.T) { sweepFullLeafQuery(t, mkFS(t), parts) })
 			t.Run(prefix+"lsm-run", func(t *testing.T) { sweepLSMRun(t, mkFS(t), parts) })
 			t.Run(prefix+"raw", func(t *testing.T) { sweepRaw(t, mkFS(t), parts) })
@@ -388,29 +386,11 @@ func TestCorruptionSweep(t *testing.T) {
 	}
 }
 
-// leafRunKind builds or opens a tree or a trie, the two index types stored
-// as a leaf run.
-type leafRunKind struct {
-	build, open func(Config) (leafRunIndex, error)
-}
-
-type leafRunIndex interface {
-	sweepSearcher
-	Close() error
-}
-
-var leafRunKinds = map[string]leafRunKind{
-	"tree": {func(c Config) (leafRunIndex, error) { return BuildTreeIndex(c) },
-		func(c Config) (leafRunIndex, error) { return OpenTreeIndex(c) }},
-	"trie": {func(c Config) (leafRunIndex, error) { return BuildTrieIndex(c) },
-		func(c Config) (leafRunIndex, error) { return OpenTrieIndex(c) }},
-}
-
-// sweepLeafRun rots the first block of the largest leaf run of a tree or a
-// trie. The run is read whole at open, so opens fail typed.
-func sweepLeafRun(t *testing.T, inner sweepFS, parts int, kind leafRunKind) {
+// sweepLeafRun rots the first block of the largest leaf run of a tree. The
+// run is read whole at open, so opens fail typed.
+func sweepLeafRun(t *testing.T, inner sweepFS, parts int) {
 	ffs, qs := sweepSetup(t, inner)
-	ix, err := kind.build(sweepConfig(ffs, parts))
+	ix, err := BuildTreeIndex(sweepConfig(ffs, parts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +402,7 @@ func sweepLeafRun(t *testing.T, inner sweepFS, parts int, kind leafRunKind) {
 	if err := ffs.Rot(leaves, storage.ChecksumHeaderSize+4, 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := kind.open(Config{Storage: ffs, Name: "sw"}); err == nil {
+	if _, err := OpenTreeIndex(Config{Storage: ffs, Name: "sw"}); err == nil {
 		t.Fatal("open of a rotted leaf run succeeded")
 	} else {
 		requireCorrupt(t, err)
@@ -430,7 +410,7 @@ func sweepLeafRun(t *testing.T, inner sweepFS, parts int, kind leafRunKind) {
 	requireScrubFlags(t, ffs, "sw", leaves)
 	requireRepairClean(t, ffs, "sw")
 
-	re, err := kind.open(Config{Storage: ffs, Name: "sw"})
+	re, err := OpenTreeIndex(Config{Storage: ffs, Name: "sw"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,59 +500,57 @@ func findLeafSeries(t *testing.T, fs sweepFS, pos int64) (string, int64) {
 // keeps every remaining block intact, so only its length against the
 // manifest's count tells it. Scrub runs the loader Open runs, so it names
 // the run, and Repair rebuilds an index that opens and answers as before,
-// for a tree and a trie, 1 and 2 partitions.
+// for a tree of 1 and 2 partitions.
 func TestScrubChecksLeafRunLength(t *testing.T) {
 	qs, err := GenerateQueries(RandomWalk, 4, confLen, confSeed+2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const stride = 4 + 170*24 // a frame: CRC and 170 records of (key, position)
-	for name, kind := range leafRunKinds {
-		for _, parts := range []int{1, 2} {
-			for _, damage := range []string{"cut-tail-frame", "drop-middle-frame"} {
-				t.Run(fmt.Sprintf("%s/parts=%d/%s", name, parts, damage), func(t *testing.T) {
-					fs, _ := confFS(t)
-					cfg := confConfig(fs, 1, false)
-					cfg.Partitions = parts
-					ix, err := kind.build(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					base := sweepBaseline(t, ix, qs)
-					if err := ix.Close(); err != nil {
-						t.Fatal(err)
-					}
-					leaves := findLargest(t, fs.(*storage.MemFS), ".leaves")
-					data, err := storage.ReadFileAll(fs, leaves)
-					if err != nil {
-						t.Fatal(err)
-					}
-					frame := func(i int) int { return storage.ChecksumHeaderSize + i*stride }
-					frames := (len(data) - frame(0) + stride - 1) / stride
-					if frames < 3 {
-						t.Fatalf("%s holds %d frames, want at least 3", leaves, frames)
-					}
-					if damage == "cut-tail-frame" {
-						data = data[:frame(frames-1)]
-					} else {
-						data = append(data[:frame(1):frame(1)], data[frame(2):]...)
-					}
-					if err := storage.WriteFileAll(fs, leaves, data); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := kind.open(Config{Storage: fs, Name: "conf"}); !errors.Is(err, ErrCorruptData) {
-						t.Fatalf("open: %v, want ErrCorruptData", err)
-					}
-					requireScrubFlags(t, fs, "conf", leaves)
-					requireRepairClean(t, fs, "conf")
-					re, err := kind.open(Config{Storage: fs, Name: "conf"})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer re.Close()
-					assertExactAnswers(t, re, qs, base)
-				})
-			}
+	for _, parts := range []int{1, 2} {
+		for _, damage := range []string{"cut-tail-frame", "drop-middle-frame"} {
+			t.Run(fmt.Sprintf("tree/parts=%d/%s", parts, damage), func(t *testing.T) {
+				fs, _ := confFS(t)
+				cfg := confConfig(fs, 1, false)
+				cfg.Partitions = parts
+				ix, err := BuildTreeIndex(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base := sweepBaseline(t, ix, qs)
+				if err := ix.Close(); err != nil {
+					t.Fatal(err)
+				}
+				leaves := findLargest(t, fs.(*storage.MemFS), ".leaves")
+				data, err := storage.ReadFileAll(fs, leaves)
+				if err != nil {
+					t.Fatal(err)
+				}
+				frame := func(i int) int { return storage.ChecksumHeaderSize + i*stride }
+				frames := (len(data) - frame(0) + stride - 1) / stride
+				if frames < 3 {
+					t.Fatalf("%s holds %d frames, want at least 3", leaves, frames)
+				}
+				if damage == "cut-tail-frame" {
+					data = data[:frame(frames-1)]
+				} else {
+					data = append(data[:frame(1):frame(1)], data[frame(2):]...)
+				}
+				if err := storage.WriteFileAll(fs, leaves, data); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"}); !errors.Is(err, ErrCorruptData) {
+					t.Fatalf("open: %v, want ErrCorruptData", err)
+				}
+				requireScrubFlags(t, fs, "conf", leaves)
+				requireRepairClean(t, fs, "conf")
+				re, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				assertExactAnswers(t, re, qs, base)
+			})
 		}
 	}
 }

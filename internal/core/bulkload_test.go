@@ -1,23 +1,20 @@
 package core
 
-// Tests of the bulk load's two byte-level contracts: the Coconut-Trie leaf
+// Tests of the bulk load's two byte-level contracts: the Coconut-Tree leaf
 // file is the sorted record run and nothing else (no page padding, no
-// per-leaf header, directory derived at open), and a build reads the raw
-// dataset exactly once (the CRC sidecar comes out of the summarization
+// per-leaf header), and a build reads the raw dataset exactly once (the CRC sidecar comes out of the summarization
 // pass, byte-identical to storage.BuildRecordSums).
 
 import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"slices"
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/dataset"
-	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
@@ -80,69 +77,19 @@ func logicalBytes(t *testing.T, fs storage.FS, name string) []byte {
 	return buf
 }
 
-// trieShape is everything OpenTrie must reproduce.
-type trieShape struct {
+// treeShape is everything OpenTree must reproduce.
+type treeShape struct {
 	rows      []uint8
 	positions []int64
 	starts    []int
 }
 
-func shapeOf(ix *TrieIndex) trieShape {
-	return trieShape{rows: ix.sims.col.Syms, positions: ix.sims.positions, starts: ix.starts}
+func shapeOf(ix *TreeIndex) treeShape {
+	return treeShape{rows: ix.sims.col.Syms, positions: ix.sims.positions, starts: ix.starts}
 }
 
-func (a trieShape) equal(b trieShape) bool {
+func (a treeShape) equal(b treeShape) bool {
 	return slices.Equal(a.rows, b.rows) && slices.Equal(a.positions, b.positions) && slices.Equal(a.starts, b.starts)
-}
-
-// checkTrieLeaves asserts the leaf-level trie invariant: the leaves tile
-// the run, and each is a maximal prefix-aligned group — no record outside a
-// leaf shares the common prefix of its records, a leaf holds more than
-// LeafCap records only when its keys are all equal, and the records sharing
-// the longest prefix a leaf shares with an outside record are more than
-// LeafCap (else they would be one leaf), unless that prefix stops short of
-// the root fan-out's first bit of every segment.
-func checkTrieLeaves(t *testing.T, ix *TrieIndex) {
-	t.Helper()
-	col, p := ix.sims.col, ix.opt.S.Params()
-	shared := func(a, b int) int { return summary.RowPrefixBits(col.Row(a), col.Row(b), p.CardBits) }
-	starts := ix.starts
-	if starts[0] != 0 || starts[len(starts)-1] != col.Len() {
-		t.Fatalf("leaves cover records [%d, %d) of %d", starts[0], starts[len(starts)-1], col.Len())
-	}
-	for li := 0; li+1 < len(starts); li++ {
-		lo, hi := starts[li], starts[li+1]
-		if hi <= lo {
-			t.Fatalf("leaf %d is empty", li)
-		}
-		common := shared(lo, hi-1)
-		if hi-lo > ix.opt.LeafCap && common < p.Segments*p.CardBits {
-			t.Fatalf("leaf %d holds %d distinct-key records, capacity %d", li, hi-lo, ix.opt.LeafCap)
-		}
-		outside := -1
-		if lo > 0 {
-			outside = shared(lo-1, lo)
-		}
-		if hi < col.Len() {
-			outside = max(outside, shared(hi-1, hi))
-		}
-		if outside >= common {
-			t.Fatalf("leaf %d: a record outside it shares its %d-bit prefix", li, common)
-		}
-		if outside < p.Segments {
-			continue
-		}
-		group := hi - lo
-		for i := lo - 1; i >= 0 && shared(i, lo) >= outside; i-- {
-			group++
-		}
-		for i := hi; i < col.Len() && shared(lo, i) >= outside; i++ {
-			group++
-		}
-		if group <= ix.opt.LeafCap {
-			t.Fatalf("leaf %d is not maximal: the %d records sharing its %d-bit parent prefix fit one leaf", li, group, outside)
-		}
-	}
 }
 
 // digest condenses a leaf directory — its starts or its counts — for
@@ -155,17 +102,12 @@ func digest(xs []int) string {
 	return fmt.Sprintf("%d:%016x", len(xs), h.Sum64())
 }
 
-// parentTrieStarts are the trie's leaf starts on the datasets of
-// TestTrieLeafFileIsTheSortedRun by leaf capacity, as digest renders them,
-// recorded from the trie built as a tree of trie.Node objects.
-var parentTrieStarts = map[string]map[int]string{
-	"walk":           {2: "468:9b75b8e2a485881e", 16: "160:ef91d460fdc995a8", 2000: "131:2c0f2585cd095344"},
-	"empty":          {2: "0:cbf29ce484222325", 16: "0:cbf29ce484222325", 2000: "0:cbf29ce484222325"},
-	"single":         {2: "1:07fbfc07b4bcf299", 16: "1:07fbfc07b4bcf299", 2000: "1:07fbfc07b4bcf299"},
-	"all-equal-keys": {2: "1:07fbfc07b4bcf299", 16: "1:07fbfc07b4bcf299", 2000: "1:07fbfc07b4bcf299"},
-}
-
-func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
+// TestTreeLeafFileIsTheSortedRun: at every worker count, leaf capacity and
+// materialization, on a random walk, an empty and a one-record dataset and
+// one of identical keys, the tree's leaf file is the sorted record stream
+// and nothing else, its directory packs it into full leaves, and OpenTree
+// reproduces the build's summary array and directory.
+func TestTreeLeafFileIsTheSortedRun(t *testing.T) {
 	walk := dataset.Generate(dataset.NewRandomWalk(), tCount, tLen, 42)
 	equal := make([]series.Series, 40)
 	for i := range equal {
@@ -183,7 +125,7 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 				name := fmt.Sprintf("%s/mat=%v/leafcap=%d", ds.name, mat, leafCap)
 				t.Run(name, func(t *testing.T) {
 					var fs *storage.MemFS
-					var ix *loneTrie
+					var ix *loneTree
 					opt := func(workers int) Options {
 						o := baseOptions(t, fs, mat)
 						o.LeafCap, o.Workers = leafCap, workers
@@ -197,7 +139,7 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 							fs = storage.NewMemFS()
 							writeRaw(t, fs, ds.data, 0)
 							var err error
-							if ix, err = buildTrie(opt(workers)); err != nil {
+							if ix, err = buildTree(opt(workers)); err != nil {
 								t.Fatal(err)
 							}
 							size := ix.SizeBytes()
@@ -223,12 +165,8 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 					}
 					defer func() { ix.Close() }()
 
-					checkTrieLeaves(t, ix.TrieIndex)
-					if got, want := digest(ix.starts[:len(ix.starts)-1]), parentTrieStarts[ds.name][leafCap]; got != want {
-						t.Fatalf("leaf starts %s, the node-built trie's were %s", got, want)
-					}
-					if ds.name == "all-equal-keys" && (ix.Shape().Leaves != 1 || ix.starts[1] != 40) {
-						t.Fatalf("identical keys split into %d leaves", ix.Shape().Leaves)
+					if want := packedStarts(len(ds.data), leafCap); !slices.Equal(ix.starts, want) {
+						t.Fatalf("leaf starts %v, want full leaves %v", ix.starts, want)
 					}
 					if n := ix.Shape().Leaves; n > 0 {
 						if fill, want := ix.Shape().LeafFill, float64(len(ds.data))/float64(n*leafCap); fill != want {
@@ -236,17 +174,17 @@ func TestTrieLeafFileIsTheSortedRun(t *testing.T) {
 						}
 					}
 
-					built := shapeOf(ix.TrieIndex)
+					built := shapeOf(ix.TreeIndex)
 					if err := ix.Close(); err != nil {
 						t.Fatal(err)
 					}
-					re, err := openTrie(opt(1))
+					re, err := openTree(opt(1))
 					if err != nil {
 						t.Fatalf("reopen: %v", err)
 					}
 					ix = re
-					if !built.equal(shapeOf(re.TrieIndex)) {
-						t.Fatal("OpenTrie did not reproduce the build-time keys, positions and leaf starts")
+					if !built.equal(shapeOf(re.TreeIndex)) {
+						t.Fatal("OpenTree did not reproduce the build-time keys, positions and leaf starts")
 					}
 				})
 			}
@@ -271,17 +209,18 @@ func blockBytes(off, n, block int64) int64 {
 	return ((off+n-1)/block - off/block + 1) * (block + 4)
 }
 
-// TestTrieCandidateRunReadsOnlyItsBlocks fails if page padding or a
+// TestFullCandidateRunReadsOnlyItsBlocks fails if page padding or a
 // leaf-sized read unit ever comes back: a materialized exact search reads
-// its candidates as the raw-file scan does, one read per run of adjacent
-// candidates (at most rawRunCap records, starting at a record the search
-// visits), and each read costs only the checksum blocks its records touch —
-// over a LeafCap-2000 trie too, whose leaves span hundreds of records.
-func TestTrieCandidateRunReadsOnlyItsBlocks(t *testing.T) {
+// its candidates from the leaf run as the raw-file scan does, one read per
+// run of adjacent candidates (at most rawRunCap records, starting at a
+// record the search visits), and each read costs only the checksum blocks
+// its records touch — over a LeafCap-2000 tree, one leaf of the whole
+// fixture.
+func TestFullCandidateRunReadsOnlyItsBlocks(t *testing.T) {
 	fs, _ := fixtureFS(t)
 	opt := baseOptions(t, fs, true)
 	opt.LeafCap, opt.QueryWorkers = 2000, 1
-	ix, err := buildTrie(opt)
+	ix, err := buildTree(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +231,7 @@ func TestTrieCandidateRunReadsOnlyItsBlocks(t *testing.T) {
 	block := int64(leafBlockSize(opt.recordSize()))
 	var visited int64
 	for _, q := range dataset.Queries(dataset.NewRandomWalk(), 5, tLen, 13) {
-		seed, _, err := approxKNN(context.Background(), ix, q, 1, 1)
+		seed, _, err := approxKNN(context.Background(), ix.TreeIndex, q, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,87 +291,7 @@ func TestFullApproxReadsOnlyVisitedBlocks(t *testing.T) {
 	}
 }
 
-// TestTrieLeafFileDamageIsTyped: a leaf file shorter than the manifest's
-// record count is both corrupt data and a broken manifest promise, a longer
-// one a broken promise, a flipped bit corrupt data, and a missing one fails
-// the open.
-func TestTrieLeafFileDamageIsTyped(t *testing.T) {
-	fs, _ := fixtureFS(t)
-	opt := baseOptions(t, fs, false)
-	ix, err := buildTrie(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix.Close()
-	good, err := storage.ReadFileAll(fs, "cx.leaves")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stride := 4 + leafBlockSize(opt.recordSize()) // one whole checksum block
-	tail := len(good) - (len(good)-storage.ChecksumHeaderSize)%stride
-	if tail == len(good) {
-		tail -= stride
-	}
-	reopen := func(data []byte) error {
-		t.Helper()
-		if err := storage.WriteFileAll(fs, "cx.leaves", data); err != nil {
-			t.Fatal(err)
-		}
-		re, err := openTrie(opt)
-		if err == nil {
-			re.Close()
-		}
-		return err
-	}
-	for _, cut := range []int{tail, len(good) - 5} {
-		err := reopen(good[:cut])
-		if !errors.Is(err, storage.ErrCorruptData) || !errors.Is(err, manifest.ErrCorruptManifest) {
-			t.Fatalf("leaf file cut to %d of %d bytes: got %v, want ErrCorruptData and ErrCorruptManifest", cut, len(good), err)
-		}
-	}
-	// One stray (correctly checksummed) record past the manifest's count.
-	if err := storage.WriteFileAll(fs, "cx.leaves", good); err != nil {
-		t.Fatal(err)
-	}
-	inner, err := fs.Open("cx.leaves")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf, err := storage.OpenChecksumFile(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size, _ := cf.Size()
-	if _, err := cf.WriteAt(make([]byte, opt.recordSize()), size); err != nil {
-		t.Fatal(err)
-	}
-	if err := cf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	longer, err := storage.ReadFileAll(fs, "cx.leaves")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reopen(longer); !errors.Is(err, manifest.ErrCorruptManifest) {
-		t.Fatalf("leaf file with a stray record: got %v, want ErrCorruptManifest", err)
-	}
-	flipped := append([]byte(nil), good...)
-	flipped[len(flipped)/2] ^= 0x10
-	if err := reopen(flipped); !errors.Is(err, storage.ErrCorruptData) {
-		t.Fatalf("flipped leaf byte: got %v, want ErrCorruptData", err)
-	}
-	if err := fs.Remove("cx.leaves"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openTrie(opt); !errors.Is(err, storage.ErrNotExist) {
-		t.Fatalf("missing leaf file: got %v, want ErrNotExist", err)
-	}
-	if err := reopen(good); err != nil {
-		t.Fatalf("restored leaf file failed to open: %v", err)
-	}
-}
-
-// TestBuildReadsRawOnce: a tree or trie build, at any worker
+// TestBuildReadsRawOnce: a tree build, at any worker
 // count, writes the sidecar storage.BuildRecordSums would and reads the raw
 // file once — its reads stay within 5% of the raw size plus what the sort
 // and the bulk loader read back of their own temporaries. A torn trailing
@@ -441,19 +300,9 @@ func TestTrieLeafFileDamageIsTyped(t *testing.T) {
 func TestBuildReadsRawOnce(t *testing.T) {
 	data := dataset.Generate(dataset.NewRandomWalk(), tCount, tLen, 42)
 	rawSize := int64(len(data) * series.EncodedSize(tLen))
-	type index interface {
-		Close() error
-		Count() int64
-		ExactSearch(ctx context.Context, q series.Series, radius int) (Result, error)
-	}
-	type entry struct{ build, open func(Options) (index, error) }
-	entries := map[string]entry{
-		"tree": {func(o Options) (index, error) { return buildTree(o) }, func(o Options) (index, error) { return openTree(o) }},
-		"trie": {func(o Options) (index, error) { return buildTrie(o) }, func(o Options) (index, error) { return openTrie(o) }},
-	}
 	// whole checks that ix holds exactly the whole records of data: stray
 	// bytes after them are in no count and behind no answer.
-	whole := func(t *testing.T, ix index) {
+	whole := func(t *testing.T, ix *loneTree) {
 		t.Helper()
 		if ix.Count() != int64(len(data)) {
 			t.Fatalf("Count = %d, want the %d whole records", ix.Count(), len(data))
@@ -463,56 +312,54 @@ func TestBuildReadsRawOnce(t *testing.T) {
 			t.Fatalf("exact search for the last whole record: %+v, %v", r, err)
 		}
 	}
-	for variant, e := range entries {
-		for _, workers := range []int{1, 2, 8} {
-			for _, tc := range []struct {
-				name        string
-				torn, stale int
-			}{{"clean", 0, 0}, {"torn-tail", 11, 0}, {"stale-sidecar", 0, tCount + 30}} {
-				t.Run(fmt.Sprintf("%s/workers=%d/%s", variant, workers, tc.name), func(t *testing.T) {
-					fs := storage.NewMemFS()
-					if tc.stale > 0 {
-						writeRaw(t, fs, dataset.Generate(dataset.NewRandomWalk(), tc.stale, tLen, 9), 0)
-						if _, err := storage.BuildRecordSums(fs, "raw", series.EncodedSize(tLen)); err != nil {
-							t.Fatal(err)
-						}
-					}
-					writeRaw(t, fs, data, tc.torn)
-					opt := baseOptions(t, fs, false)
-					opt.Workers = workers
-					before := fs.Stats().Snapshot()
-					ix, err := e.build(opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					io := fs.Stats().Snapshot().Sub(before)
-					whole(t, ix)
-					ix.Close()
-					// Own temporaries: the sort's runs are read once by its
-					// merge, and the tree reads the sorted file once more.
-					temporaries := 2 * int64(len(data)) * int64(opt.recordSize())
-					if limit := rawSize + rawSize/20 + temporaries; io.BytesRead > limit {
-						t.Fatalf("build read %d bytes of a %d-byte dataset, want at most %d (one pass)", io.BytesRead, rawSize, limit)
-					}
-					fused, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
-					if err != nil {
-						t.Fatal(err)
-					}
+	for _, workers := range []int{1, 2, 8} {
+		for _, tc := range []struct {
+			name        string
+			torn, stale int
+		}{{"clean", 0, 0}, {"torn-tail", 11, 0}, {"stale-sidecar", 0, tCount + 30}} {
+			t.Run(fmt.Sprintf("tree/workers=%d/%s", workers, tc.name), func(t *testing.T) {
+				fs := storage.NewMemFS()
+				if tc.stale > 0 {
+					writeRaw(t, fs, dataset.Generate(dataset.NewRandomWalk(), tc.stale, tLen, 9), 0)
 					if _, err := storage.BuildRecordSums(fs, "raw", series.EncodedSize(tLen)); err != nil {
 						t.Fatal(err)
 					}
-					want, _ := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
-					if !bytes.Equal(fused, want) {
-						t.Fatalf("build's sidecar (%d bytes) differs from BuildRecordSums's (%d bytes)", len(fused), len(want))
-					}
-					re, err := e.open(opt)
-					if err != nil {
-						t.Fatalf("reopen: %v", err)
-					}
-					whole(t, re)
-					re.Close()
-				})
-			}
+				}
+				writeRaw(t, fs, data, tc.torn)
+				opt := baseOptions(t, fs, false)
+				opt.Workers = workers
+				before := fs.Stats().Snapshot()
+				ix, err := buildTree(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				io := fs.Stats().Snapshot().Sub(before)
+				whole(t, ix)
+				ix.Close()
+				// Own temporaries: the sort's runs are read once by its
+				// merge, and the tree reads the sorted file once more.
+				temporaries := 2 * int64(len(data)) * int64(opt.recordSize())
+				if limit := rawSize + rawSize/20 + temporaries; io.BytesRead > limit {
+					t.Fatalf("build read %d bytes of a %d-byte dataset, want at most %d (one pass)", io.BytesRead, rawSize, limit)
+				}
+				fused, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := storage.BuildRecordSums(fs, "raw", series.EncodedSize(tLen)); err != nil {
+					t.Fatal(err)
+				}
+				want, _ := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
+				if !bytes.Equal(fused, want) {
+					t.Fatalf("build's sidecar (%d bytes) differs from BuildRecordSums's (%d bytes)", len(fused), len(want))
+				}
+				re, err := openTree(opt)
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				whole(t, re)
+				re.Close()
+			})
 		}
 	}
 }

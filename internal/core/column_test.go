@@ -35,7 +35,8 @@ func sliceBytes(v reflect.Value, skip ...string) (lenB, capB int64) {
 
 // TestSIMSColumnBytes is the heap guard of the sorted summary array: after
 // a build, after a reopen, and after a tree insert followed by a query, the
-// tree's and the trie's slices — the leaf directory aside — hold exactly Segments + 8 bytes a series, in length and in capacity: the
+// tree's slices — the leaf directory aside — hold exactly Segments + 8
+// bytes a series, in length and in capacity: the
 // symbol column and the positions, and nothing beside them. A key array
 // kept next to the column would add 16 bytes a series and fail it.
 func TestSIMSColumnBytes(t *testing.T) {
@@ -86,18 +87,5 @@ func TestSIMSColumnBytes(t *testing.T) {
 		}
 		check("tree after reopen", tree.TreeIndex, tCount+37)
 		tree.Close()
-
-		opt.Name = "cx-trie"
-		trie, err := buildTrie(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("trie after build", trie.TrieIndex, tCount+37)
-		trie.Close()
-		if trie, err = openTrie(opt); err != nil {
-			t.Fatal(err)
-		}
-		check("trie after reopen", trie.TrieIndex, tCount+37)
-		trie.Close()
 	}
 }

@@ -2,22 +2,20 @@
 // indexes built bottom-up over SORTABLE summarizations (invSAX — z-order
 // interleaved SAX bits).
 //
-// Both variants share the same pipeline (§4) and the same stored form, the
-// leaf run: one sequential pass over the raw file computes each series'
-// invSAX key, the (key, position) records (summary.Record) are externally
-// sorted under the memory budget (once per build, by the partition layer),
-// the sorted stream is written once, into one file, and a leaf directory of
-// record counts cuts the sorted run into contiguous leaves. The
-// variants differ only in where the leaf boundaries fall:
+// Coconut-Tree (Algorithm 3) follows the pipeline of §4 into one stored
+// form, the leaf run: one sequential pass over the raw file computes each
+// series' invSAX key, the (key, position) records (summary.Record) are
+// externally sorted under the memory budget (once per build, by the
+// partition layer), the sorted stream is written once, into one file, and a
+// leaf directory of record counts cuts the sorted run into contiguous
+// leaves, packed to the configured fill factor as a UB-tree bulk load packs
+// its leaves; inserts split a full leaf at the median.
 //
-//   - Coconut-Trie (Algorithm 2) cuts it into the leaves of an iSAX-style
-//     prefix trie (insertBottomUp + CompactSubtree — realized here as the
-//     equivalent recursive partitioning of the sorted key range along
-//     interleaved bits, which yields exactly the maximal prefix-aligned leaf
-//     groups).
-//   - Coconut-Tree (Algorithm 3) cuts it as a UB-tree bulk load packs its
-//     leaves, to the configured fill factor, and splits a full leaf at the
-//     median when inserts arrive.
+// The paper's Coconut-Trie (Algorithm 2) cut the same run at iSAX prefix
+// boundaries instead and answered approximately from the prefix leaf. Here
+// every search reads the record window around the query's sort position and
+// never a leaf, so a trie answered exactly as a tree over the same records:
+// it is not a type of its own.
 //
 // The "-Full" (materialized) variants store each record's raw series in the
 // leaves too. The sort never carries it: it sorts (key, position) records,
@@ -93,7 +91,7 @@ type Options struct {
 	RawSums *storage.RecordSums
 }
 
-// DefaultMemBudget is the sort budget of a tree or a trie build whose
+// DefaultMemBudget is the sort budget of a tree build whose
 // Options.MemBudgetBytes is unset.
 const DefaultMemBudget = 64 << 20
 
@@ -151,7 +149,7 @@ type Result struct {
 }
 
 // Shape describes how an index lays its records out on the device: leaves
-// and their mean occupancy in [0,1] for the tree and the trie, sorted
+// and their mean occupancy in [0,1] for the tree, sorted
 // runs for the LSM. The fields a variant has no notion of stay zero.
 type Shape struct {
 	Leaves   int
@@ -276,7 +274,7 @@ func SummarySource(fs storage.FS, s *summary.Summarizer, raw storage.File, rawNa
 // ErrEmptyIndex is returned when searching an index with no records.
 var ErrEmptyIndex = errors.New("core: index is empty")
 
-// simsArray is the in-memory sorted summary array of a tree or a trie (the
+// simsArray is the in-memory sorted summary array of a tree (the
 // paper: summaries are orders of magnitude smaller than the data and stay in
 // memory): row i of col is the SAX word of the i-th record in key order, and
 // positions[i] its position in the raw file. Both hold exactly their length,
@@ -327,8 +325,8 @@ type ApproxWindow struct {
 	Leaves int64
 }
 
-// windowCands collects the window contribution of a sorted summary array —
-// the tree's and the trie's alike: the trailing and leading half-windows
+// windowCands collects the window contribution of a tree's sorted summary
+// array: the trailing and leading half-windows
 // around q's insertion position, one slice of the array in record order,
 // with the ordinal range [lo, hi) they span.
 // A candidate's key is re-interleaved from its row, for the window's merge
@@ -385,7 +383,7 @@ func leafOfOrd(bases []int, ord int) int {
 // Store is where an index's candidates are read from: the raw dataset file
 // (RawStore: IDs are positions, a record is the encoded series alone,
 // checked against the CRC sidecar Sums), or a materialized ("-Full") tree's
-// or trie's current leaf-run generation (IDs are ordinals of the summary
+// current leaf-run generation (IDs are ordinals of the summary
 // array, a record is a leaf record with its series at Off =
 // summary.RecordSize, checked by the run's checksum blocks as it is read,
 // and Positions maps an ordinal to the raw position a search reports). The

@@ -179,8 +179,8 @@ func TestTreeApproxSearch(t *testing.T) {
 	}
 }
 
-// TestApproxWindowMatchesReference holds the window code the tree and the
-// trie share (windowCands, ApproxWindow.search) to a linear reference: the
+// TestApproxWindowMatchesReference holds the tree's window code
+// (windowCands, ApproxWindow.search) to a linear reference: the
 // half-windows around the query key's insertion point — also before the
 // first key, past the last, and wider than the index — with each
 // candidate's key, position, ordinal and lower bound, the leaves they span,
@@ -200,12 +200,6 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tree.Close()
-		opt.Name = "cx-trie"
-		trie, err := buildTrie(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer trie.Close()
 		for name, ix := range map[string]struct {
 			sims      *simsArray
 			leafStart []int
@@ -213,7 +207,6 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 			search    func(context.Context, series.Series, int) (Result, error)
 		}{
 			"tree": {&tree.sims, tree.starts, tree.ApproxWindowCands, tree.approxSearch},
-			"trie": {&trie.sims, trie.starts, trie.ApproxWindowCands, trie.approxSearch},
 		} {
 			for qi, q := range queries {
 				// Radius 100 saturates: its window is every record.
@@ -361,107 +354,6 @@ func TestTreeInsertBatch(t *testing.T) {
 	}
 }
 
-func TestBuildTrieShape(t *testing.T) {
-	for _, mat := range []bool{false, true} {
-		fs, _ := fixtureFS(t)
-		ix, err := buildTrie(baseOptions(t, fs, mat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		if ix.Count() != tCount {
-			t.Fatalf("Count = %d", ix.Count())
-		}
-		checkTrieLeaves(t, ix.TrieIndex)
-		if ix.Shape().Leaves == 0 || ix.SizeBytes() == 0 {
-			t.Fatal("trie index empty")
-		}
-		if fs.Exists("cx.sorted") {
-			t.Fatal("sorted temp file left behind")
-		}
-	}
-}
-
-func TestTrieLeavesAreContiguousAndSorted(t *testing.T) {
-	fs, _ := fixtureFS(t)
-	ix, err := buildTrie(baseOptions(t, fs, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	// Leaves tile the sorted run in leaf order with no gaps.
-	checkTrieLeaves(t, ix.TrieIndex)
-	// Records across leaves follow global key order.
-	var prev summary.Key
-	first := true
-	recSize := ix.opt.recordSize()
-	for li := 0; li+1 < len(ix.starts); li++ {
-		recs, err := ix.readLeaf(li, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for off := 0; off < len(recs); off += recSize {
-			rec := summary.DecodeRecord(recs[off : off+recSize])
-			key := rec.Key
-			if !first && key.Less(prev) {
-				t.Fatal("leaf records out of global z-order")
-			}
-			prev, first = key, false
-		}
-	}
-}
-
-func TestTrieApproxAndExact(t *testing.T) {
-	for _, mat := range []bool{false, true} {
-		fs, data := fixtureFS(t)
-		ix, err := buildTrie(baseOptions(t, fs, mat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		qs := dataset.Queries(dataset.NewRandomWalk(), 12, tLen, 13)
-		for qi, q := range qs {
-			res, err := ix.ApproxSearch(context.Background(), q, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _ := series.ED(q, data[res.Pos])
-			if math.Abs(want-res.Dist) > 1e-9 {
-				t.Fatalf("approx distance mismatch")
-			}
-			ex, err := ix.ExactSearch(context.Background(), q, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bf := bruteForce1NN(q, data)
-			if math.Abs(ex.Dist-bf) > 1e-9 {
-				t.Fatalf("mat=%v query %d: exact %v != brute force %v", mat, qi, ex.Dist, bf)
-			}
-		}
-	}
-}
-
-func TestTrieFillLowerThanTree(t *testing.T) {
-	// The paper's reason to prefer Coconut-Tree: prefix-aligned leaves
-	// cannot be packed as densely as median-split leaves.
-	fs, _ := fixtureFS(t)
-	trieIx, err := buildTrie(baseOptions(t, fs, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer trieIx.Close()
-	fs2, _ := fixtureFS(t)
-	treeIx, err := buildTree(baseOptions(t, fs2, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer treeIx.Close()
-	if trieIx.Shape().LeafFill >= treeIx.Shape().LeafFill {
-		t.Fatalf("trie fill %v should be below tree fill %v",
-			trieIx.Shape().LeafFill, treeIx.Shape().LeafFill)
-	}
-}
-
 func TestSmallMemoryBudgetStillCorrect(t *testing.T) {
 	// Tiny sort budget: many runs + multi-pass merge, same result.
 	fs, data := fixtureFS(t)
@@ -497,14 +389,6 @@ func TestEmptyDataset(t *testing.T) {
 	q := dataset.Queries(dataset.NewRandomWalk(), 1, tLen, 2)[0]
 	if _, err := ix.ApproxSearch(context.Background(), q, 0); err == nil {
 		t.Fatal("expected error on empty index")
-	}
-	tx, err := buildTrie(baseOptions(t, fs, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tx.Close()
-	if _, err := tx.ApproxSearch(context.Background(), q, 0); err == nil {
-		t.Fatal("expected error on empty trie")
 	}
 }
 

@@ -23,41 +23,28 @@ func bruteForceKNN(q series.Series, data []series.Series, k int) []Neighbor {
 	return out
 }
 
-// knnSearcher is the k-NN both lone index types answer.
-type knnSearcher interface {
-	ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]Neighbor, Result, error)
-	Close() error
-}
-
 func TestKNNMatchesBruteForce(t *testing.T) {
-	builds := map[string]func(Options) (knnSearcher, error){
-		"tree": func(o Options) (knnSearcher, error) { return buildTree(o) },
-		"trie": func(o Options) (knnSearcher, error) { return buildTrie(o) },
-	}
 	qs := dataset.Queries(dataset.NewRandomWalk(), 8, tLen, 21)
-	for variant, build := range builds {
-		for _, mat := range []bool{false, true} {
-			fs, data := fixtureFS(t)
-			ix, err := build(baseOptions(t, fs, mat))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ix.Close()
-			for qi, q := range qs {
-				for _, k := range []int{1, 5, 20} {
-					want := bruteForceKNN(q, data, k)
-					got, _, err := ix.ExactSearchKNN(context.Background(), q, k, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != k {
-						t.Fatalf("%s mat=%v query %d k=%d: got %d neighbors", variant, mat, qi, k, len(got))
-					}
-					for i := range got {
-						if got[i].Pos != want[i].Pos || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-							t.Fatalf("%s mat=%v query %d k=%d neighbor %d: %+v != %+v",
-								variant, mat, qi, k, i, got[i], want[i])
-						}
+	for _, mat := range []bool{false, true} {
+		fs, data := fixtureFS(t)
+		ix, err := buildTree(baseOptions(t, fs, mat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		for qi, q := range qs {
+			for _, k := range []int{1, 5, 20} {
+				want := bruteForceKNN(q, data, k)
+				got, _, err := ix.ExactSearchKNN(context.Background(), q, k, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != k {
+					t.Fatalf("mat=%v query %d k=%d: got %d neighbors", mat, qi, k, len(got))
+				}
+				for i := range got {
+					if got[i].Pos != want[i].Pos || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
+						t.Fatalf("mat=%v query %d k=%d neighbor %d: %+v != %+v", mat, qi, k, i, got[i], want[i])
 					}
 				}
 			}

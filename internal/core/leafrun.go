@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 
 	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
@@ -15,51 +14,15 @@ import (
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
-// leafRun is the one stored form of Coconut-Tree and Coconut-Trie: the
-// sorted (key, position[, raw series]) record run, flat and unpadded in one
-// checksummed file, cut into leaves by a directory of record counts (a
-// tree's held by its manifest, a trie's derived from its keys). The two
-// index types differ only in where the leaf boundaries fall — packed to the
-// fill factor and split at the median (TreeIndex), or prefix-aligned
-// (TrieIndex) — and share everything else
-// here: the bulk load, the one loader Open and Scrub both run, the in-memory
-// summary column, the two steps of a query, and the merge a tree insert
-// batch makes into the next generation of the run. The leaf directory is
-// never read on the query path but to count the leaves a window spans: both
-// steps read candidate records, not leaves, from the store (see store) —
-// the run itself when materialized — through the scan every index uses.
-//
-// A leafRun is a partition child's state (internal/partition): any number of
-// query steps may run at once on one handle, and mutations (InsertRecords,
-// Sync, Close) serialize against them through a handle-level RWMutex; a
-// query's window fetches, which outlive ApproxWindowCands, are serialized
-// against inserts by the partition layer's handle lock. Per-query scratch is
-// allocated per call.
-type leafRun struct {
-	opt     Options
-	variant manifest.Variant
-	rawFile storage.File
-	// rawSums is the partition layer's raw log: it verifies raw reads, and
-	// Sync commits it before the manifest may reference inserted positions.
-	rawSums *storage.RecordSums
-	// qmu is the handle lock: queries hold it shared, mutations exclusively.
-	qmu sync.RWMutex
-	// closed makes Close idempotent: a second Close (or one racing a
-	// cancelled query's teardown) is a no-op instead of a double file close.
-	closed bool
-	// file is generation gen of the run. The manifest names generation
-	// committed, the only other one on the device.
-	file           storage.File
-	gen, committed int64
-	// sims is the in-memory sorted summary array: row i is the run's
-	// record i.
-	sims simsArray
-	// starts is the leaf directory: leaf i holds records
-	// [starts[i], starts[i+1]) of the run. It shapes the counters (Shape,
-	// ApproxWindow.Leaves), the manifest's layout and the trie's check at
-	// open, and no read.
-	starts []int
-}
+// The leaf run is the one stored form of a TreeIndex: the sorted (key,
+// position[, raw series]) record run, flat and unpadded in one checksummed
+// file, cut into leaves by a directory of record counts that its manifest
+// holds. Everything that touches the file is here: the bulk load, the one
+// loader Open and Scrub both run, and the merge an insert batch makes into
+// the next generation of the run. The leaf directory is never read on the
+// query path but to count the leaves a window spans: both steps of a query
+// read candidate records, not leaves, from the store (see store) — the run
+// itself when materialized — through the scan every index uses.
 
 // runName names generation gen of the leaf run of index name.
 func runName(name string, gen int64) string {
@@ -102,13 +65,13 @@ type genWriter struct {
 // createGen starts generation gen of the run, with room in its summary
 // column for n records; raw is the caller's pin of the raw file
 // (storage.PinViews), which put gathers raw series through.
-func (r *leafRun) createGen(gen int64, n int, raw storage.Views) (*genWriter, error) {
-	fs, name := r.opt.FS, runName(r.opt.Name, gen)
+func (ix *TreeIndex) createGen(gen int64, n int, raw storage.Views) (*genWriter, error) {
+	fs, name := ix.opt.FS, runName(ix.opt.Name, gen)
 	inner, err := fs.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	f, err := storage.CreateChecksumFile(inner, leafBlockSize(r.opt.recordSize()))
+	f, err := storage.CreateChecksumFile(inner, leafBlockSize(ix.opt.recordSize()))
 	if err != nil {
 		inner.Close()
 		removeFiles(fs, name)
@@ -117,7 +80,7 @@ func (r *leafRun) createGen(gen int64, n int, raw storage.Views) (*genWriter, er
 	// The checksum file frames its blocks itself: the writer's buffer only
 	// batches the calls into it.
 	return &genWriter{fs: fs, name: name, f: f, w: storage.NewSequentialWriter(f, 0, 64<<10),
-		sims: newSimsArray(r.opt.S, n), rec: make([]byte, r.opt.recordSize()), raw: raw, src: r.rawStore()}, nil
+		sims: newSimsArray(ix.opt.S, n), rec: make([]byte, ix.opt.recordSize()), raw: raw, src: ix.rawStore()}, nil
 }
 
 // put appends rec as enc, its leaf record in the current generation, or
@@ -195,8 +158,8 @@ func (g *genWriter) close(err error) error {
 // openGen opens generation gen of the run. A corrupt structure in this
 // manifest-referenced artifact is typed as both the stored-bytes failure and
 // the broken manifest promise, matching the LSM run convention.
-func (r *leafRun) openGen(gen int64) (storage.File, error) {
-	inner, err := r.opt.FS.Open(runName(r.opt.Name, gen))
+func (ix *TreeIndex) openGen(gen int64) (storage.File, error) {
+	inner, err := ix.opt.FS.Open(runName(ix.opt.Name, gen))
 	if err != nil {
 		return nil, err
 	}
@@ -220,45 +183,24 @@ func startsOf(counts []int) []int {
 	return starts
 }
 
-// buildRun is the bulk load both index types share: opt.Records, sorted,
-// written straight into generation 0 of the leaf run — the one large
-// sequential write that replaces the state of the art's scattered
-// allocations — capturing the summary column, sized for the stream's Len,
-// on the way; a materialized run gathers each record's raw series by
-// position as it is written. cut lays the leaf
-// directory over the column, and the manifest commit makes the index
-// durable. A failed build leaves none of its files behind.
-func (r *leafRun) buildRun(opt Options, variant manifest.Variant, cut func(summary.Column, *Options) []int) error {
-	if err := opt.validate(); err != nil {
-		return err
-	}
-	if opt.Records == nil {
-		return errors.New("core: build without a record stream")
-	}
-	raw, err := opt.FS.Open(opt.RawName)
-	if err != nil {
-		return err
-	}
-	r.opt, r.variant, r.rawFile, r.rawSums = opt, variant, raw, opt.RawSums
-	if err := r.build(cut); err != nil {
-		r.closeFiles()
-		removeFiles(opt.FS, runName(opt.Name, 0))
-		return err
-	}
-	return nil
-}
-
-func (r *leafRun) build(cut func(summary.Column, *Options) []int) (err error) {
-	raw := storage.PinViews(r.rawFile)
+// build is the bulk load: opt.Records, sorted, written straight into
+// generation 0 of the leaf run — the one large sequential write that
+// replaces the state of the art's scattered allocations — capturing the
+// summary column, sized for the stream's Len, on the way; a materialized run
+// gathers each record's raw series by position as it is written. The leaf
+// directory packs the column into leaves of the fill factor's size, and the
+// manifest commit makes the index durable.
+func (ix *TreeIndex) build() (err error) {
+	raw := storage.PinViews(ix.rawFile)
 	defer raw.Release(&err)
-	g, err := r.createGen(0, r.opt.Records.Len(), raw)
+	g, err := ix.createGen(0, ix.opt.Records.Len(), raw)
 	if err != nil {
 		return err
 	}
 	buf := make([]summary.Record, 4096)
 	for err == nil {
 		var n int
-		n, err = r.opt.Records.Read(buf)
+		n, err = ix.opt.Records.Read(buf)
 		for i := 0; i < n && err == nil; i++ {
 			err = g.put(buf[i], nil)
 		}
@@ -266,25 +208,25 @@ func (r *leafRun) build(cut func(summary.Column, *Options) []int) (err error) {
 	if err == io.EOF {
 		err = nil
 	}
-	r.opt.Records = nil // the handle outlives the build's stream
+	ix.opt.Records = nil // the handle outlives the build's stream
 	if err = g.close(err); err != nil {
 		return fmt.Errorf("core: writing the leaf run: %w", err)
 	}
 	g.sims.clip()
-	r.sims = g.sims
-	if r.file, err = r.openGen(0); err != nil {
+	ix.sims = g.sims
+	if ix.file, err = ix.openGen(0); err != nil {
 		return err
 	}
 	// The manifest committed below references the run; it must be on
 	// stable storage first.
-	if err := r.file.Sync(); err != nil {
+	if err := ix.file.Sync(); err != nil {
 		return err
 	}
-	r.starts = cut(r.sims.col, &r.opt)
-	return r.writeManifest()
+	ix.starts = packedStarts(ix.sims.col.Len(), max(int(float64(ix.opt.LeafCap)*ix.opt.FillFactor), 1))
+	return ix.writeManifest()
 }
 
-// Remove deletes the files a tree or a trie build of name writes, manifest
+// Remove deletes the files a tree build of name writes, manifest
 // included: the partition layer's undo for the finished children of a build
 // that failed as a whole.
 func Remove(fs storage.FS, name string) {
@@ -302,58 +244,19 @@ func LoadManifest(fs storage.FS, name string) (*manifest.Manifest, error) {
 	return m, nil
 }
 
-// openRun reopens the tree or trie opt names from its manifest and its
-// leaf run. The options must name the same FS, Name, RawName, summarizer
-// configuration, materialization and leaf capacity as the build — mismatches
-// fail loudly with manifest.ErrConfigMismatch. The raw dataset file is
-// opened for query-time fetches but never read here.
-func (r *leafRun) openRun(opt Options, variant manifest.Variant) error {
-	if err := opt.validate(); err != nil {
-		return err
-	}
-	m, err := LoadManifest(opt.FS, opt.Name)
-	if err != nil {
-		return err
-	}
-	if err := m.CheckVariant(variant); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if err := m.CheckParams(opt.S.Params(), opt.Materialized, opt.RawName); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	// The leaf capacity shapes the leaf directory; the stored value is the
-	// only one that can interpret it. (The public API and the CLI adopt the
-	// stored value for unset fields before reaching here.)
-	if opt.LeafCap != m.LeafCap {
-		return fmt.Errorf("core: %w: leaf capacity %d, stored index was built with %d",
-			manifest.ErrConfigMismatch, opt.LeafCap, m.LeafCap)
-	}
-	raw, err := opt.FS.Open(opt.RawName)
-	if err != nil {
-		return err
-	}
-	r.opt, r.variant, r.rawFile, r.rawSums = opt, variant, raw, opt.RawSums
-	if err := r.load(m); err != nil {
-		r.closeFiles()
-		return err
-	}
-	return nil
-}
-
 // load opens the run generation m names and checks it against m — what
 // Open and Scrub both run: the run holds exactly m.Count records (a run
 // cut at a checksum-block boundary passes every block check), every block
-// verifies, and the keys are in order. A tree's leaf directory is the
-// manifest's; a trie's is derived from its keys and must have the
-// manifest's number of leaves. The summary column is filled on the way.
-func (r *leafRun) load(m *manifest.Manifest) error {
-	r.gen, r.committed = runGen(m), runGen(m)
+// verifies, and the keys are in order. The leaf directory is the manifest's,
+// and the summary column is filled on the way.
+func (ix *TreeIndex) load(m *manifest.Manifest) error {
+	ix.gen, ix.committed = m.Tree.Gen, m.Tree.Gen
 	var err error
-	if r.file, err = r.openGen(r.gen); err != nil {
+	if ix.file, err = ix.openGen(ix.gen); err != nil {
 		return err
 	}
-	recSize := r.opt.recordSize()
-	size, err := r.file.Size()
+	recSize := ix.opt.recordSize()
+	size, err := ix.file.Size()
 	if err != nil {
 		return err
 	}
@@ -361,9 +264,9 @@ func (r *leafRun) load(m *manifest.Manifest) error {
 		return fmt.Errorf("core: %w: leaf run holds %d bytes, the manifest's %d records take %d: %w",
 			manifest.ErrCorruptManifest, size, m.Count, want, storage.ErrCorruptData)
 	}
-	sr := storage.NewSequentialReader(r.file, 0, size, 0)
+	sr := storage.NewSequentialReader(ix.file, 0, size, 0)
 	rec := make([]byte, recSize)
-	r.sims = newSimsArray(r.opt.S, int(m.Count))
+	ix.sims = newSimsArray(ix.opt.S, int(m.Count))
 	var prev summary.Key
 	for i := int64(0); i < m.Count; i++ {
 		if _, err := io.ReadFull(sr, rec); err != nil {
@@ -374,72 +277,49 @@ func (r *leafRun) load(m *manifest.Manifest) error {
 			return fmt.Errorf("core: %w: leaf records out of key order", manifest.ErrCorruptManifest)
 		}
 		prev = next.Key
-		r.sims.add(next)
+		ix.sims.add(next)
 	}
-	if m.Tree != nil {
-		r.starts = startsOf(m.Tree.Counts)
-		return nil
-	}
-	// The structure is deterministic, so a different leaf count means the
-	// manifest and the leaf run are from different builds.
-	if r.starts = trieStarts(r.sims.col, &r.opt); len(r.starts)-1 != m.Trie.NumLeaves {
-		return fmt.Errorf("core: %w: the trie's keys derive %d leaves, its manifest says %d",
-			manifest.ErrCorruptManifest, len(r.starts)-1, m.Trie.NumLeaves)
-	}
+	ix.starts = startsOf(m.Tree.Counts)
 	return nil
 }
 
-// runGen returns the run generation m names: a tree's, or a trie's, which
-// is always 0.
-func runGen(m *manifest.Manifest) int64 {
-	if m.Tree != nil {
-		return m.Tree.Gen
-	}
-	return 0
-}
-
-// VerifyLeafRun checks the leaf run of the tree or trie index name against
-// its manifest m with the loader Open runs, and returns the run's file name
-// and the number of checksum blocks it holds.
+// VerifyLeafRun checks the leaf run of the tree index name against its
+// manifest m with the loader Open runs, and returns the run's file name and
+// the number of checksum blocks it holds.
 func VerifyLeafRun(fs storage.FS, name string, m *manifest.Manifest) (string, int64, error) {
-	file := runName(name, runGen(m))
+	file := runName(name, m.Tree.Gen)
 	s, err := summary.NewSummarizer(summary.Params{SeriesLen: m.SeriesLen, Segments: m.Segments, CardBits: m.CardBits})
 	if err != nil {
 		return file, 0, err
 	}
-	r := &leafRun{opt: Options{FS: fs, Name: name, S: s, Materialized: m.Materialized, LeafCap: m.LeafCap}, variant: m.Variant}
-	err = r.load(m)
-	if r.file != nil {
-		r.file.Close()
+	ix := &TreeIndex{opt: Options{FS: fs, Name: name, S: s, Materialized: m.Materialized, LeafCap: m.LeafCap}}
+	err = ix.load(m)
+	if ix.file != nil {
+		ix.file.Close()
 	}
-	block := int64(leafBlockSize(r.opt.recordSize()))
-	return file, (m.Count*int64(r.opt.recordSize()) + block - 1) / block, err
+	block := int64(leafBlockSize(ix.opt.recordSize()))
+	return file, (m.Count*int64(ix.opt.recordSize()) + block - 1) / block, err
 }
 
 // writeManifest commits the manifest naming the current generation of the
-// run and its leaf directory — a trie's only by its size, since its keys
-// derive it: called once the run is durable.
-func (r *leafRun) writeManifest() error {
-	p := r.opt.S.Params()
-	m := &manifest.Manifest{
-		Variant:      r.variant,
+// run and its leaf directory: called once the run is durable.
+func (ix *TreeIndex) writeManifest() error {
+	p := ix.opt.S.Params()
+	counts := make([]int, len(ix.starts)-1)
+	for i := range counts {
+		counts[i] = ix.starts[i+1] - ix.starts[i]
+	}
+	return manifest.Commit(ix.opt.FS, ix.opt.Name, &manifest.Manifest{
+		Variant:      manifest.VariantTree,
 		SeriesLen:    p.SeriesLen,
 		Segments:     p.Segments,
 		CardBits:     p.CardBits,
-		Materialized: r.opt.Materialized,
-		LeafCap:      r.opt.LeafCap,
-		RawName:      r.opt.RawName,
-		Count:        int64(r.sims.col.Len()),
-		Trie:         &manifest.TrieLayout{NumLeaves: len(r.starts) - 1},
-	}
-	if r.variant == manifest.VariantTree {
-		counts := make([]int, len(r.starts)-1)
-		for i := range counts {
-			counts[i] = r.starts[i+1] - r.starts[i]
-		}
-		m.Tree, m.Trie = &manifest.TreeLayout{Gen: r.gen, Counts: counts}, nil
-	}
-	return manifest.Commit(r.opt.FS, r.opt.Name, m)
+		Materialized: ix.opt.Materialized,
+		LeafCap:      ix.opt.LeafCap,
+		RawName:      ix.opt.RawName,
+		Count:        int64(ix.sims.col.Len()),
+		Tree:         &manifest.TreeLayout{Gen: ix.gen, Counts: counts},
+	})
 }
 
 // mergeNext merges batch — records sorted under the run's order — and the
@@ -450,23 +330,23 @@ func (r *leafRun) writeManifest() error {
 // captures the new summary column on the way. The new generation becomes the
 // current one, and the one it replaces is removed unless the manifest names
 // it; a failed merge removes what it wrote of the new one.
-func (r *leafRun) mergeNext(batch []summary.Record) (err error) {
-	raw := storage.PinViews(r.rawFile)
+func (ix *TreeIndex) mergeNext(batch []summary.Record) (err error) {
+	raw := storage.PinViews(ix.rawFile)
 	defer raw.Release(&err)
-	recSize := r.opt.recordSize()
-	n := r.sims.col.Len()
-	g, err := r.createGen(r.gen+1, n+len(batch), raw)
+	recSize := ix.opt.recordSize()
+	n := ix.sims.col.Len()
+	g, err := ix.createGen(ix.gen+1, n+len(batch), raw)
 	if err != nil {
 		return err
 	}
-	if r.opt.Materialized {
+	if ix.opt.Materialized {
 		// The batch's series lie in the range of the raw file the batch was
 		// just appended to: all of it, or a partition's share of it.
 		err = g.gather(batch)
 	}
 	// Each record of the current generation is written after the batch's
 	// records below it.
-	in := storage.NewSequentialReader(r.file, 0, int64(n)*int64(recSize), 0)
+	in := storage.NewSequentialReader(ix.file, 0, int64(n)*int64(recSize), 0)
 	enc := make([]byte, recSize)
 	for i := 0; i < n && err == nil; i++ {
 		if _, err = io.ReadFull(in, enc); err != nil {
@@ -487,16 +367,16 @@ func (r *leafRun) mergeNext(batch []summary.Record) (err error) {
 	if err = g.close(err); err != nil {
 		return fmt.Errorf("core: merging inserts into the leaf run: %w", err)
 	}
-	f, err := r.openGen(r.gen + 1)
+	f, err := ix.openGen(ix.gen + 1)
 	if err != nil {
-		removeFiles(r.opt.FS, g.name)
+		removeFiles(ix.opt.FS, g.name)
 		return err
 	}
-	r.file.Close()
-	if r.gen != r.committed {
-		removeFiles(r.opt.FS, runName(r.opt.Name, r.gen))
+	ix.file.Close()
+	if ix.gen != ix.committed {
+		removeFiles(ix.opt.FS, runName(ix.opt.Name, ix.gen))
 	}
-	r.file, r.gen, r.sims = f, r.gen+1, g.sims
+	ix.file, ix.gen, ix.sims = f, ix.gen+1, g.sims
 	return nil
 }
 
@@ -511,29 +391,29 @@ func truncatedLeaves(err error) error {
 }
 
 // Count returns the number of indexed series.
-func (r *leafRun) Count() int64 {
-	r.qmu.RLock()
-	defer r.qmu.RUnlock()
-	return int64(r.sims.col.Len())
+func (ix *TreeIndex) Count() int64 {
+	ix.qmu.RLock()
+	defer ix.qmu.RUnlock()
+	return int64(ix.sims.col.Len())
 }
 
 // Shape returns the number of leaves and their mean occupancy (the paper's
 // ~97% for a packed tree).
-func (r *leafRun) Shape() Shape {
-	r.qmu.RLock()
-	defer r.qmu.RUnlock()
-	sh := Shape{Leaves: len(r.starts) - 1}
+func (ix *TreeIndex) Shape() Shape {
+	ix.qmu.RLock()
+	defer ix.qmu.RUnlock()
+	sh := Shape{Leaves: len(ix.starts) - 1}
 	if sh.Leaves > 0 {
-		sh.LeafFill = float64(r.sims.col.Len()) / float64(int64(sh.Leaves)*int64(r.opt.LeafCap))
+		sh.LeafFill = float64(ix.sims.col.Len()) / float64(int64(sh.Leaves)*int64(ix.opt.LeafCap))
 	}
 	return sh
 }
 
 // SizeBytes returns the on-device index footprint: the run's record bytes.
-func (r *leafRun) SizeBytes() int64 {
-	r.qmu.RLock()
-	defer r.qmu.RUnlock()
-	size, err := r.file.Size()
+func (ix *TreeIndex) SizeBytes() int64 {
+	ix.qmu.RLock()
+	defer ix.qmu.RUnlock()
+	size, err := ix.file.Size()
 	if err != nil {
 		return 0
 	}
@@ -545,50 +425,50 @@ func (r *leafRun) SizeBytes() int64 {
 // — the one commit point, so a crash anywhere before it reopens at the last
 // Sync. The superseded generation is removed after the commit. A freshly
 // built or unmodified handle syncs for free.
-func (r *leafRun) Sync() error {
-	r.qmu.Lock()
-	defer r.qmu.Unlock()
-	return r.syncLocked()
+func (ix *TreeIndex) Sync() error {
+	ix.qmu.Lock()
+	defer ix.qmu.Unlock()
+	return ix.syncLocked()
 }
 
-func (r *leafRun) syncLocked() error {
-	if r.gen == r.committed {
+func (ix *TreeIndex) syncLocked() error {
+	if ix.gen == ix.committed {
 		return nil
 	}
-	if err := r.rawSums.Commit(context.Background(), r.rawSums.Records()); err != nil {
+	if err := ix.rawSums.Commit(context.Background(), ix.rawSums.Records()); err != nil {
 		return err
 	}
-	if err := r.file.Sync(); err != nil {
+	if err := ix.file.Sync(); err != nil {
 		return err
 	}
-	if err := r.writeManifest(); err != nil {
+	if err := ix.writeManifest(); err != nil {
 		return err
 	}
-	old := r.committed
-	r.committed = r.gen
-	return r.opt.FS.Remove(runName(r.opt.Name, old))
+	old := ix.committed
+	ix.committed = ix.gen
+	return ix.opt.FS.Remove(runName(ix.opt.Name, old))
 }
 
 // Close persists pending inserts (see Sync) and releases the file handles,
 // waiting for in-flight queries. It is idempotent, and shards a cancelled
 // query abandoned may still touch the files after Close — those reads fail
 // with an I/O error that nobody reads, which is safe by construction.
-func (r *leafRun) Close() error {
-	r.qmu.Lock()
-	defer r.qmu.Unlock()
-	if r.closed {
+func (ix *TreeIndex) Close() error {
+	ix.qmu.Lock()
+	defer ix.qmu.Unlock()
+	if ix.closed {
 		return nil
 	}
-	r.closed = true
-	return errors.Join(r.syncLocked(), r.closeFiles())
+	ix.closed = true
+	return errors.Join(ix.syncLocked(), ix.closeFiles())
 }
 
-func (r *leafRun) closeFiles() error {
+func (ix *TreeIndex) closeFiles() error {
 	var err error
-	if r.file != nil {
-		err = r.file.Close()
+	if ix.file != nil {
+		err = ix.file.Close()
 	}
-	return errors.Join(err, r.rawFile.Close())
+	return errors.Join(err, ix.rawFile.Close())
 }
 
 // ApproxWindowCands is the index's contribution to an approximate search,
@@ -603,17 +483,17 @@ func (r *leafRun) closeFiles() error {
 // contributes nothing. Whoever evaluates the merged window (EvalWindow)
 // observes its ctx between records. Leaves counts the leaves the window
 // spans.
-func (r *leafRun) ApproxWindowCands(_ context.Context, q series.Series, radius int) (ApproxWindow, error) {
-	r.qmu.RLock()
-	defer r.qmu.RUnlock()
-	if r.sims.col.Len() == 0 {
+func (ix *TreeIndex) ApproxWindowCands(_ context.Context, q series.Series, radius int) (ApproxWindow, error) {
+	ix.qmu.RLock()
+	defer ix.qmu.RUnlock()
+	if ix.sims.col.Len() == 0 {
 		return ApproxWindow{}, nil
 	}
-	aw, lo, hi, err := windowCands(&r.opt, &r.sims, q, radius)
+	aw, lo, hi, err := windowCands(&ix.opt, &ix.sims, q, radius)
 	if err == nil && lo < hi {
-		aw.Leaves = int64(leafOfOrd(r.starts, hi-1) - leafOfOrd(r.starts, lo) + 1)
+		aw.Leaves = int64(leafOfOrd(ix.starts, hi-1) - leafOfOrd(ix.starts, lo) + 1)
 	}
-	aw.Store, _ = r.store()
+	aw.Store, _ = ix.store()
 	return aw, err
 }
 
@@ -621,16 +501,16 @@ func (r *leafRun) ApproxWindowCands(_ context.Context, q series.Series, radius i
 // generation of the run itself when materialized, else the raw file — and
 // the IDs the lower-bound pass gives them there (Filter's ids: nil, the
 // ordinals, for the run; the positions for the raw file).
-func (r *leafRun) store() (Store, []int64) {
-	if r.opt.Materialized {
-		return Store{File: r.file, Positions: r.sims.positions, RecSize: r.opt.recordSize(), Off: summary.RecordSize}, nil
+func (ix *TreeIndex) store() (Store, []int64) {
+	if ix.opt.Materialized {
+		return Store{File: ix.file, Positions: ix.sims.positions, RecSize: ix.opt.recordSize(), Off: summary.RecordSize}, nil
 	}
-	return r.rawStore(), r.sims.positions
+	return ix.rawStore(), ix.sims.positions
 }
 
 // rawStore is the raw file, verified against the raw log's sidecar.
-func (r *leafRun) rawStore() Store {
-	return RawStore(r.rawFile, r.rawSums, r.opt.S.Params().SeriesLen)
+func (ix *TreeIndex) rawStore() Store {
+	return RawStore(ix.rawFile, ix.rawSums, ix.opt.S.Params().SeriesLen)
 }
 
 // ExactVerify is the verification phase of SIMS (Algorithm 5) for the k
@@ -649,22 +529,22 @@ func (r *leafRun) rawStore() Store {
 // between candidate runs, a cancelled query returns ctx.Err() promptly
 // (never a partial answer), and shards stuck in a blocking read are
 // abandoned rather than waited for.
-func (r *leafRun) ExactVerify(ctx context.Context, q series.Series, k int, seed []Neighbor, bound *shard.BSF) ([]Neighbor, Result, error) {
-	r.qmu.RLock()
-	defer r.qmu.RUnlock()
+func (ix *TreeIndex) ExactVerify(ctx context.Context, q series.Series, k int, seed []Neighbor, bound *shard.BSF) ([]Neighbor, Result, error) {
+	ix.qmu.RLock()
+	defer ix.qmu.RUnlock()
 	top := shard.NewKNNHeap(k)
 	top.OfferAll(seed)
 	var res Result
-	if r.sims.col.Len() == 0 {
+	if ix.sims.col.Len() == 0 {
 		return top.Items(), res, nil
 	}
-	pass, err := r.opt.S.NewPass(q)
+	pass, err := ix.opt.S.NewPass(q)
 	if err != nil {
 		return nil, res, err
 	}
-	st, ids := r.store()
-	pass.Cands = pass.Table.Filter(pass.Cands, r.sims.col, ids, bound.Limit(top.Bound()), r.opt.QueryWorkers)
-	res.VisitedRecords, err = VerifyRaw(ctx, st, q, pass.Cands, top, bound, r.opt.QueryWorkers)
+	st, ids := ix.store()
+	pass.Cands = pass.Table.Filter(pass.Cands, ix.sims.col, ids, bound.Limit(top.Bound()), ix.opt.QueryWorkers)
+	res.VisitedRecords, err = VerifyRaw(ctx, st, q, pass.Cands, top, bound, ix.opt.QueryWorkers)
 	if ctx.Err() == nil {
 		pass.Release()
 	}

@@ -14,71 +14,32 @@ import (
 	"github.com/coconut-db/coconut/internal/window"
 )
 
-// loneTree and loneTrie drive one index the way internal/partition drives
-// the one child of an unpartitioned index: they own the raw log and the
-// build's record stream (the summarization pass over the raw file), a whole
-// query is the index's window evaluated by EvalWindow seeding its
-// verification step, and an insert appends to the raw log before it hands
-// the records over. The partition package and the public one test the
-// composite itself.
-type (
-	loneTree struct {
-		*TreeIndex
-		sums *storage.RecordSums
-	}
-	loneTrie struct {
-		*TrieIndex
-		sums *storage.RecordSums
-	}
-)
+// loneTree drives one tree the way internal/partition drives the one child
+// of an unpartitioned index: it owns the raw log and the build's record
+// stream (the summarization pass over the raw file), a whole query is the
+// tree's window evaluated by EvalWindow seeding its verification step, and
+// an insert appends to the raw log before it hands the records over. The
+// partition package and the public one test the composite itself.
+type loneTree struct {
+	*TreeIndex
+	sums *storage.RecordSums
+}
 
+// buildTree bulk-loads a tree from the sorted summarization pass over opt's
+// raw file, under the fresh raw log the pass fills and the sort's budget and
+// temporaries the partition layer gives an unpartitioned build.
 func buildTree(opt Options) (*loneTree, error) {
-	ix, sums, err := buildLone(opt, BuildTree)
-	if err != nil {
-		return nil, err
-	}
-	return &loneTree{ix, sums}, nil
-}
-
-func openTree(opt Options) (*loneTree, error) {
-	ix, sums, err := openLone(opt, OpenTree)
-	if err != nil {
-		return nil, err
-	}
-	return &loneTree{ix, sums}, nil
-}
-
-func buildTrie(opt Options) (*loneTrie, error) {
-	ix, sums, err := buildLone(opt, BuildTrie)
-	if err != nil {
-		return nil, err
-	}
-	return &loneTrie{ix, sums}, nil
-}
-
-func openTrie(opt Options) (*loneTrie, error) {
-	ix, sums, err := openLone(opt, OpenTrie)
-	if err != nil {
-		return nil, err
-	}
-	return &loneTrie{ix, sums}, nil
-}
-
-// buildLone bulk-loads an index from the sorted summarization pass over
-// opt's raw file, under the fresh raw log the pass fills and the sort's
-// budget and temporaries the partition layer gives an unpartitioned build.
-func buildLone[T any](opt Options, build func(Options) (T, error)) (ix T, sums *storage.RecordSums, err error) {
 	if opt.FS == nil || opt.S == nil {
-		return ix, nil, errors.New("core test: nil FS or summarizer")
+		return nil, errors.New("core test: nil FS or summarizer")
 	}
 	raw, err := opt.FS.Open(opt.RawName)
 	if err != nil {
-		return ix, nil, err
+		return nil, err
 	}
 	defer raw.Close()
 	src, sums, err := SummarySource(opt.FS, opt.S, raw, opt.RawName, opt.Workers)
 	if err != nil {
-		return ix, nil, err
+		return nil, err
 	}
 	budget := opt.MemBudgetBytes
 	if budget <= 0 {
@@ -92,44 +53,43 @@ func buildLone[T any](opt Options, build func(Options) (T, error)) (ix T, sums *
 	}
 	if err != nil {
 		sums.Close()
-		return ix, nil, err
+		return nil, err
 	}
 	opt.Records, opt.RawSums = sorted, sums
-	ix, err = build(opt)
-	return ix, sums, err
+	ix, err := BuildTree(opt)
+	if err != nil {
+		return nil, err
+	}
+	return &loneTree{ix, sums}, nil
 }
 
-// openLone reopens an index under the raw log its persisted sidecar loads.
-func openLone[T any](opt Options, open func(Options) (T, error)) (ix T, sums *storage.RecordSums, err error) {
+// openTree reopens a tree under the raw log its persisted sidecar loads.
+func openTree(opt Options) (*loneTree, error) {
 	if opt.FS == nil || opt.S == nil {
-		return ix, nil, errors.New("core test: nil FS or summarizer")
+		return nil, errors.New("core test: nil FS or summarizer")
 	}
 	raw, err := opt.FS.Open(opt.RawName)
 	if err != nil {
-		return ix, nil, err
+		return nil, err
 	}
 	defer raw.Close()
-	if sums, err = storage.LoadRecordSums(opt.FS, opt.RawName, series.EncodedSize(opt.S.Params().SeriesLen), raw); err != nil {
-		return ix, nil, err
+	sums, err := storage.LoadRecordSums(opt.FS, opt.RawName, series.EncodedSize(opt.S.Params().SeriesLen), raw)
+	if err != nil {
+		return nil, err
 	}
 	opt.RawSums = sums
-	if ix, err = open(opt); err != nil {
+	ix, err := OpenTree(opt)
+	if err != nil {
 		sums.Close()
+		return nil, err
 	}
-	return ix, sums, err
-}
-
-// child is the query surface both index types offer the partition layer.
-type child interface {
-	ApproxWindowCands(ctx context.Context, q series.Series, radius int) (ApproxWindow, error)
-	ExactVerify(ctx context.Context, q series.Series, k int, seed []Neighbor, bound *shard.BSF) ([]Neighbor, Result, error)
-	Count() int64
+	return &loneTree{ix, sums}, nil
 }
 
 // approxKNN is the one-child composite's approximate top-k, in squared
 // space: the index's window, trimmed to window.Half records a side,
 // evaluated by EvalWindow. The Result holds its visit counters.
-func approxKNN(ctx context.Context, ix child, q series.Series, k, radius int) ([]Neighbor, Result, error) {
+func approxKNN(ctx context.Context, ix *TreeIndex, q series.Series, k, radius int) ([]Neighbor, Result, error) {
 	res := Result{Pos: -1, Dist: math.Inf(1)}
 	if ix.Count() == 0 {
 		return nil, res, ErrEmptyIndex
@@ -144,7 +104,7 @@ func approxKNN(ctx context.Context, ix child, q series.Series, k, radius int) ([
 }
 
 // approx is the approximate answer, in squared space: the window's best.
-func approx(ctx context.Context, ix child, q series.Series, radius int) (Result, error) {
+func approx(ctx context.Context, ix *TreeIndex, q series.Series, radius int) (Result, error) {
 	top, res, err := approxKNN(ctx, ix, q, 1, radius)
 	if len(top) > 0 {
 		res.Pos, res.Dist = top[0].Pos, top[0].Dist
@@ -155,7 +115,7 @@ func approx(ctx context.Context, ix child, q series.Series, radius int) (Result,
 // exactKNN is the one-child composite's exact top-k: the window's k best
 // seed the verification step, and the distances are rooted once, at the
 // end. The Result holds the best neighbor and the visit counters.
-func exactKNN(ctx context.Context, ix child, q series.Series, k, radius int) ([]Neighbor, Result, error) {
+func exactKNN(ctx context.Context, ix *TreeIndex, q series.Series, k, radius int) ([]Neighbor, Result, error) {
 	k = max(k, 1)
 	seed, res, err := approxKNN(ctx, ix, q, k, radius)
 	if err != nil {
@@ -182,7 +142,7 @@ func exactKNN(ctx context.Context, ix child, q series.Series, k, radius int) ([]
 }
 
 // exact is exactKNN with k = 1.
-func exact(ctx context.Context, ix child, q series.Series, radius int) (Result, error) {
+func exact(ctx context.Context, ix *TreeIndex, q series.Series, radius int) (Result, error) {
 	_, res, err := exactKNN(ctx, ix, q, 1, radius)
 	return res, err
 }
@@ -203,19 +163,6 @@ func (l *loneTree) ApproxSearch(ctx context.Context, q series.Series, radius int
 
 func (l *loneTree) ExactSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
 	return exact(ctx, l.TreeIndex, q, radius)
-}
-
-func (l *loneTrie) approxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	return approx(ctx, l.TrieIndex, q, radius)
-}
-
-func (l *loneTrie) ApproxSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	res, err := l.approxSearch(ctx, q, radius)
-	return rooted(res), err
-}
-
-func (l *loneTrie) ExactSearch(ctx context.Context, q series.Series, radius int) (Result, error) {
-	return exact(ctx, l.TrieIndex, q, radius)
 }
 
 // positions reads every indexed position of the tree in key order, leaf by
@@ -239,10 +186,6 @@ func (l *loneTree) positions() ([]int64, error) {
 // ExactSearchKNN is the one-child composite's k-NN.
 func (l *loneTree) ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]Neighbor, Result, error) {
 	return exactKNN(ctx, l.TreeIndex, q, k, radius)
-}
-
-func (l *loneTrie) ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]Neighbor, Result, error) {
-	return exactKNN(ctx, l.TrieIndex, q, k, radius)
 }
 
 // Insert appends the batch to the raw log and inserts its records; they
@@ -277,5 +220,3 @@ func (l *loneTree) Insert(ctx context.Context, batch []series.Series) error {
 }
 
 func (l *loneTree) Close() error { return errors.Join(l.TreeIndex.Close(), l.sums.Close()) }
-
-func (l *loneTrie) Close() error { return errors.Join(l.TrieIndex.Close(), l.sums.Close()) }

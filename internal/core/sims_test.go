@@ -125,36 +125,28 @@ func simsFixture(t *testing.T, p summary.Params, materialized bool) (Options, []
 
 var workerSweep = []int{1, 2, 8}
 
-// lone is a lone tree or trie as the reference-pass tests drive it.
-type lone interface {
-	child
-	ExactSearch(ctx context.Context, q series.Series, radius int) (Result, error)
-	ExactSearchKNN(ctx context.Context, q series.Series, k, radius int) ([]Neighbor, Result, error)
-	Close() error
-}
-
-// checkReferencePass holds an index's exact search, 1-NN through
+// checkReferencePass holds a tree's exact search, 1-NN through
 // ExactSearch and every k of ks through ExactSearchKNN, to the reference
 // pass from the same seed — the window's k best — for every QueryWorkers,
 // and with one worker to its visit counters too.
-func checkReferencePass(t *testing.T, build func(Options) (lone, *leafRun, error), ks []int) {
+func checkReferencePass(t *testing.T, ks []int) {
 	for _, p := range simsShapes {
 		for _, mat := range []bool{false, true} {
 			opt, data, queries := simsFixture(t, p, mat)
-			ix, run, err := build(opt)
+			ix, err := buildTree(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ix.Close()
 			for qi, q := range queries {
 				for _, k := range ks {
-					seed, stats, err := approxKNN(context.Background(), ix, q, k, 1)
+					seed, stats, err := approxKNN(context.Background(), ix.TreeIndex, q, k, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, wantStats := newSimsRef(opt.S, q, data, run.sims, mat).knn(q, k, seed, stats)
+					want, wantStats := newSimsRef(opt.S, q, data, ix.sims, mat).knn(q, k, seed, stats)
 					for _, w := range workerSweep {
-						run.opt.QueryWorkers = w
+						ix.opt.QueryWorkers = w
 						var got []Neighbor
 						var gotStats Result
 						if k == 1 {
@@ -179,30 +171,8 @@ func checkReferencePass(t *testing.T, build func(Options) (lone, *leafRun, error
 	}
 }
 
-// treeRef and trieRef build the lone index a reference-pass test drives.
-func treeRef(o Options) (lone, *leafRun, error) {
-	ix, err := buildTree(o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ix, &ix.leafRun, nil
-}
+func TestTreeExactMatchesReferencePass(t *testing.T) { checkReferencePass(t, []int{1}) }
 
-func trieRef(o Options) (lone, *leafRun, error) {
-	ix, err := buildTrie(o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ix, &ix.leafRun, nil
-}
-
-func TestTreeExactMatchesReferencePass(t *testing.T) { checkReferencePass(t, treeRef, []int{1}) }
-
-func TestTrieExactMatchesReferencePass(t *testing.T) { checkReferencePass(t, trieRef, []int{1}) }
-
-// TestKNNMatchesReferencePass: k > 1 on both index types, k beyond the
-// record count included — the seed window then holds fewer than k.
-func TestKNNMatchesReferencePass(t *testing.T) {
-	checkReferencePass(t, treeRef, []int{7, tCount + 5})
-	checkReferencePass(t, trieRef, []int{7, tCount + 5})
-}
+// TestKNNMatchesReferencePass: k > 1, k beyond the record count included —
+// the seed window then holds fewer than k.
+func TestKNNMatchesReferencePass(t *testing.T) { checkReferencePass(t, []int{7, tCount + 5}) }

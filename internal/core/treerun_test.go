@@ -24,14 +24,14 @@ import (
 // readLeaf returns the records of leaf li — exactly its extent of the run —
 // in buf when it is large enough: how the tests look at a leaf (queries read
 // candidate records, never leaves).
-func (r *leafRun) readLeaf(li int, buf []byte) ([]byte, error) {
-	recSize := r.opt.recordSize()
-	n := (r.starts[li+1] - r.starts[li]) * recSize
+func (ix *TreeIndex) readLeaf(li int, buf []byte) ([]byte, error) {
+	recSize := ix.opt.recordSize()
+	n := (ix.starts[li+1] - ix.starts[li]) * recSize
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	if got, err := r.file.ReadAt(buf, int64(r.starts[li])*int64(recSize)); got != n {
+	if got, err := ix.file.ReadAt(buf, int64(ix.starts[li])*int64(recSize)); got != n {
 		return nil, fmt.Errorf("core: read leaf %d: %w", li, truncatedLeaves(err))
 	}
 	return buf, nil
@@ -451,52 +451,43 @@ func TestFillFactor(t *testing.T) {
 	}
 }
 
-// TestReadLeafAndDir: for both index types, each leaf reads back exactly
-// its directory extent, the ordinals of leaf li map back to li, and a
-// buffer large enough is reused.
+// TestReadLeafAndDir: each leaf reads back exactly its directory extent,
+// the ordinals of leaf li map back to li, and a buffer large enough is
+// reused.
 func TestReadLeafAndDir(t *testing.T) {
 	fs, _ := fixtureFS(t)
-	opt := baseOptions(t, fs, false)
-	tree, err := buildTree(opt)
+	ix, err := buildTree(baseOptions(t, fs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tree.Close()
-	opt.Name = "cy"
-	trie, err := buildTrie(opt)
-	if err != nil {
-		t.Fatal(err)
+	defer ix.Close()
+	recSize := ix.opt.recordSize()
+	buf := make([]byte, 0, ix.opt.LeafCap*recSize*8)
+	var run []byte
+	for li := 0; li+1 < len(ix.starts); li++ {
+		recs, err := ix.readLeaf(li, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != (ix.starts[li+1]-ix.starts[li])*recSize {
+			t.Fatalf("leaf %d: %d bytes for %d records", li, len(recs), ix.starts[li+1]-ix.starts[li])
+		}
+		if len(recs) <= cap(buf) && len(recs) > 0 && &recs[0] != &buf[:1][0] {
+			t.Fatalf("leaf %d: a large enough buffer was not reused", li)
+		}
+		for ord := ix.starts[li]; ord < ix.starts[li+1]; ord++ {
+			if got := leafOfOrd(ix.starts, ord); got != li {
+				t.Fatalf("ordinal %d maps to leaf %d, it is in leaf %d", ord, got, li)
+			}
+		}
+		run = append(run, recs...)
 	}
-	defer trie.Close()
-	for _, r := range []*leafRun{&tree.leafRun, &trie.leafRun} {
-		recSize := r.opt.recordSize()
-		buf := make([]byte, 0, r.opt.LeafCap*recSize*8)
-		var run []byte
-		for li := 0; li+1 < len(r.starts); li++ {
-			recs, err := r.readLeaf(li, buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) != (r.starts[li+1]-r.starts[li])*recSize {
-				t.Fatalf("%s leaf %d: %d bytes for %d records", r.variant, li, len(recs), r.starts[li+1]-r.starts[li])
-			}
-			if len(recs) <= cap(buf) && len(recs) > 0 && &recs[0] != &buf[:1][0] {
-				t.Fatalf("%s leaf %d: a large enough buffer was not reused", r.variant, li)
-			}
-			for ord := r.starts[li]; ord < r.starts[li+1]; ord++ {
-				if got := leafOfOrd(r.starts, ord); got != li {
-					t.Fatalf("%s: ordinal %d maps to leaf %d, it is in leaf %d", r.variant, ord, got, li)
-				}
-			}
-			run = append(run, recs...)
-		}
-		if len(run) != tCount*recSize {
-			t.Fatalf("%s: leaves hold %d bytes, want %d records", r.variant, len(run), tCount)
-		}
-		for off := recSize; off < len(run); off += recSize {
-			if bytes.Compare(run[off-recSize:off], run[off:off+recSize]) > 0 {
-				t.Fatalf("%s: leaf records out of global order", r.variant)
-			}
+	if len(run) != tCount*recSize {
+		t.Fatalf("leaves hold %d bytes, want %d records", len(run), tCount)
+	}
+	for off := recSize; off < len(run); off += recSize {
+		if bytes.Compare(run[off-recSize:off], run[off:off+recSize]) > 0 {
+			t.Fatal("leaf records out of global order")
 		}
 	}
 }

@@ -80,18 +80,6 @@ func TestAllIndexesAgreeOnExactNN(t *testing.T) {
 		}
 		{
 			e, _ := newEnv(sc, kind, sc.BaseCount)
-			ix, _, err := e.buildCTrie(false, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("Coconut-Trie", func(q series.Series) (float64, error) {
-				r, err := ix.ExactSearch(context.Background(), q)
-				return r.Dist, err
-			})
-			ix.Close()
-		}
-		{
-			e, _ := newEnv(sc, kind, sc.BaseCount)
 			ix, _, err := e.buildISAX(isax.ISAX2, budget)
 			if err != nil {
 				t.Fatal(err)

@@ -246,10 +246,6 @@ func (e *env) buildCTree(mat bool, budget int64) (*partition.Composite, Cost, er
 	return e.buildCoconut(partition.TreeVariant, mat, budget)
 }
 
-func (e *env) buildCTrie(mat bool, budget int64) (*partition.Composite, Cost, error) {
-	return e.buildCoconut(partition.TrieVariant, mat, budget)
-}
-
 // seededTree is Coconut-Tree with its exact search seeded from the radius
 // window.
 func seededTree(radius int) func(core.Options) partition.Variant {

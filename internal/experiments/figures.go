@@ -77,18 +77,6 @@ func Fig8aConstructionMaterialized(sc Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ix, c, err := e.buildCTrie(true, budget)
-			if err != nil {
-				return nil, err
-			}
-			ix.Close()
-			row("Coconut-Trie-Full", c)
-		}
-		{
-			e, err := newEnv(sc, "randomwalk", n)
-			if err != nil {
-				return nil, err
-			}
 			ix, c, err := e.buildISAX(isax.ADSFull, budget)
 			if err != nil {
 				return nil, err
@@ -179,18 +167,6 @@ func Fig8bConstructionNonMaterialized(sc Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ix, c, err := e.buildCTrie(false, budget)
-			if err != nil {
-				return nil, err
-			}
-			ix.Close()
-			row("Coconut-Trie", c)
-		}
-		{
-			e, err := newEnv(sc, "randomwalk", n)
-			if err != nil {
-				return nil, err
-			}
 			ix, c, err := e.buildISAX(isax.ADSPlus, budget)
 			if err != nil {
 				return nil, err
@@ -245,15 +221,6 @@ func Fig8cSpace(sc Scale) (*Table, error) {
 	}
 	{
 		e, _ := newEnv(sc, "randomwalk", n)
-		ix, _, err := e.buildCTrie(true, budget)
-		if err != nil {
-			return nil, err
-		}
-		add("Coconut-Trie-Full", ix.SizeBytes(), ix.Shape().Leaves, ix.Shape().LeafFill)
-		ix.Close()
-	}
-	{
-		e, _ := newEnv(sc, "randomwalk", n)
 		ix, _, err := e.buildISAX(isax.ADSFull, budget)
 		if err != nil {
 			return nil, err
@@ -304,15 +271,6 @@ func Fig8cSpace(sc Scale) (*Table, error) {
 			return nil, err
 		}
 		add("Coconut-Tree", ix.SizeBytes(), ix.Shape().Leaves, ix.Shape().LeafFill)
-		ix.Close()
-	}
-	{
-		e, _ := newEnv(sc, "randomwalk", n)
-		ix, _, err := e.buildCTrie(false, budget)
-		if err != nil {
-			return nil, err
-		}
-		add("Coconut-Trie", ix.SizeBytes(), ix.Shape().Leaves, ix.Shape().LeafFill)
 		ix.Close()
 	}
 	{

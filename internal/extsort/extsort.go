@@ -20,7 +20,7 @@
 // left after the intermediate generations, or of the sorted slices of the
 // one chunk — runs as its consumer reads, so the sorted records are written
 // once, by whoever consumes them, in the layout of their own file: the leaf
-// run of a tree or a trie, the block-compressed run of an LSM.
+// run of a tree, the block-compressed run of an LSM.
 //
 // Both phases are parallel, and both fan out on internal/shard: Workers
 // goroutines, each owning one chunk buffer, take turns reading the next

@@ -794,7 +794,7 @@ func (ix *Index) windowCandsLocked(q series.Series, radius int, tbl *summary.Min
 // merged with the other partitions' before one global evaluation
 // best-lower-bound-first with early abandoning (see internal/window). The
 // merged window is a pure function of the record multiset and the radius —
-// the rule a tree and a trie follow too — so the answer is identical for any
+// the rule a tree follows too — so the answer is identical for any
 // run layout, before or after flushes and compactions, across partition
 // counts, and to a tree's over the same records. An empty index contributes
 // nothing (no error — the cross-partition window may still be non-empty).

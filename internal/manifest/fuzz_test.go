@@ -11,7 +11,8 @@ import (
 // fail with one of the typed errors — and never panic, hang, or allocate
 // proportionally to a forged length field. Any other format version is a
 // version mismatch. The seeds are every variant (the tree a multi-leaf
-// directory) and each of them at the refused versions 1–9.
+// directory), each of them at the refused versions 1–9, and the stored
+// tries this version refuses.
 func FuzzDecode(f *testing.F) {
 	for _, m := range samples() {
 		data, err := m.Encode()
@@ -27,7 +28,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(flipped)
 		f.Add(data[:len(data)/2])
 	}
-	for _, enc := range refusedEncodings() {
+	for _, enc := range append(refusedEncodings(), storedTries()...) {
 		f.Add(enc) // typed ErrVersionMismatch, never a misread
 	}
 	f.Add([]byte{})

@@ -3,8 +3,8 @@
 // needed to reopen a built Coconut index from storage without touching the
 // raw dataset — the format version, the summarization parameters, and the
 // per-variant on-device layout (the leaf run's generation and leaf
-// directory for Coconut-Tree, the leaf count for Coconut-Trie, and the run
-// list for Coconut-LSM, which is its whole compaction schedule).
+// directory for Coconut-Tree, and the run list for Coconut-LSM, which is its
+// whole compaction schedule).
 //
 // A manifest is committed atomically: the encoding is written to a sibling
 // temporary file and renamed over the live manifest (storage.FS.Rename), so
@@ -44,14 +44,18 @@ var (
 // Variant names the index layout a manifest describes.
 type Variant string
 
-// The three persistable index variants, plus the partitioned parent
-// layout that composes N of them.
+// The two persistable index variants, plus the partitioned parent layout
+// that composes N of them.
 const (
 	VariantTree        Variant = "tree"
-	VariantTrie        Variant = "trie"
 	VariantLSM         Variant = "lsm"
 	VariantPartitioned Variant = "partitioned"
 )
+
+// retiredTrie is the variant of a Coconut-Trie, which this build no longer
+// has. Its manifests share this version's format; they decode, and fail with
+// ErrVersionMismatch, as does a partitioned index of trie children.
+const retiredTrie Variant = "trie"
 
 const (
 	magic uint32 = 0x464D4343 // "CCMF" little-endian
@@ -78,14 +82,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type TreeLayout struct {
 	Gen    int64
 	Counts []int
-}
-
-// TrieLayout records what a reopen cross-checks a Coconut-Trie against.
-// The leaf file is the sorted record run and the leaf directory is a pure
-// function of its keys and LeafCap, so the directory's size is all that is
-// stored.
-type TrieLayout struct {
-	NumLeaves int
 }
 
 // RunInfo describes one immutable LSM run: its file, its place in the
@@ -158,7 +154,6 @@ type Manifest struct {
 	Count int64
 
 	Tree *TreeLayout
-	Trie *TrieLayout
 	LSM  *LSMLayout
 	Part *PartitionLayout
 }
@@ -169,7 +164,7 @@ func FileName(indexName string) string { return indexName + ".manifest" }
 // Encode serializes m with the version header and CRC32-C trailer.
 func (m *Manifest) Encode() ([]byte, error) {
 	switch m.Variant {
-	case VariantTree, VariantTrie, VariantLSM, VariantPartitioned:
+	case VariantTree, VariantLSM, VariantPartitioned:
 	default:
 		return nil, fmt.Errorf("manifest: unknown variant %q", m.Variant)
 	}
@@ -204,11 +199,6 @@ func (m *Manifest) Encode() ([]byte, error) {
 		for _, c := range m.Tree.Counts {
 			w.u32(uint32(c))
 		}
-	case VariantTrie:
-		if m.Trie == nil {
-			return nil, errors.New("manifest: trie variant without trie layout")
-		}
-		w.u32(uint32(m.Trie.NumLeaves))
 	case VariantLSM:
 		if m.LSM == nil {
 			return nil, errors.New("manifest: lsm variant without lsm layout")
@@ -301,8 +291,8 @@ func Decode(data []byte) (*Manifest, error) {
 			l.Counts[i] = int(r.u32())
 		}
 		m.Tree = l
-	case VariantTrie:
-		m.Trie = &TrieLayout{NumLeaves: int(r.u32())}
+	case retiredTrie:
+		r.u32() // its leaf count
 	case VariantLSM:
 		l := &LSMLayout{NextSeq: int64(r.u64())}
 		nr := int(r.u32())
@@ -355,8 +345,12 @@ func Decode(data []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// validate rejects decoded values no writer could have produced.
+// validate rejects decoded values no writer could have produced, and a
+// Coconut-Trie, which this build no longer reads.
 func (m *Manifest) validate() error {
+	if m.Variant == retiredTrie || (m.Part != nil && m.Part.ChildVariant == retiredTrie) {
+		return fmt.Errorf("%w: a Coconut-Trie, which this build no longer has (rebuild it as a tree)", ErrVersionMismatch)
+	}
 	switch {
 	case m.SeriesLen <= 0 || m.Segments <= 0 || m.CardBits <= 0 || m.CardBits > 8:
 		return fmt.Errorf("%w: impossible summarization parameters (%d/%d/%d)",
@@ -369,12 +363,6 @@ func (m *Manifest) validate() error {
 	if m.Tree != nil {
 		if err := m.Tree.validate(m.LeafCap, m.Count); err != nil {
 			return err
-		}
-	}
-	if m.Trie != nil {
-		// Every leaf holds a record, and only an empty trie has no leaf.
-		if n := int64(m.Trie.NumLeaves); n < 0 || n > m.Count || (n == 0) != (m.Count == 0) {
-			return fmt.Errorf("%w: %d trie leaves for %d records", ErrCorruptManifest, n, m.Count)
 		}
 	}
 	if m.LSM != nil {
@@ -405,7 +393,7 @@ func (m *Manifest) validate() error {
 	if m.Part != nil {
 		p := m.Part
 		switch p.ChildVariant {
-		case VariantTree, VariantTrie, VariantLSM:
+		case VariantTree, VariantLSM:
 		default:
 			return fmt.Errorf("%w: impossible child variant %q", ErrCorruptManifest, p.ChildVariant)
 		}

@@ -21,21 +21,12 @@ func sampleTree() *Manifest {
 	}
 }
 
-func sampleTrie() *Manifest {
-	return &Manifest{
-		Variant: VariantTrie, SeriesLen: 64, Segments: 8, CardBits: 8,
-		LeafCap: 50, RawName: "conf.bin", Count: 30,
-		Trie: &TrieLayout{NumLeaves: 2},
-	}
-}
-
 // legacyEncode is m as format version ver (1–9) wrote it: version 2 added
 // the LSM WAL cursors (the flushed position and two segment numbers, of
 // which version 8 keeps the position), 3 a checksums flag and 4 a
 // compressed-runs flag (both set by every version-5 writer that could be
 // read, and gone since 6, whose LSM runs are no longer framed in checksum
-// blocks), a trie before version 5 stored a per-leaf {count, first page,
-// pages} directory over a padded page file, and a tree before version 7
+// blocks), and a tree before version 7
 // stored its B+-tree geometry, its
 // directory living in a separate meta file, and in versions 7 and 8 a
 // {page, count, stamp, separator} entry per leaf page. An LSM before
@@ -82,14 +73,6 @@ func legacyEncode(m *Manifest, ver uint32) []byte {
 			w.u32(1) // stamp
 			w.bytes(make([]byte, summary.KeySize))
 		}
-	case m.Variant == VariantTrie && ver < 5:
-		w.u64(3) // pages
-		w.u32(2) // leaves
-		for _, l := range [][3]uint64{{10, 0, 1}, {20, 1, 2}} {
-			w.u64(l[0])
-			w.u64(l[1])
-			w.u64(l[2])
-		}
 	case m.Variant == VariantLSM && ver < 2:
 		w.bytes(layout[:len(layout)-8]) // no WAL cursors yet
 	case m.Variant == VariantLSM:
@@ -99,11 +82,39 @@ func legacyEncode(m *Manifest, ver uint32) []byte {
 	default:
 		w.bytes(layout)
 	}
+	return frame(ver, w.buf)
+}
+
+// frame is payload under the header of format version ver.
+func frame(ver uint32, payload []byte) []byte {
 	out := binary.LittleEndian.AppendUint32(nil, magic)
 	out = binary.LittleEndian.AppendUint32(out, ver)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(w.buf)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(w.buf, castagnoli))
-	return append(out, w.buf...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	return append(out, payload...)
+}
+
+// storedTries are a Coconut-Trie's manifest as this format version wrote it
+// while the trie was an index type of its own — the common fields, then its
+// leaf count — and a partitioned parent of trie children.
+func storedTries() [][]byte {
+	var w writer
+	w.str(string(retiredTrie))
+	w.u32(64) // series length
+	w.u32(8)  // segments
+	w.u32(8)  // cardinality bits
+	w.bool(false)
+	w.u32(50) // leaf capacity
+	w.str("conf.bin")
+	w.u64(30) // records
+	w.u32(2)  // leaves
+	parent := samplePartitioned()
+	parent.Part.ChildVariant = retiredTrie
+	enc, err := parent.Encode()
+	if err != nil {
+		panic(err)
+	}
+	return [][]byte{frame(version, w.buf), enc}
 }
 
 // legacyLSM is l as versions 2–9 laid it out: the fanout, the next run
@@ -163,7 +174,7 @@ func samplePartitioned() *Manifest {
 }
 
 func samples() []*Manifest {
-	return []*Manifest{sampleTree(), sampleTrie(), sampleLSM(), samplePartitioned()}
+	return []*Manifest{sampleTree(), sampleLSM(), samplePartitioned()}
 }
 
 // refusedEncodings are well-formed manifests of layouts no reader exists
@@ -205,10 +216,6 @@ func assertEqual(t *testing.T, want, got *Manifest) {
 	case VariantTree:
 		if !reflect.DeepEqual(want.Tree, got.Tree) {
 			t.Fatalf("tree layout mismatch: want %+v, got %+v", *want.Tree, *got.Tree)
-		}
-	case VariantTrie:
-		if *want.Trie != *got.Trie {
-			t.Fatalf("trie layout mismatch: want %+v, got %+v", *want.Trie, *got.Trie)
 		}
 	case VariantLSM:
 		w, g := want.LSM, got.LSM
@@ -387,41 +394,14 @@ func TestOldLayoutsRefused(t *testing.T) {
 	}
 }
 
-// TestTrieLayout: the trie layout (the leaf count, the directory being
-// derived from the sorted keys at open) round-trips and rejects impossible
-// counts.
-func TestTrieLayout(t *testing.T) {
-	data, err := sampleTrie().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Trie.NumLeaves != 2 {
-		t.Fatalf("NumLeaves = %d after round trip, want 2", got.Trie.NumLeaves)
-	}
-	for _, bad := range []struct {
-		leaves int
-		count  int64
-	}{{0, 30}, {31, 30}, {1, 0}, {-1, 30}} {
-		m := sampleTrie()
-		m.Trie.NumLeaves, m.Count = bad.leaves, bad.count
-		enc, err := m.Encode()
-		if err != nil {
-			t.Fatal(err)
+// TestStoredTrieRefused: a stored Coconut-Trie, and a partitioned index of
+// trie children, decode to ErrVersionMismatch (rebuild as a tree), not to
+// a corrupt manifest, at the format version they were written in.
+func TestStoredTrieRefused(t *testing.T) {
+	for i, enc := range storedTries() {
+		if _, err := Decode(enc); !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("stored trie %d: got %v, want ErrVersionMismatch", i, err)
 		}
-		if _, err := Decode(enc); !errors.Is(err, ErrCorruptManifest) {
-			t.Fatalf("%d leaves for %d records: got %v, want ErrCorruptManifest", bad.leaves, bad.count, err)
-		}
-	}
-	empty := sampleTrie()
-	empty.Trie.NumLeaves, empty.Count = 0, 0
-	if enc, err := empty.Encode(); err != nil {
-		t.Fatal(err)
-	} else if _, err := Decode(enc); err != nil {
-		t.Fatalf("empty trie manifest rejected: %v", err)
 	}
 }
 

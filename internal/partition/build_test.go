@@ -148,13 +148,12 @@ func equalKeys(a, b []summary.Key) bool {
 	return true
 }
 
-// variants are the three kinds of index over one option set.
+// variants are the two kinds of index over one option set.
 func variants(t *testing.T, fs storage.FS, workers int) map[string]Variant {
 	opt := core.Options{FS: fs, Name: "px", S: ptSummarizer(t), RawName: "raw", LeafCap: 16,
 		MemBudgetBytes: 1 << 20, Workers: workers}
 	return map[string]Variant{
 		"tree": TreeVariant(opt),
-		"trie": TrieVariant(opt),
 		"lsm": LSMVariant(lsm.Options{FS: fs, Name: "px", S: ptSummarizer(t), RawName: "raw",
 			MemBudgetBytes: 1 << 20, Workers: workers}),
 	}
@@ -174,7 +173,7 @@ func TestPartitionedBuildReadsRawOnce(t *testing.T) {
 	const count, parts = 2000, 3
 	rawRec := series.EncodedSize(ptLen)
 	rawSize := int64(count * rawRec)
-	for _, variant := range []string{"tree", "trie", "lsm"} {
+	for _, variant := range []string{"tree", "lsm"} {
 		for _, workers := range []int{1, 2, 8} {
 			for _, stale := range []int{0, count + 100} {
 				t.Run(fmt.Sprintf("%s/workers=%d/stale=%d", variant, workers, stale), func(t *testing.T) {
@@ -234,7 +233,7 @@ func TestPartitionedBuildReadsRawOnce(t *testing.T) {
 // does not survive it but a manifest's commit temporary: the sorted stream
 // is written straight into the children.
 func TestPartitionedBuildWritesItsFilesOnce(t *testing.T) {
-	for _, variant := range []string{"tree", "trie", "lsm"} {
+	for _, variant := range []string{"tree", "lsm"} {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", variant, workers), func(t *testing.T) {
 				fs := storage.NewMemFS()
@@ -287,13 +286,13 @@ func TestPartitionedBuildWritesItsFilesOnce(t *testing.T) {
 }
 
 // TestFaultFSFailedBuildLeavesNoFiles fails the k-th storage operation —
-// reads and opens included — for every k of a small tree, trie and LSM
+// reads and opens included — for every k of a small tree and LSM
 // build, unpartitioned and 2-partition: whenever the build reports the
 // failure, the device afterwards holds the raw file and at most its sidecar.
 func TestFaultFSFailedBuildLeavesNoFiles(t *testing.T) {
 	all := []storage.Op{storage.OpCreate, storage.OpOpen, storage.OpRead, storage.OpWrite,
 		storage.OpSync, storage.OpRename, storage.OpRemove}
-	for _, variant := range []string{"tree", "trie", "lsm"} {
+	for _, variant := range []string{"tree", "lsm"} {
 		for _, parts := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/parts=%d", variant, parts), func(t *testing.T) {
 				newFS := func() (*storage.MemFS, *storage.FaultFS) {
@@ -346,7 +345,7 @@ func TestFaultFSFailedBuildLeavesNoFiles(t *testing.T) {
 // and the device keeps the raw file and its sidecar alone.
 func TestBuildRefusesRottedSpillRun(t *testing.T) {
 	const budget = 16 << 10
-	for _, kind := range []string{"tree", "trie", "lsm"} {
+	for _, kind := range []string{"tree", "lsm"} {
 		for _, parts := range []int{1, 3} {
 			inner := storage.NewMemFS()
 			if _, err := dataset.WriteFile(inner, "raw", dataset.NewRandomWalk(), 2000, ptLen, 42); err != nil {
@@ -364,7 +363,7 @@ func TestBuildRefusesRottedSpillRun(t *testing.T) {
 			})
 			opt := core.Options{FS: ffs, Name: "px", S: ptSummarizer(t), RawName: "raw", LeafCap: 16,
 				MemBudgetBytes: budget, Workers: 2}
-			v := map[string]Variant{"tree": TreeVariant(opt), "trie": TrieVariant(opt),
+			v := map[string]Variant{"tree": TreeVariant(opt),
 				"lsm": LSMVariant(lsm.Options{FS: ffs, Name: "px", S: opt.S, RawName: "raw",
 					MemBudgetBytes: budget, Workers: 2})}[kind]
 			ix, err := Build(v, parts, nil)
@@ -396,36 +395,34 @@ func TestBuildRefusesRottedSpillRun(t *testing.T) {
 // storage.ErrCorruptData, and the device keeps the raw file and its sidecar
 // alone.
 func TestMaterializedBuildVerifiesTheGather(t *testing.T) {
-	for _, variant := range []func(core.Options) Variant{TreeVariant, TrieVariant} {
-		for _, parts := range []int{1, 3} {
-			inner := storage.NewMemFS()
-			if _, err := dataset.WriteFile(inner, "raw", dataset.NewRandomWalk(), 500, ptLen, 42); err != nil {
-				t.Fatal(err)
+	for _, parts := range []int{1, 3} {
+		inner := storage.NewMemFS()
+		if _, err := dataset.WriteFile(inner, "raw", dataset.NewRandomWalk(), 500, ptLen, 42); err != nil {
+			t.Fatal(err)
+		}
+		ffs := storage.NewFaultFS(inner)
+		var once sync.Once
+		var rotErr error
+		ffs.SetHook(func(op storage.Op, name string) {
+			if op == storage.OpCreate && strings.HasSuffix(name, ".leaves") {
+				once.Do(func() { rotErr = ffs.Rot("raw", int64(100*series.EncodedSize(ptLen)+3), 1) })
 			}
-			ffs := storage.NewFaultFS(inner)
-			var once sync.Once
-			var rotErr error
-			ffs.SetHook(func(op storage.Op, name string) {
-				if op == storage.OpCreate && strings.HasSuffix(name, ".leaves") {
-					once.Do(func() { rotErr = ffs.Rot("raw", int64(100*series.EncodedSize(ptLen)+3), 1) })
-				}
-			})
-			v := variant(core.Options{FS: ffs, Name: "px", S: ptSummarizer(t), RawName: "raw", LeafCap: 16,
-				Materialized: true, MemBudgetBytes: 1 << 20, Workers: 2})
-			ix, err := Build(v, parts, nil)
-			if rotErr != nil {
-				t.Fatal(rotErr)
-			}
-			if err == nil {
-				ix.Close()
-			}
-			if !errors.Is(err, storage.ErrCorruptData) {
-				t.Fatalf("%s parts=%d: a build over rotted raw bytes returned %v, want ErrCorruptData", v.kind, parts, err)
-			}
-			for _, name := range inner.Names() {
-				if name != "raw" && name != storage.RecordSumsName("raw") {
-					t.Fatalf("%s parts=%d: the failed build left %q (device: %v)", v.kind, parts, name, inner.Names())
-				}
+		})
+		v := TreeVariant(core.Options{FS: ffs, Name: "px", S: ptSummarizer(t), RawName: "raw", LeafCap: 16,
+			Materialized: true, MemBudgetBytes: 1 << 20, Workers: 2})
+		ix, err := Build(v, parts, nil)
+		if rotErr != nil {
+			t.Fatal(rotErr)
+		}
+		if err == nil {
+			ix.Close()
+		}
+		if !errors.Is(err, storage.ErrCorruptData) {
+			t.Fatalf("parts=%d: a build over rotted raw bytes returned %v, want ErrCorruptData", parts, err)
+		}
+		for _, name := range inner.Names() {
+			if name != "raw" && name != storage.RecordSumsName("raw") {
+				t.Fatalf("parts=%d: the failed build left %q (device: %v)", parts, name, inner.Names())
 			}
 		}
 	}

@@ -20,8 +20,8 @@ import (
 // key range — one, stored under the index name, when unpartitioned —
 // answering byte-identically for any N. It owns what the children share:
 // the raw log and the handle lock. Every Composite answers every search,
-// exact search for any k; what the children can do beyond searching —
-// inserts, LSM housekeeping — the Composite can do, and nothing more.
+// exact search for any k, and takes inserts; what the children can do
+// beyond that — LSM housekeeping — the Composite can do, and nothing more.
 type Composite struct {
 	v      Variant
 	bounds []summary.Key
@@ -367,15 +367,11 @@ func (c *Composite) Insert(ctx context.Context, batch []series.Series) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	kids, ok := capable[recordInserter](c.kids)
-	if !ok {
-		return ErrUnsupported
-	}
 	if len(batch) == 0 {
 		return nil
 	}
 	c.mu.Lock()
-	end, err := c.routeLocked(ctx, kids, batch)
+	end, err := c.routeLocked(ctx, batch)
 	c.mu.Unlock()
 	if err != nil || !c.v.ackInserts {
 		return err
@@ -386,7 +382,7 @@ func (c *Composite) Insert(ctx context.Context, batch []series.Series) error {
 // routeLocked appends the batch's raw bytes to the log, routes its records
 // and hands them to each owning child; it returns the log position after the
 // batch.
-func (c *Composite) routeLocked(ctx context.Context, kids []recordInserter, batch []series.Series) (int64, error) {
+func (c *Composite) routeLocked(ctx context.Context, batch []series.Series) (int64, error) {
 	p := c.v.s.Params()
 	sz := series.EncodedSize(p.SeriesLen)
 	for _, s := range batch {
@@ -403,19 +399,19 @@ func (c *Composite) routeLocked(ctx context.Context, kids []recordInserter, batc
 	if err != nil {
 		return 0, err
 	}
-	perChild := make([][]summary.Record, len(kids))
+	perChild := make([][]summary.Record, len(c.kids))
 	for i, key := range keys {
 		owner := route(c.bounds, key)
 		perChild[owner] = append(perChild[owner], summary.Record{Key: key, Pos: first + int64(i)})
 	}
 	// The batch is admitted: it routes to completion whatever the caller's
 	// context does meanwhile.
-	err = shard.FanOut(context.WithoutCancel(ctx), shard.Resolve(c.v.workers, len(kids)), len(kids),
+	err = shard.FanOut(context.WithoutCancel(ctx), shard.Resolve(c.v.workers, len(c.kids)), len(c.kids),
 		func(i int, cancelled func() bool) error {
 			if cancelled() || len(perChild[i]) == 0 {
 				return nil
 			}
-			return kids[i].InsertRecords(perChild[i])
+			return c.kids[i].InsertRecords(perChild[i])
 		})
 	return first + int64(len(batch)), err
 }
@@ -472,9 +468,10 @@ func (c *Composite) eachChild(fn func(Child) error) error {
 // manifests are authoritative for mutable state.
 func (c *Composite) Sync() error { return c.eachChild(Child.Sync) }
 
-// Flush forces every partition's memtable to disk.
+// Flush forces every partition's memtable to disk; a tree has none
+// (ErrUnsupported).
 func (c *Composite) Flush() error {
-	if _, ok := capable[Maintainer](c.kids); !ok {
+	if _, ok := c.kids[0].(Maintainer); !ok {
 		return ErrUnsupported
 	}
 	return c.eachChild(func(k Child) error { return k.(Maintainer).Flush() })

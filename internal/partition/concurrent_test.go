@@ -34,7 +34,7 @@ func stressFS(t *testing.T) (*storage.MemFS, []series.Series) {
 	return rawSeed(t, stressCount), dataset.Generate(dataset.NewRandomWalk(), stressCount, ptLen, 42)
 }
 
-// coreStress is the tree and trie option set of the stress tests.
+// coreStress is the tree option set of the stress tests.
 func coreStress(t *testing.T, fs storage.FS, mat bool, queryWorkers int) core.Options {
 	return core.Options{FS: fs, Name: "cx", S: ptSummarizer(t), RawName: "raw", Materialized: mat,
 		LeafCap: 20, MemBudgetBytes: 1 << 20, Workers: 2, QueryWorkers: queryWorkers}
@@ -154,43 +154,6 @@ func TestConcurrentTreeQueriesWithInserts(t *testing.T) {
 				if res.Dist > 1e-9 {
 					t.Fatalf("inserted series lost during concurrent load: %v", res.Dist)
 				}
-			})
-		}
-	}
-}
-
-// TestConcurrentTrieQueriesSharedHandle does the same for the (immutable)
-// trie variant.
-func TestConcurrentTrieQueriesSharedHandle(t *testing.T) {
-	for _, parts := range []int{1, 3} {
-		for _, mat := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%dp/mat=%v", parts, mat), func(t *testing.T) {
-				fs, _ := stressFS(t)
-				ix, err := Build(TrieVariant(coreStress(t, fs, mat, 4)), parts, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer ix.Close()
-				qs := dataset.Queries(dataset.NewRandomWalk(), 6, ptLen, 37)
-				var work []func() error
-				for g := 0; g < 8; g++ {
-					work = append(work, func() error {
-						q := qs[g%len(qs)]
-						for it := 0; it < 3; it++ {
-							var err error
-							if it%2 == 0 {
-								_, err = ix.ExactSearch(context.Background(), q)
-							} else {
-								_, err = ix.ApproxSearch(context.Background(), q, 1)
-							}
-							if err != nil {
-								return err
-							}
-						}
-						return nil
-					})
-				}
-				stress(t, work...)
 			})
 		}
 	}

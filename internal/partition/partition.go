@@ -2,16 +2,16 @@
 // Coconut children of one variant split by invSAX key range, with N = 1
 // for an unpartitioned index.
 //
-// Child is what a Coconut-Tree, a Coconut-Trie and a Coconut-LSM all offer:
-// count, shape, size, sync and close, and the two steps every query is made
-// of — an approximate window contribution that seeds the k best so far, and
-// a SIMS verification pass under them — in squared space. A tree or an LSM
-// also takes records whose raw bytes the Composite already appended; an LSM
-// flushes and reports its block cache. A Variant names one kind of child
-// over one option set by the few things that differ — how to build, open and
-// remove one. The window is not among them: every child contributes the
-// window.Half(radius, n) records a side, and every exact search seeds from
-// radius 1, so the same records answer alike in every variant.
+// Child is what a Coconut-Tree and a Coconut-LSM both offer: count, shape,
+// size, sync and close, the records whose raw bytes the Composite already
+// appended, and the two steps every query is made of — an approximate window
+// contribution that seeds the k best so far, and a SIMS verification pass
+// under them — in squared space. An LSM also flushes and reports its block
+// cache. A Variant names one kind of child over one option set by the few
+// things that differ — how to build, open and remove one. The window is not
+// among them: every child contributes the window.Half(radius, n) records a
+// side, and every exact search seeds from radius 1, so the same records
+// answer alike in every variant.
 //
 // The Composite owns what its children share: the raw log (the raw file and
 // its CRC sidecar, storage.RecordSums), the build's record stream, and the
@@ -69,12 +69,14 @@ import (
 // an exact query on their own, in SQUARED space — its contribution to a
 // (cross-partition) approximate window, and the SIMS verification of the k
 // external seed neighbors under a shared bound on the k-th best, which
-// returns its local top-k — plus what every index reports. Distances are
-// Euclidean; radius widens the approximate window (window.Half), alike on
-// every variant.
+// returns its local top-k — plus what every index reports, and the insert
+// of records whose raw bytes the Composite already appended to the raw log.
+// Distances are Euclidean; radius widens the approximate window
+// (window.Half), alike on every variant.
 type Child interface {
 	ApproxWindowCands(ctx context.Context, q series.Series, radius int) (core.ApproxWindow, error)
 	ExactVerify(ctx context.Context, q series.Series, k int, seed []core.Neighbor, bound *shard.BSF) ([]core.Neighbor, core.Result, error)
+	InsertRecords(recs []summary.Record) error
 	Count() int64
 	Shape() core.Shape
 	SizeBytes() int64
@@ -82,40 +84,17 @@ type Child interface {
 	Close() error
 }
 
-// Optional steps: a Child has them or lacks them, and the Composite offers
-// what they make possible exactly when its children do (ErrUnsupported
-// otherwise).
-type (
-	// Maintainer is the LSM's housekeeping: flush the memtable, report the
-	// block cache.
-	Maintainer interface {
-		Flush() error
-		CacheStats() blockcache.Stats
-	}
-	// recordInserter takes records whose raw bytes the Composite already
-	// appended to the raw log (trees and LSMs).
-	recordInserter interface {
-		InsertRecords(recs []summary.Record) error
-	}
-)
+// Maintainer is the LSM's housekeeping, a step a Child has or lacks: flush
+// the memtable, report the block cache. The Composite flushes exactly when
+// its children are Maintainers (ErrUnsupported otherwise).
+type Maintainer interface {
+	Flush() error
+	CacheStats() blockcache.Stats
+}
 
 // ErrUnsupported reports a capability the children of a Composite do not
 // have; it matches errors.ErrUnsupported.
 var ErrUnsupported = fmt.Errorf("partition: %w by this index variant", errors.ErrUnsupported)
-
-// capable returns kids as their capability C, or false when a child lacks
-// it.
-func capable[C any](kids []Child) ([]C, bool) {
-	out := make([]C, len(kids))
-	for i, k := range kids {
-		c, ok := k.(C)
-		if !ok {
-			return nil, false
-		}
-		out[i] = c
-	}
-	return out, true
-}
 
 // Variant names one kind of index over one option set by what differs
 // between the kinds; Build and Open make the Composite of N of them.
@@ -160,17 +139,8 @@ const seedRadius = 1
 
 // TreeVariant is Coconut-Tree over opt.
 func TreeVariant(opt core.Options) Variant {
-	return coreVariant(manifest.VariantTree, opt, core.BuildTree, core.OpenTree)
-}
-
-// TrieVariant is Coconut-Trie over opt.
-func TrieVariant(opt core.Options) Variant {
-	return coreVariant(manifest.VariantTrie, opt, core.BuildTrie, core.OpenTrie)
-}
-
-func coreVariant[T Child](kind manifest.Variant, opt core.Options, build, open func(core.Options) (T, error)) Variant {
 	return Variant{
-		kind: kind,
+		kind: manifest.VariantTree,
 		fs:   opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
 		materialized: opt.Materialized, leafCap: opt.LeafCap,
 		workers: opt.Workers, memBudget: orDefault(opt.MemBudgetBytes, core.DefaultMemBudget),
@@ -185,9 +155,9 @@ func coreVariant[T Child](kind manifest.Variant, opt core.Options, build, open f
 			if p.parts > 1 {
 				co.QueryWorkers = shard.PerGroup(opt.QueryWorkers, p.parts)
 			}
-			load := open
+			load := core.OpenTree
 			if p.records != nil {
-				load = build
+				load = core.BuildTree
 			}
 			ix, err := load(co)
 			if err != nil {

@@ -333,21 +333,19 @@ func TestFailedFsyncIsStickyAndNeverAcknowledged(t *testing.T) {
 	}
 }
 
-// TestCompositeOffersWhatItsChildrenDo: the Composite has inserts and LSM
-// housekeeping exactly when its children do — a Composite of tries takes no
-// insert, with a typed refusal before any byte moves, never a panic or a
-// silent no-op — and answers k-NN over every variant, exact search being
-// its k = 1.
+// TestCompositeOffersWhatItsChildrenDo: every Composite takes inserts, and
+// has LSM housekeeping exactly when its children do — a Composite of trees
+// refuses a flush typed, never with a panic or a silent no-op — and answers
+// k-NN over every variant, exact search being its k = 1.
 func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 	batch := dataset.Generate(dataset.NewSeismic(), 4, ptLen, 3)
 	q := dataset.Queries(dataset.NewRandomWalk(), 1, ptLen, 5)[0]
 	for _, tc := range []struct {
-		variant       string
-		insert, flush bool
+		variant string
+		flush   bool
 	}{
-		{"tree", true, false},
-		{"trie", false, false},
-		{"lsm", true, true},
+		{"tree", false},
+		{"lsm", true},
 	} {
 		t.Run(tc.variant, func(t *testing.T) {
 			fs := storage.NewMemFS()
@@ -371,11 +369,8 @@ func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 			for _, k := range c.kids {
 				kid = k
 			}
-			_, kidInsert := kid.(recordInserter)
-			_, kidFlush := kid.(Maintainer)
-			if kidInsert != tc.insert || kidFlush != tc.flush {
-				t.Fatalf("a %s child: insert=%v maintain=%v, want %v %v",
-					tc.variant, kidInsert, kidFlush, tc.insert, tc.flush)
+			if _, kidFlush := kid.(Maintainer); kidFlush != tc.flush {
+				t.Fatalf("a %s child: maintain=%v, want %v", tc.variant, kidFlush, tc.flush)
 			}
 			supported := func(what string, err error, want bool) {
 				t.Helper()
@@ -399,11 +394,8 @@ func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 				return int64(len(b))
 			}
 			before, rawBefore := c.Count(), rawSize()
-			supported("insert", c.Insert(context.Background(), batch), tc.insert)
-			wantCount, wantRaw := before, rawBefore
-			if tc.insert {
-				wantCount, wantRaw = before+int64(len(batch)), rawBefore+int64(len(batch)*series.EncodedSize(ptLen))
-			}
+			supported("insert", c.Insert(context.Background(), batch), true)
+			wantCount, wantRaw := before+int64(len(batch)), rawBefore+int64(len(batch)*series.EncodedSize(ptLen))
 			if got := c.Count(); got != wantCount {
 				t.Fatalf("count %d after insert, want %d", got, wantCount)
 			}

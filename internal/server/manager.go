@@ -18,8 +18,7 @@ import (
 
 // Handle is one served index: its serving name, the UUID of this open
 // generation and its series length beside the index itself. Every variant
-// answers every query; an append to a variant that takes none (a trie)
-// fails with errors.ErrUnsupported.
+// answers every query and takes appends.
 type Handle struct {
 	// Name is the index's serving name (the manifest prefix).
 	Name string
@@ -48,8 +47,8 @@ func NewHandle(name string, ix *coconut.Index) *Handle {
 	return &Handle{Name: name, UUID: newUUID(), SeriesLen: ix.SeriesLen(), Index: ix}
 }
 
-// NewTrieHandle is NewHandle under the name and signature it had when each
-// variant had its own, kept for callers that use them; seriesLen is ix's.
+// NewTrieHandle is NewHandle with ix's series length passed in, kept only
+// because bench/e2e names it; ROADMAP.md item 14 deletes it.
 func NewTrieHandle(name string, ix *coconut.TrieIndex, seriesLen int) *Handle {
 	return &Handle{Name: name, UUID: newUUID(), SeriesLen: seriesLen, Index: ix}
 }

@@ -498,10 +498,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	start := time.Now()
 	if err := h.Index.InsertCtx(ctx, batch); err != nil {
-		if errors.Is(err, errors.ErrUnsupported) {
-			writeError(w, http.StatusBadRequest, "index %q (%s) is read-only", h.Name, h.Index.Variant())
-			return
-		}
 		writeError(w, s.errStatus(err), "append: %v", err)
 		return
 	}

@@ -195,7 +195,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
-// TestServerKNNEveryVariant: "mode":"knn" on a trie handle and on an LSM
+// TestServerKNNEveryVariant: "mode":"knn" on a tree handle and on an LSM
 // handle — inserted records still in its memtable included — returns the
 // brute-force top-k under the (distance, position) order.
 func TestServerKNNEveryVariant(t *testing.T) {
@@ -211,18 +211,18 @@ func TestServerKNNEveryVariant(t *testing.T) {
 	mgr := NewManager()
 	defer mgr.CloseAll()
 	want := map[string][]coconut.Series{}
-	for _, variant := range []string{"trie", "lsm"} {
+	for _, variant := range []string{"tree", "lsm"} {
 		fs := storage.NewMemFS()
 		if err := coconut.GenerateDataset(fs, "data.bin", coconut.RandomWalk, testSeries, testLen, 3); err != nil {
 			t.Fatal(err)
 		}
 		cfg := coconut.Config{Storage: fs, Name: variant, DataFile: "data.bin", SeriesLen: testLen, LeafSize: 32}
-		if variant == "trie" {
-			ix, err := coconut.BuildTrieIndex(cfg)
+		if variant == "tree" {
+			ix, err := coconut.BuildTreeIndex(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mgr.Add(NewTrieHandle(variant, ix, testLen))
+			mgr.Add(NewHandle(variant, ix))
 		} else {
 			ix, err := coconut.BuildLSMIndex(cfg)
 			if err != nil {
@@ -685,24 +685,24 @@ func TestStatsExposeBlockCache(t *testing.T) {
 	}
 }
 
-// buildServedTrie builds a 2-partition trie over a fresh dataset and serves
-// it under the name "trie".
-func buildServedTrie(t *testing.T) (*Manager, *httptest.Server) {
+// buildServedParted builds a 2-partition tree over a fresh dataset and
+// serves it under the name "parted".
+func buildServedParted(t *testing.T) *httptest.Server {
 	t.Helper()
 	fs := storage.NewMemFS()
 	if err := coconut.GenerateDataset(fs, "data.bin", coconut.RandomWalk, testSeries, testLen, 3); err != nil {
 		t.Fatal(err)
 	}
 	ix, err := coconut.Build(context.Background(), coconut.Config{
-		Storage: fs, Name: "trie", DataFile: "data.bin", SeriesLen: testLen, LeafSize: 32, Partitions: 2,
-	}, coconut.Trie)
+		Storage: fs, Name: "parted", DataFile: "data.bin", SeriesLen: testLen, LeafSize: 32, Partitions: 2,
+	}, coconut.Tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mgr := NewManager()
-	mgr.Add(NewHandle("trie", ix))
+	mgr.Add(NewHandle("parted", ix))
 	t.Cleanup(func() { mgr.CloseAll() })
-	return mgr, startServer(t, New(mgr, Options{}))
+	return startServer(t, New(mgr, Options{}))
 }
 
 // TestServerApproxRadiusOutOfRange: an approximate query with a radius
@@ -710,31 +710,16 @@ func buildServedTrie(t *testing.T) (*Manager, *httptest.Server) {
 // overflowed once panicked on a partition's fan-out goroutine, which no
 // handler can recover, and took the daemon down.
 func TestServerApproxRadiusOutOfRange(t *testing.T) {
-	_, ts := buildServedTrie(t)
+	ts := buildServedParted(t)
 	qs, err := coconut.GenerateQueries(coconut.RandomWalk, 1, testLen, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, radius := range []int{-1, -2, math.MinInt, 1 << 58, math.MaxInt} {
-		st, body, _ := postJSON(t, ts.URL+"/query", QueryRequest{Index: "trie", Series: qs[0], Mode: "approx", Radius: radius})
+		st, body, _ := postJSON(t, ts.URL+"/query", QueryRequest{Index: "parted", Series: qs[0], Mode: "approx", Radius: radius})
 		if st != http.StatusOK {
 			t.Fatalf("radius %d: %d %s", radius, st, body)
 		}
-	}
-}
-
-// TestServerAppendToTrieRefused: a trie takes no inserts, so /append to it
-// is a 400 that names it read-only, and the index keeps its count.
-func TestServerAppendToTrieRefused(t *testing.T) {
-	mgr, ts := buildServedTrie(t)
-	batch := [][]float64{make([]float64, testLen)}
-	st, body, _ := postJSON(t, ts.URL+"/append", AppendRequest{Index: "trie", Series: batch})
-	if st != http.StatusBadRequest || !bytes.Contains(body, []byte("read-only")) {
-		t.Fatalf("append to a trie: %d %s, want 400 read-only", st, body)
-	}
-	h, _ := mgr.Get("trie")
-	if n := h.Index.Count(); n != testSeries {
-		t.Fatalf("the trie holds %d series after a refused append, want %d", n, testSeries)
 	}
 }
 

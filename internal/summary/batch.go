@@ -75,7 +75,7 @@ type Cand struct {
 const filterTile = 256
 
 // Filter is the fused SIMS lower-bound pass over a sorted column of the
-// table's shape — a tree's or a trie's summary array: it appends to dst, in
+// table's shape — a tree's summary array: it appends to dst, in
 // row order, a Cand for every row whose squared lower bound is below limit,
 // and returns the extended slice. A candidate's ID is ids[i] — ids runs
 // parallel to the rows — or the row's index i when ids is nil. A tile whose

@@ -97,14 +97,3 @@ func CompareRows(a, b SAX) int {
 	}
 	return -1
 }
-
-// RowPrefixBits returns the number of leading interleaved bits the keys of
-// rows a and b share: CommonPrefixBits over all Segments×cardBits bits,
-// without interleaving either.
-func RowPrefixBits(a, b SAX, cardBits int) int {
-	top, j := firstDiff(a, b)
-	if top == 0 {
-		return len(a) * cardBits
-	}
-	return (cardBits-bits.Len8(top))*len(a) + j
-}

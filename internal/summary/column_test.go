@@ -65,8 +65,8 @@ func perKeyFilter(s *Summarizer, qPAA []float64, keys []Key, ids []int64, limit 
 }
 
 // checkColumn holds the column form of sorted keys to the key form: rows
-// re-interleave to their keys, CompareRows and RowPrefixBits agree with
-// Key.Compare and CommonPrefixBits on every adjacent pair and on pairs
+// re-interleave to their keys, CompareRows agrees with Key.Compare on
+// every adjacent pair and on pairs
 // picked by pick, Search agrees with a linear search, and Range over two
 // rows is the box minimum of the two keys.
 func checkColumn(t *testing.T, s *Summarizer, qPAA []float64, keys []Key, col Column, pick func(n int) int) {
@@ -90,9 +90,6 @@ func checkColumn(t *testing.T, s *Summarizer, qPAA []float64, keys []Key, col Co
 		a, b := pr[0], pr[1]
 		if got, want := CompareRows(col.Row(a), col.Row(b)), keys[a].Compare(keys[b]); got != want {
 			t.Fatalf("%s: CompareRows(%d, %d) = %d, Key.Compare %d", shape, a, b, got, want)
-		}
-		if got, want := RowPrefixBits(col.Row(a), col.Row(b), p.CardBits), CommonPrefixBits(keys[a], keys[b], p.Segments*p.CardBits); got != want {
-			t.Fatalf("%s: RowPrefixBits(%d, %d) = %d, CommonPrefixBits %d", shape, a, b, got, want)
 		}
 		if a > b {
 			a, b = b, a

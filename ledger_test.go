@@ -6,7 +6,7 @@ package coconut
 // fails here and, once intended, commits the new table (go test -run
 // TestCostLedger -update .), so every such change shows in the diff.
 //
-// The matrix is every variant (tree and trie also materialized) × Workers 1
+// The matrix is every variant (the tree also materialized) × Workers 1
 // and 4 × a budget that sorts in many chunks and the default one × 1 and 3
 // partitions. Each cell builds over a seeded dataset, runs a fixed insert
 // schedule (variants that take inserts), Syncs, Closes, reopens and Closes
@@ -220,8 +220,7 @@ func TestCostLedger(t *testing.T) {
 		v            Variant
 		materialized bool
 	}
-	variants := []variant{{"tree", Tree, false}, {"tree-full", Tree, true}, {"trie", Trie, false},
-		{"trie-full", Trie, true}, {"lsm", LSM, false}}
+	variants := []variant{{"tree", Tree, false}, {"tree-full", Tree, true}, {"lsm", LSM, false}}
 	budgets := []struct {
 		name string
 		b    int64

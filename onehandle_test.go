@@ -17,7 +17,7 @@ const (
 	handleLen   = 64
 )
 
-var allVariants = []Variant{Tree, Trie, LSM}
+var allVariants = []Variant{Tree, LSM}
 
 // handleConfig generates a fresh dataset and configures an index over it in
 // parts partitions.
@@ -131,7 +131,6 @@ func TestOpenDetectsVariant(t *testing.T) {
 	qs := handleQueries(t)
 	typed := map[Variant]func(Config) (*Index, error){
 		Tree: OpenTreeIndex,
-		Trie: OpenTrieIndex,
 		LSM: func(cfg Config) (*Index, error) {
 			l, err := OpenLSMIndex(cfg)
 			if err != nil {
@@ -183,36 +182,30 @@ func TestOpenDetectsVariant(t *testing.T) {
 }
 
 // TestIndexCapabilities: what a variant lacks fails typed from the one
-// handle — a trie takes no insert (and leaves its count alone) but syncs, a
-// tree has no memtable to flush — and a typed Open refuses a stored index of
-// another variant.
+// handle — a tree has no memtable to flush, but takes inserts and syncs —
+// a typed Open refuses a stored index of another variant, and a variant
+// that is not one, the retired trie included, builds nothing.
 func TestIndexCapabilities(t *testing.T) {
 	cfg := handleConfig(t, 1)
 	ctx := context.Background()
-	trie, err := Build(ctx, cfg, Trie)
+	lsm, err := Build(ctx, cfg, LSM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := handleQueries(t)
-	if err := trie.Insert(batch); !errors.Is(err, errors.ErrUnsupported) {
-		t.Fatalf("trie Insert: %v, want errors.ErrUnsupported", err)
-	}
-	if n := trie.Count(); n != handleCount {
-		t.Fatalf("a refused insert left the trie with %d series, want %d", n, handleCount)
-	}
-	if err := trie.Sync(); err != nil {
-		t.Fatalf("trie Sync: %v", err)
-	}
-	if err := trie.Close(); err != nil {
+	if err := lsm.Close(); err != nil {
 		t.Fatal(err)
 	}
 	at := Config{Storage: cfg.Storage, Name: cfg.Name}
 	if _, err := OpenTreeIndex(at); !errors.Is(err, ErrConfigMismatch) {
-		t.Fatalf("OpenTreeIndex over a trie: %v, want ErrConfigMismatch", err)
+		t.Fatalf("OpenTreeIndex over an LSM: %v, want ErrConfigMismatch", err)
 	}
-	if _, err := Build(ctx, cfg, Variant("heap")); err == nil {
-		t.Fatal("Build of an unknown variant succeeded")
+	for _, v := range []Variant{"heap", "trie"} {
+		if _, err := Build(ctx, handleConfig(t, 1), v); err == nil {
+			t.Fatalf("Build of variant %q succeeded", v)
+		}
 	}
+
+	batch := handleQueries(t)
 
 	tree, err := Build(ctx, handleConfig(t, 2), Tree)
 	if err != nil {

@@ -103,9 +103,6 @@ func TestOnePartitionIsUnpartitionedLayout(t *testing.T) {
 		"tree": {[]string{"conf.bin", "conf.bin.crc", "conf.leaves", "conf.manifest"},
 			func(c Config) (handle, error) { return BuildTreeIndex(c) },
 			func(c Config) (handle, error) { return OpenTreeIndex(c) }},
-		"trie": {[]string{"conf.bin", "conf.bin.crc", "conf.leaves", "conf.manifest"},
-			func(c Config) (handle, error) { return BuildTrieIndex(c) },
-			func(c Config) (handle, error) { return OpenTrieIndex(c) }},
 		// An LSM's one bulk-loaded run.
 		"lsm": {[]string{"conf.bin", "conf.bin.crc", "conf.manifest", "conf.run.000000"},
 			func(c Config) (handle, error) { return BuildLSMIndex(c) },
@@ -162,12 +159,6 @@ func TestEmptyIndexTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tree.Close()
-	cfg.Name = "trie"
-	trie, err := BuildTrieIndex(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer trie.Close()
 	cfg.Name = "lsm"
 	lsm, err := BuildLSMIndex(cfg)
 	if err != nil {
@@ -178,9 +169,6 @@ func TestEmptyIndexTyped(t *testing.T) {
 		"tree/exact":  func() error { _, err := tree.Search(q); return err },
 		"tree/approx": func() error { _, err := tree.SearchApprox(q, 1); return err },
 		"tree/knn":    func() error { _, err := tree.SearchKNN(q, 3); return err },
-		"trie/exact":  func() error { _, err := trie.Search(q); return err },
-		"trie/approx": func() error { _, err := trie.SearchApprox(q, 1); return err },
-		"trie/knn":    func() error { _, err := trie.SearchKNN(q, 3); return err },
 		"lsm/exact":   func() error { _, err := lsm.Search(q); return err },
 		"lsm/approx":  func() error { _, err := lsm.SearchApprox(q); return err },
 		"lsm/knn":     func() error { _, err := lsm.SearchKNN(q, 3); return err },

@@ -175,9 +175,9 @@ func TestPartitionConformanceTree(t *testing.T) {
 	}
 }
 
-// TestPartitionConformanceTrie mirrors the tree check for the immutable
-// Coconut-Trie variant.
-func TestPartitionConformanceTrie(t *testing.T) {
+// TestPartitionConformanceBulkTree mirrors the tree check for a bulk-loaded
+// tree that takes no insert, reopened at another QueryWorkers setting.
+func TestPartitionConformanceBulkTree(t *testing.T) {
 	for _, mat := range []bool{false, true} {
 		name := "plain"
 		if mat {
@@ -185,12 +185,12 @@ func TestPartitionConformanceTrie(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			queries := partQueries(t)
-			answers := func(ix *TrieIndex) partAnswers {
+			answers := func(ix *TreeIndex) partAnswers {
 				return collect(t, ix, func(q Series) (Result, error) { return ix.SearchApprox(q, 1) }, queries)
 			}
 			buildAnswers := func(parts int) (Storage, partAnswers) {
 				fs := partFS(t)
-				ix, err := BuildTrieIndex(partConfig(fs, parts, 2, mat))
+				ix, err := BuildTreeIndex(partConfig(fs, parts, 2, mat))
 				if err != nil {
 					t.Fatalf("parts=%d: build: %v", parts, err)
 				}
@@ -204,7 +204,7 @@ func TestPartitionConformanceTrie(t *testing.T) {
 			for _, parts := range partSweep {
 				fs, got := buildAnswers(parts)
 				checkAnswers(t, name+"/built", base, got)
-				ix, err := OpenTrieIndex(partConfig(fs, 0, 5, mat))
+				ix, err := OpenTreeIndex(partConfig(fs, 0, 5, mat))
 				if err != nil {
 					t.Fatalf("parts=%d: open: %v", parts, err)
 				}
@@ -299,8 +299,8 @@ func TestPartitionOpenMismatch(t *testing.T) {
 	if _, err := OpenTreeIndex(partConfig(fs, 2, 2, false)); !errors.Is(err, ErrConfigMismatch) {
 		t.Errorf("open with wrong partition count: got %v, want ErrConfigMismatch", err)
 	}
-	if _, err := OpenTrieIndex(partConfig(fs, 0, 2, false)); err == nil {
-		t.Error("opening a partitioned tree store as a trie succeeded")
+	if _, err := OpenLSMIndex(partConfig(fs, 0, 2, false)); err == nil {
+		t.Error("opening a partitioned tree store as an LSM succeeded")
 	}
 
 	// A single-partition store must reject a partitioned open.

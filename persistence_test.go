@@ -10,11 +10,14 @@ package coconut
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -132,8 +135,8 @@ func assertAnswersEqual(t *testing.T, built, reopened reopenAnswers) {
 
 // TestReopenConformance: build, query, Close, reopen from storage, query
 // again — byte-identical exact, approximate, and k-NN answers on both
-// backends, for all three variants (tree materialized or not, trie, and a
-// multi-run LSM), with the reopen reading only index files + manifest.
+// backends, for every variant (tree materialized or not, and a multi-run
+// LSM), with the reopen reading only index files + manifest.
 func TestReopenConformance(t *testing.T) {
 	queries, err := GenerateQueries(RandomWalk, 6, confLen, confSeed+3)
 	if err != nil {
@@ -161,34 +164,6 @@ func TestReopenConformance(t *testing.T) {
 
 			guard(true)
 			re, err := OpenTreeIndex(Config{Storage: freshFS(), Name: "conf", QueryWorkers: 1})
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			guard(false)
-			defer re.Close()
-			reopened := collectAnswers(t, queries, re.Search,
-				func(q Series) (Result, error) { return re.SearchApprox(q, 1) }, re.SearchKNN)
-			assertAnswersEqual(t, built, reopened)
-		}
-	}
-	trieCase := func(mat bool) func(*testing.T, reopenBackend) {
-		return func(t *testing.T, be reopenBackend) {
-			fs, freshFS, guard := be.fresh(t)
-			if err := GenerateDataset(fs, "conf.bin", RandomWalk, confCount, confLen, confSeed); err != nil {
-				t.Fatal(err)
-			}
-			ix, err := BuildTrieIndex(confConfig(fs, 1, mat))
-			if err != nil {
-				t.Fatal(err)
-			}
-			built := collectAnswers(t, queries, ix.Search,
-				func(q Series) (Result, error) { return ix.SearchApprox(q, 1) }, ix.SearchKNN)
-			if err := ix.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			guard(true)
-			re, err := OpenTrieIndex(Config{Storage: freshFS(), Name: "conf", QueryWorkers: 1})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -236,8 +211,6 @@ func TestReopenConformance(t *testing.T) {
 	variants := []variant{
 		{"tree", treeCase(false)},
 		{"tree-materialized", treeCase(true)},
-		{"trie", trieCase(false)},
-		{"trie-materialized", trieCase(true)},
 		{"lsm-multirun", lsmCase},
 	}
 	for _, be := range reopenBackends() {
@@ -436,12 +409,12 @@ func TestTreeCrashBetweenSyncsReopensCommitted(t *testing.T) {
 	}
 }
 
-// TestTrieLeafHeaderCorruption: a flipped bit in a trie leaf's count
-// header (not covered by the manifest checksum) must fail the reopen with
+// TestTreeLeafHeaderCorruption: a flipped bit in the header of a tree's
+// leaf run (not covered by the manifest checksum) must fail the reopen with
 // a typed error, never a panic.
-func TestTrieLeafHeaderCorruption(t *testing.T) {
+func TestTreeLeafHeaderCorruption(t *testing.T) {
 	fs, _ := confFS(t)
-	ix, err := BuildTrieIndex(confConfig(fs, 1, false))
+	ix, err := BuildTreeIndex(confConfig(fs, 1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +430,7 @@ func TestTrieLeafHeaderCorruption(t *testing.T) {
 	if err := storage.WriteFileAll(fs, "conf.leaves", mut); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenTrieIndex(Config{Storage: fs, Name: "conf"}); !errors.Is(err, ErrCorruptManifest) {
+	if _, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"}); !errors.Is(err, ErrCorruptManifest) {
 		t.Fatalf("corrupt leaf header: got %v, want ErrCorruptManifest", err)
 	}
 }
@@ -482,9 +455,6 @@ func TestOpenConfigMismatch(t *testing.T) {
 	}
 	if _, err := OpenTreeIndex(Config{Storage: fs, Name: "conf", LeafSize: 64}); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("conflicting LeafSize: got %v, want ErrConfigMismatch", err)
-	}
-	if _, err := OpenTrieIndex(Config{Storage: fs, Name: "conf"}); !errors.Is(err, ErrConfigMismatch) {
-		t.Fatalf("tree opened as trie: got %v, want ErrConfigMismatch", err)
 	}
 	if _, err := OpenLSMIndex(Config{Storage: fs, Name: "conf"}); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("tree opened as lsm: got %v, want ErrConfigMismatch", err)
@@ -555,8 +525,6 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 	}{
 		{"tree", func(c Config) (searcher, error) { return BuildTreeIndex(c) },
 			func(c Config) (searcher, error) { return OpenTreeIndex(c) }},
-		{"trie", func(c Config) (searcher, error) { return BuildTrieIndex(c) },
-			func(c Config) (searcher, error) { return OpenTrieIndex(c) }},
 		{"lsm", func(c Config) (searcher, error) { return BuildLSMIndex(c) },
 			func(c Config) (searcher, error) { return OpenLSMIndex(c) }},
 	}
@@ -611,6 +579,49 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 				re.Close()
 			})
 		}
+	}
+}
+
+// TestOpenRefusesStoredTrie: testdata/storedtrie holds a Coconut-Trie
+// ("trie") and a 2-partition index of trie children ("ptrie") over one
+// dataset, as written while the trie was an index type of its own — in
+// manifest version 10, a tree's. Open, OpenTrieIndex, Scrub and Repair
+// refuse both with ErrVersionMismatch (rebuild as a tree): never as a
+// corrupt index, never opened as a tree.
+func TestOpenRefusesStoredTrie(t *testing.T) {
+	fs := NewMemStorage()
+	files, err := os.ReadDir("testdata/storedtrie")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join("testdata/storedtrie", f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := storage.WriteFileAll(fs, f.Name(), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"trie", "ptrie"} {
+		cfg := Config{Storage: fs, Name: name}
+		refused := func(call string, ix *Index, err error) {
+			t.Helper()
+			if ix != nil {
+				ix.Close()
+			}
+			if !errors.Is(err, ErrVersionMismatch) {
+				t.Errorf("%s of %s: %v, want ErrVersionMismatch", call, name, err)
+			}
+		}
+		ix, err := Open(context.Background(), cfg)
+		refused("Open", ix, err)
+		ix, err = OpenTrieIndex(cfg)
+		refused("OpenTrieIndex", ix, err)
+		_, err = Scrub(fs, name)
+		refused("Scrub", nil, err)
+		_, err = Repair(cfg)
+		refused("Repair", nil, err)
 	}
 }
 

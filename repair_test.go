@@ -23,8 +23,7 @@ type repairIndex interface {
 	Close() error
 }
 
-// repairKind builds, reopens and (where the variant takes inserts) grows one
-// index type.
+// repairKind builds, reopens and grows one index type.
 type repairKind struct {
 	build  func(Config) (repairIndex, error)
 	open   func(Config) (repairIndex, error)
@@ -42,14 +41,10 @@ var repairKinds = map[string]repairKind{
 		open:   func(c Config) (repairIndex, error) { return OpenTreeIndex(c) },
 		insert: func(ix repairIndex, b []Series) error { return ix.(*TreeIndex).Insert(b) },
 	},
-	"trie": {
-		build: func(c Config) (repairIndex, error) { return BuildTrieIndex(c) },
-		open:  func(c Config) (repairIndex, error) { return OpenTrieIndex(c) },
-	},
 }
 
 // repairFixture builds kind over the sweep dataset as cfg says, grows it by
-// grow series where the kind takes inserts, and closes it cleanly.
+// grow series, and closes it cleanly.
 // It returns the baseline answers and record count the repaired index must
 // reproduce.
 func repairFixture(t *testing.T, kind repairKind, cfg Config, qs []Series, grow int) ([]Result, int64) {
@@ -58,14 +53,12 @@ func repairFixture(t *testing.T, kind repairKind, cfg Config, qs []Series, grow 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind.insert != nil {
-		extra, err := GenerateQueries(Astronomy, grow, sweepLen, sweepSeed+3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := kind.insert(ix, extra); err != nil {
-			t.Fatal(err)
-		}
+	extra, err := GenerateQueries(Astronomy, grow, sweepLen, sweepSeed+3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kind.insert(ix, extra); err != nil {
+		t.Fatal(err)
 	}
 	base := sweepBaseline(t, ix, qs)
 	count := ix.Count()
@@ -289,7 +282,7 @@ func TestRepairRefusesMismatchedDataFile(t *testing.T) {
 // end included. Opens ignore such a tail — its records were never
 // acknowledged, like an insert whose commit failed — but Repair re-sums the
 // raw file and rewrites the sidecar, as a fresh Build does, so for the LSM
-// as for the tree and the trie the repaired index holds them.
+// as for the tree the repaired index holds them.
 func TestRepairIndexesRecordsPastCommittedEnd(t *testing.T) {
 	rots := map[string]struct {
 		file string
@@ -297,7 +290,6 @@ func TestRepairIndexesRecordsPastCommittedEnd(t *testing.T) {
 	}{
 		"lsm":  {".run.", 16 + 8 + 4},
 		"tree": {".leaves", storage.ChecksumHeaderSize + 4},
-		"trie": {".leaves", storage.ChecksumHeaderSize + 4},
 	}
 	for kname, kind := range repairKinds {
 		t.Run(kname, func(t *testing.T) {

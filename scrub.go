@@ -2,7 +2,7 @@ package coconut
 
 // Scrub is the offline integrity pass: it walks every persistent artifact
 // an index's manifest references — the manifest itself, the leaf run of a
-// tree or a trie, LSM run files, the raw dataset via its CRC sidecar, and
+// tree, LSM run files, the raw dataset via its CRC sidecar, and
 // (for partitioned indexes) each child's artifacts — and verifies each
 // against its one integrity layer (block CRCs, the run codec's CRCs, record
 // CRCs) and against what its manifest promises (a leaf run against its
@@ -106,7 +106,7 @@ func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) error {
 				return err
 			}
 		}
-	case manifest.VariantTree, manifest.VariantTrie:
+	case manifest.VariantTree:
 		rep.add(core.VerifyLeafRun(fs, name, m))
 	case manifest.VariantLSM:
 		for _, ri := range m.LSM.Runs {
@@ -139,10 +139,10 @@ func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) error {
 //     into a fresh sidecar and bulk-loaded. The record multiset is
 //     unchanged, so answers are byte-identical to the undamaged index's,
 //     though the run layout may differ. The records include any complete
-//     ones past the sidecar's committed end, for an LSM as for a tree or a
-//     trie: appends whose commit never completed (un-synced tree inserts,
-//     LSM inserts whose caller got an error) are indexed by the rebuild,
-//     though no Open reads them and no Scrub verified them.
+//     ones past the sidecar's committed end, for an LSM as for a tree:
+//     appends whose commit never completed (un-synced tree inserts, LSM
+//     inserts whose caller got an error) are indexed by the rebuild, though
+//     no Open reads them and no Scrub verified them.
 //  4. Re-scrub, and remove every file the first report named that the
 //     second does not (runs the rebuild no longer references, say); the raw
 //     dataset is never removed. Files named only by a manifest that was

@@ -45,7 +45,7 @@ func (fs noViewsFS) Open(name string) (storage.File, error) {
 }
 
 // TestViewsParity: one built index, reopened on the bare file system and
-// behind noViewsFS, answers every query identically for tree, trie and LSM,
+// behind noViewsFS, answers every query identically for tree and LSM,
 // alone and partitioned, at QueryWorkers 1, 2 and 8. With one worker a
 // query's read sequence is deterministic, and then its visit counts and the
 // file system's counters — operations, sequential or random, bytes — are
@@ -279,7 +279,7 @@ func TestViewsOutliveClose(t *testing.T) {
 // with an error wrapping io.ErrUnexpectedEOF, as a short ReadAt would, the
 // process lives, and another index in it answers as before.
 func TestViewsTruncatedFileIsAnError(t *testing.T) {
-	for _, variant := range []string{"tree", "trie", "lsm"} {
+	for _, variant := range []string{"tree", "lsm"} {
 		t.Run(variant, func(t *testing.T) {
 			osfs := viewsOSFS(t)
 			victim := buildCancelVariant(t, osfs, variant, 1)

@@ -55,7 +55,10 @@ func buildCancelVariant(t *testing.T, fs Storage, variant string, parts int) ctx
 func cancelVariant(t *testing.T, cfg Config, variant string, reopen bool) ctxVariant {
 	t.Helper()
 	switch variant {
-	case "tree":
+	case "tree", "tree-full":
+		// A materialized tree verifies its candidates from its own leaf run:
+		// the stalled read is then one of the run's checksum blocks.
+		cfg.Materialized = variant == "tree-full"
 		build := BuildTreeIndex
 		if reopen {
 			build = OpenTreeIndex
@@ -108,7 +111,8 @@ func cancelQueries(t *testing.T) []Series {
 // armStallAtLastRead measures how many storage reads answering q costs on
 // v (deterministic with QueryWorkers 1), then arms a stall on the final
 // read of the next identical query. Every variant ends its exact search
-// inside a sharded verification scan over the raw data, so the parked
+// inside a sharded verification scan over the raw data (a materialized
+// tree: over its leaf run), so the parked
 // read sits in a detachable worker goroutine — the shape of storage stall
 // the cancellation machinery is built to survive. (The earlier reads of a
 // query happen on the caller goroutine during the approximate seed phase,
@@ -133,19 +137,27 @@ func armStallAtLastRead(t *testing.T, ffs *storage.FaultFS, v ctxVariant, q Seri
 	return ffs.StallAt(ffs.OpCount() + reads)
 }
 
-var cancelCases = []struct {
+type cancelCase struct {
 	variant string
 	parts   int
-}{
+}
+
+// cancelCases are the variants whose queries read the raw file, the file
+// read through views (views_test.go).
+var cancelCases = []cancelCase{
 	{"tree", 1}, {"tree", 3},
 	{"lsm", 1}, {"lsm", 3},
 }
+
+// ctxCases add a materialized tree, whose queries read candidates from its
+// own leaf run, to the cancellation tests.
+var ctxCases = append([]cancelCase{{"tree-full", 1}, {"tree-full", 3}}, cancelCases...)
 
 // TestCtxVariantsMatchPlainAPI: the Ctx methods under context.Background()
 // answer byte-identically to the context-free API for every variant and
 // partition count — threading ctx through the stack changed no results.
 func TestCtxVariantsMatchPlainAPI(t *testing.T) {
-	for _, tc := range cancelCases {
+	for _, tc := range ctxCases {
 		t.Run(fmt.Sprintf("%s-%dp", tc.variant, tc.parts), func(t *testing.T) {
 			fs := NewMemStorage()
 			v := buildCancelVariant(t, fs, tc.variant, tc.parts)
@@ -158,7 +170,7 @@ func TestCtxVariantsMatchPlainAPI(t *testing.T) {
 				}
 				var want Result
 				switch tc.variant {
-				case "tree":
+				case "tree", "tree-full":
 					want, err = reSearchTree(fs, tc.parts, q)
 				default:
 					// The ctx-free methods are literal Background wrappers;
@@ -215,7 +227,7 @@ func reSearchTree(fs Storage, parts int, q Series) (Result, error) {
 // answer — for every variant and partition count. A pre-cancelled context
 // is rejected before any work happens.
 func TestCancelledQueryReturnsCtxErr(t *testing.T) {
-	for _, tc := range cancelCases {
+	for _, tc := range ctxCases {
 		t.Run(fmt.Sprintf("%s-%dp", tc.variant, tc.parts), func(t *testing.T) {
 			ffs := storage.NewFaultFS(storage.NewMemFS())
 			v := buildCancelVariant(t, ffs, tc.variant, tc.parts)
@@ -264,7 +276,7 @@ func TestCancelledQueryReturnsCtxErr(t *testing.T) {
 // stalls forever returns context.DeadlineExceeded within twice its
 // deadline — the stalled shard is detached, not waited for.
 func TestQueryDeadlineExceededWithinTwiceDeadline(t *testing.T) {
-	for _, tc := range cancelCases {
+	for _, tc := range ctxCases {
 		t.Run(fmt.Sprintf("%s-%dp", tc.variant, tc.parts), func(t *testing.T) {
 			ffs := storage.NewFaultFS(storage.NewMemFS())
 			v := buildCancelVariant(t, ffs, tc.variant, tc.parts)
@@ -414,7 +426,7 @@ func TestCancelCyclesLeakNoGoroutines(t *testing.T) {
 // partition count, including while a cancelled query is still unwinding
 // from a stalled read.
 func TestDoubleCloseAllVariants(t *testing.T) {
-	for _, tc := range cancelCases {
+	for _, tc := range ctxCases {
 		t.Run(fmt.Sprintf("%s-%dp", tc.variant, tc.parts), func(t *testing.T) {
 			ffs := storage.NewFaultFS(storage.NewMemFS())
 			v := buildCancelVariant(t, ffs, tc.variant, tc.parts)

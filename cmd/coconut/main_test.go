@@ -105,14 +105,19 @@ func readSeries(t *testing.T, path string) []coconut.Series {
 }
 
 // TestCLIRoundTrip drives build -> info -> query -> stream -> scrub over
-// real files for every variant, unpartitioned and 2-partition. Every later
+// real files for every variant and a materialized tree, unpartitioned and
+// 2-partition. Every later
 // command runs from a fresh parseFlags that names only the directory and
 // the index, and the answers query prints are the public API's on the same
 // files.
 func TestCLIRoundTrip(t *testing.T) {
-	for _, variant := range []string{"tree", "lsm"} {
+	for _, c := range []struct {
+		name, variant string
+		mat           bool
+	}{{"tree", "tree", false}, {"tree-full", "tree", true}, {"lsm", "lsm", false}} {
+		variant := c.variant
 		for _, parts := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/partitions=%d", variant, parts), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/partitions=%d", c.name, parts), func(t *testing.T) {
 				dir := t.TempDir()
 				fs, err := coconut.NewDiskStorage(dir)
 				if err != nil {
@@ -132,6 +137,7 @@ func TestCLIRoundTrip(t *testing.T) {
 				with := func(extra ...string) []string { return append(append([]string(nil), at...), extra...) }
 
 				out := mustCLI(t, "build", with("-data", "walk.bin", "-len", strconv.Itoa(cliLen), "-variant", variant,
+					"-materialized="+strconv.FormatBool(c.mat),
 					"-partitions", strconv.Itoa(parts), "-leaf", "50", "-mem", "65536", "-workers", "2")...)
 				if !strings.Contains(out, fmt.Sprintf("%d series", cliSeries)) {
 					t.Fatalf("build did not report %d series:\n%s", cliSeries, out)
@@ -148,6 +154,7 @@ func TestCLIRoundTrip(t *testing.T) {
 				for _, want := range []string{
 					fmt.Sprintf("index %q (%s)", "idx", stored), "dataset:   walk.bin",
 					fmt.Sprintf("series:    %d", cliSeries), fmt.Sprintf("len=%d", cliLen),
+					fmt.Sprintf("materialized:  %v", c.mat),
 				} {
 					if !strings.Contains(out, want) {
 						t.Fatalf("info lacks %q:\n%s", want, out)

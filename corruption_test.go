@@ -11,6 +11,7 @@ package coconut
 // unrepairable class and must say so).
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -19,6 +20,7 @@ import (
 	"testing"
 
 	"github.com/coconut-db/coconut/internal/runblock"
+	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
 )
@@ -261,18 +263,26 @@ func TestRawTruncationRefused(t *testing.T) {
 // raw bytes, and Scrub names the raw file.
 func TestMissingSidecarRefused(t *testing.T) {
 	type closer interface{ Close() error }
+	tree := func(c Config) (closer, error) { return BuildTreeIndex(c) }
+	openTree := func(c Config) (closer, error) { return OpenTreeIndex(c) }
 	variants := map[string]struct {
+		mat   bool
 		build func(Config) (closer, error)
 		open  func(Config) (closer, error)
 	}{
-		"tree": {func(c Config) (closer, error) { return BuildTreeIndex(c) }, func(c Config) (closer, error) { return OpenTreeIndex(c) }},
-		"lsm":  {func(c Config) (closer, error) { return BuildLSMIndex(c) }, func(c Config) (closer, error) { return OpenLSMIndex(c) }},
+		"tree": {false, tree, openTree},
+		// Its queries read no raw byte, but its inserts append to the raw
+		// log the sidecar checks.
+		"tree-full": {true, tree, openTree},
+		"lsm":       {false, func(c Config) (closer, error) { return BuildLSMIndex(c) }, func(c Config) (closer, error) { return OpenLSMIndex(c) }},
 	}
 	for vname, v := range variants {
 		for _, parts := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/parts=%d", vname, parts), func(t *testing.T) {
 				ffs, _ := sweepSetup(t, storage.NewMemFS())
-				ix, err := v.build(sweepConfig(ffs, parts))
+				cfg := sweepConfig(ffs, parts)
+				cfg.Materialized = v.mat
+				ix, err := v.build(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -376,7 +386,8 @@ func TestCorruptionSweep(t *testing.T) {
 	for beName, mkFS := range sweepBackends(t) {
 		for _, parts := range []int{1, 3} {
 			prefix := fmt.Sprintf("%s/parts=%d/", beName, parts)
-			t.Run(prefix+"tree-leaf", func(t *testing.T) { sweepLeafRun(t, mkFS(t), parts) })
+			t.Run(prefix+"tree-leaf", func(t *testing.T) { sweepLeafRun(t, mkFS(t), parts, false) })
+			t.Run(prefix+"full-leaf", func(t *testing.T) { sweepLeafRun(t, mkFS(t), parts, true) })
 			t.Run(prefix+"full-leaf-query", func(t *testing.T) { sweepFullLeafQuery(t, mkFS(t), parts) })
 			t.Run(prefix+"lsm-run", func(t *testing.T) { sweepLSMRun(t, mkFS(t), parts) })
 			t.Run(prefix+"raw", func(t *testing.T) { sweepRaw(t, mkFS(t), parts) })
@@ -386,11 +397,13 @@ func TestCorruptionSweep(t *testing.T) {
 	}
 }
 
-// sweepLeafRun rots the first block of the largest leaf run of a tree. The
-// run is read whole at open, so opens fail typed.
-func sweepLeafRun(t *testing.T, inner sweepFS, parts int) {
+// sweepLeafRun rots the first block of the largest leaf run of a tree,
+// materialized or not. The run is read whole at open, so opens fail typed.
+func sweepLeafRun(t *testing.T, inner sweepFS, parts int, materialized bool) {
 	ffs, qs := sweepSetup(t, inner)
-	ix, err := BuildTreeIndex(sweepConfig(ffs, parts))
+	cfg := sweepConfig(ffs, parts)
+	cfg.Materialized = materialized
+	ix, err := BuildTreeIndex(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,57 +513,69 @@ func findLeafSeries(t *testing.T, fs sweepFS, pos int64) (string, int64) {
 // keeps every remaining block intact, so only its length against the
 // manifest's count tells it. Scrub runs the loader Open runs, so it names
 // the run, and Repair rebuilds an index that opens and answers as before,
-// for a tree of 1 and 2 partitions.
+// for a tree, materialized or not, of 1 and 2 partitions.
 func TestScrubChecksLeafRunLength(t *testing.T) {
 	qs, err := GenerateQueries(RandomWalk, 4, confLen, confSeed+2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const stride = 4 + 170*24 // a frame: CRC and 170 records of (key, position)
-	for _, parts := range []int{1, 2} {
-		for _, damage := range []string{"cut-tail-frame", "drop-middle-frame"} {
-			t.Run(fmt.Sprintf("tree/parts=%d/%s", parts, damage), func(t *testing.T) {
-				fs, _ := confFS(t)
-				cfg := confConfig(fs, 1, false)
-				cfg.Partitions = parts
-				ix, err := BuildTreeIndex(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				base := sweepBaseline(t, ix, qs)
-				if err := ix.Close(); err != nil {
-					t.Fatal(err)
-				}
-				leaves := findLargest(t, fs.(*storage.MemFS), ".leaves")
-				data, err := storage.ReadFileAll(fs, leaves)
-				if err != nil {
-					t.Fatal(err)
-				}
-				frame := func(i int) int { return storage.ChecksumHeaderSize + i*stride }
-				frames := (len(data) - frame(0) + stride - 1) / stride
-				if frames < 3 {
-					t.Fatalf("%s holds %d frames, want at least 3", leaves, frames)
-				}
-				if damage == "cut-tail-frame" {
-					data = data[:frame(frames-1)]
-				} else {
-					data = append(data[:frame(1):frame(1)], data[frame(2):]...)
-				}
-				if err := storage.WriteFileAll(fs, leaves, data); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"}); !errors.Is(err, ErrCorruptData) {
-					t.Fatalf("open: %v, want ErrCorruptData", err)
-				}
-				requireScrubFlags(t, fs, "conf", leaves)
-				requireRepairClean(t, fs, "conf")
-				re, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer re.Close()
-				assertExactAnswers(t, re, qs, base)
-			})
+	// A frame is a CRC and a block of whole records: 170 of (key, position),
+	// or of (key, position, series) as many as fit the materialized block.
+	full := 24 + series.EncodedSize(confLen)
+	strides := map[bool]int{false: 4 + 170*24, true: 4 + (4096/full)*full}
+	for _, variant := range []struct {
+		name string
+		mat  bool
+	}{{"tree", false}, {"tree-full", true}} {
+		stride := strides[variant.mat]
+		for _, parts := range []int{1, 2} {
+			for _, damage := range []string{"cut-tail-frame", "drop-middle-frame"} {
+				t.Run(fmt.Sprintf("%s/parts=%d/%s", variant.name, parts, damage), func(t *testing.T) {
+					fs, _ := confFS(t)
+					cfg := confConfig(fs, 1, variant.mat)
+					cfg.Partitions = parts
+					ix, err := BuildTreeIndex(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					base := sweepBaseline(t, ix, qs)
+					if err := ix.Close(); err != nil {
+						t.Fatal(err)
+					}
+					leaves := findLargest(t, fs.(*storage.MemFS), ".leaves")
+					data, err := storage.ReadFileAll(fs, leaves)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if block := int(binary.LittleEndian.Uint32(data[8:12])); 4+block != stride {
+						t.Fatalf("%s has %d-byte blocks, want frames of %d bytes", leaves, block, stride)
+					}
+					frame := func(i int) int { return storage.ChecksumHeaderSize + i*stride }
+					frames := (len(data) - frame(0) + stride - 1) / stride
+					if frames < 3 {
+						t.Fatalf("%s holds %d frames, want at least 3", leaves, frames)
+					}
+					if damage == "cut-tail-frame" {
+						data = data[:frame(frames-1)]
+					} else {
+						data = append(data[:frame(1):frame(1)], data[frame(2):]...)
+					}
+					if err := storage.WriteFileAll(fs, leaves, data); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"}); !errors.Is(err, ErrCorruptData) {
+						t.Fatalf("open: %v, want ErrCorruptData", err)
+					}
+					requireScrubFlags(t, fs, "conf", leaves)
+					requireRepairClean(t, fs, "conf")
+					re, err := OpenTreeIndex(Config{Storage: fs, Name: "conf"})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer re.Close()
+					assertExactAnswers(t, re, qs, base)
+				})
+			}
 		}
 	}
 }

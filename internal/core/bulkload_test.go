@@ -291,10 +291,12 @@ func TestFullApproxReadsOnlyVisitedBlocks(t *testing.T) {
 	}
 }
 
-// TestBuildReadsRawOnce: a tree build, at any worker
-// count, writes the sidecar storage.BuildRecordSums would and reads the raw
-// file once — its reads stay within 5% of the raw size plus what the sort
-// and the bulk loader read back of their own temporaries. A torn trailing
+// TestBuildReadsRawOnce: a tree build, at any worker count, writes the
+// sidecar storage.BuildRecordSums would and reads the raw file once — its
+// reads stay within 5% of the raw size plus what the sort and the bulk
+// loader read back of their own temporaries. A materialized (-Full) build
+// reads it once more and no more: the sort carries keys and positions only,
+// and the leaf writer fetches each record's series by position. A torn trailing
 // partial record is not part of the dataset, and a stale sidecar from a
 // longer dataset is replaced.
 func TestBuildReadsRawOnce(t *testing.T) {
@@ -312,54 +314,63 @@ func TestBuildReadsRawOnce(t *testing.T) {
 			t.Fatalf("exact search for the last whole record: %+v, %v", r, err)
 		}
 	}
-	for _, workers := range []int{1, 2, 8} {
-		for _, tc := range []struct {
-			name        string
-			torn, stale int
-		}{{"clean", 0, 0}, {"torn-tail", 11, 0}, {"stale-sidecar", 0, tCount + 30}} {
-			t.Run(fmt.Sprintf("tree/workers=%d/%s", workers, tc.name), func(t *testing.T) {
-				fs := storage.NewMemFS()
-				if tc.stale > 0 {
-					writeRaw(t, fs, dataset.Generate(dataset.NewRandomWalk(), tc.stale, tLen, 9), 0)
+	for _, variant := range []struct {
+		name string
+		mat  bool
+	}{{"tree", false}, {"tree-full", true}} {
+		for _, workers := range []int{1, 2, 8} {
+			for _, tc := range []struct {
+				name        string
+				torn, stale int
+			}{{"clean", 0, 0}, {"torn-tail", 11, 0}, {"stale-sidecar", 0, tCount + 30}} {
+				t.Run(fmt.Sprintf("%s/workers=%d/%s", variant.name, workers, tc.name), func(t *testing.T) {
+					fs := storage.NewMemFS()
+					if tc.stale > 0 {
+						writeRaw(t, fs, dataset.Generate(dataset.NewRandomWalk(), tc.stale, tLen, 9), 0)
+						if _, err := storage.BuildRecordSums(fs, "raw", series.EncodedSize(tLen)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					writeRaw(t, fs, data, tc.torn)
+					opt := baseOptions(t, fs, variant.mat)
+					opt.Workers = workers
+					before := fs.Stats().Snapshot()
+					ix, err := buildTree(opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					io := fs.Stats().Snapshot().Sub(before)
+					whole(t, ix)
+					ix.Close()
+					// Own temporaries: the sort's runs are read once by its
+					// merge, and the tree reads the sorted file once more.
+					temporaries := 2 * int64(len(data)) * summary.RecordSize
+					passes := int64(1)
+					if variant.mat {
+						passes = 2
+					}
+					if limit := passes*rawSize + rawSize/20 + temporaries; io.BytesRead > limit {
+						t.Fatalf("build read %d bytes of a %d-byte dataset, want at most %d (%d passes)", io.BytesRead, rawSize, limit, passes)
+					}
+					fused, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
+					if err != nil {
+						t.Fatal(err)
+					}
 					if _, err := storage.BuildRecordSums(fs, "raw", series.EncodedSize(tLen)); err != nil {
 						t.Fatal(err)
 					}
-				}
-				writeRaw(t, fs, data, tc.torn)
-				opt := baseOptions(t, fs, false)
-				opt.Workers = workers
-				before := fs.Stats().Snapshot()
-				ix, err := buildTree(opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				io := fs.Stats().Snapshot().Sub(before)
-				whole(t, ix)
-				ix.Close()
-				// Own temporaries: the sort's runs are read once by its
-				// merge, and the tree reads the sorted file once more.
-				temporaries := 2 * int64(len(data)) * int64(opt.recordSize())
-				if limit := rawSize + rawSize/20 + temporaries; io.BytesRead > limit {
-					t.Fatalf("build read %d bytes of a %d-byte dataset, want at most %d (one pass)", io.BytesRead, rawSize, limit)
-				}
-				fused, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := storage.BuildRecordSums(fs, "raw", series.EncodedSize(tLen)); err != nil {
-					t.Fatal(err)
-				}
-				want, _ := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
-				if !bytes.Equal(fused, want) {
-					t.Fatalf("build's sidecar (%d bytes) differs from BuildRecordSums's (%d bytes)", len(fused), len(want))
-				}
-				re, err := openTree(opt)
-				if err != nil {
-					t.Fatalf("reopen: %v", err)
-				}
-				whole(t, re)
-				re.Close()
-			})
+					want, _ := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
+					if !bytes.Equal(fused, want) {
+						t.Fatalf("build's sidecar (%d bytes) differs from BuildRecordSums's (%d bytes)", len(fused), len(want))
+					}
+					re, err := openTree(opt)
+					if err != nil {
+						t.Fatalf("reopen: %v", err)
+					}
+					whole(t, re)
+					re.Close()
+				})
+			}
 		}
 	}
 }

@@ -10,9 +10,10 @@ import (
 // either produce a manifest that re-encodes to the exact same bytes, or
 // fail with one of the typed errors — and never panic, hang, or allocate
 // proportionally to a forged length field. Any other format version is a
-// version mismatch. The seeds are every variant (the tree a multi-leaf
-// directory), each of them at the refused versions 1–9, and the stored
-// tries this version refuses.
+// version mismatch. The seeds are every variant (a tree grown by inserts
+// and a bulk-loaded one, a partitioned parent of LSM and of tree children),
+// each of them at the refused versions 1–9, and the stored tries this
+// version refuses, whole and damaged.
 func FuzzDecode(f *testing.F) {
 	for _, m := range samples() {
 		data, err := m.Encode()
@@ -30,6 +31,13 @@ func FuzzDecode(f *testing.F) {
 	}
 	for _, enc := range append(refusedEncodings(), storedTries()...) {
 		f.Add(enc) // typed ErrVersionMismatch, never a misread
+	}
+	for _, enc := range storedTries() {
+		// A damaged stored trie is corrupt, not a tree.
+		flipped := append([]byte(nil), enc...)
+		flipped[len(flipped)-1] ^= 0xff
+		f.Add(flipped)
+		f.Add(enc[:len(enc)/2])
 	}
 	f.Add([]byte{})
 	f.Add([]byte("CCMF"))

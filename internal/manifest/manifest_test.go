@@ -21,6 +21,16 @@ func sampleTree() *Manifest {
 	}
 }
 
+// sampleBulkTree is a tree as a bulk load leaves it: its run in generation
+// 0, packed into full leaves and a partial last one, its series not stored.
+func sampleBulkTree() *Manifest {
+	return &Manifest{
+		Variant: VariantTree, SeriesLen: 64, Segments: 8, CardBits: 8,
+		LeafCap: 50, RawName: "conf.bin", Count: 130,
+		Tree: &TreeLayout{Counts: []int{50, 50, 30}},
+	}
+}
+
 // legacyEncode is m as format version ver (1–9) wrote it: version 2 added
 // the LSM WAL cursors (the flushed position and two segment numbers, of
 // which version 8 keeps the position), 3 a checksums flag and 4 a
@@ -173,8 +183,20 @@ func samplePartitioned() *Manifest {
 	}
 }
 
+// samplePartitionedTrees is a parent of three materialized tree children.
+func samplePartitionedTrees() *Manifest {
+	var lo, hi summary.Key
+	lo[0], hi[0] = 0x40, 0xc0
+	return &Manifest{
+		Variant: VariantPartitioned, SeriesLen: 64, Segments: 8, CardBits: 8,
+		Materialized: true, LeafCap: 50, RawName: "conf.bin", Count: 900,
+		Part: &PartitionLayout{ChildVariant: VariantTree, Partitions: 3,
+			Boundaries: []summary.Key{lo, hi}, Children: []string{"px.p000", "px.p001", "px.p002"}},
+	}
+}
+
 func samples() []*Manifest {
-	return []*Manifest{sampleTree(), sampleLSM(), samplePartitioned()}
+	return []*Manifest{sampleTree(), sampleBulkTree(), sampleLSM(), samplePartitioned(), samplePartitionedTrees()}
 }
 
 // refusedEncodings are well-formed manifests of layouts no reader exists
@@ -398,10 +420,12 @@ func TestOldLayoutsRefused(t *testing.T) {
 // trie children, decode to ErrVersionMismatch (rebuild as a tree), not to
 // a corrupt manifest, at the format version they were written in.
 func TestStoredTrieRefused(t *testing.T) {
-	for i, enc := range storedTries() {
-		if _, err := Decode(enc); !errors.Is(err, ErrVersionMismatch) {
-			t.Fatalf("stored trie %d: got %v, want ErrVersionMismatch", i, err)
-		}
+	for i, name := range []string{"trie", "partitioned-trie-children"} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Decode(storedTries()[i]); !errors.Is(err, ErrVersionMismatch) {
+				t.Fatalf("got %v, want ErrVersionMismatch", err)
+			}
+		})
 	}
 }
 

@@ -333,9 +333,10 @@ func TestFailedFsyncIsStickyAndNeverAcknowledged(t *testing.T) {
 	}
 }
 
-// TestCompositeOffersWhatItsChildrenDo: every Composite takes inserts, and
-// has LSM housekeeping exactly when its children do — a Composite of trees
-// refuses a flush typed, never with a panic or a silent no-op — and answers
+// TestCompositeOffersWhatItsChildrenDo: every Composite takes inserts — a
+// materialized tree's too, whose children merge the batch's series into
+// their leaf runs — and has LSM housekeeping exactly when its children do —
+// a Composite of trees refuses a flush typed, never with a panic or a silent no-op — and answers
 // k-NN over every variant, exact search being its k = 1.
 func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 	batch := dataset.Generate(dataset.NewSeismic(), 4, ptLen, 3)
@@ -345,6 +346,7 @@ func TestCompositeOffersWhatItsChildrenDo(t *testing.T) {
 		flush   bool
 	}{
 		{"tree", false},
+		{"tree-full", false},
 		{"lsm", true},
 	} {
 		t.Run(tc.variant, func(t *testing.T) {

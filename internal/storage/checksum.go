@@ -175,14 +175,20 @@ func (c *ChecksumFile) Size() (int64, error) {
 
 // ReadAt reads logical bytes, verifying the CRC of every physical block it
 // touches. A mismatch returns ErrCorruptData and no payload bytes.
+//
+// The lock covers the block count and the buffered tail only. A full block
+// is never rewritten, so its read runs unlocked: a read stalled in the inner
+// file holds up no Close, which then closes the inner file under it, as
+// closing a plain file does.
 func (c *ChecksumFile) ReadAt(p []byte, off int64) (int, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	if off < 0 {
 		return 0, fmt.Errorf("storage: checksum file %q: negative offset %d", c.inner.Name(), off)
 	}
-	size := c.full*int64(c.block) + int64(len(c.tail))
+	c.mu.RLock()
+	full := c.full
+	size := full*int64(c.block) + int64(len(c.tail))
 	if off >= size {
+		c.mu.RUnlock()
 		return 0, io.EOF
 	}
 	n := len(p)
@@ -190,16 +196,23 @@ func (c *ChecksumFile) ReadAt(p []byte, off int64) (int, error) {
 		n = int(size - off)
 	}
 	if n == 0 {
+		c.mu.RUnlock()
 		return 0, nil
 	}
 	bsz := int64(c.block)
 	stride := int64(checksumCRCSize + c.block)
 	b0 := off / bsz
 	bLast := (off + int64(n) - 1) / bsz
-	if b0 < c.full {
+	if bLast >= full {
+		tailStart := full * bsz
+		lo, hi := max(tailStart, off), min(tailStart+int64(len(c.tail)), off+int64(n))
+		copy(p[lo-off:hi-off], c.tail[lo-tailStart:hi-tailStart])
+	}
+	c.mu.RUnlock()
+	if b0 < full {
 		fullHi := bLast
-		if fullHi >= c.full {
-			fullHi = c.full - 1
+		if fullHi >= full {
+			fullHi = full - 1
 		}
 		// p receives verified payload only; the framed blocks pass through buf.
 		var buf []byte
@@ -226,11 +239,6 @@ func (c *ChecksumFile) ReadAt(p []byte, off int64) (int, error) {
 			lo, hi := max(i*bsz, off), min((i+1)*bsz, off+int64(n))
 			copy(p[lo-off:hi-off], payload[lo-i*bsz:hi-i*bsz])
 		}
-	}
-	if bLast >= c.full {
-		tailStart := c.full * bsz
-		lo, hi := max(tailStart, off), min(tailStart+int64(len(c.tail)), off+int64(n))
-		copy(p[lo-off:hi-off], c.tail[lo-tailStart:hi-tailStart])
 	}
 	if n < len(p) {
 		return n, io.EOF

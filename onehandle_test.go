@@ -17,7 +17,23 @@ const (
 	handleLen   = 64
 )
 
-var allVariants = []Variant{Tree, LSM}
+// handleCase is a variant and whether the index stores its series
+// (Materialized, the paper's "-Full"), which only a tree does.
+type handleCase struct {
+	name string
+	v    Variant
+	mat  bool
+}
+
+// handleCases are every variant and a materialized tree.
+var handleCases = []handleCase{{"tree", Tree, false}, {"tree-full", Tree, true}, {"lsm", LSM, false}}
+
+// config is handleConfig for the case.
+func (c handleCase) config(t *testing.T, parts int) Config {
+	cfg := handleConfig(t, parts)
+	cfg.Materialized = c.mat
+	return cfg
+}
 
 // handleConfig generates a fresh dataset and configures an index over it in
 // parts partitions.
@@ -52,14 +68,15 @@ func handleQueries(t *testing.T) []Series {
 
 // TestApproxRadiusOutOfRange: a radius below 0 is radius 0, and a radius
 // whose window would overflow is the window over every series — on every
-// variant, unpartitioned and in two partitions, whose fan-out goroutines a
-// panic would kill the process on.
+// variant — a materialized tree reading its window from its leaf run —
+// unpartitioned and in two partitions, whose fan-out goroutines a panic
+// would kill the process on.
 func TestApproxRadiusOutOfRange(t *testing.T) {
 	qs := handleQueries(t)
-	for _, v := range allVariants {
+	for _, c := range handleCases {
 		for _, parts := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/%dp", v, parts), func(t *testing.T) {
-				ix, err := Build(context.Background(), handleConfig(t, parts), v)
+			t.Run(fmt.Sprintf("%s/%dp", c.name, parts), func(t *testing.T) {
+				ix, err := Build(context.Background(), c.config(t, parts), c.v)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,10 +140,10 @@ func answersOf(t *testing.T, ix *Index, qs []Series) answers {
 	return a
 }
 
-// TestOpenDetectsVariant: Open reads the variant from the manifest — a
-// partitioned index's children's — and answers exactly as the typed Open of
-// that variant does: exact, approximate and 5-NN answers, visit counts
-// included.
+// TestOpenDetectsVariant: Open reads the variant and the materialization
+// from the manifest — a partitioned index's children's — and answers
+// exactly as the typed Open of that variant does: exact, approximate and
+// 5-NN answers, visit counts included.
 func TestOpenDetectsVariant(t *testing.T) {
 	qs := handleQueries(t)
 	typed := map[Variant]func(Config) (*Index, error){
@@ -139,14 +156,16 @@ func TestOpenDetectsVariant(t *testing.T) {
 			return l.Index, nil
 		},
 	}
-	for _, v := range allVariants {
+	for _, c := range handleCases {
+		v := c.v
 		for _, parts := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/%dp", v, parts), func(t *testing.T) {
-				cfg := handleConfig(t, parts)
+			t.Run(fmt.Sprintf("%s/%dp", c.name, parts), func(t *testing.T) {
+				cfg := c.config(t, parts)
 				built, err := Build(context.Background(), cfg, v)
 				if err != nil {
 					t.Fatal(err)
 				}
+				size := built.SizeBytes()
 				if err := built.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -157,9 +176,10 @@ func TestOpenDetectsVariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ix.Variant() != v || ix.SeriesLen() != handleLen {
+				if ix.Variant() != v || ix.SeriesLen() != handleLen || ix.SizeBytes() != size {
 					ix.Close()
-					t.Fatalf("Open reports a %s index of length %d, built a %s of %d", ix.Variant(), ix.SeriesLen(), v, handleLen)
+					t.Fatalf("Open reports a %s index of length %d in %d bytes, built a %s of %d in %d",
+						ix.Variant(), ix.SeriesLen(), ix.SizeBytes(), v, handleLen, size)
 				}
 				got := answersOf(t, ix, qs)
 				if err := ix.Close(); err != nil {

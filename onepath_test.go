@@ -98,20 +98,25 @@ func TestOnePartitionIsUnpartitionedLayout(t *testing.T) {
 	type handle interface{ Close() error }
 	for name, k := range map[string]struct {
 		files       []string
+		mat         bool
 		build, open func(Config) (handle, error)
 	}{
-		"tree": {[]string{"conf.bin", "conf.bin.crc", "conf.leaves", "conf.manifest"},
+		"tree": {[]string{"conf.bin", "conf.bin.crc", "conf.leaves", "conf.manifest"}, false,
+			func(c Config) (handle, error) { return BuildTreeIndex(c) },
+			func(c Config) (handle, error) { return OpenTreeIndex(c) }},
+		// A materialized tree's series live in its leaf run.
+		"tree-full": {[]string{"conf.bin", "conf.bin.crc", "conf.leaves", "conf.manifest"}, true,
 			func(c Config) (handle, error) { return BuildTreeIndex(c) },
 			func(c Config) (handle, error) { return OpenTreeIndex(c) }},
 		// An LSM's one bulk-loaded run.
-		"lsm": {[]string{"conf.bin", "conf.bin.crc", "conf.manifest", "conf.run.000000"},
+		"lsm": {[]string{"conf.bin", "conf.bin.crc", "conf.manifest", "conf.run.000000"}, false,
 			func(c Config) (handle, error) { return BuildLSMIndex(c) },
 			func(c Config) (handle, error) { return OpenLSMIndex(c) }},
 	} {
 		for _, parts := range []int{0, 1} {
 			t.Run(fmt.Sprintf("%s/partitions=%d", name, parts), func(t *testing.T) {
 				fs, _ := confFS(t)
-				cfg := confConfig(fs, 1, false)
+				cfg := confConfig(fs, 1, k.mat)
 				cfg.Partitions = parts
 				ix, err := k.build(cfg)
 				if err != nil {

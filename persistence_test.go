@@ -585,9 +585,9 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 // TestOpenRefusesStoredTrie: testdata/storedtrie holds a Coconut-Trie
 // ("trie") and a 2-partition index of trie children ("ptrie") over one
 // dataset, as written while the trie was an index type of its own — in
-// manifest version 10, a tree's. Open, OpenTrieIndex, Scrub and Repair
-// refuse both with ErrVersionMismatch (rebuild as a tree): never as a
-// corrupt index, never opened as a tree.
+// manifest version 10, a tree's. Open, OpenTrieIndex, OpenTreeIndex, Scrub
+// and Repair refuse both with ErrVersionMismatch (rebuild as a tree): never
+// as a corrupt index, never opened as a tree.
 func TestOpenRefusesStoredTrie(t *testing.T) {
 	fs := NewMemStorage()
 	files, err := os.ReadDir("testdata/storedtrie")
@@ -603,26 +603,34 @@ func TestOpenRefusesStoredTrie(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, name := range []string{"trie", "ptrie"} {
-		cfg := Config{Storage: fs, Name: name}
-		refused := func(call string, ix *Index, err error) {
-			t.Helper()
-			if ix != nil {
-				ix.Close()
-			}
-			if !errors.Is(err, ErrVersionMismatch) {
-				t.Errorf("%s of %s: %v, want ErrVersionMismatch", call, name, err)
-			}
-		}
-		ix, err := Open(context.Background(), cfg)
-		refused("Open", ix, err)
-		ix, err = OpenTrieIndex(cfg)
-		refused("OpenTrieIndex", ix, err)
-		_, err = Scrub(fs, name)
-		refused("Scrub", nil, err)
-		_, err = Repair(cfg)
-		refused("Repair", nil, err)
+	calls := []struct {
+		name string
+		call func(Config) error
+	}{
+		{"Open", func(c Config) error { return closeIfOpened(Open(context.Background(), c)) }},
+		{"OpenTrieIndex", func(c Config) error { return closeIfOpened(OpenTrieIndex(c)) }},
+		{"OpenTreeIndex", func(c Config) error { return closeIfOpened(OpenTreeIndex(c)) }},
+		{"Scrub", func(c Config) error { _, err := Scrub(c.Storage, c.Name); return err }},
+		{"Repair", func(c Config) error { _, err := Repair(c); return err }},
 	}
+	for _, name := range []string{"trie", "ptrie"} {
+		for _, c := range calls {
+			t.Run(name+"/"+c.name, func(t *testing.T) {
+				if err := c.call(Config{Storage: fs, Name: name}); !errors.Is(err, ErrVersionMismatch) {
+					t.Fatalf("%v, want ErrVersionMismatch", err)
+				}
+			})
+		}
+	}
+}
+
+// closeIfOpened closes an index an open call returned and passes its error
+// on.
+func closeIfOpened(ix *Index, err error) error {
+	if ix != nil {
+		ix.Close()
+	}
+	return err
 }
 
 // smallestKey returns the position of a series of data whose invSAX key,

@@ -23,8 +23,10 @@ type repairIndex interface {
 	Close() error
 }
 
-// repairKind builds, reopens and grows one index type.
+// repairKind builds, reopens and grows one index type, materialized
+// (mat: its series stored in its leaf run) or not.
 type repairKind struct {
+	mat    bool
 	build  func(Config) (repairIndex, error)
 	open   func(Config) (repairIndex, error)
 	insert func(repairIndex, []Series) error
@@ -41,6 +43,12 @@ var repairKinds = map[string]repairKind{
 		open:   func(c Config) (repairIndex, error) { return OpenTreeIndex(c) },
 		insert: func(ix repairIndex, b []Series) error { return ix.(*TreeIndex).Insert(b) },
 	},
+	"tree-full": {
+		mat:    true,
+		build:  func(c Config) (repairIndex, error) { return BuildTreeIndex(c) },
+		open:   func(c Config) (repairIndex, error) { return OpenTreeIndex(c) },
+		insert: func(ix repairIndex, b []Series) error { return ix.(*TreeIndex).Insert(b) },
+	},
 }
 
 // repairFixture builds kind over the sweep dataset as cfg says, grows it by
@@ -49,6 +57,7 @@ var repairKinds = map[string]repairKind{
 // reproduce.
 func repairFixture(t *testing.T, kind repairKind, cfg Config, qs []Series, grow int) ([]Result, int64) {
 	t.Helper()
+	cfg.Materialized = kind.mat
 	ix, err := kind.build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +212,8 @@ func TestRepairRestartable(t *testing.T) {
 		{"lsm", 3, 300, ".run.", 16 + 8 + 4, false},
 		{"tree", 1, 30, ".leaves", storage.ChecksumHeaderSize + 4, false},
 		{"tree", 1, 30, ".leaves", storage.ChecksumHeaderSize + 4, true},
+		{"tree-full", 1, 30, ".leaves", storage.ChecksumHeaderSize + 4, false},
+		{"tree-full", 1, 30, ".leaves", storage.ChecksumHeaderSize + 4, true},
 	}
 	for _, tc := range cases {
 		cutBy := "power-loss"
@@ -282,14 +293,15 @@ func TestRepairRefusesMismatchedDataFile(t *testing.T) {
 // end included. Opens ignore such a tail — its records were never
 // acknowledged, like an insert whose commit failed — but Repair re-sums the
 // raw file and rewrites the sidecar, as a fresh Build does, so for the LSM
-// as for the tree the repaired index holds them.
+// as for the tree, materialized or not, the repaired index holds them.
 func TestRepairIndexesRecordsPastCommittedEnd(t *testing.T) {
 	rots := map[string]struct {
 		file string
 		off  int64
 	}{
-		"lsm":  {".run.", 16 + 8 + 4},
-		"tree": {".leaves", storage.ChecksumHeaderSize + 4},
+		"lsm":       {".run.", 16 + 8 + 4},
+		"tree":      {".leaves", storage.ChecksumHeaderSize + 4},
+		"tree-full": {".leaves", storage.ChecksumHeaderSize + 4},
 	}
 	for kname, kind := range repairKinds {
 		t.Run(kname, func(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -117,6 +118,28 @@ func TestArch(t *testing.T) {
 			if ast.IsExported(d.name) && strings.Contains(d.name, "Trie") &&
 				d.dir != "internal/isax" && d.dir != "internal/trie" && !shims[d.dir+":"+d.name] {
 				t.Errorf("%s: %s declared, an exported trie name that is not a shim", d.pos, d.name)
+			}
+		}
+	})
+
+	// A tree is one dense sorted run whose leaves are its checksum blocks:
+	// the leaf directory — its bulk-load packing and median splits, the leaf
+	// capacity and fill factor that shaped it, the manifest's per-leaf
+	// counts, and the retired trie variant the version-10 manifest still
+	// decoded — is gone. The iSAX, R-tree and DSTree baselines keep leaf
+	// capacities of their own.
+	t.Run("no-leaf-directory", func(t *testing.T) {
+		retired := map[string][]string{ // name → the packages that may not declare it (nil for any)
+			"packedStarts": nil, "splitStarts": nil, "startsOf": nil, "leafOfOrd": nil, "retiredTrie": nil,
+			"LeafCap":    {"internal/core", "internal/manifest", "internal/partition"},
+			"leafCap":    {"internal/partition"},
+			"FillFactor": {"internal/core", "internal/manifest", "internal/partition", "."},
+			"LeafSize":   {"."},
+			"Counts":     {"internal/manifest"},
+		}
+		for _, d := range decls {
+			if dirs, ok := retired[d.name]; ok && (dirs == nil || slices.Contains(dirs, d.dir)) {
+				t.Errorf("%s: %s declared, a part of the retired leaf directory", d.pos, d.name)
 			}
 		}
 	})

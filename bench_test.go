@@ -731,7 +731,7 @@ func BenchmarkParallelBuild(b *testing.B) {
 }
 
 // BenchmarkBulkBuildTree is the Coconut-Tree bulk load at the end-to-end
-// benchmark's scale (60k series, default LeafSize 2000, checksums on).
+// benchmark's scale (60k series, checksums on).
 // Besides time it reports the two byte ratios the build contract pins —
 // everything left on the device but the dataset, and everything read, per
 // raw byte — so page padding (index-bytes/raw-byte in the units, not
@@ -937,10 +937,6 @@ func BenchmarkIngestLatency(b *testing.B) {
 
 func BenchmarkAblationSortable(b *testing.B) { runFigure(b, experiments.AblationSortable) }
 
-func BenchmarkAblationFillFactor(b *testing.B) { runFigure(b, experiments.AblationFillFactor) }
-
 func BenchmarkAblationDevice(b *testing.B) { runFigure(b, experiments.AblationDevice) }
 
 func BenchmarkAblationLSMUpdates(b *testing.B) { runFigure(b, experiments.AblationLSMUpdates) }
-
-func BenchmarkAblationLeafSize(b *testing.B) { runFigure(b, experiments.AblationLeafSize) }

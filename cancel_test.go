@@ -41,7 +41,6 @@ func buildCancelVariant(t *testing.T, fs Storage, variant string, parts int) ctx
 		Name:       "cx",
 		DataFile:   "data.bin",
 		SeriesLen:  cancelLen,
-		LeafSize:   32,
 		Partitions: parts,
 		// One worker keeps the verification scan serial, so a query's
 		// storage-read sequence is deterministic and the stall-injection

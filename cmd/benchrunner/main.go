@@ -102,7 +102,7 @@ func main() {
 		}
 	}
 
-	fmt.Printf("Coconut evaluation — scale=%s (N=%d, len=%d, leaf=%d, queries=%d, workers=%d, query-workers=%d)\n",
+	fmt.Printf("Coconut evaluation — scale=%s (N=%d, len=%d, baseline-leaf=%d, queries=%d, workers=%d, query-workers=%d)\n",
 		*scaleFlag, sc.BaseCount, sc.SeriesLen, sc.LeafCap, sc.Queries, sc.Workers, sc.QueryWorkers)
 	start := time.Now()
 	var ran []*experiments.Table

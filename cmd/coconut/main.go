@@ -4,8 +4,10 @@
 // checksummed manifest next to the index files, and later query/info/
 // stream invocations reopen the index from that manifest — the dataset is
 // never re-indexed, and the build-time parameters (series length,
-// summarization, leaf size, variant) are read back from the manifest, so
-// they need not be repeated.
+// summarization, materialization, partitions, variant) are read back from
+// the manifest, so they need not be repeated. A tree's leaves are the
+// checksum blocks of its one sorted run, about 4 KiB of whole records each,
+// so there is no leaf size to choose.
 //
 // Build an index over a dataset (see cmd/datagen for producing one):
 //
@@ -111,7 +113,6 @@ func parseFlags(args []string) (*config, error) {
 	length := fl.Int("len", 256, "series length")
 	segments := fl.Int("segments", 16, "SAX segments")
 	cardBits := fl.Int("cardbits", 8, "bits per SAX symbol")
-	leaf := fl.Int("leaf", 2000, "leaf capacity in records")
 	mat := fl.Bool("materialized", false, "store raw series inside the index")
 	mem := fl.Int64("mem", 256<<20, "memory budget in bytes")
 	workers := fl.Int("workers", 0, "construction workers (0 = GOMAXPROCS)")
@@ -178,7 +179,6 @@ func parseFlags(args []string) (*config, error) {
 			SeriesLen:       *length,
 			Segments:        *segments,
 			CardinalityBits: *cardBits,
-			LeafSize:        *leaf,
 			Materialized:    *mat,
 			MemoryBudget:    *mem,
 			Workers:         *workers,
@@ -222,13 +222,13 @@ func splitNames(list string) []string {
 }
 
 // openConfig is the configuration for reopening the persisted index: the
-// summarization, leaf capacity, materialization and partition layout are
+// summarization, materialization and partition layout are
 // left unset, to be adopted from the manifest, so query/info/stream/serve
 // need only -dir and -name (a -data that names another dataset than the
 // stored one still fails loudly).
 func (cfg *config) openConfig() coconut.Config {
 	oc := cfg.build
-	oc.SeriesLen, oc.Segments, oc.CardinalityBits, oc.LeafSize = 0, 0, 0, 0
+	oc.SeriesLen, oc.Segments, oc.CardinalityBits = 0, 0, 0
 	oc.Materialized, oc.Partitions = false, 0
 	return oc
 }
@@ -289,12 +289,12 @@ func runBuild(cfg *config) error {
 var titles = map[coconut.Variant]string{coconut.Tree: "Coconut-Tree", coconut.LSM: "Coconut-LSM"}
 
 // shape describes what the index is made of: an LSM's runs, or a tree's
-// leaves.
+// leaves, the 4 KiB checksum blocks of its run.
 func shape(ix *coconut.Index) string {
 	if n := ix.NumRuns(); n > 0 {
 		return fmt.Sprintf(" across %d runs", n)
 	}
-	return fmt.Sprintf(", %d leaves (%.0f%% full)", ix.NumLeaves(), ix.LeafFill()*100)
+	return fmt.Sprintf(", %d leaf blocks (%.0f%% full)", ix.NumLeaves(), ix.LeafFill()*100)
 }
 
 // runScrub verifies every block of every artifact the index's manifest

@@ -138,7 +138,7 @@ func TestCLIRoundTrip(t *testing.T) {
 
 				out := mustCLI(t, "build", with("-data", "walk.bin", "-len", strconv.Itoa(cliLen), "-variant", variant,
 					"-materialized="+strconv.FormatBool(c.mat),
-					"-partitions", strconv.Itoa(parts), "-leaf", "50", "-mem", "65536", "-workers", "2")...)
+					"-partitions", strconv.Itoa(parts), "-mem", "65536", "-workers", "2")...)
 				if !strings.Contains(out, fmt.Sprintf("%d series", cliSeries)) {
 					t.Fatalf("build did not report %d series:\n%s", cliSeries, out)
 				}

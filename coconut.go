@@ -7,7 +7,8 @@
 // summarization: the bits of a SAX word are interleaved (z-order) so that
 // sorting the summaries keeps similar series adjacent, which unlocks
 // bottom-up bulk loading — a few sequential passes instead of per-series
-// random I/O — and median-based splitting, which packs leaves densely.
+// random I/O — into one dense sorted run whose leaves, its disk pages, are
+// full by construction.
 //
 // # Quick start
 //
@@ -130,15 +131,16 @@
 // (LSM runs reopen from the run files themselves). Manifest commits are
 // atomic (write-temp + rename), so a crash never leaves a torn manifest —
 // at worst the last committed state reopens. On reopen, unset Config
-// fields (series length, segments, leaf size, data file) are adopted from
-// the manifest; explicitly conflicting values fail loudly rather than
-// misread the stored bytes. One stored format is read, manifest version 10,
-// in which no stored file carries more than one integrity layer: CRC'd
-// blocks for the leaf run of a tree (the sorted records, one file), the run
-// codec's own block, directory and footer CRCs for LSM runs, per-record
-// CRCs (in a sidecar) for the raw dataset, and one CRC over the
-// manifest, which is also where a Coconut-Tree keeps its leaf directory and
-// a Coconut-LSM its run list and its one raw-file cursor. A tree insert
+// fields (series length, segments, data file) are adopted from the
+// manifest; explicitly conflicting values fail loudly rather than misread
+// the stored bytes. One stored format is read, manifest version 11, in
+// which no stored file carries more than one integrity layer: CRC'd blocks
+// for the leaf run of a tree (the sorted records, one file, whose blocks are
+// its leaves), the run codec's own block, directory and footer CRCs for LSM
+// runs, per-record CRCs (in a sidecar) for the raw dataset, and one CRC over
+// the manifest, which is also where a Coconut-Tree names its run's
+// generation and a Coconut-LSM keeps its run list and its one raw-file
+// cursor. A tree insert
 // merges into the next generation of its leaf run, which the manifest names
 // at the next Sync, so a crash between Syncs reopens at the last one. Any
 // other version fails Open, Scrub and Repair with ErrVersionMismatch
@@ -168,16 +170,17 @@ var (
 	// describes) that failed checksum or structural validation.
 	ErrCorruptManifest = manifest.ErrCorruptManifest
 	// ErrVersionMismatch reports an index stored in a format this build
-	// does not read: any manifest version but 10, whose files (LSM
-	// compaction cursors before 10, tree leaves on stamped B+-tree pages
-	// before 9, LSM write-ahead logs before 8, tree directories in a
+	// does not read: any manifest version but 11, whose files (a leaf
+	// capacity and a tree leaf directory, and Coconut-Trie layouts, before
+	// 11, LSM compaction cursors before 10, tree leaves on stamped B+-tree
+	// pages before 9, LSM write-ahead logs before 8, tree directories in a
 	// separate meta file before 7, LSM runs framed in checksum blocks before
 	// 6, flat runs or padded trie leaves before 5) no reader here
-	// understands, and a Coconut-Trie of any version. Rebuild the index (a
-	// trie as a tree).
+	// understands. Rebuild the index (a trie as a tree).
 	ErrVersionMismatch = manifest.ErrVersionMismatch
 	// ErrConfigMismatch reports a Config that conflicts with the stored
-	// index (different summarization, materialization, or dataset file).
+	// index: a different summarization, dataset file, partition count or
+	// variant.
 	ErrConfigMismatch = manifest.ErrConfigMismatch
 	// ErrCorruptData reports stored bytes that failed their block or
 	// record checksum — bit rot, a torn write, or an overwritten file.
@@ -258,11 +261,6 @@ type Config struct {
 	// CardinalityBits is the bits per SAX symbol (default 8 → cardinality
 	// 256).
 	CardinalityBits int
-	// LeafSize is a tree's records-per-leaf capacity (default 2000): the
-	// bulk load packs leaves to FillFactor of it and an insert splits a
-	// full leaf at the median. It shapes the leaf counters (NumLeaves,
-	// LeafFill, Result.VisitedLeaves), never what a search reads.
-	LeafSize int
 	// Materialized stores raw series inside the index (the paper's "-Full"
 	// variants): a bigger index, but queries never touch the dataset file.
 	// They read each candidate record from the index's own leaf run, with
@@ -270,9 +268,6 @@ type Config struct {
 	Materialized bool
 	// MemoryBudget bounds construction memory in bytes (default 64 MiB).
 	MemoryBudget int64
-	// FillFactor packs Coconut-Tree leaves to this fraction on bulk load
-	// (default 1.0). Leave headroom (< 1.0) for update-heavy workloads.
-	FillFactor float64
 	// Workers is the number of concurrent workers used during index
 	// construction — summarization, chunk sorting, run merging, and insert
 	// summarization all fan out across them, with MemoryBudget partitioned
@@ -334,19 +329,13 @@ func (c *Config) toCore() (core.Options, error) {
 	if err != nil {
 		return core.Options{}, fmt.Errorf("coconut: %w", err)
 	}
-	leaf := c.LeafSize
-	if leaf == 0 {
-		leaf = 2000
-	}
 	return core.Options{
 		FS:             c.Storage,
 		Name:           c.Name,
 		S:              s,
 		RawName:        c.DataFile,
 		Materialized:   c.Materialized,
-		LeafCap:        leaf,
 		MemBudgetBytes: c.MemoryBudget,
-		FillFactor:     c.FillFactor,
 		Workers:        c.Workers,
 		QueryWorkers:   c.QueryWorkers,
 	}, nil
@@ -382,9 +371,6 @@ func (c *Config) mergeStored() (Variant, error) {
 	if c.DataFile == "" {
 		c.DataFile = m.RawName
 	}
-	if c.LeafSize == 0 && m.LeafCap != 0 {
-		c.LeafSize = m.LeafCap
-	}
 	// Materialization is a property of the stored bytes, not a knob.
 	c.Materialized = m.Materialized
 	return Variant(kind), nil
@@ -398,11 +384,12 @@ type Result struct {
 	Distance float64
 	// VisitedSeries counts how many raw series were examined.
 	VisitedSeries int64
-	// VisitedLeaves counts the leaves of a tree that an approximate
-	// search's window spans (0 for an LSM, which has none).
-	// Every search reads candidate records, not leaves: an exact search's
-	// verification adds nothing, so it reports the leaves its seeding
-	// window (radius 1) spans.
+	// VisitedLeaves counts the leaves of a tree — the checksum blocks of
+	// its leaf run, each a disk page of whole records — that an approximate
+	// search's window spans (0 for an LSM, which has none). Every search
+	// reads candidate records, not leaves: an exact search's verification
+	// adds nothing, so it reports the leaves its seeding window (radius 1)
+	// spans.
 	VisitedLeaves int64
 }
 
@@ -470,7 +457,7 @@ func Build(ctx context.Context, cfg Config, v Variant) (*Index, error) {
 
 // Open reopens the index previously built (and Closed) under cfg.Name over
 // cfg.Storage, of whichever variant its manifest records, without touching
-// the raw dataset: a tree's leaf directory comes from its manifest, an
+// the raw dataset: a tree's summary array comes from its leaf run, an
 // LSM's runs from the run files themselves (its run list is its compaction
 // schedule, so later Inserts continue the flush/compaction sequence a
 // never-closed index would have produced), and a partitioned index reopens
@@ -701,10 +688,13 @@ func (x *Index) Sync() error { return x.ix.Sync() }
 // Count returns the number of indexed series.
 func (x *Index) Count() int64 { return x.ix.Count() }
 
-// NumLeaves returns the number of leaves of a tree.
+// NumLeaves returns the number of leaves of a tree: the checksum blocks of
+// its leaf run, each about 4 KiB of whole records (summed over partitions).
 func (x *Index) NumLeaves() int { return x.ix.Shape().Leaves }
 
-// LeafFill returns the mean leaf occupancy in [0,1] of a tree.
+// LeafFill returns the mean leaf occupancy in [0,1] of a tree: every leaf
+// but the last of each run is full, so it falls short of 1 by the last
+// leaves' free records alone.
 func (x *Index) LeafFill() float64 { return x.ix.Shape().LeafFill }
 
 // NumRuns returns the number of an LSM's on-disk sorted runs.

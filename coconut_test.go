@@ -16,7 +16,6 @@ func TestPublicAPITreeRoundTrip(t *testing.T) {
 		Name:      "ix",
 		DataFile:  "data.bin",
 		SeriesLen: 128,
-		LeafSize:  32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +59,7 @@ func TestPublicAPITrieShims(t *testing.T) {
 	}
 	// One query worker: the visit counts of a sharded scan depend on the
 	// shards' timing.
-	cfg := Config{Storage: fs, DataFile: "data.bin", SeriesLen: 64, Segments: 8, LeafSize: 16, QueryWorkers: 1}
+	cfg := Config{Storage: fs, DataFile: "data.bin", SeriesLen: 64, Segments: 8, QueryWorkers: 1}
 	shim, tree := cfg, cfg
 	shim.Name, tree.Name = "shim", "tree"
 	idx, err := BuildTrieIndex(shim)
@@ -103,7 +102,7 @@ func TestPublicAPIInsert(t *testing.T) {
 	GenerateDataset(fs, "data.bin", RandomWalk, 200, 64, 5)
 	idx, err := BuildTreeIndex(Config{
 		Storage: fs, Name: "u", DataFile: "data.bin",
-		SeriesLen: 64, Segments: 8, LeafSize: 16,
+		SeriesLen: 64, Segments: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,6 @@ func bramConfig(fs Storage, name string, parts int) Config {
 		DataFile:     "data.bin",
 		SeriesLen:    bramLen,
 		Segments:     8,
-		LeafSize:     32,
 		Partitions:   parts,
 		Workers:      2,
 		QueryWorkers: 2,

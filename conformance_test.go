@@ -37,7 +37,6 @@ func confConfig(fs Storage, queryWorkers int, materialized bool) Config {
 		DataFile:     "conf.bin",
 		SeriesLen:    confLen,
 		Segments:     8,
-		LeafSize:     50,
 		Materialized: materialized,
 		MemoryBudget: 1 << 20,
 		Workers:      2,

@@ -72,7 +72,6 @@ func sweepConfig(fs Storage, parts int) Config {
 		DataFile:     "data.bin",
 		SeriesLen:    sweepLen,
 		Segments:     8,
-		LeafSize:     32,
 		Partitions:   parts,
 		Workers:      2,
 		QueryWorkers: 2,
@@ -308,8 +307,8 @@ func TestMissingSidecarRefused(t *testing.T) {
 	}
 }
 
-// TestTreeManifestEveryBitCovered pins that the tree's manifest, the one
-// home of its leaf directory, leaves no bit unchecked: each bit of the
+// TestTreeManifestEveryBitCovered pins that the tree's manifest, which
+// names its leaf run's generation, leaves no bit unchecked: each bit of the
 // manifest of a tree grown by inserts is flipped in turn, and every flip
 // must fail OpenTreeIndex typed — ErrVersionMismatch for the 32 bits of the
 // version word, ErrCorruptManifest for every other — never a panic, while
@@ -320,7 +319,7 @@ func TestTreeManifestEveryBitCovered(t *testing.T) {
 	if err := GenerateDataset(fs, "data.bin", RandomWalk, n, length, sweepSeed); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildTreeIndex(Config{Storage: fs, Name: "ix", DataFile: "data.bin", SeriesLen: length, LeafSize: 100, Workers: 2})
+	ix, err := BuildTreeIndex(Config{Storage: fs, Name: "ix", DataFile: "data.bin", SeriesLen: length, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer idx.Close()
-	fmt.Printf("bulk-loaded Coconut-Tree in %v: %d leaves, %.0f%% full, %.1f MB\n",
+	fmt.Printf("bulk-loaded Coconut-Tree in %v: %d leaf blocks, %.0f%% full, %.1f MB\n",
 		time.Since(start).Round(time.Millisecond),
 		idx.NumLeaves(), idx.LeafFill()*100, float64(idx.SizeBytes())/1e6)
 

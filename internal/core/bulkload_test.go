@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"testing"
 
@@ -81,32 +80,22 @@ func logicalBytes(t *testing.T, fs storage.FS, name string) []byte {
 type treeShape struct {
 	rows      []uint8
 	positions []int64
-	starts    []int
 }
 
 func shapeOf(ix *TreeIndex) treeShape {
-	return treeShape{rows: ix.sims.col.Syms, positions: ix.sims.positions, starts: ix.starts}
+	return treeShape{rows: ix.sims.col.Syms, positions: ix.sims.positions}
 }
 
 func (a treeShape) equal(b treeShape) bool {
-	return slices.Equal(a.rows, b.rows) && slices.Equal(a.positions, b.positions) && slices.Equal(a.starts, b.starts)
+	return slices.Equal(a.rows, b.rows) && slices.Equal(a.positions, b.positions)
 }
 
-// digest condenses a leaf directory — its starts or its counts — for
-// comparison with recorded values.
-func digest(xs []int) string {
-	h := fnv.New64a()
-	for _, x := range xs {
-		fmt.Fprintf(h, "%d,", x)
-	}
-	return fmt.Sprintf("%d:%016x", len(xs), h.Sum64())
-}
-
-// TestTreeLeafFileIsTheSortedRun: at every worker count, leaf capacity and
+// TestTreeLeafFileIsTheSortedRun: at every worker count, sort budget (one
+// that spills several runs and one that sorts the input in memory) and
 // materialization, on a random walk, an empty and a one-record dataset and
 // one of identical keys, the tree's leaf file is the sorted record stream
-// and nothing else, its directory packs it into full leaves, and OpenTree
-// reproduces the build's summary array and directory.
+// and nothing else, its leaves are its checksum blocks, all full but the
+// last, and OpenTree reproduces the build's summary array.
 func TestTreeLeafFileIsTheSortedRun(t *testing.T) {
 	walk := dataset.Generate(dataset.NewRandomWalk(), tCount, tLen, 42)
 	equal := make([]series.Series, 40)
@@ -121,15 +110,16 @@ func TestTreeLeafFileIsTheSortedRun(t *testing.T) {
 	for _, ds := range datasets {
 		for _, mat := range []bool{false, true} {
 			want := sortedStream(t, s, ds.data, mat)
-			for _, leafCap := range []int{2, 16, 2000} {
-				name := fmt.Sprintf("%s/mat=%v/leafcap=%d", ds.name, mat, leafCap)
+			for _, budget := range []int64{16 << 10, 64 << 20} {
+				name := fmt.Sprintf("%s/mat=%v/budget=%d", ds.name, mat, budget)
 				t.Run(name, func(t *testing.T) {
 					var fs *storage.MemFS
 					var ix *loneTree
 					opt := func(workers int) Options {
 						o := baseOptions(t, fs, mat)
-						o.LeafCap, o.Workers = leafCap, workers
-						o.MemBudgetBytes = 16 << 10 // several runs: a real merge writes the leaves
+						// 16 KiB spills several runs, so a real merge writes
+						// the leaves; 64 MiB sorts the input in memory.
+						o.Workers, o.MemBudgetBytes = workers, budget
 						return o
 					}
 					// Every worker count writes the same leaf file; the last
@@ -165,12 +155,14 @@ func TestTreeLeafFileIsTheSortedRun(t *testing.T) {
 					}
 					defer func() { ix.Close() }()
 
-					if want := packedStarts(len(ds.data), leafCap); !slices.Equal(ix.starts, want) {
-						t.Fatalf("leaf starts %v, want full leaves %v", ix.starts, want)
+					per := leafBlockSize(ix.opt.recordSize()) / ix.opt.recordSize()
+					sh := ix.Shape()
+					if want := (len(ds.data) + per - 1) / per; sh.Leaves != want {
+						t.Fatalf("%d leaves, want %d checksum blocks of %d records", sh.Leaves, want, per)
 					}
-					if n := ix.Shape().Leaves; n > 0 {
-						if fill, want := ix.Shape().LeafFill, float64(len(ds.data))/float64(n*leafCap); fill != want {
-							t.Fatalf("AvgLeafFill = %v, want logical occupancy %v", fill, want)
+					if sh.Leaves > 0 {
+						if want := float64(len(ds.data)) / float64(sh.Leaves*per); sh.LeafFill != want {
+							t.Fatalf("LeafFill = %v, want occupancy %v", sh.LeafFill, want)
 						}
 					}
 
@@ -184,7 +176,7 @@ func TestTreeLeafFileIsTheSortedRun(t *testing.T) {
 					}
 					ix = re
 					if !built.equal(shapeOf(re.TreeIndex)) {
-						t.Fatal("OpenTree did not reproduce the build-time keys, positions and leaf starts")
+						t.Fatal("OpenTree did not reproduce the build-time keys and positions")
 					}
 				})
 			}
@@ -214,12 +206,11 @@ func blockBytes(off, n, block int64) int64 {
 // its candidates from the leaf run as the raw-file scan does, one read per
 // run of adjacent candidates (at most rawRunCap records, starting at a
 // record the search visits), and each read costs only the checksum blocks
-// its records touch — over a LeafCap-2000 tree, one leaf of the whole
-// fixture.
+// its records touch.
 func TestFullCandidateRunReadsOnlyItsBlocks(t *testing.T) {
 	fs, _ := fixtureFS(t)
 	opt := baseOptions(t, fs, true)
-	opt.LeafCap, opt.QueryWorkers = 2000, 1
+	opt.QueryWorkers = 1
 	ix, err := buildTree(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -264,12 +255,11 @@ func TestFullCandidateRunReadsOnlyItsBlocks(t *testing.T) {
 
 // TestFullApproxReadsOnlyVisitedBlocks: a materialized approximate search
 // reads each record it visits, and nothing else, from its leaf run — the
-// checksum block holding the record — however large the leaf around it (a
-// LeafCap-2000 tree holds the whole fixture in one leaf).
+// checksum block holding the record.
 func TestFullApproxReadsOnlyVisitedBlocks(t *testing.T) {
 	fs, _ := fixtureFS(t)
 	opt := baseOptions(t, fs, true)
-	opt.LeafCap, opt.QueryWorkers = 2000, 1
+	opt.QueryWorkers = 1
 	ix, err := buildTree(opt)
 	if err != nil {
 		t.Fatal(err)

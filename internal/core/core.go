@@ -6,10 +6,10 @@
 // form, the leaf run: one sequential pass over the raw file computes each
 // series' invSAX key, the (key, position) records (summary.Record) are
 // externally sorted under the memory budget (once per build, by the
-// partition layer), the sorted stream is written once, into one file, and a
-// leaf directory of record counts cuts the sorted run into contiguous
-// leaves, packed to the configured fill factor as a UB-tree bulk load packs
-// its leaves; inserts split a full leaf at the median.
+// partition layer), and the sorted stream is written once, into one dense
+// file. Its leaves are the run's checksum blocks, each a disk page of whole
+// records, so every leaf but the last is full by construction; an insert
+// batch merges into the next generation of the run, so no leaf ever splits.
 //
 // The paper's Coconut-Trie (Algorithm 2) cut the same run at iSAX prefix
 // boundaries instead and answered approximately from the prefix leaf. Here
@@ -34,7 +34,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/series"
@@ -63,11 +62,6 @@ type Options struct {
 	// whose queries then read their candidates from the leaf run instead of
 	// the raw file (see Store).
 	Materialized bool
-	// LeafCap is the records-per-leaf capacity (paper: 2000).
-	LeafCap int
-	// FillFactor packs bulk-loaded Tree leaves to this fraction (default 1:
-	// "as compactly as possible"; lower it to leave room for updates).
-	FillFactor float64
 	// MemBudgetBytes is the memory budget M of the bulk load's sort, which
 	// the partition layer runs (DefaultMemBudget when unset).
 	MemBudgetBytes int64
@@ -107,11 +101,6 @@ func (o *Options) validate() error {
 		return errors.New("core: empty raw file name")
 	case o.RawSums == nil:
 		return errors.New("core: nil raw log")
-	case o.LeafCap < 2:
-		return errors.New("core: leaf capacity must be at least 2")
-	}
-	if o.FillFactor <= 0 || o.FillFactor > 1 {
-		o.FillFactor = 1
 	}
 	return nil
 }
@@ -142,15 +131,17 @@ type Result struct {
 	// VisitedRecords counts series whose true distance was computed
 	// (Figure 9f).
 	VisitedRecords int64
-	// VisitedLeaves counts the leaves an approximate window spans (an LSM
-	// has none). Exact search reads candidate records, not leaves: its
-	// verification adds nothing, so it reports its seeding window's leaves.
+	// VisitedLeaves counts the leaves — checksum blocks of the leaf run —
+	// an approximate window spans (an LSM has none). Exact search reads
+	// candidate records, not leaves: its verification adds nothing, so it
+	// reports its seeding window's leaves.
 	VisitedLeaves int64
 }
 
 // Shape describes how an index lays its records out on the device: leaves
-// and their mean occupancy in [0,1] for the tree, sorted
-// runs for the LSM. The fields a variant has no notion of stay zero.
+// (the leaf run's checksum blocks, see leafBlocks) and their mean occupancy
+// in [0,1] for the tree, sorted runs for the LSM. The fields a variant has
+// no notion of stay zero.
 type Shape struct {
 	Leaves   int
 	LeafFill float64
@@ -372,12 +363,6 @@ func EvalWindow(ctx context.Context, q series.Series, k int, cands []window.Cand
 		st := &srcs[c.Src].Store
 		return st.Fetch(views[c.Src], st.id(c), sc.Buf)
 	})
-}
-
-// leafOfOrd locates the leaf (by directory position) holding the record
-// with global ordinal ord, given each leaf's starting ordinal.
-func leafOfOrd(bases []int, ord int) int {
-	return sort.Search(len(bases), func(i int) bool { return bases[i] > ord }) - 1
 }
 
 // Store is where an index's candidates are read from: the raw dataset file

@@ -44,7 +44,6 @@ func baseOptions(t *testing.T, fs storage.FS, materialized bool) Options {
 		S:              tSummarizer(t),
 		RawName:        "raw",
 		Materialized:   materialized,
-		LeafCap:        20,
 		MemBudgetBytes: 1 << 20,
 	}
 }
@@ -71,13 +70,14 @@ func TestBuildTreeShape(t *testing.T) {
 		if ix.Count() != tCount {
 			t.Fatalf("Count = %d", ix.Count())
 		}
-		// Full fill factor: leaves completely packed (bar the last).
-		if fill := ix.Shape().LeafFill; fill < 0.9 {
-			t.Fatalf("Coconut-Tree fill %v — the paper's headline is ~97%%", fill)
-		}
-		wantLeaves := (tCount + 19) / 20
+		// The leaves are the run's checksum blocks, packed full bar the last.
+		per := leafBlockSize(ix.opt.recordSize()) / ix.opt.recordSize()
+		wantLeaves := (tCount + per - 1) / per
 		if got := ix.Shape().Leaves; got != wantLeaves {
 			t.Fatalf("NumLeaves = %d, want %d", got, wantLeaves)
+		}
+		if fill, want := ix.Shape().LeafFill, float64(tCount)/float64(wantLeaves*per); fill != want {
+			t.Fatalf("LeafFill = %v, want %v", fill, want)
 		}
 		if ix.SizeBytes() == 0 {
 			t.Fatal("empty index file")
@@ -152,6 +152,7 @@ func TestTreeApproxSearch(t *testing.T) {
 		}
 		defer ix.Close()
 		qs := dataset.Queries(dataset.NewRandomWalk(), 10, tLen, 7)
+		wider := 0 // queries whose radius-5 window spans more leaves
 		for _, q := range qs {
 			res, err := ix.ApproxSearch(context.Background(), q, 0)
 			if err != nil {
@@ -172,9 +173,17 @@ func TestTreeApproxSearch(t *testing.T) {
 			if res5.Dist > res.Dist+1e-12 {
 				t.Fatalf("radius 5 answer worse than radius 0: %v vs %v", res5.Dist, res.Dist)
 			}
-			if res5.VisitedLeaves <= res.VisitedLeaves {
-				t.Fatal("radius should visit more leaves")
+			// A leaf is a checksum block of 170 plain records: a window
+			// clipped at an end of the run may stay in one.
+			if res5.VisitedLeaves < res.VisitedLeaves {
+				t.Fatalf("mat=%v: radius 5 spans %d leaves, radius 0 %d", mat, res5.VisitedLeaves, res.VisitedLeaves)
 			}
+			if res5.VisitedLeaves > res.VisitedLeaves {
+				wider++
+			}
+		}
+		if wider == 0 {
+			t.Fatalf("mat=%v: no radius-5 window spans more leaves than radius 0's", mat)
 		}
 	}
 }
@@ -201,12 +210,13 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 		}
 		defer tree.Close()
 		for name, ix := range map[string]struct {
-			sims      *simsArray
-			leafStart []int
-			window    func(context.Context, series.Series, int) (ApproxWindow, error)
-			search    func(context.Context, series.Series, int) (Result, error)
+			sims *simsArray
+			// per is the records a leaf — a checksum block — holds.
+			per    int
+			window func(context.Context, series.Series, int) (ApproxWindow, error)
+			search func(context.Context, series.Series, int) (Result, error)
 		}{
-			"tree": {&tree.sims, tree.starts, tree.ApproxWindowCands, tree.approxSearch},
+			"tree": {&tree.sims, leafBlockSize(opt.recordSize()) / opt.recordSize(), tree.ApproxWindowCands, tree.approxSearch},
 		} {
 			for qi, q := range queries {
 				// Radius 100 saturates: its window is every record.
@@ -229,7 +239,7 @@ func TestApproxWindowMatchesReference(t *testing.T) {
 						sax := summary.Deinterleave(keys[i], opt.S.Params().Segments, opt.S.Params().CardBits)
 						c := window.Cand{Key: keys[i], Pos: ix.sims.positions[i], Ord: i, LB: opt.S.MinDistSqPAAToSAX(qPAA, sax)}
 						cands = append(cands, c)
-						leaves[leafOfOrd(ix.leafStart, i)] = true
+						leaves[i/ix.per] = true
 						if sq, _ := series.SquaredED(q, data[c.Pos]); sq < best.Dist {
 							best.Pos, best.Dist = c.Pos, sq
 						}
@@ -397,7 +407,7 @@ func TestOptionsValidation(t *testing.T) {
 		t.Fatal("expected validation error")
 	}
 	fs := storage.NewMemFS()
-	if _, err := buildTree(Options{FS: fs, Name: "x", S: tSummarizer(t), RawName: "missing", LeafCap: 10}); err == nil {
+	if _, err := buildTree(Options{FS: fs, Name: "x", S: tSummarizer(t), RawName: "missing"}); err == nil {
 		t.Fatal("expected error for missing raw file")
 	}
 }

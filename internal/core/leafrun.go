@@ -16,13 +16,12 @@ import (
 
 // The leaf run is the one stored form of a TreeIndex: the sorted (key,
 // position[, raw series]) record run, flat and unpadded in one checksummed
-// file, cut into leaves by a directory of record counts that its manifest
-// holds. Everything that touches the file is here: the bulk load, the one
-// loader Open and Scrub both run, and the merge an insert batch makes into
-// the next generation of the run. The leaf directory is never read on the
-// query path but to count the leaves a window spans: both steps of a query
-// read candidate records, not leaves, from the store (see store) — the run
-// itself when materialized — through the scan every index uses.
+// file, whose leaves are its checksum blocks (leafBlockSize). Everything that
+// touches the file is here: the bulk load, the one loader Open and Scrub both
+// run, and the merge an insert batch makes into the next generation of the
+// run. Both steps of a query read candidate records, not leaves, from the
+// store (see store) — the run itself when materialized — through the scan
+// every index uses; leaves are only counted (leafBlocks).
 
 // runName names generation gen of the leaf run of index name.
 func runName(name string, gen int64) string {
@@ -32,11 +31,24 @@ func runName(name string, gen int64) string {
 	return fmt.Sprintf("%s.%d.leaves", name, gen)
 }
 
-// leafBlockSize is the checksum-block payload of a leaf run: a whole number
-// of records, about 4 KiB, so no record straddles two blocks and a leaf read
-// verifies little beyond the leaf.
+// leafBlockSize is the checksum-block payload of a leaf run, which is also
+// its leaf: a whole number of records, about 4 KiB (the paper's disk page),
+// so no record straddles two blocks and a record read verifies little
+// beyond its own leaf.
 func leafBlockSize(recordSize int) int {
 	return max(1, 4096/recordSize) * recordSize
+}
+
+// leafBlocks returns the leaves — checksum blocks — that records [lo, hi) of
+// a leaf run of recordSize-byte records span: with lo = 0 and hi the count,
+// the leaves of the run. The leaf counters (Shape, ApproxWindow.Leaves,
+// VerifyLeafRun) all derive from it, never from stored state.
+func leafBlocks(lo, hi int64, recordSize int) int64 {
+	if lo >= hi {
+		return 0
+	}
+	per := int64(leafBlockSize(recordSize) / recordSize)
+	return (hi-1)/per - lo/per + 1
 }
 
 // genWriter writes one generation of the run: records in run order,
@@ -174,21 +186,11 @@ func (ix *TreeIndex) openGen(gen int64) (storage.File, error) {
 	return f, nil
 }
 
-// startsOf returns the leaf directory of counts.
-func startsOf(counts []int) []int {
-	starts := make([]int, 1, len(counts)+1)
-	for _, c := range counts {
-		starts = append(starts, starts[len(starts)-1]+c)
-	}
-	return starts
-}
-
 // build is the bulk load: opt.Records, sorted, written straight into
 // generation 0 of the leaf run — the one large sequential write that
 // replaces the state of the art's scattered allocations — capturing the
 // summary column, sized for the stream's Len, on the way; a materialized run
-// gathers each record's raw series by position as it is written. The leaf
-// directory packs the column into leaves of the fill factor's size, and the
+// gathers each record's raw series by position as it is written. The
 // manifest commit makes the index durable.
 func (ix *TreeIndex) build() (err error) {
 	raw := storage.PinViews(ix.rawFile)
@@ -222,7 +224,6 @@ func (ix *TreeIndex) build() (err error) {
 	if err := ix.file.Sync(); err != nil {
 		return err
 	}
-	ix.starts = packedStarts(ix.sims.col.Len(), max(int(float64(ix.opt.LeafCap)*ix.opt.FillFactor), 1))
 	return ix.writeManifest()
 }
 
@@ -235,7 +236,7 @@ func Remove(fs storage.FS, name string) {
 
 // LoadManifest reads the manifest of a persisted index. It is exposed so
 // the public API and the CLI can adopt stored parameters (summarization,
-// leaf capacity, dataset file) before constructing open options.
+// dataset file) before constructing open options.
 func LoadManifest(fs storage.FS, name string) (*manifest.Manifest, error) {
 	m, err := manifest.Load(fs, name)
 	if err != nil {
@@ -247,8 +248,8 @@ func LoadManifest(fs storage.FS, name string) (*manifest.Manifest, error) {
 // load opens the run generation m names and checks it against m — what
 // Open and Scrub both run: the run holds exactly m.Count records (a run
 // cut at a checksum-block boundary passes every block check), every block
-// verifies, and the keys are in order. The leaf directory is the manifest's,
-// and the summary column is filled on the way.
+// verifies, and the keys are in order. The summary column is filled on the
+// way.
 func (ix *TreeIndex) load(m *manifest.Manifest) error {
 	ix.gen, ix.committed = m.Tree.Gen, m.Tree.Gen
 	var err error
@@ -279,46 +280,39 @@ func (ix *TreeIndex) load(m *manifest.Manifest) error {
 		prev = next.Key
 		ix.sims.add(next)
 	}
-	ix.starts = startsOf(m.Tree.Counts)
 	return nil
 }
 
 // VerifyLeafRun checks the leaf run of the tree index name against its
 // manifest m with the loader Open runs, and returns the run's file name and
-// the number of checksum blocks it holds.
+// the number of checksum blocks — leaves — it holds.
 func VerifyLeafRun(fs storage.FS, name string, m *manifest.Manifest) (string, int64, error) {
 	file := runName(name, m.Tree.Gen)
 	s, err := summary.NewSummarizer(summary.Params{SeriesLen: m.SeriesLen, Segments: m.Segments, CardBits: m.CardBits})
 	if err != nil {
 		return file, 0, err
 	}
-	ix := &TreeIndex{opt: Options{FS: fs, Name: name, S: s, Materialized: m.Materialized, LeafCap: m.LeafCap}}
+	ix := &TreeIndex{opt: Options{FS: fs, Name: name, S: s, Materialized: m.Materialized}}
 	err = ix.load(m)
 	if ix.file != nil {
 		ix.file.Close()
 	}
-	block := int64(leafBlockSize(ix.opt.recordSize()))
-	return file, (m.Count*int64(ix.opt.recordSize()) + block - 1) / block, err
+	return file, leafBlocks(0, m.Count, ix.opt.recordSize()), err
 }
 
 // writeManifest commits the manifest naming the current generation of the
-// run and its leaf directory: called once the run is durable.
+// run: called once the run is durable.
 func (ix *TreeIndex) writeManifest() error {
 	p := ix.opt.S.Params()
-	counts := make([]int, len(ix.starts)-1)
-	for i := range counts {
-		counts[i] = ix.starts[i+1] - ix.starts[i]
-	}
 	return manifest.Commit(ix.opt.FS, ix.opt.Name, &manifest.Manifest{
 		Variant:      manifest.VariantTree,
 		SeriesLen:    p.SeriesLen,
 		Segments:     p.Segments,
 		CardBits:     p.CardBits,
 		Materialized: ix.opt.Materialized,
-		LeafCap:      ix.opt.LeafCap,
 		RawName:      ix.opt.RawName,
 		Count:        int64(ix.sims.col.Len()),
-		Tree:         &manifest.TreeLayout{Gen: ix.gen, Counts: counts},
+		Tree:         &manifest.TreeLayout{Gen: ix.gen},
 	})
 }
 
@@ -397,14 +391,15 @@ func (ix *TreeIndex) Count() int64 {
 	return int64(ix.sims.col.Len())
 }
 
-// Shape returns the number of leaves and their mean occupancy (the paper's
-// ~97% for a packed tree).
+// Shape returns the number of leaves — the run's checksum blocks — and their
+// mean occupancy, which only the last leaf keeps below 1.
 func (ix *TreeIndex) Shape() Shape {
 	ix.qmu.RLock()
 	defer ix.qmu.RUnlock()
-	sh := Shape{Leaves: len(ix.starts) - 1}
-	if sh.Leaves > 0 {
-		sh.LeafFill = float64(ix.sims.col.Len()) / float64(int64(sh.Leaves)*int64(ix.opt.LeafCap))
+	n, recSize := int64(ix.sims.col.Len()), ix.opt.recordSize()
+	sh := Shape{Leaves: int(leafBlocks(0, n, recSize))}
+	if per := int64(leafBlockSize(recSize) / recSize); sh.Leaves > 0 {
+		sh.LeafFill = float64(n) / float64(int64(sh.Leaves)*per)
 	}
 	return sh
 }
@@ -490,8 +485,8 @@ func (ix *TreeIndex) ApproxWindowCands(_ context.Context, q series.Series, radiu
 		return ApproxWindow{}, nil
 	}
 	aw, lo, hi, err := windowCands(&ix.opt, &ix.sims, q, radius)
-	if err == nil && lo < hi {
-		aw.Leaves = int64(leafOfOrd(ix.starts, hi-1) - leafOfOrd(ix.starts, lo) + 1)
+	if err == nil {
+		aw.Leaves = leafBlocks(int64(lo), int64(hi), ix.opt.recordSize())
 	}
 	aw.Store, _ = ix.store()
 	return aw, err

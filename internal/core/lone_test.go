@@ -170,7 +170,7 @@ func (l *loneTree) ExactSearch(ctx context.Context, q series.Series, radius int)
 func (l *loneTree) positions() ([]int64, error) {
 	var out []int64
 	recSize := l.opt.recordSize()
-	for li := 0; li+1 < len(l.starts); li++ {
+	for li := 0; li < l.Shape().Leaves; li++ {
 		recs, err := l.readLeaf(li, nil)
 		if err != nil {
 			return nil, err

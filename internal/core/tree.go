@@ -12,13 +12,14 @@ import (
 )
 
 // TreeIndex is Coconut-Tree (Algorithm 3): the sorted leaf run (see
-// leafrun.go) bulk-loaded bottom-up into leaves packed to the fill factor,
-// as a UB-tree loads its leaf pages, under a flat leaf directory that lives
-// in the manifest. Approximate search lands on the query key's position in
-// the sorted summary array, exact search is CoconutTreeSIMS (Algorithm 5) —
-// both read candidate records, from the raw file or, materialized, from the
-// run itself, never whole leaves — and inserts split full leaves at the
-// median (§3.2).
+// leafrun.go), bulk-loaded bottom-up as one dense run whose leaves are its
+// checksum blocks, each a disk page of whole records — full by construction,
+// as a UB-tree bulk load packs its leaf pages. Approximate search lands on the
+// query key's position in the sorted summary array, exact search is
+// CoconutTreeSIMS (Algorithm 5) — both read candidate records, from the raw
+// file or, materialized, from the run itself, never whole leaves — and an
+// insert batch merges into the next generation of the run, so no leaf ever
+// splits.
 //
 // A TreeIndex is a partition child's state (internal/partition): any number
 // of query steps may run at once on one handle, and mutations
@@ -44,17 +45,11 @@ type TreeIndex struct {
 	// sims is the in-memory sorted summary array: row i is the run's
 	// record i.
 	sims simsArray
-	// starts is the leaf directory: leaf i holds records
-	// [starts[i], starts[i+1]) of the run. It shapes the counters (Shape,
-	// ApproxWindow.Leaves), the manifest's layout and the splits of inserts,
-	// and no read.
-	starts []int
 }
 
 // BuildTree runs the Coconut-Tree pipeline over opt.Records: the sorted
 // stream written straight into the leaf run, capturing the sorted summary
-// array on the way, cut into leaves of the fill factor's size. A failed
-// build leaves none of its files behind.
+// array on the way. A failed build leaves none of its files behind.
 func BuildTree(opt Options) (*TreeIndex, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -76,10 +71,10 @@ func BuildTree(opt Options) (*TreeIndex, error) {
 }
 
 // OpenTree reopens a previously built Coconut-Tree at its last Sync, from its
-// manifest, which holds the leaf directory, and its leaf run. The options
-// must name the same FS, Name, RawName, summarizer configuration,
-// materialization and leaf capacity as the build — mismatches fail loudly
-// with manifest.ErrConfigMismatch. The raw dataset file is opened for
+// manifest, which names the run's generation, and its leaf run. The options
+// must name the same FS, Name, RawName, summarizer configuration and
+// materialization as the build — mismatches fail loudly with
+// manifest.ErrConfigMismatch. The raw dataset file is opened for
 // query-time fetches but never read here.
 func OpenTree(opt Options) (*TreeIndex, error) {
 	if err := opt.validate(); err != nil {
@@ -95,13 +90,6 @@ func OpenTree(opt Options) (*TreeIndex, error) {
 	if err := m.CheckParams(opt.S.Params(), opt.Materialized, opt.RawName); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// The leaf capacity shapes the leaf directory; the stored value is the
-	// only one that can interpret it. (The public API and the CLI adopt the
-	// stored value for unset fields before reaching here.)
-	if opt.LeafCap != m.LeafCap {
-		return nil, fmt.Errorf("core: %w: leaf capacity %d, stored index was built with %d",
-			manifest.ErrConfigMismatch, opt.LeafCap, m.LeafCap)
-	}
 	raw, err := opt.FS.Open(opt.RawName)
 	if err != nil {
 		return nil, err
@@ -114,23 +102,12 @@ func OpenTree(opt Options) (*TreeIndex, error) {
 	return ix, nil
 }
 
-// packedStarts is the bulk load's leaf directory: a run of n records cut
-// into leaves of fill records, the last one holding the rest.
-func packedStarts(n, fill int) []int {
-	starts := make([]int, 0, n/fill+2)
-	for s := 0; s < n; s += fill {
-		starts = append(starts, s)
-	}
-	return append(starts, n)
-}
-
 // InsertRecords inserts pre-summarized records whose raw bytes the
 // partition layer already appended to the raw log (the update path of
 // Figure 10a): the batch, sorted in place, and the current run merge into
 // the next generation of the run (a materialized tree reads each inserted
-// series back from the raw log), and the leaf directory grows as top-down inserts
-// with median splits grow it (splitStarts). The inserts become durable at the
-// next Sync.
+// series back from the raw log). The inserts become durable at the next
+// Sync.
 func (ix *TreeIndex) InsertRecords(recs []summary.Record) error {
 	ix.qmu.Lock()
 	defer ix.qmu.Unlock()
@@ -138,50 +115,5 @@ func (ix *TreeIndex) InsertRecords(recs []summary.Record) error {
 		return nil
 	}
 	slices.SortFunc(recs, summary.CompareRecords)
-	if err := ix.mergeNext(recs); err != nil {
-		return err
-	}
-	lbs := make([]int, len(recs))
-	for i, rec := range recs {
-		lbs[i] = ix.sims.col.Search(ix.opt.S.SAXFromKey(rec.Key))
-	}
-	ix.starts = splitStarts(ix.starts, lbs, ix.opt.LeafCap)
-	return nil
-}
-
-// splitStarts is the tree's update policy on its leaf directory: records
-// inserted one at a time in key order, each into the leaf its key routes to,
-// a full leaf split at the median first (§3.2, "Median-Based Splitting") so
-// both halves are at least half full. lbs holds each record's lower bound in
-// the run after the batch, which is also its lower bound when its turn
-// comes, since the records after it have keys at or above its own. A key
-// routes to the first leaf whose successor's first key is at or above it —
-// the leaf holding the record before its lower bound — so only lower bounds
-// and counts decide where a record lands, never the keys themselves.
-func splitStarts(starts, lbs []int, leafCap int) []int {
-	counts := make([]int, 0, len(starts)+len(lbs)/max(leafCap/2, 1))
-	for i := 1; i < len(starts); i++ {
-		counts = append(counts, starts[i]-starts[i-1])
-	}
-	if len(counts) == 0 && len(lbs) > 0 {
-		counts = append(counts, 0) // the first record opens leaf 0
-	}
-	li, start := 0, 0 // the leaf routed to last, and its first ordinal
-	for _, lb := range lbs {
-		for li+1 < len(counts) && lb > start+counts[li] {
-			start += counts[li]
-			li++
-		}
-		if counts[li] >= leafCap {
-			mid := counts[li] / 2
-			counts = slices.Insert(counts, li+1, counts[li]-mid)
-			counts[li] = mid
-			if lb > start+mid {
-				start += mid
-				li++
-			}
-		}
-		counts[li]++
-	}
-	return startsOf(counts)
+	return ix.mergeNext(recs)
 }

@@ -3,7 +3,7 @@ package core
 // Tests of the tree's leaf run as a record store, carried over from the
 // suite of the B+-tree file it replaced: the bulk load, inserts one record
 // or one batch at a time, the Sync/Open round trip, and damage to the stored
-// run, each held to the directory invariants of checkTreeRun.
+// run, each held to the invariants of checkTreeRun.
 
 import (
 	"bytes"
@@ -21,42 +21,50 @@ import (
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
+// leafSpan returns the ordinals [lo, hi) leaf li — checksum block li of the
+// run — holds.
+func (ix *TreeIndex) leafSpan(li int) (lo, hi int) {
+	per := leafBlockSize(ix.opt.recordSize()) / ix.opt.recordSize()
+	return li * per, min((li+1)*per, ix.sims.col.Len())
+}
+
 // readLeaf returns the records of leaf li — exactly its extent of the run —
 // in buf when it is large enough: how the tests look at a leaf (queries read
 // candidate records, never leaves).
 func (ix *TreeIndex) readLeaf(li int, buf []byte) ([]byte, error) {
 	recSize := ix.opt.recordSize()
-	n := (ix.starts[li+1] - ix.starts[li]) * recSize
+	lo, hi := ix.leafSpan(li)
+	n := (hi - lo) * recSize
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	if got, err := ix.file.ReadAt(buf, int64(ix.starts[li])*int64(recSize)); got != n {
+	if got, err := ix.file.ReadAt(buf, int64(lo)*int64(recSize)); got != n {
 		return nil, fmt.Errorf("core: read leaf %d: %w", li, truncatedLeaves(err))
 	}
 	return buf, nil
 }
 
-// checkTreeRun holds a tree to the invariants the B+-tree's directory kept:
-// every leaf holds 1…LeafCap records, the leaves tile the run, each leaf
-// reads back exactly its records, the run is in key order under both the
-// byte order the merge sorts by and the order the loader checks, every
-// position 0…Count−1 is indexed once, and the file holds exactly the
-// records, unpadded.
+// checkTreeRun holds a tree to the invariants of a dense run: its leaves
+// are its checksum blocks, every one full but the last, which holds 1…per
+// records, each leaf reads back exactly its records, the run is in key
+// order under both the byte order the merge sorts by and the order the
+// loader checks, every position 0…Count−1 is indexed once, and the file
+// holds exactly the records, unpadded.
 func checkTreeRun(t *testing.T, ix *loneTree) {
 	t.Helper()
 	n := int(ix.Count())
-	if ix.starts[0] != 0 || ix.starts[len(ix.starts)-1] != n {
-		t.Fatalf("directory %v does not tile a run of %d records", ix.starts, n)
-	}
 	recSize := ix.opt.recordSize()
+	per := leafBlockSize(recSize) / recSize
+	leaves := ix.Shape().Leaves
+	if leaves != (n+per-1)/per {
+		t.Fatalf("%d leaves for a run of %d records, %d a checksum block", leaves, n, per)
+	}
 	seen := make([]bool, n)
 	var prev []byte
-	for li := 0; li+1 < len(ix.starts); li++ {
-		c := ix.starts[li+1] - ix.starts[li]
-		if c < 1 || c > ix.opt.LeafCap {
-			t.Fatalf("leaf %d holds %d records, capacity %d", li, c, ix.opt.LeafCap)
-		}
+	for li := 0; li < leaves; li++ {
+		lo, hi := ix.leafSpan(li)
+		c := hi - lo
 		recs, err := ix.readLeaf(li, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -106,8 +114,9 @@ func insertOneByOne(t *testing.T, ix *loneTree, data []series.Series) {
 	}
 }
 
-// TestBulkLoadBasics: a bulk load of 333 records at LeafCap 20 packs
-// ⌈333/20⌉ = 17 leaves, all full but the last, which holds the rest.
+// TestBulkLoadBasics: a bulk load of 333 records of 24 bytes packs
+// ⌈333/170⌉ = 2 leaves — 4 080-byte checksum blocks — the first full and
+// the last holding the rest.
 func TestBulkLoadBasics(t *testing.T) {
 	fs, _ := walkFS(t, 333, 1)
 	ix, err := buildTree(baseOptions(t, fs, false))
@@ -115,14 +124,14 @@ func TestBulkLoadBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if ix.Count() != 333 || ix.Shape().Leaves != 17 {
-		t.Fatalf("%d records in %d leaves, want 333 in 17", ix.Count(), ix.Shape().Leaves)
+	if ix.Count() != 333 || ix.Shape().Leaves != 2 {
+		t.Fatalf("%d records in %d leaves, want 333 in 2", ix.Count(), ix.Shape().Leaves)
 	}
-	if counts := countsOf(ix.starts); counts[len(counts)-1] != 13 || slices.Min(counts[:16]) != 20 {
-		t.Fatalf("leaf counts %v, want 16 full leaves and one of 13", counts)
+	if lo, hi := ix.leafSpan(1); lo != 170 || hi != 333 {
+		t.Fatalf("last leaf holds records [%d, %d), want [170, 333)", lo, hi)
 	}
-	if fill := ix.Shape().LeafFill; fill < 0.9 {
-		t.Fatalf("bulk load fill %v too low", fill)
+	if fill := ix.Shape().LeafFill; fill != 333.0/340 {
+		t.Fatalf("bulk load fill %v, want 333/340", fill)
 	}
 	checkTreeRun(t, ix)
 }
@@ -232,8 +241,8 @@ func TestScanAll(t *testing.T) {
 }
 
 // TestInsertIntoEmptyAndGrow: a tree built over no records grows by
-// single-record inserts in random order; median splits keep every leaf at
-// least half full.
+// single-record inserts in random order; each merges into the next
+// generation of the run, so every leaf but the last stays full.
 func TestInsertIntoEmptyAndGrow(t *testing.T) {
 	fs, _ := walkFS(t, 0, 1)
 	opt := baseOptions(t, fs, false)
@@ -249,17 +258,12 @@ func TestInsertIntoEmptyAndGrow(t *testing.T) {
 		t.Fatalf("Count = %d", ix.Count())
 	}
 	checkTreeRun(t, ix)
-	for li, c := range countsOf(ix.starts) {
-		if c < opt.LeafCap/2 {
-			t.Fatalf("leaf %d only %d/%d full", li, c, opt.LeafCap)
-		}
-	}
 	checkExact(t, ix, dataset.Queries(dataset.NewRandomWalk(), 4, tLen, 19), data)
 }
 
 // TestInsertAfterBulkLoad: single-record inserts into a bulk-loaded tree,
-// new series and duplicates of indexed ones alike, keep the directory
-// valid, and each inserted series is found at distance 0.
+// new series and duplicates of indexed ones alike, keep the run valid, and
+// each inserted series is found at distance 0.
 func TestInsertAfterBulkLoad(t *testing.T) {
 	fs, data := walkFS(t, 100, 6)
 	ix, err := buildTree(baseOptions(t, fs, true))
@@ -286,8 +290,8 @@ func TestInsertAfterBulkLoad(t *testing.T) {
 }
 
 // TestSyncOpenRoundTrip: a tree synced after two insert batches reopens
-// with the same directory and the same run, stored as the one generation
-// its manifest names.
+// with the same leaves and the same run, stored as the one generation its
+// manifest names.
 func TestSyncOpenRoundTrip(t *testing.T) {
 	fs, _ := walkFS(t, 250, 7)
 	opt := baseOptions(t, fs, false)
@@ -303,7 +307,7 @@ func TestSyncOpenRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	starts := slices.Clone(ix.starts)
+	leaves := ix.Shape().Leaves
 	want, err := ix.positions()
 	if err != nil {
 		t.Fatal(err)
@@ -316,8 +320,8 @@ func TestSyncOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Count() != 300 || !slices.Equal(re.starts, starts) {
-		t.Fatalf("reopened with %d records in %d leaves, want 300 in %d", re.Count(), len(re.starts)-1, len(starts)-1)
+	if re.Count() != 300 || re.Shape().Leaves != leaves {
+		t.Fatalf("reopened with %d records in %d leaves, want 300 in %d", re.Count(), re.Shape().Leaves, leaves)
 	}
 	got, err := re.positions()
 	if err != nil {
@@ -379,7 +383,7 @@ func TestChecksummedTreeRoundTrip(t *testing.T) {
 func logicalRun(t *testing.T, ix *loneTree) []byte {
 	t.Helper()
 	var out []byte
-	for li := 0; li+1 < len(ix.starts); li++ {
+	for li := 0; li < ix.Shape().Leaves; li++ {
 		recs, err := ix.readLeaf(li, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -424,36 +428,9 @@ func TestOpenMissingLeafFile(t *testing.T) {
 	}
 }
 
-// TestFillFactor: the headroom a fill factor leaves absorbs inserts — a
-// batch that splits leaves of a tree packed full fits without a split into
-// the leaves of a tree packed half full.
-func TestFillFactor(t *testing.T) {
-	batch := dataset.Generate(dataset.NewRandomWalk(), 30, tLen, 8)
-	grown := map[float64]int{}
-	for _, fill := range []float64{1, 0.5} {
-		fs, _ := fixtureFS(t)
-		opt := baseOptions(t, fs, false)
-		opt.FillFactor = fill
-		ix, err := buildTree(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := ix.Shape().Leaves
-		if err := ix.Insert(context.Background(), batch); err != nil {
-			t.Fatal(err)
-		}
-		grown[fill] = ix.Shape().Leaves - before
-		checkTreeRun(t, ix)
-		ix.Close()
-	}
-	if grown[1] == 0 || grown[0.5] != 0 {
-		t.Fatalf("leaves split by the batch: %d at fill 1, %d at fill 0.5; want some, then none", grown[1], grown[0.5])
-	}
-}
-
-// TestReadLeafAndDir: each leaf reads back exactly its directory extent,
-// the ordinals of leaf li map back to li, and a buffer large enough is
-// reused.
+// TestReadLeafAndDir: each leaf reads back exactly its checksum block's
+// records, the ordinals of leaf li span it alone and the leaves before it,
+// and a buffer large enough is reused.
 func TestReadLeafAndDir(t *testing.T) {
 	fs, _ := fixtureFS(t)
 	ix, err := buildTree(baseOptions(t, fs, false))
@@ -462,22 +439,23 @@ func TestReadLeafAndDir(t *testing.T) {
 	}
 	defer ix.Close()
 	recSize := ix.opt.recordSize()
-	buf := make([]byte, 0, ix.opt.LeafCap*recSize*8)
+	buf := make([]byte, 0, leafBlockSize(recSize))
 	var run []byte
-	for li := 0; li+1 < len(ix.starts); li++ {
+	for li := 0; li < ix.Shape().Leaves; li++ {
 		recs, err := ix.readLeaf(li, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != (ix.starts[li+1]-ix.starts[li])*recSize {
-			t.Fatalf("leaf %d: %d bytes for %d records", li, len(recs), ix.starts[li+1]-ix.starts[li])
+		lo, hi := ix.leafSpan(li)
+		if len(recs) != (hi-lo)*recSize {
+			t.Fatalf("leaf %d: %d bytes for %d records", li, len(recs), hi-lo)
 		}
 		if len(recs) <= cap(buf) && len(recs) > 0 && &recs[0] != &buf[:1][0] {
 			t.Fatalf("leaf %d: a large enough buffer was not reused", li)
 		}
-		for ord := ix.starts[li]; ord < ix.starts[li+1]; ord++ {
-			if got := leafOfOrd(ix.starts, ord); got != li {
-				t.Fatalf("ordinal %d maps to leaf %d, it is in leaf %d", ord, got, li)
+		for ord := lo; ord < hi; ord++ {
+			if leafBlocks(int64(ord), int64(hi), recSize) != 1 || leafBlocks(0, int64(ord)+1, recSize) != int64(li)+1 {
+				t.Fatalf("ordinal %d is not counted in leaf %d alone", ord, li)
 			}
 		}
 		run = append(run, recs...)
@@ -615,17 +593,20 @@ func TestChecksummedTreeDetectsRot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	// The leaf of the record at ordinal 300, and the series it indexes.
+	// The leaf — checksum block — of the record at ordinal 300, and the
+	// series it indexes.
 	recSize := opt.recordSize()
-	recs, err := ix.readLeaf(leafOfOrd(ix.starts, 300), nil)
+	block := leafBlockSize(recSize)
+	li := 300 * recSize / block
+	recs, err := ix.readLeaf(li, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := summary.DecodeRecord(recs[(300-ix.starts[leafOfOrd(ix.starts, 300)])*recSize:])
+	lo, _ := ix.leafSpan(li)
+	rec := summary.DecodeRecord(recs[(300-lo)*recSize:])
 	pos := rec.Pos
 	// Rot a payload byte of the checksum block holding ordinal 300.
-	block := leafBlockSize(recSize)
-	off := int64(storage.ChecksumHeaderSize + (300*recSize/block)*(4+block) + 4 + 17)
+	off := int64(storage.ChecksumHeaderSize + li*(4+block) + 4 + 17)
 	if err := storage.NewFaultFS(fs).Rot(runName(opt.Name, 0), off, 1); err != nil {
 		t.Fatal(err)
 	}

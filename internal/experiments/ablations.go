@@ -92,44 +92,6 @@ func AblationSortable(sc Scale) (*Table, error) {
 	return t, nil
 }
 
-// AblationFillFactor sweeps Coconut-Tree's bulk-load fill factor and
-// measures the space/update trade-off: full packing minimizes space but
-// every later insert splits a leaf; headroom absorbs inserts in place.
-func AblationFillFactor(sc Scale) (*Table, error) {
-	t := &Table{
-		ID:     "AblFill",
-		Title:  "Coconut-Tree fill factor: space vs update cost",
-		Header: []string{"fill-factor", "leaves", "index-size", "insert-total", "leaves-after"},
-	}
-	n := sc.BaseCount / 2
-	batch := dataset.Generate(dataset.NewRandomWalk(), n/5, sc.SeriesLen, sc.Seed+99)
-	for _, ff := range []float64{1.0, 0.9, 0.7, 0.5} {
-		e, err := newEnv(sc, "randomwalk", n)
-		if err != nil {
-			return nil, err
-		}
-		opt, err := e.coreOptions(false, budgetFor(sc, n, 0.25))
-		if err != nil {
-			return nil, err
-		}
-		opt.FillFactor = ff
-		ix, err := partition.Build(partition.TreeVariant(opt), 1, nil)
-		if err != nil {
-			return nil, err
-		}
-		leavesBefore := ix.Shape().Leaves
-		size := ix.SizeBytes()
-		cost, err := measure(e.fs, func() error { return ix.Insert(context.Background(), batch) })
-		if err != nil {
-			return nil, err
-		}
-		t.Add(fmt.Sprintf("%.1f", ff), fmt.Sprint(leavesBefore), mb(size),
-			ms(cost.Total()), fmt.Sprint(ix.Shape().Leaves))
-		ix.Close()
-	}
-	return t, nil
-}
-
 // AblationDevice replays Coconut-Tree vs ADS+ construction I/O through both
 // device models: the paper's HDD and an SSD. Sequentiality matters less on
 // SSDs, so the gap narrows — but the O(N) vs O(N/B) operation-count gap
@@ -309,57 +271,13 @@ func AblationLSMUpdates(sc Scale) (*Table, error) {
 	return t, nil
 }
 
-// AblationLeafSize sweeps the leaf capacity, exposing the query-time
-// trade-off: bigger leaves mean fewer seeks but more raw distance
-// computations per visited leaf.
-func AblationLeafSize(sc Scale) (*Table, error) {
-	t := &Table{
-		ID:     "AblLeaf",
-		Title:  "Leaf size: construction, space, and exact-query cost",
-		Header: []string{"leaf-cap", "leaves", "build-total", "query-mean"},
-	}
-	n := sc.BaseCount
-	for _, cap := range []int{sc.LeafCap / 4, sc.LeafCap, sc.LeafCap * 4} {
-		if cap < 2 {
-			continue
-		}
-		lsc := sc
-		lsc.LeafCap = cap
-		e, err := newEnv(lsc, "randomwalk", n)
-		if err != nil {
-			return nil, err
-		}
-		ix, bc, err := e.buildCTree(false, budgetFor(lsc, n, 0.25))
-		if err != nil {
-			return nil, err
-		}
-		qc, err := measure(e.fs, func() error {
-			for _, q := range e.queries(lsc.Queries) {
-				if _, err := ix.ExactSearch(context.Background(), q); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Add(fmt.Sprint(cap), fmt.Sprint(ix.Shape().Leaves), ms(bc.Total()),
-			ms(qc.Total()/time1(lsc.Queries)))
-		ix.Close()
-	}
-	return t, nil
-}
-
 // Ablations runs all ablation studies.
 func Ablations(sc Scale) ([]*Table, error) {
 	var out []*Table
 	for _, fn := range []func(Scale) (*Table, error){
 		AblationSortable,
-		AblationFillFactor,
 		AblationDevice,
 		AblationLSMUpdates,
-		AblationLeafSize,
 	} {
 		tb, err := fn(sc)
 		if err != nil {

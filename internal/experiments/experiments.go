@@ -37,7 +37,8 @@ type Scale struct {
 	SeriesLen int
 	// Segments and CardBits fix the summarization (paper: 16 x 8).
 	Segments, CardBits int
-	// LeafCap is the leaf size in records (paper: 2000).
+	// LeafCap is the baselines' leaf size in records (paper: 2000); a
+	// Coconut-Tree's leaves are its run's checksum blocks.
 	LeafCap int
 	// BaseCount is N at scale factor 1.
 	BaseCount int
@@ -235,7 +236,6 @@ func (e *env) coreOptions(mat bool, budget int64) (core.Options, error) {
 		S:              s,
 		RawName:        rawName,
 		Materialized:   mat,
-		LeafCap:        e.sc.LeafCap,
 		MemBudgetBytes: budget,
 		Workers:        e.sc.Workers,
 		QueryWorkers:   e.sc.QueryWorkers,

@@ -63,9 +63,10 @@ func parseMs(t *testing.T, s string) float64 {
 }
 
 func TestFig8cShape(t *testing.T) {
-	// The load-bearing claim of §3.2: median-split leaves are nearly full,
-	// prefix-split leaves nearly empty, and the materialized prefix index
-	// is much larger than the materialized median index.
+	// The load-bearing claim of §3.2: sorted bottom-up leaves are nearly
+	// full (a Coconut-Tree's are its run's checksum blocks, full by
+	// construction), prefix-split leaves nearly empty, and the materialized
+	// prefix index is much larger than the materialized Coconut index.
 	tb, err := Fig8cSpace(tinyScale())
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestFig8cShape(t *testing.T) {
 		return v
 	}
 	if fill("Coconut-Tree-Full") < 2*fill("ADSFull") {
-		t.Errorf("median-split fill (%v%%) should dwarf prefix-split fill (%v%%)",
+		t.Errorf("Coconut fill (%v%%) should dwarf prefix-split fill (%v%%)",
 			fill("Coconut-Tree-Full"), fill("ADSFull"))
 	}
 	if size("Coconut-Tree-Full") >= size("ADSFull") {

@@ -192,7 +192,9 @@ func Fig8bConstructionNonMaterialized(sc Scale) (*Table, error) {
 
 // Fig8cSpace regenerates Figure 8c: index space overhead (plus the leaf
 // fill statistics the paper quotes in the text: ~10% for prefix splits,
-// ~97% for median splits).
+// ~97% for median splits). A Coconut-Tree's leaves are its run's 4 KiB
+// checksum blocks, full by construction but the last: inserts merge into
+// the next generation of the run, so no leaf ever splits.
 func Fig8cSpace(sc Scale) (*Table, error) {
 	t := &Table{
 		ID:     "Fig8c",

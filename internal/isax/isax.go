@@ -290,7 +290,7 @@ func (ix *Index) bufferInsert(rec trie.Record) error {
 // FlushBuffers drains every FBL buffer into the on-disk leaves — the
 // "buffers are full and have to be processed" moment of Figure 3.
 func (ix *Index) FlushBuffers() error {
-	for _, n := range ix.tr.Root {
+	for _, n := range ix.tr.Roots() {
 		if len(n.Buf) == 0 {
 			continue
 		}
@@ -503,13 +503,15 @@ func (ix *Index) materializePass() error {
 // (read-modify-write per touched leaf — random I/O).
 func (ix *Index) flushMaterialize() error {
 	cardBits := ix.opt.S.Params().CardBits
-	for _, root := range ix.tr.Root {
+	for _, root := range ix.tr.Roots() {
 		if len(root.Buf) == 0 {
 			continue
 		}
 		recs := root.Buf
 		root.Buf = nil
-		// Group by leaf.
+		// Group by leaf, the leaves in the order their first record
+		// reached them.
+		var leaves []*trie.Node
 		groups := make(map[*trie.Node][]trie.Record)
 		for _, r := range recs {
 			n := root
@@ -526,9 +528,13 @@ func (ix *Index) flushMaterialize() error {
 				}
 				n = next
 			}
+			if groups[n] == nil {
+				leaves = append(leaves, n)
+			}
 			groups[n] = append(groups[n], r)
 		}
-		for leaf, g := range groups {
+		for _, leaf := range leaves {
+			g := groups[leaf]
 			// Read-modify-write: records accumulated by earlier flushes are
 			// re-read and the leaf is rewritten — the random-I/O pattern
 			// that makes the ADS family memory-sensitive.

@@ -1,6 +1,7 @@
 package isax
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -299,5 +300,37 @@ func TestMaterializedLeavesServeRawData(t *testing.T) {
 	maxLeafBytes := int64(ix.pageSize()) * int64(ix.NumLeaves())
 	if delta.BytesRead > maxLeafBytes {
 		t.Fatalf("approx search read %d bytes (> all leaves %d)", delta.BytesRead, maxLeafBytes)
+	}
+}
+
+// TestBuildIsDeterministic: builds of one dataset under one budget small
+// enough to flush the first-level buffers many times write the same leaf
+// file with the same counted I/O, every time — the buffers drain in root-key
+// order, not in the order of a Go map.
+func TestBuildIsDeterministic(t *testing.T) {
+	for _, mode := range []Mode{ADSPlus, ADSFull, ISAX2} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var firstStats storage.Snapshot
+			var firstLeaves []byte
+			for i := 0; i < 3; i++ {
+				ix, _, fs := buildFixture(t, mode, 16<<10)
+				stats := fs.Stats().Snapshot()
+				if err := ix.Close(); err != nil {
+					t.Fatal(err)
+				}
+				leaves, err := storage.ReadFileAll(fs, "ix.leaves")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					firstStats, firstLeaves = stats, leaves
+					continue
+				}
+				if stats != firstStats || !bytes.Equal(leaves, firstLeaves) {
+					t.Fatalf("build %d: %+v and %d leaf-file bytes, build 0: %+v and %d bytes (equal bytes: %v)",
+						i, stats, len(leaves), firstStats, len(firstLeaves), bytes.Equal(leaves, firstLeaves))
+				}
+			}
+		})
 	}
 }

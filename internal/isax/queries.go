@@ -170,7 +170,7 @@ func (ix *Index) exactSearchTree(q series.Series) (Result, error) {
 	}
 	tbl := ix.opt.S.BuildMinDistTable(qPAA, nil)
 	pq := &nodeQueue{}
-	for _, n := range ix.tr.Root {
+	for _, n := range ix.tr.Roots() {
 		heap.Push(pq, nodeItem{n, tbl.Prefix(n.Syms, n.Bits)})
 	}
 	scratch := make(series.Series, ix.opt.S.Params().SeriesLen)

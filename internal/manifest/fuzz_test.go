@@ -12,8 +12,9 @@ import (
 // proportionally to a forged length field. Any other format version is a
 // version mismatch. The seeds are every variant (a tree grown by inserts
 // and a bulk-loaded one, a partitioned parent of LSM and of tree children),
-// each of them at the refused versions 1–9, and the stored tries this
-// version refuses, whole and damaged.
+// each of them at the refused versions 1–10, the version-10 writer's own
+// encodings of a tree with its leaf directory, an LSM and a partitioned
+// parent, and the stored tries this version refuses, whole and damaged.
 func FuzzDecode(f *testing.F) {
 	for _, m := range samples() {
 		data, err := m.Encode()
@@ -31,6 +32,9 @@ func FuzzDecode(f *testing.F) {
 	}
 	for _, enc := range append(refusedEncodings(), storedTries()...) {
 		f.Add(enc) // typed ErrVersionMismatch, never a misread
+	}
+	for _, enc := range parentEncodings() {
+		f.Add(enc)
 	}
 	for _, enc := range storedTries() {
 		// A damaged stored trie is corrupt, not a tree.

@@ -2,9 +2,8 @@
 // truth: a small, versioned, checksummed file that records everything
 // needed to reopen a built Coconut index from storage without touching the
 // raw dataset — the format version, the summarization parameters, and the
-// per-variant on-device layout (the leaf run's generation and leaf
-// directory for Coconut-Tree, and the run list for Coconut-LSM, which is its
-// whole compaction schedule).
+// per-variant on-device layout (the leaf run's generation for Coconut-Tree,
+// and the run list for Coconut-LSM, which is its whole compaction schedule).
 //
 // A manifest is committed atomically: the encoding is written to a sibling
 // temporary file and renamed over the live manifest (storage.FS.Rename), so
@@ -52,11 +51,6 @@ const (
 	VariantPartitioned Variant = "partitioned"
 )
 
-// retiredTrie is the variant of a Coconut-Trie, which this build no longer
-// has. Its manifests share this version's format; they decode, and fail with
-// ErrVersionMismatch, as does a partitioned index of trie children.
-const retiredTrie Variant = "trie"
-
 const (
 	magic uint32 = 0x464D4343 // "CCMF" little-endian
 	// version is the one format this build writes and reads. Earlier
@@ -64,8 +58,10 @@ const (
 	// leaf pages, flat LSM runs, LSM runs framed in checksum blocks, tree
 	// directories in a separate B+-tree meta file, LSM write-ahead logs, tree
 	// leaves on stamped B+-tree pages, LSM compaction cursors beside the run
-	// list) and fail with ErrVersionMismatch: rebuild the index.
-	version uint32 = 10
+	// list, a leaf capacity and a tree leaf directory of record counts, and
+	// Coconut-Trie layouts) and fail with ErrVersionMismatch: rebuild the
+	// index.
+	version uint32 = 11
 	// headerSize is magic + version + payload length + CRC32-C.
 	headerSize = 16
 	// maxStringLen bounds decoded string fields (file names).
@@ -75,13 +71,11 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // TreeLayout is a Coconut-Tree's leaf run: the generation of its one file
-// (a build writes generation 0, and each insert batch merges into the next)
-// and its leaf directory, the one place it is stored: each leaf's record
-// count in key order. Leaf i is the Counts[i] records that follow the
-// earlier leaves' in the run.
+// (a build writes generation 0, and each insert batch merges into the
+// next). The run holds the manifest's Count records, and its leaves are its
+// checksum blocks, so nothing else about it is stored.
 type TreeLayout struct {
-	Gen    int64
-	Counts []int
+	Gen int64
 }
 
 // RunInfo describes one immutable LSM run: its file, its place in the
@@ -145,8 +139,6 @@ type Manifest struct {
 	CardBits  int
 	// Materialized records whether raw series live inside the index.
 	Materialized bool
-	// LeafCap is the records-per-leaf capacity the index was built with.
-	LeafCap int
 	// RawName is the dataset file the positions refer to.
 	RawName string
 	// Count is the number of series durably indexed (for LSM: the sum of
@@ -186,7 +178,6 @@ func (m *Manifest) Encode() ([]byte, error) {
 	w.u32(uint32(m.Segments))
 	w.u32(uint32(m.CardBits))
 	w.bool(m.Materialized)
-	w.u32(uint32(m.LeafCap))
 	w.str(m.RawName)
 	w.u64(uint64(m.Count))
 	switch m.Variant {
@@ -195,10 +186,6 @@ func (m *Manifest) Encode() ([]byte, error) {
 			return nil, errors.New("manifest: tree variant without tree layout")
 		}
 		w.u64(uint64(m.Tree.Gen))
-		w.u32(uint32(len(m.Tree.Counts)))
-		for _, c := range m.Tree.Counts {
-			w.u32(uint32(c))
-		}
 	case VariantLSM:
 		if m.LSM == nil {
 			return nil, errors.New("manifest: lsm variant without lsm layout")
@@ -276,23 +263,11 @@ func Decode(data []byte) (*Manifest, error) {
 	m.Segments = int(r.u32())
 	m.CardBits = int(r.u32())
 	m.Materialized = r.bool()
-	m.LeafCap = int(r.u32())
 	m.RawName = r.str()
 	m.Count = int64(r.u64())
 	switch m.Variant {
 	case VariantTree:
-		l := &TreeLayout{Gen: int64(r.u64())}
-		n := r.u32()
-		if r.err == nil && int64(n) > int64(r.remaining()/4) {
-			return nil, fmt.Errorf("%w: %d tree leaves exceed payload", ErrCorruptManifest, n)
-		}
-		l.Counts = make([]int, n)
-		for i := range l.Counts {
-			l.Counts[i] = int(r.u32())
-		}
-		m.Tree = l
-	case retiredTrie:
-		r.u32() // its leaf count
+		m.Tree = &TreeLayout{Gen: int64(r.u64())}
 	case VariantLSM:
 		l := &LSMLayout{NextSeq: int64(r.u64())}
 		nr := int(r.u32())
@@ -345,12 +320,8 @@ func Decode(data []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// validate rejects decoded values no writer could have produced, and a
-// Coconut-Trie, which this build no longer reads.
+// validate rejects decoded values no writer could have produced.
 func (m *Manifest) validate() error {
-	if m.Variant == retiredTrie || (m.Part != nil && m.Part.ChildVariant == retiredTrie) {
-		return fmt.Errorf("%w: a Coconut-Trie, which this build no longer has (rebuild it as a tree)", ErrVersionMismatch)
-	}
 	switch {
 	case m.SeriesLen <= 0 || m.Segments <= 0 || m.CardBits <= 0 || m.CardBits > 8:
 		return fmt.Errorf("%w: impossible summarization parameters (%d/%d/%d)",
@@ -360,10 +331,8 @@ func (m *Manifest) validate() error {
 	case m.RawName == "":
 		return fmt.Errorf("%w: empty raw dataset name", ErrCorruptManifest)
 	}
-	if m.Tree != nil {
-		if err := m.Tree.validate(m.LeafCap, m.Count); err != nil {
-			return err
-		}
+	if m.Tree != nil && m.Tree.Gen < 0 {
+		return fmt.Errorf("%w: leaf run generation %d", ErrCorruptManifest, m.Tree.Gen)
 	}
 	if m.LSM != nil {
 		var total int64
@@ -413,26 +382,6 @@ func (m *Manifest) validate() error {
 			}
 			seen[c] = true
 		}
-	}
-	return nil
-}
-
-// validate checks the layout describes a run of count records in leaves
-// of at most leafCap: a generation in range, every leaf non-empty and
-// within capacity, and the counts summing to count.
-func (t *TreeLayout) validate(leafCap int, count int64) error {
-	if t.Gen < 0 {
-		return fmt.Errorf("%w: leaf run generation %d", ErrCorruptManifest, t.Gen)
-	}
-	var total int64
-	for i, c := range t.Counts {
-		if c < 1 || c > leafCap {
-			return fmt.Errorf("%w: tree leaf %d holds %d records, capacity %d", ErrCorruptManifest, i, c, leafCap)
-		}
-		total += int64(c)
-	}
-	if total != count {
-		return fmt.Errorf("%w: tree leaves hold %d records, manifest count is %d", ErrCorruptManifest, total, count)
 	}
 	return nil
 }

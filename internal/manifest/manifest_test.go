@@ -2,6 +2,7 @@ package manifest
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"reflect"
@@ -11,37 +12,42 @@ import (
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
-// sampleTree is a tree grown by inserts: its run in generation 3, leaf 0
-// split in two halves.
+// sampleTree is a tree grown by inserts: its run in generation 3.
 func sampleTree() *Manifest {
 	return &Manifest{
 		Variant: VariantTree, SeriesLen: 256, Segments: 16, CardBits: 8,
-		Materialized: true, LeafCap: 100, RawName: "walk.bin", Count: 330,
-		Tree: &TreeLayout{Gen: 3, Counts: []int{60, 70, 100, 100}},
+		Materialized: true, RawName: "walk.bin", Count: 330,
+		Tree: &TreeLayout{Gen: 3},
 	}
 }
 
 // sampleBulkTree is a tree as a bulk load leaves it: its run in generation
-// 0, packed into full leaves and a partial last one, its series not stored.
+// 0, its series not stored.
 func sampleBulkTree() *Manifest {
 	return &Manifest{
 		Variant: VariantTree, SeriesLen: 64, Segments: 8, CardBits: 8,
-		LeafCap: 50, RawName: "conf.bin", Count: 130,
-		Tree: &TreeLayout{Counts: []int{50, 50, 30}},
+		RawName: "conf.bin", Count: 130,
+		Tree: &TreeLayout{},
 	}
 }
 
-// legacyEncode is m as format version ver (1–9) wrote it: version 2 added
-// the LSM WAL cursors (the flushed position and two segment numbers, of
-// which version 8 keeps the position), 3 a checksums flag and 4 a
-// compressed-runs flag (both set by every version-5 writer that could be
+// legacyLeafCap is the leaf capacity versions 1–10 stored in every
+// manifest, and which a tree's leaf directory was cut by.
+const legacyLeafCap = 50
+
+// legacyEncode is m as format version ver (1–10) wrote it: every version
+// stored a leaf capacity after the materialized flag, and a tree a leaf
+// directory, here m.Count records packed into leaves of legacyLeafCap.
+// Version 2 added the LSM WAL cursors (the flushed position and two segment
+// numbers, of which version 8 keeps the position), 3 a checksums flag and 4
+// a compressed-runs flag (both set by every version-5 writer that could be
 // read, and gone since 6, whose LSM runs are no longer framed in checksum
-// blocks), and a tree before version 7
-// stored its B+-tree geometry, its
-// directory living in a separate meta file, and in versions 7 and 8 a
-// {page, count, stamp, separator} entry per leaf page. An LSM before
-// version 10 kept compaction cursors beside its run list (legacyLSM).
-// Everything else is laid out as today.
+// blocks), and a tree before version 7 stored its B+-tree geometry, its
+// directory living in a separate meta file, in versions 7 to 9 a {page,
+// count, stamp, separator} entry per leaf page, and in version 10 its run's
+// generation and its leaves' record counts. An LSM before version 10 kept
+// compaction cursors beside its run list (legacyLSM). Everything else is
+// laid out as today.
 func legacyEncode(m *Manifest, ver uint32) []byte {
 	cur, err := m.Encode()
 	if err != nil {
@@ -53,39 +59,50 @@ func legacyEncode(m *Manifest, ver uint32) []byte {
 	w.u32(uint32(m.Segments))
 	w.u32(uint32(m.CardBits))
 	w.bool(m.Materialized)
-	w.u32(uint32(m.LeafCap))
+	w.u32(legacyLeafCap)
 	w.str(m.RawName)
 	w.u64(uint64(m.Count))
-	// Today's payload: the fields above, then the variant layout.
-	layout := cur[headerSize+len(w.buf):]
-	if m.Variant == VariantLSM {
+	// Today's payload: the fields above but the leaf capacity, then the
+	// variant layout.
+	layout := cur[headerSize+len(w.buf)-4:]
+	if m.Variant == VariantLSM && ver < 10 {
 		layout = legacyLSM(m.LSM)
 	}
-	if ver >= 3 {
+	if ver >= 3 && ver <= 5 {
 		w.bool(true)
 	}
-	if ver >= 4 {
+	if ver >= 4 && ver <= 5 {
 		w.bool(m.Variant == VariantLSM)
+	}
+	var counts []int
+	for left := int(m.Count); left > 0; left -= legacyLeafCap {
+		counts = append(counts, min(left, legacyLeafCap))
 	}
 	switch {
 	case m.Variant == VariantTree && ver < 7:
-		for _, v := range []uint32{2072, 16, 100, 64} { // record size, key length, leaf capacity, fan-out
+		for _, v := range []uint32{2072, 16, legacyLeafCap, 64} { // record size, key length, leaf capacity, fan-out
 			w.u32(v)
 		}
 		w.u64(0x3FF0000000000000) // fill factor 1.0
-		w.u32(uint32(len(m.Tree.Counts)))
-		w.u64(uint64(len(m.Tree.Counts))) // next page
-	case m.Variant == VariantTree:
-		w.u32(uint32(len(m.Tree.Counts)))
-		for i, c := range m.Tree.Counts {
+		w.u32(uint32(len(counts)))
+		w.u64(uint64(len(counts))) // next page
+	case m.Variant == VariantTree && ver < 10:
+		w.u32(uint32(len(counts)))
+		for i, c := range counts {
 			w.u32(uint32(i)) // page
 			w.u32(uint32(c))
 			w.u32(1) // stamp
 			w.bytes(make([]byte, summary.KeySize))
 		}
+	case m.Variant == VariantTree:
+		w.u64(uint64(m.Tree.Gen))
+		w.u32(uint32(len(counts)))
+		for _, c := range counts {
+			w.u32(uint32(c))
+		}
 	case m.Variant == VariantLSM && ver < 2:
 		w.bytes(layout[:len(layout)-8]) // no WAL cursors yet
-	case m.Variant == VariantLSM:
+	case m.Variant == VariantLSM && ver < 10:
 		w.bytes(layout)
 		w.u32(3) // first WAL segment
 		w.u32(4) // next WAL segment
@@ -104,27 +121,43 @@ func frame(ver uint32, payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// storedTries are a Coconut-Trie's manifest as this format version wrote it
+// storedTries are a Coconut-Trie's manifest as format version 10 wrote it
 // while the trie was an index type of its own — the common fields, then its
 // leaf count — and a partitioned parent of trie children.
 func storedTries() [][]byte {
 	var w writer
-	w.str(string(retiredTrie))
+	w.str("trie")
 	w.u32(64) // series length
 	w.u32(8)  // segments
 	w.u32(8)  // cardinality bits
 	w.bool(false)
-	w.u32(50) // leaf capacity
+	w.u32(legacyLeafCap)
 	w.str("conf.bin")
 	w.u64(30) // records
 	w.u32(2)  // leaves
 	parent := samplePartitioned()
-	parent.Part.ChildVariant = retiredTrie
-	enc, err := parent.Encode()
-	if err != nil {
-		panic(err)
+	parent.Part.ChildVariant = "trie"
+	return [][]byte{frame(10, w.buf), legacyEncode(parent, 10)}
+}
+
+// parentEncodings are what the last version-10 writer's Encode produced for
+// a tree grown by inserts (generation 3, leaves of 60, 70, 100 and 100
+// records at capacity 100), an LSM and a partitioned parent of LSM
+// children: stores written before the leaf directory went.
+func parentEncodings() map[string][]byte {
+	out := map[string][]byte{}
+	for name, h := range map[string]string{
+		"tree":        "43434d460a00000049000000b413e43c040000007472656500010000100000000800000001640000000800000077616c6b2e62696e4a010000000000000300000000000000040000003c000000460000006400000064000000",
+		"lsm":         "43434d460a00000012010000feff8b75030000006c736d80000000100000000800000000d007000008000000646174612e62696e2c010000000000000600000000000000030000000d00000069782e72756e2e303030303030000000400000000000000000c80000000000000000000000000000000000000000000000ff00000000000000000000000000007f1000000069782e636d702e74302e303030303031010000000100000000000000500000000000000000000000000000000000000000000000ff00000000000000000000000000007f0d00000069782e72756e2e303030303035000000000500000000000000140000000000000000000000000000000000000000000000ff00000000000000000000000000007f4001000000000000",
+		"partitioned": "43434d460a000000650000000a9fda140b000000706172746974696f6e6564800000001000000008000000000000000008000000646174612e62696e2c01000000000000030000006c736d02000000800000000000000000000000000000000700000069782e703030300700000069782e70303031",
+	} {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			panic(err)
+		}
+		out[name] = b
 	}
-	return [][]byte{frame(version, w.buf), enc}
+	return out
 }
 
 // legacyLSM is l as versions 2–9 laid it out: the fanout, the next run
@@ -159,7 +192,7 @@ func sampleLSM() *Manifest {
 	hi[0], hi[15] = 0xff, 0x7f
 	return &Manifest{
 		Variant: VariantLSM, SeriesLen: 128, Segments: 16, CardBits: 8,
-		LeafCap: 2000, RawName: "data.bin", Count: 300,
+		RawName: "data.bin", Count: 300,
 		LSM: &LSMLayout{
 			NextSeq: 6,
 			Runs: []RunInfo{
@@ -189,7 +222,7 @@ func samplePartitionedTrees() *Manifest {
 	lo[0], hi[0] = 0x40, 0xc0
 	return &Manifest{
 		Variant: VariantPartitioned, SeriesLen: 64, Segments: 8, CardBits: 8,
-		Materialized: true, LeafCap: 50, RawName: "conf.bin", Count: 900,
+		Materialized: true, RawName: "conf.bin", Count: 900,
 		Part: &PartitionLayout{ChildVariant: VariantTree, Partitions: 3,
 			Boundaries: []summary.Key{lo, hi}, Children: []string{"px.p000", "px.p001", "px.p002"}},
 	}
@@ -200,7 +233,7 @@ func samples() []*Manifest {
 }
 
 // refusedEncodings are well-formed manifests of layouts no reader exists
-// for: every variant at format versions 1–9.
+// for: every variant at format versions 1–10.
 func refusedEncodings() [][]byte {
 	var out [][]byte
 	for _, m := range samples() {
@@ -230,7 +263,7 @@ func assertEqual(t *testing.T, want, got *Manifest) {
 	t.Helper()
 	if want.Variant != got.Variant || want.SeriesLen != got.SeriesLen ||
 		want.Segments != got.Segments || want.CardBits != got.CardBits ||
-		want.Materialized != got.Materialized || want.LeafCap != got.LeafCap ||
+		want.Materialized != got.Materialized ||
 		want.RawName != got.RawName || want.Count != got.Count {
 		t.Fatalf("header mismatch: want %+v, got %+v", want, got)
 	}
@@ -308,8 +341,7 @@ func TestCommitAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := sampleTree()
-	second.Count++ // one more record, in the first leaf
-	second.Tree.Counts[0]++
+	second.Count++ // one more record
 
 	boom := errors.New("boom")
 	fs.SetFault(func(op storage.Op, name string, off int64, n int) error {
@@ -402,11 +434,12 @@ func TestReencodeBitExact(t *testing.T) {
 	}
 }
 
-// TestOldLayoutsRefused: format v10 is the only one read. A manifest of an
+// TestOldLayoutsRefused: format v11 is the only one read. A manifest of an
 // earlier version, of any variant, is a version mismatch (rebuild), not
 // corruption — v7 included, whose LSM layout ended in two WAL segment
-// cursors, v8, whose tree directory named stamped leaf pages, and v9, whose
-// LSM layout kept compaction cursors beside its run list.
+// cursors, v8, whose tree directory named stamped leaf pages, v9, whose
+// LSM layout kept compaction cursors beside its run list, and v10, which
+// stored a leaf capacity and a tree's leaf directory.
 func TestOldLayoutsRefused(t *testing.T) {
 	for i, enc := range refusedEncodings() {
 		if _, err := Decode(enc); !errors.Is(err, ErrVersionMismatch) {
@@ -424,6 +457,26 @@ func TestStoredTrieRefused(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := Decode(storedTries()[i]); !errors.Is(err, ErrVersionMismatch) {
 				t.Fatalf("got %v, want ErrVersionMismatch", err)
+			}
+		})
+	}
+}
+
+// TestParentEncodingsRefused: the manifests the last version-10 writer
+// committed — a tree with its leaf directory, an LSM and a partitioned
+// parent — decode to ErrVersionMismatch (rebuild), and so does the same
+// payload resealed at version 10 by this build's framing.
+func TestParentEncodingsRefused(t *testing.T) {
+	for name, enc := range parentEncodings() {
+		t.Run(name, func(t *testing.T) {
+			if v := binary.LittleEndian.Uint32(enc[4:]); v != 10 {
+				t.Fatalf("parent encoding at version %d, want 10", v)
+			}
+			if _, err := Decode(enc); !errors.Is(err, ErrVersionMismatch) {
+				t.Fatalf("got %v, want ErrVersionMismatch", err)
+			}
+			if _, err := Decode(frame(10, enc[headerSize:])); !errors.Is(err, ErrVersionMismatch) {
+				t.Fatalf("resealed: got %v, want ErrVersionMismatch", err)
 			}
 		})
 	}
@@ -487,58 +540,31 @@ func reseal(payload []byte) []byte {
 }
 
 // TestTreeDirectoryChecksBehindCRC covers the checks the manifest's CRC
-// does not make redundant: a tree's leaf layout whose CRC matches but which
-// does not describe a well-formed run — a leaf count that overflows the size
-// computation or disagrees with the directory length, a directory cut
-// mid-entry or before its count, a negative generation, an empty or
-// over-full leaf, counts that do not sum to the manifest's — fails Decode
-// with ErrCorruptManifest, never a panic.
+// does not make redundant: a tree layout whose CRC matches but which does
+// not name a run — a negative generation, a generation cut mid-field or
+// missing, or a version-10 leaf directory still following it — fails
+// Decode with ErrCorruptManifest, never a panic.
 func TestTreeDirectoryChecksBehindCRC(t *testing.T) {
 	enc, err := sampleTree().Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := enc[headerSize:]
-	leaves := len(sampleTree().Tree.Counts)
-	countOff := len(payload) - leaves*4 - 4
-	if got := binary.LittleEndian.Uint32(payload[countOff:]); got != uint32(leaves) {
-		t.Fatalf("leaf count at payload offset %d reads %d, want %d", countOff, got, leaves)
+	genOff := len(payload) - 8
+	if got := binary.LittleEndian.Uint64(payload[genOff:]); got != 3 {
+		t.Fatalf("generation at payload offset %d reads %d, want 3", genOff, got)
 	}
-	bytesCases := map[string]func(b []byte) []byte{
-		"leaf-count-overflow": func(b []byte) []byte { b[countOff+3] |= 0x80; return b },
-		"leaf-count-short": func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[countOff:], uint32(leaves-1))
-			return b
+	cases := map[string]func(b []byte) []byte{
+		"negative-generation": func(b []byte) []byte { b[len(b)-1] |= 0x80; return b },
+		"generation-cut":      func(b []byte) []byte { return b[:len(b)-3] },
+		"generation-missing":  func(b []byte) []byte { return b[:genOff] },
+		"leaf-directory-trailer": func(b []byte) []byte { // one leaf of all 330 records
+			return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(b, 1), 330)
 		},
-		"leaf-count-long": func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[countOff:], uint32(leaves+1))
-			return b
-		},
-		"negative-generation":        func(b []byte) []byte { b[countOff-1] |= 0x80; return b },
-		"directory-cut-mid-entry":    func(b []byte) []byte { return b[:len(b)-3] },
-		"directory-cut-before-count": func(b []byte) []byte { return b[:countOff+2] },
 	}
-	fieldCases := map[string]func(l []int){
-		"empty-leaf":        func(l []int) { l[0], l[1] = 0, l[1]+l[0] },
-		"over-full-leaf":    func(l []int) { l[0], l[2] = 101, l[2]-41 },
-		"counts-miss-total": func(l []int) { l[3]-- },
-	}
-	for name, mutate := range bytesCases {
+	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
 			if _, err := Decode(reseal(mutate(append([]byte(nil), payload...)))); !errors.Is(err, ErrCorruptManifest) {
-				t.Fatalf("decode: %v, want ErrCorruptManifest", err)
-			}
-		})
-	}
-	for name, mutate := range fieldCases {
-		t.Run(name, func(t *testing.T) {
-			m := sampleTree()
-			mutate(m.Tree.Counts)
-			data, err := m.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Decode(data); !errors.Is(err, ErrCorruptManifest) {
 				t.Fatalf("decode: %v, want ErrCorruptManifest", err)
 			}
 		})

@@ -153,7 +153,7 @@ func equalKeys(a, b []summary.Key) bool {
 // 2000-series dataset in one sort chunk at 8 workers, as the 24-byte
 // records of the others are.
 func variants(t *testing.T, fs storage.FS, workers int) map[string]Variant {
-	opt := core.Options{FS: fs, Name: "px", S: ptSummarizer(t), RawName: "raw", LeafCap: 16,
+	opt := core.Options{FS: fs, Name: "px", S: ptSummarizer(t), RawName: "raw",
 		MemBudgetBytes: 1 << 20, Workers: workers}
 	full := opt
 	full.Materialized, full.MemBudgetBytes = true, 8<<20
@@ -373,7 +373,7 @@ func TestBuildRefusesRottedSpillRun(t *testing.T) {
 					}
 				}
 			})
-			opt := core.Options{FS: ffs, Name: "px", S: ptSummarizer(t), RawName: "raw", LeafCap: 16,
+			opt := core.Options{FS: ffs, Name: "px", S: ptSummarizer(t), RawName: "raw",
 				MemBudgetBytes: budget, Workers: 2}
 			v := map[string]Variant{"tree": TreeVariant(opt),
 				"lsm": LSMVariant(lsm.Options{FS: ffs, Name: "px", S: opt.S, RawName: "raw",
@@ -420,7 +420,7 @@ func TestMaterializedBuildVerifiesTheGather(t *testing.T) {
 				once.Do(func() { rotErr = ffs.Rot("raw", int64(100*series.EncodedSize(ptLen)+3), 1) })
 			}
 		})
-		v := TreeVariant(core.Options{FS: ffs, Name: "px", S: ptSummarizer(t), RawName: "raw", LeafCap: 16,
+		v := TreeVariant(core.Options{FS: ffs, Name: "px", S: ptSummarizer(t), RawName: "raw",
 			Materialized: true, MemBudgetBytes: 1 << 20, Workers: 2})
 		ix, err := Build(v, parts, nil)
 		if rotErr != nil {

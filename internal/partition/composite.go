@@ -36,8 +36,8 @@ type Composite struct {
 	// step to its last fetch: a window's candidates are read after the steps
 	// that collected them have returned. An insert's append and route hold it
 	// exclusively — raw-log appends assign global arrival-order positions
-	// before records route to their owning child, and no query reads a leaf
-	// a split is rewriting — but not its commit wait; Close holds it
+	// before records route to their owning child, and no query reads a run
+	// an insert merge is replacing — but not its commit wait; Close holds it
 	// exclusively too.
 	mu     sync.RWMutex
 	closed bool

@@ -37,7 +37,7 @@ func stressFS(t *testing.T) (*storage.MemFS, []series.Series) {
 // coreStress is the tree option set of the stress tests.
 func coreStress(t *testing.T, fs storage.FS, mat bool, queryWorkers int) core.Options {
 	return core.Options{FS: fs, Name: "cx", S: ptSummarizer(t), RawName: "raw", Materialized: mat,
-		LeafCap: 20, MemBudgetBytes: 1 << 20, Workers: 2, QueryWorkers: queryWorkers}
+		MemBudgetBytes: 1 << 20, Workers: 2, QueryWorkers: queryWorkers}
 }
 
 // stress runs every goroutine of work concurrently and fails on the first

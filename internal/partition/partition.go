@@ -103,10 +103,8 @@ type Variant struct {
 	fs            storage.FS
 	name, rawName string
 	s             *summary.Summarizer
-	// materialized and leafCap describe the children to the parent
-	// manifest.
+	// materialized describes the children to the parent manifest.
 	materialized bool
-	leafCap      int
 	// workers and memBudget are the build's summarization pass and sort's.
 	workers      int
 	memBudget    int64
@@ -142,13 +140,13 @@ func TreeVariant(opt core.Options) Variant {
 	return Variant{
 		kind: manifest.VariantTree,
 		fs:   opt.FS, name: opt.Name, rawName: opt.RawName, s: opt.S,
-		materialized: opt.Materialized, leafCap: opt.LeafCap,
-		workers: opt.Workers, memBudget: orDefault(opt.MemBudgetBytes, core.DefaultMemBudget),
+		materialized: opt.Materialized,
+		workers:      opt.Workers,
+		memBudget:    orDefault(opt.MemBudgetBytes, core.DefaultMemBudget),
 		queryWorkers: opt.QueryWorkers,
 		seedRadius:   seedRadius,
 		remove:       core.Remove,
-		// Same geometry and summarization; a partition divides the query
-		// workers.
+		// Same summarization; a partition divides the query workers.
 		child: func(p childPlan) (Child, error) {
 			co := opt
 			co.Name, co.Records, co.RawSums = p.name, p.records, p.sums
@@ -301,7 +299,6 @@ func commitParent(v Variant, bounds []summary.Key, children []string, total int6
 		Segments:     p.Segments,
 		CardBits:     p.CardBits,
 		Materialized: v.materialized,
-		LeafCap:      v.leafCap,
 		RawName:      v.rawName,
 		Count:        total,
 		Part: &manifest.PartitionLayout{

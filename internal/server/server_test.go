@@ -37,7 +37,6 @@ func buildServedTree(t *testing.T, ffs storage.FS) (*coconut.TreeIndex, coconut.
 		Name:         "ix",
 		DataFile:     "data.bin",
 		SeriesLen:    testLen,
-		LeafSize:     32,
 		Partitions:   3,
 		QueryWorkers: 1,
 	})
@@ -216,7 +215,7 @@ func TestServerKNNEveryVariant(t *testing.T) {
 		if err := coconut.GenerateDataset(fs, "data.bin", coconut.RandomWalk, testSeries, testLen, 3); err != nil {
 			t.Fatal(err)
 		}
-		cfg := coconut.Config{Storage: fs, Name: variant, DataFile: "data.bin", SeriesLen: testLen, LeafSize: 32}
+		cfg := coconut.Config{Storage: fs, Name: variant, DataFile: "data.bin", SeriesLen: testLen}
 		if variant == "tree" {
 			ix, err := coconut.BuildTreeIndex(cfg)
 			if err != nil {
@@ -297,7 +296,7 @@ func TestServerApproxRadius(t *testing.T) {
 		if err := coconut.GenerateDataset(fs, "data.bin", coconut.RandomWalk, testSeries, testLen, 3); err != nil {
 			t.Fatal(err)
 		}
-		cfg := coconut.Config{Storage: fs, Name: string(v), DataFile: "data.bin", SeriesLen: testLen, LeafSize: 32}
+		cfg := coconut.Config{Storage: fs, Name: string(v), DataFile: "data.bin", SeriesLen: testLen}
 		ix, err := coconut.Build(context.Background(), cfg, v)
 		if err != nil {
 			t.Fatal(err)
@@ -694,7 +693,7 @@ func buildServedParted(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	ix, err := coconut.Build(context.Background(), coconut.Config{
-		Storage: fs, Name: "parted", DataFile: "data.bin", SeriesLen: testLen, LeafSize: 32, Partitions: 2,
+		Storage: fs, Name: "parted", DataFile: "data.bin", SeriesLen: testLen, Partitions: 2,
 	}, coconut.Tree)
 	if err != nil {
 		t.Fatal(err)

@@ -126,7 +126,7 @@ func TestKeysIntoMatchesKernel(t *testing.T) {
 		}
 		want := make([]float64, n)
 		for i, k := range keys {
-			want[i] = s.MinDistSqPAAToSAX(qPAA, s.SAXFromKey(k))
+			want[i] = s.MinDistSqPAAToSAX(qPAA, Deinterleave(k, s.Params().Segments, s.Params().CardBits))
 		}
 		for _, workers := range []int{1, 2, 7, 64} {
 			got := make([]float64, n)

@@ -217,11 +217,6 @@ func (s *Summarizer) KeyOf(ser series.Series) (Key, error) {
 // KeyFromSAX interleaves an existing SAX word.
 func (s *Summarizer) KeyFromSAX(sax SAX) Key { return Interleave(sax, s.p.CardBits) }
 
-// SAXFromKey inverts KeyFromSAX.
-func (s *Summarizer) SAXFromKey(k Key) SAX {
-	return Deinterleave(k, s.p.Segments, s.p.CardBits)
-}
-
 // Region returns the value interval [lo, hi) covered by the prefix made of
 // the top prefixBits bits of symbol sym. prefixBits == CardBits denotes a
 // fully specified symbol. lo may be -Inf and hi may be +Inf.

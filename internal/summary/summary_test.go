@@ -333,10 +333,10 @@ func TestKeyOfMatchesManualPipeline(t *testing.T) {
 	if k != s.KeyFromSAX(sax) {
 		t.Fatal("KeyOf disagrees with SAX+Interleave")
 	}
-	back := s.SAXFromKey(k)
+	back := Deinterleave(k, s.Params().Segments, s.Params().CardBits)
 	for j := range sax {
 		if sax[j] != back[j] {
-			t.Fatal("SAXFromKey failed to invert")
+			t.Fatal("Deinterleave failed to invert KeyFromSAX")
 		}
 	}
 	if _, err := s.KeyOf(series.Series{1}); err == nil {

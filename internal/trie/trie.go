@@ -14,7 +14,7 @@ package trie
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/coconut-db/coconut/internal/summary"
 )
@@ -226,11 +226,6 @@ func (t *Trie) MinDistSq(paa []float64, n *Node) float64 {
 // Leaves returns all leaves, root children in ascending root-key order,
 // children in their stored order (z-order for bottom-up builds).
 func (t *Trie) Leaves() []*Node {
-	keys := make([]uint32, 0, len(t.Root))
-	for k := range t.Root {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var out []*Node
 	var walk func(n *Node)
 	walk = func(n *Node) {
@@ -242,8 +237,24 @@ func (t *Trie) Leaves() []*Node {
 			walk(c)
 		}
 	}
-	for _, k := range keys {
-		walk(t.Root[k])
+	for _, n := range t.Roots() {
+		walk(n)
+	}
+	return out
+}
+
+// Roots returns the root's children in root-key order: every walk that
+// writes or reads in root order goes through it, so its I/O is the same
+// from run to run (Root is a map, whose order is not).
+func (t *Trie) Roots() []*Node {
+	keys := make([]uint32, 0, len(t.Root))
+	for k := range t.Root {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out := make([]*Node, len(keys))
+	for i, k := range keys {
+		out[i] = t.Root[k]
 	}
 	return out
 }
@@ -286,7 +297,7 @@ func (t *Trie) BestLeaf(paa []float64) *Node {
 			walk(c)
 		}
 	}
-	for _, n := range t.Root {
+	for _, n := range t.Roots() {
 		walk(n)
 	}
 	return best

@@ -130,7 +130,7 @@ func ledgerRun(t *testing.T, variant Variant, materialized bool, budget int64, p
 	}
 	cfg := Config{
 		Storage: fs, Name: "ix", DataFile: "data", SeriesLen: seriesLen,
-		LeafSize: 64, Materialized: materialized, MemoryBudget: budget,
+		Materialized: materialized, MemoryBudget: budget,
 		Workers: workers, QueryWorkers: 1, Partitions: parts,
 	}
 	cell := ledgerCell{IO: map[string]ledgerIO{}}

@@ -49,7 +49,6 @@ func handleConfig(t *testing.T, parts int) Config {
 		DataFile:     "h.bin",
 		SeriesLen:    handleLen,
 		Segments:     8,
-		LeafSize:     50,
 		MemoryBudget: 1 << 20,
 		Workers:      2,
 		QueryWorkers: 2,

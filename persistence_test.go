@@ -308,12 +308,11 @@ func TestBackendParity(t *testing.T) {
 // next generation of the leaf run and leave the committed one — the one the
 // manifest names — untouched until the next Sync commits a manifest naming
 // the new one, so a crash between Syncs reopens at the last Sync, without
-// Repair. Four states: after an insert that fits its leaf, after one that
-// splits a leaf, after enough to refill the split's lower half to the
-// committed count, and after a Sync that wrote and fsynced the next
-// generation but lost power as its manifest commit began. Each opens with
-// the committed count, answers as brute force over the committed data does,
-// and scrubs clean.
+// Repair. Three states: after an insert of one record, after one that opens
+// a new leaf (a checksum block of the run), and after a Sync that wrote and
+// fsynced the next generation but lost power as its manifest commit began.
+// Each opens with the committed count, answers as brute force over the
+// committed data does, and scrubs clean.
 func TestTreeCrashBetweenSyncsReopensCommitted(t *testing.T) {
 	queries, err := GenerateQueries(RandomWalk, 4, confLen, confSeed+2)
 	if err != nil {
@@ -321,21 +320,17 @@ func TestTreeCrashBetweenSyncsReopensCommitted(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		fill   float64
 		copies int
 		sync   bool
 	}{
-		{"in-place", 0.8, 1, false},
-		{"split", 1, 1, false},
-		{"split-refilled", 1, 25, false}, // half of LeafSize 50
-		{"next-generation-fsynced", 1, 25, true},
+		{"one-record", 1, false},
+		{"new-leaf", 51, false}, // 2 551 records: one past 15 full leaves of 170
+		{"next-generation-fsynced", 51, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mem, data := confFS(t)
 			ffs := storage.NewFaultFS(mem)
-			cfg := confConfig(ffs, 1, false)
-			cfg.FillFactor = tc.fill
-			ix, err := BuildTreeIndex(cfg)
+			ix, err := BuildTreeIndex(confConfig(ffs, 1, false))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,8 +341,8 @@ func TestTreeCrashBetweenSyncsReopensCommitted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Copies of the smallest key's series land in the first leaf, in
-			// front of its first record.
+			// Copies of the smallest key's series land in front of the run's
+			// first record.
 			first := smallestKey(t, data)
 			extra := make([]Series, tc.copies)
 			for i := range extra {
@@ -356,8 +351,8 @@ func TestTreeCrashBetweenSyncsReopensCommitted(t *testing.T) {
 			if err := live.Insert(extra); err != nil {
 				t.Fatal(err)
 			}
-			if tc.copies == 25 && live.NumLeaves() != 51 {
-				t.Fatalf("%d leaves after the inserts, want one split", live.NumLeaves())
+			if want := map[int]int{1: 15, 51: 16}[tc.copies]; live.NumLeaves() != want {
+				t.Fatalf("%d leaves after the inserts, want %d", live.NumLeaves(), want)
 			}
 			if tc.sync {
 				ffs.SetHook(func(op storage.Op, name string) {
@@ -453,9 +448,6 @@ func TestOpenConfigMismatch(t *testing.T) {
 	if _, err := OpenTreeIndex(Config{Storage: fs, Name: "conf", Segments: 16}); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("conflicting Segments: got %v, want ErrConfigMismatch", err)
 	}
-	if _, err := OpenTreeIndex(Config{Storage: fs, Name: "conf", LeafSize: 64}); !errors.Is(err, ErrConfigMismatch) {
-		t.Fatalf("conflicting LeafSize: got %v, want ErrConfigMismatch", err)
-	}
 	if _, err := OpenLSMIndex(Config{Storage: fs, Name: "conf"}); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("tree opened as lsm: got %v, want ErrConfigMismatch", err)
 	}
@@ -485,9 +477,10 @@ func TestOpenConfigMismatch(t *testing.T) {
 }
 
 // asFormatV5 re-encodes a current manifest as format version 5 wrote the
-// same index: the payload carried a checksums flag and a compressed-runs
-// flag (both set by every v5 writer that could be read, the second for LSM
-// only) right after the record count, under a CRC of its own.
+// same index: the payload carried a leaf capacity after the materialized
+// flag, and a checksums flag and a compressed-runs flag (both set by every
+// v5 writer that could be read, the second for LSM only) right after the
+// record count, under a CRC of its own.
 func asFormatV5(t *testing.T, good []byte) []byte {
 	t.Helper()
 	m, err := manifest.Decode(good)
@@ -495,10 +488,13 @@ func asFormatV5(t *testing.T, good []byte) []byte {
 		t.Fatal(err)
 	}
 	const header = 16
-	// variant string, series length, segments, card bits, materialized,
-	// leaf capacity, raw name string, count.
-	flagsAt := header + 4 + len(m.Variant) + 3*4 + 1 + 4 + 4 + len(m.RawName) + 8
-	payload := append([]byte(nil), good[header:flagsAt]...)
+	// variant string, series length, segments, card bits, materialized;
+	// then raw name string, count.
+	capAt := header + 4 + len(m.Variant) + 3*4 + 1
+	flagsAt := capAt + 4 + len(m.RawName) + 8
+	payload := append([]byte(nil), good[header:capAt]...)
+	payload = binary.LittleEndian.AppendUint32(payload, 2000) // leaf capacity
+	payload = append(payload, good[capAt:flagsAt]...)
 	payload = append(payload, 1, 0)
 	if m.Variant == manifest.VariantLSM {
 		payload[len(payload)-1] = 1
@@ -513,8 +509,9 @@ func asFormatV5(t *testing.T, good []byte) []byte {
 
 // TestOpenRefusesOtherFormats: one stored format is read. An index whose
 // manifest is of an earlier version — including a well-formed version 5,
-// whose LSM runs were framed in checksum blocks, and version 8, whose tree
-// leaves were stamped B+-tree pages — is refused by Open, Scrub and Repair
+// whose LSM runs were framed in checksum blocks, version 8, whose tree
+// leaves were stamped B+-tree pages, and version 10, whose manifests stored
+// a leaf capacity and a tree's leaf directory — is refused by Open, Scrub and Repair
 // with ErrVersionMismatch, never misread as corruption, and opens again once
 // the manifest is restored.
 func TestOpenRefusesOtherFormats(t *testing.T) {
@@ -557,7 +554,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 						t.Fatalf("%s: repair: got %v, want ErrVersionMismatch", what, err)
 					}
 				}
-				for _, ver := range []uint32{1, 2, 3, 4, 6, 7, 8} {
+				for _, ver := range []uint32{1, 2, 3, 4, 6, 7, 8, 9, 10} {
 					old := append([]byte(nil), good...)
 					binary.LittleEndian.PutUint32(old[4:], ver)
 					if err := storage.WriteFileAll(fs, manifest.FileName("conf"), old); err != nil {
@@ -620,6 +617,54 @@ func TestOpenRefusesStoredTrie(t *testing.T) {
 					t.Fatalf("%v, want ErrVersionMismatch", err)
 				}
 			})
+		}
+	}
+}
+
+// TestOpenRefusesStoredTree: testdata/storedtree holds a Coconut-Tree
+// ("tree") and a 2-partition tree ("ptree") over one dataset, as written in
+// manifest version 10, whose manifests stored a leaf capacity and each
+// tree's leaf directory. Open, Scrub and Repair refuse both with
+// ErrVersionMismatch (rebuild the index), and Repair leaves every file as
+// it was.
+func TestOpenRefusesStoredTree(t *testing.T) {
+	const dir = "testdata/storedtree"
+	fs := NewMemStorage()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := map[string][]byte{}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored[f.Name()] = data
+		if err := storage.WriteFileAll(fs, f.Name(), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls := map[string]func(Config) error{
+		"Open":   func(c Config) error { return closeIfOpened(Open(context.Background(), c)) },
+		"Scrub":  func(c Config) error { _, err := Scrub(c.Storage, c.Name); return err },
+		"Repair": func(c Config) error { _, err := Repair(c); return err },
+	}
+	for _, name := range []string{"tree", "ptree"} {
+		for call, fn := range calls {
+			t.Run(name+"/"+call, func(t *testing.T) {
+				if err := fn(Config{Storage: fs, Name: name}); !errors.Is(err, ErrVersionMismatch) {
+					t.Fatalf("%v, want ErrVersionMismatch", err)
+				}
+			})
+		}
+	}
+	if names := fs.Names(); len(names) != len(stored) {
+		t.Fatalf("the store holds %v after the refusals, want the %d stored files", names, len(stored))
+	}
+	for name, want := range stored {
+		if got, err := storage.ReadFileAll(fs, name); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed by a refused call (%v)", name, err)
 		}
 	}
 }

@@ -6,7 +6,7 @@ package coconut
 // (for partitioned indexes) each child's artifacts — and verifies each
 // against its one integrity layer (block CRCs, the run codec's CRCs, record
 // CRCs) and against what its manifest promises (a leaf run against its
-// count, key order and leaf directory, through the loader Open runs; an LSM
+// count and key order, through the loader Open runs; an LSM
 // run against its count and key range), reporting a per-file finding for
 // each. Repair rebuilds a damaged
 // index from the verified raw dataset: every index artifact is a pure

@@ -92,23 +92,41 @@ func (a treeShape) equal(b treeShape) bool {
 
 // TestTreeLeafFileIsTheSortedRun: at every worker count, sort budget (one
 // that spills several runs and one that sorts the input in memory) and
-// materialization, on a random walk, an empty and a one-record dataset and
-// one of identical keys, the tree's leaf file is the sorted record stream
-// and nothing else, its leaves are its checksum blocks, all full but the
-// last, and OpenTree reproduces the build's summary array.
+// materialization, on a random walk, an empty and a one-record dataset, one
+// of identical keys, and runs of exactly two leaves' records and of one
+// record more, the tree's leaf file is the sorted record stream and nothing
+// else, its leaves are its checksum blocks, all full but the last, and
+// OpenTree reproduces the build's summary array.
 func TestTreeLeafFileIsTheSortedRun(t *testing.T) {
 	walk := dataset.Generate(dataset.NewRandomWalk(), tCount, tLen, 42)
 	equal := make([]series.Series, 40)
 	for i := range equal {
 		equal[i] = walk[7]
 	}
+	fixed := func(data []series.Series) func(int) []series.Series {
+		return func(int) []series.Series { return data }
+	}
+	// Each dataset is a function of the records one leaf holds, so the
+	// block-boundary cases land on the boundary in both record layouts.
 	datasets := []struct {
 		name string
-		data []series.Series
-	}{{"walk", walk}, {"empty", nil}, {"single", walk[:1]}, {"all-equal-keys", equal}}
+		data func(per int) []series.Series
+	}{
+		{"walk", fixed(walk)},
+		{"empty", fixed(nil)},
+		{"single", fixed(walk[:1])},
+		{"all-equal-keys", fixed(equal)},
+		{"two-full-leaves", func(per int) []series.Series { return walk[:2*per] }},
+		{"two-full-leaves-plus-one", func(per int) []series.Series { return walk[:2*per+1] }},
+	}
 	s := tSummarizer(t)
-	for _, ds := range datasets {
+	for _, d := range datasets {
 		for _, mat := range []bool{false, true} {
+			rs := (&Options{S: s, Materialized: mat}).recordSize()
+			ds := struct {
+				name string
+				data []series.Series
+			}{d.name, d.data(leafBlockSize(rs) / rs)}
 			want := sortedStream(t, s, ds.data, mat)
 			for _, budget := range []int64{16 << 10, 64 << 20} {
 				name := fmt.Sprintf("%s/mat=%v/budget=%d", ds.name, mat, budget)
@@ -164,6 +182,25 @@ func TestTreeLeafFileIsTheSortedRun(t *testing.T) {
 						if want := float64(len(ds.data)) / float64(sh.Leaves*per); sh.LeafFill != want {
 							t.Fatalf("LeafFill = %v, want occupancy %v", sh.LeafFill, want)
 						}
+					}
+					// On disk, each leaf is one checksum block: a CRC and
+					// per records, the last block holding the rest.
+					inner, err := fs.Open("cx.leaves")
+					if err != nil {
+						t.Fatal(err)
+					}
+					cf, err := storage.OpenChecksumFile(inner)
+					if err != nil {
+						inner.Close()
+						t.Fatal(err)
+					}
+					bs := cf.BlockSize()
+					inner.Close()
+					if bs != leafBlockSize(ix.opt.recordSize()) {
+						t.Fatalf("checksum block of %d bytes, want one leaf of %d", bs, leafBlockSize(ix.opt.recordSize()))
+					}
+					if phys, want := fs.FileSize("cx.leaves"), storage.ChecksumHeaderSize+int64(sh.Leaves)*4+int64(len(ds.data)*ix.opt.recordSize()); phys != want {
+						t.Fatalf("leaf file is %d bytes on disk, want header, %d block CRCs and the records = %d", phys, sh.Leaves, want)
 					}
 
 					built := shapeOf(ix.TreeIndex)

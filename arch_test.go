@@ -2,7 +2,8 @@ package coconut
 
 // The structural rules, stated on syntax: each walks the module's non-test
 // Go files outside bench/ with go/parser and fails on a declaration of a
-// design that was deleted. Run one with go test -run 'TestArch/<rule>' .
+// design that was deleted, or on a call where it may not be made. Run one
+// with go test -run 'TestArch/<rule>' .
 
 import (
 	"go/ast"
@@ -26,10 +27,10 @@ type archDecl struct {
 
 // archDecls returns every identifier the module's non-test Go files outside
 // bench/ declare at top level, and the fields and interface methods of their
-// types.
-func archDecls(t *testing.T) []archDecl {
+// types; and every qualified selector they use ("pkg.Name", an identifier
+// and the name it selects).
+func archDecls(t *testing.T) (out, uses []archDecl) {
 	t.Helper()
-	var out []archDecl
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -52,6 +53,14 @@ func archDecls(t *testing.T) []archDecl {
 		add := func(id *ast.Ident) {
 			out = append(out, archDecl{dir: dir, name: id.Name, pos: fset.Position(id.Pos())})
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok {
+					uses = append(uses, archDecl{dir: dir, name: x.Name + "." + sel.Sel.Name, pos: fset.Position(sel.Pos())})
+				}
+			}
+			return true
+		})
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
@@ -88,11 +97,11 @@ func archDecls(t *testing.T) []archDecl {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return out, uses
 }
 
 func TestArch(t *testing.T) {
-	decls := archDecls(t)
+	decls, uses := archDecls(t)
 
 	// A tree is the one leaf-run index: Coconut-Trie answered exactly as a
 	// tree over the same records, and its type, prefix-cut leaf directory,
@@ -140,6 +149,27 @@ func TestArch(t *testing.T) {
 		for _, d := range decls {
 			if dirs, ok := retired[d.name]; ok && (dirs == nil || slices.Contains(dirs, d.dir)) {
 				t.Errorf("%s: %s declared, a part of the retired leaf directory", d.pos, d.name)
+			}
+		}
+	})
+
+	// An index has one manifest, committed by internal/partition alone: the
+	// per-partition manifests, the parent naming them, and the commits each
+	// tree and LSM made of its own are gone. No declaration of them may
+	// grow back, and nothing else may call manifest.Commit.
+	t.Run("one-manifest", func(t *testing.T) {
+		retired := map[string]bool{
+			"VariantPartitioned": true, "PartitionLayout": true, "commitParent": true, "LoadManifest": true,
+			"writeManifest": true, "commitManifestLocked": true, "commitSnapshot": true,
+		}
+		for _, d := range decls {
+			if retired[d.name] {
+				t.Errorf("%s: %s declared, a part of the retired per-partition manifests", d.pos, d.name)
+			}
+		}
+		for _, u := range uses {
+			if u.name == "manifest.Commit" && u.dir != "internal/partition" && u.dir != "internal/manifest" {
+				t.Errorf("%s: manifest.Commit called outside internal/partition", u.pos)
 			}
 		}
 	})

@@ -343,11 +343,10 @@ func runInfo(cfg *config) error {
 		return err
 	}
 	fmt.Printf("index %q (%s)\n  dataset:   %s\n  series:    %d\n  summarization: len=%d segments=%d cardbits=%d\n  materialized:  %v\n",
-		cfg.build.Name, m.Variant, m.RawName, m.Count, m.SeriesLen, m.Segments, m.CardBits, m.Materialized)
-	// Each layout section the manifest holds is described: a tree's leaves
-	// through the open index, an LSM's runs and a partitioned index's
-	// children from the manifests.
-	if m.Tree != nil {
+		cfg.build.Name, m.Variant, m.RawName, m.Count(), m.SeriesLen, m.Segments, m.CardBits, m.Materialized)
+	// A tree's leaves are described through the open index, the
+	// partitions and an LSM's runs from the manifest's layouts.
+	if m.Variant == manifest.VariantTree {
 		ix, err := coconut.Open(context.Background(), cfg.openConfig())
 		if err != nil {
 			return err
@@ -356,24 +355,24 @@ func runInfo(cfg *config) error {
 		fmt.Printf("  leaves:    %d\n  leaf fill: %.0f%%\n  size:      %s\n",
 			ix.NumLeaves(), ix.LeafFill()*100, byteSize(ix.SizeBytes()))
 	}
-	if m.LSM != nil {
-		fmt.Printf("  runs:      %d\n", len(m.LSM.Runs))
-		for _, r := range m.LSM.Runs {
+	n := len(m.Children)
+	if n > 1 {
+		fmt.Printf("  partitions: %d (%s children)\n", n, m.Variant)
+	}
+	for i, l := range m.Children {
+		indent := "    "
+		if n > 1 {
+			fmt.Printf("    %-24s %d records\n", manifest.ChildName(cfg.build.Name, i, n), l.Count)
+			indent = "      "
+		} else if m.Variant == manifest.VariantLSM {
+			fmt.Printf("  runs:      %d\n", len(l.Runs))
+		}
+		for _, r := range l.Runs {
 			tier := fmt.Sprintf("%d", r.Tier)
 			if r.Tier == manifest.BulkTier {
 				tier = "bulk"
 			}
-			fmt.Printf("    %-24s tier=%-4s %d records\n", r.Name, tier, r.Count)
-		}
-	}
-	if m.Part != nil {
-		fmt.Printf("  partitions: %d (%s children)\n", m.Part.Partitions, m.Part.ChildVariant)
-		for _, c := range m.Part.Children {
-			cm, err := manifest.Load(cfg.build.Storage, c)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("    %-24s %d records\n", c, cm.Count)
+			fmt.Printf("%s%-24s tier=%-4s %d records\n", indent, r.Name, tier, r.Count)
 		}
 	}
 	return nil

@@ -147,12 +147,8 @@ func TestCLIRoundTrip(t *testing.T) {
 				}
 
 				out = mustCLI(t, "info", at...)
-				stored := variant
-				if parts > 1 {
-					stored = "partitioned"
-				}
 				for _, want := range []string{
-					fmt.Sprintf("index %q (%s)", "idx", stored), "dataset:   walk.bin",
+					fmt.Sprintf("index %q (%s)", "idx", variant), "dataset:   walk.bin",
 					fmt.Sprintf("series:    %d", cliSeries), fmt.Sprintf("len=%d", cliLen),
 					fmt.Sprintf("materialized:  %v", c.mat),
 				} {
@@ -243,6 +239,12 @@ func TestCLIRoundTrip(t *testing.T) {
 					}
 					if err := ix.Close(); err != nil {
 						t.Fatal(err)
+					}
+					// info reads the count from the one manifest, whose
+					// partition layouts the stream's Close committed.
+					out = mustCLI(t, "info", at...)
+					if want := fmt.Sprintf("series:    %d\n", cliSeries+cliExtra); !strings.Contains(out, want) {
+						t.Fatalf("info after stream lacks %q:\n%s", want, out)
 					}
 					// Bulk-load path: no manifest yet, so stream builds first —
 					// over the dataset the first stream grew.

@@ -106,8 +106,7 @@
 // variant it is given, and Open reopens one of the variant its manifest
 // records. Each holds the same internal
 // index (internal/partition.Composite): N children of the variant split by
-// key range, with N = 1 — stored exactly as an unpartitioned index — unless
-// Config.Partitions >= 2. The composite owns the raw log and drives both
+// key range, with N = 1 unless Config.Partitions >= 2. The composite owns the raw log and drives both
 // query steps and inserts the same way for any N; what only the LSM can do
 // — flush its memtable — it offers exactly when its children have it, and
 // fails with errors.ErrUnsupported otherwise. The typed names TreeIndex and
@@ -124,8 +123,12 @@
 //
 // # Persistence
 //
-// Every build commits a versioned, checksummed manifest alongside the
-// index files, and Close leaves a fully durable index behind: a later
+// Every index has one versioned, checksummed manifest, whatever its
+// partition count: its partitions' key-range boundaries and one layout per
+// partition, committed whole, in one rename, after every build, insert that
+// flushed, Sync, Flush and Close that changed it — so a Sync is all or
+// nothing across partitions — and a failed commit fails every later write
+// and Sync. Close leaves a fully durable index behind: a later
 // process reopens it with Open, whatever its variant, and gets
 // byte-identical answers without re-reading the raw dataset
 // (LSM runs reopen from the run files themselves). Manifest commits are
@@ -133,7 +136,7 @@
 // at worst the last committed state reopens. On reopen, unset Config
 // fields (series length, segments, data file) are adopted from the
 // manifest; explicitly conflicting values fail loudly rather than misread
-// the stored bytes. One stored format is read, manifest version 11, in
+// the stored bytes. One stored format is read, manifest version 12, in
 // which no stored file carries more than one integrity layer: CRC'd blocks
 // for the leaf run of a tree (the sorted records, one file, whose blocks are
 // its leaves), the run codec's own block, directory and footer CRCs for LSM
@@ -170,9 +173,10 @@ var (
 	// describes) that failed checksum or structural validation.
 	ErrCorruptManifest = manifest.ErrCorruptManifest
 	// ErrVersionMismatch reports an index stored in a format this build
-	// does not read: any manifest version but 11, whose files (a leaf
-	// capacity and a tree leaf directory, and Coconut-Trie layouts, before
-	// 11, LSM compaction cursors before 10, tree leaves on stamped B+-tree
+	// does not read: any manifest version but 12, whose files (a manifest
+	// per partition beside a parent naming them before 12, a leaf capacity
+	// and a tree leaf directory, and Coconut-Trie layouts, before 11, LSM
+	// compaction cursors before 10, tree leaves on stamped B+-tree
 	// pages before 9, LSM write-ahead logs before 8, tree directories in a
 	// separate meta file before 7, LSM runs framed in checksum blocks before
 	// 6, flat runs or padded trie leaves before 5) no reader here
@@ -343,21 +347,16 @@ func (c *Config) toCore() (core.Options, error) {
 
 // mergeStored loads the manifest of the persisted index cfg names, adopts
 // stored parameters into unset Config fields, so reopening needs only
-// Storage and Name, and returns the stored variant (a partitioned index's
-// child variant). Explicitly set fields are left alone — the Open paths fail
+// Storage and Name, and returns the stored variant. Explicitly set fields are left alone — the Open paths fail
 // loudly (ErrConfigMismatch) if they conflict with the store, as they do for
 // a stored index of another partition count than a non-zero cfg.Partitions.
 func (c *Config) mergeStored() (Variant, error) {
 	if c.Storage == nil {
 		return "", errors.New("coconut: nil Storage")
 	}
-	m, err := core.LoadManifest(c.Storage, c.Name)
+	m, err := manifest.Load(c.Storage, c.Name)
 	if err != nil {
-		return "", err
-	}
-	kind := m.Variant
-	if kind == manifest.VariantPartitioned {
-		kind = m.Part.ChildVariant
+		return "", fmt.Errorf("coconut: loading manifest for %q: %w", c.Name, err)
 	}
 	if c.SeriesLen == 0 {
 		c.SeriesLen = m.SeriesLen
@@ -373,7 +372,7 @@ func (c *Config) mergeStored() (Variant, error) {
 	}
 	// Materialization is a property of the stored bytes, not a knob.
 	c.Materialized = m.Materialized
-	return Variant(kind), nil
+	return Variant(m.Variant), nil
 }
 
 // Result is a search answer.
@@ -460,9 +459,10 @@ func Build(ctx context.Context, cfg Config, v Variant) (*Index, error) {
 // the raw dataset: a tree's summary array comes from its leaf run, an
 // LSM's runs from the run files themselves (its run list is its compaction
 // schedule, so later Inserts continue the flush/compaction sequence a
-// never-closed index would have produced), and a partitioned index reopens
-// through its parent manifest, child by child, never partially. Unset Config fields are adopted from the
-// manifest; conflicting ones fail with ErrConfigMismatch. ctx is checked
+// never-closed index would have produced). Every partition reopens from its
+// layout in the index's one manifest, never partially. Unset Config fields
+// are adopted from the manifest; conflicting ones fail with
+// ErrConfigMismatch. ctx is checked
 // before the manifest is read and after the reopen, as in Build.
 func Open(ctx context.Context, cfg Config) (*Index, error) {
 	return cfg.index(ctx, "", true)
@@ -679,10 +679,10 @@ func (x *Index) Flush() error { return x.ix.Flush() }
 
 // Sync persists what Insert made stale, so a crash afterwards loses
 // nothing: a tree's inserted series (a commit of the raw log), then the
-// leaf run they were merged into and the manifest that names it — a crash
-// before it reopens at the previous Sync; an LSM's memtable and every
-// ready compaction, after which the on-disk state is the deterministic
-// function of the inserts so far. Close syncs too.
+// leaf runs they were merged into and the one manifest that names them all
+// — a crash before it reopens at the previous Sync, in every partition; an
+// LSM's memtable and every ready compaction, after which the on-disk state
+// is the deterministic function of the inserts so far. Close syncs too.
 func (x *Index) Sync() error { return x.ix.Sync() }
 
 // Count returns the number of indexed series.
@@ -716,8 +716,8 @@ type CacheStats = blockcache.Stats
 func (x *Index) CacheStats() CacheStats { return x.ix.CacheStats() }
 
 // Close syncs (an LSM: flushes the memtable, lands every ready compaction,
-// returning a merge that still fails), commits the manifest, and releases
-// the index's file handles; the index can later be reopened with Open.
+// returning a merge that still fails; see Sync) and releases the index's
+// file handles; the index can later be reopened with Open.
 func (x *Index) Close() error { return x.ix.Close() }
 
 // ZNormalize z-normalizes s in place and returns it. Queries against the

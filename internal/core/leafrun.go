@@ -190,8 +190,9 @@ func (ix *TreeIndex) openGen(gen int64) (storage.File, error) {
 // generation 0 of the leaf run — the one large sequential write that
 // replaces the state of the art's scattered allocations — capturing the
 // summary column, sized for the stream's Len, on the way; a materialized run
-// gathers each record's raw series by position as it is written. The
-// manifest commit makes the index durable.
+// gathers each record's raw series by position as it is written. The run is
+// durable when build returns: the partition layer's manifest commit, which
+// names it, makes the index durable.
 func (ix *TreeIndex) build() (err error) {
 	raw := storage.PinViews(ix.rawFile)
 	defer raw.Release(&err)
@@ -219,39 +220,25 @@ func (ix *TreeIndex) build() (err error) {
 	if ix.file, err = ix.openGen(0); err != nil {
 		return err
 	}
-	// The manifest committed below references the run; it must be on
+	// The manifest that will name the run references it; it must be on
 	// stable storage first.
-	if err := ix.file.Sync(); err != nil {
-		return err
-	}
-	return ix.writeManifest()
+	ix.syncedCount = int64(ix.sims.col.Len())
+	return ix.file.Sync()
 }
 
-// Remove deletes the files a tree build of name writes, manifest
-// included: the partition layer's undo for the finished children of a build
-// that failed as a whole.
+// Remove deletes the file a tree build of name writes: the partition
+// layer's undo for the finished children of a build that failed as a whole.
 func Remove(fs storage.FS, name string) {
-	removeFiles(fs, runName(name, 0), manifest.FileName(name))
+	removeFiles(fs, runName(name, 0))
 }
 
-// LoadManifest reads the manifest of a persisted index. It is exposed so
-// the public API and the CLI can adopt stored parameters (summarization,
-// dataset file) before constructing open options.
-func LoadManifest(fs storage.FS, name string) (*manifest.Manifest, error) {
-	m, err := manifest.Load(fs, name)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading manifest for %q: %w", name, err)
-	}
-	return m, nil
-}
-
-// load opens the run generation m names and checks it against m — what
-// Open and Scrub both run: the run holds exactly m.Count records (a run
+// load opens the run generation l names and checks it against l — what
+// Open and Scrub both run: the run holds exactly l.Count records (a run
 // cut at a checksum-block boundary passes every block check), every block
 // verifies, and the keys are in order. The summary column is filled on the
 // way.
-func (ix *TreeIndex) load(m *manifest.Manifest) error {
-	ix.gen, ix.committed = m.Tree.Gen, m.Tree.Gen
+func (ix *TreeIndex) load(l manifest.Layout) error {
+	ix.gen, ix.synced, ix.syncedCount = l.Gen, l.Gen, l.Count
 	var err error
 	if ix.file, err = ix.openGen(ix.gen); err != nil {
 		return err
@@ -261,15 +248,15 @@ func (ix *TreeIndex) load(m *manifest.Manifest) error {
 	if err != nil {
 		return err
 	}
-	if want := m.Count * int64(recSize); size != want {
+	if want := l.Count * int64(recSize); size != want {
 		return fmt.Errorf("core: %w: leaf run holds %d bytes, the manifest's %d records take %d: %w",
-			manifest.ErrCorruptManifest, size, m.Count, want, storage.ErrCorruptData)
+			manifest.ErrCorruptManifest, size, l.Count, want, storage.ErrCorruptData)
 	}
 	sr := storage.NewSequentialReader(ix.file, 0, size, 0)
 	rec := make([]byte, recSize)
-	ix.sims = newSimsArray(ix.opt.S, int(m.Count))
+	ix.sims = newSimsArray(ix.opt.S, int(l.Count))
 	var prev summary.Key
-	for i := int64(0); i < m.Count; i++ {
+	for i := int64(0); i < l.Count; i++ {
 		if _, err := io.ReadFull(sr, rec); err != nil {
 			return fmt.Errorf("core: read leaf run: %w", truncatedLeaves(err))
 		}
@@ -283,37 +270,21 @@ func (ix *TreeIndex) load(m *manifest.Manifest) error {
 	return nil
 }
 
-// VerifyLeafRun checks the leaf run of the tree index name against its
-// manifest m with the loader Open runs, and returns the run's file name and
-// the number of checksum blocks — leaves — it holds.
-func VerifyLeafRun(fs storage.FS, name string, m *manifest.Manifest) (string, int64, error) {
-	file := runName(name, m.Tree.Gen)
+// VerifyLeafRun checks the leaf run of the tree index name against l, its
+// layout in manifest m, with the loader Open runs, and returns the run's
+// file name and the number of checksum blocks — leaves — it holds.
+func VerifyLeafRun(fs storage.FS, name string, m *manifest.Manifest, l manifest.Layout) (string, int64, error) {
+	file := runName(name, l.Gen)
 	s, err := summary.NewSummarizer(summary.Params{SeriesLen: m.SeriesLen, Segments: m.Segments, CardBits: m.CardBits})
 	if err != nil {
 		return file, 0, err
 	}
 	ix := &TreeIndex{opt: Options{FS: fs, Name: name, S: s, Materialized: m.Materialized}}
-	err = ix.load(m)
+	err = ix.load(l)
 	if ix.file != nil {
 		ix.file.Close()
 	}
-	return file, leafBlocks(0, m.Count, ix.opt.recordSize()), err
-}
-
-// writeManifest commits the manifest naming the current generation of the
-// run: called once the run is durable.
-func (ix *TreeIndex) writeManifest() error {
-	p := ix.opt.S.Params()
-	return manifest.Commit(ix.opt.FS, ix.opt.Name, &manifest.Manifest{
-		Variant:      manifest.VariantTree,
-		SeriesLen:    p.SeriesLen,
-		Segments:     p.Segments,
-		CardBits:     p.CardBits,
-		Materialized: ix.opt.Materialized,
-		RawName:      ix.opt.RawName,
-		Count:        int64(ix.sims.col.Len()),
-		Tree:         &manifest.TreeLayout{Gen: ix.gen},
-	})
+	return file, leafBlocks(0, l.Count, ix.opt.recordSize()), err
 }
 
 // mergeNext merges batch — records sorted under the run's order — and the
@@ -322,8 +293,9 @@ func (ix *TreeIndex) writeManifest() error {
 // against the in-memory batch, whose records are encoded as they are
 // written (their raw series, when materialized, read ahead by gather), that
 // captures the new summary column on the way. The new generation becomes the
-// current one, and the one it replaces is removed unless the manifest names
-// it; a failed merge removes what it wrote of the new one.
+// current one, and the one it replaces is removed unless a Sync made it
+// durable — the manifest names it, or is about to; a failed merge removes
+// what it wrote of the new one.
 func (ix *TreeIndex) mergeNext(batch []summary.Record) (err error) {
 	raw := storage.PinViews(ix.rawFile)
 	defer raw.Release(&err)
@@ -367,7 +339,7 @@ func (ix *TreeIndex) mergeNext(batch []summary.Record) (err error) {
 		return err
 	}
 	ix.file.Close()
-	if ix.gen != ix.committed {
+	if ix.gen != ix.synced {
 		removeFiles(ix.opt.FS, runName(ix.opt.Name, ix.gen))
 	}
 	ix.file, ix.gen, ix.sims = f, ix.gen+1, g.sims
@@ -415,37 +387,38 @@ func (ix *TreeIndex) SizeBytes() int64 {
 	return size
 }
 
-// Sync makes what inserts changed durable: the raw log they appended to,
-// then the run generation they merged into, then the manifest that names it
-// — the one commit point, so a crash anywhere before it reopens at the last
-// Sync. The superseded generation is removed after the commit. A freshly
-// built or unmodified handle syncs for free.
+// Sync makes the run generation inserts merged into durable, so that
+// Layout names it; the partition layer commits the raw log before and the
+// manifest after, and a crash anywhere before that commit reopens at the
+// last one. The generation it supersedes becomes obsolete (see Layout). A
+// freshly built or unmodified handle syncs for free.
 func (ix *TreeIndex) Sync() error {
 	ix.qmu.Lock()
 	defer ix.qmu.Unlock()
-	return ix.syncLocked()
-}
-
-func (ix *TreeIndex) syncLocked() error {
-	if ix.gen == ix.committed {
+	if ix.gen == ix.synced {
 		return nil
-	}
-	if err := ix.rawSums.Commit(context.Background(), ix.rawSums.Records()); err != nil {
-		return err
 	}
 	if err := ix.file.Sync(); err != nil {
 		return err
 	}
-	if err := ix.writeManifest(); err != nil {
-		return err
-	}
-	old := ix.committed
-	ix.committed = ix.gen
-	return ix.opt.FS.Remove(runName(ix.opt.Name, old))
+	ix.obsolete = append(ix.obsolete, runName(ix.opt.Name, ix.synced))
+	ix.synced, ix.syncedCount = ix.gen, int64(ix.sims.col.Len())
+	return nil
 }
 
-// Close persists pending inserts (see Sync) and releases the file handles,
-// waiting for in-flight queries. It is idempotent, and shards a cancelled
+// Layout returns the tree's state for the index's manifest — the generation
+// the last Sync made durable and its record count — and the generations it
+// supersedes, which the partition layer removes once the manifest commits.
+func (ix *TreeIndex) Layout() (manifest.Layout, []string) {
+	ix.qmu.Lock()
+	defer ix.qmu.Unlock()
+	obsolete := ix.obsolete
+	ix.obsolete = nil
+	return manifest.Layout{Count: ix.syncedCount, Gen: ix.synced}, obsolete
+}
+
+// Close releases the file handles, waiting for in-flight queries; what
+// was not synced is not persisted. It is idempotent, and shards a cancelled
 // query abandoned may still touch the files after Close — those reads fail
 // with an I/O error that nobody reads, which is safe by construction.
 func (ix *TreeIndex) Close() error {
@@ -455,7 +428,7 @@ func (ix *TreeIndex) Close() error {
 		return nil
 	}
 	ix.closed = true
-	return errors.Join(ix.syncLocked(), ix.closeFiles())
+	return ix.closeFiles()
 }
 
 func (ix *TreeIndex) closeFiles() error {

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"github.com/coconut-db/coconut/internal/extsort"
+	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
@@ -18,11 +19,16 @@ import (
 // of an unpartitioned index: it owns the raw log and the build's record
 // stream (the summarization pass over the raw file), a whole query is the
 // tree's window evaluated by EvalWindow seeding its verification step, and
-// an insert appends to the raw log before it hands the records over. The
-// partition package and the public one test the composite itself.
+// an insert appends to the raw log before it hands the records over, and
+// the manifest, naming the tree's layout, commits after the build and after
+// every Sync. The partition package and the public one test the composite
+// itself.
 type loneTree struct {
 	*TreeIndex
 	sums *storage.RecordSums
+	// stored is the layout the manifest names (generation -1 before the
+	// first commit).
+	stored manifest.Layout
 }
 
 // buildTree bulk-loads a tree from the sorted summarization pass over opt's
@@ -60,7 +66,12 @@ func buildTree(opt Options) (*loneTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &loneTree{ix, sums}, nil
+	l := &loneTree{TreeIndex: ix, sums: sums, stored: manifest.Layout{Gen: -1}}
+	if err := l.commit(); err != nil {
+		l.Close()
+		return nil, err
+	}
+	return l, nil
 }
 
 // openTree reopens a tree under the raw log its persisted sidecar loads.
@@ -78,12 +89,51 @@ func openTree(opt Options) (*loneTree, error) {
 		return nil, err
 	}
 	opt.RawSums = sums
-	ix, err := OpenTree(opt)
+	m, err := manifest.Load(opt.FS, opt.Name)
+	if err == nil {
+		err = m.CheckParams(opt.S.Params(), opt.Materialized, opt.RawName)
+	}
+	var ix *TreeIndex
+	if err == nil {
+		ix, err = OpenTree(opt, m.Children[0])
+	}
 	if err != nil {
 		sums.Close()
 		return nil, err
 	}
-	return &loneTree{ix, sums}, nil
+	return &loneTree{TreeIndex: ix, sums: sums, stored: m.Children[0]}, nil
+}
+
+// commit commits the manifest naming the tree's layout when it changed,
+// after the raw log, and then removes the generations it supersedes.
+func (l *loneTree) commit() error {
+	lay, obsolete := l.Layout()
+	if lay.Gen != l.stored.Gen || lay.Count != l.stored.Count {
+		if err := l.sums.Commit(context.Background(), l.sums.Records()); err != nil {
+			return err
+		}
+		p := l.opt.S.Params()
+		if err := manifest.Commit(l.opt.FS, l.opt.Name, &manifest.Manifest{
+			Variant: manifest.VariantTree, SeriesLen: p.SeriesLen, Segments: p.Segments, CardBits: p.CardBits,
+			Materialized: l.opt.Materialized, RawName: l.opt.RawName, Children: []manifest.Layout{lay},
+		}); err != nil {
+			return err
+		}
+		l.stored = lay
+	}
+	removeFiles(l.opt.FS, obsolete...)
+	return nil
+}
+
+// Sync makes the inserts durable: the raw log, the run, then the manifest.
+func (l *loneTree) Sync() error {
+	if err := l.sums.Commit(context.Background(), l.sums.Records()); err != nil {
+		return err
+	}
+	if err := l.TreeIndex.Sync(); err != nil {
+		return err
+	}
+	return l.commit()
 }
 
 // approxKNN is the one-child composite's approximate top-k, in squared
@@ -219,4 +269,11 @@ func (l *loneTree) Insert(ctx context.Context, batch []series.Series) error {
 	return l.InsertRecords(recs)
 }
 
-func (l *loneTree) Close() error { return errors.Join(l.TreeIndex.Close(), l.sums.Close()) }
+// Close syncs, then closes the tree and the raw log.
+func (l *loneTree) Close() error {
+	var err error
+	if !l.closed {
+		err = l.Sync()
+	}
+	return errors.Join(err, l.TreeIndex.Close(), l.sums.Close())
+}

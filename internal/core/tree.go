@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 
@@ -30,18 +29,22 @@ import (
 type TreeIndex struct {
 	opt     Options
 	rawFile storage.File
-	// rawSums is the partition layer's raw log: it verifies raw reads, and
-	// Sync commits it before the manifest may reference inserted positions.
+	// rawSums is the partition layer's raw log: it verifies raw reads.
 	rawSums *storage.RecordSums
 	// qmu is the handle lock: queries hold it shared, mutations exclusively.
 	qmu sync.RWMutex
 	// closed makes Close idempotent: a second Close (or one racing a
 	// cancelled query's teardown) is a no-op instead of a double file close.
 	closed bool
-	// file is generation gen of the run. The manifest names generation
-	// committed, the only other one on the device.
-	file           storage.File
-	gen, committed int64
+	// file is generation gen of the run. synced is the generation the last
+	// Sync made durable, of synced records: what Layout hands the partition
+	// layer's manifest. obsolete are the generations Syncs superseded, which
+	// the partition layer removes once a manifest no longer naming them
+	// commits.
+	file        storage.File
+	gen, synced int64
+	syncedCount int64
+	obsolete    []string
 	// sims is the in-memory sorted summary array: row i is the run's
 	// record i.
 	sims simsArray
@@ -70,32 +73,22 @@ func BuildTree(opt Options) (*TreeIndex, error) {
 	return ix, nil
 }
 
-// OpenTree reopens a previously built Coconut-Tree at its last Sync, from its
-// manifest, which names the run's generation, and its leaf run. The options
-// must name the same FS, Name, RawName, summarizer configuration and
-// materialization as the build — mismatches fail loudly with
-// manifest.ErrConfigMismatch. The raw dataset file is opened for
-// query-time fetches but never read here.
-func OpenTree(opt Options) (*TreeIndex, error) {
+// OpenTree reopens a previously built Coconut-Tree at its last committed
+// Sync, from l, its layout in the index's manifest, which names the run's
+// generation and record count. The options must name the same FS, Name,
+// RawName, summarizer configuration and materialization as the build: the
+// partition layer checks them against the manifest first. The raw dataset
+// file is opened for query-time fetches but never read here.
+func OpenTree(opt Options, l manifest.Layout) (*TreeIndex, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
-	}
-	m, err := LoadManifest(opt.FS, opt.Name)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.CheckVariant(manifest.VariantTree); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if err := m.CheckParams(opt.S.Params(), opt.Materialized, opt.RawName); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
 	}
 	raw, err := opt.FS.Open(opt.RawName)
 	if err != nil {
 		return nil, err
 	}
 	ix := &TreeIndex{opt: opt, rawFile: raw, rawSums: opt.RawSums}
-	if err := ix.load(m); err != nil {
+	if err := ix.load(l); err != nil {
 		ix.closeFiles()
 		return nil, err
 	}

@@ -57,7 +57,7 @@ func pickRun(t *testing.T, fs storage.FS) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ri := range m.LSM.Runs {
+	for _, ri := range m.Children[0].Runs {
 		if ri.Tier != manifest.BulkTier {
 			return ri.Name
 		}

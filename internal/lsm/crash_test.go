@@ -8,21 +8,16 @@ package lsm
 // beyond the one in flight becomes visible, (c) the recovered index answers
 // exact and approximate queries identically to a never-crashed index
 // holding the same series, and (d) the recovered index accepts new appends.
-// The remaining tests pin the fsyncs an acknowledgement costs, that rot in
-// the un-flushed tail fails the open typed, and that queries are never gated
-// on an in-flight manifest fsync.
+// The remaining tests pin the fsyncs an acknowledgement costs and that rot
+// in the un-flushed tail fails the open typed.
 
 import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/dataset"
-	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
@@ -322,80 +317,5 @@ func TestUnflushedTailRotFailsOpen(t *testing.T) {
 			}
 			t.Fatalf("%s rotted in the un-flushed tail: open: %v, want ErrCorruptData", file, err)
 		}
-	}
-}
-
-// TestQueriesProceedDuringSlowManifestCommit: the manifest commit happens
-// off the handle lock, so a stalled fsync of the manifest temp file (a
-// slow device, here a FaultFS hook parking the sync) must not gate
-// searches.
-func TestQueriesProceedDuringSlowManifestCommit(t *testing.T) {
-	inner := storage.NewMemFS()
-	if _, err := dataset.WriteFile(inner, "raw", dataset.NewRandomWalk(), 200, tLen, 42); err != nil {
-		t.Fatal(err)
-	}
-	ffs := storage.NewFaultFS(inner)
-	var arm atomic.Bool
-	block := make(chan struct{})
-	var relOnce sync.Once
-	release := func() { relOnce.Do(func() { close(block) }) }
-	defer release()
-	entered := make(chan struct{}, 1)
-	tmpName := manifest.FileName("lsm") + ".tmp"
-	ffs.SetHook(func(op storage.Op, name string) {
-		if op == storage.OpSync && name == tmpName && arm.Load() {
-			select {
-			case entered <- struct{}{}:
-			default:
-			}
-			<-block
-		}
-	})
-	o := sweepOptions(t, ffs)
-	o.MemBudgetBytes = 1 << 20
-	ix, err := buildLone(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	batch := dataset.Generate(dataset.NewSeismic(), 10, tLen, 3)
-	if err := ix.Insert(context.Background(), batch); err != nil {
-		t.Fatal(err)
-	}
-	q := batch[0]
-	want, err := ix.ExactSearch(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	arm.Store(true)
-	flushDone := make(chan error, 1)
-	go func() { flushDone <- ix.Flush() }()
-	<-entered // the flush is now parked inside the manifest fsync
-
-	qDone := make(chan error, 1)
-	var got core.Result
-	go func() {
-		var err error
-		got, err = ix.ExactSearch(context.Background(), q, 0)
-		qDone <- err
-	}()
-	select {
-	case err := <-qDone:
-		if err != nil {
-			release()
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		release()
-		t.Fatal("ExactSearch blocked behind an in-flight manifest commit")
-	}
-	release()
-	if err := <-flushDone; err != nil {
-		t.Fatal(err)
-	}
-	if got.Pos != want.Pos || got.Dist != want.Dist {
-		t.Fatalf("query during commit answered (%d, %v), want (%d, %v)",
-			got.Pos, got.Dist, want.Pos, want.Dist)
 	}
 }

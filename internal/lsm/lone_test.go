@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/extsort"
+	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
@@ -20,11 +22,15 @@ import (
 // record stream (the summarization pass over the raw file), a whole query
 // is the index's window evaluated by core.EvalWindow seeding its
 // verification step, and an insert appends the batch to the raw log, hands
-// the records over and commits the log. The partition package and the
-// public one test the composite itself.
+// the records over and commits the log. The manifest, naming the index's
+// layout, commits after the build, an insert that flushed, a Flush or Sync,
+// and at Close. The partition package and the public one test the composite
+// itself.
 type lone struct {
 	*Index
 	sums *storage.RecordSums
+	// stored is the layout the manifest names, nil before the first commit.
+	stored *manifest.Layout
 }
 
 func buildLone(opt Options) (*lone, error) {
@@ -59,7 +65,12 @@ func buildLone(opt Options) (*lone, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &lone{ix, sums}, nil
+	l := &lone{Index: ix, sums: sums}
+	if err := l.commit(); err != nil {
+		l.Close()
+		return nil, err
+	}
+	return l, nil
 }
 
 func openLone(opt Options) (*lone, error) {
@@ -76,13 +87,61 @@ func openLone(opt Options) (*lone, error) {
 		return nil, err
 	}
 	opt.RawSums = sums
-	ix, err := Open(opt)
+	m, err := manifest.Load(opt.FS, opt.Name)
+	if err == nil {
+		err = m.CheckParams(opt.S.Params(), false, opt.RawName)
+	}
+	var ix *Index
+	if err == nil {
+		ix, err = Open(opt, m.Children[0])
+	}
 	if err != nil {
 		sums.Close()
 		return nil, err
 	}
-	return &lone{ix, sums}, nil
+	l := &lone{Index: ix, sums: sums, stored: &m.Children[0]}
+	if err := l.commit(); err != nil {
+		l.Close()
+		return nil, err
+	}
+	return l, nil
 }
+
+// commit commits the manifest naming the index's layout when it changed,
+// after the raw log, and then removes the compaction inputs it supersedes.
+func (l *lone) commit() error {
+	lay, obsolete := l.Layout()
+	if s := l.stored; s == nil || lay.NextSeq != s.NextSeq || lay.Flushed != s.Flushed || !slices.Equal(lay.Runs, s.Runs) {
+		if err := l.sums.Commit(context.Background(), l.sums.Records()); err != nil {
+			return err
+		}
+		p := l.opt.S.Params()
+		if err := manifest.Commit(l.opt.FS, l.opt.Name, &manifest.Manifest{
+			Variant: manifest.VariantLSM, SeriesLen: p.SeriesLen, Segments: p.Segments, CardBits: p.CardBits,
+			RawName: l.opt.RawName, Children: []manifest.Layout{lay},
+		}); err != nil {
+			return err
+		}
+		l.stored = &lay
+	}
+	for _, name := range obsolete {
+		_ = l.opt.FS.Remove(name)
+	}
+	return nil
+}
+
+// Flush flushes the memtable, runs the ready compactions and commits what
+// landed.
+func (l *lone) Flush() error {
+	err := l.Index.Flush()
+	if cerr := l.commit(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Sync is Flush.
+func (l *lone) Sync() error { return l.Flush() }
 
 // approxKNN is the one-child composite's approximate top-k at radius, in
 // squared space; the Result holds its visit counters.
@@ -178,10 +237,21 @@ func (l *lone) Insert(ctx context.Context, batch []series.Series) error {
 	for i := range recs {
 		recs[i] = summary.Record{Key: keys[i], Pos: first + int64(i)}
 	}
-	if err := l.InsertRecords(recs); err != nil {
+	err = l.InsertRecords(recs)
+	if cerr := l.commit(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	return l.sums.Commit(ctx, first+int64(len(recs)))
 }
 
-func (l *lone) Close() error { return errors.Join(l.Index.Close(), l.sums.Close()) }
+// Close flushes (see Flush), then closes the index and the raw log.
+func (l *lone) Close() error {
+	var err error
+	if !l.closed {
+		err = l.Flush()
+	}
+	return errors.Join(err, l.Index.Close(), l.sums.Close())
+}

@@ -84,8 +84,8 @@ type Options struct {
 	// identical for any value.
 	QueryWorkers int
 	// RawSums is the raw log, owned by the partition layer: it appends
-	// every insert and commits it, and the index commits it again before a
-	// manifest of its own may reference new positions. Every raw read is
+	// every insert and commits it, and a flush commits it again through the
+	// positions its run covers. Every raw read is
 	// verified against it, and every run read against the block CRCs of the
 	// run file (internal/runblock), so bit rot surfaces as
 	// storage.ErrCorruptData instead of a wrong answer.
@@ -154,14 +154,13 @@ type run struct {
 // pair — this is the LSM counterpart of the tree's SIMS-refresh lock.
 //
 // Compactions run inline, under mu, right after the flush that made a
-// group ready. mu is released only for manifest fsyncs, and by then a
-// compaction's merged run has replaced its inputs in the run list, so no
-// other goroutine ever observes a half-landed merge.
+// group ready, so no other goroutine ever observes a half-landed merge. The
+// index commits no manifest: the partition layer commits its Layout.
 type Index struct {
 	opt     Options
 	rawFile storage.File
 	// rawSums is the partition layer's raw log: it verifies raw reads, and a
-	// flush commits it before its manifest may reference new positions.
+	// flush commits it before its run may reference new positions.
 	rawSums *storage.RecordSums
 	mu      sync.RWMutex
 	// closed makes Close idempotent: a second Close (even concurrent with
@@ -178,30 +177,18 @@ type Index struct {
 	count   int64
 	// nextSeq is the seq, and so the file name, of the next flush run.
 	nextSeq int64
-	// commitErr is the sticky first failed manifest commit of a compaction
-	// swap: durably the previous manifest stays authoritative, so no later
-	// commit may supersede it and every write refuses.
-	commitErr error
-	// flushed is the manifest's raw-position cursor: every record below it
+	// flushed is the layout's raw-position cursor: every record below it
 	// that this index owns is in a run.
 	flushed int64
-
-	// Manifest commits run OFF the handle lock: the state is snapshotted
-	// and sequenced by commitSeq under mu, then encoded and fsynced under
-	// commitMu only. durableSeq (under commitMu) is the newest snapshot
-	// committed; an older snapshot that lost the race is skipped, since
-	// the newer manifest describes a superset state whose referenced files
-	// all still exist (deletions only ever follow a successful commit).
-	commitMu   sync.Mutex
-	commitSeq  int64
-	durableSeq int64
+	// obsolete are the compaction inputs the run list no longer holds: the
+	// partition layer removes them once a manifest no longer naming them
+	// commits (see Layout).
+	obsolete []string
 }
 
 // Build bulk-loads the initial run from opt.Records, the sorted stream of
-// the Coconut pipeline, and returns the index. A failed Build removes the
-// run it wrote; its manifest commit is the last step, so a failed Build
-// leaves any manifest already stored under the name (the index a Repair
-// rebuilds) in place.
+// the Coconut pipeline, and returns the index, its run durable. A failed
+// Build removes the run it wrote.
 func Build(opt Options) (*Index, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -232,15 +219,13 @@ func (ix *Index) abandon() {
 	ix.rawFile.Close()
 }
 
-// Remove deletes every file of the Coconut-LSM name that Build writes —
-// the bulk run and the manifest: the partition layer's undo for the finished
-// children of a build that failed as a whole. Best effort, like
-// core.Remove: the build's own error is what is reported.
+// Remove deletes the file of the Coconut-LSM name that Build writes, the
+// bulk run: the partition layer's undo for the finished children of a build
+// that failed as a whole. Best effort, like core.Remove: the build's own
+// error is what is reported.
 func Remove(fs storage.FS, name string) {
-	for _, n := range []string{runFileName(name, 0), manifest.FileName(name)} {
-		if fs.Exists(n) {
-			_ = fs.Remove(n)
-		}
+	if n := runFileName(name, 0); fs.Exists(n) {
+		_ = fs.Remove(n)
 	}
 }
 
@@ -260,11 +245,7 @@ func (ix *Index) build() error {
 	ix.nextSeq++
 	// The bulk run holds every record of the dataset this index owns.
 	ix.flushed = ix.rawSums.Records()
-	// Durability point: the manifest makes the bulk-loaded run reopenable
-	// with Open without re-reading the dataset.
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.commitManifestLocked()
+	return nil
 }
 
 // runFileName names the flushed (or bulk-loaded) run of seq seq.
@@ -289,9 +270,6 @@ func (ix *Index) memCapacity() int {
 func (ix *Index) InsertRecords(recs []summary.Record) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.commitErr != nil {
-		return ix.commitErr
-	}
 	return ix.insertLocked(recs)
 }
 
@@ -407,8 +385,7 @@ func (ix *Index) Flush() error {
 // the memtable fills. A failed compaction merge is not the writer's error:
 // the batch is durable either way, the group's inputs stay (the merge
 // removes its partial output), and the next flush retries the merge —
-// Flush, Sync and Close return it. Only the flush's own failure is
-// returned; a failed swap commit is sticky and refuses the next write.
+// Flush and Sync return it. Only the flush's own failure is returned.
 func (ix *Index) flushOnWriteLocked() error {
 	if err := ix.flushLocked(); err != nil {
 		return err
@@ -417,19 +394,15 @@ func (ix *Index) flushOnWriteLocked() error {
 	return nil
 }
 
-// flushLocked writes the memtable as a tier-0 run and commits it; it
-// compacts nothing.
+// flushLocked writes the memtable as a tier-0 run; it compacts nothing.
 func (ix *Index) flushLocked() error {
-	if ix.commitErr != nil {
-		return ix.commitErr
-	}
 	if len(ix.mem) == 0 {
 		return nil
 	}
 	// Every record below the run's last position that this index owns is in
 	// the memtable or a run. The raw log commits through that position before
-	// a run — and the manifest — references it: no manifest ever names a
-	// position past the durable end of the raw file.
+	// a run references it: no run holds a position past the durable end of
+	// the raw file.
 	flushed := ix.flushed
 	for _, e := range ix.mem {
 		flushed = max(flushed, e.Pos+1)
@@ -452,17 +425,13 @@ func (ix *Index) flushLocked() error {
 	ix.runs = append(ix.runs, r)
 	ix.nextSeq++
 	ix.flushed = flushed
-	// Commit the manifest before compacting: the new run is durable the
-	// moment Flush's structural change exists, and every later compaction
-	// swap commits again before deleting its inputs — so the on-disk
-	// manifest always references files that exist.
-	return ix.commitManifestLocked()
+	return nil
 }
 
 // writeRun writes the records of in — n of them, or when n is negative (a
 // bulk load's stream) as many as it holds — as run file name, fsyncs it (the
-// manifest commit that will reference it requires the bytes on stable
-// storage first), and opens it as run (tier, seq): a footer and directory
+// manifest that will name it requires the bytes on stable storage first),
+// and opens it as run (tier, seq): a footer and directory
 // read, no key materialized, its record count cross-checked against n (the
 // full Verify is reserved for reopen, where the bytes' provenance is
 // unknown). An empty stream writes no file and no run. A failed write or
@@ -558,12 +527,12 @@ func (ix *Index) closeRunsLocked() error {
 
 // swapLocked installs a finished compaction: the merged run replaces its
 // inputs at the position of the oldest one (ix.runs stays sorted by seq —
-// a group always covers a contiguous age range), the manifest is committed
-// with the new run set, and only then are the input files deleted — so at
-// every instant the on-disk manifest references only files that exist, and
-// a crash between commit and deletion merely leaks orphan inputs the next
-// Open ignores.
-func (ix *Index) swapLocked(group []*run, newRun *run) error {
+// a group always covers a contiguous age range), and the inputs become
+// obsolete: their files stay until a manifest that no longer names them
+// commits, so at every instant the on-disk manifest references only files
+// that exist, and a crash between that commit and their removal merely
+// leaks orphan inputs the next Open ignores.
+func (ix *Index) swapLocked(group []*run, newRun *run) {
 	dropped := make(map[*run]bool, len(group))
 	for _, r := range group {
 		dropped[r] = true
@@ -581,21 +550,10 @@ func (ix *Index) swapLocked(group []*run, newRun *run) error {
 		keep = append(keep, r)
 	}
 	ix.runs = keep
-	if err := ix.commitManifestLocked(); err != nil {
-		// The merged run is installed in memory, but durably the LAST GOOD
-		// manifest — which references the inputs — stays authoritative, so
-		// the input files must remain on disk for a future reopen. Make
-		// the failure sticky: no later commit may land and supersede them.
-		if ix.commitErr == nil {
-			ix.commitErr = err
-		}
-		return err
-	}
 	for _, r := range group {
 		_ = r.rb.Close()
-		_ = ix.opt.FS.Remove(r.name)
+		ix.obsolete = append(ix.obsolete, r.name)
 	}
-	return nil
 }
 
 // compactPendingLocked merges ready groups, lowest tier first, until none
@@ -603,9 +561,6 @@ func (ix *Index) swapLocked(group []*run, newRun *run) error {
 // place, so the next call retries the same group.
 func (ix *Index) compactPendingLocked() error {
 	for {
-		if ix.commitErr != nil {
-			return ix.commitErr
-		}
 		group := ix.findGroupLocked()
 		if group == nil {
 			return nil
@@ -614,9 +569,7 @@ func (ix *Index) compactPendingLocked() error {
 		if err != nil {
 			return err
 		}
-		if err := ix.swapLocked(group, newRun); err != nil {
-			return err
-		}
+		ix.swapLocked(group, newRun)
 	}
 }
 
@@ -658,11 +611,9 @@ func (ix *Index) SizeBytes() int64 {
 	return total
 }
 
-// Close flushes the memtable (so every appended series is durable in a
-// run), runs every ready compaction (returning a merge that still fails),
-// and releases the raw file handle, waiting for in-flight queries. The
-// on-disk runs left behind are exactly what the committed manifest
-// describes, so Open reconstructs this index.
+// Close releases the run readers and the raw file handle, waiting for
+// in-flight queries; the memtable is not flushed (the partition layer syncs
+// first, and otherwise Open recovers it from the raw log).
 func (ix *Index) Close() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -670,71 +621,24 @@ func (ix *Index) Close() error {
 		return nil
 	}
 	ix.closed = true
-	err := ix.flushLocked()
-	if err == nil {
-		err = ix.compactPendingLocked()
-	}
-	return errors.Join(err, ix.closeRunsLocked(), ix.rawFile.Close())
+	return errors.Join(ix.closeRunsLocked(), ix.rawFile.Close())
 }
 
-// commitManifestLocked commits the manifest describing the current run
-// set. Callers hold mu; the snapshot is taken under mu, but the
-// encode+fsync runs on a dedicated commit mutex with mu RELEASED, so
-// queries (which take mu.RLock) proceed during a slow manifest sync. mu is re-acquired before returning — callers must
-// tolerate the drop. Every commit happens before any input-file deletion
-// it supersedes, and commits carry a sequence number assigned under mu:
-// if a later snapshot already reached disk, an earlier one is skipped
-// (the newer snapshot is a strict superset of the structural state, and
-// deletions only follow successful commits).
-func (ix *Index) commitManifestLocked() error {
-	m := ix.manifestLocked()
-	ix.commitSeq++
-	seq := ix.commitSeq
-	ix.mu.Unlock()
-	err := ix.commitSnapshot(seq, m)
+// Layout returns the index's state for the manifest — the run list, the
+// next seq and the flushed cursor — and the compaction inputs it
+// supersedes, which the partition layer removes once the manifest commits.
+func (ix *Index) Layout() (manifest.Layout, []string) {
 	ix.mu.Lock()
-	return err
-}
-
-// commitSnapshot serializes manifest commits on commitMu, dropping
-// snapshots already superseded by a durable newer one.
-func (ix *Index) commitSnapshot(seq int64, m *manifest.Manifest) error {
-	ix.commitMu.Lock()
-	defer ix.commitMu.Unlock()
-	if ix.durableSeq >= seq {
-		return nil
-	}
-	if err := manifest.Commit(ix.opt.FS, ix.opt.Name, m); err != nil {
-		return err
-	}
-	ix.durableSeq = seq
-	return nil
-}
-
-// manifestLocked snapshots the current structural state as a manifest.
-func (ix *Index) manifestLocked() *manifest.Manifest {
-	p := ix.opt.S.Params()
-	var total int64
-	runs := make([]manifest.RunInfo, len(ix.runs))
+	defer ix.mu.Unlock()
+	l := manifest.Layout{NextSeq: ix.nextSeq, Flushed: ix.flushed, Runs: make([]manifest.RunInfo, len(ix.runs))}
 	for i, r := range ix.runs {
-		ri := manifest.RunInfo{Name: r.name, Tier: r.tier, Seq: r.seq, Count: r.count}
-		if r.count > 0 {
-			ri.MinKey = r.rb.MinKey()
-			ri.MaxKey = r.rb.MaxKey()
-		}
-		runs[i] = ri
-		total += r.count
+		l.Runs[i] = manifest.RunInfo{Name: r.name, Tier: r.tier, Seq: r.seq, Count: r.count,
+			MinKey: r.rb.MinKey(), MaxKey: r.rb.MaxKey()}
+		l.Count += r.count
 	}
-	m := &manifest.Manifest{
-		Variant:   manifest.VariantLSM,
-		SeriesLen: p.SeriesLen,
-		Segments:  p.Segments,
-		CardBits:  p.CardBits,
-		RawName:   ix.opt.RawName,
-		Count:     total,
-		LSM:       &manifest.LSMLayout{NextSeq: ix.nextSeq, Runs: runs, Flushed: ix.flushed},
-	}
-	return m
+	obsolete := ix.obsolete
+	ix.obsolete = nil
+	return l, obsolete
 }
 
 // windowCandsLocked collects this index's window contribution at radius.

@@ -11,55 +11,38 @@ import (
 	"github.com/coconut-db/coconut/internal/summary"
 )
 
-// Open reopens a persisted Coconut-LSM index from its manifest: every
-// run's block directory is reloaded and its file verified by one
-// sequential pass, the appends no run holds yet are re-summarized from the
-// raw log (none after a clean Close, so the raw dataset is then opened for
-// query-time fetches but never read). The run list is the whole compaction
-// schedule, so subsequent flushes and compactions continue the exact
-// deterministic sequence a never-closed index would have produced.
+// Open reopens a persisted Coconut-LSM index from l, its layout in the
+// index's manifest: every run's block directory is reloaded and its file
+// verified by one sequential pass, the appends no run holds yet are
+// re-summarized from the raw log (none after a clean Close, so the raw
+// dataset is then opened for query-time fetches but never read). The run
+// list is the whole compaction schedule, so subsequent flushes and
+// compactions continue the exact deterministic sequence a never-closed index
+// would have produced.
 //
-// Configuration mismatches (summarization parameters, dataset file) fail
-// loudly with manifest.ErrConfigMismatch; a run file whose size, record
-// count, key range, or sort order disagrees with the manifest fails with
-// manifest.ErrCorruptManifest.
-func Open(opt Options) (*Index, error) {
-	if opt.FS == nil || opt.Name == "" || opt.S == nil {
-		return nil, errors.New("lsm: open needs FS, Name, and summarizer")
-	}
-	m, err := manifest.Load(opt.FS, opt.Name)
-	if err != nil {
-		return nil, fmt.Errorf("lsm: loading manifest for %q: %w", opt.Name, err)
-	}
-	if err := m.CheckVariant(manifest.VariantLSM); err != nil {
-		return nil, fmt.Errorf("lsm: %w", err)
-	}
-	if m.LSM == nil {
-		return nil, fmt.Errorf("lsm: %w: lsm manifest without lsm layout", manifest.ErrCorruptManifest)
-	}
-	if err := m.CheckParams(opt.S.Params(), false, opt.RawName); err != nil {
-		return nil, fmt.Errorf("lsm: %w", err)
-	}
+// The partition layer checks the configuration against the manifest first;
+// a run file whose size, record count, key range, or sort order disagrees
+// with l fails with manifest.ErrCorruptManifest.
+func Open(opt Options, l manifest.Layout) (*Index, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-
 	raw, err := opt.FS.Open(opt.RawName)
 	if err != nil {
 		return nil, err
 	}
 	ix := newIndex(opt, raw)
-	if err := ix.reopen(m); err != nil {
+	if err := ix.reopen(l); err != nil {
 		ix.abandon()
 		return nil, err
 	}
 	return ix, nil
 }
 
-// reopen restores the run set and the memtable from m and the raw log.
-func (ix *Index) reopen(m *manifest.Manifest) error {
+// reopen restores the run set and the memtable from l and the raw log.
+func (ix *Index) reopen(l manifest.Layout) error {
 	opt := ix.opt
-	for i, ri := range m.LSM.Runs {
+	for i, ri := range l.Runs {
 		r, err := loadRun(opt.FS, ri, opt.Cache)
 		if err != nil {
 			return fmt.Errorf("lsm: reloading run %d (%s): %w", i, ri.Name, err)
@@ -67,12 +50,12 @@ func (ix *Index) reopen(m *manifest.Manifest) error {
 		ix.runs = append(ix.runs, r)
 		ix.count += r.count
 	}
-	if ix.count != m.Count {
+	if ix.count != l.Count {
 		return fmt.Errorf("lsm: %w: runs hold %d records, manifest says %d",
-			manifest.ErrCorruptManifest, ix.count, m.Count)
+			manifest.ErrCorruptManifest, ix.count, l.Count)
 	}
-	ix.nextSeq = m.LSM.NextSeq
-	if err := ix.recoverTail(m.LSM.Flushed); err != nil {
+	ix.nextSeq = l.NextSeq
+	if err := ix.recoverTail(l.Flushed); err != nil {
 		return err
 	}
 	// Groups a crash left ready but unmerged fold inline, as they would have.

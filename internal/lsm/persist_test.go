@@ -177,7 +177,7 @@ func TestOpenDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runName := m.LSM.Runs[0].Name
+	runName := m.Children[0].Runs[0].Name
 
 	// Truncated run file.
 	orig, err := storage.ReadFileAll(fs, runName)
@@ -210,18 +210,18 @@ func TestOpenDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := *m.LSM
+	good := m.Children[0]
 	dup := good
 	dup.Runs = append([]manifest.RunInfo(nil), good.Runs...)
 	dup.Runs[2].Seq = dup.Runs[1].Seq
-	m.LSM = &dup
+	m.Children[0] = dup
 	if err := manifest.Commit(fs, "lsm", m); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := openLone(Options{FS: fs, Name: "lsm", S: tSummarizer(t), RawName: "raw"}); !errors.Is(err, manifest.ErrCorruptManifest) {
 		t.Fatalf("runs sharing a seq: got %v, want ErrCorruptManifest", err)
 	}
-	m.LSM = &good
+	m.Children[0] = good
 	if err := manifest.Commit(fs, "lsm", m); err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,11 @@ import (
 // fail with one of the typed errors — and never panic, hang, or allocate
 // proportionally to a forged length field. Any other format version is a
 // version mismatch. The seeds are every variant (a tree grown by inserts
-// and a bulk-loaded one, a partitioned parent of LSM and of tree children),
-// each of them at the refused versions 1–10, the version-10 writer's own
-// encodings of a tree with its leaf directory, an LSM and a partitioned
-// parent, and the stored tries this version refuses, whole and damaged.
+// and a bulk-loaded one, an LSM, and partitioned LSMs and trees), each of
+// them at the refused versions 1–11, the version-10 writer's own encodings
+// of a tree with its leaf directory, an LSM and a partitioned parent, the
+// version-11 writer's of a tree, an LSM and a partitioned parent with its
+// children, and the stored tries this version refuses, whole and damaged.
 func FuzzDecode(f *testing.F) {
 	for _, m := range samples() {
 		data, err := m.Encode()

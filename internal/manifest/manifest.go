@@ -1,17 +1,20 @@
 // Package manifest implements the durable index lifecycle's source of
-// truth: a small, versioned, checksummed file that records everything
-// needed to reopen a built Coconut index from storage without touching the
-// raw dataset — the format version, the summarization parameters, and the
-// per-variant on-device layout (the leaf run's generation for Coconut-Tree,
-// and the run list for Coconut-LSM, which is its whole compaction schedule).
+// truth: one small, versioned, checksummed file per index, <name>.manifest,
+// that records everything needed to reopen it from storage without touching
+// the raw dataset — the format version, the summarization parameters, the
+// key-range boundaries of its partitions (none when it has one), and one
+// layout per partition: the leaf run's generation and record count for a
+// Coconut-Tree, the run list (its whole compaction schedule) for a
+// Coconut-LSM. An unpartitioned index is the same manifest with one layout.
 //
 // A manifest is committed atomically: the encoding is written to a sibling
 // temporary file and renamed over the live manifest (storage.FS.Rename), so
-// a crash during a commit leaves the previous manifest intact. The payload
-// is guarded by a CRC32-C (Castagnoli) checksum; any truncation, bit flip,
-// or short field decodes to ErrCorruptManifest, and a manifest of any other
-// format version fails with ErrVersionMismatch: never a panic or a silent
-// misread.
+// a crash during a commit leaves the previous manifest intact. The one
+// committer is internal/partition, which commits every partition's state in
+// one rename. The payload is guarded by a CRC32-C (Castagnoli) checksum; any
+// truncation, bit flip, or short field decodes to ErrCorruptManifest, and a
+// manifest of any other format version fails with ErrVersionMismatch: never
+// a panic or a silent misread.
 package manifest
 
 import (
@@ -19,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"github.com/coconut-db/coconut/internal/storage"
 	"github.com/coconut-db/coconut/internal/summary"
@@ -40,16 +44,17 @@ var (
 	ErrConfigMismatch = errors.New("manifest: configuration does not match stored index")
 )
 
-// Variant names the index layout a manifest describes.
+// Variant names the kind of an index's partitions.
 type Variant string
 
-// The two persistable index variants, plus the partitioned parent layout
-// that composes N of them.
+// The two persistable index variants.
 const (
-	VariantTree        Variant = "tree"
-	VariantLSM         Variant = "lsm"
-	VariantPartitioned Variant = "partitioned"
+	VariantTree Variant = "tree"
+	VariantLSM  Variant = "lsm"
 )
+
+// variants are the variants by the one-byte code an encoding stores.
+var variants = [...]Variant{VariantTree, VariantLSM}
 
 const (
 	magic uint32 = 0x464D4343 // "CCMF" little-endian
@@ -58,25 +63,20 @@ const (
 	// leaf pages, flat LSM runs, LSM runs framed in checksum blocks, tree
 	// directories in a separate B+-tree meta file, LSM write-ahead logs, tree
 	// leaves on stamped B+-tree pages, LSM compaction cursors beside the run
-	// list, a leaf capacity and a tree leaf directory of record counts, and
-	// Coconut-Trie layouts) and fail with ErrVersionMismatch: rebuild the
-	// index.
-	version uint32 = 11
+	// list, a leaf capacity and a tree leaf directory of record counts,
+	// Coconut-Trie layouts, and a manifest per partition beside a parent
+	// naming them) and fail with ErrVersionMismatch: rebuild the index.
+	version uint32 = 12
 	// headerSize is magic + version + payload length + CRC32-C.
 	headerSize = 16
 	// maxStringLen bounds decoded string fields (file names).
 	maxStringLen = 1 << 12
+	// minLayout is the fewest payload bytes a partition's layout takes: a
+	// tree's count and generation.
+	minLayout = 16
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// TreeLayout is a Coconut-Tree's leaf run: the generation of its one file
-// (a build writes generation 0, and each insert batch merges into the
-// next). The run holds the manifest's Count records, and its leaves are its
-// checksum blocks, so nothing else about it is stored.
-type TreeLayout struct {
-	Gen int64
-}
 
 // RunInfo describes one immutable LSM run: its file, its place in the
 // compaction schedule (tier, and seq: its age), and integrity bounds
@@ -94,43 +94,29 @@ type RunInfo struct {
 // ingest-time compactions never try to fold it.
 const BulkTier = 1 << 30
 
-// LSMLayout records the full LSM state needed to reopen. The run list,
-// oldest first, is the whole compaction schedule: the next group is the
-// oldest runs of the lowest full tier, and a run's tier and seq name its
-// file. NextSeq is the seq of the next flush run.
-type LSMLayout struct {
+// Layout is one partition's durable state. Count is the number of series it
+// durably indexes. A Coconut-Tree stores its leaf run's generation Gen (a
+// build writes generation 0, and each insert batch merges into the next);
+// the run holds Count records, and its leaves are its checksum blocks, so
+// nothing else about it is stored. A Coconut-LSM stores its run list, oldest
+// first — the whole compaction schedule: the next group is the oldest runs
+// of the lowest full tier, and a run's tier and seq name its file — whose
+// counts sum to Count, NextSeq, the seq of the next flush run, and Flushed,
+// a raw-file position: every record below it that the partition owns is in
+// a run, and Open re-summarizes the owned records from it up to the raw
+// file's acknowledged end into the memtable.
+type Layout struct {
+	Count int64
+	Gen   int64
+
 	NextSeq int64
 	Runs    []RunInfo
-
-	// Flushed is a raw-file position: every record below it that the index
-	// owns is in a run. Open re-summarizes the owned records from it up to
-	// the raw file's acknowledged end into the memtable.
 	Flushed int64
-}
-
-// PartitionLayout is the parent manifest of a partitioned index: N child
-// indexes of one variant, split by invSAX key range. Boundaries holds the
-// N-1 split keys (strictly increasing); child i owns keys in
-// [Boundaries[i-1], Boundaries[i]), with the first and last ranges open
-// below and above. Children names the per-partition child indexes, each
-// with its own manifest committed by the PR 5 machinery BEFORE the parent
-// is committed — so a parent manifest that exists always references fully
-// durable children.
-//
-// The parent is immutable after the build: mutable state (LSM run sets,
-// insert counts) lives in the child manifests, which stay authoritative,
-// so the parent's Count is the count at build time only and reopen does
-// not cross-check it against the children.
-type PartitionLayout struct {
-	ChildVariant Variant
-	Partitions   int
-	Boundaries   []summary.Key
-	Children     []string
 }
 
 // Manifest is the versioned description of one persisted index.
 type Manifest struct {
-	// Variant selects which layout section is populated.
+	// Variant is the kind of every partition.
 	Variant Variant
 	// SeriesLen, Segments, CardBits fix the summarization scheme; a reopen
 	// with different parameters would misinterpret every key.
@@ -141,59 +127,73 @@ type Manifest struct {
 	Materialized bool
 	// RawName is the dataset file the positions refer to.
 	RawName string
-	// Count is the number of series durably indexed (for LSM: the sum of
-	// the run counts; the memtable is re-derived from the raw file).
-	Count int64
-
-	Tree *TreeLayout
-	LSM  *LSMLayout
-	Part *PartitionLayout
+	// Boundaries holds the len(Children)-1 strictly increasing split keys:
+	// partition i owns keys in [Boundaries[i-1], Boundaries[i]), with the
+	// first and last ranges open below and above.
+	Boundaries []summary.Key
+	// Children holds one layout per partition, in key order.
+	Children []Layout
 }
 
 // FileName returns the manifest file for an index name prefix.
 func FileName(indexName string) string { return indexName + ".manifest" }
 
+// ChildName returns the name prefix of the files of partition i of the n
+// partitions of index name: the index name itself when n is 1.
+func ChildName(name string, i, n int) string {
+	if n == 1 {
+		return name
+	}
+	return fmt.Sprintf("%s.p%03d", name, i)
+}
+
+// Count is the number of series the index durably indexes: the sum of its
+// partitions' counts.
+func (m *Manifest) Count() int64 {
+	var n int64
+	for _, l := range m.Children {
+		n += l.Count
+	}
+	return n
+}
+
 // Encode serializes m with the version header and CRC32-C trailer.
 func (m *Manifest) Encode() ([]byte, error) {
-	switch m.Variant {
-	case VariantTree, VariantLSM, VariantPartitioned:
-	default:
+	code := slices.Index(variants[:], m.Variant)
+	if code < 0 {
 		return nil, fmt.Errorf("manifest: unknown variant %q", m.Variant)
+	}
+	if len(m.Children) == 0 || len(m.Boundaries) != len(m.Children)-1 {
+		return nil, fmt.Errorf("manifest: %d partitions with %d boundaries", len(m.Children), len(m.Boundaries))
 	}
 	// The decoder caps string fields at maxStringLen; refuse to commit a
 	// manifest it would later reject as truncated.
 	if len(m.RawName) > maxStringLen {
 		return nil, fmt.Errorf("manifest: raw dataset name is %d bytes, max %d", len(m.RawName), maxStringLen)
 	}
-	if m.LSM != nil {
-		for _, r := range m.LSM.Runs {
-			if len(r.Name) > maxStringLen {
-				return nil, fmt.Errorf("manifest: run name is %d bytes, max %d", len(r.Name), maxStringLen)
-			}
-		}
-	}
 	var w writer
-	w.str(string(m.Variant))
+	w.u8(byte(code))
 	w.u32(uint32(m.SeriesLen))
 	w.u32(uint32(m.Segments))
 	w.u32(uint32(m.CardBits))
 	w.bool(m.Materialized)
 	w.str(m.RawName)
-	w.u64(uint64(m.Count))
-	switch m.Variant {
-	case VariantTree:
-		if m.Tree == nil {
-			return nil, errors.New("manifest: tree variant without tree layout")
+	w.u32(uint32(len(m.Children)))
+	for _, b := range m.Boundaries {
+		w.bytes(b[:])
+	}
+	for _, l := range m.Children {
+		w.u64(uint64(l.Count))
+		if m.Variant == VariantTree {
+			w.u64(uint64(l.Gen))
+			continue
 		}
-		w.u64(uint64(m.Tree.Gen))
-	case VariantLSM:
-		if m.LSM == nil {
-			return nil, errors.New("manifest: lsm variant without lsm layout")
-		}
-		l := m.LSM
 		w.u64(uint64(l.NextSeq))
 		w.u32(uint32(len(l.Runs)))
 		for _, r := range l.Runs {
+			if len(r.Name) > maxStringLen {
+				return nil, fmt.Errorf("manifest: run name is %d bytes, max %d", len(r.Name), maxStringLen)
+			}
 			w.str(r.Name)
 			w.u32(uint32(r.Tier))
 			w.u64(uint64(r.Seq))
@@ -202,28 +202,6 @@ func (m *Manifest) Encode() ([]byte, error) {
 			w.bytes(r.MaxKey[:])
 		}
 		w.u64(uint64(l.Flushed))
-	case VariantPartitioned:
-		if m.Part == nil {
-			return nil, errors.New("manifest: partitioned variant without partition layout")
-		}
-		p := m.Part
-		if len(p.Boundaries) != p.Partitions-1 || len(p.Children) != p.Partitions {
-			return nil, fmt.Errorf("manifest: partition layout shape mismatch (%d partitions, %d boundaries, %d children)",
-				p.Partitions, len(p.Boundaries), len(p.Children))
-		}
-		for _, c := range p.Children {
-			if len(c) > maxStringLen {
-				return nil, fmt.Errorf("manifest: child name is %d bytes, max %d", len(c), maxStringLen)
-			}
-		}
-		w.str(string(p.ChildVariant))
-		w.u32(uint32(p.Partitions))
-		for _, b := range p.Boundaries {
-			w.bytes(b[:])
-		}
-		for _, c := range p.Children {
-			w.str(c)
-		}
 	}
 	payload := w.buf
 	out := make([]byte, 0, headerSize+len(payload))
@@ -258,55 +236,45 @@ func Decode(data []byte) (*Manifest, error) {
 	}
 	r := reader{buf: payload}
 	m := &Manifest{}
-	m.Variant = Variant(r.str())
+	m.Variant = variants[r.code(len(variants), "variant")]
 	m.SeriesLen = int(r.u32())
 	m.Segments = int(r.u32())
 	m.CardBits = int(r.u32())
 	m.Materialized = r.bool()
 	m.RawName = r.str()
-	m.Count = int64(r.u64())
-	switch m.Variant {
-	case VariantTree:
-		m.Tree = &TreeLayout{Gen: int64(r.u64())}
-	case VariantLSM:
-		l := &LSMLayout{NextSeq: int64(r.u64())}
+	n := int64(r.u32())
+	// A partition takes a boundary key (but the first) and a layout: bound
+	// the claimed count by what the payload could possibly hold.
+	if r.err == nil && (n < 1 || (n-1)*summary.KeySize+n*minLayout > int64(r.remaining())) {
+		return nil, fmt.Errorf("%w: impossible partition count %d", ErrCorruptManifest, n)
+	}
+	for i := int64(1); i < n && r.err == nil; i++ {
+		var k summary.Key
+		r.keyInto(&k)
+		m.Boundaries = append(m.Boundaries, k)
+	}
+	for i := int64(0); i < n && r.err == nil; i++ {
+		l := Layout{Count: int64(r.u64())}
+		if m.Variant == VariantTree {
+			l.Gen = int64(r.u64())
+			m.Children = append(m.Children, l)
+			continue
+		}
+		l.NextSeq = int64(r.u64())
 		nr := int(r.u32())
 		// A run entry is at least name length + fixed fields + two keys.
 		minRun := 4 + 4 + 8 + 8 + 2*summary.KeySize
 		if r.err == nil && nr > r.remaining()/minRun {
 			return nil, fmt.Errorf("%w: %d runs exceed payload", ErrCorruptManifest, nr)
 		}
-		for i := 0; i < nr && r.err == nil; i++ {
+		for j := 0; j < nr && r.err == nil; j++ {
 			ri := RunInfo{Name: r.str(), Tier: int(r.u32()), Seq: int64(r.u64()), Count: int64(r.u64())}
 			r.keyInto(&ri.MinKey)
 			r.keyInto(&ri.MaxKey)
 			l.Runs = append(l.Runs, ri)
 		}
 		l.Flushed = int64(r.u64())
-		m.LSM = l
-	case VariantPartitioned:
-		p := &PartitionLayout{}
-		p.ChildVariant = Variant(r.str())
-		p.Partitions = int(r.u32())
-		// Boundaries and child names are sized by Partitions; bound the
-		// claimed count by what the payload could possibly hold (a key per
-		// boundary plus a length-prefixed name per child).
-		if r.err == nil && (p.Partitions < 2 || p.Partitions-1 > r.remaining()/(summary.KeySize+4)) {
-			return nil, fmt.Errorf("%w: impossible partition count %d", ErrCorruptManifest, p.Partitions)
-		}
-		for i := 0; i < p.Partitions-1 && r.err == nil; i++ {
-			var k summary.Key
-			r.keyInto(&k)
-			p.Boundaries = append(p.Boundaries, k)
-		}
-		for i := 0; i < p.Partitions && r.err == nil; i++ {
-			p.Children = append(p.Children, r.str())
-		}
-		m.Part = p
-	default:
-		if r.err == nil {
-			return nil, fmt.Errorf("%w: unknown variant %q", ErrCorruptManifest, m.Variant)
-		}
+		m.Children = append(m.Children, l)
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -326,62 +294,56 @@ func (m *Manifest) validate() error {
 	case m.SeriesLen <= 0 || m.Segments <= 0 || m.CardBits <= 0 || m.CardBits > 8:
 		return fmt.Errorf("%w: impossible summarization parameters (%d/%d/%d)",
 			ErrCorruptManifest, m.SeriesLen, m.Segments, m.CardBits)
-	case m.Count < 0:
-		return fmt.Errorf("%w: negative count", ErrCorruptManifest)
 	case m.RawName == "":
 		return fmt.Errorf("%w: empty raw dataset name", ErrCorruptManifest)
 	}
-	if m.Tree != nil && m.Tree.Gen < 0 {
-		return fmt.Errorf("%w: leaf run generation %d", ErrCorruptManifest, m.Tree.Gen)
-	}
-	if m.LSM != nil {
-		var total int64
-		last := int64(-1)
-		for _, ri := range m.LSM.Runs {
-			if ri.Name == "" || ri.Count <= 0 || ri.Tier < 0 {
-				return fmt.Errorf("%w: impossible run entry", ErrCorruptManifest)
-			}
-			// Names derive from seqs: a repeated seq, or one the next flush
-			// would take, is two runs for one file.
-			if ri.Seq <= last || ri.Seq >= m.LSM.NextSeq {
-				return fmt.Errorf("%w: run seq %d out of age order (previous %d, next %d)",
-					ErrCorruptManifest, ri.Seq, last, m.LSM.NextSeq)
-			}
-			last = ri.Seq
-			total += ri.Count
-		}
-		if total != m.Count {
-			return fmt.Errorf("%w: run counts sum to %d, manifest count is %d",
-				ErrCorruptManifest, total, m.Count)
-		}
-		if m.LSM.Flushed < m.Count {
-			return fmt.Errorf("%w: flushed position %d below the %d records in runs",
-				ErrCorruptManifest, m.LSM.Flushed, m.Count)
+	for i := 1; i < len(m.Boundaries); i++ {
+		if m.Boundaries[i].Compare(m.Boundaries[i-1]) <= 0 {
+			return fmt.Errorf("%w: partition boundaries out of order", ErrCorruptManifest)
 		}
 	}
-	if m.Part != nil {
-		p := m.Part
-		switch p.ChildVariant {
-		case VariantTree, VariantLSM:
-		default:
-			return fmt.Errorf("%w: impossible child variant %q", ErrCorruptManifest, p.ChildVariant)
+	for _, l := range m.Children {
+		if err := l.validate(m.Variant); err != nil {
+			return err
 		}
-		if p.Partitions < 2 || len(p.Boundaries) != p.Partitions-1 || len(p.Children) != p.Partitions {
-			return fmt.Errorf("%w: partition layout shape mismatch (%d partitions, %d boundaries, %d children)",
-				ErrCorruptManifest, p.Partitions, len(p.Boundaries), len(p.Children))
+	}
+	return nil
+}
+
+// validate rejects a partition layout no writer of variant v could have
+// produced.
+func (l *Layout) validate(v Variant) error {
+	if l.Count < 0 {
+		return fmt.Errorf("%w: negative count", ErrCorruptManifest)
+	}
+	if v == VariantTree {
+		if l.Gen < 0 {
+			return fmt.Errorf("%w: leaf run generation %d", ErrCorruptManifest, l.Gen)
 		}
-		for i := 1; i < len(p.Boundaries); i++ {
-			if p.Boundaries[i].Compare(p.Boundaries[i-1]) <= 0 {
-				return fmt.Errorf("%w: partition boundaries out of order", ErrCorruptManifest)
-			}
+		return nil
+	}
+	var total int64
+	last := int64(-1)
+	for _, ri := range l.Runs {
+		if ri.Name == "" || ri.Count <= 0 || ri.Tier < 0 {
+			return fmt.Errorf("%w: impossible run entry", ErrCorruptManifest)
 		}
-		seen := make(map[string]bool, len(p.Children))
-		for _, c := range p.Children {
-			if c == "" || seen[c] {
-				return fmt.Errorf("%w: empty or duplicate partition child name", ErrCorruptManifest)
-			}
-			seen[c] = true
+		// Names derive from seqs: a repeated seq, or one the next flush
+		// would take, is two runs for one file.
+		if ri.Seq <= last || ri.Seq >= l.NextSeq {
+			return fmt.Errorf("%w: run seq %d out of age order (previous %d, next %d)",
+				ErrCorruptManifest, ri.Seq, last, l.NextSeq)
 		}
+		last = ri.Seq
+		total += ri.Count
+	}
+	if total != l.Count {
+		return fmt.Errorf("%w: run counts sum to %d, layout count is %d",
+			ErrCorruptManifest, total, l.Count)
+	}
+	if l.Flushed < l.Count {
+		return fmt.Errorf("%w: flushed position %d below the %d records in runs",
+			ErrCorruptManifest, l.Flushed, l.Count)
 	}
 	return nil
 }
@@ -442,11 +404,12 @@ type writer struct{ buf []byte }
 func (w *writer) u32(v uint32)   { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *writer) u64(v uint64)   { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 func (w *writer) bytes(b []byte) { w.buf = append(w.buf, b...) }
+func (w *writer) u8(v byte)      { w.buf = append(w.buf, v) }
 func (w *writer) bool(v bool) {
 	if v {
-		w.buf = append(w.buf, 1)
+		w.u8(1)
 	} else {
-		w.buf = append(w.buf, 0)
+		w.u8(0)
 	}
 }
 func (w *writer) str(s string) {
@@ -495,24 +458,25 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
-func (r *reader) bool() bool {
+// code reads one byte that must be below n: a flag or a variant's code.
+func (r *reader) code(n int, what string) int {
 	if r.err != nil {
-		return false
+		return 0
 	}
 	if r.remaining() < 1 {
-		r.fail("bool")
-		return false
+		r.fail(what)
+		return 0
 	}
-	v := r.buf[r.off]
+	v := int(r.buf[r.off])
 	r.off++
-	if v > 1 {
-		if r.err == nil {
-			r.err = fmt.Errorf("%w: bool byte %d", ErrCorruptManifest, v)
-		}
-		return false
+	if v >= n {
+		r.err = fmt.Errorf("%w: %s byte %d", ErrCorruptManifest, what, v)
+		return 0
 	}
-	return v == 1
+	return v
 }
+
+func (r *reader) bool() bool { return r.code(2, "bool") == 1 }
 
 func (r *reader) str() string {
 	// Compare as uint32: on 32-bit platforms a forged length >= 2^31

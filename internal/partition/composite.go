@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/core"
 	"github.com/coconut-db/coconut/internal/extsort"
+	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/shard"
 	"github.com/coconut-db/coconut/internal/storage"
@@ -19,9 +21,10 @@ import (
 // Composite is the one index: N children of one Variant split by invSAX
 // key range — one, stored under the index name, when unpartitioned —
 // answering byte-identically for any N. It owns what the children share:
-// the raw log and the handle lock. Every Composite answers every search,
-// exact search for any k, and takes inserts; what the children can do
-// beyond that — LSM housekeeping — the Composite can do, and nothing more.
+// the raw log, the manifest and the handle locks. Every Composite answers
+// every search, exact search for any k, and takes inserts; what the
+// children can do beyond that — LSM housekeeping — the Composite can do,
+// and nothing more.
 type Composite struct {
 	v      Variant
 	bounds []summary.Key
@@ -37,10 +40,22 @@ type Composite struct {
 	// that collected them have returned. An insert's append and route hold it
 	// exclusively — raw-log appends assign global arrival-order positions
 	// before records route to their owning child, and no query reads a run
-	// an insert merge is replacing — but not its commit wait; Close holds it
+	// an insert merge is replacing — but not its commits; Close holds it
 	// exclusively too.
 	mu     sync.RWMutex
 	closed bool
+
+	// wmu is the write lock: every mutation — an insert's route and
+	// commit, Sync, Flush, Close — holds it, so one commit at a time sees
+	// every child's layout at rest. Queries never take it, so they proceed
+	// during a slow manifest commit.
+	wmu sync.Mutex
+	// stored is the children's layouts the manifest names.
+	stored []manifest.Layout
+	// err is the first failed manifest commit, sticky: the last committed
+	// manifest stays authoritative, so no later commit may supersede it, and
+	// every later write and Sync returns it.
+	err error
 }
 
 // Build builds the Composite of parts children of v; a failed build removes
@@ -48,29 +63,21 @@ type Composite struct {
 // one sort of its records; once the pass has been read to its end, the raw
 // log's fresh sidecar is made durable, and the children are written one
 // after another from the sorted stream, each from the records below its
-// key-range boundary. With parts < 2 the one child, holding every record,
-// is the unpartitioned index: stored under v's name, its manifest is the
-// index's. Otherwise the parent manifest commits last. bounds, when set,
-// are the parts-1 boundaries to keep — a rebuild's, so that every child it
-// commits holds exactly the records of the child it replaces and a rebuild
-// cut short between two child commits still splits the records one way;
-// nil samples them from the dataset.
+// key-range boundary; the manifest, naming them all, commits last. With
+// parts < 2 the one child holds every record, its files under v's name.
+// bounds, when set, are the parts-1 boundaries to keep — a rebuild's, so
+// that every child holds exactly the records of the child it replaces; nil
+// samples them from the dataset.
 func Build(v Variant, parts int, bounds []summary.Key) (*Composite, error) {
 	raw, err := v.fs.Open(v.rawName)
 	if err != nil {
 		return nil, err
 	}
 	defer raw.Close()
-	names := []string{v.name}
-	if parts > 1 {
-		if bounds == nil {
-			if bounds, err = selectBoundaries(raw, v.s, parts); err != nil {
-				return nil, err
-			}
-		}
-		names = make([]string, parts)
-		for i := range names {
-			names[i] = childName(v.name, i)
+	parts = max(parts, 1)
+	if parts > 1 && bounds == nil {
+		if bounds, err = selectBoundaries(raw, v.s, parts); err != nil {
+			return nil, err
 		}
 	}
 	src, sums, err := core.SummarySource(v.fs, v.s, raw, v.rawName, v.workers)
@@ -78,15 +85,15 @@ func Build(v Variant, parts int, bounds []summary.Key) (*Composite, error) {
 		return nil, err
 	}
 	c := &Composite{v: v, bounds: bounds, rawSums: sums}
-	total, err := c.buildChildren(src, names)
-	// The parent manifest commits last: nothing after it can fail the build.
-	if err == nil && len(names) > 1 {
-		err = commitParent(v, bounds, names, total)
+	err = c.buildChildren(src, parts)
+	// The manifest commits last: nothing after it can fail the build.
+	if err == nil {
+		err = c.commitLocked()
 	}
 	if err != nil {
 		for i, k := range c.kids {
 			k.Close()
-			v.remove(v.fs, names[i])
+			v.remove(v.fs, manifest.ChildName(v.name, i, parts))
 		}
 		c.rawSums.Close()
 		return nil, err
@@ -94,10 +101,9 @@ func Build(v Variant, parts int, bounds []summary.Key) (*Composite, error) {
 	return c, nil
 }
 
-// buildChildren sorts the record stream src once and writes the children
-// names from it in key order, each from the records below its boundary. It
-// returns the number of records.
-func (c *Composite) buildChildren(src summary.RecordReader, names []string) (int64, error) {
+// buildChildren sorts the record stream src once and writes the parts
+// children from it in key order, each from the records below its boundary.
+func (c *Composite) buildChildren(src summary.RecordReader, parts int) error {
 	v := c.v
 	sorted, total, err := extsort.Sorted(extsort.Config{
 		FS:         v.fs,
@@ -106,65 +112,114 @@ func (c *Composite) buildChildren(src summary.RecordReader, names []string) (int
 		Workers:    v.workers,
 	}, src)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer sorted.Close()
 	// The sort has read the summarization pass to its end, so the sidecar
-	// it filled is complete; it is durable before any child commits.
+	// it filled is complete; it is durable before any child is written.
 	if err := c.rawSums.Flush(); err != nil {
-		return 0, err
+		return err
 	}
-	for i, name := range names {
+	for i := range parts {
 		// Child i takes the records below bounds[i], and reserves room for
 		// the share a balanced split gives it; the last takes the rest, whose
 		// length the stream knows.
 		records := summary.RecordReader(sorted)
 		if i < len(c.bounds) {
-			bound, share := c.bounds[i], int((total+int64(len(names))-1)/int64(len(names)))
+			bound, share := c.bounds[i], int((total+int64(parts)-1)/int64(parts))
 			records = sorted.While(func(rec summary.Record) bool { return rec.Key.Less(bound) }, share)
 		}
-		ix, err := v.child(childPlan{i: i, parts: len(names), name: name, records: records, bounds: c.bounds, sums: c.rawSums})
+		ix, err := v.child(childPlan{i: i, parts: parts, name: manifest.ChildName(v.name, i, parts),
+			records: records, bounds: c.bounds, sums: c.rawSums})
 		if err != nil {
-			if len(names) > 1 {
+			if parts > 1 {
 				err = fmt.Errorf("partition %d: %w", i, err)
 			}
-			return 0, err
+			return err
 		}
 		c.kids = append(c.kids, ix)
 	}
-	return total, sorted.Close()
+	return sorted.Close()
 }
 
-// Open reopens the Composite of v: an unpartitioned index's one child from
-// its own manifest, a partitioned index's children through the parent
-// manifest, each restoring its own state from its child manifest, which
-// stays authoritative for everything mutable. parts == 0 adopts the stored
-// partition count; a non-zero mismatch fails with manifest.ErrConfigMismatch.
-// A child that fails to open closes the already-open siblings — never a
-// partial handle.
+// Open reopens the Composite of v from its manifest, each child from its
+// layout there. parts == 0 adopts the stored partition count; a non-zero
+// mismatch fails with manifest.ErrConfigMismatch. A child that fails to open
+// closes the already-open siblings — never a partial handle. What reopening
+// changed — compactions a crash left ready — commits before Open returns.
 func Open(v Variant, parts int) (*Composite, error) {
 	m, err := loadStored(v, parts)
 	if err != nil {
 		return nil, err
 	}
-	c := &Composite{v: v}
-	names := []string{v.name}
-	if m.Part != nil {
-		c.bounds, names = m.Part.Boundaries, m.Part.Children
-	}
+	c := &Composite{v: v, bounds: m.Boundaries, stored: m.Children}
 	if c.rawSums, err = attachRawSums(v); err != nil {
 		return nil, err
 	}
-	n := len(names)
-	for i, cname := range names {
-		ix, err := v.child(childPlan{i: i, parts: n, name: cname, bounds: c.bounds, sums: c.rawSums})
+	n := len(m.Children)
+	for i, l := range m.Children {
+		name := manifest.ChildName(v.name, i, n)
+		ix, err := v.child(childPlan{i: i, parts: n, name: name, layout: l, bounds: c.bounds, sums: c.rawSums})
 		if err != nil {
 			c.closeFiles()
-			return nil, fmt.Errorf("partition: opening child %q: %w", cname, err)
+			return nil, fmt.Errorf("partition: opening child %q: %w", name, err)
 		}
 		c.kids = append(c.kids, ix)
 	}
+	if err := c.commitLocked(); err != nil {
+		c.closeFiles()
+		return nil, err
+	}
 	return c, nil
+}
+
+// commitLocked is the one commit path: it pulls every child's layout and,
+// when they differ from the ones the manifest names, commits the raw log
+// they may reference and then the manifest naming them all, in one rename.
+// The files the layouts supersede are removed only after that commit
+// succeeds; a failed manifest commit is sticky (see err). Callers hold wmu,
+// or own the Composite alone.
+func (c *Composite) commitLocked() error {
+	if c.err != nil {
+		return c.err
+	}
+	layouts := make([]manifest.Layout, len(c.kids))
+	var obsolete []string
+	for i, k := range c.kids {
+		var old []string
+		layouts[i], old = k.Layout()
+		obsolete = append(obsolete, old...)
+	}
+	if !slices.EqualFunc(layouts, c.stored, sameLayout) {
+		if err := c.commitRaw(); err != nil {
+			return err
+		}
+		p := c.v.s.Params()
+		if err := manifest.Commit(c.v.fs, c.v.name, &manifest.Manifest{
+			Variant:      c.v.kind,
+			SeriesLen:    p.SeriesLen,
+			Segments:     p.Segments,
+			CardBits:     p.CardBits,
+			Materialized: c.v.materialized,
+			RawName:      c.v.rawName,
+			Boundaries:   c.bounds,
+			Children:     layouts,
+		}); err != nil {
+			c.err = err
+			return err
+		}
+		c.stored = layouts
+	}
+	for _, name := range obsolete {
+		_ = c.v.fs.Remove(name)
+	}
+	return nil
+}
+
+// sameLayout reports whether a and b describe the same stored state.
+func sameLayout(a, b manifest.Layout) bool {
+	return a.Count == b.Count && a.Gen == b.Gen && a.NextSeq == b.NextSeq &&
+		a.Flushed == b.Flushed && slices.Equal(a.Runs, b.Runs)
 }
 
 // closeFiles closes every child and then the raw log, keeping the first
@@ -354,9 +409,10 @@ func (c *Composite) ApproxSearch(ctx context.Context, q series.Series, radius in
 // Insert adds new series: raw bytes go to the shared raw log under the
 // composite's lock (assigning global arrival-order positions), then each
 // record routes to its owning partition — a tree inserts it, an LSM adds it
-// to its memtable — and partitions flush and compact independently. Over LSM
-// children the insert is acknowledged by one commit of the shared log after
-// the lock is released, so concurrent Insert calls share its rounds.
+// to its memtable — and partitions flush and compact independently; what
+// their flushes changed commits once the route is done. Over LSM children
+// the insert is acknowledged by one commit of the shared log after the locks
+// are released, so concurrent Insert calls share its rounds.
 //
 // Cancellation is admission control: the context is checked once before any
 // raw byte lands; once admitted the batch is fully routed (aborting
@@ -370,9 +426,18 @@ func (c *Composite) Insert(ctx context.Context, batch []series.Series) error {
 	if len(batch) == 0 {
 		return nil
 	}
+	c.wmu.Lock()
+	if c.err != nil {
+		c.wmu.Unlock()
+		return c.err
+	}
 	c.mu.Lock()
 	end, err := c.routeLocked(ctx, batch)
 	c.mu.Unlock()
+	if cerr := c.commitLocked(); err == nil {
+		err = cerr
+	}
+	c.wmu.Unlock()
 	if err != nil || !c.v.ackInserts {
 		return err
 	}
@@ -448,25 +513,33 @@ func (c *Composite) commitRaw() error {
 	return c.rawSums.Commit(context.Background(), c.rawSums.Records())
 }
 
-// eachChild commits the raw log, then runs fn on every child in order,
-// stopping at the first error.
-func (c *Composite) eachChild(fn func(Child) error) error {
-	if err := c.commitRaw(); err != nil {
-		return err
+// persist commits the raw log, runs step on every child in order until
+// one fails, and commits what the steps made durable. Callers hold wmu.
+func (c *Composite) persist(step func(Child) error) error {
+	if c.err != nil {
+		return c.err
 	}
+	err := c.commitRaw()
 	for _, k := range c.kids {
-		if err := fn(k); err != nil {
-			return err
+		if err != nil {
+			break
 		}
+		err = step(k)
 	}
-	return nil
+	if cerr := c.commitLocked(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// Sync persists every partition's pending state — for LSM children the
-// global quiescence barrier: memtables flushed, ready compactions landed.
-// The parent manifest is immutable and needs no re-commit: child
-// manifests are authoritative for mutable state.
-func (c *Composite) Sync() error { return c.eachChild(Child.Sync) }
+// Sync persists every partition's pending state in one manifest commit —
+// for LSM children the global quiescence barrier: memtables flushed, ready
+// compactions landed.
+func (c *Composite) Sync() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.persist(Child.Sync)
+}
 
 // Flush forces every partition's memtable to disk; a tree has none
 // (ErrUnsupported).
@@ -474,7 +547,9 @@ func (c *Composite) Flush() error {
 	if _, ok := c.kids[0].(Maintainer); !ok {
 		return ErrUnsupported
 	}
-	return c.eachChild(func(k Child) error { return k.(Maintainer).Flush() })
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.persist(func(k Child) error { return k.(Maintainer).Flush() })
 }
 
 // CacheStats returns the block cache's counters — whole-index numbers,
@@ -488,17 +563,19 @@ func (c *Composite) CacheStats() blockcache.Stats {
 	return blockcache.Stats{}
 }
 
-// Close syncs and closes every partition and releases the raw log, waiting
-// for in-flight queries. It is idempotent and safe to call concurrently
-// with cancelled queries and abandoned commit waits.
+// Close syncs (see Sync) and closes every partition and releases the raw
+// log, waiting for in-flight queries. It is idempotent and safe to call
+// concurrently with cancelled queries and abandoned commit waits.
 func (c *Composite) Close() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	first := c.commitRaw()
+	first := c.persist(Child.Sync)
 	if err := c.closeFiles(); first == nil {
 		first = err
 	}

@@ -159,8 +159,8 @@ func TestConcurrentTreeQueriesWithInserts(t *testing.T) {
 	}
 }
 
-// liveRuns names every run the committed manifests of the LSM index name
-// reference — its children's, when partitioned.
+// liveRuns names every run the committed manifest of the LSM index name
+// references, in every partition.
 func liveRuns(t *testing.T, fs storage.FS, name string) map[string]bool {
 	t.Helper()
 	m, err := manifest.Load(fs, name)
@@ -168,16 +168,10 @@ func liveRuns(t *testing.T, fs storage.FS, name string) map[string]bool {
 		t.Fatal(err)
 	}
 	live := map[string]bool{}
-	if m.Part != nil {
-		for _, child := range m.Part.Children {
-			for run := range liveRuns(t, fs, child) {
-				live[run] = true
-			}
+	for _, l := range m.Children {
+		for _, r := range l.Runs {
+			live[r.Name] = true
 		}
-		return live
-	}
-	for _, r := range m.LSM.Runs {
-		live[r.Name] = true
 	}
 	return live
 }

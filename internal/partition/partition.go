@@ -20,8 +20,8 @@
 // >= 2 partitions split it by key range (boundaries chosen from a dataset
 // sample so partitions balance), and the children are written one after
 // another, each from the share of the stream below its boundary. A
-// one-child index is stored exactly as an unpartitioned one — its files
-// under the index name, no parent manifest. Queries scatter to every
+// one-child index's files are under the index name, partition i's of N >= 2
+// under <name>.p00i (manifest.ChildName). Queries scatter to every
 // partition and gather deterministically.
 //
 // Everything below the public package takes its context first and has no
@@ -37,15 +37,19 @@
 // sharing one atomic squared bound on the k-th best so partitions prune
 // each other — one path for every k, 1-NN being k = 1.
 //
-// Durability: each child commits its own manifest, after the raw log's
-// sidecar is durable, and with N >= 2 BEFORE the parent manifest is
-// committed, so an existing parent always references fully durable
-// children. The parent manifest (boundaries + child names) is immutable
-// after the build; mutable state (LSM run sets, insert counts) lives in the
-// child manifests, which stay authoritative across reopens. Inserts go
-// through the one raw log: the Composite appends every batch and commits it
-// once, and each child commits it again before a manifest of its own may
-// reference the new positions.
+// Durability: an index has one manifest, <name>.manifest, whatever N, and
+// the Composite is its one committer. It holds the boundaries and one layout
+// per child, which the child hands back through Child.Layout; children
+// commit nothing. The Composite pulls the layouts after every mutation it
+// drives — a build, an insert, a Sync, a Flush, a Close — and commits them
+// in one rename when they changed, after the raw log's sidecar is durable
+// and every file they name has been fsynced, so a partitioned Sync is all or
+// nothing. The files the new layouts supersede (a tree's old generation, an
+// LSM's compaction inputs) are removed only after that commit succeeds. A
+// failed manifest commit is sticky, as a failed raw-log fsync is: every
+// later write and Sync returns it, and the last committed manifest stays
+// authoritative. Inserts go through the one raw log: the Composite appends
+// every batch and commits it once.
 package partition
 
 import (
@@ -70,9 +74,12 @@ import (
 // (cross-partition) approximate window, and the SIMS verification of the k
 // external seed neighbors under a shared bound on the k-th best, which
 // returns its local top-k — plus what every index reports, and the insert
-// of records whose raw bytes the Composite already appended to the raw log.
-// Distances are Euclidean; radius widens the approximate window
-// (window.Half), alike on every variant.
+// of records whose raw bytes the Composite already appended to the raw log,
+// and its durable state: Layout returns the child's layout for the
+// manifest, whose files Sync made durable, and the files it supersedes,
+// which the Composite removes once the manifest commits. Distances are
+// Euclidean; radius widens the approximate window (window.Half), alike on
+// every variant.
 type Child interface {
 	ApproxWindowCands(ctx context.Context, q series.Series, radius int) (core.ApproxWindow, error)
 	ExactVerify(ctx context.Context, q series.Series, k int, seed []core.Neighbor, bound *shard.BSF) ([]core.Neighbor, core.Result, error)
@@ -81,6 +88,7 @@ type Child interface {
 	Shape() core.Shape
 	SizeBytes() int64
 	Sync() error
+	Layout() (manifest.Layout, []string)
 	Close() error
 }
 
@@ -103,7 +111,7 @@ type Variant struct {
 	fs            storage.FS
 	name, rawName string
 	s             *summary.Summarizer
-	// materialized describes the children to the parent manifest.
+	// materialized describes the children to the manifest.
 	materialized bool
 	// workers and memBudget are the build's summarization pass and sort's.
 	workers      int
@@ -115,18 +123,19 @@ type Variant struct {
 	// (the LSM's contract); otherwise inserts become durable at Sync.
 	ackInserts bool
 	// child builds the child p plans from p.records when set and reopens it
-	// otherwise; remove deletes a finished child's files.
+	// from p.layout otherwise; remove deletes a finished child's files.
 	child  func(p childPlan) (Child, error)
 	remove func(fs storage.FS, name string)
 }
 
 // childPlan is one child as its Variant sees it: which of how many it is,
 // and what the Composite hands down — the key ranges, the sorted record
-// stream of a build, the raw log.
+// stream of a build or the stored layout of an open, the raw log.
 type childPlan struct {
 	i, parts int
 	name     string
 	records  summary.RecordReader
+	layout   manifest.Layout
 	bounds   []summary.Key
 	sums     *storage.RecordSums
 }
@@ -153,15 +162,10 @@ func TreeVariant(opt core.Options) Variant {
 			if p.parts > 1 {
 				co.QueryWorkers = shard.PerGroup(opt.QueryWorkers, p.parts)
 			}
-			load := core.OpenTree
 			if p.records != nil {
-				load = core.BuildTree
+				return asChild(core.BuildTree(co))
 			}
-			ix, err := load(co)
-			if err != nil {
-				return nil, err
-			}
-			return ix, nil
+			return asChild(core.OpenTree(co, p.layout))
 		},
 	}
 }
@@ -195,17 +199,20 @@ func LSMVariant(opt lsm.Options) Variant {
 				}
 				co.QueryWorkers = shard.PerGroup(opt.QueryWorkers, p.parts)
 			}
-			load := lsm.Open
 			if p.records != nil {
-				load = lsm.Build
+				return asChild(lsm.Build(co))
 			}
-			ix, err := load(co)
-			if err != nil {
-				return nil, err
-			}
-			return ix, nil
+			return asChild(lsm.Open(co, p.layout))
 		},
 	}
+}
+
+// asChild is a constructor's result as a Child: no typed nil on failure.
+func asChild[C Child](c C, err error) (Child, error) {
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // Seeded is v with exact searches seeded from the radius window instead of
@@ -214,9 +221,6 @@ func (v Variant) Seeded(radius int) Variant {
 	v.seedRadius = radius
 	return v
 }
-
-// childName returns the index-name prefix of partition i.
-func childName(name string, i int) string { return fmt.Sprintf("%s.p%03d", name, i) }
 
 // route returns the partition owning key under bounds: partition i owns
 // keys in [bounds[i-1], bounds[i]), with the first and last ranges open
@@ -289,27 +293,6 @@ func selectBoundaries(raw storage.File, s *summary.Summarizer, parts int) ([]sum
 	return bounds, nil
 }
 
-// commitParent writes the parent manifest, the build's durability point:
-// it is committed only after every child committed its own manifest.
-func commitParent(v Variant, bounds []summary.Key, children []string, total int64) error {
-	p := v.s.Params()
-	return manifest.Commit(v.fs, v.name, &manifest.Manifest{
-		Variant:      manifest.VariantPartitioned,
-		SeriesLen:    p.SeriesLen,
-		Segments:     p.Segments,
-		CardBits:     p.CardBits,
-		Materialized: v.materialized,
-		RawName:      v.rawName,
-		Count:        total,
-		Part: &manifest.PartitionLayout{
-			ChildVariant: v.kind,
-			Partitions:   len(children),
-			Boundaries:   bounds,
-			Children:     children,
-		},
-	})
-}
-
 // attachRawSums opens the raw log of the dataset file at Open: the
 // persisted sidecar is the dataset's end (storage.LoadRecordSums).
 func attachRawSums(v Variant) (*storage.RecordSums, error) {
@@ -325,30 +308,21 @@ func attachRawSums(v Variant) (*storage.RecordSums, error) {
 	return sums, nil
 }
 
-// loadStored loads the root manifest of v's index and runs the loud
+// loadStored loads the manifest of v's index and runs the loud
 // config-mismatch checks every Open performs before touching a child: the
-// variant (v's own kind, or a partitioned index of such children), the
-// partition count (parts == 0 adopts the stored one, and an unpartitioned
-// index has one), and the summarization, materialization and dataset
-// parameters.
+// variant, the partition count (parts == 0 adopts the stored one), and the
+// summarization, materialization and dataset parameters.
 func loadStored(v Variant, parts int) (*manifest.Manifest, error) {
 	m, err := manifest.Load(v.fs, v.name)
 	if err != nil {
+		return nil, fmt.Errorf("partition: loading manifest for %q: %w", v.name, err)
+	}
+	if err := m.CheckVariant(v.kind); err != nil {
 		return nil, err
 	}
-	stored := 1
-	if m.Variant == manifest.VariantPartitioned {
-		if m.Part.ChildVariant != v.kind {
-			return nil, fmt.Errorf("%w: stored partitioned index has %s children, not %s",
-				manifest.ErrConfigMismatch, m.Part.ChildVariant, v.kind)
-		}
-		stored = m.Part.Partitions
-	} else if err := m.CheckVariant(v.kind); err != nil {
-		return nil, err
-	}
-	if parts != 0 && parts != stored {
+	if parts != 0 && parts != len(m.Children) {
 		return nil, fmt.Errorf("%w: Partitions=%d, stored index has %d partitions",
-			manifest.ErrConfigMismatch, parts, stored)
+			manifest.ErrConfigMismatch, parts, len(m.Children))
 	}
 	if err := m.CheckParams(v.s.Params(), v.materialized, v.rawName); err != nil {
 		return nil, err

@@ -197,6 +197,124 @@ func TestPartitionedAppendCrashSweep(t *testing.T) {
 	}
 }
 
+// treeOptions is the Coconut-Tree the crash tests run over fs.
+func treeOptions(t *testing.T, fs storage.FS) core.Options {
+	t.Helper()
+	return core.Options{FS: fs, Name: "x", S: ptSummarizer(t), RawName: "raw"}
+}
+
+// scrubClean checks everything the manifest of index "x" on fs names as
+// Scrub does — the manifest itself, every tree partition's leaf run through
+// the loader Open runs, every LSM partition's runs, and the raw file against
+// its sidecar — and fails t on the first damage.
+func scrubClean(t *testing.T, fs storage.FS) {
+	t.Helper()
+	m, err := manifest.Load(fs, "x")
+	if err != nil {
+		t.Fatalf("scrub: manifest: %v", err)
+	}
+	for i, l := range m.Children {
+		if m.Variant == manifest.VariantTree {
+			if file, _, err := core.VerifyLeafRun(fs, manifest.ChildName("x", i, len(m.Children)), m, l); err != nil {
+				t.Fatalf("scrub: %s: %v", file, err)
+			}
+		}
+		for _, ri := range l.Runs {
+			if _, err := lsm.VerifyRun(fs, ri); err != nil {
+				t.Fatalf("scrub: %s: %v", ri.Name, err)
+			}
+		}
+	}
+	if _, err := storage.VerifyRecordSums(fs, m.RawName, series.EncodedSize(m.SeriesLen)); err != nil {
+		t.Fatalf("scrub: raw file: %v", err)
+	}
+}
+
+// TestPartitionedTreeSyncCrashSweep power-fails a tree's Sync, unpartitioned
+// and over three partitions: the index reopens, takes one 24-series insert
+// batch and Syncs it, and power is lost at every counted storage operation
+// of that schedule. A Sync is all or nothing — the one manifest names every
+// partition's new run generation in one rename — so after every crash point:
+// (a) the recovered index holds the pre-batch or the post-batch records,
+// never part of the batch, and the post-batch ones once Sync returned, (b)
+// exact and approximate answers equal a never-crashed reference over them,
+// (c) everything the manifest names verifies, and (d) the recovered index
+// takes one more insert and Sync.
+func TestPartitionedTreeSyncCrashSweep(t *testing.T) {
+	const base = 128
+	batch := dataset.Generate(dataset.NewSeismic(), 24, ptLen, 77)
+	extra := dataset.Generate(dataset.NewSeismic(), 1, ptLen, 78)
+	queries := dataset.Queries(dataset.NewRandomWalk(), 4, ptLen, 5)
+	reference := referenceAnswers(t, base, batch, queries)
+	for _, parts := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%dp", parts), func(t *testing.T) {
+			seed := rawSeed(t, base)
+			ix, err := Build(TreeVariant(treeOptions(t, seed)), parts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			clone := func() *storage.FaultFS { return storage.NewFaultFS(storage.NewFaultFS(seed).Recover(0)) }
+			// workload reopens the seed, inserts the batch and Syncs it;
+			// synced says the Sync returned.
+			workload := func(fs storage.FS) (synced bool) {
+				ix, err := Open(TreeVariant(treeOptions(t, fs)), parts)
+				if err != nil {
+					return false // a crash during the open itself
+				}
+				defer ix.Close() // fails after the injected crash; the crash is the point
+				if err := ix.Insert(context.Background(), batch); err != nil {
+					return false
+				}
+				return ix.Sync() == nil
+			}
+			dry := clone()
+			if !workload(dry) {
+				t.Fatal("dry run did not sync")
+			}
+			total := dry.OpCount()
+			t.Logf("sweeping %d crash points", total)
+			for k := int64(1); k <= total; k++ {
+				ffs := clone()
+				ffs.PowerLossAt(k)
+				synced := workload(ffs)
+				if !ffs.Crashed() {
+					t.Fatalf("fault at op %d never fired (dry run counted %d ops)", k, total)
+				}
+				img := ffs.Recover(int(k % 7))
+				re, err := Open(TreeVariant(treeOptions(t, img)), parts)
+				if err != nil {
+					t.Fatalf("crash at op %d: reopen: %v", k, err)
+				}
+				c := int(re.Count()) - base
+				if (c != 0 && c != len(batch)) || (synced && c != len(batch)) {
+					re.Close()
+					t.Fatalf("crash at op %d: recovered %d of the %d-series batch (Sync returned: %v)", k, c, len(batch), synced)
+				}
+				if got, want := answers(t, re, queries), reference(c); !slices.Equal(got, want) {
+					re.Close()
+					t.Fatalf("crash at op %d: answers %v, never-crashed reference %v", k, got, want)
+				}
+				scrubClean(t, img)
+				if err := re.Insert(context.Background(), extra); err != nil {
+					t.Fatalf("crash at op %d: insert on the recovered index: %v", k, err)
+				}
+				if err := re.Sync(); err != nil {
+					t.Fatalf("crash at op %d: sync on the recovered index: %v", k, err)
+				}
+				if got := int(re.Count()) - base; got != c+1 {
+					t.Fatalf("crash at op %d: count %d after a post-recovery insert, want %d", k, got, c+1)
+				}
+				if err := re.Close(); err != nil {
+					t.Fatalf("crash at op %d: close the recovered index: %v", k, err)
+				}
+			}
+		})
+	}
+}
+
 // TestColdPartitionRecoversOwnRecords: a child that takes no insert for a
 // long stretch keeps an old flushed position — its key range is cold — so
 // after a crash it re-reads a long raw tail that is almost all its siblings'
@@ -253,12 +371,12 @@ func TestColdPartitionRecoversOwnRecords(t *testing.T) {
 	c.Close()
 
 	img := ffs.Recover(0)
-	m, err := manifest.Load(img, childName("x", 0))
+	m, err := manifest.Load(img, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if end := int64(base + len(stream)); m.LSM.Flushed != base+2 {
-		t.Fatalf("cold child flushed through %d of %d, want %d", m.LSM.Flushed, end, base+2)
+	if end, cold := int64(base+len(stream)), m.Children[0]; cold.Flushed != base+2 {
+		t.Fatalf("cold child flushed through %d of %d, want %d", cold.Flushed, end, base+2)
 	}
 	re, err := Open(LSMVariant(lsmOptions(t, img)), 0)
 	if err != nil {

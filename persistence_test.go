@@ -669,6 +669,53 @@ func TestOpenRefusesStoredTree(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesStoredV11: testdata/storedv11 holds a Coconut-Tree
+// ("tree"), a 2-partition tree ("ptree"), a Coconut-LSM grown by an insert
+// ("lsm") and a 2-partition one ("plsm") over one dataset, as written in
+// manifest version 11, whose partitioned indexes kept a manifest per
+// partition beside a parent naming them. Open, Scrub and Repair refuse each
+// with ErrVersionMismatch (rebuild the index), and Repair leaves every file
+// byte-identical.
+func TestOpenRefusesStoredV11(t *testing.T) {
+	const dir = "testdata/storedv11"
+	fs := NewMemStorage()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := map[string][]byte{}
+	for _, f := range files {
+		if stored[f.Name()], err = os.ReadFile(filepath.Join(dir, f.Name())); err != nil {
+			t.Fatal(err)
+		}
+		if err := storage.WriteFileAll(fs, f.Name(), stored[f.Name()]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls := map[string]func(Config) error{
+		"Open":   func(c Config) error { return closeIfOpened(Open(context.Background(), c)) },
+		"Scrub":  func(c Config) error { _, err := Scrub(c.Storage, c.Name); return err },
+		"Repair": func(c Config) error { _, err := Repair(c); return err },
+	}
+	for _, name := range []string{"tree", "ptree", "lsm", "plsm"} {
+		for call, fn := range calls {
+			t.Run(name+"/"+call, func(t *testing.T) {
+				if err := fn(Config{Storage: fs, Name: name}); !errors.Is(err, ErrVersionMismatch) {
+					t.Fatalf("%v, want ErrVersionMismatch", err)
+				}
+			})
+		}
+	}
+	if names := fs.Names(); len(names) != len(stored) {
+		t.Fatalf("the store holds %v after the refusals, want the %d stored files", names, len(stored))
+	}
+	for name, want := range stored {
+		if got, err := storage.ReadFileAll(fs, name); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed by a refused call (%v)", name, err)
+		}
+	}
+}
+
 // closeIfOpened closes an index an open call returned and passes its error
 // on.
 func closeIfOpened(ix *Index, err error) error {

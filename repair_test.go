@@ -2,11 +2,13 @@ package coconut
 
 // Repair is one rebuild from the raw dataset for every index type: these
 // tests pin what that buys beyond the corruption sweep — an index whose
-// child manifest is unreadable repairs like any other damage, a repair
-// leaves no file behind that the repaired index does not name, and a repair
-// cut short at any write can be run again to completion.
+// one manifest is unreadable is refused at any partition count, since the
+// manifest is what a rebuild starts from, a repair leaves no file behind
+// that the repaired index does not name, and a repair cut short at any
+// write can be run again to completion.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -92,33 +94,52 @@ func requireRepaired(t *testing.T, kind repairKind, fs Storage, qs []Series, bas
 	assertExactAnswers(t, re, qs, base)
 }
 
-// TestRepairRebuildsUnreadableChildManifest rots the manifest of one child
-// of a 3-partition index. No open can read that child, so nothing but a
-// rebuild from the raw dataset can repair it: Scrub names the manifest, and
-// Repair must come back clean with the baseline answers and count.
-func TestRepairRebuildsUnreadableChildManifest(t *testing.T) {
+// TestRepairRefusesUnreadableManifest rots the one manifest of an index,
+// unpartitioned and of 3 partitions. It names the raw file and the build
+// parameters — and, partitioned, the boundaries every partition was built
+// by — so nothing can rebuild from it: Open fails typed, Scrub names the
+// manifest alone, and Repair refuses, leaving every file as it was.
+func TestRepairRefusesUnreadableManifest(t *testing.T) {
 	for kname, kind := range repairKinds {
-		t.Run(kname, func(t *testing.T) {
-			ffs, qs := sweepSetup(t, storage.NewMemFS())
-			base, count := repairFixture(t, kind, sweepConfig(ffs, 3), qs, 30)
-			const mf = "sw.p001.manifest"
-			data, err := storage.ReadFileAll(ffs, mf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ffs.Rot(mf, int64(len(data)/2), 4); err != nil {
-				t.Fatal(err)
-			}
-			if re, err := kind.open(Config{Storage: ffs, Name: "sw"}); err == nil {
-				re.Close()
-				t.Fatal("open over an unreadable child manifest succeeded")
-			} else {
-				requireCorrupt(t, err)
-			}
-			requireScrubFlags(t, ffs, "sw", mf)
-			requireRepairClean(t, ffs, "sw")
-			requireRepaired(t, kind, ffs, qs, base, count)
-		})
+		for _, parts := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/parts=%d", kname, parts), func(t *testing.T) {
+				inner := storage.NewMemFS()
+				ffs, qs := sweepSetup(t, inner)
+				repairFixture(t, kind, sweepConfig(ffs, parts), qs, 30)
+				const mf = "sw.manifest"
+				data, err := storage.ReadFileAll(ffs, mf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ffs.Rot(mf, int64(len(data)/2), 4); err != nil {
+					t.Fatal(err)
+				}
+				if re, err := kind.open(Config{Storage: ffs, Name: "sw"}); err == nil {
+					re.Close()
+					t.Fatal("open over an unreadable manifest succeeded")
+				} else {
+					requireCorrupt(t, err)
+				}
+				requireScrubFlags(t, ffs, "sw", mf)
+				before := map[string][]byte{}
+				for _, name := range inner.Names() {
+					if before[name], err = storage.ReadFileAll(ffs, name); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := Repair(Config{Storage: ffs, Name: "sw"}); !errors.Is(err, ErrCorruptManifest) {
+					t.Fatalf("repair over an unreadable manifest: %v, want ErrCorruptManifest", err)
+				}
+				if names := inner.Names(); len(names) != len(before) {
+					t.Fatalf("repair left %v, want the %d files it found", names, len(before))
+				}
+				for name, want := range before {
+					if got, err := storage.ReadFileAll(ffs, name); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s changed by a refused repair (%v)", name, err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 package coconut
 
 // Scrub is the offline integrity pass: it walks every persistent artifact
-// an index's manifest references — the manifest itself, the leaf run of a
-// tree, LSM run files, the raw dataset via its CRC sidecar, and
-// (for partitioned indexes) each child's artifacts — and verifies each
+// an index's one manifest references — the manifest itself, the leaf run of
+// each tree partition, the run files of each LSM partition, and the raw
+// dataset via its CRC sidecar — and verifies each
 // against its one integrity layer (block CRCs, the run codec's CRCs, record
 // CRCs) and against what its manifest promises (a leaf run against its
 // count and key order, through the loader Open runs; an LSM
@@ -23,7 +23,6 @@ import (
 	"github.com/coconut-db/coconut/internal/partition"
 	"github.com/coconut-db/coconut/internal/series"
 	"github.com/coconut-db/coconut/internal/storage"
-	"github.com/coconut-db/coconut/internal/summary"
 )
 
 // ScrubFinding is one artifact's verification outcome.
@@ -80,46 +79,27 @@ func Scrub(fs Storage, name string) (*ScrubReport, error) {
 		return nil, errors.New("coconut: nil Storage")
 	}
 	rep := &ScrubReport{}
-	if err := scrubIndex(fs, name, rep, true); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// scrubIndex walks one manifest's artifacts. root marks the top-level
-// index: the raw dataset is shared by every partition, so it is verified
-// once, from the root. The only error is a stored format this build does
-// not read.
-func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) error {
 	m, err := manifest.Load(fs, name)
 	if errors.Is(err, ErrVersionMismatch) {
-		return err
+		return nil, err
 	}
 	rep.add(manifest.FileName(name), 0, err)
 	if err != nil {
-		return nil
+		return rep, nil
 	}
-	switch m.Variant {
-	case manifest.VariantPartitioned:
-		for _, child := range m.Part.Children {
-			if err := scrubIndex(fs, child, rep, false); err != nil {
-				return err
-			}
+	for i, l := range m.Children {
+		if m.Variant == manifest.VariantTree {
+			rep.add(core.VerifyLeafRun(fs, manifest.ChildName(name, i, len(m.Children)), m, l))
+			continue
 		}
-	case manifest.VariantTree:
-		rep.add(core.VerifyLeafRun(fs, name, m))
-	case manifest.VariantLSM:
-		for _, ri := range m.LSM.Runs {
+		for _, ri := range l.Runs {
 			n, err := lsm.VerifyRun(fs, ri)
 			rep.add(ri.Name, n, err)
 		}
 	}
-	if root && m.RawName != "" {
-		recSize := series.EncodedSize(m.SeriesLen)
-		n, err := storage.VerifyRecordSums(fs, m.RawName, recSize)
-		rep.add(m.RawName, n, err)
-	}
-	return nil
+	n, err := storage.VerifyRecordSums(fs, m.RawName, series.EncodedSize(m.SeriesLen))
+	rep.add(m.RawName, n, err)
+	return rep, nil
 }
 
 // Repair rebuilds the index cfg names from its raw dataset when Scrub finds
@@ -127,8 +107,9 @@ func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) error {
 // the post-repair report:
 //
 //  1. Scrub; a clean index is left alone.
-//  2. Refuse when the root manifest is unreadable (it names the raw file and
-//     the build parameters) or the raw dataset is damaged: the raw file is
+//  2. Refuse when the manifest is unreadable (it names the raw file and the
+//     build parameters) — at any partition count — or the raw dataset is
+//     damaged: the raw file is
 //     the log every index derives from, its un-flushed LSM records included,
 //     and nothing can re-derive it.
 //  3. Rebuild as the Build functions do, with the stored parameters adopting
@@ -145,9 +126,7 @@ func scrubIndex(fs Storage, name string, rep *ScrubReport, root bool) error {
 //     no Open reads them and no Scrub verified them.
 //  4. Re-scrub, and remove every file the first report named that the
 //     second does not (runs the rebuild no longer references, say); the raw
-//     dataset is never removed. Files named only by a manifest that was
-//     unreadable — the runs of a rotted child manifest — were never listed
-//     and stay behind.
+//     dataset is never removed.
 //
 // Repair is offline, like Scrub: no handle may be open on the index. A
 // Repair cut short by a crash or an I/O error leaves the raw dataset intact,
@@ -167,11 +146,7 @@ func Repair(cfg Config) (*ScrubReport, error) {
 			return pre, fmt.Errorf("coconut: repair: raw dataset %q is damaged, cannot rebuild from it: %w", m.RawName, f.Err)
 		}
 	}
-	parts := 1
-	var bounds []summary.Key
-	if m.Part != nil {
-		parts, bounds = m.Part.Partitions, m.Part.Boundaries
-	}
+	parts := len(m.Children)
 	rcfg := cfg
 	kind, err := rcfg.mergeStored()
 	if err != nil {
@@ -192,7 +167,7 @@ func Repair(cfg Config) (*ScrubReport, error) {
 	if err != nil {
 		return pre, fmt.Errorf("coconut: repair: %w", err)
 	}
-	ix, err := partition.Build(v, parts, bounds)
+	ix, err := partition.Build(v, parts, m.Boundaries)
 	if err != nil {
 		return pre, fmt.Errorf("coconut: repair: rebuilding %s: %w", kind, err)
 	}

@@ -149,14 +149,14 @@ type Shape struct {
 }
 
 // summaryRecordReader streams the (invSAX, position) records of a raw
-// dataset file — phase one of Algorithms 2 and 3 (lines 2-8). It summarizes
-// the file in batches of workers × blockRecords records: one shard.Scan a
-// batch, each shard reading its contiguous range with one Views.Read (a view
-// of the mapped file on OSFS, one ReadAt otherwise) and keying the records
+// dataset file — phase one of Algorithms 2 and 3 (lines 2-8). Each Read
+// keys the next len(p) records straight into p with one shard.Scan: each of
+// the workers shards walks its contiguous range of the file in steps of
+// blockRecords records, one Views.Read a step (a view of the mapped file on
+// OSFS, one ReadAt into the shard's buffer otherwise), and keys the records
 // where they lie (summary.KeyOfEncoded: no decode, no per-series allocation)
-// into its own slice of the batch's records. Shards write disjoint slices
-// and the batch is drained in order, so the stream is the same for any
-// worker count.
+// into its own slice of p. Shards write disjoint slices of p in file order,
+// so the stream is the same for any worker count and any caller buffer.
 //
 // It is the only pass a bulk load makes over the raw file in file order:
 // sums (from storage.NewRecordSums on the same file) has its per-record CRCs
@@ -169,15 +169,14 @@ type summaryRecordReader struct {
 	workers   int
 	sums      *storage.RecordSums
 	inSize    int
-	next, end int64            // the next record to summarize, and the record count
-	in        []byte           // one batch of raw input (unused under views)
-	out       []summary.Record // one batch of records
-	avail     []summary.Record // the current batch's records not yet read
-	err       error
+	next, end int64 // the next record to summarize, and the record count
+	// in is each shard's read buffer, made on its first read of a file
+	// that serves no views.
+	in [][]byte
 }
 
-// blockRecords is the number of records each shard of a batch summarizes:
-// 256 KiB of raw input.
+// blockRecords is the number of records a shard summarizes a step: 256 KiB
+// of raw input.
 func blockRecords(inSize int) int { return max((256<<10)/inSize, 1) }
 
 func newSummaryRecordReader(s *summary.Summarizer, raw storage.File, workers int, sums *storage.RecordSums) (*summaryRecordReader, error) {
@@ -191,57 +190,45 @@ func newSummaryRecordReader(s *summary.Summarizer, raw storage.File, workers int
 		return nil, fmt.Errorf("core: raw sidecar sized for %d records, %q holds %d", sums.Records(), raw.Name(), records)
 	}
 	workers = shard.Resolve(workers, math.MaxInt)
-	batch := int(min(int64(workers*blockRecords(inSize)), records))
 	return &summaryRecordReader{
 		s: s, raw: raw, workers: workers, sums: sums, inSize: inSize, end: records,
-		in: make([]byte, batch*inSize), out: make([]summary.Record, batch),
+		in: make([][]byte, workers),
 	}, nil
 }
 
 func (r *summaryRecordReader) Read(p []summary.Record) (int, error) {
-	for len(r.avail) == 0 && r.err == nil {
-		if r.next == r.end {
-			r.err = io.EOF
-		} else {
-			r.err = r.fill()
-		}
-	}
-	if len(r.avail) == 0 {
-		return 0, r.err
-	}
-	n := copy(p, r.avail)
-	r.avail = r.avail[n:]
-	return n, nil
-}
-
-// Len is the number of records not read yet.
-func (r *summaryRecordReader) Len() int { return int(r.end-r.next) + len(r.avail) }
-
-// fill summarizes the next batch into out.
-func (r *summaryRecordReader) fill() error {
 	base := r.next
-	n := int(min(int64(len(r.out)), r.end-base))
-	err := shard.Scan(context.Background(), r.workers, n, func(_ int, sh shard.Range, _ func() bool) (err error) {
+	n := int(min(int64(len(p)), r.end-base))
+	if n == 0 {
+		return 0, io.EOF
+	}
+	step := blockRecords(r.inSize)
+	err := shard.Scan(context.Background(), r.workers, n, func(w int, sh shard.Range, _ func() bool) (err error) {
 		views := storage.PinViews(r.raw)
 		defer views.Release(&err)
-		in, err := views.Read((base+int64(sh.Lo))*int64(r.inSize), r.in[sh.Lo*r.inSize:sh.Hi*r.inSize])
-		if err != nil {
-			return err
-		}
-		r.sums.Fill(base+int64(sh.Lo), in)
-		for i := range sh.Hi - sh.Lo {
-			pos := sh.Lo + i
-			r.out[pos] = summary.Record{Key: r.s.KeyOfEncoded(in[i*r.inSize : (i+1)*r.inSize]), Pos: base + int64(pos)}
+		for lo := sh.Lo; lo < sh.Hi; lo += step {
+			m := min(step, sh.Hi-lo)
+			pos := base + int64(lo)
+			in, err := views.ReadGrow(pos*int64(r.inSize), m*r.inSize, &r.in[w])
+			if err != nil {
+				return err
+			}
+			r.sums.Fill(pos, in)
+			for i := range m {
+				p[lo+i] = summary.Record{Key: r.s.KeyOfEncoded(in[i*r.inSize : (i+1)*r.inSize]), Pos: pos + int64(i)}
+			}
 		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.next += int64(n)
-	r.avail = r.out[:n]
-	return nil
+	return n, nil
 }
+
+// Len is the number of records not read yet.
+func (r *summaryRecordReader) Len() int { return int(r.end - r.next) }
 
 // SummarySource opens the summarization pass over raw (open on rawName): the
 // unsorted record stream a bulk load sorts, and the fresh sidecar it fills

@@ -15,11 +15,13 @@ import (
 )
 
 // TestSummarySourceAnyWorkers pins the summarization pass, the one read of
-// the raw file in file order a bulk load makes: for any Workers it streams
-// exactly the serial reference — each whole record keyed by KeyOfEncoded, in
-// file order — including record counts that are not a multiple of the
-// batch, and none or one record, with Len the records still to come; it
-// leaves a torn trailing partial record unstreamed; and the sidecar it fills
+// the raw file in file order a bulk load makes: for any Workers and any
+// caller buffer — one record, fewer records than Workers, one reaching past
+// the last whole record into the torn tail — it streams exactly the serial
+// reference — each whole record keyed by KeyOfEncoded, in file order —
+// including record counts that are not a multiple of a shard's step, and
+// none or one record, with Len the records still to come; it leaves a torn
+// trailing partial record unstreamed; and the sidecar it fills
 // is byte-identical to storage.BuildRecordSums's. A materialized build
 // sorts the same (key, pos) stream and gathers each series by position, so
 // for it every streamed record's Fetch, verified against the sidecar
@@ -29,7 +31,7 @@ func TestSummarySourceAnyWorkers(t *testing.T) {
 	s := tSummarizer(t)
 	inSize := series.EncodedSize(tLen)
 	block := blockRecords(inSize)
-	// 16 blocks and a third: a multiple of no batch of Workers blocks.
+	// 16 steps and a third: a count no Workers splits into whole steps.
 	for _, count := range []int{0, 1, 16*block + block/3} {
 		data := dataset.Generate(dataset.NewRandomWalk(), count, tLen, 5)
 		var want []summary.Record
@@ -39,58 +41,67 @@ func TestSummarySourceAnyWorkers(t *testing.T) {
 		for _, materialized := range []bool{false, true} {
 			for _, workers := range []int{1, 2, 3, 8} {
 				for _, torn := range []int{0, 13} {
-					name := fmt.Sprintf("n=%d/materialized=%v/workers=%d/torn=%d", count, materialized, workers, torn)
-					t.Run(name, func(t *testing.T) {
-						fs := storage.NewMemFS()
-						writeRaw(t, fs, data, torn)
-						raw, err := fs.Open("raw")
-						if err != nil {
-							t.Fatal(err)
+					bufLens := []int{1000}
+					if !materialized {
+						bufLens = append(bufLens, 1, workers-1, count+1)
+					}
+					for _, bufLen := range bufLens {
+						if bufLen < 1 {
+							continue
 						}
-						defer raw.Close()
-						src, sums, err := SummarySource(fs, s, raw, "raw", workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if src.Len() != count {
-							t.Fatalf("Len %d before the first read, want %d", src.Len(), count)
-						}
-						got, err := readAll(src)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !slices.Equal(got, want) || src.Len() != 0 {
-							t.Fatalf("streamed %d records (%d left), differing from the %d of the serial reference", len(got), src.Len(), len(want))
-						}
-						if materialized {
-							gathered, err := gatherRaw(raw, sums, got, inSize)
+						name := fmt.Sprintf("n=%d/materialized=%v/workers=%d/torn=%d/buf=%d", count, materialized, workers, torn, bufLen)
+						t.Run(name, func(t *testing.T) {
+							fs := storage.NewMemFS()
+							writeRaw(t, fs, data, torn)
+							raw, err := fs.Open("raw")
 							if err != nil {
 								t.Fatal(err)
 							}
-							for i, rec := range got {
-								if !bytes.Equal(gathered[i], series.AppendEncode(nil, data[rec.Pos])) || s.KeyOfEncoded(gathered[i]) != rec.Key {
-									t.Fatalf("record at %d: the gathered series is not the one the pass keyed", rec.Pos)
+							defer raw.Close()
+							src, sums, err := SummarySource(fs, s, raw, "raw", workers)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if src.Len() != count {
+								t.Fatalf("Len %d before the first read, want %d", src.Len(), count)
+							}
+							got, err := readAll(src, bufLen)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !slices.Equal(got, want) || src.Len() != 0 {
+								t.Fatalf("streamed %d records (%d left), differing from the %d of the serial reference", len(got), src.Len(), len(want))
+							}
+							if materialized {
+								gathered, err := gatherRaw(raw, sums, got, inSize)
+								if err != nil {
+									t.Fatal(err)
+								}
+								for i, rec := range got {
+									if !bytes.Equal(gathered[i], series.AppendEncode(nil, data[rec.Pos])) || s.KeyOfEncoded(gathered[i]) != rec.Key {
+										t.Fatalf("record at %d: the gathered series is not the one the pass keyed", rec.Pos)
+									}
 								}
 							}
-						}
-						if sums.Records() != int64(count) {
-							t.Fatalf("sidecar covers %d records, want %d", sums.Records(), count)
-						}
-						if err := sums.Flush(); err != nil {
-							t.Fatal(err)
-						}
-						filled, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if _, err := storage.BuildRecordSums(fs, "raw", inSize); err != nil {
-							t.Fatal(err)
-						}
-						ref, _ := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
-						if !bytes.Equal(filled, ref) {
-							t.Fatalf("filled sidecar (%d bytes) differs from BuildRecordSums's (%d bytes)", len(filled), len(ref))
-						}
-					})
+							if sums.Records() != int64(count) {
+								t.Fatalf("sidecar covers %d records, want %d", sums.Records(), count)
+							}
+							if err := sums.Flush(); err != nil {
+								t.Fatal(err)
+							}
+							filled, err := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if _, err := storage.BuildRecordSums(fs, "raw", inSize); err != nil {
+								t.Fatal(err)
+							}
+							ref, _ := storage.ReadFileAll(fs, storage.RecordSumsName("raw"))
+							if !bytes.Equal(filled, ref) {
+								t.Fatalf("filled sidecar (%d bytes) differs from BuildRecordSums's (%d bytes)", len(filled), len(ref))
+							}
+						})
+					}
 				}
 			}
 		}
@@ -114,10 +125,10 @@ func gatherRaw(raw storage.File, sums *storage.RecordSums, recs []summary.Record
 	return out, nil
 }
 
-// readAll reads src to its end.
-func readAll(src summary.RecordReader) ([]summary.Record, error) {
+// readAll reads src to its end, bufLen records a Read at most.
+func readAll(src summary.RecordReader, bufLen int) ([]summary.Record, error) {
 	var out []summary.Record
-	buf := make([]summary.Record, 1000)
+	buf := make([]summary.Record, bufLen)
 	for {
 		n, err := src.Read(buf)
 		out = append(out, buf[:n]...)
@@ -156,7 +167,7 @@ func TestSummarySourceReadFault(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := readAll(src); !errors.Is(err, boom) {
+			if _, err := readAll(src, 1000); !errors.Is(err, boom) {
 				t.Fatalf("workers=%d fault at byte %d: read error %v, want the injected cause", workers, at, err)
 			}
 			raw.Close()

@@ -7,8 +7,11 @@
 // other sorted write shares too. An input that fits one chunk skips both: it
 // is sorted in memory and merged from there.
 //
-// Records are sorted as values by slices.SortFunc under the record order
-// (summary.CompareRecords), total because positions are unique; a
+// Records are sorted as values under the record order
+// (summary.CompareRecords), total because positions are unique: every chunk
+// by an in-place MSD radix sort on the key's bytes (American flag sort,
+// sortRecords), which leaves small buckets and equal keys to slices.SortFunc
+// and needs no second chunk-sized buffer, so the budget holds. A
 // materialized index gathers its raw series only as it writes its leaves. A
 // spilled run is a runblock run, the format of an LSM run: front-coded,
 // every block CRC-checked, its order checked as it is written. It is written
@@ -47,7 +50,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"sync"
 
 	"github.com/coconut-db/coconut/internal/runblock"
@@ -311,7 +313,7 @@ func makeRuns(cfg Config, first []summary.Record, in summary.RecordReader, write
 		}
 		for {
 			if data != nil {
-				slices.SortFunc(data, summary.CompareRecords)
+				sortRecords(data)
 				sorted := summary.SliceReader(data)
 				if _, err := runblock.Write(cfg.FS, runName(cfg, idx), &sorted, writerBuf, false); err != nil {
 					return err
@@ -337,7 +339,7 @@ func sortChunk(data []summary.Record, parts int) *Reader {
 	ranges := shard.Split(len(data), parts)
 	// The sorts cannot fail, and the context is never cancelled.
 	_ = shard.Scan(context.Background(), parts, len(data), func(_ int, r shard.Range, _ func() bool) error {
-		slices.SortFunc(data[r.Lo:r.Hi], summary.CompareRecords)
+		sortRecords(data[r.Lo:r.Hi])
 		return nil
 	})
 	srcs := make([]summary.RecordReader, len(ranges))

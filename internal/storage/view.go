@@ -49,19 +49,28 @@ func PinViews(f File) Views {
 // Read returns the len(buf) bytes at off: a view when the file offers one —
 // buf untouched, the slice valid until Release — else buf, filled by ReadAt.
 // A short read is io.ErrUnexpectedEOF either way.
-func (p Views) Read(off int64, buf []byte) ([]byte, error) {
+func (p Views) Read(off int64, buf []byte) ([]byte, error) { return p.ReadGrow(off, len(buf), &buf) }
+
+// ReadGrow is Read of the n bytes at off into *buf, which it makes, or
+// grows, to n bytes only when the file serves no view: a scan over a mapped
+// file allocates no read buffer at all.
+func (p Views) ReadGrow(off int64, n int, buf *[]byte) ([]byte, error) {
 	if p.v != nil {
-		if b, err := p.v.View(off, len(buf)); b != nil || err != nil {
+		if b, err := p.v.View(off, n); b != nil || err != nil {
 			return b, err
 		}
 	}
-	if n, err := p.f.ReadAt(buf, off); n != len(buf) {
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
+	if m, err := p.f.ReadAt(b, off); m != n {
 		if err == nil || err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	return buf, nil
+	return b, nil
 }
 
 // Release ends the scan; it must be the deferred call itself. A fault taken

@@ -111,6 +111,42 @@ func TestKeyOfEncodedMatchesReference(t *testing.T) {
 	}
 }
 
+// TestKeyOfEncodedMisaligned: a record one byte off an 8-byte boundary, which
+// no float64 view may read, keys through the byte-decoding path to the
+// reference too, and an aligned record on a little-endian target is read
+// through the view — so both paths are under test on every shape.
+func TestKeyOfEncodedMisaligned(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, p := range encodedShapes() {
+		s := mustSummarizer(t, p)
+		size := series.EncodedSize(p.SeriesLen)
+		// At least 17 bytes: past the tiny allocator, whose blocks need not
+		// start on an 8-byte boundary, so buf does.
+		buf := make([]byte, size+16)
+		aligned, misaligned := buf[:size], buf[1:1+size]
+		if pointView(misaligned) != nil {
+			t.Fatalf("%+v: a view of a misaligned record", p)
+		}
+		if littleEndian && pointView(aligned) == nil {
+			t.Fatalf("%+v: no view of an aligned record on a little-endian target", p)
+		}
+		ser := make(series.Series, p.SeriesLen)
+		for trial := 0; trial < 20; trial++ {
+			for i := range ser {
+				ser[i] = rng.NormFloat64()
+			}
+			series.Encode(misaligned, ser)
+			if got, want := s.KeyOfEncoded(misaligned), keyOfEncodedRef(s, misaligned); got != want {
+				t.Fatalf("%+v trial %d: misaligned KeyOfEncoded %v, reference %v", p, trial, got, want)
+			}
+			series.Encode(aligned, ser)
+			if got, want := s.KeyOfEncoded(aligned), s.keyOfBytes(aligned); got != want {
+				t.Fatalf("%+v trial %d: aligned KeyOfEncoded %v, byte-decoding kernel %v", p, trial, got, want)
+			}
+		}
+	}
+}
+
 func TestKeysOfEncodedAnyWorkers(t *testing.T) {
 	s := mustSummarizer(t, Params{SeriesLen: 100, Segments: 16, CardBits: 8})
 	rng := rand.New(rand.NewSource(43))

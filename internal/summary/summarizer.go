@@ -135,12 +135,64 @@ func orderKey(v float64) uint64 {
 // recovery keys. Each segment is summed in point order, exactly as PAA
 // sums the decoded series, so the key is bit-identical to KeyOf's; four
 // segments are summed at a time in independent accumulators, so their adds
-// overlap instead of waiting on one another. rec must be exactly one
-// series long, 8 bytes a point; KeyOfEncoded panics otherwise.
+// overlap instead of waiting on one another. The points are read as a
+// float64 view of rec where the target and rec's alignment allow one
+// (pointView), and decoded a point at a time otherwise (keyOfBytes), with
+// the same sums either way. rec must be exactly one series long, 8 bytes a
+// point; KeyOfEncoded panics otherwise.
 func (s *Summarizer) KeyOfEncoded(rec []byte) Key {
 	if len(rec) != series.EncodedSize(s.p.SeriesLen) {
 		panic(fmt.Sprintf("summary: encoded series of %d bytes, summarizer expects %d", len(rec), series.EncodedSize(s.p.SeriesLen)))
 	}
+	if pts := pointView(rec); pts != nil {
+		return s.keyOfPoints(pts)
+	}
+	return s.keyOfBytes(rec)
+}
+
+// keyOfPoints is KeyOfEncoded over the points of a series read in place.
+func (s *Summarizer) keyOfPoints(pts []float64) Key {
+	var sax [KeyBits]uint8 // Segments*CardBits <= KeyBits bounds Segments
+	w, b := s.p.Segments, s.segBounds
+	j := 0
+	for ; j+4 <= w; j += 4 {
+		p0, p1, p2, p3 := pts[b[j]:b[j+1]], pts[b[j+1]:b[j+2]], pts[b[j+2]:b[j+3]], pts[b[j+3]:b[j+4]]
+		// As in keyOfBytes: the four sums run together over the narrowest
+		// segment, then each adds the point it may have left. Slicing the
+		// others to q0's length lets the loop index them unchecked.
+		q0 := p0[:min(len(p0), len(p1), len(p2), len(p3))]
+		q1, q2, q3 := p1[:len(q0)], p2[:len(q0)], p3[:len(q0)]
+		var a0, a1, a2, a3 float64
+		for i, v := range q0 {
+			a0 += v
+			a1 += q1[i]
+			a2 += q2[i]
+			a3 += q3[i]
+		}
+		n := len(q0)
+		s.symbols4((*[4]uint8)(sax[j:j+4]),
+			sumFrom(a0, p0[n:])/float64(len(p0)), sumFrom(a1, p1[n:])/float64(len(p1)),
+			sumFrom(a2, p2[n:])/float64(len(p2)), sumFrom(a3, p3[n:])/float64(len(p3)))
+	}
+	for ; j < w; j++ {
+		p := pts[b[j]:b[j+1]]
+		sax[j] = s.Symbol(sumFrom(0, p) / float64(len(p)))
+	}
+	return Interleave(sax[:w], s.p.CardBits)
+}
+
+// sumFrom adds the points of pts to acc, in order.
+func sumFrom(acc float64, pts []float64) float64 {
+	for _, v := range pts {
+		acc += v
+	}
+	return acc
+}
+
+// keyOfBytes is KeyOfEncoded decoding each point from its little-endian
+// bytes: the kernel wherever no view of the record can be taken, and the
+// reference the view's sums are tested against.
+func (s *Summarizer) keyOfBytes(rec []byte) Key {
 	var sax [KeyBits]uint8 // Segments*CardBits <= KeyBits bounds Segments
 	w, b := s.p.Segments, s.segBounds
 	j := 0

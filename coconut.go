@@ -345,19 +345,27 @@ func (c *Config) toCore() (core.Options, error) {
 	}, nil
 }
 
-// mergeStored loads the manifest of the persisted index cfg names, adopts
-// stored parameters into unset Config fields, so reopening needs only
-// Storage and Name, and returns the stored variant. Explicitly set fields are left alone — the Open paths fail
-// loudly (ErrConfigMismatch) if they conflict with the store, as they do for
-// a stored index of another partition count than a non-zero cfg.Partitions.
-func (c *Config) mergeStored() (Variant, error) {
+// mergeStored loads the manifest of the persisted index cfg names and
+// adopts it (adoptStored); the manifest is what partition.Open checks the
+// rest of cfg against, so reopening reads it once.
+func (c *Config) mergeStored() (*manifest.Manifest, error) {
 	if c.Storage == nil {
-		return "", errors.New("coconut: nil Storage")
+		return nil, errors.New("coconut: nil Storage")
 	}
 	m, err := manifest.Load(c.Storage, c.Name)
 	if err != nil {
-		return "", fmt.Errorf("coconut: loading manifest for %q: %w", c.Name, err)
+		return nil, fmt.Errorf("coconut: loading manifest for %q: %w", c.Name, err)
 	}
+	c.adoptStored(m)
+	return m, nil
+}
+
+// adoptStored adopts the parameters of the stored index m into unset Config
+// fields, so reopening needs only Storage and Name. Explicitly set fields
+// are left alone — the Open paths fail loudly (ErrConfigMismatch) if they
+// conflict with the store, as they do for a stored index of another
+// partition count than a non-zero cfg.Partitions.
+func (c *Config) adoptStored(m *manifest.Manifest) {
 	if c.SeriesLen == 0 {
 		c.SeriesLen = m.SeriesLen
 	}
@@ -372,7 +380,6 @@ func (c *Config) mergeStored() (Variant, error) {
 	}
 	// Materialization is a property of the stored bytes, not a knob.
 	c.Materialized = m.Materialized
-	return Variant(m.Variant), nil
 }
 
 // Result is a search answer.
@@ -477,15 +484,16 @@ func (c Config) index(ctx context.Context, v Variant, reopen bool) (*Index, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	var m *manifest.Manifest
 	if reopen {
-		stored, err := c.mergeStored()
-		if err != nil {
+		var err error
+		if m, err = c.mergeStored(); err != nil {
 			return nil, err
 		}
-		if v != "" && v != stored {
+		if stored := Variant(m.Variant); v != "" && v != stored {
 			return nil, fmt.Errorf("coconut: %w: stored index is a %s index, not %s", ErrConfigMismatch, stored, v)
 		}
-		v = stored
+		v = Variant(m.Variant)
 	}
 	opt, err := c.toCore()
 	if err != nil {
@@ -497,7 +505,7 @@ func (c Config) index(ctx context.Context, v Variant, reopen bool) (*Index, erro
 	}
 	var ix *partition.Composite
 	if reopen {
-		ix, err = partition.Open(pv, c.Partitions)
+		ix, err = partition.Open(pv, c.Partitions, m)
 	} else {
 		ix, err = partition.Build(pv, c.Partitions, nil)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"github.com/coconut-db/coconut/internal/dataset"
 	"github.com/coconut-db/coconut/internal/isax"
+	"github.com/coconut-db/coconut/internal/manifest"
 	"github.com/coconut-db/coconut/internal/partition"
 )
 
@@ -854,9 +855,13 @@ func Fig9ef(sc Scale) (timeTable, visitedTable *Table, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	m, err := manifest.Load(opt.FS, opt.Name)
+	if err != nil {
+		return nil, nil, err
+	}
 	for _, radius := range []int{0, 1, 10} {
 		// The tree reopens with its exact search seeded from this radius.
-		ix, err := partition.Open(seededTree(radius)(opt), 1)
+		ix, err := partition.Open(seededTree(radius)(opt), 1, m)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -91,7 +91,7 @@ func TestManifestCommitFailureIsSticky(t *testing.T) {
 						ffs.FailAt(ffs.OpCount() + 1)
 					}
 				})
-				if ix, err = Open(tc.v(ffs), parts); err != nil {
+				if ix, err = reopen(tc.v(ffs), parts); err != nil {
 					t.Fatal(err)
 				}
 				acked := tc.durable(t, ix)
@@ -117,7 +117,7 @@ func TestManifestCommitFailureIsSticky(t *testing.T) {
 				ffs.Crash()
 				ix.Close()
 				img := ffs.Recover(0)
-				re, err := Open(tc.v(img), parts)
+				re, err := reopen(tc.v(img), parts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -142,20 +142,21 @@ func (c *Composite) buildChildren(src summary.RecordReader, parts int) error {
 	return sorted.Close()
 }
 
-// Open reopens the Composite of v from its manifest, each child from its
-// layout there. parts == 0 adopts the stored partition count; a non-zero
-// mismatch fails with manifest.ErrConfigMismatch. A child that fails to open
+// Open reopens the Composite of v from m, its manifest as the caller loaded
+// it (manifest.Load), each child from its layout there. parts == 0 adopts
+// the stored partition count; a non-zero mismatch, like any other between v
+// and m, fails with manifest.ErrConfigMismatch. A child that fails to open
 // closes the already-open siblings — never a partial handle. What reopening
 // changed — compactions a crash left ready — commits before Open returns.
-func Open(v Variant, parts int) (*Composite, error) {
-	m, err := loadStored(v, parts)
+func Open(v Variant, parts int, m *manifest.Manifest) (*Composite, error) {
+	if err := checkStored(v, parts, m); err != nil {
+		return nil, err
+	}
+	sums, err := attachRawSums(v)
 	if err != nil {
 		return nil, err
 	}
-	c := &Composite{v: v, bounds: m.Boundaries, stored: m.Children}
-	if c.rawSums, err = attachRawSums(v); err != nil {
-		return nil, err
-	}
+	c := &Composite{v: v, bounds: m.Boundaries, stored: m.Children, rawSums: sums}
 	n := len(m.Children)
 	for i, l := range m.Children {
 		name := manifest.ChildName(v.name, i, n)

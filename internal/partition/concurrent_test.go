@@ -315,7 +315,7 @@ func TestConcurrentLSMQueriesWithAppend(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			re, err := Open(LSMVariant(opt), 0)
+			re, err := reopen(LSMVariant(opt), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -375,7 +375,7 @@ func TestConcurrentFlushCoversOnlyInsertedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs := storage.NewFaultFS(seed)
-	if ix, err = Open(LSMVariant(opt(ffs)), 1); err != nil {
+	if ix, err = reopen(LSMVariant(opt(ffs)), 1); err != nil {
 		t.Fatal(err)
 	}
 	var armed, parked atomic.Bool
@@ -415,7 +415,7 @@ func TestConcurrentFlushCoversOnlyInsertedRecords(t *testing.T) {
 	}
 	ffs.Crash()
 	ix.Close()
-	re, err := Open(LSMVariant(opt(ffs.Recover(0))), 1)
+	re, err := reopen(LSMVariant(opt(ffs.Recover(0))), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

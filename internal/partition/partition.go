@@ -308,26 +308,19 @@ func attachRawSums(v Variant) (*storage.RecordSums, error) {
 	return sums, nil
 }
 
-// loadStored loads the manifest of v's index and runs the loud
-// config-mismatch checks every Open performs before touching a child: the
-// variant, the partition count (parts == 0 adopts the stored one), and the
+// checkStored runs the loud config-mismatch checks every Open performs on
+// the manifest m of v's index before touching a child: the variant, the
+// partition count (parts == 0 adopts the stored one), and the
 // summarization, materialization and dataset parameters.
-func loadStored(v Variant, parts int) (*manifest.Manifest, error) {
-	m, err := manifest.Load(v.fs, v.name)
-	if err != nil {
-		return nil, fmt.Errorf("partition: loading manifest for %q: %w", v.name, err)
-	}
+func checkStored(v Variant, parts int, m *manifest.Manifest) error {
 	if err := m.CheckVariant(v.kind); err != nil {
-		return nil, err
+		return err
 	}
 	if parts != 0 && parts != len(m.Children) {
-		return nil, fmt.Errorf("%w: Partitions=%d, stored index has %d partitions",
+		return fmt.Errorf("%w: Partitions=%d, stored index has %d partitions",
 			manifest.ErrConfigMismatch, parts, len(m.Children))
 	}
-	if err := m.CheckParams(v.s.Params(), v.materialized, v.rawName); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m.CheckParams(v.s.Params(), v.materialized, v.rawName)
 }
 
 // orDefault is a byte budget, or def when it is unset (<= 0).

@@ -49,7 +49,17 @@ func lsmLayout(opt lsm.Options, parts int, build bool) (*Composite, error) {
 	if build {
 		return Build(LSMVariant(opt), parts, nil)
 	}
-	return Open(LSMVariant(opt), parts)
+	return reopen(LSMVariant(opt), parts)
+}
+
+// reopen is Open of v's index from the manifest it loads, as the public
+// Open does.
+func reopen(v Variant, parts int) (*Composite, error) {
+	m, err := manifest.Load(v.fs, v.name)
+	if err != nil {
+		return nil, err
+	}
+	return Open(v, parts, m)
 }
 
 // rawSeed writes n random-walk series as the raw file of a fresh MemFS.
@@ -260,7 +270,7 @@ func TestPartitionedTreeSyncCrashSweep(t *testing.T) {
 			// workload reopens the seed, inserts the batch and Syncs it;
 			// synced says the Sync returned.
 			workload := func(fs storage.FS) (synced bool) {
-				ix, err := Open(TreeVariant(treeOptions(t, fs)), parts)
+				ix, err := reopen(TreeVariant(treeOptions(t, fs)), parts)
 				if err != nil {
 					return false // a crash during the open itself
 				}
@@ -284,7 +294,7 @@ func TestPartitionedTreeSyncCrashSweep(t *testing.T) {
 					t.Fatalf("fault at op %d never fired (dry run counted %d ops)", k, total)
 				}
 				img := ffs.Recover(int(k % 7))
-				re, err := Open(TreeVariant(treeOptions(t, img)), parts)
+				re, err := reopen(TreeVariant(treeOptions(t, img)), parts)
 				if err != nil {
 					t.Fatalf("crash at op %d: reopen: %v", k, err)
 				}
@@ -378,7 +388,7 @@ func TestColdPartitionRecoversOwnRecords(t *testing.T) {
 	if end, cold := int64(base+len(stream)), m.Children[0]; cold.Flushed != base+2 {
 		t.Fatalf("cold child flushed through %d of %d, want %d", cold.Flushed, end, base+2)
 	}
-	re, err := Open(LSMVariant(lsmOptions(t, img)), 0)
+	re, err := reopen(LSMVariant(lsmOptions(t, img)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

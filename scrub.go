@@ -148,10 +148,8 @@ func Repair(cfg Config) (*ScrubReport, error) {
 	}
 	parts := len(m.Children)
 	rcfg := cfg
-	kind, err := rcfg.mergeStored()
-	if err != nil {
-		return pre, fmt.Errorf("coconut: repair: %w", err)
-	}
+	rcfg.adoptStored(m)
+	kind := Variant(m.Variant)
 	if rcfg.Partitions != 0 && rcfg.Partitions != parts {
 		return pre, fmt.Errorf("coconut: repair: %w: Partitions=%d, stored index has %d partitions",
 			ErrConfigMismatch, rcfg.Partitions, parts)

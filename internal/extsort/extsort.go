@@ -32,8 +32,9 @@
 // run concurrently. The one chunk of an input that fits is sorted on every
 // worker too, as Workers contiguous slices sorted concurrently in place. The
 // memory budget M is partitioned across the workers (a chunk and a spill
-// writer each during run formation; a run block per open run during
-// merging), so the paper's memory model stays honest at any worker count.
+// writer each during run formation; during merging, a decoded block and a
+// read batch per open run, and an output writer and a compressed block per
+// merge), so the paper's memory model stays honest at any worker count.
 // The order is total, so the sorted stream is the same for any worker count:
 // a pure function of the input multiset, independent of chunk boundaries and
 // merge grouping.
@@ -62,8 +63,8 @@ import (
 // takes of the memory budget.
 const recordSize = summary.RecordSize
 
-// blockBytes is one run block's records in memory: what an open run costs
-// the merge that reads it, and the write buffer of a spill.
+// blockBytes is one run block's records in memory: the decoded block of a
+// run a merge reads, and the write buffer of a spill.
 const blockBytes = runblock.DefaultBlockRecords * recordSize
 
 // Compare orders two encoded records; Sort ignores it.
@@ -374,9 +375,18 @@ func openRuns(fs storage.FS, runs []string) (*Reader, error) {
 	return r, nil
 }
 
+// runBytes is what each run a merge reads holds of the budget: its decoded
+// block (runblock.Records) and the batch summary.Merge reads from it.
+const runBytes = blockBytes + summary.MergeBatch*recordSize
+
+// mergeBytes is what a merge holds besides its runs: the block its output's
+// writer encodes and that writer's buffer, a block each, and the compressed
+// block it decodes a run's next block from, at most about one more.
+const mergeBytes = 3 * blockBytes
+
 // fanIn is how many runs one merge holding share bytes of the budget reads
-// at once: a run block for each, and one more for its output, at least two.
-func fanIn(share int64) int { return max(int(share/blockBytes)-1, 2) }
+// at once, at least two.
+func fanIn(share int64) int { return max(int((share-mergeBytes)/runBytes), 2) }
 
 // mergeGeneration runs one pass of the multi-pass merge: inputs are grouped
 // by a fan-in sized from the per-worker budget share, and the groups —

@@ -145,6 +145,34 @@ func TestSortMatchesStdlibSort(t *testing.T) {
 	}
 }
 
+// TestFanInChargesWhatARunHolds: a merge of fanIn(share) runs holds, for
+// each, its decoded block and the batch summary.Merge reads from it — 15 KiB
+// — and besides them its output writer and a compressed block: within share
+// whenever the fan-in is above its floor of two, and one run more would not
+// fit.
+func TestFanInChargesWhatARunHolds(t *testing.T) {
+	if want := int64(runblock.DefaultBlockRecords+summary.MergeBatch) * summary.RecordSize; runBytes != want || runBytes != 15<<10 {
+		t.Fatalf("an open run is charged %d bytes, holds %d", runBytes, want)
+	}
+	held := func(k int) int64 { return mergeBytes + int64(k)*runBytes }
+	for _, share := range []int64{0, 4 * recordSize, 16 << 10, held(2) - 1, held(2), held(3) - 1, held(3), 1 << 20, 64 << 20} {
+		k := fanIn(share)
+		switch {
+		case k < 2:
+			t.Errorf("share %d: fan-in %d, below two", share, k)
+		case k > 2 && held(k) > share:
+			t.Errorf("share %d: fan-in %d holds %d bytes", share, k, held(k))
+		case held(k+1) <= share:
+			t.Errorf("share %d: fan-in %d, but %d runs fit", share, k, k+1)
+		}
+	}
+	// The default 64 MiB budget, and a 1 MiB one, which charging a run block
+	// alone gave fan-ins of 5459 and 84.
+	if k, l := fanIn(64<<20), fanIn(1<<20); k != 4366 || l != 65 {
+		t.Fatalf("fan-ins %d and %d at 64 MiB and 1 MiB, want 4366 and 65", k, l)
+	}
+}
+
 // TestSortDeterministicAcrossWorkers: the stream is the same for any
 // worker count, so chunk boundaries, the slices a lone chunk is sorted in,
 // and merge grouping must not show through: through run files and a

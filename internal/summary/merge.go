@@ -14,6 +14,10 @@ type Merged struct {
 	err  error
 }
 
+// MergeBatch is how many records Merge reads from a source at a time, into
+// a buffer of its own, unless the source is a *SliceReader.
+const MergeBatch = 128
+
 // mergeSrc is one sorted source of a merge and head its next record.
 type mergeSrc struct {
 	head Record
@@ -47,7 +51,8 @@ func (s *mergeSrc) advance() (bool, error) {
 
 // Merge returns the merge of srcs, each sorted under the record order; its
 // Len is the sum of theirs. A *SliceReader source is merged in place, and
-// reads as consumed at once; any other is read 128 records at a time.
+// reads as consumed at once; any other is read MergeBatch records at a
+// time.
 // The first record of every source is read here, and a failure to read it is
 // returned.
 func Merge(srcs ...RecordReader) (*Merged, error) {
@@ -58,7 +63,7 @@ func Merge(srcs ...RecordReader) (*Merged, error) {
 		if sl, ok := r.(*SliceReader); ok {
 			s.recs, *sl = *sl, nil
 		} else {
-			s.r, s.buf = r, make([]Record, 128)
+			s.r, s.buf = r, make([]Record, MergeBatch)
 		}
 		ok, err := s.advance()
 		if err != nil {

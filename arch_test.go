@@ -173,4 +173,16 @@ func TestArch(t *testing.T) {
 			}
 		}
 	})
+
+	// The one use of unsafe is the summarization kernel's float64 view of
+	// an encoded record, taken only where it reads what series.DecodeInto
+	// would; everything else reads bytes through encoding/binary.
+	t.Run("unsafe-confined", func(t *testing.T) {
+		const kernel = "internal/summary/pointview.go"
+		for _, u := range uses {
+			if strings.HasPrefix(u.name, "unsafe.") && filepath.ToSlash(u.pos.Filename) != kernel {
+				t.Errorf("%s: %s used outside %s", u.pos, u.name, kernel)
+			}
+		}
+	})
 }

@@ -490,10 +490,11 @@ func (c Config) index(ctx context.Context, v Variant, reopen bool) (*Index, erro
 		if m, err = c.mergeStored(); err != nil {
 			return nil, err
 		}
-		if stored := Variant(m.Variant); v != "" && v != stored {
+		stored := Variant(m.Variant)
+		if v != "" && v != stored {
 			return nil, fmt.Errorf("coconut: %w: stored index is a %s index, not %s", ErrConfigMismatch, stored, v)
 		}
-		v = Variant(m.Variant)
+		v = stored
 	}
 	opt, err := c.toCore()
 	if err != nil {

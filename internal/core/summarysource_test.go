@@ -49,7 +49,10 @@ func TestSummarySourceAnyWorkers(t *testing.T) {
 						if bufLen < 1 {
 							continue
 						}
-						name := fmt.Sprintf("n=%d/materialized=%v/workers=%d/torn=%d/buf=%d", count, materialized, workers, torn, bufLen)
+						name := fmt.Sprintf("n=%d/materialized=%v/workers=%d/torn=%d", count, materialized, workers, torn)
+						if bufLen != 1000 {
+							name += fmt.Sprintf("/buf=%d", bufLen)
+						}
 						t.Run(name, func(t *testing.T) {
 							fs := storage.NewMemFS()
 							writeRaw(t, fs, data, torn)

@@ -19,7 +19,7 @@ var littleEndian = func() bool {
 // len(rec) must be a multiple of 8.
 func pointView(rec []byte) []float64 {
 	p := unsafe.SliceData(rec)
-	if !littleEndian || p == nil || uintptr(unsafe.Pointer(p))%8 != 0 {
+	if !littleEndian || uintptr(unsafe.Pointer(p))%8 != 0 {
 		return nil
 	}
 	return unsafe.Slice((*float64)(unsafe.Pointer(p)), len(rec)/8)
